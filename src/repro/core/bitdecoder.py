@@ -29,9 +29,11 @@ Finished words (every case solved or stuck) are compacted away lazily
 with hysteresis so column-slicing costs stay amortised.
 
 The fused generator :func:`packed_random_loss_masks` draws random
-``k``-loss patterns straight into packed form while consuming the exact
-RNG stream of :func:`repro.sim.montecarlo._random_loss_masks`, so
-profiles are byte-identical across engines at the same seed.
+``k``-loss patterns straight into packed form through the shared
+threshold selection of :mod:`repro.core.lossmasks`; the boolean masks
+the non-packed engines decode come from the same selection and the same
+RNG stream, so profiles are byte-identical across engines at the same
+seed.
 
 Engine selection lives in :mod:`repro.core.decoder`
 (:func:`~repro.core.decoder.make_batch_decoder`).
@@ -46,6 +48,7 @@ import numpy as np
 
 from ..obs.registry import registry
 from .graph import ErasureGraph
+from .lossmasks import packed_loss_masks
 
 __all__ = [
     "BitsetBatchDecoder",
@@ -96,27 +99,15 @@ def packed_random_loss_masks(
 ) -> np.ndarray:
     """Random exactly-``k``-loss patterns, written directly in packed form.
 
-    Consumes the identical RNG stream as
-    :func:`repro.sim.montecarlo._random_loss_masks` (one
-    ``rng.random((batch, num_nodes))`` draw plus an argpartition), then
-    scatters the chosen indices lane by lane — within one lane every
-    case owns a distinct word and its ``k`` node ids are distinct, so
-    the fancy ``|=`` never sees a duplicate ``(node, word)`` pair.  The
-    ``(batch, num_nodes)`` boolean intermediate is never materialised.
+    The dense leaf rule of :mod:`repro.core.lossmasks`: one leaf of
+    ``num_nodes``, so the RNG stream is ``rng.random`` over a
+    ``(batch, num_nodes)`` score matrix and nothing else — the stream
+    of every profile sampled up to ``_DENSE_MASK_MAX_NODES`` nodes.  The
+    ``(batch, num_nodes)`` boolean intermediate is never materialised
+    whole.  Raises ``ValueError`` for ``k`` outside ``[0, num_nodes]``
+    before drawing anything.
     """
-    w = max(1, (batch + 63) // 64)
-    packed = np.zeros((num_nodes, w), dtype=np.uint64)
-    if k == 0 or batch == 0:
-        return packed
-    scores = rng.random((batch, num_nodes))
-    idx = np.argpartition(scores, k - 1, axis=1)[:, :k]
-    for lane in range(64):
-        sub = idx[lane::64]  # (cases in this lane, k)
-        if sub.shape[0] == 0:
-            break
-        words = np.repeat(np.arange(sub.shape[0], dtype=np.intp), k)
-        packed[sub.ravel(), words] |= np.uint64(1) << np.uint64(lane)
-    return packed
+    return packed_loss_masks(num_nodes, k, batch, rng, leaf=num_nodes)
 
 
 def missing_sets_to_unknown(

@@ -1,0 +1,190 @@
+"""Random exactly-``k``-loss patterns: the one k-subset selection.
+
+Every Monte Carlo estimate in the package starts from a batch of
+uniform random ``k``-subsets of the ``N`` nodes.  A subset is chosen by
+scoring nodes with ``rng.random`` and keeping the lowest-scoring ones;
+which scores are drawn, in which order, *is* the RNG stream that every
+historical profile, checkpoint and cache entry was produced from, so
+the draws below are frozen and only the work done on them is free.
+
+The node axis is cut into leaves of ``leaf`` nodes.  With more than one
+leaf, a case's loss count per leaf comes from one vectorised
+``multivariate_hypergeometric`` draw (a uniform ``k``-subset restricted
+to a partition is exactly that), then each leaf with any loss draws one
+``(batch, leaf)`` score matrix and keeps the ``count`` smallest scores
+of each row.  The two public entry points differ only in ``leaf``:
+
+* :func:`repro.core.bitdecoder.packed_random_loss_masks` — one leaf of
+  ``num_nodes`` (no hypergeometric draw, one ``(batch, N)`` matrix);
+* :func:`repro.core.sparse.packed_sparse_loss_masks` — leaves of
+  ``_MASK_LEAF`` nodes.
+
+Selection is by threshold, with no index arrays: the row's ``count``-th
+order statistic from ``np.partition`` (values only), ``scores <= kth``,
+and a contiguous-transpose ``np.packbits`` straight into the packed
+``(N, W)`` layout.  Score matrices are drawn in row blocks of about
+``_SCORE_BLOCK`` scores — ``rng.random`` fills row-major, so block-wise
+draws are the identical stream — which keeps every temporary
+cache-sized whatever the batch and graph size.  The block size is a
+constant and not a knob: it changes no output bit, and one value serves
+both the 96-node and the million-node case (docs/PERF.md).
+
+A threshold keeps one node too many when a row's ``count``-th and next
+score are equal.  Such rows (about 1e-12 of them) are detected by
+popcount and re-chosen by the index-based argpartition selection the
+threshold replaced, so the output is bit-identical to it always.
+"""
+
+from __future__ import annotations
+
+from typing import Iterator
+
+import numpy as np
+
+__all__ = ["packed_loss_masks", "boolean_loss_masks"]
+
+#: Scores drawn per block (2 MiB of float64).  Not part of the output.
+_SCORE_BLOCK = 1 << 18
+
+_Block = tuple[int, int, np.ndarray]
+
+
+def _argpartition_choice(
+    scores: np.ndarray, counts: np.ndarray, kmax: int
+) -> np.ndarray:
+    """Boolean ``counts[i]``-smallest selection per row, by index.
+
+    The tie-breaking reference: a candidate pool of the ``kmax``
+    smallest scores from ``argpartition``, stably sorted so "the
+    ``count`` smallest" is a prefix per row.
+    """
+    rows, size = scores.shape
+    if kmax >= size:
+        cand = np.broadcast_to(np.arange(size, dtype=np.intp), (rows, size))
+        cand_scores = scores
+    else:
+        cand = np.argpartition(scores, kmax - 1, axis=1)[:, :kmax]
+        cand_scores = np.take_along_axis(scores, cand, axis=1)
+    order = np.argsort(cand_scores, axis=1, kind="stable")
+    ranked = np.take_along_axis(cand, order, axis=1)
+    keep = np.arange(ranked.shape[1], dtype=np.intp) < counts[:, None]
+    row_ids, pos = np.nonzero(keep)
+    chosen = np.zeros((rows, size), dtype=bool)
+    chosen[row_ids, ranked[row_ids, pos]] = True
+    return chosen
+
+
+def _select_smallest(
+    scores: np.ndarray, counts: np.ndarray | None, kmax: int
+) -> np.ndarray:
+    """Boolean mask of each row's ``count`` smallest scores.
+
+    ``counts`` is per row, or ``None`` when every row keeps ``kmax``.
+    """
+    lowest = np.partition(scores, kmax - 1, axis=1)[:, :kmax]
+    if counts is None:
+        kth = lowest[:, -1]
+        counts = kmax
+    else:
+        lowest.sort(axis=1)
+        # Scores lie in [0, 1): a threshold of -1 keeps nothing.
+        kth = np.where(
+            counts > 0, lowest[np.arange(len(lowest)), counts - 1], -1.0
+        )
+    chosen = scores <= kth[:, None]
+    tied = np.flatnonzero(np.count_nonzero(chosen, axis=1) != counts)
+    if tied.size:
+        chosen[tied] = _argpartition_choice(
+            scores[tied],
+            np.broadcast_to(counts, (len(scores),))[tied],
+            kmax,
+        )
+    return chosen
+
+
+def _draw_blocks(
+    num_nodes: int, k: int, batch: int, rng: np.random.Generator, leaf: int
+) -> Iterator[_Block]:
+    """The draws, in their frozen order: leaf counts, then leaf by leaf."""
+    num_leaves = (num_nodes + leaf - 1) // leaf
+    if num_leaves == 1:
+        counts = None
+    else:
+        leaf_sizes = np.full(num_leaves, leaf, dtype=np.int64)
+        if num_nodes % leaf:
+            leaf_sizes[-1] = num_nodes % leaf
+        counts = rng.multivariate_hypergeometric(
+            leaf_sizes, k, size=batch, method="marginals"
+        )
+    for j in range(num_leaves):
+        col = j * leaf
+        size = min(leaf, num_nodes - col)
+        kmax = k if counts is None else int(counts[:, j].max())
+        if kmax == 0:
+            continue  # no case loses a node here: no scores are drawn
+        # Whole words per block, so blocks pack independently.
+        step = max(64, (_SCORE_BLOCK // size) & ~63)
+        for row in range(0, batch, step):
+            scores = rng.random((min(step, batch - row), size))
+            block_counts = (
+                None if counts is None
+                else counts[row:row + len(scores), j]
+            )
+            yield row, col, _select_smallest(scores, block_counts, kmax)
+
+
+def _selection_blocks(
+    num_nodes: int, k: int, batch: int, rng: np.random.Generator, leaf: int
+) -> Iterator[_Block]:
+    """``(row, col, chosen)`` boolean blocks tiling the lossy leaves.
+
+    ``chosen[i, n]`` says case ``row + i`` loses node ``col + n``.
+    Leaves in which no case loses a node are skipped (and draw
+    nothing).  ``k`` is validated here, before the first draw, so a
+    rejected call leaves ``rng`` where it was.
+    """
+    if not 0 <= k <= num_nodes:
+        raise ValueError(f"k={k} outside [0, {num_nodes}]")
+    if k == 0 or batch == 0:
+        return iter(())
+    return _draw_blocks(num_nodes, k, batch, rng, leaf)
+
+
+def packed_loss_masks(
+    num_nodes: int, k: int, batch: int, rng: np.random.Generator, leaf: int
+) -> np.ndarray:
+    """``(N, W)`` packed exactly-``k``-loss masks (see module docstring).
+
+    Layout as :func:`repro.core.bitdecoder.pack_cases`: case ``c`` in
+    word ``c >> 6`` at numeric bit ``c & 63``, pad lanes zero.
+    """
+    w = max(1, (batch + 63) // 64)
+    lanes = np.zeros((num_nodes, w * 8), dtype=np.uint8)
+    for row, col, chosen in _selection_blocks(
+        num_nodes, k, batch, rng, leaf
+    ):
+        packed = np.packbits(
+            np.ascontiguousarray(chosen.T), axis=1, bitorder="little"
+        )
+        lo = row >> 3
+        lanes[col:col + chosen.shape[1], lo:lo + packed.shape[1]] = packed
+    # Little-endian words, normalised to native order so the
+    # numeric-bit convention holds on any host.
+    return lanes.view("<u8").astype(np.uint64, copy=False)
+
+
+def boolean_loss_masks(
+    num_nodes: int, k: int, batch: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Boolean ``(batch, num_nodes)`` masks under the dense leaf rule.
+
+    The masks and RNG stream of
+    :func:`repro.core.bitdecoder.packed_random_loss_masks`, unpacked,
+    for the engines that have no ``decode_packed``.
+    """
+    masks = np.zeros((batch, num_nodes), dtype=bool)
+    for row, col, chosen in _selection_blocks(
+        num_nodes, k, batch, rng, leaf=num_nodes
+    ):
+        masks[row:row + chosen.shape[0], col:col + chosen.shape[1]] = chosen
+    return masks

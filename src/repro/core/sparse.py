@@ -42,14 +42,16 @@ sweep even when numba is absent).
 Scalable mask generation
 ------------------------
 :func:`packed_sparse_loss_masks` draws exactly-``k``-loss patterns in
-packed form with bounded memory: per-leaf loss counts come from one
-vectorised ``multivariate_hypergeometric`` draw (a uniform random
-k-subset of ``N`` restricted to a partition is exactly multivariate
-hypergeometric), then positions within each leaf are chosen by
-top-count selection over a leaf-sized score block.  Peak memory is
-``O(batch * leaf)`` instead of the ``O(batch * N)`` score matrix of
-:func:`~repro.sim.montecarlo._random_loss_masks`, which at 2^20 nodes
-is the difference between 32 MB and 4 GB per draw.
+packed form with bounded memory: the shared selection of
+:mod:`repro.core.lossmasks` under the ``_MASK_LEAF`` leaf rule.
+Per-leaf loss counts come from one vectorised
+``multivariate_hypergeometric`` draw (a uniform random k-subset of
+``N`` restricted to a partition is exactly multivariate
+hypergeometric), then positions within each leaf are the lowest scores
+of leaf-wide rows, drawn and packed a fixed-size row block at a time.
+Working memory is one ~2 MiB score block plus the packed result, at
+any batch and graph size, where a dense ``(batch, N)`` score matrix at
+2^20 nodes would be gigabytes per draw.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ import numpy as np
 
 from ..obs.registry import registry
 from .bitdecoder import missing_sets_to_unknown, pack_cases
+from .lossmasks import packed_loss_masks
 
 __all__ = [
     "SparseBitsetDecoder",
@@ -138,68 +141,13 @@ def packed_sparse_loss_masks(
 
     Distributionally a uniform random ``k``-subset per case, like
     :func:`~repro.core.bitdecoder.packed_random_loss_masks`, but the
-    RNG *stream* differs (documented in docs/PERF.md): loss counts per
-    ``_MASK_LEAF``-node leaf come from one vectorised multivariate
-    hypergeometric draw, then in-leaf positions from a leaf-sized score
-    block.  Peak memory is ``O(batch * leaf)``.
+    RNG *stream* differs (documented in docs/PERF.md): this is the
+    bounded leaf rule of :mod:`repro.core.lossmasks` — loss counts per
+    ``_MASK_LEAF``-node leaf from one vectorised multivariate
+    hypergeometric draw, then in-leaf positions from leaf-wide scores.
+    Working memory beyond the packed result is one score block.
     """
-    if not 0 <= k <= num_nodes:
-        raise ValueError(f"k={k} outside [0, {num_nodes}]")
-    w = max(1, (batch + 63) // 64)
-    packed = np.zeros((num_nodes, w), dtype=np.uint64)
-    if k == 0 or batch == 0:
-        return packed
-
-    leaf_sizes = np.full(
-        (num_nodes + _MASK_LEAF - 1) // _MASK_LEAF, _MASK_LEAF, dtype=np.int64
-    )
-    rem = num_nodes % _MASK_LEAF
-    if rem:
-        leaf_sizes[-1] = rem
-    if leaf_sizes.size == 1:
-        counts = np.full((batch, 1), k, dtype=np.int64)
-    else:
-        counts = rng.multivariate_hypergeometric(
-            leaf_sizes, k, size=batch, method="marginals"
-        )
-
-    lane_bits = np.uint64(1) << (
-        np.arange(batch, dtype=np.uint64) & np.uint64(63)
-    )
-    lane_words = np.arange(batch, dtype=np.intp) >> 6
-    for j, size in enumerate(leaf_sizes):
-        c = counts[:, j]
-        kmax = int(c.max())
-        if kmax == 0:
-            continue
-        start = j * _MASK_LEAF
-        size = int(size)
-        scores = rng.random((batch, size))
-        if kmax >= size:
-            cand = np.broadcast_to(
-                np.arange(size, dtype=np.intp), (batch, size)
-            )
-            cand_scores = scores
-        else:
-            cand = np.argpartition(scores, kmax - 1, axis=1)[:, :kmax]
-            cand_scores = np.take_along_axis(scores, cand, axis=1)
-        # Order the candidate pool so "the c smallest scores" is a
-        # prefix per row; ties are impossible almost surely and broken
-        # deterministically by argsort either way.
-        order = np.argsort(cand_scores, axis=1, kind="stable")
-        ranked = np.take_along_axis(cand, order, axis=1)
-        sel = np.arange(ranked.shape[1], dtype=np.intp)[None, :] < c[:, None]
-        rows, pos = np.nonzero(sel)
-        nodes = start + ranked[rows, pos]
-        # Within one lane every case owns a distinct word, and a case's
-        # node ids within a leaf are distinct, so the fancy |= below
-        # never sees a duplicate (node, word) pair.
-        for lane in range(64):
-            m = (rows & 63) == lane
-            if not m.any():
-                continue
-            packed[nodes[m], lane_words[rows[m]]] |= lane_bits[lane]
-    return packed
+    return packed_loss_masks(num_nodes, k, batch, rng, leaf=_MASK_LEAF)
 
 
 class SparseBitsetDecoder:

@@ -27,6 +27,7 @@ from ..core.decoder import (
     BatchPeelingDecoder,
     make_batch_decoder_from_matrix,
 )
+from ..core.lossmasks import boolean_loss_masks
 from ..obs.seeding import SeedLike, resolve_rng
 from ..sim.results import FailureProfile
 from .multigraph import FederatedSystem
@@ -100,11 +101,7 @@ def federated_profile(
             packed = packed_random_loss_masks(n, k, samples_per_k, rng)
             ok = decoder.decode_packed(packed, samples_per_k)
         else:
-            scores = rng.random((samples_per_k, n))
-            idx = np.argpartition(scores, k - 1, axis=1)[:, :k]
-            masks = np.zeros((samples_per_k, n), dtype=bool)
-            rows = np.repeat(np.arange(samples_per_k), k)
-            masks[rows, idx.ravel()] = True
+            masks = boolean_loss_masks(n, k, samples_per_k, rng)
             ok = decoder.decode_batch(masks)
         fail[k] = 1.0 - ok.mean()
         samples[k] = samples_per_k

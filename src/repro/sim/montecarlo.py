@@ -61,6 +61,7 @@ from ..core.decoder import (
     resolve_engine,
 )
 from ..core.graph import ErasureGraph
+from ..core.lossmasks import boolean_loss_masks
 from ..core.sparse import packed_sparse_loss_masks
 from ..obs.registry import MetricsRegistry, capture, registry
 from ..obs.seeding import SeedLike, resolve_rng, spawn_seeds
@@ -79,20 +80,21 @@ DEFAULT_SAMPLES_PER_K = 20_000
 DEFAULT_EXACT_UPTO = 6
 _MAX_BATCH = 8_192
 
-# Largest graph still served by the dense O(batch * N) mask generators
-# at the full `_MAX_BATCH`.  Up to here the RNG stream — and therefore
-# every existing profile and checkpoint — is unchanged; above it masks
-# come from the leaf-wise sparse generator with a size-adaptive batch
-# so working memory stays bounded on million-node graphs.
+# Largest graph sampled under the dense leaf rule (one (batch, N) score
+# matrix) at the full `_MAX_BATCH`.  Up to here the RNG stream — and
+# therefore every existing profile and checkpoint — is the historical
+# one; above it masks follow the bounded leaf rule (hypergeometric leaf
+# counts) with a size-adaptive batch.  See repro.core.lossmasks.
 _DENSE_MASK_MAX_NODES = 1 << 13
 
 
 def _mask_batch(num_nodes: int) -> int:
     """Per-decode batch size: 8192 up to 2^13 nodes, shrinking above.
 
-    The cap keeps the packed case matrix plus one mask-generation block
-    around a gigabyte at 2^20 nodes; always a multiple of 64 so packed
-    words have no dead pad lanes mid-run.
+    The cap keeps the packed case matrix — ``num_nodes * batch / 8``
+    bytes, the one mask-generation allocation that scales with batch
+    times nodes — at or under 128 MiB at any graph size; always a
+    multiple of 64 so packed words have no dead pad lanes mid-run.
     """
     if num_nodes <= _DENSE_MASK_MAX_NODES:
         return _MAX_BATCH
@@ -113,16 +115,10 @@ def _random_loss_masks(
 ) -> np.ndarray:
     """Boolean (batch, num_nodes) masks with exactly k True per row.
 
-    Uses argpartition of a random matrix: O(batch * num_nodes) and fully
-    vectorised, which beats per-row ``rng.choice`` by orders of
-    magnitude at these batch sizes.
+    The masks (and RNG stream) of :func:`packed_random_loss_masks`,
+    unpacked: what the engines without ``decode_packed`` consume.
     """
-    scores = rng.random((batch, num_nodes))
-    idx = np.argpartition(scores, k - 1, axis=1)[:, :k]
-    masks = np.zeros((batch, num_nodes), dtype=bool)
-    rows = np.repeat(np.arange(batch), k)
-    masks[rows, idx.ravel()] = True
-    return masks
+    return boolean_loss_masks(num_nodes, k, batch, rng)
 
 
 def sample_fail_fraction(

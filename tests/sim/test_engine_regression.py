@@ -1,16 +1,21 @@
 """Engines are interchangeable: byte-identical results at the same seed.
 
 The acceptance bar for the bitset engine is not "statistically close" —
-both batch engines consume the exact same RNG stream (the packed mask
-generator replays ``_random_loss_masks``'s draws), so every profile,
-overhead curve, and checkpoint must match byte for byte.
+all batch engines consume the exact same RNG stream (packed and boolean
+masks are two views of one selection, ``repro.core.lossmasks``), so
+every profile, overhead curve, and checkpoint must match byte for byte —
+across engines, and across versions (the digest below; the mask-level
+oracle is ``tests/core/test_lossmasks.py``).
 """
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 from repro.core import tornado_graph
+from repro.graphs import tornado_catalog_graph
 from repro.federation import FederatedSystem
 from repro.federation.profile import federated_profile
 from repro.sim import measure_retrieval_overhead, profile_graph
@@ -18,6 +23,14 @@ from repro.sim.montecarlo import sample_fail_fraction
 
 
 class TestProfileByteIdentical:
+    def test_profile_matches_historical_digest(self):
+        """A sweep's bytes as of the index-based mask generators."""
+        profile = profile_graph(
+            tornado_catalog_graph(3), samples_per_k=2000, seed=7
+        )
+        digest = hashlib.sha256(profile.fail_fraction.tobytes()).hexdigest()
+        assert digest[:16] == "ee1f6cdd4ea80b23"
+
     def test_failure_profile_identical_across_engines(self, small_tornado):
         sweep = dict(samples_per_k=600, exact_upto=3, seed=7)
         p_bit = profile_graph(small_tornado, **sweep, engine="bitset")
