@@ -1,23 +1,25 @@
-"""X13 — decode engine throughput: scalar vs matmul vs bitset.
+"""X13 — decode engine throughput: scalar vs bitset vs sparse.
 
 The Monte Carlo hot path is millions of independent "is this erasure
-pattern recoverable?" decodes.  Three engines answer that question:
+pattern recoverable?" decodes.  Three decoders answer that question:
 
 * ``scalar`` — :class:`repro.core.PeelingDecoder`, one case at a time
   (the reference implementation; timed on a small sample).
-* ``matmul`` — :class:`repro.core.BatchPeelingDecoder`, float32
-  membership @ unknown-matrix products (the previous hot path).
 * ``bitset`` — :class:`repro.core.BitsetBatchDecoder`, 64 cases packed
-  per uint64 word, peeled with bitwise ops (the current default).
+  per uint64 word, peeled with bitwise ops over dense bit-planes (what
+  ``make_batch_decoder`` picks at these sizes).
+* ``sparse`` — :class:`repro.core.SparseBitsetDecoder`, the same packing
+  over flat CSR edge arrays (what it picks from 2^14 nodes up; timed
+  here on the small graphs to show why it does not pick it sooner —
+  the large-graph side of the rule is X9's bar).
 
-Each engine decodes the *same* pre-generated erasure masks, so the
+Each decoder reads the *same* pre-generated erasure masks, so the
 timings isolate the decode kernel (mask generation is common work and
 its packed variant replays the identical RNG stream anyway).  The
 bench asserts case-for-case agreement before trusting any timing, then
-requires the bitset engine to beat matmul by
-``REPRO_BENCH_DECODE_MIN_SPEEDUP`` (default 5x — the acceptance bar on
-the paper's 96-node catalog graph; CI's reduced config relaxes it to
-1x, i.e. merely no-slower).
+requires both batch kernels to beat the scalar loop.  (The float32
+matmul engine this bench once compared against is deleted; its last
+recorded numbers are in ``benchmarks/results/`` and docs/PERF.md.)
 
 Scale knobs: ``REPRO_BENCH_DECODE_BATCH`` (cases per timed decode,
 default 8192), ``REPRO_BENCH_DECODE_SCALAR`` (scalar sample size,
@@ -36,19 +38,18 @@ import numpy as np
 from _bench_utils import RESULTS_DIR, write_result
 from repro.analysis import format_table
 from repro.core import (
-    BatchPeelingDecoder,
     BitsetBatchDecoder,
     PeelingDecoder,
+    SparseBitsetDecoder,
     pack_cases,
     tornado_graph,
 )
 from repro.graphs import tornado_catalog_graph
-from repro.sim.montecarlo import _random_loss_masks
+from repro.core.lossmasks import boolean_loss_masks
 
 BATCH = int(os.environ.get("REPRO_BENCH_DECODE_BATCH", "8192"))
 SCALAR_CASES = int(os.environ.get("REPRO_BENCH_DECODE_SCALAR", "512"))
 REPEATS = int(os.environ.get("REPRO_BENCH_DECODE_REPEATS", "3"))
-MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_DECODE_MIN_SPEEDUP", "5.0"))
 
 # The 96-node acceptance graph at the ks named by the issue (below,
 # inside, and above the failure transition), plus a 128-node cascade
@@ -76,14 +77,14 @@ def _best_seconds(fn, *args):
 
 
 def _measure(graph, k, rng):
-    masks = _random_loss_masks(graph.num_nodes, k, BATCH, rng)
+    masks = boolean_loss_masks(graph.num_nodes, k, BATCH, rng)
     packed = pack_cases(masks)
     scalar = PeelingDecoder(graph)
-    matmul = BatchPeelingDecoder(graph)
     bitset = BitsetBatchDecoder(graph)
+    sparse = SparseBitsetDecoder(graph)
 
-    t_mat, ok_mat = _best_seconds(matmul.decode_batch, masks)
     t_bit, ok_bit = _best_seconds(bitset.decode_packed, packed, BATCH)
+    t_sp, ok_sp = _best_seconds(sparse.decode_packed, packed, BATCH)
 
     sub = masks[:SCALAR_CASES]
 
@@ -95,25 +96,26 @@ def _measure(graph, k, rng):
     t_sca, ok_sca = _best_seconds(scalar_sweep)
 
     # No timing is admissible unless every engine agrees case for case.
-    assert np.array_equal(ok_mat, ok_bit), (graph.name, k)
-    assert np.array_equal(ok_sca, ok_mat[:SCALAR_CASES]), (graph.name, k)
+    assert np.array_equal(ok_bit, ok_sp), (graph.name, k)
+    assert np.array_equal(ok_sca, ok_bit[:SCALAR_CASES]), (graph.name, k)
 
     return {
         "k": k,
-        "fail_fraction": float(1.0 - ok_mat.mean()),
+        "fail_fraction": float(1.0 - ok_bit.mean()),
         "cases_per_sec": {
             "scalar": SCALAR_CASES / t_sca,
-            "matmul": BATCH / t_mat,
             "bitset": BATCH / t_bit,
+            "sparse": BATCH / t_sp,
         },
-        "speedup_bitset_vs_matmul": t_mat / t_bit,
+        "speedup_bitset_vs_sparse": t_sp / t_bit,
         "speedup_bitset_vs_scalar": (BATCH / t_bit) / (SCALAR_CASES / t_sca),
+        "speedup_sparse_vs_scalar": (BATCH / t_sp) / (SCALAR_CASES / t_sca),
     }
 
 
 def test_x13_decode_engines(benchmark):
     graph3 = tornado_catalog_graph(3)
-    warm = _random_loss_masks(
+    warm = boolean_loss_masks(
         graph3.num_nodes, 26, min(1024, BATCH), np.random.default_rng(0)
     )
     bit3 = BitsetBatchDecoder(graph3)
@@ -133,15 +135,15 @@ def test_x13_decode_engines(benchmark):
                     label,
                     k,
                     f"{cps['scalar']:,.0f}",
-                    f"{cps['matmul']:,.0f}",
                     f"{cps['bitset']:,.0f}",
-                    f"{m['speedup_bitset_vs_matmul']:.1f}x",
+                    f"{cps['sparse']:,.0f}",
+                    f"{m['speedup_bitset_vs_sparse']:.1f}x",
                 ]
             )
 
     table = format_table(
-        ["graph", "k offline", "scalar c/s", "matmul c/s", "bitset c/s",
-         "bitset/matmul"],
+        ["graph", "k offline", "scalar c/s", "bitset c/s", "sparse c/s",
+         "bitset/sparse"],
         rows,
     )
     write_result(
@@ -156,7 +158,6 @@ def test_x13_decode_engines(benchmark):
             "batch": BATCH,
             "scalar_cases": SCALAR_CASES,
             "repeats": REPEATS,
-            "min_speedup": MIN_SPEEDUP,
         },
         "results": results,
     }
@@ -166,11 +167,10 @@ def test_x13_decode_engines(benchmark):
         encoding="utf-8",
     )
 
-    # Acceptance: on the 96-node catalog graph the bitset engine beats
-    # matmul by MIN_SPEEDUP at every probed k (5x at full scale; CI's
-    # reduced batch only requires parity).
+    # Acceptance: everywhere, both batch kernels must crush the scalar
+    # loop.  Which of the two is faster is the size rule's business:
+    # bitset here (recorded, not gated — CI runners are too unsteady),
+    # sparse from 2^14 nodes up (gated in X9).
     for res in results:
-        if res["num_nodes"] == 96:
-            assert res["speedup_bitset_vs_matmul"] >= MIN_SPEEDUP, res
-        # Everywhere, batched engines must crush the scalar loop.
         assert res["speedup_bitset_vs_scalar"] > 1.0, res
+        assert res["speedup_sparse_vs_scalar"] > 1.0, res

@@ -14,7 +14,7 @@ import pytest
 
 from _bench_utils import write_result
 from repro.analysis import format_table
-from repro.core import BatchPeelingDecoder, MLDecoder
+from repro.core import MLDecoder, make_batch_decoder
 
 SAMPLES = 800
 KS = (20, 26, 30, 34, 38, 42)
@@ -23,7 +23,7 @@ KS = (20, 26, 30, 34, 38, 42)
 @pytest.fixture(scope="module")
 def decoders(systems):
     g = systems["Tornado Graph 3"]
-    return g, BatchPeelingDecoder(g), MLDecoder(g)
+    return g, make_batch_decoder(g), MLDecoder(g)
 
 
 def test_x2_peeling_vs_ml(benchmark, decoders):

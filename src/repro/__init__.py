@@ -62,10 +62,8 @@ from .cluster import (
 )
 from .analysis import ProfileCache, default_cache
 from .core import (
-    BatchPeelingDecoder,
     BitsetBatchDecoder,
     CsrGraph,
-    EngineUnsupportedError,
     ErasureGraph,
     SparseBitsetDecoder,
     TornadoCodec,
@@ -111,12 +109,10 @@ from .storage import TornadoArchive, run_mission
 __version__ = "1.1.0"
 
 __all__ = [
-    "BatchPeelingDecoder",
     "BitsetBatchDecoder",
     "ClusterClient",
     "ClusterCoordinator",
     "CsrGraph",
-    "EngineUnsupportedError",
     "ErasureGraph",
     "FailureProfile",
     "FaultPlan",

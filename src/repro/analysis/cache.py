@@ -83,15 +83,14 @@ class ProfileCache:
         exact_upto: int = 6,
         ks: Sequence[int] | None = None,
         n_jobs: int = 1,
-        engine: str = "auto",
     ) -> FailureProfile:
         """Load a cached profile or simulate and store it.
 
-        ``engine`` picks the batch decode kernel for a cache fill.  It
-        does **not** participate in the cache key — engines produce
-        byte-identical profiles at the same seed — but the resolved
-        engine is recorded in the manifest sidecar so a cached number
-        can be traced to the kernel that computed it.
+        The batch decode kernel of a cache fill is the one the graph's
+        size selects.  It does **not** participate in the cache key —
+        both kernels produce byte-identical profiles at the same seed —
+        but its name is recorded as ``engine`` in the manifest sidecar
+        so a cached number can be traced to the kernel that computed it.
         """
         reg = registry()
         path = self._path(graph, samples_per_k, seed, exact_upto, ks)
@@ -101,7 +100,6 @@ class ProfileCache:
             return FailureProfile.load(path)
         reg.counter("cache.misses").inc()
         reg.event("cache.miss", graph=graph.name, path=str(path))
-        engine = resolve_engine(engine)
         config = {
             "samples_per_k": samples_per_k,
             "seed": seed,
@@ -114,7 +112,7 @@ class ProfileCache:
             seed=seed,
             config=config,
             graph=graph.name,
-            decode_engine=engine,
+            engine=resolve_engine(num_nodes=graph.num_nodes),
         )
         t0 = time.perf_counter()
         profile = profile_graph(
@@ -124,7 +122,6 @@ class ProfileCache:
             exact_upto=exact_upto,
             ks=ks,
             n_jobs=n_jobs,
-            engine=engine,
         )
         if reg.enabled:
             reg.histogram("cache.fill_seconds").observe(

@@ -173,14 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=2,
         help="re-dispatches per cell after a worker crash or timeout",
     )
-    p.add_argument(
-        "--engine",
-        choices=["auto", "bitset", "matmul", "sparse"],
-        default="auto",
-        help="batch decode kernel (auto honours REPRO_DECODE_ENGINE, "
-        "then picks sparse for large graphs; results are identical "
-        "either way)",
-    )
 
     p = sub.add_parser(
         "overhead",
@@ -191,13 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--decoder", choices=["peeling", "ml"], default="peeling")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--engine",
-        choices=["auto", "bitset", "matmul", "sparse", "scalar"],
-        default="auto",
-        help="peeling evaluation kernel (scalar = per-trial incremental "
-        "loop; results are identical either way)",
-    )
 
     p = sub.add_parser(
         "reliability",
@@ -539,13 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="auto-snapshot the WAL after every N journaled records",
-    )
-    q.add_argument(
-        "--decode-engine",
-        choices=["auto", "bitset", "matmul", "sparse"],
-        default="auto",
-        help="batch kernel for decode-headroom probes "
-        "(auto honours REPRO_DECODE_ENGINE)",
     )
     q.add_argument(
         "--max-seconds",
@@ -956,7 +934,6 @@ def _cmd_profile(args) -> int:
         max_retries=args.max_retries,
         checkpoint=args.checkpoint,
         resume=args.resume,
-        engine=args.engine,
     )
     if not prof.fully_covered:
         print(
@@ -986,7 +963,6 @@ def _cmd_overhead(args) -> int:
         n_trials=args.trials,
         seed=args.seed,
         decoder=args.decoder,
-        engine=args.engine,
     )
     print(
         f"{graph.name} [{args.decoder}]: mean downloads "
@@ -1474,7 +1450,6 @@ def _cmd_cluster_coordinator(args) -> int:
         rpc_timeout=args.rpc_timeout,
         repair_bytes_per_cycle=args.repair_budget,
         snapshot_every=args.snapshot_every,
-        decode_engine=args.decode_engine,
     )
 
     async def run() -> int:

@@ -80,7 +80,7 @@ from typing import Any
 import numpy as np
 
 from ..core.codec import TornadoCodec
-from ..core.decoder import make_batch_decoder, resolve_engine
+from ..core.decoder import make_batch_decoder
 from ..core.graph import ErasureGraph
 from ..obs.registry import registry
 from ..obs.trace import start_span, tracer, trace_span, use_context
@@ -122,6 +122,7 @@ from ..serve.protocol import (
     encode_request,
     parse_response,
 )
+from ..serve.service import _evaluate_headroom
 from ..obs.prom import render_prometheus
 from ..storage.archive import DataLossError
 from ..storage.blockstore import block_key
@@ -199,7 +200,6 @@ class ClusterCoordinator:
         rpc_timeout: float | None = 30.0,
         repair_bytes_per_cycle: int | None = None,
         snapshot_every: int | None = None,
-        decode_engine: str = "auto",
     ):
         if rpc_timeout is not None and rpc_timeout <= 0:
             raise ValueError("rpc_timeout must be positive")
@@ -208,11 +208,8 @@ class ClusterCoordinator:
         self.graph = graph
         self.codec = TornadoCodec(graph, block_size)
         # Batch what-if probes (decode_headroom) run through the
-        # engine-selected kernel; scalar reads keep the PlanCache path.
-        self.decode_engine = resolve_engine(
-            decode_engine, num_nodes=graph.num_nodes
-        )
-        self._headroom_decoder = None
+        # graph's batch kernel; scalar reads keep the PlanCache path.
+        self._headroom_decoder = make_batch_decoder(graph)
         self.plans = PlanCache(plan_capacity)
         self.ring = HashRing()
         self.nodes: dict[str, NodeLink] = {}
@@ -1074,7 +1071,7 @@ class ClusterCoordinator:
         ``degraded_headroom``: one erasure case per stored stripe for
         the *current* liveness state, plus one per (stripe, live node)
         for the state after that node additionally dies, all pushed
-        through a single engine-selected batch decode
+        through a single batch decode
         (:func:`~repro.core.decoder.make_batch_decoder`).  Hundreds of
         scenarios cost one packed decode call instead of one scalar
         peel each.
@@ -1099,47 +1096,25 @@ class ClusterCoordinator:
                     ]
                     cases.append(base + extra)
                     meta.append((name, stripe.index, node_id))
-        if self._headroom_decoder is None:
-            self._headroom_decoder = make_batch_decoder(
-                self.graph, engine=self.decode_engine
-            )
-        ok = (
-            self._headroom_decoder.decode_missing_sets(cases)
-            if cases
-            else np.zeros(0, dtype=bool)
-        )
-        base_ok: dict[tuple[str, int], bool] = {}
-        for (name, index, node_id), good in zip(meta, ok):
-            if node_id is None:
-                base_ok[(name, index)] = bool(good)
-        at_risk: set[str] = set()
-        for (name, index, node_id), good in zip(meta, ok):
-            if (
-                node_id is not None
-                and base_ok[(name, index)]
-                and not good
-            ):
-                at_risk.add(node_id)
-        failing_now = sorted(
-            f"{name}/{index}"
-            for (name, index), good in base_ok.items()
-            if not good
+        engine = self._headroom_decoder.engine
+        _, at_risk, failing_now = _evaluate_headroom(
+            self._headroom_decoder, cases, meta
         )
         reg = registry()
         reg.counter("cluster.headroom_probes").inc()
         reg.event(
             "cluster.headroom",
-            engine=self.decode_engine,
+            engine=engine,
             cases=len(cases),
-            at_risk=sorted(at_risk),
+            at_risk=at_risk,
             failing_now=failing_now,
         )
         return {
-            "engine": self.decode_engine,
+            "engine": engine,
             "cases": len(cases),
             "dead_nodes": sorted(dead),
             "failing_now": failing_now,
-            "at_risk_nodes": sorted(at_risk),
+            "at_risk_nodes": at_risk,
         }
 
     def metrics_snapshot(self) -> dict[str, Any]:
@@ -1203,7 +1178,7 @@ class ClusterCoordinator:
             "repair_bytes": self.repair_bytes,
             "repair_bytes_by_node": dict(self.repair_bytes_by_node),
             "repair": self.scheduler.status(),
-            "decode_engine": self.decode_engine,
+            "engine": self._headroom_decoder.engine,
             "state_sha256": self.state_sha256(),
             "wal": self.wal.stats() if self.wal is not None else None,
             "plan_cache": {

@@ -35,9 +35,7 @@ from .bitdecoder import (
 from .csrgraph import CsrGraph, tornado_csr_graph
 from .decoder import (
     DECODE_ENGINES,
-    BatchPeelingDecoder,
     DecodeResult,
-    EngineUnsupportedError,
     PeelingDecoder,
     make_batch_decoder,
     make_batch_decoder_from_matrix,
@@ -81,13 +79,11 @@ __all__ = [
     "recovery_threshold",
     "AdjustmentResult",
     "AdjustmentStep",
-    "BatchPeelingDecoder",
     "BitsetBatchDecoder",
     "CascadePlan",
     "CsrGraph",
     "DECODE_ENGINES",
     "Constraint",
-    "EngineUnsupportedError",
     "SparseBitsetDecoder",
     "CriticalReport",
     "DecodeFailure",

@@ -1,11 +1,10 @@
 """Bit-packed batch peeling: 64 erasure cases per machine word.
 
-The matmul engine (:class:`repro.core.decoder.BatchPeelingDecoder`)
-spends the Monte Carlo budget on dense float32 products whose entries
-are all 0 or 1.  For the graph sizes the paper studies (96–128 nodes)
-the entire erasure state of 64 cases fits in *one* ``uint64`` per node,
-so a peeling round collapses to a handful of AND/OR/NOT sweeps over
-packed words — the bit-slicing trick GF(2) linear-algebra kernels use.
+Every erasure state is a 0/1 value, so for the graph sizes the paper
+studies (96–128 nodes) the entire state of 64 cases fits in *one*
+``uint64`` per node and a peeling round collapses to a handful of
+AND/OR/NOT sweeps over packed words — the bit-slicing trick GF(2)
+linear-algebra kernels use.
 
 Layout
 ------
@@ -30,13 +29,16 @@ with hysteresis so column-slicing costs stay amortised.
 
 The fused generator :func:`packed_random_loss_masks` draws random
 ``k``-loss patterns straight into packed form through the shared
-threshold selection of :mod:`repro.core.lossmasks`; the boolean masks
-the non-packed engines decode come from the same selection and the same
-RNG stream, so profiles are byte-identical across engines at the same
-seed.
+threshold selection of :mod:`repro.core.lossmasks`; the boolean masks a
+``decode_batch``-only reference decoder consumes come from the same
+selection and the same RNG stream, so profiles are byte-identical
+whichever decoder reads them.
 
-Engine selection lives in :mod:`repro.core.decoder`
-(:func:`~repro.core.decoder.make_batch_decoder`).
+:class:`_PackedPeelingDecoder` holds what this kernel and the sparse one
+(:mod:`repro.core.sparse`) share — ``decode_batch``,
+``decode_missing_sets`` and the body of ``decode_packed``; a kernel is
+its constructor plus ``_peel``.  Which kernel runs is decided by
+:func:`repro.core.decoder.make_batch_decoder` from the graph's size.
 """
 
 from __future__ import annotations
@@ -136,96 +138,21 @@ def missing_sets_to_unknown(
     return unknown
 
 
-class BitsetBatchDecoder:
-    """Vectorised peeling over erasure patterns packed 64 per word.
+class _PackedPeelingDecoder:
+    """What the packed kernels share: everything around the fixpoint.
 
-    Drop-in alternative to the matmul engine: identical
-    :meth:`decode_batch` / :meth:`decode_missing_sets` results, plus the
-    packed-native :meth:`decode_packed` fast path used by the Monte
-    Carlo hot loop.  Construction from a raw relation matrix
-    (:meth:`from_matrix`) supports the federated cross-site path.
+    A kernel class supplies ``engine``, ``_num_nodes``, ``_num_cons``,
+    ``_data`` and ``_peel(u)`` (peel the packed ``(N, W)`` matrix ``u``
+    in place, return the round count); validation, lane extraction and
+    the ``decoder.*`` metrics live here once.
     """
-
-    engine = "bitset"
-
-    def __init__(self, graph: ErasureGraph):
-        self.graph = graph
-        self._init_from(
-            [c.members() for c in graph.constraints],
-            graph.data_nodes,
-            graph.num_nodes,
-        )
-
-    def _init_from(self, members, data_nodes, num_nodes: int) -> None:
-        self._num_nodes = num_nodes
-        # Sort constraints by member count (descending) so the per-slot
-        # scan can act on shrinking row prefixes instead of a padded
-        # rectangle (saves work on irregular degree distributions).
-        members = sorted(
-            (tuple(m) for m in members if len(m) > 0),
-            key=len,
-            reverse=True,
-        )
-        c = len(members)
-        self._num_cons = c
-        self._dmax = max((len(m) for m in members), default=0)
-        mp = np.zeros((c, max(self._dmax, 1)), dtype=np.intp)
-        for ci, m in enumerate(members):
-            mp[ci, : len(m)] = m
-        self._mp = mp
-        lens = np.fromiter((len(m) for m in members), dtype=np.intp, count=c)
-        self._slot_rows = [
-            int((lens > j).sum()) for j in range(self._dmax)
-        ]
-        # Node-sorted edge arrays: the solved-bit clear is a segmented OR
-        # over each node's incident constraints, conflict-free by design.
-        edges = sorted(
-            (node, ci) for ci, m in enumerate(members) for node in m
-        )
-        self._edge_node = np.fromiter(
-            (e[0] for e in edges), dtype=np.intp, count=len(edges)
-        )
-        self._edge_con = np.fromiter(
-            (e[1] for e in edges), dtype=np.intp, count=len(edges)
-        )
-        if len(edges):
-            self._seg_nodes, self._seg_starts = np.unique(
-                self._edge_node, return_index=True
-            )
-        else:
-            self._seg_nodes = np.empty(0, dtype=np.intp)
-            self._seg_starts = np.empty(0, dtype=np.intp)
-        self._data = np.asarray(data_nodes, dtype=np.intp)
-
-    @classmethod
-    def from_matrix(
-        cls, membership: np.ndarray, data_nodes, num_nodes: int
-    ) -> "BitsetBatchDecoder":
-        """Build from a raw constraint-membership matrix.
-
-        Mirrors :meth:`BatchPeelingDecoder.from_matrix`: each nonzero
-        row entry marks one member of a parity relation, admitting
-        relations no single :class:`ErasureGraph` expresses (e.g. the
-        federated cross-site equality constraints).  All-zero rows are
-        ignored.
-        """
-        self = cls.__new__(cls)
-        self.graph = None
-        membership = np.asarray(membership)
-        members = [
-            tuple(np.flatnonzero(row).tolist()) for row in membership
-        ]
-        self._init_from(members, data_nodes, num_nodes)
-        return self
-
-    # ------------------------------------------------------------------
 
     def decode_batch(self, unknown: np.ndarray) -> np.ndarray:
         """Boolean success vector for a batch of boolean patterns.
 
-        Accepts the same ``(batch, num_nodes)`` boolean matrix as the
-        matmul engine (packing happens internally); the array is not
-        modified.
+        ``unknown`` is a boolean ``(batch, num_nodes)`` matrix, ``True``
+        marking a lost node; packing happens internally and the array
+        is not modified.
         """
         if unknown.ndim != 2 or unknown.shape[1] != self._num_nodes:
             raise ValueError(
@@ -292,6 +219,93 @@ class BitsetBatchDecoder:
                 time.perf_counter() - t0
             )
         return ok
+
+
+class BitsetBatchDecoder(_PackedPeelingDecoder):
+    """Vectorised peeling over erasure patterns packed 64 per word.
+
+    The dense-plane kernel: :meth:`decode_batch` /
+    :meth:`decode_missing_sets` on boolean patterns, plus the
+    packed-native :meth:`decode_packed` fast path used by the Monte
+    Carlo hot loop.  Construction from a raw relation matrix
+    (:meth:`from_matrix`) supports the federated cross-site path.
+    """
+
+    engine = "bitset"
+    # Bound in this class's own namespace: the benchmark's layer hooks
+    # patch ``decode_packed`` per kernel class, not on the shared base.
+    decode_packed = _PackedPeelingDecoder.decode_packed
+
+    def __init__(self, graph: ErasureGraph):
+        self.graph = graph
+        self._init_from(
+            [c.members() for c in graph.constraints],
+            graph.data_nodes,
+            graph.num_nodes,
+        )
+
+    def _init_from(self, members, data_nodes, num_nodes: int) -> None:
+        self._num_nodes = num_nodes
+        # Sort constraints by member count (descending) so the per-slot
+        # scan can act on shrinking row prefixes instead of a padded
+        # rectangle (saves work on irregular degree distributions).
+        members = sorted(
+            (tuple(m) for m in members if len(m) > 0),
+            key=len,
+            reverse=True,
+        )
+        c = len(members)
+        self._num_cons = c
+        self._dmax = max((len(m) for m in members), default=0)
+        mp = np.zeros((c, max(self._dmax, 1)), dtype=np.intp)
+        for ci, m in enumerate(members):
+            mp[ci, : len(m)] = m
+        self._mp = mp
+        lens = np.fromiter((len(m) for m in members), dtype=np.intp, count=c)
+        self._slot_rows = [
+            int((lens > j).sum()) for j in range(self._dmax)
+        ]
+        # Node-sorted edge arrays: the solved-bit clear is a segmented OR
+        # over each node's incident constraints, conflict-free by design.
+        edges = sorted(
+            (node, ci) for ci, m in enumerate(members) for node in m
+        )
+        self._edge_node = np.fromiter(
+            (e[0] for e in edges), dtype=np.intp, count=len(edges)
+        )
+        self._edge_con = np.fromiter(
+            (e[1] for e in edges), dtype=np.intp, count=len(edges)
+        )
+        if len(edges):
+            self._seg_nodes, self._seg_starts = np.unique(
+                self._edge_node, return_index=True
+            )
+        else:
+            self._seg_nodes = np.empty(0, dtype=np.intp)
+            self._seg_starts = np.empty(0, dtype=np.intp)
+        self._data = np.asarray(data_nodes, dtype=np.intp)
+
+    @classmethod
+    def from_matrix(
+        cls, membership: np.ndarray, data_nodes, num_nodes: int
+    ) -> "BitsetBatchDecoder":
+        """Build from a raw constraint-membership matrix.
+
+        Each nonzero row entry marks one member of a parity relation
+        (any single unknown member is recoverable from the rest),
+        admitting relations no single :class:`ErasureGraph` expresses —
+        e.g. the federated cross-site equality constraints, where the
+        same logical data block exists at two sites.  All-zero rows are
+        ignored.
+        """
+        self = cls.__new__(cls)
+        self.graph = None
+        membership = np.asarray(membership)
+        members = [
+            tuple(np.flatnonzero(row).tolist()) for row in membership
+        ]
+        self._init_from(members, data_nodes, num_nodes)
+        return self
 
     # ------------------------------------------------------------------
 

@@ -354,16 +354,14 @@ def exhaustive_failing_sets(
     graph: ErasureGraph,
     k: int,
     batch_size: int = 8192,
-    engine: str = "auto",
 ) -> list[tuple[int, ...]]:
     """Brute-force enumeration of all failing k-sets (paper §3 method).
 
     Streams ``(num_nodes choose k)`` combinations through the batch
-    decoder (``engine`` selects the kernel, bitset by default).
-    Intended for cross-validation at small ``k``; the branch-and-bound
-    path is the production route.
+    decoder.  Intended for cross-validation at small ``k``; the
+    branch-and-bound path is the production route.
     """
-    decoder = make_batch_decoder(graph, engine=engine)
+    decoder = make_batch_decoder(graph)
     failing: list[tuple[int, ...]] = []
     combos = itertools.combinations(range(graph.num_nodes), k)
     while True:

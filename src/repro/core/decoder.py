@@ -9,75 +9,56 @@ known.  The set of nodes still unknown at the fixpoint is the *residual*;
 residuals are exactly the graph's stopping sets, which is what makes the
 worst-case analysis in :mod:`repro.core.critical` exact.
 
-Three engines are provided:
+One scalar decoder and two batch kernels apply that rule:
 
 * :class:`PeelingDecoder` — scalar, counter-based, O(edges) per case with
   no per-case allocation beyond small lists.  Used by exhaustive search,
-  the codec, and anywhere a recovery *schedule* is needed.
-* :class:`BatchPeelingDecoder` — the **matmul** engine: decodes
-  thousands of erasure patterns at once using dense float32 matmuls
-  (membership-matrix products), the original vectorisation strategy
-  from DESIGN.md §6.  Kept alive as the differential-testing oracle for
-  the bitset engine; limited to ``num_nodes < 2**24`` because its
-  index-weighted matmul must represent node ids exactly in float32.
+  the codec, and anywhere a recovery *schedule* is needed; the reference
+  the batch kernels are tested against case for case.
 * :class:`~repro.core.bitdecoder.BitsetBatchDecoder` — the **bitset**
-  engine: packs 64 cases per ``uint64`` word and peels with bitwise
-  sweeps (see :mod:`repro.core.bitdecoder`), typically 5–12× the matmul
-  engine's cases/sec on the paper's 96-node graphs.  The default.
+  kernel: packs 64 cases per ``uint64`` word and peels with bitwise
+  sweeps over dense per-constraint bit-planes (see
+  :mod:`repro.core.bitdecoder`).  Fastest on the paper's 96-node graphs.
 * :class:`~repro.core.sparse.SparseBitsetDecoder` — the **sparse**
-  engine: same 64-cases-per-word packing, but constraint membership as
+  kernel: same 64-cases-per-word packing, but constraint membership as
   flat CSR edge arrays with constraint retirement and chunked planes
   (see :mod:`repro.core.sparse`), scaling to 2^20-node graphs the dense
-  bit-plane layout cannot hold.
+  bit-plane layout cannot hold.  Fastest from 2^14 nodes up.
 
-Batch callers should not pick a class directly; use
-:func:`make_batch_decoder` (or :func:`make_batch_decoder_from_matrix`
-for raw relation matrices).  ``engine="auto"`` resolves to the
-``REPRO_DECODE_ENGINE`` environment variable when set; otherwise it
-picks by size — the bitset engine below ``_SPARSE_AUTO_MIN_NODES``
-nodes and the sparse engine at or above it.  All batch engines produce
+Batch callers do not pick a class: :func:`make_batch_decoder` (or
+:func:`make_batch_decoder_from_matrix` for raw relation matrices) is
+the one place a kernel is chosen, and it chooses from the graph alone —
+bitset below ``_SPARSE_AUTO_MIN_NODES`` nodes, sparse at or above it and
+for every :class:`~repro.core.csrgraph.CsrGraph`.  Each kernel wins the
+benchmark workload on its side of that line (docs/PERF.md), both return
 identical success vectors and identical Monte Carlo profiles at the
-same seed.
+same seed, and nothing above :mod:`repro.core` and the estimators of
+:mod:`repro.sim.montecarlo` takes a kernel name.  The ``engine=``
+keyword those keep exists so the differential tests can pin each kernel
+on the same graph.
 """
 
 from __future__ import annotations
 
-import os
-import time
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from ..obs.registry import registry
-from .bitdecoder import BitsetBatchDecoder, missing_sets_to_unknown
+from .bitdecoder import BitsetBatchDecoder
 from .graph import ErasureGraph
 from .sparse import SparseBitsetDecoder
 
 __all__ = [
     "DecodeResult",
     "PeelingDecoder",
-    "BatchPeelingDecoder",
     "BitsetBatchDecoder",
     "SparseBitsetDecoder",
-    "EngineUnsupportedError",
     "DECODE_ENGINES",
     "resolve_engine",
     "make_batch_decoder",
     "make_batch_decoder_from_matrix",
 ]
-
-#: Batch engines selectable via ``engine=`` / ``REPRO_DECODE_ENGINE``.
-DECODE_ENGINES = ("bitset", "matmul", "sparse")
-
-_ENGINE_ENV = "REPRO_DECODE_ENGINE"
-_DEFAULT_ENGINE = "bitset"
-
-# The matmul engine identifies each count-1 constraint's unknown member
-# with an index-weighted float32 product, which is exact only while node
-# ids are exactly representable in float32 (< 2**24).  Module-level so
-# tests can lower it.
-_MATMUL_MAX_NODES = 1 << 24
 
 # ``engine="auto"`` switches from the dense bitset layout to the sparse
 # CSR engine at this node count: below it the bitset engine's padded
@@ -86,38 +67,26 @@ _MATMUL_MAX_NODES = 1 << 24
 # tests can lower it to exercise the boundary.
 _SPARSE_AUTO_MIN_NODES = 1 << 14
 
+_KERNELS = {"bitset": BitsetBatchDecoder, "sparse": SparseBitsetDecoder}
 
-class EngineUnsupportedError(ValueError):
-    """A decode engine cannot run on the requested graph.
-
-    Raised instead of silently falling back so callers pinning an
-    engine (differential tests, benchmarks) notice when the pin cannot
-    be honoured — e.g. the matmul engine beyond its float32 addressing
-    limit.  Subclasses ``ValueError`` for backward compatibility with
-    callers catching the old error.
-    """
+#: The batch kernels ``engine=`` can pin (``"auto"`` picks by size).
+DECODE_ENGINES = tuple(_KERNELS)
 
 
 def resolve_engine(
     engine: str | None = "auto", *, num_nodes: int | None = None
 ) -> str:
-    """Resolve an ``engine=`` argument to a concrete batch engine name.
+    """Resolve an ``engine=`` argument to a concrete batch kernel name.
 
-    An explicit engine name wins; ``"auto"`` (or ``None``) defers to the
-    ``REPRO_DECODE_ENGINE`` environment variable.  When that is unset
-    too, the choice falls to graph size: sparse for graphs with at
-    least ``_SPARSE_AUTO_MIN_NODES`` nodes (when ``num_nodes`` is
-    given), else the bitset default.  Raises ``ValueError`` for unknown
-    names (including unknown env values, so typos fail loudly rather
-    than silently changing kernels).
+    An explicit kernel name is returned as is; ``"auto"`` (or ``None``)
+    is decided by graph size alone: sparse for graphs with at least
+    ``_SPARSE_AUTO_MIN_NODES`` nodes (when ``num_nodes`` is given), else
+    bitset.  Raises ``ValueError`` for any other name.
     """
     if engine is None or engine == "auto":
-        env = os.environ.get(_ENGINE_ENV, "").strip().lower()
-        if not env or env == "auto":
-            if num_nodes is not None and num_nodes >= _SPARSE_AUTO_MIN_NODES:
-                return "sparse"
-            return _DEFAULT_ENGINE
-        engine = env
+        if num_nodes is not None and num_nodes >= _SPARSE_AUTO_MIN_NODES:
+            return "sparse"
+        return "bitset"
     if engine not in DECODE_ENGINES:
         raise ValueError(
             f"unknown decode engine {engine!r}: expected 'auto' or one "
@@ -128,29 +97,28 @@ def resolve_engine(
 
 def make_batch_decoder(
     graph, engine: str = "auto"
-) -> "BatchPeelingDecoder | BitsetBatchDecoder | SparseBitsetDecoder":
-    """Build the selected batch decode engine for ``graph``.
+) -> BitsetBatchDecoder | SparseBitsetDecoder:
+    """Build the batch decode kernel for ``graph``.
 
-    This is the single entry point every batch caller (Monte Carlo,
-    exhaustive checks, federation, overhead, serve) goes through, so an
-    ``engine=`` argument or ``REPRO_DECODE_ENGINE`` reaches all of them
-    without API churn.  Accepts an :class:`ErasureGraph` or a
-    :class:`~repro.core.csrgraph.CsrGraph`; CSR graphs require the
-    sparse engine (only it can hold million-node graphs) and refuse
-    others with :class:`EngineUnsupportedError`.
+    The single entry point every batch caller (Monte Carlo, exhaustive
+    checks, federation, overhead, serve, cluster) goes through, and the
+    only place a kernel is chosen.  Accepts an :class:`ErasureGraph` or
+    a :class:`~repro.core.csrgraph.CsrGraph`; a CSR graph always gets
+    the sparse kernel (only it consumes flat CSR membership), so pinning
+    ``engine="bitset"`` on one is a ``ValueError``.  The returned
+    decoder's ``engine`` attribute names the kernel that was built.
     """
+    is_csr = hasattr(graph, "con_indptr")
+    if is_csr and engine in (None, "auto"):
+        engine = "sparse"
     engine = resolve_engine(engine, num_nodes=graph.num_nodes)
-    if hasattr(graph, "con_indptr") and engine != "sparse":
-        raise EngineUnsupportedError(
+    if is_csr and engine != "sparse":
+        raise ValueError(
             f"engine {engine!r} cannot decode a CsrGraph: only the "
-            "sparse engine consumes flat CSR membership; pass "
-            "engine='sparse' or 'auto', or convert via to_graph()."
+            "sparse kernel consumes flat CSR membership; pass "
+            "engine='auto', or convert via to_graph()."
         )
-    if engine == "sparse":
-        return SparseBitsetDecoder(graph)
-    if engine == "bitset":
-        return BitsetBatchDecoder(graph)
-    return BatchPeelingDecoder(graph)
+    return _KERNELS[engine](graph)
 
 
 def make_batch_decoder_from_matrix(
@@ -158,15 +126,9 @@ def make_batch_decoder_from_matrix(
     data_nodes,
     num_nodes: int,
     engine: str = "auto",
-) -> "BatchPeelingDecoder | BitsetBatchDecoder | SparseBitsetDecoder":
-    """Engine-selected counterpart of the ``from_matrix`` constructors."""
-    engine = resolve_engine(engine, num_nodes=num_nodes)
-    if engine == "sparse":
-        cls = SparseBitsetDecoder
-    elif engine == "bitset":
-        cls = BitsetBatchDecoder
-    else:
-        cls = BatchPeelingDecoder
+) -> BitsetBatchDecoder | SparseBitsetDecoder:
+    """Size-selected counterpart of the ``from_matrix`` constructors."""
+    cls = _KERNELS[resolve_engine(engine, num_nodes=num_nodes)]
     return cls.from_matrix(membership, data_nodes, num_nodes)
 
 
@@ -307,130 +269,3 @@ class PeelingDecoder:
     def residual(self, missing: Iterable[int]) -> frozenset[int]:
         """The stopping set left after peeling ``missing``."""
         return self.decode(missing).residual
-
-
-class BatchPeelingDecoder:
-    """Vectorised peeling over batches of erasure patterns (matmul engine).
-
-    Cases are rows of a boolean ``unknown`` matrix of shape
-    ``(batch, num_nodes)``.  Each iteration computes, for every constraint
-    and case, the number of unknown members with one matmul
-    ``A @ unknown.T`` (``A`` is the C×N membership matrix) and identifies
-    the solvable node of each count-1 constraint with an index-weighted
-    second matmul, then scatters the solved nodes in place.  Convergence
-    takes at most ``num_nodes`` iterations; in practice a handful.
-
-    The index-weighted matmul requires node ids to be exactly
-    representable in float32, so construction refuses graphs with
-    ``num_nodes >= 2**24`` and points at the bitset engine instead.
-    """
-
-    engine = "matmul"
-
-    def __init__(self, graph: ErasureGraph):
-        self.graph = graph
-        self._init_from(
-            graph.membership_matrix(dtype=np.float32),
-            graph.data_nodes,
-            graph.num_nodes,
-        )
-
-    def _init_from(self, a: np.ndarray, data_nodes, num_nodes: int) -> None:
-        if num_nodes >= _MATMUL_MAX_NODES:
-            raise EngineUnsupportedError(
-                f"matmul engine cannot address {num_nodes} nodes: node "
-                f"ids at or above {_MATMUL_MAX_NODES} are not exactly "
-                "representable in float32, so the index-weighted matmul "
-                "would silently solve the wrong node.  Use the bitset "
-                "or sparse engine (make_batch_decoder(graph, "
-                "engine='bitset'))."
-            )
-        self._a = np.asarray(a, dtype=np.float32)
-        self._num_nodes = num_nodes
-        idx = np.arange(num_nodes, dtype=np.float32)
-        self._a_idx = self._a * idx[np.newaxis, :]
-        self._data = np.asarray(data_nodes, dtype=np.intp)
-
-    @classmethod
-    def from_matrix(
-        cls, membership: np.ndarray, data_nodes, num_nodes: int
-    ) -> "BatchPeelingDecoder":
-        """Build a batch decoder from a raw constraint-membership matrix.
-
-        Each row marks the members of one parity relation (any single
-        unknown member is recoverable from the rest).  This admits
-        relations no single :class:`ErasureGraph` can express — e.g. the
-        cross-site equality constraints of a federated system, where the
-        same logical data block exists at two sites.
-        """
-        self = cls.__new__(cls)
-        self.graph = None
-        self._init_from(membership, data_nodes, num_nodes)
-        return self
-
-    def decode_batch(self, unknown: np.ndarray) -> np.ndarray:
-        """Return a boolean success vector for a batch of patterns.
-
-        Parameters
-        ----------
-        unknown:
-            Boolean array ``(batch, num_nodes)``; ``True`` marks a lost
-            node.  The array is not modified.
-        """
-        if unknown.ndim != 2 or unknown.shape[1] != self._num_nodes:
-            raise ValueError(
-                f"expected (batch, {self._num_nodes}) unknown matrix"
-            )
-        reg = registry()
-        t0 = time.perf_counter() if reg.enabled else 0.0
-        rounds = 0
-        # Work in float32 node-major layout for the matmuls.
-        u = np.ascontiguousarray(unknown.T, dtype=np.float32)  # (N, B)
-        a = self._a
-        a_idx = self._a_idx
-        batch = u.shape[1]
-        active = np.ones(batch, dtype=bool)
-
-        while True:
-            rounds += 1
-            cols = np.flatnonzero(active)
-            if cols.size == 0:
-                break
-            u_act = u[:, cols]
-            cnt = a @ u_act  # (C, B_active) unknown-member counts
-            solvable = cnt == 1.0
-            progressed = solvable.any(axis=0)
-            if not progressed.any():
-                break
-            # Index-weighted sum: for count-1 constraints this equals the
-            # id of the single unknown member.
-            ids = a_idx @ u_act
-            con_i, case_i = np.nonzero(solvable)
-            nodes = ids[con_i, case_i].astype(np.intp)
-            u[nodes, cols[case_i]] = 0.0
-            # A case goes inactive once all data nodes are known (the
-            # remaining check nodes cannot change pass/fail) or once it
-            # made no progress this round (peeling fixpoint reached).
-            still_unknown = u[self._data][:, cols].any(axis=0)
-            active[cols] = still_unknown & progressed
-
-        ok = ~u[self._data].any(axis=0)
-        reg.counter("decoder.batches").inc()
-        reg.counter("decoder.cases").inc(batch)
-        reg.counter(f"decoder.cases.{self.engine}").inc(batch)
-        reg.counter("decoder.rounds").inc(rounds)
-        if reg.enabled:
-            reg.histogram("decoder.batch_size").observe(batch)
-            reg.histogram("decoder.peel_rounds").observe(rounds)
-            reg.histogram("decoder.decode_seconds").observe(
-                time.perf_counter() - t0
-            )
-        return ok
-
-    def decode_missing_sets(
-        self, missing_sets: Sequence[Sequence[int]]
-    ) -> np.ndarray:
-        """Convenience wrapper taking explicit lost-node id lists."""
-        return self.decode_batch(
-            missing_sets_to_unknown(missing_sets, self._num_nodes)
-        )

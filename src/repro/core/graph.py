@@ -214,18 +214,6 @@ class ErasureGraph:
                 table[node].append(ci)
         return table
 
-    def membership_matrix(self, dtype=np.float32) -> np.ndarray:
-        """Dense 0/1 constraint-by-node membership matrix.
-
-        Used by the vectorised batch decoder; ``float32`` lets the decode
-        loop run on BLAS matmuls (see DESIGN.md §6).
-        """
-        a = np.zeros((len(self.constraints), self.num_nodes), dtype=dtype)
-        for ci, con in enumerate(self.constraints):
-            for node in con.members():
-                a[ci, node] = 1
-        return a
-
     # ------------------------------------------------------------------
     # Mutation-by-copy
     # ------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """Sparse CSR word-packed peeling: million-node graphs, 64 cases/word.
 
-The bitset engine (:mod:`repro.core.bitdecoder`) already packs 64 Monte
+The bitset kernel (:mod:`repro.core.bitdecoder`) already packs 64 Monte
 Carlo cases per ``uint64`` word, but it was built for the paper's
 96-node graphs: every peeling round materialises full ``(C, W)``
 bit-planes over *all* constraints, and its padded member matrix scales
 with ``C * dmax``.  At 2^20 nodes both drown — a round touches half a
 million constraints even when only a handful still have unknown
-members.
+members.  This is the kernel
+:func:`repro.core.decoder.make_batch_decoder` builds from 2^14 nodes up
+(and for every :class:`~repro.core.csrgraph.CsrGraph`); below that the
+bitset kernel is faster and is what it builds.
 
 This engine keeps the same packed case layout and the same
 once/twice bit-plane trick but stores the graph as flat CSR arrays
@@ -25,9 +28,13 @@ three ways:
   node, and applied with one segmented OR, so clear cost scales with
   the nodes actually solved, not with the edge count.
 
-Word-level column compaction (retiring converged 64-case words) is
-inherited from the bitset engine unchanged, and results are bit-exact
-across engines — the property tests assert it case for case.
+Word-level column compaction (retiring converged 64-case words) follows
+the bitset kernel's policy; input validation, lane extraction and the
+``decoder.*`` metrics are literally the bitset kernel's (both classes
+inherit ``decode_batch`` / ``decode_missing_sets`` / ``decode_packed``
+from :class:`~repro.core.bitdecoder._PackedPeelingDecoder` and supply
+only ``_peel``).  Results are bit-exact between the kernels and against
+the scalar decoder — the property tests assert it case for case.
 
 Optional JIT
 ------------
@@ -57,12 +64,11 @@ any batch and graph size, where a dense ``(batch, N)`` score matrix at
 from __future__ import annotations
 
 import os
-import time
 
 import numpy as np
 
-from ..obs.registry import registry
-from .bitdecoder import missing_sets_to_unknown, pack_cases
+from .bitdecoder import _PackedPeelingDecoder
+from .csrgraph import CsrGraph
 from .lossmasks import packed_loss_masks
 
 __all__ = [
@@ -150,12 +156,12 @@ def packed_sparse_loss_masks(
     return packed_loss_masks(num_nodes, k, batch, rng, leaf=_MASK_LEAF)
 
 
-class SparseBitsetDecoder:
+class SparseBitsetDecoder(_PackedPeelingDecoder):
     """CSR word-packed peeling engine (see module docstring).
 
-    Drop-in alternative to the bitset/matmul engines: identical
-    :meth:`decode_batch` / :meth:`decode_missing_sets` /
-    :meth:`decode_packed` results, plus constructors from flat CSR
+    Same :meth:`decode_batch` / :meth:`decode_missing_sets` /
+    :meth:`decode_packed` surface and results as the bitset kernel
+    (both inherit it from one base), plus constructors from flat CSR
     arrays (:meth:`from_csr`) for the shared-memory zero-pickle worker
     handoff and from raw relation matrices (:meth:`from_matrix`) for
     the federated cross-site path.  Accepts an
@@ -164,35 +170,22 @@ class SparseBitsetDecoder:
     """
 
     engine = "sparse"
+    # Bound in this class's own namespace: the benchmark's layer hooks
+    # patch ``decode_packed`` per kernel class, not on the shared base.
+    decode_packed = _PackedPeelingDecoder.decode_packed
 
     def __init__(self, graph, *, jit: bool | None = None,
                  chunk: int = DEFAULT_CHUNK):
         self.graph = graph
-        if hasattr(graph, "con_indptr"):  # CsrGraph: zero-copy arrays
-            self._init_from_csr(
-                graph.con_nodes,
-                graph.con_indptr,
-                graph.data_nodes,
-                graph.num_nodes,
-                jit=jit,
-                chunk=chunk,
-            )
-        else:
-            members = [c.members() for c in graph.constraints]
-            lens = np.fromiter(
-                (len(m) for m in members), dtype=np.intp, count=len(members)
-            )
-            indptr = np.zeros(len(members) + 1, dtype=np.intp)
-            np.cumsum(lens, out=indptr[1:])
-            flat = np.fromiter(
-                (n for m in members for n in m),
-                dtype=np.intp,
-                count=int(lens.sum()),
-            )
-            self._init_from_csr(
-                flat, indptr, graph.data_nodes, graph.num_nodes,
-                jit=jit, chunk=chunk,
-            )
+        # A CsrGraph's arrays are adopted zero-copy.
+        csr = (
+            graph if hasattr(graph, "con_indptr")
+            else CsrGraph.from_graph(graph)
+        )
+        self._init_from_csr(
+            csr.con_nodes, csr.con_indptr, csr.data_nodes, csr.num_nodes,
+            jit=jit, chunk=chunk,
+        )
 
     def _init_from_csr(self, con_nodes, con_indptr, data_nodes,
                        num_nodes: int, *, jit: bool | None,
@@ -201,16 +194,12 @@ class SparseBitsetDecoder:
         con_indptr = np.ascontiguousarray(con_indptr, dtype=np.intp)
         self._num_nodes = int(num_nodes)
         lens = np.diff(con_indptr)
+        starts = con_indptr[:-1]
         keep = lens > 0
         if not keep.all():
             # Tolerate empty relations (all-zero matrix rows).
-            rows = np.flatnonzero(keep)
-            con_nodes = con_nodes  # members of empty rows don't exist
-            starts = con_indptr[:-1][rows]
-            lens = lens[rows]
-        else:
-            rows = None
-            starts = con_indptr[:-1]
+            starts = starts[keep]
+            lens = lens[keep]
         # Degree-descending order lets every slot sweep act on a
         # shrinking row prefix instead of a padded rectangle.
         order = np.argsort(-lens, kind="stable")
@@ -259,9 +248,9 @@ class SparseBitsetDecoder:
     ) -> "SparseBitsetDecoder":
         """Build from a raw constraint-membership matrix.
 
-        Mirrors the other engines' ``from_matrix``: each nonzero row
-        entry marks one member of a parity relation; all-zero rows are
-        ignored (federated cross-site path).
+        Mirrors :meth:`BitsetBatchDecoder.from_matrix`: each nonzero
+        row entry marks one member of a parity relation; all-zero rows
+        are ignored (federated cross-site path).
         """
         membership = np.asarray(membership)
         cons, nodes = np.nonzero(membership)
@@ -273,70 +262,6 @@ class SparseBitsetDecoder:
         return cls.from_csr(
             nodes.astype(np.intp), indptr, data_nodes, num_nodes
         )
-
-    # ------------------------------------------------------------------
-
-    def decode_batch(self, unknown: np.ndarray) -> np.ndarray:
-        """Boolean success vector for ``(batch, num_nodes)`` patterns."""
-        if unknown.ndim != 2 or unknown.shape[1] != self._num_nodes:
-            raise ValueError(
-                f"expected (batch, {self._num_nodes}) unknown matrix"
-            )
-        batch = unknown.shape[0]
-        if batch == 0:
-            return np.ones(0, dtype=bool)
-        return self.decode_packed(pack_cases(unknown), batch)
-
-    def decode_missing_sets(self, missing_sets) -> np.ndarray:
-        """Convenience wrapper taking explicit lost-node id lists."""
-        return self.decode_batch(
-            missing_sets_to_unknown(missing_sets, self._num_nodes)
-        )
-
-    def decode_packed(
-        self, packed: np.ndarray, batch: int | None = None
-    ) -> np.ndarray:
-        """Success vector for cases already in packed ``(N, W)`` form."""
-        packed = np.asarray(packed)
-        if packed.ndim != 2 or packed.shape[0] != self._num_nodes:
-            raise ValueError(
-                f"expected ({self._num_nodes}, W) packed matrix"
-            )
-        w = packed.shape[1]
-        if batch is None:
-            batch = w * 64
-        if not 0 <= batch <= w * 64:
-            raise ValueError(f"batch={batch} does not fit {w} words")
-        if batch == 0:
-            return np.ones(0, dtype=bool)
-
-        reg = registry()
-        t0 = time.perf_counter() if reg.enabled else 0.0
-        rounds = 0
-        u = np.array(packed, dtype=np.uint64, copy=True)
-        if self._num_cons and self._data.size:
-            rounds = self._peel(u)
-
-        if self._data.size:
-            fail_words = np.bitwise_or.reduce(u[self._data], axis=0)
-        else:
-            fail_words = np.zeros(w, dtype=np.uint64)
-        lanes = (
-            fail_words[:, np.newaxis] >> np.arange(64, dtype=np.uint64)
-        ) & np.uint64(1)
-        ok = lanes.reshape(-1)[:batch] == 0
-
-        reg.counter("decoder.batches").inc()
-        reg.counter("decoder.cases").inc(batch)
-        reg.counter(f"decoder.cases.{self.engine}").inc(batch)
-        reg.counter("decoder.rounds").inc(rounds)
-        if reg.enabled:
-            reg.histogram("decoder.batch_size").observe(batch)
-            reg.histogram("decoder.peel_rounds").observe(rounds)
-            reg.histogram("decoder.decode_seconds").observe(
-                time.perf_counter() - t0
-            )
-        return ok
 
     # ------------------------------------------------------------------
 

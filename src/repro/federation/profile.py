@@ -11,23 +11,20 @@ one *equality relation* per logical data block — the block's copy at
 site A, the copy at site B — because replicas of the same value let
 either side recover the other.  Peeling that combined relation set to a
 fixpoint is exactly the iterated decode-exchange-decode loop of
-:class:`repro.federation.FederatedSystem`, so the batch matmul decoder
-applies unchanged (the equivalence is asserted in the tests).
+:class:`repro.federation.FederatedSystem`, so the batch peeling kernels
+apply unchanged (the equivalence is asserted in the tests).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..core.bitdecoder import (
-    BitsetBatchDecoder,
-    packed_random_loss_masks,
-)
+from ..core.bitdecoder import packed_random_loss_masks
 from ..core.decoder import (
-    BatchPeelingDecoder,
+    BitsetBatchDecoder,
+    SparseBitsetDecoder,
     make_batch_decoder_from_matrix,
 )
-from ..core.lossmasks import boolean_loss_masks
 from ..obs.seeding import SeedLike, resolve_rng
 from ..sim.results import FailureProfile
 from .multigraph import FederatedSystem
@@ -36,12 +33,12 @@ __all__ = ["federated_batch_decoder", "federated_profile"]
 
 
 def federated_batch_decoder(
-    system: FederatedSystem, engine: str = "auto"
-) -> BatchPeelingDecoder | BitsetBatchDecoder:
+    system: FederatedSystem,
+) -> BitsetBatchDecoder | SparseBitsetDecoder:
     """Batch decoder over the combined multi-site relation system.
 
-    ``engine`` selects the decode kernel for the stacked relation
-    matrix (see :func:`repro.core.decoder.make_batch_decoder_from_matrix`).
+    The kernel is the one the stacked relation matrix's node count
+    selects (see :func:`repro.core.decoder.make_batch_decoder_from_matrix`).
     """
     n = system.nodes_per_site
     total = system.num_devices
@@ -64,7 +61,7 @@ def federated_batch_decoder(
     # Success = every logical block known somewhere; with the equality
     # relations, "site 0's copy is known" captures exactly that.
     return make_batch_decoder_from_matrix(
-        membership, system.data_nodes, total, engine=engine
+        membership, system.data_nodes, total
     )
 
 
@@ -75,18 +72,15 @@ def federated_profile(
     seed: SeedLike = 0,
     ks: list[int] | None = None,
     name: str | None = None,
-    engine: str = "auto",
 ) -> FailureProfile:
     """Sampled ``P(data loss | k devices offline)`` for a federation.
 
     No exact small-``k`` head is spliced in (the joint critical-set
     counting problem is open here); use
     :func:`repro.federation.federated_first_failure` for the worst-case
-    boundary.  ``engine`` picks the batch decode kernel; both engines
-    consume the same RNG stream and give identical profiles per seed.
+    boundary.
     """
-    decoder = federated_batch_decoder(system, engine=engine)
-    packed_path = hasattr(decoder, "decode_packed")
+    decoder = federated_batch_decoder(system)
     n = system.num_devices
     fail = np.zeros(n + 1, dtype=float)
     samples = np.zeros(n + 1, dtype=np.int64)
@@ -97,12 +91,8 @@ def federated_profile(
     for k in sample_ks:
         if not 0 < k < n:
             continue
-        if packed_path:
-            packed = packed_random_loss_masks(n, k, samples_per_k, rng)
-            ok = decoder.decode_packed(packed, samples_per_k)
-        else:
-            masks = boolean_loss_masks(n, k, samples_per_k, rng)
-            ok = decoder.decode_batch(masks)
+        packed = packed_random_loss_masks(n, k, samples_per_k, rng)
+        ok = decoder.decode_packed(packed, samples_per_k)
         fail[k] = 1.0 - ok.mean()
         samples[k] = samples_per_k
 

@@ -55,7 +55,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ..core.decoder import DECODE_ENGINES, make_batch_decoder, resolve_engine
+from ..core.decoder import make_batch_decoder
 from ..obs.manifest import RunManifest
 from ..obs.registry import MetricsRegistry, metrics_enabled, registry
 from ..obs.trace import start_span, trace_span, tracer
@@ -75,6 +75,38 @@ from .worker import decode_jobs
 __all__ = ["ReconstructionService", "ServeConfig"]
 
 _STOP = object()  # queue sentinel: drain requested
+
+
+def _evaluate_headroom(decoder, cases, meta):
+    """Decode a single-failure what-if probe and read off its answers.
+
+    ``meta[i] = (name, index, culprit)`` labels ``cases[i]``: ``culprit``
+    is ``None`` for a stripe's current loss state and otherwise names
+    the one extra failure that case adds to it.  Returns ``(base_ok,
+    at_risk, failing_now)``: current decodability per ``(name, index)``,
+    the sorted culprits that break a stripe decodable today, and the
+    sorted ``"name/index"`` of stripes already lost.  Shared by the
+    service's and the cluster coordinator's headroom probes.
+    """
+    ok = (
+        decoder.decode_missing_sets(cases)
+        if cases
+        else np.zeros(0, dtype=bool)
+    )
+    base_ok: dict[tuple[str, int], bool] = {}
+    for (name, index, culprit), good in zip(meta, ok):
+        if culprit is None:
+            base_ok[(name, index)] = bool(good)
+    at_risk = set()
+    for (name, index, culprit), good in zip(meta, ok):
+        if culprit is not None and base_ok[(name, index)] and not good:
+            at_risk.add(culprit)
+    failing_now = sorted(
+        f"{name}/{index}"
+        for (name, index), good in base_ok.items()
+        if not good
+    )
+    return base_ok, sorted(at_risk), failing_now
 
 
 @dataclass(frozen=True)
@@ -112,12 +144,6 @@ class ServeConfig:
         with an injected ``sleep`` hook is honoured (tests, virtual
         clocks); otherwise the service awaits ``asyncio.sleep`` so the
         event loop keeps serving other batches during backoff.
-    decode_engine:
-        Batch decode kernel for the service's bulk erasure analysis
-        (:meth:`ReconstructionService.degraded_headroom`):
-        ``"auto"`` (default; honours ``REPRO_DECODE_ENGINE``),
-        ``"bitset"``, or ``"matmul"``.  Per-request XOR replay is
-        unaffected — schedules come from the scalar planner either way.
     """
 
     queue_limit: int = 256
@@ -128,15 +154,10 @@ class ServeConfig:
     default_deadline: float | None = None
     plan_capacity: int = 256
     retry: RetryPolicy | None = None
-    decode_engine: str = "auto"
 
     def __post_init__(self) -> None:
         if self.queue_limit < 1:
             raise ValueError("queue_limit must be at least 1")
-        if self.decode_engine not in ("auto",) + DECODE_ENGINES:
-            raise ValueError(
-                f"decode_engine must be 'auto' or one of {DECODE_ENGINES}"
-            )
         if self.batch_window < 0:
             raise ValueError("batch_window must be non-negative")
         if self.max_batch < 1:
@@ -211,10 +232,10 @@ class ReconstructionService:
         self._dispatcher: asyncio.Task | None = None
         self._inflight: set[asyncio.Task] = set()
         self._pool: ProcessPoolExecutor | None = None
-        # Engine resolved once at construction so stats()/events report
-        # the kernel actually used, not "auto".
-        self.decode_engine = resolve_engine(self.config.decode_engine)
-        self._headroom_decoder = None  # built lazily on first probe
+        # Batch kernel of the bulk what-if probe (degraded_headroom);
+        # stats()/events report its own ``engine``.  Per-request XOR
+        # replay is unaffected — schedules come from the scalar planner.
+        self._headroom_decoder = make_batch_decoder(archive.graph)
         # Graph structure shipped to workers (small, pickled per batch).
         g = archive.graph
         self._members = [tuple(m) for m in g.constraint_members()]
@@ -248,11 +269,10 @@ class ReconstructionService:
                 "worker_retries": cfg.worker_retries,
                 "default_deadline": cfg.default_deadline,
                 "plan_capacity": cfg.plan_capacity,
-                "decode_engine": cfg.decode_engine,
             },
             graph=self.archive.graph.name,
             graph_hash=self._batch_key,
-            engine=self.decode_engine,
+            engine=self._headroom_decoder.engine,
             objects=len(self.archive.objects),
         )
         self._dispatcher = asyncio.create_task(self._dispatch_loop())
@@ -374,7 +394,7 @@ class ReconstructionService:
         return {
             "state": self._state,
             "pending": self._pending,
-            "decode_engine": self.decode_engine,
+            "engine": self._headroom_decoder.engine,
             "plan_cache": self.plans.stats(),
             **self.metrics.snapshot(),
         }
@@ -385,13 +405,13 @@ class ReconstructionService:
         Builds one erasure case per archived stripe for the *current*
         loss state plus one case per (stripe, device) for the state
         after that device additionally fails, and pushes all of them
-        through a single engine-selected batch decode
+        through a single batch decode
         (:func:`~repro.core.decoder.make_batch_decoder`).  This is the
         serve-layer consumer of the batch kernels: a pool of hundreds
         of scenarios decodes in one call instead of one scalar peel
         each.
 
-        Returns the resolved engine, probe size, stripes already
+        Returns the kernel that ran, probe size, stripes already
         unrecoverable, and the device ids whose failure would newly
         break at least one stripe.  Devices already unavailable add
         nothing beyond the current loss state, so they are never
@@ -409,28 +429,9 @@ class ReconstructionService:
                 for node, dev in enumerate(record.placement.device_of):
                     cases.append(base + [node])
                     meta.append((name, record.index, dev))
-        if self._headroom_decoder is None:
-            self._headroom_decoder = make_batch_decoder(
-                archive.graph, engine=self.decode_engine
-            )
-        ok = (
-            self._headroom_decoder.decode_missing_sets(cases)
-            if cases
-            else np.zeros(0, dtype=bool)
-        )
-
-        base_ok: dict[tuple[str, int], bool] = {}
-        for (name, index, dev), good in zip(meta, ok):
-            if dev is None:
-                base_ok[(name, index)] = bool(good)
-        at_risk: set[int] = set()
-        for (name, index, dev), good in zip(meta, ok):
-            if dev is not None and base_ok[(name, index)] and not good:
-                at_risk.add(dev)
-        failing_now = sorted(
-            f"{name}/{index}"
-            for (name, index), good in base_ok.items()
-            if not good
+        engine = self._headroom_decoder.engine
+        base_ok, at_risk, failing_now = _evaluate_headroom(
+            self._headroom_decoder, cases, meta
         )
 
         m = self.metrics
@@ -439,18 +440,18 @@ class ReconstructionService:
         m.gauge("serve.at_risk_devices").set(len(at_risk))
         m.event(
             "serve.headroom",
-            engine=self.decode_engine,
+            engine=engine,
             cases=len(cases),
-            at_risk_devices=sorted(at_risk),
+            at_risk_devices=at_risk,
             stripes_failing_now=len(failing_now),
         )
         return {
-            "engine": self.decode_engine,
+            "engine": engine,
             "stripes": len(base_ok),
             "devices": len(archive.devices),
             "cases": len(cases),
             "stripes_failing_now": failing_now,
-            "at_risk_devices": sorted(at_risk),
+            "at_risk_devices": at_risk,
             "tolerates_any_single_failure": (
                 not at_risk and not failing_now
             ),

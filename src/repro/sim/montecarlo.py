@@ -5,10 +5,11 @@ offline-device count — 962,144,153 cases and 34 CPU-days per graph.
 This module reproduces the estimator with two scaling levers:
 
 * the **vectorised batch decoder** pushes thousands of cases through
-  each decode round — by default the bit-packed engine peeling 64 cases
-  per ``uint64`` word (:mod:`repro.core.bitdecoder`; the float32 matmul
-  engine of DESIGN.md §6 remains selectable via ``engine=`` /
-  ``REPRO_DECODE_ENGINE`` and produces byte-identical profiles), and
+  each decode round, peeling 64 cases per ``uint64`` word — the bitset
+  kernel (:mod:`repro.core.bitdecoder`) or, from 2^14 nodes up, the
+  sparse one (:mod:`repro.core.sparse`), picked from the graph's size
+  by :func:`~repro.core.decoder.make_batch_decoder`; both produce
+  byte-identical profiles, and
 * sweeps across offline counts fan out over a **process pool**, one
   task per (graph, k) cell, seeded deterministically through
   ``numpy.random.SeedSequence.spawn`` so results are reproducible at any
@@ -53,13 +54,8 @@ from ..core.critical import (
     minimal_bad_stopping_sets,
 )
 from ..core.bitdecoder import packed_random_loss_masks
-from ..core.decoder import (
-    BatchPeelingDecoder,
-    BitsetBatchDecoder,
-    SparseBitsetDecoder,
-    make_batch_decoder,
-    resolve_engine,
-)
+from ..core.csrgraph import CsrGraph
+from ..core.decoder import SparseBitsetDecoder, make_batch_decoder
 from ..core.graph import ErasureGraph
 from ..core.lossmasks import boolean_loss_masks
 from ..core.sparse import packed_sparse_loss_masks
@@ -110,17 +106,6 @@ def _packed_masks(
     return packed_sparse_loss_masks(num_nodes, k, batch, rng)
 
 
-def _random_loss_masks(
-    num_nodes: int, k: int, batch: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Boolean (batch, num_nodes) masks with exactly k True per row.
-
-    The masks (and RNG stream) of :func:`packed_random_loss_masks`,
-    unpacked: what the engines without ``decode_packed`` consume.
-    """
-    return boolean_loss_masks(num_nodes, k, batch, rng)
-
-
 def sample_fail_fraction(
     graph,
     k: int,
@@ -135,34 +120,34 @@ def sample_fail_fraction(
 
     ``rng`` follows the unified seeding convention: an int seed, an
     existing :class:`numpy.random.Generator`, or ``None`` for fresh
-    entropy (see :func:`repro.obs.seeding.resolve_rng`).  ``engine``
-    picks the batch decode kernel when no ``decoder`` is supplied (see
-    :func:`repro.core.decoder.make_batch_decoder`); every engine
-    consumes the same RNG stream, so estimates are identical at the
-    same seed.  Packed engines decode packed masks directly, skipping
-    the ``(batch, num_nodes)`` boolean intermediate; above
+    entropy (see :func:`repro.obs.seeding.resolve_rng`).  When no
+    ``decoder`` is supplied the kernel comes from
+    :func:`repro.core.decoder.make_batch_decoder` (``engine`` pins one
+    for the differential tests); both kernels consume the same RNG
+    stream, so estimates are identical at the same seed.  They decode
+    packed masks directly, skipping the ``(batch, num_nodes)`` boolean
+    intermediate; a supplied ``decoder`` offering only ``decode_batch``
+    (a scalar reference, say) is fed the same masks unpacked.  Above
     ``_DENSE_MASK_MAX_NODES`` nodes masks come from the bounded-memory
     sparse generator with a size-adaptive batch.
 
     ``n_jobs > 1`` fans decode batches out over a process pool with the
     **zero-pickle** handoff: the parent draws masks (identical RNG
     stream at any worker count) into shared-memory segments and workers
-    attach by name (see :mod:`repro.sim.shm`).  Requires a packed
-    engine; other configurations fall back to in-process decoding.
+    attach by name (see :mod:`repro.sim.shm`).  A supplied ``decoder``
+    decodes in-process instead.
     """
     if k == 0:
         return 0.0
     if k > graph.num_nodes:
         raise ValueError(f"k={k} exceeds {graph.num_nodes} nodes")
     rng = resolve_rng(rng)
-    if n_jobs > 1 and decoder is None:
-        resolved = resolve_engine(engine, num_nodes=graph.num_nodes)
-        if resolved in ("bitset", "sparse"):
-            return _sample_fail_fraction_shm(
-                graph, k, n_samples, rng, resolved, n_jobs
-            )
     if decoder is None:
         decoder = make_batch_decoder(graph, engine=engine)
+        if n_jobs > 1:
+            return _sample_fail_fraction_shm(
+                graph, k, n_samples, rng, decoder.engine, n_jobs
+            )
     packed_path = hasattr(decoder, "decode_packed")
     max_batch = _mask_batch(graph.num_nodes)
     failures = 0
@@ -173,7 +158,7 @@ def sample_fail_fraction(
             packed = _packed_masks(graph.num_nodes, k, batch, rng)
             ok = decoder.decode_packed(packed, batch)
         else:
-            masks = _random_loss_masks(graph.num_nodes, k, batch, rng)
+            masks = boolean_loss_masks(graph.num_nodes, k, batch, rng)
             ok = decoder.decode_batch(masks)
         failures += int(batch - ok.sum())
         remaining -= batch
@@ -203,34 +188,19 @@ class _ShmGraphRef:
         self.name = name
 
 
-def _graph_csr_arrays(graph) -> dict[str, np.ndarray]:
-    """Flat CSR membership arrays for any graph flavour."""
-    if hasattr(graph, "con_indptr"):
-        return {
-            "con_nodes": np.asarray(graph.con_nodes, dtype=np.intp),
-            "con_indptr": np.asarray(graph.con_indptr, dtype=np.intp),
-            "data_nodes": np.asarray(graph.data_nodes, dtype=np.intp),
-        }
-    members = [c.members() for c in graph.constraints]
-    lens = np.fromiter(
-        (len(m) for m in members), dtype=np.intp, count=len(members)
-    )
-    indptr = np.zeros(len(members) + 1, dtype=np.intp)
-    np.cumsum(lens, out=indptr[1:])
-    flat = np.fromiter(
-        (n for m in members for n in m), dtype=np.intp,
-        count=int(lens.sum()),
-    )
-    return {
-        "con_nodes": flat,
-        "con_indptr": indptr,
-        "data_nodes": np.asarray(graph.data_nodes, dtype=np.intp),
-    }
-
-
 def _publish_graph(graph) -> tuple[_ShmGraphRef, SharedArrayBundle]:
     """Parent side: put a graph's CSR structure into shared memory."""
-    bundle = SharedArrayBundle.create(_graph_csr_arrays(graph))
+    csr = (
+        graph if hasattr(graph, "con_indptr")
+        else CsrGraph.from_graph(graph)
+    )
+    bundle = SharedArrayBundle.create(
+        {
+            "con_nodes": csr.con_nodes,
+            "con_indptr": csr.con_indptr,
+            "data_nodes": csr.data_nodes,
+        }
+    )
     ref = _ShmGraphRef(
         bundle.descriptor, graph.num_nodes, graph.num_data, graph.name
     )
@@ -381,11 +351,7 @@ def _sweep_cell(args):
     (zero-pickle) and the decoder is cached across this worker's cells.
     Returns ``(k, frac, seconds, snapshot, spans)``.
     """
-    # Pre-engine task tuples had five fields and pre-trace tuples six;
-    # tolerate every shape so externally constructed tasks keep working.
-    graph, k, n_samples, seed_seq, collect_metrics, *rest = args
-    engine = rest[0] if rest else "auto"
-    ctx = rest[1] if len(rest) > 1 else None
+    graph, k, n_samples, seed_seq, collect_metrics, engine, ctx = args
     decoder = (
         _worker_decoder(graph) if isinstance(graph, _ShmGraphRef)
         else None
@@ -628,15 +594,16 @@ def profile_graph(
     worker-side ``decoder.*`` counters are snapshotted per cell and
     merged back into the parent registry.
 
-    ``engine`` selects the batch decode kernel (bitset by default,
-    sparse above the auto cutoff — see
-    :func:`repro.core.decoder.resolve_engine`); every engine draws the
-    same RNG stream, so profiles — and checkpoints — are byte-identical
-    across engines at the same seed.  The resolved engine is recorded
+    The batch decode kernel is the one
+    :func:`repro.core.decoder.make_batch_decoder` builds for ``graph``
+    (bitset, or sparse from the size cutoff up; ``engine`` pins one for
+    the differential tests).  Both draw the same RNG stream, so profiles
+    — and checkpoints — are byte-identical whichever ran; the built
+    decoder's ``engine`` is recorded on the ``profile.sweep`` span and
     in the ``profile.done`` event.
 
     ``graph`` may also be a :class:`~repro.core.csrgraph.CsrGraph`
-    (sparse engine only).  CSR graphs skip the exact
+    (always the sparse kernel).  CSR graphs skip the exact
     inclusion–exclusion stage — enumerating minimal stopping sets needs
     the constraint-object view — and sample every requested cell
     instead.  With ``n_jobs > 1`` a sparse sweep ships the CSR
@@ -644,9 +611,10 @@ def profile_graph(
     tuples carry the segment descriptor, not the graph), so the pool
     never re-pickles megabytes of membership per cell.
     """
-    engine = resolve_engine(engine, num_nodes=graph.num_nodes)
     reg = registry()
     t_start = time.perf_counter() if reg.enabled else 0.0
+    decoder = make_batch_decoder(graph, engine=engine)
+    engine = decoder.engine
     n = graph.num_nodes
     fail = np.zeros(n + 1, dtype=float)
     samples = np.zeros(n + 1, dtype=np.int64)
@@ -771,7 +739,6 @@ def profile_graph(
             )
         else:
             reg.gauge("profile.workers").set(1)
-            decoder = make_batch_decoder(graph, engine=engine)
             for k, task in tasks.items():
                 graph_, _k, n_samples, seed_seq = task[:4]
                 rng = np.random.default_rng(seed_seq)

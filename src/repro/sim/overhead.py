@@ -21,12 +21,11 @@ invertible combination).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.decoder import make_batch_decoder, resolve_engine
+from ..core.decoder import make_batch_decoder
 from ..core.graph import ErasureGraph
 from ..core.mldecoder import MLDecoder
 from ..obs.registry import registry
@@ -121,7 +120,7 @@ def _peeling_downloads_batched(
     graph: ErasureGraph,
     n_trials: int,
     rng: np.random.Generator,
-    engine: str,
+    batch,
 ) -> np.ndarray:
     """Per-trial minimum downloads, all trials bisected in parallel.
 
@@ -135,9 +134,8 @@ def _peeling_downloads_batched(
     n = graph.num_nodes
     if n_trials == 0:
         return np.empty(0, dtype=np.int64)
-    batch = make_batch_decoder(graph, engine=engine)
     # One permutation draw per trial, in trial order, exactly as the
-    # scalar loop does — downloads stay identical across engines.
+    # scalar loop does — downloads stay identical on either path.
     orders = np.empty((n_trials, n), dtype=np.intp)
     for t in range(n_trials):
         orders[t] = rng.permutation(n)
@@ -167,7 +165,6 @@ def measure_retrieval_overhead(
     decoder: str = "peeling",
     *,
     engine: str = "auto",
-    rng: np.random.Generator | None = None,
 ) -> OverheadResult:
     """Blocks downloaded until reconstruction, over random orders.
 
@@ -177,41 +174,30 @@ def measure_retrieval_overhead(
     convention (int or an existing :class:`numpy.random.Generator`).
 
     For the peeling rule, ``engine`` picks how trials are evaluated:
-    ``"auto"``/``"bitset"``/``"matmul"``/``"sparse"`` batch all trials
-    through one
+    ``"auto"`` batches all trials through the graph's
     :func:`~repro.core.decoder.make_batch_decoder` kernel, bisecting
     every trial's prefix length in parallel (peeling progress is
     monotone in the arrival prefix, so the bisected minimum equals the
-    incremental count); ``"scalar"`` keeps the original per-trial
-    :class:`IncrementalPeeler` loop.  All paths draw one
-    ``rng.permutation`` per trial, so downloads are identical across
-    engines at the same seed.
-
-    .. deprecated:: 1.1
-        The ``rng=`` keyword is a legacy alias for ``seed=`` and will
-        be removed; pass the generator (or an int) as ``seed``.
+    incremental count); ``"scalar"`` keeps the per-trial
+    :class:`IncrementalPeeler` loop the batched path is tested against.
+    Both draw one ``rng.permutation`` per trial, so downloads are
+    identical at the same seed.
     """
-    if rng is not None:
-        warnings.warn(
-            "measure_retrieval_overhead(rng=...) is deprecated; "
-            "pass seed=<int or Generator> instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        seed = rng
-    generator = resolve_rng(seed)
-    rng = generator
+    rng = resolve_rng(seed)
     if decoder not in ("peeling", "ml"):
         raise ValueError("decoder must be 'peeling' or 'ml'")
+    if engine not in ("auto", "scalar"):
+        raise ValueError("engine must be 'auto' or 'scalar'")
 
     n = graph.num_nodes
     downloads = np.empty(n_trials, dtype=np.int64)
 
     if decoder == "peeling" and engine != "scalar":
-        downloads = _peeling_downloads_batched(
-            graph, n_trials, rng, engine
-        )
+        batch = make_batch_decoder(graph)
+        engine_label = batch.engine
+        downloads = _peeling_downloads_batched(graph, n_trials, rng, batch)
     elif decoder == "peeling":
+        engine_label = "scalar"
         peeler = IncrementalPeeler(graph)
         for t in range(n_trials):
             order = rng.permutation(n)
@@ -224,6 +210,7 @@ def measure_retrieval_overhead(
                     break
             downloads[t] = count
     else:
+        engine_label = "ml"
         ml = MLDecoder(graph)
         all_nodes = np.arange(n)
         for t in range(n_trials):
@@ -242,13 +229,6 @@ def measure_retrieval_overhead(
     reg = registry()
     reg.counter("overhead.trials").inc(n_trials)
     if reg.enabled:
-        if decoder == "peeling":
-            engine_label = (
-                "scalar" if engine == "scalar"
-                else resolve_engine(engine, num_nodes=graph.num_nodes)
-            )
-        else:
-            engine_label = "ml"
         reg.event(
             "overhead.measured",
             graph=graph.name,

@@ -80,6 +80,24 @@ class TestManifestSidecar:
         assert manifest.config["exact_upto"] == 4
         assert manifest.wall_seconds is not None
 
+    def test_manifest_records_the_kernel_that_filled(
+        self, cache, graph, monkeypatch
+    ):
+        """Regression: the fill resolved its engine without the node
+        count, got "bitset", and pinned it — so a graph at or above the
+        auto cutoff was swept by, and recorded as, the slower kernel."""
+        import repro.core.decoder as decoder_module
+
+        monkeypatch.setattr(
+            decoder_module, "_SPARSE_AUTO_MIN_NODES", graph.num_nodes
+        )
+        kwargs = dict(samples_per_k=50, seed=3, ks=[20, 40])
+        with capture() as reg:
+            cache.get(graph, **kwargs)
+        assert cache.manifest_for(graph, **kwargs).extra["engine"] == "sparse"
+        assert reg.counter("decoder.cases.sparse").value == 100
+        assert reg.counter("decoder.cases.bitset").value == 0
+
     def test_missing_manifest_is_none(self, cache, graph):
         assert (
             cache.manifest_for(graph, samples_per_k=999, seed=9) is None

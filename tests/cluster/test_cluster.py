@@ -232,6 +232,32 @@ class TestEndToEnd:
 
         run(check())
 
+    def test_decode_headroom_names_the_nodes_one_loss_from_data_loss(self):
+        async def check():
+            cluster = await Cluster.start(members=4)
+            coord = cluster.coordinator
+            await coord.put("obj", payload_bytes(5000, seed=2))
+            stripes = len(coord.manifests["obj"].stripes)
+            healthy = await coord.decode_headroom()
+            assert healthy == {
+                "engine": "bitset",
+                "cases": stripes * 5,  # base + one per live node
+                "dead_nodes": [],
+                "failing_now": [],
+                "at_risk_nodes": [],
+            }
+            await cluster.kill("node-1")
+            degraded = await coord.decode_headroom()
+            assert degraded["dead_nodes"] == ["node-1"]
+            assert degraded["cases"] == stripes * 4
+            assert degraded["failing_now"] == []
+            # A quarter of each stripe is dark; any second node is fatal.
+            assert degraded["at_risk_nodes"] == ["node-0", "node-2", "node-3"]
+            assert (await coord.status())["engine"] == "bitset"
+            await cluster.close()
+
+        run(check())
+
 
 class TestServedCoordinator:
     def test_client_against_served_coordinator(self):

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
-    BatchPeelingDecoder,
     Constraint,
     ErasureGraph,
     PeelingDecoder,
     is_stopping_set,
+    make_batch_decoder,
     tornado_graph,
 )
 from repro.graphs import mirrored_graph, striped_graph
@@ -122,27 +122,27 @@ class TestResidualProperties:
 
 class TestBatchDecoder:
     def test_shape_validation(self, tiny_graph):
-        batch = BatchPeelingDecoder(tiny_graph)
+        batch = make_batch_decoder(tiny_graph)
         with pytest.raises(ValueError):
             batch.decode_batch(np.zeros((4, 5), dtype=bool))
 
     def test_empty_pattern_row_succeeds(self, tiny_graph):
-        batch = BatchPeelingDecoder(tiny_graph)
+        batch = make_batch_decoder(tiny_graph)
         ok = batch.decode_batch(np.zeros((3, 6), dtype=bool))
         assert ok.all()
 
     def test_all_lost_row_fails(self, tiny_graph):
-        batch = BatchPeelingDecoder(tiny_graph)
+        batch = make_batch_decoder(tiny_graph)
         ok = batch.decode_batch(np.ones((1, 6), dtype=bool))
         assert not ok.any()
 
     def test_decode_missing_sets_wrapper(self, tiny_graph):
-        batch = BatchPeelingDecoder(tiny_graph)
+        batch = make_batch_decoder(tiny_graph)
         ok = batch.decode_missing_sets([[0], [0, 1, 3, 5], []])
         np.testing.assert_array_equal(ok, [True, False, True])
 
     def test_input_matrix_not_mutated(self, small_tornado, rng):
-        batch = BatchPeelingDecoder(small_tornado)
+        batch = make_batch_decoder(small_tornado)
         unknown = rng.random((50, small_tornado.num_nodes)) < 0.3
         copy = unknown.copy()
         batch.decode_batch(unknown)
@@ -151,7 +151,7 @@ class TestBatchDecoder:
     @pytest.mark.parametrize("loss_rate", [0.05, 0.2, 0.4, 0.6])
     def test_batch_agrees_with_scalar(self, small_tornado, rng, loss_rate):
         scalar = PeelingDecoder(small_tornado)
-        batch = BatchPeelingDecoder(small_tornado)
+        batch = make_batch_decoder(small_tornado)
         unknown = rng.random((400, small_tornado.num_nodes)) < loss_rate
         ok_batch = batch.decode_batch(unknown)
         ok_scalar = np.array(
@@ -172,5 +172,5 @@ def test_batch_scalar_equivalence_property(seed, data):
     )
     unknown = np.array([pattern], dtype=bool)
     scalar = PeelingDecoder(g).is_recoverable(np.flatnonzero(unknown[0]))
-    batch = BatchPeelingDecoder(g).decode_batch(unknown)[0]
+    batch = make_batch_decoder(g).decode_batch(unknown)[0]
     assert scalar == bool(batch)

@@ -1,9 +1,11 @@
 """Cross-engine decode agreement, packing helpers, engine selection.
 
-The bitset engine (:mod:`repro.core.bitdecoder`) must be
-indistinguishable from the matmul engine and the scalar decoder on
-every erasure pattern — the matmul engine stays alive precisely to be
-this differential-testing oracle.
+The two batch kernels (:mod:`repro.core.bitdecoder`,
+:mod:`repro.core.sparse`) must be indistinguishable from each other
+and from the scalar :class:`PeelingDecoder` on every erasure pattern;
+the scalar decoder is the differential-testing oracle, and where the
+input is a raw relation matrix no graph expresses, a plain-Python
+fixpoint in this file is.
 """
 
 from __future__ import annotations
@@ -14,9 +16,8 @@ import pytest
 import repro.core.decoder as decoder_module
 from repro.core import (
     DECODE_ENGINES,
-    BatchPeelingDecoder,
     BitsetBatchDecoder,
-    EngineUnsupportedError,
+    MLDecoder,
     PeelingDecoder,
     SparseBitsetDecoder,
     make_batch_decoder,
@@ -28,7 +29,7 @@ from repro.core import (
 )
 from repro.core.bitdecoder import missing_sets_to_unknown
 from repro.core.decoder import make_batch_decoder_from_matrix
-from repro.sim.montecarlo import _random_loss_masks
+from repro.core.lossmasks import boolean_loss_masks
 
 
 def random_small_graphs():
@@ -44,40 +45,67 @@ def random_small_graphs():
     return graphs[:50]
 
 
+def scalar_success(graph, masks):
+    """One scalar peel per row: the oracle for the batch kernels."""
+    scalar = PeelingDecoder(graph)
+    return np.array(
+        [scalar.is_recoverable(np.flatnonzero(row)) for row in masks],
+        dtype=bool,
+    )
+
+
+def reference_relation_peel(membership, data_nodes, mask):
+    """Plain-Python peeling fixpoint over a raw relation matrix."""
+    unknown = set(np.flatnonzero(mask).tolist())
+    relations = [np.flatnonzero(row).tolist() for row in membership]
+    progressed = True
+    while progressed:
+        progressed = False
+        for members in relations:
+            lost = [m for m in members if m in unknown]
+            if len(lost) == 1:
+                unknown.discard(lost[0])
+                progressed = True
+    return not unknown.intersection(data_nodes)
+
+
 class TestEngineAgreement:
     def test_property_four_way_agreement(self):
-        """Scalar, matmul, bitset, sparse agree case-for-case, ~50 graphs."""
+        """Scalar, bitset, sparse agree case for case on ~50 graphs, and
+        the ML decoder recovers whatever peeling recovers."""
         rng = np.random.default_rng(2024)
         for graph in random_small_graphs():
             n = graph.num_nodes
-            scalar = PeelingDecoder(graph)
-            matmul = BatchPeelingDecoder(graph)
             bitset = BitsetBatchDecoder(graph)
             sparse = SparseBitsetDecoder(graph)
+            ml = MLDecoder(graph)
             k = int(rng.integers(1, n))
-            masks = _random_loss_masks(n, k, 64, rng)
+            masks = boolean_loss_masks(n, k, 64, rng)
             # Edge rows: none lost, all lost.
             masks[0] = False
             masks[1] = True
-            ok_mat = matmul.decode_batch(masks)
-            ok_bit = bitset.decode_batch(masks)
-            ok_sp = sparse.decode_batch(masks)
-            assert np.array_equal(ok_mat, ok_bit), graph.name
-            assert np.array_equal(ok_mat, ok_sp), graph.name
-            assert ok_mat[0] and not ok_mat[1]
-            for row in range(0, 64, 7):
-                assert ok_mat[row] == scalar.is_recoverable(
+            ok_scalar = scalar_success(graph, masks)
+            assert np.array_equal(
+                ok_scalar, bitset.decode_batch(masks)
+            ), graph.name
+            assert np.array_equal(
+                ok_scalar, sparse.decode_batch(masks)
+            ), graph.name
+            assert ok_scalar[0] and not ok_scalar[1]
+            for row in np.flatnonzero(ok_scalar):
+                assert ml.is_recoverable(
                     np.flatnonzero(masks[row])
                 ), (graph.name, row)
 
     def test_duplicate_nodes_in_missing_sets(self, small_tornado):
         sets = [[0, 0, 1], [3, 3, 3], [], [5, 4, 5, 4]]
-        mat = BatchPeelingDecoder(small_tornado).decode_missing_sets(sets)
+        scalar = PeelingDecoder(small_tornado)
+        want = np.array([scalar.is_recoverable(ms) for ms in sets])
         bit = BitsetBatchDecoder(small_tornado).decode_missing_sets(sets)
         sp = SparseBitsetDecoder(small_tornado).decode_missing_sets(sets)
-        assert np.array_equal(mat, bit)
-        assert np.array_equal(mat, sp)
-        assert mat[2]  # nothing lost
+        assert np.array_equal(want, bit)
+        assert np.array_equal(want, sp)
+        assert want[2]  # nothing lost
 
     def test_empty_batch(self, small_tornado):
         for engine in DECODE_ENGINES:
@@ -104,9 +132,6 @@ class TestEngineAgreement:
         membership[1] = 0.0
         membership[1, 3] = 1.0  # single-member relation pins node 3
         data_nodes = list(range(10))
-        mat = BatchPeelingDecoder.from_matrix(
-            membership, data_nodes, num_nodes
-        )
         bit = BitsetBatchDecoder.from_matrix(
             membership, data_nodes, num_nodes
         )
@@ -114,21 +139,23 @@ class TestEngineAgreement:
             membership, data_nodes, num_nodes
         )
         masks = rng.random((256, num_nodes)) < 0.4
-        assert np.array_equal(
-            mat.decode_batch(masks), bit.decode_batch(masks)
+        want = np.array(
+            [
+                reference_relation_peel(membership, data_nodes, row)
+                for row in masks
+            ]
         )
-        assert np.array_equal(
-            mat.decode_batch(masks), sp.decode_batch(masks)
-        )
+        assert want.any() and not want.all()
+        assert np.array_equal(want, bit.decode_batch(masks))
+        assert np.array_equal(want, sp.decode_batch(masks))
 
     def test_decode_packed_trims_pad_lanes(self, graph3):
         rng = np.random.default_rng(9)
         bit = BitsetBatchDecoder(graph3)
         sp = SparseBitsetDecoder(graph3)
-        mat = BatchPeelingDecoder(graph3)
         for batch in (1, 63, 64, 65, 130):
-            masks = _random_loss_masks(graph3.num_nodes, 30, batch, rng)
-            expected = mat.decode_batch(masks)
+            masks = boolean_loss_masks(graph3.num_nodes, 30, batch, rng)
+            expected = scalar_success(graph3, masks)
             out = bit.decode_packed(pack_cases(masks), batch)
             assert out.shape == (batch,)
             assert np.array_equal(out, expected)
@@ -151,7 +178,7 @@ class TestPackingHelpers:
             r1 = np.random.default_rng(77)
             r2 = np.random.default_rng(77)
             packed = packed_random_loss_masks(96, k, 300, r1)
-            masks = _random_loss_masks(96, k, 300, r2)
+            masks = boolean_loss_masks(96, k, 300, r2)
             assert np.array_equal(packed, pack_cases(masks)), k
             # The generators consumed identical draws.
             assert r1.random() == r2.random()
@@ -177,61 +204,58 @@ class TestPackingHelpers:
 
 class TestEngineSelection:
     def test_default_is_bitset(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DECODE_ENGINE", raising=False)
         assert resolve_engine() == "bitset"
         assert resolve_engine("auto") == "bitset"
         assert resolve_engine(None) == "bitset"
+        # The retired override variable changes nothing.
+        monkeypatch.setenv("REPRO_DECODE_ENGINE", "sparse")
+        assert resolve_engine("auto") == "bitset"
+        assert resolve_engine("auto", num_nodes=96) == "bitset"
 
-    def test_env_override_applies_to_auto_only(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DECODE_ENGINE", "matmul")
-        assert resolve_engine("auto") == "matmul"
-        assert resolve_engine("bitset") == "bitset"  # explicit wins
-
-    def test_unknown_engine_rejected(self, monkeypatch):
-        with pytest.raises(ValueError, match="unknown decode engine"):
-            resolve_engine("gpu")
-        monkeypatch.setenv("REPRO_DECODE_ENGINE", "typo")
-        with pytest.raises(ValueError, match="unknown decode engine"):
-            resolve_engine("auto")
+    def test_unknown_engine_rejected(self):
+        for name in ("gpu", "matmul"):
+            with pytest.raises(ValueError, match="unknown decode engine"):
+                resolve_engine(name)
+            with pytest.raises(ValueError, match="unknown decode engine"):
+                resolve_engine(name, num_nodes=96)
 
     def test_make_batch_decoder_classes(self, small_tornado, monkeypatch):
-        monkeypatch.delenv("REPRO_DECODE_ENGINE", raising=False)
         assert isinstance(
             make_batch_decoder(small_tornado), BitsetBatchDecoder
         )
         assert isinstance(
-            make_batch_decoder(small_tornado, "matmul"),
-            BatchPeelingDecoder,
+            make_batch_decoder(small_tornado, "sparse"),
+            SparseBitsetDecoder,
         )
-        monkeypatch.setenv("REPRO_DECODE_ENGINE", "matmul")
+        with pytest.raises(ValueError, match="unknown decode engine"):
+            make_batch_decoder(small_tornado, "matmul")
+        monkeypatch.setenv("REPRO_DECODE_ENGINE", "sparse")
         assert isinstance(
-            make_batch_decoder(small_tornado), BatchPeelingDecoder
+            make_batch_decoder(small_tornado), BitsetBatchDecoder
         )
 
     def test_engine_attribute(self, small_tornado):
-        assert make_batch_decoder(small_tornado, "bitset").engine == "bitset"
-        assert make_batch_decoder(small_tornado, "matmul").engine == "matmul"
-        assert make_batch_decoder(small_tornado, "sparse").engine == "sparse"
+        assert DECODE_ENGINES == ("bitset", "sparse")
+        for engine in DECODE_ENGINES:
+            assert make_batch_decoder(small_tornado, engine).engine == engine
 
-    def test_from_matrix_selector(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DECODE_ENGINE", raising=False)
+    def test_from_matrix_selector(self):
         membership = np.eye(4, dtype=np.float32)
         dec = make_batch_decoder_from_matrix(membership, [0, 1], 4)
         assert isinstance(dec, BitsetBatchDecoder)
         dec = make_batch_decoder_from_matrix(
-            membership, [0, 1], 4, engine="matmul"
-        )
-        assert isinstance(dec, BatchPeelingDecoder)
-        dec = make_batch_decoder_from_matrix(
             membership, [0, 1], 4, engine="sparse"
         )
         assert isinstance(dec, SparseBitsetDecoder)
+        with pytest.raises(ValueError, match="unknown decode engine"):
+            make_batch_decoder_from_matrix(
+                membership, [0, 1], 4, engine="matmul"
+            )
 
     def test_auto_picks_sparse_above_cutoff(
         self, monkeypatch, small_tornado
     ):
         """The size heuristic flips exactly at _SPARSE_AUTO_MIN_NODES."""
-        monkeypatch.delenv("REPRO_DECODE_ENGINE", raising=False)
         n = small_tornado.num_nodes  # 32
         monkeypatch.setattr(decoder_module, "_SPARSE_AUTO_MIN_NODES", n + 1)
         assert resolve_engine("auto", num_nodes=n) == "bitset"
@@ -243,53 +267,28 @@ class TestEngineSelection:
         assert isinstance(
             make_batch_decoder(small_tornado), SparseBitsetDecoder
         )
+        assert isinstance(
+            make_batch_decoder_from_matrix(
+                np.eye(n, dtype=np.float32), [0], n
+            ),
+            SparseBitsetDecoder,
+        )
         # Without a size hint, auto keeps the bitset default.
         assert resolve_engine("auto") == "bitset"
-        # Env override beats the size heuristic.
+        # The retired override variable does not beat the size rule.
         monkeypatch.setenv("REPRO_DECODE_ENGINE", "bitset")
-        assert resolve_engine("auto", num_nodes=n) == "bitset"
+        assert resolve_engine("auto", num_nodes=n) == "sparse"
 
-
-class TestMatmulPrecisionGuard:
-    def test_guard_raises_past_float32_ids(self, monkeypatch, small_tornado):
-        monkeypatch.setattr(decoder_module, "_MATMUL_MAX_NODES", 16)
-        with pytest.raises(EngineUnsupportedError, match="bitset"):
-            BatchPeelingDecoder(small_tornado)  # 32 nodes >= mocked 16
-
-    def test_guard_covers_from_matrix(self, monkeypatch):
-        monkeypatch.setattr(decoder_module, "_MATMUL_MAX_NODES", 4)
-        with pytest.raises(EngineUnsupportedError, match="float32"):
-            BatchPeelingDecoder.from_matrix(
-                np.ones((1, 8), dtype=np.float32), [0], 8
+    def test_decode_packed_is_each_kernels_own_attribute(self):
+        """One shared body, bound in each kernel's own namespace (the
+        benchmark's layer hooks patch it per class)."""
+        bit = BitsetBatchDecoder.__dict__["decode_packed"]
+        sp = SparseBitsetDecoder.__dict__["decode_packed"]
+        assert bit is sp
+        for name in ("decode_batch", "decode_missing_sets"):
+            assert getattr(BitsetBatchDecoder, name) is getattr(
+                SparseBitsetDecoder, name
             )
-
-    def test_guard_error_is_a_value_error(self, monkeypatch, small_tornado):
-        # Pre-existing callers catch ValueError; the subclass keeps them
-        # working.
-        monkeypatch.setattr(decoder_module, "_MATMUL_MAX_NODES", 16)
-        with pytest.raises(ValueError):
-            BatchPeelingDecoder(small_tornado)
-
-    def test_bitset_unaffected(self, monkeypatch, small_tornado):
-        monkeypatch.setattr(decoder_module, "_MATMUL_MAX_NODES", 16)
-        dec = BitsetBatchDecoder(small_tornado)
-        assert dec.decode_batch(
-            np.zeros((2, small_tornado.num_nodes), dtype=bool)
-        ).all()
-
-    def test_threshold_boundary(self, monkeypatch, small_tornado):
-        # Exactly at num_nodes the guard fires; one above it does not.
-        monkeypatch.setattr(
-            decoder_module, "_MATMUL_MAX_NODES", small_tornado.num_nodes
-        )
-        with pytest.raises(ValueError):
-            BatchPeelingDecoder(small_tornado)
-        monkeypatch.setattr(
-            decoder_module,
-            "_MATMUL_MAX_NODES",
-            small_tornado.num_nodes + 1,
-        )
-        BatchPeelingDecoder(small_tornado)
 
 
 class TestEngineMetrics:
@@ -299,10 +298,8 @@ class TestEngineMetrics:
         masks = np.zeros((10, small_tornado.num_nodes), dtype=bool)
         with capture(MetricsRegistry()) as reg:
             BitsetBatchDecoder(small_tornado).decode_batch(masks)
-            BatchPeelingDecoder(small_tornado).decode_batch(masks)
             SparseBitsetDecoder(small_tornado).decode_batch(masks)
         counters = reg.snapshot()["counters"]
         assert counters["decoder.cases.bitset"] == 10
-        assert counters["decoder.cases.matmul"] == 10
         assert counters["decoder.cases.sparse"] == 10
-        assert counters["decoder.cases"] == 30
+        assert counters["decoder.cases"] == 20

@@ -1,6 +1,5 @@
 """Unit tests for the erasure-graph data model."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -137,14 +136,6 @@ class TestDerivedViews:
         table = tiny_graph.node_constraints()
         assert table[1] == [0, 1, 2]
         assert table[3] == [0]
-
-    def test_membership_matrix_shape_and_content(self, tiny_graph):
-        a = tiny_graph.membership_matrix()
-        assert a.shape == (3, 6)
-        assert a.sum() == tiny_graph.num_edges + len(tiny_graph.constraints)
-        np.testing.assert_array_equal(
-            a[0], np.array([1, 1, 0, 1, 0, 0], dtype=np.float32)
-        )
 
     def test_edge_list(self, tiny_graph):
         edges = edge_list(tiny_graph)

@@ -23,7 +23,7 @@ from repro.core import (
     packed_sparse_loss_masks,
     unpack_cases,
 )
-from repro.sim.montecarlo import _random_loss_masks
+from repro.core.lossmasks import boolean_loss_masks
 
 from .mask_oracle import (
     MASK_LEAF,
@@ -119,7 +119,7 @@ class TestReplaysHistoricalStream:
                             (5000, 123, 70)):
             rng_new = np.random.default_rng(8)
             rng_old = np.random.default_rng(8)
-            got = _random_loss_masks(n, k, batch, rng_new)
+            got = boolean_loss_masks(n, k, batch, rng_new)
             want = oracle_random_loss_masks(n, k, batch, rng_old)
             assert got.dtype == np.bool_
             assert np.array_equal(got, want)
@@ -130,7 +130,8 @@ class TestRejectsBeforeDrawing:
     @pytest.mark.parametrize(
         "generate",
         [packed_random_loss_masks, packed_sparse_loss_masks,
-         _random_loss_masks],
+         # id of the stream it replays (mask_oracle.oracle_random_loss_masks)
+         pytest.param(boolean_loss_masks, id="_random_loss_masks")],
     )
     @pytest.mark.parametrize("n,k", [(96, 97), (96, -1), (9000, 9001)])
     def test_bad_k_leaves_generator_untouched(self, generate, n, k):
@@ -183,7 +184,7 @@ class TestThresholdTies:
         )
 
     def test_boolean_view_under_ties(self):
-        got = _random_loss_masks(40, 7, 200, _CoarseScores(5, 8))
+        got = boolean_loss_masks(40, 7, 200, _CoarseScores(5, 8))
         want = oracle_random_loss_masks(40, 7, 200, _CoarseScores(5, 8))
         assert np.array_equal(got, want)
         assert (got.sum(axis=1) == 7).all()

@@ -15,7 +15,6 @@ import pytest
 from repro.core import (
     BitsetBatchDecoder,
     CsrGraph,
-    EngineUnsupportedError,
     SparseBitsetDecoder,
     make_batch_decoder,
     pack_cases,
@@ -87,15 +86,18 @@ class TestCsrGraph:
 
 
 class TestCsrRouting:
-    def test_make_batch_decoder_accepts_csr(self, csr16k, monkeypatch):
-        monkeypatch.delenv("REPRO_DECODE_ENGINE", raising=False)
+    def test_make_batch_decoder_accepts_csr(self, csr16k, small_tornado):
         dec = make_batch_decoder(csr16k, engine="sparse")
         assert isinstance(dec, SparseBitsetDecoder)
+        # A CsrGraph gets the sparse kernel at any size, not only from
+        # the auto cutoff up.
+        small = make_batch_decoder(CsrGraph.from_graph(small_tornado))
+        assert isinstance(small, SparseBitsetDecoder)
 
     def test_non_sparse_engine_refuses_csr(self, csr16k):
-        with pytest.raises(EngineUnsupportedError, match="CsrGraph"):
+        with pytest.raises(ValueError, match="CsrGraph"):
             make_batch_decoder(csr16k, engine="bitset")
-        with pytest.raises(EngineUnsupportedError, match="CsrGraph"):
+        with pytest.raises(ValueError, match="unknown decode engine"):
             make_batch_decoder(csr16k, engine="matmul")
 
     def test_csr_equivalent_to_object_graph(self, small_tornado):

@@ -255,11 +255,11 @@ class TestInstrumentedPaths:
     def test_batch_decoder_counts(self):
         import numpy as np
 
-        from repro.core import BatchPeelingDecoder
+        from repro.core import make_batch_decoder
         from repro.graphs import tornado_catalog_graph
 
         graph = tornado_catalog_graph(3)
-        decoder = BatchPeelingDecoder(graph)
+        decoder = make_batch_decoder(graph)
         masks = np.zeros((7, graph.num_nodes), dtype=bool)
         masks[:, 0] = True
         with capture() as reg:

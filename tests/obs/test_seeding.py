@@ -115,17 +115,3 @@ class TestEntryPointsAcceptBothForms:
             g, n_trials=20, seed=np.random.default_rng(0)
         )
         np.testing.assert_array_equal(a.downloads, b.downloads)
-
-
-class TestDeprecatedRngKwarg:
-    def test_warns_and_still_works(self):
-        from repro.graphs import tornado_catalog_graph
-        from repro.sim import measure_retrieval_overhead
-
-        g = tornado_catalog_graph(3)
-        with pytest.warns(DeprecationWarning, match="rng="):
-            old = measure_retrieval_overhead(
-                g, n_trials=20, rng=np.random.default_rng(0)
-            )
-        new = measure_retrieval_overhead(g, n_trials=20, seed=0)
-        np.testing.assert_array_equal(old.downloads, new.downloads)

@@ -6,7 +6,9 @@ import asyncio
 
 import pytest
 
+import repro.core.decoder as decoder_module
 from repro.core import tornado_graph
+from repro.obs import MetricsRegistry, capture
 from repro.serve import ReconstructionService, ServeConfig, seeded_archive
 from repro.storage import DeviceState
 
@@ -32,7 +34,7 @@ class TestDegradedHeadroom:
     def test_healthy_archive_structure(self):
         archive, _names = small_archive(severity=0)
         service, report = probe(archive)
-        assert report["engine"] == service.decode_engine
+        assert report["engine"] == "bitset"
         assert report["devices"] == len(archive.devices)
         assert report["stripes"] > 0
         # One base case plus one per (stripe, device-hosting-a-node).
@@ -44,10 +46,12 @@ class TestDegradedHeadroom:
         assert report["at_risk_devices"] == []
         assert report["tolerates_any_single_failure"]
 
-    def test_engines_agree(self):
+    def test_engines_agree(self, monkeypatch):
         archive, _names = small_archive(severity=4)
-        _, bit = probe(archive, ServeConfig(decode_engine="bitset"))
-        _, mat = probe(archive, ServeConfig(decode_engine="matmul"))
+        _, bit = probe(archive)
+        monkeypatch.setattr(decoder_module, "_SPARSE_AUTO_MIN_NODES", 1)
+        _, sp = probe(archive)
+        assert (bit["engine"], sp["engine"]) == ("bitset", "sparse")
         for key in (
             "stripes",
             "cases",
@@ -55,7 +59,7 @@ class TestDegradedHeadroom:
             "at_risk_devices",
             "tolerates_any_single_failure",
         ):
-            assert bit[key] == mat[key], key
+            assert bit[key] == sp[key], key
 
     def test_failed_devices_reduce_headroom(self):
         archive, _names = small_archive(severity=0)
@@ -71,13 +75,11 @@ class TestDegradedHeadroom:
 
     def test_metrics_and_stats_expose_engine(self):
         archive, _names = small_archive()
-        service = ReconstructionService(
-            archive, ServeConfig(decode_engine="matmul")
-        )
+        service = ReconstructionService(archive)
         report = service.degraded_headroom()
-        assert report["engine"] == "matmul"
+        assert report["engine"] == "bitset"
         stats = service.stats()
-        assert stats["decode_engine"] == "matmul"
+        assert stats["engine"] == "bitset"
         assert stats["counters"]["serve.headroom_probes"] == 1
         assert stats["gauges"]["serve.at_risk_devices"] == len(
             report["at_risk_devices"]
@@ -97,12 +99,36 @@ class TestDegradedHeadroom:
         data, report = asyncio.run(run())
         assert data and report["stripes"] > 0
 
+    def test_probe_runs_the_kernel_the_graph_size_selects(
+        self, monkeypatch
+    ):
+        """Regression: the service resolved its engine without the node
+        count, got "bitset", and pinned it — so on a graph at or above
+        the auto cutoff the probe ran (and reported) the slower kernel."""
+        archive, _names = small_archive()
+        monkeypatch.setattr(
+            decoder_module,
+            "_SPARSE_AUTO_MIN_NODES",
+            archive.graph.num_nodes,
+        )
+        with capture(MetricsRegistry()) as reg:
+            service = ReconstructionService(archive)
+            report = service.degraded_headroom()
+        assert report["engine"] == "sparse"
+        assert service.stats()["engine"] == "sparse"
+        counters = reg.snapshot()["counters"]
+        assert counters["decoder.cases.sparse"] == report["cases"]
+        assert "decoder.cases.bitset" not in counters
+
     def test_config_rejects_unknown_engine(self):
-        with pytest.raises(ValueError, match="decode_engine"):
-            ServeConfig(decode_engine="quantum")
+        # The engine knob is gone outright, not shimmed.
+        with pytest.raises(TypeError, match="decode_engine"):
+            ServeConfig(decode_engine="bitset")
 
     def test_env_resolution(self, monkeypatch):
+        """The retired override variable reaches nothing."""
         archive, _names = small_archive()
-        monkeypatch.setenv("REPRO_DECODE_ENGINE", "matmul")
+        monkeypatch.setenv("REPRO_DECODE_ENGINE", "sparse")
         service = ReconstructionService(archive)
-        assert service.decode_engine == "matmul"
+        assert service.stats()["engine"] == "bitset"
+        assert service.degraded_headroom()["engine"] == "bitset"

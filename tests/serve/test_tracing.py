@@ -204,7 +204,7 @@ class TestServiceManifest:
         assert manifest.wall_seconds is not None
         assert manifest.config["workers"] == 0
         assert manifest.extra["graph"] == archive.graph.name
-        assert manifest.extra["engine"] == svc.decode_engine
+        assert manifest.extra["engine"] == svc.stats()["engine"] == "bitset"
         assert manifest.extra["objects"] == len(archive.objects)
         snap = manifest.extra["final_snapshot"]
         assert snap["counters"]["serve.completed"] == 1

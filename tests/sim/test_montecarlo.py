@@ -4,21 +4,21 @@ simulator-vs-theory verification (§3, Eq. 1)."""
 import numpy as np
 import pytest
 
-from repro.core import BatchPeelingDecoder
+from repro.core import BitsetBatchDecoder, PeelingDecoder
+from repro.core.lossmasks import boolean_loss_masks
 from repro.graphs import mirrored_graph, striped_graph
 from repro.raid import mirrored_system
 from repro.sim import profile_graph, sample_fail_fraction
-from repro.sim.montecarlo import _random_loss_masks
 
 
 class TestLossMasks:
     def test_exact_k_per_row(self, rng):
-        masks = _random_loss_masks(96, 7, 500, rng)
+        masks = boolean_loss_masks(96, 7, 500, rng)
         assert masks.shape == (500, 96)
         np.testing.assert_array_equal(masks.sum(axis=1), 7)
 
     def test_uniformity_over_positions(self, rng):
-        masks = _random_loss_masks(10, 3, 20_000, rng)
+        masks = boolean_loss_masks(10, 3, 20_000, rng)
         freq = masks.mean(axis=0)
         np.testing.assert_allclose(freq, 0.3, atol=0.02)
 
@@ -37,12 +37,28 @@ class TestSampleFailFraction:
         with pytest.raises(ValueError):
             sample_fail_fraction(small_tornado, 99, 10, rng)
 
-    def test_reuses_supplied_decoder(self, small_tornado, rng):
-        decoder = BatchPeelingDecoder(small_tornado)
+    def test_reuses_supplied_decoder(self, small_tornado):
+        decoder = BitsetBatchDecoder(small_tornado)
         frac = sample_fail_fraction(
-            small_tornado, 10, 500, rng, decoder=decoder
+            small_tornado, 10, 500, rng=4, decoder=decoder
         )
-        assert 0.0 <= frac <= 1.0
+        assert 0.0 < frac < 1.0
+
+        class ScalarOnly:
+            """Offers only ``decode_batch``: fed the same masks unpacked."""
+
+            def decode_batch(self, masks):
+                scalar = PeelingDecoder(small_tornado)
+                return np.array(
+                    [
+                        scalar.is_recoverable(np.flatnonzero(row))
+                        for row in masks
+                    ]
+                )
+
+        assert frac == sample_fail_fraction(
+            small_tornado, 10, 500, rng=4, decoder=ScalarOnly()
+        )
 
     def test_mirror_estimates_match_theory(self):
         """The paper's verification: sampled mirrored values vs Eq. 1."""
@@ -123,7 +139,7 @@ class TestSweepCellWorker:
 
         seed_seq = np.random.SeedSequence(1234)
         k, frac, elapsed, snapshot, spans = _sweep_cell(
-            (small_tornado, 8, 500, seed_seq, False)
+            (small_tornado, 8, 500, seed_seq, False, "auto", None)
         )
         rng = np.random.default_rng(np.random.SeedSequence(1234))
         direct = sample_fail_fraction(small_tornado, 8, 500, rng)
@@ -138,7 +154,7 @@ class TestSweepCellWorker:
 
         seed_seq = np.random.SeedSequence(1234)
         k, frac, elapsed, snapshot, spans = _sweep_cell(
-            (small_tornado, 8, 500, seed_seq, True)
+            (small_tornado, 8, 500, seed_seq, True, "auto", None)
         )
         assert snapshot is not None
         assert any(

@@ -113,16 +113,6 @@ class TestParallelIdentity:
         parallel = profile_graph(graph, **kwargs, n_jobs=2)
         assert serial.to_json() == parallel.to_json()
 
-    def test_matmul_falls_back_to_serial(self, small_tornado):
-        """Non-packed engines ignore n_jobs rather than failing."""
-        serial = sample_fail_fraction(
-            small_tornado, 9, 1000, rng=3, engine="matmul"
-        )
-        par = sample_fail_fraction(
-            small_tornado, 9, 1000, rng=3, engine="matmul", n_jobs=2
-        )
-        assert serial == par
-
 
 class TestCrashSafety:
     def test_sigkilled_worker_leaves_no_segments(self):

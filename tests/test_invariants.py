@@ -12,13 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
-    BatchPeelingDecoder,
+    DECODE_ENGINES,
     MLDecoder,
     PeelingDecoder,
     TornadoCodec,
     cascade_graph_from_degrees,
     from_networkx,
     is_stopping_set,
+    make_batch_decoder,
     minimal_bad_stopping_sets,
     to_networkx,
     tornado_graph,
@@ -59,10 +60,11 @@ def test_decoder_hierarchy(family, seed, data):
     missing = rng.choice(g.num_nodes, size=k, replace=False)
 
     scalar = PeelingDecoder(g).is_recoverable(missing)
-    batch = bool(
-        BatchPeelingDecoder(g).decode_missing_sets([missing.tolist()])[0]
-    )
-    assert scalar == batch
+    for engine in DECODE_ENGINES:
+        batch = make_batch_decoder(g, engine).decode_missing_sets(
+            [missing.tolist()]
+        )[0]
+        assert scalar == bool(batch), engine
     if scalar:
         assert MLDecoder(g).is_recoverable(missing)
 
