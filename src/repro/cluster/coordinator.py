@@ -74,7 +74,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -87,6 +87,7 @@ from ..obs.trace import start_span, tracer, trace_span, use_context
 from ..resilience.retry import RetryPolicy
 from ..serve.lineserver import start_line_server
 from ..serve.errors import NodeUnreachableError
+from ..serve.link import PipelinedLink
 from ..serve.plancache import PlanCache
 from ..serve.protocol import (
     AckResponse,
@@ -159,28 +160,87 @@ class ClusterManifest:
     stripes: tuple[ClusterStripe, ...]
 
 
-@dataclass
-class NodeLink:
-    """One registered storage node and its (lazy) RPC connection."""
-
-    node_id: str
-    host: str
-    port: int
-    alive: bool = True
-    reader: asyncio.StreamReader | None = None
-    writer: asyncio.StreamWriter | None = None
-    lock: asyncio.Lock = field(default_factory=asyncio.Lock)
-    _next_id: int = 0
-
-
 class NodeDownError(NodeUnreachableError):
     """A storage node could not be reached (distinct from an outage)."""
 
 
-# The coordinator's default transport-retry policy: one quick retry
-# after a short seeded backoff, so a single blip survives without
-# inflating every genuinely-dead-node path by seconds.
-_DEFAULT_RETRY = RetryPolicy(
+class NodeLink(PipelinedLink):
+    """One registered storage node and its (lazy) RPC connection."""
+
+    down_error = NodeDownError
+    family = "cluster.rpc"
+
+    def __init__(self, node_id: str, host: str, port: int):
+        super().__init__(host, port, f"node {node_id!r}", node=node_id)
+        self.node_id = node_id
+
+
+async def link_rpc(
+    link: PipelinedLink,
+    request: Request,
+    *,
+    retry: RetryPolicy | None,
+    timeout: float | None,
+) -> Response:
+    """One request/reply on a peer's pipelined connection.
+
+    Transport failures (refused, reset, mid-frame close, expired
+    ``timeout``) retry through ``retry`` with seeded backoff — the
+    schedule is drawn on the first failure, a healthy RPC never builds
+    it — before the peer is declared down; only once attempts are
+    exhausted does the link drop and its ``down_error`` surface.
+    Remote errors re-raise as their client exceptions (``unavailable``
+    → transient outage, etc.) and are never retried here.
+    """
+    delays: list[float] | None = None
+    attempt = 0
+    while True:
+        try:
+            return await _link_rpc_once(link, request, timeout)
+        except link.down_error:
+            if delays is None:
+                delays = retry.delays() if retry is not None else []
+            if attempt >= len(delays):
+                link.drop()
+                raise
+            registry().counter(f"{link.family}.retries").inc()
+            await asyncio.sleep(delays[attempt])
+            attempt += 1
+
+
+async def _link_rpc_once(
+    link: PipelinedLink, request: Request, timeout: float | None
+) -> Response:
+    span = start_span(
+        f"{link.family}.{request.op}", activate=False, **link.span_tags
+    )
+    try:
+        request_id = link.next_id()
+        data = encode_request(
+            request,
+            request_id=request_id,
+            trace=span.context() if span else None,
+        )
+        line, payload = await link.exchange(request_id, data, timeout)
+        link.alive = True
+        response, frame = parse_response(line, payload)
+        t = tracer()
+        if t is not None and frame.get("spans"):
+            t.ingest(frame["spans"])
+        if isinstance(response, ErrorResponse):
+            response.raise_remote()
+        return response
+    except BaseException as exc:
+        span.end(error=type(exc).__name__)
+        raise
+    finally:
+        span.end()
+
+
+# The default transport-retry policy of every pipelined link (node or
+# site): one quick retry after a short seeded backoff, so a single blip
+# survives without inflating every genuinely-dead-peer path by seconds.
+DEFAULT_RETRY = RetryPolicy(
     max_attempts=2, base_delay=0.05, max_delay=0.5, jitter=0.1, seed=0
 )
 
@@ -196,7 +256,7 @@ class ClusterCoordinator:
         plan_capacity: int = 256,
         wal_dir: str | os.PathLike | None = None,
         recover: bool = False,
-        retry: RetryPolicy | None = _DEFAULT_RETRY,
+        retry: RetryPolicy | None = DEFAULT_RETRY,
         rpc_timeout: float | None = 30.0,
         repair_bytes_per_cycle: int | None = None,
         snapshot_every: int | None = None,
@@ -410,103 +470,13 @@ class ClusterCoordinator:
     # ------------------------------------------------------------------
 
     async def _rpc(self, link: NodeLink, request: Request) -> Response:
-        """One request/reply on a node's pooled connection.
-
-        Transport failures (refused, reset, mid-frame close, expired
-        ``rpc_timeout``) retry through the coordinator's
-        :class:`RetryPolicy` with seeded backoff before the node is
-        declared down; only once attempts are exhausted does the link
-        drop and :class:`NodeDownError` surface.  Remote errors
-        re-raise as their client exceptions (``unavailable`` →
-        transient outage, etc.) and are never retried here.
-        """
-        delays = self.retry.delays() if self.retry is not None else []
-        attempt = 0
-        while True:
-            try:
-                return await self._rpc_once(link, request)
-            except NodeDownError:
-                if attempt >= len(delays):
-                    self._drop_connection(link)
-                    raise
-                registry().counter("cluster.rpc.retries").inc()
-                await asyncio.sleep(delays[attempt])
-                attempt += 1
-
-    async def _rpc_once(
-        self, link: NodeLink, request: Request
-    ) -> Response:
-        span = start_span(
-            f"cluster.rpc.{request.op}",
-            activate=False,
-            node=link.node_id,
+        return await link_rpc(
+            link, request, retry=self.retry, timeout=self.rpc_timeout
         )
-        try:
-            async with link.lock:
-                link._next_id += 1
-                data = encode_request(
-                    request,
-                    request_id=link._next_id,
-                    trace=span.context() if span else None,
-                )
-                try:
-                    line = await asyncio.wait_for(
-                        self._exchange(link, data), self.rpc_timeout
-                    )
-                except asyncio.TimeoutError:
-                    self._reset_connection(link)
-                    registry().counter("cluster.rpc.timeouts").inc()
-                    raise NodeDownError(
-                        f"node {link.node_id!r}: no reply within the "
-                        f"{self.rpc_timeout}s RPC deadline"
-                    ) from None
-                except OSError as exc:
-                    self._reset_connection(link)
-                    raise NodeDownError(
-                        f"node {link.node_id!r} unreachable: {exc}"
-                    ) from exc
-                if not line:
-                    self._reset_connection(link)
-                    raise NodeDownError(
-                        f"node {link.node_id!r} closed the connection"
-                    )
-                if not line.endswith(b"\n"):
-                    self._reset_connection(link)
-                    raise NodeDownError(
-                        f"node {link.node_id!r} closed mid-frame"
-                    )
-            link.alive = True
-            response, frame = parse_response(line)
-            t = tracer()
-            if t is not None and frame.get("spans"):
-                t.ingest(frame["spans"])
-            if isinstance(response, ErrorResponse):
-                response.raise_remote()
-            return response
-        except BaseException as exc:
-            span.end(error=type(exc).__name__)
-            raise
-        finally:
-            span.end()
-
-    async def _exchange(self, link: NodeLink, data: bytes) -> bytes:
-        if link.writer is None:
-            link.reader, link.writer = await asyncio.open_connection(
-                link.host, link.port
-            )
-        link.writer.write(data)
-        await link.writer.drain()
-        return await link.reader.readline()
 
     def _reset_connection(self, link: NodeLink) -> None:
-        """Forget the stream pair but keep the liveness verdict open."""
-        if link.writer is not None:
-            link.writer.close()
-        link.reader = link.writer = None
-
-    def _drop_connection(self, link: NodeLink) -> None:
-        link.alive = False
-        self._reset_connection(link)
+        """Forget the connection but keep the liveness verdict open."""
+        link.reset()
 
     def _live_links(self) -> list[NodeLink]:
         return [
@@ -542,7 +512,7 @@ class ClusterCoordinator:
                 self.nodes[node_id] = link
             else:
                 # A rejoin after a kill: forget the stale connection.
-                self._drop_connection(link)
+                link.reset()
                 link.host, link.port = host, port
             link.alive = True
             self.ring.add(node_id)
@@ -566,7 +536,7 @@ class ClusterCoordinator:
                 raise KeyError(f"no cluster node named {node_id!r}")
             self.ring.remove(node_id)
             link = self.nodes.pop(node_id)
-            self._drop_connection(link)
+            link.drop()
             self._journal({"type": "leave", "node_id": node_id})
         summary = await self.scheduler.drain()
         summary["node_id"] = node_id
@@ -634,7 +604,7 @@ class ClusterCoordinator:
                         self._put_block(
                             placement[node],
                             block_key(name, idx, node),
-                            encoded.blocks[node].tobytes(),
+                            encoded.blocks[node].data,
                         )
                         for node in range(self.graph.num_nodes)
                     )
@@ -678,7 +648,7 @@ class ClusterCoordinator:
         }
 
     async def _put_block(
-        self, node_id: str, key: str, data: bytes
+        self, node_id: str, key: str, data: bytes | memoryview
     ) -> bool:
         link = self.nodes.get(node_id)
         if link is None or not link.alive:
@@ -777,7 +747,7 @@ class ClusterCoordinator:
                 )
             except (NodeDownError, TransientUnavailableError):
                 return {}
-            return dict(response.blocks or {})
+            return response.blocks or {}
 
         fetched = await asyncio.gather(
             *(fetch(nid, ks) for nid, ks in sorted(assignment.items()))
@@ -809,8 +779,8 @@ class ClusterCoordinator:
         async with self._stripe_lock(name, record.index):
             blocks, present = await self._fetch_stripe(name, record)
         held = {
-            str(int(node)): blocks[int(node)].tobytes()
-            for node in np.flatnonzero(present)
+            str(node): blocks[node].data
+            for node in np.flatnonzero(present).tolist()
         }
         registry().counter("cluster.fetch_stripe.blocks").inc(len(held))
         return StripeBlocksResponse(
@@ -1003,23 +973,23 @@ class ClusterCoordinator:
                     continue
                 if desired[node] in holders.get(keys[node], ()):
                     continue
-                payload = blocks[node].tobytes()
+                payload = blocks[node].data
                 if await self._put_block(
                     desired[node], keys[node], payload
                 ):
                     holders.setdefault(keys[node], set()).add(
                         desired[node]
                     )
-                    self._meter_repair(desired[node], len(payload))
+                    self._meter_repair(desired[node], payload.nbytes)
                     by_node[desired[node]] = by_node.get(
                         desired[node], 0
-                    ) + len(payload)
+                    ) + payload.nbytes
                     if node in rebuilt_nodes:
                         stats["rebuilt_blocks"] += 1
-                        stats["rebuilt_bytes"] += len(payload)
+                        stats["rebuilt_bytes"] += payload.nbytes
                     else:
                         stats["moved_blocks"] += 1
-                        stats["moved_bytes"] += len(payload)
+                        stats["moved_bytes"] += payload.nbytes
                 else:
                     placed_all = False
             if not placed_all:

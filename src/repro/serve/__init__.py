@@ -16,8 +16,9 @@ reconstructs around failures at load, within explicit limits:
 * :func:`seeded_archive` — the shared serving fixture;
 * :func:`start_frontend` — line-JSON TCP front end (``repro serve``);
 * :mod:`repro.serve.protocol` — the versioned wire protocol (typed
-  requests/responses, stable error codes) shared by the frontend and
-  the cluster (:mod:`repro.cluster`);
+  JSON header line + raw payload bytes, stable error codes) shared by
+  the frontend and the cluster (:mod:`repro.cluster`);
+  :mod:`repro.serve.link` is its pipelined async client connection;
 * :class:`ReconstructClient` / :class:`ClusterClient` — blocking
   stdlib-socket clients for the frontend and the cluster.
 

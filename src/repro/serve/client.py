@@ -1,4 +1,4 @@
-"""Blocking stdlib-socket clients for the line-JSON protocol.
+"""Blocking stdlib-socket clients for the wire protocol.
 
 These are the stable programmatic surface for talking to a frontend
 (:class:`ReconstructClient`), a cluster coordinator or storage node
@@ -7,8 +7,10 @@ These are the stable programmatic surface for talking to a frontend
 
 One TCP connection per client, one request/response in flight at a
 time (a :class:`threading.Lock` serializes callers, so a client
-instance is safe to share across threads).  Calls raise the most
-faithful local exception for a remote failure via the protocol error
+instance is safe to share across threads).  A reply is read
+header-then-payload: one line, then exactly the raw bytes its tail
+declares (:func:`~repro.serve.protocol.payload_size`).  Calls raise
+the most faithful local exception for a remote failure via the protocol error
 taxonomy — ``overloaded`` arrives as
 :class:`~repro.serve.service.ServiceOverloadedError`, ``deadline`` as
 :class:`~repro.serve.service.DeadlineExceededError`, ``data_loss`` as
@@ -31,7 +33,7 @@ from ..obs.trace import start_span, tracer
 from ..resilience.retry import RetryPolicy
 from .errors import DeadlineExceededError
 from .protocol import (
-    PROTOCOL_VERSION,
+    MAX_LINE_BYTES,
     AckResponse,
     BlockDataResponse,
     BlockDeleteRequest,
@@ -72,6 +74,7 @@ from .protocol import (
     StripeBlocksResponse,
     encode_request,
     parse_response,
+    payload_size,
 )
 
 __all__ = [
@@ -91,13 +94,11 @@ class ProtocolClient:
         port: int,
         *,
         timeout: float = 30.0,
-        v: int = PROTOCOL_VERSION,
         retry: RetryPolicy | None = None,
     ):
         self.host = host
         self.port = port
         self.timeout = timeout
-        self.v = v
         self.retry = retry
         self._sock: socket.socket | None = None
         self._file = None
@@ -176,16 +177,19 @@ class ProtocolClient:
     def _exchange(
         self, request: Request, span
     ) -> tuple[Response, dict[str, Any]]:
+        peer = f"{self.host}:{self.port}"
         with self._lock:
             self.connect()
             self._next_id += 1
             ctx = span.context() if span else None
             data = encode_request(
-                request, v=self.v, request_id=self._next_id, trace=ctx
+                request, request_id=self._next_id, trace=ctx
             )
             try:
                 self._sock.sendall(data)
-                line = self._file.readline()
+                line = self._file.readline(MAX_LINE_BYTES)
+                size = payload_size(line)
+                payload = self._file.read(size) if size else b""
             except socket.timeout as exc:
                 # The peer accepted the request but never answered
                 # (half-open or partitioned): surface the deadline,
@@ -193,26 +197,21 @@ class ProtocolClient:
                 # unknowable now, so drop it.
                 self.close()
                 raise DeadlineExceededError(
-                    f"no reply from {self.host}:{self.port} within "
-                    f"{self.timeout}s"
+                    f"no reply from {peer} within {self.timeout}s"
                 ) from exc
-            except OSError as exc:
+            except (OSError, ProtocolError) as exc:
                 self.close()
                 raise ConnectionError(
-                    f"lost connection to {self.host}:{self.port}: {exc}"
+                    f"lost connection to {peer}: {exc}"
                 ) from exc
             if not line:
                 self.close()
-                raise ConnectionError(
-                    f"{self.host}:{self.port} closed the connection"
-                )
-            if not line.endswith(b"\n"):
+                raise ConnectionError(f"{peer} closed the connection")
+            if not line.endswith(b"\n") or len(payload) < size:
                 # EOF mid-frame: a torn reply is not a reply.
                 self.close()
-                raise ConnectionError(
-                    f"{self.host}:{self.port} closed mid-frame"
-                )
-        return parse_response(line)
+                raise ConnectionError(f"{peer} closed mid-frame")
+        return parse_response(line, payload)
 
     # -- conveniences shared by every endpoint -------------------------
 

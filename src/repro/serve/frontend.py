@@ -1,16 +1,17 @@
 """Line-oriented JSON front end for the reconstruction service.
 
 ``repro serve`` binds this to a TCP port: one JSON object per line in,
-one per line out, framed by :mod:`repro.serve.protocol` (versioned;
-legacy unversioned frames are accepted as v0).  Operations::
+one per line out, framed by :mod:`repro.serve.protocol` (version 2;
+none of this endpoint's frames carries a raw payload, so a frame is
+exactly its header line).  Operations::
 
-    {"v": 1, "op": "get", "name": "object-000"}
-        -> {"v": 1, "ok": true, "kind": "object", "size": N,
+    {"v": 2, "op": "get", "name": "object-000"}
+        -> {"v": 2, "ok": true, "kind": "object", "size": N,
             "sha256": "..."}
-    {"v": 1, "op": "get", "name": "...", "deadline": 0.5}
-    {"v": 1, "op": "stats"}    -> {..., "stats": {...}}
-    {"v": 1, "op": "metrics"}  -> {..., "metrics": "..."}
-    {"v": 1, "op": "ping"}     -> {..., "pong": true}
+    {"v": 2, "op": "get", "name": "...", "deadline": 0.5}
+    {"v": 2, "op": "stats"}    -> {..., "stats": {...}}
+    {"v": 2, "op": "metrics"}  -> {..., "metrics": "..."}
+    {"v": 2, "op": "ping"}     -> {..., "pong": true}
 
 ``metrics`` returns the service's registry snapshot rendered in the
 Prometheus text exposition format (see :mod:`repro.obs.prom`), so a
@@ -23,7 +24,7 @@ makes the protocol trivially scriptable.  Errors are structured and
 explicit, mirroring the service's no-silent-drops contract, with the
 protocol module's stable ``code`` taxonomy::
 
-    {"v": 1, "ok": false, "kind": "error", "code": "overloaded",
+    {"v": 2, "ok": false, "kind": "error", "code": "overloaded",
      "error": "ServiceOverloadedError", "message": "..."}
 
 Requests on one connection are handled concurrently (a slow

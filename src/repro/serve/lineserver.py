@@ -1,23 +1,28 @@
-"""Shared asyncio line-JSON server loop for every protocol speaker.
+"""Shared asyncio server loop for every protocol speaker.
 
 The frontend, the cluster coordinator, and the storage nodes all speak
 the same framing (:mod:`repro.serve.protocol`); this module owns the
 one piece they would otherwise each reimplement: the per-connection
-read → dispatch → reply loop.
+read → dispatch → reply loop.  A frame is read header-then-payload:
+one line, then exactly the :func:`~repro.serve.protocol.payload_size`
+bytes its tail declares.
 
 Two properties matter:
 
-* **Concurrent handling, serialized writes.**  Each request line spawns
-  its own task, so a slow reconstruction never head-of-line blocks a
-  ``ping`` pipelined behind it on the same connection — and because
-  multiple handler tasks then race to reply, every write happens under
-  a per-connection :class:`asyncio.Lock` so response lines never
-  interleave mid-frame.  Clients that pipeline concurrently correlate
-  replies by the echoed ``id`` envelope field.
-* **No dropped connections on bad input.**  Malformed JSON, unknown
-  ops, and mistyped fields are answered with a structured error frame
-  (in the sender's protocol version, with its ``id``) and the
-  connection stays up.
+* **Concurrent handling, serialized writes.**  Each request frame
+  spawns its own task, so a slow reconstruction never head-of-line
+  blocks a ``ping`` pipelined behind it on the same connection — and
+  because multiple handler tasks then race to reply, every write
+  happens under a per-connection :class:`asyncio.Lock` so reply frames
+  never interleave.  Clients that pipeline (the coordinator's and the
+  gateway's :class:`~repro.serve.link.PipelinedLink`) correlate replies
+  by the echoed ``id`` envelope field.
+* **Bad input gets a typed answer.**  Malformed JSON, unknown ops,
+  unsupported versions, mistyped fields and payload bytes the fields do
+  not account for are answered with an error frame carrying the
+  sender's ``id``, and the connection stays up.  Only a frame whose end
+  cannot be found (header line over the stream limit, declared payload
+  over the cap) is answered and then hung up on.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import asyncio
 from typing import Any, Awaitable, Callable
 
 from .protocol import (
+    MAX_LINE_BYTES,
     Envelope,
     ErrorResponse,
     ProtocolError,
@@ -33,9 +39,10 @@ from .protocol import (
     Response,
     encode_frame,
     parse_request,
+    payload_size,
 )
 
-__all__ = ["Handler", "start_line_server"]
+__all__ = ["Handler", "read_frame", "start_line_server"]
 
 # A handler maps one typed request to a typed response, optionally with
 # extra envelope fields to merge into the reply frame (e.g. shipped
@@ -44,6 +51,30 @@ Handler = Callable[
     [Request, Envelope],
     "Awaitable[Response | tuple[Response, dict[str, Any]]]",
 ]
+
+
+async def read_frame(
+    reader: asyncio.StreamReader,
+) -> tuple[bytes, bytes] | None:
+    """The next frame off a stream as ``(header line, payload)``.
+
+    ``None`` at a clean EOF; :class:`asyncio.IncompleteReadError` when
+    the stream ends inside a frame; :class:`ProtocolError` when the
+    frame's end cannot be found (header line over the stream limit) or
+    is not worth reading to (payload over the cap).
+    """
+    try:
+        line = await reader.readline()
+    except ValueError:
+        raise ProtocolError(
+            f"header line over the {MAX_LINE_BYTES}-byte limit"
+        ) from None
+    if not line.endswith(b"\n"):
+        if line:
+            raise asyncio.IncompleteReadError(line, None)
+        return None
+    size = payload_size(line)
+    return line, await reader.readexactly(size) if size else b""
 
 
 async def start_line_server(
@@ -64,27 +95,40 @@ async def start_line_server(
         inflight: set[asyncio.Task] = set()
 
         async def reply(frame: dict[str, Any]) -> None:
-            data = encode_frame(frame)
+            try:
+                data = encode_frame(frame)
+            except ProtocolError as exc:  # a reply payload over the cap
+                data = encode_frame(
+                    ErrorResponse.from_exception(exc).to_frame(
+                        request_id=frame.get("id")
+                    )
+                )
             async with write_lock:
+                # A peer that hung up (gave up on a deadline, died
+                # mid-frame) leaves the reply nowhere to go, and the
+                # read loop will see EOF and close.  Raising would only
+                # leave an unretrieved task exception, writing on only
+                # make asyncio log every dropped reply of a burst.
+                if writer.transport.is_closing():
+                    return
                 try:
                     writer.write(data)
                     await writer.drain()
                 except OSError:
-                    # The peer hung up (gave up on a deadline, died
-                    # mid-frame): the reply has nowhere to go, and the
-                    # read loop will see EOF and close.  Raising here
-                    # would only leave an unretrieved task exception.
                     pass
 
-        async def process(line: bytes) -> None:
-            try:
-                request, envelope = parse_request(line)
-            except ProtocolError as exc:
-                await reply(
-                    ErrorResponse.from_exception(exc).to_frame(
-                        v=exc.v, request_id=exc.request_id
-                    )
+        async def refuse(exc: ProtocolError) -> None:
+            await reply(
+                ErrorResponse.from_exception(exc).to_frame(
+                    request_id=exc.request_id
                 )
+            )
+
+        async def process(line: bytes, payload: bytes) -> None:
+            try:
+                request, envelope = parse_request(line, payload)
+            except ProtocolError as exc:
+                await refuse(exc)
                 return
             try:
                 result = await handler(request, envelope)
@@ -93,28 +137,39 @@ async def start_line_server(
             extra: dict[str, Any] = {}
             if isinstance(result, tuple):
                 result, extra = result
-            frame = result.to_frame(v=envelope.v, request_id=envelope.id)
+            frame = result.to_frame(request_id=envelope.id)
             if extra:
                 frame.update(extra)
             await reply(frame)
 
         try:
             while True:
-                line = await reader.readline()
-                if not line:
+                try:
+                    frame = await read_frame(reader)
+                except ProtocolError as exc:
+                    await refuse(exc)  # ... and hang up: stream position lost
                     break
-                task = asyncio.create_task(process(line))
+                if frame is None:
+                    break
+                task = asyncio.create_task(process(*frame))
                 inflight.add(task)
                 task.add_done_callback(inflight.discard)
             while inflight:
                 await asyncio.gather(*list(inflight))
-        except (asyncio.CancelledError, ConnectionResetError):
+        except (
+            asyncio.CancelledError,
+            asyncio.IncompleteReadError,
+            ConnectionResetError,
+        ):
             # Server shutdown cancels in-flight handlers (on 3.11
-            # ``wait_closed`` does not wait for them); finish normally
-            # so the streams connection callback doesn't log the
-            # cancellation as an unhandled error.
+            # ``wait_closed`` does not wait for them), and a peer may
+            # die mid-payload; finish normally so the streams
+            # connection callback doesn't log either as an unhandled
+            # error.
             pass
         finally:
             writer.close()
 
-    return await asyncio.start_server(handle_connection, host, port)
+    return await asyncio.start_server(
+        handle_connection, host, port, limit=MAX_LINE_BYTES
+    )

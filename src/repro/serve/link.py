@@ -1,0 +1,149 @@
+"""One pipelined client connection to a line server.
+
+The coordinator's node RPCs and the gateway's site RPCs both ride a
+:class:`PipelinedLink`: write the request, park a future under its
+``id``, and let the connection's one reader task resolve replies in
+whatever order :mod:`repro.serve.lineserver` sends them.  The link lock
+is held for connect and for write + ``drain`` only — never across the
+reply — so every RPC a caller has gathered is on the wire at once.
+
+The link moves bytes and looks no further into them than the header's
+``id``: callers encode requests and parse replies themselves.  Failure
+is all-or-nothing: an expired deadline, a refused connect, a reset, EOF
+or a torn frame aborts the transport and fails every RPC parked on the
+link with its ``down_error``; the caller's retry policy takes it from
+there, and the next RPC reconnects.
+"""
+
+from __future__ import annotations
+
+import asyncio
+
+from ..obs.registry import registry
+from .errors import NodeUnreachableError
+from .lineserver import read_frame
+from .protocol import MAX_LINE_BYTES, ProtocolError, decode_frame
+
+__all__ = ["PipelinedLink"]
+
+Reply = tuple[bytes, bytes]  # header line, raw payload
+
+
+class PipelinedLink:
+    """A lazily connected, id-correlated RPC connection to one peer."""
+
+    # What a transport failure raises, and the metric/span family its
+    # RPCs are counted under; subclasses name their own.
+    down_error: type[Exception] = NodeUnreachableError
+    family = "serve.link"
+
+    def __init__(self, host: str, port: int, label: str, **span_tags: str):
+        self.host = host
+        self.port = port
+        self.label = label
+        self.span_tags = span_tags
+        # The caller's liveness verdict: False once its retry policy
+        # gave up on the peer, True again on the next reply.
+        self.alive = True
+        self._lock = asyncio.Lock()
+        self._writer: asyncio.StreamWriter | None = None
+        self._reader_task: asyncio.Task | None = None
+        self._pending: dict[int, asyncio.Future[Reply]] = {}
+        self._next_id = 0
+
+    def next_id(self) -> int:
+        self._next_id += 1
+        return self._next_id
+
+    async def exchange(
+        self, request_id: int, data: bytes, timeout: float | None
+    ) -> Reply:
+        """Send one encoded request; await the reply carrying its id.
+
+        ``timeout`` bounds the whole exchange (connect, write, reply).
+        Raises ``down_error`` on any transport failure.
+        """
+        loop = asyncio.get_running_loop()
+        reply = self._pending[request_id] = loop.create_future()
+        timer = (
+            loop.call_later(timeout, self._expire, reply, timeout)
+            if timeout is not None
+            else None
+        )
+        try:
+            async with self._lock:
+                try:
+                    # ``reply`` is done already if the link dropped
+                    # while this RPC waited (for the lock, for the
+                    # connect): then nothing is sent.
+                    if self._writer is None and not reply.done():
+                        await self._connect(timeout)
+                    if not reply.done():
+                        self._writer.write(data)
+                        await self._writer.drain()
+                except (OSError, asyncio.TimeoutError) as exc:
+                    self._drop(f"unreachable: {exc}")
+            return await reply
+        finally:
+            if timer is not None:
+                timer.cancel()
+            self._pending.pop(request_id, None)
+
+    def reset(self) -> None:
+        """Abort the connection, failing whatever is parked on the link."""
+        self._drop("connection reset")
+
+    def drop(self) -> None:
+        """:meth:`reset`, with the verdict that the peer is down."""
+        self.alive = False
+        self.reset()
+
+    async def _connect(self, timeout: float | None) -> None:
+        reader, self._writer = await asyncio.wait_for(
+            asyncio.open_connection(
+                self.host, self.port, limit=MAX_LINE_BYTES
+            ),
+            timeout,
+        )
+        self._reader_task = asyncio.create_task(self._read_replies(reader))
+
+    async def _read_replies(self, reader: asyncio.StreamReader) -> None:
+        reason = "closed the connection"
+        try:
+            while (frame := await read_frame(reader)) is not None:
+                request_id = decode_frame(frame[0]).get("id")
+                reply = self._pending.pop(request_id, None)
+                if reply is not None and not reply.done():
+                    reply.set_result(frame)
+        except asyncio.IncompleteReadError:
+            reason = "closed mid-frame"
+        except (OSError, ProtocolError) as exc:
+            reason = f"unreachable: {exc}"
+        finally:
+            # Cancelled by ``_drop``, or superseded after it: the
+            # connection this task read is no longer the link's.
+            if self._reader_task is asyncio.current_task():
+                self._reader_task = None
+                self._drop(reason)
+
+    def _expire(self, reply: asyncio.Future, timeout: float) -> None:
+        if not reply.done():  # else a neighbour's deadline got here first
+            registry().counter(f"{self.family}.timeouts").inc()
+            self._drop(f"gave no reply within the {timeout}s RPC deadline")
+
+    def _drop(self, reason: str) -> None:
+        writer, self._writer = self._writer, None
+        if writer is not None:
+            # abort, not close: close waits to flush the write buffer,
+            # and a peer that stopped reading would keep ``drain``
+            # waiters (and the link lock) parked forever.
+            writer.transport.abort()
+        task, self._reader_task = self._reader_task, None
+        if task is not None:
+            task.cancel()
+        pending, self._pending = self._pending, {}
+        for reply in pending.values():
+            if not reply.done():
+                reply.set_exception(
+                    self.down_error(f"{self.label} {reason}")
+                )

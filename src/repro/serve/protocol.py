@@ -1,54 +1,53 @@
-"""Versioned line-JSON wire protocol shared by every network surface.
+"""Versioned wire protocol shared by every network surface.
 
-One JSON object per line in each direction.  Before this module the
-frontend hand-rolled its frames inline; the cluster (coordinator ↔
-storage nodes ↔ clients, :mod:`repro.cluster`) multiplies the number of
-speakers, so framing, typing, versioning, and the error taxonomy live
-here once:
+A frame is one typed JSON **header line**, optionally followed by **raw
+payload bytes**.  Before this module the frontend hand-rolled its
+frames inline; the cluster (coordinator ↔ storage nodes ↔ clients,
+:mod:`repro.cluster`) multiplies the number of speakers, so framing,
+typing, versioning, and the error taxonomy live here once:
 
 * **Typed frames** — every operation is a :class:`Request` dataclass
   (``op`` discriminator) and every reply a :class:`Response` dataclass
   (``kind`` discriminator); :func:`parse_request`/:func:`parse_response`
   validate field presence and types and raise :class:`ProtocolError`
   with a stable ``code`` instead of dropping the connection.
-* **Error taxonomy additions** — ``node_down`` marks a cluster peer
-  unreachable at the transport level (connection refused/reset or RPC
-  deadline expired), distinct from ``unavailable`` (peer answered,
-  storage backend dark).
-* **Versioning** — frames carry ``"v": 1``.  Frames *without* a ``v``
-  are accepted as legacy v0 (one :class:`DeprecationWarning` per
-  process) and answered in the exact pre-versioning response shape, so
-  old scripts keep working; frames with a ``v`` newer than
-  :data:`PROTOCOL_VERSION` are refused with ``unsupported_version``.
+* **Binary payloads** — a ``bytes`` field is written in the header as
+  its length, a ``dict[str, bytes]`` field as ``{key: length}``, and
+  the bytes follow the line back to back, in field order.  The header's
+  last key, ``"bin"``, is their total: a reader takes it off the line's
+  tail (:func:`payload_size`, no JSON decode) and the payload off the
+  stream with one exact read.  The total is checked against
+  :data:`MAX_PAYLOAD_BYTES` before anything is read and against what
+  the typed fields claim at parse time (short, over-long or unclaimed
+  bytes are a :class:`ProtocolError`); a header line is at most
+  :data:`MAX_LINE_BYTES`, the stream limit of every speaker.
+* **Versioning** — every frame carries ``"v": 2``.  Anything else (no
+  ``v``, an older or a newer one) is refused with
+  ``unsupported_version``, carrying the offender's ``id``.
 * **Error taxonomy** — :func:`error_code` maps every exception a
   handler can raise onto a small, stable set of ``code`` strings
   (``overloaded``, ``deadline``, ``closed``, ``not_found``,
   ``data_loss``, ``unavailable``, ``node_down``, ``bad_request``,
   ``unknown_op``, ``unsupported_version``, ``internal``); clients
-  rebuild typed
-  exceptions from the code via :func:`exception_for`, independent of
-  server-side class names.
-* **Binary payloads** — ``bytes`` fields travel base64-encoded, so
-  block contents fit the one-line-per-frame discipline.
+  rebuild typed exceptions from the code via :func:`exception_for`,
+  independent of server-side class names.  ``node_down`` marks a
+  cluster peer unreachable at the transport level (connection
+  refused/reset or RPC deadline expired), distinct from ``unavailable``
+  (peer answered, storage backend dark).
 * **Trace propagation** — request frames may carry a ``trace`` context
   (``{"trace_id", "span_id"}``, see :mod:`repro.obs.trace`); servers
   parent their spans under it, which is what stitches a cluster-wide
   request → coordinator → node span tree across processes.
 
 The envelope fields (``v``, ``id``, ``trace``) stay out of the typed
-dataclasses: :func:`parse_request` returns ``(request, envelope)`` and
-:meth:`Response.to_frame` takes the envelope's version so v0 callers
-get v0 replies.
+dataclasses: :func:`parse_request` returns ``(request, envelope)``.
 """
 
 from __future__ import annotations
 
-import base64
-import binascii
 import json
-import warnings
 from dataclasses import MISSING, dataclass, fields
-from typing import Any, ClassVar, Iterable
+from typing import Any, Callable, ClassVar, Iterable
 
 from ..storage.archive import DataLossError
 from ..storage.device import TransientUnavailableError
@@ -60,6 +59,8 @@ from .errors import (
 )
 
 __all__ = [
+    "MAX_LINE_BYTES",
+    "MAX_PAYLOAD_BYTES",
     "PROTOCOL_VERSION",
     "Envelope",
     "ProtocolError",
@@ -111,31 +112,31 @@ __all__ = [
     "exception_for",
     "parse_request",
     "parse_response",
+    "payload_size",
 ]
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
-_V0_WARNED = False
+# Longest header line: the asyncio stream limit of the line server and
+# of every client connection.  Bounds a ``block.list`` reply (~10^5
+# keys), never an object.
+MAX_LINE_BYTES = 8 * 2**20
+# Most payload bytes a frame may declare; checked before any is read.
+MAX_PAYLOAD_BYTES = 256 * 2**20
 
 
 class ProtocolError(ValueError):
     """A frame the protocol cannot accept (always answerable).
 
-    Carries the stable error ``code`` plus whatever envelope facts were
-    recoverable from the offending frame, so servers can still reply
-    in the right version with the right correlation ``id``.
+    Carries the stable error ``code`` plus the correlation ``id`` when
+    it was recoverable from the offending frame, so servers can still
+    address the reply.
     """
 
     def __init__(
-        self,
-        message: str,
-        *,
-        code: str = "bad_request",
-        v: int = PROTOCOL_VERSION,
-        request_id: Any = None,
+        self, message: str, *, code: str = "bad_request", request_id: Any = None
     ):
         self.code = code
-        self.v = v
         self.request_id = request_id
         super().__init__(message)
 
@@ -210,14 +211,83 @@ def exception_for(code: str, message: str) -> Exception:
 # Framing
 # ----------------------------------------------------------------------
 
+_PAYLOAD_KEY = "bin"
+_PAYLOAD_MARK = f',"{_PAYLOAD_KEY}":'.encode()
+_BUFFERS = (bytes, bytearray, memoryview)
+
+
+def _nbytes(buffer: Any) -> int:
+    return buffer.nbytes if isinstance(buffer, memoryview) else len(buffer)
+
+
+def _is_length(value: Any) -> bool:
+    return (
+        isinstance(value, int) and not isinstance(value, bool) and value >= 0
+    )
+
 
 def encode_frame(frame: dict[str, Any]) -> bytes:
-    """One frame as a newline-terminated JSON line."""
-    return json.dumps(frame, separators=(",", ":")).encode() + b"\n"
+    """One frame as wire bytes: JSON header line, then the raw payload.
+
+    Buffer values (``bytes``/``bytearray``/``memoryview``, alone or as
+    the values of a dict) are replaced in the header by their lengths
+    and appended after the line in the order they appear.
+    """
+    header: dict[str, Any] = {}
+    parts: list[Any] = []
+    for name, value in frame.items():
+        if isinstance(value, _BUFFERS):
+            parts.append(value)
+            value = _nbytes(value)
+        elif isinstance(value, dict) and isinstance(
+            next(iter(value.values()), None), _BUFFERS
+        ):
+            parts.extend(value.values())
+            value = {k: _nbytes(v) for k, v in value.items()}
+        header[name] = value
+    if parts:
+        total = sum(map(_nbytes, parts))
+        if total > MAX_PAYLOAD_BYTES:
+            raise ProtocolError(
+                f"frame payload of {total} bytes is over the "
+                f"{MAX_PAYLOAD_BYTES}-byte cap"
+            )
+        header[_PAYLOAD_KEY] = total
+    line = json.dumps(header, separators=(",", ":")).encode() + b"\n"
+    return b"".join((line, *parts)) if parts else line
+
+
+def payload_size(line: bytes) -> int:
+    """Raw payload bytes that follow header ``line`` on the stream.
+
+    Read off the line's tail, where :func:`encode_frame` writes the
+    total as the last key (``,"bin":N}``); a ``"bin"`` anywhere else is
+    caught as a mismatch at parse time.  A total over
+    :data:`MAX_PAYLOAD_BYTES` raises with the frame's ``id`` recovered
+    for the error reply — the reader cannot skip it and must hang up.
+    """
+    mark = line.rfind(_PAYLOAD_MARK, -32)
+    if mark < 0 or not line.endswith(b"}\n"):
+        return 0
+    digits = line[mark + len(_PAYLOAD_MARK) : -2]
+    if not digits.isdigit():
+        return 0
+    size = int(digits)
+    if size > MAX_PAYLOAD_BYTES:
+        try:
+            request_id = _parse_envelope(decode_frame(line)).id
+        except ProtocolError as exc:
+            request_id = exc.request_id
+        raise ProtocolError(
+            f"frame declares {size} payload bytes, over the "
+            f"{MAX_PAYLOAD_BYTES}-byte cap",
+            request_id=request_id,
+        )
+    return size
 
 
 def decode_frame(line: bytes | str) -> dict[str, Any]:
-    """Parse one line into a frame dict or raise :class:`ProtocolError`."""
+    """Parse one header line into a frame dict or raise :class:`ProtocolError`."""
     try:
         frame = json.loads(line)
     except (ValueError, UnicodeDecodeError) as exc:
@@ -231,41 +301,30 @@ def decode_frame(line: bytes | str) -> dict[str, Any]:
 class Envelope:
     """Per-frame metadata living outside the typed request body."""
 
-    v: int = PROTOCOL_VERSION
     id: Any = None
     trace: dict[str, Any] | None = None
 
 
 def _parse_envelope(frame: dict[str, Any]) -> Envelope:
-    global _V0_WARNED
     request_id = frame.get("id")
     if request_id is not None and not isinstance(request_id, (str, int)):
         raise ProtocolError("'id' must be a string or integer")
-    if "v" not in frame:
-        if not _V0_WARNED:
-            _V0_WARNED = True
-            warnings.warn(
-                "unversioned (v0) protocol frame accepted; add "
-                f'"v": {PROTOCOL_VERSION} to requests — v0 framing is '
-                "deprecated",
-                DeprecationWarning,
-                stacklevel=4,
+    v = frame.get("v")
+    if v is not None and not _is_length(v):
+        raise ProtocolError(
+            "'v' must be a non-negative integer", request_id=request_id
+        )
+    if v != PROTOCOL_VERSION:
+        raise ProtocolError(
+            (
+                "frame carries no protocol version"
+                if v is None
+                else f"protocol version {v} not supported"
             )
-        v = 0
-    else:
-        v = frame["v"]
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            raise ProtocolError(
-                "'v' must be a non-negative integer",
-                request_id=request_id,
-            )
-        if v > PROTOCOL_VERSION:
-            raise ProtocolError(
-                f"protocol version {v} not supported "
-                f"(max {PROTOCOL_VERSION})",
-                code="unsupported_version",
-                request_id=request_id,
-            )
+            + f' (send "v": {PROTOCOL_VERSION})',
+            code="unsupported_version",
+            request_id=request_id,
+        )
     trace = frame.get("trace")
     if trace is not None:
         if (
@@ -275,105 +334,84 @@ def _parse_envelope(frame: dict[str, Any]) -> Envelope:
         ):
             raise ProtocolError(
                 "'trace' must carry string trace_id and span_id",
-                v=v,
                 request_id=request_id,
             )
-    return Envelope(v=v, id=request_id, trace=trace)
+    return Envelope(id=request_id, trace=trace)
 
 
 # ----------------------------------------------------------------------
 # Field (de)serialisation shared by requests and responses
 # ----------------------------------------------------------------------
 
-_ENVELOPE_KEYS = frozenset(("v", "id", "op", "kind", "ok", "trace"))
+# Field annotation -> (JSON type of its wire value, how errors name it).
+# ``bytes`` is not here: its wire value is a length into the payload.
+_WIRE_TYPES: dict[str, tuple[Any, str]] = {
+    "str": (str, "a string"),
+    "int": (int, "an integer"),
+    "bool": (bool, "a boolean"),
+    "float": ((int, float), "a number"),
+    "dict": (dict, "an object"),
+    "tuple[str, ...]": (list, "a list of strings"),
+    "dict[str, bytes]": (dict, "an object of byte lengths"),
+}
 
 
-def _coerce(ctx: str, name: str, annotation: str, value: Any) -> Any:
-    """Validate and convert one wire value per its field annotation."""
+def _coerce(
+    ctx: str, name: str, annotation: str, value: Any, take: Callable
+) -> Any:
+    """Validate and convert one wire value per its field annotation.
 
-    def fail(expected: str) -> ProtocolError:
-        return ProtocolError(
+    ``take(name, length)`` hands out the next ``length`` payload bytes.
+    """
+    base = annotation.removesuffix(" | None")
+    if value is None and base != annotation:
+        return None
+    if base == "bytes":
+        return take(name, value)
+    wire_type, expected = _WIRE_TYPES[base]
+    if (
+        not isinstance(value, wire_type)
+        or (isinstance(value, bool) and wire_type is not bool)
+        or (wire_type is list and not all(isinstance(x, str) for x in value))
+    ):
+        raise ProtocolError(
             f"{ctx} field {name!r} must be {expected}, "
             f"got {type(value).__name__}"
         )
-
-    optional = annotation.endswith(" | None")
-    base = annotation[: -len(" | None")] if optional else annotation
-    if value is None:
-        if optional:
-            return None
-        raise fail(base)
-    if base == "str":
-        if not isinstance(value, str):
-            raise fail("a string")
-        return value
-    if base == "int":
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise fail("an integer")
-        return value
-    if base == "bool":
-        if not isinstance(value, bool):
-            raise fail("a boolean")
-        return value
-    if base == "float":
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise fail("a number")
-        return float(value)
-    if base == "bytes":
-        if not isinstance(value, str):
-            raise fail("base64 text")
-        try:
-            return base64.b64decode(value.encode("ascii"), validate=True)
-        except (binascii.Error, UnicodeEncodeError):
-            raise ProtocolError(
-                f"{ctx} field {name!r} is not valid base64"
-            ) from None
-    if base == "dict":
-        if not isinstance(value, dict):
-            raise fail("an object")
-        return value
-    if base == "tuple[str, ...]":
-        if not isinstance(value, list) or not all(
-            isinstance(x, str) for x in value
-        ):
-            raise fail("a list of strings")
-        return tuple(value)
     if base == "dict[str, bytes]":
-        if not isinstance(value, dict) or not all(
-            isinstance(k, str) and isinstance(x, str)
-            for k, x in value.items()
-        ):
-            raise fail("an object of base64 text values")
-        try:
-            return {
-                k: base64.b64decode(x.encode("ascii"), validate=True)
-                for k, x in value.items()
-            }
-        except (binascii.Error, UnicodeEncodeError):
-            raise ProtocolError(
-                f"{ctx} field {name!r} holds invalid base64"
-            ) from None
-    raise TypeError(
-        f"unsupported protocol field annotation {annotation!r}"
-    )  # pragma: no cover - programming error, not wire input
-
-
-def _to_wire(value: Any) -> Any:
-    if isinstance(value, bytes):
-        return base64.b64encode(value).decode("ascii")
-    if isinstance(value, tuple):
-        return [_to_wire(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _to_wire(v) for k, v in value.items()}
-    return value
+        return {k: take(f"{name}[{k!r}]", n) for k, n in value.items()}
+    if base == "float":
+        return float(value)
+    return tuple(value) if wire_type is list else value
 
 
 def _body_fields(obj: Any) -> Iterable[tuple[str, Any]]:
     for f in fields(obj):
-        yield f.name, getattr(obj, f.name)
+        value = getattr(obj, f.name)
+        if value is not None:
+            yield f.name, value
 
 
-def _from_frame(cls, ctx: str, frame: dict[str, Any]):
+def _from_frame(cls, ctx: str, frame: dict[str, Any], data: bytes):
+    declared = frame.get(_PAYLOAD_KEY, 0)
+    if not _is_length(declared) or declared != len(data):
+        raise ProtocolError(
+            f"{ctx} declares {declared!r} payload bytes, {len(data)} "
+            f"followed its header (the total is a non-negative integer, "
+            f'written last: ,"{_PAYLOAD_KEY}":N}})'
+        )
+    offset = 0
+
+    def take(name: str, length: Any) -> bytes:
+        nonlocal offset
+        if not _is_length(length) or offset + length > len(data):
+            raise ProtocolError(
+                f"{ctx} field {name!r} must be a byte length within the "
+                f"{len(data) - offset} payload bytes left, got {length!r}"
+            )
+        offset += length
+        return data[offset - length : offset]
+
     kwargs: dict[str, Any] = {}
     for f in fields(cls):
         if f.name not in frame:
@@ -382,7 +420,11 @@ def _from_frame(cls, ctx: str, frame: dict[str, Any]):
                     f"{ctx} requires field {f.name!r}"
                 )
             continue
-        kwargs[f.name] = _coerce(ctx, f.name, f.type, frame[f.name])
+        kwargs[f.name] = _coerce(ctx, f.name, f.type, frame[f.name], take)
+    if offset != len(data):
+        raise ProtocolError(
+            f"{ctx} payload has {len(data) - offset} bytes no field claims"
+        )
     return cls(**kwargs)
 
 
@@ -396,25 +438,28 @@ class Request:
     """Base class: one typed operation, discriminated by ``op``."""
 
     op: ClassVar[str]
+    # Fields that must hold a non-empty string.
+    _required: ClassVar[tuple[str, ...]] = ()
+
+    def __post_init__(self) -> None:
+        for name in self._required:
+            if not getattr(self, name):
+                raise ProtocolError(f"{self.op!r} needs a string {name!r}")
 
     def to_frame(
         self,
         *,
-        v: int = PROTOCOL_VERSION,
         request_id: Any = None,
         trace: dict[str, Any] | None = None,
     ) -> dict[str, Any]:
-        frame: dict[str, Any] = {}
-        if v >= 1:
-            frame["v"] = v
-        frame["op"] = self.op
+        """The frame as a dict; buffer fields stay buffers until
+        :func:`encode_frame` moves them behind the header line."""
+        frame: dict[str, Any] = {"v": PROTOCOL_VERSION, "op": self.op}
         if request_id is not None:
             frame["id"] = request_id
         if trace is not None:
             frame["trace"] = dict(trace)
-        for name, value in _body_fields(self):
-            if value is not None:
-                frame[name] = _to_wire(value)
+        frame.update(_body_fields(self))
         return frame
 
 
@@ -422,30 +467,28 @@ _REQUEST_TYPES: dict[str, type[Request]] = {}
 
 
 def _request(cls: type[Request]) -> type[Request]:
+    """Make ``cls`` a frozen dataclass and register it under its ``op``."""
+    cls = dataclass(frozen=True)(cls)
     _REQUEST_TYPES[cls.op] = cls
     return cls
 
 
 @_request
-@dataclass(frozen=True)
 class PingRequest(Request):
     op: ClassVar[str] = "ping"
 
 
 @_request
-@dataclass(frozen=True)
 class StatsRequest(Request):
     op: ClassVar[str] = "stats"
 
 
 @_request
-@dataclass(frozen=True)
 class MetricsRequest(Request):
     op: ClassVar[str] = "metrics"
 
 
 @_request
-@dataclass(frozen=True)
 class ClusterMetricsRequest(Request):
     """Raw registry snapshot from a cluster process (scrape plane).
 
@@ -458,13 +501,11 @@ class ClusterMetricsRequest(Request):
 
 
 @_request
-@dataclass(frozen=True)
 class SitesMetricsRequest(Request):
     op: ClassVar[str] = "sites.metrics"
 
 
 @_request
-@dataclass(frozen=True)
 class GetRequest(Request):
     """Reconstruct one archived object (frontend) or cluster object."""
 
@@ -472,36 +513,27 @@ class GetRequest(Request):
     name: str = ""
     deadline: float | None = None
 
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ProtocolError("'get' needs a string 'name'")
+    _required = ("name",)
 
 
 @_request
-@dataclass(frozen=True)
 class BlockPutRequest(Request):
     op: ClassVar[str] = "block.put"
     key: str = ""
     data: bytes = b""
 
-    def __post_init__(self) -> None:
-        if not self.key:
-            raise ProtocolError("'block.put' needs a string 'key'")
+    _required = ("key",)
 
 
 @_request
-@dataclass(frozen=True)
 class BlockGetRequest(Request):
     op: ClassVar[str] = "block.get"
     key: str = ""
 
-    def __post_init__(self) -> None:
-        if not self.key:
-            raise ProtocolError("'block.get' needs a string 'key'")
+    _required = ("key",)
 
 
 @_request
-@dataclass(frozen=True)
 class BlockFetchRequest(Request):
     """Bulk block read: one RPC returns every held key of the batch."""
 
@@ -510,31 +542,25 @@ class BlockFetchRequest(Request):
 
 
 @_request
-@dataclass(frozen=True)
 class BlockDeleteRequest(Request):
     op: ClassVar[str] = "block.delete"
     key: str = ""
 
-    def __post_init__(self) -> None:
-        if not self.key:
-            raise ProtocolError("'block.delete' needs a string 'key'")
+    _required = ("key",)
 
 
 @_request
-@dataclass(frozen=True)
 class BlockListRequest(Request):
     op: ClassVar[str] = "block.list"
     prefix: str = ""
 
 
 @_request
-@dataclass(frozen=True)
 class NodeStatsRequest(Request):
     op: ClassVar[str] = "node.stats"
 
 
 @_request
-@dataclass(frozen=True)
 class NodeAdminRequest(Request):
     """Storage-node fault control.
 
@@ -569,37 +595,29 @@ class NodeAdminRequest(Request):
 
 
 @_request
-@dataclass(frozen=True)
 class ClusterPutRequest(Request):
     op: ClassVar[str] = "cluster.put"
     name: str = ""
     payload: bytes = b""
 
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ProtocolError("'cluster.put' needs a string 'name'")
+    _required = ("name",)
 
 
 @_request
-@dataclass(frozen=True)
 class ClusterGetRequest(Request):
     op: ClassVar[str] = "cluster.get"
     name: str = ""
     want_payload: bool = False
 
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ProtocolError("'cluster.get' needs a string 'name'")
+    _required = ("name",)
 
 
 @_request
-@dataclass(frozen=True)
 class ClusterStatusRequest(Request):
     op: ClassVar[str] = "cluster.status"
 
 
 @_request
-@dataclass(frozen=True)
 class ClusterRepairRequest(Request):
     """Run the repair scheduler.
 
@@ -623,7 +641,6 @@ class ClusterRepairRequest(Request):
 
 
 @_request
-@dataclass(frozen=True)
 class ClusterRepairStatusRequest(Request):
     """Inspect the repair scheduler: queue, budget, lifetime totals."""
 
@@ -631,7 +648,6 @@ class ClusterRepairStatusRequest(Request):
 
 
 @_request
-@dataclass(frozen=True)
 class ClusterSnapshotRequest(Request):
     """Compact the coordinator WAL into a fresh snapshot."""
 
@@ -639,7 +655,6 @@ class ClusterSnapshotRequest(Request):
 
 
 @_request
-@dataclass(frozen=True)
 class ClusterJoinRequest(Request):
     op: ClassVar[str] = "cluster.join"
     node_id: str = ""
@@ -654,18 +669,14 @@ class ClusterJoinRequest(Request):
 
 
 @_request
-@dataclass(frozen=True)
 class ClusterLeaveRequest(Request):
     op: ClassVar[str] = "cluster.leave"
     node_id: str = ""
 
-    def __post_init__(self) -> None:
-        if not self.node_id:
-            raise ProtocolError("'cluster.leave' needs a string 'node_id'")
+    _required = ("node_id",)
 
 
 @_request
-@dataclass(frozen=True)
 class FetchStripeRequest(Request):
     """Raw stripe read for cross-site coupled decode.
 
@@ -681,11 +692,10 @@ class FetchStripeRequest(Request):
     name: str = ""
     seq: int = 0
 
+    _required = ("name",)
+
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ProtocolError(
-                "'cluster.fetch_stripe' needs a string 'name'"
-            )
+        super().__post_init__()
         if self.seq < 0:
             raise ProtocolError(
                 "'cluster.fetch_stripe' seq must be non-negative"
@@ -693,7 +703,6 @@ class FetchStripeRequest(Request):
 
 
 @_request
-@dataclass(frozen=True)
 class SitesPutRequest(Request):
     """Store an object through the federation gateway (all sites)."""
 
@@ -701,13 +710,10 @@ class SitesPutRequest(Request):
     name: str = ""
     payload: bytes = b""
 
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ProtocolError("'sites.put' needs a string 'name'")
+    _required = ("name",)
 
 
 @_request
-@dataclass(frozen=True)
 class SitesGetRequest(Request):
     """WAN-cost-aware federated read (local → remote → coupled)."""
 
@@ -715,13 +721,10 @@ class SitesGetRequest(Request):
     name: str = ""
     want_payload: bool = False
 
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ProtocolError("'sites.get' needs a string 'name'")
+    _required = ("name",)
 
 
 @_request
-@dataclass(frozen=True)
 class SitesStatusRequest(Request):
     """Federation-wide view: per-site status + WAN traffic meters."""
 
@@ -729,7 +732,6 @@ class SitesStatusRequest(Request):
 
 
 @_request
-@dataclass(frozen=True)
 class SitesRepairRequest(Request):
     """Run every site's repair scheduler plus cross-site re-injection."""
 
@@ -745,12 +747,14 @@ class SitesRepairRequest(Request):
             )
 
 
-def parse_request(line: bytes | str) -> tuple[Request, Envelope]:
-    """Parse one request line into ``(typed request, envelope)``.
+def parse_request(
+    line: bytes | str, payload: bytes = b""
+) -> tuple[Request, Envelope]:
+    """Parse a header line and its payload into ``(request, envelope)``.
 
-    Raises :class:`ProtocolError` — carrying whatever version and ``id``
-    could be recovered — for invalid JSON, bad envelopes, unknown ops,
-    and missing or mistyped fields.
+    Raises :class:`ProtocolError` — carrying whatever ``id`` could be
+    recovered — for invalid JSON, bad envelopes, unknown ops, missing
+    or mistyped fields, and payload bytes the fields do not account for.
     """
     frame = decode_frame(line)
     envelope = _parse_envelope(frame)
@@ -758,16 +762,13 @@ def parse_request(line: bytes | str) -> tuple[Request, Envelope]:
     cls = _REQUEST_TYPES.get(op) if isinstance(op, str) else None
     if cls is None:
         raise ProtocolError(
-            f"unknown op {op!r}",
-            code="unknown_op",
-            v=envelope.v,
-            request_id=envelope.id,
+            f"unknown op {op!r}", code="unknown_op", request_id=envelope.id
         )
     try:
-        request = _from_frame(cls, f"{op!r}", frame)
+        request = _from_frame(cls, f"{op!r}", frame, payload)
     except ProtocolError as exc:
         raise ProtocolError(
-            str(exc), code=exc.code, v=envelope.v, request_id=envelope.id
+            str(exc), code=exc.code, request_id=envelope.id
         ) from None
     return request, envelope
 
@@ -775,13 +776,12 @@ def parse_request(line: bytes | str) -> tuple[Request, Envelope]:
 def encode_request(
     request: Request,
     *,
-    v: int = PROTOCOL_VERSION,
     request_id: Any = None,
     trace: dict[str, Any] | None = None,
 ) -> bytes:
-    """Client-side encoding of one typed request."""
+    """Client-side encoding of one typed request (header + payload)."""
     return encode_frame(
-        request.to_frame(v=v, request_id=request_id, trace=trace)
+        request.to_frame(request_id=request_id, trace=trace)
     )
 
 
@@ -792,30 +792,20 @@ def encode_request(
 
 @dataclass(frozen=True)
 class Response:
-    """Base class: one typed reply, discriminated by ``kind``.
-
-    ``to_frame(v=0)`` reproduces the exact pre-versioning wire shape
-    (no ``v``/``kind``/``id`` keys) so legacy clients see what they
-    always saw; v1 frames add the envelope.
-    """
+    """Base class: one typed reply, discriminated by ``kind``."""
 
     kind: ClassVar[str]
     ok: ClassVar[bool] = True
 
-    def to_frame(
-        self, *, v: int = PROTOCOL_VERSION, request_id: Any = None
-    ) -> dict[str, Any]:
-        frame: dict[str, Any] = {}
-        if v >= 1:
-            frame["v"] = v
-        frame["ok"] = self.ok
-        if v >= 1:
-            frame["kind"] = self.kind
-            if request_id is not None:
-                frame["id"] = request_id
-        for name, value in _body_fields(self):
-            if value is not None:
-                frame[name] = _to_wire(value)
+    def to_frame(self, *, request_id: Any = None) -> dict[str, Any]:
+        frame: dict[str, Any] = {
+            "v": PROTOCOL_VERSION,
+            "ok": self.ok,
+            "kind": self.kind,
+        }
+        if request_id is not None:
+            frame["id"] = request_id
+        frame.update(_body_fields(self))
         return frame
 
 
@@ -823,33 +813,31 @@ _RESPONSE_TYPES: dict[str, type[Response]] = {}
 
 
 def _response(cls: type[Response]) -> type[Response]:
+    """Make ``cls`` a frozen dataclass and register it under its ``kind``."""
+    cls = dataclass(frozen=True)(cls)
     _RESPONSE_TYPES[cls.kind] = cls
     return cls
 
 
 @_response
-@dataclass(frozen=True)
 class PongResponse(Response):
     kind: ClassVar[str] = "pong"
     pong: bool = True
 
 
 @_response
-@dataclass(frozen=True)
 class StatsResponse(Response):
     kind: ClassVar[str] = "stats"
     stats: dict = None  # type: ignore[assignment]
 
 
 @_response
-@dataclass(frozen=True)
 class MetricsResponse(Response):
     kind: ClassVar[str] = "metrics"
     metrics: str = ""
 
 
 @_response
-@dataclass(frozen=True)
 class MetricsSnapshotResponse(Response):
     """One process's registry snapshot, labelled for fleet merging."""
 
@@ -860,7 +848,6 @@ class MetricsSnapshotResponse(Response):
 
 
 @_response
-@dataclass(frozen=True)
 class ObjectInfoResponse(Response):
     """A reconstructed object: size + digest, payload only on request."""
 
@@ -872,7 +859,6 @@ class ObjectInfoResponse(Response):
 
 
 @_response
-@dataclass(frozen=True)
 class BlockDataResponse(Response):
     kind: ClassVar[str] = "block"
     key: str = ""
@@ -880,7 +866,6 @@ class BlockDataResponse(Response):
 
 
 @_response
-@dataclass(frozen=True)
 class BlockMapResponse(Response):
     kind: ClassVar[str] = "blocks"
     blocks: dict[str, bytes] = None  # type: ignore[assignment]
@@ -888,7 +873,6 @@ class BlockMapResponse(Response):
 
 
 @_response
-@dataclass(frozen=True)
 class StripeBlocksResponse(Response):
     """One stripe's surviving raw blocks, keyed by graph-node index.
 
@@ -905,14 +889,12 @@ class StripeBlocksResponse(Response):
 
 
 @_response
-@dataclass(frozen=True)
 class KeyListResponse(Response):
     kind: ClassVar[str] = "keys"
     keys: tuple[str, ...] = ()
 
 
 @_response
-@dataclass(frozen=True)
 class AckResponse(Response):
     """Generic acknowledgement with operation-specific detail fields."""
 
@@ -921,14 +903,12 @@ class AckResponse(Response):
 
 
 @_response
-@dataclass(frozen=True)
 class StatusResponse(Response):
     kind: ClassVar[str] = "status"
     status: dict = None  # type: ignore[assignment]
 
 
 @_response
-@dataclass(frozen=True)
 class ErrorResponse(Response):
     kind: ClassVar[str] = "error"
     ok: ClassVar[bool] = False
@@ -938,8 +918,8 @@ class ErrorResponse(Response):
 
     @classmethod
     def from_exception(cls, exc: BaseException) -> "ErrorResponse":
-        # ProtocolError keeps the historical "BadRequest" error name the
-        # v0 frontend used; everything else reports its class name.
+        # ProtocolError keeps its historical "BadRequest" error name;
+        # everything else reports its class name.
         name = (
             "BadRequest"
             if isinstance(exc, ProtocolError)
@@ -956,13 +936,13 @@ class ErrorResponse(Response):
 
 
 def parse_response(
-    line: bytes | str,
+    line: bytes | str, payload: bytes = b""
 ) -> tuple[Response, dict[str, Any]]:
-    """Parse one v1 response line into ``(typed response, raw frame)``.
+    """Parse a reply's header line and payload into ``(response, frame)``.
 
-    The raw frame rides along for envelope extras (``id``, shipped
-    ``spans``).  Error frames always parse — even from a v0 server —
-    so clients can surface the failure instead of desynchronising.
+    The raw header frame rides along for envelope extras (``id``,
+    shipped ``spans``).  Error frames always parse, so clients can
+    surface the failure instead of desynchronising.
     """
     frame = decode_frame(line)
     if not frame.get("ok", False):
@@ -978,4 +958,4 @@ def parse_response(
     cls = _RESPONSE_TYPES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ProtocolError(f"response has unknown kind {kind!r}")
-    return _from_frame(cls, f"{kind!r} response", frame), frame
+    return _from_frame(cls, f"{kind!r} response", frame, payload), frame

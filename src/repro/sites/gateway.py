@@ -38,18 +38,19 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from ..cluster.coordinator import NodeDownError
+from ..cluster.coordinator import DEFAULT_RETRY, NodeDownError, link_rpc
 from ..cluster.ring import HashRing
 from ..obs.prom import render_prometheus
 from ..obs.registry import registry
-from ..obs.trace import start_span, trace_span, tracer, use_context
+from ..obs.trace import trace_span, use_context
 from ..resilience.retry import RetryPolicy
 from ..serve.lineserver import start_line_server
+from ..serve.link import PipelinedLink
 from ..serve.plancache import PlanCache
 from ..serve.protocol import (
     AckResponse,
@@ -58,7 +59,6 @@ from ..serve.protocol import (
     ClusterRepairRequest,
     ClusterStatusRequest,
     Envelope,
-    ErrorResponse,
     FetchStripeRequest,
     MetricsRequest,
     MetricsResponse,
@@ -76,8 +76,6 @@ from ..serve.protocol import (
     SitesRepairRequest,
     SitesStatusRequest,
     StatusResponse,
-    encode_request,
-    parse_response,
 )
 from ..storage.archive import DataLossError
 from ..storage.device import TransientUnavailableError
@@ -85,29 +83,19 @@ from .manifest import FederationManifest
 
 __all__ = ["FederationGateway", "SiteDownError", "SiteLink", "start_gateway"]
 
-# Same shape as the coordinator's transport policy: one quick seeded
-# retry, so a WAN blip survives without stretching every dead-site
-# path by seconds.
-_DEFAULT_RETRY = RetryPolicy(
-    max_attempts=2, base_delay=0.05, max_delay=0.5, jitter=0.1, seed=0
-)
-
-
-@dataclass
-class SiteLink:
-    """One site's coordinator endpoint and its (lazy) RPC connection."""
-
-    site_id: str
-    host: str
-    port: int
-    reader: asyncio.StreamReader | None = None
-    writer: asyncio.StreamWriter | None = None
-    lock: asyncio.Lock = field(default_factory=asyncio.Lock)
-    _next_id: int = 0
-
-
 class SiteDownError(NodeDownError):
     """A whole site's coordinator could not be reached."""
+
+
+class SiteLink(PipelinedLink):
+    """One site's coordinator endpoint and its (lazy) RPC connection."""
+
+    down_error = SiteDownError
+    family = "sites.rpc"
+
+    def __init__(self, site_id: str, host: str, port: int):
+        super().__init__(host, port, f"site {site_id!r}", site=site_id)
+        self.site_id = site_id
 
 
 def _rung_failure(exc: BaseException) -> bool:
@@ -146,7 +134,7 @@ class FederationGateway:
         manifest: FederationManifest,
         *,
         block_size: int = 4096,
-        retry: RetryPolicy | None = _DEFAULT_RETRY,
+        retry: RetryPolicy | None = DEFAULT_RETRY,
         rpc_timeout: float | None = 10.0,
         repair_wan_budget: int | None = None,
         plan_capacity: int = 256,
@@ -198,87 +186,9 @@ class FederationGateway:
             ) from None
 
     async def _rpc(self, link: SiteLink, request: Request) -> Response:
-        delays = self.retry.delays() if self.retry is not None else []
-        attempt = 0
-        while True:
-            try:
-                return await self._rpc_once(link, request)
-            except SiteDownError:
-                if attempt >= len(delays):
-                    self._reset_connection(link)
-                    raise
-                registry().counter("sites.rpc.retries").inc()
-                await asyncio.sleep(delays[attempt])
-                attempt += 1
-
-    async def _rpc_once(
-        self, link: SiteLink, request: Request
-    ) -> Response:
-        span = start_span(
-            f"sites.rpc.{request.op}",
-            activate=False,
-            site=link.site_id,
+        return await link_rpc(
+            link, request, retry=self.retry, timeout=self.rpc_timeout
         )
-        try:
-            async with link.lock:
-                link._next_id += 1
-                data = encode_request(
-                    request,
-                    request_id=link._next_id,
-                    trace=span.context() if span else None,
-                )
-                try:
-                    line = await asyncio.wait_for(
-                        self._exchange(link, data), self.rpc_timeout
-                    )
-                except asyncio.TimeoutError:
-                    self._reset_connection(link)
-                    registry().counter("sites.rpc.timeouts").inc()
-                    raise SiteDownError(
-                        f"site {link.site_id!r}: no reply within the "
-                        f"{self.rpc_timeout}s RPC deadline"
-                    ) from None
-                except OSError as exc:
-                    self._reset_connection(link)
-                    raise SiteDownError(
-                        f"site {link.site_id!r} unreachable: {exc}"
-                    ) from exc
-                if not line:
-                    self._reset_connection(link)
-                    raise SiteDownError(
-                        f"site {link.site_id!r} closed the connection"
-                    )
-                if not line.endswith(b"\n"):
-                    self._reset_connection(link)
-                    raise SiteDownError(
-                        f"site {link.site_id!r} closed mid-frame"
-                    )
-            response, frame = parse_response(line)
-            t = tracer()
-            if t is not None and frame.get("spans"):
-                t.ingest(frame["spans"])
-            if isinstance(response, ErrorResponse):
-                response.raise_remote()
-            return response
-        except BaseException as exc:
-            span.end(error=type(exc).__name__)
-            raise
-        finally:
-            span.end()
-
-    async def _exchange(self, link: SiteLink, data: bytes) -> bytes:
-        if link.writer is None:
-            link.reader, link.writer = await asyncio.open_connection(
-                link.host, link.port
-            )
-        link.writer.write(data)
-        await link.writer.drain()
-        return await link.reader.readline()
-
-    def _reset_connection(self, link: SiteLink) -> None:
-        if link.writer is not None:
-            link.writer.close()
-        link.reader = link.writer = None
 
     # ------------------------------------------------------------------
     # WAN accounting

@@ -46,9 +46,7 @@ class Cluster:
         """SIGKILL analogue: server gone, connection dropped."""
         self.servers[node_id].close()
         await self.servers[node_id].wait_closed()
-        self.coordinator._drop_connection(
-            self.coordinator.nodes[node_id]
-        )
+        self.coordinator.nodes[node_id].drop()
 
     async def close(self):
         for server in self.servers.values():

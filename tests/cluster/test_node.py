@@ -15,6 +15,7 @@ from repro.serve.protocol import (
     BlockPutRequest,
     NodeStatsRequest,
     PingRequest,
+    encode_request,
 )
 from repro.storage.device import TransientUnavailableError
 
@@ -83,15 +84,13 @@ class TestStorageNodeServer:
                 reader, writer = await asyncio.open_connection(
                     host, port
                 )
-                frame = {
-                    "v": 1,
-                    "id": 1,
-                    "op": "block.put",
-                    "key": "k",
-                    "data": "eA==",
-                    "trace": {"trace_id": "t" * 16, "span_id": "s" * 16},
-                }
-                writer.write(json.dumps(frame).encode() + b"\n")
+                writer.write(
+                    encode_request(
+                        BlockPutRequest(key="k", data=b"x"),
+                        request_id=1,
+                        trace={"trace_id": "t" * 16, "span_id": "s" * 16},
+                    )
+                )
                 await writer.drain()
                 reply = json.loads(await reader.readline())
                 writer.close()
@@ -120,7 +119,7 @@ class TestStorageNodeServer:
                 reader, writer = await asyncio.open_connection(
                     host, port
                 )
-                writer.write(b'{"v": 1, "op": "ping"}\n')
+                writer.write(b'{"v": 2, "op": "ping"}\n')
                 await writer.drain()
                 reply = json.loads(await reader.readline())
                 writer.close()

@@ -142,9 +142,7 @@ class WaledCluster:
     async def kill(self, node_id):
         self.servers[node_id].close()
         await self.servers[node_id].wait_closed()
-        self.coordinator._drop_connection(
-            self.coordinator.nodes[node_id]
-        )
+        self.coordinator.nodes[node_id].drop()
 
     async def close(self):
         if self.coordinator.wal is not None:

@@ -36,8 +36,17 @@ class LoopThread:
         ).result(timeout)
 
     def stop(self):
+        async def cancel_connection_handlers():
+            pending = asyncio.all_tasks() - {asyncio.current_task()}
+            for task in pending:
+                task.cancel()
+            await asyncio.gather(*pending, return_exceptions=True)
+
+        self.run(cancel_connection_handlers())
         self.loop.call_soon_threadsafe(self.loop.stop)
         self.thread.join(timeout=5)
+        assert not self.thread.is_alive()
+        self.loop.close()
 
 
 @pytest.fixture

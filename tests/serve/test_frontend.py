@@ -47,11 +47,13 @@ async def _roundtrip(requests):
 class TestFrontend:
     def test_get_returns_size_and_digest(self):
         names, expected, (reply,) = asyncio.run(
-            _roundtrip([json.dumps({"op": "get", "name": "object-000"}).encode()])
+            _roundtrip([json.dumps({"v": 2, "op": "get", "name": "object-000"}).encode()])
         )
         data = expected["object-000"]
         assert reply == {
+            "v": 2,
             "ok": True,
+            "kind": "object",
             "name": "object-000",
             "size": len(data),
             "sha256": hashlib.sha256(data).hexdigest(),
@@ -61,17 +63,17 @@ class TestFrontend:
         _, _, replies = asyncio.run(
             _roundtrip(
                 [
-                    json.dumps({"op": "ping"}).encode(),
-                    json.dumps({"op": "stats"}).encode(),
-                    json.dumps({"op": "get", "name": "missing"}).encode(),
-                    json.dumps({"op": "get"}).encode(),
-                    json.dumps({"op": "bogus"}).encode(),
+                    json.dumps({"v": 2, "op": "ping"}).encode(),
+                    json.dumps({"v": 2, "op": "stats"}).encode(),
+                    json.dumps({"v": 2, "op": "get", "name": "missing"}).encode(),
+                    json.dumps({"v": 2, "op": "get"}).encode(),
+                    json.dumps({"v": 2, "op": "bogus"}).encode(),
                     b"not json at all",
                 ]
             )
         )
         ping, stats, missing, nameless, bogus, garbage = replies
-        assert ping == {"ok": True, "pong": True}
+        assert ping == {"v": 2, "ok": True, "kind": "pong", "pong": True}
         assert stats["ok"] is True
         assert stats["stats"]["state"] == "running"
         assert "counters" in stats["stats"]
@@ -88,7 +90,7 @@ class TestFrontend:
         names, expected, replies = asyncio.run(
             _roundtrip(
                 [
-                    json.dumps({"op": "get", "name": n}).encode()
+                    json.dumps({"v": 2, "op": "get", "name": n}).encode()
                     for n in ["object-000", "object-001", "object-000"]
                 ]
             )
@@ -103,8 +105,8 @@ class TestFrontend:
         _, _, (get_reply, metrics_reply) = asyncio.run(
             _roundtrip(
                 [
-                    json.dumps({"op": "get", "name": "object-000"}).encode(),
-                    json.dumps({"op": "metrics"}).encode(),
+                    json.dumps({"v": 2, "op": "get", "name": "object-000"}).encode(),
+                    json.dumps({"v": 2, "op": "metrics"}).encode(),
                 ]
             )
         )
@@ -138,11 +140,11 @@ class TestConcurrentWrites:
                         host, port
                     )
                     total = 60
-                    # One burst write of many pipelined v1 requests.
+                    # One burst write of many pipelined requests.
                     burst = b"".join(
                         json.dumps(
                             {
-                                "v": 1,
+                                "v": 2,
                                 "id": i,
                                 "op": "get",
                                 "name": names[i % len(names)],

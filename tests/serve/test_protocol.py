@@ -1,7 +1,7 @@
-"""Wire-protocol tests: round-trips, malformed frames, v0 compat."""
+"""Wire-protocol tests: round-trips, malformed frames, payload framing."""
 
+import asyncio
 import json
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +13,9 @@ from repro.serve.errors import (
     ServiceClosedError,
     ServiceOverloadedError,
 )
+from repro.serve.lineserver import start_line_server
 from repro.serve.protocol import (
+    MAX_PAYLOAD_BYTES,
     PROTOCOL_VERSION,
     AckResponse,
     BlockDataResponse,
@@ -60,6 +62,7 @@ from repro.serve.protocol import (
     exception_for,
     parse_request,
     parse_response,
+    payload_size,
 )
 from repro.storage.archive import DataLossError
 from repro.storage.device import TransientUnavailableError
@@ -67,7 +70,12 @@ from repro.storage.device import TransientUnavailableError
 # JSON-safe building blocks.
 names = st.text(min_size=1, max_size=40)
 keys = st.text(min_size=1, max_size=60)
-payloads = st.binary(max_size=512)
+# Arbitrary bytes, with the ones a text framing would trip on drawn
+# often: empty, newlines, base64 padding, 0xFF.
+payloads = st.one_of(
+    st.binary(max_size=512),
+    st.sampled_from([b"", b"\n", b"\n\n{}\n", b"=", b"==\xff", b"\xff" * 7]),
+)
 json_dicts = st.dictionaries(
     st.text(max_size=20),
     st.one_of(st.integers(), st.text(max_size=20), st.booleans()),
@@ -236,23 +244,31 @@ request_ids = st.one_of(
 )
 
 
+def split(data: bytes) -> tuple[bytes, bytes]:
+    """Encoded frame -> (header line, payload), read as a stream reader
+    does: up to the first newline, then ``payload_size`` bytes."""
+    line, newline, rest = data.partition(b"\n")
+    line += newline
+    assert payload_size(line) == len(rest)
+    return line, rest
+
+
 class TestRequestRoundTrip:
     @settings(max_examples=200, deadline=None)
     @given(request=request_strategies, request_id=request_ids)
     def test_every_request_type_round_trips(self, request, request_id):
-        line = encode_request(request, request_id=request_id)
-        parsed, envelope = parse_request(line)
+        data = encode_request(request, request_id=request_id)
+        parsed, envelope = parse_request(*split(data))
         assert parsed == request
         assert type(parsed) is type(request)
-        assert envelope.v == PROTOCOL_VERSION
         assert envelope.id == request_id
 
     @settings(max_examples=50, deadline=None)
     @given(request=request_strategies)
     def test_trace_context_rides_the_envelope(self, request):
         trace = {"trace_id": "abc123", "span_id": "def456"}
-        line = encode_request(request, trace=trace)
-        _, envelope = parse_request(line)
+        data = encode_request(request, trace=trace)
+        _, envelope = parse_request(*split(data))
         assert envelope.trace == trace
 
     def test_all_registered_ops_covered_by_strategy(self):
@@ -265,11 +281,36 @@ class TestResponseRoundTrip:
     @settings(max_examples=200, deadline=None)
     @given(response=response_strategies)
     def test_every_response_type_round_trips(self, response):
-        line = proto.encode_frame(response.to_frame())
-        parsed, frame = parse_response(line)
+        data = proto.encode_frame(response.to_frame(request_id=7))
+        parsed, frame = parse_response(*split(data))
         assert parsed == response
         assert type(parsed) is type(response)
         assert frame["v"] == PROTOCOL_VERSION
+        assert frame["kind"] == response.kind
+        assert frame["id"] == 7
+
+    def test_payload_bytes_travel_raw_after_the_header_line(self):
+        blocks = {"a": b"\n\xff=", "b": b"", "c": b"{}\n"}
+        data = proto.encode_frame(
+            BlockMapResponse(blocks=blocks, missing=("d",)).to_frame()
+        )
+        line, payload = split(data)
+        assert payload == b"\n\xff={}\n"
+        header = json.loads(line)
+        assert header["blocks"] == {"a": 3, "b": 0, "c": 3}
+        assert line.endswith(b',"bin":6}\n')
+        # A frame without buffer fields is the header line alone.
+        assert split(proto.encode_frame(PongResponse().to_frame())) == (
+            b'{"v":2,"ok":true,"kind":"pong","pong":true}\n',
+            b"",
+        )
+
+    def test_views_encode_like_the_bytes_they_cover(self):
+        raw = bytes(range(256))
+        view = memoryview(raw)[16:48]
+        assert encode_request(
+            BlockPutRequest(key="k", data=view)
+        ) == encode_request(BlockPutRequest(key="k", data=raw[16:48]))
 
     def test_all_registered_kinds_covered_by_strategy(self):
         assert COVERED_RESPONSES == set(proto._RESPONSE_TYPES.values())
@@ -293,15 +334,14 @@ class TestMalformedFrames:
         self.check(b"[1, 2, 3]")
 
     def test_missing_op(self):
-        self.check(b'{"v": 1}', code="unknown_op")
+        self.check(b'{"v": 2}', code="unknown_op")
 
     def test_unknown_op(self):
         exc = self.check(
-            b'{"v": 1, "op": "explode", "id": 7}', code="unknown_op"
+            b'{"v": 2, "op": "explode", "id": 7}', code="unknown_op"
         )
         # The reply can still be correlated and versioned.
         assert exc.request_id == 7
-        assert exc.v == 1
 
     def test_unsupported_future_version(self):
         self.check(
@@ -315,76 +355,256 @@ class TestMalformedFrames:
         self.check(b'{"v": true, "op": "ping"}')
 
     def test_bad_id_type(self):
-        self.check(b'{"v": 1, "op": "ping", "id": [1]}')
+        self.check(b'{"v": 2, "op": "ping", "id": [1]}')
 
     def test_bad_trace_shape(self):
-        self.check(b'{"v": 1, "op": "ping", "trace": "t1"}')
-        self.check(b'{"v": 1, "op": "ping", "trace": {"trace_id": 5}}')
+        self.check(b'{"v": 2, "op": "ping", "trace": "t1"}')
+        self.check(b'{"v": 2, "op": "ping", "trace": {"trace_id": 5}}')
 
     def test_missing_required_field(self):
-        self.check(b'{"v": 1, "op": "get"}')
-        self.check(b'{"v": 1, "op": "cluster.leave"}')
+        self.check(b'{"v": 2, "op": "get"}')
+        self.check(b'{"v": 2, "op": "cluster.leave"}')
 
     def test_mistyped_field(self):
-        self.check(b'{"v": 1, "op": "get", "name": 42}')
-        self.check(b'{"v": 1, "op": "block.fetch", "keys": "k"}')
+        self.check(b'{"v": 2, "op": "get", "name": 42}')
+        self.check(b'{"v": 2, "op": "block.fetch", "keys": "k"}')
 
-    def test_invalid_base64_payload(self):
-        self.check(
-            b'{"v": 1, "op": "block.put", "key": "k", "data": "%%%"}'
+    def test_payload_field_must_be_a_byte_length(self):
+        # The base64 text a v1 peer would send is a type error now.
+        for data in ('"eA=="', "-1", "1.5", "true", "null", "[1]"):
+            exc = self.check(
+                b'{"v": 2, "op": "block.put", "id": 4, "key": "k", '
+                b'"data": ' + data.encode() + b"}"
+            )
+            assert exc.request_id == 4
+        exc = self.check(
+            b'{"v":2,"kind":"x","op":"block.put","id":4,"key":"k",'
+            b'"data":{"a":1}}'
         )
+        assert exc.request_id == 4
 
     def test_bad_admin_action(self):
         self.check(
-            b'{"v": 1, "op": "node.admin", "action": "reboot"}'
+            b'{"v": 2, "op": "node.admin", "action": "reboot"}'
         )
 
 
-class TestV0Compat:
-    def test_unversioned_frame_parses_as_v0_with_one_warning(self):
-        proto._V0_WARNED = False
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                _, envelope = parse_request(
-                    b'{"op": "get", "name": "object-000"}'
-                )
-                assert envelope.v == 0
-                _, envelope = parse_request(b'{"op": "ping"}')
-                assert envelope.v == 0
-            deprecations = [
-                w
-                for w in caught
-                if issubclass(w.category, DeprecationWarning)
-            ]
-            assert len(deprecations) == 1
-        finally:
-            proto._V0_WARNED = True
+class TestVersioning:
+    def test_any_other_version_is_refused_with_its_id(self):
+        for frame in (
+            {"op": "ping", "id": 9},  # the un-versioned v0 shape
+            {"v": 0, "op": "ping", "id": 9},
+            {"v": 1, "op": "get", "name": "object-000", "id": 9},
+            {"v": 1, "op": "block.put", "key": "k", "data": "eA==", "id": 9},
+            {"v": PROTOCOL_VERSION + 1, "op": "ping", "id": 9},
+        ):
+            with pytest.raises(ProtocolError) as excinfo:
+                parse_request(json.dumps(frame).encode() + b"\n")
+            assert excinfo.value.code == "unsupported_version", frame
+            assert excinfo.value.request_id == 9
+        # ... and the refusal itself is a current-version error frame.
+        reply = ErrorResponse.from_exception(excinfo.value).to_frame(
+            request_id=excinfo.value.request_id
+        )
+        assert reply["v"] == PROTOCOL_VERSION
+        assert (reply["ok"], reply["kind"], reply["id"]) == (False, "error", 9)
 
-    def test_v0_response_frame_is_exactly_the_legacy_shape(self):
-        frame = ObjectInfoResponse(
-            name="object-000", size=1024, sha256="ab" * 32
-        ).to_frame(v=0)
-        assert frame == {
-            "ok": True,
-            "name": "object-000",
-            "size": 1024,
-            "sha256": "ab" * 32,
-        }
-
-    def test_v0_error_frame_has_no_envelope_keys(self):
-        frame = ErrorResponse.from_exception(
-            KeyError("no archived object named 'x'")
-        ).to_frame(v=0)
-        assert "v" not in frame and "kind" not in frame
-        assert frame["ok"] is False
-        assert frame["error"] == "KeyError"
-
-    def test_v1_frames_carry_the_envelope(self):
-        frame = PongResponse().to_frame(v=1, request_id="r1")
-        assert frame["v"] == 1
+    def test_frames_carry_the_envelope(self):
+        frame = PongResponse().to_frame(request_id="r1")
+        assert frame["v"] == PROTOCOL_VERSION
         assert frame["kind"] == "pong"
         assert frame["id"] == "r1"
+
+
+def put_header(**fields) -> bytes:
+    """A hand-written ``block.put`` header line (compact, id 5)."""
+    frame = {"v": PROTOCOL_VERSION, "op": "block.put", "id": 5, "key": "k"}
+    frame.update(fields)
+    return json.dumps(frame, separators=(",", ":")).encode() + b"\n"
+
+
+class TestPayloadFraming:
+    """Lengths in the header versus bytes behind it."""
+
+    def refused(self, line, payload=b""):
+        with pytest.raises(ProtocolError) as excinfo:
+            parse_request(line, payload)
+        exc = excinfo.value
+        assert exc.code == "bad_request"
+        assert exc.request_id == 5
+        return str(exc)
+
+    def test_well_formed_hand_written_frame_parses(self):
+        line = put_header(data=3, bin=3)
+        assert payload_size(line) == 3
+        request, envelope = parse_request(line, b"\n\xff=")
+        assert request == BlockPutRequest(key="k", data=b"\n\xff=")
+        assert envelope.id == 5
+
+    def test_negative_and_non_integer_lengths(self):
+        for bad in (-1, 1.5, "3", True, [3]):
+            assert "byte length" in self.refused(
+                put_header(data=bad, bin=3), b"abc"
+            )
+        for bad in (-3, 1.5, "3", True, [3]):
+            line = put_header(data=0, bin=bad)
+            assert payload_size(line) == 0  # not a total a reader takes
+            assert "non-negative integer" in self.refused(line)
+
+    def test_mismatched_lengths(self):
+        # field claims more than the payload holds
+        assert "3 payload bytes left, got 4" in self.refused(
+            put_header(data=4, bin=3), b"abc"
+        )
+        # payload bytes no field claims
+        assert "no field claims" in self.refused(
+            put_header(data=2, bin=3), b"abc"
+        )
+        assert "no field claims" in self.refused(
+            b'{"v":2,"op":"ping","id":5,"bin":3}\n', b"abc"
+        )
+        # declared total versus bytes actually handed over
+        assert "declares 3 payload bytes" in self.refused(
+            put_header(data=3, bin=3), b"ab"
+        )
+        # a total that is not the header's last key is not taken by a
+        # reader, and the parse says so
+        line = b'{"v":2,"op":"block.put","id":5,"bin":3,"key":"k","data":3}\n'
+        assert payload_size(line) == 0
+        assert "written last" in self.refused(line)
+        # dict[str, bytes]: every value is checked the same way
+        with pytest.raises(ProtocolError, match="2 payload bytes left, got 9"):
+            parse_response(
+                b'{"v":2,"ok":true,"kind":"blocks","id":5,'
+                b'"blocks":{"a":1,"b":9},"bin":3}\n',
+                b"abc",
+            )
+
+    def test_over_cap_total_is_refused_before_any_read(self):
+        line = put_header(data=MAX_PAYLOAD_BYTES + 1, bin=MAX_PAYLOAD_BYTES + 1)
+        with pytest.raises(ProtocolError) as excinfo:
+            payload_size(line)
+        assert "cap" in str(excinfo.value)
+        assert excinfo.value.request_id == 5
+        with pytest.raises(ProtocolError, match="cap"):
+            encode_request(
+                BlockPutRequest(
+                    key="k", data=memoryview(bytearray(MAX_PAYLOAD_BYTES + 1))
+                )
+            )
+
+    def test_only_the_top_level_last_key_is_a_total(self):
+        # "bin" inside a nested object or a string is just data.
+        for line in (
+            b'{"v":2,"ok":true,"kind":"ack","info":{"a":1,"bin":5}}\n',
+            b'{"v":2,"ok":true,"kind":"metrics","metrics":",\\"bin\\":5}"}\n',
+            b'{"v":2,"ok":true,"kind":"keys","keys":["x"],"xbin":5}\n',
+        ):
+            assert payload_size(line) == 0
+            parse_response(line)
+
+    def test_live_connection_survives_every_skippable_bad_frame(self):
+        """Bad lengths get a typed error with the sender's id, and —
+        because the declared payload was read off the stream — the
+        next frame on the same connection is served."""
+
+        async def check():
+            stored = {}
+
+            async def handler(request, envelope):
+                if isinstance(request, BlockPutRequest):
+                    stored[request.key] = request.data
+                return PongResponse()
+
+            server = await start_line_server(handler, port=0)
+            host, port = server.sockets[0].getsockname()[:2]
+            reader, writer = await asyncio.open_connection(host, port)
+            bad = [
+                put_header(data=-1, bin=3) + b"abc",
+                put_header(data="3", bin=3) + b"abc",
+                put_header(data=4, bin=3) + b"abc",
+                put_header(data=2, bin=3) + b"a\nc",
+                b'{"v":1,"op":"ping","id":5}\n',
+                b'{"op":"ping","id":5}\n',
+            ]
+            for frame in bad:
+                writer.write(frame)
+                writer.write(
+                    encode_request(
+                        BlockPutRequest(key="good", data=b"\n\xff"),
+                        request_id=6,
+                    )
+                )
+                await writer.drain()
+                replies = {}
+                for _ in range(2):
+                    reply = json.loads(await reader.readline())
+                    replies[reply["id"]] = reply
+                assert replies[5]["ok"] is False, frame
+                assert replies[5]["code"] in (
+                    "bad_request",
+                    "unsupported_version",
+                )
+                assert replies[6]["kind"] == "pong", frame
+                assert stored.pop("good") == b"\n\xff"
+            writer.close()
+            server.close()
+            await server.wait_closed()
+
+        asyncio.run(check())
+
+    def test_reply_over_the_cap_becomes_a_typed_error(self, monkeypatch):
+        monkeypatch.setattr(proto, "MAX_PAYLOAD_BYTES", 8)
+
+        async def check():
+            async def handler(request, envelope):
+                return BlockDataResponse(key=request.key, data=b"x" * 9)
+
+            server = await start_line_server(handler, port=0)
+            host, port = server.sockets[0].getsockname()[:2]
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(encode_request(BlockGetRequest(key="k"), request_id=3))
+            await writer.drain()
+            reply = json.loads(await reader.readline())
+            assert (reply["id"], reply["ok"], reply["code"]) == (
+                3, False, "bad_request"
+            )
+            assert "cap" in reply["message"]
+            writer.close()
+            server.close()
+            await server.wait_closed()
+
+        asyncio.run(check())
+
+    def test_unskippable_frames_are_answered_then_hung_up_on(self):
+        async def check(frame, expect_id):
+            async def handler(request, envelope):
+                return PongResponse()
+
+            server = await start_line_server(handler, port=0)
+            host, port = server.sockets[0].getsockname()[:2]
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(b'{"v":2,"op":"ping","id":1}\n' + frame)
+            await writer.drain()
+            replies = [json.loads(await reader.readline()) for _ in range(2)]
+            by_id = {r.get("id"): r for r in replies}
+            assert by_id[1]["kind"] == "pong"
+            error = by_id[expect_id]
+            assert (error["ok"], error["code"]) == (False, "bad_request")
+            assert await reader.read() == b""  # server hung up
+            writer.close()
+            server.close()
+            await server.wait_closed()
+            return error["message"]
+
+        over_cap = put_header(data=1, bin=MAX_PAYLOAD_BYTES + 1)
+        assert "cap" in asyncio.run(check(over_cap, 5))
+        long_line = (
+            b'{"v":2,"op":"block.list","id":5,"prefix":"'
+            + b"k" * (proto.MAX_LINE_BYTES + 1)
+            + b'"}\n'
+        )
+        assert "limit" in asyncio.run(check(long_line, None))
 
 
 class TestErrorTaxonomy:

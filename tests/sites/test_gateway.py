@@ -79,7 +79,7 @@ class Federation:
         for server in self.servers[site_id]:
             server.close()
             await server.wait_closed()
-        self.gateway._reset_connection(self.gateway.links[site_id])
+        self.gateway.links[site_id].reset()
 
     async def erase_witness(self, site_id, name, erased):
         """Delete ``name``'s blocks on the witness graph-node set."""
