@@ -1546,9 +1546,30 @@ def _cmd_cluster_status(args) -> int:
     return 0
 
 
-def _cmd_cluster_loadgen(args) -> int:
+def _run_scenario(args, config_cls, run, **overrides) -> int:
+    """Fleet scenarios: build config → run → describe → --out → exit code.
+    Config fields take their same-named options; ``overrides`` the rest."""
+    import dataclasses
     import json
 
+    for directory in (args.trace_dir, getattr(args, "obs_dir", None)):
+        if directory:
+            os.makedirs(directory, exist_ok=True)
+    values = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(config_cls)
+        if hasattr(args, f.name)
+    }
+    report = run(config_cls(**values, **overrides))
+    print(report.describe())
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+        print(f"report written to {args.out}")
+    return 1 if report.data_loss else 0
+
+
+def _cmd_cluster_loadgen(args) -> int:
     from .cluster import ClusterLoadConfig, run_cluster_loadgen
 
     if args.requests < 1:
@@ -1559,70 +1580,28 @@ def _cmd_cluster_loadgen(args) -> int:
         raise UsageError("--scrape-every must be positive")
     if args.scrape_interval <= 0:
         raise UsageError("--scrape-interval must be positive")
-    if args.trace_dir:
-        os.makedirs(args.trace_dir, exist_ok=True)
-    if args.obs_dir:
-        os.makedirs(args.obs_dir, exist_ok=True)
-    config = ClusterLoadConfig(
-        nodes=args.nodes,
-        objects=args.objects,
-        object_size=args.object_size,
-        block_size=args.block_size,
-        requests=args.requests,
-        rate=args.rate,
-        seed=args.seed,
+    return _run_scenario(
+        args,
+        ClusterLoadConfig,
+        run_cluster_loadgen,
         kill_node=not args.no_kill,
         rejoin=not args.no_rejoin,
-        graph=args.graph,
-        trace_dir=args.trace_dir,
-        obs_dir=args.obs_dir,
-        scrape_every=args.scrape_every,
-        scrape_interval=args.scrape_interval,
-        slo_spec=args.slo_spec,
     )
-    report = run_cluster_loadgen(config)
-    print(report.describe())
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        print(f"report written to {args.out}")
-    return 1 if report.data_loss else 0
 
 
 def _cmd_cluster_chaos(args) -> int:
-    import json
-
-    from .resilience import FaultPlan
-    from .resilience.cluster_campaign import (
+    from .resilience import (
         ClusterCampaignConfig,
+        FaultPlan,
         run_cluster_campaign,
     )
 
     plan = FaultPlan.load(args.faults) if args.faults else None
-    if args.trace_dir:
-        os.makedirs(args.trace_dir, exist_ok=True)
-    config = ClusterCampaignConfig(
-        nodes=args.nodes,
-        objects=args.objects,
-        object_size=args.object_size,
-        block_size=args.block_size,
-        steps=args.steps,
-        reads_per_step=args.reads_per_step,
-        seed=args.seed,
-        graph=args.graph,
-        wal_dir=args.wal_dir,
-        trace_dir=args.trace_dir,
-        rpc_timeout=args.rpc_timeout,
-        repair_budget=args.repair_budget,
-        midwrite_race=args.midwrite_race,
+    return _run_scenario(
+        args,
+        ClusterCampaignConfig,
+        lambda config: run_cluster_campaign(plan, config),
     )
-    report = run_cluster_campaign(plan, config)
-    print(report.describe())
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        print(f"report written to {args.out}")
-    return 1 if report.data_loss else 0
 
 
 def _cmd_cluster(args) -> int:
@@ -1705,79 +1684,28 @@ def _cmd_sites_status(args) -> int:
 
 
 def _cmd_sites_loadgen(args) -> int:
-    import json
-
     from .sites import SitesLoadConfig, run_sites_loadgen
 
     if args.rate <= 0:
         raise UsageError("--rate must be positive")
-    if args.trace_dir:
-        os.makedirs(args.trace_dir, exist_ok=True)
-    if args.obs_dir:
-        os.makedirs(args.obs_dir, exist_ok=True)
-    config = SitesLoadConfig(
-        sites=args.sites,
-        nodes_per_site=args.nodes_per_site,
-        objects=args.objects,
-        object_size=args.object_size,
-        block_size=args.block_size,
-        reads_per_phase=args.reads_per_phase,
-        rate=args.rate,
-        seed=args.seed,
+    return _run_scenario(
+        args,
+        SitesLoadConfig,
+        run_sites_loadgen,
         blackout=not args.no_blackout,
         coupled_demo=not args.no_coupled_demo,
-        site_max_size=args.site_max_size,
-        curve_samples=args.curve_samples,
-        rpc_timeout=args.rpc_timeout,
-        repair_wan_budget=args.repair_wan_budget,
-        work_dir=args.work_dir,
-        trace_dir=args.trace_dir,
-        obs_dir=args.obs_dir,
     )
-    report = run_sites_loadgen(config)
-    print(report.describe())
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        print(f"report written to {args.out}")
-    return 1 if report.data_loss else 0
 
 
 def _cmd_sites_chaos(args) -> int:
-    import json
-
     from .sites import SitesCampaignConfig, run_sites_campaign
 
-    if args.trace_dir:
-        os.makedirs(args.trace_dir, exist_ok=True)
-    config = SitesCampaignConfig(
-        sites=args.sites,
-        nodes_per_site=args.nodes_per_site,
-        objects=args.objects,
-        object_size=args.object_size,
-        block_size=args.block_size,
-        steps=args.steps,
-        reads_per_step=args.reads_per_step,
-        seed=args.seed,
-        afr=args.afr,
-        shape=args.shape,
-        infant_mortality=args.infant_mortality,
+    return _run_scenario(
+        args,
+        SitesCampaignConfig,
+        run_sites_campaign,
         site_blackout_rate=args.blackout_rate,
-        mean_outage_steps=args.mean_outage_steps,
-        max_concurrent=args.max_concurrent,
-        repair_every=args.repair_every,
-        rpc_timeout=args.rpc_timeout,
-        repair_wan_budget=args.repair_wan_budget,
-        work_dir=args.work_dir,
-        trace_dir=args.trace_dir,
     )
-    report = run_sites_campaign(config)
-    print(report.describe())
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        print(f"report written to {args.out}")
-    return 1 if report.data_loss else 0
 
 
 def _cmd_sites(args) -> int:

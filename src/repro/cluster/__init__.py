@@ -12,8 +12,10 @@ dark or dead.  The coordinator's metadata is durable: every mutation
 journals to a write-ahead log (:mod:`repro.cluster.wal`) before it is
 acknowledged, and repair runs incrementally through a prioritized,
 budgeted queue (:mod:`repro.cluster.scheduler`).
-:mod:`repro.cluster.driver` spawns and exercises a whole cluster
-(kill a node, repair, rejoin) as one seeded run.
+:mod:`repro.cluster.fleet` is the one process / membership /
+telemetry harness under every multi-process run; over it,
+:mod:`repro.cluster.driver` exercises a whole cluster (kill a node,
+repair, rejoin) as one seeded scenario.
 """
 
 from .coordinator import (

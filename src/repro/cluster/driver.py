@@ -20,32 +20,29 @@ coordinator/storage-node split:
 6. optionally restart the node and rejoin it, re-sharding blocks back;
 7. verify every object once more and report.
 
-Child processes get seeds derived from the driver seed via
-:func:`~repro.obs.seeding.spawn_seeds`, so no two processes mint
-colliding trace span IDs, while the whole run stays a pure function of
-one seed (modulo wall-clock latencies).
+Processes, seeds, telemetry and teardown belong to the
+:class:`~repro.cluster.fleet.Fleet` the run is written over; child
+processes get seeds from its ledger, so no two processes mint colliding
+trace span IDs, while the whole run stays a pure function of one seed
+(modulo wall-clock latencies).
 """
 
 from __future__ import annotations
 
-import json
-import os
-import subprocess
-import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
-from ..obs.seeding import SeedLike, derive_seed, resolve_rng, spawn_seeds
+from ..obs.seeding import SeedLike, resolve_rng
 from ..obs.trace import trace_span
-from ..serve.client import ClusterClient
-from ..serve.loadgen import LoadGenConfig, arrival_schedule
+from .fleet import Fleet, ScenarioReport
 
 __all__ = ["ClusterLoadConfig", "ClusterLoadReport", "run_cluster_loadgen"]
 
-_READY_TIMEOUT = 30.0
+# The node dies this far into the read schedule.
+_KILL_FRACTION = 0.4
 
 
 @dataclass(frozen=True)
@@ -60,7 +57,6 @@ class ClusterLoadConfig:
     rate: float = 100.0
     seed: SeedLike = 0
     kill_node: bool = True
-    kill_fraction: float = 0.4
     rejoin: bool = True
     graph: str | None = None  # GraphML path for child processes
     trace_dir: str | None = None  # per-process trace files land here
@@ -74,8 +70,6 @@ class ClusterLoadConfig:
             raise ValueError("nodes must be positive")
         if self.objects < 1:
             raise ValueError("objects must be positive")
-        if not 0.0 < self.kill_fraction < 1.0:
-            raise ValueError("kill_fraction must lie in (0, 1)")
         if self.scrape_every < 1:
             raise ValueError("scrape_every must be positive")
         if self.scrape_interval <= 0:
@@ -83,46 +77,23 @@ class ClusterLoadConfig:
 
 
 @dataclass
-class ClusterLoadReport:
+class ClusterLoadReport(ScenarioReport):
     """Outcome of one cluster exercise (see module docs for phases)."""
 
     nodes: int
     objects: int
     requests: int
-    completed: int
-    failed: int
-    mismatched: int
-    killed_node: str | None
-    rejoined: bool
-    repair: dict[str, Any]
-    status: dict[str, Any]
-    latency: dict[str, float]
-    elapsed_seconds: float
-    verified_objects: int
+    completed: int = 0
+    failed: int = 0
+    mismatched: int = 0
+    killed_node: str | None = None
+    rejoined: bool = False
+    repair: dict[str, Any] = field(default_factory=dict)
+    status: dict[str, Any] = field(default_factory=dict)
+    latency: dict[str, float] = field(default_factory=dict)
+    elapsed_seconds: float = 0.0
+    verified_objects: int = 0
     telemetry: dict[str, Any] | None = None
-
-    @property
-    def data_loss(self) -> bool:
-        return self.mismatched > 0 or self.verified_objects < self.objects
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "nodes": self.nodes,
-            "objects": self.objects,
-            "requests": self.requests,
-            "completed": self.completed,
-            "failed": self.failed,
-            "mismatched": self.mismatched,
-            "killed_node": self.killed_node,
-            "rejoined": self.rejoined,
-            "repair": self.repair,
-            "status": self.status,
-            "latency": self.latency,
-            "elapsed_seconds": self.elapsed_seconds,
-            "verified_objects": self.verified_objects,
-            "data_loss": self.data_loss,
-            "telemetry": self.telemetry,
-        }
 
     def describe(self) -> str:
         lines = [
@@ -154,240 +125,8 @@ class ClusterLoadReport:
                 f"p99 {self.latency['p99'] * 1e3:.1f}ms"
             )
         if self.telemetry:
-            fires = sum(
-                1
-                for a in self.telemetry.get("alerts", [])
-                if a.get("state") == "firing"
-            )
-            lines.append(
-                f"telemetry: {self.telemetry.get('samples', 0)} samples, "
-                f"{fires} alert(s) fired, "
-                f"{len(self.telemetry.get('firing', []))} still firing "
-                f"-> {self.telemetry.get('timeline', '?')}"
-            )
+            lines.append(self.describe_telemetry())
         return "\n".join(lines)
-
-
-class _Child:
-    """One spawned cluster process and its ready-line handshake."""
-
-    def __init__(self, role: str, argv: list[str]):
-        self.role = role
-        self.proc = subprocess.Popen(
-            argv,
-            stdout=subprocess.PIPE,
-            # Inherit the real stderr fd: sys.stderr may be a capture
-            # object without fileno() under a test runner.
-            stderr=None,
-            text=True,
-        )
-        self.host = ""
-        self.port = 0
-
-    def await_ready(self) -> None:
-        """Block until the child prints its ``cluster.ready`` line."""
-        deadline = time.monotonic() + _READY_TIMEOUT
-        while True:
-            if self.proc.poll() is not None:
-                raise RuntimeError(
-                    f"{self.role} exited with {self.proc.returncode} "
-                    "before becoming ready"
-                )
-            line = self.proc.stdout.readline()
-            if not line:
-                raise RuntimeError(f"{self.role} closed stdout early")
-            try:
-                event = json.loads(line)
-            except ValueError:
-                continue  # interleaved human output
-            if event.get("event") == "cluster.ready":
-                self.host = event["host"]
-                self.port = int(event["port"])
-                return
-            if time.monotonic() > deadline:
-                raise RuntimeError(f"{self.role} never became ready")
-
-    def kill(self) -> None:
-        if self.proc.poll() is None:
-            self.proc.kill()
-            self.proc.wait()
-
-    def terminate(self) -> None:
-        if self.proc.poll() is None:
-            self.proc.terminate()
-            try:
-                self.proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                self.proc.kill()
-                self.proc.wait()
-
-
-class _FleetTelemetry:
-    """Scrape the spawned fleet on a logical clock; persist a timeline.
-
-    The driver owns the clock: every scrape advances logical time by
-    ``scrape_interval`` regardless of wall time, so the kill → alert →
-    heal → clear sequence lands at the same timeline offsets run after
-    run.  Samples and SLO transitions interleave in one JSONL artifact
-    (``timeline.jsonl``) that ``repro obs top`` / ``repro obs slo``
-    replay offline.
-    """
-
-    def __init__(
-        self,
-        obs_dir: str,
-        targets: list,
-        *,
-        scrape_interval: float = 60.0,
-        slo_spec: str | None = None,
-    ):
-        from ..obs import (
-            JsonlSink,
-            LogicalClock,
-            SloEngine,
-            SloSpec,
-            TimeSeriesStore,
-        )
-
-        self.scrape_interval = float(scrape_interval)
-        os.makedirs(obs_dir, exist_ok=True)
-        self.path = os.path.join(obs_dir, "timeline.jsonl")
-        if os.path.exists(self.path):
-            os.unlink(self.path)  # timelines are per-run artifacts
-        self.sink = JsonlSink(self.path)
-        self.clock = LogicalClock()
-        self.store = TimeSeriesStore(
-            resolution=self.scrape_interval, sink=self.sink
-        )
-        self.engine = SloEngine(
-            SloSpec.load(slo_spec) if slo_spec else None
-        )
-        self.scraper = self._build_scraper(targets)
-        self.alerts: list[dict[str, Any]] = []
-
-    def _build_scraper(self, targets: list):
-        from ..obs import FleetScraper
-
-        return FleetScraper(
-            targets, timeout=2.0, clock=self.clock, store=self.store
-        )
-
-    def retarget(self, targets: list) -> None:
-        """Healed processes come back on fresh ephemeral ports."""
-        self.scraper = self._build_scraper(targets)
-
-    def scrape(self, note: str | None = None) -> list[dict[str, Any]]:
-        self.clock.advance(self.scrape_interval)
-        self.scraper.scrape_once()  # ingests + persists the sample
-        if note:
-            self.sink.emit(
-                {"event": "driver.note", "ts": self.clock(), "note": note}
-            )
-        transitions = self.engine.evaluate(self.store)
-        for transition in transitions:
-            self.sink.emit(transition)
-        self.alerts.extend(transitions)
-        return transitions
-
-    def settle(self, max_scrapes: int = 90) -> None:
-        """Keep scraping a healed fleet until every alert clears.
-
-        Clearing needs each pair's *short* burn window to drain of bad
-        samples — for the standard slow pair that is a full logical
-        hour, ~60 scrapes at the default interval (cheap: each scrape
-        is a handful of local RPCs and no wall-clock sleeps).  The
-        bound keeps a fleet that *cannot* heal (e.g. ``rejoin=False``)
-        from spinning forever.
-        """
-        for _ in range(max_scrapes):
-            if not self.engine.firing():
-                break
-            self.scrape()
-
-    def summary(self) -> dict[str, Any]:
-        return {
-            "timeline": self.path,
-            "samples": self.store.ingested,
-            "scrapes": self.scraper.scrapes,
-            "scrape_interval": self.scrape_interval,
-            "alerts": list(self.alerts),
-            "firing": self.engine.firing(),
-            "durability": self.engine.durability(self.store),
-        }
-
-    def close(self) -> None:
-        self.sink.close()
-
-
-def _cluster_targets(
-    coordinator: _Child, nodes: dict[str, _Child]
-) -> list:
-    from ..obs import ScrapeTarget
-
-    targets = [
-        ScrapeTarget(
-            "coordinator",
-            "coordinator",
-            coordinator.host,
-            coordinator.port,
-        )
-    ]
-    for node_id, child in sorted(nodes.items()):
-        targets.append(
-            ScrapeTarget("node", node_id, child.host, child.port)
-        )
-    return targets
-
-
-def _spawn_coordinator(
-    config: ClusterLoadConfig, seed: int
-) -> _Child:
-    argv = [
-        sys.executable,
-        "-m",
-        "repro",
-        "cluster",
-        "coordinator",
-        "--port",
-        "0",
-        "--seed",
-        str(seed),
-        "--block-size",
-        str(config.block_size),
-    ]
-    if config.graph:
-        argv += ["--graph", config.graph]
-    if config.trace_dir:
-        argv += ["--trace", f"{config.trace_dir}/coordinator.jsonl"]
-    child = _Child("coordinator", argv)
-    child.await_ready()
-    return child
-
-
-def _spawn_node(
-    config: ClusterLoadConfig,
-    node_id: str,
-    seed: int,
-    coordinator: _Child,
-) -> _Child:
-    argv = [
-        sys.executable,
-        "-m",
-        "repro",
-        "cluster",
-        "node",
-        "--id",
-        node_id,
-        "--port",
-        "0",
-        "--seed",
-        str(seed),
-        "--coordinator",
-        f"{coordinator.host}:{coordinator.port}",
-    ]
-    child = _Child(f"node {node_id}", argv)
-    child.await_ready()
-    return child
 
 
 def run_cluster_loadgen(
@@ -395,163 +134,95 @@ def run_cluster_loadgen(
 ) -> ClusterLoadReport:
     """Run the full spawn → load → kill → repair → verify exercise."""
     config = config or ClusterLoadConfig()
-    child_seeds = [
-        derive_seed(s) for s in spawn_seeds(config.seed, config.nodes + 1)
-    ]
-    payload_rng = resolve_rng(spawn_seeds(config.seed, config.nodes + 2)[-1])
+    report = ClusterLoadReport(
+        nodes=config.nodes, objects=config.objects, requests=config.requests
+    )
     start = time.perf_counter()
-    coordinator: _Child | None = None
-    nodes: dict[str, _Child] = {}
-    client: ClusterClient | None = None
-    telemetry: _FleetTelemetry | None = None
-    try:
-        coordinator = _spawn_coordinator(config, child_seeds[0])
-        for i in range(config.nodes):
-            node_id = f"node-{i}"
-            nodes[node_id] = _spawn_node(
-                config, node_id, child_seeds[i + 1], coordinator
-            )
-        client = ClusterClient(coordinator.host, coordinator.port)
-        if config.obs_dir:
-            telemetry = _FleetTelemetry(
-                config.obs_dir,
-                _cluster_targets(coordinator, nodes),
-                scrape_interval=config.scrape_interval,
-                slo_spec=config.slo_spec,
-            )
+    with Fleet(
+        config.seed,
+        block_size=config.block_size,
+        trace_dir=config.trace_dir,
+        obs_dir=config.obs_dir,
+        scrape_interval=config.scrape_interval,
+        slo_spec=config.slo_spec,
+    ) as fleet:
+        cell = fleet.add_cell(
+            [f"node-{i}" for i in range(config.nodes)], graph=config.graph
+        )
+        client = fleet.open_client(retry=False)
+        telemetry = fleet.telemetry
 
         # Phase: seed the cluster with verifiable objects.
-        digests: dict[str, str] = {}
+        payload_rng = resolve_rng(fleet.next_seed_sequence())
         with trace_span("cluster.loadgen.seed"):
-            for i in range(config.objects):
-                name = f"object-{i:03d}"
-                payload = payload_rng.bytes(config.object_size)
-                info = client.put(name, payload)
-                digests[name] = info["sha256"]
-        if telemetry is not None:
-            telemetry.scrape(note="baseline after seeding")
+            digests = fleet.seed_objects(
+                config.objects, config.object_size, payload_rng
+            )
+        telemetry.scrape(note="baseline after seeding")
 
         # Phase: seeded open-loop reads, one node killed mid-run.
-        names = sorted(digests)
-        gaps, picks = arrival_schedule(
-            names,
-            LoadGenConfig(
+        kill_at = int(config.requests * _KILL_FRACTION)
+        killed: str | None = None
+        latencies: list[float] = []
+        with trace_span("cluster.loadgen.run"):
+            for i, name, due in fleet.paced(
+                sorted(digests),
                 requests=config.requests,
                 rate=config.rate,
                 seed=config.seed,
-            ),
-        )
-        kill_at = (
-            int(config.requests * config.kill_fraction)
-            if config.kill_node
-            else None
-        )
-        killed: str | None = None
-        completed = failed = mismatched = 0
-        latencies: list[float] = []
-        t0 = time.perf_counter()
-        scheduled = 0.0
-        with trace_span("cluster.loadgen.run"):
-            for i, (gap, name) in enumerate(zip(gaps, picks)):
-                scheduled += gap
-                lag = t0 + scheduled - time.perf_counter()
-                if lag > 0:
-                    time.sleep(lag)
-                if kill_at is not None and i == kill_at:
-                    killed = sorted(nodes)[0]
-                    nodes[killed].kill()
-                    if telemetry is not None:
-                        # Scrape while the node is dark: the acceptance
-                        # bar is "alert fires within one scrape
-                        # interval of the kill".
-                        telemetry.scrape(note=f"killed {killed}")
-                try:
-                    info = client.get(name)
-                except Exception:
-                    failed += 1
-                    continue
-                # Coordinated-omission-corrected: latency from the
-                # scheduled arrival, not the (possibly late) send.
-                latencies.append(time.perf_counter() - (t0 + scheduled))
-                if info.sha256 == digests[name]:
-                    completed += 1
+            ):
+                if config.kill_node and i == kill_at:
+                    killed = report.killed_node = sorted(cell.nodes)[0]
+                    cell.nodes[killed].kill()
+                    # Scrape while the node is dark: the acceptance
+                    # bar is "alert fires within one scrape interval
+                    # of the kill".
+                    telemetry.scrape(note=f"killed {killed}")
+                error = fleet.read(name, digests[name])
+                if error in (None, "mismatch"):
+                    # Coordinated-omission-corrected: latency from the
+                    # scheduled arrival, not the (possibly late) send.
+                    latencies.append(time.perf_counter() - due)
+                if error is None:
+                    report.completed += 1
+                elif error == "mismatch":
+                    report.mismatched += 1
                 else:
-                    mismatched += 1
-                if (
-                    telemetry is not None
-                    and (i + 1) % config.scrape_every == 0
-                ):
+                    report.failed += 1
+                # Count the request first: a failed read still scrapes.
+                if (i + 1) % config.scrape_every == 0:
                     telemetry.scrape()
 
         # Phase: declare the kill a loss and rebuild onto survivors.
-        repair: dict[str, Any] = {}
+        repair = report.repair
         if killed is not None:
-            repair = client.leave(killed)
+            repair.update(client.leave(killed))
         repair_extra = client.repair()
         for key in ("moved_blocks", "rebuilt_blocks"):
             repair[key] = repair.get(key, 0) + repair_extra.get(key, 0)
-        if telemetry is not None:
-            telemetry.scrape(note="repair complete")
+        telemetry.scrape(note="repair complete")
 
         # Phase: bring the node back; joining re-shards onto it.
-        rejoined = False
         if killed is not None and config.rejoin:
-            nodes[killed] = _spawn_node(
-                config,
-                killed,
-                derive_seed(spawn_seeds(config.seed, config.nodes + 3)[-1]),
-                coordinator,
-            )
-            rejoined = True
-            if telemetry is not None:
-                # The node came back on a fresh ephemeral port.
-                telemetry.retarget(_cluster_targets(coordinator, nodes))
-                telemetry.scrape(note=f"rejoined {killed}")
-        if telemetry is not None and rejoined:
+            cell.spawn_node(killed, seed=fleet.next_seed())
+            report.rejoined = True
+            telemetry.scrape(note=f"rejoined {killed}")
             telemetry.settle()
 
         # Phase: full verification sweep — the zero-data-loss check.
-        verified = 0
         with trace_span("cluster.loadgen.verify"):
-            for name, digest in digests.items():
-                try:
-                    if client.get(name).sha256 == digest:
-                        verified += 1
-                except Exception:
-                    pass
-        status = client.status()
-        if telemetry is not None:
-            telemetry.scrape(note="final verification sweep")
-    finally:
-        if client is not None:
-            client.close()
-        for child in nodes.values():
-            child.terminate()
-        if coordinator is not None:
-            coordinator.terminate()
-        if telemetry is not None:
-            telemetry.close()
+            report.verified_objects = fleet.verify(digests)
+        report.status = client.status()
+        telemetry.scrape(note="final verification sweep")
+        report.telemetry = telemetry.summary()
 
     lat = np.array(latencies) if latencies else np.array([0.0])
-    return ClusterLoadReport(
-        nodes=config.nodes,
-        objects=config.objects,
-        requests=config.requests,
-        completed=completed,
-        failed=failed,
-        mismatched=mismatched,
-        killed_node=killed,
-        rejoined=rejoined,
-        repair=repair,
-        status=status,
-        latency={
-            "count": float(len(latencies)),
-            "p50": float(np.percentile(lat, 50)),
-            "p95": float(np.percentile(lat, 95)),
-            "p99": float(np.percentile(lat, 99)),
-            "mean": float(lat.mean()),
-        },
-        elapsed_seconds=time.perf_counter() - start,
-        verified_objects=verified,
-        telemetry=telemetry.summary() if telemetry is not None else None,
-    )
+    report.latency = {
+        "count": float(len(latencies)),
+        "p50": float(np.percentile(lat, 50)),
+        "p95": float(np.percentile(lat, 95)),
+        "p99": float(np.percentile(lat, 99)),
+        "mean": float(lat.mean()),
+    }
+    report.elapsed_seconds = time.perf_counter() - start
+    return report

@@ -14,8 +14,10 @@ keeps the toolchain itself crash-tolerant:
   over :func:`repro.storage.run_mission` with integrity scrubbing,
   degraded-read probes, and repair-queue telemetry;
 * :mod:`repro.resilience.cluster_campaign` — the same idea against a
-  *live* multi-process cluster: seeded kill / partition / recover
-  schedules with WAL-recovery digest checks and a zero-loss sweep;
+  *live* multi-process cluster (a scenario over
+  :class:`repro.cluster.fleet.Fleet`): seeded kill / partition /
+  recover schedules with WAL-recovery digest checks and a zero-loss
+  sweep;
 * :mod:`repro.resilience.retry` — the deterministic
   retry-with-exponential-backoff policy behind degraded-mode reads
   (``archive.get(..., retry=...)``, the cluster coordinator's RPCs,

@@ -51,19 +51,14 @@ every object including any mid-write survivors.
 from __future__ import annotations
 
 import hashlib
-import os
-import shutil
-import sys
-import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..cluster.driver import _Child
-from ..obs.seeding import SeedLike, derive_seed, resolve_rng, spawn_seeds
+from ..cluster.fleet import Fleet, ScenarioReport
+from ..obs.seeding import SeedLike, resolve_rng
 from ..obs.trace import trace_span
-from ..serve.client import ClusterClient
 from .faults import (
     CoordinatorCrashes,
     FaultPlan,
@@ -71,7 +66,6 @@ from .faults import (
     NodeCrashes,
     SlowNodes,
 )
-from .retry import RetryPolicy
 
 __all__ = [
     "ClusterCampaignConfig",
@@ -123,23 +117,23 @@ class ClusterCampaignConfig:
 
 
 @dataclass
-class ClusterCampaignReport:
+class ClusterCampaignReport(ScenarioReport):
     """Outcome of one cluster chaos campaign."""
 
     steps: int
     nodes: int
-    total_objects: int
-    verified_objects: int
-    mismatched: int
-    completed_reads: int
-    failed_reads: int
-    coordinator_crashes: int
-    recoveries_verified: int
-    recovery_mismatches: int
-    acked_put_lost: int
-    node_kills: int
-    partitions: int
-    slowdowns: int
+    total_objects: int = 0
+    verified_objects: int = 0
+    mismatched: int = 0
+    completed_reads: int = 0
+    failed_reads: int = 0
+    coordinator_crashes: int = 0
+    recoveries_verified: int = 0
+    recovery_mismatches: int = 0
+    acked_put_lost: int = 0
+    node_kills: int = 0
+    partitions: int = 0
+    slowdowns: int = 0
     events: list[dict[str, Any]] = field(default_factory=list)
     repair: dict[str, Any] = field(default_factory=dict)
     repair_bytes: int = 0
@@ -154,30 +148,6 @@ class ClusterCampaignReport:
             or self.recovery_mismatches > 0
             or self.acked_put_lost > 0
         )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "steps": self.steps,
-            "nodes": self.nodes,
-            "total_objects": self.total_objects,
-            "verified_objects": self.verified_objects,
-            "mismatched": self.mismatched,
-            "completed_reads": self.completed_reads,
-            "failed_reads": self.failed_reads,
-            "coordinator_crashes": self.coordinator_crashes,
-            "recoveries_verified": self.recoveries_verified,
-            "recovery_mismatches": self.recovery_mismatches,
-            "acked_put_lost": self.acked_put_lost,
-            "node_kills": self.node_kills,
-            "partitions": self.partitions,
-            "slowdowns": self.slowdowns,
-            "events": self.events,
-            "repair": self.repair,
-            "repair_bytes": self.repair_bytes,
-            "status": self.status,
-            "elapsed_seconds": self.elapsed_seconds,
-            "data_loss": self.data_loss,
-        }
 
     def describe(self) -> str:
         lines = [
@@ -200,112 +170,6 @@ class ClusterCampaignReport:
         return "\n".join(lines)
 
 
-class _Cluster:
-    """Process management for one campaign: spawn, kill, respawn."""
-
-    def __init__(self, config: ClusterCampaignConfig, wal_dir: str):
-        self.config = config
-        self.wal_dir = wal_dir
-        self.coordinator: _Child | None = None
-        self.coordinator_generation = 0
-        self.nodes: dict[str, _Child] = {}
-        self.node_seeds: dict[str, int] = {}
-        seeds = [
-            derive_seed(s)
-            for s in spawn_seeds(config.seed, config.nodes + 1)
-        ]
-        self.coordinator_seed = seeds[0]
-        for i in range(config.nodes):
-            self.node_seeds[f"node-{i}"] = seeds[i + 1]
-
-    def _coordinator_argv(self, *, recover: bool) -> list[str]:
-        config = self.config
-        argv = [
-            sys.executable,
-            "-m",
-            "repro",
-            "cluster",
-            "coordinator",
-            "--host",
-            "127.0.0.1",
-            "--port",
-            str(self.coordinator.port if recover else 0),
-            "--seed",
-            str(self.coordinator_seed),
-            "--block-size",
-            str(config.block_size),
-            "--rpc-timeout",
-            str(config.rpc_timeout),
-            "--recover" if recover else "--wal",
-            self.wal_dir,
-        ]
-        if config.repair_budget is not None:
-            argv += ["--repair-budget", str(config.repair_budget)]
-        if config.graph:
-            argv += ["--graph", config.graph]
-        if config.trace_dir:
-            suffix = (
-                f"-r{self.coordinator_generation}"
-                if self.coordinator_generation
-                else ""
-            )
-            argv += [
-                "--trace",
-                os.path.join(
-                    config.trace_dir, f"coordinator{suffix}.jsonl"
-                ),
-            ]
-        return argv
-
-    def spawn_coordinator(self) -> None:
-        child = _Child(
-            "coordinator", self._coordinator_argv(recover=False)
-        )
-        child.await_ready()
-        self.coordinator = child
-
-    def recover_coordinator(self) -> None:
-        """Restart on the same port, replaying the WAL."""
-        self.coordinator_generation += 1
-        child = _Child(
-            f"coordinator (gen {self.coordinator_generation})",
-            self._coordinator_argv(recover=True),
-        )
-        child.await_ready()
-        self.coordinator = child
-
-    def spawn_node(self, node_id: str) -> None:
-        argv = [
-            sys.executable,
-            "-m",
-            "repro",
-            "cluster",
-            "node",
-            "--id",
-            node_id,
-            "--port",
-            "0",
-            "--seed",
-            str(self.node_seeds[node_id]),
-            "--coordinator",
-            f"{self.coordinator.host}:{self.coordinator.port}",
-        ]
-        child = _Child(f"node {node_id}", argv)
-        child.await_ready()
-        self.nodes[node_id] = child
-
-    def admin(self, node_id: str, action: str, **kwargs) -> None:
-        child = self.nodes[node_id]
-        with ClusterClient(child.host, child.port, timeout=10.0) as c:
-            c.node_admin(action, **kwargs)
-
-    def teardown(self) -> None:
-        for child in self.nodes.values():
-            child.terminate()
-        if self.coordinator is not None:
-            self.coordinator.terminate()
-
-
 def run_cluster_campaign(
     plan: FaultPlan | None = None,
     config: ClusterCampaignConfig | None = None,
@@ -313,77 +177,50 @@ def run_cluster_campaign(
     """Drive a live cluster through a seeded chaos schedule and verify."""
     plan = plan if plan is not None else default_cluster_plan()
     config = config or ClusterCampaignConfig()
-    coord_specs = [
-        s for s in plan.faults if isinstance(s, CoordinatorCrashes)
-    ]
-    crash_specs = [s for s in plan.faults if isinstance(s, NodeCrashes)]
-    partition_specs = [
-        s for s in plan.faults if isinstance(s, NetworkPartitions)
-    ]
-    slow_specs = [s for s in plan.faults if isinstance(s, SlowNodes)]
 
-    rng = resolve_rng(
-        derive_seed(spawn_seeds(config.seed, config.nodes + 2)[-1])
-    )
-    payload_rng = resolve_rng(
-        spawn_seeds(config.seed, config.nodes + 3)[-1]
-    )
+    def specs(kind: type) -> list:
+        return [s for s in plan.faults if isinstance(s, kind)]
 
-    own_wal = config.wal_dir is None
-    wal_dir = config.wal_dir or tempfile.mkdtemp(prefix="repro-wal-")
-    cluster = _Cluster(config, wal_dir)
-    report = ClusterCampaignReport(
-        steps=config.steps,
-        nodes=config.nodes,
-        total_objects=0,
-        verified_objects=0,
-        mismatched=0,
-        completed_reads=0,
-        failed_reads=0,
-        coordinator_crashes=0,
-        recoveries_verified=0,
-        recovery_mismatches=0,
-        acked_put_lost=0,
-        node_kills=0,
-        partitions=0,
-        slowdowns=0,
-    )
+    report = ClusterCampaignReport(steps=config.steps, nodes=config.nodes)
 
     def note(step: int, kind: str, **detail: Any) -> None:
-        report.events.append({"step": step, "kind": kind, **detail})
+        report.note(kind, step=step, **detail)
 
     start = time.perf_counter()
-    client: ClusterClient | None = None
     # Faults active at a time-step granularity; heal/restart schedules.
     dead_until: dict[str, int] = {}
     partitioned_until: dict[str, int] = {}
     slowed_until: dict[str, int] = {}
-    digests: dict[str, str] = {}
-    try:
-        cluster.spawn_coordinator()
-        for node_id in sorted(cluster.node_seeds):
-            cluster.spawn_node(node_id)
-        client = ClusterClient(
-            cluster.coordinator.host,
-            cluster.coordinator.port,
-            timeout=60.0,
-            retry=RetryPolicy(
-                max_attempts=5,
-                base_delay=0.2,
-                max_delay=1.0,
-                seed=derive_seed(config.seed),
-            ),
+    with Fleet(
+        config.seed,
+        block_size=config.block_size,
+        trace_dir=config.trace_dir,
+        work_dir=config.wal_dir,
+    ) as fleet:
+        cell = fleet.add_cell(
+            [f"node-{i}" for i in range(config.nodes)],
+            wal=True,
+            rpc_timeout=config.rpc_timeout,
+            repair_budget=config.repair_budget,
+            graph=config.graph,
         )
+        client = fleet.open_client()
+        rng = resolve_rng(fleet.next_seed())
+        payload_rng = resolve_rng(fleet.next_seed_sequence())
 
         with trace_span("cluster.campaign.seed"):
-            for i in range(config.objects):
-                name = f"object-{i:03d}"
-                payload = payload_rng.bytes(config.object_size)
-                info = client.put(name, payload)
-                digests[name] = info["sha256"]
+            digests = fleet.seed_objects(
+                config.objects, config.object_size, payload_rng
+            )
 
         def disrupted() -> bool:
             return bool(dead_until) or bool(partitioned_until)
+
+        def pick(pool: list[str]) -> str:
+            return pool[int(rng.integers(0, len(pool)))]
+
+        def spell(mean_steps: float) -> int:
+            return int(rng.geometric(min(1.0, 1.0 / mean_steps)))
 
         def crash_coordinator(step: int) -> None:
             report.coordinator_crashes += 1
@@ -394,11 +231,7 @@ def run_cluster_campaign(
                 # One put races the SIGKILL: acked ⇒ must survive.
                 name = f"crash-{step:03d}"
                 payload = payload_rng.bytes(config.object_size)
-                side = ClusterClient(
-                    cluster.coordinator.host,
-                    cluster.coordinator.port,
-                    timeout=10.0,
-                )
+                side = fleet.connect(cell.coordinator, timeout=10.0)
 
                 def racing_put() -> None:
                     try:
@@ -413,10 +246,10 @@ def run_cluster_campaign(
                 racer = threading.Thread(target=racing_put)
                 racer.start()
                 time.sleep(0.05)
-            cluster.coordinator.kill()
+            cell.coordinator.kill()
             if racer is not None:
                 racer.join()
-            cluster.recover_coordinator()
+            cell.spawn_coordinator(recover=True)
             post_digest = client.status()["state_sha256"]
             if config.midwrite_race and race:
                 acked = "info" in race
@@ -426,12 +259,7 @@ def run_cluster_campaign(
                     midwrite=race["name"],
                     acked=acked,
                 )
-                try:
-                    got = client.get(race["name"])
-                    present = got.sha256 == race["sha256"]
-                except Exception:
-                    present = False
-                if present:
+                if fleet.read(race["name"], race["sha256"]) is None:
                     # Journaled (acked or not): from here on it is an
                     # object like any other and must keep surviving.
                     digests[race["name"]] = race["sha256"]
@@ -450,47 +278,33 @@ def run_cluster_campaign(
                 )
 
         def kill_node(step: int, spec: NodeCrashes) -> None:
-            node_id = sorted(cluster.nodes)[
-                int(rng.integers(0, len(cluster.nodes)))
-            ]
+            node_id = pick(sorted(cell.nodes))
             report.node_kills += 1
-            cluster.nodes[node_id].kill()
+            cell.nodes[node_id].kill()
             dead_until[node_id] = step + 1 + spec.restart_delay_steps
             note(step, "node_crash", node=node_id)
             # Declare the loss: rebuild its blocks onto survivors.
             client.leave(node_id)
 
         def partition_node(step: int, spec: NetworkPartitions) -> None:
-            node_id = sorted(cluster.nodes)[
-                int(rng.integers(0, len(cluster.nodes)))
-            ]
-            steps = int(
-                rng.geometric(
-                    min(1.0, 1.0 / spec.mean_partition_steps)
-                )
-            )
+            node_id = pick(sorted(cell.nodes))
+            steps = spell(spec.mean_partition_steps)
             report.partitions += 1
             partitioned_until[node_id] = step + steps
             note(step, "partition", node=node_id, steps=steps)
-            cluster.admin(node_id, "partition")
+            cell.admin(node_id, "partition")
 
         def slow_node(step: int, spec: SlowNodes) -> None:
             # Only live nodes: a dead node's admin port refuses.
-            alive = [
-                n for n in sorted(cluster.nodes) if n not in dead_until
-            ]
+            alive = [n for n in sorted(cell.nodes) if n not in dead_until]
             if not alive:
                 return
-            node_id = alive[int(rng.integers(0, len(alive)))]
-            steps = int(
-                rng.geometric(min(1.0, 1.0 / spec.mean_slow_steps))
-            )
+            node_id = pick(alive)
+            steps = spell(spec.mean_slow_steps)
             report.slowdowns += 1
             slowed_until[node_id] = step + steps
             note(step, "slow", node=node_id, steps=steps)
-            cluster.admin(
-                node_id, "slow", delay_seconds=spec.delay_seconds
-            )
+            cell.admin(node_id, "slow", delay_seconds=spec.delay_seconds)
 
         with trace_span("cluster.campaign.run"):
             for step in range(config.steps):
@@ -498,78 +312,61 @@ def run_cluster_campaign(
                 for node_id in sorted(dead_until):
                     if dead_until[node_id] <= step:
                         del dead_until[node_id]
-                        cluster.spawn_node(node_id)  # rejoins + drains
+                        cell.spawn_node(node_id)  # rejoins + drains
                         note(step, "node_restart", node=node_id)
-                for node_id in sorted(partitioned_until):
-                    if partitioned_until[node_id] <= step:
-                        del partitioned_until[node_id]
-                        cluster.admin(node_id, "heal")
-                        note(step, "heal", node=node_id)
-                for node_id in sorted(slowed_until):
-                    if slowed_until[node_id] <= step:
-                        del slowed_until[node_id]
-                        cluster.admin(node_id, "heal")
-                        note(step, "heal_slow", node=node_id)
+                for until, kind in (
+                    (partitioned_until, "heal"),
+                    (slowed_until, "heal_slow"),
+                ):
+                    for node_id in sorted(until):
+                        if until[node_id] <= step:
+                            del until[node_id]
+                            cell.admin(node_id, "heal")
+                            note(step, kind, node=node_id)
 
                 # 2. Draw new faults, fixed order for determinism.
-                for spec in coord_specs:
+                for spec in specs(CoordinatorCrashes):
                     if rng.random() < spec.rate:
                         crash_coordinator(step)
-                for spec in crash_specs:
+                for spec in specs(NodeCrashes):
                     if rng.random() < spec.rate and not disrupted():
                         kill_node(step, spec)
-                for spec in partition_specs:
+                for spec in specs(NetworkPartitions):
                     if rng.random() < spec.rate and not disrupted():
                         partition_node(step, spec)
-                for spec in slow_specs:
+                for spec in specs(SlowNodes):
                     if rng.random() < spec.rate:
                         slow_node(step, spec)
 
                 # 3. Foreground reads against put-time digests.
                 names = sorted(digests)
                 for _ in range(config.reads_per_step):
-                    name = names[int(rng.integers(0, len(names)))]
-                    try:
-                        info = client.get(name)
-                    except Exception:
-                        report.failed_reads += 1
-                        continue
-                    if info.sha256 == digests[name]:
+                    name = pick(names)
+                    error = fleet.read(name, digests[name])
+                    if error is None:
                         report.completed_reads += 1
-                    else:
+                    elif error == "mismatch":
                         report.mismatched += 1
                         note(step, "mismatch", object=name)
+                    else:
+                        report.failed_reads += 1
 
         # Final phase: heal the world, drain repair, verify all.
         with trace_span("cluster.campaign.verify"):
             # Heal the survivors first so the rejoin-triggered repair
             # drains don't grind through RPC deadlines against peers
             # that are still partitioned; then bring the dead back.
-            for node_id in sorted(cluster.nodes):
+            for node_id in sorted(cell.nodes):
                 if node_id not in dead_until:
-                    cluster.admin(node_id, "heal")
-                    cluster.admin(node_id, "restore")
-            partitioned_until.clear()
-            slowed_until.clear()
+                    cell.admin(node_id, "heal")
+                    cell.admin(node_id, "restore")
             for node_id in sorted(dead_until):
-                cluster.spawn_node(node_id)
-            dead_until.clear()
+                cell.spawn_node(node_id)
             report.repair = client.repair()
             report.total_objects = len(digests)
-            for name, digest in sorted(digests.items()):
-                try:
-                    if client.get(name).sha256 == digest:
-                        report.verified_objects += 1
-                except Exception:
-                    pass
+            report.verified_objects = fleet.verify(digests)
             report.status = client.status()
             report.repair_bytes = report.status.get("repair_bytes", 0)
-    finally:
-        if client is not None:
-            client.close()
-        cluster.teardown()
-        if own_wal:
-            shutil.rmtree(wal_dir, ignore_errors=True)
 
     report.elapsed_seconds = time.perf_counter() - start
     return report

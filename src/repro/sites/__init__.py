@@ -9,7 +9,8 @@ WAN-priced ladder — local reconstruction, remote fetch, coupled
 cross-site decode — with wide-area bytes metered first-class.
 :mod:`~repro.sites.driver` and :mod:`~repro.sites.campaign` run live
 multi-process federations through full-site blackouts and
-hazard-curve fleet attrition.
+hazard-curve fleet attrition, as scenarios over
+:class:`repro.cluster.fleet.Fleet`.
 """
 
 from .campaign import (

@@ -18,20 +18,14 @@ of compressed wall-clock chaos, *zero acknowledged objects are lost*.
 
 from __future__ import annotations
 
-import hashlib
-import os
-import shutil
-import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..obs.seeding import SeedLike, derive_seed, resolve_rng, spawn_seeds
+from ..cluster.fleet import Fleet, ScenarioReport
+from ..obs.seeding import SeedLike, derive_seed, resolve_rng
 from ..obs.trace import trace_span
 from ..reliability.hazards import FleetHazards, WeibullHazard
-from ..resilience.retry import RetryPolicy
-from ..serve.client import SitesClient
-from .driver import SitesLoadConfig, _Site, _spawn_gateway
 from .manifest import assign_site_graphs
 
 __all__ = [
@@ -39,6 +33,16 @@ __all__ = [
     "SitesCampaignReport",
     "run_sites_campaign",
 ]
+
+# Device-fleet heterogeneity beyond the CLI's three hazard parameters:
+# infant first-year failure probability, correlated defect batches.
+_INFANT_FIRST_YEAR = 0.3
+_BATCH_DEFECT_RATE = 0.2
+_BATCH_SIZE = 3
+_DEFECT_MULTIPLIER = 4.0
+# Graph selection bound and curve resolution; 6 keeps startup fast.
+_SITE_MAX_SIZE = 6
+_CURVE_SAMPLES = 100
 
 
 @dataclass(frozen=True)
@@ -57,17 +61,11 @@ class SitesCampaignConfig:
     afr: float = 0.25
     shape: float = 3.0
     infant_mortality: float = 0.15
-    infant_first_year: float = 0.3
-    batch_defect_rate: float = 0.2
-    batch_size: int = 3
-    defect_multiplier: float = 4.0
     # Whole-site outage process.
     site_blackout_rate: float = 0.25
     mean_outage_steps: float = 1.5
     max_concurrent: int = 1
     repair_every: int = 2
-    site_max_size: int = 6
-    curve_samples: int = 100
     rpc_timeout: float = 5.0
     repair_wan_budget: int | None = None
     work_dir: str | None = None
@@ -87,7 +85,7 @@ class SitesCampaignConfig:
 
 
 @dataclass
-class SitesCampaignReport:
+class SitesCampaignReport(ScenarioReport):
     """Outcome of one federation chaos campaign."""
 
     sites: int
@@ -95,44 +93,18 @@ class SitesCampaignReport:
     objects: int
     steps: int
     graph_numbers: dict[str, int]
-    node_kills: int
-    infant_replacements: int
-    site_blackouts: int
-    reads_completed: int
-    reads_failed: int
-    mismatched: int
-    repair_cycles: int
-    wan: dict[str, int]
-    hazard: dict[str, Any]
-    verified_objects: int
-    elapsed_seconds: float
+    node_kills: int = 0
+    infant_replacements: int = 0
+    site_blackouts: int = 0
+    reads_completed: int = 0
+    reads_failed: int = 0
+    mismatched: int = 0
+    repair_cycles: int = 0
+    wan: dict[str, int] = field(default_factory=dict)
+    hazard: dict[str, Any] = field(default_factory=dict)
+    verified_objects: int = 0
+    elapsed_seconds: float = 0.0
     events: list[dict[str, Any]] = field(default_factory=list)
-
-    @property
-    def data_loss(self) -> bool:
-        return self.mismatched > 0 or self.verified_objects < self.objects
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "sites": self.sites,
-            "nodes_per_site": self.nodes_per_site,
-            "objects": self.objects,
-            "steps": self.steps,
-            "graph_numbers": self.graph_numbers,
-            "node_kills": self.node_kills,
-            "infant_replacements": self.infant_replacements,
-            "site_blackouts": self.site_blackouts,
-            "reads_completed": self.reads_completed,
-            "reads_failed": self.reads_failed,
-            "mismatched": self.mismatched,
-            "repair_cycles": self.repair_cycles,
-            "wan": self.wan,
-            "hazard": self.hazard,
-            "verified_objects": self.verified_objects,
-            "elapsed_seconds": self.elapsed_seconds,
-            "events": self.events,
-            "data_loss": self.data_loss,
-        }
 
     def describe(self) -> str:
         lines = [
@@ -159,64 +131,12 @@ def run_sites_campaign(
     """Run the hazard + blackout campaign against a live federation."""
     config = config or SitesCampaignConfig()
     site_ids = [f"site-{i}" for i in range(config.sites)]
-    per_site = config.nodes_per_site + 1
-    all_seeds = [
-        derive_seed(s)
-        for s in spawn_seeds(
-            config.seed, config.sites * per_site + 5
-        )
-    ]
-    extra = all_seeds[config.sites * per_site :]
-    gateway_seed = extra[0]
-    payload_rng = resolve_rng(extra[1])
-    kill_rng = resolve_rng(extra[2])
-    blackout_rng = resolve_rng(extra[3])
-    fleet = FleetHazards(
-        config.sites * config.nodes_per_site,
-        WeibullHazard.from_afr(config.afr, shape=config.shape),
-        infant_mortality=config.infant_mortality,
-        infant_first_year=config.infant_first_year,
-        batch_defect_rate=config.batch_defect_rate,
-        batch_size=config.batch_size,
-        defect_multiplier=config.defect_multiplier,
-        seed=extra[4],
-    )
-
-    own_work = config.work_dir is None
-    work_dir = config.work_dir or tempfile.mkdtemp(
-        prefix="repro-sites-chaos-"
-    )
-    os.makedirs(work_dir, exist_ok=True)
     manifest = assign_site_graphs(
         site_ids,
-        site_max_size=config.site_max_size,
-        curve_samples=config.curve_samples,
+        site_max_size=_SITE_MAX_SIZE,
+        curve_samples=_CURVE_SAMPLES,
         seed=derive_seed(config.seed),
     )
-    manifest_path = os.path.join(work_dir, "federation.json")
-    manifest.save(manifest_path)
-
-    load_config = SitesLoadConfig(
-        sites=config.sites,
-        nodes_per_site=config.nodes_per_site,
-        objects=config.objects,
-        object_size=config.object_size,
-        block_size=config.block_size,
-        seed=config.seed,
-        rpc_timeout=config.rpc_timeout,
-        repair_wan_budget=config.repair_wan_budget,
-        trace_dir=config.trace_dir,
-    )
-    sites = {
-        sid: _Site(
-            sid,
-            manifest.assignment(sid).graph_number,
-            os.path.join(work_dir, f"wal-{sid}"),
-            load_config,
-            all_seeds[i * per_site : (i + 1) * per_site],
-        )
-        for i, sid in enumerate(site_ids)
-    }
 
     start = time.perf_counter()
     report = SitesCampaignReport(
@@ -227,50 +147,40 @@ def run_sites_campaign(
         graph_numbers={
             s.site_id: s.graph_number for s in manifest.sites
         },
-        node_kills=0,
-        infant_replacements=0,
-        site_blackouts=0,
-        reads_completed=0,
-        reads_failed=0,
-        mismatched=0,
-        repair_cycles=0,
-        wan={},
-        hazard={},
-        verified_objects=0,
-        elapsed_seconds=0.0,
     )
-
-    def note(kind: str, **detail: Any) -> None:
-        report.events.append({"kind": kind, **detail})
-
-    gateway = None
-    client: SitesClient | None = None
+    note = report.note
     dark_until: dict[str, int] = {}  # site -> first step it heals
-    try:
-        for site in sites.values():
-            site.spawn()
-        gateway = _spawn_gateway(
-            load_config, manifest_path, sites, gateway_seed
+    with Fleet(
+        config.seed,
+        block_size=config.block_size,
+        trace_dir=config.trace_dir,
+        work_dir=config.work_dir,
+    ) as fleet:
+        sites = fleet.add_federation(
+            manifest,
+            config.nodes_per_site,
+            rpc_timeout=config.rpc_timeout,
+            repair_wan_budget=config.repair_wan_budget,
         )
-        client = SitesClient(
-            gateway.host,
-            gateway.port,
-            timeout=60.0,
-            retry=RetryPolicy(
-                max_attempts=5,
-                base_delay=0.2,
-                max_delay=1.0,
-                seed=derive_seed(config.seed),
-            ),
+        client = fleet.open_client()
+        payload_rng = resolve_rng(fleet.next_seed())
+        kill_rng = resolve_rng(fleet.next_seed())
+        blackout_rng = resolve_rng(fleet.next_seed())
+        hazards = FleetHazards(
+            config.sites * config.nodes_per_site,
+            WeibullHazard.from_afr(config.afr, shape=config.shape),
+            infant_mortality=config.infant_mortality,
+            infant_first_year=_INFANT_FIRST_YEAR,
+            batch_defect_rate=_BATCH_DEFECT_RATE,
+            batch_size=_BATCH_SIZE,
+            defect_multiplier=_DEFECT_MULTIPLIER,
+            seed=fleet.next_seed(),
         )
 
-        digests: dict[str, str] = {}
         with trace_span("sites.campaign.seed"):
-            for i in range(config.objects):
-                name = f"object-{i:03d}"
-                payload = payload_rng.bytes(config.object_size)
-                client.put(name, payload)
-                digests[name] = hashlib.sha256(payload).hexdigest()
+            digests = fleet.seed_objects(
+                config.objects, config.object_size, payload_rng
+            )
         names = sorted(digests)
 
         for step in range(config.steps):
@@ -279,7 +189,7 @@ def run_sites_campaign(
                 for sid in site_ids:
                     if sid in dark_until and dark_until[sid] <= step:
                         note("site_recover", step=step, site=sid)
-                        sites[sid].recover()
+                        sites[sid].start(recover=True)
                         del dark_until[sid]
 
                 # Draw whole-site blackouts, capped at max_concurrent.
@@ -313,7 +223,7 @@ def run_sites_campaign(
                     site = sites[sid]
                     for ni, node_id in enumerate(sorted(site.nodes)):
                         device = si * config.nodes_per_site + ni
-                        p = fleet.step_probability(
+                        p = hazards.step_probability(
                             device, float(step), float(step + 1)
                         )
                         if float(kill_rng.random()) >= p:
@@ -326,7 +236,7 @@ def run_sites_campaign(
                             node=node_id,
                         )
                         site.nodes[node_id].kill()
-                        if fleet.replace(device, float(step)):
+                        if hazards.replace(device, float(step)):
                             report.infant_replacements += 1
                         site.spawn_node(node_id)
 
@@ -335,21 +245,19 @@ def run_sites_campaign(
                     name = names[
                         (step * config.reads_per_step + r) % len(names)
                     ]
-                    try:
-                        info = client.get(name)
-                    except Exception as exc:
+                    error = fleet.read(name, digests[name])
+                    if error is None:
+                        report.reads_completed += 1
+                    elif error == "mismatch":
+                        report.mismatched += 1
+                    else:
                         report.reads_failed += 1
                         note(
                             "read_failed",
                             step=step,
                             object=name,
-                            error=type(exc).__name__,
+                            error=error,
                         )
-                        continue
-                    if info.sha256 == digests[name]:
-                        report.reads_completed += 1
-                    else:
-                        report.mismatched += 1
 
                 # Periodic budgeted repair through the gateway.
                 if (step + 1) % config.repair_every == 0:
@@ -367,35 +275,17 @@ def run_sites_campaign(
         with trace_span("sites.campaign.final_heal"):
             for sid in sorted(dark_until):
                 note("site_recover", step=config.steps, site=sid)
-                sites[sid].recover()
-            dark_until.clear()
+                sites[sid].start(recover=True)
             client.repair("drain")
             report.repair_cycles += 1
-            for name, digest in digests.items():
-                try:
-                    if client.get(name).sha256 == digest:
-                        report.verified_objects += 1
-                except Exception:
-                    pass
+            report.verified_objects = fleet.verify(digests)
 
-        status = client.status()
-        wan = status["wan"]
+        wan = client.status()["wan"]
         report.wan = {
-            "total_bytes": wan["total_bytes"],
-            "read_bytes": wan["read_bytes"],
-            "repair_bytes": wan["repair_bytes"],
-            "replicate_bytes": wan["replicate_bytes"],
+            f"{kind}_bytes": wan[f"{kind}_bytes"]
+            for kind in ("total", "read", "repair", "replicate")
         }
-        report.hazard = fleet.summary()
-    finally:
-        if client is not None:
-            client.close()
-        if gateway is not None:
-            gateway.terminate()
-        for site in sites.values():
-            site.teardown()
-        if own_work:
-            shutil.rmtree(work_dir, ignore_errors=True)
+        report.hazard = hazards.summary()
 
     report.elapsed_seconds = time.perf_counter() - start
     return report

@@ -33,23 +33,16 @@ during the explicitly staged coupled/repair phases).
 
 from __future__ import annotations
 
-import os
-import shutil
-import sys
-import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..obs.seeding import SeedLike, derive_seed, resolve_rng, spawn_seeds
+from ..cluster.fleet import Cell, Fleet, ScenarioReport
+from ..obs.seeding import SeedLike, derive_seed, resolve_rng
 from ..obs.trace import trace_span
-from ..resilience.retry import RetryPolicy
-from ..serve.client import ClusterClient, SitesClient
-from ..serve.loadgen import LoadGenConfig, arrival_schedule
 from ..storage.blockstore import parse_block_key
-from .manifest import FederationManifest, assign_site_graphs
+from .manifest import assign_site_graphs
 from .witness import find_coupled_witness
-from ..cluster.driver import _Child, _FleetTelemetry
 
 __all__ = ["SitesLoadConfig", "SitesLoadReport", "run_sites_loadgen"]
 
@@ -75,8 +68,6 @@ class SitesLoadConfig:
     work_dir: str | None = None  # manifest + WALs (default: temp dir)
     trace_dir: str | None = None
     obs_dir: str | None = None  # fleet telemetry timeline lands here
-    scrape_interval: float = 60.0  # logical seconds per scrape
-    slo_spec: str | None = None  # JSON spec path (None = built-ins)
 
     def __post_init__(self) -> None:
         if self.sites < 2:
@@ -92,7 +83,7 @@ class SitesLoadConfig:
 
 
 @dataclass
-class SitesLoadReport:
+class SitesLoadReport(ScenarioReport):
     """Outcome of one federation exercise (see module docs for phases)."""
 
     sites: int
@@ -100,46 +91,21 @@ class SitesLoadReport:
     objects: int
     graph_numbers: dict[str, int]
     first_failure_floor: int
-    blackout_site: str | None
-    completed: int
-    failed: int
-    mismatched: int
-    reads: dict[str, int]  # final gateway ladder counts
-    wan: dict[str, int]  # per-window WAN byte deltas
-    repair: dict[str, Any]
-    coupled_demo: dict[str, Any]
-    verified_objects: int
-    site_verified: dict[str, int]
-    elapsed_seconds: float
+    blackout_site: str | None = None
+    completed: int = 0
+    failed: int = 0
+    mismatched: int = 0
+    reads: dict[str, int] = field(default_factory=dict)  # ladder counts
+    wan: dict[str, int] = field(default_factory=dict)  # per-window deltas
+    repair: dict[str, Any] = field(default_factory=dict)
+    coupled_demo: dict[str, Any] = field(
+        default_factory=lambda: {"staged": False}
+    )
+    verified_objects: int = 0
+    site_verified: dict[str, int] = field(default_factory=dict)
+    elapsed_seconds: float = 0.0
     events: list[dict[str, Any]] = field(default_factory=list)
     telemetry: dict[str, Any] | None = None
-
-    @property
-    def data_loss(self) -> bool:
-        return self.mismatched > 0 or self.verified_objects < self.objects
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "sites": self.sites,
-            "nodes_per_site": self.nodes_per_site,
-            "objects": self.objects,
-            "graph_numbers": self.graph_numbers,
-            "first_failure_floor": self.first_failure_floor,
-            "blackout_site": self.blackout_site,
-            "completed": self.completed,
-            "failed": self.failed,
-            "mismatched": self.mismatched,
-            "reads": self.reads,
-            "wan": self.wan,
-            "repair": self.repair,
-            "coupled_demo": self.coupled_demo,
-            "verified_objects": self.verified_objects,
-            "site_verified": self.site_verified,
-            "elapsed_seconds": self.elapsed_seconds,
-            "events": self.events,
-            "data_loss": self.data_loss,
-            "telemetry": self.telemetry,
-        }
 
     def describe(self) -> str:
         assignments = ", ".join(
@@ -172,17 +138,7 @@ class SitesLoadReport:
                 f"({self.coupled_demo.get('wan_bytes', 0)} WAN bytes)"
             )
         if self.telemetry:
-            fires = sum(
-                1
-                for a in self.telemetry.get("alerts", [])
-                if a.get("state") == "firing"
-            )
-            lines.append(
-                f"telemetry: {self.telemetry.get('samples', 0)} samples, "
-                f"{fires} alert(s) fired, "
-                f"{len(self.telemetry.get('firing', []))} still firing "
-                f"-> {self.telemetry.get('timeline', '?')}"
-            )
+            lines.append(self.describe_telemetry())
         lines.append(
             f"verified {self.verified_objects}/{self.objects} objects "
             + ("(ZERO data loss)" if not self.data_loss else "(LOSS!)")
@@ -191,188 +147,12 @@ class SitesLoadReport:
         return "\n".join(lines)
 
 
-class _Site:
-    """One site's processes: a coordinator child plus its nodes."""
-
-    def __init__(
-        self,
-        site_id: str,
-        graph_number: int,
-        wal_dir: str,
-        config: SitesLoadConfig,
-        seeds: list[int],
-    ):
-        self.site_id = site_id
-        self.graph_number = graph_number
-        self.wal_dir = wal_dir
-        self.config = config
-        self.coordinator_seed = seeds[0]
-        self.node_seeds = {
-            f"{site_id}-n{i}": seeds[i + 1]
-            for i in range(config.nodes_per_site)
-        }
-        self.coordinator: _Child | None = None
-        self.nodes: dict[str, _Child] = {}
-        self.generation = 0
-
-    def _coordinator_argv(self, *, recover: bool) -> list[str]:
-        argv = [
-            sys.executable,
-            "-m",
-            "repro",
-            "cluster",
-            "coordinator",
-            "--host",
-            "127.0.0.1",
-            "--port",
-            str(self.coordinator.port if recover else 0),
-            "--seed",
-            str(self.coordinator_seed),
-            "--block-size",
-            str(self.config.block_size),
-            "--catalog",
-            str(self.graph_number),
-            "--rpc-timeout",
-            str(self.config.rpc_timeout),
-            "--recover" if recover else "--wal",
-            self.wal_dir,
-        ]
-        if self.config.trace_dir:
-            suffix = f"-r{self.generation}" if self.generation else ""
-            argv += [
-                "--trace",
-                os.path.join(
-                    self.config.trace_dir,
-                    f"{self.site_id}-coordinator{suffix}.jsonl",
-                ),
-            ]
-        return argv
-
-    def spawn(self) -> None:
-        child = _Child(
-            f"{self.site_id} coordinator",
-            self._coordinator_argv(recover=False),
-        )
-        child.await_ready()
-        self.coordinator = child
-        for node_id in sorted(self.node_seeds):
-            self.spawn_node(node_id)
-
-    def recover(self) -> None:
-        """Respawn the coordinator on its old port, replaying the WAL."""
-        self.generation += 1
-        child = _Child(
-            f"{self.site_id} coordinator (gen {self.generation})",
-            self._coordinator_argv(recover=True),
-        )
-        child.await_ready()
-        self.coordinator = child
-        for node_id in sorted(self.node_seeds):
-            self.spawn_node(node_id)
-
-    def spawn_node(self, node_id: str) -> None:
-        argv = [
-            sys.executable,
-            "-m",
-            "repro",
-            "cluster",
-            "node",
-            "--id",
-            node_id,
-            "--port",
-            "0",
-            "--seed",
-            str(self.node_seeds[node_id]),
-            "--coordinator",
-            f"{self.coordinator.host}:{self.coordinator.port}",
-        ]
-        child = _Child(f"node {node_id}", argv)
-        child.await_ready()
-        self.nodes[node_id] = child
-
-    def blackout(self) -> None:
-        """SIGKILL the whole site: nodes first, coordinator last."""
-        for child in self.nodes.values():
-            child.kill()
-        self.coordinator.kill()
-
-    def teardown(self) -> None:
-        for child in self.nodes.values():
-            child.terminate()
-        if self.coordinator is not None:
-            self.coordinator.terminate()
-
-
-def _spawn_gateway(
-    config: SitesLoadConfig,
-    manifest_path: str,
-    sites: dict[str, _Site],
-    seed: int,
-) -> _Child:
-    argv = [
-        sys.executable,
-        "-m",
-        "repro",
-        "sites",
-        "gateway",
-        "--manifest",
-        manifest_path,
-        "--port",
-        "0",
-        "--seed",
-        str(seed),
-        "--block-size",
-        str(config.block_size),
-        "--rpc-timeout",
-        str(config.rpc_timeout),
-    ]
-    for site_id, site in sorted(sites.items()):
-        argv += [
-            "--attach",
-            f"{site_id}="
-            f"{site.coordinator.host}:{site.coordinator.port}",
-        ]
-    if config.repair_wan_budget is not None:
-        argv += ["--repair-wan-budget", str(config.repair_wan_budget)]
-    if config.trace_dir:
-        argv += [
-            "--trace",
-            os.path.join(config.trace_dir, "gateway.jsonl"),
-        ]
-    child = _Child("gateway", argv)
-    child.await_ready()
-    return child
-
-
-def _fed_targets(gateway: _Child, sites: dict[str, "_Site"]) -> list:
-    """Scrape targets for a federation: gateway + every site process."""
-    from ..obs import ScrapeTarget
-
-    targets = [
-        ScrapeTarget("gateway", "gateway", gateway.host, gateway.port)
-    ]
-    for sid, site in sorted(sites.items()):
-        targets.append(
-            ScrapeTarget(
-                "coordinator",
-                f"{sid}-coordinator",
-                site.coordinator.host,
-                site.coordinator.port,
-            )
-        )
-        for node_id, child in sorted(site.nodes.items()):
-            targets.append(
-                ScrapeTarget("node", node_id, child.host, child.port)
-            )
-    return targets
-
-
 def _delete_witness_blocks(
-    site: _Site, name: str, erased: set[int]
+    fleet: Fleet, cell: Cell, name: str, erased: set[int]
 ) -> None:
     """Delete the witness pattern's blocks on a site's live nodes."""
-    for child in site.nodes.values():
-        with ClusterClient(child.host, child.port, timeout=10.0) as c:
+    for child in cell.nodes.values():
+        with fleet.connect(child, timeout=10.0) as c:
             for key in c.block_list(f"{name}/"):
                 _, _, node = parse_block_key(key)
                 if node in erased:
@@ -385,46 +165,12 @@ def run_sites_loadgen(
     """Run the full federation exercise (see module docs for phases)."""
     config = config or SitesLoadConfig()
     site_ids = [f"site-{i}" for i in range(config.sites)]
-    per_site = config.nodes_per_site + 1
-    all_seeds = [
-        derive_seed(s)
-        for s in spawn_seeds(
-            config.seed, config.sites * per_site + 6
-        )
-    ]
-    extra = all_seeds[config.sites * per_site :]
-    gateway_seed = extra[0]
-    payload_rng = resolve_rng(extra[1])
-    phase_seeds = {
-        "steady": extra[2],
-        "blackout": extra[3],
-        "healed": extra[4],
-        "witness": extra[5],
-    }
-
-    own_work = config.work_dir is None
-    work_dir = config.work_dir or tempfile.mkdtemp(prefix="repro-sites-")
-    os.makedirs(work_dir, exist_ok=True)
-
     manifest = assign_site_graphs(
         site_ids,
         site_max_size=config.site_max_size,
         curve_samples=config.curve_samples,
         seed=derive_seed(config.seed),
     )
-    manifest_path = os.path.join(work_dir, "federation.json")
-    manifest.save(manifest_path)
-
-    sites = {
-        sid: _Site(
-            sid,
-            manifest.assignment(sid).graph_number,
-            os.path.join(work_dir, f"wal-{sid}"),
-            config,
-            all_seeds[i * per_site : (i + 1) * per_site],
-        )
-        for i, sid in enumerate(site_ids)
-    }
 
     start = time.perf_counter()
     report = SitesLoadReport(
@@ -435,143 +181,94 @@ def run_sites_loadgen(
             s.site_id: s.graph_number for s in manifest.sites
         },
         first_failure_floor=manifest.first_failure_floor(),
-        blackout_site=None,
-        completed=0,
-        failed=0,
-        mismatched=0,
-        reads={},
-        wan={},
-        repair={},
-        coupled_demo={"staged": False},
-        verified_objects=0,
-        site_verified={},
-        elapsed_seconds=0.0,
     )
-
-    def note(kind: str, **detail: Any) -> None:
-        report.events.append({"kind": kind, **detail})
-
-    gateway: _Child | None = None
-    client: SitesClient | None = None
-    telemetry: _FleetTelemetry | None = None
-    try:
-        for site in sites.values():
-            site.spawn()
-        gateway = _spawn_gateway(
-            config, manifest_path, sites, gateway_seed
+    note = report.note
+    with Fleet(
+        config.seed,
+        block_size=config.block_size,
+        trace_dir=config.trace_dir,
+        work_dir=config.work_dir,
+        obs_dir=config.obs_dir,
+    ) as fleet:
+        sites = fleet.add_federation(
+            manifest,
+            config.nodes_per_site,
+            rpc_timeout=config.rpc_timeout,
+            repair_wan_budget=config.repair_wan_budget,
         )
-        client = SitesClient(
-            gateway.host,
-            gateway.port,
-            timeout=60.0,
-            retry=RetryPolicy(
-                max_attempts=5,
-                base_delay=0.2,
-                max_delay=1.0,
-                seed=derive_seed(config.seed),
-            ),
-        )
+        client = fleet.open_client()
+        telemetry = fleet.telemetry
+        payload_rng = resolve_rng(fleet.next_seed())
+        phase_seeds = {
+            phase: fleet.next_seed()
+            for phase in ("steady", "blackout", "healed", "witness")
+        }
 
-        if config.obs_dir:
-            telemetry = _FleetTelemetry(
-                config.obs_dir,
-                _fed_targets(gateway, sites),
-                scrape_interval=config.scrape_interval,
-                slo_spec=config.slo_spec,
-            )
-
-        digests: dict[str, str] = {}
         with trace_span("sites.loadgen.seed"):
-            for i in range(config.objects):
-                name = f"object-{i:03d}"
-                payload = payload_rng.bytes(config.object_size)
-                info = client.put(name, payload)
-                digests[name] = info["sha256"]
+            digests = fleet.seed_objects(
+                config.objects, config.object_size, payload_rng
+            )
         names = sorted(digests)
-        if telemetry is not None:
-            telemetry.scrape(note="baseline after seeding")
+        telemetry.scrape(note="baseline after seeding")
 
         def read_wan_bytes() -> int:
-            return int(
-                client.status()["wan"]["read_bytes"]
-            )
+            return int(client.status()["wan"]["read_bytes"])
 
-        def read_phase(tag: str, phase_seed: int) -> None:
-            gaps, picks = arrival_schedule(
+        def read_phase(tag: str) -> None:
+            for _, name, _ in fleet.paced(
                 names,
-                LoadGenConfig(
-                    requests=config.reads_per_phase,
-                    rate=config.rate,
-                    seed=phase_seed,
-                ),
-            )
-            t0 = time.perf_counter()
-            scheduled = 0.0
-            for gap, name in zip(gaps, picks):
-                scheduled += gap
-                lag = t0 + scheduled - time.perf_counter()
-                if lag > 0:
-                    time.sleep(lag)
-                try:
-                    info = client.get(name)
-                except Exception as exc:
-                    report.failed += 1
-                    note("read_failed", phase=tag, object=name,
-                         error=type(exc).__name__)
-                    continue
-                if info.sha256 == digests[name]:
+                requests=config.reads_per_phase,
+                rate=config.rate,
+                seed=phase_seeds[tag],
+            ):
+                error = fleet.read(name, digests[name])
+                if error is None:
                     report.completed += 1
-                else:
+                elif error == "mismatch":
                     report.mismatched += 1
                     note("mismatch", phase=tag, object=name)
+                else:
+                    report.failed += 1
+                    note("read_failed", phase=tag, object=name, error=error)
 
         # Phase: steady state — every read local, zero WAN bytes.
         with trace_span("sites.loadgen.steady"):
-            read_phase("steady", phase_seeds["steady"])
-        report.wan["read_before"] = read_wan_bytes()
-        if telemetry is not None:
-            telemetry.scrape(note="steady phase complete")
+            read_phase("steady")
+        report.wan = {
+            "read_before": read_wan_bytes(),
+            "read_during": 0,
+            "read_after": 0,
+        }
+        telemetry.scrape(note="steady phase complete")
 
         # Phase: full-site blackout; reads continue over the WAN.
-        dark: _Site | None = None
         if config.blackout:
             dark = sites[site_ids[0]]
-            report.blackout_site = dark.site_id
-            note("blackout", site=dark.site_id)
+            report.blackout_site = dark.name
+            note("blackout", site=dark.name)
             dark.blackout()
-            if telemetry is not None:
-                telemetry.scrape(note=f"blackout {dark.site_id}")
-            with trace_span(
-                "sites.loadgen.blackout", site=dark.site_id
-            ):
-                read_phase("blackout", phase_seeds["blackout"])
+            telemetry.scrape(note=f"blackout {dark.name}")
+            with trace_span("sites.loadgen.blackout", site=dark.name):
+                read_phase("blackout")
             report.wan["read_during"] = (
                 read_wan_bytes() - report.wan["read_before"]
             )
-            if telemetry is not None:
-                telemetry.scrape(note="blackout reads complete")
+            telemetry.scrape(note="blackout reads complete")
 
             # Phase: heal — WAL recovery + empty nodes + WAN repair.
-            note("recover", site=dark.site_id)
-            dark.recover()
-            if telemetry is not None:
-                # Recovered nodes land on fresh ephemeral ports.
-                telemetry.retarget(_fed_targets(gateway, sites))
-                telemetry.scrape(note=f"recovered {dark.site_id}")
+            note("recover", site=dark.name)
+            dark.start(recover=True)
+            telemetry.scrape(note=f"recovered {dark.name}")
             with trace_span("sites.loadgen.repair"):
                 report.repair = client.repair("drain")
             wan_after_repair = read_wan_bytes()
             with trace_span("sites.loadgen.healed"):
-                read_phase("healed", phase_seeds["healed"])
+                read_phase("healed")
             report.wan["read_after"] = (
                 read_wan_bytes() - wan_after_repair
             )
-            if telemetry is not None:
-                telemetry.scrape(note="healed reads complete")
-                telemetry.settle()
-        else:
-            report.wan["read_during"] = 0
-            report.wan["read_after"] = 0
+            telemetry.scrape(note="healed reads complete")
+            telemetry.settle()
 
         # Phase: the coupled-decode demo (two-site federations).
         if config.coupled_demo and config.sites == 2:
@@ -585,40 +282,27 @@ def run_sites_loadgen(
                 target = names[0]
                 wan_before = read_wan_bytes()
                 for sid, erased in zip(site_ids, witness):
-                    _delete_witness_blocks(sites[sid], target, erased)
+                    _delete_witness_blocks(fleet, sites[sid], target, erased)
                 # Both sites must now fail the read alone...
                 sites_failed = 0
                 for sid in site_ids:
-                    site = sites[sid]
-                    with ClusterClient(
-                        site.coordinator.host,
-                        site.coordinator.port,
-                        timeout=30.0,
-                    ) as c:
-                        try:
-                            c.get(target)
-                        except Exception:
-                            sites_failed += 1
+                    with fleet.connect(sites[sid].coordinator) as c:
+                        alone = fleet.read(target, digests[target], c)
+                        sites_failed += alone is not None
                 # ...while the federation still serves it.
                 with trace_span("sites.loadgen.coupled"):
-                    try:
-                        info = client.get(target)
-                        served = info.sha256 == digests[target]
-                    except Exception as exc:
-                        served = False
-                        note(
-                            "coupled_read_failed",
-                            error=type(exc).__name__,
-                        )
+                    error = fleet.read(target, digests[target])
+                if error not in (None, "mismatch"):
+                    note("coupled_read_failed", error=error)
                 report.coupled_demo = {
                     "staged": True,
                     "object": target,
                     "erased_per_site": [len(w) for w in witness],
                     "sites_failed_alone": sites_failed,
-                    "served": served,
+                    "served": error is None,
                     "wan_bytes": read_wan_bytes() - wan_before,
                 }
-                if not served:
+                if error is not None:
                     report.mismatched += 1
                 # Undo the staged damage before the final sweep.
                 with trace_span("sites.loadgen.coupled_repair"):
@@ -626,47 +310,18 @@ def run_sites_loadgen(
 
         # Phase: end-to-end and per-site verification sweeps.
         with trace_span("sites.loadgen.verify"):
-            for name, digest in digests.items():
-                try:
-                    if client.get(name).sha256 == digest:
-                        report.verified_objects += 1
-                except Exception:
-                    pass
+            report.verified_objects = fleet.verify(digests)
             for sid in site_ids:
-                site = sites[sid]
-                verified = 0
-                with ClusterClient(
-                    site.coordinator.host,
-                    site.coordinator.port,
-                    timeout=30.0,
-                ) as c:
-                    for name, digest in digests.items():
-                        try:
-                            if c.get(name).sha256 == digest:
-                                verified += 1
-                        except Exception:
-                            pass
-                report.site_verified[sid] = verified
+                with fleet.connect(sites[sid].coordinator) as c:
+                    report.site_verified[sid] = fleet.verify(digests, c)
 
         status = client.status()
         report.reads = status["reads"]
         report.wan["repair_bytes"] = status["wan"]["repair_bytes"]
         report.wan["replicate_bytes"] = status["wan"]["replicate_bytes"]
         report.wan["total_bytes"] = status["wan"]["total_bytes"]
-        if telemetry is not None:
-            telemetry.scrape(note="final verification sweep")
-            report.telemetry = telemetry.summary()
-    finally:
-        if client is not None:
-            client.close()
-        if gateway is not None:
-            gateway.terminate()
-        for site in sites.values():
-            site.teardown()
-        if telemetry is not None:
-            telemetry.close()
-        if own_work:
-            shutil.rmtree(work_dir, ignore_errors=True)
+        telemetry.scrape(note="final verification sweep")
+        report.telemetry = telemetry.summary()
 
     report.elapsed_seconds = time.perf_counter() - start
     return report

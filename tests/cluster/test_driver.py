@@ -115,6 +115,40 @@ class TestClusterLoadgenCLI:
         assert cleared_at > fired_at
         # Durability summary rode along with a real margin.
         assert telemetry["durability"]["score"] is not None
+        # Report identity: the seeded schedule on the logical clock is
+        # pinned from the pre-Fleet driver (commit 57bcce3), so the
+        # harness underneath cannot move a scrape, an alert or a byte.
+        assert [
+            (a["objective"], a["window"], a["state"], a["ts"])
+            for a in alerts
+        ] == [
+            ("availability", "fast", "firing", 180.0),
+            ("availability", "slow", "firing", 180.0),
+            ("availability", "fast", "ok", 720.0),
+            ("availability", "slow", "ok", 3960.0),
+        ]
+        assert (telemetry["samples"], telemetry["scrapes"]) == (67, 60)
+        assert report["killed_node"] == "node-0"
+        assert report["completed"] == report["requests"] == 12
+        assert report["repair"]["moved_blocks"] == 64
+        assert report["repair"]["rebuilt_blocks"] == 64
+        assert report["status"]["repair_bytes_by_node"] == {
+            "node-0": 16384,
+            "node-1": 24576,
+            "node-2": 24576,
+        }
+        notes = [
+            json.loads(line)
+            for line in (obs_dir / "timeline.jsonl").read_text().splitlines()
+            if '"driver.note"' in line
+        ]
+        assert [(n["note"], n["ts"]) for n in notes] == [
+            ("baseline after seeding", 60.0),
+            ("killed node-0", 180.0),
+            ("repair complete", 420.0),
+            ("rejoined node-0", 480.0),
+            ("final verification sweep", 4020.0),
+        ]
 
         timeline = telemetry["timeline"]
         assert timeline.endswith("timeline.jsonl")

@@ -6,6 +6,8 @@ are forced to 1.0 where a fault *must* fire so the assertions are
 deterministic rather than seed-archaeology.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.resilience import (
@@ -120,6 +122,27 @@ class TestLiveCampaign:
         assert disruptive > 0
         # Failed reads during faults are tolerated; losses are not.
         assert report.status["state_sha256"]
+        # Report identity: seed 0's fault schedule, pinned from the
+        # pre-Fleet campaign (commit 57bcce3).
+        assert report.events == [
+            {"step": 0, "kind": "slow", "node": "node-1", "steps": 1},
+            {"step": 1, "kind": "heal_slow", "node": "node-1"},
+            {"step": 1, "kind": "partition", "node": "node-1", "steps": 1},
+            {"step": 1, "kind": "slow", "node": "node-0", "steps": 1},
+            {"step": 2, "kind": "heal", "node": "node-1"},
+            {"step": 2, "kind": "heal_slow", "node": "node-0"},
+        ]
+        assert (
+            report.coordinator_crashes,
+            report.node_kills,
+            report.partitions,
+            report.slowdowns,
+        ) == (0, 0, 1, 2)
+        assert report.repair_bytes == 0
+        # to_dict is the dataclass plus the verdict, nothing else.
+        assert set(report.to_dict()) == {
+            f.name for f in dataclasses.fields(report)
+        } | {"data_loss"}
 
     def test_seeded_campaign_is_deterministic_run_to_run(self):
         plan = FaultPlan(
@@ -138,6 +161,12 @@ class TestLiveCampaign:
         second = run_cluster_campaign(plan, config)
         assert first.data_loss is False and second.data_loss is False
         assert first.events == second.events
+        # ...and match the pre-Fleet campaign (commit 57bcce3).
+        assert first.events == [
+            {"step": 0, "kind": "node_crash", "node": "node-1"}
+        ]
+        assert first.node_kills == 1
+        assert first.repair_bytes == 65536
         # The acceptance bar: repair-byte counts repeat exactly.
         assert first.repair_bytes == second.repair_bytes
         assert first.repair == second.repair
