@@ -90,9 +90,9 @@ from .obs import (
 )
 from .resilience import FaultPlan, RetryPolicy, run_campaign
 from .serve import (
+    ArchiveClient,
     ClusterClient,
     LoadGenConfig,
-    ReconstructClient,
     ReconstructionService,
     ServeConfig,
     run_loadgen,
@@ -109,6 +109,7 @@ from .storage import TornadoArchive, run_mission
 __version__ = "1.1.0"
 
 __all__ = [
+    "ArchiveClient",
     "BitsetBatchDecoder",
     "ClusterClient",
     "ClusterCoordinator",
@@ -120,7 +121,6 @@ __all__ = [
     "LoadGenConfig",
     "MetricsRegistry",
     "ProfileCache",
-    "ReconstructClient",
     "ReconstructionService",
     "RetryPolicy",
     "RunManifest",

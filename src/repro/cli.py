@@ -87,6 +87,14 @@ _OPERATIONAL_ERRORS = (OSError, ValueError, KeyError, RuntimeError)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # The four fleet-scenario verbs take their options from the fields
+    # of their config dataclasses (``python -m repro`` has imported the
+    # whole package by now, so these imports cost nothing).
+    from .cluster import ClusterLoadConfig
+    from .cluster.fleet import add_config_options
+    from .resilience import ClusterCampaignConfig
+    from .sites import SitesCampaignConfig, SitesLoadConfig
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Tornado Codes for archival storage (HPDC 2006 reproduction)",
@@ -457,6 +465,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="timeline JSONL (fleet.sample events from a scraper)",
     )
 
+    # What the three daemons (coordinator, node, gateway) all take.
+    daemon = argparse.ArgumentParser(add_help=False)
+    daemon.add_argument("--host", default="127.0.0.1")
+    daemon.add_argument("--port", type=int, default=0,
+                        help="TCP port (0 = ephemeral, printed; default 0)")
+    daemon.add_argument("--seed", type=int, default=0)
+    daemon.add_argument(
+        "--max-seconds",
+        type=float,
+        default=None,
+        help="stop after this long (default: run until interrupted)",
+    )
+
     p = sub.add_parser(
         "cluster",
         help="distributed archive cluster (coordinator / storage nodes)",
@@ -466,11 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
     q = cluster_sub.add_parser(
         "coordinator",
         help="run the cluster coordinator daemon",
-        parents=[common],
+        parents=[common, daemon],
     )
-    q.add_argument("--host", default="127.0.0.1")
-    q.add_argument("--port", type=int, default=0,
-                   help="TCP port (0 = ephemeral, printed; default 0)")
     q.add_argument(
         "--graph",
         default=None,
@@ -489,7 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bytes per stored block (default 512)")
     q.add_argument("--plan-capacity", type=int, default=256,
                    help="LRU capacity of the peeling-plan cache")
-    q.add_argument("--seed", type=int, default=0)
     q.add_argument(
         "--wal",
         default=None,
@@ -525,23 +542,13 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="auto-snapshot the WAL after every N journaled records",
     )
-    q.add_argument(
-        "--max-seconds",
-        type=float,
-        default=None,
-        help="stop after this long (default: run until interrupted)",
-    )
 
     q = cluster_sub.add_parser(
         "node",
         help="run one storage-node daemon",
-        parents=[common],
+        parents=[common, daemon],
     )
     q.add_argument("--id", required=True, help="node identifier")
-    q.add_argument("--host", default="127.0.0.1")
-    q.add_argument("--port", type=int, default=0,
-                   help="TCP port (0 = ephemeral, printed; default 0)")
-    q.add_argument("--seed", type=int, default=0)
     q.add_argument(
         "--coordinator",
         default=None,
@@ -562,12 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="advance the fault process every this many seconds "
         "(0 = only via node.admin step RPCs; default 0)",
     )
-    q.add_argument(
-        "--max-seconds",
-        type=float,
-        default=None,
-        help="stop after this long (default: run until interrupted)",
-    )
 
     q = cluster_sub.add_parser(
         "status",
@@ -581,62 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="spawn a whole cluster, load it, kill a node, repair, verify",
         parents=[common],
     )
-    q.add_argument("--nodes", type=int, default=3,
-                   help="storage-node processes (default 3)")
-    q.add_argument("--objects", type=int, default=6)
-    q.add_argument("--object-size", type=int, default=4096)
-    q.add_argument("--block-size", type=int, default=512)
-    q.add_argument("--requests", type=int, default=60)
-    q.add_argument("--rate", type=float, default=100.0,
-                   help="open-loop arrival rate, req/s (default 100)")
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument(
-        "--graph",
-        default=None,
-        help="GraphML file passed to the coordinator",
-    )
-    q.add_argument(
-        "--no-kill",
-        action="store_true",
-        help="skip the mid-run node kill",
-    )
-    q.add_argument(
-        "--no-rejoin",
-        action="store_true",
-        help="leave the killed node dead instead of rejoining it",
-    )
-    q.add_argument(
-        "--trace-dir",
-        default=None,
-        help="directory for per-process trace files "
-        "(coordinator.jsonl; pair with --trace for the driver's own)",
-    )
-    q.add_argument(
-        "--obs-dir",
-        default=None,
-        help="scrape the fleet during the run and write a telemetry "
-        "timeline (timeline.jsonl) plus SLO alerts to this directory",
-    )
-    q.add_argument(
-        "--scrape-every",
-        type=int,
-        default=10,
-        help="scrape after every N requests (default 10)",
-    )
-    q.add_argument(
-        "--scrape-interval",
-        type=float,
-        default=60.0,
-        help="logical seconds each scrape advances the telemetry "
-        "clock (default 60)",
-    )
-    q.add_argument(
-        "--slo-spec",
-        default=None,
-        metavar="SLO.json",
-        help="SLO spec evaluated live during the run "
-        "(default: built-in archive SLOs)",
-    )
+    add_config_options(q, ClusterLoadConfig)
     q.add_argument("--out", default=None,
                    help="write the cluster report as JSON to this path")
 
@@ -646,58 +592,13 @@ def build_parser() -> argparse.ArgumentParser:
         "cluster; verifies WAL recovery and zero data loss",
         parents=[common],
     )
-    q.add_argument("--nodes", type=int, default=3,
-                   help="storage-node processes (default 3)")
-    q.add_argument("--objects", type=int, default=4)
-    q.add_argument("--object-size", type=int, default=2048)
-    q.add_argument("--block-size", type=int, default=512)
-    q.add_argument("--steps", type=int, default=6,
-                   help="fault-schedule steps (default 6)")
-    q.add_argument("--reads-per-step", type=int, default=2)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument(
-        "--graph",
-        default=None,
-        help="GraphML file passed to the coordinator",
-    )
+    add_config_options(q, ClusterCampaignConfig)
     q.add_argument(
         "--faults",
         default=None,
         metavar="PLAN.json",
         help="fault plan; its cluster-level specs drive the campaign "
         "(default: a stock mix of all four cluster fault kinds)",
-    )
-    q.add_argument(
-        "--wal-dir",
-        default=None,
-        help="coordinator WAL directory (default: private temp dir, "
-        "removed afterwards)",
-    )
-    q.add_argument(
-        "--rpc-timeout",
-        type=float,
-        default=0.75,
-        help="coordinator per-attempt node RPC deadline (default 0.75)",
-    )
-    q.add_argument(
-        "--repair-budget",
-        type=int,
-        default=None,
-        metavar="BYTES",
-        help="coordinator repair bytes-per-cycle budget",
-    )
-    q.add_argument(
-        "--midwrite-race",
-        action="store_true",
-        help="race a put against each coordinator SIGKILL (an acked "
-        "put must survive recovery; disables the byte-identical "
-        "state-digest check for that crash)",
-    )
-    q.add_argument(
-        "--trace-dir",
-        default=None,
-        help="directory for per-process trace files "
-        "(coordinator.jsonl, coordinator-rN.jsonl per recovery)",
     )
     q.add_argument("--out", default=None,
                    help="write the campaign report as JSON to this path")
@@ -711,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = sites_sub.add_parser(
         "gateway",
         help="run the federation gateway daemon",
-        parents=[common],
+        parents=[common, daemon],
     )
     q.add_argument(
         "--manifest",
@@ -720,9 +621,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="federation manifest JSON "
         "(see repro.sites.FederationManifest)",
     )
-    q.add_argument("--host", default="127.0.0.1")
-    q.add_argument("--port", type=int, default=0,
-                   help="TCP port (0 = ephemeral, printed; default 0)")
     q.add_argument(
         "--attach",
         action="append",
@@ -732,7 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     q.add_argument("--block-size", type=int, default=512,
                    help="bytes per stored block (default 512)")
-    q.add_argument("--seed", type=int, default=0)
     q.add_argument(
         "--rpc-timeout",
         type=float,
@@ -749,12 +646,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     q.add_argument("--plan-capacity", type=int, default=256,
                    help="LRU capacity of the coupled-peel plan cache")
-    q.add_argument(
-        "--max-seconds",
-        type=float,
-        default=None,
-        help="stop after this long (default: run until interrupted)",
-    )
 
     q = sites_sub.add_parser(
         "status",
@@ -769,59 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
         "mid-read, heal it over the WAN, verify zero loss",
         parents=[common],
     )
-    q.add_argument("--sites", type=int, default=2,
-                   help="federated sites (default 2)")
-    q.add_argument("--nodes-per-site", type=int, default=3)
-    q.add_argument("--objects", type=int, default=4)
-    q.add_argument("--object-size", type=int, default=4096)
-    q.add_argument("--block-size", type=int, default=512)
-    q.add_argument("--reads-per-phase", type=int, default=8)
-    q.add_argument("--rate", type=float, default=60.0,
-                   help="open-loop arrival rate, req/s (default 60)")
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument(
-        "--no-blackout",
-        action="store_true",
-        help="skip the mid-run full-site blackout",
-    )
-    q.add_argument(
-        "--no-coupled-demo",
-        action="store_true",
-        help="skip the staged coupled-decode demonstration",
-    )
-    q.add_argument(
-        "--site-max-size",
-        type=int,
-        default=6,
-        help="per-site erasure bound for graph selection (default 6)",
-    )
-    q.add_argument("--curve-samples", type=int, default=100,
-                   help="failure-curve samples per pairing (default 100)")
-    q.add_argument("--rpc-timeout", type=float, default=5.0)
-    q.add_argument(
-        "--repair-wan-budget",
-        type=int,
-        default=None,
-        metavar="BYTES",
-    )
-    q.add_argument(
-        "--work-dir",
-        default=None,
-        help="manifest + per-site WAL directory "
-        "(default: private temp dir, removed afterwards)",
-    )
-    q.add_argument(
-        "--trace-dir",
-        default=None,
-        help="directory for per-process trace files "
-        "(gateway.jsonl, site-N-coordinator.jsonl, ...)",
-    )
-    q.add_argument(
-        "--obs-dir",
-        default=None,
-        help="scrape the federation at phase boundaries and write a "
-        "telemetry timeline (timeline.jsonl) to this directory",
-    )
+    add_config_options(q, SitesLoadConfig)
     q.add_argument("--out", default=None,
                    help="write the federation report as JSON to this path")
 
@@ -831,49 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
         "against a live federation; verifies zero data loss",
         parents=[common],
     )
-    q.add_argument("--sites", type=int, default=2)
-    q.add_argument("--nodes-per-site", type=int, default=3)
-    q.add_argument("--objects", type=int, default=3)
-    q.add_argument("--object-size", type=int, default=4096)
-    q.add_argument("--block-size", type=int, default=512)
-    q.add_argument("--steps", type=int, default=6,
-                   help="campaign steps, one model year each (default 6)")
-    q.add_argument("--reads-per-step", type=int, default=2)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--afr", type=float, default=0.25,
-                   help="per-device annual failure rate (default 0.25)")
-    q.add_argument("--shape", type=float, default=3.0,
-                   help="Weibull wear-out shape (default 3.0)")
-    q.add_argument(
-        "--infant-mortality",
-        type=float,
-        default=0.15,
-        help="probability a replacement is an infant unit",
-    )
-    q.add_argument(
-        "--blackout-rate",
-        type=float,
-        default=0.25,
-        help="per-site-step whole-site outage probability",
-    )
-    q.add_argument("--mean-outage-steps", type=float, default=1.5)
-    q.add_argument(
-        "--max-concurrent",
-        type=int,
-        default=1,
-        help="simultaneous dark sites allowed (default 1)",
-    )
-    q.add_argument("--repair-every", type=int, default=2,
-                   help="gateway repair cycle cadence in steps")
-    q.add_argument("--rpc-timeout", type=float, default=5.0)
-    q.add_argument(
-        "--repair-wan-budget",
-        type=int,
-        default=None,
-        metavar="BYTES",
-    )
-    q.add_argument("--work-dir", default=None)
-    q.add_argument("--trace-dir", default=None)
+    add_config_options(q, SitesCampaignConfig)
     q.add_argument("--out", default=None,
                    help="write the campaign report as JSON to this path")
 
@@ -1392,40 +1189,51 @@ def _cluster_graph(args):
     return tornado_catalog_graph(catalog or 3)
 
 
-def _ready_line(role: str, host: str, port: int) -> None:
-    """The machine-readable handshake cluster drivers wait for."""
+def _run_daemon(role: str, start, max_seconds) -> int:
+    """Run one daemon: ``await start()`` for the listening server, print
+    the ``cluster.ready`` handshake the fleet drivers wait for, then
+    sleep until ``max_seconds`` pass or the process is interrupted."""
+    import asyncio
     import json
 
-    print(
-        json.dumps(
-            {
-                "event": "cluster.ready",
-                "role": role,
-                "host": host,
-                "port": port,
-            }
-        ),
-        flush=True,
-    )
+    async def run() -> int:
+        server = await start()
+        host, port = server.sockets[0].getsockname()[:2]
+        print(
+            json.dumps(
+                {
+                    "event": "cluster.ready",
+                    "role": role,
+                    "host": host,
+                    "port": port,
+                }
+            ),
+            flush=True,
+        )
+        try:
+            if max_seconds is not None:
+                await asyncio.sleep(max_seconds)
+            else:
+                await asyncio.Event().wait()
+        finally:
+            server.close()
+            await server.wait_closed()
+        return 0
 
-
-async def _daemon_wait(max_seconds) -> None:
-    import asyncio
-
-    if max_seconds is not None:
-        await asyncio.sleep(max_seconds)
-    else:
-        await asyncio.Event().wait()
+    try:
+        return asyncio.run(run())
+    except KeyboardInterrupt:  # pragma: no cover - interactive stop
+        return 0
 
 
 def _ensure_daemon_registry() -> None:
     """Give every daemon a live in-process metrics registry.
 
-    ``cluster.metrics`` / ``sites.metrics`` scrapes read the global
-    registry; without ``--metrics`` nothing would have enabled one and
-    every scrape would come back empty.  Daemons therefore always
-    collect (collection is cheap and bounded) — ``--metrics`` still
-    layers a JSONL sink on top via the usual capture path.
+    ``metrics.snapshot`` scrapes read the global registry; without
+    ``--metrics`` nothing would have enabled one and every scrape
+    would come back empty.  Daemons therefore always collect
+    (collection is cheap and bounded) — ``--metrics`` still layers a
+    JSONL sink on top via the usual capture path.
     """
     from .obs import MetricsRegistry, enable, metrics_enabled
 
@@ -1434,8 +1242,6 @@ def _ensure_daemon_registry() -> None:
 
 
 def _cmd_cluster_coordinator(args) -> int:
-    import asyncio
-
     from .cluster import ClusterCoordinator, start_coordinator
 
     if args.wal and args.recover:
@@ -1451,24 +1257,11 @@ def _cmd_cluster_coordinator(args) -> int:
         repair_bytes_per_cycle=args.repair_budget,
         snapshot_every=args.snapshot_every,
     )
-
-    async def run() -> int:
-        server = await start_coordinator(
-            coordinator, args.host, args.port
-        )
-        host, port = server.sockets[0].getsockname()[:2]
-        _ready_line("coordinator", host, port)
-        try:
-            await _daemon_wait(args.max_seconds)
-        finally:
-            server.close()
-            await server.wait_closed()
-        return 0
-
-    try:
-        return asyncio.run(run())
-    except KeyboardInterrupt:  # pragma: no cover - interactive stop
-        return 0
+    return _run_daemon(
+        "coordinator",
+        lambda: start_coordinator(coordinator, args.host, args.port),
+        args.max_seconds,
+    )
 
 
 def _cmd_cluster_node(args) -> int:
@@ -1481,9 +1274,15 @@ def _cmd_cluster_node(args) -> int:
     _ensure_daemon_registry()
     node = StorageNode(args.id, seed=args.seed, fault_plan=plan)
 
-    async def run() -> int:
+    stepper: list[asyncio.Task] = []  # keeps the task referenced
+
+    async def step_forever() -> None:
+        while True:
+            await asyncio.sleep(args.step_interval)
+            node.step()
+
+    async def start():
         server = await start_storage_node(node, args.host, args.port)
-        host, port = server.sockets[0].getsockname()[:2]
         if args.coordinator:
             from .serve import ClusterClient
 
@@ -1493,6 +1292,7 @@ def _cmd_cluster_node(args) -> int:
                 raise UsageError(
                     "--coordinator must look like HOST:PORT"
                 ) from None
+            host, port = server.sockets[0].getsockname()[:2]
             client = ClusterClient(chost, int(cport))
             try:
                 await asyncio.to_thread(
@@ -1500,67 +1300,46 @@ def _cmd_cluster_node(args) -> int:
                 )
             finally:
                 await asyncio.to_thread(client.close)
-        _ready_line("node", host, port)
+        if args.step_interval > 0:
+            # Cancelled with everything else when asyncio.run() exits.
+            stepper.append(asyncio.create_task(step_forever()))
+        return server
 
-        async def step_forever() -> None:
-            while True:
-                await asyncio.sleep(args.step_interval)
-                node.step()
-
-        stepper = (
-            asyncio.create_task(step_forever())
-            if args.step_interval > 0
-            else None
-        )
-        try:
-            await _daemon_wait(args.max_seconds)
-        finally:
-            if stepper is not None:
-                stepper.cancel()
-            server.close()
-            await server.wait_closed()
-        return 0
-
-    try:
-        return asyncio.run(run())
-    except KeyboardInterrupt:  # pragma: no cover - interactive stop
-        return 0
+    return _run_daemon("node", start, args.max_seconds)
 
 
-def _cmd_cluster_status(args) -> int:
+def _cmd_status(args, members: str, label: str) -> int:
+    """``cluster status`` / ``sites status``: the tier's ``status()`` as
+    JSON; exit 1 naming every member (node or site) not alive."""
     import json
 
-    from .serve import ClusterClient
+    from .serve import ArchiveClient
 
-    with ClusterClient(args.host, args.port) as client:
+    with ArchiveClient(args.host, args.port) as client:
         status = client.status()
     print(json.dumps(status, indent=2, sort_keys=True))
-    dead = [
-        node_id
-        for node_id, entry in status["nodes"].items()
+    down = [
+        member
+        for member, entry in status[members].items()
         if not entry["alive"]
     ]
-    if dead:
-        print(f"dead nodes: {', '.join(dead)}", file=sys.stderr)
+    if down:
+        print(f"{label}: {', '.join(down)}", file=sys.stderr)
         return 1
     return 0
 
 
-def _run_scenario(args, config_cls, run, **overrides) -> int:
-    """Fleet scenarios: build config → run → describe → --out → exit code.
-    Config fields take their same-named options; ``overrides`` the rest."""
-    import dataclasses
+def _run_scenario(args, config_cls, run) -> int:
+    """Fleet scenarios: config from the verb's options → run → describe
+    → --out → exit code (1 = data loss, or a config the run rejects)."""
     import json
+
+    from .cluster.fleet import config_from_args
 
     for directory in (args.trace_dir, getattr(args, "obs_dir", None)):
         if directory:
             os.makedirs(directory, exist_ok=True)
-    values = {
-        f.name: getattr(args, f.name)
-        for f in dataclasses.fields(config_cls)
-        if hasattr(args, f.name)
-    }
-    report = run(config_cls(**values, **overrides))
+    report = run(config_from_args(args, config_cls))
     print(report.describe())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -1572,21 +1351,7 @@ def _run_scenario(args, config_cls, run, **overrides) -> int:
 def _cmd_cluster_loadgen(args) -> int:
     from .cluster import ClusterLoadConfig, run_cluster_loadgen
 
-    if args.requests < 1:
-        raise UsageError("--requests must be positive")
-    if args.rate <= 0:
-        raise UsageError("--rate must be positive")
-    if args.scrape_every < 1:
-        raise UsageError("--scrape-every must be positive")
-    if args.scrape_interval <= 0:
-        raise UsageError("--scrape-interval must be positive")
-    return _run_scenario(
-        args,
-        ClusterLoadConfig,
-        run_cluster_loadgen,
-        kill_node=not args.no_kill,
-        rejoin=not args.no_rejoin,
-    )
+    return _run_scenario(args, ClusterLoadConfig, run_cluster_loadgen)
 
 
 def _cmd_cluster_chaos(args) -> int:
@@ -1608,7 +1373,7 @@ def _cmd_cluster(args) -> int:
     handlers = {
         "coordinator": _cmd_cluster_coordinator,
         "node": _cmd_cluster_node,
-        "status": _cmd_cluster_status,
+        "status": lambda args: _cmd_status(args, "nodes", "dead nodes"),
         "loadgen": _cmd_cluster_loadgen,
         "chaos": _cmd_cluster_chaos,
     }
@@ -1616,8 +1381,6 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_sites_gateway(args) -> int:
-    import asyncio
-
     from .resilience import RetryPolicy
     from .sites import FederationGateway, FederationManifest, start_gateway
 
@@ -1647,71 +1410,29 @@ def _cmd_sites_gateway(args) -> int:
                 f"--attach must look like SITE=HOST:PORT, got {spec!r}"
             ) from None
 
-    async def run() -> int:
-        server = await start_gateway(gateway, args.host, args.port)
-        host, port = server.sockets[0].getsockname()[:2]
-        _ready_line("gateway", host, port)
-        try:
-            await _daemon_wait(args.max_seconds)
-        finally:
-            server.close()
-            await server.wait_closed()
-        return 0
-
-    try:
-        return asyncio.run(run())
-    except KeyboardInterrupt:  # pragma: no cover - interactive stop
-        return 0
-
-
-def _cmd_sites_status(args) -> int:
-    import json
-
-    from .serve import SitesClient
-
-    with SitesClient(args.host, args.port) as client:
-        status = client.status()
-    print(json.dumps(status, indent=2, sort_keys=True))
-    dark = [
-        site_id
-        for site_id, entry in status["sites"].items()
-        if not entry["alive"]
-    ]
-    if dark:
-        print(f"dark sites: {', '.join(dark)}", file=sys.stderr)
-        return 1
-    return 0
+    return _run_daemon(
+        "gateway",
+        lambda: start_gateway(gateway, args.host, args.port),
+        args.max_seconds,
+    )
 
 
 def _cmd_sites_loadgen(args) -> int:
     from .sites import SitesLoadConfig, run_sites_loadgen
 
-    if args.rate <= 0:
-        raise UsageError("--rate must be positive")
-    return _run_scenario(
-        args,
-        SitesLoadConfig,
-        run_sites_loadgen,
-        blackout=not args.no_blackout,
-        coupled_demo=not args.no_coupled_demo,
-    )
+    return _run_scenario(args, SitesLoadConfig, run_sites_loadgen)
 
 
 def _cmd_sites_chaos(args) -> int:
     from .sites import SitesCampaignConfig, run_sites_campaign
 
-    return _run_scenario(
-        args,
-        SitesCampaignConfig,
-        run_sites_campaign,
-        site_blackout_rate=args.blackout_rate,
-    )
+    return _run_scenario(args, SitesCampaignConfig, run_sites_campaign)
 
 
 def _cmd_sites(args) -> int:
     handlers = {
         "gateway": _cmd_sites_gateway,
-        "status": _cmd_sites_status,
+        "status": lambda args: _cmd_status(args, "sites", "dark sites"),
         "loadgen": _cmd_sites_loadgen,
         "chaos": _cmd_sites_chaos,
     }

@@ -3,8 +3,8 @@
 The coordinator owns everything global — the erasure graph, the
 codec, object manifests, the placement ring, and the
 :class:`~repro.serve.plancache.PlanCache` — while the bytes live on
-storage-node processes (:mod:`repro.cluster.node`).  ``cluster.put``
-encodes an object into stripes and places each block; ``cluster.get``
+storage-node processes (:mod:`repro.cluster.node`).  ``put``
+encodes an object into stripes and places each block; ``get``
 bulk-fetches surviving blocks from the live owners, treats everything
 else (dead node, transient node outage, vanished block) as the
 stripe's erasure mask, plans once through the shared cache, and
@@ -30,7 +30,7 @@ Fault semantics mirror the single-process archive:
 * a node that answers ``unavailable`` is in a *transient outage* — its
   blocks are intact and excluded from this read only;
 * a node that cannot be reached is *down* — possibly dead, and
-  ``cluster.repair`` will re-derive its blocks from the survivors and
+  ``repair`` will re-derive its blocks from the survivors and
   re-home them onto the current ring.  A node is only declared down
   after the coordinator's :class:`~repro.resilience.retry.RetryPolicy`
   is exhausted and any RPC deadline (``rpc_timeout``) expired — one
@@ -53,7 +53,7 @@ Repair is delegated to the
 :class:`~repro.cluster.scheduler.RepairScheduler`: an at-risk-first
 per-stripe queue, budgeted per cycle, preemptible by foreground reads.
 Each stripe repairs under its own lock (no whole-pass cluster lock),
-so ``cluster.get`` interleaves with an active rebuild.  All cross-node
+so ``get`` interleaves with an active rebuild.  All cross-node
 repair traffic is metered as ``cluster.repair.bytes`` (total, plus
 ``cluster.repair.bytes.<node_id>`` attributed to the receiving node) —
 the repair-bandwidth metric the archival-storage literature prices
@@ -83,9 +83,13 @@ from ..core.codec import TornadoCodec
 from ..core.decoder import make_batch_decoder
 from ..core.graph import ErasureGraph
 from ..obs.registry import registry
-from ..obs.trace import start_span, tracer, trace_span, use_context
+from ..obs.trace import start_span, tracer
 from ..resilience.retry import RetryPolicy
-from ..serve.lineserver import start_line_server
+from ..serve.lineserver import (
+    ArchiveEndpoint,
+    start_line_server,
+    within_deadline,
+)
 from ..serve.errors import NodeUnreachableError
 from ..serve.link import PipelinedLink
 from ..serve.plancache import PlanCache
@@ -95,36 +99,23 @@ from ..serve.protocol import (
     BlockFetchRequest,
     BlockListRequest,
     BlockPutRequest,
-    ClusterGetRequest,
     ClusterJoinRequest,
-    ClusterMetricsRequest,
     ClusterLeaveRequest,
-    ClusterPutRequest,
-    ClusterRepairRequest,
     ClusterRepairStatusRequest,
     ClusterSnapshotRequest,
-    ClusterStatusRequest,
-    Envelope,
     ErrorResponse,
     FetchStripeRequest,
-    GetRequest,
-    MetricsRequest,
-    MetricsResponse,
-    MetricsSnapshotResponse,
-    NodeStatsRequest,
     ObjectInfoResponse,
     PingRequest,
-    PongResponse,
-    ProtocolError,
     Request,
     Response,
+    StatsRequest,
     StatusResponse,
     StripeBlocksResponse,
     encode_request,
     parse_response,
 )
 from ..serve.service import _evaluate_headroom
-from ..obs.prom import render_prometheus
 from ..storage.archive import DataLossError
 from ..storage.blockstore import block_key
 from ..storage.device import TransientUnavailableError
@@ -660,9 +651,22 @@ class ClusterCoordinator:
             return False
 
     async def get(
-        self, name: str, *, want_payload: bool = False
+        self,
+        name: str,
+        *,
+        want_payload: bool = False,
+        deadline: float | None = None,
     ) -> ObjectInfoResponse:
-        """Reconstruct an object from whatever the cluster still holds."""
+        """Reconstruct an object from whatever the cluster still holds.
+
+        ``deadline`` (seconds) abandons the read with
+        :class:`~repro.serve.errors.DeadlineExceededError`.
+        """
+        return await within_deadline(
+            self._get(name, want_payload), deadline
+        )
+
+    async def _get(self, name: str, want_payload: bool) -> ObjectInfoResponse:
         manifest = self._manifest(name)
         started = time.perf_counter()
         self.reads_inflight += 1
@@ -1134,7 +1138,7 @@ class ClusterCoordinator:
             }
             if entry["alive"]:
                 try:
-                    response = await self._rpc(link, NodeStatsRequest())
+                    response = await self._rpc(link, StatsRequest())
                     entry["stats"] = response.stats
                 except (NodeDownError, TransientUnavailableError):
                     entry["alive"] = False
@@ -1158,70 +1162,46 @@ class ClusterCoordinator:
         }
 
 
-async def handle_request(
-    coordinator: ClusterCoordinator,
-    request: Request,
-    envelope: Envelope,
-) -> Response:
-    """Dispatch one typed coordinator request under the caller's trace."""
-    with use_context(envelope.trace):
-        if isinstance(request, PingRequest):
-            return PongResponse()
-        if isinstance(request, MetricsRequest):
-            return MetricsResponse(
-                metrics=render_prometheus(registry().snapshot())
-            )
-        if isinstance(request, ClusterMetricsRequest):
-            return MetricsSnapshotResponse(
-                role="coordinator",
-                source="coordinator",
-                snapshot=coordinator.metrics_snapshot(),
-            )
-        if isinstance(request, ClusterPutRequest):
-            with trace_span("cluster.put", object=request.name):
-                info = await coordinator.put(
-                    request.name, request.payload
-                )
-            return AckResponse(info=info)
-        if isinstance(request, (ClusterGetRequest, GetRequest)):
-            want = getattr(request, "want_payload", False)
-            with trace_span("cluster.get", object=request.name):
-                return await coordinator.get(
-                    request.name, want_payload=want
-                )
-        if isinstance(request, FetchStripeRequest):
-            with trace_span(
-                "cluster.fetch_stripe",
-                object=request.name,
-                seq=request.seq,
-            ):
-                return await coordinator.fetch_stripe_raw(
-                    request.name, request.seq
-                )
-        if isinstance(request, ClusterStatusRequest):
-            return StatusResponse(status=await coordinator.status())
-        if isinstance(request, ClusterRepairRequest):
-            with trace_span("cluster.repair", mode=request.mode):
-                info = await coordinator.repair(mode=request.mode)
-            return AckResponse(info=info)
-        if isinstance(request, ClusterRepairStatusRequest):
-            return StatusResponse(status=coordinator.repair_status())
-        if isinstance(request, ClusterSnapshotRequest):
-            return AckResponse(info=coordinator.snapshot_now())
-        if isinstance(request, ClusterJoinRequest):
-            with trace_span("cluster.join", node=request.node_id):
-                info = await coordinator.register(
-                    request.node_id, request.host, request.port
-                )
-            return AckResponse(info=info)
-        if isinstance(request, ClusterLeaveRequest):
-            with trace_span("cluster.leave", node=request.node_id):
-                info = await coordinator.deregister(request.node_id)
-            return AckResponse(info=info)
-    raise ProtocolError(
-        f"op {request.op!r} is not served by the coordinator",
-        code="unknown_op",
-    )
+async def _fetch_stripe_row(endpoint, request: FetchStripeRequest):
+    with endpoint.span(
+        "fetch_stripe", object=request.name, seq=request.seq
+    ):
+        return await endpoint.service.fetch_stripe_raw(
+            request.name, request.seq
+        )
+
+
+async def _repair_status_row(endpoint, request):
+    return StatusResponse(status=endpoint.service.repair_status())
+
+
+async def _snapshot_row(endpoint, request):
+    return AckResponse(info=endpoint.service.snapshot_now())
+
+
+async def _join_row(endpoint, request: ClusterJoinRequest):
+    with endpoint.span("join", node=request.node_id):
+        info = await endpoint.service.register(
+            request.node_id, request.host, request.port
+        )
+    return AckResponse(info=info)
+
+
+async def _leave_row(endpoint, request: ClusterLeaveRequest):
+    with endpoint.span("leave", node=request.node_id):
+        info = await endpoint.service.deregister(request.node_id)
+    return AckResponse(info=info)
+
+
+# The coordinator's own ops, beside the archive-service rows every
+# tier shares (:data:`repro.serve.lineserver.SHARED_ROWS`).
+COORDINATOR_ROWS = {
+    FetchStripeRequest: _fetch_stripe_row,
+    ClusterRepairStatusRequest: _repair_status_row,
+    ClusterSnapshotRequest: _snapshot_row,
+    ClusterJoinRequest: _join_row,
+    ClusterLeaveRequest: _leave_row,
+}
 
 
 async def start_coordinator(
@@ -1230,8 +1210,7 @@ async def start_coordinator(
     port: int = 0,
 ) -> asyncio.base_events.Server:
     """Serve the coordinator on a TCP port (``port=0`` = ephemeral)."""
-
-    async def handler(request: Request, envelope: Envelope) -> Response:
-        return await handle_request(coordinator, request, envelope)
-
-    return await start_line_server(handler, host, port)
+    endpoint = ArchiveEndpoint(
+        coordinator, "coordinator", spans="cluster", extra=COORDINATOR_ROWS
+    )
+    return await start_line_server(endpoint, host, port)

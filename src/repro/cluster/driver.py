@@ -8,7 +8,7 @@ coordinator/storage-node split:
    join);
 2. put seeded objects through the coordinator and remember their
    digests;
-3. replay a seeded open-loop workload of ``cluster.get`` requests
+3. replay a seeded open-loop workload of ``get`` requests
    (the same :func:`~repro.serve.loadgen.arrival_schedule` law the
    single-process load generator uses), verifying every reconstruction
    against its put-time SHA-256;
@@ -37,7 +37,7 @@ import numpy as np
 
 from ..obs.seeding import SeedLike, resolve_rng
 from ..obs.trace import trace_span
-from .fleet import Fleet, ScenarioReport
+from .fleet import Fleet, ScenarioReport, option
 
 __all__ = ["ClusterLoadConfig", "ClusterLoadReport", "run_cluster_loadgen"]
 
@@ -49,21 +49,42 @@ _KILL_FRACTION = 0.4
 class ClusterLoadConfig:
     """Shape of one multi-process cluster exercise."""
 
-    nodes: int = 3
+    nodes: int = option(3, "storage-node processes (default 3)")
     objects: int = 6
     object_size: int = 4096
     block_size: int = 512
     requests: int = 60
-    rate: float = 100.0
+    rate: float = option(100.0, "open-loop arrival rate, req/s (default 100)")
     seed: SeedLike = 0
-    kill_node: bool = True
-    rejoin: bool = True
-    graph: str | None = None  # GraphML path for child processes
-    trace_dir: str | None = None  # per-process trace files land here
-    obs_dir: str | None = None  # fleet telemetry timeline lands here
-    scrape_every: int = 10  # scrape the fleet every N requests
-    scrape_interval: float = 60.0  # logical seconds per scrape
-    slo_spec: str | None = None  # JSON spec path (None = built-ins)
+    kill_node: bool = option(True, "skip the mid-run node kill", flag="kill")
+    rejoin: bool = option(
+        True, "leave the killed node dead instead of rejoining it"
+    )
+    graph: str | None = option(None, "GraphML file passed to the coordinator")
+    trace_dir: str | None = option(
+        None,
+        "directory for per-process trace files "
+        "(coordinator.jsonl; pair with --trace for the driver's own)",
+    )
+    obs_dir: str | None = option(
+        None,
+        "scrape the fleet during the run and write a telemetry "
+        "timeline (timeline.jsonl) plus SLO alerts to this directory",
+    )
+    scrape_every: int = option(
+        10, "scrape after every N requests (default 10)"
+    )
+    scrape_interval: float = option(
+        60.0,
+        "logical seconds each scrape advances the telemetry "
+        "clock (default 60)",
+    )
+    slo_spec: str | None = option(
+        None,
+        "SLO spec evaluated live during the run "
+        "(default: built-in archive SLOs)",
+        metavar="SLO.json",
+    )
 
     def __post_init__(self) -> None:
         if self.nodes < 1:

@@ -22,7 +22,7 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import asdict
+from dataclasses import asdict, field, fields
 from typing import Any, Iterator, Sequence
 
 import numpy as np
@@ -38,10 +38,19 @@ from ..obs import (
 )
 from ..obs.seeding import SeedLike, derive_seed, spawn_seeds
 from ..resilience.retry import RetryPolicy
-from ..serve.client import ClusterClient, SitesClient
+from ..serve.client import ClusterClient
 from ..serve.loadgen import LoadGenConfig, arrival_schedule
 
-__all__ = ["Cell", "Fleet", "FleetProcess", "FleetTelemetry", "ScenarioReport"]
+__all__ = [
+    "Cell",
+    "Fleet",
+    "FleetProcess",
+    "FleetTelemetry",
+    "ScenarioReport",
+    "add_config_options",
+    "config_from_args",
+    "option",
+]
 
 _READY_TIMEOUT = 30.0
 # The pipe hits EOF a moment before the child is reapable: wait this
@@ -57,6 +66,65 @@ def _daemon_argv(*verb: str, **flags: Any) -> list[str]:
         if value is not None:
             argv += [f"--{name.replace('_', '-')}", str(value)]
     return argv
+
+
+def option(
+    default: Any,
+    help: str | None = None,
+    *,
+    flag: str | None = None,
+    metavar: str | None = None,
+) -> Any:
+    """A scenario-config field, annotated for its command-line option.
+
+    Every field of a scenario config is one option of its verb, named
+    after the field (``flag`` overrides the name).  A field that
+    defaults to ``True`` is switched off by ``--no-<name>``.
+    """
+    return field(
+        default=default,
+        metadata={"help": help, "flag": flag, "metavar": metavar},
+    )
+
+
+# Field annotation (a string: the config modules postpone evaluation),
+# less any ``| None`` -> argparse ``type``.  An annotation missing here
+# fails the parser build instead of silently parsing as a string.
+_OPTION_TYPES = {"int": int, "float": float, "str": None, "SeedLike": int}
+
+
+def _config_options(config_cls: type) -> Iterator[tuple[Any, str, bool]]:
+    """``(field, argparse dest, negated)`` per config field."""
+    for f in fields(config_cls):
+        negated = f.default is True
+        name = f.metadata.get("flag") or f.name
+        yield f, f"no_{name}" if negated else name, negated
+
+
+def add_config_options(parser: Any, config_cls: type) -> None:
+    """Give ``parser`` one option per field of ``config_cls``."""
+    for f, dest, _ in _config_options(config_cls):
+        flag = "--" + dest.replace("_", "-")
+        help_text = f.metadata.get("help")
+        if isinstance(f.default, bool):
+            parser.add_argument(flag, action="store_true", help=help_text)
+        else:
+            parser.add_argument(
+                flag,
+                type=_OPTION_TYPES[f.type.removesuffix(" | None")],
+                default=f.default,
+                metavar=f.metadata.get("metavar"),
+                help=help_text,
+            )
+
+
+def config_from_args(args: Any, config_cls: type) -> Any:
+    """The ``config_cls`` that :func:`add_config_options` parsed."""
+    values = {}
+    for f, dest, negated in _config_options(config_cls):
+        value = getattr(args, dest)
+        values[f.name] = not value if negated else value
+    return config_cls(**values)
 
 
 class FleetProcess:
@@ -326,7 +394,7 @@ class Fleet:
         self.trace_dir = trace_dir
         self.cells: list[Cell] = []
         self.gateway: FleetProcess | None = None
-        self.client: ClusterClient | SitesClient | None = None
+        self.client: ClusterClient | None = None
         self._work_dir = work_dir
         self._owns_work_dir = False
         self._started: list[FleetProcess] = []
@@ -452,14 +520,14 @@ class Fleet:
         """A plain client to one coordinator or node; the caller closes."""
         return ClusterClient(process.host, process.port, timeout=timeout)
 
-    def open_client(self, *, retry: bool = True) -> ClusterClient | SitesClient:
-        """The run's client: to the gateway, else the first coordinator.
+    def open_client(self, *, retry: bool = True) -> ClusterClient:
+        """The run's client: to the gateway, else the first coordinator
+        (both serve the archive ops; only a coordinator the admin ones).
 
         Chaos runs ride out restarts and dark sites on a seeded retry
         policy; an open-loop load run counts every failure instead.
         """
         at = self.gateway or self.cells[0].coordinator
-        cls = SitesClient if self.gateway is not None else ClusterClient
         options: dict[str, Any] = {}
         if retry:
             options["timeout"] = 60.0
@@ -469,7 +537,7 @@ class Fleet:
                 max_delay=1.0,
                 seed=derive_seed(self.seed),
             )
-        self.client = cls(at.host, at.port, **options)
+        self.client = ClusterClient(at.host, at.port, **options)
         return self.client
 
     def seed_objects(

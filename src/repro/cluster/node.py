@@ -2,8 +2,10 @@
 
 One node process serves block RPCs (``block.put`` / ``block.get`` /
 ``block.fetch`` / ``block.delete`` / ``block.list``) over the shared
-line-JSON protocol, plus a small control plane (``ping``,
-``node.stats``, ``node.admin``).
+line-JSON protocol, plus a small control plane: ``node.admin`` and the
+archive-service rows a node implements (``ping``, ``stats``,
+``metrics``, ``metrics.snapshot`` — dispatched by the shared
+:class:`~repro.serve.lineserver.ArchiveEndpoint`, not here).
 
 Fault semantics follow the cluster's availability model: a node-level
 outage drawn from a per-node :class:`~repro.resilience.faults.FaultPlan`
@@ -47,7 +49,7 @@ from ..obs.trace import Tracer, context_seed
 from ..resilience.faults import FaultPlan, TransientOutages
 from ..storage.blockstore import LocalBlockStore
 from ..storage.device import TransientUnavailableError
-from ..serve.lineserver import start_line_server
+from ..serve.lineserver import ArchiveEndpoint, start_line_server
 from ..serve.protocol import (
     AckResponse,
     BlockDataResponse,
@@ -57,18 +59,12 @@ from ..serve.protocol import (
     BlockListRequest,
     BlockMapResponse,
     BlockPutRequest,
-    ClusterMetricsRequest,
     Envelope,
     KeyListResponse,
-    MetricsSnapshotResponse,
     NodeAdminRequest,
-    NodeStatsRequest,
-    PingRequest,
-    PongResponse,
     ProtocolError,
     Request,
     Response,
-    StatsResponse,
 )
 
 __all__ = ["StorageNode", "start_storage_node"]
@@ -182,18 +178,15 @@ class StorageNode:
         counters.setdefault("node.gets", stats["gets"])
         return snap
 
+    def endpoint(self) -> ArchiveEndpoint:
+        """This node's request handler: the archive-service rows it
+        implements (control plane) plus :data:`NODE_ROWS`."""
+        return ArchiveEndpoint(
+            self, "node", source=self.node_id, extra=NODE_ROWS
+        )
+
     def handle(self, request: Request) -> Response:
-        """Dispatch one typed request (availability already enforced)."""
-        if isinstance(request, PingRequest):
-            return PongResponse()
-        if isinstance(request, NodeStatsRequest):
-            return StatsResponse(stats=self.stats())
-        if isinstance(request, ClusterMetricsRequest):
-            return MetricsSnapshotResponse(
-                role="node",
-                source=self.node_id,
-                snapshot=self.metrics_snapshot(),
-            )
+        """Dispatch one ``node.admin`` or block-plane request."""
         if isinstance(request, NodeAdminRequest):
             if request.action == "interrupt":
                 self.interrupt()
@@ -247,12 +240,32 @@ class StorageNode:
         )
 
 
+async def _handle_row(endpoint, request: Request) -> Response:
+    return endpoint.service.handle(request)
+
+
+# A node's own ops, beside the archive-service rows it implements
+# (``ping``, ``stats``, ``metrics``, ``metrics.snapshot``).
+NODE_ROWS = dict.fromkeys(
+    (
+        NodeAdminRequest,
+        BlockPutRequest,
+        BlockGetRequest,
+        BlockFetchRequest,
+        BlockDeleteRequest,
+        BlockListRequest,
+    ),
+    _handle_row,
+)
+
+
 async def start_storage_node(
     node: StorageNode,
     host: str = "127.0.0.1",
     port: int = 0,
 ) -> asyncio.base_events.Server:
     """Serve a node's RPCs on a TCP port (``port=0`` = ephemeral)."""
+    endpoint = node.endpoint()
 
     async def handler(
         request: Request, envelope: Envelope
@@ -268,7 +281,7 @@ async def start_storage_node(
             if node.slow_seconds > 0:
                 await asyncio.sleep(node.slow_seconds)
         if envelope.trace is None:
-            return node.handle(request)
+            return await endpoint(request, envelope)
         # Ship-back tracing: a per-request tracer seeded from the
         # caller's span context mints IDs no other process can collide
         # with, and the finished records ride home in the reply.
@@ -284,7 +297,7 @@ async def start_storage_node(
             node=node.node_id,
         )
         try:
-            response = node.handle(request)
+            response = await endpoint(request, envelope)
         except Exception as exc:
             span.end(error=type(exc).__name__)
             raise

@@ -24,7 +24,7 @@ that argument:
   budget defers stays queued for the next cycle and is counted in
   ``cluster.repair.deferred``.
 * **Foreground preemption.**  Between stripes the scheduler yields to
-  the event loop and waits for in-flight ``cluster.get`` requests to
+  the event loop and waits for in-flight ``get`` requests to
   drain before touching the next stripe (``cluster.repair.preempted``),
   and every stripe is repaired under its own lock so reads interleave
   with an active rebuild instead of stalling behind it.  Under
@@ -270,7 +270,7 @@ class RepairScheduler:
     async def drain(self) -> dict[str, int]:
         """Scan once, then run budgeted cycles until the queue empties.
 
-        The full-repair entry point ``cluster.repair`` (and the repair
+        The full-repair entry point ``repair`` (and the repair
         pass behind ``cluster.join`` / ``cluster.leave``) is this
         drain: same totals as the old monolithic pass, but delivered
         as budget-bounded, read-preemptible increments.

@@ -4,9 +4,9 @@ PR 6/7/8 split the archive across processes — a coordinator, N storage
 nodes, federation gateways — each with its own
 :class:`~repro.obs.registry.MetricsRegistry`.  The
 :class:`FleetScraper` polls every process over the same versioned
-line-JSON protocol the data plane uses (``cluster.metrics`` /
-``sites.metrics``, structured snapshots rather than rendered
-Prometheus text) and folds the results into a single fleet view:
+line-JSON protocol the data plane uses (``metrics.snapshot``: the
+structured snapshot rather than rendered Prometheus text, one op on
+every tier) and folds the results into a single fleet view:
 
 * **counters** sum across targets (names are already role-disjoint:
   ``cluster.*`` from coordinators, ``node.*`` from storage nodes,
@@ -84,16 +84,6 @@ class ScrapeTarget:
         if not self.target_id:
             raise ValueError("target_id must be non-empty")
 
-    def request(self):
-        from ..serve.protocol import (
-            ClusterMetricsRequest,
-            SitesMetricsRequest,
-        )
-
-        if self.role == "gateway":
-            return SitesMetricsRequest()
-        return ClusterMetricsRequest()
-
 
 class LogicalClock:
     """An injectable clock: advances only when told to.
@@ -163,22 +153,12 @@ class FleetScraper:
         a dead node would just smear the failure across the timeout
         budget, and the next interval re-probes anyway.
         """
-        from ..serve.client import ProtocolClient
-        from ..serve.protocol import MetricsSnapshotResponse
+        from ..serve.client import ArchiveClient
 
-        client = ProtocolClient(
+        with ArchiveClient(
             target.host, target.port, timeout=self.timeout
-        )
-        try:
-            response, _ = client.call(target.request())
-        finally:
-            client.close()
-        if not isinstance(response, MetricsSnapshotResponse):
-            raise ConnectionError(
-                f"{target.target_id} answered {response.kind!r}, "
-                "not a metrics snapshot"
-            )
-        return response
+        ) as client:
+            return client.metrics_snapshot()
 
     # ------------------------------------------------------------------
     # The scrape pass

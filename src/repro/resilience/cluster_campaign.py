@@ -56,7 +56,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..cluster.fleet import Fleet, ScenarioReport
+from ..cluster.fleet import Fleet, ScenarioReport, option
 from ..obs.seeding import SeedLike, resolve_rng
 from ..obs.trace import trace_span
 from .faults import (
@@ -91,19 +91,36 @@ def default_cluster_plan() -> FaultPlan:
 class ClusterCampaignConfig:
     """Shape of one seeded cluster chaos campaign."""
 
-    nodes: int = 3
+    nodes: int = option(3, "storage-node processes (default 3)")
     objects: int = 4
     object_size: int = 2048
     block_size: int = 512
-    steps: int = 6
+    steps: int = option(6, "fault-schedule steps (default 6)")
     reads_per_step: int = 2
     seed: SeedLike = 0
-    graph: str | None = None  # GraphML path for the coordinator
-    wal_dir: str | None = None  # default: private temp dir, removed
-    trace_dir: str | None = None
-    rpc_timeout: float = 0.75
-    repair_budget: int | None = None  # coordinator bytes-per-cycle
-    midwrite_race: bool = False  # race a put against the SIGKILL
+    graph: str | None = option(None, "GraphML file passed to the coordinator")
+    wal_dir: str | None = option(
+        None,
+        "coordinator WAL directory (default: private temp dir, "
+        "removed afterwards)",
+    )
+    trace_dir: str | None = option(
+        None,
+        "directory for per-process trace files "
+        "(coordinator.jsonl, coordinator-rN.jsonl per recovery)",
+    )
+    rpc_timeout: float = option(
+        0.75, "coordinator per-attempt node RPC deadline (default 0.75)"
+    )
+    repair_budget: int | None = option(
+        None, "coordinator repair bytes-per-cycle budget", metavar="BYTES"
+    )
+    midwrite_race: bool = option(
+        False,
+        "race a put against each coordinator SIGKILL (an acked "
+        "put must survive recovery; disables the byte-identical "
+        "state-digest check for that crash)",
+    )
 
     def __post_init__(self) -> None:
         if self.nodes < 2:

@@ -19,8 +19,9 @@ reconstructs around failures at load, within explicit limits:
   JSON header line + raw payload bytes, stable error codes) shared by
   the frontend and the cluster (:mod:`repro.cluster`);
   :mod:`repro.serve.link` is its pipelined async client connection;
-* :class:`ReconstructClient` / :class:`ClusterClient` — blocking
-  stdlib-socket clients for the frontend and the cluster.
+* :class:`ArchiveClient` / :class:`ClusterClient` — blocking
+  stdlib-socket clients: the archive-service ops every tier shares,
+  and the cluster's admin and block-plane calls on top.
 
 See ``docs/SERVE.md`` for architecture, tuning, and backpressure
 semantics; ``repro loadgen`` and
@@ -28,12 +29,7 @@ semantics; ``repro loadgen`` and
 """
 
 from .batcher import Batch, MicroBatcher
-from .client import (
-    ClusterClient,
-    ProtocolClient,
-    ReconstructClient,
-    SitesClient,
-)
+from .client import ArchiveClient, ClusterClient, ProtocolClient
 from .errors import (
     DeadlineExceededError,
     ServiceClosedError,
@@ -53,6 +49,7 @@ from .protocol import PROTOCOL_VERSION, ProtocolError, RemoteError
 from .service import ReconstructionService, ServeConfig
 
 __all__ = [
+    "ArchiveClient",
     "Batch",
     "ClusterClient",
     "DeadlineExceededError",
@@ -60,8 +57,6 @@ __all__ = [
     "ProtocolClient",
     "ProtocolError",
     "RemoteError",
-    "ReconstructClient",
-    "SitesClient",
     "LoadGenConfig",
     "LoadReport",
     "MicroBatcher",

@@ -1,17 +1,19 @@
 """Blocking stdlib-socket clients for the wire protocol.
 
-These are the stable programmatic surface for talking to a frontend
-(:class:`ReconstructClient`), a cluster coordinator or storage node
-(:class:`ClusterClient`) — the typed replacement for the hand-rolled
-``socket`` + ``json`` snippets tests and scripts used to carry around.
+These are the stable programmatic surface for talking to any tier:
+:class:`ArchiveClient` speaks the archive-service op family every
+endpoint shares (frontend, coordinator, gateway, node — each serves
+the ops it implements and answers ``unknown_op`` to the rest), and
+:class:`ClusterClient` adds the coordinator's admin calls and a storage
+node's block plane.
 
 One TCP connection per client, one request/response in flight at a
 time (a :class:`threading.Lock` serializes callers, so a client
 instance is safe to share across threads).  A reply is read
 header-then-payload: one line, then exactly the raw bytes its tail
 declares (:func:`~repro.serve.protocol.payload_size`).  Calls raise
-the most faithful local exception for a remote failure via the protocol error
-taxonomy — ``overloaded`` arrives as
+the most faithful local exception for a remote failure via the
+protocol error taxonomy — ``overloaded`` arrives as
 :class:`~repro.serve.service.ServiceOverloadedError`, ``deadline`` as
 :class:`~repro.serve.service.DeadlineExceededError`, ``data_loss`` as
 :class:`~repro.storage.archive.DataLossError`, and so on — instead of
@@ -42,34 +44,30 @@ from .protocol import (
     BlockListRequest,
     BlockMapResponse,
     BlockPutRequest,
-    ClusterGetRequest,
     ClusterJoinRequest,
     ClusterLeaveRequest,
-    ClusterMetricsRequest,
-    ClusterPutRequest,
-    ClusterRepairRequest,
     ClusterRepairStatusRequest,
     ClusterSnapshotRequest,
-    ClusterStatusRequest,
     ErrorResponse,
     FetchStripeRequest,
     GetRequest,
     KeyListResponse,
     MetricsRequest,
+    MetricsResponse,
+    MetricsSnapshotRequest,
     MetricsSnapshotResponse,
     NodeAdminRequest,
-    NodeStatsRequest,
     ObjectInfoResponse,
     PingRequest,
+    PongResponse,
     ProtocolError,
+    PutRequest,
+    RepairRequest,
     Request,
     Response,
-    SitesGetRequest,
-    SitesMetricsRequest,
-    SitesPutRequest,
-    SitesRepairRequest,
-    SitesStatusRequest,
     StatsRequest,
+    StatsResponse,
+    StatusRequest,
     StatusResponse,
     StripeBlocksResponse,
     encode_request,
@@ -77,12 +75,7 @@ from .protocol import (
     payload_size,
 )
 
-__all__ = [
-    "ClusterClient",
-    "ProtocolClient",
-    "ReconstructClient",
-    "SitesClient",
-]
+__all__ = ["ArchiveClient", "ClusterClient", "ProtocolClient"]
 
 
 class ProtocolClient:
@@ -217,11 +210,12 @@ class ProtocolClient:
 
     def ping(self) -> bool:
         response, _ = self.call(PingRequest())
-        return getattr(response, "pong", False)
+        return self._expect(response, PongResponse).pong
 
     def metrics(self) -> str:
+        """The endpoint's metrics snapshot as Prometheus text."""
         response, _ = self.call(MetricsRequest())
-        return response.metrics
+        return self._expect(response, MetricsResponse).metrics
 
     @staticmethod
     def _expect(response: Response, cls: type) -> Any:
@@ -233,53 +227,61 @@ class ProtocolClient:
         return response
 
 
-class ReconstructClient(ProtocolClient):
-    """Typed client for the single-process reconstruction frontend."""
+class ArchiveClient(ProtocolClient):
+    """Typed client for the archive-service ops, whatever tier answers.
 
-    def get(
-        self, name: str, *, deadline: float | None = None
-    ) -> ObjectInfoResponse:
-        """Reconstruct ``name``; returns its size/digest record."""
-        response, _ = self.call(GetRequest(name=name, deadline=deadline))
-        return self._expect(response, ObjectInfoResponse)
-
-    def stats(self) -> dict[str, Any]:
-        response, _ = self.call(StatsRequest())
-        return response.stats
-
-
-class ClusterClient(ProtocolClient):
-    """Typed client for a cluster coordinator (and its storage nodes).
-
-    The object-level calls (:meth:`put`, :meth:`get`, :meth:`status`,
-    :meth:`repair`, :meth:`join`, :meth:`leave`) target a coordinator;
-    the block-level calls target a storage node directly — the same
-    protocol serves both, so one client class covers both roles.
+    A coordinator and a gateway serve all of them, the reconstruction
+    frontend the read-only ones (``get``, ``stats``), a storage node
+    ``stats`` and the scrape; an op the tier does not implement raises
+    ``RemoteError(code="unknown_op")``.
     """
 
-    # -- coordinator object plane --------------------------------------
-
     def put(self, name: str, payload: bytes) -> dict[str, Any]:
-        response, _ = self.call(
-            ClusterPutRequest(name=name, payload=payload)
-        )
+        response, _ = self.call(PutRequest(name=name, payload=payload))
         return self._expect(response, AckResponse).info
 
     def get(
-        self, name: str, *, want_payload: bool = False
+        self,
+        name: str,
+        *,
+        want_payload: bool = False,
+        deadline: float | None = None,
     ) -> ObjectInfoResponse:
+        """Reconstruct ``name``; size + digest, the bytes on request."""
         response, _ = self.call(
-            ClusterGetRequest(name=name, want_payload=want_payload)
+            GetRequest(
+                name=name, want_payload=want_payload, deadline=deadline
+            )
         )
         return self._expect(response, ObjectInfoResponse)
 
     def status(self) -> dict[str, Any]:
-        response, _ = self.call(ClusterStatusRequest())
+        response, _ = self.call(StatusRequest())
         return self._expect(response, StatusResponse).status
 
     def repair(self, mode: str = "drain") -> dict[str, Any]:
-        response, _ = self.call(ClusterRepairRequest(mode=mode))
+        response, _ = self.call(RepairRequest(mode=mode))
         return self._expect(response, AckResponse).info
+
+    def metrics_snapshot(self) -> MetricsSnapshotResponse:
+        """Structured registry snapshot (the scrape plane)."""
+        response, _ = self.call(MetricsSnapshotRequest())
+        return self._expect(response, MetricsSnapshotResponse)
+
+    def stats(self) -> dict[str, Any]:
+        response, _ = self.call(StatsRequest())
+        return self._expect(response, StatsResponse).stats
+
+
+class ClusterClient(ArchiveClient):
+    """:class:`ArchiveClient` plus the cluster's own calls.
+
+    The admin calls (:meth:`join`, :meth:`leave`, :meth:`snapshot`,
+    :meth:`repair_status`, :meth:`fetch_stripe`) target a coordinator,
+    the block-level calls a storage node — one protocol, one class.
+    """
+
+    # -- coordinator admin plane ---------------------------------------
 
     def repair_status(self) -> dict[str, Any]:
         response, _ = self.call(ClusterRepairStatusRequest())
@@ -339,10 +341,6 @@ class ClusterClient(ProtocolClient):
         response, _ = self.call(BlockListRequest(prefix=prefix))
         return self._expect(response, KeyListResponse).keys
 
-    def node_stats(self) -> dict[str, Any]:
-        response, _ = self.call(NodeStatsRequest())
-        return response.stats
-
     def node_admin(
         self, action: str, *, delay_seconds: float | None = None
     ) -> dict[str, Any]:
@@ -350,39 +348,3 @@ class ClusterClient(ProtocolClient):
             NodeAdminRequest(action=action, delay_seconds=delay_seconds)
         )
         return self._expect(response, AckResponse).info
-
-    def metrics_snapshot(self) -> MetricsSnapshotResponse:
-        """Structured registry snapshot (coordinator or node scrape)."""
-        response, _ = self.call(ClusterMetricsRequest())
-        return self._expect(response, MetricsSnapshotResponse)
-
-
-class SitesClient(ProtocolClient):
-    """Typed client for a federation gateway (``sites.*`` ops)."""
-
-    def put(self, name: str, payload: bytes) -> dict[str, Any]:
-        response, _ = self.call(
-            SitesPutRequest(name=name, payload=payload)
-        )
-        return self._expect(response, AckResponse).info
-
-    def get(
-        self, name: str, *, want_payload: bool = False
-    ) -> ObjectInfoResponse:
-        response, _ = self.call(
-            SitesGetRequest(name=name, want_payload=want_payload)
-        )
-        return self._expect(response, ObjectInfoResponse)
-
-    def status(self) -> dict[str, Any]:
-        response, _ = self.call(SitesStatusRequest())
-        return self._expect(response, StatusResponse).status
-
-    def repair(self, mode: str = "drain") -> dict[str, Any]:
-        response, _ = self.call(SitesRepairRequest(mode=mode))
-        return self._expect(response, AckResponse).info
-
-    def metrics_snapshot(self) -> MetricsSnapshotResponse:
-        """Structured registry snapshot (gateway scrape)."""
-        response, _ = self.call(SitesMetricsRequest())
-        return self._expect(response, MetricsSnapshotResponse)

@@ -1,30 +1,32 @@
 """Line-oriented JSON front end for the reconstruction service.
 
 ``repro serve`` binds this to a TCP port: one JSON object per line in,
-one per line out, framed by :mod:`repro.serve.protocol` (version 2;
-none of this endpoint's frames carries a raw payload, so a frame is
-exactly its header line).  Operations::
+one per line out, framed by :mod:`repro.serve.protocol` (version 3;
+unless a ``get`` asks for the payload no frame here carries raw bytes,
+so a frame is exactly its header line).  The read half of the
+archive-service op family (``docs/SERVE.md`` has the whole table)::
 
-    {"v": 2, "op": "get", "name": "object-000"}
-        -> {"v": 2, "ok": true, "kind": "object", "size": N,
+    {"v": 3, "op": "get", "name": "object-000"}
+        -> {"v": 3, "ok": true, "kind": "object", "size": N,
             "sha256": "..."}
-    {"v": 2, "op": "get", "name": "...", "deadline": 0.5}
-    {"v": 2, "op": "stats"}    -> {..., "stats": {...}}
-    {"v": 2, "op": "metrics"}  -> {..., "metrics": "..."}
-    {"v": 2, "op": "ping"}     -> {..., "pong": true}
+    {"v": 3, "op": "get", "name": "...", "deadline": 0.5}
+    {"v": 3, "op": "stats"}    -> {..., "stats": {...}}
+    {"v": 3, "op": "metrics"}  -> {..., "metrics": "..."}
+    {"v": 3, "op": "ping"}     -> {..., "pong": true}
 
 ``metrics`` returns the service's registry snapshot rendered in the
 Prometheus text exposition format (see :mod:`repro.obs.prom`), so a
 scraper can poll the same port clients use.
 
-Responses to ``get`` carry the object's size and SHA-256 rather than
-the payload itself — the simulated archive serves integrity-checkable
-reconstructions, not bulk bytes, and keeping responses one short line
-makes the protocol trivially scriptable.  Errors are structured and
-explicit, mirroring the service's no-silent-drops contract, with the
-protocol module's stable ``code`` taxonomy::
+Responses to ``get`` carry the object's size and SHA-256; the payload
+itself follows only when the request sets ``want_payload`` — the
+simulated archive serves integrity-checkable reconstructions, and a
+reply that is one short line keeps the protocol trivially scriptable.
+Errors are structured and explicit, mirroring the service's
+no-silent-drops contract, with the protocol module's stable ``code``
+taxonomy::
 
-    {"v": 2, "ok": false, "kind": "error", "code": "overloaded",
+    {"v": 3, "ok": false, "kind": "error", "code": "overloaded",
      "error": "ServiceOverloadedError", "message": "..."}
 
 Requests on one connection are handled concurrently (a slow
@@ -40,57 +42,41 @@ from __future__ import annotations
 import asyncio
 import hashlib
 
-from ..obs.prom import render_prometheus
-from ..obs.trace import use_context
-from .lineserver import start_line_server
-from .protocol import (
-    Envelope,
-    GetRequest,
-    MetricsRequest,
-    MetricsResponse,
-    ObjectInfoResponse,
-    PingRequest,
-    PongResponse,
-    ProtocolError,
-    Request,
-    Response,
-    StatsRequest,
-    StatsResponse,
-)
+from .lineserver import ArchiveEndpoint, start_line_server
+from .protocol import ObjectInfoResponse
 from .service import ReconstructionService
 
 __all__ = ["start_frontend"]
 
 
-async def handle_request(
-    service: ReconstructionService, request: Request, envelope: Envelope
-) -> Response:
-    """Dispatch one typed frontend request against the service."""
-    if isinstance(request, PingRequest):
-        return PongResponse()
-    if isinstance(request, StatsRequest):
-        return StatsResponse(stats=service.stats())
-    if isinstance(request, MetricsRequest):
-        return MetricsResponse(
-            metrics=render_prometheus(service.metrics.snapshot())
-        )
-    if isinstance(request, GetRequest):
-        # A remote trace context makes the request span (and the whole
-        # batch/decode tree under it) a child of the caller's span.
-        with use_context(envelope.trace):
-            future = service.try_submit(
-                request.name, deadline=request.deadline
-            )
-        data = await future
+class _ServedArchive:
+    """A :class:`ReconstructionService` as an archive-service tier.
+
+    Read-only: it has no ``put`` / ``status`` / ``repair``, so the
+    endpoint answers those ``unknown_op``.
+    """
+
+    def __init__(self, service: ReconstructionService):
+        self.stats = service.stats
+        self.metrics_snapshot = service.metrics.snapshot
+        self._submit = service.try_submit
+
+    async def get(
+        self,
+        name: str,
+        *,
+        want_payload: bool = False,
+        deadline: float | None = None,
+    ) -> ObjectInfoResponse:
+        # Submitted under the caller's trace context, so the request
+        # span (and the batch/decode tree under it) parents there.
+        data = await self._submit(name, deadline=deadline)
         return ObjectInfoResponse(
-            name=request.name,
+            name=name,
             size=len(data),
             sha256=hashlib.sha256(data).hexdigest(),
+            payload=data if want_payload else None,
         )
-    raise ProtocolError(
-        f"op {request.op!r} is not served by this endpoint",
-        code="unknown_op",
-    )
 
 
 async def start_frontend(
@@ -103,8 +89,5 @@ async def start_frontend(
     The caller owns both life cycles: close the returned server, then
     drain/close the service.
     """
-
-    async def handler(request: Request, envelope: Envelope) -> Response:
-        return await handle_request(service, request, envelope)
-
-    return await start_line_server(handler, host, port)
+    endpoint = ArchiveEndpoint(_ServedArchive(service), "frontend")
+    return await start_line_server(endpoint, host, port)

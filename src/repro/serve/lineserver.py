@@ -23,26 +23,58 @@ Two properties matter:
   sender's ``id``, and the connection stays up.  Only a frame whose end
   cannot be found (header line over the stream limit, declared payload
   over the cap) is answered and then hung up on.
+
+The archive-service contract is dispatched here too, once:
+:class:`ArchiveEndpoint` is the handler of every tier.  Whatever object
+exposes ``put(name, payload)``, ``get(name, want_payload=, deadline=)``,
+``status()``, ``repair(mode)``, ``metrics_snapshot()`` or ``stats()``
+gets the matching rows of the one table (plus ``ping``, and ``metrics``
+as the Prometheus rendering of the snapshot); a tier adds only the
+rows that are its own (``cluster.join``, ``block.*``, ...).
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Awaitable, Callable
+from contextlib import nullcontext
+from typing import Any, Awaitable, Callable, Mapping
 
+from ..obs.prom import render_prometheus
+from ..obs.trace import trace_span, use_context
+from .errors import DeadlineExceededError
 from .protocol import (
     MAX_LINE_BYTES,
+    AckResponse,
     Envelope,
     ErrorResponse,
+    GetRequest,
+    MetricsRequest,
+    MetricsResponse,
+    MetricsSnapshotRequest,
+    MetricsSnapshotResponse,
+    PingRequest,
+    PongResponse,
     ProtocolError,
+    PutRequest,
+    RepairRequest,
     Request,
     Response,
+    StatsRequest,
+    StatsResponse,
+    StatusRequest,
+    StatusResponse,
     encode_frame,
     parse_request,
     payload_size,
 )
 
-__all__ = ["Handler", "read_frame", "start_line_server"]
+__all__ = [
+    "ArchiveEndpoint",
+    "Handler",
+    "read_frame",
+    "start_line_server",
+    "within_deadline",
+]
 
 # A handler maps one typed request to a typed response, optionally with
 # extra envelope fields to merge into the reply frame (e.g. shipped
@@ -173,3 +205,127 @@ async def start_line_server(
     return await asyncio.start_server(
         handle_connection, host, port, limit=MAX_LINE_BYTES
     )
+
+
+# ----------------------------------------------------------------------
+# The archive-service contract: one dispatch table for every tier
+# ----------------------------------------------------------------------
+
+
+async def within_deadline(read: Awaitable[Any], deadline: float | None) -> Any:
+    """Await ``read``, abandoning it after ``deadline`` seconds with the
+    :class:`DeadlineExceededError` a queueing tier raises — how a tier
+    whose reads are not queued honours ``get(deadline=)``."""
+    if deadline is None:
+        return await read
+    try:
+        return await asyncio.wait_for(read, deadline)
+    except asyncio.TimeoutError:
+        raise DeadlineExceededError(
+            f"read not finished within its {deadline}s deadline"
+        ) from None
+
+
+class ArchiveEndpoint:
+    """The :data:`Handler` of one tier: shared rows plus the tier's own.
+
+    A row is ``async (endpoint, request) -> Response``.  ``role`` names
+    the tier in ``metrics.snapshot`` replies and ``unknown_op``
+    refusals, ``source`` the process within the role (a node's id; the
+    role itself where there is one process).  ``spans`` is the family
+    the object-op spans are minted under (``cluster.put``,
+    ``sites.get``, ...); ``None`` for a tier that traces its own
+    requests.  Every row runs under the caller's shipped trace context.
+    """
+
+    def __init__(
+        self,
+        service: Any,
+        role: str,
+        *,
+        source: str | None = None,
+        spans: str | None = None,
+        extra: Mapping[type[Request], Callable] | None = None,
+    ):
+        self.service = service
+        self.role = role
+        self.source = source or role
+        self.spans = spans
+        self.rows: dict[type[Request], Callable] = {
+            cls: row
+            for cls, (method, row) in SHARED_ROWS.items()
+            if method is None or hasattr(service, method)
+        }
+        self.rows.update(extra or {})
+
+    async def __call__(self, request: Request, envelope: Envelope) -> Response:
+        row = self.rows.get(type(request))
+        if row is None:
+            raise ProtocolError(
+                f"op {request.op!r} is not served by the {self.role}",
+                code="unknown_op",
+            )
+        with use_context(envelope.trace):
+            return await row(self, request)
+
+    def span(self, op: str, **tags: Any):
+        if self.spans is None:
+            return nullcontext()
+        return trace_span(f"{self.spans}.{op}", **tags)
+
+    # -- the shared rows -----------------------------------------------
+
+    async def _ping(self, request: PingRequest):
+        return PongResponse()
+
+    async def _metrics(self, request: MetricsRequest):
+        snapshot = self.service.metrics_snapshot()
+        return MetricsResponse(metrics=render_prometheus(snapshot))
+
+    async def _metrics_snapshot(self, request: MetricsSnapshotRequest):
+        return MetricsSnapshotResponse(
+            role=self.role,
+            source=self.source,
+            snapshot=self.service.metrics_snapshot(),
+        )
+
+    async def _stats(self, request: StatsRequest):
+        return StatsResponse(stats=self.service.stats())
+
+    async def _put(self, request: PutRequest):
+        with self.span("put", object=request.name):
+            info = await self.service.put(request.name, request.payload)
+        return AckResponse(info=info)
+
+    async def _get(self, request: GetRequest):
+        with self.span("get", object=request.name):
+            return await self.service.get(
+                request.name,
+                want_payload=request.want_payload,
+                deadline=request.deadline,
+            )
+
+    async def _status(self, request: StatusRequest):
+        return StatusResponse(status=await self.service.status())
+
+    async def _repair(self, request: RepairRequest):
+        with self.span("repair", mode=request.mode):
+            info = await self.service.repair(mode=request.mode)
+        return AckResponse(info=info)
+
+
+# Request type -> (the service method its row needs, the row).  A tier
+# serves exactly the rows whose method its service object has.
+SHARED_ROWS: dict[type[Request], tuple[str | None, Callable]] = {
+    PingRequest: (None, ArchiveEndpoint._ping),
+    MetricsRequest: ("metrics_snapshot", ArchiveEndpoint._metrics),
+    MetricsSnapshotRequest: (
+        "metrics_snapshot",
+        ArchiveEndpoint._metrics_snapshot,
+    ),
+    StatsRequest: ("stats", ArchiveEndpoint._stats),
+    PutRequest: ("put", ArchiveEndpoint._put),
+    GetRequest: ("get", ArchiveEndpoint._get),
+    StatusRequest: ("status", ArchiveEndpoint._status),
+    RepairRequest: ("repair", ArchiveEndpoint._repair),
+}

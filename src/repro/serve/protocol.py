@@ -21,7 +21,12 @@ typing, versioning, and the error taxonomy live here once:
   the typed fields claim at parse time (short, over-long or unclaimed
   bytes are a :class:`ProtocolError`); a header line is at most
   :data:`MAX_LINE_BYTES`, the stream limit of every speaker.
-* **Versioning** — every frame carries ``"v": 2``.  Anything else (no
+* **One archive-service op family** — ``put`` / ``get`` / ``status`` /
+  ``repair`` / ``metrics.snapshot`` / ``stats`` / ``ping`` / ``metrics``
+  mean the same on a frontend, a coordinator, a gateway and a node
+  (each serves the ones it implements); only tier-specific ops
+  (``cluster.*``, ``block.*``, ``node.admin``) carry a prefix.
+* **Versioning** — every frame carries ``"v": 3``.  Anything else (no
   ``v``, an older or a newer one) is refused with
   ``unsupported_version``, carrying the offender's ``id``.
 * **Error taxonomy** — :func:`error_code` maps every exception a
@@ -70,29 +75,22 @@ __all__ = [
     "PingRequest",
     "StatsRequest",
     "MetricsRequest",
-    "ClusterMetricsRequest",
-    "SitesMetricsRequest",
+    "MetricsSnapshotRequest",
+    "PutRequest",
     "GetRequest",
+    "StatusRequest",
+    "RepairRequest",
     "BlockPutRequest",
     "BlockGetRequest",
     "BlockFetchRequest",
     "BlockDeleteRequest",
     "BlockListRequest",
-    "NodeStatsRequest",
     "NodeAdminRequest",
-    "ClusterPutRequest",
-    "ClusterGetRequest",
-    "ClusterStatusRequest",
-    "ClusterRepairRequest",
     "ClusterRepairStatusRequest",
     "ClusterSnapshotRequest",
     "ClusterJoinRequest",
     "ClusterLeaveRequest",
     "FetchStripeRequest",
-    "SitesPutRequest",
-    "SitesGetRequest",
-    "SitesStatusRequest",
-    "SitesRepairRequest",
     "PongResponse",
     "StripeBlocksResponse",
     "StatsResponse",
@@ -115,7 +113,7 @@ __all__ = [
     "payload_size",
 ]
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 # Longest header line: the asyncio stream limit of the line server and
 # of every client connection.  Bounds a ``block.list`` reply (~10^5
@@ -489,31 +487,75 @@ class MetricsRequest(Request):
 
 
 @_request
-class ClusterMetricsRequest(Request):
-    """Raw registry snapshot from a cluster process (scrape plane).
+class MetricsSnapshotRequest(Request):
+    """Raw registry snapshot of the answering process (scrape plane).
 
-    Unlike the legacy ``metrics`` op (rendered Prometheus text, kept
-    for the frontend), this returns the structured snapshot so a
-    fleet scraper can merge counters/histograms across processes.
+    ``metrics`` answers with the same snapshot rendered as Prometheus
+    text; this returns it structured, so a fleet scraper can merge
+    counters/histograms across processes.
     """
 
-    op: ClassVar[str] = "cluster.metrics"
+    op: ClassVar[str] = "metrics.snapshot"
 
 
 @_request
-class SitesMetricsRequest(Request):
-    op: ClassVar[str] = "sites.metrics"
+class PutRequest(Request):
+    """Store an object (a coordinator stripes it; a gateway replicates
+    it to every site by forwarding this same request)."""
+
+    op: ClassVar[str] = "put"
+    name: str = ""
+    payload: bytes = b""
+
+    _required = ("name",)
 
 
 @_request
 class GetRequest(Request):
-    """Reconstruct one archived object (frontend) or cluster object."""
+    """Reconstruct one object.
+
+    The reply carries size + SHA-256, and the bytes only when
+    ``want_payload``; ``deadline`` (seconds) bounds the read on tiers
+    that queue it.
+    """
 
     op: ClassVar[str] = "get"
     name: str = ""
+    want_payload: bool = False
     deadline: float | None = None
 
     _required = ("name",)
+
+
+@_request
+class StatusRequest(Request):
+    """The tier's view of itself and its members (nodes or sites)."""
+
+    op: ClassVar[str] = "status"
+
+
+@_request
+class RepairRequest(Request):
+    """Run the repair scheduler (a gateway: every site's, then
+    cross-site re-injection).
+
+    ``mode`` selects how much work one call does: ``drain`` (default)
+    scans and runs budgeted cycles until the queue empties, ``cycle``
+    runs exactly one bytes-budgeted cycle over the existing queue, and
+    ``scan`` only refreshes the queue from scrub telemetry without
+    moving a byte.
+    """
+
+    op: ClassVar[str] = "repair"
+    mode: str = "drain"
+
+    _MODES: ClassVar[tuple[str, ...]] = ("drain", "cycle", "scan")
+
+    def __post_init__(self) -> None:
+        if self.mode not in self._MODES:
+            raise ProtocolError(
+                f"'repair' mode must be one of {self._MODES}"
+            )
 
 
 @_request
@@ -556,11 +598,6 @@ class BlockListRequest(Request):
 
 
 @_request
-class NodeStatsRequest(Request):
-    op: ClassVar[str] = "node.stats"
-
-
-@_request
 class NodeAdminRequest(Request):
     """Storage-node fault control.
 
@@ -591,52 +628,6 @@ class NodeAdminRequest(Request):
         if self.delay_seconds is not None and self.delay_seconds < 0:
             raise ProtocolError(
                 "'node.admin' delay_seconds must be non-negative"
-            )
-
-
-@_request
-class ClusterPutRequest(Request):
-    op: ClassVar[str] = "cluster.put"
-    name: str = ""
-    payload: bytes = b""
-
-    _required = ("name",)
-
-
-@_request
-class ClusterGetRequest(Request):
-    op: ClassVar[str] = "cluster.get"
-    name: str = ""
-    want_payload: bool = False
-
-    _required = ("name",)
-
-
-@_request
-class ClusterStatusRequest(Request):
-    op: ClassVar[str] = "cluster.status"
-
-
-@_request
-class ClusterRepairRequest(Request):
-    """Run the repair scheduler.
-
-    ``mode`` selects how much work one call does: ``drain`` (default)
-    scans and runs budgeted cycles until the queue empties, ``cycle``
-    runs exactly one bytes-budgeted cycle over the existing queue, and
-    ``scan`` only refreshes the queue from scrub telemetry without
-    moving a byte.
-    """
-
-    op: ClassVar[str] = "cluster.repair"
-    mode: str = "drain"
-
-    _MODES: ClassVar[tuple[str, ...]] = ("drain", "cycle", "scan")
-
-    def __post_init__(self) -> None:
-        if self.mode not in self._MODES:
-            raise ProtocolError(
-                f"'cluster.repair' mode must be one of {self._MODES}"
             )
 
 
@@ -699,51 +690,6 @@ class FetchStripeRequest(Request):
         if self.seq < 0:
             raise ProtocolError(
                 "'cluster.fetch_stripe' seq must be non-negative"
-            )
-
-
-@_request
-class SitesPutRequest(Request):
-    """Store an object through the federation gateway (all sites)."""
-
-    op: ClassVar[str] = "sites.put"
-    name: str = ""
-    payload: bytes = b""
-
-    _required = ("name",)
-
-
-@_request
-class SitesGetRequest(Request):
-    """WAN-cost-aware federated read (local → remote → coupled)."""
-
-    op: ClassVar[str] = "sites.get"
-    name: str = ""
-    want_payload: bool = False
-
-    _required = ("name",)
-
-
-@_request
-class SitesStatusRequest(Request):
-    """Federation-wide view: per-site status + WAN traffic meters."""
-
-    op: ClassVar[str] = "sites.status"
-
-
-@_request
-class SitesRepairRequest(Request):
-    """Run every site's repair scheduler plus cross-site re-injection."""
-
-    op: ClassVar[str] = "sites.repair"
-    mode: str = "drain"
-
-    _MODES: ClassVar[tuple[str, ...]] = ("drain", "cycle", "scan")
-
-    def __post_init__(self) -> None:
-        if self.mode not in self._MODES:
-            raise ProtocolError(
-                f"'sites.repair' mode must be one of {self._MODES}"
             )
 
 

@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..cluster.fleet import Fleet, ScenarioReport
+from ..cluster.fleet import Fleet, ScenarioReport, option
 from ..obs.seeding import SeedLike, derive_seed, resolve_rng
 from ..obs.trace import trace_span
 from ..reliability.hazards import FleetHazards, WeibullHazard
@@ -54,20 +54,28 @@ class SitesCampaignConfig:
     objects: int = 3
     object_size: int = 4096
     block_size: int = 512
-    steps: int = 6
+    steps: int = option(6, "campaign steps, one model year each (default 6)")
     reads_per_step: int = 2
     seed: SeedLike = 0
     # Per-device hazard process (one campaign step = one model year).
-    afr: float = 0.25
-    shape: float = 3.0
-    infant_mortality: float = 0.15
+    afr: float = option(0.25, "per-device annual failure rate (default 0.25)")
+    shape: float = option(3.0, "Weibull wear-out shape (default 3.0)")
+    infant_mortality: float = option(
+        0.15, "probability a replacement is an infant unit"
+    )
     # Whole-site outage process.
-    site_blackout_rate: float = 0.25
+    site_blackout_rate: float = option(
+        0.25,
+        "per-site-step whole-site outage probability",
+        flag="blackout_rate",
+    )
     mean_outage_steps: float = 1.5
-    max_concurrent: int = 1
-    repair_every: int = 2
+    max_concurrent: int = option(
+        1, "simultaneous dark sites allowed (default 1)"
+    )
+    repair_every: int = option(2, "gateway repair cycle cadence in steps")
     rpc_timeout: float = 5.0
-    repair_wan_budget: int | None = None
+    repair_wan_budget: int | None = option(None, metavar="BYTES")
     work_dir: str | None = None
     trace_dir: str | None = None
 

@@ -37,7 +37,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..cluster.fleet import Cell, Fleet, ScenarioReport
+from ..cluster.fleet import Cell, Fleet, ScenarioReport, option
 from ..obs.seeding import SeedLike, derive_seed, resolve_rng
 from ..obs.trace import trace_span
 from ..storage.blockstore import parse_block_key
@@ -51,23 +51,42 @@ __all__ = ["SitesLoadConfig", "SitesLoadReport", "run_sites_loadgen"]
 class SitesLoadConfig:
     """Shape of one multi-process federation exercise."""
 
-    sites: int = 2
+    sites: int = option(2, "federated sites (default 2)")
     nodes_per_site: int = 3
     objects: int = 4
     object_size: int = 4096
     block_size: int = 512
     reads_per_phase: int = 8
-    rate: float = 60.0
+    rate: float = option(60.0, "open-loop arrival rate, req/s (default 60)")
     seed: SeedLike = 0
-    blackout: bool = True
-    coupled_demo: bool = True
-    site_max_size: int = 6  # selection bound; 6 keeps startup fast
-    curve_samples: int = 100
+    blackout: bool = option(True, "skip the mid-run full-site blackout")
+    coupled_demo: bool = option(
+        True, "skip the staged coupled-decode demonstration"
+    )
+    # The selection bound; 6 keeps startup fast.
+    site_max_size: int = option(
+        6, "per-site erasure bound for graph selection (default 6)"
+    )
+    curve_samples: int = option(
+        100, "failure-curve samples per pairing (default 100)"
+    )
     rpc_timeout: float = 5.0
-    repair_wan_budget: int | None = None
-    work_dir: str | None = None  # manifest + WALs (default: temp dir)
-    trace_dir: str | None = None
-    obs_dir: str | None = None  # fleet telemetry timeline lands here
+    repair_wan_budget: int | None = option(None, metavar="BYTES")
+    work_dir: str | None = option(
+        None,
+        "manifest + per-site WAL directory "
+        "(default: private temp dir, removed afterwards)",
+    )
+    trace_dir: str | None = option(
+        None,
+        "directory for per-process trace files "
+        "(gateway.jsonl, site-N-coordinator.jsonl, ...)",
+    )
+    obs_dir: str | None = option(
+        None,
+        "scrape the federation at phase boundaries and write a "
+        "telemetry timeline (timeline.jsonl) to this directory",
+    )
 
     def __post_init__(self) -> None:
         if self.sites < 2:

@@ -3,8 +3,9 @@
 The gateway is the federation's object plane.  Each *site* is a whole
 :mod:`repro.cluster` deployment — its own coordinator, storage nodes,
 and WAL — deployed with the catalog graph the federation manifest
-assigned it (:mod:`repro.sites.manifest`).  ``sites.put`` replicates
-an object to every site; ``sites.get`` walks a priced read ladder:
+assigned it (:mod:`repro.sites.manifest`).  The gateway serves the same
+archive-service ops a coordinator does, by forwarding them: ``put``
+replicates an object to every site; ``get`` walks a priced read ladder:
 
 1. **local** — the object's home site (weighted consistent hashing
    over site ids) reconstructs it; zero WAN bytes;
@@ -26,7 +27,7 @@ attributes it to the shipping site, and put-time replication is
 metered separately as ``sites.replicate.bytes`` (replication is the
 steady state; WAN read/repair traffic is the anomaly signal).
 
-``sites.repair`` makes "remote blocks vs local reconstruction" a
+``repair`` makes "remote blocks vs local reconstruction" a
 priced decision: every site first runs its own budgeted
 :class:`~repro.cluster.scheduler.RepairScheduler` (local
 reconstruction, free); only objects a site still cannot decode are
@@ -45,43 +46,33 @@ import numpy as np
 
 from ..cluster.coordinator import DEFAULT_RETRY, NodeDownError, link_rpc
 from ..cluster.ring import HashRing
-from ..obs.prom import render_prometheus
 from ..obs.registry import registry
-from ..obs.trace import trace_span, use_context
+from ..obs.trace import trace_span
 from ..resilience.retry import RetryPolicy
-from ..serve.lineserver import start_line_server
+from ..serve.lineserver import (
+    ArchiveEndpoint,
+    start_line_server,
+    within_deadline,
+)
 from ..serve.link import PipelinedLink
 from ..serve.plancache import PlanCache
 from ..serve.protocol import (
-    AckResponse,
-    ClusterGetRequest,
-    ClusterPutRequest,
-    ClusterRepairRequest,
-    ClusterStatusRequest,
-    Envelope,
     FetchStripeRequest,
-    MetricsRequest,
-    MetricsResponse,
-    MetricsSnapshotResponse,
+    GetRequest,
     ObjectInfoResponse,
-    PingRequest,
-    PongResponse,
-    ProtocolError,
+    PutRequest,
     RemoteError,
+    RepairRequest,
     Request,
     Response,
-    SitesGetRequest,
-    SitesMetricsRequest,
-    SitesPutRequest,
-    SitesRepairRequest,
-    SitesStatusRequest,
-    StatusResponse,
+    StatusRequest,
 )
 from ..storage.archive import DataLossError
 from ..storage.device import TransientUnavailableError
 from .manifest import FederationManifest
 
 __all__ = ["FederationGateway", "SiteDownError", "SiteLink", "start_gateway"]
+
 
 class SiteDownError(NodeDownError):
     """A whole site's coordinator could not be reached."""
@@ -236,7 +227,7 @@ class FederationGateway:
             try:
                 await self._rpc(
                     self._link(site_id),
-                    ClusterPutRequest(name=name, payload=payload),
+                    PutRequest(name=name, payload=payload),
                 )
                 return True
             except (SiteDownError, TransientUnavailableError):
@@ -272,16 +263,29 @@ class FederationGateway:
         }
 
     async def get(
-        self, name: str, *, want_payload: bool = False
+        self,
+        name: str,
+        *,
+        want_payload: bool = False,
+        deadline: float | None = None,
     ) -> ObjectInfoResponse:
-        """Walk the read ladder: local, remote, coupled."""
+        """Walk the read ladder: local, remote, coupled.
+
+        ``deadline`` (seconds) abandons the walk with
+        :class:`~repro.serve.errors.DeadlineExceededError`.
+        """
+        return await within_deadline(
+            self._get(name, want_payload), deadline
+        )
+
+    async def _get(self, name: str, want_payload: bool) -> ObjectInfoResponse:
         order = self._site_order(name)
         home = order[0]
         # Rung 1: the home site, zero WAN bytes.
         try:
             response = await self._rpc(
                 self._link(home),
-                ClusterGetRequest(name=name, want_payload=want_payload),
+                GetRequest(name=name, want_payload=want_payload),
             )
             self.reads["local"] += 1
             registry().counter("sites.get.local").inc()
@@ -294,7 +298,7 @@ class FederationGateway:
             try:
                 response = await self._rpc(
                     self._link(site_id),
-                    ClusterGetRequest(name=name, want_payload=True),
+                    GetRequest(name=name, want_payload=True),
                 )
             except Exception as exc:
                 if not _rung_failure(exc):
@@ -453,7 +457,7 @@ class FederationGateway:
             try:
                 response = await self._rpc(
                     self._link(site_id),
-                    ClusterRepairRequest(mode=mode),
+                    RepairRequest(mode=mode),
                 )
                 per_site[site_id] = response.info
             except (SiteDownError, TransientUnavailableError) as exc:
@@ -494,7 +498,7 @@ class FederationGateway:
         """True iff the site is up but cannot serve the object."""
         try:
             await self._rpc(
-                self._link(site_id), ClusterGetRequest(name=name)
+                self._link(site_id), GetRequest(name=name)
             )
             return False
         except (SiteDownError, TransientUnavailableError):
@@ -514,7 +518,7 @@ class FederationGateway:
             try:
                 response = await self._rpc(
                     self._link(source),
-                    ClusterGetRequest(name=name, want_payload=True),
+                    GetRequest(name=name, want_payload=True),
                 )
             except Exception as exc:
                 if not _rung_failure(exc):
@@ -535,7 +539,7 @@ class FederationGateway:
         try:
             await self._rpc(
                 self._link(site_id),
-                ClusterPutRequest(name=name, payload=payload),
+                PutRequest(name=name, payload=payload),
             )
         except (SiteDownError, TransientUnavailableError):
             return False
@@ -591,9 +595,7 @@ class FederationGateway:
             if link is not None:
                 entry["host"], entry["port"] = link.host, link.port
                 try:
-                    response = await self._rpc(
-                        link, ClusterStatusRequest()
-                    )
+                    response = await self._rpc(link, StatusRequest())
                     entry["alive"] = True
                     entry["status"] = response.status
                 except (SiteDownError, TransientUnavailableError):
@@ -614,54 +616,14 @@ class FederationGateway:
         }
 
 
-async def handle_request(
-    gateway: FederationGateway,
-    request: Request,
-    envelope: Envelope,
-) -> Response:
-    """Dispatch one typed gateway request under the caller's trace."""
-    with use_context(envelope.trace):
-        if isinstance(request, PingRequest):
-            return PongResponse()
-        if isinstance(request, MetricsRequest):
-            return MetricsResponse(
-                metrics=render_prometheus(registry().snapshot())
-            )
-        if isinstance(request, SitesMetricsRequest):
-            return MetricsSnapshotResponse(
-                role="gateway",
-                source="gateway",
-                snapshot=gateway.metrics_snapshot(),
-            )
-        if isinstance(request, SitesPutRequest):
-            with trace_span("sites.put", object=request.name):
-                info = await gateway.put(request.name, request.payload)
-            return AckResponse(info=info)
-        if isinstance(request, SitesGetRequest):
-            with trace_span("sites.get", object=request.name):
-                return await gateway.get(
-                    request.name, want_payload=request.want_payload
-                )
-        if isinstance(request, SitesStatusRequest):
-            return StatusResponse(status=await gateway.status())
-        if isinstance(request, SitesRepairRequest):
-            with trace_span("sites.repair", mode=request.mode):
-                info = await gateway.repair(mode=request.mode)
-            return AckResponse(info=info)
-    raise ProtocolError(
-        f"op {request.op!r} is not served by the federation gateway",
-        code="unknown_op",
-    )
-
-
 async def start_gateway(
     gateway: FederationGateway,
     host: str = "127.0.0.1",
     port: int = 0,
 ) -> asyncio.base_events.Server:
-    """Serve the gateway on a TCP port (``port=0`` = ephemeral)."""
+    """Serve the gateway on a TCP port (``port=0`` = ephemeral).
 
-    async def handler(request: Request, envelope: Envelope) -> Response:
-        return await handle_request(gateway, request, envelope)
-
-    return await start_line_server(handler, host, port)
+    Every op it answers is a shared archive-service row; it adds none.
+    """
+    endpoint = ArchiveEndpoint(gateway, "gateway", spans="sites")
+    return await start_line_server(endpoint, host, port)

@@ -347,12 +347,14 @@ class TestMetricsScrapePlane:
                     assert gauges["cluster.objects"] == 1.0
                     assert gauges["cluster.members"] == 3.0
                     assert gauges["cluster.repair.healthy_margin"] >= 1
-                    # The legacy text op is untouched: same render a
-                    # pre-snapshot Prometheus poller always saw.
+                    # The text op renders that same snapshot: what the
+                    # registry holds plus the synthesized gauges.
                     text = client.metrics()
-                    assert text == render_prometheus(
+                    assert text == render_prometheus(snap.snapshot)
+                    for line in render_prometheus(
                         registry().snapshot()
-                    )
+                    ).splitlines():
+                        assert line in text
                     assert "repro_cluster_put_blocks_total 192" in text
 
             await asyncio.to_thread(scrape)

@@ -61,7 +61,7 @@ class TestClusterLoadgenCLI:
         assert code == 0
         tree = capsys.readouterr().out
         assert "orphaned spans: none" in tree
-        assert "client.cluster.get" in tree
+        assert "client.get" in tree
         assert "node.block.fetch" in tree
 
     def test_telemetry_timeline_fires_and_clears(self, tmp_path, capsys):

@@ -13,11 +13,20 @@ from repro.serve.protocol import (
     BlockGetRequest,
     BlockListRequest,
     BlockPutRequest,
-    NodeStatsRequest,
+    Envelope,
+    MetricsSnapshotRequest,
+    MetricsSnapshotResponse,
     PingRequest,
+    StatsRequest,
     encode_request,
 )
 from repro.storage.device import TransientUnavailableError
+
+
+def served(node, request):
+    """One request through the node's endpoint (control plane = the
+    shared archive-service rows; the rest lands in ``node.handle``)."""
+    return asyncio.run(node.endpoint()(request, Envelope()))
 
 
 class TestStorageNodeLogic:
@@ -41,8 +50,8 @@ class TestStorageNodeLogic:
         with pytest.raises(TransientUnavailableError):
             node.handle(BlockGetRequest(key="k"))
         # Control plane answers during the outage.
-        assert node.handle(PingRequest()).pong is True
-        stats = node.handle(NodeStatsRequest()).stats
+        assert served(node, PingRequest()).pong is True
+        stats = served(node, StatsRequest()).stats
         assert stats["available"] is False
         assert stats["outage_remaining"] == 2
         # Stepping through the outage restores availability.
@@ -119,7 +128,7 @@ class TestStorageNodeServer:
                 reader, writer = await asyncio.open_connection(
                     host, port
                 )
-                writer.write(b'{"v": 2, "op": "ping"}\n')
+                writer.write(b'{"v": 3, "op": "ping"}\n')
                 await writer.drain()
                 reply = json.loads(await reader.readline())
                 writer.close()
@@ -136,14 +145,9 @@ class TestStorageNodeServer:
 
 class TestMetricsPlane:
     def test_metrics_snapshot_dispatch(self):
-        from repro.serve.protocol import (
-            ClusterMetricsRequest,
-            MetricsSnapshotResponse,
-        )
-
         node = StorageNode("n7")
-        node.handle(BlockPutRequest(key="a/0/0", data=b"xyzw"))
-        response = node.handle(ClusterMetricsRequest())
+        served(node, BlockPutRequest(key="a/0/0", data=b"xyzw"))
+        response = served(node, MetricsSnapshotRequest())
         assert isinstance(response, MetricsSnapshotResponse)
         assert response.role == "node"
         assert response.source == "n7"
@@ -157,11 +161,9 @@ class TestMetricsPlane:
         # A transiently-unavailable node refuses data-plane ops but
         # still reports itself — that is how the scraper tells a
         # dark process from a merely interrupted device.
-        from repro.serve.protocol import ClusterMetricsRequest
-
         node = StorageNode("n8")
         node.interrupt()
         with pytest.raises(TransientUnavailableError):
-            node.handle(BlockGetRequest(key="a/0/0"))
-        response = node.handle(ClusterMetricsRequest())
+            served(node, BlockGetRequest(key="a/0/0"))
+        response = served(node, MetricsSnapshotRequest())
         assert response.snapshot["gauges"]["node.available"] == 0.0

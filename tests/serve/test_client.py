@@ -7,8 +7,8 @@ import threading
 import pytest
 
 from repro.serve import (
+    ArchiveClient,
     ClusterClient,
-    ReconstructClient,
     ReconstructionService,
     ServeConfig,
     seeded_archive,
@@ -16,7 +16,14 @@ from repro.serve import (
 )
 from repro.cluster import StorageNode, start_storage_node
 from repro.core import tornado_graph
-from repro.serve.protocol import RemoteError
+from repro.obs import FleetScraper, ScrapeTarget
+from repro.serve.lineserver import start_line_server
+from repro.serve.protocol import (
+    AckResponse,
+    PongResponse,
+    ProtocolError,
+    RemoteError,
+)
 from repro.storage.device import TransientUnavailableError
 
 
@@ -75,7 +82,7 @@ def frontend(loop_thread):
 
     service, server = loop_thread.run(setup())
     host, port = server.sockets[0].getsockname()[:2]
-    client = ReconstructClient(host, port)
+    client = ArchiveClient(host, port)
     yield client, expected
 
     async def teardown():
@@ -103,7 +110,7 @@ def node_endpoint(loop_thread):
     server.close()
 
 
-class TestReconstructClient:
+class TestFrontendClient:
     def test_get_matches_archive_content(self, frontend):
         client, expected = frontend
         for name, payload in expected.items():
@@ -126,7 +133,7 @@ class TestReconstructClient:
     def test_context_manager_reconnects_per_instance(self, frontend):
         client, expected = frontend
         name = sorted(expected)[0]
-        with ReconstructClient(client.host, client.port) as fresh:
+        with ArchiveClient(client.host, client.port) as fresh:
             assert fresh.get(name).size == len(expected[name])
 
 
@@ -155,7 +162,7 @@ class TestClusterClientBlockPlane:
         client.node_admin("interrupt")
         # Control plane still answers; data plane reports unavailable.
         assert client.ping() is True
-        assert client.node_stats()["available"] is False
+        assert client.stats()["available"] is False
         with pytest.raises(TransientUnavailableError):
             client.block_get("k")
         client.node_admin("restore")
@@ -172,3 +179,53 @@ class TestClusterClientBlockPlane:
         assert excinfo.value.code == "unknown_op"
         # The connection survived the rejection.
         assert client.ping() is True
+
+
+@pytest.fixture
+def wrong_kind_server(loop_thread):
+    """A line server whose every reply is well-formed but of a kind no
+    accessor of the op expects: ``pong`` where an ack is due, else ack."""
+
+    async def handler(request, envelope):
+        if request.op in ("put", "repair"):
+            return PongResponse()
+        return AckResponse(info={})
+
+    server = loop_thread.run(start_line_server(handler, port=0))
+    yield server.sockets[0].getsockname()[:2]
+    server.close()
+
+
+class TestKindCheck:
+    @pytest.mark.parametrize(
+        "accessor",
+        [
+            lambda c: c.ping(),
+            lambda c: c.metrics(),
+            lambda c: c.stats(),
+            lambda c: c.metrics_snapshot(),
+            lambda c: c.put("obj", b"x"),
+            lambda c: c.get("obj"),
+            lambda c: c.status(),
+            lambda c: c.repair(),
+        ],
+        ids=[
+            "ping", "metrics", "stats", "metrics_snapshot",
+            "put", "get", "status", "repair",
+        ],
+    )
+    def test_mismatched_reply_kind_is_a_protocol_error(
+        self, wrong_kind_server, accessor
+    ):
+        with ArchiveClient(*wrong_kind_server) as client:
+            with pytest.raises(ProtocolError, match="expected"):
+                accessor(client)
+
+    def test_scraper_reports_the_same_error_for_its_target(
+        self, wrong_kind_server
+    ):
+        host, port = wrong_kind_server
+        scraper = FleetScraper([ScrapeTarget("node", "n0", host, port)])
+        status = scraper.scrape_once()["targets"]["n0"]
+        assert status["up"] is False
+        assert status["error"].startswith("ProtocolError: server answered")

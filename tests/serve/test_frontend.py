@@ -47,11 +47,11 @@ async def _roundtrip(requests):
 class TestFrontend:
     def test_get_returns_size_and_digest(self):
         names, expected, (reply,) = asyncio.run(
-            _roundtrip([json.dumps({"v": 2, "op": "get", "name": "object-000"}).encode()])
+            _roundtrip([json.dumps({"v": 3, "op": "get", "name": "object-000"}).encode()])
         )
         data = expected["object-000"]
         assert reply == {
-            "v": 2,
+            "v": 3,
             "ok": True,
             "kind": "object",
             "name": "object-000",
@@ -63,17 +63,17 @@ class TestFrontend:
         _, _, replies = asyncio.run(
             _roundtrip(
                 [
-                    json.dumps({"v": 2, "op": "ping"}).encode(),
-                    json.dumps({"v": 2, "op": "stats"}).encode(),
-                    json.dumps({"v": 2, "op": "get", "name": "missing"}).encode(),
-                    json.dumps({"v": 2, "op": "get"}).encode(),
-                    json.dumps({"v": 2, "op": "bogus"}).encode(),
+                    json.dumps({"v": 3, "op": "ping"}).encode(),
+                    json.dumps({"v": 3, "op": "stats"}).encode(),
+                    json.dumps({"v": 3, "op": "get", "name": "missing"}).encode(),
+                    json.dumps({"v": 3, "op": "get"}).encode(),
+                    json.dumps({"v": 3, "op": "bogus"}).encode(),
                     b"not json at all",
                 ]
             )
         )
         ping, stats, missing, nameless, bogus, garbage = replies
-        assert ping == {"v": 2, "ok": True, "kind": "pong", "pong": True}
+        assert ping == {"v": 3, "ok": True, "kind": "pong", "pong": True}
         assert stats["ok"] is True
         assert stats["stats"]["state"] == "running"
         assert "counters" in stats["stats"]
@@ -90,7 +90,7 @@ class TestFrontend:
         names, expected, replies = asyncio.run(
             _roundtrip(
                 [
-                    json.dumps({"v": 2, "op": "get", "name": n}).encode()
+                    json.dumps({"v": 3, "op": "get", "name": n}).encode()
                     for n in ["object-000", "object-001", "object-000"]
                 ]
             )
@@ -105,8 +105,8 @@ class TestFrontend:
         _, _, (get_reply, metrics_reply) = asyncio.run(
             _roundtrip(
                 [
-                    json.dumps({"v": 2, "op": "get", "name": "object-000"}).encode(),
-                    json.dumps({"v": 2, "op": "metrics"}).encode(),
+                    json.dumps({"v": 3, "op": "get", "name": "object-000"}).encode(),
+                    json.dumps({"v": 3, "op": "metrics"}).encode(),
                 ]
             )
         )
@@ -144,7 +144,7 @@ class TestConcurrentWrites:
                     burst = b"".join(
                         json.dumps(
                             {
-                                "v": 2,
+                                "v": 3,
                                 "id": i,
                                 "op": "get",
                                 "name": names[i % len(names)],

@@ -50,7 +50,7 @@ async def midframe_server():
 
     async def handle(reader, writer):
         await reader.readline()
-        writer.write(b'{"v": 2, "kind": "pong", "po')  # no newline
+        writer.write(b'{"v": 3, "kind": "pong", "po')  # no newline
         await writer.drain()
         writer.close()
 
@@ -137,10 +137,10 @@ class TestLineServerMalformedFrames:
             reader, writer = await asyncio.open_connection(host, port)
             # A valid ping, then garbage, then another valid ping —
             # all pipelined on one connection.
-            writer.write(b'{"v": 2, "op": "ping", "id": 1}\n')
+            writer.write(b'{"v": 3, "op": "ping", "id": 1}\n')
             writer.write(b"this is not JSON\n")
-            writer.write(b'{"v": 2, "op": "nonsense.op", "id": 2}\n')
-            writer.write(b'{"v": 2, "op": "ping", "id": 3}\n')
+            writer.write(b'{"v": 3, "op": "nonsense.op", "id": 2}\n')
+            writer.write(b'{"v": 3, "op": "ping", "id": 3}\n')
             await writer.drain()
             frames = [
                 json.loads(await reader.readline()) for _ in range(4)
@@ -201,7 +201,7 @@ class TestCoordinatorRpcDeadlines:
                 request_id = json.loads(line)["id"]
                 writer.write(
                     json.dumps(
-                        {"v": 2, "ok": True, "kind": "pong",
+                        {"v": 3, "ok": True, "kind": "pong",
                          "pong": True, "id": request_id}
                     ).encode() + b"\n"
                 )

@@ -240,34 +240,3 @@ class TestStatus:
             await fed.close()
 
         run(check())
-
-
-class TestMetricsScrapePlane:
-    def test_gateway_snapshot_over_the_wire(self):
-        from repro.serve.client import SitesClient
-        from repro.sites import start_gateway
-
-        async def serve_and_scrape():
-            fed = await Federation.start()
-            await fed.gateway.put("obj", payload_bytes(5000))
-            server = await start_gateway(fed.gateway, port=0)
-            host, port = server.sockets[0].getsockname()[:2]
-
-            def scrape():
-                with SitesClient(host, port) as client:
-                    snap = client.metrics_snapshot()
-                    assert snap.role == "gateway"
-                    assert snap.source == "gateway"
-                    gauges = snap.snapshot["gauges"]
-                    assert gauges["sites.objects"] == 1.0
-                    assert gauges["sites.first_failure_floor"] == 13.0
-                    counters = snap.snapshot["counters"]
-                    assert counters["sites.wan.bytes"] >= 0
-                    # Legacy text op still answers on the same port.
-                    assert isinstance(client.metrics(), str)
-
-            await asyncio.to_thread(scrape)
-            server.close()
-            await fed.close()
-
-        run(serve_and_scrape())
