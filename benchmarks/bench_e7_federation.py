@@ -10,6 +10,12 @@ Absolute complementary values depend on the concrete graphs (paper:
 17-19; this catalog: ~15+).  The required shape is
 mirror << duplicated << complementary.
 
+Beside each *detected* number stands what is *proven*: the federation
+is one ``ErasureGraph`` (``system.graph``), so the exact critical-set
+enumeration of ``repro.core.critical`` applies to it unchanged.  Up to
+``EXACT_CAP`` joint losses it either finds the true first failure
+("exact") or proves there is none ("proven >=").
+
 The timed kernel is one coupled two-site decode.
 """
 
@@ -17,11 +23,12 @@ import pytest
 
 from _bench_utils import merge_bench_json, write_result
 from repro.analysis import format_table
-from repro.core.critical import first_failure
+from repro.core.critical import first_failure, minimal_bad_stopping_sets
 from repro.federation import FederatedSystem, federated_first_failure
 from repro.graphs import mirrored_graph, tornado_catalog_graph
 
 SITE_CAP = 8  # per-site critical-set enumeration bound
+EXACT_CAP = 10  # joint critical-set enumeration bound on system.graph
 
 
 @pytest.fixture(scope="module")
@@ -52,19 +59,27 @@ def test_e7_table7(benchmark, federations):
 
     rows = []
     detected = {}
+    exact = {}
     for label, system, cap in federations:
         hit = federated_first_failure(system, site_max_size=cap)
         detected[label] = hit[0] if hit else None
         shown = hit[0] if hit else f"> {2 * cap}"
-        rows.append([label, shown, PAPER[label]])
+        critical = minimal_bad_stopping_sets(system.graph, EXACT_CAP)
+        exact[label] = min(map(len, critical), default=None)
+        proven = (
+            f"exact {exact[label]}" if critical else f">= {EXACT_CAP + 1}"
+        )
+        rows.append([label, shown, proven, PAPER[label]])
 
     table = format_table(
-        ["System", "First Failure Detected", "paper"], rows
+        ["System", "First Failure Detected", "proven >= / exact", "paper"],
+        rows,
     )
     write_result(
         "e7_table7",
         "E7 (Table 7) - federated two-site storage, 192 devices\n"
-        f"per-site critical-set bound: {SITE_CAP}\n\n" + table,
+        f"per-site critical-set bound: {SITE_CAP}; "
+        f"joint exact bound: {EXACT_CAP}\n\n" + table,
     )
 
     # Tracked JSON trajectory: first failures by site count — the
@@ -95,17 +110,23 @@ def test_e7_table7(benchmark, federations):
                 "first_failure_floor": (
                     2 * cap + 1 if value is None else value
                 ),
+                # None: proven to exceed the config's e7_exact_cap.
+                "first_failure_exact": exact[label],
                 "paper": PAPER[label],
             }
         )
     merge_bench_json(
         "BENCH_federation.json",
-        config={"e7_site_cap": SITE_CAP},
+        config={"e7_site_cap": SITE_CAP, "e7_exact_cap": EXACT_CAP},
         results=json_results,
     )
 
-    assert detected["Mirrored (4 copies)"] == 4
-    assert detected["Tornado 1 + Tornado 1"] == 10
+    assert detected["Mirrored (4 copies)"] == exact["Mirrored (4 copies)"] == 4
+    assert (
+        detected["Tornado 1 + Tornado 1"]
+        == exact["Tornado 1 + Tornado 1"]
+        == 10
+    )
     for label in (
         "Tornado 1 + Tornado 2",
         "Tornado 1 + Tornado 3",
@@ -113,3 +134,4 @@ def test_e7_table7(benchmark, federations):
     ):
         value = detected[label]
         assert value is None or value > 10
+        assert exact[label] is None  # proven: no joint failure <= 10

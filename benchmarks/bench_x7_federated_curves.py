@@ -1,8 +1,9 @@
 """X7 — full fraction-failure curves for federated systems (Table 7+).
 
 The paper reports only first failures for federated configurations;
-this extension plots the complete curves using the combined-relation
-batch decoder (site constraints + cross-site data-equality relations).
+this extension plots the complete curves using the batch kernel over
+the federation's stacked graph (site constraints + one replica level
+per extra site).
 Expected shape: at matched total device counts the complementary-graph
 federation's curve sits at or below the duplicated-graph curve, and
 both transition far later than 4-copy mirroring.
@@ -15,11 +16,8 @@ import pytest
 
 from _bench_utils import merge_bench_json, write_result
 from repro.analysis import ascii_curves
-from repro.federation import (
-    FederatedSystem,
-    federated_batch_decoder,
-    federated_profile,
-)
+from repro.core import make_batch_decoder
+from repro.federation import FederatedSystem, federated_profile
 from repro.graphs import mirrored_graph, tornado_catalog_graph
 from repro.sites import estimate_wan_read_cost
 
@@ -44,7 +42,7 @@ def federations():
 
 def test_x7_federated_curves(benchmark, federations):
     system = federations["Tornado 1 + Tornado 2"]
-    decoder = federated_batch_decoder(system)
+    decoder = make_batch_decoder(system.graph)
     rng = np.random.default_rng(0)
     masks = rng.random((2_000, 192)) < 0.4
     benchmark(decoder.decode_batch, masks)

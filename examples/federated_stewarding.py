@@ -30,8 +30,10 @@ print(f"  site 1 alone recovers? "
 
 fed = FederatedSystem([g1, g2])
 result = fed.decode(critical_g1)  # devices 0..95 are site 1
+lost = result.residual & set(fed.data_nodes)
 print(f"  federated recovery:   {result.success} "
-      f"(site recoveries per round: {result.recovered_per_site})")
+      f"({len(result.steps)} peeling steps over the stacked graph, "
+      f"{len(lost)} data blocks lost)")
 
 # -- regime 2 + 3: first-failure comparison (paper Table 7) ---------------
 print("\ndetected first failure (devices lost across both sites):")

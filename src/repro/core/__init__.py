@@ -38,7 +38,6 @@ from .decoder import (
     DecodeResult,
     PeelingDecoder,
     make_batch_decoder,
-    make_batch_decoder_from_matrix,
     resolve_engine,
 )
 from .sparse import SparseBitsetDecoder, packed_sparse_loss_masks
@@ -117,7 +116,6 @@ __all__ = [
     "is_stopping_set",
     "load_graphml",
     "make_batch_decoder",
-    "make_batch_decoder_from_matrix",
     "match_edge_total",
     "pack_cases",
     "packed_random_loss_masks",

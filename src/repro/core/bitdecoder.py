@@ -227,8 +227,7 @@ class BitsetBatchDecoder(_PackedPeelingDecoder):
     The dense-plane kernel: :meth:`decode_batch` /
     :meth:`decode_missing_sets` on boolean patterns, plus the
     packed-native :meth:`decode_packed` fast path used by the Monte
-    Carlo hot loop.  Construction from a raw relation matrix
-    (:meth:`from_matrix`) supports the federated cross-site path.
+    Carlo hot loop.
     """
 
     engine = "bitset"
@@ -238,22 +237,11 @@ class BitsetBatchDecoder(_PackedPeelingDecoder):
 
     def __init__(self, graph: ErasureGraph):
         self.graph = graph
-        self._init_from(
-            [c.members() for c in graph.constraints],
-            graph.data_nodes,
-            graph.num_nodes,
-        )
-
-    def _init_from(self, members, data_nodes, num_nodes: int) -> None:
-        self._num_nodes = num_nodes
+        self._num_nodes = graph.num_nodes
         # Sort constraints by member count (descending) so the per-slot
         # scan can act on shrinking row prefixes instead of a padded
         # rectangle (saves work on irregular degree distributions).
-        members = sorted(
-            (tuple(m) for m in members if len(m) > 0),
-            key=len,
-            reverse=True,
-        )
+        members = sorted(graph.constraint_members(), key=len, reverse=True)
         c = len(members)
         self._num_cons = c
         self._dmax = max((len(m) for m in members), default=0)
@@ -283,29 +271,7 @@ class BitsetBatchDecoder(_PackedPeelingDecoder):
         else:
             self._seg_nodes = np.empty(0, dtype=np.intp)
             self._seg_starts = np.empty(0, dtype=np.intp)
-        self._data = np.asarray(data_nodes, dtype=np.intp)
-
-    @classmethod
-    def from_matrix(
-        cls, membership: np.ndarray, data_nodes, num_nodes: int
-    ) -> "BitsetBatchDecoder":
-        """Build from a raw constraint-membership matrix.
-
-        Each nonzero row entry marks one member of a parity relation
-        (any single unknown member is recoverable from the rest),
-        admitting relations no single :class:`ErasureGraph` expresses —
-        e.g. the federated cross-site equality constraints, where the
-        same logical data block exists at two sites.  All-zero rows are
-        ignored.
-        """
-        self = cls.__new__(cls)
-        self.graph = None
-        membership = np.asarray(membership)
-        members = [
-            tuple(np.flatnonzero(row).tolist()) for row in membership
-        ]
-        self._init_from(members, data_nodes, num_nodes)
-        return self
+        self._data = np.asarray(graph.data_nodes, dtype=np.intp)
 
     # ------------------------------------------------------------------
 

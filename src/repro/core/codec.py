@@ -104,15 +104,10 @@ class TornadoCodec:
         present = np.asarray(present, dtype=bool)
         if present.shape != (g.num_nodes,):
             raise ValueError("present mask must have one entry per node")
-        present = np.asarray(present, dtype=bool)
-        if present.shape != (g.num_nodes,):
-            raise ValueError("present mask must have one entry per node")
         missing = np.flatnonzero(~present)
         result = self._decoder.decode(missing)
         if not result.success:
-            data_stuck = frozenset(
-                n for n in result.residual if n in set(g.data_nodes)
-            )
+            data_stuck = result.residual & set(g.data_nodes)
             raise DecodeFailure(data_stuck or result.residual)
         return self.decode_blocks_with_schedule(blocks, present, result.steps)
 

@@ -25,9 +25,8 @@ One scalar decoder and two batch kernels apply that rule:
   (see :mod:`repro.core.sparse`), scaling to 2^20-node graphs the dense
   bit-plane layout cannot hold.  Fastest from 2^14 nodes up.
 
-Batch callers do not pick a class: :func:`make_batch_decoder` (or
-:func:`make_batch_decoder_from_matrix` for raw relation matrices) is
-the one place a kernel is chosen, and it chooses from the graph alone —
+Batch callers do not pick a class: :func:`make_batch_decoder` is the
+one place a kernel is chosen, and it chooses from the graph alone —
 bitset below ``_SPARSE_AUTO_MIN_NODES`` nodes, sparse at or above it and
 for every :class:`~repro.core.csrgraph.CsrGraph`.  Each kernel wins the
 benchmark workload on its side of that line (docs/PERF.md), both return
@@ -57,7 +56,6 @@ __all__ = [
     "DECODE_ENGINES",
     "resolve_engine",
     "make_batch_decoder",
-    "make_batch_decoder_from_matrix",
 ]
 
 # ``engine="auto"`` switches from the dense bitset layout to the sparse
@@ -119,17 +117,6 @@ def make_batch_decoder(
             "engine='auto', or convert via to_graph()."
         )
     return _KERNELS[engine](graph)
-
-
-def make_batch_decoder_from_matrix(
-    membership: np.ndarray,
-    data_nodes,
-    num_nodes: int,
-    engine: str = "auto",
-) -> BitsetBatchDecoder | SparseBitsetDecoder:
-    """Size-selected counterpart of the ``from_matrix`` constructors."""
-    cls = _KERNELS[resolve_engine(engine, num_nodes=num_nodes)]
-    return cls.from_matrix(membership, data_nodes, num_nodes)
 
 
 @dataclass(frozen=True)

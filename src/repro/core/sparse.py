@@ -161,10 +161,9 @@ class SparseBitsetDecoder(_PackedPeelingDecoder):
 
     Same :meth:`decode_batch` / :meth:`decode_missing_sets` /
     :meth:`decode_packed` surface and results as the bitset kernel
-    (both inherit it from one base), plus constructors from flat CSR
+    (both inherit it from one base), plus a constructor from flat CSR
     arrays (:meth:`from_csr`) for the shared-memory zero-pickle worker
-    handoff and from raw relation matrices (:meth:`from_matrix`) for
-    the federated cross-site path.  Accepts an
+    handoff.  Accepts an
     :class:`~repro.core.graph.ErasureGraph` or a
     :class:`~repro.core.csrgraph.CsrGraph`.
     """
@@ -195,11 +194,6 @@ class SparseBitsetDecoder(_PackedPeelingDecoder):
         self._num_nodes = int(num_nodes)
         lens = np.diff(con_indptr)
         starts = con_indptr[:-1]
-        keep = lens > 0
-        if not keep.all():
-            # Tolerate empty relations (all-zero matrix rows).
-            starts = starts[keep]
-            lens = lens[keep]
         # Degree-descending order lets every slot sweep act on a
         # shrinking row prefix instead of a padded rectangle.
         order = np.argsort(-lens, kind="stable")
@@ -241,27 +235,6 @@ class SparseBitsetDecoder(_PackedPeelingDecoder):
             jit=jit, chunk=chunk,
         )
         return self
-
-    @classmethod
-    def from_matrix(
-        cls, membership: np.ndarray, data_nodes, num_nodes: int
-    ) -> "SparseBitsetDecoder":
-        """Build from a raw constraint-membership matrix.
-
-        Mirrors :meth:`BitsetBatchDecoder.from_matrix`: each nonzero
-        row entry marks one member of a parity relation; all-zero rows
-        are ignored (federated cross-site path).
-        """
-        membership = np.asarray(membership)
-        cons, nodes = np.nonzero(membership)
-        lens = np.bincount(cons, minlength=membership.shape[0]).astype(
-            np.intp
-        )
-        indptr = np.zeros(membership.shape[0] + 1, dtype=np.intp)
-        np.cumsum(lens, out=indptr[1:])
-        return cls.from_csr(
-            nodes.astype(np.intp), indptr, data_nodes, num_nodes
-        )
 
     # ------------------------------------------------------------------
 

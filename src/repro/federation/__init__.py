@@ -1,21 +1,18 @@
 """Federated multi-site archival storage with complementary graphs."""
 
 from .multigraph import (
-    FederatedDecodeResult,
     FederatedSystem,
     federated_first_failure,
 )
 
 from .selection import PairingScore, SelectionReport, select_complementary_pair
-from .profile import federated_batch_decoder, federated_profile
+from .profile import federated_profile
 
 __all__ = [
     "PairingScore",
     "SelectionReport",
     "select_complementary_pair",
     "federated_profile",
-    "federated_batch_decoder",
-    "FederatedDecodeResult",
     "FederatedSystem",
     "federated_first_failure",
 ]

@@ -5,7 +5,10 @@ them with its *own* Tornado Code graph.  Decoding couples the sites:
 each site peels with its surviving local blocks, recovered data blocks
 are exchanged, and peeling resumes — "restoring just one critical data
 node allows the data graph to be reconstructed even when both graphs
-cannot independently perform the reconstruction".
+cannot independently perform the reconstruction".  A replica is a
+degree-1 check, so that loop is the peeling fixpoint of one stacked
+:class:`ErasureGraph` (:attr:`FederatedSystem.graph`), and the model,
+the Monte Carlo and the gateway's coupled read all decode that graph.
 
 First-failure search follows the paper's methodology: brute force over
 192+ devices is hopeless, so candidate loss patterns are *constructed
@@ -19,29 +22,58 @@ the paper's Table 7 ("First Failure Detected").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 from ..core.critical import minimal_bad_stopping_sets
-from ..core.decoder import PeelingDecoder
-from ..core.graph import ErasureGraph
+from ..core.decoder import DecodeResult, PeelingDecoder
+from ..core.graph import Constraint, ErasureGraph
 
 __all__ = [
     "FederatedSystem",
-    "FederatedDecodeResult",
     "federated_first_failure",
 ]
 
 
-@dataclass(frozen=True)
-class FederatedDecodeResult:
-    """Outcome of a coupled multi-site decode."""
+def _stacked_graph(graphs: Sequence[ErasureGraph]) -> ErasureGraph:
+    """The whole federation as one cascaded :class:`ErasureGraph`.
 
-    success: bool
-    lost_data: frozenset[int]
-    rounds: int
-    recovered_per_site: tuple[int, ...]
+    Node ``s * n + i`` is site ``s``'s node ``i``; the data nodes are
+    site 0's.  Site ``s``'s replica of data block ``d`` is a degree-1
+    check of site ``s - 1``'s copy (how :mod:`repro.graphs.mirror`
+    expresses mirroring), one cascade level per extra site, and every
+    site's own constraints follow, shifted into its node range.
+    Peeling this graph to fixpoint *is* the decode-exchange-decode
+    loop: the replica checks carry a data block recovered at one site
+    to every other.
+    """
+    n = graphs[0].num_nodes
+    data = graphs[0].data_nodes
+    constraints: list[Constraint] = []
+    levels: list[tuple[int, ...]] = []
+
+    def add_level(base: int, cons: Iterable[Constraint]) -> None:
+        """Append ``cons``, shifted up ``base`` node ids, as one level."""
+        first = len(constraints)
+        constraints.extend(
+            Constraint(base + c.check, tuple(base + l for l in c.lefts))
+            for c in cons
+        )
+        levels.append(tuple(range(first, len(constraints))))
+
+    replica = [Constraint(n + d, (d,)) for d in data]  # next site's copy
+    for site in range(len(graphs) - 1):
+        add_level(site * n, replica)
+    for site, graph in enumerate(graphs):
+        for level in graph.levels:
+            add_level(site * n, (graph.constraints[ci] for ci in level))
+    return ErasureGraph(
+        num_nodes=len(graphs) * n,
+        data_nodes=data,
+        constraints=tuple(constraints),
+        levels=tuple(levels),
+        name=" + ".join(g.name for g in graphs),
+    )
 
 
 class FederatedSystem:
@@ -50,7 +82,10 @@ class FederatedSystem:
     All site graphs must share the data-node id convention (data nodes
     ``0..num_data-1`` are the same logical blocks at every site).
     Device ids are global: site ``s`` owns devices
-    ``[s * num_nodes, (s+1) * num_nodes)``.
+    ``[s * num_nodes, (s+1) * num_nodes)``.  ``graph`` is the whole
+    federation as one :class:`ErasureGraph` over those device ids (see
+    :func:`_stacked_graph`); the scalar decoder, the batch kernels, the
+    codec and the exact critical-set search all apply to it unchanged.
     """
 
     def __init__(self, graphs: Sequence[ErasureGraph]):
@@ -66,7 +101,8 @@ class FederatedSystem:
         self.num_sites = len(graphs)
         self.nodes_per_site = first.num_nodes
         self.data_nodes = first.data_nodes
-        self._decoders = [PeelingDecoder(g) for g in graphs]
+        self.graph = _stacked_graph(self.graphs)
+        self._decoder = PeelingDecoder(self.graph)
 
     @property
     def num_devices(self) -> int:
@@ -80,62 +116,17 @@ class FederatedSystem:
             raise ValueError(f"device {device} out of range")
         return divmod(device, self.nodes_per_site)
 
-    def decode(self, missing_devices: Iterable[int]) -> FederatedDecodeResult:
+    def decode(self, missing_devices: Iterable[int]) -> DecodeResult:
         """Coupled decode with cross-site data-block exchange.
 
-        Iterates site-local peeling and data exchange to fixpoint; at
-        most ``num_sites * num_data`` rounds, in practice two or three.
+        One peel of the stacked :attr:`graph`.  The lost logical
+        blocks are ``result.residual & set(system.data_nodes)``: site
+        0's copy stays unknown exactly when every site's copy does.
         """
-        per_site_missing: list[set[int]] = [
-            set() for _ in range(self.num_sites)
-        ]
-        for dev in missing_devices:
-            site, local = self.site_of(dev)
-            per_site_missing[site].add(local)
-
-        known_data: set[int] = set()
-        # Data nodes already online somewhere need no decoding at all.
-        for site in range(self.num_sites):
-            for d in self.data_nodes:
-                if d not in per_site_missing[site]:
-                    known_data.add(d)
-
-        recovered_counts = [0] * self.num_sites
-        rounds = 0
-        while True:
-            rounds += 1
-            progressed = False
-            for site, decoder in enumerate(self._decoders):
-                # A data block recovered anywhere is available here too.
-                effective_missing = {
-                    m
-                    for m in per_site_missing[site]
-                    if m not in known_data
-                }
-                result = decoder.decode(effective_missing)
-                # Everything not in the residual is known after peeling.
-                solved_data = {
-                    d
-                    for d in self.data_nodes
-                    if d not in known_data and d not in result.residual
-                }
-                if solved_data:
-                    known_data.update(solved_data)
-                    recovered_counts[site] += len(solved_data)
-                    progressed = True
-            if not progressed:
-                break
-
-        lost = frozenset(set(self.data_nodes) - known_data)
-        return FederatedDecodeResult(
-            success=not lost,
-            lost_data=lost,
-            rounds=rounds,
-            recovered_per_site=tuple(recovered_counts),
-        )
+        return self._decoder.decode(missing_devices)
 
     def is_recoverable(self, missing_devices: Iterable[int]) -> bool:
-        return self.decode(missing_devices).success
+        return self._decoder.is_recoverable(missing_devices)
 
 
 @lru_cache(maxsize=32)

@@ -13,11 +13,13 @@ replicates an object to every site; ``get`` walks a priced read ladder:
    object; ``size`` WAN bytes;
 3. **coupled** — no single site can decode, so the gateway pulls every
    surviving raw block of every stripe from every reachable site
-   (``cluster.fetch_stripe``) and peels the site graphs *jointly*,
-   exchanging recovered data rows between sites to fixpoint — the
-   paper's multi-graph coupled reconstruction (§5.3) executed on real
-   bytes over TCP.  Remote blocks are priced; home-site blocks ride
-   the LAN free.
+   (``cluster.fetch_stripe``) into one stripe of the federation's
+   stacked graph (:attr:`FederatedSystem.graph`; a dark site is
+   ``n`` erasures) and decodes it the way a coordinator decodes a
+   degraded read: one cached peeling schedule per erasure mask, one
+   XOR replay per stripe — the paper's multi-graph coupled
+   reconstruction (§5.3) executed on real bytes over TCP.  Remote
+   blocks are priced; home-site blocks ride the LAN free.
 
 WAN accounting is first-class and split by purpose, because the
 federation's CI asserts on the split: ``sites.wan.bytes`` totals all
@@ -46,6 +48,7 @@ import numpy as np
 
 from ..cluster.coordinator import DEFAULT_RETRY, NodeDownError, link_rpc
 from ..cluster.ring import HashRing
+from ..core.codec import TornadoCodec
 from ..obs.registry import registry
 from ..obs.trace import trace_span
 from ..resilience.retry import RetryPolicy
@@ -60,6 +63,7 @@ from ..serve.protocol import (
     FetchStripeRequest,
     GetRequest,
     ObjectInfoResponse,
+    ProtocolError,
     PutRequest,
     RemoteError,
     RepairRequest,
@@ -136,11 +140,11 @@ class FederationGateway:
             raise ValueError("repair_wan_budget must be non-negative")
         self.manifest = manifest
         self.block_size = block_size
-        self.graphs = manifest.graphs()
         # Coupled decode requires the shared data layout; validating
         # at construction turns a mis-assembled manifest into a
         # startup error instead of a wrong answer later.
         self.system = manifest.system()
+        self.codec = TornadoCodec(self.system.graph, block_size)
         self.retry = retry
         self.rpc_timeout = rpc_timeout
         self.repair_wan_budget = repair_wan_budget
@@ -315,7 +319,7 @@ class FederationGateway:
             )
         # Rung 3: coupled cross-site decode on raw blocks.
         try:
-            payload = await self._coupled_read(name, home)
+            payload = await self._coupled_read(name, home, "read")
         except Exception:
             self.reads["failed"] += 1
             registry().counter("sites.get.failed").inc()
@@ -331,110 +335,97 @@ class FederationGateway:
 
     # -- coupled decode ------------------------------------------------
 
-    async def _coupled_read(self, name: str, home: str) -> bytes:
-        """Reconstruct ``name`` by peeling the site graphs jointly.
+    async def _coupled_read(
+        self, name: str, home: str, purpose: str
+    ) -> bytes:
+        """Reconstruct ``name`` from the federation's stacked graph.
 
-        Per stripe ordinal: fetch every site's surviving raw blocks,
-        then iterate (site-local partial peel replay, cross-site
-        exchange of recovered *data* rows) to fixpoint — the byte-level
-        execution of :meth:`FederatedSystem.decode`.  Blocks shipped by
-        non-home sites are WAN read traffic.
+        Per stripe ordinal: stack every site's surviving raw blocks
+        into one stripe of :attr:`FederatedSystem.graph`, take the
+        peeling schedule for its erasure mask from the plan cache and
+        replay it — the byte-level execution of
+        :meth:`FederatedSystem.decode`.  Blocks shipped by non-home
+        sites are WAN traffic booked to ``purpose``.
         """
         record = self.objects.get(name)
         if record is None:
             raise KeyError(f"no federated object named {name!r}")
-        graph = self.graphs[home]
-        capacity = graph.num_data * self.block_size
-        num_stripes = max(1, -(-record.size // capacity))
+        num_stripes = max(1, -(-record.size // self.codec.stripe_capacity))
         parts: list[bytes] = []
         with trace_span(
             "sites.coupled_decode", object=name, stripes=num_stripes
         ):
             for seq in range(num_stripes):
-                parts.append(await self._couple_stripe(name, home, seq))
+                parts.append(
+                    await self._couple_stripe(name, home, seq, purpose)
+                )
         payload = b"".join(parts)
         if hashlib.sha256(payload).hexdigest() != record.sha256:
             raise DataLossError(name, -1, frozenset({-1}))
         return payload
 
     async def _couple_stripe(
-        self, name: str, home: str, seq: int
+        self, name: str, home: str, seq: int, purpose: str
     ) -> bytes:
-        per_site: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        graph = self.system.graph
+        n = self.system.nodes_per_site
+        blocks = np.zeros(
+            (graph.num_nodes, self.block_size), dtype=np.uint8
+        )
+        present = np.zeros(graph.num_nodes, dtype=bool)
         payload_length: int | None = None
-        reachable = 0
-        for site_id in self._site_order(name):
-            graph = self.graphs[site_id]
+        dark = 0
+        for site, site_id in enumerate(self.manifest.site_ids):
             try:
                 response = await self._rpc(
                     self._link(site_id),
                     FetchStripeRequest(name=name, seq=seq),
                 )
             except (SiteDownError, TransientUnavailableError, KeyError):
+                dark += 1  # its n nodes stay erased
                 continue
-            reachable += 1
             payload_length = response.payload_length
-            blocks = np.zeros(
-                (graph.num_nodes, self.block_size), dtype=np.uint8
-            )
-            present = np.zeros(graph.num_nodes, dtype=bool)
             shipped = 0
             for key, data in (response.blocks or {}).items():
-                node = int(key)
-                blocks[node] = np.frombuffer(data, dtype=np.uint8)
-                present[node] = True
+                row = site * n + self._site_node(site_id, key, data)
+                blocks[row] = np.frombuffer(data, dtype=np.uint8)
+                present[row] = True
                 shipped += len(data)
             if site_id != home:
-                self._meter_wan(site_id, shipped, "read")
-            per_site[site_id] = (blocks, present)
+                self._meter_wan(site_id, shipped, purpose)
         if payload_length is None:
             raise TransientUnavailableError(
                 f"object {name!r} stripe {seq}: no site reachable"
             )
-        data_nodes = list(self.graphs[home].data_nodes)
-        known: dict[int, np.ndarray] = {}
-        for site_id, (blocks, present) in per_site.items():
-            for d in data_nodes:
-                if present[d] and d not in known:
-                    known[d] = blocks[d]
-        # Exchange-and-peel to fixpoint: inject every known data row
-        # into every site, replay that site's partial peeling
-        # schedule, and harvest newly recovered data rows.
-        progressed = True
-        while progressed and len(known) < len(data_nodes):
-            progressed = False
-            for site_id, (blocks, present) in per_site.items():
-                graph = self.graphs[site_id]
-                members = graph.constraint_members()
-                for d, row in known.items():
-                    if not present[d]:
-                        blocks[d] = row
-                        present[d] = True
-                missing = np.flatnonzero(~present)
-                if missing.size == 0:
-                    continue
-                plan = self.plans.schedule(graph, missing)
-                for ci, node in plan.steps:
-                    others = [m for m in members[ci] if m != node]
-                    np.bitwise_xor.reduce(
-                        blocks[others], axis=0, out=blocks[node]
-                    )
-                    present[node] = True
-                    if node in data_nodes and node not in known:
-                        known[node] = blocks[node]
-                        progressed = True
-        if len(known) < len(data_nodes):
-            lost = frozenset(set(data_nodes) - set(known))
-            if reachable < len(self.ring.members):
+        plan = self.plans.schedule(graph, np.flatnonzero(~present))
+        if not plan.success:
+            lost = plan.residual & set(graph.data_nodes)
+            if dark:
                 raise TransientUnavailableError(
                     f"object {name!r} stripe {seq}: coupled decode "
-                    f"stuck on {len(lost)} data blocks with "
-                    f"{len(self.ring.members) - reachable} sites "
-                    "unreachable (retry or repair may succeed)"
+                    f"stuck on {len(lost)} data blocks with {dark} "
+                    "sites unreachable (retry or repair may succeed)"
                 )
             raise DataLossError(name, seq, lost)
-        stripe = np.concatenate([known[d] for d in data_nodes])
-        return stripe.tobytes()[:payload_length]
+        data = self.codec.decode_blocks_with_schedule(
+            blocks, present, plan.steps
+        )
+        return data.tobytes()[:payload_length]
+
+    def _site_node(self, site_id: str, key: str, data: bytes) -> int:
+        """Validate one shipped block; return its site-local node id."""
+        node = int(key) if key.isdecimal() else -1
+        if not 0 <= node < self.system.nodes_per_site:
+            raise ProtocolError(
+                f"site {site_id!r} shipped a block for node {key!r}: not "
+                f"a node id in [0, {self.system.nodes_per_site})"
+            )
+        if len(data) != self.block_size:
+            raise ProtocolError(
+                f"site {site_id!r} shipped {len(data)} bytes for node "
+                f"{node}; blocks are {self.block_size} bytes"
+            )
+        return node
 
     # ------------------------------------------------------------------
     # Repair: local reconstruction first, priced WAN re-injection last
@@ -530,7 +521,7 @@ class FederationGateway:
         if payload is None:
             try:
                 payload = await self._coupled_read(
-                    name, self.home_site(name)
+                    name, self.home_site(name), "repair"
                 )
             except Exception as exc:
                 if not _rung_failure(exc):

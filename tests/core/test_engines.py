@@ -28,7 +28,6 @@ from repro.core import (
     unpack_cases,
 )
 from repro.core.bitdecoder import missing_sets_to_unknown
-from repro.core.decoder import make_batch_decoder_from_matrix
 from repro.core.lossmasks import boolean_loss_masks
 
 
@@ -52,21 +51,6 @@ def scalar_success(graph, masks):
         [scalar.is_recoverable(np.flatnonzero(row)) for row in masks],
         dtype=bool,
     )
-
-
-def reference_relation_peel(membership, data_nodes, mask):
-    """Plain-Python peeling fixpoint over a raw relation matrix."""
-    unknown = set(np.flatnonzero(mask).tolist())
-    relations = [np.flatnonzero(row).tolist() for row in membership]
-    progressed = True
-    while progressed:
-        progressed = False
-        for members in relations:
-            lost = [m for m in members if m in unknown]
-            if len(lost) == 1:
-                unknown.discard(lost[0])
-                progressed = True
-    return not unknown.intersection(data_nodes)
 
 
 class TestEngineAgreement:
@@ -120,34 +104,6 @@ class TestEngineAgreement:
             dec = make_batch_decoder(small_tornado, engine)
             with pytest.raises(ValueError):
                 dec.decode_batch(np.zeros((4, 7), dtype=bool))
-
-    def test_from_matrix_agreement(self):
-        """Raw-matrix construction (federation path) agrees too."""
-        rng = np.random.default_rng(5)
-        num_nodes, num_rel = 20, 14
-        membership = (rng.random((num_rel, num_nodes)) < 0.25).astype(
-            np.float32
-        )
-        membership[0] = 0.0  # all-zero row must be tolerated
-        membership[1] = 0.0
-        membership[1, 3] = 1.0  # single-member relation pins node 3
-        data_nodes = list(range(10))
-        bit = BitsetBatchDecoder.from_matrix(
-            membership, data_nodes, num_nodes
-        )
-        sp = SparseBitsetDecoder.from_matrix(
-            membership, data_nodes, num_nodes
-        )
-        masks = rng.random((256, num_nodes)) < 0.4
-        want = np.array(
-            [
-                reference_relation_peel(membership, data_nodes, row)
-                for row in masks
-            ]
-        )
-        assert want.any() and not want.all()
-        assert np.array_equal(want, bit.decode_batch(masks))
-        assert np.array_equal(want, sp.decode_batch(masks))
 
     def test_decode_packed_trims_pad_lanes(self, graph3):
         rng = np.random.default_rng(9)
@@ -239,19 +195,6 @@ class TestEngineSelection:
         for engine in DECODE_ENGINES:
             assert make_batch_decoder(small_tornado, engine).engine == engine
 
-    def test_from_matrix_selector(self):
-        membership = np.eye(4, dtype=np.float32)
-        dec = make_batch_decoder_from_matrix(membership, [0, 1], 4)
-        assert isinstance(dec, BitsetBatchDecoder)
-        dec = make_batch_decoder_from_matrix(
-            membership, [0, 1], 4, engine="sparse"
-        )
-        assert isinstance(dec, SparseBitsetDecoder)
-        with pytest.raises(ValueError, match="unknown decode engine"):
-            make_batch_decoder_from_matrix(
-                membership, [0, 1], 4, engine="matmul"
-            )
-
     def test_auto_picks_sparse_above_cutoff(
         self, monkeypatch, small_tornado
     ):
@@ -266,12 +209,6 @@ class TestEngineSelection:
         assert resolve_engine("auto", num_nodes=n) == "sparse"
         assert isinstance(
             make_batch_decoder(small_tornado), SparseBitsetDecoder
-        )
-        assert isinstance(
-            make_batch_decoder_from_matrix(
-                np.eye(n, dtype=np.float32), [0], n
-            ),
-            SparseBitsetDecoder,
         )
         # Without a size hint, auto keeps the bitset default.
         assert resolve_engine("auto") == "bitset"

@@ -45,13 +45,15 @@ def test_losing_more_devices_never_helps_federation(seed, data):
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 300))
 def test_decode_result_accounting(seed):
-    """lost_data + recoverable data partitions the data set."""
+    """Lost data (residual ∩ data nodes) is empty exactly on success,
+    and every node the schedule solves was actually missing."""
     g1 = tornado_graph(16, seed=seed % 5)
     g2 = tornado_graph(16, seed=(seed % 5) + 7)
     system = FederatedSystem([g1, g2])
     rng = np.random.default_rng(seed)
     lost = rng.choice(64, size=45, replace=False)
     result = system.decode(lost)
-    assert result.lost_data <= set(system.data_nodes)
-    assert result.success == (not result.lost_data)
-    assert result.rounds >= 1
+    lost_data = result.residual & set(system.data_nodes)
+    assert result.success == (not lost_data)
+    assert result.residual <= set(lost.tolist())
+    assert set(result.recovered) == set(lost.tolist()) - result.residual

@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core import tornado_graph
-from repro.federation import (
-    FederatedSystem,
-    federated_batch_decoder,
-    federated_profile,
-)
+import repro.core.decoder as decoder_module
+from repro.core import make_batch_decoder, tornado_graph
+from repro.federation import FederatedSystem, federated_profile
 from repro.graphs import mirrored_graph
+
+from .exchange_oracle import ExchangeOracle
 
 
 @pytest.fixture(scope="module")
@@ -21,31 +20,29 @@ def small_federation():
 
 class TestCombinedDecoder:
     def test_agrees_with_scalar_coupled_decode(self, small_federation, rng):
-        dec = federated_batch_decoder(small_federation)
+        dec = make_batch_decoder(small_federation.graph)
+        oracle = ExchangeOracle(small_federation)
         masks = rng.random((400, 64)) < 0.45
         batch = dec.decode_batch(masks)
         scalar = np.array(
-            [
-                small_federation.is_recoverable(np.flatnonzero(m))
-                for m in masks
-            ]
+            [oracle.is_recoverable(np.flatnonzero(m)) for m in masks]
         )
         np.testing.assert_array_equal(batch, scalar)
 
     def test_one_whole_site_lost_recovers(self, small_federation):
-        dec = federated_batch_decoder(small_federation)
+        dec = make_batch_decoder(small_federation.graph)
         mask = np.zeros((1, 64), dtype=bool)
         mask[0, :32] = True
         assert dec.decode_batch(mask)[0]
 
     def test_everything_lost_fails(self, small_federation):
-        dec = federated_batch_decoder(small_federation)
+        dec = make_batch_decoder(small_federation.graph)
         assert not dec.decode_batch(np.ones((1, 64), dtype=bool))[0]
 
     def test_mirror_pair_federation(self):
         g = mirrored_graph(2)
         system = FederatedSystem([g, g])
-        dec = federated_batch_decoder(system)
+        dec = make_batch_decoder(system.graph)
         # lose block 0's pair at site A only -> rescued by site B
         mask = np.zeros((2, 8), dtype=bool)
         mask[0, [0, 2]] = True
@@ -92,6 +89,22 @@ class TestFederatedProfile:
                 joint.fail_fraction[2 * k]
                 <= single.fail_fraction[k] + 0.05
             )
+
+    @pytest.mark.parametrize("cutoff", [1 << 14, 1], ids=["bitset", "sparse"])
+    def test_values_pinned_at_the_matrix_built_decoder(
+        self, small_federation, monkeypatch, cutoff
+    ):
+        """Three cells captured from the relation-matrix decoder this
+        profile ran on before the federation became one graph, on both
+        sides of the kernel size rule."""
+        monkeypatch.setattr(decoder_module, "_SPARSE_AUTO_MIN_NODES", cutoff)
+        prof = federated_profile(
+            small_federation, samples_per_k=400, seed=5
+        )
+        assert prof.fail_fraction[36] == 0.12
+        assert prof.fail_fraction[40] == 0.49250000000000005
+        assert prof.fail_fraction[44] == 0.895
+        assert prof.system_name == "tornado-n16-seed0 + tornado-n16-seed1"
 
     def test_custom_name(self, small_federation):
         prof = federated_profile(

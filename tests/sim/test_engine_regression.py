@@ -19,13 +19,10 @@ import numpy as np
 import pytest
 
 import repro.core.decoder as decoder_module
-from repro.core import tornado_graph
+from repro.core import make_batch_decoder, tornado_graph
 from repro.graphs import tornado_catalog_graph
 from repro.federation import FederatedSystem
-from repro.federation.profile import (
-    federated_batch_decoder,
-    federated_profile,
-)
+from repro.federation.profile import federated_profile
 from repro.obs import MetricsRegistry, capture
 from repro.sim import measure_retrieval_overhead, profile_graph
 from repro.sim.montecarlo import sample_fail_fraction
@@ -153,9 +150,9 @@ class TestFederatedIdentical:
         graph = tornado_graph(8, seed=1, min_final_lefts=4)
         system = FederatedSystem([graph, graph])
         kwargs = dict(samples_per_k=400, seed=5)
-        assert federated_batch_decoder(system).engine == "bitset"
+        assert make_batch_decoder(system.graph).engine == "bitset"
         f_bit = federated_profile(system, **kwargs)
         monkeypatch.setattr(decoder_module, "_SPARSE_AUTO_MIN_NODES", 1)
-        assert federated_batch_decoder(system).engine == "sparse"
+        assert make_batch_decoder(system.graph).engine == "sparse"
         f_sp = federated_profile(system, **kwargs)
         assert f_bit.to_json() == f_sp.to_json()

@@ -17,7 +17,16 @@ from repro.cluster import ClusterCoordinator, StorageNode, start_storage_node
 from repro.cluster.coordinator import start_coordinator
 from repro.storage.archive import DataLossError
 from repro.graphs import tornado_catalog_graph
-from repro.serve.protocol import BlockDeleteRequest, BlockListRequest
+from repro.serve.lineserver import start_line_server
+from repro.serve.protocol import (
+    AckResponse,
+    BlockDeleteRequest,
+    BlockListRequest,
+    FetchStripeRequest,
+    ProtocolError,
+    PutRequest,
+    StripeBlocksResponse,
+)
 from repro.sites import (
     FederationGateway,
     FederationManifest,
@@ -26,6 +35,7 @@ from repro.sites import (
     find_coupled_witness,
 )
 from repro.storage.blockstore import parse_block_key
+from repro.storage.device import TransientUnavailableError
 
 GRAPH_NUMBERS = {"site-a": 2, "site-b": 3}
 
@@ -80,6 +90,17 @@ class Federation:
             server.close()
             await server.wait_closed()
         self.gateway.links[site_id].reset()
+
+    async def stage_witness(self, name):
+        """Erase a seeded loss neither site decodes alone (both do
+        jointly) from ``name``'s blocks."""
+        witness = find_coupled_witness(
+            *(tornado_catalog_graph(n) for n in GRAPH_NUMBERS.values()),
+            seed=1,
+        )
+        assert witness is not None
+        for sid, erased in zip(GRAPH_NUMBERS, witness):
+            await self.erase_witness(sid, name, erased)
 
     async def erase_witness(self, site_id, name, erased):
         """Delete ``name``'s blocks on the witness graph-node set."""
@@ -167,17 +188,9 @@ class TestReadLadder:
         async def check():
             fed = await Federation.start()
             gw = fed.gateway
-            payload = payload_bytes(5000)
+            payload = payload_bytes(10_000)  # four 48 x 64 B stripes
             await gw.put("obj", payload)
-
-            witness = find_coupled_witness(
-                tornado_catalog_graph(GRAPH_NUMBERS["site-a"]),
-                tornado_catalog_graph(GRAPH_NUMBERS["site-b"]),
-                seed=1,
-            )
-            assert witness is not None
-            for sid, erased in zip(GRAPH_NUMBERS, witness):
-                await fed.erase_witness(sid, "obj", erased)
+            await fed.stage_witness("obj")
 
             # Neither site decodes alone...
             for coordinator in fed.coordinators.values():
@@ -189,7 +202,88 @@ class TestReadLadder:
             assert got.sha256 == hashlib.sha256(payload).hexdigest()
             assert gw.reads["coupled"] == 1
             assert gw.read_wan_bytes > 0
+            # One schedule over the stacked graph, replayed per stripe.
+            stats = gw.plans.stats()
+            assert (stats["misses"], stats["hits"]) == (1, 3)
             await fed.close()
+
+        run(check())
+
+    def test_coupled_decode_with_a_site_dark_is_transient(self):
+        async def check():
+            fed = await Federation.start()
+            gw = fed.gateway
+            await gw.put("obj", payload_bytes(5000))
+            await fed.stage_witness("obj")
+            await fed.kill_site("site-b")
+            # site-a cannot peel its witness half alone, but site-b's
+            # 96 nodes are dark, not lost: retry, don't declare loss.
+            with pytest.raises(TransientUnavailableError):
+                await gw.get("obj", want_payload=True)
+            assert gw.reads["failed"] == 1
+            await fed.close()
+
+        run(check())
+
+    def test_fatal_pattern_names_the_lost_data_blocks(self):
+        async def check():
+            fed = await Federation.start()
+            gw = fed.gateway
+            await gw.put("obj", payload_bytes(5000))
+            erased = set(range(60))  # every data block, at both sites
+            for sid in GRAPH_NUMBERS:
+                await fed.erase_witness(sid, "obj", erased)
+            missing = sorted(erased) + [96 + x for x in sorted(erased)]
+            verdict = gw.system.decode(missing)
+            assert not verdict.success
+            with pytest.raises(DataLossError) as caught:
+                await gw.get("obj", want_payload=True)
+            assert caught.value.stripe_index == 0
+            assert caught.value.residual == verdict.residual & set(
+                gw.system.data_nodes
+            )
+            await fed.close()
+
+        run(check())
+
+
+class TestCoupledRungValidatesSiteInput:
+    """A site's ``fetch_stripe`` reply is outside input: the coupled
+    rung rejects what it cannot place instead of decoding garbage."""
+
+    @pytest.mark.parametrize(
+        "key, block",
+        [
+            ("first", bytes(64)),
+            ("-1", bytes(64)),
+            ("96", bytes(64)),
+            ("3", b"x"),
+        ],
+        ids=["non-integer", "negative", "past-the-site", "short-block"],
+    )
+    def test_malformed_stripe_reply_is_a_protocol_error(self, key, block):
+        async def stub_site(request, envelope):
+            if isinstance(request, PutRequest):
+                return AckResponse(info={})
+            if isinstance(request, FetchStripeRequest):
+                return StripeBlocksResponse(
+                    name=request.name,
+                    seq=request.seq,
+                    payload_length=100,
+                    blocks={"0": bytes(64), key: block},
+                )
+            raise DataLossError(request.name, 0, frozenset({0}))
+
+        async def check():
+            server = await start_line_server(stub_site, port=0)
+            host, port = server.sockets[0].getsockname()[:2]
+            gw = FederationGateway(handbuilt_manifest(), block_size=64)
+            for sid in GRAPH_NUMBERS:
+                gw.attach_site(sid, host, port)
+            await gw.put("obj", bytes(100))
+            with pytest.raises(ProtocolError, match="site 'site-"):
+                await gw.get("obj", want_payload=True)
+            server.close()
 
         run(check())
 
@@ -201,18 +295,17 @@ class TestRepair:
             gw = fed.gateway
             payload = payload_bytes(5000)
             await gw.put("obj", payload)
-            witness = find_coupled_witness(
-                tornado_catalog_graph(GRAPH_NUMBERS["site-a"]),
-                tornado_catalog_graph(GRAPH_NUMBERS["site-b"]),
-                seed=1,
-            )
-            assert witness is not None
-            for sid, erased in zip(GRAPH_NUMBERS, witness):
-                await fed.erase_witness(sid, "obj", erased)
+            await fed.stage_witness("obj")
 
             summary = await gw.repair("drain")
             assert summary["reinjected"], summary
-            assert gw.repair_wan_bytes > 0
+            # The coupled read that re-derives the object is repair
+            # traffic: the read ledger must not move.  Total: 2 stripes
+            # x 51 surviving site-b blocks x 64 B coupled, then 5000 B
+            # shipped to site-a, 5000 B fetched back from it and
+            # 5000 B shipped to site-b.
+            assert gw.read_wan_bytes == 0
+            assert gw.repair_wan_bytes == gw.wan_bytes == 6528 + 15_000
             # Repair restored single-site decodability everywhere.
             for coordinator in fed.coordinators.values():
                 got = await coordinator.get("obj", want_payload=True)
