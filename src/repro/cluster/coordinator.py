@@ -74,7 +74,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -120,7 +120,7 @@ from ..storage.archive import DataLossError
 from ..storage.blockstore import block_key
 from ..storage.device import TransientUnavailableError
 from .ring import HashRing
-from .scheduler import RepairScheduler
+from .scheduler import TOTAL_KEYS, RepairScheduler
 from .wal import CoordinatorWal, WalCorruptError
 
 __all__ = ["ClusterCoordinator", "ClusterManifest", "start_coordinator"]
@@ -212,9 +212,11 @@ async def _link_rpc_once(
             request_id=request_id,
             trace=span.context() if span else None,
         )
-        line, payload = await link.exchange(request_id, data, timeout)
+        line, payload, header = await link.exchange(
+            request_id, data, timeout
+        )
         link.alive = True
-        response, frame = parse_response(line, payload)
+        response, frame = parse_response(line, payload, header)
         t = tracer()
         if t is not None and frame.get("spans"):
             t.ingest(frame["spans"])
@@ -477,16 +479,20 @@ class ClusterCoordinator:
         ]
 
     async def probe(self) -> dict[str, bool]:
-        """Ping every registered node, refreshing liveness flags."""
-        liveness: dict[str, bool] = {}
-        for node_id in self.ring.members:
-            link = self.nodes[node_id]
+        """Ping every registered node at once, refreshing liveness flags."""
+
+        async def ping(link: NodeLink) -> bool:
             try:
                 await self._rpc(link, PingRequest())
-                liveness[node_id] = True
+                return True
             except (NodeDownError, OSError):
-                liveness[node_id] = False
-        return liveness
+                return False
+
+        members = self.ring.members
+        alive = await asyncio.gather(
+            *(ping(self.nodes[node_id]) for node_id in members)
+        )
+        return dict(zip(members, alive))
 
     # ------------------------------------------------------------------
     # Membership
@@ -716,7 +722,14 @@ class ClusterCoordinator:
     async def _fetch_stripe(
         self, name: str, record: ClusterStripe
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Bulk-fetch one stripe's blocks from its *recorded* owners."""
+        """Bulk-fetch one stripe's blocks from its *recorded* owners.
+
+        Call with the stripe lock held.  The record is looked up again
+        here, under the lock: a repair that held it while this reader
+        waited may have re-sharded the stripe, and the placement the
+        reader captured then names owners whose copies are deleted.
+        """
+        record = self._stripe_record(name, record.index) or record
         keys = {
             block_key(name, record.index, node): node
             for node in range(self.graph.num_nodes)
@@ -811,6 +824,20 @@ class ClusterCoordinator:
             )
         return DataLossError(name, stripe_index, residual)
 
+    def _stripe_record(self, name: str, index: int) -> ClusterStripe | None:
+        """Stripe ``index`` as the manifest records it now, if it does.
+
+        ``put`` numbers an object's stripes consecutively, so a record
+        sits at its index's offset from the first — no scan per read.
+        """
+        manifest = self.manifests.get(name)
+        if manifest is None:
+            return None
+        stripes = manifest.stripes
+        at = index - stripes[0].index
+        found = 0 <= at < len(stripes) and stripes[at].index == index
+        return stripes[at] if found else None
+
     def _manifest(self, name: str) -> ClusterManifest:
         try:
             return self.manifests[name]
@@ -889,13 +916,18 @@ class ClusterCoordinator:
 
     async def _inventory(self) -> dict[str, set[str]]:
         """key -> set of live node ids currently holding it."""
-        holders: dict[str, set[str]] = {}
-        for link in self._live_links():
+
+        async def listing(link: NodeLink) -> tuple[str, ...]:
             try:
-                response = await self._rpc(link, BlockListRequest())
+                return (await self._rpc(link, BlockListRequest())).keys
             except (NodeDownError, TransientUnavailableError):
-                continue
-            for key in response.keys:
+                return ()
+
+        links = self._live_links()
+        listings = await asyncio.gather(*map(listing, links))
+        holders: dict[str, set[str]] = {}
+        for link, keys in zip(links, listings):
+            for key in keys:
                 holders.setdefault(key, set()).add(link.node_id)
         return holders
 
@@ -904,27 +936,25 @@ class ClusterCoordinator:
         name: str,
         record: ClusterStripe,
         holders: dict[str, set[str]],
-    ) -> tuple[ClusterStripe, dict[str, int], dict[str, int]]:
+    ) -> dict[str, int]:
         """Re-stripe one stripe onto the current membership.
 
         Blocks already held somewhere are *moved* to their new owner;
-        blocks no live node holds are decoded from the survivors and
-        *rebuilt*.  The record flips to the new placement — and strays
-        are deleted — only once every block sits with its new owner,
-        so a partial repair (some target down mid-pass) leaves reads
-        working off the old locations and the next repair retries.
+        blocks no live node holds are replayed from the survivors and
+        *rebuilt*.  Three steps, each one barrier on the pipelined
+        links: place every moved and rebuilt block in one burst; flip
+        the record to the new placement and journal it — only once
+        every block sits with its new owner, so a partial repair (some
+        target down mid-burst) journals its bytes, leaves reads working
+        off the old locations, and the next repair retries; then delete
+        the strays in a second burst.  Strays go last so that a crash
+        anywhere leaves every journaled owner holding its block (the
+        next scan queues whatever strays it left behind).
 
-        Returns ``(record, stats, by_node)`` where ``by_node`` is the
-        repair bytes attributed to each receiving node (for the WAL).
+        Returns the stripe's share of the scheduler's totals.
         """
         g = self.graph
-        stats = {
-            "moved_blocks": 0,
-            "moved_bytes": 0,
-            "rebuilt_blocks": 0,
-            "rebuilt_bytes": 0,
-            "unrepairable_blocks": 0,
-        }
+        stats = dict.fromkeys(TOTAL_KEYS, 0)
         by_node: dict[str, int] = {}
         desired = self._stripe_placement(name, record.index)
         keys = [
@@ -936,6 +966,7 @@ class ClusterCoordinator:
             for node in range(g.num_nodes)
             if desired[node] not in holders.get(keys[node], ())
         ]
+        placed_all = True
         if need:
             # Gather the whole stripe from whoever still holds it.
             key_nodes = {key: node for node, key in enumerate(keys)}
@@ -949,81 +980,72 @@ class ClusterCoordinator:
             blocks, present = await self._fetch_blocks(
                 assignment, key_nodes
             )
-            rebuilt_nodes: set[int] = set()
-            if not present.all():
-                plan = self.plans.schedule(g, np.flatnonzero(~present))
-                if plan.success:
-                    data = self.codec.decode_blocks_with_schedule(
+            lost = np.flatnonzero(~present)
+            if lost.size:
+                plan = self.plans.schedule(g, lost)
+                if not plan.residual:  # every lost row, checks included
+                    blocks = self.codec.replay_schedule(
                         blocks, present, plan.steps
                     )
-                    full = self.codec.encode_blocks(data)
-                    rebuilt_nodes = set(
-                        np.flatnonzero(~present).tolist()
-                    )
-                    for node in rebuilt_nodes:
-                        blocks[node] = full[node]
-                    present[:] = True
+                    present[lost] = True
                 else:
-                    stats["unrepairable_blocks"] = int(
-                        (~present).sum()
-                    )
+                    stats["unrepairable_blocks"] = int(lost.size)
                     registry().counter(
                         "cluster.repair.data_loss_stripes"
                     ).inc()
-            placed_all = True
-            for node in range(g.num_nodes):
-                if not present[node]:
-                    placed_all = False
-                    continue
-                if desired[node] in holders.get(keys[node], ()):
-                    continue
-                payload = blocks[node].data
-                if await self._put_block(
-                    desired[node], keys[node], payload
-                ):
-                    holders.setdefault(keys[node], set()).add(
-                        desired[node]
+            rebuilt = set(lost.tolist())
+            place = [node for node in need if present[node]]
+            placed = await asyncio.gather(
+                *(
+                    self._put_block(
+                        desired[node], keys[node], blocks[node].data
                     )
-                    self._meter_repair(desired[node], payload.nbytes)
-                    by_node[desired[node]] = by_node.get(
-                        desired[node], 0
-                    ) + payload.nbytes
-                    if node in rebuilt_nodes:
-                        stats["rebuilt_blocks"] += 1
-                        stats["rebuilt_bytes"] += payload.nbytes
-                    else:
-                        stats["moved_blocks"] += 1
-                        stats["moved_bytes"] += payload.nbytes
-                else:
-                    placed_all = False
-            if not placed_all:
-                return record, stats, by_node
-        # Fully placed: stray copies are redundant now.
-        for node in range(g.num_nodes):
-            holding = holders.get(keys[node], set())
-            for nid in sorted(holding - {desired[node]}):
+                    for node in place
+                )
+            )
+            for node, ok in zip(place, placed):
+                if not ok:
+                    continue
+                owner, nbytes = desired[node], blocks[node].nbytes
+                holders.setdefault(keys[node], set()).add(owner)
+                self._meter_repair(owner, nbytes)
+                by_node[owner] = by_node.get(owner, 0) + nbytes
+                kind = "rebuilt" if node in rebuilt else "moved"
+                stats[f"{kind}_blocks"] += 1
+                stats[f"{kind}_bytes"] += nbytes
+            placed_all = bool(present.all()) and all(placed)
+        flipped = placed_all and desired != record.placement
+        if flipped or by_node:
+            self._commit_stripe(
+                name,
+                replace(record, placement=desired) if flipped else None,
+                record.index,
+                stats,
+                by_node,
+            )
+            stats["repaired_stripes"] = 1
+        if placed_all:
+            # Every block sits with its journaled owner: any other
+            # copy is redundant now.
+            async def delete(key: str, nid: str) -> None:
                 link = self.nodes.get(nid)
-                if link is None:
-                    holding.discard(nid)
-                    continue
-                try:
-                    await self._rpc(
-                        link, BlockDeleteRequest(key=keys[node])
+                if link is not None:
+                    try:
+                        await self._rpc(link, BlockDeleteRequest(key=key))
+                    except (NodeDownError, TransientUnavailableError):
+                        return
+                holders[key].discard(nid)
+
+            await asyncio.gather(
+                *(
+                    delete(keys[node], nid)
+                    for node in range(g.num_nodes)
+                    for nid in sorted(
+                        holders.get(keys[node], set()) - {desired[node]}
                     )
-                    holding.discard(nid)
-                except (NodeDownError, TransientUnavailableError):
-                    pass
-        if desired == record.placement:
-            return record, stats, by_node
-        return (
-            ClusterStripe(
-                index=record.index,
-                payload_length=record.payload_length,
-                placement=desired,
-            ),
-            stats,
-            by_node,
-        )
+                )
+            )
+        return stats
 
     def _meter_repair(self, node_id: str, nbytes: int) -> None:
         self.repair_bytes += nbytes

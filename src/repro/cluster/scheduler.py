@@ -54,7 +54,7 @@ from ..storage.monitor import graph_first_failure
 
 __all__ = ["RepairScheduler"]
 
-_TOTAL_KEYS = (
+TOTAL_KEYS = (
     "moved_blocks",
     "moved_bytes",
     "rebuilt_blocks",
@@ -93,7 +93,7 @@ class RepairScheduler:
         self.cycles = 0
         self.preemptions = 0
         self.last_first_failure: int | None = None
-        self.totals: dict[str, int] = dict.fromkeys(_TOTAL_KEYS, 0)
+        self.totals: dict[str, int] = dict.fromkeys(TOTAL_KEYS, 0)
         self.last_cycle: dict[str, int] = {}
 
     # ------------------------------------------------------------------
@@ -195,7 +195,7 @@ class RepairScheduler:
         budget = self.bytes_per_cycle
         if budget is not None and self._heap:
             reg.counter("cluster.repair.bytes_budgeted").inc(budget)
-        stats = dict.fromkeys(_TOTAL_KEYS, 0)
+        stats = dict.fromkeys(TOTAL_KEYS, 0)
         spent = 0
         with trace_span("cluster.repair.cycle", queue=len(self._heap)):
             while self._heap:
@@ -218,7 +218,7 @@ class RepairScheduler:
                 # gets the loop before the next repair RPC burst.
                 await asyncio.sleep(0)
         self.cycles += 1
-        for key in _TOTAL_KEYS:
+        for key in TOTAL_KEYS:
             self.totals[key] += stats[key]
         stats["spent_bytes"] = spent
         self.last_cycle = dict(stats)
@@ -240,32 +240,16 @@ class RepairScheduler:
     async def _repair_one(self, entry: _QueueEntry, stats) -> int:
         """Repair one stripe under its lock; returns bytes moved."""
         coord = self.coordinator
-        manifest = coord.manifests.get(entry.name)
-        if manifest is None:
-            return 0
-        record = next(
-            (s for s in manifest.stripes if s.index == entry.index),
-            None,
-        )
-        if record is None:
-            return 0
         async with coord._stripe_lock(entry.name, entry.index):
-            updated, one, by_node = await coord._repair_stripe(
+            record = coord._stripe_record(entry.name, entry.index)
+            if record is None:  # the object was replaced meanwhile
+                return 0
+            one = await coord._repair_stripe(
                 entry.name, record, self._holders
             )
         for key, value in one.items():
             stats[key] += value
-        moved = one["moved_bytes"] + one["rebuilt_bytes"]
-        if updated is not record or moved:
-            coord._commit_stripe(
-                entry.name,
-                updated if updated is not record else None,
-                entry.index,
-                one,
-                by_node,
-            )
-            stats["repaired_stripes"] += 1
-        return moved
+        return one["moved_bytes"] + one["rebuilt_bytes"]
 
     async def drain(self) -> dict[str, int]:
         """Scan once, then run budgeted cycles until the queue empties.
@@ -276,12 +260,12 @@ class RepairScheduler:
         as budget-bounded, read-preemptible increments.
         """
         totals = dict.fromkeys(
-            (*_TOTAL_KEYS, "spent_bytes", "cycles"), 0
+            (*TOTAL_KEYS, "spent_bytes", "cycles"), 0
         )
         await self.scan()
         while self._heap:
             cycle = await self.run_cycle()
-            for key in (*_TOTAL_KEYS, "spent_bytes"):
+            for key in (*TOTAL_KEYS, "spent_bytes"):
                 totals[key] += cycle[key]
             totals["cycles"] += 1
         return totals

@@ -117,7 +117,7 @@ class TornadoCodec:
         present: np.ndarray,
         steps,
     ) -> np.ndarray:
-        """Replay a precomputed peeling schedule on block contents.
+        """Replay a precomputed peeling schedule; return the data rows.
 
         ``steps`` is the ``(constraint_index, node)`` recovery schedule
         from :meth:`repro.core.decoder.PeelingDecoder.decode` for the
@@ -126,6 +126,22 @@ class TornadoCodec:
         (graph, erasure mask) and reuse it across many stripes (see
         :mod:`repro.serve.plancache`); replay is pure XOR with no graph
         search.
+        """
+        stripe = self.replay_schedule(blocks, present, steps)
+        return stripe[list(self.graph.data_nodes)]
+
+    def replay_schedule(
+        self,
+        blocks: np.ndarray,
+        present: np.ndarray,
+        steps,
+    ) -> np.ndarray:
+        """The whole stripe after replaying ``steps``, one row per node.
+
+        The schedule solves lost check nodes as well as lost data (the
+        decoder peels to a fixpoint), so with an empty residual every
+        row equals a fresh :meth:`encode_blocks` — repair takes its
+        lost rows from here instead of re-encoding the stripe.
         """
         g = self.graph
         present = np.asarray(present, dtype=bool)
@@ -138,7 +154,7 @@ class TornadoCodec:
         for ci, node in steps:
             others = [m for m in self._members[ci] if m != node]
             np.bitwise_xor.reduce(work[others], axis=0, out=work[node])
-        return work[list(g.data_nodes)]
+        return work
 
     # ------------------------------------------------------------------
     # Payload (whole-object) API

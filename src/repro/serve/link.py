@@ -8,7 +8,9 @@ is held for connect and for write + ``drain`` only — never across the
 reply — so every RPC a caller has gathered is on the wire at once.
 
 The link moves bytes and looks no further into them than the header's
-``id``: callers encode requests and parse replies themselves.  Failure
+``id``: callers encode requests and parse replies themselves, and the
+header it decoded to find the ``id`` comes back with the reply so that
+``parse_response`` need not decode the line again.  Failure
 is all-or-nothing: an expired deadline, a refused connect, a reset, EOF
 or a torn frame aborts the transport and fails every RPC parked on the
 link with its ``down_error``; the caller's retry policy takes it from
@@ -26,7 +28,7 @@ from .protocol import MAX_LINE_BYTES, ProtocolError, decode_frame
 
 __all__ = ["PipelinedLink"]
 
-Reply = tuple[bytes, bytes]  # header line, raw payload
+Reply = tuple[bytes, bytes, dict]  # header line, raw payload, decoded header
 
 
 class PipelinedLink:
@@ -111,10 +113,10 @@ class PipelinedLink:
         reason = "closed the connection"
         try:
             while (frame := await read_frame(reader)) is not None:
-                request_id = decode_frame(frame[0]).get("id")
-                reply = self._pending.pop(request_id, None)
+                header = decode_frame(frame[0])
+                reply = self._pending.pop(header.get("id"), None)
                 if reply is not None and not reply.done():
-                    reply.set_result(frame)
+                    reply.set_result((*frame, header))
         except asyncio.IncompleteReadError:
             reason = "closed mid-frame"
         except (OSError, ProtocolError) as exc:

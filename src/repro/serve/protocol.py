@@ -212,6 +212,8 @@ def exception_for(code: str, message: str) -> Exception:
 _PAYLOAD_KEY = "bin"
 _PAYLOAD_MARK = f',"{_PAYLOAD_KEY}":'.encode()
 _BUFFERS = (bytes, bytearray, memoryview)
+# ``json.dumps`` with separators builds a ``JSONEncoder`` per call.
+_encode_header = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _nbytes(buffer: Any) -> int:
@@ -251,7 +253,7 @@ def encode_frame(frame: dict[str, Any]) -> bytes:
                 f"{MAX_PAYLOAD_BYTES}-byte cap"
             )
         header[_PAYLOAD_KEY] = total
-    line = json.dumps(header, separators=(",", ":")).encode() + b"\n"
+    line = _encode_header(header).encode() + b"\n"
     return b"".join((line, *parts)) if parts else line
 
 
@@ -383,11 +385,30 @@ def _coerce(
     return tuple(value) if wire_type is list else value
 
 
+def _wire_dataclass(cls):
+    """Freeze ``cls`` as a dataclass and cache its field table.
+
+    ``_wire_fields`` holds one ``(name, annotation, required)`` per
+    field, computed here once so that no frame pays for
+    ``dataclasses.fields()``.
+    """
+    cls = dataclass(frozen=True)(cls)
+    cls._wire_fields = tuple(
+        (
+            f.name,
+            f.type,
+            f.default is MISSING and f.default_factory is MISSING,
+        )
+        for f in fields(cls)
+    )
+    return cls
+
+
 def _body_fields(obj: Any) -> Iterable[tuple[str, Any]]:
-    for f in fields(obj):
-        value = getattr(obj, f.name)
+    for name, _, _ in obj._wire_fields:
+        value = getattr(obj, name)
         if value is not None:
-            yield f.name, value
+            yield name, value
 
 
 def _from_frame(cls, ctx: str, frame: dict[str, Any], data: bytes):
@@ -411,14 +432,12 @@ def _from_frame(cls, ctx: str, frame: dict[str, Any], data: bytes):
         return data[offset - length : offset]
 
     kwargs: dict[str, Any] = {}
-    for f in fields(cls):
-        if f.name not in frame:
-            if f.default is MISSING and f.default_factory is MISSING:
-                raise ProtocolError(
-                    f"{ctx} requires field {f.name!r}"
-                )
+    for name, annotation, required in cls._wire_fields:
+        if name not in frame:
+            if required:
+                raise ProtocolError(f"{ctx} requires field {name!r}")
             continue
-        kwargs[f.name] = _coerce(ctx, f.name, f.type, frame[f.name], take)
+        kwargs[name] = _coerce(ctx, name, annotation, frame[name], take)
     if offset != len(data):
         raise ProtocolError(
             f"{ctx} payload has {len(data) - offset} bytes no field claims"
@@ -466,7 +485,7 @@ _REQUEST_TYPES: dict[str, type[Request]] = {}
 
 def _request(cls: type[Request]) -> type[Request]:
     """Make ``cls`` a frozen dataclass and register it under its ``op``."""
-    cls = dataclass(frozen=True)(cls)
+    cls = _wire_dataclass(cls)
     _REQUEST_TYPES[cls.op] = cls
     return cls
 
@@ -760,7 +779,7 @@ _RESPONSE_TYPES: dict[str, type[Response]] = {}
 
 def _response(cls: type[Response]) -> type[Response]:
     """Make ``cls`` a frozen dataclass and register it under its ``kind``."""
-    cls = dataclass(frozen=True)(cls)
+    cls = _wire_dataclass(cls)
     _RESPONSE_TYPES[cls.kind] = cls
     return cls
 
@@ -882,15 +901,20 @@ class ErrorResponse(Response):
 
 
 def parse_response(
-    line: bytes | str, payload: bytes = b""
+    line: bytes | str,
+    payload: bytes = b"",
+    frame: dict[str, Any] | None = None,
 ) -> tuple[Response, dict[str, Any]]:
     """Parse a reply's header line and payload into ``(response, frame)``.
 
     The raw header frame rides along for envelope extras (``id``,
     shipped ``spans``).  Error frames always parse, so clients can
-    surface the failure instead of desynchronising.
+    surface the failure instead of desynchronising.  A caller that has
+    decoded ``line`` already (a link routing replies by ``id``) passes
+    the result as ``frame`` and the line is not decoded again.
     """
-    frame = decode_frame(line)
+    if frame is None:
+        frame = decode_frame(line)
     if not frame.get("ok", False):
         return (
             ErrorResponse(
