@@ -1,8 +1,10 @@
 """Storage-node daemon: a :class:`LocalBlockStore` behind the protocol.
 
-One node process serves block RPCs (``block.put`` / ``block.get`` /
-``block.fetch`` / ``block.delete`` / ``block.list``) over the shared
-line-JSON protocol, plus a small control plane: ``node.admin`` and the
+One node process serves the block plane — four verbs, each over a
+batch of keys: ``block.put`` (``{key: bytes}``; availability is checked
+before the first write, so a batch lands whole or not at all),
+``block.fetch``, ``block.delete`` (acks how many keys it held) and
+``block.list`` — plus a small control plane: ``node.admin`` and the
 archive-service rows a node implements (``ping``, ``stats``,
 ``metrics``, ``metrics.snapshot`` — dispatched by the shared
 :class:`~repro.serve.lineserver.ArchiveEndpoint`, not here).
@@ -52,10 +54,8 @@ from ..storage.device import TransientUnavailableError
 from ..serve.lineserver import ArchiveEndpoint, start_line_server
 from ..serve.protocol import (
     AckResponse,
-    BlockDataResponse,
     BlockDeleteRequest,
     BlockFetchRequest,
-    BlockGetRequest,
     BlockListRequest,
     BlockMapResponse,
     BlockPutRequest,
@@ -208,12 +208,9 @@ class StorageNode:
             return AckResponse(info=self.stats())
         self._check_available(request.op)
         if isinstance(request, BlockPutRequest):
-            self.store.put(request.key, request.data)
-            return AckResponse(info={"key": request.key})
-        if isinstance(request, BlockGetRequest):
-            return BlockDataResponse(
-                key=request.key, data=self.store.get(request.key)
-            )
+            for key, data in request.blocks.items():
+                self.store.put(key, data)
+            return AckResponse(info={"stored": len(request.blocks)})
         if isinstance(request, BlockFetchRequest):
             held: dict[str, bytes] = {}
             missing: list[str] = []
@@ -225,10 +222,7 @@ class StorageNode:
             return BlockMapResponse(blocks=held, missing=tuple(missing))
         if isinstance(request, BlockDeleteRequest):
             return AckResponse(
-                info={
-                    "key": request.key,
-                    "deleted": self.store.delete(request.key),
-                }
+                info={"deleted": sum(map(self.store.delete, request.keys))}
             )
         if isinstance(request, BlockListRequest):
             return KeyListResponse(
@@ -250,7 +244,6 @@ NODE_ROWS = dict.fromkeys(
     (
         NodeAdminRequest,
         BlockPutRequest,
-        BlockGetRequest,
         BlockFetchRequest,
         BlockDeleteRequest,
         BlockListRequest,

@@ -37,10 +37,8 @@ from .errors import DeadlineExceededError
 from .protocol import (
     MAX_LINE_BYTES,
     AckResponse,
-    BlockDataResponse,
     BlockDeleteRequest,
     BlockFetchRequest,
-    BlockGetRequest,
     BlockListRequest,
     BlockMapResponse,
     BlockPutRequest,
@@ -320,11 +318,13 @@ class ClusterClient(ArchiveClient):
     # -- storage-node block plane --------------------------------------
 
     def block_put(self, key: str, data: bytes) -> None:
-        self.call(BlockPutRequest(key=key, data=data))
+        self.call(BlockPutRequest(blocks={key: data}))
 
     def block_get(self, key: str) -> bytes:
-        response, _ = self.call(BlockGetRequest(key=key))
-        return self._expect(response, BlockDataResponse).data
+        held, _ = self.block_fetch((key,))
+        if key not in held:
+            raise KeyError(f"no block {key!r} on this node")
+        return held[key]
 
     def block_fetch(
         self, keys: tuple[str, ...]
@@ -334,7 +334,7 @@ class ClusterClient(ArchiveClient):
         return dict(got.blocks or {}), got.missing
 
     def block_delete(self, key: str) -> bool:
-        response, _ = self.call(BlockDeleteRequest(key=key))
+        response, _ = self.call(BlockDeleteRequest(keys=(key,)))
         return bool(self._expect(response, AckResponse).info["deleted"])
 
     def block_list(self, prefix: str = "") -> tuple[str, ...]:

@@ -26,7 +26,7 @@ typing, versioning, and the error taxonomy live here once:
   mean the same on a frontend, a coordinator, a gateway and a node
   (each serves the ones it implements); only tier-specific ops
   (``cluster.*``, ``block.*``, ``node.admin``) carry a prefix.
-* **Versioning** — every frame carries ``"v": 3``.  Anything else (no
+* **Versioning** — every frame carries ``"v": 4``.  Anything else (no
   ``v``, an older or a newer one) is refused with
   ``unsupported_version``, carrying the offender's ``id``.
 * **Error taxonomy** — :func:`error_code` maps every exception a
@@ -81,7 +81,6 @@ __all__ = [
     "StatusRequest",
     "RepairRequest",
     "BlockPutRequest",
-    "BlockGetRequest",
     "BlockFetchRequest",
     "BlockDeleteRequest",
     "BlockListRequest",
@@ -97,7 +96,6 @@ __all__ = [
     "MetricsResponse",
     "MetricsSnapshotResponse",
     "ObjectInfoResponse",
-    "BlockDataResponse",
     "BlockMapResponse",
     "KeyListResponse",
     "AckResponse",
@@ -113,7 +111,7 @@ __all__ = [
     "payload_size",
 ]
 
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 # Longest header line: the asyncio stream limit of the line server and
 # of every client connection.  Bounds a ``block.list`` reply (~10^5
@@ -579,19 +577,11 @@ class RepairRequest(Request):
 
 @_request
 class BlockPutRequest(Request):
+    """Bulk block write: one RPC stores the whole batch, or none of it
+    when the node's data plane is dark."""
+
     op: ClassVar[str] = "block.put"
-    key: str = ""
-    data: bytes = b""
-
-    _required = ("key",)
-
-
-@_request
-class BlockGetRequest(Request):
-    op: ClassVar[str] = "block.get"
-    key: str = ""
-
-    _required = ("key",)
+    blocks: dict[str, bytes]
 
 
 @_request
@@ -604,10 +594,10 @@ class BlockFetchRequest(Request):
 
 @_request
 class BlockDeleteRequest(Request):
-    op: ClassVar[str] = "block.delete"
-    key: str = ""
+    """Bulk block delete; the ack counts the keys that were held."""
 
-    _required = ("key",)
+    op: ClassVar[str] = "block.delete"
+    keys: tuple[str, ...] = ()
 
 
 @_request
@@ -821,13 +811,6 @@ class ObjectInfoResponse(Response):
     size: int = 0
     sha256: str = ""
     payload: bytes | None = None
-
-
-@_response
-class BlockDataResponse(Response):
-    kind: ClassVar[str] = "block"
-    key: str = ""
-    data: bytes = b""
 
 
 @_response

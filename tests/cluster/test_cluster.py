@@ -8,10 +8,15 @@ import pytest
 
 from repro.cluster import ClusterCoordinator, StorageNode, start_storage_node
 from repro.cluster.coordinator import start_coordinator
+from repro.core.critical import minimal_bad_stopping_sets
 from repro.graphs import tornado_catalog_graph
+from repro.obs.registry import capture
 from repro.obs.trace import Tracer, trace_capture
 from repro.serve.client import ClusterClient
 from repro.serve.plancache import PlanCache
+from repro.serve.protocol import BlockFetchRequest
+from repro.storage.archive import DataLossError
+from repro.storage.blockstore import block_key
 from repro.storage.device import TransientUnavailableError
 
 
@@ -254,6 +259,84 @@ class TestEndToEnd:
             assert (await coord.status())["engine"] == "bitset"
             await cluster.close()
 
+        run(check())
+
+
+class TestUntrustedFetchReplies:
+    """A node's ``block.fetch`` reply is checked, not trusted: a block
+    of the wrong length or under a key nobody asked for is an erasure."""
+
+    @staticmethod
+    async def healthy_object():
+        cluster = await Cluster.start(members=4)
+        payload = payload_bytes(48 * 64, seed=4)
+        info = await cluster.coordinator.put("obj", payload)
+        assert info["failed_blocks"] == 0
+        (record,) = cluster.coordinator.manifests["obj"].stripes
+        return cluster, record, payload
+
+    @staticmethod
+    def truncate(cluster, record, graph_nodes):
+        for node in graph_nodes:
+            cluster.nodes[record.placement[node]].store.put(
+                block_key("obj", record.index, node), b"\x00" * 10
+            )
+
+    def test_wrong_length_block_is_decoded_around(self):
+        async def check():
+            cluster, record, payload = await self.healthy_object()
+            self.truncate(cluster, record, [7])
+            got = await cluster.coordinator.get("obj", want_payload=True)
+            assert got.payload == payload
+            raw = await cluster.coordinator.fetch_stripe_raw("obj", 0)
+            assert sorted(map(int, raw.blocks)) == [
+                n for n in range(96) if n != 7
+            ]
+            await cluster.close()
+
+        with capture() as registry:
+            run(check())
+        counters = registry.snapshot()["counters"]
+        assert counters["cluster.get.degraded"] == 1
+        assert counters["cluster.fetch.malformed_blocks"] == 2
+
+    def test_unrequested_key_is_dropped_not_a_key_error(self):
+        async def check():
+            cluster, record, payload = await self.healthy_object()
+            liar = cluster.nodes["node-2"]
+            honest = liar.handle
+
+            def handle(request):
+                response = honest(request)
+                if isinstance(request, BlockFetchRequest):
+                    response.blocks["obj/0/unasked"] = b"\x01" * 64
+                    response.blocks["other/9/3"] = b"\x02" * 64
+                return response
+
+            liar.handle = handle
+            got = await cluster.coordinator.get("obj", want_payload=True)
+            assert got.payload == payload
+            await cluster.close()
+
+        with capture() as registry:
+            run(check())
+        counters = registry.snapshot()["counters"]
+        assert counters["cluster.fetch.malformed_blocks"] == 2
+        # Nothing that was asked for is missing: a healthy read.
+        assert "cluster.get.degraded" not in counters
+
+    def test_malformed_blocks_over_a_stopping_set_are_data_loss(self):
+        critical = minimal_bad_stopping_sets(catalog_graph(), max_size=5)
+
+        async def check():
+            cluster, record, _ = await self.healthy_object()
+            self.truncate(cluster, record, critical[0])
+            with pytest.raises(DataLossError) as excinfo:
+                await cluster.coordinator.get("obj", want_payload=True)
+            assert set(excinfo.value.residual) <= critical[0]
+            await cluster.close()
+
+        assert critical
         run(check())
 
 

@@ -9,8 +9,9 @@ from repro.cluster import StorageNode, start_storage_node
 from repro.resilience import FaultPlan
 from repro.resilience.faults import TransientOutages
 from repro.serve.protocol import (
+    PROTOCOL_VERSION,
+    BlockDeleteRequest,
     BlockFetchRequest,
-    BlockGetRequest,
     BlockListRequest,
     BlockPutRequest,
     Envelope,
@@ -32,9 +33,8 @@ def served(node, request):
 class TestStorageNodeLogic:
     def test_block_ops_round_trip(self):
         node = StorageNode("n0")
-        node.handle(BlockPutRequest(key="a/0/0", data=b"xy"))
-        got = node.handle(BlockGetRequest(key="a/0/0"))
-        assert got.data == b"xy"
+        stored = node.handle(BlockPutRequest(blocks={"a/0/0": b"xy"}))
+        assert stored.info == {"stored": 1}
         fetched = node.handle(
             BlockFetchRequest(keys=("a/0/0", "a/0/1"))
         )
@@ -45,10 +45,10 @@ class TestStorageNodeLogic:
 
     def test_interrupt_gates_data_plane_not_control_plane(self):
         node = StorageNode("n0")
-        node.handle(BlockPutRequest(key="k", data=b"v"))
+        node.handle(BlockPutRequest(blocks={"k": b"v"}))
         node.interrupt(steps=2)
         with pytest.raises(TransientUnavailableError):
-            node.handle(BlockGetRequest(key="k"))
+            node.handle(BlockFetchRequest(keys=("k",)))
         # Control plane answers during the outage.
         assert served(node, PingRequest()).pong is True
         stats = served(node, StatsRequest()).stats
@@ -57,7 +57,43 @@ class TestStorageNodeLogic:
         # Stepping through the outage restores availability.
         assert node.step() is False
         assert node.step() is True
-        assert node.handle(BlockGetRequest(key="k")).data == b"v"
+        fetched = node.handle(BlockFetchRequest(keys=("k",)))
+        assert fetched.blocks == {"k": b"v"}
+
+    def test_batch_put_during_an_outage_stores_nothing(self):
+        node = StorageNode("n0")
+        node.handle(BlockPutRequest(blocks={"old": b"o"}))
+        node.interrupt()
+        batch = {f"k{i}": bytes([i]) * 4 for i in range(5)}
+        with pytest.raises(TransientUnavailableError):
+            node.handle(BlockPutRequest(blocks={"old": b"new", **batch}))
+        node.restore()
+        # The availability check precedes the first write.
+        assert tuple(node.store.keys()) == ("old",)
+        assert node.store.get("old") == b"o"
+        assert node.store.stats()["puts"] == 1
+        assert node.handle(BlockPutRequest(blocks=batch)).info == {
+            "stored": 5
+        }
+        fetched = node.handle(BlockFetchRequest(keys=tuple(batch)))
+        assert fetched.blocks == batch and fetched.missing == ()
+
+    def test_batch_delete_counts_what_it_held_and_is_idempotent(self):
+        node = StorageNode("n0")
+        node.handle(BlockPutRequest(blocks={"a": b"1", "b": b"22", "c": b"3"}))
+        doomed = BlockDeleteRequest(keys=("a", "b", "never-stored"))
+        assert node.handle(doomed).info == {"deleted": 2}
+        assert node.handle(doomed).info == {"deleted": 0}
+        assert tuple(node.store.keys()) == ("c",)
+        assert node.store.bytes_stored == 1
+
+    def test_empty_batches_are_no_op_acks(self):
+        node = StorageNode("n0")
+        node.handle(BlockPutRequest(blocks={"a": b"1"}))
+        assert node.handle(BlockPutRequest(blocks={})).info == {"stored": 0}
+        assert node.handle(BlockDeleteRequest(keys=())).info == {"deleted": 0}
+        assert node.store.stats()["puts"] == 1
+        assert tuple(node.store.keys()) == ("a",)
 
     def test_fault_plan_drives_outages_deterministically(self):
         plan = FaultPlan(
@@ -95,7 +131,7 @@ class TestStorageNodeServer:
                 )
                 writer.write(
                     encode_request(
-                        BlockPutRequest(key="k", data=b"x"),
+                        BlockPutRequest(blocks={"k": b"x"}),
                         request_id=1,
                         trace={"trace_id": "t" * 16, "span_id": "s" * 16},
                     )
@@ -128,7 +164,9 @@ class TestStorageNodeServer:
                 reader, writer = await asyncio.open_connection(
                     host, port
                 )
-                writer.write(b'{"v": 3, "op": "ping"}\n')
+                writer.write(
+                    b'{"v": %d, "op": "ping"}\n' % PROTOCOL_VERSION
+                )
                 await writer.drain()
                 reply = json.loads(await reader.readline())
                 writer.close()
@@ -146,7 +184,7 @@ class TestStorageNodeServer:
 class TestMetricsPlane:
     def test_metrics_snapshot_dispatch(self):
         node = StorageNode("n7")
-        served(node, BlockPutRequest(key="a/0/0", data=b"xyzw"))
+        served(node, BlockPutRequest(blocks={"a/0/0": b"xyzw"}))
         response = served(node, MetricsSnapshotRequest())
         assert isinstance(response, MetricsSnapshotResponse)
         assert response.role == "node"
@@ -164,6 +202,6 @@ class TestMetricsPlane:
         node = StorageNode("n8")
         node.interrupt()
         with pytest.raises(TransientUnavailableError):
-            served(node, BlockGetRequest(key="a/0/0"))
+            served(node, BlockFetchRequest(keys=("a/0/0",)))
         response = served(node, MetricsSnapshotRequest())
         assert response.snapshot["gauges"]["node.available"] == 0.0

@@ -11,6 +11,7 @@ import pytest
 
 from repro.cluster import ClusterCoordinator, StorageNode, start_storage_node
 from repro.graphs import tornado_catalog_graph
+from repro.serve.protocol import BlockDeleteRequest, BlockPutRequest
 
 BLOCK = 64
 STRIPE = 48 * BLOCK  # payload bytes of one catalog-graph-3 stripe
@@ -206,23 +207,26 @@ class TestPlacementBurst:
             }
             before = cluster.held()
             joiner = StorageNode("node-3", seed=3)
-            real = coord._put_block
-            puts = 0
+            real = coord._put_blocks
+            batches = []
 
-            async def dying(node_id, key, data):
-                nonlocal puts
+            async def dying(node_id, blocks):
                 if node_id == "node-3":
-                    puts += 1
-                    if puts == 10:
-                        cluster.kill("node-3")
-                return await real(node_id, key, data)
+                    batches.append(len(blocks))
+                    if len(batches) == 1:
+                        # Dies with its first batch written, unanswered.
+                        asyncio.get_running_loop().call_soon(
+                            cluster.kill, "node-3"
+                        )
+                return await real(node_id, blocks)
 
-            coord._put_block = dying
+            coord._put_blocks = dying
             summary = await cluster.join(joiner)
-            coord._put_block = real
-            # Re-striding onto four members moves most of a stripe;
-            # what was headed for the joiner after its death is not
-            # placed, so no record flips and every old copy stays.
+            coord._put_blocks = real
+            # Re-striding onto four members moves most of a stripe.
+            # The joiner's share is one batch per stripe and none is
+            # acknowledged, so no record flips and every old copy stays;
+            # what was headed for the other members is placed.
             to_move = sum(
                 old != new
                 for name, placement in placements.items()
@@ -233,8 +237,9 @@ class TestPlacementBurst:
                     ),
                 )
             )
-            assert puts > 10
-            assert 0 < summary["moved_blocks"] < to_move
+            assert batches == [24, 24, 24]
+            assert summary["moved_blocks"] == to_move - sum(batches)
+            assert summary["unrepairable_blocks"] == 0
             for name, placement in placements.items():
                 assert (
                     coord.manifests[name].stripes[0].placement == placement
@@ -246,10 +251,11 @@ class TestPlacementBurst:
             # repair pass places the rest and flips every record.
             again = await cluster.join(joiner)
             assert again["unrepairable_blocks"] == 0
-            # The nine puts on the wire at the kill may have landed
+            # The batch on the wire at the kill may have landed
             # unacknowledged; those blocks need no second move.
-            moved = summary["moved_blocks"] + again["moved_blocks"]
-            assert to_move - 9 <= moved <= to_move
+            assert again["moved_blocks"] in (
+                sum(batches), sum(batches[1:])
+            )
             holders = await coord._inventory()
             assert len(holders) == 3 * 96
             assert all(len(v) == 1 for v in holders.values())
@@ -303,6 +309,55 @@ class TestPlacementBurst:
         assert digest == (
             "f4be4908d0e9051e6b0b66c63dbc2dd1287f8a7519c79ab223fb1b332b091414"
         )
+
+
+class TestBatchesPerMember:
+    def test_a_leave_costs_one_put_and_one_delete_per_member_per_stripe(
+        self,
+    ):
+        async def check():
+            cluster = await Cluster.start(4)
+            coord = cluster.coordinator
+            sent = []
+            rpc = coord._rpc
+
+            async def recording(link, request):
+                sent.append(request)
+                return await rpc(link, request)
+
+            def batch_sizes(kind, field):
+                return [
+                    len(getattr(r, field)) for r in sent if type(r) is kind
+                ]
+
+            coord._rpc = recording
+            await coord.put("solo", payload_bytes(STRIPE))
+            # The benchmark pins a put at one RPC per block.
+            assert batch_sizes(BlockPutRequest, "blocks") == [1] * 96
+            await cluster.put_objects(3, size=2 * STRIPE)
+            stripes = 1 + 3 * 2
+            before = cluster.held()
+            sent.clear()
+            summary = await coord.deregister("node-1")
+            coord._rpc = rpc
+            assert summary["repaired_stripes"] == stripes
+            puts = batch_sizes(BlockPutRequest, "blocks")
+            deletes = batch_sizes(BlockDeleteRequest, "keys")
+            live = len(coord.ring.members)
+            assert 0 < len(puts) <= live * stripes
+            assert 0 < len(deletes) <= live * stripes
+            assert sum(puts) == (
+                summary["moved_blocks"] + summary["rebuilt_blocks"]
+            )
+            after = cluster.held()
+            strays = sum(
+                len(before[nid] - after[nid]) for nid in coord.ring.members
+            )
+            # Every moved block left one stray copy behind.
+            assert sum(deletes) == strays == summary["moved_blocks"]
+            await cluster.close()
+
+        run(check())
 
 
 class TestScanFanOut:

@@ -158,12 +158,13 @@ class TestArchiveContract:
         def script(host, port):
             import socket
 
+            current = proto.PROTOCOL_VERSION
             with socket.create_connection((host, port), timeout=10) as sock:
                 reader = sock.makefile("rb")
                 sock.sendall(
                     b'{"v":2,"op":"cluster.get","name":"obj","id":4}\n'
-                    b'{"v":3,"op":"bogus","id":5}\n'
-                    b'{"v":3,"op":"ping","id":6}\n'
+                    b'{"v":%d,"op":"bogus","id":5}\n'
+                    b'{"v":%d,"op":"ping","id":6}\n' % (current, current)
                 )
                 replies = {}
                 for _ in range(3):
@@ -172,7 +173,7 @@ class TestArchiveContract:
             assert replies[4]["code"] == "unsupported_version"
             assert replies[5]["code"] == "unknown_op"
             assert replies[6]["kind"] == "pong"
-            assert {r["v"] for r in replies.values()} == {3}
+            assert {r["v"] for r in replies.values()} == {current}
 
         on_live_tier(tier, script)
 

@@ -11,6 +11,12 @@ from repro.serve import (
     seeded_archive,
     start_frontend,
 )
+from repro.serve.protocol import PROTOCOL_VERSION
+
+
+def req(**fields) -> bytes:
+    """One request line (no newline) at the current protocol version."""
+    return json.dumps({"v": PROTOCOL_VERSION, **fields}).encode()
 
 
 def small_archive():
@@ -47,11 +53,11 @@ async def _roundtrip(requests):
 class TestFrontend:
     def test_get_returns_size_and_digest(self):
         names, expected, (reply,) = asyncio.run(
-            _roundtrip([json.dumps({"v": 3, "op": "get", "name": "object-000"}).encode()])
+            _roundtrip([req(op="get", name="object-000")])
         )
         data = expected["object-000"]
         assert reply == {
-            "v": 3,
+            "v": PROTOCOL_VERSION,
             "ok": True,
             "kind": "object",
             "name": "object-000",
@@ -63,17 +69,19 @@ class TestFrontend:
         _, _, replies = asyncio.run(
             _roundtrip(
                 [
-                    json.dumps({"v": 3, "op": "ping"}).encode(),
-                    json.dumps({"v": 3, "op": "stats"}).encode(),
-                    json.dumps({"v": 3, "op": "get", "name": "missing"}).encode(),
-                    json.dumps({"v": 3, "op": "get"}).encode(),
-                    json.dumps({"v": 3, "op": "bogus"}).encode(),
+                    req(op="ping"),
+                    req(op="stats"),
+                    req(op="get", name="missing"),
+                    req(op="get"),
+                    req(op="bogus"),
                     b"not json at all",
                 ]
             )
         )
         ping, stats, missing, nameless, bogus, garbage = replies
-        assert ping == {"v": 3, "ok": True, "kind": "pong", "pong": True}
+        assert ping == {
+            "v": PROTOCOL_VERSION, "ok": True, "kind": "pong", "pong": True
+        }
         assert stats["ok"] is True
         assert stats["stats"]["state"] == "running"
         assert "counters" in stats["stats"]
@@ -90,7 +98,7 @@ class TestFrontend:
         names, expected, replies = asyncio.run(
             _roundtrip(
                 [
-                    json.dumps({"v": 3, "op": "get", "name": n}).encode()
+                    req(op="get", name=n)
                     for n in ["object-000", "object-001", "object-000"]
                 ]
             )
@@ -105,8 +113,8 @@ class TestFrontend:
         _, _, (get_reply, metrics_reply) = asyncio.run(
             _roundtrip(
                 [
-                    json.dumps({"v": 3, "op": "get", "name": "object-000"}).encode(),
-                    json.dumps({"v": 3, "op": "metrics"}).encode(),
+                    req(op="get", name="object-000"),
+                    req(op="metrics"),
                 ]
             )
         )
@@ -144,7 +152,7 @@ class TestConcurrentWrites:
                     burst = b"".join(
                         json.dumps(
                             {
-                                "v": 3,
+                                "v": PROTOCOL_VERSION,
                                 "id": i,
                                 "op": "get",
                                 "name": names[i % len(names)],

@@ -25,7 +25,7 @@ from repro.resilience import RetryPolicy
 from repro.serve.client import ClusterClient, ProtocolClient
 from repro.serve.errors import DeadlineExceededError, NodeUnreachableError
 from repro.serve.lineserver import start_line_server
-from repro.serve.protocol import PingRequest, PongResponse
+from repro.serve.protocol import PROTOCOL_VERSION, PingRequest, PongResponse
 
 
 def run(coro):
@@ -50,7 +50,7 @@ async def midframe_server():
 
     async def handle(reader, writer):
         await reader.readline()
-        writer.write(b'{"v": 3, "kind": "pong", "po')  # no newline
+        writer.write(b'{"v": %d, "kind": "pong", "po' % PROTOCOL_VERSION)
         await writer.drain()
         writer.close()
 
@@ -137,10 +137,11 @@ class TestLineServerMalformedFrames:
             reader, writer = await asyncio.open_connection(host, port)
             # A valid ping, then garbage, then another valid ping —
             # all pipelined on one connection.
-            writer.write(b'{"v": 3, "op": "ping", "id": 1}\n')
+            v = PROTOCOL_VERSION
+            writer.write(b'{"v": %d, "op": "ping", "id": 1}\n' % v)
             writer.write(b"this is not JSON\n")
-            writer.write(b'{"v": 3, "op": "nonsense.op", "id": 2}\n')
-            writer.write(b'{"v": 3, "op": "ping", "id": 3}\n')
+            writer.write(b'{"v": %d, "op": "nonsense.op", "id": 2}\n' % v)
+            writer.write(b'{"v": %d, "op": "ping", "id": 3}\n' % v)
             await writer.drain()
             frames = [
                 json.loads(await reader.readline()) for _ in range(4)
@@ -201,7 +202,7 @@ class TestCoordinatorRpcDeadlines:
                 request_id = json.loads(line)["id"]
                 writer.write(
                     json.dumps(
-                        {"v": 3, "ok": True, "kind": "pong",
+                        {"v": PROTOCOL_VERSION, "ok": True, "kind": "pong",
                          "pong": True, "id": request_id}
                     ).encode() + b"\n"
                 )

@@ -24,7 +24,6 @@ from repro.resilience import RetryPolicy
 from repro.serve.lineserver import start_line_server
 from repro.serve.protocol import (
     BlockFetchRequest,
-    BlockGetRequest,
     BlockMapResponse,
     BlockPutRequest,
     NodeAdminRequest,
@@ -152,10 +151,10 @@ class TestPipelining:
             coord = coordinator(rpc_timeout=5.0)
             await coord.register("n0", *address(server))
             link = coord.nodes["n0"]
-            await coord._rpc(link, BlockPutRequest(key="k", data=b"\n\xff"))
+            await coord._rpc(link, BlockPutRequest(blocks={"k": b"\n\xff"}))
             node.partitioned = True
             parked = asyncio.create_task(
-                coord._rpc(link, BlockGetRequest(key="k"))
+                coord._rpc(link, BlockFetchRequest(keys=("k",)))
             )
             await asyncio.sleep(0.05)
             assert not parked.done()
@@ -163,7 +162,7 @@ class TestPipelining:
             # answered while the data-plane request is still parked.
             healed = await coord._rpc(link, NodeAdminRequest(action="heal"))
             assert healed.info["partitioned"] is False
-            assert (await parked).data == b"\n\xff"
+            assert (await parked).blocks == {"k": b"\n\xff"}
             link.reset()
             server.close()
             await server.wait_closed()
@@ -208,7 +207,8 @@ class TestFailure:
                 try:
                     return await rpc(link, request)
                 except NodeDownError as exc:
-                    failures.append((request.key, str(exc)))
+                    (key,) = request.blocks
+                    failures.append((key, str(exc)))
                     raise
 
             coord._rpc = counting

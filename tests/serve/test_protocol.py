@@ -4,7 +4,7 @@ import asyncio
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.serve import protocol as proto
@@ -18,10 +18,8 @@ from repro.serve.protocol import (
     MAX_PAYLOAD_BYTES,
     PROTOCOL_VERSION,
     AckResponse,
-    BlockDataResponse,
     BlockDeleteRequest,
     BlockFetchRequest,
-    BlockGetRequest,
     BlockListRequest,
     BlockMapResponse,
     BlockPutRequest,
@@ -69,6 +67,11 @@ payloads = st.one_of(
     st.binary(max_size=512),
     st.sampled_from([b"", b"\n", b"\n\n{}\n", b"=", b"==\xff", b"\xff" * 7]),
 )
+# A ``block.put`` batch: 0, 1 or many entries, ``bytes`` values or the
+# ``memoryview`` rows the coordinator sends.
+block_batches = st.dictionaries(
+    keys, st.one_of(payloads, payloads.map(memoryview)), max_size=8
+)
 json_dicts = st.dictionaries(
     st.text(max_size=20),
     st.one_of(st.integers(), st.text(max_size=20), st.booleans()),
@@ -87,7 +90,6 @@ COVERED_REQUESTS = {
     StatusRequest,
     RepairRequest,
     BlockPutRequest,
-    BlockGetRequest,
     BlockFetchRequest,
     BlockDeleteRequest,
     BlockListRequest,
@@ -104,7 +106,6 @@ COVERED_RESPONSES = {
     MetricsResponse,
     MetricsSnapshotResponse,
     ObjectInfoResponse,
-    BlockDataResponse,
     BlockMapResponse,
     KeyListResponse,
     AckResponse,
@@ -129,13 +130,15 @@ request_strategies = st.one_of(
     ),
     st.just(StatusRequest()),
     st.builds(RepairRequest, mode=st.sampled_from(RepairRequest._MODES)),
-    st.builds(BlockPutRequest, key=keys, data=payloads),
-    st.builds(BlockGetRequest, key=keys),
+    st.builds(BlockPutRequest, blocks=block_batches),
     st.builds(
         BlockFetchRequest,
         keys=st.lists(keys, max_size=8).map(tuple),
     ),
-    st.builds(BlockDeleteRequest, key=keys),
+    st.builds(
+        BlockDeleteRequest,
+        keys=st.lists(keys, max_size=8).map(tuple),
+    ),
     st.builds(BlockListRequest, prefix=st.text(max_size=20)),
     st.builds(
         NodeAdminRequest,
@@ -179,7 +182,6 @@ response_strategies = st.one_of(
         sha256=st.text(max_size=64),
         payload=st.one_of(st.none(), payloads),
     ),
-    st.builds(BlockDataResponse, key=keys, data=payloads),
     st.builds(
         BlockMapResponse,
         blocks=st.dictionaries(keys, payloads, max_size=6),
@@ -243,6 +245,20 @@ class TestRequestRoundTrip:
         _, envelope = parse_request(*split(data))
         assert envelope.trace == trace
 
+    @settings(max_examples=100, deadline=None)
+    @given(blocks=block_batches)
+    @example(blocks={})
+    @example(blocks={"k": memoryview(b"\n\xff=")[1:]})
+    @example(blocks={f"obj/0/{i}": bytes([i]) * i for i in range(32)})
+    def test_block_put_batch_arrives_byte_exact_and_in_order(self, blocks):
+        line, payload = split(encode_request(BlockPutRequest(blocks=blocks)))
+        assert payload == b"".join(bytes(v) for v in blocks.values())
+        parsed, _ = parse_request(line, payload)
+        assert list(parsed.blocks.items()) == [
+            (key, bytes(data)) for key, data in blocks.items()
+        ]
+        assert all(type(data) is bytes for data in parsed.blocks.values())
+
     def test_all_registered_ops_covered_by_strategy(self):
         # If a new request type lands without a strategy above, fail
         # loudly instead of silently losing property coverage.
@@ -273,7 +289,8 @@ class TestResponseRoundTrip:
         assert line.endswith(b',"bin":6}\n')
         # A frame without buffer fields is the header line alone.
         assert split(proto.encode_frame(PongResponse().to_frame())) == (
-            b'{"v":3,"ok":true,"kind":"pong","pong":true}\n',
+            b'{"v":%d,"ok":true,"kind":"pong","pong":true}\n'
+            % PROTOCOL_VERSION,
             b"",
         )
 
@@ -281,8 +298,8 @@ class TestResponseRoundTrip:
         raw = bytes(range(256))
         view = memoryview(raw)[16:48]
         assert encode_request(
-            BlockPutRequest(key="k", data=view)
-        ) == encode_request(BlockPutRequest(key="k", data=raw[16:48]))
+            BlockPutRequest(blocks={"k": view})
+        ) == encode_request(BlockPutRequest(blocks={"k": raw[16:48]}))
 
     def test_all_registered_kinds_covered_by_strategy(self):
         assert COVERED_RESPONSES == set(proto._RESPONSE_TYPES.values())
@@ -292,10 +309,16 @@ class TestResponseRoundTrip:
             parse_response(b'{"ok": true, "kind": "wat"}')
 
 
+def versioned(**fields) -> bytes:
+    """A hand-written header line (compact) at the current version."""
+    frame = {"v": PROTOCOL_VERSION, **fields}
+    return json.dumps(frame, separators=(",", ":")).encode() + b"\n"
+
+
 class TestMalformedFrames:
-    def check(self, line, code="bad_request"):
+    def check(self, line, code="bad_request", payload=b""):
         with pytest.raises(ProtocolError) as excinfo:
-            parse_request(line)
+            parse_request(line, payload)
         assert excinfo.value.code == code
         return excinfo.value
 
@@ -306,12 +329,10 @@ class TestMalformedFrames:
         self.check(b"[1, 2, 3]")
 
     def test_missing_op(self):
-        self.check(b'{"v": 3}', code="unknown_op")
+        self.check(versioned(), code="unknown_op")
 
     def test_unknown_op(self):
-        exc = self.check(
-            b'{"v": 3, "op": "explode", "id": 7}', code="unknown_op"
-        )
+        exc = self.check(versioned(op="explode", id=7), code="unknown_op")
         # The reply can still be correlated and versioned.
         assert exc.request_id == 7
 
@@ -327,38 +348,48 @@ class TestMalformedFrames:
         self.check(b'{"v": true, "op": "ping"}')
 
     def test_bad_id_type(self):
-        self.check(b'{"v": 3, "op": "ping", "id": [1]}')
+        self.check(versioned(op="ping", id=[1]))
 
     def test_bad_trace_shape(self):
-        self.check(b'{"v": 3, "op": "ping", "trace": "t1"}')
-        self.check(b'{"v": 3, "op": "ping", "trace": {"trace_id": 5}}')
+        self.check(versioned(op="ping", trace="t1"))
+        self.check(versioned(op="ping", trace={"trace_id": 5}))
 
     def test_missing_required_field(self):
-        self.check(b'{"v": 3, "op": "get"}')
-        self.check(b'{"v": 3, "op": "cluster.leave"}')
+        self.check(versioned(op="get"))
+        self.check(versioned(op="cluster.leave"))
+        self.check(versioned(op="block.put"))
 
     def test_mistyped_field(self):
-        self.check(b'{"v": 3, "op": "get", "name": 42}')
-        self.check(b'{"v": 3, "op": "block.fetch", "keys": "k"}')
+        self.check(versioned(op="get", name=42))
+        self.check(versioned(op="block.fetch", keys="k"))
+        self.check(versioned(op="block.delete", keys="k"))
+        self.check(versioned(op="block.delete", keys=["k", 1]))
 
     def test_payload_field_must_be_a_byte_length(self):
-        # The base64 text a v1 peer would send is a type error now.
-        for data in ('"eA=="', "-1", "1.5", "true", "null", "[1]"):
+        # ``blocks`` is an object of byte lengths: the base64 text a v1
+        # peer would send, or any other value, is a type error ...
+        for bad in ("eA==", -1, 1.5, True, None, [1], {"a": 1}):
             exc = self.check(
-                b'{"v": 3, "op": "block.put", "id": 4, "key": "k", '
-                b'"data": ' + data.encode() + b"}"
+                versioned(op="block.put", id=4, blocks={"k": bad, "l": 1}),
             )
             assert exc.request_id == 4
-        exc = self.check(
-            b'{"v":3,"kind":"x","op":"block.put","id":4,"key":"k",'
-            b'"data":{"a":1}}'
-        )
-        assert exc.request_id == 4
+            assert "byte length" in str(exc)
+        # ... so is a ``blocks`` that is no object at all (the v3 shape
+        # of a length included) ...
+        for bad in (3, "k", ["k"], None, True):
+            exc = self.check(versioned(op="block.put", id=4, blocks=bad))
+            assert exc.request_id == 4
+            assert "object of byte lengths" in str(exc)
+        # ... and so are per-key lengths that do not add up to "bin".
+        for lengths in ({"k": 1, "l": 1}, {"k": 2, "l": 2}, {"k": 4}, {}):
+            exc = self.check(
+                versioned(op="block.put", id=4, blocks=lengths, bin=3),
+                payload=b"abc",
+            )
+            assert exc.request_id == 4
 
     def test_bad_admin_action(self):
-        self.check(
-            b'{"v": 3, "op": "node.admin", "action": "reboot"}'
-        )
+        self.check(versioned(op="node.admin", action="reboot"))
 
 
 class TestVersioning:
@@ -372,6 +403,11 @@ class TestVersioning:
             # its speakers learn the version moved, not "unknown_op".
             {"v": 2, "op": "cluster.get", "name": "object-000", "id": 9},
             {"v": 2, "op": "ping", "id": 9},
+            # v3 wrote and deleted one block per frame and had a
+            # ``block.get``: same answer, whether the op survived or not.
+            {"v": 3, "op": "block.put", "key": "k", "data": 0, "id": 9},
+            {"v": 3, "op": "block.get", "key": "k", "id": 9},
+            {"v": 3, "op": "ping", "id": 9},
             {"v": PROTOCOL_VERSION + 1, "op": "ping", "id": 9},
         ):
             with pytest.raises(ProtocolError) as excinfo:
@@ -392,11 +428,10 @@ class TestVersioning:
         assert frame["id"] == "r1"
 
 
-def put_header(**fields) -> bytes:
-    """A hand-written ``block.put`` header line (compact, id 5)."""
-    frame = {"v": PROTOCOL_VERSION, "op": "block.put", "id": 5, "key": "k"}
-    frame.update(fields)
-    return json.dumps(frame, separators=(",", ":")).encode() + b"\n"
+def put_header(data, bin) -> bytes:
+    """A hand-written one-block ``block.put`` header line (id 5):
+    ``data`` is the length it claims for key ``"k"``."""
+    return versioned(op="block.put", id=5, blocks={"k": data}, bin=bin)
 
 
 class TestPayloadFraming:
@@ -414,7 +449,7 @@ class TestPayloadFraming:
         line = put_header(data=3, bin=3)
         assert payload_size(line) == 3
         request, envelope = parse_request(line, b"\n\xff=")
-        assert request == BlockPutRequest(key="k", data=b"\n\xff=")
+        assert request == BlockPutRequest(blocks={"k": b"\n\xff="})
         assert envelope.id == 5
 
     def test_negative_and_non_integer_lengths(self):
@@ -437,7 +472,7 @@ class TestPayloadFraming:
             put_header(data=2, bin=3), b"abc"
         )
         assert "no field claims" in self.refused(
-            b'{"v":3,"op":"ping","id":5,"bin":3}\n', b"abc"
+            versioned(op="ping", id=5, bin=3), b"abc"
         )
         # declared total versus bytes actually handed over
         assert "declares 3 payload bytes" in self.refused(
@@ -445,14 +480,17 @@ class TestPayloadFraming:
         )
         # a total that is not the header's last key is not taken by a
         # reader, and the parse says so
-        line = b'{"v":3,"op":"block.put","id":5,"bin":3,"key":"k","data":3}\n'
+        line = (
+            b'{"v":%d,"op":"block.put","id":5,"bin":3,"blocks":{"k":3}}\n'
+            % PROTOCOL_VERSION
+        )
         assert payload_size(line) == 0
         assert "written last" in self.refused(line)
         # dict[str, bytes]: every value is checked the same way
         with pytest.raises(ProtocolError, match="2 payload bytes left, got 9"):
             parse_response(
-                b'{"v":3,"ok":true,"kind":"blocks","id":5,'
-                b'"blocks":{"a":1,"b":9},"bin":3}\n',
+                b'{"v":%d,"ok":true,"kind":"blocks","id":5,'
+                b'"blocks":{"a":1,"b":9},"bin":3}\n' % PROTOCOL_VERSION,
                 b"abc",
             )
 
@@ -465,17 +503,18 @@ class TestPayloadFraming:
         with pytest.raises(ProtocolError, match="cap"):
             encode_request(
                 BlockPutRequest(
-                    key="k", data=memoryview(bytearray(MAX_PAYLOAD_BYTES + 1))
+                    blocks={"k": memoryview(bytearray(MAX_PAYLOAD_BYTES + 1))}
                 )
             )
 
     def test_only_the_top_level_last_key_is_a_total(self):
         # "bin" inside a nested object or a string is just data.
         for line in (
-            b'{"v":3,"ok":true,"kind":"ack","info":{"a":1,"bin":5}}\n',
-            b'{"v":3,"ok":true,"kind":"metrics","metrics":",\\"bin\\":5}"}\n',
-            b'{"v":3,"ok":true,"kind":"keys","keys":["x"],"xbin":5}\n',
+            b'{"v":%d,"ok":true,"kind":"ack","info":{"a":1,"bin":5}}\n',
+            b'{"v":%d,"ok":true,"kind":"metrics","metrics":",\\"bin\\":5}"}\n',
+            b'{"v":%d,"ok":true,"kind":"keys","keys":["x"],"xbin":5}\n',
         ):
+            line %= PROTOCOL_VERSION
             assert payload_size(line) == 0
             parse_response(line)
 
@@ -489,7 +528,7 @@ class TestPayloadFraming:
 
             async def handler(request, envelope):
                 if isinstance(request, BlockPutRequest):
-                    stored[request.key] = request.data
+                    stored.update(request.blocks)
                 return PongResponse()
 
             server = await start_line_server(handler, port=0)
@@ -500,6 +539,11 @@ class TestPayloadFraming:
                 put_header(data="3", bin=3) + b"abc",
                 put_header(data=4, bin=3) + b"abc",
                 put_header(data=2, bin=3) + b"a\nc",
+                versioned(op="block.put", id=5, blocks=3, bin=3) + b"abc",
+                versioned(
+                    op="block.put", id=5, blocks={"k": 1, "l": 1}, bin=3
+                )
+                + b"a\nc",
                 b'{"v":1,"op":"ping","id":5}\n',
                 b'{"op":"ping","id":5}\n',
             ]
@@ -507,7 +551,7 @@ class TestPayloadFraming:
                 writer.write(frame)
                 writer.write(
                     encode_request(
-                        BlockPutRequest(key="good", data=b"\n\xff"),
+                        BlockPutRequest(blocks={"good": b"\n\xff"}),
                         request_id=6,
                     )
                 )
@@ -534,12 +578,14 @@ class TestPayloadFraming:
 
         async def check():
             async def handler(request, envelope):
-                return BlockDataResponse(key=request.key, data=b"x" * 9)
+                return BlockMapResponse(blocks={"k": b"x" * 9})
 
             server = await start_line_server(handler, port=0)
             host, port = server.sockets[0].getsockname()[:2]
             reader, writer = await asyncio.open_connection(host, port)
-            writer.write(encode_request(BlockGetRequest(key="k"), request_id=3))
+            writer.write(
+                encode_request(BlockFetchRequest(keys=("k",)), request_id=3)
+            )
             await writer.drain()
             reply = json.loads(await reader.readline())
             assert (reply["id"], reply["ok"], reply["code"]) == (
@@ -560,7 +606,7 @@ class TestPayloadFraming:
             server = await start_line_server(handler, port=0)
             host, port = server.sockets[0].getsockname()[:2]
             reader, writer = await asyncio.open_connection(host, port)
-            writer.write(b'{"v":3,"op":"ping","id":1}\n' + frame)
+            writer.write(versioned(op="ping", id=1) + frame)
             await writer.drain()
             replies = [json.loads(await reader.readline()) for _ in range(2)]
             by_id = {r.get("id"): r for r in replies}
@@ -576,7 +622,8 @@ class TestPayloadFraming:
         over_cap = put_header(data=1, bin=MAX_PAYLOAD_BYTES + 1)
         assert "cap" in asyncio.run(check(over_cap, 5))
         long_line = (
-            b'{"v":3,"op":"block.list","id":5,"prefix":"'
+            versioned(op="block.list", id=5)[:-2]
+            + b',"prefix":"'
             + b"k" * (proto.MAX_LINE_BYTES + 1)
             + b'"}\n'
         )

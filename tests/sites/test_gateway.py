@@ -109,12 +109,10 @@ class Federation:
             keys = await coordinator._rpc(
                 link, BlockListRequest(prefix=f"{name}/")
             )
-            for key in keys.keys:
-                _, _, node = parse_block_key(key)
-                if node in erased:
-                    await coordinator._rpc(
-                        link, BlockDeleteRequest(key=key)
-                    )
+            doomed = tuple(
+                key for key in keys.keys if parse_block_key(key)[2] in erased
+            )
+            await coordinator._rpc(link, BlockDeleteRequest(keys=doomed))
 
     async def close(self):
         for server_list in self.servers.values():
