@@ -71,6 +71,13 @@ class _StoppingSearch:
         self.graph = graph
         self.members: list[tuple[int, ...]] = graph.constraint_members()
         self.node_cons: list[list[int]] = graph.node_constraints()
+        # A violated constraint is held as ``options * num_cons + index``
+        # so the minimum of a set of them is the one with fewest branch
+        # options, lowest index first.
+        self.code = [
+            (len(m) - 1) * len(self.members) + ci
+            for ci, m in enumerate(self.members)
+        ]
         self.is_data = [False] * graph.num_nodes
         for d in graph.data_nodes:
             self.is_data[d] = True
@@ -82,7 +89,9 @@ class _StoppingSearch:
     # A constraint with count exactly 1 is "violated"; a stopping set
     # must cover it with a second member.  Branching on the members of
     # one violated constraint is complete: any stopping superset must
-    # include at least one of them.
+    # include at least one of them.  The violated set is kept as S
+    # changes (a count reaching 1 enters it, leaving 1 leaves it), so
+    # no DFS node rescans every constraint.
 
     def enumerate(
         self,
@@ -98,33 +107,33 @@ class _StoppingSearch:
         *bad* (data-containing) stopping set found so far — use it only
         when the caller needs the minimum, not the full minimal family.
         """
-        cnt = [0] * len(self.members)
+        num_cons = len(self.members)
+        cnt = [0] * num_cons
+        code = self.code
+        violated: set[int] = set()
         s: set[int] = set()
         visited: set[frozenset[int]] = set()
         bound = [max_size]
         data = self.is_data
+        node_cons = self.node_cons
 
         def add(node: int) -> None:
             s.add(node)
-            for ci in self.node_cons[node]:
-                cnt[ci] += 1
+            for ci in node_cons[node]:
+                c = cnt[ci] = cnt[ci] + 1
+                if c == 1:
+                    violated.add(code[ci])
+                elif c == 2:
+                    violated.discard(code[ci])
 
         def remove(node: int) -> None:
             s.discard(node)
-            for ci in self.node_cons[node]:
-                cnt[ci] -= 1
-
-        def pick_violated() -> int:
-            """Index of a violated constraint with fewest branch options."""
-            best_ci, best_opts = -1, 1 << 30
-            for ci, c in enumerate(cnt):
+            for ci in node_cons[node]:
+                c = cnt[ci] = cnt[ci] - 1
                 if c == 1:
-                    opts = len(self.members[ci]) - 1
-                    if opts < best_opts:
-                        best_ci, best_opts = ci, opts
-                        if opts <= 1:
-                            break
-            return best_ci
+                    violated.add(code[ci])
+                elif c == 0:
+                    violated.discard(code[ci])
 
         def dfs() -> None:
             key = frozenset(s)
@@ -134,15 +143,14 @@ class _StoppingSearch:
             self.nodes_expanded += 1
             if len(s) > bound[0]:
                 return
-            ci = pick_violated()
-            if ci < 0:
+            if not violated:
                 collect.append(key)
                 if minimize and any(data[n] for n in key):
                     bound[0] = min(bound[0], len(key))
                 return
             if len(s) >= bound[0]:
                 return  # cannot grow further
-            for cand in self.members[ci]:
+            for cand in self.members[min(violated) % num_cons]:
                 if cand in s or cand in forbidden:
                     continue
                 add(cand)

@@ -19,20 +19,25 @@ of each row.  The two public entry points differ only in ``leaf``:
 * :func:`repro.core.sparse.packed_sparse_loss_masks` — leaves of
   ``_MASK_LEAF`` nodes.
 
-Selection is by threshold, with no index arrays: the row's ``count``-th
-order statistic from ``np.partition`` (values only), ``scores <= kth``,
-and a contiguous-transpose ``np.packbits`` straight into the packed
-``(N, W)`` layout.  Score matrices are drawn in row blocks of about
+Selection is by threshold, with no index arrays: the scores rounded to
+float32, one ``np.sort`` of each row (numpy's SIMD sort), the row's
+``count``-th order statistic read off it, ``scores32 <= kth``, and a
+contiguous-transpose ``np.packbits`` straight into the packed ``(N, W)``
+layout.  Score matrices are drawn in row blocks of about
 ``_SCORE_BLOCK`` scores — ``rng.random`` fills row-major, so block-wise
 draws are the identical stream — which keeps every temporary
 cache-sized whatever the batch and graph size.  The block size is a
 constant and not a knob: it changes no output bit, and one value serves
 both the 96-node and the million-node case (docs/PERF.md).
 
-A threshold keeps one node too many when a row's ``count``-th and next
-score are equal.  Such rows (about 1e-12 of them) are detected by
-popcount and re-chosen by the index-based argpartition selection the
-threshold replaced, so the output is bit-identical to it always.
+Rounding to float32 is monotone (``a <= b`` implies ``f(a) <= f(b)``),
+so when a row's ``count``-th and next sorted float32 scores differ,
+every kept score is strictly below every dropped one in float64 too:
+the threshold set *is* the ``count`` smallest float64 scores.  A row
+where the two are equal — a float64 tie or two doubles that collide in
+float32, a few per million rows — is re-chosen from the float64 scores
+by the index-based argpartition selection the threshold replaced, so
+the output is bit-identical to it always.
 """
 
 from __future__ import annotations
@@ -81,24 +86,21 @@ def _select_smallest(
 
     ``counts`` is per row, or ``None`` when every row keeps ``kmax``.
     """
-    lowest = np.partition(scores, kmax - 1, axis=1)[:, :kmax]
-    if counts is None:
-        kth = lowest[:, -1]
-        counts = kmax
-    else:
-        lowest.sort(axis=1)
-        # Scores lie in [0, 1): a threshold of -1 keeps nothing.
-        kth = np.where(
-            counts > 0, lowest[np.arange(len(lowest)), counts - 1], -1.0
-        )
-    chosen = scores <= kth[:, None]
-    tied = np.flatnonzero(np.count_nonzero(chosen, axis=1) != counts)
+    rows, size = scores.shape
+    counts = np.broadcast_to(kmax if counts is None else counts, (rows,))
+    scores32 = scores.astype(np.float32)
+    ranked = np.sort(scores32, axis=1)
+    row = np.arange(rows)
+    # Scores lie in [0, 1]: a threshold of -1 keeps nothing, and a
+    # next score of 2 is never tied with a row that keeps everything.
+    kth = np.where(counts > 0, ranked[row, counts - 1], -1.0)
+    following = np.where(
+        counts < size, ranked[row, np.minimum(counts, size - 1)], 2.0
+    )
+    chosen = scores32 <= kth[:, None]
+    tied = np.flatnonzero(kth == following)
     if tied.size:
-        chosen[tied] = _argpartition_choice(
-            scores[tied],
-            np.broadcast_to(counts, (len(scores),))[tied],
-            kmax,
-        )
+        chosen[tied] = _argpartition_choice(scores[tied], counts[tied], kmax)
     return chosen
 
 

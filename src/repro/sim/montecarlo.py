@@ -15,10 +15,14 @@ This module reproduces the estimator with two scaling levers:
   ``numpy.random.SeedSequence.spawn`` so results are reproducible at any
   worker count.
 
-For the small-``k`` tail where failure probabilities sit near 1e-7,
+For the small-``k`` head where failure probabilities sit near 1e-7,
 sampling is hopeless at laptop budgets; :func:`profile_graph` splices in
 exact probabilities from the critical-set inclusion–exclusion counts
-instead (strictly better than the paper's sampling there).
+instead (strictly better than the paper's sampling there).  At the
+other end, with more than ``num_nodes - num_data`` nodes offline fewer
+blocks survive than the data holds, so every case fails whatever the
+graph: those cells are written as exactly 1 and never sampled (the
+paper's battery likewise stops at ``num_devices / 2``).
 
 Crash tolerance (``docs/RESILIENCE.md``): a multi-hour sweep survives
 worker crashes and hangs instead of dying with nothing saved.  Each
@@ -501,28 +505,37 @@ def _run_cells_parallel(
     Dispatches every pending cell, collects results with a per-cell
     timeout, and re-dispatches cells whose worker crashed
     (``BrokenProcessPool``) or hung past the timeout — on a fresh pool,
-    since a casualty poisons its pool.  A crash or hang cannot be
-    attributed to one cell with certainty (a pool break kills every
-    in-flight future; a queued cell can time out behind a hung
+    since a casualty poisons its pool.  A hang cannot be attributed to
+    one cell with certainty (a queued cell can time out behind a hung
     neighbour), so only the *first* casualty of each round is charged
-    an attempt; the rest re-dispatch free.  A lone repeat offender is
-    therefore charged every round until it exhausts ``max_retries``
-    while its innocent neighbours complete, and total rounds stay
-    bounded by ``cells × (max_retries + 1)``.  Returns the k's that
+    an attempt; the rest re-dispatch free.  A pool break fails every
+    in-flight future alike, so with several workers it is charged to
+    nobody: the first casualty then runs alone, where a second crash is
+    its own and a clean finish clears it.  A lone repeat offender is
+    therefore charged until it exhausts ``max_retries`` while its
+    innocent neighbours complete, and total rounds stay bounded by
+    ``2 × cells × (max_retries + 1)``.  Returns the k's that
     exhausted their retries (the caller marks them uncovered).
     """
     reg = registry()
     pending = dict(tasks)
     attempts: dict[int, int] = {k: 0 for k in tasks}
     uncovered: list[int] = []
+    isolate = False  # the last break had several suspects in flight
     while pending:
-        workers = min(n_jobs, os.cpu_count() or 1, len(pending))
+        if isolate:
+            first = next(iter(pending))
+            batch = {first: pending[first]}
+        else:
+            batch = pending
+        workers = min(n_jobs, os.cpu_count() or 1, len(batch))
         reg.gauge("profile.workers").set(workers)
         pool = ProcessPoolExecutor(max_workers=workers)
         futures = {
             pool.submit(_sweep_cell, task): k
-            for k, task in pending.items()
+            for k, task in batch.items()
         }
+        isolate = False
         pool_poisoned = False
         charged: int | None = None  # first casualty spends an attempt
         for future, k in futures.items():
@@ -540,12 +553,13 @@ def _run_cells_parallel(
                 if isinstance(exc, BrokenProcessPool):
                     reg.counter("profile.worker_crashes").inc()
                     reg.event("profile.worker_crash", k=k)
+                    isolate = workers > 1
                 charged = k if charged is None else charged
             else:
                 on_result(result)
                 del pending[k]
         pool.shutdown(wait=not pool_poisoned, cancel_futures=True)
-        if charged is not None:
+        if charged is not None and not isolate:
             attempts[charged] += 1
             if attempts[charged] > max_retries:
                 uncovered.append(charged)
@@ -570,9 +584,11 @@ def profile_graph(
 ) -> FailureProfile:
     """Full failure profile of a graph (the paper's per-graph curve).
 
-    Exact inclusion–exclusion probabilities cover ``k <= exact_upto``;
-    Monte Carlo covers the rest (or the explicit ``ks`` subset, with
-    other entries left at the certain-failure/certain-success bounds).
+    Exact inclusion–exclusion probabilities cover ``k <= exact_upto``
+    and ``k > num_nodes - num_data`` is exactly 1 (fewer survivors than
+    data blocks); Monte Carlo covers the cells between (or the explicit
+    ``ks`` subset, other entries filled by monotone interpolation
+    between the requested ones).  Exact cells keep ``samples[k] == 0``.
     ``n_jobs > 1`` distributes k-cells over processes.  ``seed``
     accepts an int or an existing :class:`numpy.random.Generator`
     (unified seeding convention).
@@ -642,20 +658,26 @@ def profile_graph(
                     exact_upto = k - 1
                     break
 
-    # Beyond the data-node count... every k > n - 1 data availability:
-    # losing more nodes than the check count forces data loss only at
-    # k = n; rely on sampling elsewhere but pin the trivial endpoint.
-    fail[n] = 1.0
-
-    sample_ks = [
+    grid = [
         k
         for k in (ks if ks is not None else range(exact_upto + 1, n))
         if exact_upto < k < n
     ]
-    # Seeds are spawned positionally over the FULL k-grid before any
-    # resume filtering, so a resumed sweep hands every cell the same
-    # stream an uninterrupted run would.
-    children = spawn_seeds(seed, len(sample_ks))
+    # Seeds are spawned positionally over the FULL k-grid before the
+    # certain cells and any resumed ones are filtered out, so every
+    # sampled cell sees the same stream at any grid cut.
+    children = spawn_seeds(seed, len(grid))
+    # Counting bound: with more than n - num_data nodes offline, fewer
+    # blocks survive than there are data blocks, and no decoder of any
+    # linear code can return the data.  Those cells are exactly 1:
+    # pinned, never sampled, their samples left at 0 like the exact
+    # head's.
+    max_decodable = n - graph.num_data
+    fail[max_decodable + 1:] = 1.0
+    certain = [k for k in grid if k > max_decodable]
+    cell_seeds = {
+        k: child for k, child in zip(grid, children) if k <= max_decodable
+    }
 
     header = _checkpoint_header(graph, samples_per_k, exact_upto, seed)
     done: dict[int, float] = {}
@@ -669,12 +691,12 @@ def profile_graph(
         )
 
     for k, frac in done.items():
-        if k in sample_ks:
+        if k in cell_seeds:
             fail[k] = frac
             samples[k] = samples_per_k
     if done:
         reg.counter("profile.cells_resumed").inc(
-            sum(1 for k in done if k in sample_ks)
+            sum(1 for k in done if k in cell_seeds)
         )
 
     # Sweep-level span: cells (local or pool-side) parent under it, so
@@ -683,13 +705,13 @@ def profile_graph(
         "profile.sweep",
         graph=graph.name,
         engine=engine,
-        cells=len(sample_ks),
+        cells=len(cell_seeds),
         samples_per_k=samples_per_k,
     )
     sweep_ctx = sweep_span.context()
 
     tasks: dict[int, tuple] = {}
-    for k, child in zip(sample_ks, children):
+    for k, child in cell_seeds.items():
         if k in done:
             continue
         tasks[k] = (
@@ -788,7 +810,7 @@ def profile_graph(
             ((samples > 0) | (np.arange(n + 1) <= exact_upto))
             & coverage
         )
-        known = np.union1d(known, [n])
+        known = np.union1d(known, certain + [n])
         fail = np.interp(np.arange(n + 1), known, fail[known])
 
     reg.counter("profile.graphs").inc()

@@ -36,8 +36,9 @@ class FailureProfile:
     """``P(fail | k offline)`` for ``k = 0..num_devices``.
 
     ``samples[k]`` is the Monte Carlo sample count behind point ``k``;
-    zero marks an exact entry (analytic formula or complete enumeration
-    / inclusion–exclusion count).
+    0 = exact: an analytic formula, the head (complete enumeration /
+    inclusion–exclusion count) or the tail (counting bound: more than
+    ``num_devices - num_data`` offline always fails).
     """
 
     system_name: str

@@ -188,3 +188,125 @@ class TestThresholdTies:
         want = oracle_random_loss_masks(40, 7, 200, _CoarseScores(5, 8))
         assert np.array_equal(got, want)
         assert (got.sum(axis=1) == 7).all()
+
+
+class _ScriptedScores:
+    """Duck-typed generator that hands out prepared score matrices."""
+
+    def __init__(self, *matrices, leaf_counts=None):
+        self._matrices = list(matrices)
+        self._leaf_counts = leaf_counts
+
+    def random(self, shape=None):
+        scores = self._matrices.pop(0)
+        assert scores.shape == tuple(shape)
+        return scores
+
+    def multivariate_hypergeometric(self, *args, **kwargs):
+        return self._leaf_counts
+
+
+def _spread_scores(rows: int, size: int) -> np.ndarray:
+    """Distinct scores, far apart in float32, shuffled within each row."""
+    rng = np.random.default_rng(0)
+    base = (np.arange(size) + 0.5) / (size + 1)
+    return np.stack([rng.permutation(base) for _ in range(rows)])
+
+
+class TestFloat32Selector:
+    """The float32 sort picks the float64 answer, or asks for it.
+
+    Every crafted block must equal ``_argpartition_choice`` on the same
+    float64 scores; ``fallback_rows`` says which rows may reach it.
+    """
+
+    def _check(self, monkeypatch, scores, counts, kmax, fallback_rows):
+        reference = lossmasks._argpartition_choice
+        seen = []
+
+        def spy(sub_scores, sub_counts, sub_kmax):
+            seen.append(len(sub_scores))
+            return reference(sub_scores, sub_counts, sub_kmax)
+
+        monkeypatch.setattr(lossmasks, "_argpartition_choice", spy)
+        got = lossmasks._select_smallest(scores, counts, kmax)
+        per_row = np.broadcast_to(
+            kmax if counts is None else counts, (len(scores),)
+        )
+        assert np.array_equal(got, reference(scores, per_row, kmax))
+        assert (got.sum(axis=1) == per_row).all()
+        assert sum(seen) == fallback_rows
+
+    def test_float64_tie_at_the_threshold(self, monkeypatch):
+        scores = _spread_scores(3, 12)
+        order = np.argsort(scores[1])
+        scores[1, order[4]] = scores[1, order[3]]  # 4th == 5th smallest
+        self._check(monkeypatch, scores, None, 4, fallback_rows=1)
+
+    def test_float32_only_collision_at_the_threshold(self, monkeypatch):
+        scores = _spread_scores(3, 12)
+        order = np.argsort(scores[2])
+        low = scores[2, order[3]]
+        scores[2, order[4]] = np.nextafter(low, 1.0)  # 1 ulp above
+        assert scores[2, order[4]] > low
+        assert np.float32(scores[2, order[4]]) == np.float32(low)
+        self._check(monkeypatch, scores, None, 4, fallback_rows=1)
+        # The one-ulp-larger double is the one left out.
+        got = lossmasks._select_smallest(scores, None, 4)
+        assert got[2, order[3]] and not got[2, order[4]]
+
+    def test_collision_away_from_the_threshold_stays_on_the_sort(
+        self, monkeypatch
+    ):
+        scores = _spread_scores(3, 12)
+        order = np.argsort(scores[0])
+        # Equal pairs strictly inside the kept set and the dropped set.
+        scores[0, order[1]] = scores[0, order[0]]
+        scores[0, order[8]] = np.nextafter(scores[0, order[7]], 1.0)
+        self._check(monkeypatch, scores, None, 4, fallback_rows=0)
+
+    def test_score_that_rounds_up_to_one(self, monkeypatch):
+        scores = _spread_scores(2, 12)
+        top = np.nextafter(1.0, 0.0)
+        assert top < 1.0 and np.float32(top) == np.float32(1.0)
+        scores[0, np.argmax(scores[0])] = top
+        # Keep everything but the rounded-up score, then everything.
+        self._check(monkeypatch, scores, None, 11, fallback_rows=0)
+        self._check(monkeypatch, scores, None, 12, fallback_rows=0)
+
+    def test_zero_and_full_counts_on_the_leaf_path(self, monkeypatch):
+        scores = _spread_scores(5, 12)
+        counts = np.array([0, 12, 1, 11, 5])
+        self._check(monkeypatch, scores, counts, 12, fallback_rows=0)
+
+    def test_tie_next_to_a_per_row_count(self, monkeypatch):
+        scores = _spread_scores(4, 12)
+        counts = np.array([0, 12, 5, 5])
+        order = np.argsort(scores[3])
+        scores[3, order[5]] = scores[3, order[4]]
+        # Rows 0 and 1 hold the same pair: nothing to tie with at 0 / 12.
+        scores[0, :2] = scores[0, 0]
+        scores[1, :2] = scores[1, 0]
+        self._check(monkeypatch, scores, counts, 12, fallback_rows=1)
+
+    def test_leaf_generator_with_empty_and_full_leaves(self):
+        """``count = 0`` and ``count = size`` rows through the packer."""
+        n, leaf, batch = 20, 8, 3
+        leaf_counts = np.array([[0, 8, 2], [8, 0, 2], [3, 4, 3]])
+        matrices = [_spread_scores(batch, size) for size in (8, 8, 4)]
+        packed = lossmasks.packed_loss_masks(
+            n, 10, batch,
+            _ScriptedScores(*matrices, leaf_counts=leaf_counts), leaf,
+        )
+        lanes = unpack_cases(packed, 64)[:batch]
+        want = np.concatenate(
+            [
+                lossmasks._argpartition_choice(
+                    scores, leaf_counts[:, j], int(leaf_counts[:, j].max())
+                )
+                for j, scores in enumerate(matrices)
+            ],
+            axis=1,
+        )
+        assert np.array_equal(lanes, want)
+        assert (lanes.sum(axis=1) == 10).all()

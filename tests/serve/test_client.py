@@ -56,6 +56,12 @@ class LoopThread:
         self.loop.close()
 
 
+async def _close_on_loop(server) -> None:
+    """``Server.close`` is not thread-safe: called from the test thread
+    it races the loop's own wake-up as the last connection detaches."""
+    server.close()
+
+
 @pytest.fixture
 def loop_thread():
     lt = LoopThread()
@@ -107,7 +113,7 @@ def node_endpoint(loop_thread):
     client = ClusterClient(host, port)
     yield client, node
     client.close()
-    server.close()
+    loop_thread.run(_close_on_loop(server))
 
 
 class TestFrontendClient:
@@ -193,7 +199,7 @@ def wrong_kind_server(loop_thread):
 
     server = loop_thread.run(start_line_server(handler, port=0))
     yield server.sockets[0].getsockname()[:2]
-    server.close()
+    loop_thread.run(_close_on_loop(server))
 
 
 class TestKindCheck:

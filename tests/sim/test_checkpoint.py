@@ -157,6 +157,23 @@ class TestDegradedCoverage:
         assert profile.uncovered_ks() == [10]
         assert profile.samples[11] == 200  # innocent cells unharmed
 
+    def test_crash_is_not_charged_to_a_cell_in_flight_beside_it(
+        self, small_tornado_module, monkeypatch
+    ):
+        """k=9 is still running when k=10's worker dies and takes the
+        pool with it; both futures break alike, only k=10 is at fault."""
+        monkeypatch.setenv("REPRO_FAULT_HANG_K", "9")
+        monkeypatch.setenv("REPRO_FAULT_HANG_SECS", "0.5")
+        monkeypatch.setenv("REPRO_FAULT_CRASH_K", "10")
+        profile = profile_graph(
+            small_tornado_module,
+            **SWEEP,
+            n_jobs=2,
+            max_retries=0,
+        )
+        assert profile.uncovered_ks() == [10]
+        assert profile.samples[9] == 200
+
 
 class TestWorkerMetricsMerge:
     def test_parallel_decoder_counters_reach_parent(

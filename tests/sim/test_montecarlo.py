@@ -175,19 +175,27 @@ class TestSweepTracing:
             )
         return t.records
 
-    def test_sequential_sweep_tree(self, small_tornado):
+    def _assert_one_cell_span_per_sampled_cell(self, graph, n_jobs):
         from repro.obs.analyze import build_trace_trees, span_records
 
-        records = self._traced_records(small_tornado, n_jobs=1)
+        records = self._traced_records(graph, n_jobs=n_jobs)
         roots, orphans = build_trace_trees(span_records(records))
         assert orphans == []
         (root,) = roots
         assert root.name == "profile.sweep"
-        assert root.attrs["graph"] == small_tornado.name
+        assert root.attrs["graph"] == graph.name
         cells = [c for c in root.children if c.name == "profile.cell"]
-        assert len(cells) == root.attrs["cells"]
+        # k = 3..16: exact to 2, certain above 32 - 16; neither is a cell.
+        assert len(cells) == root.attrs["cells"] == 14
+        assert sorted(c.attrs["k"] for c in cells) == list(range(3, 17))
         for cell in cells:
             assert 0.0 <= cell.attrs["frac"] <= 1.0
+
+    def test_sequential_sweep_tree(self, small_tornado):
+        self._assert_one_cell_span_per_sampled_cell(small_tornado, n_jobs=1)
+
+    def test_parallel_sweep_tree(self, small_tornado):
+        self._assert_one_cell_span_per_sampled_cell(small_tornado, n_jobs=2)
 
     def test_parallel_sweep_matches_sequential_ids(self, small_tornado):
         sequential = {
