@@ -2,7 +2,7 @@
 
 The coordinator owns everything global — the erasure graph, the
 codec, object manifests, the placement ring, and the
-:class:`~repro.serve.plancache.PlanCache` — while the bytes live on
+:class:`~repro.core.plancache.PlanCache` — while the bytes live on
 storage-node processes (:mod:`repro.cluster.node`).  ``put``
 encodes an object into stripes and places each block; ``get``
 bulk-fetches surviving blocks from the live owners, treats everything
@@ -43,7 +43,11 @@ Durability: with ``wal_dir`` set, every manifest/placement mutation
 (put, join, leave, per-stripe repair) is journaled through
 :class:`~repro.cluster.wal.CoordinatorWal` *before* the operation is
 acknowledged, and ``recover=True`` rebuilds the coordinator from
-snapshot + replay.  :meth:`ClusterCoordinator.state_sha256` digests
+snapshot + replay.  The live path *is* the replay path: an operation
+builds its WAL record and commits it (append, then apply through the
+function recovery replays the log with, then snapshot if due), so
+memory never runs ahead of the log and a recovered coordinator equals
+the live one by construction.  :meth:`ClusterCoordinator.state_sha256` digests
 the canonical metadata state so recovery can be verified byte-for-byte
 against an uninterrupted run.  A crash between block placement and the
 put journal record leaves orphaned blocks on the nodes — harmless,
@@ -79,9 +83,10 @@ from typing import Any
 
 import numpy as np
 
-from ..core.codec import TornadoCodec
+from ..core.codec import DecodeFailure, TornadoCodec, stripe_rows
 from ..core.decoder import make_batch_decoder
 from ..core.graph import ErasureGraph
+from ..core.plancache import PlanCache
 from ..obs.registry import registry
 from ..obs.trace import start_span, tracer
 from ..resilience.retry import RetryPolicy
@@ -92,7 +97,6 @@ from ..serve.lineserver import (
 )
 from ..serve.errors import NodeUnreachableError
 from ..serve.link import PipelinedLink
-from ..serve.plancache import PlanCache
 from ..serve.protocol import (
     AckResponse,
     BlockDeleteRequest,
@@ -149,6 +153,33 @@ class ClusterManifest:
     size: int
     sha256: str
     stripes: tuple[ClusterStripe, ...]
+
+    def to_wire(self) -> dict[str, Any]:
+        """The JSON shape a WAL ``put`` record and a snapshot carry."""
+        return {
+            "size": self.size,
+            "sha256": self.sha256,
+            "stripes": [
+                [s.index, s.payload_length, list(s.placement)]
+                for s in self.stripes
+            ],
+        }
+
+    @classmethod
+    def from_wire(cls, name: str, wire: dict[str, Any]) -> ClusterManifest:
+        return cls(
+            name=name,
+            size=int(wire["size"]),
+            sha256=wire["sha256"],
+            stripes=tuple(
+                ClusterStripe(
+                    index=int(index),
+                    payload_length=int(payload_length),
+                    placement=tuple(placement),
+                )
+                for index, payload_length, placement in wire["stripes"]
+            ),
+        )
 
 
 class NodeDownError(NodeUnreachableError):
@@ -259,11 +290,11 @@ class ClusterCoordinator:
         if snapshot_every is not None and snapshot_every < 1:
             raise ValueError("snapshot_every must be positive")
         self.graph = graph
-        self.codec = TornadoCodec(graph, block_size)
+        self.plans = PlanCache(plan_capacity)
+        self.codec = TornadoCodec(graph, block_size, self.plans)
         # Batch what-if probes (decode_headroom) run through the
         # graph's batch kernel; scalar reads keep the PlanCache path.
         self._headroom_decoder = make_batch_decoder(graph)
-        self.plans = PlanCache(plan_capacity)
         self.ring = HashRing()
         self.nodes: dict[str, NodeLink] = {}
         self.manifests: dict[str, ClusterManifest] = {}
@@ -295,13 +326,22 @@ class ClusterCoordinator:
     # Durability: journaling, recovery, canonical state
     # ------------------------------------------------------------------
 
-    def _journal(self, record: dict[str, Any]) -> None:
-        """Durably log one mutation (no-op without a WAL)."""
-        if self.wal is None:
-            return
-        self.wal.append(record)
+    def _commit(self, record: dict[str, Any]) -> None:
+        """The single writer: append, apply, snapshot if due.
+
+        Every metadata mutation — live or replayed — is one WAL record
+        run through :meth:`_apply_record`; the live callers only build
+        the record.  Append comes first, so a failed append raises with
+        memory untouched; the snapshot comes last, because one taken
+        between append and apply would truncate away a record it does
+        not yet reflect.
+        """
+        if self.wal is not None:
+            self.wal.append(record)
+        self._apply_record(record)
         if (
-            self.snapshot_every is not None
+            self.wal is not None
+            and self.snapshot_every is not None
             and self.wal.records_since_snapshot >= self.snapshot_every
         ):
             self.wal.snapshot(self.state_dict())
@@ -319,20 +359,8 @@ class ClusterCoordinator:
         for node_id, host, port in state["members"]:
             self.ring.add(node_id)
             self.nodes[node_id] = NodeLink(node_id, host, int(port))
-        for name, m in state["manifests"].items():
-            self.manifests[name] = ClusterManifest(
-                name=name,
-                size=int(m["size"]),
-                sha256=m["sha256"],
-                stripes=tuple(
-                    ClusterStripe(
-                        index=int(idx),
-                        payload_length=int(plen),
-                        placement=tuple(placement),
-                    )
-                    for idx, plen, placement in m["stripes"]
-                ),
-            )
+        for name, wire in state["manifests"].items():
+            self.manifests[name] = ClusterManifest.from_wire(name, wire)
         self.repair_bytes = int(state["repair_bytes"])
         self.repair_bytes_by_node = {
             nid: int(n)
@@ -340,27 +368,39 @@ class ClusterCoordinator:
         }
 
     def _apply_record(self, record: dict[str, Any]) -> None:
-        """Replay one WAL record onto in-memory state."""
+        """Apply one WAL record — the only code that mutates metadata."""
         kind = record.get("type")
         if kind == "put":
-            self.manifests[record["name"]] = ClusterManifest(
-                name=record["name"],
-                size=int(record["size"]),
-                sha256=record["sha256"],
-                stripes=tuple(
-                    ClusterStripe(
-                        index=int(idx),
-                        payload_length=int(plen),
-                        placement=tuple(placement),
-                    )
-                    for idx, plen, placement in record["stripes"]
-                ),
-            )
+            name = record["name"]
+            self.manifests[name] = ClusterManifest.from_wire(name, record)
             self._next_stripe = max(
                 self._next_stripe, int(record["next_stripe"])
             )
         elif kind == "repair":
-            self._apply_repair_record(record)
+            name = record["name"]
+            manifest = self.manifests.get(name)
+            if manifest is None:
+                raise WalCorruptError(
+                    f"WAL repair record {record.get('seq')} references "
+                    f"unknown object {name!r}"
+                )
+            if record.get("placement") is not None:
+                self.manifests[name] = replace(
+                    manifest,
+                    stripes=tuple(
+                        replace(s, placement=tuple(record["placement"]))
+                        if s.index == record["index"]
+                        else s
+                        for s in manifest.stripes
+                    ),
+                )
+            self.repair_bytes += int(record.get("moved_bytes", 0)) + int(
+                record.get("rebuilt_bytes", 0)
+            )
+            for nid, nbytes in record.get("by_node", {}).items():
+                self.repair_bytes_by_node[nid] = (
+                    self.repair_bytes_by_node.get(nid, 0) + int(nbytes)
+                )
         elif kind == "join":
             node_id = record["node_id"]
             self.ring.add(node_id)
@@ -383,39 +423,6 @@ class ClusterCoordinator:
                 f"{kind!r}"
             )
 
-    def _apply_repair_record(self, record: dict[str, Any]) -> None:
-        name = record["name"]
-        manifest = self.manifests.get(name)
-        if manifest is None:
-            raise WalCorruptError(
-                f"WAL repair record {record.get('seq')} references "
-                f"unknown object {name!r}"
-            )
-        if record.get("placement") is not None:
-            stripes = tuple(
-                ClusterStripe(
-                    index=s.index,
-                    payload_length=s.payload_length,
-                    placement=tuple(record["placement"]),
-                )
-                if s.index == record["index"]
-                else s
-                for s in manifest.stripes
-            )
-            self.manifests[name] = ClusterManifest(
-                name=manifest.name,
-                size=manifest.size,
-                sha256=manifest.sha256,
-                stripes=stripes,
-            )
-        self.repair_bytes += int(record.get("moved_bytes", 0)) + int(
-            record.get("rebuilt_bytes", 0)
-        )
-        for nid, nbytes in record.get("by_node", {}).items():
-            self.repair_bytes_by_node[nid] = (
-                self.repair_bytes_by_node.get(nid, 0) + int(nbytes)
-            )
-
     def state_dict(self) -> dict[str, Any]:
         """Canonical JSON-safe metadata state (digest input)."""
         return {
@@ -425,14 +432,7 @@ class ClusterCoordinator:
                 for nid in self.ring.members
             ],
             "manifests": {
-                name: {
-                    "size": m.size,
-                    "sha256": m.sha256,
-                    "stripes": [
-                        [s.index, s.payload_length, list(s.placement)]
-                        for s in m.stripes
-                    ],
-                }
+                name: m.to_wire()
                 for name, m in sorted(self.manifests.items())
             },
             "repair_bytes": self.repair_bytes,
@@ -503,17 +503,7 @@ class ClusterCoordinator:
     ) -> dict[str, Any]:
         """Add (or re-add) a node and re-shard onto the new ring."""
         async with self._mutex:
-            link = self.nodes.get(node_id)
-            if link is None:
-                link = NodeLink(node_id, host, port)
-                self.nodes[node_id] = link
-            else:
-                # A rejoin after a kill: forget the stale connection.
-                link.reset()
-                link.host, link.port = host, port
-            link.alive = True
-            self.ring.add(node_id)
-            self._journal(
+            self._commit(
                 {
                     "type": "join",
                     "node_id": node_id,
@@ -521,6 +511,10 @@ class ClusterCoordinator:
                     "port": port,
                 }
             )
+            link = self.nodes[node_id]
+            # A rejoin after a kill: forget the stale connection.
+            link.reset()
+            link.alive = True
         summary = await self.scheduler.drain()
         summary["node_id"] = node_id
         summary["members"] = list(self.ring.members)
@@ -531,10 +525,9 @@ class ClusterCoordinator:
         async with self._mutex:
             if node_id not in self.ring:
                 raise KeyError(f"no cluster node named {node_id!r}")
-            self.ring.remove(node_id)
-            link = self.nodes.pop(node_id)
+            link = self.nodes[node_id]
+            self._commit({"type": "leave", "node_id": node_id})
             link.drop()
-            self._journal({"type": "leave", "node_id": node_id})
         summary = await self.scheduler.drain()
         summary["node_id"] = node_id
         summary["members"] = list(self.ring.members)
@@ -585,9 +578,10 @@ class ClusterCoordinator:
             stripes = self.codec.encode_payload(payload)
             records: list[ClusterStripe] = []
             placed = failed = 0
+            next_stripe = self._next_stripe
             for encoded in stripes:
-                idx = self._next_stripe
-                self._next_stripe += 1
+                idx = next_stripe
+                next_stripe += 1
                 placement = self._stripe_placement(name, idx)
                 records.append(
                     ClusterStripe(
@@ -618,18 +612,12 @@ class ClusterCoordinator:
                 sha256=hashlib.sha256(payload).hexdigest(),
                 stripes=tuple(records),
             )
-            self.manifests[name] = manifest
-            self._journal(
+            self._commit(
                 {
                     "type": "put",
                     "name": name,
-                    "size": manifest.size,
-                    "sha256": manifest.sha256,
-                    "next_stripe": self._next_stripe,
-                    "stripes": [
-                        [s.index, s.payload_length, list(s.placement)]
-                        for s in records
-                    ],
+                    **manifest.to_wire(),
+                    "next_stripe": next_stripe,
                 }
             )
         reg = registry()
@@ -712,17 +700,13 @@ class ClusterCoordinator:
     ) -> tuple[bytes, bool]:
         async with self._stripe_lock(name, record.index):
             blocks, present = await self._fetch_stripe(name, record)
-        missing = np.flatnonzero(~present)
-        if missing.size == 0:
-            data = blocks[list(self.graph.data_nodes)]
-            return data.tobytes(), False
-        plan = self.plans.schedule(self.graph, missing)
-        if not plan.success:
-            raise self._stripe_error(name, record.index, plan.residual)
-        data = self.codec.decode_blocks_with_schedule(
-            blocks, present, plan.steps
-        )
-        return data.tobytes(), True
+        try:
+            data = self.codec.decode_blocks(blocks, present)
+        except DecodeFailure as exc:
+            raise self._stripe_error(
+                name, record.index, exc.residual
+            ) from exc
+        return data.tobytes(), not present.all()
 
     async def _fetch_stripe(
         self, name: str, record: ClusterStripe
@@ -753,11 +737,6 @@ class ClusterCoordinator:
         unreachable, or interrupted node simply contributes nothing to
         ``present`` — absence *is* the erasure mask.
         """
-        g = self.graph
-        blocks = np.zeros(
-            (g.num_nodes, self.codec.block_size), dtype=np.uint8
-        )
-        present = np.zeros(g.num_nodes, dtype=bool)
 
         async def fetch(node_id: str, wanted: list[str]) -> dict[str, bytes]:
             link = self.nodes.get(node_id)
@@ -774,18 +753,21 @@ class ClusterCoordinator:
         fetched = await asyncio.gather(
             *(fetch(nid, ks) for nid, ks in sorted(assignment.items()))
         )
-        for held in fetched:
-            for key, data in held.items():
-                node = keys.get(key)
-                if node is None or len(data) != self.codec.block_size:
-                    # A reply is not trusted: an unrequested key or a
-                    # wrong-sized block is one more erasure.
-                    registry().counter(
-                        "cluster.fetch.malformed_blocks"
-                    ).inc()
-                    continue
-                blocks[node] = np.frombuffer(data, dtype=np.uint8)
-                present[node] = True
+        # A reply is not trusted: an unrequested key (no node of this
+        # stripe) or a wrong-sized block is one more erasure.
+        blocks, present, malformed = stripe_rows(
+            (
+                (keys.get(key, -1), data)
+                for held in fetched
+                for key, data in held.items()
+            ),
+            self.graph.num_nodes,
+            self.codec.block_size,
+        )
+        if malformed:
+            registry().counter("cluster.fetch.malformed_blocks").inc(
+                malformed
+            )
         return blocks, present
 
     async def fetch_stripe_raw(
@@ -882,50 +864,6 @@ class ClusterCoordinator:
         """The ``cluster.repair_status`` op: scheduler introspection."""
         return self.scheduler.status()
 
-    def _commit_stripe(
-        self,
-        name: str,
-        updated: ClusterStripe | None,
-        index: int,
-        stats: dict[str, int],
-        by_node: dict[str, int],
-    ) -> None:
-        """Apply + journal one stripe's repair outcome.
-
-        ``updated`` is the new stripe record when the placement
-        flipped, or None for a partial repair that moved bytes without
-        flipping the record (the journal still carries the byte
-        accounting so it survives a crash).
-        """
-        if updated is not None:
-            manifest = self.manifests[name]
-            self.manifests[name] = ClusterManifest(
-                name=manifest.name,
-                size=manifest.size,
-                sha256=manifest.sha256,
-                stripes=tuple(
-                    updated if s.index == index else s
-                    for s in manifest.stripes
-                ),
-            )
-        self._journal(
-            {
-                "type": "repair",
-                "name": name,
-                "index": index,
-                "placement": (
-                    list(updated.placement)
-                    if updated is not None
-                    else None
-                ),
-                "moved_bytes": stats["moved_bytes"],
-                "rebuilt_bytes": stats["rebuilt_bytes"],
-                "by_node": {
-                    nid: by_node[nid] for nid in sorted(by_node)
-                },
-            }
-        )
-
     async def _inventory(self) -> dict[str, set[str]]:
         """key -> set of live node ids currently holding it."""
 
@@ -995,13 +933,10 @@ class ClusterCoordinator:
             )
             lost = np.flatnonzero(~present)
             if lost.size:
-                plan = self.plans.schedule(g, lost)
-                if not plan.residual:  # every lost row, checks included
-                    blocks = self.codec.replay_schedule(
-                        blocks, present, plan.steps
-                    )
+                try:
+                    blocks = self.codec.recover(blocks, present)
                     present[lost] = True
-                else:
+                except DecodeFailure:
                     stats["unrepairable_blocks"] = int(lost.size)
                     registry().counter(
                         "cluster.repair.data_loss_stripes"
@@ -1030,12 +965,21 @@ class ClusterCoordinator:
             placed_all = bool(present.all()) and all(landed.values())
         flipped = placed_all and desired != record.placement
         if flipped or by_node:
-            self._commit_stripe(
-                name,
-                replace(record, placement=desired) if flipped else None,
-                record.index,
-                stats,
-                by_node,
+            # A partial repair (placement None) moved bytes without
+            # flipping the record; the journal still carries the byte
+            # accounting so it survives a crash.
+            self._commit(
+                {
+                    "type": "repair",
+                    "name": name,
+                    "index": record.index,
+                    "placement": list(desired) if flipped else None,
+                    "moved_bytes": stats["moved_bytes"],
+                    "rebuilt_bytes": stats["rebuilt_bytes"],
+                    "by_node": {
+                        nid: by_node[nid] for nid in sorted(by_node)
+                    },
+                }
             )
             stats["repaired_stripes"] = 1
         if placed_all:
@@ -1064,10 +1008,6 @@ class ClusterCoordinator:
         return stats
 
     def _meter_repair(self, node_id: str, nbytes: int) -> None:
-        self.repair_bytes += nbytes
-        self.repair_bytes_by_node[node_id] = (
-            self.repair_bytes_by_node.get(node_id, 0) + nbytes
-        )
         reg = registry()
         reg.counter("cluster.repair.bytes").inc(nbytes)
         reg.counter(f"cluster.repair.bytes.{node_id}").inc(nbytes)

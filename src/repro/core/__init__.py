@@ -14,7 +14,13 @@ from .cascade import (
     plan_cascade,
     tornado_graph,
 )
-from .codec import DecodeFailure, EncodedStripe, TornadoCodec
+from .codec import (
+    DecodeFailure,
+    EncodedStripe,
+    TornadoCodec,
+    replay_steps,
+    stripe_rows,
+)
 from .critical import (
     CriticalReport,
     analyze_worst_case,
@@ -40,6 +46,7 @@ from .decoder import (
     make_batch_decoder,
     resolve_engine,
 )
+from .plancache import PlanCache, graph_key
 from .sparse import SparseBitsetDecoder, packed_sparse_loss_masks
 from .density import (
     DensityReport,
@@ -98,6 +105,7 @@ __all__ = [
     "MLDecoder",
     "MultiEdgeRepairError",
     "PeelingDecoder",
+    "PlanCache",
     "TornadoCodec",
     "adjust_graph",
     "allocate_node_degrees",
@@ -111,6 +119,7 @@ __all__ = [
     "first_failure",
     "from_networkx",
     "generate_certified",
+    "graph_key",
     "has_defects",
     "heavy_tail_distribution",
     "is_stopping_set",
@@ -126,12 +135,14 @@ __all__ = [
     "poisson_distribution",
     "random_bipartite_edges",
     "render_failure",
+    "replay_steps",
     "resolve_engine",
     "rewire",
     "save_graphml",
     "shared_right_set_pairs",
     "shifted",
     "solve_poisson_alpha",
+    "stripe_rows",
     "to_networkx",
     "tornado_csr_graph",
     "tornado_graph",

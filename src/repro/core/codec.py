@@ -3,11 +3,11 @@
 Everything else in the package reasons about *decodability*; this module
 moves actual bytes.  Blocks are fixed-size ``uint8`` NumPy rows; encoding
 walks the cascade levels in order computing each check block as the XOR
-of its left blocks, and decoding replays the peeling schedule from
-:class:`repro.core.decoder.PeelingDecoder` with XOR on block contents.
-Because a parity constraint XORs to zero across all members, any single
-unknown member is the XOR of the others — the same rule for both
-directions of the cascade.
+of its left blocks, and decoding replays the peeling schedule its
+:class:`~repro.core.plancache.PlanCache` hands out with XOR on block
+contents.  Because a parity constraint XORs to zero across all members,
+any single unknown member is the XOR of the others — the same rule for
+both directions of the cascade.
 
 Payload helpers segment an arbitrary byte string into one or more
 stripes of ``num_data`` blocks with explicit length framing, which is
@@ -20,18 +20,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoder import PeelingDecoder
 from .graph import ErasureGraph
+from .plancache import PlanCache
 
 __all__ = [
     "DecodeFailure",
     "TornadoCodec",
     "EncodedStripe",
+    "replay_steps",
+    "stripe_rows",
 ]
 
 
 class DecodeFailure(RuntimeError):
-    """Raised when peeling cannot recover every data block."""
+    """Raised when peeling cannot recover the rows asked for.
+
+    ``residual`` follows one convention everywhere an archive tier
+    reports loss: the stuck *data* nodes, or the whole residual when
+    only check nodes are stuck.
+    """
 
     def __init__(self, residual: frozenset[int]):
         self.residual = residual
@@ -49,16 +56,74 @@ class EncodedStripe:
     payload_length: int  # bytes of real payload carried by this stripe
 
 
-class TornadoCodec:
-    """Encode/decode byte blocks over any :class:`ErasureGraph`."""
+def replay_steps(work: np.ndarray, members, steps) -> None:
+    """XOR-replay a peeling schedule on ``work``'s rows, in place.
 
-    def __init__(self, graph: ErasureGraph, block_size: int):
+    ``members[ci]`` lists constraint ``ci``'s nodes; each
+    ``(ci, node)`` step overwrites row ``node`` with the XOR of the
+    constraint's other rows.  Rows of absent nodes must be zero or
+    solved by an earlier step.  The only XOR replay loop in the
+    package: :meth:`TornadoCodec.replay_schedule` and the service's
+    pool workers (:func:`repro.serve.worker.decode_jobs`) both run it.
+    """
+    for ci, node in steps:
+        others = [m for m in members[ci] if m != node]
+        np.bitwise_xor.reduce(work[others], axis=0, out=work[node])
+
+
+def stripe_rows(
+    held, num_nodes: int, block_size: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """One stripe's ``(blocks, present, refused)`` from the blocks held.
+
+    ``held`` is a ``{node: bytes}`` mapping, or ``(node, bytes)`` pairs
+    when the source may name a node twice.  A block whose node id is
+    outside ``[0, num_nodes)`` or whose length is not ``block_size`` is
+    dropped — one more erasure — and counted in ``refused``; what to do
+    about a refusal (count it, reject the reply) is the caller's policy.
+    """
+    blocks = np.zeros((num_nodes, block_size), dtype=np.uint8)
+    present = np.zeros(num_nodes, dtype=bool)
+    nodes: list[int] = []
+    rows: list[bytes] = []
+    refused = 0
+    for node, data in held.items() if hasattr(held, "items") else held:
+        if 0 <= node < num_nodes and len(data) == block_size:
+            nodes.append(node)
+            rows.append(data)
+        else:
+            refused += 1
+    if nodes:  # one copy into the matrix, not one per row
+        blocks[nodes] = np.frombuffer(
+            b"".join(rows), dtype=np.uint8
+        ).reshape(len(nodes), block_size)
+        present[nodes] = True
+    return blocks, present, refused
+
+
+class TornadoCodec:
+    """Encode/decode byte blocks over any :class:`ErasureGraph`.
+
+    ``plans`` is the scheduler: the owner's
+    :class:`~repro.core.plancache.PlanCache` when it has one to share
+    (a coordinator, a gateway, a service), else a cache of the codec's
+    own.  Whichever it is, decoding takes the same path.
+    """
+
+    def __init__(
+        self,
+        graph: ErasureGraph,
+        block_size: int,
+        plans: PlanCache | None = None,
+    ):
         if block_size < 1:
             raise ValueError("block_size must be positive")
         self.graph = graph
         self.block_size = block_size
-        self._decoder = PeelingDecoder(graph)
+        self.plans = plans if plans is not None else PlanCache()
         self._members = graph.constraint_members()
+        self._data_rows = list(graph.data_nodes)
+        self._data = frozenset(graph.data_nodes)
         # Constraint evaluation order honouring the cascade levels.
         self._encode_order = [
             ci for level in graph.levels for ci in level
@@ -82,13 +147,38 @@ class TornadoCodec:
                 f"got {data_blocks.shape}"
             )
         blocks = np.zeros((g.num_nodes, self.block_size), dtype=np.uint8)
-        blocks[list(g.data_nodes)] = data_blocks
+        blocks[self._data_rows] = data_blocks
         for ci in self._encode_order:
             con = g.constraints[ci]
             np.bitwise_xor.reduce(
                 blocks[list(con.lefts)], axis=0, out=blocks[con.check]
             )
         return blocks
+
+    def _stripe(
+        self, blocks: np.ndarray, present: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(blocks, present)`` as arrays of this codec's stripe shape."""
+        g = self.graph
+        present = np.asarray(present, dtype=bool)
+        if present.shape != (g.num_nodes,):
+            raise ValueError("present mask must have one entry per node")
+        blocks = np.asarray(blocks, dtype=np.uint8)
+        if blocks.shape != (g.num_nodes, self.block_size):
+            raise ValueError("blocks matrix has the wrong shape")
+        return blocks, present
+
+    def schedule(self, present: np.ndarray, *, every_row: bool = False):
+        """The cached peeling plan for an availability mask.
+
+        Raises :class:`DecodeFailure` when the plan leaves a data node
+        stuck — or, with ``every_row``, any node at all.
+        """
+        plan = self.plans.schedule(self.graph, np.flatnonzero(~present))
+        lost_data = plan.residual & self._data
+        if lost_data or (every_row and plan.residual):
+            raise DecodeFailure(lost_data or plan.residual)
+        return plan
 
     def decode_blocks(
         self, blocks: np.ndarray, present: np.ndarray
@@ -98,18 +188,29 @@ class TornadoCodec:
         ``present`` is a boolean per-node availability mask; rows of
         ``blocks`` for absent nodes are ignored.  Returns the
         ``(num_data, block_size)`` data matrix or raises
-        :class:`DecodeFailure`.
+        :class:`DecodeFailure`.  With nothing absent the data rows are
+        returned as they are — no plan lookup, no replay; otherwise one
+        :meth:`schedule` and one :meth:`decode_blocks_with_schedule`.
         """
-        g = self.graph
-        present = np.asarray(present, dtype=bool)
-        if present.shape != (g.num_nodes,):
-            raise ValueError("present mask must have one entry per node")
-        missing = np.flatnonzero(~present)
-        result = self._decoder.decode(missing)
-        if not result.success:
-            data_stuck = result.residual & set(g.data_nodes)
-            raise DecodeFailure(data_stuck or result.residual)
-        return self.decode_blocks_with_schedule(blocks, present, result.steps)
+        blocks, present = self._stripe(blocks, present)
+        if present.all():
+            return blocks[self._data_rows]
+        return self.decode_blocks_with_schedule(
+            blocks, present, self.schedule(present).steps
+        )
+
+    def recover(
+        self, blocks: np.ndarray, present: np.ndarray
+    ) -> np.ndarray:
+        """Every row of the stripe, lost checks included.
+
+        One :meth:`schedule` and one :meth:`replay_schedule`; repair
+        and scrub take the rows they rewrite from here.  Raises
+        :class:`DecodeFailure` if any row stays stuck.
+        """
+        blocks, present = self._stripe(blocks, present)
+        plan = self.schedule(present, every_row=True)
+        return self.replay_schedule(blocks, present, plan.steps)
 
     def decode_blocks_with_schedule(
         self,
@@ -124,11 +225,11 @@ class TornadoCodec:
         *same* erasure pattern as ``present``.  Separating scheduling
         from replay lets a serving layer compute the plan once per
         (graph, erasure mask) and reuse it across many stripes (see
-        :mod:`repro.serve.plancache`); replay is pure XOR with no graph
+        :mod:`repro.core.plancache`); replay is pure XOR with no graph
         search.
         """
         stripe = self.replay_schedule(blocks, present, steps)
-        return stripe[list(self.graph.data_nodes)]
+        return stripe[self._data_rows]
 
     def replay_schedule(
         self,
@@ -140,20 +241,12 @@ class TornadoCodec:
 
         The schedule solves lost check nodes as well as lost data (the
         decoder peels to a fixpoint), so with an empty residual every
-        row equals a fresh :meth:`encode_blocks` — repair takes its
-        lost rows from here instead of re-encoding the stripe.
+        row equals a fresh :meth:`encode_blocks`.
         """
-        g = self.graph
-        present = np.asarray(present, dtype=bool)
-        if present.shape != (g.num_nodes,):
-            raise ValueError("present mask must have one entry per node")
-        work = np.array(blocks, dtype=np.uint8, copy=True)
-        if work.shape != (g.num_nodes, self.block_size):
-            raise ValueError("blocks matrix has the wrong shape")
+        blocks, present = self._stripe(blocks, present)
+        work = blocks.copy()
         work[~present] = 0
-        for ci, node in steps:
-            others = [m for m in self._members[ci] if m != node]
-            np.bitwise_xor.reduce(work[others], axis=0, out=work[node])
+        replay_steps(work, self._members, steps)
         return work
 
     # ------------------------------------------------------------------

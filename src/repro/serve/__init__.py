@@ -10,7 +10,8 @@ reconstructs around failures at load, within explicit limits:
   recovery, degraded-read retry, graceful drain;
 * :class:`MicroBatcher` — pure, clock-injected request coalescing;
 * :class:`PlanCache` — LRU of peeling schedules keyed by
-  (graph hash, erasure mask);
+  (graph hash, erasure mask), defined in :mod:`repro.core.plancache`
+  because it is the codec's scheduler;
 * :func:`run_loadgen` / :class:`LoadGenConfig` / :class:`LoadReport` —
   deterministic open-loop load generation and latency accounting;
 * :func:`seeded_archive` — the shared serving fixture;
@@ -28,6 +29,7 @@ semantics; ``repro loadgen`` and
 ``benchmarks/bench_x12_serve_throughput.py`` measure it.
 """
 
+from ..core.plancache import PlanCache, graph_key
 from .batcher import Batch, MicroBatcher
 from .client import ArchiveClient, ClusterClient, ProtocolClient
 from .errors import (
@@ -44,7 +46,6 @@ from .loadgen import (
     run_loadgen,
     seeded_archive,
 )
-from .plancache import PlanCache, graph_key
 from .protocol import PROTOCOL_VERSION, ProtocolError, RemoteError
 from .service import ReconstructionService, ServeConfig
 

@@ -5,7 +5,7 @@ into a *system under load*: clients submit whole-object read requests;
 the service admits them through a bounded queue (shedding visibly when
 full), coalesces concurrent requests into micro-batches, computes each
 peeling-decode plan once per (graph, erasure mask) via the
-:class:`~repro.serve.plancache.PlanCache`, and replays the schedules —
+:class:`~repro.core.plancache.PlanCache`, and replays the schedules —
 inline on the event loop or on a ``ProcessPoolExecutor`` — with
 per-request deadlines, degraded-read retry, and crash-tolerant pool
 rebuild.
@@ -55,20 +55,21 @@ from typing import Any, Callable
 
 import numpy as np
 
+from ..core.codec import DecodeFailure, TornadoCodec
 from ..core.decoder import make_batch_decoder
+from ..core.plancache import PlanCache, graph_key
 from ..obs.manifest import RunManifest
 from ..obs.registry import MetricsRegistry, metrics_enabled, registry
 from ..obs.trace import start_span, trace_span, tracer
 from ..resilience.retry import RetryPolicy
-from ..storage.archive import DataLossError, TornadoArchive
-from ..storage.device import DeviceState, TransientUnavailableError
+from ..storage.archive import TornadoArchive
+from ..storage.device import TransientUnavailableError
 from .batcher import Batch, MicroBatcher
 from .errors import (
     DeadlineExceededError,
     ServiceClosedError,
     ServiceOverloadedError,
 )
-from .plancache import PlanCache, graph_key
 from .worker import crash as _worker_crash
 from .worker import decode_jobs
 
@@ -219,6 +220,11 @@ class ReconstructionService:
         self._manifest_path = manifest_path
         self.manifest: RunManifest | None = None
         self.plans = PlanCache(self.config.plan_capacity)
+        # Schedules come from the service's own cache (not the
+        # archive's): their ``steps`` ship to the pool workers.
+        self.codec = TornadoCodec(
+            archive.graph, archive.codec.block_size, self.plans
+        )
         self._clock = clock
         self._batch_key = graph_key(archive.graph)
         self._batcher = MicroBatcher(
@@ -657,35 +663,22 @@ class ReconstructionService:
 
     def _plan_stripes(self, manifest) -> list[dict]:
         archive = self.archive
-        graph = archive.graph
         m = self.metrics
         stripes: list[dict] = []
         for record in manifest.stripes:
             blocks, present = archive.stripe_blocks(manifest.name, record)
-            missing = np.flatnonzero(~present)
             hits_before = self.plans.hits
-            plan = self.plans.schedule(graph, missing)
-            if self.plans.hits > hits_before:
-                m.counter("serve.plan_cache.hits").inc()
-            else:
-                m.counter("serve.plan_cache.misses").inc()
-            if not plan.success:
-                transient = tuple(
-                    dev
-                    for dev in record.placement.device_of
-                    if archive.devices[dev].state
-                    is DeviceState.UNAVAILABLE
-                )
-                if transient:
-                    raise TransientUnavailableError(
-                        f"object {manifest.name!r} stripe {record.index}:"
-                        f" undecodable while devices {list(transient)} "
-                        "are transiently unavailable",
-                        transient,
-                    )
-                raise DataLossError(
-                    manifest.name, record.index, plan.residual
-                )
+            try:
+                plan = self.codec.schedule(present)
+            except DecodeFailure as exc:
+                raise archive.decode_error(
+                    manifest.name, record, exc
+                ) from exc
+            finally:
+                hit = self.plans.hits > hits_before
+                m.counter(
+                    f"serve.plan_cache.{'hits' if hit else 'misses'}"
+                ).inc()
             stripes.append(
                 {
                     "blocks": blocks.tobytes(),

@@ -33,6 +33,7 @@ from typing import Any
 
 import numpy as np
 
+from ..core.codec import replay_steps
 from ..obs.registry import MetricsRegistry
 from ..obs.trace import Tracer, context_seed
 
@@ -84,12 +85,8 @@ def decode_jobs(payload: dict[str, Any]) -> dict[str, Any]:
             )
             present = np.frombuffer(stripe["present"], dtype=bool)
             work[~present] = 0
-            for ci, node in stripe["steps"]:
-                others = [m for m in members[ci] if m != node]
-                np.bitwise_xor.reduce(
-                    work[others], axis=0, out=work[node]
-                )
-                xor_steps.inc()
+            replay_steps(work, members, stripe["steps"])
+            xor_steps.inc(len(stripe["steps"]))
             data = work[data_nodes]
             parts.append(data.tobytes()[: stripe["length"]])
             stripes_decoded.inc()

@@ -738,8 +738,7 @@ def profile_graph(
         )
 
     def on_result(result) -> None:
-        # Older 4-tuple results (no spans) are still accepted.
-        k, frac, cell_seconds, snapshot, *extra = result
+        k, frac, cell_seconds, snapshot, spans = result
         fail[k] = frac
         samples[k] = samples_per_k
         if writer is not None:
@@ -748,10 +747,10 @@ def profile_graph(
             record_cell(k, cell_seconds)
             if snapshot is not None:
                 reg.merge_snapshot(snapshot)
-        if extra and extra[0]:
+        if spans:
             active = tracer()
             if active is not None:
-                active.ingest(extra[0])
+                active.ingest(spans)
 
     uncovered: list[int] = []
     try:

@@ -48,7 +48,8 @@ import numpy as np
 
 from ..cluster.coordinator import DEFAULT_RETRY, NodeDownError, link_rpc
 from ..cluster.ring import HashRing
-from ..core.codec import TornadoCodec
+from ..core.codec import DecodeFailure, TornadoCodec, stripe_rows
+from ..core.plancache import PlanCache
 from ..obs.registry import registry
 from ..obs.trace import trace_span
 from ..resilience.retry import RetryPolicy
@@ -58,7 +59,6 @@ from ..serve.lineserver import (
     within_deadline,
 )
 from ..serve.link import PipelinedLink
-from ..serve.plancache import PlanCache
 from ..serve.protocol import (
     FetchStripeRequest,
     GetRequest,
@@ -144,11 +144,13 @@ class FederationGateway:
         # at construction turns a mis-assembled manifest into a
         # startup error instead of a wrong answer later.
         self.system = manifest.system()
-        self.codec = TornadoCodec(self.system.graph, block_size)
+        self.plans = PlanCache(plan_capacity)
+        self.codec = TornadoCodec(
+            self.system.graph, block_size, self.plans
+        )
         self.retry = retry
         self.rpc_timeout = rpc_timeout
         self.repair_wan_budget = repair_wan_budget
-        self.plans = PlanCache(plan_capacity)
         self.ring = HashRing()
         for assignment in manifest.sites:
             self.ring.add(assignment.site_id, weight=assignment.weight)
@@ -373,7 +375,7 @@ class FederationGateway:
             (graph.num_nodes, self.block_size), dtype=np.uint8
         )
         present = np.zeros(graph.num_nodes, dtype=bool)
-        payload_length: int | None = None
+        payload_length = 0
         dark = 0
         for site, site_id in enumerate(self.manifest.site_ids):
             try:
@@ -381,51 +383,47 @@ class FederationGateway:
                     self._link(site_id),
                     FetchStripeRequest(name=name, seq=seq),
                 )
-            except (SiteDownError, TransientUnavailableError, KeyError):
-                dark += 1  # its n nodes stay erased
+            except (SiteDownError, TransientUnavailableError):
+                dark += 1  # its n nodes stay erased while it is out
                 continue
+            except KeyError:
+                continue  # up, but never held the object: erased for good
             payload_length = response.payload_length
-            shipped = 0
-            for key, data in (response.blocks or {}).items():
-                row = site * n + self._site_node(site_id, key, data)
-                blocks[row] = np.frombuffer(data, dtype=np.uint8)
-                present[row] = True
-                shipped += len(data)
-            if site_id != home:
-                self._meter_wan(site_id, shipped, purpose)
-        if payload_length is None:
-            raise TransientUnavailableError(
-                f"object {name!r} stripe {seq}: no site reachable"
+            shipped = response.blocks or {}
+            rows, have, refused = stripe_rows(
+                (
+                    (int(key) if key.isdecimal() else -1, data)
+                    for key, data in shipped.items()
+                ),
+                n,
+                self.block_size,
             )
-        plan = self.plans.schedule(graph, np.flatnonzero(~present))
-        if not plan.success:
-            lost = plan.residual & set(graph.data_nodes)
+            if refused:
+                raise ProtocolError(
+                    f"site {site_id!r} shipped {refused} malformed blocks "
+                    f"of object {name!r} stripe {seq}: node ids are "
+                    f"decimal integers in [0, {n}), blocks are "
+                    f"{self.block_size} bytes"
+                )
+            at = slice(site * n, (site + 1) * n)
+            blocks[at], present[at] = rows, have
+            if site_id != home:
+                self._meter_wan(
+                    site_id, sum(map(len, shipped.values())), purpose
+                )
+        try:
+            # No site answering is every row erased: stuck, typed below.
+            data = self.codec.decode_blocks(blocks, present)
+        except DecodeFailure as exc:
             if dark:
                 raise TransientUnavailableError(
                     f"object {name!r} stripe {seq}: coupled decode "
-                    f"stuck on {len(lost)} data blocks with {dark} "
-                    "sites unreachable (retry or repair may succeed)"
-                )
-            raise DataLossError(name, seq, lost)
-        data = self.codec.decode_blocks_with_schedule(
-            blocks, present, plan.steps
-        )
+                    f"stuck on {len(exc.residual)} data blocks with "
+                    f"{dark} sites unreachable (retry or repair may "
+                    "succeed)"
+                ) from exc
+            raise DataLossError(name, seq, exc.residual) from exc
         return data.tobytes()[:payload_length]
-
-    def _site_node(self, site_id: str, key: str, data: bytes) -> int:
-        """Validate one shipped block; return its site-local node id."""
-        node = int(key) if key.isdecimal() else -1
-        if not 0 <= node < self.system.nodes_per_site:
-            raise ProtocolError(
-                f"site {site_id!r} shipped a block for node {key!r}: not "
-                f"a node id in [0, {self.system.nodes_per_site})"
-            )
-        if len(data) != self.block_size:
-            raise ProtocolError(
-                f"site {site_id!r} shipped {len(data)} bytes for node "
-                f"{node}; blocks are {self.block_size} bytes"
-            )
-        return node
 
     # ------------------------------------------------------------------
     # Repair: local reconstruction first, priced WAN re-injection last

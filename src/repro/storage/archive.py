@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.codec import DecodeFailure, TornadoCodec
+from ..core.codec import DecodeFailure, TornadoCodec, stripe_rows
 from ..core.graph import ErasureGraph
 from ..obs.registry import registry
-from .blockstore import DeviceBlockStore, block_key
+from .blockstore import DeviceBlockStore
 from .device import DeviceArray, DeviceState, TransientUnavailableError
 from .retrieval import FALLBACK_CHAIN
 from .stripe import StripeMap, rotated_placement
@@ -58,11 +58,6 @@ class ObjectManifest:
     name: str
     size: int
     stripes: tuple[StripeRecord, ...]
-
-
-# The canonical key scheme lives in repro.storage.blockstore; this alias
-# keeps the historical import path (integrity checks, tests) working.
-_block_key = block_key
 
 
 class TornadoArchive:
@@ -194,16 +189,16 @@ class TornadoArchive:
         manifest = self._manifest(name)
         repaired = 0
         avail = self.devices.available_mask
+        missing_by_stripe = self.missing_blocks(name)
         for record in manifest.stripes:
-            missing = self.missing_blocks(name)[record.index]
+            missing = missing_by_stripe[record.index]
             if not missing:
                 continue
-            blocks, present = self._collect_blocks(manifest.name, record)
+            blocks, present = self.stripe_blocks(name, record)
             try:
-                data = self.codec.decode_blocks(blocks, present)
+                full = self.codec.recover(blocks, present)
             except DecodeFailure as exc:
-                raise self._decode_error(name, record, exc) from exc
-            full = self.codec.encode_blocks(data)
+                raise self.decode_error(name, record, exc) from exc
             for node in missing:
                 dev = record.placement.device_of[node]
                 if avail[dev]:
@@ -214,78 +209,37 @@ class TornadoArchive:
         return repaired
 
     def stripe_blocks(
-        self, name: str, record: StripeRecord
+        self,
+        name: str,
+        record: StripeRecord,
+        nodes: tuple[int, ...] | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Surviving blocks of one stripe as ``(blocks, present)``.
 
-        Public entry point for serving layers (:mod:`repro.serve`) that
-        plan and decode outside the archive: the returned matrix has one
-        row per graph node, and ``present`` marks the rows actually read
-        from available devices.
+        The returned matrix has one row per graph node, and ``present``
+        marks the rows actually read: every node on an available device
+        by default, or just the planned ``nodes`` (a planned device
+        that became unavailable since planning raises
+        :class:`TransientUnavailableError`).  A block a rebuilt-empty
+        device no longer holds, or holds at the wrong size, is an
+        erasure.  Also the entry point for serving layers
+        (:mod:`repro.serve`) that plan and decode outside the archive.
         """
-        return self._collect_blocks(name, record)
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-
-    def _manifest(self, name: str) -> ObjectManifest:
-        try:
-            return self.objects[name]
-        except KeyError:
-            raise KeyError(f"no archived object named {name!r}") from None
-
-    def _collect_blocks(
-        self, name: str, record: StripeRecord
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Read every available block of a stripe into a node matrix."""
-        g = self.graph
-        blocks = np.zeros(
-            (g.num_nodes, self.codec.block_size), dtype=np.uint8
+        devs = record.placement.device_of
+        if nodes is None:
+            avail = self.devices.available_mask
+            nodes = [node for node, dev in enumerate(devs) if avail[dev]]
+        held = {
+            node: self.blocks.read(devs[node], name, record.index, node)
+            for node in nodes
+            if self.blocks.has(devs[node], name, record.index, node)
+        }
+        blocks, present, _ = stripe_rows(
+            held, self.graph.num_nodes, self.codec.block_size
         )
-        present = np.zeros(g.num_nodes, dtype=bool)
-        avail = self.devices.available_mask
-        for node, dev in enumerate(record.placement.device_of):
-            if not avail[dev]:
-                continue
-            if not self.blocks.has(dev, name, record.index, node):
-                continue
-            raw = self.blocks.read(dev, name, record.index, node)
-            blocks[node] = np.frombuffer(raw, dtype=np.uint8)
-            present[node] = True
         return blocks, present
 
-    def _collect_plan_blocks(
-        self, name: str, record: StripeRecord, nodes: tuple[int, ...]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Read only the planned nodes of a stripe into a node matrix.
-
-        Raises :class:`TransientUnavailableError` if a planned device
-        became unavailable between planning and reading.
-        """
-        g = self.graph
-        blocks = np.zeros(
-            (g.num_nodes, self.codec.block_size), dtype=np.uint8
-        )
-        present = np.zeros(g.num_nodes, dtype=bool)
-        for node in nodes:
-            dev = record.placement.device_of[node]
-            if not self.blocks.has(dev, name, record.index, node):
-                continue  # rebuilt-empty device: block awaits repair
-            raw = self.blocks.read(dev, name, record.index, node)
-            blocks[node] = np.frombuffer(raw, dtype=np.uint8)
-            present[node] = True
-        return blocks, present
-
-    def _transient_devices(self, record: StripeRecord) -> tuple[int, ...]:
-        """Stripe devices that are transiently unavailable right now."""
-        return tuple(
-            dev
-            for dev in record.placement.device_of
-            if self.devices[dev].state is DeviceState.UNAVAILABLE
-        )
-
-    def _decode_error(
+    def decode_error(
         self, name: str, record: StripeRecord, exc: DecodeFailure
     ) -> Exception:
         """Classify a decode failure: real loss vs transient outage.
@@ -304,12 +258,31 @@ class TornadoArchive:
             )
         return DataLossError(name, record.index, exc.residual)
 
-    def _read_stripe(self, name: str, record: StripeRecord) -> np.ndarray:
-        blocks, present = self._collect_blocks(name, record)
+    # ------------------------------------------------------------------
+    # Internals
+    # ------------------------------------------------------------------
+
+    def _manifest(self, name: str) -> ObjectManifest:
         try:
-            return self.codec.decode_blocks(blocks, present)
+            return self.objects[name]
+        except KeyError:
+            raise KeyError(f"no archived object named {name!r}") from None
+
+    def _transient_devices(self, record: StripeRecord) -> tuple[int, ...]:
+        """Stripe devices that are transiently unavailable right now."""
+        return tuple(
+            dev
+            for dev in record.placement.device_of
+            if self.devices[dev].state is DeviceState.UNAVAILABLE
+        )
+
+    def _read_stripe(self, name: str, record: StripeRecord) -> np.ndarray:
+        try:
+            return self.codec.decode_blocks(
+                *self.stripe_blocks(name, record)
+            )
         except DecodeFailure as exc:
-            raise self._decode_error(name, record, exc) from exc
+            raise self.decode_error(name, record, exc) from exc
 
     def _read_stripe_degraded(
         self, name: str, record: StripeRecord, retry
@@ -335,10 +308,9 @@ class TornadoArchive:
                 if planner is not FALLBACK_CHAIN[0]:
                     reg.counter("resilience.reads.fallbacks").inc()
                 try:
-                    blocks, present = self._collect_plan_blocks(
-                        name, record, plan.nodes
+                    data = self.codec.decode_blocks(
+                        *self.stripe_blocks(name, record, plan.nodes)
                     )
-                    data = self.codec.decode_blocks(blocks, present)
                 except (DecodeFailure, TransientUnavailableError):
                     continue
                 if attempt:
@@ -347,12 +319,8 @@ class TornadoArchive:
             reg.counter("resilience.reads.degraded").inc()
             if not self._transient_devices(record):
                 # Nothing will come back on its own: surface real loss
-                # (plan_all's residual gives the canonical error).
-                blocks, present = self._collect_blocks(name, record)
-                try:
-                    self.codec.decode_blocks(blocks, present)
-                except DecodeFailure as exc:
-                    raise self._decode_error(name, record, exc) from exc
+                # (reading everything gives the canonical residual).
+                self._read_stripe(name, record)
             if not retry.wait(attempt):
                 raise TransientUnavailableError(
                     f"object {name!r} stripe {record.index}: still "

@@ -18,7 +18,8 @@ import zlib
 from dataclasses import dataclass
 
 from ..core.codec import DecodeFailure
-from .archive import TornadoArchive, _block_key
+from .archive import TornadoArchive
+from .blockstore import block_key
 
 __all__ = ["CorruptBlock", "IntegrityReport", "IntegrityScanner"]
 
@@ -77,7 +78,7 @@ class IntegrityScanner:
             for node, dev in enumerate(record.placement.device_of):
                 if not avail[dev]:
                     continue
-                key = _block_key(name, record.index, node)
+                key = block_key(name, record.index, node)
                 store = self.archive.devices[dev].blocks
                 if key in store:
                     self._checksums[key] = _checksum(store[key])
@@ -94,7 +95,7 @@ class IntegrityScanner:
             for node, dev in enumerate(record.placement.device_of):
                 if not avail[dev]:
                     continue
-                key = _block_key(name, record.index, node)
+                key = block_key(name, record.index, node)
                 expected = self._checksums.get(key)
                 store = self.archive.devices[dev].blocks
                 if expected is None or key not in store:
@@ -116,8 +117,8 @@ class IntegrityScanner:
     def scrub(self, name: str) -> int:
         """Repair corrupt blocks by erasure-decoding around them.
 
-        Corrupt blocks are treated as erasures: the stripe is decoded
-        from the remaining verified blocks, re-encoded, and the bad
+        Corrupt blocks are treated as erasures: every row of the stripe
+        is recovered from the remaining verified blocks and the bad
         blocks rewritten (checksums refreshed).  Returns the number of
         blocks rewritten; raises
         :class:`~repro.storage.archive.DataLossError` if corruption
@@ -137,23 +138,21 @@ class IntegrityScanner:
             bads = by_stripe.get(record.index)
             if not bads:
                 continue
-            blocks, present = self.archive._collect_blocks(name, record)
+            blocks, present = self.archive.stripe_blocks(name, record)
             for bad in bads:
                 present[bad.node] = False  # demote to erasure
-                blocks[bad.node] = 0
             try:
-                data = codec.decode_blocks(blocks, present)
+                full = codec.recover(blocks, present)
             except DecodeFailure as exc:
                 # Transient-aware: corruption on a stripe that is only
                 # undecodable while devices are out is retryable, not
-                # loss (see TornadoArchive._decode_error).
-                raise self.archive._decode_error(
+                # loss (see TornadoArchive.decode_error).
+                raise self.archive.decode_error(
                     name, record, exc
                 ) from exc
-            full = codec.encode_blocks(data)
             for bad in bads:
                 payload = full[bad.node].tobytes()
-                key = _block_key(name, record.index, bad.node)
+                key = block_key(name, record.index, bad.node)
                 self.archive.devices[bad.device_id].write_block(
                     key, payload
                 )
@@ -176,7 +175,7 @@ def corrupt_block(
         if r.index == stripe_index
     )
     dev = archive.devices[record.placement.device_of[node]]
-    key = _block_key(name, stripe_index, node)
+    key = block_key(name, stripe_index, node)
     raw = bytearray(dev.blocks[key])
     raw[flip_byte] ^= 0xFF
     dev.blocks[key] = bytes(raw)

@@ -40,10 +40,6 @@ def graph_first_failure(graph: ErasureGraph, limit: int = 6) -> int:
     return ff if ff is not None else limit + 1
 
 
-# Backwards-compatible alias (pre-PR-7 private name).
-_graph_first_failure = graph_first_failure
-
-
 @dataclass(frozen=True)
 class StripeHealth:
     """Health of one stripe of one object."""

@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 
 from repro.core import (
     DecodeFailure,
+    MLDecoder,
     PeelingDecoder,
+    PlanCache,
     TornadoCodec,
+    stripe_rows,
     tornado_graph,
 )
 from repro.graphs import mirrored_graph
@@ -158,6 +161,114 @@ class TestReplaySchedule:
             codec.decode_blocks_with_schedule(blocks, present, steps),
         )
         np.testing.assert_array_equal(stripe, blocks)
+
+
+class TestRecover:
+    """One stripe recovery: every row, through whichever cache."""
+
+    def test_every_row_equals_a_fresh_encode(self, graph3, rng):
+        codec = TornadoCodec(graph3, block_size=8)
+        full = codec.encode_blocks(random_data(codec, rng))
+        for missing in TestReplaySchedule.masks(graph3):
+            present = np.ones(graph3.num_nodes, dtype=bool)
+            present[list(missing)] = False
+            damaged = full.copy()
+            damaged[~present] = 0xFF  # absent rows must not be read
+            assert np.array_equal(codec.recover(damaged, present), full)
+
+    def test_a_stuck_row_is_a_decode_failure(self, rng):
+        g = mirrored_graph(4)
+        codec = TornadoCodec(g, block_size=8)
+        full = codec.encode_blocks(random_data(codec, rng))
+        present = np.ones(8, dtype=bool)
+        present[[0, 4, 5]] = False  # a whole pair, and a recoverable copy
+        with pytest.raises(DecodeFailure) as exc:
+            codec.recover(full, present)
+        # one convention: the stuck data nodes, not the whole residual
+        assert exc.value.residual == frozenset({0})
+        with pytest.raises(DecodeFailure) as exc:
+            codec.decode_blocks(full, present)
+        assert exc.value.residual == frozenset({0})
+
+    @staticmethod
+    def outcome(codec, blocks, present):
+        try:
+            return codec.decode_blocks(blocks, present).tobytes()
+        except DecodeFailure as exc:
+            return exc.residual
+
+    def test_the_cache_handed_in_selects_nothing(self, graph3, rng):
+        shared = PlanCache()
+        other_owner = TornadoCodec(graph3, 8, shared)
+        codecs = [
+            TornadoCodec(graph3, 8, shared),
+            TornadoCodec(graph3, 8),
+            TornadoCodec(graph3, 8, PlanCache(capacity=0)),
+        ]
+        ml = MLDecoder(graph3)
+        data = random_data(codecs[0], rng)
+        full = codecs[0].encode_blocks(data)
+        masks = list(TestReplaySchedule.masks(graph3))[96 + 96 * 95 // 2 :]
+        seeded = np.random.default_rng(23)
+        for k in (8, 24, 34, 40, 48):  # past first failure: some stick
+            masks += [seeded.choice(96, k, replace=False) for _ in range(60)]
+        decoded = stuck = 0
+        for missing in masks:
+            present = np.ones(96, dtype=bool)
+            present[list(missing)] = False
+            want = self.outcome(other_owner, full, present)
+            for codec in codecs:
+                assert self.outcome(codec, full, present) == want
+            if isinstance(want, bytes):
+                assert want == data.tobytes()
+                assert ml.decode_blocks(full, present).tobytes() == want
+                decoded += 1
+            else:
+                assert want and want <= set(graph3.data_nodes)
+                stuck += 1
+        assert decoded > 300 and stuck > 50
+        assert shared.hits >= len(masks)  # the second owner re-plans nothing
+        assert codecs[2].plans.stats()["size"] == 0
+
+    def test_nothing_absent_is_no_lookup_and_no_replay(self, codec, rng):
+        data = random_data(codec, rng)
+        blocks = codec.encode_blocks(data)
+        present = np.ones(codec.graph.num_nodes, dtype=bool)
+        np.testing.assert_array_equal(
+            codec.decode_blocks(blocks, present), data
+        )
+        assert codec.plans.stats()["misses"] == 0
+
+
+class TestStripeRows:
+    def test_builds_the_matrix_and_the_mask(self):
+        blocks, present, refused = stripe_rows(
+            {0: b"abcd", 2: memoryview(b"wxyz")}, 4, 4
+        )
+        assert refused == 0
+        assert present.tolist() == [True, False, True, False]
+        assert blocks[0].tobytes() == b"abcd"
+        assert blocks[2].tobytes() == b"wxyz"
+        assert not blocks[[1, 3]].any()
+
+    def test_refuses_what_is_not_a_block_of_the_stripe(self):
+        held = {
+            1: b"good",
+            2: b"sho",  # short
+            3: b"toolong",
+            -1: b"nega",  # would index the last row
+            4: b"past",  # one past the stripe
+        }
+        blocks, present, refused = stripe_rows(held, 4, 4)
+        assert refused == 4
+        assert present.tolist() == [False, True, False, False]
+        assert not blocks[[0, 2, 3]].any()
+
+    def test_pairs_may_repeat_a_node(self):
+        pairs = [(-1, b"aaaa"), (-1, b"bbbb"), (0, b"cccc"), (0, b"dddd")]
+        blocks, present, refused = stripe_rows(iter(pairs), 2, 4)
+        assert refused == 2 and present.tolist() == [True, False]
+        assert blocks[0].tobytes() == b"dddd"  # the later copy wins
 
 
 class TestPayloadAPI:

@@ -244,6 +244,34 @@ class TestReadLadder:
 
         run(check())
 
+    def test_a_site_that_never_held_the_object_is_loss_not_an_outage(self):
+        async def check():
+            fed = await Federation.start()
+            gw = fed.gateway
+            await gw.put("obj", payload_bytes(5000))
+            # site-b was wiped and came back empty: it is up, answers
+            # not_found, and will never produce a block of "obj".
+            fed.coordinators["site-b"].manifests.clear()
+            # site-a is damaged past what it decodes (alone is all the
+            # coupled graph has left).
+            await fed.erase_witness("site-a", "obj", set(range(60)))
+            with pytest.raises(DataLossError) as caught:
+                await gw.get("obj", want_payload=True)
+            verdict = gw.system.decode(
+                list(range(60)) + list(range(96, 192))
+            )
+            assert caught.value.residual == verdict.residual & set(
+                gw.system.data_nodes
+            )
+            assert gw.reads["failed"] == 1
+            # Every site up and none holds a block: loss, too.
+            fed.coordinators["site-a"].manifests.clear()
+            with pytest.raises(DataLossError):
+                await gw.get("obj", want_payload=True)
+            await fed.close()
+
+        run(check())
+
 
 class TestCoupledRungValidatesSiteInput:
     """A site's ``fetch_stripe`` reply is outside input: the coupled

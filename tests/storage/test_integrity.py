@@ -71,9 +71,9 @@ class TestScrub:
         """The rewritten block must carry the original content."""
         archive, scanner = setup
         record = archive.objects["obj"].stripes[0]
-        from repro.storage.archive import _block_key
+        from repro.storage.blockstore import block_key
 
-        key = _block_key("obj", 0, 2)
+        key = block_key("obj", 0, 2)
         dev = archive.devices[record.placement.device_of[2]]
         original = dev.blocks[key]
         corrupt_block(archive, "obj", 0, 2)
