@@ -55,7 +55,6 @@ from repro.core import (
 from repro.core.sparse import jit_enabled
 from repro.graphs import tornado_catalog_graph
 from repro.sim import measure_retrieval_overhead, profile_graph
-from repro.sim.montecarlo import sample_fail_fraction
 
 SIZES = (16, 24, 32, 48, 64)
 
@@ -247,28 +246,30 @@ def test_x9_sparse_size_scaling():
     }
 
     # Aggregate multi-process throughput on the paper's 96-node catalog
-    # graph: shm-parallel estimate must equal the serial one bit for
-    # bit, and the recorded rate is the issue's headline number.
+    # graph: the pooled sweep must equal the in-process one bit for
+    # bit, and the recorded rate is the headline multi-core number.
+    # Cells fan out one per k, so the grid has more cells than workers.
     catalog = tornado_catalog_graph(3)
-    t0 = time.perf_counter()
-    f_serial = sample_fail_fraction(
-        catalog, 26, AGG_SAMPLES, rng=5, engine="bitset"
+    agg_ks = [20, 23, 26, 29, 32, 35, 38, 41]
+    agg = dict(
+        samples_per_k=AGG_SAMPLES // len(agg_ks), ks=agg_ks, exact_upto=0,
+        seed=5,
     )
+    t0 = time.perf_counter()
+    p_serial = profile_graph(catalog, **agg, n_jobs=1)
     serial_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    f_par = sample_fail_fraction(
-        catalog, 26, AGG_SAMPLES, rng=5, engine="bitset",
-        n_jobs=SCALING_JOBS,
-    )
+    p_par = profile_graph(catalog, **agg, n_jobs=SCALING_JOBS)
     par_s = time.perf_counter() - t0
-    assert f_serial == f_par
+    assert p_serial.fail_fraction.tobytes() == p_par.fail_fraction.tobytes()
+    cases = int(p_serial.samples.sum())
     aggregate = {
         "graph": "catalog-3 (96 nodes)",
-        "k": 26,
-        "samples": AGG_SAMPLES,
+        "ks": agg_ks,
+        "samples": cases,
         "n_jobs": SCALING_JOBS,
-        "serial_cases_per_sec": AGG_SAMPLES / serial_s,
-        "aggregate_cases_per_sec": AGG_SAMPLES / par_s,
+        "serial_cases_per_sec": cases / serial_s,
+        "aggregate_cases_per_sec": cases / par_s,
         "parallel_speedup": serial_s / par_s,
     }
 

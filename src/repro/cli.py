@@ -717,6 +717,8 @@ def _cmd_profile(args) -> int:
 
     if args.resume and not args.checkpoint:
         raise UsageError("--resume requires --checkpoint")
+    if args.samples < 1:
+        raise UsageError("--samples must be positive")
     graph = load_graphml(args.graph)
     exact_upto = (
         DEFAULT_EXACT_UPTO if args.exact_upto is None else args.exact_upto
@@ -782,6 +784,8 @@ def _cmd_reliability(args) -> int:
     from .reliability import reliability_table
     from .sim import FailureProfile, profile_graph
 
+    if args.samples < 1:
+        raise UsageError("--samples must be positive")
     profiles = [
         FailureProfile.from_analytic(s)
         for s in (

@@ -15,10 +15,10 @@ three flat NumPy arrays:
 * ``data_nodes`` — ids of the nodes carrying original data.
 
 That layout is exactly what the sparse decode engine
-(:mod:`repro.core.sparse`) consumes, it pickles as raw buffers, and it
-maps into :mod:`multiprocessing.shared_memory` segments without any
-serialisation at all — the zero-pickle worker handoff in
-:mod:`repro.sim.montecarlo` ships these three arrays by segment name.
+(:mod:`repro.core.sparse`) consumes, adopted zero-copy, and it pickles
+as raw buffers — which is how a process-pool worker of
+:mod:`repro.sim.montecarlo` receives it, once, through the pool
+initializer.
 
 :func:`tornado_csr_graph` builds rate-1/2 Tornado cascades straight
 into this form with vectorised level construction (heavy-tail left

@@ -161,9 +161,7 @@ class SparseBitsetDecoder(_PackedPeelingDecoder):
 
     Same :meth:`decode_batch` / :meth:`decode_missing_sets` /
     :meth:`decode_packed` surface and results as the bitset kernel
-    (both inherit it from one base), plus a constructor from flat CSR
-    arrays (:meth:`from_csr`) for the shared-memory zero-pickle worker
-    handoff.  Accepts an
+    (both inherit it from one base).  Accepts an
     :class:`~repro.core.graph.ErasureGraph` or a
     :class:`~repro.core.csrgraph.CsrGraph`.
     """
@@ -176,22 +174,14 @@ class SparseBitsetDecoder(_PackedPeelingDecoder):
     def __init__(self, graph, *, jit: bool | None = None,
                  chunk: int = DEFAULT_CHUNK):
         self.graph = graph
-        # A CsrGraph's arrays are adopted zero-copy.
+        # A CsrGraph's arrays are adopted zero-copy (read-only ones too:
+        # the decoder never writes to them).
         csr = (
             graph if hasattr(graph, "con_indptr")
             else CsrGraph.from_graph(graph)
         )
-        self._init_from_csr(
-            csr.con_nodes, csr.con_indptr, csr.data_nodes, csr.num_nodes,
-            jit=jit, chunk=chunk,
-        )
-
-    def _init_from_csr(self, con_nodes, con_indptr, data_nodes,
-                       num_nodes: int, *, jit: bool | None,
-                       chunk: int) -> None:
-        con_nodes = np.ascontiguousarray(con_nodes, dtype=np.intp)
-        con_indptr = np.ascontiguousarray(con_indptr, dtype=np.intp)
-        self._num_nodes = int(num_nodes)
+        con_indptr = np.ascontiguousarray(csr.con_indptr, dtype=np.intp)
+        self._num_nodes = int(csr.num_nodes)
         lens = np.diff(con_indptr)
         starts = con_indptr[:-1]
         # Degree-descending order lets every slot sweep act on a
@@ -199,42 +189,15 @@ class SparseBitsetDecoder(_PackedPeelingDecoder):
         order = np.argsort(-lens, kind="stable")
         self._base = np.ascontiguousarray(starts[order])
         self._lens = np.ascontiguousarray(lens[order])
-        self._con_nodes = con_nodes
+        self._con_nodes = np.ascontiguousarray(csr.con_nodes, dtype=np.intp)
         self._num_cons = int(self._lens.size)
         self._dmax = int(self._lens[0]) if self._num_cons else 0
-        self._data = np.ascontiguousarray(
-            np.asarray(data_nodes, dtype=np.intp)
-        )
+        self._data = np.ascontiguousarray(csr.data_nodes, dtype=np.intp)
         self._chunk = max(1, int(chunk))
         self._use_jit = (
             _JIT_KERNEL is not None if jit is None else
             bool(jit) and _JIT_KERNEL is not None
         )
-
-    @classmethod
-    def from_csr(
-        cls,
-        con_nodes: np.ndarray,
-        con_indptr: np.ndarray,
-        data_nodes,
-        num_nodes: int,
-        *,
-        jit: bool | None = None,
-        chunk: int = DEFAULT_CHUNK,
-    ) -> "SparseBitsetDecoder":
-        """Build straight from flat CSR arrays (zero-copy).
-
-        This is the shared-memory handoff entry point: the arrays may
-        be views into a :mod:`multiprocessing.shared_memory` segment;
-        the decoder never writes to them.
-        """
-        self = cls.__new__(cls)
-        self.graph = None
-        self._init_from_csr(
-            con_nodes, con_indptr, data_nodes, num_nodes,
-            jit=jit, chunk=chunk,
-        )
-        return self
 
     # ------------------------------------------------------------------
 

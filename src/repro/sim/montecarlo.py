@@ -11,9 +11,11 @@ This module reproduces the estimator with two scaling levers:
   by :func:`~repro.core.decoder.make_batch_decoder`; both produce
   byte-identical profiles, and
 * sweeps across offline counts fan out over a **process pool**, one
-  task per (graph, k) cell, seeded deterministically through
+  task per k cell, seeded deterministically through
   ``numpy.random.SeedSequence.spawn`` so results are reproducible at any
-  worker count.
+  worker count.  Every cell — in-process or pooled — runs through one
+  function, :func:`_sweep_cell`; each pool worker receives the graph
+  once, through the pool initializer, and builds its kernel there.
 
 For the small-``k`` head where failure probabilities sit near 1e-7,
 sampling is hopeless at laptop budgets; :func:`profile_graph` splices in
@@ -38,6 +40,7 @@ sweep.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import time
@@ -46,6 +49,7 @@ from concurrent.futures import (
     TimeoutError as CellTimeout,
 )
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
 from math import comb
 from pathlib import Path
 from typing import Any, Sequence
@@ -58,16 +62,14 @@ from ..core.critical import (
     minimal_bad_stopping_sets,
 )
 from ..core.bitdecoder import packed_random_loss_masks
-from ..core.csrgraph import CsrGraph
-from ..core.decoder import SparseBitsetDecoder, make_batch_decoder
-from ..core.graph import ErasureGraph
+from ..core.decoder import make_batch_decoder
 from ..core.lossmasks import boolean_loss_masks
+from ..core.plancache import graph_key
 from ..core.sparse import packed_sparse_loss_masks
 from ..obs.registry import MetricsRegistry, capture, registry
 from ..obs.seeding import SeedLike, resolve_rng, spawn_seeds
 from ..obs.trace import Tracer, context_seed, start_span, tracer
 from .results import FailureProfile
-from .shm import SharedArrayBundle
 
 __all__ = [
     "sample_fail_fraction",
@@ -117,8 +119,6 @@ def sample_fail_fraction(
     rng: SeedLike = None,
     decoder=None,
     engine: str = "auto",
-    *,
-    n_jobs: int = 1,
 ) -> float:
     """Estimate P(fail | k offline) from ``n_samples`` random loss sets.
 
@@ -133,14 +133,11 @@ def sample_fail_fraction(
     intermediate; a supplied ``decoder`` offering only ``decode_batch``
     (a scalar reference, say) is fed the same masks unpacked.  Above
     ``_DENSE_MASK_MAX_NODES`` nodes masks come from the bounded-memory
-    sparse generator with a size-adaptive batch.
-
-    ``n_jobs > 1`` fans decode batches out over a process pool with the
-    **zero-pickle** handoff: the parent draws masks (identical RNG
-    stream at any worker count) into shared-memory segments and workers
-    attach by name (see :mod:`repro.sim.shm`).  A supplied ``decoder``
-    decodes in-process instead.
+    sparse generator with a size-adaptive batch.  To spread estimates
+    over processes, sweep cells with :func:`profile_graph`.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be positive, got {n_samples}")
     if k == 0:
         return 0.0
     if k > graph.num_nodes:
@@ -148,10 +145,6 @@ def sample_fail_fraction(
     rng = resolve_rng(rng)
     if decoder is None:
         decoder = make_batch_decoder(graph, engine=engine)
-        if n_jobs > 1:
-            return _sample_fail_fraction_shm(
-                graph, k, n_samples, rng, decoder.engine, n_jobs
-            )
     packed_path = hasattr(decoder, "decode_packed")
     max_batch = _mask_batch(graph.num_nodes)
     failures = 0
@@ -170,163 +163,74 @@ def sample_fail_fraction(
 
 
 # ----------------------------------------------------------------------
-# Zero-pickle shared-memory fan-out
+# Sweep cells: one runner, in-process or on the pool
 # ----------------------------------------------------------------------
 
 
-class _ShmGraphRef:
-    """Picklable stand-in for a graph whose CSR lives in shared memory.
+def _sweep_cell(graph, decoder, task: tuple):
+    """Run one sampled k-cell of a profile sweep — the only cell runner.
 
-    Carries the :class:`~repro.sim.shm.SharedArrayBundle` descriptor
-    plus the scalars workers need (``num_nodes``, ``name``); workers
-    rebuild a :class:`SparseBitsetDecoder` zero-copy via
-    :func:`_worker_decoder` instead of unpickling megabytes of graph.
+    ``task`` is ``(k, n_samples, seed_seq, collect_metrics, ctx)``.
+    :func:`profile_graph` calls this in-process with the decoder it
+    built; pool workers call it through :func:`_pool_cell` with the
+    one their initializer built.  The cell span comes from a tracer
+    seeded by the sweep context ``ctx`` and ``k``, so span IDs are the
+    same wherever and in whatever order cells run.  With
+    ``collect_metrics`` the decoder's counters land in a fresh registry
+    whose snapshot the parent merges (a pool worker's registry is not
+    the parent's).  Returns ``(k, frac, seconds, snapshot, spans)``.
     """
-
-    __slots__ = ("descriptor", "num_nodes", "num_data", "name")
-
-    def __init__(self, descriptor, num_nodes, num_data, name):
-        self.descriptor = descriptor
-        self.num_nodes = num_nodes
-        self.num_data = num_data
-        self.name = name
-
-
-def _publish_graph(graph) -> tuple[_ShmGraphRef, SharedArrayBundle]:
-    """Parent side: put a graph's CSR structure into shared memory."""
-    csr = (
-        graph if hasattr(graph, "con_indptr")
-        else CsrGraph.from_graph(graph)
-    )
-    bundle = SharedArrayBundle.create(
-        {
-            "con_nodes": csr.con_nodes,
-            "con_indptr": csr.con_indptr,
-            "data_nodes": csr.data_nodes,
-        }
-    )
-    ref = _ShmGraphRef(
-        bundle.descriptor, graph.num_nodes, graph.num_data, graph.name
-    )
-    return ref, bundle
+    k, n_samples, seed_seq, collect_metrics, ctx = task
+    cell_tracer = None
+    span = None
+    if ctx is not None:
+        cell_tracer = Tracer(seed=context_seed(ctx, "profile.cell", k))
+        span = cell_tracer.start_span(
+            "profile.cell",
+            parent=ctx,
+            activate=False,
+            k=k,
+            samples=n_samples,
+        )
+    # The spawned SeedSequence is passed whole (it pickles fine):
+    # reconstructing from `.entropy` alone would drop the spawn_key and
+    # hand every cell the same stream.
+    rng = np.random.default_rng(seed_seq)
+    t0 = time.perf_counter()
+    scope = capture(MetricsRegistry()) if collect_metrics else nullcontext()
+    with scope as reg:
+        frac = sample_fail_fraction(graph, k, n_samples, rng, decoder)
+    snapshot = reg.snapshot() if collect_metrics else None
+    if span is not None:
+        span.end(frac=frac)
+    spans = cell_tracer.export() if cell_tracer is not None else []
+    return k, frac, time.perf_counter() - t0, snapshot, spans
 
 
-# Worker-side cache: one attached decoder per structure segment, so a
-# worker serving many cells of the same sweep attaches exactly once.
-# Keyed by segment name; capped at one entry (sweeps use one graph).
-_WORKER_DECODERS: dict[str, tuple] = {}
+# A pool worker's (graph, decoder), set once per process by
+# `_init_worker`: every cell the worker runs reuses both.
+_WORKER: tuple = ()
 
 
-def _worker_decoder(ref: _ShmGraphRef) -> SparseBitsetDecoder:
-    """Attach (or reuse) the shared-memory decoder for ``ref``."""
-    key = ref.descriptor[0]
-    hit = _WORKER_DECODERS.get(key)
-    if hit is not None:
-        return hit[0]
-    bundle = SharedArrayBundle.attach(ref.descriptor)
-    decoder = SparseBitsetDecoder.from_csr(
-        bundle["con_nodes"],
-        bundle["con_indptr"],
-        bundle["data_nodes"],
-        ref.num_nodes,
-    )
-    for stale_key in [k for k in _WORKER_DECODERS if not
-                      k.startswith("pickled-")]:
-        _WORKER_DECODERS.pop(stale_key)[1].close()
-    # The bundle must stay mapped as long as the decoder's zero-copy
-    # views are alive, so it rides along in the cache entry.
-    _WORKER_DECODERS[key] = (decoder, bundle)
-    return decoder
+def _init_worker(graph, engine: str) -> None:
+    """Pool initializer: adopt the sweep's graph, build its kernel once.
 
-
-def _decode_masks_cell(args):
-    """Process-pool worker: decode one shared-memory mask segment.
-
-    ``graph_or_ref`` is either a picklable graph (small: decoder built
-    per worker and cached by engine) or a :class:`_ShmGraphRef` (CSR
-    structure attached zero-copy).  Returns ``(failures, snapshot)``.
+    The graph arrives as an initializer argument — inherited without
+    pickling under the fork start method, pickled once per worker under
+    spawn — so task tuples never carry it.
     """
-    graph_or_ref, engine, mask_desc, batch, collect_metrics = args
-    if isinstance(graph_or_ref, _ShmGraphRef):
-        decoder = _worker_decoder(graph_or_ref)
-    else:
-        key = f"pickled-{engine}-{graph_or_ref.name}"
-        hit = _WORKER_DECODERS.get(key)
-        if hit is not None and hit[1] == graph_or_ref.num_nodes:
-            decoder = hit[0]
-        else:
-            decoder = make_batch_decoder(graph_or_ref, engine=engine)
-            _WORKER_DECODERS[key] = (decoder, graph_or_ref.num_nodes)
-    bundle = SharedArrayBundle.attach(mask_desc)
-    try:
-        if collect_metrics:
-            with capture(MetricsRegistry()) as reg:
-                ok = decoder.decode_packed(bundle["masks"], batch)
-            snapshot = reg.snapshot()
-        else:
-            ok = decoder.decode_packed(bundle["masks"], batch)
-            snapshot = None
-    finally:
-        bundle.close()
-    return int(batch - ok.sum()), snapshot
+    global _WORKER
+    _WORKER = (graph, make_batch_decoder(graph, engine=engine))
 
 
-def _sample_fail_fraction_shm(
-    graph, k: int, n_samples: int, rng: np.random.Generator,
-    engine: str, n_jobs: int,
-) -> float:
-    """Parallel estimator: parent-drawn masks, shared-memory handoff.
+def _pool_cell(task: tuple):
+    """Pool entry point: the fault drills, then :func:`_sweep_cell`.
 
-    The parent draws every mask batch from ``rng`` in the same order
-    the serial path would, so the estimate is bit-identical at any
-    ``n_jobs``; only the decode work fans out.  Mask segments are
-    unlinked as each wave's results land, and a ``finally`` plus the
-    bundle atexit hooks cover crash paths — a SIGKILLed *worker* leaks
-    nothing because workers never own segments.
+    The drills live here, not in :func:`_sweep_cell`, so a cell run
+    in-process can never ``os._exit`` its caller.
     """
-    reg = registry()
-    struct_bundle = None
-    if engine == "sparse":
-        graph_or_ref, struct_bundle = _publish_graph(graph)
-    else:
-        graph_or_ref = graph
-    max_batch = _mask_batch(graph.num_nodes)
-    workers = min(n_jobs, os.cpu_count() or 1)
-    failures = 0
-    remaining = n_samples
-    pool = ProcessPoolExecutor(max_workers=workers)
-    try:
-        while remaining > 0:
-            wave: list[tuple] = []
-            try:
-                while remaining > 0 and len(wave) < workers:
-                    batch = min(remaining, max_batch)
-                    packed = _packed_masks(
-                        graph.num_nodes, k, batch, rng
-                    )
-                    bundle = SharedArrayBundle.create({"masks": packed})
-                    fut = pool.submit(
-                        _decode_masks_cell,
-                        (
-                            graph_or_ref, engine, bundle.descriptor,
-                            batch, bool(reg.enabled),
-                        ),
-                    )
-                    wave.append((fut, bundle, batch))
-                    remaining -= batch
-                for fut, bundle, batch in wave:
-                    fails, snapshot = fut.result()
-                    failures += fails
-                    if snapshot is not None:
-                        reg.merge_snapshot(snapshot)
-            finally:
-                for _, bundle, _ in wave:
-                    bundle.close()
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)
-        if struct_bundle is not None:
-            struct_bundle.close()
-    return failures / n_samples
+    _fault_drill(task[0])
+    return _sweep_cell(*_WORKER, task)
 
 
 def _fault_drill(k: int) -> None:
@@ -346,70 +250,42 @@ def _fault_drill(k: int) -> None:
         time.sleep(float(os.environ.get("REPRO_FAULT_HANG_SECS", "30")))
 
 
-def _sweep_cell(args):
-    """Process-pool worker: one (graph, k) cell of a profile sweep.
-
-    The first field is a graph, or — for sparse sweeps with
-    ``n_jobs > 1`` — a :class:`_ShmGraphRef` segment descriptor, in
-    which case the CSR structure is attached from shared memory
-    (zero-pickle) and the decoder is cached across this worker's cells.
-    Returns ``(k, frac, seconds, snapshot, spans)``.
-    """
-    graph, k, n_samples, seed_seq, collect_metrics, engine, ctx = args
-    decoder = (
-        _worker_decoder(graph) if isinstance(graph, _ShmGraphRef)
-        else None
-    )
-    _fault_drill(k)
-    cell_tracer = None
-    span = None
-    if ctx is not None:
-        # Worker-local tracer seeded from the sweep span + k, so cell
-        # span IDs are reproducible regardless of worker scheduling.
-        cell_tracer = Tracer(seed=context_seed(ctx, "profile.cell", k))
-        span = cell_tracer.start_span(
-            "profile.cell",
-            parent=ctx,
-            activate=False,
-            k=k,
-            samples=n_samples,
-        )
-    # The spawned SeedSequence is passed whole (it pickles fine):
-    # reconstructing from `.entropy` alone would drop the spawn_key and
-    # hand every cell the same stream.
-    rng = np.random.default_rng(seed_seq)
-    t0 = time.perf_counter()
-    snapshot = None
-    if collect_metrics:
-        # Capture the worker-side decoder.* counters so the parent can
-        # merge them: without this, --metrics output silently lacked
-        # decode telemetry whenever n_jobs > 1.
-        with capture(MetricsRegistry()) as reg:
-            frac = sample_fail_fraction(
-                graph, k, n_samples, rng, decoder=decoder,
-                engine=engine,
-            )
-        snapshot = reg.snapshot()
-    else:
-        frac = sample_fail_fraction(
-            graph, k, n_samples, rng, decoder=decoder, engine=engine
-        )
-    if span is not None:
-        span.end(frac=frac)
-    spans = cell_tracer.export() if cell_tracer is not None else []
-    return k, frac, time.perf_counter() - t0, snapshot, spans
-
-
 # ----------------------------------------------------------------------
 # Sweep checkpoints (crash-tolerant resumable sweeps)
 # ----------------------------------------------------------------------
 
 
+def _graph_digest(graph) -> str:
+    """:func:`~repro.core.plancache.graph_key` of ``graph``; for a
+    :class:`~repro.core.csrgraph.CsrGraph`, the same truncated SHA-256
+    over its three arrays."""
+    if hasattr(graph, "constraints"):
+        return graph_key(graph)
+    digest = hashlib.sha256()
+    for arr in (graph.con_nodes, graph.con_indptr, graph.data_nodes):
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    return digest.hexdigest()[:16]
+
+
+def _sampling_grid(
+    ks: Sequence[int] | None, exact_upto: int, num_nodes: int
+) -> list[int]:
+    """The sampled k's in seed order: the requested ``ks`` (all by
+    default) between the exact head and ``num_nodes``.  Cell seeds are
+    spawned positionally over this list."""
+    return [
+        k
+        for k in (ks if ks is not None else range(exact_upto + 1, num_nodes))
+        if exact_upto < k < num_nodes
+    ]
+
+
 def _checkpoint_header(
-    graph: ErasureGraph,
+    graph,
     samples_per_k: int,
     exact_upto: int,
     seed: SeedLike,
+    ks: Sequence[int] | None,
 ) -> dict[str, Any]:
     seed_fp = int(seed) if isinstance(seed, (int, np.integer)) else None
     return {
@@ -419,17 +295,25 @@ def _checkpoint_header(
         "samples_per_k": samples_per_k,
         "exact_upto": exact_upto,
         "seed": seed_fp,
+        # Same-named graphs can differ in structure, and cell seeds are
+        # positional over the requested grid, so both are checked too.
+        "graph_key": _graph_digest(graph),
+        "ks": None if ks is None else [int(k) for k in ks],
     }
 
 
 def _read_checkpoint(
-    path: Path, header: dict[str, Any]
+    path: Path, header: dict[str, Any], grid: list[int]
 ) -> dict[int, float]:
     """Completed cells from a checkpoint, validated against ``header``.
 
     Tolerates a truncated final line (the run died mid-write).  Raises
     ``ValueError`` if the file belongs to a different sweep — resuming
-    someone else's cells would silently corrupt the profile.
+    someone else's cells would silently corrupt the profile.  A key
+    either header lacks (an older file's, say) or leaves ``None`` is
+    not compared.  The two sampling grids must agree wherever both
+    have a cell (one a prefix of the other): that is what puts every
+    reused cell on the seed it was drawn with.
     """
     done: dict[int, float] = {}
     with open(path, encoding="utf-8") as fh:
@@ -442,24 +326,23 @@ def _read_checkpoint(
             except json.JSONDecodeError:
                 continue  # torn write from the interrupted run
             if record.get("record") == "header":
-                for key in (
-                    "graph",
-                    "num_nodes",
-                    "samples_per_k",
-                    "exact_upto",
-                    "seed",
-                ):
-                    ours, theirs = header.get(key), record.get(key)
-                    if (
-                        ours is not None
-                        and theirs is not None
-                        and ours != theirs
-                    ):
-                        raise ValueError(
-                            f"checkpoint {path} is from a different "
-                            f"sweep: {key}={theirs!r}, expected "
-                            f"{ours!r}"
+                for key, ours in header.items():
+                    theirs = record.get(key)
+                    if key == "ks":
+                        if key not in record:
+                            continue
+                        their_grid = _sampling_grid(
+                            theirs, header["exact_upto"], header["num_nodes"]
                         )
+                        common = min(len(grid), len(their_grid))
+                        if their_grid[:common] == grid[:common]:
+                            continue
+                    elif ours is None or theirs is None or ours == theirs:
+                        continue
+                    raise ValueError(
+                        f"checkpoint {path} is from a different sweep: "
+                        f"{key}={theirs!r}, expected {ours!r}"
+                    )
             elif record.get("record") == "cell":
                 done[int(record["k"])] = float(record["frac"])
     return done
@@ -494,6 +377,8 @@ class _CheckpointWriter:
 
 
 def _run_cells_parallel(
+    graph,
+    engine: str,
     tasks: dict[int, tuple],
     n_jobs: int,
     cell_timeout: float | None,
@@ -501,6 +386,10 @@ def _run_cells_parallel(
     on_result,
 ) -> list[int]:
     """Run cells over a process pool, surviving crashes and hangs.
+
+    Each worker gets ``graph`` once, through the pool initializer
+    (:func:`_init_worker`), and builds its ``engine`` kernel there;
+    tasks are the bare :func:`_sweep_cell` tuples.
 
     Dispatches every pending cell, collects results with a per-cell
     timeout, and re-dispatches cells whose worker crashed
@@ -530,10 +419,13 @@ def _run_cells_parallel(
             batch = pending
         workers = min(n_jobs, os.cpu_count() or 1, len(batch))
         reg.gauge("profile.workers").set(workers)
-        pool = ProcessPoolExecutor(max_workers=workers)
+        pool = ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_init_worker,
+            initargs=(graph, engine),
+        )
         futures = {
-            pool.submit(_sweep_cell, task): k
-            for k, task in batch.items()
+            pool.submit(_pool_cell, task): k for k, task in batch.items()
         }
         isolate = False
         pool_poisoned = False
@@ -606,9 +498,9 @@ def profile_graph(
       interpolation instead of aborting the sweep.
 
     Metrics: per-cell timings, sample counts, and worker fan-out are
-    recorded in the parent's registry regardless of ``n_jobs``;
-    worker-side ``decoder.*`` counters are snapshotted per cell and
-    merged back into the parent registry.
+    recorded in the parent's registry regardless of ``n_jobs``; pool
+    workers snapshot their ``decoder.*`` counters per cell and the
+    parent merges them back.
 
     The batch decode kernel is the one
     :func:`repro.core.decoder.make_batch_decoder` builds for ``graph``
@@ -622,11 +514,17 @@ def profile_graph(
     (always the sparse kernel).  CSR graphs skip the exact
     inclusion–exclusion stage — enumerating minimal stopping sets needs
     the constraint-object view — and sample every requested cell
-    instead.  With ``n_jobs > 1`` a sparse sweep ships the CSR
-    structure to workers through one shared-memory segment (task
-    tuples carry the segment descriptor, not the graph), so the pool
-    never re-pickles megabytes of membership per cell.
+    instead.
+
+    Every sampled cell runs through :func:`_sweep_cell`: in-process on
+    the decoder built here, or with ``n_jobs > 1`` on a pool whose
+    workers each receive the graph once, through the pool initializer
+    (task tuples carry no graph and no decoder).
     """
+    if samples_per_k < 1:
+        raise ValueError(
+            f"samples_per_k must be positive, got {samples_per_k}"
+        )
     reg = registry()
     t_start = time.perf_counter() if reg.enabled else 0.0
     decoder = make_batch_decoder(graph, engine=engine)
@@ -658,11 +556,7 @@ def profile_graph(
                     exact_upto = k - 1
                     break
 
-    grid = [
-        k
-        for k in (ks if ks is not None else range(exact_upto + 1, n))
-        if exact_upto < k < n
-    ]
+    grid = _sampling_grid(ks, exact_upto, n)
     # Seeds are spawned positionally over the FULL k-grid before the
     # certain cells and any resumed ones are filtered out, so every
     # sampled cell sees the same stream at any grid cut.
@@ -679,16 +573,17 @@ def profile_graph(
         k: child for k, child in zip(grid, children) if k <= max_decodable
     }
 
-    header = _checkpoint_header(graph, samples_per_k, exact_upto, seed)
     done: dict[int, float] = {}
     writer: _CheckpointWriter | None = None
     if checkpoint is not None:
-        ckpt_path = Path(checkpoint)
-        if resume and ckpt_path.exists():
-            done = _read_checkpoint(ckpt_path, header)
-        writer = _CheckpointWriter(
-            ckpt_path, header, fresh=not (resume and ckpt_path.exists())
+        header = _checkpoint_header(
+            graph, samples_per_k, exact_upto, seed, ks
         )
+        ckpt_path = Path(checkpoint)
+        resuming = resume and ckpt_path.exists()
+        if resuming:
+            done = _read_checkpoint(ckpt_path, header, grid)
+        writer = _CheckpointWriter(ckpt_path, header, fresh=not resuming)
 
     for k, frac in done.items():
         if k in cell_seeds:
@@ -710,32 +605,15 @@ def profile_graph(
     )
     sweep_ctx = sweep_span.context()
 
-    tasks: dict[int, tuple] = {}
-    for k, child in cell_seeds.items():
-        if k in done:
-            continue
-        tasks[k] = (
-            graph, k, samples_per_k, child, bool(reg.enabled), engine,
-            sweep_ctx,
-        )
-
-    # Sparse parallel sweeps ship the CSR structure once via shared
-    # memory; task tuples then carry only the tiny segment descriptor.
-    struct_bundle = None
-    if engine == "sparse" and n_jobs > 1 and len(tasks) > 1:
-        ref, struct_bundle = _publish_graph(graph)
-        tasks = {k: (ref,) + t[1:] for k, t in tasks.items()}
-
-    def record_cell(k: int, seconds: float) -> None:
-        reg.histogram("profile.cell_seconds").observe(seconds)
-        reg.event(
-            "profile.cell",
-            graph=graph.name,
-            k=k,
-            samples=samples_per_k,
-            seconds=seconds,
-            samples_per_sec=samples_per_k / seconds if seconds > 0 else None,
-        )
+    pending = [k for k in cell_seeds if k not in done]
+    pooled = n_jobs > 1 and len(pending) > 1
+    # Only a pool worker's decoder counters need shipping back; an
+    # in-process cell records straight into this registry.
+    collect_metrics = pooled and bool(reg.enabled)
+    tasks = {
+        k: (k, samples_per_k, cell_seeds[k], collect_metrics, sweep_ctx)
+        for k in pending
+    }
 
     def on_result(result) -> None:
         k, frac, cell_seconds, snapshot, spans = result
@@ -744,7 +622,18 @@ def profile_graph(
         if writer is not None:
             writer.cell(k, frac, samples_per_k)
         if reg.enabled:
-            record_cell(k, cell_seconds)
+            reg.histogram("profile.cell_seconds").observe(cell_seconds)
+            reg.event(
+                "profile.cell",
+                graph=graph.name,
+                k=k,
+                samples=samples_per_k,
+                seconds=cell_seconds,
+                samples_per_sec=(
+                    samples_per_k / cell_seconds if cell_seconds > 0
+                    else None
+                ),
+            )
             if snapshot is not None:
                 reg.merge_snapshot(snapshot)
         if spans:
@@ -754,50 +643,19 @@ def profile_graph(
 
     uncovered: list[int] = []
     try:
-        if n_jobs > 1 and len(tasks) > 1:
+        if pooled:
             uncovered = _run_cells_parallel(
-                tasks, n_jobs, cell_timeout, max_retries, on_result
+                graph, engine, tasks, n_jobs, cell_timeout, max_retries,
+                on_result,
             )
         else:
             reg.gauge("profile.workers").set(1)
-            for k, task in tasks.items():
-                graph_, _k, n_samples, seed_seq = task[:4]
-                rng = np.random.default_rng(seed_seq)
-                t_cell = time.perf_counter() if reg.enabled else 0.0
-                # Mint the cell span exactly like a pool worker would
-                # (context-seeded local tracer), so span IDs are
-                # identical at any n_jobs.
-                cell_span = None
-                if sweep_ctx is not None:
-                    cell_tracer = Tracer(
-                        seed=context_seed(sweep_ctx, "profile.cell", k)
-                    )
-                    cell_span = cell_tracer.start_span(
-                        "profile.cell",
-                        parent=sweep_ctx,
-                        activate=False,
-                        k=k,
-                        samples=n_samples,
-                    )
-                fail[k] = sample_fail_fraction(
-                    graph_, k, n_samples, rng, decoder=decoder
-                )
-                if cell_span is not None:
-                    cell_span.end(frac=float(fail[k]))
-                    active = tracer()
-                    if active is not None:
-                        active.ingest(cell_tracer.export())
-                samples[k] = n_samples
-                if writer is not None:
-                    writer.cell(k, float(fail[k]), n_samples)
-                if reg.enabled:
-                    record_cell(k, time.perf_counter() - t_cell)
+            for task in tasks.values():
+                on_result(_sweep_cell(graph, decoder, task))
     finally:
         sweep_span.end(uncovered=len(uncovered))
         if writer is not None:
             writer.close()
-        if struct_bundle is not None:
-            struct_bundle.close()
 
     for k in uncovered:
         coverage[k] = False

@@ -131,14 +131,16 @@ class TestChunking:
         assert np.array_equal(full, tiny)
 
     def test_zero_copy_from_csr_readonly(self, csr16k):
-        """from_csr tolerates read-only views (the shm attach path)."""
-        con_nodes = np.asarray(csr16k.con_nodes).copy()
-        con_nodes.flags.writeable = False
-        indptr = np.asarray(csr16k.con_indptr).copy()
-        indptr.flags.writeable = False
-        dec = SparseBitsetDecoder.from_csr(
-            con_nodes, indptr, csr16k.data_nodes, csr16k.num_nodes
-        )
+        """A CsrGraph built on read-only arrays decodes through
+        SparseBitsetDecoder(graph), which adopts them without a copy."""
+        arrays = {}
+        for name in ("con_nodes", "con_indptr", "data_nodes"):
+            arr = np.asarray(getattr(csr16k, name)).copy()
+            arr.flags.writeable = False
+            arrays[name] = arr
+        graph = CsrGraph(num_nodes=csr16k.num_nodes, **arrays)
+        dec = SparseBitsetDecoder(graph)
+        assert np.shares_memory(dec._con_nodes, arrays["con_nodes"])
         rng = np.random.default_rng(1)
         masks = packed_sparse_loss_masks(
             csr16k.num_nodes, csr16k.num_nodes // 8, 128, rng

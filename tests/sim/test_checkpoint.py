@@ -122,6 +122,54 @@ class TestResume:
                 resume=True,
             )
 
+    def test_same_named_graph_of_other_structure_rejected(self, tmp_path):
+        """Catalog graph 3 and its unadjusted draft share a name and a
+        node count; only the structural digest tells them apart."""
+        from repro.graphs import tornado_catalog_graph
+
+        draft = tornado_catalog_graph(3, adjusted=False)
+        final = tornado_catalog_graph(3)
+        assert (draft.name, draft.num_nodes) == (final.name, final.num_nodes)
+        path = tmp_path / "sweep.jsonl"
+        sweep = dict(samples_per_k=50, ks=[20, 30], seed=1)
+        profile_graph(draft, **sweep, checkpoint=path)
+        with pytest.raises(ValueError, match="different sweep: graph_key"):
+            profile_graph(final, **sweep, checkpoint=path, resume=True)
+
+    def test_checkpoint_of_another_k_grid_rejected(
+        self, small_tornado_module, tmp_path
+    ):
+        """Cell seeds are positional over the requested grid, so a file
+        written for one ``ks`` holds other streams than another's."""
+        path = tmp_path / "sweep.jsonl"
+        profile_graph(
+            small_tornado_module, **SWEEP, ks=[6, 9, 12], checkpoint=path
+        )
+        with pytest.raises(ValueError, match="different sweep: ks"):
+            profile_graph(
+                small_tornado_module,
+                **SWEEP,
+                ks=[4, 6, 9, 12],
+                checkpoint=path,
+                resume=True,
+            )
+
+    def test_header_without_digest_or_grid_still_resumes(
+        self, small_tornado_module, tmp_path, baseline
+    ):
+        """Files written before the header grew ``graph_key`` and ``ks``
+        resume as before."""
+        path = tmp_path / "sweep.jsonl"
+        profile_graph(small_tornado_module, **SWEEP, checkpoint=path)
+        lines = path.read_text().splitlines(keepends=True)
+        header = json.loads(lines[0])
+        del header["graph_key"], header["ks"]
+        path.write_text(json.dumps(header) + "\n" + "".join(lines[1:6]))
+        resumed = profile_graph(
+            small_tornado_module, **SWEEP, checkpoint=path, resume=True
+        )
+        assert resumed.to_json() == baseline.to_json()
+
 
 class TestDegradedCoverage:
     def test_hung_worker_times_out_into_coverage_mask(

@@ -1,12 +1,21 @@
 """Tests for Monte Carlo estimation — including the paper's own
 simulator-vs-theory verification (§3, Eq. 1)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.core import BitsetBatchDecoder, PeelingDecoder
+from repro.core import (
+    BitsetBatchDecoder,
+    CsrGraph,
+    ErasureGraph,
+    PeelingDecoder,
+    make_batch_decoder,
+    tornado_csr_graph,
+)
 from repro.core.lossmasks import boolean_loss_masks
-from repro.graphs import mirrored_graph, striped_graph
+from repro.graphs import catalog_96_node_systems, mirrored_graph, striped_graph
 from repro.raid import mirrored_system
 from repro.sim import profile_graph, sample_fail_fraction
 
@@ -36,6 +45,12 @@ class TestSampleFailFraction:
     def test_rejects_oversized_k(self, small_tornado, rng):
         with pytest.raises(ValueError):
             sample_fail_fraction(small_tornado, 99, 10, rng)
+
+    @pytest.mark.parametrize("n_samples", [0, -5])
+    def test_rejects_non_positive_sample_count(self, small_tornado, n_samples):
+        """No samples is no estimate: not -0.0, not ZeroDivisionError."""
+        with pytest.raises(ValueError, match="n_samples must be positive"):
+            sample_fail_fraction(small_tornado, 30, n_samples, 1)
 
     def test_reuses_supplied_decoder(self, small_tornado):
         decoder = BitsetBatchDecoder(small_tornado)
@@ -130,16 +145,74 @@ class TestProfileGraph:
         assert prof.system_name == small_tornado.name
         assert prof.num_data == small_tornado.num_data
 
+    @pytest.mark.parametrize("samples_per_k", [0, -3])
+    def test_rejects_non_positive_samples_per_k(
+        self, small_tornado, samples_per_k
+    ):
+        with pytest.raises(ValueError, match="samples_per_k must be positive"):
+            profile_graph(small_tornado, samples_per_k=samples_per_k)
+
+    def test_parallel_equals_serial_per_engine(self, small_tornado):
+        """Each pinned kernel gives the same profile at any worker count."""
+        for engine in ("bitset", "sparse"):
+            kwargs = dict(
+                samples_per_k=4000, ks=[9, 12], seed=3, engine=engine
+            )
+            serial = profile_graph(small_tornado, **kwargs)
+            parallel = profile_graph(small_tornado, **kwargs, n_jobs=2)
+            assert serial.to_json() == parallel.to_json(), engine
+
+    def test_parallel_equals_serial_on_every_catalog_graph(self):
+        """Same fail_fraction bytes and span IDs at n_jobs 1 and 2."""
+        for name, graph in catalog_96_node_systems().items():
+            sweep = dict(samples_per_k=64, exact_upto=2, seed=5)
+            assert _traced_profile(graph, 1, **sweep) == _traced_profile(
+                graph, 2, **sweep
+            ), name
+
+    def test_parallel_equals_serial_on_a_csr_sweep(self):
+        graph = tornado_csr_graph(2048, seed=1)
+        sweep = dict(samples_per_k=500, ks=[100, 400, 900, 1500], seed=9)
+        assert _traced_profile(graph, 1, **sweep) == _traced_profile(
+            graph, 2, **sweep
+        )
+
+    def test_in_process_sweep_ignores_crash_drill(
+        self, small_tornado, monkeypatch
+    ):
+        """The fault drills belong to pool workers: a cell run in-process
+        must never os._exit its caller."""
+        monkeypatch.setenv("REPRO_FAULT_CRASH_K", "10")
+        prof = profile_graph(small_tornado, samples_per_k=50, exact_upto=2)
+        assert prof.fully_covered
+        assert prof.samples[10] == 50
+
+
+def _traced_profile(graph, n_jobs, **sweep):
+    """(sha256 of fail_fraction, traced span-ID set) of one sweep."""
+    from repro.obs.trace import Tracer, trace_capture
+
+    with trace_capture(Tracer(seed=3)) as t:
+        prof = profile_graph(graph, n_jobs=n_jobs, **sweep)
+    digest = hashlib.sha256(prof.fail_fraction.tobytes()).hexdigest()
+    spans = {
+        (r["name"], r["trace_id"], r["span_id"], r["parent_id"])
+        for r in t.records
+    }
+    return digest, spans
+
 
 class TestSweepCellWorker:
     def test_worker_matches_direct_call(self, small_tornado):
-        """The process-pool worker must reproduce the direct estimator
+        """The one cell runner must reproduce the direct estimator
         bit-for-bit given the same SeedSequence."""
         from repro.sim.montecarlo import _sweep_cell
 
         seed_seq = np.random.SeedSequence(1234)
         k, frac, elapsed, snapshot, spans = _sweep_cell(
-            (small_tornado, 8, 500, seed_seq, False, "auto", None)
+            small_tornado,
+            make_batch_decoder(small_tornado),
+            (8, 500, seed_seq, False, None),
         )
         rng = np.random.default_rng(np.random.SeedSequence(1234))
         direct = sample_fail_fraction(small_tornado, 8, 500, rng)
@@ -154,12 +227,43 @@ class TestSweepCellWorker:
 
         seed_seq = np.random.SeedSequence(1234)
         k, frac, elapsed, snapshot, spans = _sweep_cell(
-            (small_tornado, 8, 500, seed_seq, True, "auto", None)
+            small_tornado,
+            make_batch_decoder(small_tornado),
+            (8, 500, seed_seq, True, None),
         )
         assert snapshot is not None
         assert any(
             name.startswith("decoder.") for name in snapshot["counters"]
         )
+
+    def test_pool_tasks_carry_no_graph_and_no_decoder(
+        self, small_tornado, monkeypatch
+    ):
+        """Every submitted task is the bare 5-tuple: the graph reaches
+        workers through the pool initializer, never per task."""
+        from concurrent.futures import ProcessPoolExecutor
+
+        submitted = []
+        real_submit = ProcessPoolExecutor.submit
+
+        def spy(self, fn, *args, **kwargs):
+            submitted.append(args)
+            return real_submit(self, fn, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", spy)
+        profile_graph(small_tornado, samples_per_k=50, exact_upto=2, n_jobs=2)
+        assert len(submitted) == 14  # k = 3..16
+        for (task,) in submitted:
+            assert isinstance(task, tuple) and len(task) == 5
+            k, n_samples, seed_seq, collect_metrics, ctx = task
+            assert 3 <= k <= 16 and n_samples == 50
+            assert isinstance(seed_seq, np.random.SeedSequence)
+            assert collect_metrics is False and ctx is None
+            assert not any(
+                isinstance(field, (ErasureGraph, CsrGraph))
+                or hasattr(field, "decode_packed")
+                for field in task
+            )
 
 
 class TestSweepTracing:

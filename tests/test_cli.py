@@ -305,6 +305,18 @@ class TestExitCodes:
         assert err.startswith("usage error:")
         assert "--checkpoint" in err
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["profile", "reliability"])
+    def test_non_positive_samples_exits_2(
+        self, graph_file, command, samples, capsys
+    ):
+        argv = [command, graph_file] if command == "profile" else [command]
+        code = main(argv + [f"--samples={samples}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:")
+        assert "--samples" in err
+
     def test_argparse_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
             main(["frobnicate"])
