@@ -31,7 +31,7 @@ from .driver import (
 from .node import StorageNode, start_storage_node
 from .ring import HashRing
 from .scheduler import RepairScheduler
-from .wal import CoordinatorWal, WalCorruptError
+from .wal import CoordinatorWal, WalCorruptError, WalUnwritableError
 
 __all__ = [
     "ClusterCoordinator",
@@ -43,6 +43,7 @@ __all__ = [
     "RepairScheduler",
     "StorageNode",
     "WalCorruptError",
+    "WalUnwritableError",
     "run_cluster_loadgen",
     "start_coordinator",
     "start_storage_node",

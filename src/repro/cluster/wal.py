@@ -27,10 +27,14 @@ Recovery invariants:
 * **Sequence numbers are monotonic across snapshots.**  A snapshot
   truncates ``wal.jsonl`` but the next append continues the sequence,
   so replay can always order snapshot and tail.
-* **Appends are durable before acknowledgment.**  Every append flushes
-  and ``fsync``\\ s; the fsync latency is observed into the
+* **Appends are durable before acknowledgment, and all or nothing.**
+  Every append is written unbuffered and ``fsync``\\ s before ``seq``
+  advances; the fsync latency is observed into the
   ``cluster.wal.fsync_seconds`` histogram so operators can price
-  durability.
+  durability.  A failed append (ENOSPC mid-write, a failing fsync) is
+  cut back off the file, so it is never replayed and never leaves a
+  torn line mid-log.  If that cut fails too, the log may end in garbage
+  and every later append raises :class:`WalUnwritableError`.
 
 The WAL stores *metadata only* (manifests, placements, membership,
 repair accounting) — block bytes live on the storage nodes and are
@@ -47,7 +51,7 @@ from typing import Any
 
 from ..obs.registry import registry
 
-__all__ = ["CoordinatorWal", "WalCorruptError"]
+__all__ = ["CoordinatorWal", "WalCorruptError", "WalUnwritableError"]
 
 _WAL_NAME = "wal.jsonl"
 _SNAPSHOT_NAME = "snapshot.json"
@@ -55,6 +59,10 @@ _SNAPSHOT_NAME = "snapshot.json"
 
 class WalCorruptError(RuntimeError):
     """The WAL is damaged before its tail; recovery refuses to guess."""
+
+
+class WalUnwritableError(OSError):
+    """A failed append could not be rolled back; no append follows it."""
 
 
 def _canonical(body: dict[str, Any]) -> str:
@@ -89,7 +97,10 @@ class CoordinatorWal:
             snapshot_seq, records[-1]["seq"] if records else 0
         )
         self._records_since_snapshot = len(records)
-        self._fh = open(self.wal_path, "ab")
+        self._fh = open(self.wal_path, "ab", buffering=0)
+        # Set when a failed append could not be rolled back: no append
+        # is written after it.
+        self._unwritable: OSError | None = None
 
     # ------------------------------------------------------------------
     # Reading / recovery
@@ -173,19 +184,40 @@ class CoordinatorWal:
     # ------------------------------------------------------------------
 
     def append(self, record: dict[str, Any]) -> int:
-        """Durably journal one mutation; returns its sequence number."""
-        self.seq += 1
-        body = {"seq": self.seq, **record}
+        """Durably journal one mutation; returns its sequence number.
+
+        ``seq`` advances only once the record is fsynced.  On any
+        failure the file is truncated back to where this append began,
+        and the error propagates.
+        """
+        if self._unwritable is not None:
+            raise WalUnwritableError(
+                f"{self.wal_path}: a failed append could not be rolled "
+                f"back ({self._unwritable}); refusing to append after it"
+            )
+        body = {"seq": self.seq + 1, **record}
         body["crc"] = _crc({k: v for k, v in body.items() if k != "crc"})
-        self._fh.write(_canonical(body).encode() + b"\n")
-        self._fh.flush()
-        t0 = time.perf_counter()
-        os.fsync(self._fh.fileno())
+        line = memoryview(_canonical(body).encode() + b"\n")
+        fd = self._fh.fileno()
+        start = os.fstat(fd).st_size
+        try:
+            while line:
+                line = line[os.write(fd, line):]
+            t0 = time.perf_counter()
+            os.fsync(fd)
+        except BaseException:
+            try:
+                os.ftruncate(fd, start)
+                os.fsync(fd)
+            except OSError as exc:
+                self._unwritable = exc
+            raise
         reg = registry()
         reg.histogram("cluster.wal.fsync_seconds").observe(
             time.perf_counter() - t0
         )
         reg.counter("cluster.wal.appends").inc()
+        self.seq += 1
         self.appended += 1
         self.fsyncs += 1
         self._records_since_snapshot += 1
@@ -204,7 +236,7 @@ class CoordinatorWal:
         self._fh.close()
         self._fh = open(self.wal_path, "wb")
         self._fh.close()
-        self._fh = open(self.wal_path, "ab")
+        self._fh = open(self.wal_path, "ab", buffering=0)
         self._records_since_snapshot = 0
         registry().counter("cluster.wal.snapshots").inc()
         return self.seq

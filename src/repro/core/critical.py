@@ -9,15 +9,19 @@ consequences drive this module:
 
 * the paper's **worst case failure scenario** (minimum number of lost
   nodes causing data loss) equals the size of the smallest bad stopping
-  set, so it can be found by branch-and-bound instead of enumerating all
-  ``(96 choose k)`` loss combinations; and
+  set, so it can be found by a stopping-set search instead of
+  enumerating all ``(96 choose k)`` loss combinations; and
 * the exact **number of failing k-sets** (the paper's "14 losses out of
   61,124,064" style counts) is the number of k-supersets of the minimal
   bad stopping sets, computable by inclusion–exclusion.
 
+The search is level-synchronous: every candidate set of one size is a
+row of packed node bits, and one level's rows grow into the next
+size's in a few array passes (:class:`_LevelSearch`).
+
 The exhaustive enumeration the paper used is also provided
 (:func:`exhaustive_failing_sets`) and is cross-checked against the
-branch-and-bound results in the test suite.
+stopping-set search in the test suite.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -64,102 +68,187 @@ def is_stopping_set(graph: ErasureGraph, nodes: Iterable[int]) -> bool:
     return True
 
 
-class _StoppingSearch:
-    """Shared DFS engine for stopping-set enumeration and minimisation."""
+#: Rows per array pass.  Bounds a level's per-constraint counts and
+#: candidate temporaries to a few MB however wide the level grows.
+_CHUNK = 1 << 16
+
+
+class _LevelSearch:
+    """Level-synchronous stopping-set search over packed node sets.
+
+    Level ``L`` holds every set of ``L`` nodes the search reaches, one
+    row of ``ceil(num_nodes / 64)`` uint64 words each, plus each row's
+    member count in every constraint.  A constraint holding exactly one
+    member is *violated*: any stopping superset must add a second one,
+    so branching on the members of one violated constraint is complete.
+    Every row branches on the same choice, the violated constraint with
+    the fewest members (lowest index first), skipping members already in
+    the set and data nodes ranked below the row's limit.  A child's
+    counts are its parent's plus the added node's incidence row.
+
+    Rows stay in the order a depth-first search with a visited set would
+    first reach them (parent order, then member order): a child reached
+    from two parents keeps its first occurrence.  So the search examines
+    exactly the sets that DFS examined, and finds its stopping sets in
+    the same order.
+    """
 
     def __init__(self, graph: ErasureGraph):
-        self.graph = graph
-        self.members: list[tuple[int, ...]] = graph.constraint_members()
-        self.node_cons: list[list[int]] = graph.node_constraints()
-        # A violated constraint is held as ``options * num_cons + index``
-        # so the minimum of a set of them is the one with fewest branch
-        # options, lowest index first.
-        self.code = [
-            (len(m) - 1) * len(self.members) + ci
-            for ci, m in enumerate(self.members)
-        ]
-        self.is_data = [False] * graph.num_nodes
-        for d in graph.data_nodes:
-            self.is_data[d] = True
-        # DFS nodes visited across every enumerate() call on this
-        # engine; flushed into the metrics registry by callers.
-        self.nodes_expanded = 0
+        members = graph.constraint_members()
+        n = graph.num_nodes
+        order = sorted(
+            range(len(members)), key=lambda ci: (len(members[ci]), ci)
+        )
+        # Constraint columns in branch order, plus one all-zero column
+        # so a row that violates nothing still has an argmax.
+        widest = max((len(m) for m in members), default=0)
+        self.members = np.full((len(order) + 1, widest), -1, dtype=np.intp)
+        self.incidence = np.zeros((n, len(order) + 1), dtype=np.uint8)
+        for col, ci in enumerate(order):
+            m = members[ci]
+            self.members[col, : len(m)] = m
+            self.incidence[list(m), col] = 1
+        self.rank = np.full(n, n, dtype=np.int32)  # checks rank last
+        self.rank[list(graph.data_nodes)] = np.arange(graph.num_data)
+        nodes = np.arange(n)
+        self.word = nodes >> 6
+        self.bit = np.uint64(1) << (nodes & 63).astype(np.uint64)
+        self.width = (n + 63) >> 6  # uint64 words per set
 
-    # The DFS maintains S plus a per-constraint count of members in S.
-    # A constraint with count exactly 1 is "violated"; a stopping set
-    # must cover it with a second member.  Branching on the members of
-    # one violated constraint is complete: any stopping superset must
-    # include at least one of them.  The violated set is kept as S
-    # changes (a count reaching 1 enters it, leaving 1 leaves it), so
-    # no DFS node rescans every constraint.
+    def levels(
+        self, seeds: Sequence[int], max_size: int, below_seed: bool
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Yield ``(words, paths)`` for the stopping sets of each size.
 
-    def enumerate(
-        self,
-        seed: int,
-        max_size: int,
-        forbidden: frozenset[int],
-        collect: list[frozenset[int]],
-        minimize: bool = False,
-    ) -> None:
-        """Collect stopping sets containing ``seed`` up to ``max_size``.
-
-        In ``minimize`` mode the size bound tightens to the smallest
-        *bad* (data-containing) stopping set found so far — use it only
-        when the caller needs the minimum, not the full minimal family.
+        Sizes run from 1 up to ``max_size``, stopping early once no set
+        can grow.  ``paths[i]`` lists stopping set ``i``'s members in the
+        order the search added them, seed first.  With ``below_seed`` no
+        set takes a data node ranked below its seed, so each set is
+        found from its smallest data member only.  Every set examined is
+        counted into ``critical.nodes_expanded``.
         """
-        num_cons = len(self.members)
-        cnt = [0] * num_cons
-        code = self.code
-        violated: set[int] = set()
-        s: set[int] = set()
-        visited: set[frozenset[int]] = set()
-        bound = [max_size]
-        data = self.is_data
-        node_cons = self.node_cons
-
-        def add(node: int) -> None:
-            s.add(node)
-            for ci in node_cons[node]:
-                c = cnt[ci] = cnt[ci] + 1
-                if c == 1:
-                    violated.add(code[ci])
-                elif c == 2:
-                    violated.discard(code[ci])
-
-        def remove(node: int) -> None:
-            s.discard(node)
-            for ci in node_cons[node]:
-                c = cnt[ci] = cnt[ci] - 1
-                if c == 1:
-                    violated.add(code[ci])
-                elif c == 0:
-                    violated.discard(code[ci])
-
-        def dfs() -> None:
-            key = frozenset(s)
-            if key in visited:
+        seeds = np.asarray(seeds, dtype=np.int32)
+        expanded = registry().counter("critical.nodes_expanded")
+        words = np.zeros((len(seeds), self.width), dtype=np.uint64)
+        words[np.arange(len(seeds)), self.word[seeds]] = self.bit[seeds]
+        limit = self.rank[seeds] if below_seed else np.zeros_like(seeds)
+        # A row's counts are base[src] + incidence[added]; level 1 adds
+        # nothing to its seed's incidence row.
+        base, src, added = self.incidence, seeds, None
+        trail: list[tuple[np.ndarray, np.ndarray]] = []  # (parent, added)
+        for size in itertools.count(1):
+            expanded.inc(len(words))
+            if size > max_size or not len(words):
                 return
-            visited.add(key)
-            self.nodes_expanded += 1
-            if len(s) > bound[0]:
+            grow = size < max_size
+            stop, parent, node, src, base = self._branch(
+                words, limit, base, src, added, grow
+            )
+            yield words[stop], self._paths(stop, seeds, trail)
+            if not grow:
                 return
-            if not violated:
-                collect.append(key)
-                if minimize and any(data[n] for n in key):
-                    bound[0] = min(bound[0], len(key))
-                return
-            if len(s) >= bound[0]:
-                return  # cannot grow further
-            for cand in self.members[min(violated) % num_cons]:
-                if cand in s or cand in forbidden:
-                    continue
-                add(cand)
-                dfs()
-                remove(cand)
+            words, keep = self._children(words, parent, node)
+            parent, added, src = parent[keep], node[keep], src[keep]
+            limit = limit[parent]
+            trail.append((parent, added))
 
-        add(seed)
-        dfs()
-        remove(seed)
+    def _branch(self, words, limit, base, src, added, grow):
+        """One pass over a level, ``_CHUNK`` rows at a time.
+
+        Returns the stopping rows and, when ``grow``, every child as
+        ``(parent row, added node, row of its parent's counts)`` plus
+        those counts, which the live rows alone keep.
+        """
+        stop, parents, nodes, srcs, live_counts = [], [], [], [], []
+        num_live = 0
+        for a in range(0, len(words), _CHUNK):
+            counts = base[src[a : a + _CHUNK]]
+            if added is not None:
+                counts += self.incidence[added[a : a + _CHUNK]]
+            violated = counts == 1
+            first = violated.argmax(axis=1)
+            live = violated[np.arange(len(first)), first]
+            stop.append(a + np.flatnonzero(~live))
+            if not grow:
+                continue
+            par = np.flatnonzero(live)
+            cand = self.members[first[par]]
+            safe = np.maximum(cand, 0)
+            held = words[(a + par)[:, None], self.word[safe]]
+            ok = (
+                (cand >= 0)
+                & ((held & self.bit[safe]) == 0)
+                & (self.rank[safe] >= limit[a + par][:, None])
+            )
+            pi, ki = np.nonzero(ok)
+            parents.append(a + par[pi])
+            nodes.append(cand[pi, ki])
+            srcs.append(num_live + pi)
+            live_counts.append(counts[par])
+            num_live += len(par)
+        if not grow:
+            return np.concatenate(stop), None, None, None, None
+        return (
+            np.concatenate(stop),
+            np.concatenate(parents, dtype=np.int32),
+            np.concatenate(nodes, dtype=np.int32),
+            np.concatenate(srcs, dtype=np.int32),
+            np.concatenate(live_counts),
+        )
+
+    def _children(self, words, parent, node):
+        """Distinct children in first-occurrence order, and their indices."""
+        child = words[parent]
+        child[np.arange(len(node)), self.word[node]] |= self.bit[node]
+        keep = _first_occurrences(child)
+        return child[keep], keep
+
+    @staticmethod
+    def _paths(
+        rows: np.ndarray,
+        seeds: np.ndarray,
+        trail: list[tuple[np.ndarray, np.ndarray]],
+    ) -> np.ndarray:
+        """Members of level rows in the order they were added."""
+        paths = np.empty((len(rows), len(trail) + 1), dtype=np.intp)
+        for col in range(len(trail), 0, -1):
+            parent, added = trail[col - 1]
+            paths[:, col] = added[rows]
+            rows = parent[rows]
+        paths[:, 0] = seeds[rows]
+        return paths
+
+
+def _first_occurrences(rows: np.ndarray) -> np.ndarray:
+    """Indices of the first occurrence of each distinct row, in order."""
+    order = np.lexsort(rows.T)  # stable: equal rows keep index order
+    first = np.zeros(len(order), dtype=bool)
+    first[:1] = True
+    for column in rows.T:
+        ranked = column[order]
+        first[1:] |= ranked[1:] != ranked[:-1]
+    return np.sort(order[first])
+
+
+def _contains_any(sets: np.ndarray, subsets: np.ndarray) -> np.ndarray:
+    """Mask of the rows of ``sets`` that contain some row of ``subsets``."""
+    out = np.zeros(len(sets), dtype=bool)
+    if not len(subsets):
+        return out
+    step = max(1, _CHUNK * 16 // (len(subsets) * sets.shape[1]))
+    for a in range(0, len(sets), step):
+        block = sets[a : a + step, None, :]
+        out[a : a + step] = (
+            ((subsets[None] & ~block) == 0).all(axis=2).any(axis=1)
+        )
+    return out
+
+
+def _as_set(path: Sequence[int]) -> frozenset[int]:
+    # A frozenset's iteration order depends on how it was built, and
+    # adjust_graph's tie-breaks read it: members go in the order the
+    # search added them, seed first, and are copied through a set.
+    return frozenset(set(path))
 
 
 def minimal_bad_stopping_sets(
@@ -168,30 +257,21 @@ def minimal_bad_stopping_sets(
     """All minimal stopping sets of size <= ``max_size`` containing data.
 
     These are the graph's *critical node sets*: losing any superset of
-    one of them loses data.  Enumeration iterates data nodes in
-    increasing order, requiring each set's smallest data member to be the
-    seed, so every set is produced exactly once; a final subset filter
-    keeps only minimal sets.
+    one of them loses data.  Every data node seeds the search, and no
+    set takes a data node below its seed, so every set is produced
+    exactly once, from its smallest data member.  Sets come smallest
+    first, by seed within a size; one that contains an earlier set is
+    dropped, so only minimal sets remain.
     """
-    search = _StoppingSearch(graph)
-    found: list[frozenset[int]] = []
-    for pos, d in enumerate(graph.data_nodes):
-        smaller_data = frozenset(graph.data_nodes[:pos])
-        collect: list[frozenset[int]] = []
-        search.enumerate(
-            seed=d,
-            max_size=max_size,
-            forbidden=smaller_data,
-            collect=collect,
-        )
-        found.extend(collect)
-    registry().counter("critical.nodes_expanded").inc(search.nodes_expanded)
-    # Keep minimal sets only (smallest first so supersets filter cheaply).
-    found.sort(key=len)
+    search = _LevelSearch(graph)
+    kept = np.zeros((0, search.width), dtype=np.uint64)
     minimal: list[frozenset[int]] = []
-    for s in found:
-        if not any(m <= s for m in minimal):
-            minimal.append(s)
+    for words, paths in search.levels(
+        graph.data_nodes, max_size, below_seed=True
+    ):
+        fresh = ~_contains_any(words, kept)
+        kept = np.concatenate([kept, words[fresh]])
+        minimal.extend(_as_set(p) for p in paths[fresh].tolist())
     return minimal
 
 
@@ -202,48 +282,33 @@ def min_bad_stopping_set_containing(
 
     Used by the federation analysis: the minimum loss making a *specific*
     data block unrecoverable at one site.  Returns ``None`` if no such
-    set exists within ``max_size``.  ``node`` must be a data node: the
-    DFS stops at the first stopping set on each path, which is complete
-    for bad sets only when every intermediate stopping set is itself bad
-    (guaranteed when the seed carries data).
+    set exists within ``max_size``.  The search grows sets one node at a
+    time from ``{node}`` and stops at the first size holding a stopping
+    set.  ``node`` must be a data node: a set stops growing once it is
+    a stopping set, which is complete for bad sets only when every
+    stopping set on the way is itself bad (guaranteed when the seed
+    carries data).
     """
     if node not in set(graph.data_nodes):
         raise ValueError(f"node {node} is not a data node")
-    search = _StoppingSearch(graph)
-    data = set(graph.data_nodes)
-    try:
-        # Iterative deepening: the DFS cost explodes with the size
-        # bound, so probing small bounds first makes the common case (a
-        # critical set well under max_size) cheap and never searches
-        # deeper than needed.
-        for bound in range(2, max_size + 1):
-            collect: list[frozenset[int]] = []
-            search.enumerate(
-                seed=node,
-                max_size=bound,
-                forbidden=frozenset(),
-                collect=collect,
-                minimize=True,
-            )
-            bad = [s for s in collect if s & data]
-            if bad:
-                return min(bad, key=len)
-        return None
-    finally:
-        registry().counter("critical.nodes_expanded").inc(
-            search.nodes_expanded
-        )
+    search = _LevelSearch(graph)
+    for _words, paths in search.levels((node,), max_size, below_seed=False):
+        if len(paths):
+            return _as_set(paths[0].tolist())
+    return None
 
 
 def first_failure(graph: ErasureGraph, limit: int = 8) -> int | None:
     """Worst-case failure scenario: size of the smallest critical set.
 
-    Iterative deepening keeps the search cheap when the answer is small
-    (RAID-like graphs fail at 2; Tornado graphs at 4–5).  Returns ``None``
-    if no bad stopping set exists within ``limit`` lost nodes.
+    One search that stops at the first size holding a bad stopping set
+    (RAID-like graphs fail at 2; Tornado graphs at 4–5).  Returns
+    ``None`` if no bad stopping set exists within ``limit`` lost nodes.
     """
-    for size in range(1, limit + 1):
-        if minimal_bad_stopping_sets(graph, max_size=size):
+    search = _LevelSearch(graph)
+    levels = search.levels(graph.data_nodes, limit, below_seed=True)
+    for size, (words, _paths) in enumerate(levels, start=1):
+        if len(words):
             return size
     return None
 
@@ -367,7 +432,7 @@ def exhaustive_failing_sets(
 
     Streams ``(num_nodes choose k)`` combinations through the batch
     decoder.  Intended for cross-validation at small ``k``; the
-    branch-and-bound path is the production route.
+    stopping-set search is the production route.
     """
     decoder = make_batch_decoder(graph)
     failing: list[tuple[int, ...]] = []

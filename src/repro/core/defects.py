@@ -8,7 +8,7 @@ for "two- and three-node overlapping sets" during generation and discards
 graphs that fail.
 
 Here the screen is exact: a defect of size ``s`` is precisely a bad
-stopping set of size ``s``, so the branch-and-bound enumeration from
+stopping set of size ``s``, so the stopping-set enumeration from
 :mod:`repro.core.critical` finds *all* small defects, not just the
 pattern-matched ones.  A direct pattern scan for the paper's two-node
 case is also provided because it names the defect in the paper's own

@@ -3,10 +3,10 @@
 The paper detects worst-case failure scenarios "using a full
 combinatorial examination of lost nodes, starting with (96 choose 1)
 through (96 choose 6)" — 21 CPU-hours per graph.  The production path
-here is the branch-and-bound stopping-set search (exact and roughly five
-orders of magnitude faster); this module packages it with the optional
-exhaustive cross-check for auditability, mirroring the paper's own
-verification instincts.
+here is the stopping-set search of :mod:`repro.core.critical` (exact
+and roughly five orders of magnitude faster); this module packages it
+with the optional exhaustive cross-check for auditability, mirroring
+the paper's own verification instincts.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ def worst_case_search(
 
     ``verify_upto`` replays the paper's combinatorial enumeration for
     ``k`` up to that bound and raises if it ever disagrees with the
-    branch-and-bound counts — the library's equivalent of the paper's
+    stopping-set counts — the library's equivalent of the paper's
     simulator-vs-theory validation.
     """
     reg = registry()
@@ -105,7 +105,7 @@ def worst_case_search(
 
 
 def verify_exhaustive(graph: ErasureGraph, k: int) -> bool:
-    """True iff brute-force and branch-and-bound agree at level ``k``."""
+    """True iff brute force and the stopping-set search agree at ``k``."""
     minimal = minimal_bad_stopping_sets(graph, max_size=k)
     brute = exhaustive_failing_sets(graph, k)
     from ..core.critical import count_failing_sets

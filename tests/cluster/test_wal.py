@@ -3,6 +3,7 @@
 import asyncio
 import errno
 import json
+import os
 import shutil
 
 import numpy as np
@@ -13,6 +14,7 @@ from repro.cluster import (
     CoordinatorWal,
     StorageNode,
     WalCorruptError,
+    WalUnwritableError,
     start_storage_node,
 )
 from repro.graphs import tornado_catalog_graph
@@ -113,6 +115,101 @@ class TestWalMechanics:
         assert stats["records_since_snapshot"] == 0
         assert stats["snapshot_bytes"] > 0
         assert stats["last_snapshot_age_seconds"] is not None
+
+
+def enospc(*_args):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def fail_once(monkeypatch, name, fd, first=None):
+    """``os.<name>`` on ``fd`` fails once (after calling ``first``)."""
+    real = getattr(os, name)
+
+    def patched(target, *args):
+        if target == fd:
+            monkeypatch.setattr(os, name, real)
+            if first is not None:
+                first(target, *args)
+            enospc()
+        return real(target, *args)
+
+    monkeypatch.setattr(os, name, patched)
+
+
+class TestFailedAppend:
+    """An append that fails is not in the log: replay never sees it,
+    and the appends after it land on a clean line boundary."""
+
+    def test_failed_fsync_is_not_replayed(self, tmp_path, monkeypatch):
+        wal = CoordinatorWal(tmp_path)
+        wal.append({"type": "put", "name": "a"})
+        fail_once(monkeypatch, "fsync", wal._fh.fileno())
+        with pytest.raises(OSError, match="No space left"):
+            wal.append({"type": "put", "name": "b"})
+        assert wal.seq == 1
+        assert wal.append({"type": "put", "name": "c"}) == 2
+        wal.close()
+        _, records = CoordinatorWal(tmp_path).load()
+        assert [(r["seq"], r["name"]) for r in records] == [(1, "a"), (2, "c")]
+
+    def test_partial_write_leaves_no_torn_line(self, tmp_path, monkeypatch):
+        wal = CoordinatorWal(tmp_path)
+        wal.append({"type": "put", "name": "a"})
+        size = os.path.getsize(wal.wal_path)
+
+        def half(fd, data):
+            os.write(fd, bytes(data[: len(data) // 2]))
+
+        # The first write lands half the line, the retry hits ENOSPC.
+        fail_once(monkeypatch, "write", wal._fh.fileno(), first=half)
+        with pytest.raises(OSError, match="No space left"):
+            wal.append({"type": "put", "name": "b"})
+        assert os.path.getsize(wal.wal_path) == size
+        wal.append({"type": "put", "name": "c"})
+        wal.close()
+        _, records = CoordinatorWal(tmp_path).load()
+        assert [r["name"] for r in records] == ["a", "c"]
+
+    def test_failed_rollback_refuses_later_appends(
+        self, tmp_path, monkeypatch
+    ):
+        wal = CoordinatorWal(tmp_path)
+        wal.append({"type": "put", "name": "a"})
+        fail_once(monkeypatch, "fsync", wal._fh.fileno())
+        fail_once(monkeypatch, "ftruncate", wal._fh.fileno())
+        with pytest.raises(OSError, match="No space left"):
+            wal.append({"type": "put", "name": "b"})
+        with pytest.raises(WalUnwritableError, match="rolled back"):
+            wal.append({"type": "put", "name": "c"})
+        assert wal.seq == 1
+        wal.close()
+        # The record whose fsync failed could not be cut off, so it is
+        # the log's last line; nothing was written after it.
+        _, records = CoordinatorWal(tmp_path).load()
+        assert [r["name"] for r in records] == ["a", "b"]
+
+    def test_coordinator_put_whose_append_fails(self, tmp_path, monkeypatch):
+        async def check():
+            cluster = await WaledCluster.start(tmp_path)
+            coord = cluster.coordinator
+            await coord.put("kept", payload_bytes(1000, seed=1))
+            fail_once(monkeypatch, "fsync", coord.wal._fh.fileno())
+            with pytest.raises(OSError, match="No space left"):
+                await coord.put("lost", payload_bytes(1000, seed=2))
+            await coord.put("after", payload_bytes(1000, seed=3))
+            digest = coord.state_sha256()
+            await cluster.close()
+            recovered = ClusterCoordinator(
+                tornado_catalog_graph(3),
+                block_size=64,
+                wal_dir=tmp_path,
+                recover=True,
+            )
+            assert set(recovered.manifests) == {"kept", "after"}
+            assert recovered.state_sha256() == digest
+            recovered.wal.close()
+
+        run(check())
 
 
 class WaledCluster:

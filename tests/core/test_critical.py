@@ -111,6 +111,17 @@ class TestMinBadContaining:
         with pytest.raises(ValueError, match="not a data node"):
             min_bad_stopping_set_containing(tiny_graph, 5, max_size=3)
 
+    def test_seed_that_is_itself_critical_at_bound_one(self):
+        # Data node 1 feeds no check: losing it alone loses data.
+        g = ErasureGraph(
+            4, (0, 1), (Constraint(2, (0,)), Constraint(3, (0,)))
+        )
+        assert first_failure(g, limit=2) == 1
+        for max_size in (1, 2):
+            assert min_bad_stopping_set_containing(
+                g, 1, max_size=max_size
+            ) == frozenset({1})
+
     def test_result_contains_seed_and_is_stopping(self, small_tornado):
         d = small_tornado.data_nodes[0]
         s = min_bad_stopping_set_containing(small_tornado, d, max_size=8)
