@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
@@ -15,33 +14,3 @@ def write_result(name: str, text: str) -> None:
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
     print(f"\n{text}\n[written to benchmarks/results/{name}.txt]")
-
-
-def merge_bench_json(
-    filename: str, *, config: dict, results: list[dict]
-) -> None:
-    """Merge one bench's section into a shared ``BENCH_*.json``.
-
-    Several benches contribute to the same tracked trajectory file
-    (e.g. e7 and x7 both feed ``BENCH_federation.json``), so each
-    entry carries a ``bench`` tag and a rerun replaces exactly its own
-    prior entries.  The file keeps the ``{"config", "results"}`` shape
-    of ``BENCH_decode.json``/``BENCH_serve.json``.
-    """
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    path = RESULTS_DIR / filename
-    payload: dict = {"config": {}, "results": []}
-    if path.exists():
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    payload["config"].update(config)
-    replaced = {entry.get("bench") for entry in results}
-    payload["results"] = [
-        entry
-        for entry in payload.get("results", [])
-        if entry.get("bench") not in replaced
-    ] + results
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    print(f"[merged {len(results)} entries into benchmarks/results/{filename}]")

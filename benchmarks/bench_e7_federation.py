@@ -21,9 +21,9 @@ The timed kernel is one coupled two-site decode.
 
 import pytest
 
-from _bench_utils import merge_bench_json, write_result
+from _bench_utils import write_result
 from repro.analysis import format_table
-from repro.core.critical import first_failure, minimal_bad_stopping_sets
+from repro.core.critical import minimal_bad_stopping_sets
 from repro.federation import FederatedSystem, federated_first_failure
 from repro.graphs import mirrored_graph, tornado_catalog_graph
 
@@ -80,45 +80,6 @@ def test_e7_table7(benchmark, federations):
         "E7 (Table 7) - federated two-site storage, 192 devices\n"
         f"per-site critical-set bound: {SITE_CAP}; "
         f"joint exact bound: {EXACT_CAP}\n\n" + table,
-    )
-
-    # Tracked JSON trajectory: first failures by site count — the
-    # single-graph critical sets next to every two-site pairing, so the
-    # federation's lift over one site is a diffable number.
-    json_results = [
-        {
-            "bench": "e7_first_failure",
-            "site_count": 1,
-            "system": f"Tornado {number}",
-            "first_failure": first_failure(
-                tornado_catalog_graph(number), limit=8
-            ),
-            "first_failure_floor": None,
-        }
-        for number in (1, 2, 3)
-    ]
-    for label, _system, cap in federations:
-        value = detected[label]
-        json_results.append(
-            {
-                "bench": "e7_first_failure",
-                "site_count": 2,
-                "system": label,
-                "first_failure": value,
-                # Undetected within the bound means the true first
-                # failure exceeds every probed per-site split.
-                "first_failure_floor": (
-                    2 * cap + 1 if value is None else value
-                ),
-                # None: proven to exceed the config's e7_exact_cap.
-                "first_failure_exact": exact[label],
-                "paper": PAPER[label],
-            }
-        )
-    merge_bench_json(
-        "BENCH_federation.json",
-        config={"e7_site_cap": SITE_CAP, "e7_exact_cap": EXACT_CAP},
-        results=json_results,
     )
 
     assert detected["Mirrored (4 copies)"] == exact["Mirrored (4 copies)"] == 4

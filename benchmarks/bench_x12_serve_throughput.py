@@ -25,14 +25,14 @@ Scale knobs: ``REPRO_BENCH_SERVE_REQUESTS`` (default 400) and
 ``REPRO_BENCH_SERVE_RATE`` (offered req/s, default 10000).
 
 The timed kernel is a reduced micro-batched campaign; the full
-comparison runs once and lands in ``benchmarks/results/BENCH_serve.json``.
+comparison runs once and lands in
+``benchmarks/results/x12_serve_throughput.txt``.
 """
 
 import asyncio
-import json
 import os
 
-from _bench_utils import RESULTS_DIR, write_result
+from _bench_utils import write_result
 from repro.analysis import format_table
 from repro.serve import (
     LoadGenConfig,
@@ -138,20 +138,6 @@ def test_x12_serve_throughput(benchmark):
         f"batched = {WINDOW * 1e3:.0f}ms window)\n\n"
         + table
         + f"\n\nmicro-batched speedup: {speedup:.2f}x",
-    )
-
-    payload = {
-        "world": WORLD,
-        "offered": {"requests": REQUESTS, "rate_rps": RATE, "seed": 7},
-        "window_seconds": WINDOW,
-        "max_batch": MAX_BATCH,
-        "results": results,
-        "speedup_batched_vs_unbatched": speedup,
-    }
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    (RESULTS_DIR / "BENCH_serve.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
     )
 
     # Every offered request is accounted for in every campaign.

@@ -26,16 +26,15 @@ default 8192), ``REPRO_BENCH_DECODE_SCALAR`` (scalar sample size,
 default 512), ``REPRO_BENCH_DECODE_REPEATS`` (best-of repeats,
 default 3).
 
-Results land in ``benchmarks/results/BENCH_decode.json``.
+Results land in ``benchmarks/results/x13_decode_engines.txt``.
 """
 
-import json
 import os
 import time
 
 import numpy as np
 
-from _bench_utils import RESULTS_DIR, write_result
+from _bench_utils import write_result
 from repro.analysis import format_table
 from repro.core import (
     BitsetBatchDecoder,
@@ -151,20 +150,6 @@ def test_x13_decode_engines(benchmark):
         f"X13 - decode engine throughput, batch={BATCH}, "
         f"best of {REPEATS} (scalar sampled at {SCALAR_CASES} cases)\n\n"
         + table,
-    )
-
-    payload = {
-        "config": {
-            "batch": BATCH,
-            "scalar_cases": SCALAR_CASES,
-            "repeats": REPEATS,
-        },
-        "results": results,
-    }
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    (RESULTS_DIR / "BENCH_decode.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
     )
 
     # Acceptance: everywhere, both batch kernels must crush the scalar

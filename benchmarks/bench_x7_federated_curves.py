@@ -14,18 +14,14 @@ The timed kernel is one batch decode over the 192-device federation.
 import numpy as np
 import pytest
 
-from _bench_utils import merge_bench_json, write_result
+from _bench_utils import write_result
 from repro.analysis import ascii_curves
 from repro.core import make_batch_decoder
 from repro.federation import FederatedSystem, federated_profile
 from repro.graphs import mirrored_graph, tornado_catalog_graph
-from repro.sites import estimate_wan_read_cost
 
 SAMPLES = 2_000
 KS = list(range(4, 190, 6))
-WAN_OBJECT_SIZE = 4096
-WAN_SAMPLES = 400
-WAN_KS = list(range(0, 97, 8))
 
 
 @pytest.fixture(scope="module")
@@ -87,45 +83,3 @@ def test_x7_federated_curves(benchmark, federations):
     assert (
         comp.fail_fraction[mid] <= dup.fail_fraction[mid] + 0.05
     ).all()
-
-    # Tracked JSON trajectory: the failure curves at the sampled ks,
-    # plus expected WAN bytes per read down the gateway's ladder for
-    # the complementary pairing (local / remote / coupled / lost).
-    json_results = [
-        {
-            "bench": "x7_failure_curve",
-            "system": p.system_name,
-            "k": int(k),
-            "fail_fraction": float(p.fail_fraction[k]),
-        }
-        for p in profiles
-        for k in KS
-    ]
-    comp_system = federations["Tornado 1 + Tornado 2"]
-    for k in WAN_KS:
-        estimate = estimate_wan_read_cost(
-            comp_system,
-            k,
-            object_size=WAN_OBJECT_SIZE,
-            samples=WAN_SAMPLES,
-            seed=0,
-        )
-        json_results.append(
-            {
-                "bench": "x7_wan_read_cost",
-                "system": "Tornado 1 + Tornado 2",
-                "k": k,
-                "object_size": WAN_OBJECT_SIZE,
-                "mean_wan_bytes": estimate.mean_wan_bytes,
-                "path_fractions": estimate.path_fractions,
-            }
-        )
-    merge_bench_json(
-        "BENCH_federation.json",
-        config={
-            "x7_samples": SAMPLES,
-            "x7_wan_samples": WAN_SAMPLES,
-            "x7_wan_object_size": WAN_OBJECT_SIZE,
-        },
-        results=json_results,
-    )

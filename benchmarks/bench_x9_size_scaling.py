@@ -21,7 +21,7 @@ two orders of magnitude past the paper: CSR cascades from 2^14 up to
 parity against the bitset engine wherever both fit, a seeded Monte
 Carlo sweep of the largest graph, and an aggregate multi-process
 throughput measurement on the 96-node catalog graph.  Results land in
-``benchmarks/results/BENCH_scaling.json``.
+``benchmarks/results/x9_sparse_scaling.txt``.
 
 Scale knobs: ``REPRO_BENCH_SCALING_MAX_NODES`` (largest CSR graph,
 default 2^20), ``REPRO_BENCH_SCALING_BATCH`` (cases per timed decode,
@@ -40,7 +40,7 @@ import time
 
 import numpy as np
 
-from _bench_utils import merge_bench_json, write_result
+from _bench_utils import write_result
 from repro.analysis import format_table
 from repro.core import (
     BitsetBatchDecoder,
@@ -235,15 +235,6 @@ def test_x9_sparse_size_scaling():
     ff = [float(profile.fail_fraction[k]) for k in ks]
     assert ff[0] < 0.5
     assert ff == sorted(ff)
-    sweep = {
-        "num_nodes": big.num_nodes,
-        "ks": ks,
-        "samples_per_k": SWEEP_SAMPLES,
-        "seconds": sweep_s,
-        "fail_fraction": ff,
-        "cases_per_sec": SWEEP_SAMPLES * len(ks) / sweep_s,
-        "n_jobs": SCALING_JOBS,
-    }
 
     # Aggregate multi-process throughput on the paper's 96-node catalog
     # graph: the pooled sweep must equal the in-process one bit for
@@ -263,15 +254,6 @@ def test_x9_sparse_size_scaling():
     par_s = time.perf_counter() - t0
     assert p_serial.fail_fraction.tobytes() == p_par.fail_fraction.tobytes()
     cases = int(p_serial.samples.sum())
-    aggregate = {
-        "graph": "catalog-3 (96 nodes)",
-        "ks": agg_ks,
-        "samples": cases,
-        "n_jobs": SCALING_JOBS,
-        "serial_cases_per_sec": cases / serial_s,
-        "aggregate_cases_per_sec": cases / par_s,
-        "parallel_speedup": serial_s / par_s,
-    }
 
     rows = [
         [
@@ -312,28 +294,9 @@ def test_x9_sparse_size_scaling():
         + "\n\n"
         + f"2^{big.num_nodes.bit_length() - 1}-node sweep: "
         + f"ks={ks}, {SWEEP_SAMPLES} samples/k in {sweep_s:.1f}s "
-        + f"({sweep['cases_per_sec']:,.0f} cases/s), "
+        + f"({SWEEP_SAMPLES * len(ks) / sweep_s:,.0f} cases/s), "
         + f"fail fractions {['%.3f' % f for f in ff]}\n"
         + f"aggregate (96-node catalog, n_jobs={SCALING_JOBS}): "
-        + f"{aggregate['aggregate_cases_per_sec']:,.0f} cases/s "
-        + f"({aggregate['parallel_speedup']:.2f}x serial)",
-    )
-    merge_bench_json(
-        "BENCH_scaling.json",
-        config={
-            "scaling_batch": SCALING_BATCH,
-            "scaling_max_nodes": MAX_NODES,
-            "scaling_parity_max_nodes": PARITY_MAX_NODES,
-            "scaling_sweep_samples": SWEEP_SAMPLES,
-            "scaling_jobs": SCALING_JOBS,
-            "jit_enabled": jit_enabled(),
-        },
-        results=[
-            {
-                "bench": "x9_sparse_scaling",
-                "sizes": per_size,
-                "sweep": sweep,
-                "aggregate": aggregate,
-            }
-        ],
+        + f"{cases / par_s:,.0f} cases/s "
+        + f"({serial_s / par_s:.2f}x serial)",
     )

@@ -14,7 +14,7 @@ capture and can be diffed against EXPERIMENTS.md.
 Every bench runs under a scoped :mod:`repro.obs` metrics registry; the
 per-bench snapshots (decode throughput counters, cache hits, search
 timings) are collected into ``benchmarks/results/metrics_summary.json``
-at session end so the ``BENCH_*.json`` trajectories gain that context.
+at session end, beside the rendered ``.txt`` results they explain.
 """
 
 from __future__ import annotations

@@ -89,7 +89,7 @@ from ..core.graph import ErasureGraph
 from ..core.plancache import PlanCache
 from ..obs.registry import registry
 from ..obs.trace import start_span, tracer
-from ..resilience.retry import RetryPolicy
+from ..resilience.retry import NO_RETRY, RetryPolicy
 from ..serve.lineserver import (
     ArchiveEndpoint,
     start_line_server,
@@ -207,27 +207,25 @@ async def link_rpc(
     """One request/reply on a peer's pipelined connection.
 
     Transport failures (refused, reset, mid-frame close, expired
-    ``timeout``) retry through ``retry`` with seeded backoff — the
-    schedule is drawn on the first failure, a healthy RPC never builds
-    it — before the peer is declared down; only once attempts are
-    exhausted does the link drop and its ``down_error`` surface.
-    Remote errors re-raise as their client exceptions (``unavailable``
-    → transient outage, etc.) and are never retried here.
+    ``timeout``) retry through ``retry.acall`` — the schedule is drawn
+    on the first failure, a healthy RPC never builds it — before the
+    peer is declared down; only once attempts are exhausted does the
+    link drop and its ``down_error`` surface.  Remote errors re-raise
+    as their client exceptions (``unavailable`` → transient outage,
+    etc.) and are never retried here.
     """
-    delays: list[float] | None = None
-    attempt = 0
-    while True:
-        try:
-            return await _link_rpc_once(link, request, timeout)
-        except link.down_error:
-            if delays is None:
-                delays = retry.delays() if retry is not None else []
-            if attempt >= len(delays):
-                link.drop()
-                raise
-            registry().counter(f"{link.family}.retries").inc()
-            await asyncio.sleep(delays[attempt])
-            attempt += 1
+    try:
+        return await (retry or NO_RETRY).acall(
+            _link_rpc_once,
+            link,
+            request,
+            timeout,
+            retry_on=link.down_error,
+            counter=f"{link.family}.retries",
+        )
+    except link.down_error:
+        link.drop()
+        raise
 
 
 async def _link_rpc_once(

@@ -47,7 +47,6 @@ from .faults import (
     NodeCrashes,
     ReplacementJitter,
     SilentCorruption,
-    SiteBlackouts,
     SlowNodes,
     TransientOutages,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "ReplacementJitter",
     "RetryPolicy",
     "SilentCorruption",
-    "SiteBlackouts",
     "SlowNodes",
     "TransientOutages",
     "default_cluster_plan",

@@ -41,10 +41,6 @@ device:
   never answers (the half-open failure detectors genuinely fear).
 * :class:`SlowNodes` — grey failure: a node answers correctly but
   slowly.
-* :class:`SiteBlackouts` — a whole site (coordinator + all its storage
-  nodes) goes dark at once for a geometric duration: the full-site
-  outage the federated gateway must read through.  Consumed by the
-  sites campaign (:mod:`repro.sites`); device-level runs skip it.
 
 A :class:`FaultPlan` is an ordered bundle of specs, JSON round-trippable
 (``repro mission --faults PLAN.json``).  :class:`FaultInjector` is the
@@ -83,7 +79,6 @@ __all__ = [
     "NodeCrashes",
     "NetworkPartitions",
     "SlowNodes",
-    "SiteBlackouts",
     "FaultPlan",
     "FaultInjector",
 ]
@@ -276,24 +271,6 @@ class SlowNodes:
             raise ValueError("mean_slow_steps must be >= 1")
 
 
-@dataclass(frozen=True)
-class SiteBlackouts:
-    """A whole federated site goes dark for a geometric duration."""
-
-    rate: float = 0.02  # per site-step probability
-    mean_outage_steps: float = 2.0
-    max_concurrent: int = 1  # simultaneous dark sites allowed
-
-    kind = "site_blackout"
-
-    def __post_init__(self) -> None:
-        _check_rate(self.rate)
-        if self.mean_outage_steps < 1.0:
-            raise ValueError("mean_outage_steps must be >= 1")
-        if self.max_concurrent < 1:
-            raise ValueError("max_concurrent must be positive")
-
-
 _SPEC_KINDS = {
     cls.kind: cls
     for cls in (
@@ -307,7 +284,6 @@ _SPEC_KINDS = {
         NodeCrashes,
         NetworkPartitions,
         SlowNodes,
-        SiteBlackouts,
     )
 }
 
@@ -322,7 +298,6 @@ FaultSpec = (
     | NodeCrashes
     | NetworkPartitions
     | SlowNodes
-    | SiteBlackouts
 )
 
 

@@ -32,7 +32,7 @@ import threading
 from typing import Any
 
 from ..obs.trace import start_span, tracer
-from ..resilience.retry import RetryPolicy
+from ..resilience.retry import NO_RETRY, RetryPolicy
 from .errors import DeadlineExceededError
 from .protocol import (
     MAX_LINE_BYTES,
@@ -133,16 +133,9 @@ class ProtocolClient:
         (refused, reset, mid-frame close — *not* remote errors or
         deadlines) are retried with seeded backoff before raising.
         """
-        attempt = 0
-        while True:
-            try:
-                return self._call_once(request)
-            except DeadlineExceededError:
-                raise
-            except ConnectionError:
-                if self.retry is None or not self.retry.wait(attempt):
-                    raise
-                attempt += 1
+        return (self.retry or NO_RETRY).call(
+            self._call_once, request, retry_on=ConnectionError
+        )
 
     def _call_once(
         self, request: Request

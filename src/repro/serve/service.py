@@ -61,7 +61,7 @@ from ..core.plancache import PlanCache, graph_key
 from ..obs.manifest import RunManifest
 from ..obs.registry import MetricsRegistry, metrics_enabled, registry
 from ..obs.trace import start_span, trace_span, tracer
-from ..resilience.retry import RetryPolicy
+from ..resilience.retry import NO_RETRY, RetryPolicy
 from ..storage.archive import TornadoArchive
 from ..storage.device import TransientUnavailableError
 from .batcher import Batch, MicroBatcher
@@ -643,25 +643,14 @@ class ReconstructionService:
         manifest = self.archive.objects.get(name)
         if manifest is None:
             raise KeyError(f"no archived object named {name!r}")
-        retry = self.config.retry
-        delays = retry.delays() if retry is not None else []
-        attempt = 0
-        while True:
-            try:
-                return self._plan_stripes(manifest)
-            except TransientUnavailableError:
-                if attempt >= len(delays):
-                    raise
-                self.metrics.counter("serve.retries").inc()
-                if retry.sleep is not None:
-                    # Injected sleep (tests / virtual clocks): the hook
-                    # repairs or advances the world synchronously.
-                    retry.wait(attempt)
-                else:
-                    await asyncio.sleep(delays[attempt])
-                attempt += 1
+        return await (self.config.retry or NO_RETRY).acall(
+            self._plan_stripes,
+            manifest,
+            retry_on=TransientUnavailableError,
+            counter=self.metrics.counter("serve.retries"),
+        )
 
-    def _plan_stripes(self, manifest) -> list[dict]:
+    async def _plan_stripes(self, manifest) -> list[dict]:
         archive = self.archive
         m = self.metrics
         stripes: list[dict] = []

@@ -11,13 +11,7 @@ from .device import Device, DeviceArray, DeviceState, TransientUnavailableError
 from .integrity import CorruptBlock, IntegrityReport, IntegrityScanner, corrupt_block
 from .maid import MAIDPowerModel, PowerReport, SessionMeter
 from .monitor import MonitorReport, StripeHealth, StripeMonitor
-from .retrieval import (
-    RetrievalPlan,
-    plan_all,
-    plan_data_first,
-    plan_guided,
-    plan_with_fallback,
-)
+from .retrieval import RetrievalPlan, plan_all, plan_data_first, plan_guided
 from .stripe import StripeMap, rotated_placement
 
 from .simulation import MissionConfig, MissionEvent, MissionReport, run_mission
@@ -54,6 +48,5 @@ __all__ = [
     "plan_all",
     "plan_data_first",
     "plan_guided",
-    "plan_with_fallback",
     "rotated_placement",
 ]

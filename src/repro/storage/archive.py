@@ -126,13 +126,13 @@ class TornadoArchive:
 
         Without ``retry`` this reads every available block per stripe
         (the historical behaviour).  With a retry policy (any object
-        implementing the :class:`repro.resilience.retry.RetryPolicy`
-        interface) reads run in *degraded mode*: each stripe is fetched
-        through the planner fallback chain ``plan_guided`` →
-        ``plan_data_first`` → ``plan_all``, and when the stripe is
-        undecodable only because devices are transiently unavailable the
-        read backs off (``retry.wait``) and re-plans, letting recovery
-        land instead of declaring loss.
+        with the ``call`` of :class:`repro.resilience.retry.RetryPolicy`)
+        reads run in *degraded mode*: each stripe is fetched through the
+        planner fallback chain ``plan_guided`` → ``plan_data_first`` →
+        ``plan_all``, and when the stripe is undecodable only because
+        devices are transiently unavailable the policy backs off and the
+        read walks the chain again, letting recovery land instead of
+        declaring loss.
 
         Raises :class:`DataLossError` when a stripe is unrecoverable
         from all surviving data, and
@@ -287,19 +287,23 @@ class TornadoArchive:
     def _read_stripe_degraded(
         self, name: str, record: StripeRecord, retry
     ) -> np.ndarray:
-        """Planned stripe read with fallback chain and retry/backoff.
+        """Planned stripe read: the fallback chain, retried by ``retry``.
 
-        Strategies are tried in order guided → data-first → all; a
-        strategy is skipped if its plan cannot decode, and a decode
-        attempt that fails (blocks missing on rebuilt-empty devices,
-        device lost mid-read) falls through to the next strategy.  When
-        the whole chain fails and transient devices are involved, the
-        read backs off via ``retry.wait`` and starts over against fresh
-        availability; otherwise it raises immediately.
+        One pass tries guided → data-first → all against fresh
+        availability; a strategy is skipped if its plan cannot decode,
+        and a decode attempt that fails (blocks missing on rebuilt-empty
+        devices, device lost mid-read) falls through to the next
+        strategy.  A pass that exhausts the chain raises: real loss when
+        no transient devices are involved, else
+        :class:`TransientUnavailableError`, which ``retry.call`` backs
+        off on and answers with a fresh pass.
         """
         reg = registry()
-        attempt = 0
-        while True:
+        passes = 0
+
+        def walk_chain() -> np.ndarray:
+            nonlocal passes
+            passes += 1
             avail = self.devices.available_mask
             for planner in FALLBACK_CHAIN:
                 plan = planner(self.graph, record.placement, avail)
@@ -313,20 +317,23 @@ class TornadoArchive:
                     )
                 except (DecodeFailure, TransientUnavailableError):
                     continue
-                if attempt:
+                if passes > 1:
                     reg.counter("resilience.reads.recovered").inc()
                 return data
             reg.counter("resilience.reads.degraded").inc()
-            if not self._transient_devices(record):
+            transient = self._transient_devices(record)
+            if not transient:
                 # Nothing will come back on its own: surface real loss
                 # (reading everything gives the canonical residual).
                 self._read_stripe(name, record)
-            if not retry.wait(attempt):
-                raise TransientUnavailableError(
-                    f"object {name!r} stripe {record.index}: still "
-                    f"undecodable after {attempt + 1} degraded-read "
-                    "attempts",
-                    self._transient_devices(record),
-                )
-            reg.counter("resilience.reads.retries").inc()
-            attempt += 1
+            raise TransientUnavailableError(
+                f"object {name!r} stripe {record.index}: still "
+                f"undecodable after {passes} degraded-read attempts",
+                transient,
+            )
+
+        return retry.call(
+            walk_chain,
+            retry_on=TransientUnavailableError,
+            counter="resilience.reads.retries",
+        )

@@ -18,24 +18,22 @@ availability mask:
 Plans are validated by actually peeling: a plan is returned only if the
 un-acquired nodes form a recoverable erasure pattern.
 
-Degraded mode: :func:`plan_with_fallback` walks the chain
-``plan_guided`` → ``plan_data_first`` → ``plan_all`` and returns the
-first decodable plan; with a retry policy (see
-:mod:`repro.resilience.retry`) and a callable availability source it
-re-plans after each backoff delay, so transiently-unavailable devices
-recover into the plan instead of failing the read.
+Degraded mode: ``FALLBACK_CHAIN`` orders them guided → data-first →
+all.  :meth:`repro.storage.TornadoArchive.get` with ``retry=`` is the
+one place the chain is walked: each pass takes the first plan that
+decodes, and the retry policy re-runs the pass after a backoff, so
+transiently-unavailable devices recover into the plan instead of
+failing the read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
 
 import numpy as np
 
 from ..core.decoder import PeelingDecoder
 from ..core.graph import ErasureGraph
-from ..obs.registry import registry
 from .stripe import StripeMap
 
 __all__ = [
@@ -44,7 +42,6 @@ __all__ = [
     "plan_all",
     "plan_data_first",
     "plan_guided",
-    "plan_with_fallback",
 ]
 
 
@@ -157,43 +154,3 @@ def plan_guided(
 
 
 FALLBACK_CHAIN = (plan_guided, plan_data_first, plan_all)
-
-AvailabilitySource = Union[np.ndarray, Callable[[], np.ndarray]]
-
-
-def plan_with_fallback(
-    graph: ErasureGraph,
-    placement: StripeMap,
-    available: AvailabilitySource,
-    retry=None,
-) -> RetrievalPlan:
-    """First decodable plan of guided → data-first → all-available.
-
-    ``available`` is either a device availability mask or a zero-argument
-    callable returning one (re-evaluated on every retry, so recovering
-    devices become visible).  ``retry`` is an optional policy with the
-    :class:`repro.resilience.retry.RetryPolicy` interface: when no plan
-    decodes, ``retry.wait(attempt)`` backs off and planning repeats
-    until the policy gives up.  The final (non-decodable) ``plan_all``
-    plan is returned if every strategy and retry fails — callers check
-    ``plan.decodable``.
-    """
-    reg = registry()
-    attempt = 0
-    while True:
-        mask = available() if callable(available) else available
-        plan = None
-        for planner in FALLBACK_CHAIN:
-            plan = planner(graph, placement, mask)
-            if plan.decodable:
-                if planner is not FALLBACK_CHAIN[0]:
-                    reg.counter("resilience.plan_fallbacks").inc()
-                return plan
-        if (
-            retry is None
-            or not callable(available)
-            or not retry.wait(attempt)
-        ):
-            return plan
-        reg.counter("resilience.plan_retries").inc()
-        attempt += 1

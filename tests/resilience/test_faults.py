@@ -45,6 +45,14 @@ class TestFaultPlan:
         with pytest.raises(ValueError, match="unknown fault kind"):
             FaultPlan.from_dict({"faults": [{"kind": "gremlins"}]})
 
+    def test_site_blackout_kind_rejected(self):
+        """No layer consumes whole-site blackouts from a plan: naming one
+        is an error on load, not a spec silently skipped."""
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            FaultPlan.from_dict(
+                {"faults": [{"kind": "site_blackout", "rate": 0.05}]}
+            )
+
     def test_fault_classes_deduplicated_in_order(self):
         plan = FaultPlan(
             faults=(
@@ -199,7 +207,7 @@ class TestReproducibility:
 
 class TestDeviceHazardInjection:
     def test_spec_roundtrip_and_validation(self):
-        from repro.resilience import DeviceHazards, SiteBlackouts
+        from repro.resilience import DeviceHazards
 
         plan = FaultPlan(
             faults=(
@@ -210,7 +218,6 @@ class TestDeviceHazardInjection:
                     infant_mortality=0.2,
                     batch_defect_rate=0.1,
                 ),
-                SiteBlackouts(rate=0.05, mean_outage_steps=3.0),
             )
         )
         assert FaultPlan.from_json(plan.to_json()) == plan
@@ -220,8 +227,6 @@ class TestDeviceHazardInjection:
             DeviceHazards(shape=0.0)
         with pytest.raises(ValueError):
             DeviceHazards(afr=0.0)
-        with pytest.raises(ValueError):
-            SiteBlackouts(max_concurrent=0)
 
     def test_wearout_failures_accumulate_with_age(self, archive):
         from repro.resilience import DeviceHazards
@@ -313,13 +318,3 @@ class TestDeviceHazardInjection:
             return log, injector.hazard_summary()
 
         assert run() == run()
-
-    def test_site_blackouts_skipped_by_device_layer(self, archive):
-        from repro.resilience import SiteBlackouts
-
-        injector = FaultInjector(
-            FaultPlan(faults=(SiteBlackouts(rate=1.0),))
-        )
-        events = injector.inject(0, archive, np.random.default_rng(0))
-        assert events == []
-        assert archive.devices.failed_ids == []

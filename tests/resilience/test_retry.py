@@ -1,7 +1,11 @@
 """Tests for the deterministic retry/backoff policy."""
 
+import asyncio
+
+import numpy as np
 import pytest
 
+from repro.obs.registry import MetricsRegistry, capture
 from repro.resilience import RetryPolicy
 
 
@@ -40,6 +44,28 @@ class TestDelays:
         a = RetryPolicy(max_attempts=4, seed=1).delays()
         b = RetryPolicy(max_attempts=4, seed=2).delays()
         assert a != b
+
+    @pytest.mark.parametrize(
+        "seed",
+        [
+            0,
+            np.int64(5),
+            np.random.SeedSequence(9),
+            np.random.default_rng(0),
+            None,
+        ],
+        ids=["int", "np-int", "seed-sequence", "generator", "none"],
+    )
+    def test_every_seed_form_gives_one_schedule(self, seed):
+        policy = RetryPolicy(max_attempts=3, seed=seed)
+        assert policy.delays() == policy.delays()
+
+    def test_generator_seed_is_snapshotted_not_shared(self):
+        rng = np.random.default_rng(0)
+        policy = RetryPolicy(max_attempts=3, seed=rng)
+        before = policy.delays()
+        rng.uniform(size=10)  # the caller keeps using its stream
+        assert policy.delays() == before
 
 
 class TestWait:
@@ -97,6 +123,98 @@ class TestCall:
         with pytest.raises(ValueError):
             policy.call(raises_value_error)
         assert len(calls) == 1
+
+    def test_exhausted_call_sleeps_exactly_one_schedule(self):
+        slept = []
+        policy = RetryPolicy(
+            max_attempts=3, seed=np.random.default_rng(0), sleep=slept.append
+        )
+
+        def always_fails():
+            raise IOError("still down")
+
+        with pytest.raises(IOError):
+            policy.call(always_fails)
+        assert slept == policy.delays()
+
+    def test_args_counter_and_wait_metrics(self):
+        own = MetricsRegistry()
+        outcomes = iter([ConnectionError("blip"), ConnectionError("blip")])
+
+        def flaky(a, b):
+            for exc in outcomes:
+                raise exc
+            return a + b
+
+        policy = RetryPolicy(max_attempts=2, sleep=lambda _s: None)
+        with capture() as registry:
+            assert (
+                policy.call(
+                    flaky,
+                    2,
+                    3,
+                    retry_on=ConnectionError,
+                    counter=own.counter("x.retries"),
+                )
+                == 5
+            )
+            policy.call(flaky, 1, 1, counter="y.retries")  # healthy
+        assert own.snapshot()["counters"] == {"x.retries": 2}
+        counters = registry.snapshot()["counters"]
+        assert counters["resilience.retry.waits"] == 2
+        assert "y.retries" not in counters
+
+
+class TestAsyncCall:
+    def run(self, policy, fn, **kwargs):
+        return asyncio.run(policy.acall(fn, **kwargs))
+
+    def test_retries_until_success_through_the_hook(self):
+        attempts, slept = [], []
+
+        async def flaky():
+            attempts.append(1)
+            if len(attempts) < 3:
+                raise IOError("transient")
+            return "ok"
+
+        policy = RetryPolicy(max_attempts=4, seed=3, sleep=slept.append)
+        with capture() as registry:
+            assert self.run(policy, flaky, counter="a.retries") == "ok"
+        assert slept == policy.delays()[:2]
+        assert registry.snapshot()["counters"]["a.retries"] == 2
+
+    def test_without_a_hook_awaits_asyncio_sleep(self):
+        policy = RetryPolicy(max_attempts=2, base_delay=0.001, seed=1)
+        awaited = []
+        real_sleep = asyncio.sleep
+
+        async def recording_sleep(delay, *args, **kwargs):
+            awaited.append(delay)
+            await real_sleep(0)
+
+        async def always_fails():
+            raise IOError("down")
+
+        asyncio.sleep = recording_sleep
+        try:
+            with pytest.raises(IOError):
+                self.run(policy, always_fails)
+        finally:
+            asyncio.sleep = real_sleep
+        assert awaited == policy.delays()
+
+    def test_unlisted_exceptions_propagate_immediately(self):
+        calls = []
+
+        async def lost():
+            calls.append(1)
+            raise ValueError("not retryable")
+
+        policy = RetryPolicy(max_attempts=5, sleep=lambda _s: None)
+        with pytest.raises(ValueError):
+            self.run(policy, lost, retry_on=ConnectionError)
+        assert calls == [1]
 
 
 class TestValidation:

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterCoordinator, StorageNode, start_storage_node
-from repro.cluster.coordinator import NodeDownError, NodeLink
+from repro.cluster.coordinator import NodeDownError, NodeLink, link_rpc
 from repro.graphs import tornado_catalog_graph
 from repro.obs.registry import capture
 from repro.resilience import RetryPolicy
@@ -336,3 +336,50 @@ class TestRetrySchedule:
         assert slept == RetryPolicy(
             max_attempts=3, base_delay=0.001, jitter=0.5, seed=11
         ).delays()
+
+
+class TestSleepHook:
+    def test_link_backoff_sleeps_through_the_policy_hook(self):
+        """A policy's ``sleep`` hook takes every link backoff: it sees
+        the policy's delays, and ``asyncio.sleep`` is never awaited."""
+        hooked = []
+        policy = RetryPolicy(
+            max_attempts=3,
+            base_delay=0.001,
+            jitter=0.5,
+            seed=11,
+            sleep=hooked.append,
+        )
+        awaited = []
+
+        async def check():
+            server = await asyncio.start_server(
+                lambda r, w: None, "127.0.0.1", 0
+            )
+            host, port = address(server)
+            server.close()
+            await server.wait_closed()
+            link = NodeLink("gone", host, port)
+            real_sleep = asyncio.sleep
+
+            async def recording_sleep(delay, *args, **kwargs):
+                awaited.append(delay)
+                await real_sleep(0)
+
+            asyncio.sleep = recording_sleep
+            try:
+                with pytest.raises(NodeDownError, match="unreachable"):
+                    await link_rpc(
+                        link, PingRequest(), retry=policy, timeout=5.0
+                    )
+            finally:
+                asyncio.sleep = real_sleep
+            assert link.alive is False
+
+        with capture() as registry:
+            asyncio.run(check())
+        assert hooked == policy.delays()
+        assert awaited == []
+        counters = registry.snapshot()["counters"]
+        assert counters["cluster.rpc.retries"] == 3
+        assert counters["resilience.retry.waits"] == 3

@@ -356,6 +356,32 @@ class TestDegradedReads:
         with pytest.raises(TransientUnavailableError):
             asyncio.run(scenario())
 
+    def test_healthy_requests_draw_no_retry_schedule(self):
+        """The backoff schedule is drawn on a planning failure only;
+        healthy requests never build it."""
+        draws = []
+
+        class CountingPolicy(RetryPolicy):
+            def delays(self):
+                draws.append(1)
+                return super().delays()
+
+        archive, names = small_archive()
+        config = ServeConfig(
+            batch_window=0.0,
+            retry=CountingPolicy(max_attempts=2, sleep=lambda _d: None),
+        )
+
+        async def scenario():
+            async with ReconstructionService(archive, config) as svc:
+                for i in range(20):
+                    await svc.submit(names[i % len(names)])
+                return svc.stats()
+
+        stats = asyncio.run(scenario())
+        assert stats["counters"]["serve.completed"] == 20
+        assert draws == []
+
     def test_permanent_loss_raises_data_loss(self):
         archive, names = small_archive()
         archive.devices.fail(range(len(archive.devices)))

@@ -9,6 +9,7 @@ up, UNAVAILABLE retries, FAILED falls through to loss).
 import numpy as np
 import pytest
 
+from repro.obs.registry import capture
 from repro.resilience import (
     DrawerOutages,
     FaultInjector,
@@ -23,7 +24,6 @@ from repro.storage import (
     StripeMonitor,
     TornadoArchive,
     TransientUnavailableError,
-    plan_with_fallback,
     run_mission,
 )
 
@@ -168,33 +168,24 @@ class TestGetDeviceStates:
 
 
 class TestPlanFallback:
-    def test_fallback_with_recovering_availability(self, small_tornado):
-        archive = TornadoArchive(
-            small_tornado, DeviceArray(32), block_size=64
-        )
-        archive.put("doc", PAYLOAD)
-        record = archive.objects["doc"].stripes[0]
+    def test_fallback_with_recovering_availability(self, archive):
+        """Every strategy of the chain fails while the devices are dark;
+        the policy backs off, the hook brings them back, and the next
+        walk of the chain decodes."""
         archive.devices.interrupt(range(20))
+        slept = []
 
-        # without retry: every strategy fails, the plan comes back
-        # undecodable instead of raising
-        stuck = plan_with_fallback(
-            small_tornado,
-            record.placement,
-            archive.devices.available_mask,
-        )
-        assert not stuck.decodable
-
-        def recover(_delay):
+        def recover(delay):
+            slept.append(delay)
             archive.devices.restore(range(20))
 
         retry = RetryPolicy(
             max_attempts=2, jitter=0.0, seed=0, sleep=recover
         )
-        plan = plan_with_fallback(
-            small_tornado,
-            record.placement,
-            lambda: archive.devices.available_mask,
-            retry=retry,
-        )
-        assert plan.decodable
+        with capture() as registry:
+            assert archive.get("doc", retry=retry) == PAYLOAD
+        counters = registry.snapshot()["counters"]
+        assert slept == retry.delays()[:1]
+        assert counters["resilience.reads.degraded"] == 1
+        assert counters["resilience.reads.retries"] == 1
+        assert counters["resilience.reads.recovered"] == 1
