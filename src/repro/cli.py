@@ -828,27 +828,15 @@ def _cmd_mission(args) -> int:
     else:
         graph = tornado_catalog_graph(3)
     plan = FaultPlan.load(args.faults) if args.faults else FaultPlan()
-    afr = args.afr
+    hazard = {}
     if args.hazard != "binomial":
-        from .resilience import DeviceHazards
-
-        # The hazard spec replaces the memoryless binomial baseline:
-        # the mission's own AFR draw goes inert and the age-dependent
-        # curve (calibrated from the same --afr) takes over.
-        plan = FaultPlan(
-            faults=plan.faults
-            + (
-                DeviceHazards(
-                    curve=args.hazard,
-                    shape=args.shape,
-                    scale=args.scale,
-                    afr=args.afr,
-                    infant_mortality=args.infant_mortality,
-                    steps_per_year=args.steps_per_year,
-                ),
-            )
+        # An age-dependent curve on the mission's own AFR and clock.
+        hazard = dict(
+            hazard=args.hazard,
+            hazard_shape=args.shape,
+            hazard_scale=args.scale,
+            infant_mortality=args.infant_mortality,
         )
-        afr = 0.0
     archive = TornadoArchive(
         graph, DeviceArray(graph.num_nodes), block_size=256
     )
@@ -863,9 +851,10 @@ def _cmd_mission(args) -> int:
         mission=MissionConfig(
             years=args.years,
             steps_per_year=args.steps_per_year,
-            afr=afr,
+            afr=args.afr,
             replacement_lag_steps=args.replacement_lag,
             repair_margin=args.repair_margin,
+            **hazard,
         ),
         scrub_interval=args.scrub_interval,
         read_interval=args.read_interval,

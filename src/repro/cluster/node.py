@@ -48,7 +48,7 @@ from typing import Any
 from ..obs.registry import registry
 from ..obs.seeding import SeedLike, resolve_rng
 from ..obs.trace import Tracer, context_seed
-from ..resilience.faults import FaultPlan, TransientOutages
+from ..resilience.faults import FaultPlan, TransientOutages, outage_steps
 from ..storage.blockstore import LocalBlockStore
 from ..storage.device import TransientUnavailableError
 from ..serve.lineserver import ArchiveEndpoint, start_line_server
@@ -113,10 +113,7 @@ class StorageNode:
             return self.available
         for spec in self._outage_specs:
             if self._rng.random() < spec.rate:
-                # Geometric recovery time with the spec's mean, same
-                # law the device-level injector draws.
-                p = 1.0 / spec.mean_outage_steps
-                self.interrupt(int(self._rng.geometric(p)))
+                self.interrupt(outage_steps(spec.mean_outage_steps, self._rng))
                 break
         return self.available
 

@@ -6,7 +6,7 @@ storage devices, the profile cache, and the serving stack:
 
 * :class:`MetricsRegistry` — counters, gauges, quantile histograms
   (log-spaced buckets, p50/p90/p99 in every summary, lossless
-  bucket-wise merges), ``timer()``/``span()`` context managers,
+  bucket-wise merges), the ``timer()`` context manager,
   structured events;
 * :class:`Tracer` / :mod:`repro.obs.trace` — causal tracing with
   deterministic trace/span IDs, contextvar-scoped current span, and

@@ -9,9 +9,9 @@ derives:
 * **span trees** (:func:`build_trace_trees`) — request → batch →
   decode → worker causality, with orphan detection so a broken
   propagation path is visible instead of silently flattening the tree;
-* **per-phase latency breakdowns** (:func:`phase_stats`) — every span
-  name and every registry ``span()`` ``.end`` event folded into
-  quantile histograms, rendered by :func:`format_phase_report`;
+* **per-phase latency breakdowns** (:func:`phase_stats`) — every
+  tracer span name folded into a quantile histogram, rendered by
+  :func:`format_phase_report`;
 * **human-readable tails** (:func:`format_tail`) of the raw stream.
 
 The ``repro obs`` CLI family (``tail``, ``report``, ``trace-tree``)
@@ -207,26 +207,20 @@ def phase_stats(
 ) -> dict[str, Histogram]:
     """Per-phase latency histograms from an event stream.
 
-    Folds two duration sources into quantile histograms keyed by phase
-    name: ``trace.span`` records (their ``elapsed``) and registry
-    ``span()`` close events (``*.end`` with a ``seconds`` field).
+    Folds every ``trace.span`` record's ``elapsed`` into a quantile
+    histogram keyed by span name; other events are ignored.
     """
     stats: dict[str, Histogram] = {}
-
-    def observe(name: str, seconds: float) -> None:
-        hist = stats.get(name)
-        if hist is None:
-            hist = stats[name] = Histogram(name)
-        hist.observe(seconds)
-
     for event in events:
-        kind = event.get("event", "")
-        if kind == "trace.span":
-            elapsed = event.get("elapsed")
-            if elapsed is not None:
-                observe(event.get("name", "?"), float(elapsed))
-        elif kind.endswith(".end") and "seconds" in event:
-            observe(kind[: -len(".end")], float(event["seconds"]))
+        if event.get("event") != "trace.span":
+            continue
+        elapsed = event.get("elapsed")
+        if elapsed is not None:
+            name = event.get("name", "?")
+            hist = stats.get(name)
+            if hist is None:
+                hist = stats[name] = Histogram(name)
+            hist.observe(float(elapsed))
     return stats
 
 

@@ -332,9 +332,6 @@ class NullRegistry:
     def timer(self, name: str):
         return _null_span()
 
-    def span(self, name: str, **fields: Any):
-        return _null_span()
-
     def snapshot(self) -> dict[str, Any]:
         return {"counters": {}, "gauges": {}, "histograms": {}}
 
@@ -429,18 +426,6 @@ class MetricsRegistry:
             yield hist
         finally:
             hist.observe(time.perf_counter() - t0)
-
-    @contextmanager
-    def span(self, name: str, **fields: Any) -> Iterator[None]:
-        """Timed scope that also emits begin/end events with fields."""
-        self.event(f"{name}.begin", **fields)
-        t0 = time.perf_counter()
-        try:
-            yield None
-        finally:
-            elapsed = time.perf_counter() - t0
-            self.histogram(name).observe(elapsed)
-            self.event(f"{name}.end", seconds=elapsed, **fields)
 
     # ------------------------------------------------------------------
     # Export

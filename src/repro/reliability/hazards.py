@@ -6,21 +6,25 @@ failure rate.  Real archival fleets are heterogeneous: field studies
 consistently show *infant mortality* (elevated failure rates in a
 device's first months), *wear-out* (rates climbing after the design
 life), and *correlated batch defects* (a bad manufacturing lot failing
-together).  This module provides the hazard machinery the mission
-simulator and the federated-site campaigns consume:
+together).  This module is the one device-failure process: the
+mission simulator, the lifetime simulator and the federation chaos
+campaign all draw from it.
 
 * :class:`WeibullHazard` — the standard parametric family.  Shape 1 is
-  the exponential (memoryless, AFR-equivalent) model; shape < 1 models
-  infant mortality; shape > 1 wear-out.  The scale may be calibrated
-  from an AFR so that a fresh device's first-year failure probability
-  matches the binomial model exactly (:func:`calibrated_scale`).
+  the exponential (memoryless, AFR-equivalent) model and the default
+  everywhere; shape < 1 models infant mortality; shape > 1 wear-out.
+  The scale may be calibrated from an AFR so that a fresh device's
+  first-year failure probability matches the binomial model exactly
+  (:func:`calibrated_scale`).
 * :class:`BathtubHazard` — the superposition of an infant-mortality
   Weibull and a wear-out Weibull (competing risks: the device fails
   when either process fires first), which is the classic bathtub curve.
 * :class:`FleetHazards` — a fleet-level wrapper: per-device hazard
   assignment, infant-mortality boosts for *replacement* devices (a
-  rebuilt drive re-enters the infant region), and correlated batch
-  defects (a seeded subset of devices carries a hazard multiplier).
+  rebuilt drive re-enters the infant region), correlated batch
+  defects (a seeded subset of devices carries a hazard multiplier),
+  and the stepped draw (:meth:`FleetHazards.failures`) under
+  :func:`repro.storage.run_mission` and ``repro sites chaos``.
 
 All time units are years.  Hazards expose the cumulative hazard
 ``H(t)`` (so step failure probabilities are exact survival-function
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -57,9 +62,9 @@ def failure_rate_from_afr(afr: float) -> float:
 def calibrated_scale(afr: float, shape: float) -> float:
     """Weibull scale with ``P(lifetime <= 1 year) = afr``.
 
-    Same calibration as :class:`repro.reliability.LifetimeConfig`, so a
-    hazard-driven mission at shape 1 is statistically identical to the
-    binomial-AFR baseline.
+    At shape 1 this is the memoryless binomial-AFR model: a mission
+    stepping this curve draws the same failures as independent
+    per-step Bernoulli trials at ``1 - (1 - afr) ** (1 / steps)``.
     """
     if shape <= 0:
         raise ValueError("shape must be positive")
@@ -248,14 +253,25 @@ class FleetHazards:
         )
         return 1.0 - math.exp(-max(0.0, delta))
 
-    def step_probabilities(self, t0: float, t1: float) -> np.ndarray:
-        """Vector of per-device step failure probabilities."""
-        return np.array(
-            [
-                self.step_probability(d, t0, t1)
-                for d in range(self.num_devices)
-            ]
-        )
+    def failures(
+        self,
+        t0: float,
+        t1: float,
+        devices: Iterable[int],
+        rng: np.random.Generator,
+    ) -> list[int]:
+        """The candidate devices that fail in ``(t0, t1]``.
+
+        Draws exactly one uniform per candidate, in the order given; a
+        device fails when its draw is below its step probability.  The
+        draw count never depends on the curve, so a stream shared with
+        other fault processes advances the same way under every hazard.
+        """
+        return [
+            d
+            for d in devices
+            if float(rng.random()) < self.step_probability(d, t0, t1)
+        ]
 
     def replace(self, device: int, t: float) -> bool:
         """A replacement enters service at fleet time ``t``.

@@ -28,6 +28,7 @@ import numpy as np
 from ..core.decoder import PeelingDecoder
 from ..core.graph import ErasureGraph
 from ..obs.seeding import SeedLike, resolve_rng
+from .hazards import WeibullHazard, failure_rate_from_afr
 
 __all__ = [
     "LifetimeConfig",
@@ -72,40 +73,22 @@ def failure_predicate_for_groups(
 class LifetimeConfig:
     """Mission parameters for a lifetime simulation.
 
-    ``hazard_shape`` is the Weibull shape of device lifetimes: 1.0 is
-    the memoryless exponential model; <1 models infant mortality
-    (failures cluster early in each device's life), >1 wear-out.  The
-    scale is always calibrated so the first-year failure probability of
-    a fresh device equals ``afr``.
+    Device lifetimes follow ``WeibullHazard.from_afr(afr,
+    hazard_shape)``: shape 1.0 is the memoryless exponential model; <1
+    models infant mortality (failures cluster early in each device's
+    life), >1 wear-out.  The scale is always calibrated so the
+    first-year failure probability of a fresh device equals ``afr``.
     """
 
     num_devices: int
-    afr: float  # annual failure probability per device
+    afr: float  # annual failure probability per device, in (0, 1)
     mttr_years: float  # mean time to repair one device
     mission_years: float = 10.0
     hazard_shape: float = 1.0
 
-    @property
-    def failure_rate(self) -> float:
-        """Poisson rate (per device-year) matching the AFR."""
-        if not 0 < self.afr < 1:
-            raise ValueError("afr must be in (0, 1)")
-        return -math.log1p(-self.afr)
-
-    @property
-    def weibull_scale(self) -> float:
-        """Weibull scale with P(lifetime <= 1 year) = afr."""
-        if self.hazard_shape <= 0:
-            raise ValueError("hazard_shape must be positive")
-        return 1.0 / self.failure_rate ** (1.0 / self.hazard_shape)
-
-    def sample_lifetime(self, rng: np.random.Generator) -> float:
-        """Draw one device lifetime (years from entering service)."""
-        if self.hazard_shape == 1.0:
-            return float(rng.exponential(1.0 / self.failure_rate))
-        return float(
-            self.weibull_scale * rng.weibull(self.hazard_shape)
-        )
+    def __post_init__(self) -> None:
+        # Reject a bad afr or shape here, not inside simulate_lifetime.
+        WeibullHazard.from_afr(self.afr, self.hazard_shape)
 
 
 @dataclass(frozen=True)
@@ -162,6 +145,7 @@ def simulate_lifetime(
     """
     rng = resolve_rng(rng if rng is not None else 0)
     n = config.num_devices
+    hazard = WeibullHazard.from_afr(config.afr, config.hazard_shape)
 
     losses = 0
     loss_times: list[float] = []
@@ -169,7 +153,7 @@ def simulate_lifetime(
         failed: set[int] = set()
         # Event queues: scheduled device failures and repair completions.
         fail_q: list[tuple[float, int]] = [
-            (config.sample_lifetime(rng), d) for d in range(n)
+            (hazard.sample_lifetime(rng), d) for d in range(n)
         ]
         heapq.heapify(fail_q)
         repair_q: list[tuple[float, int]] = []
@@ -185,7 +169,7 @@ def simulate_lifetime(
                 failed.discard(device)
                 # replacement device: fresh lifetime from now
                 heapq.heappush(
-                    fail_q, (t + config.sample_lifetime(rng), device)
+                    fail_q, (t + hazard.sample_lifetime(rng), device)
                 )
                 continue
             t, device = heapq.heappop(fail_q)
@@ -217,7 +201,7 @@ def mttdl_mirrored(
     of ``num_pairs`` independent pairs divides by the pair count.  Valid
     for ``MTTR << MTTF``.
     """
-    lam = -math.log1p(-afr)
+    lam = failure_rate_from_afr(afr)
     pair = 1.0 / (2 * lam * lam * mttr_years)
     return pair / num_pairs
 
@@ -235,7 +219,7 @@ def mttdl_raid(
     (RAID6): ``MTTF^3 / (g (g-1) (g-2) MTTR^2)``.  System MTTDL divides
     by the group count.
     """
-    lam = -math.log1p(-afr)
+    lam = failure_rate_from_afr(afr)
     g = group_size
     if tolerance == 1:
         group = 1.0 / (g * (g - 1) * lam * lam * mttr_years)

@@ -38,7 +38,6 @@ from .cluster_campaign import (
 )
 from .faults import (
     CoordinatorCrashes,
-    DeviceHazards,
     DrawerOutages,
     FaultInjector,
     FaultPlan,
@@ -58,7 +57,6 @@ __all__ = [
     "ClusterCampaignConfig",
     "ClusterCampaignReport",
     "CoordinatorCrashes",
-    "DeviceHazards",
     "DrawerOutages",
     "FaultInjector",
     "FaultPlan",

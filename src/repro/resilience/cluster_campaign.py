@@ -65,6 +65,7 @@ from .faults import (
     NetworkPartitions,
     NodeCrashes,
     SlowNodes,
+    outage_steps,
 )
 
 __all__ = [
@@ -236,9 +237,6 @@ def run_cluster_campaign(
         def pick(pool: list[str]) -> str:
             return pool[int(rng.integers(0, len(pool)))]
 
-        def spell(mean_steps: float) -> int:
-            return int(rng.geometric(min(1.0, 1.0 / mean_steps)))
-
         def crash_coordinator(step: int) -> None:
             report.coordinator_crashes += 1
             pre_digest = client.status()["state_sha256"]
@@ -305,7 +303,7 @@ def run_cluster_campaign(
 
         def partition_node(step: int, spec: NetworkPartitions) -> None:
             node_id = pick(sorted(cell.nodes))
-            steps = spell(spec.mean_partition_steps)
+            steps = outage_steps(spec.mean_partition_steps, rng)
             report.partitions += 1
             partitioned_until[node_id] = step + steps
             note(step, "partition", node=node_id, steps=steps)
@@ -317,7 +315,7 @@ def run_cluster_campaign(
             if not alive:
                 return
             node_id = pick(alive)
-            steps = spell(spec.mean_slow_steps)
+            steps = outage_steps(spec.mean_slow_steps, rng)
             report.slowdowns += 1
             slowed_until[node_id] = step + steps
             note(step, "slow", node=node_id, steps=steps)

@@ -22,12 +22,10 @@ as composable per-step fault processes over a
   can see it.
 * :class:`ReplacementJitter` — procurement noise: each replacement's
   lag gains 0..``max_extra_steps`` extra steps.
-* :class:`DeviceHazards` — replaces the memoryless AFR draw with
-  per-device hazard curves (:mod:`repro.reliability.hazards`):
-  Weibull/bathtub aging, infant mortality on replacement devices, and
-  correlated manufacturing-batch defects.  The mission's baseline
-  binomial draw stays untouched; this spec layers age-dependent
-  failures on top (set the mission AFR to 0 to run hazard-only).
+
+Permanent device failure is not a plan fault: the mission draws it
+from its own hazard fleet (:class:`~repro.storage.MissionConfig`,
+:mod:`repro.reliability.hazards`).
 
 Cluster-level specs (PR 7) extend the taxonomy to the multi-process
 cluster, where the failing unit is a *process* or the *network*, not a
@@ -74,7 +72,6 @@ __all__ = [
     "LatentErrors",
     "SilentCorruption",
     "ReplacementJitter",
-    "DeviceHazards",
     "CoordinatorCrashes",
     "NodeCrashes",
     "NetworkPartitions",
@@ -82,6 +79,16 @@ __all__ = [
     "FaultPlan",
     "FaultInjector",
 ]
+
+
+def outage_steps(mean: float, rng: np.random.Generator) -> int:
+    """Geometric outage length: mean ``mean`` steps, at least one.
+
+    The discrete analogue of exponential repair times; every transient
+    fault process (device, drawer, node, partition, slow node) draws
+    its duration here.
+    """
+    return int(rng.geometric(min(1.0, 1.0 / mean)))
 
 
 def _check_rate(rate: float) -> None:
@@ -163,55 +170,6 @@ class ReplacementJitter:
 
 
 @dataclass(frozen=True)
-class DeviceHazards:
-    """Age-dependent per-device failures via hazard curves.
-
-    ``curve`` selects :class:`~repro.reliability.hazards.WeibullHazard`
-    (``"weibull"``) or :class:`~repro.reliability.hazards.BathtubHazard`
-    (``"bathtub"``).  ``scale`` 0 calibrates the Weibull scale from
-    ``afr`` so a shape-1 curve matches the binomial-AFR baseline.
-    ``infant_mortality`` is the probability each *replacement* device is
-    an infant-mortality unit; ``batch_defect_rate`` flags contiguous
-    ``batch_size``-device lots with a ``defect_multiplier`` hazard
-    penalty.  ``steps_per_year`` converts mission steps to hazard time
-    and should match the mission's own cadence.
-    """
-
-    curve: str = "weibull"  # "weibull" or "bathtub"
-    shape: float = 1.0
-    scale: float = 0.0  # 0 -> calibrate from afr
-    afr: float = 0.02
-    infant_mortality: float = 0.0
-    infant_first_year: float = 0.10
-    batch_defect_rate: float = 0.0
-    batch_size: int = 12
-    defect_multiplier: float = 8.0
-    steps_per_year: int = 12
-
-    kind = "hazard"
-
-    def __post_init__(self) -> None:
-        if self.curve not in ("weibull", "bathtub"):
-            raise ValueError("curve must be 'weibull' or 'bathtub'")
-        if self.shape <= 0:
-            raise ValueError("shape must be positive")
-        if self.scale < 0:
-            raise ValueError("scale must be non-negative")
-        if not 0.0 < self.afr < 1.0:
-            raise ValueError("afr must lie in (0, 1)")
-        _check_rate(self.infant_mortality)
-        if not 0.0 < self.infant_first_year < 1.0:
-            raise ValueError("infant_first_year must lie in (0, 1)")
-        _check_rate(self.batch_defect_rate)
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
-        if self.defect_multiplier < 1.0:
-            raise ValueError("defect_multiplier must be >= 1")
-        if self.steps_per_year < 1:
-            raise ValueError("steps_per_year must be positive")
-
-
-@dataclass(frozen=True)
 class CoordinatorCrashes:
     """SIGKILL the coordinator; it must restart and recover its WAL."""
 
@@ -279,7 +237,6 @@ _SPEC_KINDS = {
         LatentErrors,
         SilentCorruption,
         ReplacementJitter,
-        DeviceHazards,
         CoordinatorCrashes,
         NodeCrashes,
         NetworkPartitions,
@@ -293,7 +250,6 @@ FaultSpec = (
     | LatentErrors
     | SilentCorruption
     | ReplacementJitter
-    | DeviceHazards
     | CoordinatorCrashes
     | NodeCrashes
     | NetworkPartitions
@@ -363,10 +319,6 @@ class FaultInjector:
     def __init__(self, plan: FaultPlan):
         self.plan = plan
         self._recovery: dict[int, int] = {}  # device id -> restore step
-        # Per-DeviceHazards-spec fleet state (lazily built on first
-        # injection, when the archive's device count is known).
-        self._fleets: dict[int, object] = {}
-        self._hazard_prev_failed: dict[int, set[int]] = {}
         self.counts: dict[str, int] = {
             kind: 0 for kind in plan.fault_classes
         }
@@ -381,19 +333,12 @@ class FaultInjector:
         # on the ambient span (the campaign or mission-step span).
         add_trace_event("resilience.fault", kind=kind)
 
-    def _outage_steps(
-        self, mean: float, rng: np.random.Generator
-    ) -> int:
-        # Geometric recovery: the discrete analogue of exponential
-        # repair times, mean `mean` steps, minimum one step.
-        return int(rng.geometric(min(1.0, 1.0 / mean)))
-
     def _interrupt(
         self,
         step: int,
         devices,
         ids: Iterable[int],
-        outage_steps: int,
+        steps: int,
     ) -> list[int]:
         hit = []
         for did in ids:
@@ -402,7 +347,7 @@ class FaultInjector:
                 DeviceState.STANDBY,
             ):
                 devices[did].interrupt()
-                self._recovery[did] = step + outage_steps
+                self._recovery[did] = step + steps
                 hit.append(did)
         return hit
 
@@ -453,7 +398,7 @@ class FaultInjector:
         events = []
         for d in archive.devices.devices:
             if d.available and rng.random() < spec.rate:
-                steps = self._outage_steps(spec.mean_outage_steps, rng)
+                steps = outage_steps(spec.mean_outage_steps, rng)
                 self._interrupt(
                     step, archive.devices, [d.device_id], steps
                 )
@@ -493,7 +438,7 @@ class FaultInjector:
                     )
                 )
             else:
-                steps = self._outage_steps(spec.mean_outage_steps, rng)
+                steps = outage_steps(spec.mean_outage_steps, rng)
                 hit = self._interrupt(
                     step, archive.devices, members, steps
                 )
@@ -551,106 +496,3 @@ class FaultInjector:
                 )
             )
         return events
-
-    def _fleet_for(self, spec, archive, rng):
-        """The lazily-built FleetHazards state behind a hazard spec."""
-        from ..reliability.hazards import (
-            BathtubHazard,
-            FleetHazards,
-            WeibullHazard,
-        )
-
-        fleet = self._fleets.get(id(spec))
-        if fleet is not None:
-            return fleet
-        if spec.scale > 0:
-            wearout = WeibullHazard(shape=spec.shape, scale=spec.scale)
-        else:
-            wearout = WeibullHazard.from_afr(spec.afr, shape=spec.shape)
-        if spec.curve == "bathtub":
-            base = BathtubHazard(
-                infant=WeibullHazard.from_afr(
-                    spec.infant_first_year, shape=0.5
-                ),
-                wearout=wearout,
-            )
-        else:
-            base = wearout
-        fleet = FleetHazards(
-            len(archive.devices),
-            base,
-            infant_mortality=spec.infant_mortality,
-            infant_first_year=spec.infant_first_year,
-            batch_defect_rate=spec.batch_defect_rate,
-            batch_size=spec.batch_size,
-            defect_multiplier=spec.defect_multiplier,
-            # Heterogeneity draws come off the mission RNG stream, so
-            # one mission seed reproduces the whole fleet layout.
-            seed=int(rng.integers(0, 2**63)),
-        )
-        self._fleets[id(spec)] = fleet
-        self._hazard_prev_failed[id(spec)] = set()
-        return fleet
-
-    def _inject_hazard(self, spec, step, archive, rng):
-        fleet = self._fleet_for(spec, archive, rng)
-        devices = archive.devices
-        t0 = step / spec.steps_per_year
-        t1 = (step + 1) / spec.steps_per_year
-        events = []
-
-        # Devices that were failed last step and are online again were
-        # swapped by the replacement pipeline: reset their age and draw
-        # whether the fresh unit is an infant-mortality victim.
-        prev_failed = self._hazard_prev_failed[id(spec)]
-        for did in sorted(prev_failed):
-            if devices[did].state is DeviceState.ONLINE:
-                if fleet.replace(did, t0):
-                    events.append(
-                        MissionEvent(
-                            step,
-                            "fault",
-                            f"hazard: replacement device {did} is an "
-                            f"infant-mortality unit",
-                        )
-                    )
-
-        # Age-dependent failure draws, one per available device in id
-        # order (fixed draw order keeps campaigns reproducible).
-        doomed = []
-        for d in devices.devices:
-            if not d.available:
-                continue
-            p = fleet.step_probability(d.device_id, t0, t1)
-            if float(rng.random()) < p:
-                doomed.append(d.device_id)
-        if doomed:
-            devices.fail(doomed)
-            for did in doomed:
-                self._count("hazard")
-                events.append(
-                    MissionEvent(
-                        step,
-                        "fault",
-                        f"hazard: device {did} failed at age "
-                        f"{fleet.age_of(did, t1):.2f}y"
-                        + (
-                            " (batch defect)"
-                            if fleet.defective[did]
-                            else ""
-                        ),
-                    )
-                )
-        self._hazard_prev_failed[id(spec)] = set(devices.failed_ids)
-        return events
-
-    def hazard_summary(self) -> dict:
-        """Merged heterogeneity facts from all active hazard fleets."""
-        out: dict = {}
-        for fleet in self._fleets.values():
-            for key, value in fleet.summary().items():
-                if key == "infant_mortality":
-                    out[key] = value
-                else:
-                    out[key] = out.get(key, 0) + value
-        return out

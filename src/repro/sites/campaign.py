@@ -229,13 +229,14 @@ def run_sites_campaign(
                     if sid in dark_until:
                         continue
                     site = sites[sid]
-                    for ni, node_id in enumerate(sorted(site.nodes)):
-                        device = si * config.nodes_per_site + ni
-                        p = hazards.step_probability(
-                            device, float(step), float(step + 1)
-                        )
-                        if float(kill_rng.random()) >= p:
-                            continue
+                    devices = {
+                        si * config.nodes_per_site + ni: node_id
+                        for ni, node_id in enumerate(sorted(site.nodes))
+                    }
+                    for device in hazards.failures(
+                        float(step), float(step + 1), devices, kill_rng
+                    ):
+                        node_id = devices[device]
                         report.node_kills += 1
                         note(
                             "node_kill",

@@ -5,9 +5,11 @@ The reproduction has no hardware, so devices are simulated state
 machines with the properties the paper's analysis depends on: they hold
 one block per stripe, they can be online, spun down (MAID), or failed,
 and they expose access counters for the power/retrieval studies.
-Failure injection drives every experiment: deterministic (`fail`),
-random k-of-n (`fail_random`), and Bernoulli AFR draws
-(`fail_bernoulli`) matching the reliability model's Eq. 2 assumptions.
+Failure injection drives every experiment: deterministic (`fail`) and
+random k-of-n (`fail_random`).  Stochastic failures over time — the
+reliability model's Eq. 2 AFR draws and their age-dependent variants —
+come from :class:`repro.reliability.FleetHazards`, which decides *which*
+devices fail; this module only applies the verdict.
 
 Beyond the paper's clean permanent losses, devices also model the
 failure modes real archives see (see :mod:`repro.resilience`):
@@ -217,16 +219,6 @@ class DeviceArray:
         chosen = rng.choice(alive, size=k, replace=False).tolist()
         self.fail(chosen)
         return sorted(chosen)
-
-    def fail_bernoulli(self, afr: float, rng: SeedLike = None) -> list[int]:
-        """Fail each alive device independently with probability ``afr``."""
-        rng = resolve_rng(rng)
-        failed = []
-        for d in self.devices:
-            if d.available and rng.random() < afr:
-                d.fail()
-                failed.append(d.device_id)
-        return failed
 
     def interrupt(self, device_ids: Iterable[int]) -> None:
         """Transiently interrupt a set of devices (data intact)."""

@@ -7,42 +7,103 @@ reconstructing missing blocks before stripes approach the first-failure
 boundary — "reconstruct missing blocks before a stripe approaches the
 initial failure point".
 
-The simulation is time-stepped (default weekly): each step draws
-Bernoulli device failures at the configured AFR, advances pending
-replacements, runs a monitor repair cycle, and records stripe-margin
-telemetry.  The output answers the operational question Table 5 cannot:
-how close did the archive come to loss *with* repair in the loop?
+The simulation is time-stepped (default weekly): each step advances
+pending replacements, draws device failures from the mission's hazard
+fleet (:mod:`repro.reliability.hazards`; by default the memoryless
+binomial model at the configured AFR), runs a monitor repair cycle,
+and records stripe-margin telemetry.  The output answers the
+operational question Table 5 cannot: how close did the archive come to
+loss *with* repair in the loop?
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..obs.seeding import SeedLike, resolve_rng
+from ..reliability.hazards import (
+    BathtubHazard,
+    FleetHazards,
+    WeibullHazard,
+    calibrated_scale,
+)
 from .archive import DataLossError, TornadoArchive
 from .monitor import StripeMonitor
 
 __all__ = ["MissionConfig", "MissionEvent", "MissionReport", "run_mission"]
 
+# The bathtub curve's infant arm: front-loaded (shape 0.5), with 10% of
+# fresh units failing in their first year.
+_BATHTUB_INFANT = WeibullHazard.from_afr(0.10, shape=0.5)
+
 
 @dataclass(frozen=True)
 class MissionConfig:
-    """Operational parameters of an archival mission."""
+    """Operational parameters of an archival mission.
+
+    Devices fail through one :class:`~repro.reliability.FleetHazards`
+    process on the mission's own ``afr`` and ``steps_per_year``.  The
+    default curve (Weibull, shape 1, scale calibrated from ``afr``) is
+    the paper's memoryless binomial model.  ``hazard="bathtub"`` adds a
+    front-loaded infant arm; ``hazard_shape`` > 1 ages devices toward
+    wear-out; ``hazard_scale`` > 0 pins the characteristic life in
+    years instead of calibrating it.  ``infant_mortality`` is the
+    probability a replacement is an infant-mortality unit, and
+    ``batch_defect_rate`` the fraction of devices in defective lots.
+    """
 
     years: float = 5.0
     steps_per_year: int = 52  # weekly steps
-    afr: float = 0.01  # annual device failure probability
+    afr: float = 0.01  # annual device failure probability, in [0, 1)
     replacement_lag_steps: int = 2  # procurement + rebuild delay
     repair_margin: int = 2  # monitor threshold
+    hazard: str = "weibull"  # "weibull" or "bathtub"
+    hazard_shape: float = 1.0
+    hazard_scale: float = 0.0  # years; 0 calibrates from afr
+    infant_mortality: float = 0.0
+    batch_defect_rate: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.afr < 1.0:
+            raise ValueError("afr must lie in [0, 1)")
+        if self.hazard not in ("weibull", "bathtub"):
+            raise ValueError("hazard must be 'weibull' or 'bathtub'")
+        # The curve and fleet constructors check the other hazard
+        # fields; build a throwaway fleet so a bad value fails here.
+        self.fleet(1, np.random.default_rng(0))
 
     @property
     def num_steps(self) -> int:
         return int(round(self.years * self.steps_per_year))
 
-    @property
-    def step_failure_probability(self) -> float:
-        """Per-step Bernoulli probability matching the AFR."""
-        return 1.0 - (1.0 - self.afr) ** (1.0 / self.steps_per_year)
+    def fleet(
+        self, num_devices: int, rng: np.random.Generator
+    ) -> FleetHazards:
+        """The mission's device-failure process over ``num_devices``.
+
+        Batch placement and infant verdicts draw from ``rng`` (the
+        mission stream), and only when ``batch_defect_rate`` /
+        ``infant_mortality`` are non-zero.
+        """
+        if self.hazard_scale:
+            scale = self.hazard_scale
+        elif self.afr > 0:
+            scale = calibrated_scale(self.afr, self.hazard_shape)
+        else:
+            scale = math.inf  # afr 0: no device ever fails
+        curve = WeibullHazard(self.hazard_shape, scale)
+        if self.hazard == "bathtub":
+            curve = BathtubHazard(infant=_BATHTUB_INFANT, wearout=curve)
+        return FleetHazards(
+            num_devices,
+            curve,
+            infant_mortality=self.infant_mortality,
+            batch_defect_rate=self.batch_defect_rate,
+            seed=rng,
+        )
 
 
 @dataclass(frozen=True)
@@ -75,9 +136,12 @@ class MissionReport:
         return not self.lost_objects
 
     def describe(self) -> str:
+        cfg = self.config
+        curve = ""
+        if (cfg.hazard, cfg.hazard_shape) != ("weibull", 1.0):
+            curve = f" ({cfg.hazard} hazard, shape {cfg.hazard_shape:g})"
         lines = [
-            f"mission: {self.config.years:g} years, AFR "
-            f"{self.config.afr:.1%}, "
+            f"mission: {cfg.years:g} years, AFR {cfg.afr:.1%}{curve}, "
             f"{self.device_failures} device failures, "
             f"{self.blocks_repaired} blocks repaired",
             f"minimum stripe margin reached: {self.min_margin}",
@@ -100,12 +164,13 @@ def run_mission(
 ) -> MissionReport:
     """Simulate one archival mission over the given archive.
 
-    The archive should already hold its objects.  Device failures use
-    the array's Bernoulli injection; failed devices come back (empty)
-    after the replacement lag and the monitor rewrites their blocks.
+    The archive should already hold its objects.  Device failures come
+    from ``config.fleet``: one uniform per available device per step,
+    in id order.  Failed devices come back (empty, age 0) after the
+    replacement lag and the monitor rewrites their blocks.
 
     ``injector`` (see :class:`repro.resilience.FaultInjector`) is called
-    each step after the baseline Bernoulli draws to apply plan-driven
+    each step after the hazard draws to apply plan-driven
     faults — transient outages, correlated drawer events, latent errors,
     corruption — and to jitter replacement lags
     (``injector.replacement_extra``).  Any device it leaves FAILED
@@ -119,6 +184,8 @@ def run_mission(
     corruption).
     """
     rng = resolve_rng(rng if rng is not None else 0)
+    devices = archive.devices
+    fleet = config.fleet(len(devices), rng)
     monitor = StripeMonitor(archive, repair_margin=config.repair_margin)
     events: list[MissionEvent] = []
     pending: dict[int, int] = {}  # device id -> step it returns
@@ -127,19 +194,28 @@ def run_mission(
     device_failures = 0
     lost: list[str] = []
 
-    p_step = config.step_failure_probability
     for step in range(config.num_steps):
-        # 1. replacements arrive
+        t0 = step / config.steps_per_year
+        t1 = (step + 1) / config.steps_per_year
+        # 1. replacements enter service
         ready = [d for d, due in pending.items() if due <= step]
         for d in ready:
-            archive.devices[d].rebuild()
+            devices[d].rebuild()
             del pending[d]
+            infant = fleet.replace(d, t0)
             events.append(
-                MissionEvent(step, "replacement", f"device {d} rebuilt")
+                MissionEvent(
+                    step,
+                    "replacement",
+                    f"device {d} rebuilt"
+                    + (" (infant-mortality unit)" if infant else ""),
+                )
             )
 
-        # 2. stochastic failures, then plan-driven faults
-        failed = archive.devices.fail_bernoulli(p_step, rng)
+        # 2. hazard failures, then plan-driven faults
+        alive = [d.device_id for d in devices.devices if d.available]
+        failed = fleet.failures(t0, t1, alive, rng)
+        devices.fail(failed)
         for d in failed:
             events.append(
                 MissionEvent(step, "failure", f"device {d} failed")
@@ -148,8 +224,8 @@ def run_mission(
             events.extend(injector.inject(step, archive, rng))
 
         # 2b. every failed device not yet pending gets a replacement
-        # scheduled (covers both Bernoulli and injector-driven faults)
-        for d in archive.devices.failed_ids:
+        # scheduled (covers both hazard and injector-driven faults)
+        for d in devices.failed_ids:
             if d not in pending:
                 device_failures += 1
                 lag = config.replacement_lag_steps

@@ -100,15 +100,6 @@ class TestTimers:
 
 
 class TestSpansAndEvents:
-    def test_span_emits_begin_end(self):
-        reg = MetricsRegistry()
-        with reg.span("phase", graph="g1"):
-            pass
-        kinds = [e["event"] for e in reg.events]
-        assert kinds == ["phase.begin", "phase.end"]
-        assert reg.events[1]["seconds"] >= 0
-        assert reg.histogram("phase").count == 1
-
     def test_events_buffer_without_sink(self):
         reg = MetricsRegistry()
         reg.event("thing", value=3)
@@ -128,8 +119,6 @@ class TestGlobalState:
         reg.histogram("z").observe(2)
         reg.event("e", a=1)
         with reg.timer("t"):
-            pass
-        with reg.span("s"):
             pass
         assert reg.counter("x").value == 0
         assert reg.snapshot() == {

@@ -1,7 +1,5 @@
 """Tests for the per-device hazard-curve machinery."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -137,9 +135,10 @@ class TestFleetHazards:
     def test_same_seed_same_fleet(self):
         a, b = self._fleet(), self._fleet()
         assert (a.defective == b.defective).all()
-        assert a.step_probabilities(2.0, 2.5) == pytest.approx(
-            b.step_probabilities(2.0, 2.5)
-        )
+        for d in range(48):
+            assert a.step_probability(d, 2.0, 2.5) == (
+                b.step_probability(d, 2.0, 2.5)
+            )
 
     def test_replacement_resets_age_and_clears_defect(self):
         fleet = self._fleet(infant_mortality=0.0)
@@ -164,6 +163,43 @@ class TestFleetHazards:
             never.step_probability(3, 2.0, 2.5)
         )
         assert always.summary()["infant_replacements"] == 1
+
+    def test_failures_draw_one_uniform_per_candidate_in_order(self):
+        fleet = self._fleet(infant_mortality=0.0)
+        candidates = [40, 3, 17, 3, 0, 29]
+        t0, t1 = 4.0, 6.0
+        got_rng = np.random.default_rng(21)
+        failed = fleet.failures(t0, t1, candidates, got_rng)
+        want_rng = np.random.default_rng(21)
+        draws = [float(want_rng.random()) for _ in candidates]
+        assert failed == [
+            d
+            for d, u in zip(candidates, draws)
+            if u < fleet.step_probability(d, t0, t1)
+        ]
+        assert 0 < len(failed) < len(candidates)
+        # Exactly one draw each: both streams now stand at one place.
+        assert got_rng.random() == want_rng.random()
+
+    def test_failures_see_a_replacement_at_age_zero(self):
+        fleet = FleetHazards(4, WeibullHazard(shape=4.0, scale=2.0))
+        # At 3-4 years the wear-out curve all but guarantees failure.
+        aged = fleet.step_probability(1, 3.0, 4.0)
+        fleet.replace(1, 3.0)
+        assert fleet.age_of(1, 3.0) == 0.0
+        fresh = fleet.step_probability(1, 3.0, 4.0)
+        assert fresh < 0.1 < 0.9 < aged
+        rng = np.random.default_rng(0)
+        failed = [fleet.failures(3.0, 4.0, [0, 1], rng) for _ in range(50)]
+        assert all(0 in f for f in failed)
+        assert sum(1 in f for f in failed) < 15
+
+    def test_failures_statistics(self):
+        fleet = FleetHazards(2000, WeibullHazard.from_afr(0.1))
+        failed = fleet.failures(
+            0.0, 1.0, range(2000), np.random.default_rng(0)
+        )
+        assert 130 < len(failed) < 270  # ~200 expected
 
     def test_step_probability_validation(self):
         fleet = self._fleet()

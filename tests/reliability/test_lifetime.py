@@ -1,5 +1,7 @@
 """Tests for the lifetime (failure + repair) simulator."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -8,6 +10,8 @@ import pytest
 from repro.graphs import mirrored_graph
 from repro.reliability import (
     LifetimeConfig,
+    WeibullHazard,
+    failure_rate_from_afr,
     failure_predicate_for_graph,
     failure_predicate_for_groups,
     mttdl_mirrored,
@@ -36,14 +40,14 @@ class TestPredicates:
 
 class TestConfig:
     def test_failure_rate_matches_afr(self):
-        cfg = LifetimeConfig(num_devices=10, afr=0.01, mttr_years=0.01)
         # P(fail within a year) = 1 - exp(-lambda) = afr
-        assert 1 - math.exp(-cfg.failure_rate) == pytest.approx(0.01)
+        lam = failure_rate_from_afr(0.01)
+        assert 1 - math.exp(-lam) == pytest.approx(0.01)
 
     def test_rejects_bad_afr(self):
-        cfg = LifetimeConfig(num_devices=10, afr=0.0, mttr_years=0.01)
-        with pytest.raises(ValueError):
-            _ = cfg.failure_rate
+        for afr in (0.0, 1.0, 1.5, -0.1):
+            with pytest.raises(ValueError, match="afr"):
+                LifetimeConfig(num_devices=10, afr=afr, mttr_years=0.01)
 
 
 class TestSimulation:
@@ -91,6 +95,32 @@ class TestSimulation:
         )
         assert r1.loss_times == r2.loss_times
 
+    @pytest.mark.parametrize(
+        "shape, losses, digest",
+        [
+            (0.7, 3, "014a3c418e731b4d"),
+            (1.0, 5, "9317cd812a92b7dc"),
+            (3.0, 58, "2e816403637ccbcd"),
+        ],
+    )
+    def test_pinned_results(self, shape, losses, digest):
+        """Lifetimes come from ``WeibullHazard.from_afr``; these values
+        were pinned from the exponential/Weibull sampler it replaced."""
+        fails = failure_predicate_for_groups(8, 4, 1)
+        cfg = LifetimeConfig(
+            num_devices=32,
+            afr=0.05,
+            mttr_years=0.05,
+            mission_years=5,
+            hazard_shape=shape,
+        )
+        result = simulate_lifetime(
+            fails, cfg, n_runs=60, rng=np.random.default_rng(5)
+        )
+        assert result.losses == losses
+        text = json.dumps(list(result.loss_times))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
     def test_repair_reduces_loss(self):
         """Faster repair must not increase loss probability."""
         fails = failure_predicate_for_groups(24, 2, 1)
@@ -110,6 +140,13 @@ class TestSimulation:
 
 
 class TestMTTDLClosedForms:
+    def test_rejects_bad_afr(self):
+        for afr in (0.0, 1.0, 1.5):
+            with pytest.raises(ValueError, match="afr"):
+                mttdl_mirrored(48, afr, 0.1)
+            with pytest.raises(ValueError, match="afr"):
+                mttdl_raid(12, 8, afr, 0.1)
+
     def test_mirrored_formula(self):
         lam = -math.log1p(-0.1)
         expect = 1.0 / (2 * lam * lam * 0.05) / 4
@@ -147,25 +184,19 @@ class TestMTTDLClosedForms:
 class TestWeibullHazard:
     def test_scale_calibrated_to_afr(self):
         """P(lifetime <= 1 yr) must equal the AFR for any shape."""
-        import numpy as np
-
         for shape in (0.7, 1.0, 2.0):
-            cfg = LifetimeConfig(
-                num_devices=1, afr=0.2, mttr_years=0.1,
-                hazard_shape=shape,
-            )
+            hazard = WeibullHazard.from_afr(0.2, shape)
             rng = np.random.default_rng(0)
             draws = np.array(
-                [cfg.sample_lifetime(rng) for _ in range(30_000)]
+                [hazard.sample_lifetime(rng) for _ in range(30_000)]
             )
             assert (draws <= 1.0).mean() == pytest.approx(0.2, abs=0.01)
 
     def test_rejects_nonpositive_shape(self):
-        cfg = LifetimeConfig(
-            num_devices=1, afr=0.1, mttr_years=0.1, hazard_shape=0.0
-        )
         with pytest.raises(ValueError):
-            _ = cfg.weibull_scale
+            LifetimeConfig(
+                num_devices=1, afr=0.1, mttr_years=0.1, hazard_shape=0.0
+            )
 
     def test_wearout_hurts_multi_year_missions(self):
         """With lifetimes calibrated to the same *first-year* AFR,

@@ -1,5 +1,9 @@
 """Tests for seeded fault-injection campaigns."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.resilience import (
@@ -42,6 +46,113 @@ def run_once(graph, seed=11):
     return run_campaign(
         build_archive(graph), FULL_PLAN, QUIET_CONFIG, seed=seed
     )
+
+
+EXAMPLE_PLAN = (
+    Path(__file__).resolve().parents[2] / "examples" / "fault_plan.json"
+)
+
+# Campaign digests pinned from the per-device Bernoulli draw that the
+# hazard fleet's default curve (Weibull, shape 1) replaced: plan x AFR
+# x seeds 0-3, two years of weekly steps over ``build_archive``.
+PINNED = {
+    "empty": {
+        0.0: (
+            "c629de3b120ebb36",
+            "c629de3b120ebb36",
+            "c629de3b120ebb36",
+            "c629de3b120ebb36",
+        ),
+        0.01: (
+            "aff2a27369f4676c",
+            "5d3737b1d3e0e4f8",
+            "c629de3b120ebb36",
+            "4c33f7211d9b7c45",
+        ),
+        0.05: (
+            "00d94cef3afd0886",
+            "8881de32fea1e84d",
+            "e503b3955fb611f2",
+            "82a274f1974ba090",
+        ),
+        0.2: (
+            "1f0ee67cc2c1a7d5",
+            "df022873a02d11b9",
+            "a09fc80ade17d87b",
+            "4dad7d8e0ab90106",
+        ),
+    },
+    "example": {
+        0.0: (
+            "1aacdc29cbf6e9f8",
+            "58c5ddf08b0cf7dd",
+            "6d527e214aeee263",
+            "f14c61be46405b0c",
+        ),
+        0.01: (
+            "3ff8a57775680182",
+            "a94fae75bcc0d085",
+            "6d527e214aeee263",
+            "a7c42e230eab20ce",
+        ),
+        0.05: (
+            "2e4f74752ed5cb73",
+            "5fc498b57f3f415b",
+            "25390df01b3bde58",
+            "a05e54c06b315113",
+        ),
+        0.2: (
+            "f8b06dde315697cb",
+            "7a18dda3d7477c52",
+            "c4327028b3e40b47",
+            "474e5c20b169c3a8",
+        ),
+    },
+}
+
+
+def campaign_digest(report) -> str:
+    mission = report.mission
+    record = {
+        "events": [[e.step, e.kind, e.detail] for e in mission.events],
+        "min_margin": mission.min_margin,
+        "blocks_repaired": mission.blocks_repaired,
+        "device_failures": mission.device_failures,
+        "lost": list(mission.lost_objects),
+        "faults": report.fault_counts,
+        "reads": [
+            report.reads_attempted,
+            report.degraded_reads,
+            report.read_retries,
+            report.transient_read_failures,
+            report.scrubbed_blocks,
+        ],
+        "queue": list(report.repair_queue_depth),
+    }
+    text = json.dumps(record, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+class TestPinnedCampaigns:
+    @pytest.mark.parametrize("plan_name", ["empty", "example"])
+    def test_binomial_campaigns_are_unchanged(self, small_tornado, plan_name):
+        plan = (
+            FaultPlan.load(EXAMPLE_PLAN)
+            if plan_name == "example"
+            else FaultPlan()
+        )
+        got = {}
+        for afr in PINNED[plan_name]:
+            config = CampaignConfig(mission=MissionConfig(years=2.0, afr=afr))
+            got[afr] = tuple(
+                campaign_digest(
+                    run_campaign(
+                        build_archive(small_tornado), plan, config, seed=seed
+                    )
+                )
+                for seed in range(4)
+            )
+        assert got == PINNED[plan_name]
 
 
 class TestReproducibility:

@@ -12,7 +12,13 @@ from repro.resilience import (
     SilentCorruption,
     TransientOutages,
 )
-from repro.storage import DeviceArray, DeviceState, TornadoArchive
+from repro.storage import (
+    DeviceArray,
+    DeviceState,
+    MissionConfig,
+    TornadoArchive,
+    run_mission,
+)
 
 
 @pytest.fixture
@@ -44,6 +50,12 @@ class TestFaultPlan:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown fault kind"):
             FaultPlan.from_dict({"faults": [{"kind": "gremlins"}]})
+
+    def test_hazard_kind_rejected(self):
+        """Device hazards are mission configuration, not a plan fault:
+        a plan naming kind ``hazard`` fails on load."""
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            FaultPlan.from_dict({"faults": [{"kind": "hazard", "afr": 0.02}]})
 
     def test_site_blackout_kind_rejected(self):
         """No layer consumes whole-site blackouts from a plan: naming one
@@ -206,115 +218,52 @@ class TestReproducibility:
 
 
 class TestDeviceHazardInjection:
-    def test_spec_roundtrip_and_validation(self):
-        from repro.resilience import DeviceHazards
+    """Device failures are the mission's own hazard fleet, configured on
+    :class:`MissionConfig`; no plan spec draws them."""
 
-        plan = FaultPlan(
-            faults=(
-                DeviceHazards(
-                    curve="bathtub",
-                    shape=3.0,
-                    afr=0.05,
-                    infant_mortality=0.2,
-                    batch_defect_rate=0.1,
-                ),
-            )
+    @staticmethod
+    def _mission(small_tornado, seed, **hazard):
+        # No objects: nothing can be lost, so the mission runs its
+        # full length and every failure draw is observable.
+        archive = TornadoArchive(small_tornado, DeviceArray(32), block_size=64)
+        config = MissionConfig(
+            steps_per_year=4, replacement_lag_steps=1, **hazard
         )
-        assert FaultPlan.from_json(plan.to_json()) == plan
-        with pytest.raises(ValueError):
-            DeviceHazards(curve="tub")
-        with pytest.raises(ValueError):
-            DeviceHazards(shape=0.0)
-        with pytest.raises(ValueError):
-            DeviceHazards(afr=0.0)
+        return run_mission(archive, config, np.random.default_rng(seed))
 
-    def test_wearout_failures_accumulate_with_age(self, archive):
-        from repro.resilience import DeviceHazards
-
-        injector = FaultInjector(
-            FaultPlan(
-                faults=(
-                    DeviceHazards(
-                        shape=4.0, afr=0.02, steps_per_year=4
-                    ),
-                )
-            )
+    def test_wearout_failures_accumulate_with_age(self, small_tornado):
+        report = self._mission(
+            small_tornado, 5, years=6, afr=0.02, hazard_shape=4.0
         )
-        rng = np.random.default_rng(5)
-        early = late = 0
-        for step in range(24):  # six simulated years
-            events = injector.inject(step, archive, rng)
-            failures = [e for e in events if "failed at age" in e.detail]
-            if step < 8:
-                early += len(failures)
-            else:
-                late += len(failures)
-        assert injector.counts.get("hazard", 0) == early + late
+        failures = [e.step for e in report.events if e.kind == "failure"]
+        early = sum(1 for step in failures if step < 8)
+        late = len(failures) - early
+        assert report.device_failures == early + late
         # Shape 4 wear-out: the old fleet fails much harder than the
         # young one.
         assert late > early
 
-    def test_replacement_draws_infant_mortality(self, archive):
-        from repro.resilience import DeviceHazards
-
-        injector = FaultInjector(
-            FaultPlan(
-                faults=(
-                    DeviceHazards(
-                        shape=1.0,
-                        afr=0.5,
-                        infant_mortality=1.0,
-                        steps_per_year=4,
-                    ),
-                )
-            )
+    def test_replacement_draws_infant_mortality(self, small_tornado):
+        report = self._mission(
+            small_tornado, 1, years=3, afr=0.5, infant_mortality=1.0
         )
-        rng = np.random.default_rng(1)
-        infants = 0
-        for step in range(12):
-            events = injector.inject(step, archive, rng)
-            infants += sum(
-                1 for e in events if "infant-mortality" in e.detail
-            )
-            # Instant replacement pipeline: every failed device is
-            # swapped before the next step, like run_mission's lag-0.
-            for did in archive.devices.failed_ids:
-                archive.devices[did].rebuild()
-        assert infants > 0
-        assert injector.hazard_summary()["infant_replacements"] == infants
+        rebuilt = [e for e in report.events if e.kind == "replacement"]
+        infants = [e for e in rebuilt if "infant-mortality" in e.detail]
+        assert infants
+        assert infants == rebuilt
 
     def test_hazard_runs_are_reproducible(self, small_tornado):
-        from repro.resilience import DeviceHazards
-
-        plan = FaultPlan(
-            faults=(
-                DeviceHazards(
-                    curve="bathtub",
-                    shape=4.0,
-                    afr=0.3,
-                    infant_mortality=0.5,
-                    batch_defect_rate=0.2,
-                    batch_size=8,
-                    steps_per_year=4,
-                ),
-            )
+        hazard = dict(
+            years=2.5,
+            afr=0.3,
+            hazard="bathtub",
+            hazard_shape=4.0,
+            infant_mortality=0.5,
+            batch_defect_rate=0.2,
         )
 
         def run():
-            archive = TornadoArchive(
-                small_tornado, DeviceArray(32), block_size=64
-            )
-            archive.put("doc", bytes(range(256)) * 8)
-            injector = FaultInjector(plan)
-            rng = np.random.default_rng(77)
-            log = []
-            for step in range(10):
-                log.extend(
-                    (e.step, e.kind, e.detail)
-                    for e in injector.inject(step, archive, rng)
-                )
-                for did in archive.devices.failed_ids:
-                    archive.devices[did].rebuild()
-            return log, injector.hazard_summary()
+            report = self._mission(small_tornado, 77, **hazard)
+            return [(e.step, e.kind, e.detail) for e in report.events]
 
         assert run() == run()

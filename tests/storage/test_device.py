@@ -92,12 +92,6 @@ class TestDeviceArray:
         with pytest.raises(ValueError):
             arr.fail_random(1, rng)
 
-    def test_fail_bernoulli_statistics(self):
-        rng = np.random.default_rng(0)
-        arr = DeviceArray(2000)
-        failed = arr.fail_bernoulli(0.1, rng)
-        assert 130 < len(failed) < 270  # ~200 expected
-
     def test_rebuild_all(self):
         arr = DeviceArray(4)
         arr.fail([0, 2])

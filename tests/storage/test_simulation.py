@@ -21,9 +21,42 @@ def loaded_archive(graph3):
 
 class TestMissionConfig:
     def test_step_probability_compounds_to_afr(self):
-        cfg = MissionConfig(afr=0.04, steps_per_year=52)
-        yearly = 1 - (1 - cfg.step_failure_probability) ** 52
-        assert yearly == pytest.approx(0.04)
+        fleet = MissionConfig(afr=0.04, steps_per_year=52).fleet(
+            1, np.random.default_rng(0)
+        )
+        survive = 1.0
+        for step in range(52):
+            survive *= 1 - fleet.step_probability(
+                0, step / 52, (step + 1) / 52
+            )
+        assert 1 - survive == pytest.approx(0.04)
+
+    def test_default_fleet_is_the_binomial_model(self):
+        """Weibull shape 1 steps at the per-step Bernoulli probability
+        of the AFR, to the last bit or so, at any device age."""
+        fleet = MissionConfig(afr=0.05).fleet(4, np.random.default_rng(0))
+        binomial = 1 - (1 - 0.05) ** (1 / 52)
+        for step in (0, 1, 51, 207):
+            p = fleet.step_probability(2, step / 52, (step + 1) / 52)
+            assert p == pytest.approx(binomial, rel=1e-12)
+
+    def test_zero_afr_never_fails(self):
+        fleet = MissionConfig(afr=0.0).fleet(8, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        assert fleet.failures(0.0, 10.0, range(8), rng) == []
+
+    def test_validation(self):
+        for bad in (
+            dict(afr=1.0),
+            dict(afr=-0.1),
+            dict(hazard="tub"),
+            dict(hazard_shape=0.0),
+            dict(hazard_scale=-1.0),
+            dict(infant_mortality=1.5),
+            dict(batch_defect_rate=-0.1),
+        ):
+            with pytest.raises(ValueError):
+                MissionConfig(**bad)
 
     def test_num_steps(self):
         assert MissionConfig(years=2, steps_per_year=10).num_steps == 20
@@ -98,3 +131,22 @@ class TestRunMission:
         assert [
             (e.step, e.kind, e.detail) for e in r1.events
         ] == [(e.step, e.kind, e.detail) for e in r2.events]
+
+
+class TestHazardClock:
+    def test_weekly_mission_fails_at_the_afr(self, graph3):
+        """A weekly 4-year mission on a Weibull curve at AFR 0.05 fails
+        about 96 * 4 * 0.05 devices: the curve ages on the mission's own
+        52-step year, not a clock of its own."""
+        cfg = MissionConfig(
+            years=4, afr=0.05, hazard="weibull", hazard_shape=1.0
+        )
+        counts = []
+        for seed in range(6):
+            archive = TornadoArchive(graph3, DeviceArray(96), block_size=32)
+            archive.put("x", bytes(2000))
+            report = run_mission(archive, cfg, np.random.default_rng(seed))
+            counts.append(report.device_failures)
+        expected = 96 * 4 * 0.05
+        sigma = (expected / len(counts)) ** 0.5
+        assert abs(np.mean(counts) - expected) <= 3 * sigma

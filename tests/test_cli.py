@@ -1,10 +1,15 @@
 """Tests for the command-line interface."""
 
+import hashlib
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
 from repro.core import load_graphml, save_graphml
 from repro.graphs import tornado_catalog_graph
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +131,27 @@ class TestMission:
         assert "outcome: all objects intact" in out
         assert "baseline failures only" in out
 
+    def test_ci_campaign_output_is_pinned(self, capsys):
+        """The CI chaos-smoke campaign prints the same report byte for
+        byte as the binomial draw the hazard fleet replaced."""
+        code = main(
+            [
+                "mission",
+                "--years",
+                "2",
+                "--afr",
+                "0.01",
+                "--seed",
+                "3",
+                "--faults",
+                str(EXAMPLES / "fault_plan.json"),
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()[:16]
+        assert digest == "6191ddf0f445e0fb", out
+
     def test_fault_plan_campaign(self, tmp_path, capsys):
         from repro.resilience import (
             FaultPlan,
@@ -189,9 +215,9 @@ class TestMission:
         out = capsys.readouterr().out
         # Exit codes keep the contract: 0 intact, 1 loss — never a crash.
         assert code in (0, 1)
-        assert "hazard" in out
-        # The memoryless baseline goes inert; the curve takes over.
-        assert "AFR 0.0%" in out
+        # The curve runs on the mission's own AFR; no spec is appended.
+        assert "AFR 5.0% (weibull hazard, shape 2)" in out
+        assert "baseline failures only" in out
 
     def test_bathtub_hazard_with_infant_mortality(self, capsys):
         code = main(
@@ -210,7 +236,7 @@ class TestMission:
             ]
         )
         assert code in (0, 1)
-        assert "hazard" in capsys.readouterr().out
+        assert "bathtub hazard" in capsys.readouterr().out
 
     def test_hazard_runs_are_reproducible(self, capsys):
         argv = [
