@@ -6,16 +6,13 @@ redundant concurrent reconstructions into shared decodes, multiplying
 throughput while *lowering* tail latency — the unbatched baseline pays
 queueing delay for every redundant decode it performs.
 
-Three campaigns over one seeded world (4 hot objects on a severity-12
+Two campaigns over one seeded world (4 hot objects on a severity-12
 catalog-3 archive, identical request streams):
 
 * ``unbatched``  — zero window, no plan cache: every request plans and
   decodes alone (the pre-serve behaviour).
 * ``batched``    — 5 ms window, plan-cached, coalescing up to 64
   requests per dispatch.
-* ``crash``      — the batched configuration on a 2-process worker
-  pool with a worker hard-killed mid-campaign: the service must
-  degrade (crash counted, pool rebuilt, batch retried), not fail.
 
 Latency percentiles are coordinated-omission corrected (measured from
 each request's scheduled arrival), so the unbatched baseline's queueing
@@ -58,7 +55,6 @@ def _config(mode: str) -> ServeConfig:
         queue_limit=10_000,
         batch_window=0.0 if unbatched else WINDOW,
         max_batch=MAX_BATCH,
-        workers=2 if mode == "crash" else 0,
         plan_capacity=0 if unbatched else 256,
     )
 
@@ -69,16 +65,7 @@ def _run(mode: str, requests: int = REQUESTS):
 
     async def go():
         async with ReconstructionService(archive, _config(mode)) as svc:
-            chaos = None
-            if mode == "crash":
-                async def kill_one_worker():
-                    await asyncio.sleep(0.02)
-                    svc.inject_worker_crash()
-
-                chaos = asyncio.create_task(kill_one_worker())
             report = await run_loadgen(svc, names, load)
-            if chaos is not None:
-                await chaos
             return report, svc.stats()
 
     report, stats = asyncio.run(go())
@@ -88,7 +75,6 @@ def _run(mode: str, requests: int = REQUESTS):
         "batches": counters.get("serve.batches", 0),
         "coalesced": counters.get("serve.coalesced", 0),
         "plan_cache_hits": counters.get("serve.plan_cache.hits", 0),
-        "worker_crashes": counters.get("serve.worker_crashes", 0),
         "retries": counters.get("serve.retries", 0),
         "shed": counters.get("serve.shed", 0),
     }
@@ -97,7 +83,7 @@ def _run(mode: str, requests: int = REQUESTS):
 def test_x12_serve_throughput(benchmark):
     benchmark(_run, "batched", min(100, REQUESTS))
 
-    results = {mode: _run(mode) for mode in ("unbatched", "batched", "crash")}
+    results = {mode: _run(mode) for mode in ("unbatched", "batched")}
     unb = results["unbatched"]["report"]
     bat = results["batched"]["report"]
     speedup = bat["throughput_rps"] / unb["throughput_rps"]
@@ -115,7 +101,6 @@ def test_x12_serve_throughput(benchmark):
                 f"{lat.get('p99', 0) * 1e3:.1f}",
                 res["batches"],
                 res["coalesced"],
-                res["worker_crashes"],
             ]
         )
     table = format_table(
@@ -127,7 +112,6 @@ def test_x12_serve_throughput(benchmark):
             "p99 ms",
             "batches",
             "coalesced",
-            "crashes",
         ],
         rows,
     )
@@ -155,7 +139,3 @@ def test_x12_serve_throughput(benchmark):
     assert bat["latency"]["p99"] <= unb["latency"]["p99"]
     assert results["batched"]["coalesced"] > 0
     assert results["batched"]["plan_cache_hits"] > 0
-    # The crash drill degrades — a dead worker is counted and absorbed.
-    crash = results["crash"]
-    assert crash["worker_crashes"] >= 1
-    assert crash["report"]["completed"] == REQUESTS

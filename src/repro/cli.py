@@ -293,12 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serving.add_argument("--max-batch", type=int, default=32,
                          help="requests per micro-batch (default 32)")
-    serving.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="decode pool processes (0 = inline; default 0)",
-    )
     serving.add_argument("--queue-limit", type=int, default=256,
                          help="admission-control bound (default 256)")
     serving.add_argument(
@@ -881,22 +875,26 @@ def _serving_stack(args):
         from .core import load_graphml
 
         graph = load_graphml(args.graph)
-    archive, names = seeded_archive(
-        graph,
-        objects=args.objects,
-        object_size=args.object_size,
-        severity=args.severity,
-        seed=args.seed,
-    )
     unbatched = getattr(args, "unbatched", False)
-    config = ServeConfig(
-        queue_limit=args.queue_limit,
-        batch_window=0.0 if unbatched else args.window,
-        max_batch=args.max_batch,
-        workers=args.workers,
-        plan_capacity=0 if unbatched else args.plan_capacity,
-        retry=RetryPolicy(seed=args.seed),
-    )
+    # The fixture and the config validate their own fields; a bad flag
+    # value is the caller's mistake, so it exits 2, not 1.
+    try:
+        config = ServeConfig(
+            queue_limit=args.queue_limit,
+            batch_window=0.0 if unbatched else args.window,
+            max_batch=args.max_batch,
+            plan_capacity=0 if unbatched else args.plan_capacity,
+            retry=RetryPolicy(seed=args.seed),
+        )
+        archive, names = seeded_archive(
+            graph,
+            objects=args.objects,
+            object_size=args.object_size,
+            severity=args.severity,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     return archive, names, config
 
 
@@ -908,8 +906,7 @@ def _print_serve_summary(stats) -> None:
         f"{counters.get('serve.batches', 0)} batches "
         f"({counters.get('serve.coalesced', 0)} coalesced, "
         f"{counters.get('serve.shed', 0)} shed, "
-        f"{counters.get('serve.retries', 0)} retries, "
-        f"{counters.get('serve.worker_crashes', 0)} worker crashes); "
+        f"{counters.get('serve.retries', 0)} retries); "
         f"plan cache {plan['hits']} hits / {plan['misses']} misses"
     )
     latency = stats.get("histograms", {}).get(
@@ -988,17 +985,16 @@ def _cmd_loadgen(args) -> int:
 
     from .serve import LoadGenConfig, ReconstructionService, run_loadgen
 
-    if args.requests < 1:
-        raise UsageError("--requests must be positive")
-    if args.rate <= 0:
-        raise UsageError("--rate must be positive")
+    try:
+        load = LoadGenConfig(
+            requests=args.requests,
+            rate=args.rate,
+            seed=args.seed,
+            deadline=args.deadline,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     archive, names, config = _serving_stack(args)
-    load = LoadGenConfig(
-        requests=args.requests,
-        rate=args.rate,
-        seed=args.seed,
-        deadline=args.deadline,
-    )
 
     service = ReconstructionService(
         archive,

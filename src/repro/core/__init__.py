@@ -18,7 +18,6 @@ from .codec import (
     DecodeFailure,
     EncodedStripe,
     TornadoCodec,
-    replay_steps,
     stripe_rows,
 )
 from .critical import (
@@ -135,7 +134,6 @@ __all__ = [
     "poisson_distribution",
     "random_bipartite_edges",
     "render_failure",
-    "replay_steps",
     "resolve_engine",
     "rewire",
     "save_graphml",

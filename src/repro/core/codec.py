@@ -27,7 +27,6 @@ __all__ = [
     "DecodeFailure",
     "TornadoCodec",
     "EncodedStripe",
-    "replay_steps",
     "stripe_rows",
 ]
 
@@ -54,21 +53,6 @@ class EncodedStripe:
 
     blocks: np.ndarray  # (num_nodes, block_size) uint8
     payload_length: int  # bytes of real payload carried by this stripe
-
-
-def replay_steps(work: np.ndarray, members, steps) -> None:
-    """XOR-replay a peeling schedule on ``work``'s rows, in place.
-
-    ``members[ci]`` lists constraint ``ci``'s nodes; each
-    ``(ci, node)`` step overwrites row ``node`` with the XOR of the
-    constraint's other rows.  Rows of absent nodes must be zero or
-    solved by an earlier step.  The only XOR replay loop in the
-    package: :meth:`TornadoCodec.replay_schedule` and the service's
-    pool workers (:func:`repro.serve.worker.decode_jobs`) both run it.
-    """
-    for ci, node in steps:
-        others = [m for m in members[ci] if m != node]
-        np.bitwise_xor.reduce(work[others], axis=0, out=work[node])
 
 
 def stripe_rows(
@@ -239,14 +223,18 @@ class TornadoCodec:
     ) -> np.ndarray:
         """The whole stripe after replaying ``steps``, one row per node.
 
-        The schedule solves lost check nodes as well as lost data (the
-        decoder peels to a fixpoint), so with an empty residual every
-        row equals a fresh :meth:`encode_blocks`.
+        Each ``(ci, node)`` step overwrites row ``node`` with the XOR of
+        constraint ``ci``'s other rows — the package's only XOR replay
+        loop.  The schedule solves lost check nodes as well as lost
+        data (the decoder peels to a fixpoint), so with an empty
+        residual every row equals a fresh :meth:`encode_blocks`.
         """
         blocks, present = self._stripe(blocks, present)
         work = blocks.copy()
         work[~present] = 0
-        replay_steps(work, self._members, steps)
+        for ci, node in steps:
+            others = [m for m in self._members[ci] if m != node]
+            np.bitwise_xor.reduce(work[others], axis=0, out=work[node])
         return work
 
     # ------------------------------------------------------------------

@@ -6,8 +6,9 @@ reconstructs around failures at load, within explicit limits:
 
 * :class:`ReconstructionService` / :class:`ServeConfig` — bounded
   admission queue with visible load shedding, micro-batching, plan
-  caching, per-request deadlines, process-pool decode with crash
-  recovery, degraded-read retry, graceful drain;
+  caching, per-request deadlines, in-place decode through the
+  service's :class:`~repro.core.codec.TornadoCodec`, degraded-read
+  retry, graceful drain;
 * :class:`MicroBatcher` — pure, clock-injected request coalescing;
 * :class:`PlanCache` — LRU of peeling schedules keyed by
   (graph hash, erasure mask), defined in :mod:`repro.core.plancache`

@@ -2,8 +2,8 @@
 
 A batch window trades a bounded amount of latency (at most ``window``
 seconds) for amortisation: requests that arrive while a batch is open
-for their key share one planning pass, one worker dispatch, and — for
-identical objects — one decode.  The batcher itself is deliberately
+for their key share one dispatch and — for identical objects — one
+decode.  The batcher itself is deliberately
 *pure*: it never sleeps, spawns tasks, or reads the wall clock except
 through the injected ``clock`` callable, so every edge case (empty
 flush, window expiry, burst overflow, drain) is deterministic under

@@ -1,18 +1,20 @@
 """Line-oriented JSON front end for the reconstruction service.
 
 ``repro serve`` binds this to a TCP port: one JSON object per line in,
-one per line out, framed by :mod:`repro.serve.protocol` (version 3;
+one per line out, framed by :mod:`repro.serve.protocol` (version 4;
 unless a ``get`` asks for the payload no frame here carries raw bytes,
 so a frame is exactly its header line).  The read half of the
 archive-service op family (``docs/SERVE.md`` has the whole table)::
 
-    {"v": 3, "op": "get", "name": "object-000"}
-        -> {"v": 3, "ok": true, "kind": "object", "size": N,
-            "sha256": "..."}
-    {"v": 3, "op": "get", "name": "...", "deadline": 0.5}
-    {"v": 3, "op": "stats"}    -> {..., "stats": {...}}
-    {"v": 3, "op": "metrics"}  -> {..., "metrics": "..."}
-    {"v": 3, "op": "ping"}     -> {..., "pong": true}
+    {"v": 4, "op": "get", "name": "object-000"}
+        -> {"v": 4, "ok": true, "kind": "object", "name": "object-000",
+            "size": N, "sha256": "..."}
+    {"v": 4, "op": "get", "name": "...", "deadline": 0.5}
+    {"v": 4, "op": "get", "name": "...", "want_payload": true}
+        -> {..., "sha256": "...", "payload": N, "bin": N} + N raw bytes
+    {"v": 4, "op": "stats"}    -> {..., "stats": {...}}
+    {"v": 4, "op": "metrics"}  -> {..., "metrics": "..."}
+    {"v": 4, "op": "ping"}     -> {..., "pong": true}
 
 ``metrics`` returns the service's registry snapshot rendered in the
 Prometheus text exposition format (see :mod:`repro.obs.prom`), so a
@@ -26,7 +28,7 @@ Errors are structured and explicit, mirroring the service's
 no-silent-drops contract, with the protocol module's stable ``code``
 taxonomy::
 
-    {"v": 3, "ok": false, "kind": "error", "code": "overloaded",
+    {"v": 4, "ok": false, "kind": "error", "code": "overloaded",
      "error": "ServiceOverloadedError", "message": "..."}
 
 Requests on one connection are handled concurrently (a slow

@@ -58,6 +58,8 @@ class LoadGenConfig:
             raise ValueError("requests must be positive")
         if self.rate <= 0:
             raise ValueError("rate must be positive")
+        if self.deadline is not None and self.deadline <= 0:
+            raise ValueError("deadline must be positive")
 
 
 @dataclass
@@ -223,6 +225,10 @@ def seeded_archive(
         from ..graphs import tornado_catalog_graph
 
         graph = tornado_catalog_graph(3)
+    if objects < 1:
+        raise ValueError("objects must be at least 1")
+    if object_size < 0:
+        raise ValueError("object_size must be non-negative")
     if severity >= graph.num_nodes:
         raise ValueError(
             f"severity {severity} would fail every one of the "

@@ -532,8 +532,8 @@ class GetRequest(Request):
     """Reconstruct one object.
 
     The reply carries size + SHA-256, and the bytes only when
-    ``want_payload``; ``deadline`` (seconds) bounds the read on tiers
-    that queue it.
+    ``want_payload``; ``deadline`` (positive seconds) bounds the read
+    on tiers that queue it.
     """
 
     op: ClassVar[str] = "get"
@@ -542,6 +542,11 @@ class GetRequest(Request):
     deadline: float | None = None
 
     _required = ("name",)
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.deadline is not None and self.deadline <= 0:
+            raise ProtocolError("'get' deadline must be positive")
 
 
 @_request

@@ -3,12 +3,12 @@
 This is the layer that turns the codec + storage + resilience stack
 into a *system under load*: clients submit whole-object read requests;
 the service admits them through a bounded queue (shedding visibly when
-full), coalesces concurrent requests into micro-batches, computes each
-peeling-decode plan once per (graph, erasure mask) via the
-:class:`~repro.core.plancache.PlanCache`, and replays the schedules —
-inline on the event loop or on a ``ProcessPoolExecutor`` — with
-per-request deadlines, degraded-read retry, and crash-tolerant pool
-rebuild.
+full), coalesces concurrent requests into micro-batches, and decodes
+each object of a batch once, in place, with the calls ``archive.get``
+makes — through its own :class:`~repro.core.codec.TornadoCodec`, whose
+:class:`~repro.core.plancache.PlanCache` computes each peeling plan
+once per (graph, erasure mask) — with per-request deadlines and
+degraded-read retry.
 
 Life cycle::
 
@@ -28,15 +28,14 @@ completion; an expired request resolves with
 Observability: the service owns an always-on
 :class:`~repro.obs.MetricsRegistry` (queue-depth gauge, batch-size and
 request-latency quantile histograms — ``stats()`` reports service-side
-p50/p90/p99 — shed/retry/crash counters); on :meth:`close` the
+p50/p90/p99 — shed/retry counters); on :meth:`close` the
 snapshot is merged into the process-wide registry when one is active,
 so ``repro ... --metrics`` runs capture serving metrics alongside
 everything else.  When tracing is enabled
 (:func:`repro.obs.trace_capture`), every request gets a span, every
 batch a child span parented under its first request (other coalesced
-requests are linked by trace ID), and every decode attempt — inline or
-pool — a further child carrying a ``retry`` attribute, with worker-side
-spans shipped back across the process boundary.  Each service lifecycle
+requests are linked by trace ID), and every batch's decode a further
+``serve.decode`` child.  Each service lifecycle
 additionally emits a :class:`~repro.obs.RunManifest` (config, graph
 hash, engine, seed, final snapshot) to ``manifest_path``, mirroring
 what the profile cache does for cached sweeps.
@@ -47,8 +46,6 @@ from __future__ import annotations
 import asyncio
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable
@@ -60,7 +57,7 @@ from ..core.decoder import make_batch_decoder
 from ..core.plancache import PlanCache, graph_key
 from ..obs.manifest import RunManifest
 from ..obs.registry import MetricsRegistry, metrics_enabled, registry
-from ..obs.trace import start_span, trace_span, tracer
+from ..obs.trace import start_span, trace_span
 from ..resilience.retry import NO_RETRY, RetryPolicy
 from ..storage.archive import TornadoArchive
 from ..storage.device import TransientUnavailableError
@@ -70,8 +67,6 @@ from .errors import (
     ServiceClosedError,
     ServiceOverloadedError,
 )
-from .worker import crash as _worker_crash
-from .worker import decode_jobs
 
 __all__ = ["ReconstructionService", "ServeConfig"]
 
@@ -124,24 +119,18 @@ class ServeConfig:
         disables batching (each request dispatches alone).
     max_batch:
         Requests per batch before it closes early.
-    workers:
-        Process-pool size for decode work; ``0`` decodes inline on the
-        event loop (deterministic, no IPC — the right mode for tests
-        and small deployments).
-    worker_retries:
-        Pool rebuild-and-retry attempts after a worker crash
-        (``BrokenProcessPool``) before failing the affected batch.
     default_deadline:
-        Deadline in seconds applied to requests that do not carry one
-        (``None`` = no deadline).
+        Positive deadline in seconds applied to requests that do not
+        carry one (``None`` = no deadline).
     plan_capacity:
         LRU capacity of the peeling-plan cache; ``0`` plans every
         request from scratch (the unbatched baseline).
     retry:
         Optional :class:`~repro.resilience.RetryPolicy` for degraded
         reads: when a stripe is undecodable only because devices are
-        transiently unavailable, planning backs off and re-runs on the
-        policy's deterministic schedule instead of failing.  A policy
+        transiently unavailable, the object's read backs off and
+        re-runs on the policy's deterministic schedule instead of
+        failing.  A policy
         with an injected ``sleep`` hook is honoured (tests, virtual
         clocks); otherwise the service awaits ``asyncio.sleep`` so the
         event loop keeps serving other batches during backoff.
@@ -150,8 +139,6 @@ class ServeConfig:
     queue_limit: int = 256
     batch_window: float = 0.002
     max_batch: int = 32
-    workers: int = 0
-    worker_retries: int = 2
     default_deadline: float | None = None
     plan_capacity: int = 256
     retry: RetryPolicy | None = None
@@ -163,10 +150,8 @@ class ServeConfig:
             raise ValueError("batch_window must be non-negative")
         if self.max_batch < 1:
             raise ValueError("max_batch must be at least 1")
-        if self.workers < 0:
-            raise ValueError("workers must be non-negative")
-        if self.worker_retries < 0:
-            raise ValueError("worker_retries must be non-negative")
+        if self.default_deadline is not None and self.default_deadline <= 0:
+            raise ValueError("default_deadline must be positive")
         if self.plan_capacity < 0:
             raise ValueError("plan_capacity must be non-negative")
 
@@ -221,7 +206,7 @@ class ReconstructionService:
         self.manifest: RunManifest | None = None
         self.plans = PlanCache(self.config.plan_capacity)
         # Schedules come from the service's own cache (not the
-        # archive's): their ``steps`` ship to the pool workers.
+        # archive's): ``plan_capacity=0`` is the unbatched baseline.
         self.codec = TornadoCodec(
             archive.graph, archive.codec.block_size, self.plans
         )
@@ -237,15 +222,10 @@ class ReconstructionService:
         self._state = "idle"
         self._dispatcher: asyncio.Task | None = None
         self._inflight: set[asyncio.Task] = set()
-        self._pool: ProcessPoolExecutor | None = None
         # Batch kernel of the bulk what-if probe (degraded_headroom);
         # stats()/events report its own ``engine``.  Per-request XOR
         # replay is unaffected — schedules come from the scalar planner.
         self._headroom_decoder = make_batch_decoder(archive.graph)
-        # Graph structure shipped to workers (small, pickled per batch).
-        g = archive.graph
-        self._members = [tuple(m) for m in g.constraint_members()]
-        self._data_nodes = list(g.data_nodes)
 
     # ------------------------------------------------------------------
     # Life cycle
@@ -271,8 +251,6 @@ class ReconstructionService:
                 "queue_limit": cfg.queue_limit,
                 "batch_window": cfg.batch_window,
                 "max_batch": cfg.max_batch,
-                "workers": cfg.workers,
-                "worker_retries": cfg.worker_retries,
                 "default_deadline": cfg.default_deadline,
                 "plan_capacity": cfg.plan_capacity,
             },
@@ -300,7 +278,7 @@ class ReconstructionService:
             await asyncio.gather(*list(self._inflight))
 
     async def close(self) -> None:
-        """Drain, release the worker pool, and publish final metrics.
+        """Drain, then publish final metrics.
 
         Publishes three things: the metrics snapshot into the global
         registry (when one is active), the finished lifecycle
@@ -312,9 +290,6 @@ class ReconstructionService:
         if self._state == "closed":
             return
         await self.drain()
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
         self._state = "closed"
         snapshot = self.metrics.snapshot()
         if self.manifest is not None:
@@ -347,7 +322,8 @@ class ReconstructionService:
     async def submit(self, name: str, *, deadline: float | None = None):
         """Read object ``name``, reconstructing as needed.
 
-        Returns the object's bytes.  Raises
+        ``deadline`` is in seconds and must be positive.  Returns the
+        object's bytes.  Raises
         :class:`ServiceOverloadedError` (shed at admission),
         :class:`DeadlineExceededError`, :class:`ServiceClosedError`,
         :class:`~repro.storage.DataLossError`, or
@@ -364,6 +340,8 @@ class ReconstructionService:
         Admission control happens here, in the caller's task, so a shed
         costs nothing but the exception.
         """
+        if deadline is not None and deadline <= 0:
+            raise ValueError("deadline must be positive")
         if self._state != "running":
             raise ServiceClosedError(
                 f"service is {self._state}; not accepting requests"
@@ -462,15 +440,6 @@ class ReconstructionService:
                 not at_risk and not failing_now
             ),
         }
-
-    def inject_worker_crash(self) -> None:
-        """Hard-kill one pool worker (chaos drill; needs workers > 0)."""
-        if self.config.workers <= 0:
-            raise ValueError("no process pool configured (workers=0)")
-        future = self._ensure_pool().submit(_worker_crash)
-        # The submission itself dies with the worker; swallow it so the
-        # drill never surfaces anywhere but the crash counters.
-        future.add_done_callback(lambda f: f.exception())
 
     # ------------------------------------------------------------------
     # Dispatch loop
@@ -590,29 +559,23 @@ class ReconstructionService:
         if links:
             batch_span.set_attr("links", links)
 
-        jobs: dict[str, list[dict]] = {}
-        for name, requests in list(groups.items()):
-            try:
-                jobs[name] = await self._build_job(name)
-            except Exception as exc:
-                m.counter("serve.plan_failures").inc()
-                batch_span.add_event(
-                    "plan_failure", object=name, error=type(exc).__name__
-                )
-                for request in requests:
-                    self._finish(request, error=exc)
-                del groups[name]
+        results: dict[str, bytes] = {}
+        with trace_span("serve.decode", parent=batch_span):
+            for name, requests in list(groups.items()):
+                try:
+                    results[name] = await self._read_object(name)
+                except Exception as exc:
+                    m.counter("serve.plan_failures").inc()
+                    batch_span.add_event(
+                        "plan_failure",
+                        object=name,
+                        error=type(exc).__name__,
+                    )
+                    for request in requests:
+                        self._finish(request, error=exc)
+                    del groups[name]
         if not groups:
             batch_span.end(error="plan_failure")
-            return
-        try:
-            results = await self._execute(jobs, batch_span)
-        except Exception as exc:
-            m.counter("serve.decode_failures").inc()
-            batch_span.end(error=type(exc).__name__)
-            for requests in groups.values():
-                for request in requests:
-                    self._finish(request, error=exc)
             return
 
         now = self._clock()
@@ -636,131 +599,44 @@ class ReconstructionService:
         )
 
     # ------------------------------------------------------------------
-    # Planning (with degraded-read retry)
+    # Decoding (with degraded-read retry)
     # ------------------------------------------------------------------
 
-    async def _build_job(self, name: str) -> list[dict]:
+    async def _read_object(self, name: str) -> bytes:
         manifest = self.archive.objects.get(name)
         if manifest is None:
             raise KeyError(f"no archived object named {name!r}")
         return await (self.config.retry or NO_RETRY).acall(
-            self._plan_stripes,
+            self._decode_stripes,
             manifest,
             retry_on=TransientUnavailableError,
             counter=self.metrics.counter("serve.retries"),
         )
 
-    async def _plan_stripes(self, manifest) -> list[dict]:
-        archive = self.archive
-        m = self.metrics
-        stripes: list[dict] = []
+    async def _decode_stripes(self, manifest) -> bytes:
+        """One object's bytes, each stripe decoded in place.
+
+        The calls ``archive.get`` makes: a stripe with nothing missing
+        is its data rows, a degraded one costs one plan lookup (counted
+        as a ``serve.plan_cache`` hit or miss) and one XOR replay, and
+        an undecodable one is typed by ``archive.decode_error``.
+        """
+        archive, plans = self.archive, self.plans
+        parts: list[bytes] = []
         for record in manifest.stripes:
             blocks, present = archive.stripe_blocks(manifest.name, record)
-            hits_before = self.plans.hits
+            hits = plans.hits
             try:
-                plan = self.codec.schedule(present)
+                data = self.codec.decode_blocks(blocks, present)
             except DecodeFailure as exc:
                 raise archive.decode_error(
                     manifest.name, record, exc
                 ) from exc
             finally:
-                hit = self.plans.hits > hits_before
-                m.counter(
-                    f"serve.plan_cache.{'hits' if hit else 'misses'}"
-                ).inc()
-            stripes.append(
-                {
-                    "blocks": blocks.tobytes(),
-                    "present": present.tobytes(),
-                    "steps": plan.steps,
-                    "length": record.payload_length,
-                }
-            )
-        return stripes
-
-    # ------------------------------------------------------------------
-    # Decode execution (inline or pooled, crash tolerant)
-    # ------------------------------------------------------------------
-
-    async def _execute(
-        self, jobs: dict[str, list[dict]], parent: Any = None
-    ) -> dict[str, bytes]:
-        names = list(jobs)
-        payload = {
-            "members": self._members,
-            "data_nodes": self._data_nodes,
-            "num_nodes": self.archive.graph.num_nodes,
-            "block_size": self.archive.codec.block_size,
-            "jobs": [jobs[n] for n in names],
-        }
-        if self.config.workers <= 0:
-            with trace_span(
-                "serve.decode", parent=parent, retry=0, mode="inline"
-            ) as span:
-                ctx = span.context()
-                if ctx is not None:
-                    payload["trace"] = ctx
-                result = decode_jobs(payload)
-            self._ingest_spans(result)
-        else:
-            result = await self._execute_pooled(payload, parent)
-        self.metrics.merge_snapshot(result["metrics"])
-        return dict(zip(names, result["payloads"]))
-
-    async def _execute_pooled(
-        self, payload: dict, parent: Any = None
-    ) -> dict:
-        loop = asyncio.get_running_loop()
-        last_exc: BaseException | None = None
-        for attempt in range(self.config.worker_retries + 1):
-            pool = self._ensure_pool()
-            # One span per attempt, all under the same batch (and hence
-            # trace): a crash-retry shows up as a failed retry=0 span
-            # next to the successful retry=1 span, same trace ID.
-            span = start_span(
-                "serve.decode",
-                parent=parent,
-                activate=False,
-                retry=attempt,
-                mode="pool",
-            )
-            ctx = span.context()
-            if ctx is not None:
-                payload["trace"] = ctx
-            try:
-                result = await loop.run_in_executor(
-                    pool, decode_jobs, payload
-                )
-            except BrokenProcessPool as exc:
-                # A worker died mid-batch.  Count it, rebuild the pool,
-                # and re-dispatch: the service degrades, never dies.
-                span.end(error="BrokenProcessPool")
-                last_exc = exc
-                self.metrics.counter("serve.worker_crashes").inc()
-                self._discard_pool(pool)
-            else:
-                span.end()
-                self._ingest_spans(result)
-                return result
-        assert last_exc is not None
-        raise last_exc
-
-    def _ingest_spans(self, result: dict) -> None:
-        """Adopt span records shipped back from a decode worker."""
-        spans = result.get("spans")
-        if spans:
-            active = tracer()
-            if active is not None:
-                active.ingest(spans)
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.config.workers
-            )
-        return self._pool
-
-    def _discard_pool(self, pool: ProcessPoolExecutor) -> None:
-        if pool is self._pool:
-            self._pool = None
-        pool.shutdown(wait=False, cancel_futures=True)
+                if not present.all():
+                    hit = plans.hits > hits
+                    self.metrics.counter(
+                        f"serve.plan_cache.{'hits' if hit else 'misses'}"
+                    ).inc()
+            parts.append(data.tobytes()[: record.payload_length])
+        return b"".join(parts)

@@ -66,6 +66,11 @@ class TestLoadGenConfig:
         with pytest.raises(ValueError):
             LoadGenConfig(rate=0.0)
 
+    @pytest.mark.parametrize("deadline", [0.0, -1.0])
+    def test_nonpositive_deadline_rejected(self, deadline):
+        with pytest.raises(ValueError, match="deadline"):
+            LoadGenConfig(deadline=deadline)
+
 
 class TestRunLoadgen:
     def test_all_requests_complete_on_healthy_archive(self):
@@ -143,3 +148,11 @@ class TestSeededArchive:
         graph = tornado_graph(16, seed=3, min_final_lefts=6)
         with pytest.raises(ValueError):
             seeded_archive(graph, severity=graph.num_nodes)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"objects": 0}, {"object_size": -5}]
+    )
+    def test_empty_world_rejected(self, kwargs):
+        graph = tornado_graph(16, seed=3, min_final_lefts=6)
+        with pytest.raises(ValueError):
+            seeded_archive(graph, **kwargs)

@@ -359,6 +359,14 @@ class TestMalformedFrames:
         self.check(versioned(op="cluster.leave"))
         self.check(versioned(op="block.put"))
 
+    @pytest.mark.parametrize("deadline", [0, -1, -0.5])
+    def test_non_positive_get_deadline(self, deadline):
+        exc = self.check(
+            versioned(op="get", id=9, name="o", deadline=deadline)
+        )
+        assert exc.request_id == 9
+        assert "deadline" in str(exc)
+
     def test_mistyped_field(self):
         self.check(versioned(op="get", name=42))
         self.check(versioned(op="block.fetch", keys="k"))

@@ -7,10 +7,12 @@ deterministic.
 """
 
 import asyncio
+import functools
 
 import pytest
 
-from repro.core import tornado_graph
+import repro.serve.plancache
+from repro.core import TornadoCodec, tornado_graph
 from repro.resilience import RetryPolicy
 from repro.serve import (
     DeadlineExceededError,
@@ -232,6 +234,20 @@ class TestDeadlines:
 
         asyncio.run(scenario())
 
+    @pytest.mark.parametrize("deadline", [0.0, -1.0])
+    def test_non_positive_deadline_rejected(self, deadline):
+        archive, names = small_archive()
+
+        async def scenario():
+            async with ReconstructionService(archive, UNBATCHED) as svc:
+                with pytest.raises(ValueError, match="deadline"):
+                    await svc.submit(names[0], deadline=deadline)
+                return svc.stats()
+
+        stats = asyncio.run(scenario())
+        assert "serve.requests" not in stats["counters"]
+        assert stats["pending"] == 0
+
 
 class TestLifecycle:
     def test_submit_before_start_is_refused(self):
@@ -416,43 +432,127 @@ class TestDegradedReads:
         assert asyncio.run(scenario()) == expected
 
 
-class TestWorkerPool:
-    def test_pooled_decode_matches_inline(self):
-        archive, names = small_archive(severity=3)
-        expected = {name: archive.get(name) for name in names}
-        config = ServeConfig(batch_window=0.0, workers=1)
+def counted(monkeypatch, owner, name, calls):
+    original = getattr(owner, name)
+
+    @functools.wraps(original)
+    def wrapper(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+class TestDecodePath:
+    """The service decodes with the calls ``archive.get`` makes.
+
+    The service's twin of ``tests/cluster/test_recovery_calls.py``:
+    ``perf/`` attributes decode time by wrapping ``PlanCache.schedule``
+    and ``TornadoCodec.decode_blocks_with_schedule``.
+    """
+
+    def coalesced_calls(self, monkeypatch, severity, requests):
+        """``requests`` reads of one 3-stripe object in one batch."""
+        archive, names = seeded_archive(
+            objects=1,
+            object_size=3 * 48 * 64 - 100,
+            block_size=64,
+            severity=severity,
+            seed=0,
+        )
+        stripes = len(archive.objects[names[0]].stripes)
+        assert stripes == 3
+        expected = archive.get(names[0])
+        calls = {}
+        counted(
+            monkeypatch, repro.serve.plancache.PlanCache, "schedule", calls
+        )
+        counted(monkeypatch, archive, "stripe_blocks", calls)
+        counted(monkeypatch, TornadoCodec, "decode_blocks", calls)
+        counted(
+            monkeypatch, TornadoCodec, "decode_blocks_with_schedule", calls
+        )
+        clock = FakeClock()
 
         async def scenario():
-            async with ReconstructionService(archive, config) as svc:
-                return {n: await svc.submit(n) for n in names}
+            svc = ReconstructionService(
+                archive, ServeConfig(batch_window=60.0), clock=clock
+            )
+            await svc.start()
+            futures = [svc.try_submit(names[0]) for _ in range(requests)]
+            await svc.drain()
+            stats = svc.stats()
+            await svc.close()
+            return [f.result() for f in futures], stats
 
-        assert asyncio.run(scenario()) == expected
+        results, stats = asyncio.run(scenario())
+        assert results == [expected] * requests
+        assert stats["counters"]["serve.batches"] == 1
+        return calls, stripes, stats
 
-    def test_worker_crash_degrades_instead_of_failing(self):
-        archive, names = small_archive()
-        expected = archive.get(names[0])
-        config = ServeConfig(
-            batch_window=0.0, workers=1, worker_retries=2
+    def test_healthy_stripe_looks_up_no_plan(self, monkeypatch):
+        calls, stripes, stats = self.coalesced_calls(monkeypatch, 0, 1)
+        # No plan lookup, no replay: the data rows as they are.
+        assert calls == {"stripe_blocks": stripes, "decode_blocks": stripes}
+        counters = stats["counters"]
+        assert "serve.plan_cache.hits" not in counters
+        assert "serve.plan_cache.misses" not in counters
+
+    def test_degraded_stripe_costs_one_schedule_and_one_replay(
+        self, monkeypatch
+    ):
+        calls, stripes, stats = self.coalesced_calls(monkeypatch, 2, 1)
+        assert calls == {
+            "stripe_blocks": stripes,
+            "decode_blocks": stripes,
+            "schedule": stripes,
+            "decode_blocks_with_schedule": stripes,
+        }
+        counters = stats["counters"]
+        assert (
+            counters.get("serve.plan_cache.hits", 0)
+            + counters.get("serve.plan_cache.misses", 0)
+            == stripes
         )
 
+    @pytest.mark.parametrize("severity", [0, 2])
+    def test_coalesced_requests_decode_each_stripe_once(
+        self, monkeypatch, severity
+    ):
+        calls, stripes, stats = self.coalesced_calls(
+            monkeypatch, severity, 5
+        )
+        assert stats["counters"]["serve.coalesced"] == 4
+        assert calls["stripe_blocks"] == stripes
+        assert calls["decode_blocks"] == stripes
+        assert calls.get("schedule", 0) == (stripes if severity else 0)
+
+    @pytest.mark.parametrize(
+        "batched", [True, False], ids=["batched", "unbatched"]
+    )
+    @pytest.mark.parametrize("severity", [0, 4, 12])
+    def test_served_bytes_equal_archive_get(self, severity, batched):
+        archive, names = seeded_archive(
+            objects=4,
+            object_size=5000,
+            block_size=64,
+            severity=severity,
+            seed=11,
+        )
+        expected = {name: archive.get(name) for name in names}
+        config = (
+            ServeConfig(batch_window=0.005, max_batch=64)
+            if batched
+            else ServeConfig(batch_window=0.0, plan_capacity=0)
+        )
+        picks = [names[i % len(names)] for i in range(16)]
+
         async def scenario():
             async with ReconstructionService(archive, config) as svc:
-                first = await svc.submit(names[0])
-                svc.inject_worker_crash()
-                second = await svc.submit(names[0])
-                return first, second, svc.stats()
+                return await asyncio.gather(*map(svc.submit, picks))
 
-        first, second, stats = asyncio.run(scenario())
-        assert first == expected
-        assert second == expected
-        assert stats["counters"]["serve.worker_crashes"] >= 1
-        assert stats["counters"]["serve.completed"] == 2
-
-    def test_crash_injection_requires_a_pool(self):
-        archive, _ = small_archive()
-        svc = ReconstructionService(archive, UNBATCHED)
-        with pytest.raises(ValueError):
-            svc.inject_worker_crash()
+        served = asyncio.run(scenario())
+        assert served == [expected[name] for name in picks]
 
 
 class TestConfigValidation:
@@ -462,9 +562,9 @@ class TestConfigValidation:
             {"queue_limit": 0},
             {"batch_window": -0.001},
             {"max_batch": 0},
-            {"workers": -1},
-            {"worker_retries": -1},
             {"plan_capacity": -1},
+            {"default_deadline": 0.0},
+            {"default_deadline": -1.0},
         ],
     )
     def test_bad_config_rejected(self, kwargs):

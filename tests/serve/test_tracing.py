@@ -1,21 +1,14 @@
 """End-to-end tracing + manifest tests for the reconstruction service.
 
-The satellite contract under test: a request produces a request →
-batch → decode → worker span tree with no orphans; a worker crash
-keeps the SAME trace ID across the retried decode (new span,
-``retry=1``); each service lifecycle emits a RunManifest.
+The contract under test: a request produces a request → batch →
+decode span tree with no orphans and deterministic IDs; each service
+lifecycle emits a RunManifest.
 """
 
 import asyncio
 import json
 
-import pytest
-
-from repro.obs.analyze import (
-    build_trace_trees,
-    render_trace_tree,
-    span_records,
-)
+from repro.obs.analyze import build_trace_trees, span_records
 from repro.obs.manifest import RunManifest
 from repro.obs.trace import Tracer, trace_capture, trace_span
 from repro.serve import ReconstructionService, ServeConfig
@@ -40,7 +33,7 @@ class TestRequestSpanTree:
 
         async def scenario(tracer):
             svc = ReconstructionService(
-                archive, ServeConfig(batch_window=0.0, workers=0)
+                archive, ServeConfig(batch_window=0.0)
             )
             async with svc:
                 with trace_span("client"):
@@ -63,12 +56,13 @@ class TestRequestSpanTree:
             "serve.request",
             "serve.batch",
             "serve.decode",
-            "serve.worker.decode",
         ]
-        # One trace end to end, inline decode marked as retry 0.
+        # One trace end to end, one decode span for the batch.
         assert len({r["trace_id"] for r in records}) == 1
         by_name = spans_by_name(records)
-        assert by_name["serve.decode"][0]["attrs"]["retry"] == 0
+        (decode,) = by_name["serve.decode"]
+        (batch,) = by_name["serve.batch"]
+        assert decode["parent_id"] == batch["span_id"]
         assert by_name["serve.request"][0]["attrs"]["outcome"] == "ok"
 
     def test_coalesced_requests_link_to_shared_batch(self):
@@ -77,7 +71,7 @@ class TestRequestSpanTree:
         async def scenario(tracer):
             svc = ReconstructionService(
                 archive,
-                ServeConfig(batch_window=0.05, max_batch=8, workers=0),
+                ServeConfig(batch_window=0.05, max_batch=8),
             )
             async with svc:
                 # Two roots (no client umbrella): each submit starts
@@ -104,7 +98,7 @@ class TestRequestSpanTree:
 
         async def scenario():
             svc = ReconstructionService(
-                archive, ServeConfig(batch_window=0.0, workers=0)
+                archive, ServeConfig(batch_window=0.0)
             )
             async with svc:
                 await svc.submit(names[0])
@@ -124,61 +118,12 @@ class TestRequestSpanTree:
 
         async def scenario():
             svc = ReconstructionService(
-                archive, ServeConfig(batch_window=0.0, workers=0)
+                archive, ServeConfig(batch_window=0.0)
             )
             async with svc:
                 return await svc.submit(names[0])
 
         assert run(scenario()) == archive.get(names[0])
-
-
-class TestCrashRetryTracePropagation:
-    def test_retry_same_trace_new_span(self):
-        archive, names = small_archive()
-
-        async def scenario(tracer):
-            svc = ReconstructionService(
-                archive,
-                ServeConfig(
-                    batch_window=0.0, workers=1, worker_retries=2
-                ),
-            )
-            async with svc:
-                with trace_span("client"):
-                    svc.inject_worker_crash()
-                    data = await svc.submit(names[0])
-            assert data == archive.get(names[0])
-            return tracer.records
-
-        with trace_capture(Tracer(seed=5)) as t:
-            records = run(scenario(t))
-
-        by_name = spans_by_name(records)
-        decodes = sorted(
-            by_name["serve.decode"], key=lambda r: r["attrs"]["retry"]
-        )
-        assert len(decodes) == 2
-        failed, retried = decodes
-        # Same trace ID across the crash; new span for the retry.
-        assert failed["trace_id"] == retried["trace_id"]
-        assert failed["span_id"] != retried["span_id"]
-        assert failed["attrs"]["retry"] == 0
-        assert failed["attrs"]["error"] == "BrokenProcessPool"
-        assert retried["attrs"]["retry"] == 1
-        assert "error" not in retried["attrs"]
-        # Both attempts are siblings under the same batch span.
-        (batch,) = by_name["serve.batch"]
-        assert failed["parent_id"] == batch["span_id"]
-        assert retried["parent_id"] == batch["span_id"]
-        # The worker's shipped-back span hangs off the retry attempt.
-        (worker,) = by_name["serve.worker.decode"]
-        assert worker["parent_id"] == retried["span_id"]
-        # And the whole thing still assembles orphan-free.
-        roots, orphans = build_trace_trees(span_records(records))
-        assert orphans == []
-        assert "orphaned spans: none" in render_trace_tree(
-            roots, orphans
-        )
 
 
 class TestServiceManifest:
@@ -189,7 +134,7 @@ class TestServiceManifest:
         async def scenario():
             svc = ReconstructionService(
                 archive,
-                ServeConfig(batch_window=0.0, workers=0),
+                ServeConfig(batch_window=0.0),
                 seed=123,
                 manifest_path=path,
             )
@@ -202,7 +147,8 @@ class TestServiceManifest:
         assert manifest.command == "serve"
         assert manifest.seed == 123
         assert manifest.wall_seconds is not None
-        assert manifest.config["workers"] == 0
+        assert manifest.config["plan_capacity"] == 256
+        assert "workers" not in manifest.config
         assert manifest.extra["graph"] == archive.graph.name
         assert manifest.extra["engine"] == svc.stats()["engine"] == "bitset"
         assert manifest.extra["objects"] == len(archive.objects)
@@ -282,52 +228,3 @@ class TestServiceManifest:
         run(scenario())
         raw = json.loads(path.read_text())
         assert raw["fingerprint"] == RunManifest.load(path).fingerprint()
-
-
-class TestWorkerSpanShipping:
-    def test_pooled_worker_spans_ship_back(self):
-        archive, names = small_archive()
-
-        async def scenario(tracer):
-            svc = ReconstructionService(
-                archive, ServeConfig(batch_window=0.0, workers=1)
-            )
-            async with svc:
-                with trace_span("client"):
-                    await svc.submit(names[0])
-            return tracer.records
-
-        with trace_capture(Tracer(seed=5)) as t:
-            records = run(scenario(t))
-
-        by_name = spans_by_name(records)
-        (worker,) = by_name["serve.worker.decode"]
-        (decode,) = by_name["serve.decode"]
-        assert worker["parent_id"] == decode["span_id"]
-        assert worker["trace_id"] == decode["trace_id"]
-        assert worker["attrs"]["stripes"] >= 1
-
-    @pytest.mark.parametrize("workers", [0, 1])
-    def test_worker_span_ids_deterministic(self, workers):
-        archive, names = small_archive()
-
-        async def scenario():
-            svc = ReconstructionService(
-                archive,
-                ServeConfig(batch_window=0.0, workers=workers),
-            )
-            async with svc:
-                with trace_span("client"):
-                    await svc.submit(names[0])
-
-        def worker_ids():
-            with trace_capture(Tracer(seed=5)) as t:
-                run(scenario())
-            return [
-                (r["trace_id"], r["span_id"])
-                for r in t.records
-                if r["name"] == "serve.worker.decode"
-            ]
-
-        first, second = worker_ids(), worker_ids()
-        assert first and first == second

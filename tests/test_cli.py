@@ -343,6 +343,23 @@ class TestExitCodes:
         assert err.startswith("usage error:")
         assert "--samples" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["loadgen", "--deadline", "-1", "--requests", "5"],
+            ["loadgen", "--deadline", "0", "--requests", "5"],
+            ["loadgen", "--window", "-1"],
+            ["loadgen", "--max-batch", "0"],
+            ["loadgen", "--object-size", "-5"],
+            ["loadgen", "--objects", "0"],
+            ["serve", "--queue-limit", "0", "--max-seconds", "0.1"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_serving_flag_exits_2(self, argv, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("usage error:")
+
     def test_argparse_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
             main(["frobnicate"])
