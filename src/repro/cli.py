@@ -713,10 +713,12 @@ def _cmd_profile(args) -> int:
         raise UsageError("--resume requires --checkpoint")
     if args.samples < 1:
         raise UsageError("--samples must be positive")
-    graph = load_graphml(args.graph)
     exact_upto = (
         DEFAULT_EXACT_UPTO if args.exact_upto is None else args.exact_upto
     )
+    if exact_upto < 0:
+        raise UsageError("--exact-upto must be non-negative")
+    graph = load_graphml(args.graph)
     prof = profile_graph(
         graph,
         samples_per_k=args.samples,

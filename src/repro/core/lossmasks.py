@@ -38,11 +38,32 @@ where the two are equal — a float64 tie or two doubles that collide in
 float32, a few per million rows — is re-chosen from the float64 scores
 by the index-based argpartition selection the threshold replaced, so
 the output is bit-identical to it always.
+
+Blocks are drawn on every CPU the process may use.  A call draws its
+leaf counts on the caller's ``rng``, then lists its score blocks with
+their offsets in the stream (the doubles drawn before each).  When
+``rng`` is a ``Generator`` over ``PCG64`` or ``PCG64DXSM`` — whose
+``advance(n)`` skips exactly ``n`` doubles — the blocks are dealt round
+robin to the caller's thread and one helper thread per extra CPU in
+``os.sched_getaffinity(0)``.  Each thread draws from its own copy of
+the caller's bit generator, advanced to each of its blocks in turn,
+and writes only its blocks' words.  The helpers are started per call
+and joined before it returns, so no thread outlives a call (a forked
+pool worker inherits none).  The caller's generator is then moved to
+where drawing in order would have left it, its buffered 32-bit half
+kept.  Every other case runs the same block function in order on the
+caller's thread: one CPU, one block, ``Philox`` (whose ``advance``
+counts four-output blocks, not draws), ``MT19937`` and ``SFC64`` (no
+``advance``), or a duck-typed generator.  Both ways give the same bits
+and the same end state (docs/PERF.md, "Two cores under one mask
+batch").
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+import os
+import threading
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -51,7 +72,20 @@ __all__ = ["packed_loss_masks", "boolean_loss_masks"]
 #: Scores drawn per block (2 MiB of float64).  Not part of the output.
 _SCORE_BLOCK = 1 << 18
 
-_Block = tuple[int, int, np.ndarray]
+#: Bit generators whose ``advance(n)`` skips exactly ``n`` doubles.
+_JUMPABLE = (np.random.PCG64, np.random.PCG64DXSM)
+
+
+class _Block(NamedTuple):
+    """One score matrix of a call and the cases and nodes it decides."""
+
+    offset: int  # doubles the call draws before this block's
+    row: int
+    col: int
+    rows: int
+    size: int
+    counts: np.ndarray | None  # per-row losses; None: every row kmax
+    kmax: int
 
 
 def _argpartition_choice(
@@ -104,10 +138,21 @@ def _select_smallest(
     return chosen
 
 
-def _draw_blocks(
+def _plan(
     num_nodes: int, k: int, batch: int, rng: np.random.Generator, leaf: int
-) -> Iterator[_Block]:
-    """The draws, in their frozen order: leaf counts, then leaf by leaf."""
+) -> list[_Block]:
+    """The call's score blocks in stream order, leaf counts drawn.
+
+    Leaves in which no case loses a node get no block (and draw
+    nothing).  ``k`` and ``batch`` are validated here, before the first
+    draw, so a rejected call leaves ``rng`` where it was.
+    """
+    if not 0 <= k <= num_nodes:
+        raise ValueError(f"k={k} outside [0, {num_nodes}]")
+    if batch < 0:
+        raise ValueError(f"batch={batch} is negative")
+    if k == 0 or batch == 0:
+        return []
     num_leaves = (num_nodes + leaf - 1) // leaf
     if num_leaves == 1:
         counts = None
@@ -118,38 +163,106 @@ def _draw_blocks(
         counts = rng.multivariate_hypergeometric(
             leaf_sizes, k, size=batch, method="marginals"
         )
+    blocks = []
+    offset = 0
     for j in range(num_leaves):
         col = j * leaf
         size = min(leaf, num_nodes - col)
         kmax = k if counts is None else int(counts[:, j].max())
         if kmax == 0:
-            continue  # no case loses a node here: no scores are drawn
+            continue
         # Whole words per block, so blocks pack independently.
         step = max(64, (_SCORE_BLOCK // size) & ~63)
         for row in range(0, batch, step):
-            scores = rng.random((min(step, batch - row), size))
+            rows = min(step, batch - row)
             block_counts = (
-                None if counts is None
-                else counts[row:row + len(scores), j]
+                None if counts is None else counts[row:row + rows, j]
             )
-            yield row, col, _select_smallest(scores, block_counts, kmax)
+            blocks.append(
+                _Block(offset, row, col, rows, size, block_counts, kmax)
+            )
+            offset += rows * size
+    return blocks
 
 
-def _selection_blocks(
-    num_nodes: int, k: int, batch: int, rng: np.random.Generator, leaf: int
-) -> Iterator[_Block]:
-    """``(row, col, chosen)`` boolean blocks tiling the lossy leaves.
+def _chosen(block: _Block, rng: np.random.Generator) -> np.ndarray:
+    """Draw ``block``'s scores from ``rng``; ``chosen[i, n]`` says case
+    ``block.row + i`` loses node ``block.col + n``."""
+    scores = rng.random((block.rows, block.size))
+    return _select_smallest(scores, block.counts, block.kmax)
 
-    ``chosen[i, n]`` says case ``row + i`` loses node ``col + n``.
-    Leaves in which no case loses a node are skipped (and draw
-    nothing).  ``k`` is validated here, before the first draw, so a
-    rejected call leaves ``rng`` where it was.
-    """
-    if not 0 <= k <= num_nodes:
-        raise ValueError(f"k={k} outside [0, {num_nodes}]")
-    if k == 0 or batch == 0:
-        return iter(())
-    return _draw_blocks(num_nodes, k, batch, rng, leaf)
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _each_block(
+    blocks: list[_Block],
+    rng: np.random.Generator,
+    emit: Callable[[_Block, np.ndarray], None],
+) -> None:
+    """``emit(block, chosen)`` for every block, threaded where it may be
+    (module docstring); ``emit`` must write only its block's cases."""
+    threads = 1
+    if (
+        len(blocks) > 1
+        and type(rng) is np.random.Generator
+        and type(rng.bit_generator) in _JUMPABLE
+    ):
+        threads = min(_cpu_count(), len(blocks))
+    if threads == 1:
+        for block in blocks:
+            emit(block, _chosen(block, rng))
+        return
+
+    bitgen = rng.bit_generator
+    base = bitgen.state
+
+    def at_base():
+        copy = type(bitgen)()
+        copy.state = base
+        return copy
+
+    def drain(share: list[_Block]) -> None:
+        gen = np.random.Generator(at_base())
+        drawn = 0
+        for block in share:
+            gen.bit_generator.advance(block.offset - drawn)
+            emit(block, _chosen(block, gen))
+            drawn = block.offset + block.rows * block.size
+
+    errors: list[BaseException] = []
+
+    def helper(share: list[_Block]) -> None:
+        try:
+            drain(share)
+        except BaseException as exc:  # re-raised on the caller's thread
+            errors.append(exc)
+
+    helpers = [
+        threading.Thread(target=helper, args=(blocks[t::threads],))
+        for t in range(1, threads)
+    ]
+    for thread in helpers:
+        thread.start()
+    try:
+        drain(blocks[::threads])
+    finally:
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[0]
+    last = blocks[-1]
+    end = at_base()
+    end.advance(last.offset + last.rows * last.size)
+    state = end.state  # advance() dropped the buffered half; restore it
+    state["has_uint32"] = base["has_uint32"]
+    state["uinteger"] = base["uinteger"]
+    bitgen.state = state
 
 
 def packed_loss_masks(
@@ -160,16 +273,20 @@ def packed_loss_masks(
     Layout as :func:`repro.core.bitdecoder.pack_cases`: case ``c`` in
     word ``c >> 6`` at numeric bit ``c & 63``, pad lanes zero.
     """
+    blocks = _plan(num_nodes, k, batch, rng, leaf)
     w = max(1, (batch + 63) // 64)
     lanes = np.zeros((num_nodes, w * 8), dtype=np.uint8)
-    for row, col, chosen in _selection_blocks(
-        num_nodes, k, batch, rng, leaf
-    ):
+
+    def pack(block: _Block, chosen: np.ndarray) -> None:
         packed = np.packbits(
             np.ascontiguousarray(chosen.T), axis=1, bitorder="little"
         )
-        lo = row >> 3
-        lanes[col:col + chosen.shape[1], lo:lo + packed.shape[1]] = packed
+        lo = block.row >> 3
+        lanes[block.col:block.col + block.size, lo:lo + packed.shape[1]] = (
+            packed
+        )
+
+    _each_block(blocks, rng, pack)
     # Little-endian words, normalised to native order so the
     # numeric-bit convention holds on any host.
     return lanes.view("<u8").astype(np.uint64, copy=False)
@@ -184,9 +301,12 @@ def boolean_loss_masks(
     :func:`repro.core.bitdecoder.packed_random_loss_masks`, unpacked,
     for the engines that have no ``decode_packed``.
     """
+    blocks = _plan(num_nodes, k, batch, rng, leaf=num_nodes)
     masks = np.zeros((batch, num_nodes), dtype=bool)
-    for row, col, chosen in _selection_blocks(
-        num_nodes, k, batch, rng, leaf=num_nodes
-    ):
-        masks[row:row + chosen.shape[0], col:col + chosen.shape[1]] = chosen
+
+    def write(block: _Block, chosen: np.ndarray) -> None:
+        rows = slice(block.row, block.row + block.rows)
+        masks[rows, block.col:block.col + block.size] = chosen
+
+    _each_block(blocks, rng, write)
     return masks

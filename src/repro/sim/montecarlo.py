@@ -80,26 +80,37 @@ __all__ = [
 
 DEFAULT_SAMPLES_PER_K = 20_000
 DEFAULT_EXACT_UPTO = 6
+
+# Cases per generator call and decode under the dense leaf rule.  Its
+# draws are row-major, so the batch changes no bit: 16 384 makes a
+# 16 384-sample cell one generator call and one decode.
+_DENSE_BATCH = 16_384
+
+# Cap on the bounded rule's batch.  Each bounded call draws its own
+# hypergeometric leaf counts first, so the batch is part of that
+# stream: it stays 8 192.
 _MAX_BATCH = 8_192
 
 # Largest graph sampled under the dense leaf rule (one (batch, N) score
-# matrix) at the full `_MAX_BATCH`.  Up to here the RNG stream — and
-# therefore every existing profile and checkpoint — is the historical
-# one; above it masks follow the bounded leaf rule (hypergeometric leaf
-# counts) with a size-adaptive batch.  See repro.core.lossmasks.
+# matrix).  Up to here the RNG stream — and therefore every existing
+# profile and checkpoint — is the historical one; above it masks follow
+# the bounded leaf rule (hypergeometric leaf counts) with a
+# size-adaptive batch.  See repro.core.lossmasks.
 _DENSE_MASK_MAX_NODES = 1 << 13
 
 
 def _mask_batch(num_nodes: int) -> int:
-    """Per-decode batch size: 8192 up to 2^13 nodes, shrinking above.
+    """Per-decode batch size: 16 384 up to 2^13 nodes, at most 8 192
+    above, shrinking with the graph.
 
-    The cap keeps the packed case matrix — ``num_nodes * batch / 8``
-    bytes, the one mask-generation allocation that scales with batch
-    times nodes — at or under 128 MiB at any graph size; always a
-    multiple of 64 so packed words have no dead pad lanes mid-run.
+    The bounded cap keeps the packed case matrix — ``num_nodes * batch
+    / 8`` bytes, the one mask-generation allocation that scales with
+    batch times nodes — at or under 128 MiB at any graph size (the dense
+    one is at most 16 MiB); always a multiple of 64 so packed words
+    have no dead pad lanes mid-run.
     """
     if num_nodes <= _DENSE_MASK_MAX_NODES:
-        return _MAX_BATCH
+        return _DENSE_BATCH
     return max(64, min(_MAX_BATCH, ((1 << 30) // num_nodes) & ~63))
 
 
@@ -481,6 +492,8 @@ def profile_graph(
     data blocks); Monte Carlo covers the cells between (or the explicit
     ``ks`` subset, other entries filled by monotone interpolation
     between the requested ones).  Exact cells keep ``samples[k] == 0``.
+    ``ks`` entries must be distinct and in ``[0, num_nodes]``, and
+    ``exact_upto`` non-negative (``ValueError`` otherwise).
     ``n_jobs > 1`` distributes k-cells over processes.  ``seed``
     accepts an int or an existing :class:`numpy.random.Generator`
     (unified seeding convention).
@@ -525,6 +538,19 @@ def profile_graph(
         raise ValueError(
             f"samples_per_k must be positive, got {samples_per_k}"
         )
+    if exact_upto < 0:
+        raise ValueError(f"exact_upto must be >= 0, got {exact_upto}")
+    if ks is not None:
+        # Cell seeds are positional over `ks`: a repeated k would shift
+        # every later cell's seed, and a k off the curve would be
+        # dropped unreported.
+        if len(set(ks)) < len(ks):
+            raise ValueError(f"ks repeats a k: {list(ks)}")
+        outside = [k for k in ks if not 0 <= k <= graph.num_nodes]
+        if outside:
+            raise ValueError(
+                f"ks {outside} outside [0, {graph.num_nodes}]"
+            )
     reg = registry()
     t_start = time.perf_counter() if reg.enabled else 0.0
     decoder = make_batch_decoder(graph, engine=engine)

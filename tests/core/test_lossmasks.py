@@ -11,6 +11,8 @@ digests computed at the last commit that shipped it.
 from __future__ import annotations
 
 import hashlib
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -18,12 +20,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.lossmasks as lossmasks
+import repro.sim.montecarlo as montecarlo
 from repro.core import (
     packed_random_loss_masks,
     packed_sparse_loss_masks,
     unpack_cases,
 )
 from repro.core.lossmasks import boolean_loss_masks
+from repro.sim import profile_graph, sample_fail_fraction
 
 from .mask_oracle import (
     MASK_LEAF,
@@ -126,19 +130,31 @@ class TestReplaysHistoricalStream:
             assert rng_new.random() == rng_old.random()
 
 
+GENERATORS = [
+    packed_random_loss_masks,
+    packed_sparse_loss_masks,
+    # id of the stream it replays (mask_oracle.oracle_random_loss_masks)
+    pytest.param(boolean_loss_masks, id="_random_loss_masks"),
+]
+
+
 class TestRejectsBeforeDrawing:
-    @pytest.mark.parametrize(
-        "generate",
-        [packed_random_loss_masks, packed_sparse_loss_masks,
-         # id of the stream it replays (mask_oracle.oracle_random_loss_masks)
-         pytest.param(boolean_loss_masks, id="_random_loss_masks")],
-    )
+    @pytest.mark.parametrize("generate", GENERATORS)
     @pytest.mark.parametrize("n,k", [(96, 97), (96, -1), (9000, 9001)])
     def test_bad_k_leaves_generator_untouched(self, generate, n, k):
         rng = np.random.default_rng(3)
         before = rng.bit_generator.state
         with pytest.raises(ValueError, match=rf"k={k} outside \[0, {n}\]"):
             generate(n, k, 64, rng)
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("generate", GENERATORS)
+    @pytest.mark.parametrize("n", [96, 9000])
+    def test_negative_batch_leaves_generator_untouched(self, generate, n):
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"batch=-1 is negative"):
+            generate(n, 5, -1, rng)
         assert rng.bit_generator.state == before
 
 
@@ -310,3 +326,175 @@ class TestFloat32Selector:
         )
         assert np.array_equal(lanes, want)
         assert (lanes.sum(axis=1) == 10).all()
+
+
+def _run_on(cpus, generate, *args):
+    """``generate(*args)`` as if the process had ``cpus`` CPUs, and how
+    many threads drew its score blocks."""
+    threads = set()
+    chosen = lossmasks._chosen
+
+    def spy(block, rng):
+        threads.add(threading.current_thread())  # idents get reused
+        return chosen(block, rng)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lossmasks, "_cpu_count", lambda: cpus)
+        mp.setattr(lossmasks, "_chosen", spy)
+        return generate(*args), len(threads)
+
+
+def _same_stream(a, b) -> bool:
+    """Both generators draw the same next numbers, buffered half first."""
+    return bool(
+        np.array_equal(
+            a.integers(2**32, size=3, dtype=np.uint32),
+            b.integers(2**32, size=3, dtype=np.uint32),
+        )
+        and a.random() == b.random()
+    )
+
+
+class TestTwoCores:
+    """Blocks drawn on helper threads are the blocks drawn in order."""
+
+    @pytest.mark.parametrize(
+        "rule,n,k,batch",
+        [
+            ("dense", 96, 30, 16384),  # the sweep's cell: 7 row blocks
+            ("dense", 700, 350, 3000),
+            ("bounded", 2 * MASK_LEAF + 809, 7, 200),  # remainder leaf
+            ("bounded", 4 * MASK_LEAF + 5, 1, 64),  # the 5-node leaf is empty
+            ("bounded", 3 * MASK_LEAF + 1, 5000, 130),
+        ],
+    )
+    def test_threaded_equals_in_order_equals_oracle(self, rule, n, k, batch):
+        new, oracle = ENTRY_POINTS[rule]
+        threaded_rng, in_order_rng, oracle_rng = (
+            np.random.default_rng(21) for _ in range(3)
+        )
+        threaded, threads = _run_on(3, new, n, k, batch, threaded_rng)
+        in_order, alone = _run_on(1, new, n, k, batch, in_order_rng)
+        assert threads >= 2, "no helper thread drew a block"
+        assert alone == 1
+        assert np.array_equal(threaded, in_order)
+        assert np.array_equal(threaded, oracle(n, k, batch, oracle_rng))
+        assert (
+            threaded_rng.bit_generator.state
+            == in_order_rng.bit_generator.state
+            == oracle_rng.bit_generator.state
+        )
+
+    def test_boolean_masks(self):
+        threaded_rng, in_order_rng, oracle_rng = (
+            np.random.default_rng(4) for _ in range(3)
+        )
+        args = (96, 40, 9000)
+        threaded, threads = _run_on(2, boolean_loss_masks, *args, threaded_rng)
+        in_order, _ = _run_on(1, boolean_loss_masks, *args, in_order_rng)
+        assert threads == 2
+        assert np.array_equal(threaded, in_order)
+        assert np.array_equal(
+            threaded, oracle_random_loss_masks(*args, oracle_rng)
+        )
+        assert _same_stream(threaded_rng, oracle_rng)
+
+    def test_end_state_keeps_the_buffered_half(self):
+        threaded_rng, in_order_rng = (
+            np.random.default_rng(9) for _ in range(2)
+        )
+        for rng in (threaded_rng, in_order_rng):
+            rng.integers(100, dtype=np.uint32)
+            assert rng.bit_generator.state["has_uint32"] == 1
+        args = (96, 20, 9000)
+        _, threads = _run_on(2, packed_random_loss_masks, *args, threaded_rng)
+        _run_on(1, packed_random_loss_masks, *args, in_order_rng)
+        assert threads == 2
+        assert (
+            threaded_rng.bit_generator.state
+            == in_order_rng.bit_generator.state
+        )
+        assert _same_stream(threaded_rng, in_order_rng)
+
+    @pytest.mark.parametrize(
+        "bit_generator,threaded",
+        [("PCG64DXSM", True), ("Philox", False), ("MT19937", False),
+         ("SFC64", False)],
+    )
+    @pytest.mark.parametrize(
+        "rule,n,k,batch",
+        [("dense", 96, 30, 9000), ("bounded", 2 * MASK_LEAF + 809, 300, 130)],
+    )
+    def test_bit_generators(self, bit_generator, threaded, rule, n, k, batch):
+        """PCG64DXSM advances by draws and is threaded; Philox's advance
+        counts four-output blocks, MT19937 and SFC64 have none: those
+        run in order, on the oracle's stream."""
+        new, oracle = ENTRY_POINTS[rule]
+
+        def make():
+            return np.random.Generator(getattr(np.random, bit_generator)(5))
+
+        got_rng, want_rng = make(), make()
+        got, threads = _run_on(2, new, n, k, batch, got_rng)
+        assert threads == (2 if threaded else 1)
+        assert np.array_equal(got, oracle(n, k, batch, want_rng))
+        assert _same_stream(got_rng, want_rng)
+
+    def test_more_threads_than_cores_lose_no_block(self, monkeypatch):
+        """Eight threads over 64-row blocks, switching every microsecond:
+        a block written over or skipped breaks equality."""
+        monkeypatch.setattr(lossmasks, "_SCORE_BLOCK", 1)
+        args = (96, 30, 3000)
+        want, _ = _run_on(1, packed_random_loss_masks, *args,
+                          np.random.default_rng(2))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got, threads = _run_on(8, packed_random_loss_masks, *args,
+                                   np.random.default_rng(2))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threads == 8
+        assert np.array_equal(got, want)
+
+    def test_a_helpers_exception_reaches_the_caller(self, monkeypatch):
+        caller = threading.get_ident()
+        chosen = lossmasks._chosen
+
+        def fail_off_the_caller(block, rng):
+            if threading.get_ident() != caller:
+                raise RuntimeError("helper failed")
+            return chosen(block, rng)
+
+        monkeypatch.setattr(lossmasks, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(lossmasks, "_chosen", fail_off_the_caller)
+        alive = threading.active_count()
+        with pytest.raises(RuntimeError, match="helper failed"):
+            packed_random_loss_masks(96, 30, 9000, np.random.default_rng(1))
+        assert threading.active_count() == alive  # every helper joined
+
+    def test_pool_after_an_in_process_sweep(self, small_tornado, monkeypatch):
+        """No thread outlives a call, so a pool forked after an
+        in-process sweep inherits none: its cells run to the same
+        profile.  A hung cell would time out and come back uncovered."""
+        monkeypatch.setattr(lossmasks, "_cpu_count", lambda: 2)
+        sweep = dict(samples_per_k=9000, exact_upto=2, ks=[8, 12, 16], seed=4)
+        in_process = profile_graph(small_tornado, **sweep)
+        pooled = profile_graph(
+            small_tornado, **sweep, n_jobs=2, cell_timeout=60, max_retries=0
+        )
+        assert pooled.fully_covered
+        assert pooled.to_json() == in_process.to_json()
+
+    def test_dense_batch_is_not_part_of_the_output(self, graph3, monkeypatch):
+        """A 16 384-case call draws what two 8 192-case calls drew."""
+
+        def estimate():
+            rng = np.random.default_rng(6)
+            return sample_fail_fraction(graph3, 30, 20_000, rng), rng.random()
+
+        assert montecarlo._mask_batch(graph3.num_nodes) == 16_384
+        whole = estimate()
+        monkeypatch.setattr(montecarlo, "_DENSE_BATCH", 8_192)
+        assert montecarlo._mask_batch(graph3.num_nodes) == 8_192
+        assert estimate() == whole

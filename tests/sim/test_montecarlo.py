@@ -152,6 +152,33 @@ class TestProfileGraph:
         with pytest.raises(ValueError, match="samples_per_k must be positive"):
             profile_graph(small_tornado, samples_per_k=samples_per_k)
 
+    def test_rejects_a_repeated_k(self, small_tornado):
+        """Seeds are positional over ``ks``: a repeat would shift every
+        later cell's stream."""
+        with pytest.raises(ValueError, match=r"repeats a k: \[10, 10, 20\]"):
+            profile_graph(small_tornado, samples_per_k=50, ks=[10, 10, 20])
+
+    @pytest.mark.parametrize("bad", [200, 33, -5])
+    def test_rejects_a_k_off_the_curve(self, small_tornado, bad):
+        """Not dropped unreported: ``ks=[200, 20]`` used to sample k=20
+        alone."""
+        with pytest.raises(ValueError, match=rf"\[{bad}\] outside \[0, 32\]"):
+            profile_graph(small_tornado, samples_per_k=50, ks=[bad, 20])
+
+    def test_rejects_negative_exact_upto(self, small_tornado):
+        """``exact_upto=-1`` could read a failure at k = 0, where nothing
+        is lost."""
+        with pytest.raises(ValueError, match="exact_upto must be >= 0"):
+            profile_graph(
+                small_tornado, samples_per_k=50, exact_upto=-1, ks=[20]
+            )
+
+    def test_accepts_both_ends_of_the_curve(self, small_tornado):
+        prof = profile_graph(small_tornado, samples_per_k=50, ks=[0, 10, 32])
+        assert prof.fail_fraction[0] == 0.0
+        assert prof.fail_fraction[32] == 1.0
+        assert prof.samples[10] == 50
+
     def test_parallel_equals_serial_per_engine(self, small_tornado):
         """Each pinned kernel gives the same profile at any worker count."""
         for engine in ("bitset", "sparse"):

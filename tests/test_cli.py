@@ -343,6 +343,15 @@ class TestExitCodes:
         assert err.startswith("usage error:")
         assert "--samples" in err
 
+    def test_negative_exact_upto_exits_2(self, graph_file, capsys):
+        code = main(
+            ["profile", graph_file, "--exact-upto", "-1", "--samples", "10"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:")
+        assert "--exact-upto" in err
+
     @pytest.mark.parametrize(
         "argv",
         [
