@@ -49,6 +49,7 @@ from typing import Sequence
 import numpy as np
 
 from ..obs.registry import registry
+from . import lossmasks
 from .graph import ErasureGraph
 from .lossmasks import packed_loss_masks
 
@@ -59,6 +60,13 @@ __all__ = [
     "packed_random_loss_masks",
     "missing_sets_to_unknown",
 ]
+
+#: Node-words (``N * W``) a word range must hold before ``decode_packed``
+#: gives it a thread of its own.  Below about 2^15 (bitset) and 2^16
+#: (sparse) the thread hand-offs cost more than the range saves; at
+#: 2^17 both kernels run a two-range call in 0.6–0.8 of one range's
+#: time (docs/PERF.md, "Two cores under the kernel").  Not an option.
+_RANGE_FLOOR = 1 << 17
 
 
 def pack_cases(unknown: np.ndarray) -> np.ndarray:
@@ -87,8 +95,15 @@ def pack_cases(unknown: np.ndarray) -> np.ndarray:
 
 
 def unpack_cases(packed: np.ndarray, batch: int) -> np.ndarray:
-    """Inverse of :func:`pack_cases`: ``(N, W)`` words → ``(batch, N)``."""
+    """Inverse of :func:`pack_cases`: ``(N, W)`` words → ``(batch, N)``.
+
+    Raises ``ValueError`` for ``batch`` outside ``[0, 64 * W]``.
+    """
     packed = np.asarray(packed, dtype=np.uint64)
+    if not 0 <= batch <= packed.shape[1] * 64:
+        raise ValueError(
+            f"batch={batch} does not fit {packed.shape[1]} words"
+        )
     lanes = (
         packed[:, :, np.newaxis] >> np.arange(64, dtype=np.uint64)
     ) & np.uint64(1)
@@ -145,6 +160,17 @@ class _PackedPeelingDecoder:
     ``_data`` and ``_peel(u)`` (peel the packed ``(N, W)`` matrix ``u``
     in place, return the round count); validation, lane extraction and
     the ``decoder.*`` metrics live here once.
+
+    The 64 cases of a word never read another word's bits, so
+    ``decode_packed`` splits the word columns into ``min(CPUs, W, N * W
+    // _RANGE_FLOOR)`` contiguous ranges and peels each on its own copy,
+    the first on the caller's thread and each other on a helper thread
+    (:func:`repro.core.lossmasks._fan_out`).  A smaller call, and any
+    call in a one-CPU process, is one range on the caller's thread.  A
+    range's round count is one more than the last round in which one of
+    its words both progressed and kept an unknown data bit, so the
+    maximum over ranges is the one-range count.  Metrics are recorded
+    once per call, on the caller's thread, after the join.
     """
 
     def decode_batch(self, unknown: np.ndarray) -> np.ndarray:
@@ -177,12 +203,20 @@ class _PackedPeelingDecoder:
         """Success vector for cases already in packed ``(N, W)`` form.
 
         ``batch`` trims the trailing pad lanes of the last word (defaults
-        to ``W * 64``).  The input array is not modified.
+        to ``W * 64``).  The input array is not modified.  Raises
+        ``TypeError`` for words of a non-integer dtype.  A call of at
+        least twice ``_RANGE_FLOOR`` node-words is peeled in word ranges
+        on the caller's thread and helper threads (class docstring);
+        the result is the same either way.
         """
         packed = np.asarray(packed)
         if packed.ndim != 2 or packed.shape[0] != self._num_nodes:
             raise ValueError(
                 f"expected ({self._num_nodes}, W) packed matrix"
+            )
+        if packed.dtype.kind not in "iu":
+            raise TypeError(
+                f"packed words must be integers, not {packed.dtype}"
             )
         w = packed.shape[1]
         if batch is None:
@@ -194,20 +228,29 @@ class _PackedPeelingDecoder:
 
         reg = registry()
         t0 = time.perf_counter() if reg.enabled else 0.0
-        rounds = 0
-        u = np.array(packed, dtype=np.uint64, copy=True)
-        if self._num_cons and self._data.size:
-            rounds = self._peel(u)
+        ranges = min(w, self._num_nodes * w // _RANGE_FLOOR)
+        ranges = min(ranges, lossmasks._cpu_count()) if ranges > 1 else 1
+        bounds = [w * i // ranges for i in range(ranges + 1)]
+        range_rounds = [0] * ranges
+        fail_words = np.zeros(w, dtype=np.uint64)
 
-        if self._data.size:
-            fail_words = np.bitwise_or.reduce(u[self._data], axis=0)
-        else:
-            fail_words = np.zeros(w, dtype=np.uint64)
+        def peel(i: int) -> None:
+            lo, hi = bounds[i], bounds[i + 1]
+            u = np.array(packed[:, lo:hi], dtype=np.uint64, copy=True)
+            if self._num_cons and self._data.size:
+                range_rounds[i] = self._peel(u)
+            if self._data.size:
+                fail_words[lo:hi] = np.bitwise_or.reduce(
+                    u[self._data], axis=0
+                )
+
+        lossmasks._fan_out(range(ranges), peel)
         lanes = (
             fail_words[:, np.newaxis] >> np.arange(64, dtype=np.uint64)
         ) & np.uint64(1)
         ok = lanes.reshape(-1)[:batch] == 0
 
+        rounds = max(range_rounds)
         reg.counter("decoder.batches").inc()
         reg.counter("decoder.cases").inc(batch)
         reg.counter(f"decoder.cases.{self.engine}").inc(batch)

@@ -47,27 +47,30 @@ their offsets in the stream (the doubles drawn before each).  When
 robin to the caller's thread and one helper thread per extra CPU in
 ``os.sched_getaffinity(0)``.  Each thread draws from its own copy of
 the caller's bit generator, advanced to each of its blocks in turn,
-and writes only its blocks' words.  The helpers are started per call
-and joined before it returns, so no thread outlives a call (a forked
-pool worker inherits none).  The caller's generator is then moved to
-where drawing in order would have left it, its buffered 32-bit half
-kept.  Every other case runs the same block function in order on the
-caller's thread: one CPU, one block, ``Philox`` (whose ``advance``
-counts four-output blocks, not draws), ``MT19937`` and ``SFC64`` (no
-``advance``), or a duck-typed generator.  Both ways give the same bits
-and the same end state (docs/PERF.md, "Two cores under one mask
-batch").
+and writes only its blocks' words.  The threads come from
+:func:`_fan_out`, which the decode kernels' word ranges use too: the
+helpers are started per call and joined before it returns, so no
+thread outlives a call (a forked pool worker inherits none).  The
+caller's generator is then moved to where drawing in order would have
+left it, its buffered 32-bit half kept.  Every other case runs the
+same block function in order on the caller's thread: one CPU, one
+block, ``Philox`` (whose ``advance`` counts four-output blocks, not
+draws), ``MT19937`` and ``SFC64`` (no ``advance``), or a duck-typed
+generator.  Both ways give the same bits and the same end state
+(docs/PERF.md, "Two cores under one mask batch").
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
 __all__ = ["packed_loss_masks", "boolean_loss_masks"]
+
+_Share = TypeVar("_Share")
 
 #: Scores drawn per block (2 MiB of float64).  Not part of the output.
 _SCORE_BLOCK = 1 << 18
@@ -200,6 +203,40 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def _fan_out(shares: Sequence[_Share], run: Callable[[_Share], None]) -> None:
+    """``run(share)`` for every share at once: the first on the caller's
+    thread, each other on its own short-lived helper thread.
+
+    The package's one thread fan-out, under the mask generator and the
+    decode kernels.  Every helper is joined before this returns, so no
+    thread outlives the call: a pool worker forked later inherits none
+    (a thread pool's object would survive the fork without its threads,
+    and the worker's first submit would hang).  A helper's exception is
+    re-raised on the caller's thread.  ``run`` must write only what its
+    share owns.
+    """
+    errors: list[BaseException] = []
+
+    def helper(share: _Share) -> None:
+        try:
+            run(share)
+        except BaseException as exc:  # re-raised on the caller's thread
+            errors.append(exc)
+
+    helpers = [
+        threading.Thread(target=helper, args=(share,)) for share in shares[1:]
+    ]
+    for thread in helpers:
+        thread.start()
+    try:
+        run(shares[0])
+    finally:
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
 def _each_block(
     blocks: list[_Block],
     rng: np.random.Generator,
@@ -235,27 +272,7 @@ def _each_block(
             emit(block, _chosen(block, gen))
             drawn = block.offset + block.rows * block.size
 
-    errors: list[BaseException] = []
-
-    def helper(share: list[_Block]) -> None:
-        try:
-            drain(share)
-        except BaseException as exc:  # re-raised on the caller's thread
-            errors.append(exc)
-
-    helpers = [
-        threading.Thread(target=helper, args=(blocks[t::threads],))
-        for t in range(1, threads)
-    ]
-    for thread in helpers:
-        thread.start()
-    try:
-        drain(blocks[::threads])
-    finally:
-        for thread in helpers:
-            thread.join()
-    if errors:
-        raise errors[0]
+    _fan_out([blocks[t::threads] for t in range(threads)], drain)
     last = blocks[-1]
     end = at_base()
     end.advance(last.offset + last.rows * last.size)

@@ -63,6 +63,7 @@ any batch and graph size, where a dense ``(batch, N)`` score matrix at
 
 from __future__ import annotations
 
+import numbers
 import os
 
 import numpy as np
@@ -173,6 +174,8 @@ class SparseBitsetDecoder(_PackedPeelingDecoder):
 
     def __init__(self, graph, *, jit: bool | None = None,
                  chunk: int = DEFAULT_CHUNK):
+        if not isinstance(chunk, numbers.Integral) or chunk < 1:
+            raise ValueError(f"chunk must be an integer >= 1, got {chunk!r}")
         self.graph = graph
         # A CsrGraph's arrays are adopted zero-copy (read-only ones too:
         # the decoder never writes to them).
@@ -193,7 +196,7 @@ class SparseBitsetDecoder(_PackedPeelingDecoder):
         self._num_cons = int(self._lens.size)
         self._dmax = int(self._lens[0]) if self._num_cons else 0
         self._data = np.ascontiguousarray(csr.data_nodes, dtype=np.intp)
-        self._chunk = max(1, int(chunk))
+        self._chunk = int(chunk)
         self._use_jit = (
             _JIT_KERNEL is not None if jit is None else
             bool(jit) and _JIT_KERNEL is not None

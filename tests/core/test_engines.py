@@ -10,10 +10,14 @@ fixpoint in this file is.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
+import repro.core.bitdecoder as bitdecoder
 import repro.core.decoder as decoder_module
+import repro.core.lossmasks as lossmasks
 from repro.core import (
     DECODE_ENGINES,
     BitsetBatchDecoder,
@@ -23,12 +27,19 @@ from repro.core import (
     make_batch_decoder,
     pack_cases,
     packed_random_loss_masks,
+    packed_sparse_loss_masks,
     resolve_engine,
+    tornado_csr_graph,
     tornado_graph,
     unpack_cases,
 )
 from repro.core.bitdecoder import missing_sets_to_unknown
 from repro.core.lossmasks import boolean_loss_masks
+from repro.obs import MetricsRegistry, capture
+from repro.obs.trace import Tracer, trace_capture
+from repro.sim import profile_graph
+
+KERNELS = {"bitset": BitsetBatchDecoder, "sparse": SparseBitsetDecoder}
 
 
 def random_small_graphs():
@@ -119,6 +130,21 @@ class TestEngineAgreement:
             assert out_sp.shape == (batch,)
             assert np.array_equal(out_sp, expected)
 
+    @pytest.mark.parametrize("engine", ["bitset", "sparse"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, bool])
+    def test_decode_packed_rejects_non_integer_words(
+        self, small_tornado, engine, dtype
+    ):
+        """A float matrix of 0.5 used to cast to all-zero words and read
+        as "nothing lost": every case succeeded."""
+        dec = KERNELS[engine](small_tornado)
+        words = np.full((small_tornado.num_nodes, 2), 0.5).astype(dtype)
+        with pytest.raises(TypeError, match="integers"):
+            dec.decode_packed(words, 128)
+        # Integer words of any width are still words.
+        lost = np.full((small_tornado.num_nodes, 2), -1, dtype=np.int64)
+        assert not dec.decode_packed(lost, 128).any()
+
 
 class TestPackingHelpers:
     def test_pack_unpack_roundtrip(self, rng):
@@ -127,6 +153,16 @@ class TestPackingHelpers:
             packed = pack_cases(masks)
             assert packed.shape == (17, (batch + 63) // 64)
             assert np.array_equal(unpack_cases(packed, batch), masks)
+
+    def test_unpack_cases_rejects_a_batch_the_words_do_not_hold(self):
+        """``batch=100`` on one word used to return 64 rows, and
+        ``batch=-1`` 63."""
+        packed = np.zeros((5, 1), dtype=np.uint64)
+        for batch in (100, 65, -1):
+            with pytest.raises(ValueError, match="does not fit 1 words"):
+                unpack_cases(packed, batch)
+        assert unpack_cases(packed, 0).shape == (0, 5)
+        assert unpack_cases(packed, 64).shape == (64, 5)
 
     def test_packed_generator_matches_bool_generator(self):
         """Same seed → identical masks and identical downstream state."""
@@ -240,3 +276,199 @@ class TestEngineMetrics:
         assert counters["decoder.cases.bitset"] == 10
         assert counters["decoder.cases.sparse"] == 10
         assert counters["decoder.cases"] == 20
+
+
+@pytest.fixture(scope="module")
+def csr8k():
+    """An 8 192-node cascade: wide enough to cross the real range floor."""
+    return tornado_csr_graph(1 << 12, seed=11)
+
+
+def _decode_on(cpus, decoder, packed, batch):
+    """``decoder.decode_packed(packed, batch)`` as if the process had
+    ``cpus`` CPUs: its result and ``decoder.*`` counters, how often the
+    kernel's entry point ran, and the thread and width of each range."""
+    peel = decoder._peel
+    kernel = type(decoder)
+    entry = kernel.decode_packed
+    ranges, entered = [], []
+
+    def spy(u):
+        ranges.append((threading.current_thread(), u.shape[1]))
+        return peel(u)
+
+    def counted(self, *args):
+        entered.append(threading.current_thread())
+        return entry(self, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lossmasks, "_cpu_count", lambda: cpus)
+        mp.setattr(decoder, "_peel", spy)
+        mp.setattr(kernel, "decode_packed", counted)
+        with capture(MetricsRegistry()) as reg:
+            ok = decoder.decode_packed(packed, batch)
+    assert entered == [threading.current_thread()]
+    return ok, reg.snapshot()["counters"], ranges
+
+
+def _decoder_for(engine, graph):
+    return KERNELS[engine](graph.to_graph() if engine == "bitset" else graph)
+
+
+class TestKernelRanges:
+    """Word ranges peeled on helper threads are the one-range decode."""
+
+    def _check(self, decoder, packed, batch, cpus, ranges):
+        want, want_counters, alone = _decode_on(1, decoder, packed, batch)
+        got, counters, peeled = _decode_on(cpus, decoder, packed, batch)
+        assert len(alone) == 1 and alone[0][0] is threading.current_thread()
+        assert len(peeled) == ranges
+        threads = {thread for thread, _ in peeled}
+        assert len(threads) == ranges, "no helper thread peeled a range"
+        widths = [width for _, width in peeled]
+        assert sum(widths) == packed.shape[1]
+        assert max(widths) - min(widths) <= 1
+        assert np.array_equal(got, want)
+        # decoder.rounds is the maximum over ranges: the one-range count.
+        assert counters == want_counters
+        assert counters["decoder.batches"] == 1
+        assert counters["decoder.cases"] == batch
+
+    @pytest.mark.parametrize("engine", ["bitset", "sparse"])
+    @pytest.mark.parametrize(
+        "words,ranges", [(7, 1), (15, 1), (16, 2), (25, 3), (33, 4), (64, 4)]
+    )
+    def test_forced_ranges(self, graph3, monkeypatch, engine, words, ranges):
+        """A floor of 8 words per range at N = 96 and four CPUs: 1 to 4
+        ranges, uneven at odd widths, batches off the word boundary."""
+        monkeypatch.setattr(bitdecoder, "_RANGE_FLOOR", 8 * graph3.num_nodes)
+        decoder = KERNELS[engine](graph3)
+        batch = words * 64 - 37
+        for k in (8, 30, 60):
+            packed = packed_random_loss_masks(
+                graph3.num_nodes, k, batch, np.random.default_rng(words + k)
+            )
+            self._check(decoder, packed, batch, 4, ranges)
+
+    @pytest.mark.parametrize("engine", ["bitset", "sparse"])
+    @pytest.mark.parametrize("words,cpus,ranges", [(31, 4, 1), (32, 4, 2),
+                                                   (49, 2, 2), (49, 3, 3)])
+    def test_real_floor(self, csr8k, engine, words, cpus, ranges):
+        """At the shipped floor an 8 192-node call splits from 32 words
+        (N * W = 2 * _RANGE_FLOOR), and never into more ranges than
+        CPUs."""
+        assert csr8k.num_nodes * 32 == 2 * bitdecoder._RANGE_FLOOR
+        decoder = _decoder_for(engine, csr8k)
+        batch = words * 64 - 5
+        packed = packed_sparse_loss_masks(
+            csr8k.num_nodes, csr8k.num_nodes // 6, batch,
+            np.random.default_rng(words),
+        )
+        self._check(decoder, packed, batch, cpus, ranges)
+
+    @pytest.mark.parametrize("engine", ["bitset", "sparse"])
+    def test_ranges_with_nothing_lost(self, graph3, monkeypatch, engine):
+        """Ranges 0 and 2 of 4 lose nothing and peel zero rounds; the
+        call's rounds come from the others."""
+        monkeypatch.setattr(bitdecoder, "_RANGE_FLOOR", 8 * graph3.num_nodes)
+        decoder = KERNELS[engine](graph3)
+        packed = packed_random_loss_masks(
+            graph3.num_nodes, 40, 40 * 64, np.random.default_rng(3)
+        )
+        packed[:, 0:10] = 0
+        packed[:, 20:30] = 0
+        self._check(decoder, packed, 40 * 64, 4, 4)
+        ok, counters, _ = _decode_on(4, decoder, packed, 40 * 64)
+        assert ok[:640].all() and ok[1280:1920].all()
+        assert counters["decoder.rounds"] > 0
+
+    @pytest.mark.parametrize("engine", ["bitset", "sparse"])
+    def test_a_helpers_exception_reaches_the_caller(
+        self, graph3, monkeypatch, engine
+    ):
+        monkeypatch.setattr(bitdecoder, "_RANGE_FLOOR", graph3.num_nodes)
+        monkeypatch.setattr(lossmasks, "_cpu_count", lambda: 3)
+        decoder = KERNELS[engine](graph3)
+        caller = threading.get_ident()
+        peel = decoder._peel
+
+        def fail_off_the_caller(u):
+            if threading.get_ident() != caller:
+                raise RuntimeError("helper failed")
+            return peel(u)
+
+        monkeypatch.setattr(decoder, "_peel", fail_off_the_caller)
+        packed = packed_random_loss_masks(
+            graph3.num_nodes, 30, 9 * 64, np.random.default_rng(1)
+        )
+        alive = threading.active_count()
+        with capture(MetricsRegistry()) as reg:
+            with pytest.raises(RuntimeError, match="helper failed"):
+                decoder.decode_packed(packed)
+        assert threading.active_count() == alive  # every helper joined
+        assert reg.snapshot()["counters"] == {}  # a failed call records nothing
+
+    def test_counters_land_in_the_scope_once_per_call(
+        self, graph3, monkeypatch
+    ):
+        monkeypatch.setattr(bitdecoder, "_RANGE_FLOOR", graph3.num_nodes)
+        monkeypatch.setattr(lossmasks, "_cpu_count", lambda: 4)
+        decoder = BitsetBatchDecoder(graph3)
+        packed = packed_random_loss_masks(
+            graph3.num_nodes, 30, 1000, np.random.default_rng(2)
+        )
+        with capture(MetricsRegistry()) as reg:
+            for _ in range(3):
+                decoder.decode_packed(packed, 1000)
+        decoder.decode_packed(packed, 1000)  # outside the scope
+        snapshot = reg.snapshot()
+        assert snapshot["counters"]["decoder.batches"] == 3
+        assert snapshot["counters"]["decoder.cases"] == 3000
+        assert snapshot["counters"]["decoder.cases.bitset"] == 3000
+        for name in ("batch_size", "peel_rounds", "decode_seconds"):
+            assert snapshot["histograms"][f"decoder.{name}"]["count"] == 3
+
+    def test_pool_after_an_in_process_sparse_sweep(
+        self, small_tornado, monkeypatch
+    ):
+        """An in-process sweep whose kernel peels on helper threads, then
+        a pool forked from the same process: the helpers were joined, so
+        the pool's cells run, to the one-range profile and span IDs.  A
+        hung cell would time out and come back uncovered."""
+        sweep = dict(
+            samples_per_k=9000, exact_upto=2, ks=[8, 12, 16], seed=4,
+            engine="sparse",
+        )
+
+        def traced(**extra):
+            with trace_capture(Tracer(seed=3)) as t:
+                profile = profile_graph(small_tornado, **sweep, **extra)
+            spans = {
+                (r["name"], r["trace_id"], r["span_id"], r["parent_id"])
+                for r in t.records
+            }
+            return profile, spans
+
+        monkeypatch.setattr(lossmasks, "_cpu_count", lambda: 1)
+        one_range, one_range_spans = traced()
+        monkeypatch.setattr(lossmasks, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(
+            bitdecoder, "_RANGE_FLOOR", small_tornado.num_nodes
+        )
+        threads = set()
+        peel = SparseBitsetDecoder._peel
+
+        def spy(self, u):
+            threads.add(threading.current_thread())
+            return peel(self, u)
+
+        monkeypatch.setattr(SparseBitsetDecoder, "_peel", spy)
+        in_process, in_process_spans = traced()
+        # One decode per cell, each on the caller and a helper of its own.
+        assert len(threads) == 1 + 3, "the kernel peeled on one thread"
+        pooled, pooled_spans = traced(
+            n_jobs=2, cell_timeout=60, max_retries=0
+        )
+        assert pooled.fully_covered
+        assert pooled.to_json() == in_process.to_json() == one_range.to_json()
+        assert pooled_spans == in_process_spans == one_range_spans

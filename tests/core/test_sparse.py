@@ -130,6 +130,18 @@ class TestChunking:
         )
         assert np.array_equal(full, tiny)
 
+    @pytest.mark.parametrize("chunk", [0, -5, 2.7, "8", None])
+    def test_rejects_a_chunk_that_is_not_a_positive_integer(
+        self, small_tornado, chunk
+    ):
+        """``chunk=0``, ``-5`` and ``2.7`` used to become 1, 1 and 2."""
+        with pytest.raises(ValueError, match="chunk"):
+            SparseBitsetDecoder(small_tornado, chunk=chunk)
+
+    def test_accepts_numpy_integer_chunks(self, small_tornado):
+        dec = SparseBitsetDecoder(small_tornado, chunk=np.int64(3))
+        assert dec._chunk == 3
+
     def test_zero_copy_from_csr_readonly(self, csr16k):
         """A CsrGraph built on read-only arrays decodes through
         SparseBitsetDecoder(graph), which adopts them without a copy."""
