@@ -705,6 +705,11 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+def _check_jobs(args) -> None:
+    if args.jobs < 1:
+        raise UsageError("--jobs must be at least 1")
+
+
 def _cmd_profile(args) -> int:
     from .core import load_graphml
     from .sim import DEFAULT_EXACT_UPTO, profile_graph
@@ -718,6 +723,11 @@ def _cmd_profile(args) -> int:
     )
     if exact_upto < 0:
         raise UsageError("--exact-upto must be non-negative")
+    _check_jobs(args)
+    if args.cell_timeout is not None and args.cell_timeout <= 0:
+        raise UsageError("--cell-timeout must be positive")
+    if args.max_retries < 0:
+        raise UsageError("--max-retries must be non-negative")
     graph = load_graphml(args.graph)
     prof = profile_graph(
         graph,
@@ -782,6 +792,7 @@ def _cmd_reliability(args) -> int:
 
     if args.samples < 1:
         raise UsageError("--samples must be positive")
+    _check_jobs(args)
     profiles = [
         FailureProfile.from_analytic(s)
         for s in (

@@ -61,13 +61,6 @@ __all__ = [
     "missing_sets_to_unknown",
 ]
 
-#: Node-words (``N * W``) a word range must hold before ``decode_packed``
-#: gives it a thread of its own.  Below about 2^15 (bitset) and 2^16
-#: (sparse) the thread hand-offs cost more than the range saves; at
-#: 2^17 both kernels run a two-range call in 0.6–0.8 of one range's
-#: time (docs/PERF.md, "Two cores under the kernel").  Not an option.
-_RANGE_FLOOR = 1 << 17
-
 
 def pack_cases(unknown: np.ndarray) -> np.ndarray:
     """Pack a boolean ``(batch, num_nodes)`` matrix into ``(N, W)`` words.
@@ -163,7 +156,7 @@ class _PackedPeelingDecoder:
 
     The 64 cases of a word never read another word's bits, so
     ``decode_packed`` splits the word columns into ``min(CPUs, W, N * W
-    // _RANGE_FLOOR)`` contiguous ranges and peels each on its own copy,
+    // _range_floor)`` contiguous ranges and peels each on its own copy,
     the first on the caller's thread and each other on a helper thread
     (:func:`repro.core.lossmasks._fan_out`).  A smaller call, and any
     call in a one-CPU process, is one range on the caller's thread.  A
@@ -171,6 +164,11 @@ class _PackedPeelingDecoder:
     its words both progressed and kept an unknown data bit, so the
     maximum over ranges is the one-range count.  Metrics are recorded
     once per call, on the caller's thread, after the join.
+
+    ``_range_floor`` is the kernel's own: the node-words a range must
+    hold before it gets a thread, below which the thread hand-offs cost
+    more than the range saves (docs/PERF.md, "Two cores under the
+    kernel").  A constant per kernel, not an option.
     """
 
     def decode_batch(self, unknown: np.ndarray) -> np.ndarray:
@@ -205,7 +203,7 @@ class _PackedPeelingDecoder:
         ``batch`` trims the trailing pad lanes of the last word (defaults
         to ``W * 64``).  The input array is not modified.  Raises
         ``TypeError`` for words of a non-integer dtype.  A call of at
-        least twice ``_RANGE_FLOOR`` node-words is peeled in word ranges
+        least twice ``_range_floor`` node-words is peeled in word ranges
         on the caller's thread and helper threads (class docstring);
         the result is the same either way.
         """
@@ -228,7 +226,7 @@ class _PackedPeelingDecoder:
 
         reg = registry()
         t0 = time.perf_counter() if reg.enabled else 0.0
-        ranges = min(w, self._num_nodes * w // _RANGE_FLOOR)
+        ranges = min(w, self._num_nodes * w // self._range_floor)
         ranges = min(ranges, lossmasks._cpu_count()) if ranges > 1 else 1
         bounds = [w * i // ranges for i in range(ranges + 1)]
         range_rounds = [0] * ranges
@@ -274,6 +272,8 @@ class BitsetBatchDecoder(_PackedPeelingDecoder):
     """
 
     engine = "bitset"
+    # A two-range call pays from about 2^15.5 node-words per range.
+    _range_floor = 1 << 16
     # Bound in this class's own namespace: the benchmark's layer hooks
     # patch ``decode_packed`` per kernel class, not on the shared base.
     decode_packed = _PackedPeelingDecoder.decode_packed

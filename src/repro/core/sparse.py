@@ -168,6 +168,8 @@ class SparseBitsetDecoder(_PackedPeelingDecoder):
     """
 
     engine = "sparse"
+    # A two-range call pays from 2^17 node-words per range.
+    _range_floor = 1 << 17
     # Bound in this class's own namespace: the benchmark's layer hooks
     # patch ``decode_packed`` per kernel class, not on the shared base.
     decode_packed = _PackedPeelingDecoder.decode_packed

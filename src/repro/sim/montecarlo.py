@@ -14,8 +14,10 @@ This module reproduces the estimator with two scaling levers:
   task per k cell, seeded deterministically through
   ``numpy.random.SeedSequence.spawn`` so results are reproducible at any
   worker count.  Every cell — in-process or pooled — runs through one
-  function, :func:`_sweep_cell`; each pool worker receives the graph
-  once, through the pool initializer, and builds its kernel there.
+  function, :func:`_sweep_cells`, which fuses the mask batches of
+  consecutive small cells into kernel calls wide enough to split over
+  every CPU; each pool worker receives the graph once, through the pool
+  initializer, builds its kernel there, and runs one cell per task.
 
 For the small-``k`` head where failure probabilities sit near 1e-7,
 sampling is hopeless at laptop budgets; :func:`profile_graph` splices in
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import os
 import time
 from concurrent.futures import (
@@ -56,6 +59,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from ..core import lossmasks
 from ..core.critical import (
     CountBudgetExceeded,
     count_failing_sets,
@@ -144,9 +148,14 @@ def sample_fail_fraction(
     intermediate; a supplied ``decoder`` offering only ``decode_batch``
     (a scalar reference, say) is fed the same masks unpacked.  Above
     ``_DENSE_MASK_MAX_NODES`` nodes masks come from the bounded-memory
-    sparse generator with a size-adaptive batch.  To spread estimates
-    over processes, sweep cells with :func:`profile_graph`.
+    sparse generator with a size-adaptive batch.  A packed estimate is
+    a one-cell :func:`_sweep_cells` call, so a cell of several small
+    batches is decoded in as few kernel calls as a sweep would use.  To
+    spread estimates over processes, sweep cells with
+    :func:`profile_graph`.  ``k`` must be an integer (``TypeError``
+    otherwise, before anything is drawn).
     """
+    k = _integer_k(k)
     if n_samples < 1:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
     if k == 0:
@@ -156,21 +165,27 @@ def sample_fail_fraction(
     rng = resolve_rng(rng)
     if decoder is None:
         decoder = make_batch_decoder(graph, engine=engine)
-    packed_path = hasattr(decoder, "decode_packed")
+    if hasattr(decoder, "decode_packed"):
+        ((_, frac, _, _, _),) = _sweep_cells(
+            graph, decoder, [(k, n_samples, rng, False, None)]
+        )
+        return frac
     max_batch = _mask_batch(graph.num_nodes)
     failures = 0
-    remaining = n_samples
-    while remaining > 0:
-        batch = min(remaining, max_batch)
-        if packed_path:
-            packed = _packed_masks(graph.num_nodes, k, batch, rng)
-            ok = decoder.decode_packed(packed, batch)
-        else:
-            masks = boolean_loss_masks(graph.num_nodes, k, batch, rng)
-            ok = decoder.decode_batch(masks)
-        failures += int(batch - ok.sum())
-        remaining -= batch
+    for start in range(0, n_samples, max_batch):
+        batch = min(max_batch, n_samples - start)
+        masks = boolean_loss_masks(graph.num_nodes, k, batch, rng)
+        failures += int(batch - decoder.decode_batch(masks).sum())
     return failures / n_samples
+
+
+def _integer_k(k) -> int:
+    """``k`` as an ``int``; a float or other non-integer is a
+    ``TypeError`` naming it (numpy integers pass)."""
+    try:
+        return operator.index(k)
+    except TypeError:
+        raise TypeError(f"k must be an integer, got {k!r}") from None
 
 
 # ----------------------------------------------------------------------
@@ -178,44 +193,133 @@ def sample_fail_fraction(
 # ----------------------------------------------------------------------
 
 
-def _sweep_cell(graph, decoder, task: tuple):
-    """Run one sampled k-cell of a profile sweep — the only cell runner.
+class _Cell:
+    """One sampled k-cell in flight: its stream, its span, its tally."""
 
-    ``task`` is ``(k, n_samples, seed_seq, collect_metrics, ctx)``.
-    :func:`profile_graph` calls this in-process with the decoder it
-    built; pool workers call it through :func:`_pool_cell` with the
-    one their initializer built.  The cell span comes from a tracer
-    seeded by the sweep context ``ctx`` and ``k``, so span IDs are the
-    same wherever and in whatever order cells run.  With
-    ``collect_metrics`` the decoder's counters land in a fresh registry
-    whose snapshot the parent merges (a pool worker's registry is not
-    the parent's).  Returns ``(k, frac, seconds, snapshot, spans)``.
+    def __init__(self, task: tuple):
+        self.k, self.n_samples, seed_seq, _, ctx = task
+        self.tracer = None
+        self.span = None
+        if ctx is not None:
+            self.tracer = Tracer(
+                seed=context_seed(ctx, "profile.cell", self.k)
+            )
+            self.span = self.tracer.start_span(
+                "profile.cell",
+                parent=ctx,
+                activate=False,
+                k=self.k,
+                samples=self.n_samples,
+            )
+        # The spawned SeedSequence is passed whole (it pickles fine):
+        # reconstructing from `.entropy` alone would drop the spawn_key
+        # and hand every cell the same stream.
+        self.rng = np.random.default_rng(seed_seq)
+        self.decoded = 0
+        self.failures = 0
+        self.seconds = 0.0
+
+    def result(self, snapshot: dict | None) -> tuple:
+        frac = self.failures / self.n_samples
+        if self.span is not None:
+            self.span.end(frac=frac)
+        spans = self.tracer.export() if self.tracer is not None else []
+        return self.k, frac, self.seconds, snapshot, spans
+
+
+def _side_by_side(pieces: list, num_nodes: int, lanes: int) -> np.ndarray:
+    """The pieces' cases in one packed ``(N, ceil(lanes / 64))`` matrix,
+    lane after lane with no pad lane between pieces, so that
+    ``decode_packed(words, lanes)`` counts exactly their cases.  A
+    piece's own pad lanes are zero (:func:`_packed_masks` layout)."""
+    if len(pieces) == 1:
+        return pieces[0][2]
+    words = np.zeros((num_nodes, -(-lanes // 64)), dtype=np.uint64)
+    lane = 0
+    for _, batch, packed in pieces:
+        q, s = divmod(lane, 64)
+        width = packed.shape[1]
+        words[:, q:q + width] |= packed << np.uint64(s)
+        if s:
+            spill = min(width, words.shape[1] - q - 1)
+            words[:, q + 1:q + 1 + spill] |= (
+                packed[:, :spill] >> np.uint64(64 - s)
+            )
+        lane += batch
+    return words
+
+
+def _sweep_cells(graph, decoder, tasks: Sequence[tuple]):
+    """Run sampled k-cells of a profile sweep — the only cell runner.
+
+    Each task is ``(k, n_samples, seed_seq, collect_metrics, ctx)``,
+    ``seed_seq`` the cell's spawned ``SeedSequence`` (or, from
+    :func:`sample_fail_fraction`, the caller's ``Generator``).
+    :func:`profile_graph` passes every pending cell in-process, with
+    the decoder it built; a pool worker passes one, through
+    :func:`_pool_cell`, with the decoder its initializer built.
+
+    The unit of decode work is a *piece*: one mask batch of one cell,
+    drawn in order from that cell's own stream.  Pieces join a group
+    until it holds ``_cpu_count() * decoder._range_floor`` node-words —
+    the width at which ``decode_packed`` gives every CPU a range of at
+    least the floor — and the group is decoded in one call, each piece
+    charged the failures of its own lanes.  Cases never read each
+    other's bits, so a cell's estimate is the same whatever it shares a
+    call with; a cell wider than the target fills groups by itself.
+
+    Each cell's span comes from a tracer seeded by the sweep context
+    ``ctx`` and ``k``, so span IDs are the same wherever, in whatever
+    order and in whatever company cells run.  With ``collect_metrics``
+    the decoder's counters land in a fresh registry whose snapshot
+    rides on the call's last cell, for the parent to merge (a pool
+    worker's registry is not the parent's).
+
+    Yields ``(k, frac, seconds, snapshot, spans)`` per cell, in task
+    order, once its last piece is decoded; ``seconds`` is the cell's
+    own generation time plus its case share of each decode it joined.
     """
-    k, n_samples, seed_seq, collect_metrics, ctx = task
-    cell_tracer = None
-    span = None
-    if ctx is not None:
-        cell_tracer = Tracer(seed=context_seed(ctx, "profile.cell", k))
-        span = cell_tracer.start_span(
-            "profile.cell",
-            parent=ctx,
-            activate=False,
-            k=k,
-            samples=n_samples,
-        )
-    # The spawned SeedSequence is passed whole (it pickles fine):
-    # reconstructing from `.entropy` alone would drop the spawn_key and
-    # hand every cell the same stream.
-    rng = np.random.default_rng(seed_seq)
-    t0 = time.perf_counter()
-    scope = capture(MetricsRegistry()) if collect_metrics else nullcontext()
-    with scope as reg:
-        frac = sample_fail_fraction(graph, k, n_samples, rng, decoder)
-    snapshot = reg.snapshot() if collect_metrics else None
-    if span is not None:
-        span.end(frac=frac)
-    spans = cell_tracer.export() if cell_tracer is not None else []
-    return k, frac, time.perf_counter() - t0, snapshot, spans
+    n = graph.num_nodes
+    max_batch = _mask_batch(n)
+    target = lossmasks._cpu_count() * decoder._range_floor
+    reg = MetricsRegistry() if any(task[3] for task in tasks) else None
+    final = None
+    group: list[tuple[_Cell, int, np.ndarray]] = []
+    lanes = 0
+
+    def decode() -> list[tuple]:
+        t0 = time.perf_counter()
+        with capture(reg) if reg is not None else nullcontext():
+            ok = decoder.decode_packed(_side_by_side(group, n, lanes), lanes)
+        share = (time.perf_counter() - t0) / lanes
+        done = []
+        lane = 0
+        for cell, batch, _ in group:
+            cell.failures += int(batch - ok[lane:lane + batch].sum())
+            cell.seconds += share * batch
+            cell.decoded += batch
+            lane += batch
+            if cell.decoded == cell.n_samples:
+                last = reg is not None and cell is final
+                done.append(cell.result(reg.snapshot() if last else None))
+        return done
+
+    for i, task in enumerate(tasks):
+        cell = _Cell(task)
+        if i == len(tasks) - 1:
+            final = cell
+        for start in range(0, cell.n_samples, max_batch):
+            batch = min(max_batch, cell.n_samples - start)
+            t0 = time.perf_counter()
+            packed = _packed_masks(n, cell.k, batch, cell.rng)
+            cell.seconds += time.perf_counter() - t0
+            group.append((cell, batch, packed))
+            lanes += batch
+            if n * -(-lanes // 64) >= target:
+                yield from decode()
+                group, lanes = [], 0
+    if group:
+        yield from decode()
 
 
 # A pool worker's (graph, decoder), set once per process by
@@ -235,13 +339,15 @@ def _init_worker(graph, engine: str) -> None:
 
 
 def _pool_cell(task: tuple):
-    """Pool entry point: the fault drills, then :func:`_sweep_cell`.
+    """Pool entry point: the fault drills, then :func:`_sweep_cells`
+    on the one cell, so a crash or timeout is charged to its own k.
 
-    The drills live here, not in :func:`_sweep_cell`, so a cell run
+    The drills live here, not in :func:`_sweep_cells`, so a cell run
     in-process can never ``os._exit`` its caller.
     """
     _fault_drill(task[0])
-    return _sweep_cell(*_WORKER, task)
+    (result,) = _sweep_cells(*_WORKER, [task])
+    return result
 
 
 def _fault_drill(k: int) -> None:
@@ -400,7 +506,7 @@ def _run_cells_parallel(
 
     Each worker gets ``graph`` once, through the pool initializer
     (:func:`_init_worker`), and builds its ``engine`` kernel there;
-    tasks are the bare :func:`_sweep_cell` tuples.
+    tasks are the bare :func:`_sweep_cells` tuples, one cell each.
 
     Dispatches every pending cell, collects results with a per-cell
     timeout, and re-dispatches cells whose worker crashed
@@ -492,8 +598,11 @@ def profile_graph(
     data blocks); Monte Carlo covers the cells between (or the explicit
     ``ks`` subset, other entries filled by monotone interpolation
     between the requested ones).  Exact cells keep ``samples[k] == 0``.
-    ``ks`` entries must be distinct and in ``[0, num_nodes]``, and
-    ``exact_upto`` non-negative (``ValueError`` otherwise).
+    ``ks`` entries must be distinct integers in ``[0, num_nodes]``
+    (``TypeError`` for a non-integer), ``exact_upto`` non-negative,
+    ``n_jobs`` at least 1, ``cell_timeout`` positive and
+    ``max_retries`` non-negative (``ValueError`` otherwise), all
+    checked before any seed is spawned.
     ``n_jobs > 1`` distributes k-cells over processes.  ``seed``
     accepts an int or an existing :class:`numpy.random.Generator`
     (unified seeding convention).
@@ -529,10 +638,12 @@ def profile_graph(
     the constraint-object view — and sample every requested cell
     instead.
 
-    Every sampled cell runs through :func:`_sweep_cell`: in-process on
-    the decoder built here, or with ``n_jobs > 1`` on a pool whose
-    workers each receive the graph once, through the pool initializer
-    (task tuples carry no graph and no decoder).
+    Every sampled cell runs through :func:`_sweep_cells`: in-process,
+    all pending cells in one call on the decoder built here, their
+    small mask batches fused into kernel calls wide enough to split
+    over every CPU; or with ``n_jobs > 1`` one cell per task on a pool
+    whose workers each receive the graph once, through the pool
+    initializer (task tuples carry no graph and no decoder).
     """
     if samples_per_k < 1:
         raise ValueError(
@@ -540,7 +651,16 @@ def profile_graph(
         )
     if exact_upto < 0:
         raise ValueError(f"exact_upto must be >= 0, got {exact_upto}")
+    # Each of these would void the sweep without an error: a timeout of
+    # 0 abandons every pooled cell, and the coverage mask hides it.
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
+    if cell_timeout is not None and cell_timeout <= 0:
+        raise ValueError(f"cell_timeout must be positive, got {cell_timeout}")
+    if max_retries < 0:
+        raise ValueError(f"max_retries must be >= 0, got {max_retries}")
     if ks is not None:
+        ks = [_integer_k(k) for k in ks]
         # Cell seeds are positional over `ks`: a repeated k would shift
         # every later cell's seed, and a k off the curve would be
         # dropped unreported.
@@ -676,8 +796,8 @@ def profile_graph(
             )
         else:
             reg.gauge("profile.workers").set(1)
-            for task in tasks.values():
-                on_result(_sweep_cell(graph, decoder, task))
+            for result in _sweep_cells(graph, decoder, list(tasks.values())):
+                on_result(result)
     finally:
         sweep_span.end(uncovered=len(uncovered))
         if writer is not None:

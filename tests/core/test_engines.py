@@ -15,7 +15,6 @@ import threading
 import numpy as np
 import pytest
 
-import repro.core.bitdecoder as bitdecoder
 import repro.core.decoder as decoder_module
 import repro.core.lossmasks as lossmasks
 from repro.core import (
@@ -341,7 +340,7 @@ class TestKernelRanges:
     def test_forced_ranges(self, graph3, monkeypatch, engine, words, ranges):
         """A floor of 8 words per range at N = 96 and four CPUs: 1 to 4
         ranges, uneven at odd widths, batches off the word boundary."""
-        monkeypatch.setattr(bitdecoder, "_RANGE_FLOOR", 8 * graph3.num_nodes)
+        monkeypatch.setattr(KERNELS[engine], "_range_floor", 8 * graph3.num_nodes)
         decoder = KERNELS[engine](graph3)
         batch = words * 64 - 37
         for k in (8, 30, 60):
@@ -354,11 +353,16 @@ class TestKernelRanges:
     @pytest.mark.parametrize("words,cpus,ranges", [(31, 4, 1), (32, 4, 2),
                                                    (49, 2, 2), (49, 3, 3)])
     def test_real_floor(self, csr8k, engine, words, cpus, ranges):
-        """At the shipped floor an 8 192-node call splits from 32 words
-        (N * W = 2 * _RANGE_FLOOR), and never into more ranges than
-        CPUs."""
-        assert csr8k.num_nodes * 32 == 2 * bitdecoder._RANGE_FLOOR
+        """At the shipped floors an 8 192-node call splits from 32 words
+        on the sparse kernel (N * W = 2 * its floor) and from 16 on the
+        bitset kernel, whose floor is half; never into more ranges than
+        CPUs.  ``words`` counts at the sparse floor."""
+        assert csr8k.num_nodes * 32 == 2 * SparseBitsetDecoder._range_floor
+        assert 2 * BitsetBatchDecoder._range_floor == (
+            SparseBitsetDecoder._range_floor
+        )
         decoder = _decoder_for(engine, csr8k)
+        words = words * decoder._range_floor // SparseBitsetDecoder._range_floor
         batch = words * 64 - 5
         packed = packed_sparse_loss_masks(
             csr8k.num_nodes, csr8k.num_nodes // 6, batch,
@@ -370,7 +374,7 @@ class TestKernelRanges:
     def test_ranges_with_nothing_lost(self, graph3, monkeypatch, engine):
         """Ranges 0 and 2 of 4 lose nothing and peel zero rounds; the
         call's rounds come from the others."""
-        monkeypatch.setattr(bitdecoder, "_RANGE_FLOOR", 8 * graph3.num_nodes)
+        monkeypatch.setattr(KERNELS[engine], "_range_floor", 8 * graph3.num_nodes)
         decoder = KERNELS[engine](graph3)
         packed = packed_random_loss_masks(
             graph3.num_nodes, 40, 40 * 64, np.random.default_rng(3)
@@ -386,7 +390,7 @@ class TestKernelRanges:
     def test_a_helpers_exception_reaches_the_caller(
         self, graph3, monkeypatch, engine
     ):
-        monkeypatch.setattr(bitdecoder, "_RANGE_FLOOR", graph3.num_nodes)
+        monkeypatch.setattr(KERNELS[engine], "_range_floor", graph3.num_nodes)
         monkeypatch.setattr(lossmasks, "_cpu_count", lambda: 3)
         decoder = KERNELS[engine](graph3)
         caller = threading.get_ident()
@@ -411,7 +415,9 @@ class TestKernelRanges:
     def test_counters_land_in_the_scope_once_per_call(
         self, graph3, monkeypatch
     ):
-        monkeypatch.setattr(bitdecoder, "_RANGE_FLOOR", graph3.num_nodes)
+        monkeypatch.setattr(
+            BitsetBatchDecoder, "_range_floor", graph3.num_nodes
+        )
         monkeypatch.setattr(lossmasks, "_cpu_count", lambda: 4)
         decoder = BitsetBatchDecoder(graph3)
         packed = packed_random_loss_masks(
@@ -453,7 +459,7 @@ class TestKernelRanges:
         one_range, one_range_spans = traced()
         monkeypatch.setattr(lossmasks, "_cpu_count", lambda: 2)
         monkeypatch.setattr(
-            bitdecoder, "_RANGE_FLOOR", small_tornado.num_nodes
+            SparseBitsetDecoder, "_range_floor", small_tornado.num_nodes
         )
         threads = set()
         peel = SparseBitsetDecoder._peel

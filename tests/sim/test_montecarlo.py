@@ -2,20 +2,24 @@
 simulator-vs-theory verification (§3, Eq. 1)."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
 
+import repro.core.lossmasks as lossmasks
 from repro.core import (
     BitsetBatchDecoder,
     CsrGraph,
     ErasureGraph,
     PeelingDecoder,
+    SparseBitsetDecoder,
     make_batch_decoder,
     tornado_csr_graph,
 )
 from repro.core.lossmasks import boolean_loss_masks
 from repro.graphs import catalog_96_node_systems, mirrored_graph, striped_graph
+from repro.obs import MetricsRegistry, capture
 from repro.raid import mirrored_system
 from repro.sim import profile_graph, sample_fail_fraction
 
@@ -51,6 +55,20 @@ class TestSampleFailFraction:
         """No samples is no estimate: not -0.0, not ZeroDivisionError."""
         with pytest.raises(ValueError, match="n_samples must be positive"):
             sample_fail_fraction(small_tornado, 30, n_samples, 1)
+
+    @pytest.mark.parametrize("k", [7.5, 7.0])
+    def test_rejects_a_non_integer_k_before_drawing(self, small_tornado, k):
+        """Was an IndexError from deep inside numpy."""
+        rng = np.random.default_rng(1)
+        before = rng.bit_generator.state
+        with pytest.raises(TypeError, match=f"k must be an integer, got {k}"):
+            sample_fail_fraction(small_tornado, k, 64, rng)
+        assert rng.bit_generator.state == before
+
+    def test_accepts_a_numpy_integer_k(self, small_tornado):
+        assert sample_fail_fraction(
+            small_tornado, np.int64(7), 300, 4
+        ) == sample_fail_fraction(small_tornado, 7, 300, 4)
 
     def test_reuses_supplied_decoder(self, small_tornado):
         decoder = BitsetBatchDecoder(small_tornado)
@@ -173,6 +191,56 @@ class TestProfileGraph:
                 small_tornado, samples_per_k=50, exact_upto=-1, ks=[20]
             )
 
+    @pytest.mark.parametrize(
+        "bad", [10.5, 10.0, np.float64(10)], ids=["10.5", "10.0", "float64"]
+    )
+    def test_rejects_a_non_integer_k(self, small_tornado, monkeypatch, bad):
+        """Named up front, before any seed is spawned or mask drawn (it
+        was an IndexError from deep inside numpy)."""
+        from repro.sim import montecarlo
+
+        def never(*args, **kwargs):
+            raise AssertionError("the sweep started before ks was checked")
+
+        monkeypatch.setattr(montecarlo, "spawn_seeds", never)
+        monkeypatch.setattr(montecarlo, "packed_random_loss_masks", never)
+        with pytest.raises(
+            TypeError, match=re.escape(f"k must be an integer, got {bad!r}")
+        ):
+            profile_graph(small_tornado, samples_per_k=50, ks=[20, bad])
+
+    def test_accepts_numpy_integer_ks(self, small_tornado):
+        sweep = dict(samples_per_k=50, seed=2)
+        numpy_ks = profile_graph(
+            small_tornado, ks=[np.int64(10), np.int32(20)], **sweep
+        )
+        assert numpy_ks.to_json() == (
+            profile_graph(small_tornado, ks=[10, 20], **sweep).to_json()
+        )
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(n_jobs=2, cell_timeout=0), "cell_timeout must be positive"),
+            (dict(n_jobs=2, cell_timeout=-1), "cell_timeout must be positive"),
+            (dict(max_retries=-1), "max_retries must be >= 0"),
+            (dict(n_jobs=0), "n_jobs must be >= 1"),
+            (dict(n_jobs=-1), "n_jobs must be >= 1"),
+        ],
+        ids=["timeout-0", "timeout-negative", "retries-negative", "jobs-0",
+             "jobs-negative"],
+    )
+    def test_rejects_execution_arguments_that_void_the_sweep(
+        self, small_tornado, kwargs, message
+    ):
+        """A timeout of 0 abandoned every pooled cell and returned an
+        all-uncovered profile, interpolated from the exact head, without
+        an error."""
+        with pytest.raises(ValueError, match=message):
+            profile_graph(
+                small_tornado, samples_per_k=50, exact_upto=2, **kwargs
+            )
+
     def test_accepts_both_ends_of_the_curve(self, small_tornado):
         prof = profile_graph(small_tornado, samples_per_k=50, ks=[0, 10, 32])
         assert prof.fail_fraction[0] == 0.0
@@ -233,13 +301,13 @@ class TestSweepCellWorker:
     def test_worker_matches_direct_call(self, small_tornado):
         """The one cell runner must reproduce the direct estimator
         bit-for-bit given the same SeedSequence."""
-        from repro.sim.montecarlo import _sweep_cell
+        from repro.sim.montecarlo import _sweep_cells
 
         seed_seq = np.random.SeedSequence(1234)
-        k, frac, elapsed, snapshot, spans = _sweep_cell(
+        ((k, frac, elapsed, snapshot, spans),) = _sweep_cells(
             small_tornado,
             make_batch_decoder(small_tornado),
-            (8, 500, seed_seq, False, None),
+            [(8, 500, seed_seq, False, None)],
         )
         rng = np.random.default_rng(np.random.SeedSequence(1234))
         direct = sample_fail_fraction(small_tornado, 8, 500, rng)
@@ -250,13 +318,13 @@ class TestSweepCellWorker:
         assert spans == []  # no trace context shipped -> no spans
 
     def test_worker_collects_metrics_snapshot(self, small_tornado):
-        from repro.sim.montecarlo import _sweep_cell
+        from repro.sim.montecarlo import _sweep_cells
 
         seed_seq = np.random.SeedSequence(1234)
-        k, frac, elapsed, snapshot, spans = _sweep_cell(
+        ((k, frac, elapsed, snapshot, spans),) = _sweep_cells(
             small_tornado,
             make_batch_decoder(small_tornado),
-            (8, 500, seed_seq, True, None),
+            [(8, 500, seed_seq, True, None)],
         )
         assert snapshot is not None
         assert any(
@@ -350,3 +418,136 @@ class TestSweepTracing:
         np.testing.assert_array_equal(
             plain.fail_fraction, traced.fail_fraction
         )
+
+
+# Graph 3 cells of the fused-cell tests: six, so that groups of two to
+# four cells leave a shorter tail group.
+FUSED_KS = [8, 14, 20, 26, 32, 38]
+
+
+def _kernel_calls(monkeypatch, kernel):
+    """Log each in-process ``kernel.decode_packed`` call as ``[batch,
+    widths]``, ``widths`` the words of each range it peeled."""
+    calls = []
+    entry, peel = kernel.decode_packed, kernel._peel
+
+    def decode_packed(self, packed, batch=None):
+        calls.append([batch, []])
+        return entry(self, packed, batch)
+
+    def logged_peel(self, u):
+        calls[-1][1].append(u.shape[1])  # list.append: safe off-thread
+        return peel(self, u)
+
+    monkeypatch.setattr(kernel, "decode_packed", decode_packed)
+    monkeypatch.setattr(kernel, "_peel", logged_peel)
+    return calls
+
+
+def _observed(graph, path, n_jobs, **sweep):
+    """What a sweep reports: profile JSON, checkpoint bytes, span-ID set
+    and ``decoder.cases``."""
+    from repro.obs.trace import Tracer, trace_capture
+
+    with trace_capture(Tracer(seed=3)) as t:
+        with capture(MetricsRegistry()) as reg:
+            profile = profile_graph(
+                graph, n_jobs=n_jobs, checkpoint=path, **sweep
+            )
+    spans = {
+        (r["name"], r["trace_id"], r["span_id"], r["parent_id"])
+        for r in t.records
+    }
+    cases = reg.snapshot()["counters"]["decoder.cases"]
+    return profile.to_json(), path.read_bytes(), spans, cases
+
+
+class TestFusedCells:
+    """Consecutive small cells share one kernel call, and nothing a
+    sweep reports can tell."""
+
+    @staticmethod
+    def _sweep(samples):
+        return dict(samples_per_k=samples, exact_upto=2, ks=FUSED_KS, seed=5)
+
+    @pytest.mark.parametrize("cpus,n_jobs", [(1, 1), (2, 1), (3, 1), (4, 1),
+                                             (2, 2)])
+    @pytest.mark.parametrize("samples", [4096, 16384, 20000, 100, 50])
+    def test_fused_equals_one_call_per_batch(
+        self, graph3, tmp_path, monkeypatch, samples, cpus, n_jobs
+    ):
+        """The floor is one cell's width, so a full call holds about
+        ``cpus`` cells and peels ``cpus`` ranges.  20 000 samples are two
+        batches per cell, the second 3 616 cases whose last word has pad
+        lanes; at 100 and 50 every cell leaves pad lanes, so the next
+        one starts mid-word.  A pool runs one cell per task."""
+        sweep = self._sweep(samples)
+        with monkeypatch.context() as mp:
+            # The unfused shape: every batch its own one-range call.
+            mp.setattr(lossmasks, "_cpu_count", lambda: 1)
+            mp.setattr(BitsetBatchDecoder, "_range_floor", 1)
+            alone = _kernel_calls(mp, BitsetBatchDecoder)
+            want = _observed(graph3, tmp_path / "alone.jsonl", 1, **sweep)
+        assert len(alone) == len(FUSED_KS) * -(-samples // 16384)
+        assert all(len(widths) == 1 for _, widths in alone)
+
+        monkeypatch.setattr(lossmasks, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(
+            BitsetBatchDecoder, "_range_floor",
+            graph3.num_nodes * -(-samples // 64),
+        )
+        fused = _kernel_calls(monkeypatch, BitsetBatchDecoder)
+        got = _observed(
+            graph3, tmp_path / "fused.jsonl", n_jobs, **sweep,
+            cell_timeout=60, max_retries=0,
+        )
+        assert got == want
+        if n_jobs == 1:
+            assert max(len(widths) for _, widths in fused) == cpus
+            assert sum(batch for batch, _ in fused) == got[3]
+            if cpus > 1:
+                assert len(fused) < len(alone)
+
+    def test_resume_from_a_checkpoint_cut_mid_group(
+        self, graph3, tmp_path, monkeypatch
+    ):
+        """Four 64-word cells to a call: the run dies after writing two
+        cells of the first group, and the resumed run, grouping the rest
+        differently, writes the uninterrupted file byte for byte."""
+        monkeypatch.setattr(lossmasks, "_cpu_count", lambda: 4)
+        monkeypatch.setattr(
+            BitsetBatchDecoder, "_range_floor", graph3.num_nodes * 64
+        )
+        sweep = self._sweep(4096)
+        calls = _kernel_calls(monkeypatch, BitsetBatchDecoder)
+        whole = tmp_path / "whole.jsonl"
+        want = profile_graph(graph3, checkpoint=whole, **sweep)
+        assert [batch for batch, _ in calls] == [4 * 4096, 2 * 4096]
+        header, *cells = whole.read_bytes().splitlines(keepends=True)
+        cut = tmp_path / "cut.jsonl"
+        cut.write_bytes(header + b"".join(cells[:2]))
+        calls.clear()
+        got = profile_graph(graph3, checkpoint=cut, resume=True, **sweep)
+        assert [batch for batch, _ in calls] == [4 * 4096]
+        assert got.to_json() == want.to_json()
+        assert cut.read_bytes() == whole.read_bytes()
+
+    def test_benchmark_sweeps_keep_their_call_counts(
+        self, graph3, monkeypatch
+    ):
+        """On two CPUs ``sweep_small``'s 42 cells fuse six to a call:
+        7 calls of 1 536 words in two ranges, where there were 42 of
+        256 in one.  Each ``sweep_large`` cell already meets its target,
+        so it makes the same 2 calls as before."""
+        monkeypatch.setattr(lossmasks, "_cpu_count", lambda: 2)
+        small = _kernel_calls(monkeypatch, BitsetBatchDecoder)
+        profile_graph(graph3, samples_per_k=16384, seed=1)
+        assert [batch for batch, _ in small] == [6 * 16384] * 7
+        assert all(widths == [768, 768] for _, widths in small)
+
+        large = _kernel_calls(monkeypatch, SparseBitsetDecoder)
+        graph = tornado_csr_graph(8192, seed=1)
+        n = graph.num_nodes
+        profile_graph(graph, ks=[n // 10, n // 4], samples_per_k=2048, seed=1)
+        assert [batch for batch, _ in large] == [2048, 2048]
+        assert all(widths == [16, 16] for _, widths in large)

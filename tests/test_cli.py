@@ -355,6 +355,28 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["profile", "--cell-timeout", "0"],
+            ["profile", "--cell-timeout", "-1"],
+            ["profile", "--max-retries", "-1"],
+            ["profile", "--jobs", "0"],
+            ["reliability", "--jobs", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_sweep_execution_flag_exits_2(self, graph_file, argv, capsys):
+        """Each was accepted: a zero timeout abandoned every pooled cell
+        and still exited 0."""
+        command, flag, value = argv
+        positional = [graph_file] if command == "profile" else []
+        code = main([command, *positional, "--samples", "10", flag, value])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:")
+        assert flag in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["loadgen", "--deadline", "-1", "--requests", "5"],
             ["loadgen", "--deadline", "0", "--requests", "5"],
             ["loadgen", "--window", "-1"],
