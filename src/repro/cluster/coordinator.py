@@ -40,7 +40,7 @@ Fault semantics mirror the single-process archive:
   ``data_loss``) — never a silent wrong answer.
 
 Durability: with ``wal_dir`` set, every manifest/placement mutation
-(put, join, leave, per-stripe repair) is journaled through
+(put, join, leave, a repair record per stripe) is journaled through
 :class:`~repro.cluster.wal.CoordinatorWal` *before* the operation is
 acknowledged, and ``recover=True`` rebuilds the coordinator from
 snapshot + replay.  The live path *is* the replay path: an operation
@@ -55,8 +55,9 @@ because the put was never acknowledged and repair deletes strays.
 
 Repair is delegated to the
 :class:`~repro.cluster.scheduler.RepairScheduler`: an at-risk-first
-per-stripe queue, budgeted per cycle, preemptible by foreground reads.
-Each stripe repairs under its own lock (no whole-pass cluster lock),
+per-stripe queue, budgeted per cycle, preemptible by foreground reads,
+repaired in byte-capped waves (:meth:`ClusterCoordinator._repair_stripes`).
+A wave holds only its own stripes' locks (no whole-pass cluster lock),
 so ``get`` interleaves with an active rebuild.  All cross-node
 repair traffic is metered as ``cluster.repair.bytes`` (total, plus
 ``cluster.repair.bytes.<node_id>`` attributed to the receiving node) —
@@ -74,11 +75,12 @@ span tree, parented under the client's spans.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
@@ -111,6 +113,7 @@ from ..serve.protocol import (
     FetchStripeRequest,
     ObjectInfoResponse,
     PingRequest,
+    RepairRequest,
     Request,
     Response,
     StatsRequest,
@@ -180,6 +183,21 @@ class ClusterManifest:
                 for index, payload_length, placement in wire["stripes"]
             ),
         )
+
+
+@dataclass
+class _WaveStripe:
+    """One stripe of a repair wave, filled in as the wave's steps run."""
+
+    name: str
+    record: ClusterStripe
+    desired: tuple[str, ...]
+    keys: list[str]
+    need: list[int]  # graph nodes whose desired owner lacks the block
+    blocks: np.ndarray | None = None
+    rebuilt: set[int] = field(default_factory=set)
+    place: list[int] = field(default_factory=list)
+    complete: bool = True  # every row fetched or recovered
 
 
 class NodeDownError(NodeUnreachableError):
@@ -324,19 +342,20 @@ class ClusterCoordinator:
     # Durability: journaling, recovery, canonical state
     # ------------------------------------------------------------------
 
-    def _commit(self, record: dict[str, Any]) -> None:
+    def _commit(self, *records: dict[str, Any]) -> None:
         """The single writer: append, apply, snapshot if due.
 
         Every metadata mutation — live or replayed — is one WAL record
         run through :meth:`_apply_record`; the live callers only build
-        the record.  Append comes first, so a failed append raises with
-        memory untouched; the snapshot comes last, because one taken
-        between append and apply would truncate away a record it does
-        not yet reflect.
+        the records.  Append comes first (one call, one fsync for all
+        of them), so a failed append raises with memory untouched; the
+        snapshot comes last, because one taken between append and apply
+        would truncate away a record it does not yet reflect.
         """
         if self.wal is not None:
-            self.wal.append(record)
-        self._apply_record(record)
+            self.wal.append(*records)
+        for record in records:
+            self._apply_record(record)
         if (
             self.wal is not None
             and self.snapshot_every is not None
@@ -731,7 +750,9 @@ class ClusterCoordinator:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Fetch ``assignment[node_id] -> keys`` concurrently.
 
-        Returns the (blocks, present) pair the decoder wants; a dead,
+        Returns the (blocks, present) pair the decoder wants, one row
+        per entry of ``keys`` (key -> row): one stripe's for a read, a
+        whole wave's, stripe after stripe, for repair.  A dead,
         unreachable, or interrupted node simply contributes nothing to
         ``present`` — absence *is* the erasure mask.
         """
@@ -759,7 +780,7 @@ class ClusterCoordinator:
                 for held in fetched
                 for key, data in held.items()
             ),
-            self.graph.num_nodes,
+            len(keys),
             self.codec.block_size,
         )
         if malformed:
@@ -777,8 +798,11 @@ class ClusterCoordinator:
         erasure is locally uncoverable, the gateway pulls whatever
         blocks *do* survive here and XORs them together with another
         site's partial stripe.  No decoding happens on this side — a
-        site that cannot decode alone still answers.
+        site that cannot decode alone still answers.  A negative ``seq``
+        raises ``ValueError``, as the wire row refuses it.
         """
+        if seq < 0:
+            raise ValueError(f"stripe ordinal must be non-negative, got {seq}")
         manifest = self._manifest(name)
         if seq >= len(manifest.stripes):
             raise KeyError(
@@ -846,8 +870,14 @@ class ClusterCoordinator:
         ``drain`` (the default and the pre-scheduler behaviour) scans
         and repairs until the queue is empty; ``scan`` only refreshes
         the queue from a probe+inventory scrub; ``cycle`` repairs one
-        bytes-budgeted increment.
+        bytes-budgeted increment.  Any other mode raises ``ValueError``
+        before anything runs, as the ``repair`` wire row refuses it.
         """
+        if mode not in RepairRequest._MODES:
+            raise ValueError(
+                f"repair mode must be one of {RepairRequest._MODES}, "
+                f"got {mode!r}"
+            )
         if mode == "scan":
             queued = await self.scheduler.scan()
             return {
@@ -879,114 +909,141 @@ class ClusterCoordinator:
                 holders.setdefault(key, set()).add(link.node_id)
         return holders
 
-    async def _repair_stripe(
+    async def _repair_stripes(
         self,
-        name: str,
-        record: ClusterStripe,
+        stripes: list[tuple[str, int]],
         holders: dict[str, set[str]],
     ) -> dict[str, int]:
-        """Re-stripe one stripe onto the current membership.
+        """Re-stripe a wave of ``(name, index)`` stripes onto the ring.
 
         Blocks already held somewhere are *moved* to their new owner;
         blocks no live node holds are replayed from the survivors and
-        *rebuilt*.  Three steps, each one barrier on the pipelined
-        links: place every moved and rebuilt block, one ``block.put``
-        batch per new owner; flip the record to the new placement and
-        journal it — only once every block sits with its new owner, so
-        a partial repair (some target failed its batch) journals the
-        bytes that landed, leaves reads working off the old locations,
-        and the next repair retries; then delete the strays, one
-        ``block.delete`` batch per holder.  Strays go last so that a
-        crash anywhere leaves every journaled owner holding its block
-        (the next scan queues whatever strays it left behind).
+        *rebuilt*.  The wave takes every one of its stripe locks in
+        ``(name, index)`` order and looks each record up again under
+        them, so a read waits for at most one wave.  One gathered
+        ``block.fetch`` per holder reads every stripe with work (one
+        live holder per key) and :meth:`TornadoCodec.recover` runs once
+        per damaged stripe.  Then three barriers on the pipelined
+        links, each one RPC per node for the whole wave: place every
+        moved and rebuilt block, one ``block.put`` batch per new owner;
+        flip and journal — a stripe flips to its new placement only
+        once every one of its blocks sits with its new owner, so a
+        stripe with a block in a failed batch journals the bytes that
+        landed, leaves reads on the old placement, and the next repair
+        retries — one ``repair`` record per stripe, all in one WAL
+        append; then delete the strays of every stripe whose blocks all
+        sit with their owners, one ``block.delete`` batch per holder.
+        Strays go last so that a crash anywhere leaves every journaled
+        owner holding its block (the next scan queues whatever strays
+        it left behind).
 
-        Returns the stripe's share of the scheduler's totals.
+        Returns the wave's share of the scheduler's totals.
         """
-        g = self.graph
+        n, size = self.graph.num_nodes, self.codec.block_size
         stats = dict.fromkeys(TOTAL_KEYS, 0)
-        by_node: dict[str, int] = {}
-        desired = self._stripe_placement(name, record.index)
-        keys = [
-            block_key(name, record.index, node)
-            for node in range(g.num_nodes)
-        ]
-        need = [
-            node
-            for node in range(g.num_nodes)
-            if desired[node] not in holders.get(keys[node], ())
-        ]
-        placed_all = True
-        if need:
-            # Gather the whole stripe from whoever still holds it.
-            key_nodes = {key: node for node, key in enumerate(keys)}
+        async with contextlib.AsyncExitStack() as locks:
+            for name, index in sorted(stripes):
+                await locks.enter_async_context(self._stripe_lock(name, index))
+            wave: list[_WaveStripe] = []
+            for name, index in stripes:
+                record = self._stripe_record(name, index)
+                if record is None:  # the object was replaced meanwhile
+                    continue
+                desired = self._stripe_placement(name, index)
+                keys = [block_key(name, index, node) for node in range(n)]
+                need = [
+                    node
+                    for node in range(n)
+                    if desired[node] not in holders.get(keys[node], ())
+                ]
+                wave.append(_WaveStripe(name, record, desired, keys, need))
+            work = [s for s in wave if s.need]
+            rows: dict[str, int] = {}
             assignment: dict[str, list[str]] = {}
-            for key in keys:
-                for nid in sorted(holders.get(key, ())):
-                    link = self.nodes.get(nid)
-                    if link is not None and link.alive:
-                        assignment.setdefault(nid, []).append(key)
-                        break
-            blocks, present = await self._fetch_blocks(
-                assignment, key_nodes
-            )
-            lost = np.flatnonzero(~present)
-            if lost.size:
-                try:
-                    blocks = self.codec.recover(blocks, present)
-                    present[lost] = True
-                except DecodeFailure:
-                    stats["unrepairable_blocks"] = int(lost.size)
-                    registry().counter(
-                        "cluster.repair.data_loss_stripes"
-                    ).inc()
-            rebuilt = set(lost.tolist())
-            place = [node for node in need if present[node]]
+            for s in work:
+                for key in s.keys:
+                    rows[key] = len(rows)
+                    for nid in sorted(holders.get(key, ())):
+                        link = self.nodes.get(nid)
+                        if link is not None and link.alive:
+                            assignment.setdefault(nid, []).append(key)
+                            break
+            blocks, present = await self._fetch_blocks(assignment, rows)
             batches: dict[str, dict[str, memoryview]] = {}
-            for node in place:
-                batches.setdefault(desired[node], {})[keys[node]] = (
-                    blocks[node].data
-                )
+            for s, got, have in zip(
+                work, blocks.reshape(-1, n, size), present.reshape(-1, n)
+            ):
+                lost = np.flatnonzero(~have)
+                if lost.size:
+                    try:
+                        got = self.codec.recover(got, have)
+                        have[lost] = True
+                    except DecodeFailure:
+                        stats["unrepairable_blocks"] += int(lost.size)
+                        registry().counter(
+                            "cluster.repair.data_loss_stripes"
+                        ).inc()
+                s.blocks, s.rebuilt = got, set(lost.tolist())
+                s.complete = bool(have.all())
+                s.place = [node for node in s.need if have[node]]
+                for node in s.place:
+                    batches.setdefault(s.desired[node], {})[s.keys[node]] = (
+                        got[node].data
+                    )
             acks = await asyncio.gather(
                 *(self._put_blocks(nid, b) for nid, b in batches.items())
             )
             landed = dict(zip(batches, acks))
-            for node in place:
-                if not landed[desired[node]]:
-                    continue
-                owner, nbytes = desired[node], blocks[node].nbytes
-                holders.setdefault(keys[node], set()).add(owner)
-                self._meter_repair(owner, nbytes)
-                by_node[owner] = by_node.get(owner, 0) + nbytes
-                kind = "rebuilt" if node in rebuilt else "moved"
-                stats[f"{kind}_blocks"] += 1
-                stats[f"{kind}_bytes"] += nbytes
-            placed_all = bool(present.all()) and all(landed.values())
-        flipped = placed_all and desired != record.placement
-        if flipped or by_node:
-            # A partial repair (placement None) moved bytes without
-            # flipping the record; the journal still carries the byte
-            # accounting so it survives a crash.
-            self._commit(
-                {
-                    "type": "repair",
-                    "name": name,
-                    "index": record.index,
-                    "placement": list(desired) if flipped else None,
-                    "moved_bytes": stats["moved_bytes"],
-                    "rebuilt_bytes": stats["rebuilt_bytes"],
-                    "by_node": {
-                        nid: by_node[nid] for nid in sorted(by_node)
-                    },
-                }
-            )
-            stats["repaired_stripes"] = 1
-        if placed_all:
-            # Every block sits with its journaled owner: any other
-            # copy is redundant now.
+            records: list[dict[str, Any]] = []
+            settled: list[_WaveStripe] = []
+            for s in wave:
+                by_node: dict[str, int] = {}
+                booked = {"moved_bytes": 0, "rebuilt_bytes": 0}
+                for node in s.place:
+                    owner = s.desired[node]
+                    if not landed[owner]:
+                        continue
+                    nbytes = s.blocks[node].nbytes
+                    holders.setdefault(s.keys[node], set()).add(owner)
+                    self._meter_repair(owner, nbytes)
+                    by_node[owner] = by_node.get(owner, 0) + nbytes
+                    kind = "rebuilt" if node in s.rebuilt else "moved"
+                    stats[f"{kind}_blocks"] += 1
+                    booked[f"{kind}_bytes"] += nbytes
+                for key, value in booked.items():
+                    stats[key] += value
+                placed_all = s.complete and all(
+                    landed[s.desired[node]] for node in s.place
+                )
+                flipped = placed_all and s.desired != s.record.placement
+                if flipped or by_node:
+                    # A partial repair (placement None) moved bytes
+                    # without flipping the record; the journal still
+                    # carries the byte accounting so it survives a crash.
+                    records.append(
+                        {
+                            "type": "repair",
+                            "name": s.name,
+                            "index": s.record.index,
+                            "placement": list(s.desired) if flipped else None,
+                            **booked,
+                            "by_node": {
+                                nid: by_node[nid] for nid in sorted(by_node)
+                            },
+                        }
+                    )
+                if placed_all:
+                    settled.append(s)
+            if records:
+                self._commit(*records)
+                stats["repaired_stripes"] = len(records)
+            # Every block of a settled stripe sits with its journaled
+            # owner: any other copy is redundant now.
             strays: dict[str, list[str]] = {}
-            for node, key in enumerate(keys):
-                for nid in holders.get(key, set()) - {desired[node]}:
-                    strays.setdefault(nid, []).append(key)
+            for s in settled:
+                for node, key in enumerate(s.keys):
+                    for nid in holders.get(key, set()) - {s.desired[node]}:
+                        strays.setdefault(nid, []).append(key)
 
             async def delete(nid: str, doomed: list[str]) -> None:
                 link = self.nodes.get(nid)

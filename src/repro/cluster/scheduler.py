@@ -23,10 +23,16 @@ that argument:
   guaranteed even when a single stripe exceeds the budget).  What the
   budget defers stays queued for the next cycle and is counted in
   ``cluster.repair.deferred``.
-* **Foreground preemption.**  Between stripes the scheduler yields to
+* **Waves.**  A cycle repairs its stripes in priority order as waves
+  of at most ``_WAVE_BYTES`` of stripe bytes (one stripe at the
+  least); a wave is one repair step
+  (:meth:`~repro.cluster.coordinator.ClusterCoordinator._repair_stripes`):
+  one fetch, one put and one delete RPC per node and one WAL fsync,
+  whatever the number of stripes in it.
+* **Foreground preemption.**  Between waves the scheduler yields to
   the event loop and waits for in-flight ``get`` requests to
-  drain before touching the next stripe (``cluster.repair.preempted``),
-  and every stripe is repaired under its own lock so reads interleave
+  drain before touching the next wave (``cluster.repair.preempted``),
+  and a wave holds only its own stripes' locks, so reads interleave
   with an active rebuild instead of stalling behind it.  Under
   *sustained* read pressure repair trickles — interactive reads
   outrank background repair by design (cf. ROADMAP item 4's admission
@@ -53,6 +59,11 @@ from ..storage.blockstore import block_key
 from ..storage.monitor import graph_first_failure
 
 __all__ = ["RepairScheduler"]
+
+# Stripe bytes (graph nodes x block size) one repair wave may hold: big
+# enough to batch a cycle's RPCs and fsyncs, small enough to bound the
+# memory a wave holds and the time a read waits on its locks.
+_WAVE_BYTES = 1 << 20
 
 TOTAL_KEYS = (
     "moved_blocks",
@@ -197,24 +208,36 @@ class RepairScheduler:
             reg.counter("cluster.repair.bytes_budgeted").inc(budget)
         stats = dict.fromkeys(TOTAL_KEYS, 0)
         spent = 0
+        stripe_bytes = coord.graph.num_nodes * coord.codec.block_size
+        per_wave = max(1, _WAVE_BYTES // stripe_bytes)
         with trace_span("cluster.repair.cycle", queue=len(self._heap)):
             while self._heap:
                 await self._yield_to_reads()
-                entry = self._heap[0]
-                if (
-                    budget is not None
-                    and spent > 0
-                    and spent + entry.est_bytes > budget
-                ):
+                wave: list[tuple[str, int]] = []
+                planned = spent
+                while self._heap and len(wave) < per_wave:
+                    entry = self._heap[0]
+                    if (
+                        budget is not None
+                        and planned > 0
+                        and planned + entry.est_bytes > budget
+                    ):
+                        break
+                    heapq.heappop(self._heap)
+                    self._queued.discard((entry.name, entry.index))
+                    wave.append((entry.name, entry.index))
+                    planned += entry.est_bytes
+                if not wave:
                     stats["deferred_stripes"] += len(self._heap)
                     reg.counter("cluster.repair.deferred").inc(
                         len(self._heap)
                     )
                     break
-                heapq.heappop(self._heap)
-                self._queued.discard((entry.name, entry.index))
-                spent += await self._repair_one(entry, stats)
-                # Yield between stripes so pipelined foreground work
+                done = await coord._repair_stripes(wave, self._holders)
+                for key, value in done.items():
+                    stats[key] += value
+                spent += done["moved_bytes"] + done["rebuilt_bytes"]
+                # Yield between waves so pipelined foreground work
                 # gets the loop before the next repair RPC burst.
                 await asyncio.sleep(0)
         self.cycles += 1
@@ -236,20 +259,6 @@ class RepairScheduler:
             registry().counter("cluster.repair.preempted").inc()
             while coord.reads_inflight > 0:
                 await asyncio.sleep(0.001)
-
-    async def _repair_one(self, entry: _QueueEntry, stats) -> int:
-        """Repair one stripe under its lock; returns bytes moved."""
-        coord = self.coordinator
-        async with coord._stripe_lock(entry.name, entry.index):
-            record = coord._stripe_record(entry.name, entry.index)
-            if record is None:  # the object was replaced meanwhile
-                return 0
-            one = await coord._repair_stripe(
-                entry.name, record, self._holders
-            )
-        for key, value in one.items():
-            stats[key] += value
-        return one["moved_bytes"] + one["rebuilt_bytes"]
 
     async def drain(self) -> dict[str, int]:
         """Scan once, then run budgeted cycles until the queue empties.

@@ -28,13 +28,18 @@ Recovery invariants:
   truncates ``wal.jsonl`` but the next append continues the sequence,
   so replay can always order snapshot and tail.
 * **Appends are durable before acknowledgment, and all or nothing.**
-  Every append is written unbuffered and ``fsync``\\ s before ``seq``
-  advances; the fsync latency is observed into the
-  ``cluster.wal.fsync_seconds`` histogram so operators can price
-  durability.  A failed append (ENOSPC mid-write, a failing fsync) is
-  cut back off the file, so it is never replayed and never leaves a
-  torn line mid-log.  If that cut fails too, the log may end in garbage
-  and every later append raises :class:`WalUnwritableError`.
+  One ``append(*records)`` call writes all its records unbuffered and
+  then ``fsync``\\ s once, before ``seq`` advances: a repair wave's
+  per-stripe records share one fsync (group commit, one writer).  The
+  fsync latency is observed into the ``cluster.wal.fsync_seconds``
+  histogram so operators can price durability.  A failed append (ENOSPC
+  mid-write, a failing fsync) is cut back off the file, so none of its
+  records is replayed and no torn line is left mid-log.  If that cut
+  fails too, the log may end in garbage and every later append raises
+  :class:`WalUnwritableError`.  A crash mid-append leaves a complete
+  prefix of the call's records plus at most one torn line; replaying
+  that prefix is safe, because each record describes work that was
+  already done on the nodes before the append began.
 
 The WAL stores *metadata only* (manifests, placements, membership,
 repair accounting) — block bytes live on the storage nodes and are
@@ -183,26 +188,30 @@ class CoordinatorWal:
     # Writing
     # ------------------------------------------------------------------
 
-    def append(self, record: dict[str, Any]) -> int:
-        """Durably journal one mutation; returns its sequence number.
+    def append(self, *records: dict[str, Any]) -> int:
+        """Durably journal mutations; returns the last sequence number.
 
-        ``seq`` advances only once the record is fsynced.  On any
-        failure the file is truncated back to where this append began,
-        and the error propagates.
+        Every record is written, then one fsync covers them all, and
+        ``seq`` advances only after it.  On any failure the file is
+        truncated back to where this append began, and the error
+        propagates.
         """
         if self._unwritable is not None:
             raise WalUnwritableError(
                 f"{self.wal_path}: a failed append could not be rolled "
                 f"back ({self._unwritable}); refusing to append after it"
             )
-        body = {"seq": self.seq + 1, **record}
-        body["crc"] = _crc({k: v for k, v in body.items() if k != "crc"})
-        line = memoryview(_canonical(body).encode() + b"\n")
+        lines = []
+        for seq, record in enumerate(records, self.seq + 1):
+            body = {"seq": seq, **record}
+            body["crc"] = _crc({k: v for k, v in body.items() if k != "crc"})
+            lines.append(_canonical(body).encode() + b"\n")
+        data = memoryview(b"".join(lines))
         fd = self._fh.fileno()
         start = os.fstat(fd).st_size
         try:
-            while line:
-                line = line[os.write(fd, line):]
+            while data:
+                data = data[os.write(fd, data):]
             t0 = time.perf_counter()
             os.fsync(fd)
         except BaseException:
@@ -216,11 +225,11 @@ class CoordinatorWal:
         reg.histogram("cluster.wal.fsync_seconds").observe(
             time.perf_counter() - t0
         )
-        reg.counter("cluster.wal.appends").inc()
-        self.seq += 1
-        self.appended += 1
+        reg.counter("cluster.wal.appends").inc(len(records))
+        self.seq += len(records)
+        self.appended += len(records)
         self.fsyncs += 1
-        self._records_since_snapshot += 1
+        self._records_since_snapshot += len(records)
         return self.seq
 
     def snapshot(self, state: dict[str, Any]) -> int:

@@ -69,7 +69,9 @@ def test_calls_per_read_put_and_repair(monkeypatch, tmp_path):
         left = await coord.deregister("node-2")
         assert left["rebuilt_blocks"] == stripes * 24
         assert calls == {
-            "append": 1 + stripes,  # the leave, then one per stripe
+            # the leave, then one per repair wave: the three stripes
+            # fit in one, and their records share its append
+            "append": 2,
             "schedule": stripes,
             "replay_schedule": stripes,
         }

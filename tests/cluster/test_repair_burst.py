@@ -11,7 +11,11 @@ import pytest
 
 from repro.cluster import ClusterCoordinator, StorageNode, start_storage_node
 from repro.graphs import tornado_catalog_graph
-from repro.serve.protocol import BlockDeleteRequest, BlockPutRequest
+from repro.serve.protocol import (
+    BlockDeleteRequest,
+    BlockFetchRequest,
+    BlockPutRequest,
+)
 
 BLOCK = 64
 STRIPE = 48 * BLOCK  # payload bytes of one catalog-graph-3 stripe
@@ -87,31 +91,35 @@ async def assert_reads(coordinator, objects):
 
 class TestReadsRacingAReshard:
     def test_reader_parked_on_the_stripe_lock_sees_the_flipped_record(self):
-        # The reader captures its stripe record, then waits on the
-        # stripe lock while repair moves the blocks, flips the record
+        # The reader captures its stripe records, then waits on a stripe
+        # lock while the repair wave moves the blocks, flips the records
         # and deletes the old copies.  It must fetch from the placement
         # in force once it holds the lock, not the one it captured.
         async def check():
             cluster = await Cluster.start(4)
             coord = cluster.coordinator
             objects = await cluster.put_objects(1, size=2 * STRIPE)
-            real = coord._repair_stripe
+            real = coord._put_blocks
             reads = []
 
-            async def racing(name, record, holders):
-                # The scheduler holds this stripe's lock here.
-                reads.append(
-                    asyncio.create_task(coord.get(name, want_payload=True))
-                )
-                await asyncio.sleep(0.01)  # reader parks on the lock
-                return await real(name, record, holders)
+            async def racing(node_id, blocks):
+                # The wave holds both stripe locks here, unflipped.
+                if not reads:
+                    reads.append(
+                        asyncio.create_task(
+                            coord.get("obj-0", want_payload=True)
+                        )
+                    )
+                    await asyncio.sleep(0.01)  # reader parks on a lock
+                    assert not reads[0].done()
+                return await real(node_id, blocks)
 
-            coord._repair_stripe = racing
+            coord._put_blocks = racing
             summary = await coord.deregister("node-1")
             assert summary["moved_blocks"] == 2 * 48
-            assert len(reads) == 2
-            for got in await asyncio.gather(*reads):
-                assert got.payload == objects["obj-0"]
+            assert len(reads) == 1
+            got = await reads[0]
+            assert got.payload == objects["obj-0"]
             await cluster.close()
 
         run(check())
@@ -160,10 +168,10 @@ class TestPlaceJournalDelete:
             before = cluster.held()
             append = coord.wal.append
 
-            def crash_on_repair(record):
-                if record["type"] == "repair":
+            def crash_on_repair(*records):
+                if any(record["type"] == "repair" for record in records):
                     raise OSError("simulated crash before the journal")
-                return append(record)
+                return append(*records)
 
             coord.wal.append = crash_on_repair
             with pytest.raises(OSError, match="simulated crash"):
@@ -224,9 +232,10 @@ class TestPlacementBurst:
             summary = await cluster.join(joiner)
             coord._put_blocks = real
             # Re-striding onto four members moves most of a stripe.
-            # The joiner's share is one batch per stripe and none is
-            # acknowledged, so no record flips and every old copy stays;
-            # what was headed for the other members is placed.
+            # The three stripes are one wave, so the joiner's share is
+            # one batch; it is not acknowledged, so no record flips and
+            # every old copy stays; what was headed for the other
+            # members is placed.
             to_move = sum(
                 old != new
                 for name, placement in placements.items()
@@ -237,7 +246,7 @@ class TestPlacementBurst:
                     ),
                 )
             )
-            assert batches == [24, 24, 24]
+            assert batches == [3 * 24]
             assert summary["moved_blocks"] == to_move - sum(batches)
             assert summary["unrepairable_blocks"] == 0
             for name, placement in placements.items():
@@ -253,9 +262,7 @@ class TestPlacementBurst:
             assert again["unrepairable_blocks"] == 0
             # The batch on the wire at the kill may have landed
             # unacknowledged; those blocks need no second move.
-            assert again["moved_blocks"] in (
-                sum(batches), sum(batches[1:])
-            )
+            assert again["moved_blocks"] in (sum(batches), 0)
             holders = await coord._inventory()
             assert len(holders) == 3 * 96
             assert all(len(v) == 1 for v in holders.values())
@@ -312,7 +319,7 @@ class TestPlacementBurst:
 
 
 class TestBatchesPerMember:
-    def test_a_leave_costs_one_put_and_one_delete_per_member_per_stripe(
+    def test_a_leave_costs_one_put_and_one_delete_per_member_per_wave(
         self,
     ):
         async def check():
@@ -320,10 +327,16 @@ class TestBatchesPerMember:
             coord = cluster.coordinator
             sent = []
             rpc = coord._rpc
+            waves = []
+            repair = coord._repair_stripes
 
             async def recording(link, request):
                 sent.append(request)
                 return await rpc(link, request)
+
+            async def counting(stripes, holders):
+                waves.append(len(stripes))
+                return await repair(stripes, holders)
 
             def batch_sizes(kind, field):
                 return [
@@ -338,14 +351,18 @@ class TestBatchesPerMember:
             stripes = 1 + 3 * 2
             before = cluster.held()
             sent.clear()
+            coord._repair_stripes = counting
             summary = await coord.deregister("node-1")
             coord._rpc = rpc
             assert summary["repaired_stripes"] == stripes
+            assert waves == [stripes]  # 7 x 96 x 64 B is one wave
             puts = batch_sizes(BlockPutRequest, "blocks")
             deletes = batch_sizes(BlockDeleteRequest, "keys")
+            fetches = batch_sizes(BlockFetchRequest, "keys")
             live = len(coord.ring.members)
-            assert 0 < len(puts) <= live * stripes
-            assert 0 < len(deletes) <= live * stripes
+            assert 0 < len(puts) <= live * len(waves)
+            assert 0 < len(deletes) <= live * len(waves)
+            assert 0 < len(fetches) <= live * len(waves)
             assert sum(puts) == (
                 summary["moved_blocks"] + summary["rebuilt_blocks"]
             )

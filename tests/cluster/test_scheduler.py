@@ -4,8 +4,10 @@ import asyncio
 import time
 
 import numpy as np
+import pytest
 
 from repro.cluster import ClusterCoordinator, StorageNode, start_storage_node
+from repro.cluster import scheduler as scheduler_mod
 from repro.graphs import tornado_catalog_graph
 from repro.storage.blockstore import block_key
 
@@ -166,24 +168,31 @@ class TestBudget:
 
 
 class TestReadInterleaving:
-    def test_foreground_get_is_not_stalled_by_an_active_rebuild(self):
+    def test_foreground_get_is_not_stalled_by_an_active_rebuild(
+        self, monkeypatch
+    ):
+        # One stripe per wave, so the pass is several waves.
+        monkeypatch.setattr(scheduler_mod, "_WAVE_BYTES", 1)
+
         async def check():
             cluster = await Cluster.start()
             coord = cluster.coordinator
-            payload = payload_bytes(6000, seed=8)  # many stripes
+            payload = payload_bytes(9000, seed=8)  # three stripes
             await coord.put("obj", payload)
-            for offset in range(len(coord.manifests["obj"].stripes)):
+            stripes = len(coord.manifests["obj"].stripes)
+            assert stripes == 3
+            for offset in range(stripes):
                 cluster.delete_blocks("obj", 2, stripe_offset=offset)
 
-            # Make each stripe's repair slow enough that a whole-pass
+            # Make each wave's placement slow enough that a whole-pass
             # lock would be felt by a concurrent read.
-            real = coord._repair_stripe
+            real = coord._put_blocks
 
-            async def slow_repair(*args, **kwargs):
+            async def slow_put(*args, **kwargs):
                 await asyncio.sleep(0.05)
                 return await real(*args, **kwargs)
 
-            coord._repair_stripe = slow_repair
+            coord._put_blocks = slow_put
             drain = asyncio.create_task(coord.repair())
             await asyncio.sleep(0.01)  # let the rebuild start
             t0 = time.perf_counter()
@@ -192,10 +201,10 @@ class TestReadInterleaving:
             assert got.payload == payload
             assert not drain.done()  # the rebuild was still running
             summary = await drain
-            assert summary["rebuilt_blocks"] > 0
-            # Regression bound: the read never waits for the whole
-            # pass (which takes >= stripes * 50ms).
-            stripes = len(coord.manifests["obj"].stripes)
+            assert summary["rebuilt_blocks"] == 2 * stripes
+            # Regression bound: the read waits for at most the wave
+            # holding its stripe, never the whole pass (which takes
+            # >= stripes * 50ms).
             assert read_latency < 0.05 * stripes
             await cluster.close()
 
@@ -246,3 +255,44 @@ class TestRepairStatusOp:
             await cluster.close()
 
         run(check())
+
+    # RepairRequest and FetchStripeRequest reject these on the wire; the
+    # coordinator's own methods must too, before any probe or fetch.
+    @staticmethod
+    def refused_before_any_rpc(call, match):
+        async def check():
+            cluster = await Cluster.start()
+            coord = cluster.coordinator
+            await coord.put("obj", payload_bytes(4000, seed=11))
+            cluster.delete_blocks("obj", 2)
+            sent = []
+            rpc = coord._rpc
+
+            async def recording(link, request):
+                sent.append(request)
+                return await rpc(link, request)
+
+            coord._rpc = recording
+            sched = coord.scheduler
+            before = (sched.scans, sched.cycles)
+            with pytest.raises(ValueError, match=match):
+                await call(coord)
+            assert sent == []
+            assert (sched.scans, sched.cycles) == before
+            assert coord.repair_bytes == 0
+            # The valid calls still work.
+            assert (await coord.fetch_stripe_raw("obj", 1)).seq == 1
+            assert (await coord.repair(mode="drain"))["rebuilt_blocks"] == 2
+            await cluster.close()
+
+        run(check())
+
+    def test_repair_refuses_an_unknown_mode(self):
+        self.refused_before_any_rpc(
+            lambda coord: coord.repair(mode="bogus"), "repair mode"
+        )
+
+    def test_fetch_stripe_raw_refuses_a_negative_ordinal(self):
+        self.refused_before_any_rpc(
+            lambda coord: coord.fetch_stripe_raw("obj", -1), "non-negative"
+        )

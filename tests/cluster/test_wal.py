@@ -400,7 +400,7 @@ def fail_next_append(wal):
     """The disk fills up for exactly one append."""
     real = wal.append
 
-    def append(record):
+    def append(*records):
         wal.append = real
         raise OSError(errno.ENOSPC, "No space left on device")
 
@@ -468,11 +468,11 @@ class TestAppendFirst:
             await cluster.kill("node-0")
             real = coord.wal.append
 
-            def append(record):
-                if record["type"] == "repair":
+            def append(*records):
+                if any(record["type"] == "repair" for record in records):
                     coord.wal.append = real
                     raise OSError(errno.ENOSPC, "No space left on device")
-                return real(record)
+                return real(*records)
 
             coord.wal.append = append
             with pytest.raises(OSError, match="No space left"):
@@ -506,7 +506,8 @@ class TestRecoveryIsTheLivePath:
     ):
         graph = tornado_catalog_graph(3)
         live = tmp_path / "live"
-        seen = []
+        seen = []  # (type, partial repair) per committed record
+        batches_seen = []  # (records, snapshotted) per committed batch
 
         async def check():
             coord = ClusterCoordinator(
@@ -514,22 +515,22 @@ class TestRecoveryIsTheLivePath:
             )
             commit = coord._commit
 
-            def commit_then_recover(record):
-                commit(record)
-                copy = tmp_path / f"copy-{len(seen)}"
+            def commit_then_recover(*records):
+                commit(*records)
+                copy = tmp_path / f"copy-{len(batches_seen)}"
                 shutil.copytree(live, copy)
                 recovered = ClusterCoordinator(
                     graph, block_size=64, wal_dir=copy, recover=True
                 )
                 recovered.wal.close()
-                assert recovered.state_dict() == coord.state_dict(), record
+                assert recovered.state_dict() == coord.state_dict(), records
                 assert recovered.state_sha256() == coord.state_sha256()
-                seen.append(
-                    (
-                        record["type"],
-                        record.get("placement", ()) is None,
-                        coord.wal.records_since_snapshot == 0,
-                    )
+                batches_seen.append(
+                    (len(records), coord.wal.records_since_snapshot == 0)
+                )
+                seen.extend(
+                    (record["type"], record.get("placement", ()) is None)
+                    for record in records
                 )
 
             coord._commit = commit_then_recover
@@ -583,7 +584,7 @@ class TestRecoveryIsTheLivePath:
             await cluster.close()
 
         run(check())
-        kinds = [kind for kind, _, _ in seen]
+        kinds = [kind for kind, _ in seen]
         assert {kind: kinds.count(kind) for kind in set(kinds)} == {
             "join": 5,
             "put": 3,
@@ -591,8 +592,12 @@ class TestRecoveryIsTheLivePath:
             "repair": len(kinds) - 10,
         }
         assert kinds.count("repair") >= 12  # 4 stripes, 3+ passes
-        partial = [p for kind, p, _ in seen if kind == "repair"]
+        partial = [p for kind, p in seen if kind == "repair"]
         assert any(partial) and not all(partial)
+        # a repair wave's records commit as one batch: one append, one
+        # recovery check after it
+        assert sum(n for n, _ in batches_seen) == len(seen)
+        assert max(n for n, _ in batches_seen) == 4
         # the commit that crossed snapshot_every snapshotted *after*
         # it applied: recovery from snapshot alone matched, above
-        assert sum(snapshotted for _, _, snapshotted in seen) >= 4
+        assert sum(snapshotted for _, snapshotted in batches_seen) >= 2
