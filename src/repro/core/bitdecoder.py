@@ -13,19 +13,25 @@ A batch of ``B`` cases over ``N`` nodes is stored node-major as a
 in word ``c >> 6`` at numeric bit ``c & 63`` (bit 0 = case 0 of the
 word, regardless of host endianness).  A set bit means *unknown/lost*.
 
-Per round, the decoder detects constraints with exactly one unknown
-member using two bit-sliced planes — ``once`` (≥1 unknown member) and
-``twice`` (≥2) — updated per member slot::
+The decoder detects constraints with exactly one unknown member using
+two bit-sliced planes — ``once`` (≥1 unknown member) and ``twice``
+(≥2) — updated per member::
 
-    twice |= once & member;  once |= member      # per slot
+    twice |= once & member;  once |= member      # per member
     solvable = once & ~twice                     # exactly one
 
-Constraints are sorted by member count (descending) at build time so the
-slot loop operates on shrinking row *prefixes* instead of a padded
-rectangle.  Solved nodes are cleared without scatter conflicts through
-node-sorted edge arrays and a segmented OR (``np.bitwise_or.reduceat``).
-Finished words (every case solved or stuck) are compacted away lazily
-with hysteresis so column-slicing costs stay amortised.
+While at least ``_serial_words`` words are active, an iteration is a
+**serial sweep**: the constraints one at a time in reverse cascade
+order, each clearing ``solvable`` from its member rows in place, so a
+node solved early in the sweep is known to every later constraint.
+Below that it is a **parallel round**: every constraint against the
+same state through gathers (sorted by member count, so slot ``j`` acts
+on a shrinking row *prefix*), solved bits cleared by a segmented OR over
+node-sorted edges (``np.bitwise_or.reduceat``).  Peeling reaches the
+same fixpoint in any order, so both give the same success vector
+(docs/PERF.md, "Serial sweeps").  Finished words (every case solved or
+stuck) are compacted away lazily with hysteresis so column-slicing
+costs stay amortised.
 
 The fused generator :func:`packed_random_loss_masks` draws random
 ``k``-loss patterns straight into packed form through the shared
@@ -127,6 +133,8 @@ def missing_sets_to_unknown(
 
     Replaces the per-row python loop with a single flat-index write;
     duplicate node ids inside a set are tolerated (idempotent OR).
+    Raises ``TypeError`` for a node id that is not an integer and
+    ``ValueError`` for one out of range.
     """
     unknown = np.zeros((len(missing_sets), num_nodes), dtype=bool)
     lengths = np.fromiter(
@@ -137,10 +145,10 @@ def missing_sets_to_unknown(
     if total == 0:
         return unknown
     rows = np.repeat(np.arange(len(missing_sets)), lengths)
-    cols = np.fromiter(
-        (n for ms in missing_sets for n in ms), dtype=np.intp, count=total
-    )
-    if cols.size and (cols.min() < 0 or cols.max() >= num_nodes):
+    cols = np.asarray([n for ms in missing_sets for n in ms])
+    if cols.dtype.kind not in "iu":
+        raise TypeError(f"missing-set node ids must be integers, not {cols.dtype}")
+    if cols.min() < 0 or cols.max() >= num_nodes:
         raise ValueError("missing-set node id out of range")
     unknown.ravel()[rows * num_nodes + cols] = True
     return unknown
@@ -151,25 +159,32 @@ class _PackedPeelingDecoder:
 
     A kernel class supplies ``engine``, ``_num_nodes``, ``_num_cons``,
     ``_data`` and ``_peel(u)`` (peel the packed ``(N, W)`` matrix ``u``
-    in place, return the round count); validation, lane extraction and
-    the ``decoder.*`` metrics live here once.
+    in place, return its iteration count); validation, lane extraction
+    and the ``decoder.*`` metrics live here once.
 
     The 64 cases of a word never read another word's bits, so
-    ``decode_packed`` splits the word columns into ``min(CPUs, W, N * W
-    // _range_floor)`` contiguous ranges and peels each on its own copy,
-    the first on the caller's thread and each other on a helper thread
-    (:func:`repro.core.lossmasks._fan_out`).  A smaller call, and any
-    call in a one-CPU process, is one range on the caller's thread.  A
-    range's round count is one more than the last round in which one of
-    its words both progressed and kept an unknown data bit, so the
-    maximum over ranges is the one-range count.  Metrics are recorded
-    once per call, on the caller's thread, after the join.
+    ``decode_packed`` can split the word columns into ``min(CPUs, W, N
+    * W // _range_floor)`` contiguous ranges and peel each on its own
+    copy, the first on the caller's thread and each other on a helper
+    thread (:func:`repro.core.lossmasks._fan_out`).  Only the sparse
+    kernel splits: the bitset kernel's ``_range_floor`` is ``None``, so
+    it peels every call in one range on the caller's thread.  A smaller
+    call, and any call in a one-CPU process, is one range too.  A
+    sparse range's round count is one more than the last round in which
+    one of its words both progressed and kept an unknown data bit, so
+    the maximum over ranges is the one-range count.  Metrics are
+    recorded once per call, on the caller's thread, after the join.
 
     ``_range_floor`` is the kernel's own: the node-words a range must
     hold before it gets a thread, below which the thread hand-offs cost
     more than the range saves (docs/PERF.md, "Two cores under the
-    kernel").  A constant per kernel, not an option.
+    kernel").  ``_fused_words`` is the node-words
+    :func:`repro.sim.montecarlo._sweep_cells` fuses into one call;
+    ``None`` means one ``_range_floor`` per CPU.  Constants per kernel,
+    not options.
     """
+
+    _fused_words: int | None = None
 
     def decode_batch(self, unknown: np.ndarray) -> np.ndarray:
         """Boolean success vector for a batch of boolean patterns.
@@ -202,10 +217,11 @@ class _PackedPeelingDecoder:
 
         ``batch`` trims the trailing pad lanes of the last word (defaults
         to ``W * 64``).  The input array is not modified.  Raises
-        ``TypeError`` for words of a non-integer dtype.  A call of at
-        least twice ``_range_floor`` node-words is peeled in word ranges
-        on the caller's thread and helper threads (class docstring);
-        the result is the same either way.
+        ``TypeError`` for words of a non-integer dtype or a non-integer
+        ``batch``, before anything is peeled.  A call of at least twice
+        ``_range_floor`` node-words is peeled in word ranges on the
+        caller's thread and helper threads (class docstring); the
+        result is the same either way.
         """
         packed = np.asarray(packed)
         if packed.ndim != 2 or packed.shape[0] != self._num_nodes:
@@ -217,8 +233,7 @@ class _PackedPeelingDecoder:
                 f"packed words must be integers, not {packed.dtype}"
             )
         w = packed.shape[1]
-        if batch is None:
-            batch = w * 64
+        batch = w * 64 if batch is None else lossmasks._integer("batch", batch)
         if not 0 <= batch <= w * 64:
             raise ValueError(f"batch={batch} does not fit {w} words")
         if batch == 0:
@@ -226,8 +241,10 @@ class _PackedPeelingDecoder:
 
         reg = registry()
         t0 = time.perf_counter() if reg.enabled else 0.0
-        ranges = min(w, self._num_nodes * w // self._range_floor)
-        ranges = min(ranges, lossmasks._cpu_count()) if ranges > 1 else 1
+        ranges = 1
+        if self._range_floor is not None:
+            ranges = max(1, min(w, self._num_nodes * w // self._range_floor,
+                                lossmasks._cpu_count()))
         bounds = [w * i // ranges for i in range(ranges + 1)]
         range_rounds = [0] * ranges
         fail_words = np.zeros(w, dtype=np.uint64)
@@ -268,12 +285,22 @@ class BitsetBatchDecoder(_PackedPeelingDecoder):
     The dense-plane kernel: :meth:`decode_batch` /
     :meth:`decode_missing_sets` on boolean patterns, plus the
     packed-native :meth:`decode_packed` fast path used by the Monte
-    Carlo hot loop.
+    Carlo hot loop.  Every call is peeled on the caller's thread, in
+    serial sweeps while it is wide and parallel rounds once it is not
+    (module docstring).
     """
 
     engine = "bitset"
-    # A two-range call pays from about 2^15.5 node-words per range.
-    _range_floor = 1 << 16
+    # Serial sweeps make one small numpy call per member row and hold
+    # the GIL between them, so two threads ran them slower than one:
+    # every call is one range, on the caller.
+    _range_floor = None
+    # Active words from which an iteration is a serial sweep: the width
+    # at which a sweep and a round cost the same.
+    _serial_words = 384
+    # Node-words of a fused sweep call: graph 3's 42 default cells
+    # make 4 calls of up to 2 816 words (docs/PERF.md, width table).
+    _fused_words = 1 << 18
     # Bound in this class's own namespace: the benchmark's layer hooks
     # patch ``decode_packed`` per kernel class, not on the shared base.
     decode_packed = _PackedPeelingDecoder.decode_packed
@@ -281,10 +308,15 @@ class BitsetBatchDecoder(_PackedPeelingDecoder):
     def __init__(self, graph: ErasureGraph):
         self.graph = graph
         self._num_nodes = graph.num_nodes
+        # A serial sweep walks the constraints in reverse cascade order,
+        # so the checks solved near the tail feed the levels above them
+        # in the same sweep (docs/PERF.md, "Serial sweeps").
+        self._members = graph.constraint_members()
+        self._order = list(reversed(range(len(self._members))))
         # Sort constraints by member count (descending) so the per-slot
         # scan can act on shrinking row prefixes instead of a padded
         # rectangle (saves work on irregular degree distributions).
-        members = sorted(graph.constraint_members(), key=len, reverse=True)
+        members = sorted(self._members, key=len, reverse=True)
         c = len(members)
         self._num_cons = c
         self._dmax = max((len(m) for m in members), default=0)
@@ -319,9 +351,8 @@ class BitsetBatchDecoder(_PackedPeelingDecoder):
     # ------------------------------------------------------------------
 
     def _peel(self, u: np.ndarray) -> int:
-        """Run the packed peeling fixpoint in place; returns round count."""
-        mp = self._mp
-        slot_rows = self._slot_rows
+        """Run the packed peeling fixpoint in place; returns the number
+        of iterations, each one serial sweep or one parallel round."""
         # Only words with at least one unknown data bit can still change
         # pass/fail; start from that active column set.
         data_any = np.bitwise_or.reduce(u[self._data], axis=0)
@@ -329,45 +360,15 @@ class BitsetBatchDecoder(_PackedPeelingDecoder):
         if cols.size == 0:
             return 0
         ua = np.ascontiguousarray(u[:, cols])
-        onebuf = np.empty((self._num_cons, cols.size), dtype=np.uint64)
-        twobuf = np.empty_like(onebuf)
-        tmpbuf = np.empty_like(onebuf)
         rounds = 0
         while True:
             rounds += 1
             wa = ua.shape[1]
-            once = onebuf[:, :wa]
-            twice = twobuf[:, :wa]
-            tmp = tmpbuf[:, :wa]
-            # Bit-sliced planes: once = "≥1 unknown member",
-            # twice = "≥2"; slot j only touches the prefix of
-            # constraints long enough to have a j-th member.
-            np.copyto(once, ua[mp[:, 0]])
-            twice[:] = 0
-            for j in range(1, self._dmax):
-                r = slot_rows[j]
-                col = ua[mp[:r, j]]
-                np.bitwise_and(once[:r], col, out=tmp[:r])
-                np.bitwise_or(twice[:r], tmp[:r], out=twice[:r])
-                np.bitwise_or(once[:r], col, out=once[:r])
-            solv = np.bitwise_and(
-                once, np.invert(twice, out=twice), out=once
-            )
-            word_prog = np.bitwise_or.reduce(solv, axis=0)
-            if not word_prog.any():
-                break
-            # Clear solved bits: a node becomes known in a case if any
-            # incident constraint solves it there.  Segmented OR over
-            # node-sorted edges keeps the scatter conflict-free.
-            contrib = solv[self._edge_con]
-            contrib &= ua[self._edge_node]
-            clear = np.bitwise_or.reduceat(
-                contrib, self._seg_starts, axis=0
-            )
-            ua[self._seg_nodes] &= np.invert(clear, out=clear)
+            body = self._sweep if wa >= self._serial_words else self._round
+            word_prog = body(ua)
             # A word stays active while some case in it progressed this
-            # round AND some data bit is still unknown; compact columns
-            # lazily (hysteresis) so slicing cost stays amortised.
+            # iteration AND some data bit is still unknown; compact
+            # columns lazily (hysteresis) so slicing cost stays amortised.
             data_words = np.bitwise_or.reduce(ua[self._data], axis=0)
             keep = (word_prog & data_words) != 0
             nkeep = int(keep.sum())
@@ -380,3 +381,55 @@ class BitsetBatchDecoder(_PackedPeelingDecoder):
                 ua = np.ascontiguousarray(ua[:, keep])
         u[:, cols] = ua
         return rounds
+
+    def _sweep(self, ua: np.ndarray) -> np.ndarray:
+        """One serial sweep over ``ua`` in place: each constraint, in
+        ``_order``, sees the nodes the ones before it solved.  Returns
+        the OR of every solvable plane (nonzero: the word progressed)."""
+        rows = list(ua)
+        once, twice, tmp, prog = np.zeros((4, ua.shape[1]), np.uint64)
+        members = self._members
+        for ci in self._order:
+            # A constraint has a check and at least one left.
+            first, second, *rest = members[ci]
+            np.bitwise_or(rows[first], rows[second], out=once)
+            np.bitwise_and(rows[first], rows[second], out=twice)
+            for n in rest:
+                np.bitwise_and(once, rows[n], out=tmp)
+                np.bitwise_or(twice, tmp, out=twice)
+                np.bitwise_or(once, rows[n], out=once)
+            solv = np.bitwise_and(once, np.invert(twice, out=twice), out=once)
+            np.bitwise_or(prog, solv, out=prog)
+            keep = np.invert(solv, out=solv)
+            for n in members[ci]:
+                np.bitwise_and(rows[n], keep, out=rows[n])
+        return prog
+
+    def _round(self, ua: np.ndarray) -> np.ndarray:
+        """One parallel round over ``ua`` in place: every constraint
+        against the same state.  Returns what :meth:`_sweep` does."""
+        mp = self._mp
+        slot_rows = self._slot_rows
+        once, twice, tmp = np.empty((3, self._num_cons, ua.shape[1]), np.uint64)
+        # Bit-sliced planes: once = "≥1 unknown member", twice = "≥2";
+        # slot j only touches the prefix of constraints long enough to
+        # have a j-th member.
+        np.copyto(once, ua[mp[:, 0]])
+        twice[:] = 0
+        for j in range(1, self._dmax):
+            r = slot_rows[j]
+            col = ua[mp[:r, j]]
+            np.bitwise_and(once[:r], col, out=tmp[:r])
+            np.bitwise_or(twice[:r], tmp[:r], out=twice[:r])
+            np.bitwise_or(once[:r], col, out=once[:r])
+        solv = np.bitwise_and(once, np.invert(twice, out=twice), out=once)
+        word_prog = np.bitwise_or.reduce(solv, axis=0)
+        if word_prog.any():
+            # Clear solved bits: a node becomes known in a case if any
+            # incident constraint solves it there.  Segmented OR over
+            # node-sorted edges keeps the scatter conflict-free.
+            contrib = solv[self._edge_con]
+            contrib &= ua[self._edge_node]
+            clear = np.bitwise_or.reduceat(contrib, self._seg_starts, axis=0)
+            ua[self._seg_nodes] &= np.invert(clear, out=clear)
+        return word_prog

@@ -62,6 +62,7 @@ generator.  Both ways give the same bits and the same end state
 
 from __future__ import annotations
 
+import operator
 import os
 import threading
 from typing import Callable, NamedTuple, Sequence, TypeVar
@@ -150,6 +151,7 @@ def _plan(
     nothing).  ``k`` and ``batch`` are validated here, before the first
     draw, so a rejected call leaves ``rng`` where it was.
     """
+    k, batch = _integer("k", k), _integer("batch", batch)
     if not 0 <= k <= num_nodes:
         raise ValueError(f"k={k} outside [0, {num_nodes}]")
     if batch < 0:
@@ -186,6 +188,15 @@ def _plan(
             )
             offset += rows * size
     return blocks
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an ``int``; a float or other non-integer is a
+    ``TypeError`` naming it (numpy integers pass)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _chosen(block: _Block, rng: np.random.Generator) -> np.ndarray:

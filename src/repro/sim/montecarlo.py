@@ -15,8 +15,8 @@ This module reproduces the estimator with two scaling levers:
   ``numpy.random.SeedSequence.spawn`` so results are reproducible at any
   worker count.  Every cell — in-process or pooled — runs through one
   function, :func:`_sweep_cells`, which fuses the mask batches of
-  consecutive small cells into kernel calls wide enough to split over
-  every CPU; each pool worker receives the graph once, through the pool
+  consecutive small cells into kernel calls of the kernel's fused
+  width; each pool worker receives the graph once, through the pool
   initializer, builds its kernel there, and runs one cell per task.
 
 For the small-``k`` head where failure probabilities sit near 1e-7,
@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import operator
 import os
 import time
 from concurrent.futures import (
@@ -155,7 +154,7 @@ def sample_fail_fraction(
     :func:`profile_graph`.  ``k`` must be an integer (``TypeError``
     otherwise, before anything is drawn).
     """
-    k = _integer_k(k)
+    k = lossmasks._integer("k", k)
     if n_samples < 1:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
     if k == 0:
@@ -177,15 +176,6 @@ def sample_fail_fraction(
         masks = boolean_loss_masks(graph.num_nodes, k, batch, rng)
         failures += int(batch - decoder.decode_batch(masks).sum())
     return failures / n_samples
-
-
-def _integer_k(k) -> int:
-    """``k`` as an ``int``; a float or other non-integer is a
-    ``TypeError`` naming it (numpy integers pass)."""
-    try:
-        return operator.index(k)
-    except TypeError:
-        raise TypeError(f"k must be an integer, got {k!r}") from None
 
 
 # ----------------------------------------------------------------------
@@ -261,9 +251,10 @@ def _sweep_cells(graph, decoder, tasks: Sequence[tuple]):
 
     The unit of decode work is a *piece*: one mask batch of one cell,
     drawn in order from that cell's own stream.  Pieces join a group
-    until it holds ``_cpu_count() * decoder._range_floor`` node-words —
-    the width at which ``decode_packed`` gives every CPU a range of at
-    least the floor — and the group is decoded in one call, each piece
+    until it holds the kernel's ``_fused_words`` node-words (for the
+    sparse kernel ``_cpu_count() * _range_floor``, the width at which
+    ``decode_packed`` gives every CPU a range of at least the floor) —
+    and the group is decoded in one call, each piece
     charged the failures of its own lanes.  Cases never read each
     other's bits, so a cell's estimate is the same whatever it shares a
     call with; a cell wider than the target fills groups by itself.
@@ -281,7 +272,9 @@ def _sweep_cells(graph, decoder, tasks: Sequence[tuple]):
     """
     n = graph.num_nodes
     max_batch = _mask_batch(n)
-    target = lossmasks._cpu_count() * decoder._range_floor
+    target = decoder._fused_words or (
+        lossmasks._cpu_count() * decoder._range_floor
+    )
     reg = MetricsRegistry() if any(task[3] for task in tasks) else None
     final = None
     group: list[tuple[_Cell, int, np.ndarray]] = []
@@ -640,8 +633,8 @@ def profile_graph(
 
     Every sampled cell runs through :func:`_sweep_cells`: in-process,
     all pending cells in one call on the decoder built here, their
-    small mask batches fused into kernel calls wide enough to split
-    over every CPU; or with ``n_jobs > 1`` one cell per task on a pool
+    small mask batches fused into wide kernel calls; or with
+    ``n_jobs > 1`` one cell per task on a pool
     whose workers each receive the graph once, through the pool
     initializer (task tuples carry no graph and no decoder).
     """
@@ -660,7 +653,7 @@ def profile_graph(
     if max_retries < 0:
         raise ValueError(f"max_retries must be >= 0, got {max_retries}")
     if ks is not None:
-        ks = [_integer_k(k) for k in ks]
+        ks = [lossmasks._integer("k", k) for k in ks]
         # Cell seeds are positional over `ks`: a repeated k would shift
         # every later cell's seed, and a k off the curve would be
         # dropped unreported.

@@ -12,8 +12,12 @@ from __future__ import annotations
 
 import threading
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.core.decoder as decoder_module
 import repro.core.lossmasks as lossmasks
@@ -34,6 +38,7 @@ from repro.core import (
 )
 from repro.core.bitdecoder import missing_sets_to_unknown
 from repro.core.lossmasks import boolean_loss_masks
+from repro.graphs import regular_graph, tornado_catalog_graph
 from repro.obs import MetricsRegistry, capture
 from repro.obs.trace import Tracer, trace_capture
 from repro.sim import profile_graph
@@ -144,6 +149,42 @@ class TestEngineAgreement:
         lost = np.full((small_tornado.num_nodes, 2), -1, dtype=np.int64)
         assert not dec.decode_packed(lost, 128).any()
 
+    @pytest.mark.parametrize("engine", ["bitset", "sparse"])
+    @pytest.mark.parametrize("batch", [100.0, np.float64(100), "100"])
+    def test_decode_packed_rejects_a_non_integer_batch_before_peeling(
+        self, small_tornado, monkeypatch, engine, batch
+    ):
+        """``batch=100.0`` used to peel the whole call, then fail in
+        the lane slice with numpy's message."""
+        dec = KERNELS[engine](small_tornado)
+        packed = packed_random_loss_masks(
+            small_tornado.num_nodes, 5, 128, np.random.default_rng(1)
+        )
+        want = dec.decode_packed(packed, 100)
+        assert np.array_equal(dec.decode_packed(packed, np.int64(100)), want)
+
+        def never(u):
+            raise AssertionError("peeled a rejected call")
+
+        monkeypatch.setattr(dec, "_peel", never)
+        with capture(MetricsRegistry()) as reg:
+            with pytest.raises(TypeError, match="batch must be an integer"):
+                dec.decode_packed(packed, batch)
+        assert reg.snapshot()["counters"] == {}
+
+    @pytest.mark.parametrize("engine", ["bitset", "sparse"])
+    @pytest.mark.parametrize(
+        "sets",
+        [[[1.7]], [[0, 2.0]], [[np.float64(3)]], [np.array([True, False])]],
+    )
+    def test_non_integer_node_ids_are_rejected(
+        self, small_tornado, engine, sets
+    ):
+        """``[[1.7]]`` used to truncate to node 1 and answer for the
+        wrong pattern; a boolean mask row read as nodes 1 and 0."""
+        with pytest.raises(TypeError, match="node ids must be integers"):
+            KERNELS[engine](small_tornado).decode_missing_sets(sets)
+
 
 class TestPackingHelpers:
     def test_pack_unpack_roundtrip(self, rng):
@@ -191,6 +232,12 @@ class TestPackingHelpers:
             missing_sets_to_unknown([[0, 99]], 10)
         with pytest.raises(ValueError):
             missing_sets_to_unknown([[-1]], 10)
+        with pytest.raises(TypeError, match="node ids must be integers"):
+            missing_sets_to_unknown([[1.7]], 10)
+        ids = [[np.int64(1), 3], [np.uint8(2)]]
+        assert missing_sets_to_unknown(ids, 4).tolist() == [
+            [False, True, False, True], [False, False, True, False]
+        ]
 
 
 class TestEngineSelection:
@@ -354,15 +401,14 @@ class TestKernelRanges:
                                                    (49, 2, 2), (49, 3, 3)])
     def test_real_floor(self, csr8k, engine, words, cpus, ranges):
         """At the shipped floors an 8 192-node call splits from 32 words
-        on the sparse kernel (N * W = 2 * its floor) and from 16 on the
-        bitset kernel, whose floor is half; never into more ranges than
-        CPUs.  ``words`` counts at the sparse floor."""
+        on the sparse kernel (N * W = 2 * its floor), never into more
+        ranges than CPUs.  The bitset kernel has no floor: it peels
+        every call in one range, on the caller."""
         assert csr8k.num_nodes * 32 == 2 * SparseBitsetDecoder._range_floor
-        assert 2 * BitsetBatchDecoder._range_floor == (
-            SparseBitsetDecoder._range_floor
-        )
+        if engine == "bitset":
+            assert BitsetBatchDecoder._range_floor is None
+            ranges = 1
         decoder = _decoder_for(engine, csr8k)
-        words = words * decoder._range_floor // SparseBitsetDecoder._range_floor
         batch = words * 64 - 5
         packed = packed_sparse_loss_masks(
             csr8k.num_nodes, csr8k.num_nodes // 6, batch,
@@ -478,3 +524,108 @@ class TestKernelRanges:
         assert pooled.fully_covered
         assert pooled.to_json() == in_process.to_json() == one_range.to_json()
         assert pooled_spans == in_process_spans == one_range_spans
+
+
+# Graphs of the two-body property: the three catalog cascades, the
+# smallest cascade, and one single-level graph.
+PEEL_GRAPHS = {
+    "graph1": lambda: tornado_catalog_graph(1),
+    "graph2": lambda: tornado_catalog_graph(2),
+    "graph3": lambda: tornado_catalog_graph(3),
+    "small_tornado": lambda: tornado_graph(16, seed=3, min_final_lefts=6),
+    "regular": lambda: regular_graph(48, 3, seed=1),
+}
+
+
+@functools.cache
+def _peel_graph(name):
+    return PEEL_GRAPHS[name]()
+
+
+def _peel_with(decoder, packed, batch, serial_words):
+    """The peeled words and the success vector with the crossover at
+    ``serial_words`` (0: every iteration a serial sweep)."""
+    decoder._serial_words = serial_words
+    try:
+        u = np.array(packed, dtype=np.uint64)
+        decoder._peel(u)
+        return u, decoder.decode_packed(packed, batch)
+    finally:
+        del decoder._serial_words
+
+
+class TestPeelBodies:
+    """Serial sweeps and parallel rounds reach the same fixpoint: the
+    largest stopping set inside each erasure."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(PEEL_GRAPHS)),
+        k_share=st.floats(0.0, 1.0),
+        words=st.integers(1, 2 * BitsetBatchDecoder._serial_words),
+        pad=st.integers(0, 63),
+        zero=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_all_serial_and_all_parallel_equal_the_shipped_peel(
+        self, name, k_share, words, pad, zero, seed
+    ):
+        """Random ``k`` and widths on both sides of the crossover, with
+        pad lanes and all-zero words.  A case whose data are known may
+        stop with parity bits unpeeled, and sweeps reach that point
+        sooner than rounds; so the data rows, and every row of the cases
+        that fail, are compared."""
+        graph = _peel_graph(name)
+        n = graph.num_nodes
+        batch = max(1, words * 64 - pad)
+        packed = packed_random_loss_masks(
+            n, round(k_share * n), batch, np.random.default_rng(seed)
+        )
+        packed[:, [int(z * words) for z in zero]] = 0
+        decoder = BitsetBatchDecoder(graph)
+        shipped = BitsetBatchDecoder._serial_words
+        want_u, want_ok = _peel_with(decoder, packed, batch, shipped)
+        data = list(graph.data_nodes)
+        failing = np.bitwise_or.reduce(want_u[data], axis=0)
+        for serial_words in (0, words + 1):
+            u, ok = _peel_with(decoder, packed, batch, serial_words)
+            assert np.array_equal(u[data], want_u[data]), serial_words
+            assert np.array_equal(u & failing, want_u & failing)
+            assert np.array_equal(ok, want_ok), serial_words
+
+    def test_serial_body_matches_the_scalar_oracle(self):
+        """Every iteration a serial sweep, on ~50 random cascades."""
+        rng = np.random.default_rng(35)
+        for graph in random_small_graphs():
+            n = graph.num_nodes
+            masks = boolean_loss_masks(n, int(rng.integers(1, n)), 100, rng)
+            decoder = BitsetBatchDecoder(graph)
+            decoder._serial_words = 0
+            assert np.array_equal(
+                decoder.decode_batch(masks), scalar_success(graph, masks)
+            ), graph.name
+
+    @pytest.mark.parametrize("name", sorted(PEEL_GRAPHS))
+    def test_serial_order_is_a_permutation_of_the_constraints(self, name):
+        decoder = BitsetBatchDecoder(_peel_graph(name))
+        assert sorted(decoder._order) == list(range(decoder._num_cons))
+
+    @pytest.mark.parametrize("words", [100, 1536])
+    def test_bitset_peels_each_call_once_on_the_caller(
+        self, graph3, monkeypatch, words
+    ):
+        """At the shipped constants and four CPUs: one ``_peel`` over
+        every word, on the caller's thread, and no thread started."""
+        decoder = BitsetBatchDecoder(graph3)
+        packed = packed_random_loss_masks(
+            graph3.num_nodes, 20, words * 64, np.random.default_rng(words)
+        )
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("the bitset kernel started a thread")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        ok, counters, peeled = _decode_on(4, decoder, packed, None)
+        assert peeled == [(threading.current_thread(), words)]
+        assert counters["decoder.batches"] == 1
+        assert ok.shape == (words * 64,)

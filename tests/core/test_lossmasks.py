@@ -157,6 +157,28 @@ class TestRejectsBeforeDrawing:
             generate(n, 5, -1, rng)
         assert rng.bit_generator.state == before
 
+    @pytest.mark.parametrize("generate", GENERATORS)
+    @pytest.mark.parametrize("n", [96, 9000])
+    @pytest.mark.parametrize(
+        "name,k,batch",
+        [("k", 10.0, 100), ("k", np.float64(10), 100), ("k", "10", 100),
+         ("batch", 10, 100.0), ("batch", 10, np.float64(100))],
+    )
+    def test_non_integer_k_or_batch_leaves_generator_untouched(
+        self, generate, n, name, k, batch
+    ):
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            generate(n, k, batch, rng)
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("generate", GENERATORS)
+    def test_numpy_integers_draw_as_ints(self, generate):
+        want = generate(96, 10, 100, np.random.default_rng(3))
+        got = generate(96, np.int64(10), np.int32(100), np.random.default_rng(3))
+        assert np.array_equal(got, want)
+
 
 class _CoarseScores:
     """Duck-typed generator whose scores collide at the threshold.

@@ -476,16 +476,18 @@ class TestFusedCells:
     def test_fused_equals_one_call_per_batch(
         self, graph3, tmp_path, monkeypatch, samples, cpus, n_jobs
     ):
-        """The floor is one cell's width, so a full call holds about
-        ``cpus`` cells and peels ``cpus`` ranges.  20 000 samples are two
-        batches per cell, the second 3 616 cases whose last word has pad
-        lanes; at 100 and 50 every cell leaves pad lanes, so the next
-        one starts mid-word.  A pool runs one cell per task."""
+        """The fused width is ``cpus`` cells' width, so a full call
+        holds about ``cpus`` cells, peeled in one range on the caller
+        (in serial sweeps while it is at least ``_serial_words`` wide).
+        20 000 samples are two batches per cell, the second 3 616 cases
+        whose last word has pad lanes; at 100 and 50 every cell leaves
+        pad lanes, so the next one starts mid-word.  A pool runs one
+        cell per task."""
         sweep = self._sweep(samples)
         with monkeypatch.context() as mp:
             # The unfused shape: every batch its own one-range call.
             mp.setattr(lossmasks, "_cpu_count", lambda: 1)
-            mp.setattr(BitsetBatchDecoder, "_range_floor", 1)
+            mp.setattr(BitsetBatchDecoder, "_fused_words", 1)
             alone = _kernel_calls(mp, BitsetBatchDecoder)
             want = _observed(graph3, tmp_path / "alone.jsonl", 1, **sweep)
         assert len(alone) == len(FUSED_KS) * -(-samples // 16384)
@@ -493,8 +495,8 @@ class TestFusedCells:
 
         monkeypatch.setattr(lossmasks, "_cpu_count", lambda: cpus)
         monkeypatch.setattr(
-            BitsetBatchDecoder, "_range_floor",
-            graph3.num_nodes * -(-samples // 64),
+            BitsetBatchDecoder, "_fused_words",
+            cpus * graph3.num_nodes * -(-samples // 64),
         )
         fused = _kernel_calls(monkeypatch, BitsetBatchDecoder)
         got = _observed(
@@ -503,7 +505,7 @@ class TestFusedCells:
         )
         assert got == want
         if n_jobs == 1:
-            assert max(len(widths) for _, widths in fused) == cpus
+            assert all(len(widths) == 1 for _, widths in fused)
             assert sum(batch for batch, _ in fused) == got[3]
             if cpus > 1:
                 assert len(fused) < len(alone)
@@ -514,9 +516,8 @@ class TestFusedCells:
         """Four 64-word cells to a call: the run dies after writing two
         cells of the first group, and the resumed run, grouping the rest
         differently, writes the uninterrupted file byte for byte."""
-        monkeypatch.setattr(lossmasks, "_cpu_count", lambda: 4)
         monkeypatch.setattr(
-            BitsetBatchDecoder, "_range_floor", graph3.num_nodes * 64
+            BitsetBatchDecoder, "_fused_words", 4 * graph3.num_nodes * 64
         )
         sweep = self._sweep(4096)
         calls = _kernel_calls(monkeypatch, BitsetBatchDecoder)
@@ -535,15 +536,22 @@ class TestFusedCells:
     def test_benchmark_sweeps_keep_their_call_counts(
         self, graph3, monkeypatch
     ):
-        """On two CPUs ``sweep_small``'s 42 cells fuse six to a call:
-        7 calls of 1 536 words in two ranges, where there were 42 of
-        256 in one.  Each ``sweep_large`` cell already meets its target,
-        so it makes the same 2 calls as before."""
-        monkeypatch.setattr(lossmasks, "_cpu_count", lambda: 2)
+        """``sweep_small``'s 42 cells fuse eleven to a call whatever the
+        CPU count: 4 calls of up to 2 816 words, each in one range,
+        where there were 42 of 256.  On two CPUs each ``sweep_large``
+        cell already meets its target, so it makes the same 2 calls as
+        before, in two ranges."""
+        assert BitsetBatchDecoder._fused_words == 1 << 18
         small = _kernel_calls(monkeypatch, BitsetBatchDecoder)
-        profile_graph(graph3, samples_per_k=16384, seed=1)
-        assert [batch for batch, _ in small] == [6 * 16384] * 7
-        assert all(widths == [768, 768] for _, widths in small)
+        cells = [11, 11, 11, 9]
+        for cpus in (1, 2):
+            monkeypatch.setattr(lossmasks, "_cpu_count", lambda: cpus)
+            small.clear()
+            profile_graph(graph3, samples_per_k=16384, seed=1)
+            assert [batch for batch, _ in small] == [c * 16384 for c in cells]
+            assert [widths for _, widths in small] == [[c * 256] for c in cells]
+
+        monkeypatch.setattr(lossmasks, "_cpu_count", lambda: 2)
 
         large = _kernel_calls(monkeypatch, SparseBitsetDecoder)
         graph = tornado_csr_graph(8192, seed=1)
