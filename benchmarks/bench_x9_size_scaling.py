@@ -52,7 +52,6 @@ from repro.core import (
     packed_sparse_loss_masks,
     tornado_csr_graph,
 )
-from repro.core.sparse import jit_enabled
 from repro.graphs import tornado_catalog_graph
 from repro.sim import measure_retrieval_overhead, profile_graph
 
@@ -289,7 +288,7 @@ def test_x9_sparse_size_scaling():
     write_result(
         "x9_sparse_scaling",
         "X9b - sparse engine scaling, 2^14..2^20 nodes "
-        f"(batch={SCALING_BATCH}, jit={jit_enabled()})\n\n"
+        f"(batch={SCALING_BATCH})\n\n"
         + table
         + "\n\n"
         + f"2^{big.num_nodes.bit_length() - 1}-node sweep: "

@@ -20,31 +20,37 @@ two bit-sliced planes — ``once`` (≥1 unknown member) and ``twice``
     twice |= once & member;  once |= member      # per member
     solvable = once & ~twice                     # exactly one
 
-While at least ``_serial_words`` words are active, an iteration is a
-**serial sweep**: the constraints one at a time in reverse cascade
-order, each clearing ``solvable`` from its member rows in place, so a
-node solved early in the sweep is known to every later constraint.
-Below that it is a **parallel round**: every constraint against the
-same state through gathers (sorted by member count, so slot ``j`` acts
-on a shrinking row *prefix*), solved bits cleared by a segmented OR over
-node-sorted edges (``np.bitwise_or.reduceat``).  Peeling reaches the
-same fixpoint in any order, so both give the same success vector
-(docs/PERF.md, "Serial sweeps").  Finished words (every case solved or
-stuck) are compacted away lazily with hysteresis so column-slicing
-costs stay amortised.
+The fixpoint is one loop, :meth:`_PackedPeelingDecoder._peel`, shared
+by this kernel and the sparse one (:mod:`repro.core.sparse`).  Each
+iteration walks a list of **blocks**: sets of constraints peeled
+together against the state the blocks before them left.  A block of
+several constraints is a gather step: the planes of all its
+constraints through per-slot index arrays (constraints sorted by member
+count, so slot ``j`` acts on a shrinking row *prefix*), then each node's
+solved bits, the OR of its constraints' ``solvable`` planes, through
+the same kind of gathers from the node side.  A block of one
+constraint clears ``solvable`` from its member rows in place.  A
+kernel is only its constants and block lists:
 
-The fused generator :func:`packed_random_loss_masks` draws random
-``k``-loss patterns straight into packed form through the shared
-threshold selection of :mod:`repro.core.lossmasks`; the boolean masks a
-``decode_batch``-only reference decoder consumes come from the same
-selection and the same RNG stream, so profiles are byte-identical
-whichever decoder reads them.
+* bitset, while at least ``_serial_words`` words are active: one block
+  per constraint in reverse cascade order (a **serial sweep**, so a
+  node solved early is known to every later constraint); below that,
+  one block of every constraint (a **parallel round**);
+* sparse: one block per cascade level, in reverse order, at any width.
 
-:class:`_PackedPeelingDecoder` holds what this kernel and the sparse one
-(:mod:`repro.core.sparse`) share — ``decode_batch``,
-``decode_missing_sets`` and the body of ``decode_packed``; a kernel is
-its constructor plus ``_peel``.  Which kernel runs is decided by
-:func:`repro.core.decoder.make_batch_decoder` from the graph's size.
+Peeling reaches the same fixpoint — the largest stopping set inside the
+erasure — whatever the blocks and their order, so every schedule gives
+the same success vector (docs/PERF.md, "Level sweeps").  A block of
+more than ``chunk`` constraints is split at ``chunk``, bounding its
+planes.  Finished words (every case solved or stuck) are compacted
+away lazily with hysteresis so column-slicing costs stay amortised.
+
+:func:`packed_random_loss_masks` draws random ``k``-loss patterns
+straight into packed form from the same selection and RNG stream as
+the boolean masks a ``decode_batch``-only reference decoder consumes,
+so profiles are byte-identical whichever decoder reads them.
+:func:`repro.core.decoder.make_batch_decoder` picks the kernel from the
+graph's size.
 """
 
 from __future__ import annotations
@@ -56,7 +62,7 @@ import numpy as np
 
 from ..obs.registry import registry
 from . import lossmasks
-from .graph import ErasureGraph
+from .csrgraph import CsrGraph
 from .lossmasks import packed_loss_masks
 
 __all__ = [
@@ -154,37 +160,201 @@ def missing_sets_to_unknown(
     return unknown
 
 
-class _PackedPeelingDecoder:
-    """What the packed kernels share: everything around the fixpoint.
+#: Max constraints per block.  Bounds plane memory at
+#: ``3 * chunk * W * 8`` bytes regardless of graph size.
+DEFAULT_CHUNK = 1 << 15
 
-    A kernel class supplies ``engine``, ``_num_nodes``, ``_num_cons``,
-    ``_data`` and ``_peel(u)`` (peel the packed ``(N, W)`` matrix ``u``
-    in place, return its iteration count); validation, lane extraction
-    and the ``decoder.*`` metrics live here once.
+
+def _ranks(values, first, counts):
+    """``[values[first[i] + j] for i with counts[i] > j]`` for each ``j``:
+    with ``counts`` descending, rank ``j`` is a prefix of rank ``j - 1``."""
+    return [values[first[: int((counts > j).sum())] + j]
+            for j in range(int(counts[0]))]
+
+
+class _Block:
+    """Constraints peeled together against one state (module docstring).
+
+    ``cons`` holds their indices, longest first.  One constraint of at
+    least two members keeps them as ``members``, for row views.  Any
+    other block keeps gather indices for both sides of its edges:
+    ``slots[j]``, member ``j`` of each constraint, and ``incident[j]``,
+    the row in ``cons`` of constraint ``j`` of each node in ``nodes``
+    (sorted by how many of the block's constraints hold them).
+    """
+
+    __slots__ = ("cons", "members", "slots", "nodes", "incident")
+
+    def __init__(self, cons, con_nodes, indptr):
+        self.cons = cons
+        starts, lens = indptr[cons], indptr[cons + 1] - indptr[cons]
+        self.members = None
+        if cons.size == 1 and lens[0] >= 2:
+            self.members = tuple(con_nodes[starts[0]:starts[0] + lens[0]].tolist())
+            return
+        self.slots = _ranks(con_nodes, starts, lens)
+        edge_nodes = np.concatenate(self.slots)
+        order = np.argsort(edge_nodes, kind="stable")
+        nodes, first, counts = np.unique(
+            edge_nodes[order], return_index=True, return_counts=True
+        )
+        by_count = np.argsort(-counts, kind="stable")
+        self.nodes = nodes[by_count]
+        edge_rows = np.concatenate([np.arange(s.size) for s in self.slots])
+        self.incident = _ranks(
+            edge_rows[order], first[by_count], counts[by_count]
+        )
+
+    def step(self, ua: np.ndarray) -> np.ndarray:
+        """Peel the block over ``ua`` in place; returns the OR of its
+        solvable planes (nonzero: the word progressed)."""
+        slots = self.slots
+        once = ua[slots[0]]
+        twice = np.zeros_like(once)
+        tmp = np.empty_like(once)
+        # Slot j only touches the prefix of constraints long enough to
+        # have a j-th member.
+        for idx in slots[1:]:
+            r = idx.size
+            col = ua[idx]
+            np.bitwise_and(once[:r], col, out=tmp[:r])
+            np.bitwise_or(twice[:r], tmp[:r], out=twice[:r])
+            np.bitwise_or(once[:r], col, out=once[:r])
+        solv = np.bitwise_and(once, np.invert(twice, out=twice), out=once)
+        word_prog = np.bitwise_or.reduce(solv, axis=0)
+        if word_prog.any():
+            # A solvable constraint's members are known but one, so
+            # clearing its plane from every member solves exactly that
+            # one: each node ORs the planes of its constraints.
+            incident = self.incident
+            clear = solv[incident[0]]
+            for idx in incident[1:]:
+                r = idx.size
+                np.bitwise_or(clear[:r], solv[idx], out=clear[:r])
+            ua[self.nodes] &= np.invert(clear, out=clear)
+        return word_prog
+
+
+class _PackedPeelingDecoder:
+    """What the packed kernels share: construction and the fixpoint.
+
+    A kernel class supplies ``engine``, its constants and
+    ``_partitions(csr)``: the constraint sets of the blocks an iteration
+    walks while at least ``_serial_words`` words are active, and below
+    that.  ``_chunk`` caps a block's constraints.
 
     The 64 cases of a word never read another word's bits, so
     ``decode_packed`` can split the word columns into ``min(CPUs, W, N
     * W // _range_floor)`` contiguous ranges and peel each on its own
     copy, the first on the caller's thread and each other on a helper
-    thread (:func:`repro.core.lossmasks._fan_out`).  Only the sparse
-    kernel splits: the bitset kernel's ``_range_floor`` is ``None``, so
-    it peels every call in one range on the caller's thread.  A smaller
-    call, and any call in a one-CPU process, is one range too.  A
-    sparse range's round count is one more than the last round in which
-    one of its words both progressed and kept an unknown data bit, so
-    the maximum over ranges is the one-range count.  Metrics are
-    recorded once per call, on the caller's thread, after the join.
+    thread (:func:`repro.core.lossmasks._fan_out`); a ``_range_floor``
+    of ``None`` means one range.  A range's iteration count is one more
+    than the last iteration in which one of its words both progressed
+    and kept an unknown data bit, so the maximum over ranges is the
+    one-range count.  Metrics are recorded once per call, on the
+    caller's thread, after the join.
 
-    ``_range_floor`` is the kernel's own: the node-words a range must
-    hold before it gets a thread, below which the thread hand-offs cost
-    more than the range saves (docs/PERF.md, "Two cores under the
-    kernel").  ``_fused_words`` is the node-words
+    ``_range_floor`` is the node-words a range must hold before it gets
+    a thread (docs/PERF.md, "Two cores under the kernel").
+    ``_fused_words`` is the node-words
     :func:`repro.sim.montecarlo._sweep_cells` fuses into one call;
     ``None`` means one ``_range_floor`` per CPU.  Constants per kernel,
     not options.
     """
 
     _fused_words: int | None = None
+    _chunk = DEFAULT_CHUNK
+
+    def __init__(self, graph):
+        self.graph = graph
+        # A CsrGraph's arrays are adopted zero-copy (read-only ones too:
+        # the decoder never writes to them).
+        csr = graph if isinstance(graph, CsrGraph) else CsrGraph.from_graph(graph)
+        self._num_nodes = int(csr.num_nodes)
+        self._num_cons = csr.num_constraints
+        self._data = np.ascontiguousarray(csr.data_nodes, dtype=np.intp)
+        self._con_nodes = np.ascontiguousarray(csr.con_nodes, dtype=np.intp)
+        wide, narrow = self._partitions(csr)
+        self._wide = self._blocks(wide, csr.con_indptr)
+        self._narrow = (
+            self._wide if narrow is wide else self._blocks(narrow, csr.con_indptr)
+        )
+
+    def _blocks(self, partition, indptr) -> list[_Block]:
+        """Blocks of each index set, longest constraints first, split at
+        ``chunk``."""
+        blocks = []
+        for cons in partition:
+            cons = np.asarray(cons, dtype=np.intp)
+            lens = indptr[cons + 1] - indptr[cons]
+            cons = cons[np.argsort(-lens, kind="stable")]
+            for lo in range(0, cons.size, self._chunk):
+                blocks.append(
+                    _Block(cons[lo:lo + self._chunk], self._con_nodes, indptr)
+                )
+        return blocks
+
+    def _peel(self, u: np.ndarray) -> int:
+        """Run the packed peeling fixpoint in place; returns the number
+        of iterations, each one walk over a block list."""
+        # Only words with at least one unknown data bit can still change
+        # pass/fail; start from that active column set.
+        data_any = np.bitwise_or.reduce(u[self._data], axis=0)
+        cols = np.flatnonzero(data_any)
+        if cols.size == 0:
+            return 0
+        ua = np.ascontiguousarray(u[:, cols])
+        rounds = 0
+        while True:
+            rounds += 1
+            wa = ua.shape[1]
+            blocks = self._wide if wa >= self._serial_words else self._narrow
+            word_prog = self._walk(ua, blocks)
+            # A word stays active while some case in it progressed this
+            # iteration AND some data bit is still unknown; compact
+            # columns lazily (hysteresis) so slicing cost stays amortised.
+            data_words = np.bitwise_or.reduce(ua[self._data], axis=0)
+            keep = (word_prog & data_words) != 0
+            nkeep = int(keep.sum())
+            if nkeep == 0:
+                break
+            if nkeep <= (wa * 3) // 4:
+                drop = ~keep
+                u[:, cols[drop]] = ua[:, drop]
+                cols = cols[keep]
+                ua = np.ascontiguousarray(ua[:, keep])
+        u[:, cols] = ua
+        return rounds
+
+    @staticmethod
+    def _walk(ua: np.ndarray, blocks: list[_Block]) -> np.ndarray:
+        """Peel ``blocks`` in order over ``ua`` in place, each seeing the
+        nodes the ones before it solved.  Returns the OR of every
+        solvable plane (nonzero: the word progressed)."""
+        prog = np.zeros(ua.shape[1], np.uint64)
+        rows = None
+        for block in blocks:
+            members = block.members
+            if members is None:
+                np.bitwise_or(prog, block.step(ua), out=prog)
+                continue
+            # One constraint on row views: no gather, no scatter.
+            if rows is None:
+                rows = list(ua)
+                once, twice, tmp = np.empty((3, ua.shape[1]), np.uint64)
+            first, second, *rest = members
+            np.bitwise_or(rows[first], rows[second], out=once)
+            np.bitwise_and(rows[first], rows[second], out=twice)
+            for n in rest:
+                np.bitwise_and(once, rows[n], out=tmp)
+                np.bitwise_or(twice, tmp, out=twice)
+                np.bitwise_or(once, rows[n], out=once)
+            solv = np.bitwise_and(once, np.invert(twice, out=twice), out=once)
+            np.bitwise_or(prog, solv, out=prog)
+            keep = np.invert(solv, out=solv)
+            for n in members:
+                np.bitwise_and(rows[n], keep, out=rows[n])
+        return prog
 
     def decode_batch(self, unknown: np.ndarray) -> np.ndarray:
         """Boolean success vector for a batch of boolean patterns.
@@ -282,12 +452,11 @@ class _PackedPeelingDecoder:
 class BitsetBatchDecoder(_PackedPeelingDecoder):
     """Vectorised peeling over erasure patterns packed 64 per word.
 
-    The dense-plane kernel: :meth:`decode_batch` /
-    :meth:`decode_missing_sets` on boolean patterns, plus the
-    packed-native :meth:`decode_packed` fast path used by the Monte
-    Carlo hot loop.  Every call is peeled on the caller's thread, in
-    serial sweeps while it is wide and parallel rounds once it is not
-    (module docstring).
+    The dense kernel: :meth:`decode_batch` / :meth:`decode_missing_sets`
+    on boolean patterns, plus the packed-native :meth:`decode_packed`
+    fast path used by the Monte Carlo hot loop.  Every call is peeled
+    on the caller's thread, in serial sweeps while it is wide and
+    parallel rounds once it is not (module docstring).
     """
 
     engine = "bitset"
@@ -305,131 +474,10 @@ class BitsetBatchDecoder(_PackedPeelingDecoder):
     # patch ``decode_packed`` per kernel class, not on the shared base.
     decode_packed = _PackedPeelingDecoder.decode_packed
 
-    def __init__(self, graph: ErasureGraph):
-        self.graph = graph
-        self._num_nodes = graph.num_nodes
+    @staticmethod
+    def _partitions(csr: CsrGraph):
         # A serial sweep walks the constraints in reverse cascade order,
         # so the checks solved near the tail feed the levels above them
         # in the same sweep (docs/PERF.md, "Serial sweeps").
-        self._members = graph.constraint_members()
-        self._order = list(reversed(range(len(self._members))))
-        # Sort constraints by member count (descending) so the per-slot
-        # scan can act on shrinking row prefixes instead of a padded
-        # rectangle (saves work on irregular degree distributions).
-        members = sorted(self._members, key=len, reverse=True)
-        c = len(members)
-        self._num_cons = c
-        self._dmax = max((len(m) for m in members), default=0)
-        mp = np.zeros((c, max(self._dmax, 1)), dtype=np.intp)
-        for ci, m in enumerate(members):
-            mp[ci, : len(m)] = m
-        self._mp = mp
-        lens = np.fromiter((len(m) for m in members), dtype=np.intp, count=c)
-        self._slot_rows = [
-            int((lens > j).sum()) for j in range(self._dmax)
-        ]
-        # Node-sorted edge arrays: the solved-bit clear is a segmented OR
-        # over each node's incident constraints, conflict-free by design.
-        edges = sorted(
-            (node, ci) for ci, m in enumerate(members) for node in m
-        )
-        self._edge_node = np.fromiter(
-            (e[0] for e in edges), dtype=np.intp, count=len(edges)
-        )
-        self._edge_con = np.fromiter(
-            (e[1] for e in edges), dtype=np.intp, count=len(edges)
-        )
-        if len(edges):
-            self._seg_nodes, self._seg_starts = np.unique(
-                self._edge_node, return_index=True
-            )
-        else:
-            self._seg_nodes = np.empty(0, dtype=np.intp)
-            self._seg_starts = np.empty(0, dtype=np.intp)
-        self._data = np.asarray(graph.data_nodes, dtype=np.intp)
-
-    # ------------------------------------------------------------------
-
-    def _peel(self, u: np.ndarray) -> int:
-        """Run the packed peeling fixpoint in place; returns the number
-        of iterations, each one serial sweep or one parallel round."""
-        # Only words with at least one unknown data bit can still change
-        # pass/fail; start from that active column set.
-        data_any = np.bitwise_or.reduce(u[self._data], axis=0)
-        cols = np.flatnonzero(data_any)
-        if cols.size == 0:
-            return 0
-        ua = np.ascontiguousarray(u[:, cols])
-        rounds = 0
-        while True:
-            rounds += 1
-            wa = ua.shape[1]
-            body = self._sweep if wa >= self._serial_words else self._round
-            word_prog = body(ua)
-            # A word stays active while some case in it progressed this
-            # iteration AND some data bit is still unknown; compact
-            # columns lazily (hysteresis) so slicing cost stays amortised.
-            data_words = np.bitwise_or.reduce(ua[self._data], axis=0)
-            keep = (word_prog & data_words) != 0
-            nkeep = int(keep.sum())
-            if nkeep == 0:
-                break
-            if nkeep <= (wa * 3) // 4:
-                drop = ~keep
-                u[:, cols[drop]] = ua[:, drop]
-                cols = cols[keep]
-                ua = np.ascontiguousarray(ua[:, keep])
-        u[:, cols] = ua
-        return rounds
-
-    def _sweep(self, ua: np.ndarray) -> np.ndarray:
-        """One serial sweep over ``ua`` in place: each constraint, in
-        ``_order``, sees the nodes the ones before it solved.  Returns
-        the OR of every solvable plane (nonzero: the word progressed)."""
-        rows = list(ua)
-        once, twice, tmp, prog = np.zeros((4, ua.shape[1]), np.uint64)
-        members = self._members
-        for ci in self._order:
-            # A constraint has a check and at least one left.
-            first, second, *rest = members[ci]
-            np.bitwise_or(rows[first], rows[second], out=once)
-            np.bitwise_and(rows[first], rows[second], out=twice)
-            for n in rest:
-                np.bitwise_and(once, rows[n], out=tmp)
-                np.bitwise_or(twice, tmp, out=twice)
-                np.bitwise_or(once, rows[n], out=once)
-            solv = np.bitwise_and(once, np.invert(twice, out=twice), out=once)
-            np.bitwise_or(prog, solv, out=prog)
-            keep = np.invert(solv, out=solv)
-            for n in members[ci]:
-                np.bitwise_and(rows[n], keep, out=rows[n])
-        return prog
-
-    def _round(self, ua: np.ndarray) -> np.ndarray:
-        """One parallel round over ``ua`` in place: every constraint
-        against the same state.  Returns what :meth:`_sweep` does."""
-        mp = self._mp
-        slot_rows = self._slot_rows
-        once, twice, tmp = np.empty((3, self._num_cons, ua.shape[1]), np.uint64)
-        # Bit-sliced planes: once = "≥1 unknown member", twice = "≥2";
-        # slot j only touches the prefix of constraints long enough to
-        # have a j-th member.
-        np.copyto(once, ua[mp[:, 0]])
-        twice[:] = 0
-        for j in range(1, self._dmax):
-            r = slot_rows[j]
-            col = ua[mp[:r, j]]
-            np.bitwise_and(once[:r], col, out=tmp[:r])
-            np.bitwise_or(twice[:r], tmp[:r], out=twice[:r])
-            np.bitwise_or(once[:r], col, out=once[:r])
-        solv = np.bitwise_and(once, np.invert(twice, out=twice), out=once)
-        word_prog = np.bitwise_or.reduce(solv, axis=0)
-        if word_prog.any():
-            # Clear solved bits: a node becomes known in a case if any
-            # incident constraint solves it there.  Segmented OR over
-            # node-sorted edges keeps the scatter conflict-free.
-            contrib = solv[self._edge_con]
-            contrib &= ua[self._edge_node]
-            clear = np.bitwise_or.reduceat(contrib, self._seg_starts, axis=0)
-            ua[self._seg_nodes] &= np.invert(clear, out=clear)
-        return word_prog
+        c = csr.num_constraints
+        return [[i] for i in reversed(range(c))], [range(c)]

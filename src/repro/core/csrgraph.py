@@ -62,7 +62,9 @@ class CsrGraph:
     con_nodes: np.ndarray
     con_indptr: np.ndarray
     name: str = "csr-graph"
-    #: Optional cascade metadata (constraint index ranges per level).
+    #: Optional cascade metadata: ``(lo, hi)`` constraint index ranges,
+    #: one per level, ascending and contiguous over ``[0, C)``; empty
+    #: means one level.
     level_ranges: tuple[tuple[int, int], ...] = field(default=())
 
     def __post_init__(self) -> None:
@@ -97,6 +99,18 @@ class CsrGraph:
                 int(arr.min()) < 0 or int(arr.max()) >= self.num_nodes
             ):
                 raise ValueError(f"{label} id out of range")
+        # The sparse kernel peels one block per range: a gap or an
+        # overlap would skip or repeat constraints.
+        ranges = self.level_ranges
+        if ranges:
+            lows = [lo for lo, _ in ranges]
+            highs = [hi for _, hi in ranges]
+            if (lows != [0, *highs[:-1]] or highs[-1] != self.num_constraints
+                    or any(lo >= hi for lo, hi in ranges)):
+                raise ValueError(
+                    "level_ranges must be ascending, contiguous ranges "
+                    f"covering [0, {self.num_constraints})"
+                )
 
     # ------------------------------------------------------------------
 
@@ -140,9 +154,12 @@ class CsrGraph:
             dtype=np.intp,
             count=int(lens.sum()),
         )
-        ranges = tuple(
-            (int(min(lev)), int(max(lev)) + 1) for lev in graph.levels if lev
-        )
+        # Ranges only when the levels are consecutive index runs; any
+        # other partition is dropped, and the kernel peels one block.
+        levels = [lev for lev in graph.levels if lev]
+        ranges = ()
+        if [i for lev in levels for i in lev] == list(range(len(members))):
+            ranges = tuple((lev[0], lev[-1] + 1) for lev in levels)
         return cls(
             num_nodes=graph.num_nodes,
             data_nodes=np.asarray(graph.data_nodes, dtype=np.intp),

@@ -17,13 +17,14 @@ One scalar decoder and two batch kernels apply that rule:
   the batch kernels are tested against case for case.
 * :class:`~repro.core.bitdecoder.BitsetBatchDecoder` — the **bitset**
   kernel: packs 64 cases per ``uint64`` word and peels with bitwise
-  sweeps over dense per-constraint bit-planes (see
+  sweeps over per-constraint bit-planes, one constraint at a time while
+  a call is wide and all constraints at once below that (see
   :mod:`repro.core.bitdecoder`).  Fastest on the paper's 96-node graphs.
 * :class:`~repro.core.sparse.SparseBitsetDecoder` — the **sparse**
-  kernel: same 64-cases-per-word packing, but constraint membership as
-  flat CSR edge arrays with constraint retirement and chunked planes
-  (see :mod:`repro.core.sparse`), scaling to 2^20-node graphs the dense
-  bit-plane layout cannot hold.  Fastest from 2^14 nodes up.
+  kernel: the same packing and the same fixpoint loop, over one block
+  of constraints per cascade level with planes bounded in ``chunk``
+  rows (see :mod:`repro.core.sparse`), scaling to 2^20-node graphs.
+  Fastest from 2^14 nodes up.
 
 Batch callers do not pick a class: :func:`make_batch_decoder` is the
 one place a kernel is chosen, and it chooses from the graph alone —
@@ -58,11 +59,12 @@ __all__ = [
     "make_batch_decoder",
 ]
 
-# ``engine="auto"`` switches from the dense bitset layout to the sparse
-# CSR engine at this node count: below it the bitset engine's padded
-# member matrix is small and its flat sweeps win; above it the dense
-# (C, W) bit-planes start to dominate memory and time.  Module-level so
-# tests can lower it to exercise the boundary.
+# ``engine="auto"`` switches from the bitset block lists to the sparse
+# kernel's level blocks at this node count: below it the bitset
+# kernel's serial sweeps and one-block rounds win; above it a sweep's
+# one numpy call per member row and a round's planes over every
+# constraint cost more than level sweeps.  Module-level so tests can
+# lower it to exercise the boundary.
 _SPARSE_AUTO_MIN_NODES = 1 << 14
 
 _KERNELS = {"bitset": BitsetBatchDecoder, "sparse": SparseBitsetDecoder}
@@ -102,8 +104,9 @@ def make_batch_decoder(
     checks, federation, overhead, serve, cluster) goes through, and the
     only place a kernel is chosen.  Accepts an :class:`ErasureGraph` or
     a :class:`~repro.core.csrgraph.CsrGraph`; a CSR graph always gets
-    the sparse kernel (only it consumes flat CSR membership), so pinning
-    ``engine="bitset"`` on one is a ``ValueError``.  The returned
+    the sparse kernel (the one whose level blocks and word ranges suit
+    the graphs CSR is built for), so pinning ``engine="bitset"`` on one
+    is a ``ValueError``.  The returned
     decoder's ``engine`` attribute names the kernel that was built.
     """
     is_csr = hasattr(graph, "con_indptr")
@@ -112,9 +115,9 @@ def make_batch_decoder(
     engine = resolve_engine(engine, num_nodes=graph.num_nodes)
     if is_csr and engine != "sparse":
         raise ValueError(
-            f"engine {engine!r} cannot decode a CsrGraph: only the "
-            "sparse kernel consumes flat CSR membership; pass "
-            "engine='auto', or convert via to_graph()."
+            f"engine {engine!r} is not built for a CsrGraph: every "
+            "CsrGraph gets the sparse kernel; pass engine='auto', or "
+            "convert via to_graph()."
         )
     return _KERNELS[engine](graph)
 

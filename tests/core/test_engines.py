@@ -10,9 +10,9 @@ fixpoint in this file is.
 
 from __future__ import annotations
 
-import threading
-
+import dataclasses
 import functools
+import threading
 
 import numpy as np
 import pytest
@@ -24,6 +24,7 @@ import repro.core.lossmasks as lossmasks
 from repro.core import (
     DECODE_ENGINES,
     BitsetBatchDecoder,
+    CsrGraph,
     MLDecoder,
     PeelingDecoder,
     SparseBitsetDecoder,
@@ -36,7 +37,7 @@ from repro.core import (
     tornado_graph,
     unpack_cases,
 )
-from repro.core.bitdecoder import missing_sets_to_unknown
+from repro.core.bitdecoder import DEFAULT_CHUNK, missing_sets_to_unknown
 from repro.core.lossmasks import boolean_loss_masks
 from repro.graphs import regular_graph, tornado_catalog_graph
 from repro.obs import MetricsRegistry, capture
@@ -526,14 +527,19 @@ class TestKernelRanges:
         assert pooled_spans == in_process_spans == one_range_spans
 
 
-# Graphs of the two-body property: the three catalog cascades, the
-# smallest cascade, and one single-level graph.
+# Graphs of the block-schedule properties: the three catalog cascades,
+# the smallest cascade, one single-level graph, one CSR cascade and one
+# CSR graph without level metadata.
 PEEL_GRAPHS = {
     "graph1": lambda: tornado_catalog_graph(1),
     "graph2": lambda: tornado_catalog_graph(2),
     "graph3": lambda: tornado_catalog_graph(3),
     "small_tornado": lambda: tornado_graph(16, seed=3, min_final_lefts=6),
     "regular": lambda: regular_graph(48, 3, seed=1),
+    "tornado_csr": lambda: tornado_csr_graph(48, seed=2),
+    "csr_no_levels": lambda: dataclasses.replace(
+        tornado_csr_graph(48, seed=4), level_ranges=()
+    ),
 }
 
 
@@ -554,9 +560,31 @@ def _peel_with(decoder, packed, batch, serial_words):
         del decoder._serial_words
 
 
+class _DrawnBlocks(SparseBitsetDecoder):
+    """The shared fixpoint walking a given block list at every width."""
+
+    def __init__(self, graph, blocks, chunk):
+        self._drawn = blocks
+        super().__init__(graph, chunk=chunk)
+
+    def _partitions(self, csr):
+        return self._drawn, self._drawn
+
+
+def _erasure_graph(graph):
+    """The scalar oracle's graph: a CSR cascade's constraints, each its
+    own level (a CSR graph without levels would be one level, which
+    ``ErasureGraph`` rejects for a cascade)."""
+    if not isinstance(graph, CsrGraph):
+        return graph
+    c = graph.num_constraints
+    levels = tuple((i, i + 1) for i in range(c))
+    return dataclasses.replace(graph, level_ranges=levels).to_graph()
+
+
 class TestPeelBodies:
-    """Serial sweeps and parallel rounds reach the same fixpoint: the
-    largest stopping set inside each erasure."""
+    """Every block schedule reaches the same fixpoint: the largest
+    stopping set inside each erasure."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -605,10 +633,108 @@ class TestPeelBodies:
                 decoder.decode_batch(masks), scalar_success(graph, masks)
             ), graph.name
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(PEEL_GRAPHS)),
+        k_share=st.floats(0.0, 1.0),
+        words=st.integers(1, 2 * BitsetBatchDecoder._serial_words),
+        pad=st.integers(0, 63),
+        zero=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=6),
+        cuts=st.floats(0.0, 1.0),
+        chunk_share=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_any_block_schedule_equals_the_scalar_and_shipped_peels(
+        self, name, k_share, words, pad, zero, cuts, chunk_share, seed
+    ):
+        """A random partition of the constraints into blocks, in a random
+        order, split at a random ``chunk`` from 1 to C, against the
+        scalar decoder on sampled cases and against both kernels'
+        shipped runs on every case.  Data rows, and every row of the
+        failing cases, are compared (a case whose data are known may
+        stop with parity bits unpeeled)."""
+        graph = _peel_graph(name)
+        n = graph.num_nodes
+        rng = np.random.default_rng(seed)
+        batch = max(1, words * 64 - pad)
+        packed = packed_random_loss_masks(n, round(k_share * n), batch, rng)
+        packed[:, [int(z * words) for z in zero]] = 0
+        c = len(_erasure_graph(graph).constraints)
+        order = rng.permutation(c)
+        bounds = np.sort(rng.choice(np.arange(1, c), round(cuts * (c - 1)),
+                                    replace=False))
+        blocks = np.split(order, bounds)
+        chunk = 1 + round(chunk_share * (c - 1))
+        u, ok = _peel_with(_DrawnBlocks(graph, blocks, chunk), packed, batch, 0)
+
+        data = list(graph.data_nodes)
+        failing = np.bitwise_or.reduce(u[data], axis=0)
+        for kernel in (BitsetBatchDecoder, SparseBitsetDecoder):
+            want_u, want_ok = _peel_with(
+                kernel(graph), packed, batch, kernel._serial_words
+            )
+            assert np.array_equal(u[data], want_u[data]), kernel.engine
+            assert np.array_equal(u & failing, want_u & failing)
+            assert np.array_equal(ok, want_ok), kernel.engine
+
+        scalar = PeelingDecoder(_erasure_graph(graph))
+        unknown = unpack_cases(packed, batch)
+        residual = unpack_cases(u, batch)
+        for case in rng.choice(batch, min(batch, 48), replace=False):
+            result = scalar.decode(np.flatnonzero(unknown[case]))
+            assert result.success == ok[case]
+            if not result.success:
+                assert set(np.flatnonzero(residual[case])) == result.residual
+
+    def test_level_sweeps_match_the_scalar_oracle(self):
+        """The sparse kernel's shipped schedule, one block per cascade
+        level in reverse order, on ~50 random cascades, at chunks that
+        split the levels and at the default."""
+        rng = np.random.default_rng(36)
+        for graph in random_small_graphs():
+            n = graph.num_nodes
+            masks = boolean_loss_masks(n, int(rng.integers(1, n)), 100, rng)
+            want = scalar_success(graph, masks)
+            for chunk in (1, 3, DEFAULT_CHUNK):
+                decoder = SparseBitsetDecoder(graph, chunk=chunk)
+                assert np.array_equal(decoder.decode_batch(masks), want), (
+                    graph.name, chunk
+                )
+
     @pytest.mark.parametrize("name", sorted(PEEL_GRAPHS))
     def test_serial_order_is_a_permutation_of_the_constraints(self, name):
+        """A serial sweep peels every constraint once, in reverse order."""
         decoder = BitsetBatchDecoder(_peel_graph(name))
-        assert sorted(decoder._order) == list(range(decoder._num_cons))
+        order = [int(c) for block in decoder._wide for c in block.cons]
+        assert order == list(reversed(range(decoder._num_cons)))
+
+    @pytest.mark.parametrize(
+        "kernel, chunk",
+        [(BitsetBatchDecoder, None)]
+        + [(SparseBitsetDecoder, chunk) for chunk in (1, 5, DEFAULT_CHUNK)],
+    )
+    @pytest.mark.parametrize("name", sorted(PEEL_GRAPHS))
+    def test_block_lists_partition_the_constraints(self, kernel, chunk, name):
+        """The bitset kernel at its class ``_chunk``; the sparse kernel
+        also at chunks that split its levels."""
+        if chunk is None:
+            decoder, chunk = kernel(_peel_graph(name)), kernel._chunk
+        else:
+            decoder = kernel(_peel_graph(name), chunk=chunk)
+        for blocks in (decoder._wide, decoder._narrow):
+            cons = np.concatenate([block.cons for block in blocks])
+            assert np.array_equal(np.sort(cons), np.arange(decoder._num_cons))
+            assert all(0 < block.cons.size <= chunk for block in blocks)
+
+    def test_sparse_blocks_follow_the_levels_in_reverse(self):
+        graph = _peel_graph("tornado_csr")
+        decoder = SparseBitsetDecoder(graph)
+        assert [
+            (int(block.cons.min()), int(block.cons.max()) + 1)
+            for block in decoder._wide
+        ] == list(reversed(graph.level_ranges))
+        flat = SparseBitsetDecoder(_peel_graph("csr_no_levels"))
+        assert len(flat._wide) == 1
 
     @pytest.mark.parametrize("words", [100, 1536])
     def test_bitset_peels_each_call_once_on_the_caller(

@@ -1,10 +1,10 @@
-"""Sparse CSR engine: CsrGraph, chunked peeling, masks, JIT kernel.
+"""Sparse CSR engine: CsrGraph, chunked peeling, masks, constructor.
 
 Cross-engine *agreement* lives in test_engines.py; this file covers
-what is unique to the sparse path — the CSR graph container and its
-vectorised generator, chunked plane sweeps, the bounded-memory mask
-generator, the plain-Python/numba kernel equivalence, and the CsrGraph
-routing rules in make_batch_decoder.
+what is unique to the sparse path — the CSR graph container, its level
+metadata and its vectorised generator, chunked blocks, the
+bounded-memory mask generator, the constructor's keywords, and the
+CsrGraph routing rules in make_batch_decoder.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from repro.core import (
     unpack_cases,
 )
 from repro.core import sparse as sparse_module
+from repro.core.graph import Constraint, ErasureGraph
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +49,46 @@ class TestCsrGraph:
         assert csr.constraint_members() == [
             c.members() for c in small_tornado.constraints
         ]
+
+    @pytest.mark.parametrize("ranges", [
+        ((0, 5),),  # leaves constraints out of every level
+        ((0, 2048), (2049, 4096)),  # a gap
+        ((0, 2048), (2047, 4096)),  # an overlap
+        ((2048, 4096), (0, 2048)),  # descending
+        ((0, 0), (0, 4096)),  # an empty level
+        ((0, 4097),),  # past the last constraint
+    ])
+    def test_level_ranges_must_cover_the_constraints_in_order(
+        self, csr16k, ranges
+    ):
+        assert csr16k.num_constraints == 4096
+        with pytest.raises(ValueError, match="level_ranges"):
+            CsrGraph(
+                num_nodes=csr16k.num_nodes, data_nodes=csr16k.data_nodes,
+                con_nodes=csr16k.con_nodes, con_indptr=csr16k.con_indptr,
+                level_ranges=ranges,
+            )
+
+    def test_from_graph_drops_levels_that_are_not_index_runs(self):
+        """Levels ``((0, 2), (1,))`` used to become the overlapping
+        ranges ``((0, 3), (1, 2))``, which ``to_graph`` then rejected."""
+        graph = ErasureGraph(
+            num_nodes=5, data_nodes=(0, 1),
+            constraints=(
+                Constraint(check=2, lefts=(0, 1)),
+                Constraint(check=3, lefts=(0,)),
+                Constraint(check=4, lefts=(1,)),
+            ),
+            levels=((0, 2), (1,)),
+        )
+        csr = CsrGraph.from_graph(graph)
+        assert csr.level_ranges == ()
+        assert csr.to_graph().constraints == graph.constraints
+
+    def test_from_graph_keeps_cascade_levels(self, small_tornado):
+        csr = CsrGraph.from_graph(small_tornado)
+        assert csr.level_ranges
+        assert csr.to_graph().levels == small_tornado.levels
 
     def test_generator_shape_invariants(self, csr16k):
         g = csr16k
@@ -207,60 +248,37 @@ class TestSparseMaskGenerator:
 
 
 class TestPlaneKernel:
-    def test_python_kernel_matches_numpy_sweep(self, small_tornado):
-        """The JIT source, run as plain Python, is the same function.
-
-        This is the differential oracle promised in the module
-        docstring: numba only compiles `_plane_kernel`, so verifying
-        the uncompiled function against the NumPy sweep covers the JIT
-        path's algorithm whether or not numba is installed.
-        """
-        dec = SparseBitsetDecoder(small_tornado)
-        rng = np.random.default_rng(0)
-        ua = rng.integers(
-            0, 1 << 62, size=(small_tornado.num_nodes, 5),
-            dtype=np.uint64,
-        )
-        rows = np.arange(dec._num_cons, dtype=np.intp)
-        rl = dec._lens[rows]
-        once_np = np.empty((rows.size, 5), dtype=np.uint64)
-        twice_np = np.empty_like(once_np)
-        dec._planes_numpy(ua, rows, rl, once_np, twice_np)
-        once_py = np.empty_like(once_np)
-        twice_py = np.empty_like(once_np)
-        sparse_module._plane_kernel(
-            ua, dec._con_nodes, dec._base[rows], rl, once_py, twice_py
-        )
-        assert np.array_equal(once_np, once_py)
-        assert np.array_equal(twice_np, twice_py)
-
-    def test_jit_opt_out_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DECODE_JIT", "0")
-        assert sparse_module._detect_jit() is None
+    """The compiled plane kernel is gone; what is left of its surface."""
 
     def test_jit_flag_reported(self):
-        # Auto-detection: enabled iff numba imported and compiled.
-        try:
-            import numba  # noqa: F401
-            has_numba = True
-        except ImportError:
-            has_numba = False
-        if not has_numba:
-            assert sparse_module.jit_enabled() is False
+        """There is no compiled kernel to report."""
+        assert sparse_module.jit_enabled() is False
 
-    def test_forced_jit_decode_matches_numpy(self, small_tornado):
-        """jit=True/False give identical decodes (numba or not)."""
-        rng = np.random.default_rng(4)
+    @pytest.mark.parametrize("jit", [True, 1, "yes"])
+    def test_jit_true_raises_before_any_build(self, monkeypatch, jit):
+        def no_build(*args, **kwargs):
+            raise AssertionError("built a CSR view before rejecting jit")
+
+        monkeypatch.setattr(CsrGraph, "from_graph", no_build)
+        with pytest.raises(ValueError, match="jit"):
+            SparseBitsetDecoder(tornado_graph(16, seed=3), jit=jit)
+
+    @pytest.mark.parametrize("jit", [None, False, 0, np.False_])
+    def test_jit_none_and_false_decode_alike(self, small_tornado, jit):
         masks = packed_random_loss_masks(
-            small_tornado.num_nodes, 8, 256, rng
+            small_tornado.num_nodes, 8, 256, np.random.default_rng(4)
         )
-        a = SparseBitsetDecoder(small_tornado, jit=False).decode_packed(
-            masks, 256
+        assert np.array_equal(
+            SparseBitsetDecoder(small_tornado, jit=jit).decode_packed(masks),
+            SparseBitsetDecoder(small_tornado).decode_packed(masks),
         )
-        b = SparseBitsetDecoder(small_tornado, jit=True).decode_packed(
-            masks, 256
-        )
-        assert np.array_equal(a, b)
+
+
+    def test_bitset_kernel_takes_no_keywords(self, small_tornado):
+        """``jit`` and ``chunk`` are the sparse kernel's alone."""
+        for keyword in ({"jit": None}, {"chunk": 7}):
+            with pytest.raises(TypeError):
+                BitsetBatchDecoder(small_tornado, **keyword)
 
 
 class TestLargeGraphSmoke:
