@@ -37,135 +37,84 @@ deep module paths, which may move between releases::
     report = repro.generate_certified(48, seed=0)
     adjusted = repro.adjust_graph(report.graph, target_first_failure=5)
     profile = repro.profile_graph(adjusted.graph, samples_per_k=4000)
+
+``import repro`` is lazy: each name (and each subpackage) is imported
+the first time it is read, so a process loads only what it touches.
 """
 
-from . import (
-    analysis,
-    cluster,
-    core,
-    federation,
-    graphs,
-    obs,
-    raid,
-    reliability,
-    resilience,
-    rs,
-    serve,
-    sim,
-    storage,
-)
-from .cluster import (
-    ClusterCoordinator,
-    HashRing,
-    StorageNode,
-    run_cluster_loadgen,
-)
-from .analysis import ProfileCache, default_cache
-from .core import (
-    BitsetBatchDecoder,
-    CsrGraph,
-    ErasureGraph,
-    SparseBitsetDecoder,
-    TornadoCodec,
-    adjust_graph,
-    analyze_worst_case,
-    generate_certified,
-    load_graphml,
-    make_batch_decoder,
-    resolve_engine,
-    save_graphml,
-    tornado_csr_graph,
-    tornado_graph,
-)
-from .graphs import tornado_catalog_graph
-from .obs import (
-    MetricsRegistry,
-    RunManifest,
-    Tracer,
-    capture,
-    metrics_enabled,
-    render_prometheus,
-    resolve_rng,
-    trace_capture,
-)
-from .resilience import FaultPlan, RetryPolicy, run_campaign
-from .serve import (
-    ArchiveClient,
-    ClusterClient,
-    LoadGenConfig,
-    ReconstructionService,
-    ServeConfig,
-    run_loadgen,
-    seeded_archive,
-)
-from .sim import (
-    FailureProfile,
-    measure_retrieval_overhead,
-    profile_graph,
-    worst_case_search,
-)
-from .storage import TornadoArchive, run_mission
+from ._exports import lazy_exports
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "ArchiveClient",
-    "BitsetBatchDecoder",
-    "ClusterClient",
-    "ClusterCoordinator",
-    "CsrGraph",
-    "ErasureGraph",
-    "FailureProfile",
-    "FaultPlan",
-    "HashRing",
-    "LoadGenConfig",
-    "MetricsRegistry",
-    "ProfileCache",
-    "ReconstructionService",
-    "RetryPolicy",
-    "RunManifest",
-    "ServeConfig",
-    "SparseBitsetDecoder",
-    "StorageNode",
-    "TornadoArchive",
-    "TornadoCodec",
-    "Tracer",
-    "__version__",
-    "adjust_graph",
-    "analysis",
-    "analyze_worst_case",
-    "capture",
-    "cluster",
-    "core",
-    "default_cache",
-    "federation",
-    "generate_certified",
-    "graphs",
-    "load_graphml",
-    "make_batch_decoder",
-    "measure_retrieval_overhead",
-    "metrics_enabled",
-    "obs",
-    "profile_graph",
-    "raid",
-    "reliability",
-    "render_prometheus",
-    "resilience",
-    "resolve_engine",
-    "resolve_rng",
-    "rs",
-    "run_campaign",
-    "run_cluster_loadgen",
-    "run_loadgen",
-    "run_mission",
-    "save_graphml",
-    "seeded_archive",
-    "serve",
-    "sim",
-    "storage",
-    "tornado_catalog_graph",
-    "tornado_csr_graph",
-    "tornado_graph",
-    "trace_capture",
-    "worst_case_search",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".analysis": ("ProfileCache", "default_cache"),
+        ".cluster": (
+            "ClusterCoordinator",
+            "HashRing",
+            "StorageNode",
+            "run_cluster_loadgen",
+        ),
+        ".core": (
+            "BitsetBatchDecoder",
+            "CsrGraph",
+            "ErasureGraph",
+            "SparseBitsetDecoder",
+            "TornadoCodec",
+            "adjust_graph",
+            "analyze_worst_case",
+            "generate_certified",
+            "load_graphml",
+            "make_batch_decoder",
+            "resolve_engine",
+            "save_graphml",
+            "tornado_csr_graph",
+            "tornado_graph",
+        ),
+        ".graphs": ("tornado_catalog_graph",),
+        ".obs": (
+            "MetricsRegistry",
+            "RunManifest",
+            "Tracer",
+            "capture",
+            "metrics_enabled",
+            "render_prometheus",
+            "resolve_rng",
+            "trace_capture",
+        ),
+        ".resilience": ("FaultPlan", "RetryPolicy", "run_campaign"),
+        ".serve": (
+            "ArchiveClient",
+            "ClusterClient",
+            "LoadGenConfig",
+            "ReconstructionService",
+            "ServeConfig",
+            "run_loadgen",
+            "seeded_archive",
+        ),
+        ".sim": (
+            "FailureProfile",
+            "measure_retrieval_overhead",
+            "profile_graph",
+            "worst_case_search",
+        ),
+        ".storage": ("TornadoArchive", "run_mission"),
+    },
+    subpackages=(
+        "analysis",
+        "cluster",
+        "core",
+        "federation",
+        "graphs",
+        "obs",
+        "raid",
+        "reliability",
+        "resilience",
+        "rs",
+        "serve",
+        "sim",
+        "storage",
+    ),
+)
+__all__.append("__version__")

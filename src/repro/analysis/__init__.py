@@ -1,26 +1,18 @@
 """Reporting and caching utilities for the experiment harness."""
 
-from .cache import ProfileCache, default_cache
-from .svg import save_svg, svg_curves, svg_failure_graph
-from .stats import GraphStats, LevelStats, graph_stats
-from .report import (
-    ascii_curves,
-    format_table,
-    markdown_table,
-    profile_summary_table,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "save_svg",
-    "svg_curves",
-    "svg_failure_graph",
-    "GraphStats",
-    "LevelStats",
-    "graph_stats",
-    "ProfileCache",
-    "ascii_curves",
-    "default_cache",
-    "format_table",
-    "markdown_table",
-    "profile_summary_table",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".cache": ("ProfileCache", "default_cache"),
+        ".report": (
+            "ascii_curves",
+            "format_table",
+            "markdown_table",
+            "profile_summary_table",
+        ),
+        ".stats": ("GraphStats", "LevelStats", "graph_stats"),
+        ".svg": ("save_svg", "svg_curves", "svg_failure_graph"),
+    },
+)

@@ -88,8 +88,9 @@ _OPERATIONAL_ERRORS = (OSError, ValueError, KeyError, RuntimeError)
 
 def build_parser() -> argparse.ArgumentParser:
     # The four fleet-scenario verbs take their options from the fields
-    # of their config dataclasses (``python -m repro`` has imported the
-    # whole package by now, so these imports cost nothing).
+    # of their config dataclasses.  ``import repro`` loads nothing, so
+    # these imports load the fleet and networking modules for every
+    # command, ``--help`` included (cost: docs/PERF.md, "Cold start").
     from .cluster import ClusterLoadConfig
     from .cluster.fleet import add_config_options
     from .resilience import ClusterCampaignConfig

@@ -18,33 +18,20 @@ telemetry harness under every multi-process run; over it,
 repair, rejoin) as one seeded scenario.
 """
 
-from .coordinator import (
-    ClusterCoordinator,
-    ClusterManifest,
-    start_coordinator,
-)
-from .driver import (
-    ClusterLoadConfig,
-    ClusterLoadReport,
-    run_cluster_loadgen,
-)
-from .node import StorageNode, start_storage_node
-from .ring import HashRing
-from .scheduler import RepairScheduler
-from .wal import CoordinatorWal, WalCorruptError, WalUnwritableError
+from .._exports import lazy_exports
 
-__all__ = [
-    "ClusterCoordinator",
-    "ClusterLoadConfig",
-    "ClusterLoadReport",
-    "ClusterManifest",
-    "CoordinatorWal",
-    "HashRing",
-    "RepairScheduler",
-    "StorageNode",
-    "WalCorruptError",
-    "WalUnwritableError",
-    "run_cluster_loadgen",
-    "start_coordinator",
-    "start_storage_node",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".coordinator": (
+            "ClusterCoordinator",
+            "ClusterManifest",
+            "start_coordinator",
+        ),
+        ".driver": ("ClusterLoadConfig", "ClusterLoadReport", "run_cluster_loadgen"),
+        ".node": ("StorageNode", "start_storage_node"),
+        ".ring": ("HashRing",),
+        ".scheduler": ("RepairScheduler",),
+        ".wal": ("CoordinatorWal", "WalCorruptError", "WalUnwritableError"),
+    },
+)

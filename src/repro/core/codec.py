@@ -16,6 +16,7 @@ the transactional whole-object interface archival systems use (§2.2).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,6 +101,9 @@ class TornadoCodec:
         block_size: int,
         plans: PlanCache | None = None,
     ):
+        if isinstance(block_size, bool):
+            raise TypeError("block_size must be an integer, not bool")
+        block_size = operator.index(block_size)
         if block_size < 1:
             raise ValueError("block_size must be positive")
         self.graph = graph

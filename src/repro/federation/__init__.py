@@ -1,18 +1,12 @@
 """Federated multi-site archival storage with complementary graphs."""
 
-from .multigraph import (
-    FederatedSystem,
-    federated_first_failure,
+from .._exports import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".multigraph": ("FederatedSystem", "federated_first_failure"),
+        ".profile": ("federated_profile",),
+        ".selection": ("PairingScore", "SelectionReport", "select_complementary_pair"),
+    },
 )
-
-from .selection import PairingScore, SelectionReport, select_complementary_pair
-from .profile import federated_profile
-
-__all__ = [
-    "PairingScore",
-    "SelectionReport",
-    "select_complementary_pair",
-    "federated_profile",
-    "FederatedSystem",
-    "federated_first_failure",
-]

@@ -1,29 +1,20 @@
 """Alternate graph families the paper compares against Tornado Codes."""
 
-from ..core.cascade import cascade_graph_from_degrees
-from .altered import altered_tornado_doubled, altered_tornado_shifted
-from .catalog import (
-    NUM_DATA_96,
-    TORNADO_SEEDS,
-    catalog_96_node_systems,
-    tornado_catalog_graph,
-)
-from .lec import LECCandidate, lec_like_graph
-from .mirror import mirrored_graph, replicated_graph, striped_graph
-from .regular import regular_graph
+from .._exports import lazy_exports
 
-__all__ = [
-    "LECCandidate",
-    "lec_like_graph",
-    "NUM_DATA_96",
-    "TORNADO_SEEDS",
-    "altered_tornado_doubled",
-    "altered_tornado_shifted",
-    "cascade_graph_from_degrees",
-    "catalog_96_node_systems",
-    "mirrored_graph",
-    "regular_graph",
-    "replicated_graph",
-    "striped_graph",
-    "tornado_catalog_graph",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "..core.cascade": ("cascade_graph_from_degrees",),
+        ".altered": ("altered_tornado_doubled", "altered_tornado_shifted"),
+        ".catalog": (
+            "NUM_DATA_96",
+            "TORNADO_SEEDS",
+            "catalog_96_node_systems",
+            "tornado_catalog_graph",
+        ),
+        ".lec": ("LECCandidate", "lec_like_graph"),
+        ".mirror": ("mirrored_graph", "replicated_graph", "striped_graph"),
+        ".regular": ("regular_graph",),
+    },
+)

@@ -14,6 +14,7 @@ three takes well under a second.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 from ..core.adjust import adjust_graph
@@ -37,14 +38,22 @@ TORNADO_SEEDS: dict[int, int] = {1: 32, 2: 99, 3: 69}
 NUM_DATA_96 = 48  # the paper's 96-node system: 48 data + 48 check nodes
 
 
-@lru_cache(maxsize=None)
 def tornado_catalog_graph(number: int, adjusted: bool = True) -> ErasureGraph:
     """Tornado Graph ``number`` (1, 2 or 3) of the 96-node catalog.
 
     ``adjusted=False`` returns the pre-adjustment certified graph (first
     failure 4) for the E2 adjustment experiment; the default returns the
-    feedback-adjusted graph (first failure 5).
+    feedback-adjusted graph (first failure 5).  ``number`` is any integer
+    (``np.int64(2)`` gives the same object as ``2``); a bool or a float
+    raises ``TypeError``.
     """
+    if isinstance(number, bool):
+        raise TypeError("catalog graph number must be an integer, not bool")
+    return _catalog_graph(operator.index(number), adjusted)
+
+
+@lru_cache(maxsize=None)
+def _catalog_graph(number: int, adjusted: bool) -> ErasureGraph:
     if number not in TORNADO_SEEDS:
         raise KeyError(f"catalog has graphs 1-3, not {number}")
     seed = TORNADO_SEEDS[number]

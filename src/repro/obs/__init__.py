@@ -43,122 +43,69 @@ Collection is off by default and costs nearly nothing when off (see
 See ``docs/OBS.md`` for the event schema, trace model, and CLI tour.
 """
 
-from .analyze import (
-    SpanNode,
-    build_trace_trees,
-    format_phase_report,
-    format_tail,
-    load_events,
-    phase_stats,
-    render_trace_tree,
-    span_records,
-)
-from .manifest import RunManifest
-from .prom import render_prometheus
-from .registry import (
-    BUCKET_GAMMA,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullRegistry,
-    bucket_midpoint,
-    bucket_upper_bound,
-    capture,
-    disable,
-    enable,
-    metrics_enabled,
-    registry,
-)
-from .scrape import FleetScraper, LogicalClock, ScrapeTarget
-from .seeding import SeedLike, derive_seed, resolve_rng, spawn_seeds
-from .sink import JsonlSink, read_jsonl
-from .slo import (
-    BurnWindow,
-    Objective,
-    SloEngine,
-    SloSpec,
-    default_slo_spec,
-)
-from .timeseries import (
-    TimeSeriesStore,
-    load_timeline,
-    subtract_summary,
-    summary_quantile,
-)
-from .top import render_top
-from .trace import (
-    Span,
-    Tracer,
-    add_trace_event,
-    context_seed,
-    current_context,
-    current_span,
-    disable_tracing,
-    enable_tracing,
-    start_span,
-    trace_capture,
-    trace_span,
-    tracer,
-    tracing_enabled,
-    use_context,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "BUCKET_GAMMA",
-    "BurnWindow",
-    "Counter",
-    "FleetScraper",
-    "Gauge",
-    "Histogram",
-    "JsonlSink",
-    "LogicalClock",
-    "MetricsRegistry",
-    "NullRegistry",
-    "Objective",
-    "RunManifest",
-    "ScrapeTarget",
-    "SeedLike",
-    "SloEngine",
-    "SloSpec",
-    "Span",
-    "SpanNode",
-    "TimeSeriesStore",
-    "Tracer",
-    "add_trace_event",
-    "bucket_midpoint",
-    "bucket_upper_bound",
-    "build_trace_trees",
-    "capture",
-    "context_seed",
-    "current_context",
-    "current_span",
-    "default_slo_spec",
-    "derive_seed",
-    "disable",
-    "disable_tracing",
-    "enable",
-    "enable_tracing",
-    "format_phase_report",
-    "format_tail",
-    "load_events",
-    "load_timeline",
-    "metrics_enabled",
-    "phase_stats",
-    "read_jsonl",
-    "registry",
-    "render_prometheus",
-    "render_top",
-    "render_trace_tree",
-    "resolve_rng",
-    "span_records",
-    "spawn_seeds",
-    "start_span",
-    "subtract_summary",
-    "summary_quantile",
-    "trace_capture",
-    "trace_span",
-    "tracer",
-    "tracing_enabled",
-    "use_context",
-]
+# ``registry`` names both a submodule and the function it exports.  Bound
+# here, after the submodule loads, ``repro.obs.registry`` is the function
+# whichever of the two a caller touches first.
+from .registry import registry  # noqa: F401  (the export table's ``registry``)
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".analyze": (
+            "SpanNode",
+            "build_trace_trees",
+            "format_phase_report",
+            "format_tail",
+            "load_events",
+            "phase_stats",
+            "render_trace_tree",
+            "span_records",
+        ),
+        ".manifest": ("RunManifest",),
+        ".prom": ("render_prometheus",),
+        ".registry": (
+            "BUCKET_GAMMA",
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "MetricsRegistry",
+            "NullRegistry",
+            "bucket_midpoint",
+            "bucket_upper_bound",
+            "capture",
+            "disable",
+            "enable",
+            "metrics_enabled",
+            "registry",
+        ),
+        ".scrape": ("FleetScraper", "LogicalClock", "ScrapeTarget"),
+        ".seeding": ("SeedLike", "derive_seed", "resolve_rng", "spawn_seeds"),
+        ".sink": ("JsonlSink", "read_jsonl"),
+        ".slo": ("BurnWindow", "Objective", "SloEngine", "SloSpec", "default_slo_spec"),
+        ".timeseries": (
+            "TimeSeriesStore",
+            "load_timeline",
+            "subtract_summary",
+            "summary_quantile",
+        ),
+        ".top": ("render_top",),
+        ".trace": (
+            "Span",
+            "Tracer",
+            "add_trace_event",
+            "context_seed",
+            "current_context",
+            "current_span",
+            "disable_tracing",
+            "enable_tracing",
+            "start_span",
+            "trace_capture",
+            "trace_span",
+            "tracer",
+            "tracing_enabled",
+            "use_context",
+        ),
+    },
+)

@@ -1,51 +1,34 @@
 """Reliability modelling: device AFR to system failure probability."""
 
-from .model import (
-    DEFAULT_AFR,
-    ReliabilityEntry,
-    afr_sweep,
-    binomial_loss_pmf,
-    reliability_table,
-    system_failure_probability,
-)
+from .._exports import lazy_exports
 
-from .lifetime import (
-    LifetimeConfig,
-    LifetimeResult,
-    failure_predicate_for_graph,
-    failure_predicate_for_groups,
-    mttdl_mirrored,
-    mttdl_raid,
-    simulate_lifetime,
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".hazards": (
+            "BathtubHazard",
+            "FleetHazards",
+            "WeibullHazard",
+            "calibrated_scale",
+            "failure_rate_from_afr",
+            "step_failure_probability",
+        ),
+        ".lifetime": (
+            "LifetimeConfig",
+            "LifetimeResult",
+            "failure_predicate_for_graph",
+            "failure_predicate_for_groups",
+            "mttdl_mirrored",
+            "mttdl_raid",
+            "simulate_lifetime",
+        ),
+        ".model": (
+            "DEFAULT_AFR",
+            "ReliabilityEntry",
+            "afr_sweep",
+            "binomial_loss_pmf",
+            "reliability_table",
+            "system_failure_probability",
+        ),
+    },
 )
-
-from .hazards import (
-    BathtubHazard,
-    FleetHazards,
-    WeibullHazard,
-    calibrated_scale,
-    failure_rate_from_afr,
-    step_failure_probability,
-)
-
-__all__ = [
-    "BathtubHazard",
-    "FleetHazards",
-    "WeibullHazard",
-    "calibrated_scale",
-    "failure_rate_from_afr",
-    "step_failure_probability",
-    "simulate_lifetime",
-    "mttdl_raid",
-    "mttdl_mirrored",
-    "failure_predicate_for_groups",
-    "failure_predicate_for_graph",
-    "LifetimeResult",
-    "LifetimeConfig",
-    "DEFAULT_AFR",
-    "ReliabilityEntry",
-    "afr_sweep",
-    "binomial_loss_pmf",
-    "reliability_table",
-    "system_failure_probability",
-]

@@ -29,46 +29,31 @@ Crash-tolerant *sweeps* (checkpoint / resume / per-cell timeouts for
 taxonomy and file formats.
 """
 
-from .campaign import CampaignConfig, CampaignReport, run_campaign
-from .cluster_campaign import (
-    ClusterCampaignConfig,
-    ClusterCampaignReport,
-    default_cluster_plan,
-    run_cluster_campaign,
-)
-from .faults import (
-    CoordinatorCrashes,
-    DrawerOutages,
-    FaultInjector,
-    FaultPlan,
-    LatentErrors,
-    NetworkPartitions,
-    NodeCrashes,
-    ReplacementJitter,
-    SilentCorruption,
-    SlowNodes,
-    TransientOutages,
-)
-from .retry import RetryPolicy
+from .._exports import lazy_exports
 
-__all__ = [
-    "CampaignConfig",
-    "CampaignReport",
-    "ClusterCampaignConfig",
-    "ClusterCampaignReport",
-    "CoordinatorCrashes",
-    "DrawerOutages",
-    "FaultInjector",
-    "FaultPlan",
-    "LatentErrors",
-    "NetworkPartitions",
-    "NodeCrashes",
-    "ReplacementJitter",
-    "RetryPolicy",
-    "SilentCorruption",
-    "SlowNodes",
-    "TransientOutages",
-    "default_cluster_plan",
-    "run_campaign",
-    "run_cluster_campaign",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".campaign": ("CampaignConfig", "CampaignReport", "run_campaign"),
+        ".cluster_campaign": (
+            "ClusterCampaignConfig",
+            "ClusterCampaignReport",
+            "default_cluster_plan",
+            "run_cluster_campaign",
+        ),
+        ".faults": (
+            "CoordinatorCrashes",
+            "DrawerOutages",
+            "FaultInjector",
+            "FaultPlan",
+            "LatentErrors",
+            "NetworkPartitions",
+            "NodeCrashes",
+            "ReplacementJitter",
+            "SilentCorruption",
+            "SlowNodes",
+            "TransientOutages",
+        ),
+        ".retry": ("RetryPolicy",),
+    },
+)

@@ -1,16 +1,11 @@
 """Reed-Solomon baseline codec over GF(256)."""
 
-from .codec import ReedSolomonCodec, RSDecodeError, cauchy_matrix
-from .gf256 import gf_div, gf_inv, gf_mul, gf_pow, invert_matrix, matmul
+from .._exports import lazy_exports
 
-__all__ = [
-    "RSDecodeError",
-    "ReedSolomonCodec",
-    "cauchy_matrix",
-    "gf_div",
-    "gf_inv",
-    "gf_mul",
-    "gf_pow",
-    "invert_matrix",
-    "matmul",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".codec": ("RSDecodeError", "ReedSolomonCodec", "cauchy_matrix"),
+        ".gf256": ("gf_div", "gf_inv", "gf_mul", "gf_pow", "invert_matrix", "matmul"),
+    },
+)

@@ -30,47 +30,29 @@ semantics; ``repro loadgen`` and
 ``benchmarks/bench_x12_serve_throughput.py`` measure it.
 """
 
-from ..core.plancache import PlanCache, graph_key
-from .batcher import Batch, MicroBatcher
-from .client import ArchiveClient, ClusterClient, ProtocolClient
-from .errors import (
-    DeadlineExceededError,
-    ServiceClosedError,
-    ServiceOverloadedError,
-)
-from .frontend import start_frontend
-from .lineserver import start_line_server
-from .loadgen import (
-    LoadGenConfig,
-    LoadReport,
-    arrival_schedule,
-    run_loadgen,
-    seeded_archive,
-)
-from .protocol import PROTOCOL_VERSION, ProtocolError, RemoteError
-from .service import ReconstructionService, ServeConfig
+from .._exports import lazy_exports
 
-__all__ = [
-    "ArchiveClient",
-    "Batch",
-    "ClusterClient",
-    "DeadlineExceededError",
-    "PROTOCOL_VERSION",
-    "ProtocolClient",
-    "ProtocolError",
-    "RemoteError",
-    "LoadGenConfig",
-    "LoadReport",
-    "MicroBatcher",
-    "PlanCache",
-    "ReconstructionService",
-    "ServeConfig",
-    "ServiceClosedError",
-    "ServiceOverloadedError",
-    "arrival_schedule",
-    "graph_key",
-    "run_loadgen",
-    "seeded_archive",
-    "start_frontend",
-    "start_line_server",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "..core.plancache": ("PlanCache", "graph_key"),
+        ".batcher": ("Batch", "MicroBatcher"),
+        ".client": ("ArchiveClient", "ClusterClient", "ProtocolClient"),
+        ".errors": (
+            "DeadlineExceededError",
+            "ServiceClosedError",
+            "ServiceOverloadedError",
+        ),
+        ".frontend": ("start_frontend",),
+        ".lineserver": ("start_line_server",),
+        ".loadgen": (
+            "LoadGenConfig",
+            "LoadReport",
+            "arrival_schedule",
+            "run_loadgen",
+            "seeded_archive",
+        ),
+        ".protocol": ("PROTOCOL_VERSION", "ProtocolError", "RemoteError"),
+        ".service": ("ReconstructionService", "ServeConfig"),
+    },
+)

@@ -13,44 +13,25 @@ hazard-curve fleet attrition, as scenarios over
 :class:`repro.cluster.fleet.Fleet`.
 """
 
-from .campaign import (
-    SitesCampaignConfig,
-    SitesCampaignReport,
-    run_sites_campaign,
-)
-from .driver import SitesLoadConfig, SitesLoadReport, run_sites_loadgen
-from .gateway import (
-    FederationGateway,
-    SiteDownError,
-    SiteLink,
-    start_gateway,
-)
-from .manifest import (
-    FederationManifest,
-    PairingRecord,
-    SiteAssignment,
-    assign_site_graphs,
-)
-from .wancost import WanCostModel, WanReadEstimate, estimate_wan_read_cost
-from .witness import find_coupled_witness
+from .._exports import lazy_exports
 
-__all__ = [
-    "FederationGateway",
-    "FederationManifest",
-    "PairingRecord",
-    "SiteAssignment",
-    "SiteDownError",
-    "SiteLink",
-    "SitesCampaignConfig",
-    "SitesCampaignReport",
-    "SitesLoadConfig",
-    "SitesLoadReport",
-    "WanCostModel",
-    "WanReadEstimate",
-    "assign_site_graphs",
-    "estimate_wan_read_cost",
-    "find_coupled_witness",
-    "run_sites_campaign",
-    "run_sites_loadgen",
-    "start_gateway",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".campaign": (
+            "SitesCampaignConfig",
+            "SitesCampaignReport",
+            "run_sites_campaign",
+        ),
+        ".driver": ("SitesLoadConfig", "SitesLoadReport", "run_sites_loadgen"),
+        ".gateway": ("FederationGateway", "SiteDownError", "SiteLink", "start_gateway"),
+        ".manifest": (
+            "FederationManifest",
+            "PairingRecord",
+            "SiteAssignment",
+            "assign_site_graphs",
+        ),
+        ".wancost": ("WanCostModel", "WanReadEstimate", "estimate_wan_read_cost"),
+        ".witness": ("find_coupled_witness",),
+    },
+)

@@ -53,6 +53,23 @@ class TestEncodeBlocks:
         with pytest.raises(ValueError):
             TornadoCodec(small_tornado, block_size=0)
 
+    @pytest.mark.parametrize(
+        "block_size", [1.5, 32.0, True, np.float64(32)],
+        ids=["fraction", "whole-float", "bool", "np.float64"],
+    )
+    def test_rejects_non_integer_block_size(self, small_tornado, block_size):
+        with pytest.raises(TypeError):
+            TornadoCodec(small_tornado, block_size=block_size)
+
+    def test_numpy_integer_block_size(self, small_tornado, rng):
+        codec = TornadoCodec(small_tornado, block_size=np.int64(32))
+        assert codec.block_size == 32 and type(codec.block_size) is int
+        data = random_data(codec, rng)
+        np.testing.assert_array_equal(
+            codec.encode_blocks(data),
+            TornadoCodec(small_tornado, block_size=32).encode_blocks(data),
+        )
+
 
 class TestDecodeBlocks:
     def test_roundtrip_no_loss(self, codec, rng):

@@ -1,5 +1,6 @@
 """Tests for comparison graph families and the precompiled catalog."""
 
+import numpy as np
 import pytest
 
 from repro.core import PeelingDecoder, first_failure
@@ -124,6 +125,18 @@ class TestCatalog:
 
     def test_catalog_caches(self):
         assert tornado_catalog_graph(1) is tornado_catalog_graph(1)
+
+    def test_numpy_integer_number_is_the_same_graph(self):
+        graph = tornado_catalog_graph(np.int64(2))
+        assert graph is tornado_catalog_graph(2)
+        assert graph.name == "tornado-graph-2"
+
+    @pytest.mark.parametrize(
+        "number", [2.0, True, np.float64(2)], ids=["float", "bool", "np.float64"]
+    )
+    def test_non_integer_number_rejected(self, number):
+        with pytest.raises(TypeError):
+            tornado_catalog_graph(number)
 
     def test_full_system_catalog(self):
         systems = catalog_96_node_systems()
