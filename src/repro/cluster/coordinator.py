@@ -86,7 +86,7 @@ from typing import Any
 import numpy as np
 
 from ..core.codec import DecodeFailure, TornadoCodec, stripe_rows
-from ..core.decoder import make_batch_decoder
+from ..core.decoder import _evaluate_headroom, make_batch_decoder
 from ..core.graph import ErasureGraph
 from ..core.plancache import PlanCache
 from ..obs.registry import registry
@@ -122,7 +122,6 @@ from ..serve.protocol import (
     encode_request,
     parse_response,
 )
-from ..serve.service import _evaluate_headroom
 from ..storage.archive import DataLossError
 from ..storage.blockstore import block_key
 from ..storage.device import TransientUnavailableError

@@ -122,6 +122,38 @@ def make_batch_decoder(
     return _KERNELS[engine](graph)
 
 
+def _evaluate_headroom(decoder, cases, meta):
+    """Decode a single-failure what-if probe and read off its answers.
+
+    ``meta[i] = (name, index, culprit)`` labels ``cases[i]``: ``culprit``
+    is ``None`` for a stripe's current loss state and otherwise names
+    the one extra failure that case adds to it.  Returns ``(base_ok,
+    at_risk, failing_now)``: current decodability per ``(name, index)``,
+    the sorted culprits that break a stripe decodable today, and the
+    sorted ``"name/index"`` of stripes already lost.  Shared by the
+    service's and the cluster coordinator's headroom probes.
+    """
+    ok = (
+        decoder.decode_missing_sets(cases)
+        if cases
+        else np.zeros(0, dtype=bool)
+    )
+    base_ok: dict[tuple[str, int], bool] = {}
+    for (name, index, culprit), good in zip(meta, ok):
+        if culprit is None:
+            base_ok[(name, index)] = bool(good)
+    at_risk = set()
+    for (name, index, culprit), good in zip(meta, ok):
+        if culprit is not None and base_ok[(name, index)] and not good:
+            at_risk.add(culprit)
+    failing_now = sorted(
+        f"{name}/{index}"
+        for (name, index), good in base_ok.items()
+        if not good
+    )
+    return base_ok, sorted(at_risk), failing_now
+
+
 @dataclass(frozen=True)
 class DecodeResult:
     """Outcome of peeling one erasure pattern.

@@ -191,9 +191,11 @@ def _plan(
 
 
 def _integer(name: str, value) -> int:
-    """``value`` as an ``int``; a float or other non-integer is a
+    """``value`` as an ``int``; a bool, float or other non-integer is a
     ``TypeError`` naming it (numpy integers pass)."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None

@@ -50,10 +50,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable
 
-import numpy as np
-
 from ..core.codec import DecodeFailure, TornadoCodec
-from ..core.decoder import make_batch_decoder
+from ..core.decoder import _evaluate_headroom, make_batch_decoder
 from ..core.plancache import PlanCache, graph_key
 from ..obs.manifest import RunManifest
 from ..obs.registry import MetricsRegistry, metrics_enabled, registry
@@ -71,38 +69,6 @@ from .errors import (
 __all__ = ["ReconstructionService", "ServeConfig"]
 
 _STOP = object()  # queue sentinel: drain requested
-
-
-def _evaluate_headroom(decoder, cases, meta):
-    """Decode a single-failure what-if probe and read off its answers.
-
-    ``meta[i] = (name, index, culprit)`` labels ``cases[i]``: ``culprit``
-    is ``None`` for a stripe's current loss state and otherwise names
-    the one extra failure that case adds to it.  Returns ``(base_ok,
-    at_risk, failing_now)``: current decodability per ``(name, index)``,
-    the sorted culprits that break a stripe decodable today, and the
-    sorted ``"name/index"`` of stripes already lost.  Shared by the
-    service's and the cluster coordinator's headroom probes.
-    """
-    ok = (
-        decoder.decode_missing_sets(cases)
-        if cases
-        else np.zeros(0, dtype=bool)
-    )
-    base_ok: dict[tuple[str, int], bool] = {}
-    for (name, index, culprit), good in zip(meta, ok):
-        if culprit is None:
-            base_ok[(name, index)] = bool(good)
-    at_risk = set()
-    for (name, index, culprit), good in zip(meta, ok):
-        if culprit is not None and base_ok[(name, index)] and not good:
-            at_risk.add(culprit)
-    failing_now = sorted(
-        f"{name}/{index}"
-        for (name, index), good in base_ok.items()
-        if not good
-    )
-    return base_ok, sorted(at_risk), failing_now
 
 
 @dataclass(frozen=True)

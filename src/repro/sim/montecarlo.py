@@ -151,10 +151,11 @@ def sample_fail_fraction(
     a one-cell :func:`_sweep_cells` call, so a cell of several small
     batches is decoded in as few kernel calls as a sweep would use.  To
     spread estimates over processes, sweep cells with
-    :func:`profile_graph`.  ``k`` must be an integer (``TypeError``
-    otherwise, before anything is drawn).
+    :func:`profile_graph`.  ``k`` and ``n_samples`` must be integers
+    (``TypeError`` otherwise, bool included, before anything is drawn).
     """
     k = lossmasks._integer("k", k)
+    n_samples = lossmasks._integer("n_samples", n_samples)
     if n_samples < 1:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
     if k == 0:
@@ -591,11 +592,13 @@ def profile_graph(
     data blocks); Monte Carlo covers the cells between (or the explicit
     ``ks`` subset, other entries filled by monotone interpolation
     between the requested ones).  Exact cells keep ``samples[k] == 0``.
-    ``ks`` entries must be distinct integers in ``[0, num_nodes]``
-    (``TypeError`` for a non-integer), ``exact_upto`` non-negative,
+    ``ks`` entries must be distinct integers in ``[0, num_nodes]``,
+    ``samples_per_k`` at least 1, ``exact_upto`` non-negative,
     ``n_jobs`` at least 1, ``cell_timeout`` positive and
-    ``max_retries`` non-negative (``ValueError`` otherwise), all
-    checked before any seed is spawned.
+    ``max_retries`` non-negative.  A count that is not an integer (a
+    bool or a float included) is a ``TypeError``, a value out of range
+    a ``ValueError``; all are checked before any seed is spawned or
+    checkpoint opened.
     ``n_jobs > 1`` distributes k-cells over processes.  ``seed``
     accepts an int or an existing :class:`numpy.random.Generator`
     (unified seeding convention).
@@ -638,6 +641,10 @@ def profile_graph(
     whose workers each receive the graph once, through the pool
     initializer (task tuples carry no graph and no decoder).
     """
+    samples_per_k = lossmasks._integer("samples_per_k", samples_per_k)
+    exact_upto = lossmasks._integer("exact_upto", exact_upto)
+    n_jobs = lossmasks._integer("n_jobs", n_jobs)
+    max_retries = lossmasks._integer("max_retries", max_retries)
     if samples_per_k < 1:
         raise ValueError(
             f"samples_per_k must be positive, got {samples_per_k}"

@@ -4,6 +4,13 @@ import json
 
 from repro.cli import main
 
+from ..checks import (
+    check_alerts_fire_and_clear,
+    check_cluster_loadgen,
+    check_repair_pipelined,
+    check_slo_gate_mid_incident,
+)
+
 
 class TestClusterLoadgenCLI:
     def test_kill_repair_rejoin_zero_data_loss(self, tmp_path, capsys):
@@ -40,20 +47,16 @@ class TestClusterLoadgenCLI:
         assert code == 0
         text = capsys.readouterr().out
         assert "ZERO data loss" in text
+        check_cluster_loadgen(out)
         report = json.loads(out.read_text())
-        assert report["data_loss"] is False
-        assert report["failed"] == 0
-        assert report["mismatched"] == 0
         assert report["killed_node"] == "node-0"
         assert report["rejoined"] is True
-        assert report["verified_objects"] == report["objects"]
-        # Cross-node repair traffic is first-class and non-zero.
-        assert report["status"]["repair_bytes"] > 0
         assert report["repair"]["rebuilt_blocks"] > 0
         # The driver and coordinator both wrote trace files.
         driver = trace_dir / "driver.jsonl"
         coordinator = trace_dir / "coordinator.jsonl"
         assert driver.exists() and coordinator.exists()
+        check_repair_pipelined(out, coordinator)
         # Stitching both files yields an orphan-free cluster-wide tree.
         code = main(
             ["obs", "trace-tree", str(driver), str(coordinator)]
@@ -97,24 +100,12 @@ class TestClusterLoadgenCLI:
         )
         assert code == 0
         capsys.readouterr()
-        report = json.loads(out.read_text())
-        telemetry = report["telemetry"]
-        assert telemetry["samples"] > 0
-        assert telemetry["firing"] == []
-        alerts = telemetry["alerts"]
-        avail = [a for a in alerts if a["objective"] == "availability"]
-        states = [a["state"] for a in avail]
         # The node kill fired the availability alert; the rejoin and
         # settle loop cleared every window again.
-        assert "firing" in states
-        assert states.count("ok") == states.count("firing")
-        fired_at = min(
-            a["ts"] for a in avail if a["state"] == "firing"
-        )
-        cleared_at = max(a["ts"] for a in avail if a["state"] == "ok")
-        assert cleared_at > fired_at
-        # Durability summary rode along with a real margin.
-        assert telemetry["durability"]["score"] is not None
+        check_alerts_fire_and_clear(out)
+        report = json.loads(out.read_text())
+        telemetry = report["telemetry"]
+        alerts = telemetry["alerts"]
         # Report identity: the seeded schedule on the logical clock is
         # pinned from the pre-Fleet driver (commit 57bcce3), so the
         # harness underneath cannot move a scrape, an alert or a byte.
@@ -161,17 +152,4 @@ class TestClusterLoadgenCLI:
         assert main(["obs", "slo", "check", timeline]) == 0
         assert "slo check: ok" in capsys.readouterr().out
 
-        # Truncating the timeline just past the first firing alert
-        # leaves the engine mid-incident: the gate must fail.
-        lines = (
-            (obs_dir / "timeline.jsonl").read_text().splitlines()
-        )
-        cut = next(
-            i
-            for i, line in enumerate(lines)
-            if '"slo.alert"' in line and '"firing"' in line
-        )
-        partial = tmp_path / "partial.jsonl"
-        partial.write_text("\n".join(lines[: cut + 1]) + "\n")
-        assert main(["obs", "slo", "check", str(partial)]) == 1
-        assert "FIRING availability" in capsys.readouterr().out
+        check_slo_gate_mid_incident(timeline)

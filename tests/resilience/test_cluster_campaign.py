@@ -22,6 +22,8 @@ from repro.resilience import (
     run_cluster_campaign,
 )
 
+from ..checks import check_campaign_zero_loss, check_wal_replay
+
 
 class TestConfigAndPlans:
     def test_config_validation(self):
@@ -82,12 +84,11 @@ class TestLiveCampaign:
             rpc_timeout=0.5,
         )
         report = run_cluster_campaign(plan, config)
+        check_campaign_zero_loss(report.to_dict())
         assert report.coordinator_crashes == 2
         assert report.recoveries_verified == 2
-        assert report.recovery_mismatches == 0
-        assert report.data_loss is False
-        assert report.verified_objects == report.total_objects == 2
-        assert report.mismatched == 0
+        assert report.total_objects == 2
+        check_wal_replay(tmp_path / "wal")
 
     def test_full_fault_mix_has_zero_data_loss(self):
         plan = FaultPlan(
@@ -108,10 +109,7 @@ class TestLiveCampaign:
             rpc_timeout=0.5,
         )
         report = run_cluster_campaign(plan, config)
-        assert report.data_loss is False
-        assert report.verified_objects == report.total_objects
-        assert report.mismatched == 0
-        assert report.acked_put_lost == 0
+        check_campaign_zero_loss(report.to_dict())
         # The seeded schedule actually disrupted something.
         disruptive = (
             report.coordinator_crashes
@@ -159,7 +157,8 @@ class TestLiveCampaign:
         )
         first = run_cluster_campaign(plan, config)
         second = run_cluster_campaign(plan, config)
-        assert first.data_loss is False and second.data_loss is False
+        check_campaign_zero_loss(first.to_dict())
+        check_campaign_zero_loss(second.to_dict())
         assert first.events == second.events
         # ...and match the pre-Fleet campaign (commit 57bcce3).
         assert first.events == [
@@ -192,7 +191,6 @@ class TestLiveCampaign:
             midwrite_race=True,
         )
         report = run_cluster_campaign(plan, config)
+        check_campaign_zero_loss(report.to_dict())
         assert report.coordinator_crashes == 1
-        assert report.acked_put_lost == 0
-        assert report.data_loss is False
-        assert report.verified_objects == report.total_objects
+        check_wal_replay(tmp_path / "wal")

@@ -73,24 +73,39 @@ class TestLoadGenConfig:
 
 
 class TestRunLoadgen:
-    def test_all_requests_complete_on_healthy_archive(self):
-        archive, names = small_archive(severity=2)
-        config = LoadGenConfig(requests=40, rate=4000.0, seed=1)
+    def test_every_request_served_intact_and_batched(self):
+        """A seeded open-loop run on graph 3 with 4 devices failed: all
+        200 requests complete, none shed, every payload equals
+        ``archive.get``, and requests share micro-batches."""
+        archive, names = seeded_archive(objects=4, severity=4, seed=3)
+        expected = {name: archive.get(name) for name in names}
+        config = LoadGenConfig(requests=200, rate=4000.0, seed=3)
+        served = []
 
         async def scenario():
             async with ReconstructionService(
-                archive, ServeConfig(batch_window=0.001)
+                archive, ServeConfig(batch_window=0.002, queue_limit=512)
             ) as svc:
-                return await run_loadgen(svc, names, config)
+                submit = svc.submit
 
-        report = asyncio.run(scenario())
-        assert report.requests == 40
-        assert report.completed == 40
+                async def compared(name, **kwargs):
+                    data = await submit(name, **kwargs)
+                    served.append(data == expected[name])
+                    return data
+
+                svc.submit = compared
+                report = await run_loadgen(svc, names, config)
+                return report, svc.stats()
+
+        report, stats = asyncio.run(scenario())
+        assert report.requests == report.completed == 200
         assert report.shed == 0
         assert report.errors == 0
-        assert report.bytes_served == 40 * 1024
+        assert served == [True] * 200
+        assert report.bytes_served == 200 * 4096
         assert report.throughput_rps > 0
         assert set(report.latency) == {"mean", "p50", "p95", "p99", "max"}
+        assert 0 < stats["counters"]["serve.batches"] < 200
 
     def test_report_round_trips_to_dict(self):
         archive, names = small_archive()

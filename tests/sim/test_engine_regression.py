@@ -4,8 +4,9 @@ The acceptance bar for the batch kernels is not "statistically close" —
 both consume the exact same RNG stream (packed and boolean masks are
 two views of one selection, ``repro.core.lossmasks``), so every
 profile, overhead curve, and checkpoint must match byte for byte —
-across kernels, and across versions (the digest below; the mask-level
-oracle is ``tests/core/test_lossmasks.py``).  Layers above ``core`` and
+across kernels, and across versions (the digests in
+``test_pinned_profiles.py``; the mask-level oracle is
+``tests/core/test_lossmasks.py``).  Layers above ``core`` and
 the ``sim`` estimators take no kernel name, so their sparse side is
 reached the way production reaches it: by the size rule, with
 ``_SPARSE_AUTO_MIN_NODES`` lowered.
@@ -13,14 +14,11 @@ reached the way production reaches it: by the size rule, with
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 import pytest
 
 import repro.core.decoder as decoder_module
 from repro.core import make_batch_decoder, tornado_graph
-from repro.graphs import tornado_catalog_graph
 from repro.federation import FederatedSystem
 from repro.federation.profile import federated_profile
 from repro.obs import MetricsRegistry, capture
@@ -29,14 +27,6 @@ from repro.sim.montecarlo import sample_fail_fraction
 
 
 class TestProfileByteIdentical:
-    def test_profile_matches_historical_digest(self):
-        """A sweep's bytes as of the index-based mask generators."""
-        profile = profile_graph(
-            tornado_catalog_graph(3), samples_per_k=2000, seed=7
-        )
-        digest = hashlib.sha256(profile.fail_fraction.tobytes()).hexdigest()
-        assert digest[:16] == "ee1f6cdd4ea80b23"
-
     def test_failure_profile_identical_across_engines(self, small_tornado):
         sweep = dict(samples_per_k=600, exact_upto=3, seed=7)
         p_auto = profile_graph(small_tornado, **sweep)

@@ -65,6 +65,19 @@ class TestSampleFailFraction:
             sample_fail_fraction(small_tornado, k, 64, rng)
         assert rng.bit_generator.state == before
 
+    @pytest.mark.parametrize("n_samples", [True, 2.5], ids=["bool", "2.5"])
+    def test_rejects_a_non_integer_sample_count_before_drawing(
+        self, small_tornado, n_samples
+    ):
+        """``True`` was an estimate from one case."""
+        rng = np.random.default_rng(1)
+        before = rng.bit_generator.state
+        with pytest.raises(
+            TypeError, match=f"n_samples must be an integer, got {n_samples}"
+        ):
+            sample_fail_fraction(small_tornado, 10, n_samples, rng)
+        assert rng.bit_generator.state == before
+
     def test_accepts_a_numpy_integer_k(self, small_tornado):
         assert sample_fail_fraction(
             small_tornado, np.int64(7), 300, 4
@@ -208,6 +221,33 @@ class TestProfileGraph:
             TypeError, match=re.escape(f"k must be an integer, got {bad!r}")
         ):
             profile_graph(small_tornado, samples_per_k=50, ks=[20, bad])
+
+    @pytest.mark.parametrize(
+        "name, bad",
+        [
+            ("samples_per_k", 2.5),
+            ("samples_per_k", np.float64(64.0)),
+            ("samples_per_k", True),
+            ("exact_upto", True),
+            ("n_jobs", 1.5),
+            ("max_retries", 0.5),
+        ],
+        ids=["samples-2.5", "samples-float64", "samples-bool", "exact-bool",
+             "jobs-1.5", "retries-0.5"],
+    )
+    def test_rejects_a_non_integer_count_before_the_checkpoint(
+        self, small_tornado, tmp_path, name, bad
+    ):
+        """Floats raised only after the checkpoint was truncated, or
+        not at all (``max_retries=0.5``); ``True`` ran as 1."""
+        path = tmp_path / "sweep.jsonl"
+        path.write_text("kept\n")
+        sweep = {"samples_per_k": 50, name: bad}
+        with pytest.raises(
+            TypeError, match=re.escape(f"{name} must be an integer, got {bad!r}")
+        ):
+            profile_graph(small_tornado, **sweep, checkpoint=path)
+        assert path.read_text() == "kept\n"
 
     def test_accepts_numpy_integer_ks(self, small_tornado):
         sweep = dict(samples_per_k=50, seed=2)

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import hashlib
+import re
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from repro.cli import build_parser, main
 from repro.core import load_graphml, save_graphml
 from repro.graphs import tornado_catalog_graph
+
+from .checks import check_decode_spans_rooted
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
@@ -331,6 +334,19 @@ class TestExitCodes:
         assert err.startswith("usage error:")
         assert "--checkpoint" in err
 
+    def test_same_named_graph_cannot_resume_another_graphs_checkpoint(
+        self, graph_file, tmp_path, monkeypatch, capsys
+    ):
+        """Graph 3's unadjusted draft has the final graph's name."""
+        monkeypatch.chdir(tmp_path)
+        save_graphml(tornado_catalog_graph(3, adjusted=False), "draft.graphml")
+        sweep = ["--samples", "50", "--checkpoint", "mixed.jsonl"]
+        assert main(["profile", "draft.graphml", *sweep]) == 0
+        capsys.readouterr()
+        assert main(["profile", graph_file, *sweep, "--resume"]) == 1
+        err = capsys.readouterr().err
+        assert re.search(r"(?m)^error: checkpoint .* different sweep", err), err
+
     @pytest.mark.parametrize("samples", ["0", "-3"])
     @pytest.mark.parametrize("command", ["profile", "reliability"])
     def test_non_positive_samples_exits_2(
@@ -502,6 +518,7 @@ class TestTraceFlag:
         ]
         names = {s["name"] for s in spans}
         assert {"loadgen.run", "serve.request", "serve.batch"} <= names
+        check_decode_spans_rooted(trace)
         # Service lifecycle manifest lands next to the metrics file.
         manifest = tmp_path / "m.jsonl.manifest.json"
         assert manifest.exists()

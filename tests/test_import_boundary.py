@@ -65,6 +65,17 @@ def test_sweep_and_cluster_imports_skip_campaigns_and_graphml():
     ) == []
 
 
+def test_coordinator_loads_no_read_service():
+    """The headroom probe's helper lives beside ``make_batch_decoder``:
+    the coordinator loads neither the service, its batcher nor the run
+    manifest (39 ``repro`` modules, not 42)."""
+    assert loaded_after("import repro.cluster.coordinator", (
+        "repro.serve.service",
+        "repro.serve.batcher",
+        "repro.obs.manifest",
+    )) == []
+
+
 # Each package's ``__all__`` as it was when every ``__init__`` imported
 # its submodules eagerly; the export tables must name the same set.
 EXPORTS = {
