@@ -81,7 +81,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -98,7 +98,7 @@ from ..serve.lineserver import (
     within_deadline,
 )
 from ..serve.errors import NodeUnreachableError
-from ..serve.link import PipelinedLink
+from ..serve.link import PipelinedLink, check_rpc_timeout
 from ..serve.protocol import (
     AckResponse,
     BlockDeleteRequest,
@@ -221,59 +221,89 @@ async def link_rpc(
     retry: RetryPolicy | None,
     timeout: float | None,
 ) -> Response:
-    """One request/reply on a peer's pipelined connection.
+    """:func:`link_rpc_many` for one request; raises its failure."""
+    (outcome,) = await link_rpc_many(
+        link, [request], retry=retry, timeout=timeout
+    )
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
-    Transport failures (refused, reset, mid-frame close, expired
-    ``timeout``) retry through ``retry.acall`` — the schedule is drawn
-    on the first failure, a healthy RPC never builds it — before the
-    peer is declared down; only once attempts are exhausted does the
-    link drop and its ``down_error`` surface.  Remote errors re-raise
-    as their client exceptions (``unavailable`` → transient outage,
-    etc.) and are never retried here.
+
+async def link_rpc_many(
+    link: PipelinedLink,
+    requests: Sequence[Request],
+    *,
+    retry: RetryPolicy | None,
+    timeout: float | None,
+) -> list[Response | Exception]:
+    """Requests to one peer as one burst; each keeps its own id, span
+    and outcome: its response, its remote error as the client exception
+    (never retried here), or the link's ``down_error``.  A transport
+    failure retries only the unanswered requests through ``retry.acall``
+    (a healthy burst never draws the schedule); once attempts run out
+    the link drops and those keep their ``down_error``.
     """
+    outcomes: list[Response | Exception | None] = [None] * len(requests)
+    todo = list(range(len(requests)))  # the requests still unanswered
+
+    async def attempt() -> None:
+        nonlocal todo
+        got = await _link_burst_once(link, [requests[i] for i in todo], timeout)
+        for i, outcome in zip(todo, got):
+            outcomes[i] = outcome
+        todo = [i for i in todo if isinstance(outcomes[i], link.down_error)]
+        if todo:
+            raise outcomes[todo[0]]
+
     try:
-        return await (retry or NO_RETRY).acall(
-            _link_rpc_once,
-            link,
-            request,
-            timeout,
-            retry_on=link.down_error,
-            counter=f"{link.family}.retries",
+        await (retry or NO_RETRY).acall(
+            attempt, retry_on=link.down_error, counter=f"{link.family}.retries"
         )
     except link.down_error:
         link.drop()
-        raise
+    return outcomes
 
 
-async def _link_rpc_once(
-    link: PipelinedLink, request: Request, timeout: float | None
-) -> Response:
-    span = start_span(
-        f"{link.family}.{request.op}", activate=False, **link.span_tags
-    )
+async def _link_burst_once(
+    link: PipelinedLink, requests: Sequence[Request], timeout: float | None
+) -> list[Response | Exception]:
+    spans, items = [], []
     try:
-        request_id = link.next_id()
-        data = encode_request(
-            request,
-            request_id=request_id,
-            trace=span.context() if span else None,
-        )
-        line, payload, header = await link.exchange(
-            request_id, data, timeout
-        )
-        link.alive = True
-        response, frame = parse_response(line, payload, header)
-        t = tracer()
-        if t is not None and frame.get("spans"):
-            t.ingest(frame["spans"])
-        if isinstance(response, ErrorResponse):
-            response.raise_remote()
-        return response
+        for request in requests:
+            span = start_span(
+                f"{link.family}.{request.op}", activate=False, **link.span_tags
+            )
+            spans.append(span)
+            request_id = link.next_id()
+            data = encode_request(
+                request, request_id=request_id, trace=span.context() if span else None
+            )
+            items.append((request_id, data))
+        replies = await link.exchange_many(items, timeout)
     except BaseException as exc:
-        span.end(error=type(exc).__name__)
+        for span in spans:
+            span.end(error=type(exc).__name__)
         raise
-    finally:
-        span.end()
+    outcomes: list[Response | Exception] = []
+    for span, reply in zip(spans, replies):
+        try:
+            if isinstance(reply, Exception):
+                raise reply
+            link.alive = True
+            response, frame = parse_response(*reply)
+            t = tracer()
+            if t is not None and frame.get("spans"):
+                t.ingest(frame["spans"])
+            if isinstance(response, ErrorResponse):
+                response.raise_remote()
+            outcomes.append(response)
+        except Exception as exc:  # this request's outcome, not the burst's
+            span.end(error=type(exc).__name__)
+            outcomes.append(exc)
+        finally:
+            span.end()
+    return outcomes
 
 
 # The default transport-retry policy of every pipelined link (node or
@@ -300,8 +330,7 @@ class ClusterCoordinator:
         repair_bytes_per_cycle: int | None = None,
         snapshot_every: int | None = None,
     ):
-        if rpc_timeout is not None and rpc_timeout <= 0:
-            raise ValueError("rpc_timeout must be positive")
+        check_rpc_timeout(rpc_timeout)
         if snapshot_every is not None and snapshot_every < 1:
             raise ValueError("snapshot_every must be positive")
         self.graph = graph
@@ -483,6 +512,13 @@ class ClusterCoordinator:
             link, request, retry=self.retry, timeout=self.rpc_timeout
         )
 
+    async def _rpc_many(
+        self, link: NodeLink, requests: Sequence[Request]
+    ) -> list[Response | Exception]:
+        return await link_rpc_many(
+            link, requests, retry=self.retry, timeout=self.rpc_timeout
+        )
+
     def _reset_connection(self, link: NodeLink) -> None:
         """Forget the connection but keep the liveness verdict open."""
         link.reset()
@@ -584,7 +620,8 @@ class ClusterCoordinator:
         The manifest is journaled *after* the blocks are placed but
         *before* the put is acknowledged: a crash in between leaves
         orphaned blocks (the put was never acked — repair deletes
-        strays), never an acked object the WAL forgot.
+        strays), never an acked object the WAL forgot.  A stripe whose
+        placed blocks do not decode fails the put, unjournaled.
         """
         if not self.ring.members:
             raise TransientUnavailableError(
@@ -593,7 +630,7 @@ class ClusterCoordinator:
         async with self._mutex:
             stripes = self.codec.encode_payload(payload)
             records: list[ClusterStripe] = []
-            placed = failed = 0
+            placed = 0
             next_stripe = self._next_stripe
             for encoded in stripes:
                 idx = next_stripe
@@ -606,22 +643,32 @@ class ClusterCoordinator:
                         placement=placement,
                     )
                 )
-                # One block per batch, deliberately: the benchmark pins
-                # a put at 96 RPCs.  Grouped by owner it would be 4.
-                results = await asyncio.gather(
+                # One one-block request per graph node (the benchmark
+                # pins a put at 96 RPCs), sent as one burst per owner.
+                owned: dict[str, list[int]] = {}
+                for node, owner in enumerate(placement):
+                    owned.setdefault(owner, []).append(node)
+                acks = await asyncio.gather(
                     *(
-                        self._put_blocks(
-                            placement[node],
-                            {
-                                block_key(name, idx, node):
-                                    encoded.blocks[node].data
-                            },
-                        )
-                        for node in range(self.graph.num_nodes)
+                        self._put_blocks(owner, [
+                            {block_key(name, idx, node): encoded.blocks[node].data}
+                            for node in nodes
+                        ])
+                        for owner, nodes in owned.items()
                     )
                 )
-                placed += sum(results)
-                failed += len(results) - sum(results)
+                landed = np.zeros(self.graph.num_nodes, dtype=bool)
+                for nodes, oks in zip(owned.values(), acks):
+                    landed[nodes] = oks
+                if not landed.all():
+                    try:  # ack only what a read could decode
+                        self.codec.schedule(landed)
+                    except DecodeFailure:
+                        raise TransientUnavailableError(
+                            f"object {name!r} stripe {idx}: {landed.sum()} of "
+                            f"{landed.size} blocks placed, not decodable"
+                        ) from None
+                placed += int(landed.sum())
             manifest = ClusterManifest(
                 name=name,
                 size=len(payload),
@@ -636,6 +683,7 @@ class ClusterCoordinator:
                     "next_stripe": next_stripe,
                 }
             )
+        failed = len(records) * self.graph.num_nodes - placed
         reg = registry()
         reg.counter("cluster.put.objects").inc()
         reg.counter("cluster.put.blocks").inc(placed)
@@ -653,17 +701,22 @@ class ClusterCoordinator:
         }
 
     async def _put_blocks(
-        self, node_id: str, blocks: dict[str, bytes | memoryview]
-    ) -> bool:
-        """One ``block.put`` to one node: the whole batch lands or none."""
+        self, node_id: str, batches: list[dict[str, bytes | memoryview]]
+    ) -> list[bool]:
+        """One ``block.put`` per batch to one node, all in one burst;
+        whether each batch landed (whole: a batch lands or none of it)."""
         link = self.nodes.get(node_id)
         if link is None or not link.alive:
-            return False
-        try:
-            await self._rpc(link, BlockPutRequest(blocks=blocks))
-            return True
-        except (NodeDownError, TransientUnavailableError):
-            return False
+            return [False] * len(batches)
+        outcomes = await self._rpc_many(
+            link, [BlockPutRequest(blocks=blocks) for blocks in batches]
+        )
+        for outcome in outcomes:
+            if isinstance(outcome, Exception) and not isinstance(
+                outcome, (NodeDownError, TransientUnavailableError)
+            ):
+                raise outcome
+        return [not isinstance(o, Exception) for o in outcomes]
 
     async def get(
         self,
@@ -990,9 +1043,9 @@ class ClusterCoordinator:
                         got[node].data
                     )
             acks = await asyncio.gather(
-                *(self._put_blocks(nid, b) for nid, b in batches.items())
+                *(self._put_blocks(nid, [b]) for nid, b in batches.items())
             )
-            landed = dict(zip(batches, acks))
+            landed = {nid: ok for nid, (ok,) in zip(batches, acks)}
             records: list[dict[str, Any]] = []
             settled: list[_WaveStripe] = []
             for s in wave:

@@ -59,6 +59,7 @@ from typing import Any
 from ..cluster.fleet import Fleet, ScenarioReport, option
 from ..obs.seeding import SeedLike, resolve_rng
 from ..obs.trace import trace_span
+from ..serve.link import check_rpc_timeout
 from .faults import (
     CoordinatorCrashes,
     FaultPlan,
@@ -130,8 +131,7 @@ class ClusterCampaignConfig:
             raise ValueError("objects must be positive")
         if self.steps < 1:
             raise ValueError("steps must be positive")
-        if self.rpc_timeout <= 0:
-            raise ValueError("rpc_timeout must be positive")
+        check_rpc_timeout(self.rpc_timeout)
 
 
 @dataclass

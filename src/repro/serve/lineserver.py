@@ -9,14 +9,15 @@ bytes its tail declares.
 
 Two properties matter:
 
-* **Concurrent handling, serialized writes.**  Each request frame
+* **Concurrent handling, one write per loop turn.**  Each request frame
   spawns its own task, so a slow reconstruction never head-of-line
-  blocks a ``ping`` pipelined behind it on the same connection — and
-  because multiple handler tasks then race to reply, every write
-  happens under a per-connection :class:`asyncio.Lock` so reply frames
-  never interleave.  Clients that pipeline (the coordinator's and the
-  gateway's :class:`~repro.serve.link.PipelinedLink`) correlate replies
-  by the echoed ``id`` envelope field.
+  blocks a ``ping`` pipelined behind it on the same connection.  Whole
+  reply frames queue in a per-connection outbox that ``call_soon``
+  flushes in one ``write`` (and that is flushed before any hang-up), so
+  a burst read in one turn is answered in one; handlers still ``drain``.
+  Clients that pipeline (the coordinator's and the gateway's
+  :class:`~repro.serve.link.PipelinedLink`) correlate replies by the
+  echoed ``id`` envelope field.
 * **Bad input gets a typed answer.**  Malformed JSON, unknown ops,
   unsupported versions, mistyped fields and payload bytes the fields do
   not account for are answered with an error frame carrying the
@@ -123,8 +124,17 @@ async def start_line_server(
     async def handle_connection(
         reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        write_lock = asyncio.Lock()
         inflight: set[asyncio.Task] = set()
+        outbox: list[bytes] = []
+
+        def flush() -> None:
+            # A peer that hung up (gave up on a deadline, died
+            # mid-frame) leaves the replies nowhere to go, and the read
+            # loop will see EOF and close; writing on would only make
+            # asyncio log every dropped reply of a burst.
+            if outbox and not writer.transport.is_closing():
+                writer.write(b"".join(outbox))
+            outbox.clear()
 
         async def reply(frame: dict[str, Any]) -> None:
             try:
@@ -135,19 +145,15 @@ async def start_line_server(
                         request_id=frame.get("id")
                     )
                 )
-            async with write_lock:
-                # A peer that hung up (gave up on a deadline, died
-                # mid-frame) leaves the reply nowhere to go, and the
-                # read loop will see EOF and close.  Raising would only
-                # leave an unretrieved task exception, writing on only
-                # make asyncio log every dropped reply of a burst.
-                if writer.transport.is_closing():
-                    return
-                try:
-                    writer.write(data)
-                    await writer.drain()
-                except OSError:
-                    pass
+            if not outbox:
+                asyncio.get_running_loop().call_soon(flush)
+            outbox.append(data)
+            try:
+                await writer.drain()
+            except OSError:
+                # The peer is gone: raising would only leave an
+                # unretrieved task exception.
+                pass
 
         async def refuse(exc: ProtocolError) -> None:
             await reply(
@@ -200,6 +206,7 @@ async def start_line_server(
             # error.
             pass
         finally:
+            flush()
             writer.close()
 
     return await asyncio.start_server(

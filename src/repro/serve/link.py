@@ -1,34 +1,45 @@
 """One pipelined client connection to a line server.
 
 The coordinator's node RPCs and the gateway's site RPCs both ride a
-:class:`PipelinedLink`: write the request, park a future under its
+:class:`PipelinedLink`: write a burst of requests (whatever the caller
+holds for this peer; one RPC is a burst of one) under one lock, one
+``write`` + ``drain`` and one deadline timer, park a future under each
 ``id``, and let the connection's one reader task resolve replies in
-whatever order :mod:`repro.serve.lineserver` sends them.  The link lock
-is held for connect and for write + ``drain`` only — never across the
-reply — so every RPC a caller has gathered is on the wire at once.
+whatever order :mod:`repro.serve.lineserver` sends them.  The lock is
+never held across a reply, so every RPC gathered is on the wire at once.
 
 The link moves bytes and looks no further into them than the header's
 ``id``: callers encode requests and parse replies themselves, and the
 header it decoded to find the ``id`` comes back with the reply so that
 ``parse_response`` need not decode the line again.  Failure
 is all-or-nothing: an expired deadline, a refused connect, a reset, EOF
-or a torn frame aborts the transport and fails every RPC parked on the
-link with its ``down_error``; the caller's retry policy takes it from
-there, and the next RPC reconnects.
+or a torn frame aborts the transport and fails every RPC still parked
+on the link with its ``down_error``; the caller's retry policy takes it
+from there, and the next RPC reconnects.
 """
 
 from __future__ import annotations
 
 import asyncio
+from typing import Sequence
 
 from ..obs.registry import registry
 from .errors import NodeUnreachableError
 from .lineserver import read_frame
 from .protocol import MAX_LINE_BYTES, ProtocolError, decode_frame
 
-__all__ = ["PipelinedLink"]
+__all__ = ["PipelinedLink", "check_rpc_timeout"]
 
 Reply = tuple[bytes, bytes, dict]  # header line, raw payload, decoded header
+
+
+def check_rpc_timeout(timeout: float | None) -> None:
+    """Refuse a deadline that is not ``None`` or positive seconds (NaN
+    would expire every RPC at once; ``True`` is not one second)."""
+    if isinstance(timeout, bool):
+        raise TypeError("rpc_timeout must be a number of seconds, not a bool")
+    if timeout is not None and not timeout > 0:  # NaN fails this too
+        raise ValueError(f"rpc_timeout must be positive, got {timeout}")
 
 
 class PipelinedLink:
@@ -57,39 +68,48 @@ class PipelinedLink:
         self._next_id += 1
         return self._next_id
 
-    async def exchange(
-        self, request_id: int, data: bytes, timeout: float | None
-    ) -> Reply:
-        """Send one encoded request; await the reply carrying its id.
+    async def exchange_many(
+        self, items: Sequence[tuple[int, bytes]], timeout: float | None
+    ) -> list[Reply | Exception]:
+        """Send ``(request_id, encoded request)`` items as one burst.
 
-        ``timeout`` bounds the whole exchange (connect, write, reply).
-        Raises ``down_error`` on any transport failure.
+        ``timeout`` bounds it all (connect, write, every reply).  Returns
+        per item its reply or the ``down_error`` that left it unanswered.
         """
         loop = asyncio.get_running_loop()
-        reply = self._pending[request_id] = loop.create_future()
+        replies = [loop.create_future() for _ in items]
+        for (request_id, _), reply in zip(items, replies):
+            self._pending[request_id] = reply
         timer = (
-            loop.call_later(timeout, self._expire, reply, timeout)
+            loop.call_later(timeout, self._expire, replies, timeout)
             if timeout is not None
             else None
         )
         try:
             async with self._lock:
                 try:
-                    # ``reply`` is done already if the link dropped
-                    # while this RPC waited (for the lock, for the
-                    # connect): then nothing is sent.
-                    if self._writer is None and not reply.done():
+                    # A drop fails every parked future at once: if it
+                    # happened while this burst waited (for the lock,
+                    # for the connect), nothing is sent.
+                    if self._writer is None and not replies[0].done():
                         await self._connect(timeout)
-                    if not reply.done():
-                        self._writer.write(data)
+                    if not replies[0].done():
+                        self._writer.write(b"".join(data for _, data in items))
                         await self._writer.drain()
                 except (OSError, asyncio.TimeoutError) as exc:
                     self._drop(f"unreachable: {exc}")
-            return await reply
+            outcomes: list[Reply | Exception] = []
+            for reply in replies:
+                try:
+                    outcomes.append(await reply)
+                except self.down_error as exc:
+                    outcomes.append(exc)
+            return outcomes
         finally:
             if timer is not None:
                 timer.cancel()
-            self._pending.pop(request_id, None)
+            for request_id, _ in items:
+                self._pending.pop(request_id, None)
 
     def reset(self) -> None:
         """Abort the connection, failing whatever is parked on the link."""
@@ -128,8 +148,8 @@ class PipelinedLink:
                 self._reader_task = None
                 self._drop(reason)
 
-    def _expire(self, reply: asyncio.Future, timeout: float) -> None:
-        if not reply.done():  # else a neighbour's deadline got here first
+    def _expire(self, replies: list[asyncio.Future], timeout: float) -> None:
+        if not all(reply.done() for reply in replies):  # else none is late
             registry().counter(f"{self.family}.timeouts").inc()
             self._drop(f"gave no reply within the {timeout}s RPC deadline")
 

@@ -58,7 +58,7 @@ from ..serve.lineserver import (
     start_line_server,
     within_deadline,
 )
-from ..serve.link import PipelinedLink
+from ..serve.link import PipelinedLink, check_rpc_timeout
 from ..serve.protocol import (
     FetchStripeRequest,
     GetRequest,
@@ -134,8 +134,7 @@ class FederationGateway:
         repair_wan_budget: int | None = None,
         plan_capacity: int = 256,
     ):
-        if rpc_timeout is not None and rpc_timeout <= 0:
-            raise ValueError("rpc_timeout must be positive")
+        check_rpc_timeout(rpc_timeout)
         if repair_wan_budget is not None and repair_wan_budget < 0:
             raise ValueError("repair_wan_budget must be non-negative")
         self.manifest = manifest

@@ -33,9 +33,9 @@ class Cluster:
         self.servers = servers
 
     @classmethod
-    async def start(cls, members=3, block_size=64):
+    async def start(cls, members=3, block_size=64, wal_dir=None):
         coordinator = ClusterCoordinator(
-            catalog_graph(), block_size=block_size
+            catalog_graph(), block_size=block_size, wal_dir=wal_dir
         )
         nodes, servers = {}, {}
         for i in range(members):
@@ -226,6 +226,32 @@ class TestEndToEnd:
 
         run(check())
 
+    def test_a_put_is_acked_only_when_every_stripe_decodes(self, tmp_path):
+        async def check():
+            cluster = await Cluster.start(members=4, wal_dir=tmp_path)
+            coord = cluster.coordinator
+            await cluster.kill("node-3")
+            payload = payload_bytes(3000, seed=6)  # one stripe
+            info = await coord.put("one-dark", payload)
+            assert (info["blocks"], info["failed_blocks"]) == (72, 24)
+            got = await coord.get("one-dark", want_payload=True)
+            assert got.payload == payload
+            await cluster.kill("node-2")
+            manifests, seq = dict(coord.manifests), coord.wal.seq
+            journal = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+            # Half the stripe cannot land: acking it would promise an
+            # object no rejoin could make readable.
+            with pytest.raises(TransientUnavailableError, match="48 of 96"):
+                await coord.put("two-dark", payload_bytes(3000, seed=7))
+            assert coord.manifests == manifests and coord.wal.seq == seq
+            assert journal == {
+                f.name: f.read_bytes() for f in tmp_path.iterdir()
+            }
+            coord.wal.close()
+            await cluster.close()
+
+        run(check())
+
     def test_unknown_object_raises_key_error(self):
         async def check():
             cluster = await Cluster.start(members=3)
@@ -260,6 +286,21 @@ class TestEndToEnd:
             await cluster.close()
 
         run(check())
+
+
+class TestRpcTimeoutValidation:
+    @pytest.mark.parametrize(
+        "timeout, error", [(True, TypeError), (float("nan"), ValueError)]
+    )
+    def test_coordinator_refuses_before_any_side_effect(
+        self, tmp_path, timeout, error
+    ):
+        wal_dir = tmp_path / "wal"
+        with pytest.raises(error, match="rpc_timeout"):
+            ClusterCoordinator(
+                catalog_graph(), wal_dir=wal_dir, rpc_timeout=timeout
+            )
+        assert not wal_dir.exists()
 
 
 class TestUntrustedFetchReplies:

@@ -102,7 +102,7 @@ class TestReadsRacingAReshard:
             real = coord._put_blocks
             reads = []
 
-            async def racing(node_id, blocks):
+            async def racing(node_id, requests):
                 # The wave holds both stripe locks here, unflipped.
                 if not reads:
                     reads.append(
@@ -112,7 +112,7 @@ class TestReadsRacingAReshard:
                     )
                     await asyncio.sleep(0.01)  # reader parks on a lock
                     assert not reads[0].done()
-                return await real(node_id, blocks)
+                return await real(node_id, requests)
 
             coord._put_blocks = racing
             summary = await coord.deregister("node-1")
@@ -218,15 +218,15 @@ class TestPlacementBurst:
             real = coord._put_blocks
             batches = []
 
-            async def dying(node_id, blocks):
+            async def dying(node_id, requests):
                 if node_id == "node-3":
-                    batches.append(len(blocks))
+                    batches.extend(map(len, requests))
                     if len(batches) == 1:
                         # Dies with its first batch written, unanswered.
                         asyncio.get_running_loop().call_soon(
                             cluster.kill, "node-3"
                         )
-                return await real(node_id, blocks)
+                return await real(node_id, requests)
 
             coord._put_blocks = dying
             summary = await cluster.join(joiner)
@@ -325,14 +325,19 @@ class TestBatchesPerMember:
         async def check():
             cluster = await Cluster.start(4)
             coord = cluster.coordinator
-            sent = []
-            rpc = coord._rpc
+            sent, bursts = [], []
+            rpc, rpc_many = coord._rpc, coord._rpc_many
             waves = []
             repair = coord._repair_stripes
 
             async def recording(link, request):
                 sent.append(request)
                 return await rpc(link, request)
+
+            async def recording_many(link, requests):
+                sent.extend(requests)
+                bursts.append(len(requests))
+                return await rpc_many(link, requests)
 
             async def counting(stripes, holders):
                 waves.append(len(stripes))
@@ -343,17 +348,19 @@ class TestBatchesPerMember:
                     len(getattr(r, field)) for r in sent if type(r) is kind
                 ]
 
-            coord._rpc = recording
+            coord._rpc, coord._rpc_many = recording, recording_many
             await coord.put("solo", payload_bytes(STRIPE))
-            # The benchmark pins a put at one RPC per block.
+            # The benchmark pins a put at one RPC per block; they leave
+            # as one burst per member.
             assert batch_sizes(BlockPutRequest, "blocks") == [1] * 96
+            assert bursts == [24] * 4
             await cluster.put_objects(3, size=2 * STRIPE)
             stripes = 1 + 3 * 2
             before = cluster.held()
             sent.clear()
             coord._repair_stripes = counting
             summary = await coord.deregister("node-1")
-            coord._rpc = rpc
+            coord._rpc, coord._rpc_many = rpc, rpc_many
             assert summary["repaired_stripes"] == stripes
             assert waves == [stripes]  # 7 x 96 x 64 B is one wave
             puts = batch_sizes(BlockPutRequest, "blocks")

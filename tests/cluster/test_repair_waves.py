@@ -137,10 +137,15 @@ class TestWaveBounds:
             objects = await cluster.put_objects(8)
             sent, waves = [], []
             rpc, repair = coord._rpc, coord._repair_stripes
+            rpc_many = coord._rpc_many
 
             async def recording(link, request):
                 sent.append(type(request))
                 return await rpc(link, request)
+
+            async def recording_many(link, requests):
+                sent.extend(map(type, requests))
+                return await rpc_many(link, requests)
 
             async def counting(stripes, holders):
                 seq, fsyncs = coord.wal.seq, coord.wal.fsyncs
@@ -155,6 +160,7 @@ class TestWaveBounds:
                 return done
 
             coord._rpc, coord._repair_stripes = recording, counting
+            coord._rpc_many = recording_many
             summary = await coord.deregister("node-1")
             members = len(coord.ring.members)
             assert summary["repaired_stripes"] == 8

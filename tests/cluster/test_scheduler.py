@@ -187,8 +187,10 @@ class TestReadInterleaving:
             # Make each wave's placement slow enough that a whole-pass
             # lock would be felt by a concurrent read.
             real = coord._put_blocks
+            slowed = []
 
             async def slow_put(*args, **kwargs):
+                slowed.append(args[0])
                 await asyncio.sleep(0.05)
                 return await real(*args, **kwargs)
 
@@ -202,6 +204,7 @@ class TestReadInterleaving:
             assert not drain.done()  # the rebuild was still running
             summary = await drain
             assert summary["rebuilt_blocks"] == 2 * stripes
+            assert len(slowed) >= stripes  # every wave placed through it
             # Regression bound: the read waits for at most the wave
             # holding its stripe, never the whole pass (which takes
             # >= stripes * 50ms).

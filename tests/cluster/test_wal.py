@@ -562,18 +562,19 @@ class TestRecoveryIsTheLivePath:
             real = coord._put_blocks
             batches = []
 
-            async def dying(node_id, blocks):
+            async def dying(node_id, requests):
                 if node_id == "node-3":
-                    batches.append(len(blocks))
+                    batches.extend(map(len, requests))
                     if len(batches) == 1:
                         asyncio.get_running_loop().create_task(
                             cluster.kill("node-3")
                         )
-                return await real(node_id, blocks)
+                return await real(node_id, requests)
 
             coord._put_blocks = dying
             await join("node-3", seed=3)
             coord._put_blocks = real
+            assert batches  # the joiner's first batch was on the wire
             # rejoin: the same node comes back empty and is filled
             await join("node-3", seed=4)
             # a live member leaves

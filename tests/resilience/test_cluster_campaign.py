@@ -36,6 +36,13 @@ class TestConfigAndPlans:
         with pytest.raises(ValueError):
             ClusterCampaignConfig(rpc_timeout=0)
 
+    @pytest.mark.parametrize(
+        "timeout, error", [(True, TypeError), (float("nan"), ValueError)]
+    )
+    def test_config_refuses_a_bool_or_nan_rpc_timeout(self, timeout, error):
+        with pytest.raises(error, match="rpc_timeout"):
+            ClusterCampaignConfig(rpc_timeout=timeout)
+
     def test_default_plan_covers_every_cluster_fault_kind(self):
         plan = default_cluster_plan()
         assert set(plan.fault_classes) == {

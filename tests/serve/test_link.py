@@ -1,7 +1,7 @@
 """The pipelined RPC link, on real loopback TCP.
 
-Everything here goes through ``ClusterCoordinator._rpc`` (or a whole
-``put``) and a ``NodeLink``, so the link is exercised with the typed
+Everything here goes through ``ClusterCoordinator._rpc`` /
+``_rpc_many`` (or a whole ``put``) and a ``NodeLink``, so the link is exercised with the typed
 encode/parse its callers wrap around it.
 """
 
@@ -17,7 +17,13 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterCoordinator, StorageNode, start_storage_node
-from repro.cluster.coordinator import NodeDownError, NodeLink, link_rpc
+import repro.cluster.coordinator as coordinator_mod
+from repro.cluster.coordinator import (
+    NodeDownError,
+    NodeLink,
+    link_rpc,
+    link_rpc_many,
+)
 from repro.graphs import tornado_catalog_graph
 from repro.obs.registry import capture
 from repro.resilience import RetryPolicy
@@ -30,6 +36,7 @@ from repro.serve.protocol import (
     PingRequest,
     PongResponse,
     encode_frame,
+    encode_request,
     payload_size,
 )
 
@@ -170,6 +177,147 @@ class TestPipelining:
         asyncio.run(check())
 
 
+@contextmanager
+def recorded_writes():
+    """Every ``StreamWriter.write`` inside, as the writer that made it."""
+    writes = []
+    real = asyncio.StreamWriter.write
+
+    def write(self, data):
+        writes.append(self)
+        return real(self, data)
+
+    asyncio.StreamWriter.write = write
+    try:
+        yield writes
+    finally:
+        asyncio.StreamWriter.write = real
+
+
+class TestBursts:
+    def test_a_put_writes_once_per_owner_per_stripe(self, monkeypatch):
+        encoded, bursts = [], []
+        encode, exchange_many = (
+            coordinator_mod.encode_request,
+            NodeLink.exchange_many,
+        )
+
+        def recording(request, **kwargs):
+            encoded.append(request)
+            return encode(request, **kwargs)
+
+        async def recording_many(link, items, timeout):
+            bursts.append([(link.node_id, request_id) for request_id, _ in items])
+            return await exchange_many(link, items, timeout)
+
+        # The seam the benchmark's framing layer is measured at.
+        monkeypatch.setattr(coordinator_mod, "encode_request", recording)
+        monkeypatch.setattr(NodeLink, "exchange_many", recording_many)
+
+        async def check():
+            coord = coordinator()
+            servers = []
+            for i in range(4):
+                servers.append(
+                    await start_storage_node(StorageNode(f"node-{i}"), port=0)
+                )
+                await coord.register(f"node-{i}", *address(servers[-1]))
+            payload = np.random.default_rng(0).bytes(2 * 48 * 64)
+            encoded.clear()
+            bursts.clear()
+            with recorded_writes() as writes:
+                info = await coord.put("obj", payload)
+            assert (info["stripes"], info["failed_blocks"]) == (2, 0)
+            links = {link._writer: nid for nid, link in coord.nodes.items()}
+            sent = [links[w] for w in writes if w in links]
+            # Two stripes: each owner got two writes, not 2 x 24 ...
+            assert sorted(sent) == sorted(2 * list(coord.nodes))
+            assert sorted(len(b) for b in bursts) == [24] * 8
+            # ... carrying 96 one-block requests per stripe, each under
+            # its own id.
+            assert [len(r.blocks) for r in encoded] == [1] * 2 * 96
+            ids = [item for burst in bursts for item in burst]
+            assert len(set(ids)) == 2 * 96
+            got = await coord.get("obj", want_payload=True)
+            assert got.payload == payload
+            for link in coord.nodes.values():
+                link.reset()
+            for server in servers:
+                server.close()
+                await server.wait_closed()
+
+        asyncio.run(check())
+
+    def test_pipelined_pings_are_answered_in_fewer_writes(self):
+        burst = 16
+
+        async def handler(request, envelope):
+            return PongResponse()
+
+        async def check():
+            server = await start_line_server(handler, port=0)
+            reader, writer = await asyncio.open_connection(*address(server))
+            with recorded_writes() as writes:
+                writer.write(
+                    b"".join(
+                        encode_request(PingRequest(), request_id=i)
+                        for i in range(burst)
+                    )
+                )
+                replies = [
+                    json.loads(await reader.readline()) for _ in range(burst)
+                ]
+            assert sorted(r["id"] for r in replies) == list(range(burst))
+            assert all(r["kind"] == "pong" for r in replies)
+            answers = [w for w in writes if w is not writer]
+            assert 0 < len(answers) < burst
+            writer.close()
+            server.close()
+            await server.wait_closed()
+
+        asyncio.run(check())
+
+    def test_a_deadline_mid_burst_drops_once_and_fails_the_unanswered(self):
+        burst, answered = 8, 3
+        seen = {"connections": 0}
+
+        async def half_answering(reader, writer):
+            seen["connections"] += 1
+            frames = [await read_frame(reader) for _ in range(burst)]
+            for frame in frames[:answered]:
+                writer.write(
+                    encode_frame(PongResponse().to_frame(request_id=frame["id"]))
+                )
+            try:
+                await writer.drain()
+                await reader.read()  # silent until the link hangs up
+            finally:
+                writer.close()
+
+        async def check():
+            server = await asyncio.start_server(
+                half_answering, "127.0.0.1", 0
+            )
+            link = NodeLink("n", *address(server))
+            outcomes = await link_rpc_many(
+                link, [PingRequest()] * burst, retry=None, timeout=0.3
+            )
+            assert all(
+                isinstance(o, PongResponse) for o in outcomes[:answered]
+            )
+            late = outcomes[answered:]
+            assert all(isinstance(o, NodeDownError) for o in late)
+            assert all("RPC deadline" in str(o) for o in late)
+            assert link._writer is None and link.alive is False
+            assert seen == {"connections": 1}
+            server.close()
+            await server.wait_closed()
+
+        with capture() as registry:
+            asyncio.run(check())
+        assert registry.snapshot()["counters"]["cluster.rpc.timeouts"] == 1
+
+
 class TestFailure:
     def test_node_closed_with_a_stripe_in_flight(self):
         """SIGKILL analogue with 24 ``block.put`` on the wire: each fails
@@ -201,17 +349,17 @@ class TestFailure:
                 "node-3", *address(servers[-1])
             )
             failures = []
-            rpc = coord._rpc  # retry=None: one attempt per RPC
+            rpc_many = coord._rpc_many  # retry=None: one attempt per RPC
 
-            async def counting(link, request):
-                try:
-                    return await rpc(link, request)
-                except NodeDownError as exc:
-                    (key,) = request.blocks
-                    failures.append((key, str(exc)))
-                    raise
+            async def counting(link, requests):
+                outcomes = await rpc_many(link, requests)
+                for request, outcome in zip(requests, outcomes):
+                    if isinstance(outcome, NodeDownError):
+                        (key,) = request.blocks
+                        failures.append((key, str(outcome)))
+                return outcomes
 
-            coord._rpc = counting
+            coord._rpc_many = counting
             payload = np.random.default_rng(0).bytes(48 * 64)
             info = await coord.put("obj", payload)
             assert (info["blocks"], info["failed_blocks"]) == (72, 24)

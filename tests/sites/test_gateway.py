@@ -341,6 +341,15 @@ class TestRepair:
         run(check())
 
 
+class TestRpcTimeoutValidation:
+    @pytest.mark.parametrize(
+        "timeout, error", [(True, TypeError), (float("nan"), ValueError)]
+    )
+    def test_gateway_refuses_a_bool_or_nan_rpc_timeout(self, timeout, error):
+        with pytest.raises(error, match="rpc_timeout"):
+            FederationGateway(handbuilt_manifest(), rpc_timeout=timeout)
+
+
 class TestStatus:
     def test_status_reports_sites_wan_and_the_floor(self):
         async def check():

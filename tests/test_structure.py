@@ -109,6 +109,14 @@ LINTS = {
         r"|^src/repro/obs/__init__\.py::from \.registry import registry( |$)",
         glob="__init__.py",
     ),
+    # A burst of RPCs is one write: exchange is exchange_many's one-item
+    # case, and a connection's replies leave through its outbox.
+    "one-link-write": Lint(
+        r"\.write\(", ("src/repro/serve/link.py",), count=range(1, 2)
+    ),
+    "no-reply-write-lock": Lint(
+        r"asyncio\.Lock\(|write_lock", ("src/repro/serve/lineserver.py",)
+    ),
     "networkx-behind-graphml": Lint(
         r"import networkx", ("src",), files=frozenset({"src/repro/core/graphml.py"})
     ),
