@@ -97,8 +97,8 @@ from ..serve.lineserver import (
     start_line_server,
     within_deadline,
 )
-from ..serve.errors import NodeUnreachableError
-from ..serve.link import PipelinedLink, check_rpc_timeout
+from ..serve.errors import NodeUnreachableError, check_seconds
+from ..serve.link import PipelinedLink
 from ..serve.protocol import (
     AckResponse,
     BlockDeleteRequest,
@@ -122,7 +122,7 @@ from ..serve.protocol import (
     encode_request,
     parse_response,
 )
-from ..storage.archive import DataLossError
+from ..storage.archive import read_stripe
 from ..storage.blockstore import block_key
 from ..storage.device import TransientUnavailableError
 from .ring import HashRing
@@ -330,7 +330,7 @@ class ClusterCoordinator:
         repair_bytes_per_cycle: int | None = None,
         snapshot_every: int | None = None,
     ):
-        check_rpc_timeout(rpc_timeout)
+        check_seconds(rpc_timeout, "rpc_timeout")
         if snapshot_every is not None and snapshot_every < 1:
             raise ValueError("snapshot_every must be positive")
         self.graph = graph
@@ -730,9 +730,7 @@ class ClusterCoordinator:
         ``deadline`` (seconds) abandons the read with
         :class:`~repro.serve.errors.DeadlineExceededError`.
         """
-        return await within_deadline(
-            self._get(name, want_payload), deadline
-        )
+        return await within_deadline(deadline, self._get, name, want_payload)
 
     async def _get(self, name: str, want_payload: bool) -> ObjectInfoResponse:
         manifest = self._manifest(name)
@@ -769,12 +767,16 @@ class ClusterCoordinator:
     ) -> tuple[bytes, bool]:
         async with self._stripe_lock(name, record.index):
             blocks, present = await self._fetch_stripe(name, record)
-        try:
-            data = self.codec.decode_blocks(blocks, present)
-        except DecodeFailure as exc:
-            raise self._stripe_error(
-                name, record.index, exc.residual
-            ) from exc
+        data = read_stripe(
+            self.codec,
+            blocks,
+            present,
+            name=name,
+            index=record.index,
+            dark=lambda: [
+                nid for nid in self.ring.members if not self.nodes[nid].alive
+            ],
+        )
         return data.tobytes(), not present.all()
 
     async def _fetch_stripe(
@@ -874,23 +876,6 @@ class ClusterCoordinator:
             payload_length=record.payload_length,
             blocks=held,
         )
-
-    def _stripe_error(
-        self, name: str, stripe_index: int, residual
-    ) -> Exception:
-        """Classify an undecodable stripe: outage-blocked vs real loss."""
-        dark = [
-            nid
-            for nid in self.ring.members
-            if not self.nodes[nid].alive
-        ]
-        if dark:
-            return TransientUnavailableError(
-                f"object {name!r} stripe {stripe_index}: undecodable "
-                f"while nodes {dark} are unreachable (retry or repair "
-                "may succeed)"
-            )
-        return DataLossError(name, stripe_index, residual)
 
     def _stripe_record(self, name: str, index: int) -> ClusterStripe | None:
         """Stripe ``index`` as the manifest records it now, if it does.

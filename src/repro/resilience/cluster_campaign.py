@@ -59,7 +59,7 @@ from typing import Any
 from ..cluster.fleet import Fleet, ScenarioReport, option
 from ..obs.seeding import SeedLike, resolve_rng
 from ..obs.trace import trace_span
-from ..serve.link import check_rpc_timeout
+from ..serve.errors import check_seconds
 from .faults import (
     CoordinatorCrashes,
     FaultPlan,
@@ -131,7 +131,7 @@ class ClusterCampaignConfig:
             raise ValueError("objects must be positive")
         if self.steps < 1:
             raise ValueError("steps must be positive")
-        check_rpc_timeout(self.rpc_timeout)
+        check_seconds(self.rpc_timeout, "rpc_timeout")
 
 
 @dataclass

@@ -42,7 +42,7 @@ from typing import Any, Awaitable, Callable, Mapping
 
 from ..obs.prom import render_prometheus
 from ..obs.trace import trace_span, use_context
-from .errors import DeadlineExceededError
+from .errors import DeadlineExceededError, check_seconds
 from .protocol import (
     MAX_LINE_BYTES,
     AckResponse,
@@ -219,14 +219,16 @@ async def start_line_server(
 # ----------------------------------------------------------------------
 
 
-async def within_deadline(read: Awaitable[Any], deadline: float | None) -> Any:
-    """Await ``read``, abandoning it after ``deadline`` seconds with the
-    :class:`DeadlineExceededError` a queueing tier raises — how a tier
-    whose reads are not queued honours ``get(deadline=)``."""
+async def within_deadline(deadline: float | None, read, *args) -> Any:
+    """Await ``read(*args)``, abandoning it after ``deadline`` seconds
+    with the :class:`DeadlineExceededError` a queueing tier raises — how
+    a tier whose reads are not queued honours ``get(deadline=)``.  A
+    deadline :func:`check_seconds` refuses never starts the read."""
+    check_seconds(deadline, "deadline")
     if deadline is None:
-        return await read
+        return await read(*args)
     try:
-        return await asyncio.wait_for(read, deadline)
+        return await asyncio.wait_for(read(*args), deadline)
     except asyncio.TimeoutError:
         raise DeadlineExceededError(
             f"read not finished within its {deadline}s deadline"

@@ -28,18 +28,9 @@ from .errors import NodeUnreachableError
 from .lineserver import read_frame
 from .protocol import MAX_LINE_BYTES, ProtocolError, decode_frame
 
-__all__ = ["PipelinedLink", "check_rpc_timeout"]
+__all__ = ["PipelinedLink"]
 
 Reply = tuple[bytes, bytes, dict]  # header line, raw payload, decoded header
-
-
-def check_rpc_timeout(timeout: float | None) -> None:
-    """Refuse a deadline that is not ``None`` or positive seconds (NaN
-    would expire every RPC at once; ``True`` is not one second)."""
-    if isinstance(timeout, bool):
-        raise TypeError("rpc_timeout must be a number of seconds, not a bool")
-    if timeout is not None and not timeout > 0:  # NaN fails this too
-        raise ValueError(f"rpc_timeout must be positive, got {timeout}")
 
 
 class PipelinedLink:

@@ -61,6 +61,7 @@ from .errors import (
     NodeUnreachableError,
     ServiceClosedError,
     ServiceOverloadedError,
+    check_seconds,
 )
 
 __all__ = [
@@ -545,8 +546,7 @@ class GetRequest(Request):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.deadline is not None and self.deadline <= 0:
-            raise ProtocolError("'get' deadline must be positive")
+        check_seconds(self.deadline, "'get' deadline")
 
 
 @_request
@@ -639,10 +639,9 @@ class NodeAdminRequest(Request):
             raise ProtocolError(
                 f"'node.admin' action must be one of {self._ACTIONS}"
             )
-        if self.delay_seconds is not None and self.delay_seconds < 0:
-            raise ProtocolError(
-                "'node.admin' delay_seconds must be non-negative"
-            )
+        check_seconds(
+            self.delay_seconds, "'node.admin' delay_seconds", zero=True
+        )
 
 
 @_request
@@ -713,8 +712,8 @@ def parse_request(
     """Parse a header line and its payload into ``(request, envelope)``.
 
     Raises :class:`ProtocolError` — carrying whatever ``id`` could be
-    recovered — for invalid JSON, bad envelopes, unknown ops, missing
-    or mistyped fields, and payload bytes the fields do not account for.
+    recovered — for invalid JSON, bad envelopes, unknown ops, missing,
+    mistyped or out-of-range fields, and payload bytes no field claims.
     """
     frame = decode_frame(line)
     envelope = _parse_envelope(frame)
@@ -726,9 +725,10 @@ def parse_request(
         )
     try:
         request = _from_frame(cls, f"{op!r}", frame, payload)
-    except ProtocolError as exc:
+    except ValueError as exc:  # a ProtocolError, or a field's own check
+        code = getattr(exc, "code", "bad_request")
         raise ProtocolError(
-            str(exc), code=exc.code, request_id=envelope.id
+            str(exc), code=code, request_id=envelope.id
         ) from None
     return request, envelope
 

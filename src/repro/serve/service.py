@@ -50,20 +50,21 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable
 
-from ..core.codec import DecodeFailure, TornadoCodec
+from ..core.codec import TornadoCodec
 from ..core.decoder import _evaluate_headroom, make_batch_decoder
 from ..core.plancache import PlanCache, graph_key
 from ..obs.manifest import RunManifest
 from ..obs.registry import MetricsRegistry, metrics_enabled, registry
 from ..obs.trace import start_span, trace_span
 from ..resilience.retry import NO_RETRY, RetryPolicy
-from ..storage.archive import TornadoArchive
+from ..storage.archive import TornadoArchive, read_stripe
 from ..storage.device import TransientUnavailableError
 from .batcher import Batch, MicroBatcher
 from .errors import (
     DeadlineExceededError,
     ServiceClosedError,
     ServiceOverloadedError,
+    check_seconds,
 )
 
 __all__ = ["ReconstructionService", "ServeConfig"]
@@ -112,12 +113,10 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.queue_limit < 1:
             raise ValueError("queue_limit must be at least 1")
-        if self.batch_window < 0:
-            raise ValueError("batch_window must be non-negative")
+        check_seconds(self.batch_window, "batch_window", zero=True)
         if self.max_batch < 1:
             raise ValueError("max_batch must be at least 1")
-        if self.default_deadline is not None and self.default_deadline <= 0:
-            raise ValueError("default_deadline must be positive")
+        check_seconds(self.default_deadline, "default_deadline")
         if self.plan_capacity < 0:
             raise ValueError("plan_capacity must be non-negative")
 
@@ -306,8 +305,7 @@ class ReconstructionService:
         Admission control happens here, in the caller's task, so a shed
         costs nothing but the exception.
         """
-        if deadline is not None and deadline <= 0:
-            raise ValueError("deadline must be positive")
+        check_seconds(deadline, "deadline")
         if self._state != "running":
             raise ServiceClosedError(
                 f"service is {self._state}; not accepting requests"
@@ -582,10 +580,11 @@ class ReconstructionService:
     async def _decode_stripes(self, manifest) -> bytes:
         """One object's bytes, each stripe decoded in place.
 
-        The calls ``archive.get`` makes: a stripe with nothing missing
-        is its data rows, a degraded one costs one plan lookup (counted
-        as a ``serve.plan_cache`` hit or miss) and one XOR replay, and
-        an undecodable one is typed by ``archive.decode_error``.
+        The calls ``archive.get`` makes, through the service's own
+        codec: a stripe with nothing missing is its data rows, a
+        degraded one costs one plan lookup (counted as a
+        ``serve.plan_cache`` hit or miss) and one XOR replay, and an
+        undecodable one is typed by :func:`read_stripe`.
         """
         archive, plans = self.archive, self.plans
         parts: list[bytes] = []
@@ -593,11 +592,14 @@ class ReconstructionService:
             blocks, present = archive.stripe_blocks(manifest.name, record)
             hits = plans.hits
             try:
-                data = self.codec.decode_blocks(blocks, present)
-            except DecodeFailure as exc:
-                raise archive.decode_error(
-                    manifest.name, record, exc
-                ) from exc
+                data = read_stripe(
+                    self.codec,
+                    blocks,
+                    present,
+                    name=manifest.name,
+                    index=record.index,
+                    dark=lambda: archive.transient_devices(record),
+                )
             finally:
                 if not present.all():
                     hit = plans.hits > hits

@@ -48,17 +48,18 @@ import numpy as np
 
 from ..cluster.coordinator import DEFAULT_RETRY, NodeDownError, link_rpc
 from ..cluster.ring import HashRing
-from ..core.codec import DecodeFailure, TornadoCodec, stripe_rows
+from ..core.codec import TornadoCodec, stripe_rows
 from ..core.plancache import PlanCache
 from ..obs.registry import registry
 from ..obs.trace import trace_span
 from ..resilience.retry import RetryPolicy
+from ..serve.errors import check_seconds
 from ..serve.lineserver import (
     ArchiveEndpoint,
     start_line_server,
     within_deadline,
 )
-from ..serve.link import PipelinedLink, check_rpc_timeout
+from ..serve.link import PipelinedLink
 from ..serve.protocol import (
     FetchStripeRequest,
     GetRequest,
@@ -71,7 +72,7 @@ from ..serve.protocol import (
     Response,
     StatusRequest,
 )
-from ..storage.archive import DataLossError
+from ..storage.archive import DataLossError, read_stripe
 from ..storage.device import TransientUnavailableError
 from .manifest import FederationManifest
 
@@ -134,7 +135,7 @@ class FederationGateway:
         repair_wan_budget: int | None = None,
         plan_capacity: int = 256,
     ):
-        check_rpc_timeout(rpc_timeout)
+        check_seconds(rpc_timeout, "rpc_timeout")
         if repair_wan_budget is not None and repair_wan_budget < 0:
             raise ValueError("repair_wan_budget must be non-negative")
         self.manifest = manifest
@@ -279,9 +280,7 @@ class FederationGateway:
         ``deadline`` (seconds) abandons the walk with
         :class:`~repro.serve.errors.DeadlineExceededError`.
         """
-        return await within_deadline(
-            self._get(name, want_payload), deadline
-        )
+        return await within_deadline(deadline, self._get, name, want_payload)
 
     async def _get(self, name: str, want_payload: bool) -> ObjectInfoResponse:
         order = self._site_order(name)
@@ -375,7 +374,7 @@ class FederationGateway:
         )
         present = np.zeros(graph.num_nodes, dtype=bool)
         payload_length = 0
-        dark = 0
+        dark: list[str] = []
         for site, site_id in enumerate(self.manifest.site_ids):
             try:
                 response = await self._rpc(
@@ -383,7 +382,7 @@ class FederationGateway:
                     FetchStripeRequest(name=name, seq=seq),
                 )
             except (SiteDownError, TransientUnavailableError):
-                dark += 1  # its n nodes stay erased while it is out
+                dark.append(site_id)  # its n nodes stay erased while out
                 continue
             except KeyError:
                 continue  # up, but never held the object: erased for good
@@ -410,18 +409,15 @@ class FederationGateway:
                 self._meter_wan(
                     site_id, sum(map(len, shipped.values())), purpose
                 )
-        try:
-            # No site answering is every row erased: stuck, typed below.
-            data = self.codec.decode_blocks(blocks, present)
-        except DecodeFailure as exc:
-            if dark:
-                raise TransientUnavailableError(
-                    f"object {name!r} stripe {seq}: coupled decode "
-                    f"stuck on {len(exc.residual)} data blocks with "
-                    f"{dark} sites unreachable (retry or repair may "
-                    "succeed)"
-                ) from exc
-            raise DataLossError(name, seq, exc.residual) from exc
+        # No site answering is every row erased: stuck, and typed.
+        data = read_stripe(
+            self.codec,
+            blocks,
+            present,
+            name=name,
+            index=seq,
+            dark=lambda: dark,
+        )
         return data.tobytes()[:payload_length]
 
     # ------------------------------------------------------------------

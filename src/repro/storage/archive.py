@@ -15,6 +15,7 @@ assurance" mechanism pairs with :mod:`repro.storage.monitor`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -26,7 +27,44 @@ from .device import DeviceArray, DeviceState, TransientUnavailableError
 from .retrieval import FALLBACK_CHAIN
 from .stripe import StripeMap, rotated_placement
 
-__all__ = ["DataLossError", "ObjectManifest", "StripeRecord", "TornadoArchive"]
+__all__ = [
+    "DataLossError",
+    "ObjectManifest",
+    "StripeRecord",
+    "TornadoArchive",
+    "read_stripe",
+]
+
+
+def read_stripe(
+    codec: TornadoCodec,
+    rows: np.ndarray,
+    present: np.ndarray,
+    *,
+    name: str,
+    index: int,
+    dark: Callable[[], Sequence],
+    every_row: bool = False,
+) -> np.ndarray:
+    """``codec``'s decode of one fetched stripe: its data rows (every row
+    with ``every_row``), or every tier's one verdict on why not —
+    :class:`TransientUnavailableError` while ``dark()`` names a holder
+    that is out (a device, node or site that may come back with its
+    blocks), else :class:`DataLossError` with the codec's residual.
+    ``dark`` is called only on failure."""
+    try:
+        if every_row:
+            return codec.recover(rows, present)
+        return codec.decode_blocks(rows, present)
+    except DecodeFailure as exc:
+        out = list(dark())
+        if out:
+            raise TransientUnavailableError(
+                f"object {name!r} stripe {index}: undecodable while "
+                f"{out} are out (retry or repair may succeed)",
+                out,
+            ) from exc
+        raise DataLossError(name, index, exc.residual) from exc
 
 
 class DataLossError(RuntimeError):
@@ -132,23 +170,14 @@ class TornadoArchive:
         ``plan_all``, and when the stripe is undecodable only because
         devices are transiently unavailable the policy backs off and the
         read walks the chain again, letting recovery land instead of
-        declaring loss.
-
-        Raises :class:`DataLossError` when a stripe is unrecoverable
-        from all surviving data, and
-        :class:`~repro.storage.device.TransientUnavailableError` when it
-        is unrecoverable *right now* but intact blocks sit on
-        transiently-unavailable devices (retryable).
+        declaring loss.  An unreadable stripe raises what
+        :func:`read_stripe` does: loss, or an outage while one of its
+        devices is transiently unavailable.
         """
         manifest = self._manifest(name)
         parts: list[bytes] = []
         for record in manifest.stripes:
-            if retry is None:
-                data = self._read_stripe(manifest.name, record)
-            else:
-                data = self._read_stripe_degraded(
-                    manifest.name, record, retry
-                )
+            data = self._read_stripe_degraded(name, record, retry)
             parts.append(data.tobytes()[: record.payload_length])
         return b"".join(parts)
 
@@ -194,11 +223,14 @@ class TornadoArchive:
             missing = missing_by_stripe[record.index]
             if not missing:
                 continue
-            blocks, present = self.stripe_blocks(name, record)
-            try:
-                full = self.codec.recover(blocks, present)
-            except DecodeFailure as exc:
-                raise self.decode_error(name, record, exc) from exc
+            full = read_stripe(
+                self.codec,
+                *self.stripe_blocks(name, record),
+                name=name,
+                index=record.index,
+                dark=lambda: self.transient_devices(record),
+                every_row=True,
+            )
             for node in missing:
                 dev = record.placement.device_of[node]
                 if avail[dev]:
@@ -239,24 +271,14 @@ class TornadoArchive:
         )
         return blocks, present
 
-    def decode_error(
-        self, name: str, record: StripeRecord, exc: DecodeFailure
-    ) -> Exception:
-        """Classify a decode failure: real loss vs transient outage.
-
-        If intact blocks of the stripe sit on transiently-unavailable
-        devices, the stripe may become recoverable once they return, so
-        the failure is reported as retryable rather than as data loss.
-        """
-        transient = self._transient_devices(record)
-        if transient:
-            return TransientUnavailableError(
-                f"object {name!r} stripe {record.index}: undecodable "
-                f"while devices {list(transient)} are transiently "
-                "unavailable (retry may succeed)",
-                transient,
-            )
-        return DataLossError(name, record.index, exc.residual)
+    def transient_devices(self, record: StripeRecord) -> tuple[int, ...]:
+        """Stripe devices that are transiently unavailable right now: a
+        stripe's ``dark`` holders for :func:`read_stripe`."""
+        return tuple(
+            dev
+            for dev in record.placement.device_of
+            if self.devices[dev].state is DeviceState.UNAVAILABLE
+        )
 
     # ------------------------------------------------------------------
     # Internals
@@ -268,43 +290,40 @@ class TornadoArchive:
         except KeyError:
             raise KeyError(f"no archived object named {name!r}") from None
 
-    def _transient_devices(self, record: StripeRecord) -> tuple[int, ...]:
-        """Stripe devices that are transiently unavailable right now."""
-        return tuple(
-            dev
-            for dev in record.placement.device_of
-            if self.devices[dev].state is DeviceState.UNAVAILABLE
-        )
-
-    def _read_stripe(self, name: str, record: StripeRecord) -> np.ndarray:
-        try:
-            return self.codec.decode_blocks(
-                *self.stripe_blocks(name, record)
-            )
-        except DecodeFailure as exc:
-            raise self.decode_error(name, record, exc) from exc
-
     def _read_stripe_degraded(
         self, name: str, record: StripeRecord, retry
     ) -> np.ndarray:
-        """Planned stripe read: the fallback chain, retried by ``retry``.
+        """One stripe of :meth:`get`: without ``retry`` a read of every
+        available block, with it the fallback chain, retried by ``retry``.
 
         One pass tries guided → data-first → all against fresh
         availability; a strategy is skipped if its plan cannot decode,
-        and a decode attempt that fails (blocks missing on rebuilt-empty
-        devices, device lost mid-read) falls through to the next
-        strategy.  A pass that exhausts the chain raises: real loss when
-        no transient devices are involved, else
-        :class:`TransientUnavailableError`, which ``retry.call`` backs
-        off on and answers with a fresh pass.
+        and a read that fails (blocks missing on rebuilt-empty devices,
+        device lost mid-read) falls through to the next strategy.  A
+        pass that exhausts the chain raises the last read's verdict (a
+        read of every available block's, when no plan decodes on
+        paper); ``retry.call`` answers an outage with a fresh pass.
         """
         reg = registry()
         passes = 0
+
+        def read(nodes: tuple[int, ...] | None = None) -> np.ndarray:
+            return read_stripe(
+                self.codec,
+                *self.stripe_blocks(name, record, nodes),
+                name=name,
+                index=record.index,
+                dark=lambda: self.transient_devices(record),
+            )
+
+        if retry is None:
+            return read()
 
         def walk_chain() -> np.ndarray:
             nonlocal passes
             passes += 1
             avail = self.devices.available_mask
+            verdict = None
             for planner in FALLBACK_CHAIN:
                 plan = planner(self.graph, record.placement, avail)
                 if not plan.decodable:
@@ -312,25 +331,17 @@ class TornadoArchive:
                 if planner is not FALLBACK_CHAIN[0]:
                     reg.counter("resilience.reads.fallbacks").inc()
                 try:
-                    data = self.codec.decode_blocks(
-                        *self.stripe_blocks(name, record, plan.nodes)
-                    )
-                except (DecodeFailure, TransientUnavailableError):
+                    data = read(plan.nodes)
+                except (DataLossError, TransientUnavailableError) as exc:
+                    verdict = exc
                     continue
                 if passes > 1:
                     reg.counter("resilience.reads.recovered").inc()
                 return data
             reg.counter("resilience.reads.degraded").inc()
-            transient = self._transient_devices(record)
-            if not transient:
-                # Nothing will come back on its own: surface real loss
-                # (reading everything gives the canonical residual).
-                self._read_stripe(name, record)
-            raise TransientUnavailableError(
-                f"object {name!r} stripe {record.index}: still "
-                f"undecodable after {passes} degraded-read attempts",
-                transient,
-            )
+            if verdict is None:
+                return read()
+            raise verdict
 
         return retry.call(
             walk_chain,

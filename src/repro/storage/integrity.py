@@ -17,8 +17,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 
-from ..core.codec import DecodeFailure
-from .archive import TornadoArchive
+from .archive import TornadoArchive, read_stripe
 from .blockstore import block_key
 
 __all__ = ["CorruptBlock", "IntegrityReport", "IntegrityScanner"]
@@ -122,7 +121,9 @@ class IntegrityScanner:
         blocks rewritten (checksums refreshed).  Returns the number of
         blocks rewritten; raises
         :class:`~repro.storage.archive.DataLossError` if corruption
-        plus failures exceed the stripe's tolerance.
+        plus failures exceed the stripe's tolerance, or
+        :class:`~repro.storage.device.TransientUnavailableError` while a
+        stripe device is only out (see :func:`read_stripe`).
         """
         report = self.verify(name)
         if report.clean:
@@ -133,7 +134,6 @@ class IntegrityScanner:
             by_stripe.setdefault(bad.stripe_index, []).append(bad)
 
         rewritten = 0
-        codec = self.archive.codec
         for record in manifest.stripes:
             bads = by_stripe.get(record.index)
             if not bads:
@@ -141,15 +141,15 @@ class IntegrityScanner:
             blocks, present = self.archive.stripe_blocks(name, record)
             for bad in bads:
                 present[bad.node] = False  # demote to erasure
-            try:
-                full = codec.recover(blocks, present)
-            except DecodeFailure as exc:
-                # Transient-aware: corruption on a stripe that is only
-                # undecodable while devices are out is retryable, not
-                # loss (see TornadoArchive.decode_error).
-                raise self.archive.decode_error(
-                    name, record, exc
-                ) from exc
+            full = read_stripe(
+                self.archive.codec,
+                blocks,
+                present,
+                name=name,
+                index=record.index,
+                dark=lambda: self.archive.transient_devices(record),
+                every_row=True,
+            )
             for bad in bads:
                 payload = full[bad.node].tobytes()
                 key = block_key(name, record.index, bad.node)

@@ -2,7 +2,8 @@
 
 Every row names a regex, the paths it scans, and how many matching
 lines may remain.  A hit is rendered ``path:method:text`` (``method``
-is the enclosing four-space-indented ``def``, empty at module level),
+is the enclosing module-level or four-space-indented ``def``, empty
+from a module-level ``class`` line until its first method),
 and a row's ``exempt`` regex drops the hits it matches, the way
 ``grep -v`` would.  A row with ``files`` instead pins the exact set of
 files that match.
@@ -15,7 +16,7 @@ from typing import NamedTuple
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-METHOD = re.compile(r"^    (?:async )?def (\w+)\(")
+METHOD = re.compile(r"^(?:class |(?:    )?(?:async )?def (\w+)\()")
 
 
 class Lint(NamedTuple):
@@ -43,7 +44,7 @@ def hits(lint: Lint) -> list[str]:
             rel, method = path.relative_to(ROOT).as_posix(), ""
             for line in lines:
                 if defined := METHOD.match(line):
-                    method = defined[1]
+                    method = defined[1] or ""
                 if pattern.search(line):
                     found.append(f"{rel}:{method}:{line}")
     return found
@@ -116,6 +117,29 @@ LINTS = {
     ),
     "no-reply-write-lock": Lint(
         r"asyncio\.Lock\(|write_lock", ("src/repro/serve/lineserver.py",)
+    ),
+    # An undecodable stripe is typed once: read_stripe turns every
+    # DecodeFailure into loss or an outage.  The gateway's post-decode
+    # checksum check is not a decode verdict.
+    "one-stripe-verdict": Lint(
+        r"DataLossError\(",
+        ("src/repro",),
+        exempt=r"^src/repro/storage/archive\.py:read_stripe:"
+        r"|:class DataLossError\("
+        r"|^src/repro/sites/gateway\.py:_coupled_read:",
+    ),
+    # Every tier decodes a fetched stripe through read_stripe; the
+    # repair wave counts what it cannot rebuild instead of typing it.
+    "one-stripe-decode": Lint(
+        r"\.decode_blocks\(|\.recover\(",
+        (
+            "src/repro/storage",
+            "src/repro/serve",
+            "src/repro/cluster",
+            "src/repro/sites",
+        ),
+        exempt=r"^src/repro/storage/archive\.py:read_stripe:"
+        r"|^src/repro/cluster/coordinator\.py:_repair_stripes:",
     ),
     "networkx-behind-graphml": Lint(
         r"import networkx", ("src",), files=frozenset({"src/repro/core/graphml.py"})
