@@ -500,8 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     q.add_argument("--block-size", type=int, default=512,
                    help="bytes per stored block (default 512)")
-    q.add_argument("--plan-capacity", type=int, default=256,
-                   help="LRU capacity of the peeling-plan cache")
     q.add_argument(
         "--wal",
         default=None,
@@ -639,8 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="WAN bytes a repair pass may move before deferring "
         "(default: unbounded)",
     )
-    q.add_argument("--plan-capacity", type=int, default=256,
-                   help="LRU capacity of the coupled-peel plan cache")
 
     q = sites_sub.add_parser(
         "status",
@@ -1253,7 +1249,6 @@ def _cmd_cluster_coordinator(args) -> int:
     coordinator = ClusterCoordinator(
         _cluster_graph(args),
         block_size=args.block_size,
-        plan_capacity=args.plan_capacity,
         wal_dir=args.recover or args.wal,
         recover=bool(args.recover),
         rpc_timeout=args.rpc_timeout,
@@ -1401,7 +1396,6 @@ def _cmd_sites_gateway(args) -> int:
         ),
         rpc_timeout=args.rpc_timeout,
         repair_wan_budget=args.repair_wan_budget,
-        plan_capacity=args.plan_capacity,
     )
     for spec in args.attach:
         try:

@@ -85,10 +85,10 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from .._checks import check_count, check_seconds
 from ..core.codec import DecodeFailure, TornadoCodec, stripe_rows
 from ..core.decoder import _evaluate_headroom, make_batch_decoder
 from ..core.graph import ErasureGraph
-from ..core.plancache import PlanCache
 from ..obs.registry import registry
 from ..obs.trace import start_span, tracer
 from ..resilience.retry import NO_RETRY, RetryPolicy
@@ -97,7 +97,7 @@ from ..serve.lineserver import (
     start_line_server,
     within_deadline,
 )
-from ..serve.errors import NodeUnreachableError, check_seconds
+from ..serve.errors import NodeUnreachableError
 from ..serve.link import PipelinedLink
 from ..serve.protocol import (
     AckResponse,
@@ -322,7 +322,6 @@ class ClusterCoordinator:
         graph: ErasureGraph,
         *,
         block_size: int = 4096,
-        plan_capacity: int = 256,
         wal_dir: str | os.PathLike | None = None,
         recover: bool = False,
         retry: RetryPolicy | None = DEFAULT_RETRY,
@@ -331,11 +330,11 @@ class ClusterCoordinator:
         snapshot_every: int | None = None,
     ):
         check_seconds(rpc_timeout, "rpc_timeout")
-        if snapshot_every is not None and snapshot_every < 1:
-            raise ValueError("snapshot_every must be positive")
+        if snapshot_every is not None:
+            check_count(snapshot_every, "snapshot_every", 1)
         self.graph = graph
-        self.plans = PlanCache(plan_capacity)
-        self.codec = TornadoCodec(graph, block_size, self.plans)
+        self.codec = TornadoCodec(graph, block_size)
+        self.plans = self.codec.plans
         # Batch what-if probes (decode_headroom) run through the
         # graph's batch kernel; scalar reads keep the PlanCache path.
         self._headroom_decoder = make_batch_decoder(graph)
@@ -855,8 +854,7 @@ class ClusterCoordinator:
         site that cannot decode alone still answers.  A negative ``seq``
         raises ``ValueError``, as the wire row refuses it.
         """
-        if seq < 0:
-            raise ValueError(f"stripe ordinal must be non-negative, got {seq}")
+        check_count(seq, "seq")
         manifest = self._manifest(name)
         if seq >= len(manifest.stripes):
             raise KeyError(

@@ -35,6 +35,7 @@ from typing import Any
 
 import numpy as np
 
+from .._checks import check_count, check_seconds
 from ..obs.seeding import SeedLike, resolve_rng
 from ..obs.trace import trace_span
 from .fleet import Fleet, ScenarioReport, option
@@ -87,14 +88,10 @@ class ClusterLoadConfig:
     )
 
     def __post_init__(self) -> None:
-        if self.nodes < 1:
-            raise ValueError("nodes must be positive")
-        if self.objects < 1:
-            raise ValueError("objects must be positive")
-        if self.scrape_every < 1:
-            raise ValueError("scrape_every must be positive")
-        if self.scrape_interval <= 0:
-            raise ValueError("scrape_interval must be positive")
+        check_count(self.nodes, "nodes", 1)
+        check_count(self.objects, "objects", 1)
+        check_count(self.scrape_every, "scrape_every", 1)
+        check_seconds(self.scrape_interval, "scrape_interval")
 
 
 @dataclass

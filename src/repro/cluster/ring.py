@@ -26,6 +26,8 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_right
 
+from .._checks import check_count
+
 __all__ = ["HashRing"]
 
 
@@ -48,9 +50,7 @@ class HashRing:
     """
 
     def __init__(self, replicas: int = 64):
-        if replicas < 1:
-            raise ValueError("replicas must be positive")
-        self.replicas = replicas
+        self.replicas = check_count(replicas, "replicas", 1)
         self._members: set[str] = set()
         self._weights: dict[str, int] = {}
         self._points: list[int] = []
@@ -75,8 +75,7 @@ class HashRing:
     def add(self, node_id: str, weight: int = 1) -> None:
         if not node_id:
             raise ValueError("node_id must be non-empty")
-        if weight < 1:
-            raise ValueError("weight must be a positive integer")
+        check_count(weight, "weight", 1)
         if (
             node_id in self._members
             and self._weights[node_id] == weight

@@ -53,6 +53,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Any
 
+from .._checks import check_count
 from ..obs.registry import registry
 from ..obs.trace import trace_span
 from ..storage.blockstore import block_key
@@ -90,8 +91,8 @@ class RepairScheduler:
     """Incremental per-stripe repair queue over a cluster coordinator."""
 
     def __init__(self, coordinator, *, bytes_per_cycle: int | None = None):
-        if bytes_per_cycle is not None and bytes_per_cycle < 1:
-            raise ValueError("bytes_per_cycle must be positive")
+        if bytes_per_cycle is not None:
+            check_count(bytes_per_cycle, "bytes_per_cycle", 1)
         self.coordinator = coordinator
         self.bytes_per_cycle = bytes_per_cycle
         self._heap: list[_QueueEntry] = []

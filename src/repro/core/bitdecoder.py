@@ -60,6 +60,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .._checks import check_count
 from ..obs.registry import registry
 from . import lossmasks
 from .csrgraph import CsrGraph
@@ -105,7 +106,7 @@ def unpack_cases(packed: np.ndarray, batch: int) -> np.ndarray:
     Raises ``ValueError`` for ``batch`` outside ``[0, 64 * W]``.
     """
     packed = np.asarray(packed, dtype=np.uint64)
-    if not 0 <= batch <= packed.shape[1] * 64:
+    if check_count(batch, "batch") > packed.shape[1] * 64:
         raise ValueError(
             f"batch={batch} does not fit {packed.shape[1]} words"
         )
@@ -403,8 +404,8 @@ class _PackedPeelingDecoder:
                 f"packed words must be integers, not {packed.dtype}"
             )
         w = packed.shape[1]
-        batch = w * 64 if batch is None else lossmasks._integer("batch", batch)
-        if not 0 <= batch <= w * 64:
+        batch = w * 64 if batch is None else check_count(batch, "batch")
+        if batch > w * 64:
             raise ValueError(f"batch={batch} does not fit {w} words")
         if batch == 0:
             return np.ones(0, dtype=bool)

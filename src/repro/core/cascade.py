@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._checks import check_count
 from .bipartite import MultiEdgeRepairError, random_bipartite_edges
 from .degree import (
     EdgeDistribution,
@@ -73,8 +74,7 @@ def plan_cascade(num_data: int, min_final_lefts: int = 6) -> CascadePlan:
     set of the double final stage.  ``num_data`` must halve cleanly down
     to an even final layer.
     """
-    if num_data < 4:
-        raise ValueError("cascade needs at least 4 data nodes")
+    check_count(num_data, "num_data", 4)
     layers: list[int] = []
     size = num_data
     while size % 2 == 0 and size // 2 >= min_final_lefts:
@@ -272,8 +272,7 @@ def cascade_graph_from_degrees(
     Same level structure as a Tornado cascade, but every left node has
     the same fixed degree instead of the heavy-tail distribution.
     """
-    if left_degree < 2:
-        raise ValueError("fixed cascade degree must be >= 2")
+    check_count(left_degree, "left_degree", 2)
     if rng is None:
         rng = np.random.default_rng(seed)
     plan = plan_cascade(num_data, min_final_lefts=min_final_lefts)

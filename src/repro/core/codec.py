@@ -16,11 +16,11 @@ the transactional whole-object interface archival systems use (§2.2).
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+from .._checks import check_count
 from .graph import ErasureGraph
 from .plancache import PlanCache
 
@@ -101,13 +101,8 @@ class TornadoCodec:
         block_size: int,
         plans: PlanCache | None = None,
     ):
-        if isinstance(block_size, bool):
-            raise TypeError("block_size must be an integer, not bool")
-        block_size = operator.index(block_size)
-        if block_size < 1:
-            raise ValueError("block_size must be positive")
+        self.block_size = check_count(block_size, "block_size", 1)
         self.graph = graph
-        self.block_size = block_size
         self.plans = plans if plans is not None else PlanCache()
         self._members = graph.constraint_members()
         self._data_rows = list(graph.data_nodes)

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .._checks import check_count
 from .cascade import plan_cascade
 from .degree import heavy_tail_distribution
 from .graph import Constraint, ErasureGraph
@@ -80,8 +81,7 @@ class CsrGraph:
         self.validate()
 
     def validate(self) -> None:
-        if self.num_nodes <= 0:
-            raise ValueError("num_nodes must be positive")
+        check_count(self.num_nodes, "num_nodes", 1)
         if self.data_nodes.size == 0:
             raise ValueError("graph needs at least one data node")
         indptr = self.con_indptr

@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from .._checks import check_count, check_seconds
+
 __all__ = [
     "EdgeDistribution",
     "heavy_tail_distribution",
@@ -49,8 +51,8 @@ class EdgeDistribution:
         norm = tuple(
             (d, w / total) for d, w in sorted(self.weights) if w > 0
         )
-        if any(d < 1 for d, _ in norm):
-            raise ValueError("edge degrees must be >= 1")
+        for d, _ in norm:
+            check_count(d, "edge degree", 1)
         object.__setattr__(self, "weights", norm)
 
     @property
@@ -83,8 +85,7 @@ def heavy_tail_distribution(d: int) -> EdgeDistribution:
     average left node degree is ``(d+1) H(d) / d``; ``d = 16`` gives ~3.59,
     matching the paper's reported average degree of 3.6.
     """
-    if d < 1:
-        raise ValueError("heavy-tail parameter d must be >= 1")
+    check_count(d, "d", 1)
     h = _harmonic(d)
     return EdgeDistribution(
         tuple((i, 1.0 / (h * (i - 1))) for i in range(2, d + 2))
@@ -99,10 +100,8 @@ def poisson_distribution(alpha: float, max_degree: int) -> EdgeDistribution:
     Degree-1 right nodes are useless for coding (they mirror a single
     left node), so the distribution is truncated below at degree 2.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if max_degree < 2:
-        raise ValueError("max_degree must be >= 2")
+    check_seconds(alpha, "alpha")
+    check_count(max_degree, "max_degree", 2)
     weights = []
     for i in range(2, max_degree + 1):
         weights.append((i, alpha ** (i - 1) / math.factorial(i - 1)))
@@ -155,8 +154,7 @@ def allocate_node_degrees(
 
     Returns a per-node degree list (sorted descending).
     """
-    if num_nodes < 1:
-        raise ValueError("num_nodes must be >= 1")
+    check_count(num_nodes, "num_nodes", 1)
     node_weights = [(d, w / d) for d, w in dist.weights]
     scale = num_nodes / sum(w for _, w in node_weights)
     ideal = [(d, w * scale) for d, w in node_weights]

@@ -62,12 +62,13 @@ generator.  Both ways give the same bits and the same end state
 
 from __future__ import annotations
 
-import operator
 import os
 import threading
 from typing import Callable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
+
+from .._checks import check_count
 
 __all__ = ["packed_loss_masks", "boolean_loss_masks"]
 
@@ -151,11 +152,9 @@ def _plan(
     nothing).  ``k`` and ``batch`` are validated here, before the first
     draw, so a rejected call leaves ``rng`` where it was.
     """
-    k, batch = _integer("k", k), _integer("batch", batch)
-    if not 0 <= k <= num_nodes:
+    k, batch = check_count(k, "k"), check_count(batch, "batch")
+    if k > num_nodes:
         raise ValueError(f"k={k} outside [0, {num_nodes}]")
-    if batch < 0:
-        raise ValueError(f"batch={batch} is negative")
     if k == 0 or batch == 0:
         return []
     num_leaves = (num_nodes + leaf - 1) // leaf
@@ -188,17 +187,6 @@ def _plan(
             )
             offset += rows * size
     return blocks
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an ``int``; a bool, float or other non-integer is a
-    ``TypeError`` naming it (numpy integers pass)."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _chosen(block: _Block, rng: np.random.Generator) -> np.ndarray:

@@ -30,6 +30,7 @@ import hashlib
 from collections import OrderedDict
 from typing import Iterable
 
+from .._checks import check_count
 from .decoder import DecodeResult, PeelingDecoder
 from .graph import ErasureGraph
 
@@ -57,9 +58,7 @@ class PlanCache:
     """
 
     def __init__(self, capacity: int = 256):
-        if capacity < 0:
-            raise ValueError("capacity must be non-negative")
-        self.capacity = capacity
+        self.capacity = check_count(capacity, "capacity")
         self.hits = 0
         self.misses = 0
         self.evictions = 0

@@ -35,10 +35,9 @@ any batch and graph size, where a dense ``(batch, N)`` score matrix at
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
+from .._checks import check_count
 from .bitdecoder import DEFAULT_CHUNK, _PackedPeelingDecoder
 from .csrgraph import CsrGraph
 from .lossmasks import packed_loss_masks
@@ -101,9 +100,7 @@ class SparseBitsetDecoder(_PackedPeelingDecoder):
                  chunk: int = DEFAULT_CHUNK):
         if jit:
             raise ValueError(f"there is no compiled kernel: jit={jit!r}")
-        if not isinstance(chunk, numbers.Integral) or chunk < 1:
-            raise ValueError(f"chunk must be an integer >= 1, got {chunk!r}")
-        self._chunk = int(chunk)
+        self._chunk = check_count(chunk, "chunk", 1)
         super().__init__(graph)
 
     @staticmethod

@@ -14,9 +14,9 @@ three takes well under a second.
 
 from __future__ import annotations
 
-import operator
 from functools import lru_cache
 
+from .._checks import check_count
 from ..core.adjust import adjust_graph
 from ..core.cascade import cascade_graph_from_degrees
 from ..core.generator import generate_certified
@@ -47,9 +47,7 @@ def tornado_catalog_graph(number: int, adjusted: bool = True) -> ErasureGraph:
     (``np.int64(2)`` gives the same object as ``2``); a bool or a float
     raises ``TypeError``.
     """
-    if isinstance(number, bool):
-        raise TypeError("catalog graph number must be an integer, not bool")
-    return _catalog_graph(operator.index(number), adjusted)
+    return _catalog_graph(check_count(number, "number"), adjusted)
 
 
 @lru_cache(maxsize=None)

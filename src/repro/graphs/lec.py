@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._checks import check_count
 from ..core.bipartite import MultiEdgeRepairError, random_bipartite_edges
 from ..core.critical import minimal_bad_stopping_sets
 from ..core.degree import match_edge_total
@@ -98,8 +99,7 @@ def lec_like_graph(
     the LEC paper's methodology applied through this library's analysis
     machinery.
     """
-    if candidates < 1:
-        raise ValueError("need at least one candidate")
+    check_count(candidates, "candidates", 1)
     lo, hi = degree_band
     if not 2 <= lo <= hi:
         raise ValueError("degree band must satisfy 2 <= lo <= hi")

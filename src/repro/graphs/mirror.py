@@ -11,6 +11,7 @@ replication (the federation baseline) complete the family.
 
 from __future__ import annotations
 
+from .._checks import check_count
 from ..core.graph import Constraint, ErasureGraph
 
 __all__ = ["mirrored_graph", "striped_graph", "replicated_graph"]
@@ -22,8 +23,7 @@ def mirrored_graph(num_pairs: int, name: str | None = None) -> ErasureGraph:
     Node ``i`` holds data; node ``num_pairs + i`` is its copy.  The
     96-device configuration of the paper is ``mirrored_graph(48)``.
     """
-    if num_pairs < 1:
-        raise ValueError("need at least one mirror pair")
+    check_count(num_pairs, "num_pairs", 1)
     constraints = tuple(
         Constraint(check=num_pairs + i, lefts=(i,))
         for i in range(num_pairs)
@@ -43,8 +43,7 @@ def striped_graph(num_devices: int, name: str | None = None) -> ErasureGraph:
     Any single loss destroys data, which is what makes striping the
     reliability floor in the paper's Table 5.
     """
-    if num_devices < 1:
-        raise ValueError("need at least one device")
+    check_count(num_devices, "num_devices", 1)
     return ErasureGraph(
         num_nodes=num_devices,
         data_nodes=tuple(range(num_devices)),
@@ -62,8 +61,7 @@ def replicated_graph(
     ``replicated_graph(num_data, 2)`` equals :func:`mirrored_graph`.
     Used as the federation baseline ("Mirrored (4 copies)" in Table 7).
     """
-    if copies < 2:
-        raise ValueError("replication needs at least 2 copies")
+    check_count(copies, "copies", 2)
     constraints = []
     next_id = num_data
     for c in range(copies - 1):

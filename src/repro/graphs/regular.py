@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .._checks import check_count
 from ..core.bipartite import random_bipartite_edges
 from ..core.degree import match_edge_total
 from ..core.graph import Constraint, ErasureGraph
@@ -34,8 +35,7 @@ def regular_graph(
     96-node configuration: 48 data + 48 checks in one level).  Right
     degrees are made as equal as the edge total allows.
     """
-    if degree < 2:
-        raise ValueError("regular degree must be >= 2")
+    check_count(degree, "degree", 2)
     if rng is None:
         rng = np.random.default_rng(seed)
     if num_checks is None:

@@ -50,6 +50,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from .._checks import check_seconds
+
 __all__ = [
     "BurnWindow",
     "Objective",
@@ -80,16 +82,15 @@ class BurnWindow:
     threshold: float
 
     def __post_init__(self) -> None:
-        if self.short_seconds <= 0 or self.long_seconds <= 0:
-            raise ValueError("window lengths must be positive")
+        check_seconds(self.short_seconds, "short_seconds")
+        check_seconds(self.long_seconds, "long_seconds")
         if self.short_seconds > self.long_seconds:
             raise ValueError(
                 f"window {self.name!r}: short window "
                 f"({self.short_seconds}s) exceeds long window "
                 f"({self.long_seconds}s)"
             )
-        if self.threshold <= 0:
-            raise ValueError("burn threshold must be positive")
+        check_seconds(self.threshold, "threshold")
 
 
 DEFAULT_WINDOWS = (
@@ -278,8 +279,7 @@ class SloSpec:
         names = [o.name for o in self.objectives]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate objective names: {sorted(names)}")
-        if self.budget_window_seconds <= 0:
-            raise ValueError("budget_window_seconds must be positive")
+        check_seconds(self.budget_window_seconds, "budget_window_seconds")
 
     def to_dict(self) -> dict[str, Any]:
         return {

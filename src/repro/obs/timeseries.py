@@ -35,6 +35,7 @@ import math
 from collections import deque
 from typing import Any, Callable, Iterable
 
+from .._checks import check_count, check_seconds
 from .registry import Histogram
 from .sink import read_jsonl
 
@@ -111,10 +112,8 @@ class TimeSeriesStore:
         retention: int = 360,
         sink: Any = None,
     ):
-        if resolution <= 0:
-            raise ValueError("resolution must be positive")
-        if retention < 2:
-            raise ValueError("retention must be at least 2 samples")
+        check_seconds(resolution, "resolution")
+        check_count(retention, "retention", 2)
         self.resolution = float(resolution)
         self.retention = int(retention)
         self.sink = sink

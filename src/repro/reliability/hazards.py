@@ -40,6 +40,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .._checks import check_count, check_seconds
 from ..obs.seeding import SeedLike, resolve_rng
 
 __all__ = [
@@ -66,8 +67,7 @@ def calibrated_scale(afr: float, shape: float) -> float:
     stepping this curve draws the same failures as independent
     per-step Bernoulli trials at ``1 - (1 - afr) ** (1 / steps)``.
     """
-    if shape <= 0:
-        raise ValueError("shape must be positive")
+    check_seconds(shape, "shape")
     return 1.0 / failure_rate_from_afr(afr) ** (1.0 / shape)
 
 
@@ -79,8 +79,8 @@ class WeibullHazard:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.shape <= 0 or self.scale <= 0:
-            raise ValueError("shape and scale must be positive")
+        check_seconds(self.shape, "shape")
+        check_seconds(self.scale, "scale")
 
     @classmethod
     def from_afr(cls, afr: float, shape: float = 1.0) -> "WeibullHazard":
@@ -94,8 +94,7 @@ class WeibullHazard:
 
     def annual_failure_probability(self, year: int = 0) -> float:
         """P(fail in year ``year`` | survived to its start)."""
-        if year < 0:
-            raise ValueError("year must be non-negative")
+        check_count(year, "year")
         return step_failure_probability(self, float(year), float(year + 1))
 
     def sample_lifetime(self, rng: SeedLike = None) -> float:
@@ -125,8 +124,7 @@ class BathtubHazard:
         return self.infant.cumulative(t) + self.wearout.cumulative(t)
 
     def annual_failure_probability(self, year: int = 0) -> float:
-        if year < 0:
-            raise ValueError("year must be non-negative")
+        check_count(year, "year")
         return step_failure_probability(self, float(year), float(year + 1))
 
     def sample_lifetime(self, rng: SeedLike = None) -> float:
@@ -190,16 +188,16 @@ class FleetHazards:
         defect_multiplier: float = 8.0,
         seed: SeedLike = 0,
     ):
-        if num_devices < 1:
-            raise ValueError("num_devices must be positive")
+        check_count(num_devices, "num_devices", 1)
         if not 0.0 <= infant_mortality <= 1.0:
             raise ValueError("infant_mortality must lie in [0, 1]")
         if not 0.0 <= batch_defect_rate <= 1.0:
             raise ValueError("batch_defect_rate must lie in [0, 1]")
-        if batch_size < 1:
-            raise ValueError("batch_size must be positive")
-        if defect_multiplier < 1.0:
-            raise ValueError("defect_multiplier must be >= 1")
+        check_count(batch_size, "batch_size", 1)
+        if not defect_multiplier >= 1.0:
+            raise ValueError(
+                f"defect_multiplier {defect_multiplier} is below 1"
+            )
         self.num_devices = num_devices
         self.hazard = hazard
         self.infant_mortality = infant_mortality

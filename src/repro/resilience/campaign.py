@@ -132,13 +132,7 @@ class _CampaignObserver:
 
     def __call__(self, step, archive, report, repaired):
         events: list[MissionEvent] = []
-        self.queue_depth.append(
-            sum(
-                1
-                for s in report.stripes
-                if s.margin <= self.repair_margin and s.missing_blocks
-            )
-        )
+        self.queue_depth.append(len(report.endangered(self.repair_margin)))
         cfg = self.config
         if cfg.scrub_interval and step % cfg.scrub_interval == 0:
             events.extend(self._scrub(step))

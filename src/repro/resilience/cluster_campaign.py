@@ -56,10 +56,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
+from .._checks import check_count, check_seconds
 from ..cluster.fleet import Fleet, ScenarioReport, option
 from ..obs.seeding import SeedLike, resolve_rng
 from ..obs.trace import trace_span
-from ..serve.errors import check_seconds
 from .faults import (
     CoordinatorCrashes,
     FaultPlan,
@@ -125,12 +125,9 @@ class ClusterCampaignConfig:
     )
 
     def __post_init__(self) -> None:
-        if self.nodes < 2:
-            raise ValueError("a cluster campaign needs >= 2 nodes")
-        if self.objects < 1:
-            raise ValueError("objects must be positive")
-        if self.steps < 1:
-            raise ValueError("steps must be positive")
+        check_count(self.nodes, "nodes", 2)
+        check_count(self.objects, "objects", 1)
+        check_count(self.steps, "steps", 1)
         check_seconds(self.rpc_timeout, "rpc_timeout")
 
 

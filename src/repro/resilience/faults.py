@@ -61,6 +61,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .._checks import check_count, check_seconds
 from ..obs.registry import registry
 from ..obs.trace import add_trace_event
 from ..storage.device import DeviceState
@@ -96,6 +97,11 @@ def _check_rate(rate: float) -> None:
         raise ValueError(f"rate must lie in [0, 1], got {rate}")
 
 
+def _check_mean(steps: float, name: str) -> None:
+    if not steps >= 1.0:  # a geometric duration's mean; NaN fails too
+        raise ValueError(f"{name} must be at least one step, got {steps}")
+
+
 @dataclass(frozen=True)
 class TransientOutages:
     """Per-device transient unavailability with exponential recovery."""
@@ -107,8 +113,7 @@ class TransientOutages:
 
     def __post_init__(self) -> None:
         _check_rate(self.rate)
-        if self.mean_outage_steps < 1.0:
-            raise ValueError("mean_outage_steps must be >= 1")
+        _check_mean(self.mean_outage_steps, "mean_outage_steps")
 
 
 @dataclass(frozen=True)
@@ -124,12 +129,10 @@ class DrawerOutages:
 
     def __post_init__(self) -> None:
         _check_rate(self.rate)
-        if self.drawer_size < 1:
-            raise ValueError("drawer_size must be positive")
+        check_count(self.drawer_size, "drawer_size", 1)
         if self.mode not in ("transient", "fail"):
             raise ValueError("mode must be 'transient' or 'fail'")
-        if self.mean_outage_steps < 1.0:
-            raise ValueError("mean_outage_steps must be >= 1")
+        _check_mean(self.mean_outage_steps, "mean_outage_steps")
 
 
 @dataclass(frozen=True)
@@ -165,8 +168,7 @@ class ReplacementJitter:
     kind = "replacement_jitter"
 
     def __post_init__(self) -> None:
-        if self.max_extra_steps < 0:
-            raise ValueError("max_extra_steps must be non-negative")
+        check_count(self.max_extra_steps, "max_extra_steps")
 
 
 @dataclass(frozen=True)
@@ -192,8 +194,7 @@ class NodeCrashes:
 
     def __post_init__(self) -> None:
         _check_rate(self.rate)
-        if self.restart_delay_steps < 0:
-            raise ValueError("restart_delay_steps must be non-negative")
+        check_count(self.restart_delay_steps, "restart_delay_steps")
 
 
 @dataclass(frozen=True)
@@ -207,8 +208,7 @@ class NetworkPartitions:
 
     def __post_init__(self) -> None:
         _check_rate(self.rate)
-        if self.mean_partition_steps < 1.0:
-            raise ValueError("mean_partition_steps must be >= 1")
+        _check_mean(self.mean_partition_steps, "mean_partition_steps")
 
 
 @dataclass(frozen=True)
@@ -223,10 +223,8 @@ class SlowNodes:
 
     def __post_init__(self) -> None:
         _check_rate(self.rate)
-        if self.delay_seconds < 0:
-            raise ValueError("delay_seconds must be non-negative")
-        if self.mean_slow_steps < 1.0:
-            raise ValueError("mean_slow_steps must be >= 1")
+        check_seconds(self.delay_seconds, "delay_seconds", zero=True)
+        _check_mean(self.mean_slow_steps, "mean_slow_steps")
 
 
 _SPEC_KINDS = {

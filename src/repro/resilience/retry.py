@@ -30,6 +30,7 @@ from typing import Any, Awaitable, Callable
 
 import numpy as np
 
+from .._checks import check_count, check_seconds
 from ..obs.registry import registry
 from ..obs.seeding import SeedLike, resolve_rng
 
@@ -62,10 +63,9 @@ class RetryPolicy:
     )
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 0:
-            raise ValueError("max_attempts must be non-negative")
-        if self.base_delay < 0 or self.max_delay < 0:
-            raise ValueError("delays must be non-negative")
+        check_count(self.max_attempts, "max_attempts")
+        check_seconds(self.base_delay, "base_delay", zero=True)
+        check_seconds(self.max_delay, "max_delay", zero=True)
         if not 0 <= self.jitter < 1:
             raise ValueError("jitter must lie in [0, 1)")
         object.__setattr__(

@@ -22,6 +22,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable
 
+from .._checks import check_count, check_seconds
+
 __all__ = ["Batch", "MicroBatcher"]
 
 
@@ -55,10 +57,8 @@ class MicroBatcher:
         *,
         clock: Callable[[], float] = time.monotonic,
     ):
-        if window < 0:
-            raise ValueError("window must be non-negative")
-        if max_batch < 1:
-            raise ValueError("max_batch must be at least 1")
+        check_seconds(window, "window", zero=True)
+        check_count(max_batch, "max_batch", 1)
         self.window = window
         self.max_batch = max_batch
         self._clock = clock

@@ -21,14 +21,12 @@ operational responses:
 
 Data-path failures (:class:`repro.storage.DataLossError`,
 :class:`repro.storage.TransientUnavailableError`) propagate unchanged:
-they describe the archive, not the service.  :func:`check_seconds`
-refuses a bad deadline, timeout or window on every tier.
+they describe the archive, not the service.
 """
 
 from __future__ import annotations
 
 __all__ = [
-    "check_seconds",
     "DeadlineExceededError",
     "NodeUnreachableError",
     "ServiceClosedError",
@@ -60,13 +58,3 @@ class NodeUnreachableError(ConnectionError):
     The blocks it holds may be perfectly intact — the caller decides
     whether to decode around the peer or declare it lost.
     """
-
-
-def check_seconds(value, what: str, *, zero: bool = False) -> None:
-    """Refuse seconds that are not ``None`` or positive (``zero``: or 0):
-    ``True`` is not 1 s, and NaN would expire at once or never."""
-    if isinstance(value, bool):
-        raise TypeError(f"{what} must be a number of seconds, not a bool")
-    if value is not None and not (value >= 0 if zero else value > 0):
-        bound = "non-negative" if zero else "positive"
-        raise ValueError(f"{what} must be {bound}, got {value}")

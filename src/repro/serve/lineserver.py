@@ -40,9 +40,10 @@ import asyncio
 from contextlib import nullcontext
 from typing import Any, Awaitable, Callable, Mapping
 
+from .._checks import check_seconds
 from ..obs.prom import render_prometheus
 from ..obs.trace import trace_span, use_context
-from .errors import DeadlineExceededError, check_seconds
+from .errors import DeadlineExceededError
 from .protocol import (
     MAX_LINE_BYTES,
     AckResponse,

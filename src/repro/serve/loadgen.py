@@ -27,6 +27,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from .._checks import check_count, check_seconds
 from ..core.graph import ErasureGraph
 from ..obs.seeding import SeedLike, resolve_rng, spawn_seeds
 from ..obs.trace import trace_span
@@ -54,12 +55,9 @@ class LoadGenConfig:
     deadline: float | None = None
 
     def __post_init__(self) -> None:
-        if self.requests < 1:
-            raise ValueError("requests must be positive")
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
-        if self.deadline is not None and self.deadline <= 0:
-            raise ValueError("deadline must be positive")
+        check_count(self.requests, "requests", 1)
+        check_seconds(self.rate, "rate")
+        check_seconds(self.deadline, "deadline")
 
 
 @dataclass
@@ -225,10 +223,8 @@ def seeded_archive(
         from ..graphs import tornado_catalog_graph
 
         graph = tornado_catalog_graph(3)
-    if objects < 1:
-        raise ValueError("objects must be at least 1")
-    if object_size < 0:
-        raise ValueError("object_size must be non-negative")
+    check_count(objects, "objects", 1)
+    check_count(object_size, "object_size")
     if severity >= graph.num_nodes:
         raise ValueError(
             f"severity {severity} would fail every one of the "

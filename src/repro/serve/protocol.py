@@ -54,6 +54,7 @@ import json
 from dataclasses import MISSING, dataclass, fields
 from typing import Any, Callable, ClassVar, Iterable
 
+from .._checks import check_seconds
 from ..storage.archive import DataLossError
 from ..storage.device import TransientUnavailableError
 from .errors import (
@@ -61,7 +62,6 @@ from .errors import (
     NodeUnreachableError,
     ServiceClosedError,
     ServiceOverloadedError,
-    check_seconds,
 )
 
 __all__ = [

@@ -50,6 +50,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable
 
+from .._checks import check_count, check_seconds
 from ..core.codec import TornadoCodec
 from ..core.decoder import _evaluate_headroom, make_batch_decoder
 from ..core.plancache import PlanCache, graph_key
@@ -64,7 +65,6 @@ from .errors import (
     DeadlineExceededError,
     ServiceClosedError,
     ServiceOverloadedError,
-    check_seconds,
 )
 
 __all__ = ["ReconstructionService", "ServeConfig"]
@@ -111,14 +111,11 @@ class ServeConfig:
     retry: RetryPolicy | None = None
 
     def __post_init__(self) -> None:
-        if self.queue_limit < 1:
-            raise ValueError("queue_limit must be at least 1")
+        check_count(self.queue_limit, "queue_limit", 1)
         check_seconds(self.batch_window, "batch_window", zero=True)
-        if self.max_batch < 1:
-            raise ValueError("max_batch must be at least 1")
+        check_count(self.max_batch, "max_batch", 1)
         check_seconds(self.default_deadline, "default_deadline")
-        if self.plan_capacity < 0:
-            raise ValueError("plan_capacity must be non-negative")
+        check_count(self.plan_capacity, "plan_capacity")
 
 
 @dataclass
@@ -287,7 +284,7 @@ class ReconstructionService:
     async def submit(self, name: str, *, deadline: float | None = None):
         """Read object ``name``, reconstructing as needed.
 
-        ``deadline`` is in seconds and must be positive.  Returns the
+        ``deadline`` is a positive number of seconds.  Returns the
         object's bytes.  Raises
         :class:`ServiceOverloadedError` (shed at admission),
         :class:`DeadlineExceededError`, :class:`ServiceClosedError`,

@@ -58,6 +58,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from .._checks import check_count, check_seconds
 from ..core import lossmasks
 from ..core.critical import (
     CountBudgetExceeded,
@@ -154,10 +155,8 @@ def sample_fail_fraction(
     :func:`profile_graph`.  ``k`` and ``n_samples`` must be integers
     (``TypeError`` otherwise, bool included, before anything is drawn).
     """
-    k = lossmasks._integer("k", k)
-    n_samples = lossmasks._integer("n_samples", n_samples)
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be positive, got {n_samples}")
+    k = check_count(k, "k")
+    n_samples = check_count(n_samples, "n_samples", 1)
     if k == 0:
         return 0.0
     if k > graph.num_nodes:
@@ -641,26 +640,15 @@ def profile_graph(
     whose workers each receive the graph once, through the pool
     initializer (task tuples carry no graph and no decoder).
     """
-    samples_per_k = lossmasks._integer("samples_per_k", samples_per_k)
-    exact_upto = lossmasks._integer("exact_upto", exact_upto)
-    n_jobs = lossmasks._integer("n_jobs", n_jobs)
-    max_retries = lossmasks._integer("max_retries", max_retries)
-    if samples_per_k < 1:
-        raise ValueError(
-            f"samples_per_k must be positive, got {samples_per_k}"
-        )
-    if exact_upto < 0:
-        raise ValueError(f"exact_upto must be >= 0, got {exact_upto}")
+    samples_per_k = check_count(samples_per_k, "samples_per_k", 1)
+    exact_upto = check_count(exact_upto, "exact_upto")
     # Each of these would void the sweep without an error: a timeout of
     # 0 abandons every pooled cell, and the coverage mask hides it.
-    if n_jobs < 1:
-        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-    if cell_timeout is not None and cell_timeout <= 0:
-        raise ValueError(f"cell_timeout must be positive, got {cell_timeout}")
-    if max_retries < 0:
-        raise ValueError(f"max_retries must be >= 0, got {max_retries}")
+    n_jobs = check_count(n_jobs, "n_jobs", 1)
+    check_seconds(cell_timeout, "cell_timeout")
+    max_retries = check_count(max_retries, "max_retries")
     if ks is not None:
-        ks = [lossmasks._integer("k", k) for k in ks]
+        ks = [check_count(k, "k") for k in ks]
         # Cell seeds are positional over `ks`: a repeated k would shift
         # every later cell's seed, and a k off the curve would be
         # dropped unreported.

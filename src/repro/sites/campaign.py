@@ -22,6 +22,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
+from .._checks import check_count
 from ..cluster.fleet import Fleet, ScenarioReport, option
 from ..obs.seeding import SeedLike, derive_seed, resolve_rng
 from ..obs.trace import trace_span
@@ -80,10 +81,8 @@ class SitesCampaignConfig:
     trace_dir: str | None = None
 
     def __post_init__(self) -> None:
-        if self.sites < 2:
-            raise ValueError("a federation needs at least two sites")
-        if self.steps < 1:
-            raise ValueError("steps must be positive")
+        check_count(self.sites, "sites", 2)
+        check_count(self.steps, "steps", 1)
         if not 0 <= self.site_blackout_rate <= 1:
             raise ValueError("site_blackout_rate must be in [0, 1]")
         if not 1 <= self.max_concurrent < self.sites:

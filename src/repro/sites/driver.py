@@ -37,6 +37,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
+from .._checks import check_count
 from ..cluster.fleet import Cell, Fleet, ScenarioReport, option
 from ..obs.seeding import SeedLike, derive_seed, resolve_rng
 from ..obs.trace import trace_span
@@ -89,16 +90,10 @@ class SitesLoadConfig:
     )
 
     def __post_init__(self) -> None:
-        if self.sites < 2:
-            raise ValueError("a federation needs at least two sites")
-        if self.nodes_per_site < 3:
-            raise ValueError(
-                "striding needs at least three nodes per site"
-            )
-        if self.objects < 1:
-            raise ValueError("objects must be positive")
-        if self.reads_per_phase < 1:
-            raise ValueError("reads_per_phase must be positive")
+        check_count(self.sites, "sites", 2)
+        check_count(self.nodes_per_site, "nodes_per_site", 3)  # striding
+        check_count(self.objects, "objects", 1)
+        check_count(self.reads_per_phase, "reads_per_phase", 1)
 
 
 @dataclass

@@ -46,14 +46,13 @@ from typing import Any
 
 import numpy as np
 
+from .._checks import check_count, check_seconds
 from ..cluster.coordinator import DEFAULT_RETRY, NodeDownError, link_rpc
 from ..cluster.ring import HashRing
 from ..core.codec import TornadoCodec, stripe_rows
-from ..core.plancache import PlanCache
 from ..obs.registry import registry
 from ..obs.trace import trace_span
 from ..resilience.retry import RetryPolicy
-from ..serve.errors import check_seconds
 from ..serve.lineserver import (
     ArchiveEndpoint,
     start_line_server,
@@ -133,21 +132,18 @@ class FederationGateway:
         retry: RetryPolicy | None = DEFAULT_RETRY,
         rpc_timeout: float | None = 10.0,
         repair_wan_budget: int | None = None,
-        plan_capacity: int = 256,
     ):
         check_seconds(rpc_timeout, "rpc_timeout")
-        if repair_wan_budget is not None and repair_wan_budget < 0:
-            raise ValueError("repair_wan_budget must be non-negative")
+        if repair_wan_budget is not None:
+            check_count(repair_wan_budget, "repair_wan_budget")
         self.manifest = manifest
         self.block_size = block_size
         # Coupled decode requires the shared data layout; validating
         # at construction turns a mis-assembled manifest into a
         # startup error instead of a wrong answer later.
         self.system = manifest.system()
-        self.plans = PlanCache(plan_capacity)
-        self.codec = TornadoCodec(
-            self.system.graph, block_size, self.plans
-        )
+        self.codec = TornadoCodec(self.system.graph, block_size)
+        self.plans = self.codec.plans
         self.retry = retry
         self.rpc_timeout = rpc_timeout
         self.repair_wan_budget = repair_wan_budget

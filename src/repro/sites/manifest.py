@@ -31,6 +31,7 @@ import os
 from dataclasses import dataclass
 from typing import Sequence
 
+from .._checks import check_count
 from ..core.graph import ErasureGraph
 from ..federation import FederatedSystem, select_complementary_pair
 from ..graphs import tornado_catalog_graph
@@ -70,8 +71,7 @@ class SiteAssignment:
             raise ValueError(
                 f"graph_number must be one of {_CATALOG_NUMBERS}"
             )
-        if self.weight < 1:
-            raise ValueError("weight must be >= 1")
+        check_count(self.weight, "weight", 1)
 
     @property
     def graph(self) -> ErasureGraph:
@@ -109,8 +109,7 @@ class FederationManifest:
         ids = [s.site_id for s in self.sites]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate site ids: {ids}")
-        if self.site_max_size < 1:
-            raise ValueError("site_max_size must be positive")
+        check_count(self.site_max_size, "site_max_size", 1)
 
     # -- lookups -------------------------------------------------------
 

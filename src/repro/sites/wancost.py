@@ -20,6 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .._checks import check_seconds
 from ..core.decoder import PeelingDecoder
 from ..federation.multigraph import FederatedSystem
 
@@ -38,8 +39,7 @@ class WanCostModel:
     remote_byte_cost: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.remote_byte_cost < 0:
-            raise ValueError("remote_byte_cost must be non-negative")
+        check_seconds(self.remote_byte_cost, "remote_byte_cost", zero=True)
 
     def local_read(self) -> float:
         return 0.0

@@ -30,6 +30,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .._checks import check_count
 from ..obs.registry import registry
 from ..obs.seeding import SeedLike, resolve_rng
 
@@ -158,8 +159,7 @@ class DeviceArray:
     """A shelf of simulated devices with failure injection."""
 
     def __init__(self, num_devices: int):
-        if num_devices < 1:
-            raise ValueError("need at least one device")
+        check_count(num_devices, "num_devices", 1)
         self.devices = [Device(device_id=i) for i in range(num_devices)]
 
     def __len__(self) -> int:
@@ -214,7 +214,7 @@ class DeviceArray:
         """
         rng = resolve_rng(rng)
         alive = [d.device_id for d in self.devices if d.available]
-        if k > len(alive):
+        if check_count(k, "k") > len(alive):
             raise ValueError(f"cannot fail {k} of {len(alive)} alive devices")
         chosen = rng.choice(alive, size=k, replace=False).tolist()
         self.fail(chosen)

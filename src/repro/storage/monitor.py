@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .._checks import check_count
 from ..core.critical import first_failure
 from ..core.graph import ErasureGraph
 from ..obs.registry import registry
@@ -75,6 +76,13 @@ class MonitorReport:
     def at_risk(self) -> tuple[StripeHealth, ...]:
         return tuple(s for s in self.stripes if s.at_risk)
 
+    def endangered(self, repair_margin: int) -> tuple[StripeHealth, ...]:
+        """Stripes missing blocks with at most ``repair_margin`` left."""
+        return tuple(
+            s for s in self.stripes
+            if s.margin <= repair_margin and s.missing_blocks
+        )
+
     def worst(self) -> StripeHealth | None:
         return min(self.stripes, key=lambda s: s.margin, default=None)
 
@@ -92,10 +100,8 @@ class StripeMonitor:
     """Watches an archive and repairs endangered stripes."""
 
     def __init__(self, archive: TornadoArchive, repair_margin: int = 1):
-        if repair_margin < 0:
-            raise ValueError("repair margin must be non-negative")
+        self.repair_margin = check_count(repair_margin, "repair_margin")
         self.archive = archive
-        self.repair_margin = repair_margin
 
     def scan(self) -> MonitorReport:
         """Compute the health of every stripe in the archive."""
@@ -114,10 +120,14 @@ class StripeMonitor:
                 )
         return MonitorReport(stripes=tuple(healths))
 
-    def repair_cycle(self) -> dict[str, int]:
+    def repair_cycle(
+        self, report: MonitorReport | None = None
+    ) -> dict[str, int]:
         """Repair every object owning an at-threshold stripe.
 
-        Returns ``object name -> blocks rewritten``.  Objects whose
+        Returns ``object name -> blocks rewritten``.  ``report`` is a
+        :meth:`scan` of the archive as it stands now (the cycle scans
+        afresh without one).  Objects whose
         stripes are already unrecoverable raise through as
         :class:`~repro.storage.archive.DataLossError` — surfacing loss
         is the monitor's job, not hiding it.  Objects that are merely
@@ -126,11 +136,10 @@ class StripeMonitor:
         them once the devices recover, and the
         ``monitor.skipped_unavailable`` counter records each deferral.
         """
-        report = self.scan()
+        if report is None:
+            report = self.scan()
         endangered = {
-            s.object_name
-            for s in report.stripes
-            if s.margin <= self.repair_margin and s.missing_blocks
+            s.object_name for s in report.endangered(self.repair_margin)
         }
         out: dict[str, int] = {}
         for name in sorted(endangered):
@@ -142,9 +151,4 @@ class StripeMonitor:
 
     def queue_depth(self) -> int:
         """Number of stripes currently queued for repair."""
-        report = self.scan()
-        return sum(
-            1
-            for s in report.stripes
-            if s.margin <= self.repair_margin and s.missing_blocks
-        )
+        return len(self.scan().endangered(self.repair_margin))

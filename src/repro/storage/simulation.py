@@ -239,7 +239,7 @@ def run_mission(
         if worst is not None:
             min_margin = min(min_margin, worst.margin)
         try:
-            repaired = monitor.repair_cycle()
+            repaired = monitor.repair_cycle(report)
         except DataLossError as exc:
             lost.append(exc.object_name)
             events.append(

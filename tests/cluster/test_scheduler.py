@@ -297,5 +297,5 @@ class TestRepairStatusOp:
 
     def test_fetch_stripe_raw_refuses_a_negative_ordinal(self):
         self.refused_before_any_rpc(
-            lambda coord: coord.fetch_stripe_raw("obj", -1), "non-negative"
+            lambda coord: coord.fetch_stripe_raw("obj", -1), "seq must be >= 0"
         )

@@ -200,7 +200,8 @@ class TestPackingHelpers:
         ``batch=-1`` 63."""
         packed = np.zeros((5, 1), dtype=np.uint64)
         for batch in (100, 65, -1):
-            with pytest.raises(ValueError, match="does not fit 1 words"):
+            fit = "batch must be >= 0" if batch < 0 else "does not fit 1 words"
+            with pytest.raises(ValueError, match=fit):
                 unpack_cases(packed, batch)
         assert unpack_cases(packed, 0).shape == (0, 5)
         assert unpack_cases(packed, 64).shape == (64, 5)

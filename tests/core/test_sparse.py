@@ -171,12 +171,17 @@ class TestChunking:
         )
         assert np.array_equal(full, tiny)
 
-    @pytest.mark.parametrize("chunk", [0, -5, 2.7, "8", None])
+    @pytest.mark.parametrize(
+        "chunk, error",
+        [(0, ValueError), (-5, ValueError), (2.7, TypeError),
+         ("8", TypeError), (None, TypeError)],
+        ids=["0", "-5", "2.7", "8", "None"],
+    )
     def test_rejects_a_chunk_that_is_not_a_positive_integer(
-        self, small_tornado, chunk
+        self, small_tornado, chunk, error
     ):
         """``chunk=0``, ``-5`` and ``2.7`` used to become 1, 1 and 2."""
-        with pytest.raises(ValueError, match="chunk"):
+        with pytest.raises(error, match="chunk"):
             SparseBitsetDecoder(small_tornado, chunk=chunk)
 
     def test_accepts_numpy_integer_chunks(self, small_tornado):

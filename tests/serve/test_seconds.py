@@ -13,7 +13,7 @@ import math
 import pytest
 
 from repro.serve import ReconstructionService, ServeConfig
-from repro.serve.errors import check_seconds
+from repro._checks import check_seconds
 from repro.serve.frontend import start_frontend
 from repro.serve.lineserver import within_deadline
 from repro.serve.link import PipelinedLink

@@ -74,3 +74,20 @@ class TestRepairCycle:
     def test_rejects_negative_margin(self, archive):
         with pytest.raises(ValueError):
             StripeMonitor(archive, repair_margin=-1)
+
+    def test_endangered_stripes_are_what_a_cycle_repairs(self, archive, rng):
+        archive.put("obj", PAYLOAD)
+        archive.put("other", PAYLOAD[:100])
+        monitor = StripeMonitor(archive, repair_margin=1)
+        archive.devices.fail_random(3, rng)
+        archive.devices.rebuild_all()
+        report = monitor.scan()
+        endangered = report.endangered(1)
+        assert endangered and all(
+            s.margin <= 1 and s.missing_blocks for s in endangered
+        )
+        assert report.endangered(0) == ()
+        assert monitor.queue_depth() == len(endangered)
+        repaired = monitor.repair_cycle(report)
+        assert set(repaired) == {s.object_name for s in endangered}
+        assert monitor.queue_depth() == 0

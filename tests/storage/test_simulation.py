@@ -6,6 +6,7 @@ import pytest
 from repro.storage import (
     DeviceArray,
     MissionConfig,
+    StripeMonitor,
     TornadoArchive,
     run_mission,
 )
@@ -71,6 +72,21 @@ class TestRunMission:
         assert report.survived
         assert report.min_margin >= 0
         assert loaded_archive.get("alpha")  # archive still intact
+
+    def test_one_scan_per_step(self, loaded_archive, monkeypatch):
+        """The repair cycle reuses the step's scan instead of its own."""
+        scans = []
+        scan = StripeMonitor.scan
+
+        def counted(monitor):
+            scans.append(None)
+            return scan(monitor)
+
+        monkeypatch.setattr(StripeMonitor, "scan", counted)
+        cfg = MissionConfig(years=1, steps_per_year=12, afr=0.3)
+        report = run_mission(loaded_archive, cfg, np.random.default_rng(4))
+        assert report.survived
+        assert len(scans) == cfg.num_steps
 
     def test_stormy_mission_logs_events(self, loaded_archive):
         cfg = MissionConfig(years=3, afr=0.15, replacement_lag_steps=1)

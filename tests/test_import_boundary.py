@@ -65,6 +65,14 @@ def test_sweep_and_cluster_imports_skip_campaigns_and_graphml():
     ) == []
 
 
+def test_argument_contract_loads_no_other_module():
+    """``repro._checks`` sits below every package: past the package's
+    own lazy table it imports nothing of ``repro``."""
+    assert loaded_after("import repro._checks", ("repro",)) == [
+        "repro", "repro._checks", "repro._exports",
+    ]
+
+
 def test_coordinator_loads_no_read_service():
     """The headroom probe's helper lives beside ``make_batch_decoder``:
     the coordinator loads neither the service, its batcher nor the run

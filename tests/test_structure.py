@@ -141,6 +141,19 @@ LINTS = {
         exempt=r"^src/repro/storage/archive\.py:read_stripe:"
         r"|^src/repro/cluster/coordinator\.py:_repair_stripes:",
     ),
+    # One argument contract: repro._checks holds the only count and
+    # seconds checks.  Wire coercion (a quoted field's ProtocolError),
+    # the CLI's flag-named UsageError, flag derivation and graph
+    # structure errors answer differently.
+    "one-argument-contract": Lint(
+        r"isinstance\([\w.]+, bool\)|operator\.index\(|numbers\.Integral"
+        r"|must be (an? )?(positive|non-negative|>= ?\d)",
+        ("src/repro",),
+        exempt=r"^src/repro/(_checks|cli)\.py:"
+        r"|^src/repro/serve/protocol\.py:(_is_length:|_coerce:|\w*:\s*\"')"
+        r"|^src/repro/cluster/fleet\.py:add_config_options:"
+        r"|raise GraphValidationError\(",
+    ),
     "networkx-behind-graphml": Lint(
         r"import networkx", ("src",), files=frozenset({"src/repro/core/graphml.py"})
     ),
