@@ -15,12 +15,15 @@ import operator
 __all__ = ["check_count", "check_seconds"]
 
 
-def check_count(value, name: str, at_least: int = 0) -> int:
-    """``value`` as an ``int`` at or above ``at_least``.
+def check_count(
+    value, name: str, at_least: int = 0, *, at_most: int | None = None
+) -> int:
+    """``value`` as an ``int`` at or above ``at_least`` (and at or below
+    ``at_most``, where given).
 
     Any integer passes, numpy's included.  A bool, a float (``2.0`` as
-    well) or anything else is a ``TypeError``; an integer below
-    ``at_least`` is a ``ValueError``.
+    well) or anything else is a ``TypeError``; an integer out of bounds
+    is a ``ValueError``.
     """
     try:
         if isinstance(value, bool):
@@ -30,6 +33,8 @@ def check_count(value, name: str, at_least: int = 0) -> int:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
     if value < at_least:
         raise ValueError(f"{name} must be >= {at_least}, got {value}")
+    if at_most is not None and value > at_most:
+        raise ValueError(f"{name} must be <= {at_most}, got {value}")
     return value
 
 

@@ -119,6 +119,7 @@ from ..serve.protocol import (
     StatsRequest,
     StatusResponse,
     StripeBlocksResponse,
+    check_port,
     encode_request,
     parse_response,
 )
@@ -291,10 +292,10 @@ async def _link_burst_once(
             if isinstance(reply, Exception):
                 raise reply
             link.alive = True
-            response, frame = parse_response(*reply)
+            response, envelope = parse_response(reply)
             t = tracer()
-            if t is not None and frame.get("spans"):
-                t.ingest(frame["spans"])
+            if t is not None and envelope.spans:
+                t.ingest(envelope.spans)
             if isinstance(response, ErrorResponse):
                 response.raise_remote()
             outcomes.append(response)
@@ -553,6 +554,7 @@ class ClusterCoordinator:
         self, node_id: str, host: str, port: int
     ) -> dict[str, Any]:
         """Add (or re-add) a node and re-shard onto the new ring."""
+        check_port(port)
         async with self._mutex:
             self._commit(
                 {

@@ -259,7 +259,7 @@ async def start_storage_node(
 
     async def handler(
         request: Request, envelope: Envelope
-    ) -> Response | tuple[Response, dict[str, Any]]:
+    ) -> Response | tuple[Response, list[dict[str, Any]]]:
         if not isinstance(request, NodeAdminRequest):
             # A partitioned node accepts the connection but never
             # answers: the request parks here until the partition
@@ -292,6 +292,6 @@ async def start_storage_node(
             span.end(error=type(exc).__name__)
             raise
         span.end()
-        return response, {"spans": local.export()}
+        return response, local.export()
 
     return await start_line_server(handler, host, port)

@@ -10,10 +10,10 @@ node's block plane.
 One TCP connection per client, one request/response in flight at a
 time (a :class:`threading.Lock` serializes callers, so a client
 instance is safe to share across threads).  A reply is read
-header-then-payload: one line, then exactly the raw bytes its tail
-declares (:func:`~repro.serve.protocol.payload_size`).  Calls raise
-the most faithful local exception for a remote failure via the
-protocol error taxonomy — ``overloaded`` arrives as
+envelope-then-body: the fixed envelope, then exactly the header and
+payload bytes it declares (:func:`~repro.serve.protocol.body_size`).
+Calls raise the most faithful local exception for a remote failure via
+the protocol error taxonomy — ``overloaded`` arrives as
 :class:`~repro.serve.service.ServiceOverloadedError`, ``deadline`` as
 :class:`~repro.serve.service.DeadlineExceededError`, ``data_loss`` as
 :class:`~repro.storage.archive.DataLossError`, and so on — instead of
@@ -35,7 +35,7 @@ from ..obs.trace import start_span, tracer
 from ..resilience.retry import NO_RETRY, RetryPolicy
 from .errors import DeadlineExceededError
 from .protocol import (
-    MAX_LINE_BYTES,
+    ENVELOPE,
     AckResponse,
     BlockDeleteRequest,
     BlockFetchRequest,
@@ -46,6 +46,7 @@ from .protocol import (
     ClusterLeaveRequest,
     ClusterRepairStatusRequest,
     ClusterSnapshotRequest,
+    Envelope,
     ErrorResponse,
     FetchStripeRequest,
     GetRequest,
@@ -68,9 +69,9 @@ from .protocol import (
     StatusRequest,
     StatusResponse,
     StripeBlocksResponse,
+    body_size,
     encode_request,
     parse_response,
-    payload_size,
 )
 
 __all__ = ["ArchiveClient", "ClusterClient", "ProtocolClient"]
@@ -122,14 +123,15 @@ class ProtocolClient:
 
     # -- the one RPC primitive -----------------------------------------
 
-    def call(self, request: Request) -> tuple[Response, dict[str, Any]]:
+    def call(self, request: Request) -> tuple[Response, Envelope]:
         """Send one request, wait for its reply, raise remote errors.
 
-        Returns ``(typed response, raw frame)``; the raw frame carries
-        envelope extras.  Remote failures raise (see module docs); a
-        dropped connection raises :class:`ConnectionError` after
-        closing the socket so the next call reconnects cleanly.  With
-        a ``retry`` policy configured, connection-level failures
+        Returns ``(typed response, envelope)``; the envelope carries
+        the reply's id and any shipped spans.  Remote failures raise
+        (see module docs); a dropped connection raises
+        :class:`ConnectionError` after closing the socket so the next
+        call reconnects cleanly.  With a ``retry`` policy configured,
+        connection-level failures
         (refused, reset, mid-frame close — *not* remote errors or
         deadlines) are retried with seeded backoff before raising.
         """
@@ -137,30 +139,26 @@ class ProtocolClient:
             self._call_once, request, retry_on=ConnectionError
         )
 
-    def _call_once(
-        self, request: Request
-    ) -> tuple[Response, dict[str, Any]]:
+    def _call_once(self, request: Request) -> tuple[Response, Envelope]:
         span = start_span(
             f"client.{request.op}",
             activate=False,
             target=f"{self.host}:{self.port}",
         )
         try:
-            response, frame = self._exchange(request, span)
+            response, envelope = self._exchange(request, span)
         except BaseException as exc:
             span.end(error=type(exc).__name__)
             raise
         span.end()
         t = tracer()
-        if t is not None and frame.get("spans"):
-            t.ingest(frame["spans"])
+        if t is not None and envelope.spans:
+            t.ingest(envelope.spans)
         if isinstance(response, ErrorResponse):
             response.raise_remote()
-        return response, frame
+        return response, envelope
 
-    def _exchange(
-        self, request: Request, span
-    ) -> tuple[Response, dict[str, Any]]:
+    def _exchange(self, request: Request, span) -> tuple[Response, Envelope]:
         peer = f"{self.host}:{self.port}"
         with self._lock:
             self.connect()
@@ -171,9 +169,9 @@ class ProtocolClient:
             )
             try:
                 self._sock.sendall(data)
-                line = self._file.readline(MAX_LINE_BYTES)
-                size = payload_size(line)
-                payload = self._file.read(size) if size else b""
+                frame = self._file.read(ENVELOPE.size)
+                size = body_size(frame) if len(frame) == ENVELOPE.size else 0
+                body = self._file.read(size)
             except socket.timeout as exc:
                 # The peer accepted the request but never answered
                 # (half-open or partitioned): surface the deadline,
@@ -188,14 +186,14 @@ class ProtocolClient:
                 raise ConnectionError(
                     f"lost connection to {peer}: {exc}"
                 ) from exc
-            if not line:
+            if not frame:
                 self.close()
                 raise ConnectionError(f"{peer} closed the connection")
-            if not line.endswith(b"\n") or len(payload) < size:
+            if len(frame) < ENVELOPE.size or len(body) < size:
                 # EOF mid-frame: a torn reply is not a reply.
                 self.close()
                 raise ConnectionError(f"{peer} closed mid-frame")
-        return parse_response(line, payload)
+        return parse_response(frame + body)
 
     # -- conveniences shared by every endpoint -------------------------
 

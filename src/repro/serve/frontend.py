@@ -1,20 +1,11 @@
-"""Line-oriented JSON front end for the reconstruction service.
+"""TCP front end for the reconstruction service.
 
-``repro serve`` binds this to a TCP port: one JSON object per line in,
-one per line out, framed by :mod:`repro.serve.protocol` (version 4;
-unless a ``get`` asks for the payload no frame here carries raw bytes,
-so a frame is exactly its header line).  The read half of the
-archive-service op family (``docs/SERVE.md`` has the whole table)::
-
-    {"v": 4, "op": "get", "name": "object-000"}
-        -> {"v": 4, "ok": true, "kind": "object", "name": "object-000",
-            "size": N, "sha256": "..."}
-    {"v": 4, "op": "get", "name": "...", "deadline": 0.5}
-    {"v": 4, "op": "get", "name": "...", "want_payload": true}
-        -> {..., "sha256": "...", "payload": N, "bin": N} + N raw bytes
-    {"v": 4, "op": "stats"}    -> {..., "stats": {...}}
-    {"v": 4, "op": "metrics"}  -> {..., "metrics": "..."}
-    {"v": 4, "op": "ping"}     -> {..., "pong": true}
+``repro serve`` binds this to a TCP port, framed by
+:mod:`repro.serve.protocol` (version 5, binary; unless a ``get`` asks
+for the payload no frame here carries raw bytes).  It serves the read
+half of the archive-service op family (``docs/SERVE.md`` has the whole
+table): ``get`` (``name``, ``want_payload``, ``deadline``) answered
+with an ``object`` reply, ``stats``, ``metrics`` and ``ping``.
 
 ``metrics`` returns the service's registry snapshot rendered in the
 Prometheus text exposition format (see :mod:`repro.obs.prom`), so a
@@ -22,19 +13,16 @@ scraper can poll the same port clients use.
 
 Responses to ``get`` carry the object's size and SHA-256; the payload
 itself follows only when the request sets ``want_payload`` — the
-simulated archive serves integrity-checkable reconstructions, and a
-reply that is one short line keeps the protocol trivially scriptable.
-Errors are structured and explicit, mirroring the service's
-no-silent-drops contract, with the protocol module's stable ``code``
-taxonomy::
-
-    {"v": 4, "ok": false, "kind": "error", "code": "overloaded",
-     "error": "ServiceOverloadedError", "message": "..."}
+simulated archive serves integrity-checkable reconstructions.  Errors
+are structured and explicit, mirroring the service's no-silent-drops
+contract: an ``error`` reply with the protocol module's stable
+``code`` (``overloaded``, ``deadline``, ``not_found``, ...), the
+exception's name and its message.
 
 Requests on one connection are handled concurrently (a slow
 reconstruction does not block a pipelined ``ping``) with writes
 serialized per connection; pipelining clients correlate replies via
-the echoed ``id`` field.  A request frame carrying a ``trace`` context
+the echoed request id.  A request frame carrying a trace context
 parents the service's request span under the remote caller's span —
 the cross-process half of end-to-end tracing.
 """

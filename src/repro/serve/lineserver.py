@@ -3,9 +3,9 @@
 The frontend, the cluster coordinator, and the storage nodes all speak
 the same framing (:mod:`repro.serve.protocol`); this module owns the
 one piece they would otherwise each reimplement: the per-connection
-read → dispatch → reply loop.  A frame is read header-then-payload:
-one line, then exactly the :func:`~repro.serve.protocol.payload_size`
-bytes its tail declares.
+read → dispatch → reply loop.  A frame is read envelope-then-body: the
+fixed envelope, then exactly the header and payload bytes it declares
+(:func:`~repro.serve.protocol.body_size`).
 
 Two properties matter:
 
@@ -18,12 +18,13 @@ Two properties matter:
   Clients that pipeline (the coordinator's and the gateway's
   :class:`~repro.serve.link.PipelinedLink`) correlate replies by the
   echoed ``id`` envelope field.
-* **Bad input gets a typed answer.**  Malformed JSON, unknown ops,
-  unsupported versions, mistyped fields and payload bytes the fields do
+* **Bad input gets a typed answer.**  Unknown ops, unsupported
+  versions, mistyped fields and header or payload bytes the fields do
   not account for are answered with an error frame carrying the
   sender's ``id``, and the connection stays up.  Only a frame whose end
-  cannot be found (header line over the stream limit, declared payload
-  over the cap) is answered and then hung up on.
+  cannot be found (a JSON header line of protocol 4 or older) or is not
+  worth reading to (header or payload over its cap) is answered and
+  then hung up on.
 
 The archive-service contract is dispatched here too, once:
 :class:`ArchiveEndpoint` is the handler of every tier.  Whatever object
@@ -45,7 +46,8 @@ from ..obs.prom import render_prometheus
 from ..obs.trace import trace_span, use_context
 from .errors import DeadlineExceededError
 from .protocol import (
-    MAX_LINE_BYTES,
+    ENVELOPE,
+    MAX_HEADER_BYTES,
     AckResponse,
     Envelope,
     ErrorResponse,
@@ -65,9 +67,9 @@ from .protocol import (
     StatsResponse,
     StatusRequest,
     StatusResponse,
+    body_size,
     encode_frame,
     parse_request,
-    payload_size,
 )
 
 __all__ = [
@@ -79,36 +81,29 @@ __all__ = [
 ]
 
 # A handler maps one typed request to a typed response, optionally with
-# extra envelope fields to merge into the reply frame (e.g. shipped
-# trace spans).
+# the span records to ship back in the reply.
 Handler = Callable[
     [Request, Envelope],
-    "Awaitable[Response | tuple[Response, dict[str, Any]]]",
+    "Awaitable[Response | tuple[Response, list[dict[str, Any]]]]",
 ]
 
 
-async def read_frame(
-    reader: asyncio.StreamReader,
-) -> tuple[bytes, bytes] | None:
-    """The next frame off a stream as ``(header line, payload)``.
+async def read_frame(reader: asyncio.StreamReader) -> bytes | None:
+    """The next whole frame off a stream.
 
     ``None`` at a clean EOF; :class:`asyncio.IncompleteReadError` when
     the stream ends inside a frame; :class:`ProtocolError` when the
-    frame's end cannot be found (header line over the stream limit) or
-    is not worth reading to (payload over the cap).
+    frame's end cannot be found or is not worth reading to
+    (:func:`~repro.serve.protocol.body_size`).  The first read takes
+    whatever part of the envelope has come, so a JSON line is refused
+    on its first byte, never waited on.
     """
-    try:
-        line = await reader.readline()
-    except ValueError:
-        raise ProtocolError(
-            f"header line over the {MAX_LINE_BYTES}-byte limit"
-        ) from None
-    if not line.endswith(b"\n"):
-        if line:
-            raise asyncio.IncompleteReadError(line, None)
+    prefix = await reader.read(ENVELOPE.size)
+    if not prefix:
         return None
-    size = payload_size(line)
-    return line, await reader.readexactly(size) if size else b""
+    if len(prefix) < ENVELOPE.size and prefix[:1] != b"{":
+        prefix += await reader.readexactly(ENVELOPE.size - len(prefix))
+    return prefix + await reader.readexactly(body_size(prefix))
 
 
 async def start_line_server(
@@ -137,14 +132,16 @@ async def start_line_server(
                 writer.write(b"".join(outbox))
             outbox.clear()
 
-        async def reply(frame: dict[str, Any]) -> None:
+        async def reply(
+            response: Response, request_id: int, spans: Any = None
+        ) -> None:
             try:
-                data = encode_frame(frame)
-            except ProtocolError as exc:  # a reply payload over the cap
                 data = encode_frame(
-                    ErrorResponse.from_exception(exc).to_frame(
-                        request_id=frame.get("id")
-                    )
+                    response, request_id=request_id, spans=spans
+                )
+            except ProtocolError as exc:  # a reply over its cap
+                data = encode_frame(
+                    ErrorResponse.from_exception(exc), request_id=request_id
                 )
             if not outbox:
                 asyncio.get_running_loop().call_soon(flush)
@@ -158,14 +155,12 @@ async def start_line_server(
 
         async def refuse(exc: ProtocolError) -> None:
             await reply(
-                ErrorResponse.from_exception(exc).to_frame(
-                    request_id=exc.request_id
-                )
+                ErrorResponse.from_exception(exc), exc.request_id or 0
             )
 
-        async def process(line: bytes, payload: bytes) -> None:
+        async def process(frame: bytes) -> None:
             try:
-                request, envelope = parse_request(line, payload)
+                request, envelope = parse_request(frame)
             except ProtocolError as exc:
                 await refuse(exc)
                 return
@@ -173,13 +168,10 @@ async def start_line_server(
                 result = await handler(request, envelope)
             except Exception as exc:
                 result = ErrorResponse.from_exception(exc)
-            extra: dict[str, Any] = {}
+            spans = None
             if isinstance(result, tuple):
-                result, extra = result
-            frame = result.to_frame(request_id=envelope.id)
-            if extra:
-                frame.update(extra)
-            await reply(frame)
+                result, spans = result
+            await reply(result, envelope.id, spans)
 
         try:
             while True:
@@ -190,7 +182,7 @@ async def start_line_server(
                     break
                 if frame is None:
                     break
-                task = asyncio.create_task(process(*frame))
+                task = asyncio.create_task(process(frame))
                 inflight.add(task)
                 task.add_done_callback(inflight.discard)
             while inflight:
@@ -211,7 +203,7 @@ async def start_line_server(
             writer.close()
 
     return await asyncio.start_server(
-        handle_connection, host, port, limit=MAX_LINE_BYTES
+        handle_connection, host, port, limit=MAX_HEADER_BYTES
     )
 
 

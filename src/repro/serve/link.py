@@ -8,14 +8,12 @@ holds for this peer; one RPC is a burst of one) under one lock, one
 whatever order :mod:`repro.serve.lineserver` sends them.  The lock is
 never held across a reply, so every RPC gathered is on the wire at once.
 
-The link moves bytes and looks no further into them than the header's
-``id``: callers encode requests and parse replies themselves, and the
-header it decoded to find the ``id`` comes back with the reply so that
-``parse_response`` need not decode the line again.  Failure
-is all-or-nothing: an expired deadline, a refused connect, a reset, EOF
-or a torn frame aborts the transport and fails every RPC still parked
-on the link with its ``down_error``; the caller's retry policy takes it
-from there, and the next RPC reconnects.
+The link moves whole frames and looks no further into a reply than its
+envelope's request id: callers encode requests and parse replies
+themselves.  Failure is all-or-nothing: an expired deadline, a refused
+connect, a reset, EOF or a torn frame aborts the transport and fails
+every RPC still parked on the link with its ``down_error``; the
+caller's retry policy takes it from there, and the next RPC reconnects.
 """
 
 from __future__ import annotations
@@ -26,11 +24,11 @@ from typing import Sequence
 from ..obs.registry import registry
 from .errors import NodeUnreachableError
 from .lineserver import read_frame
-from .protocol import MAX_LINE_BYTES, ProtocolError, decode_frame
+from .protocol import MAX_HEADER_BYTES, ProtocolError, frame_id
 
 __all__ = ["PipelinedLink"]
 
-Reply = tuple[bytes, bytes, dict]  # header line, raw payload, decoded header
+Reply = bytes  # one whole reply frame
 
 
 class PipelinedLink:
@@ -114,7 +112,7 @@ class PipelinedLink:
     async def _connect(self, timeout: float | None) -> None:
         reader, self._writer = await asyncio.wait_for(
             asyncio.open_connection(
-                self.host, self.port, limit=MAX_LINE_BYTES
+                self.host, self.port, limit=MAX_HEADER_BYTES
             ),
             timeout,
         )
@@ -124,10 +122,9 @@ class PipelinedLink:
         reason = "closed the connection"
         try:
             while (frame := await read_frame(reader)) is not None:
-                header = decode_frame(frame[0])
-                reply = self._pending.pop(header.get("id"), None)
+                reply = self._pending.pop(frame_id(frame), None)
                 if reply is not None and not reply.done():
-                    reply.set_result((*frame, header))
+                    reply.set_result(frame)
         except asyncio.IncompleteReadError:
             reason = "closed mid-frame"
         except (OSError, ProtocolError) as exc:

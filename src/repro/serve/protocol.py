@@ -1,60 +1,49 @@
-"""Versioned wire protocol shared by every network surface.
+"""Versioned binary wire protocol shared by every network surface.
 
-A frame is one typed JSON **header line**, optionally followed by **raw
-payload bytes**.  Before this module the frontend hand-rolled its
-frames inline; the cluster (coordinator ↔ storage nodes ↔ clients,
-:mod:`repro.cluster`) multiplies the number of speakers, so framing,
-typing, versioning, and the error taxonomy live here once:
+A frame is three parts back to back, the same for requests and replies
+on every tier (frontend, coordinator, gateway, storage node); the
+layout and the op and kind codes are tabled in ``docs/SERVE.md``:
 
-* **Typed frames** — every operation is a :class:`Request` dataclass
-  (``op`` discriminator) and every reply a :class:`Response` dataclass
-  (``kind`` discriminator); :func:`parse_request`/:func:`parse_response`
-  validate field presence and types and raise :class:`ProtocolError`
-  with a stable ``code`` instead of dropping the connection.
-* **Binary payloads** — a ``bytes`` field is written in the header as
-  its length, a ``dict[str, bytes]`` field as ``{key: length}``, and
-  the bytes follow the line back to back, in field order.  The header's
-  last key, ``"bin"``, is their total: a reader takes it off the line's
-  tail (:func:`payload_size`, no JSON decode) and the payload off the
-  stream with one exact read.  The total is checked against
-  :data:`MAX_PAYLOAD_BYTES` before anything is read and against what
-  the typed fields claim at parse time (short, over-long or unclaimed
-  bytes are a :class:`ProtocolError`); a header line is at most
-  :data:`MAX_LINE_BYTES`, the stream limit of every speaker.
-* **One archive-service op family** — ``put`` / ``get`` / ``status`` /
-  ``repair`` / ``metrics.snapshot`` / ``stats`` / ``ping`` / ``metrics``
-  mean the same on a frontend, a coordinator, a gateway and a node
-  (each serves the ones it implements); only tier-specific ops
-  (``cluster.*``, ``block.*``, ``node.admin``) carry a prefix.
-* **Versioning** — every frame carries ``"v": 4``.  Anything else (no
-  ``v``, an older or a newer one) is refused with
-  ``unsupported_version``, carrying the offender's ``id``.
-* **Error taxonomy** — :func:`error_code` maps every exception a
-  handler can raise onto a small, stable set of ``code`` strings
-  (``overloaded``, ``deadline``, ``closed``, ``not_found``,
-  ``data_loss``, ``unavailable``, ``node_down``, ``bad_request``,
-  ``unknown_op``, ``unsupported_version``, ``internal``); clients
-  rebuild typed exceptions from the code via :func:`exception_for`,
-  independent of server-side class names.  ``node_down`` marks a
-  cluster peer unreachable at the transport level (connection
-  refused/reset or RPC deadline expired), distinct from ``unavailable``
-  (peer answered, storage backend dark).
-* **Trace propagation** — request frames may carry a ``trace`` context
-  (``{"trace_id", "span_id"}``, see :mod:`repro.obs.trace`); servers
-  parent their spans under it, which is what stitches a cluster-wide
-  request → coordinator → node span tree across processes.
+* **Envelope** — :data:`ENVELOPE`, 36 bytes: version, flags, op or kind
+  code, header length, payload length, request id, trace and span id.
+  A reader takes it, then the rest in one exact read (:func:`body_size`
+  holds header and payload to :data:`MAX_HEADER_BYTES` and
+  :data:`MAX_PAYLOAD_BYTES` first).
+* **Header** — the typed fields.  Each :class:`Request` (``op``) and
+  :class:`Response` (``kind``) dataclass registers under a code and
+  compiles its fields once into one ``struct`` layout, followed by
+  their variable parts (strings, NUL-joined keys, a map's value
+  lengths).  JSON survives only as the body of free-form ``dict``
+  fields and of the spans a traced reply ships back (flag ``SPANS``).
+* **Payload** — the raw bytes of every ``bytes`` field and every
+  ``dict[str, bytes]`` value, in field order.
 
-The envelope fields (``v``, ``id``, ``trace``) stay out of the typed
-dataclasses: :func:`parse_request` returns ``(request, envelope)``.
+:func:`encode_request` / :func:`parse_request` and :func:`encode_frame`
+/ :func:`parse_response` are the whole codec.  A parser checks every
+length against the bytes that came and types every failure as a
+:class:`ProtocolError` with a stable ``code``; the envelope says where
+the frame ends, so the connection survives it.  Every version keeps
+the envelope's layout: another version is refused with
+``unsupported_version`` carrying the frame's id, and so is a JSON
+header line (versions 1 to 4, first byte ``{``).  :func:`error_code`
+maps every exception a handler raises onto the stable codes
+(``overloaded``, ``deadline``, ``closed``, ``not_found``,
+``data_loss``, ``unavailable``, ``node_down``, ``bad_request``,
+``unknown_op``, ``unsupported_version``, ``internal``), and clients
+rebuild a typed exception from the code (:func:`exception_for`).
+``node_down`` marks a peer unreachable at the transport level, distinct
+from ``unavailable`` (peer answered, storage dark).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, fields
-from typing import Any, Callable, ClassVar, Iterable
+import struct
+from dataclasses import dataclass, fields
+from functools import lru_cache, partial
+from typing import Any, ClassVar, NamedTuple
 
-from .._checks import check_seconds
+from .._checks import check_count, check_seconds
 from ..storage.archive import DataLossError
 from ..storage.device import TransientUnavailableError
 from .errors import (
@@ -65,7 +54,8 @@ from .errors import (
 )
 
 __all__ = [
-    "MAX_LINE_BYTES",
+    "ENVELOPE",
+    "MAX_HEADER_BYTES",
     "MAX_PAYLOAD_BYTES",
     "PROTOCOL_VERSION",
     "Envelope",
@@ -102,24 +92,34 @@ __all__ = [
     "AckResponse",
     "StatusResponse",
     "ErrorResponse",
-    "decode_frame",
+    "body_size",
     "encode_frame",
     "encode_request",
     "error_code",
     "exception_for",
+    "frame_id",
     "parse_request",
     "parse_response",
-    "payload_size",
 ]
 
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 
-# Longest header line: the asyncio stream limit of the line server and
-# of every client connection.  Bounds a ``block.list`` reply (~10^5
-# keys), never an object.
-MAX_LINE_BYTES = 8 * 2**20
-# Most payload bytes a frame may declare; checked before any is read.
+# version, flags, op/kind code, header length, payload length, request
+# id, trace id and span id.
+ENVELOPE = struct.Struct("<BBHIIQ16s")
+_ID = struct.Struct("<Q")  # at offset 12
+TRACED = 1  # the envelope's trace and span ids are a trace context
+SPANS = 2  # a reply's header ends in shipped span records
+
+# Longest header: bounds a ``block.list`` reply (~10^5 keys), never an
+# object.  Checked, like the payload cap, before anything is read.
+MAX_HEADER_BYTES = 8 * 2**20
 MAX_PAYLOAD_BYTES = 256 * 2**20
+
+# ``json.dumps`` with separators builds a ``JSONEncoder`` per call, and
+# ``json.loads`` runs a whitespace regex on both ends of the text.
+_dump_json = json.JSONEncoder(separators=(",", ":")).encode
+_load_json = json.JSONDecoder().raw_decode
 
 
 class ProtocolError(ValueError):
@@ -205,243 +205,297 @@ def exception_for(code: str, message: str) -> Exception:
 
 
 # ----------------------------------------------------------------------
-# Framing
+# The codec: field layouts, encode, decode
 # ----------------------------------------------------------------------
 
-_PAYLOAD_KEY = "bin"
-_PAYLOAD_MARK = f',"{_PAYLOAD_KEY}":'.encode()
-_BUFFERS = (bytes, bytearray, memoryview)
-# ``json.dumps`` with separators builds a ``JSONEncoder`` per call.
-_encode_header = json.JSONEncoder(separators=(",", ":")).encode
+# Field annotation -> its struct slots.  Scalars live in their slot;
+# every other kind's slots hold the sizes of its variable parts.
+_SLOTS = {
+    "str": "I",
+    "int": "q",
+    "bool": "?",
+    "float": "d",
+    "bytes": "I",
+    "dict": "I",
+    "tuple[str, ...]": "II",
+    "dict[str, bytes]": "II",
+}
+_SCALARS = ("int", "bool", "float")
+_ABSENT = {kind: (0,) * len(slots) for kind, slots in _SLOTS.items()}
 
 
-def _nbytes(buffer: Any) -> int:
-    return buffer.nbytes if isinstance(buffer, memoryview) else len(buffer)
+@lru_cache(maxsize=256)
+def _lengths(count: int) -> struct.Struct:
+    """The layout of ``count`` u32 lengths."""
+    return struct.Struct(f"<{count}I")
 
 
-def _is_length(value: Any) -> bool:
-    return (
-        isinstance(value, int) and not isinstance(value, bool) and value >= 0
-    )
+def _join_keys(keys) -> bytes:
+    text = "\0".join(keys)
+    if text.count("\0") != max(len(keys) - 1, 0):
+        raise ProtocolError("a key holds a NUL character")
+    return text.encode()
 
 
-def encode_frame(frame: dict[str, Any]) -> bytes:
-    """One frame as wire bytes: JSON header line, then the raw payload.
-
-    Buffer values (``bytes``/``bytearray``/``memoryview``, alone or as
-    the values of a dict) are replaced in the header by their lengths
-    and appended after the line in the order they appear.
-    """
-    header: dict[str, Any] = {}
-    parts: list[Any] = []
-    for name, value in frame.items():
-        if isinstance(value, _BUFFERS):
-            parts.append(value)
-            value = _nbytes(value)
-        elif isinstance(value, dict) and isinstance(
-            next(iter(value.values()), None), _BUFFERS
-        ):
-            parts.extend(value.values())
-            value = {k: _nbytes(v) for k, v in value.items()}
-        header[name] = value
-    if parts:
-        total = sum(map(_nbytes, parts))
-        if total > MAX_PAYLOAD_BYTES:
-            raise ProtocolError(
-                f"frame payload of {total} bytes is over the "
-                f"{MAX_PAYLOAD_BYTES}-byte cap"
-            )
-        header[_PAYLOAD_KEY] = total
-    line = _encode_header(header).encode() + b"\n"
-    return b"".join((line, *parts)) if parts else line
-
-
-def payload_size(line: bytes) -> int:
-    """Raw payload bytes that follow header ``line`` on the stream.
-
-    Read off the line's tail, where :func:`encode_frame` writes the
-    total as the last key (``,"bin":N}``); a ``"bin"`` anywhere else is
-    caught as a mismatch at parse time.  A total over
-    :data:`MAX_PAYLOAD_BYTES` raises with the frame's ``id`` recovered
-    for the error reply — the reader cannot skip it and must hang up.
-    """
-    mark = line.rfind(_PAYLOAD_MARK, -32)
-    if mark < 0 or not line.endswith(b"}\n"):
-        return 0
-    digits = line[mark + len(_PAYLOAD_MARK) : -2]
-    if not digits.isdigit():
-        return 0
-    size = int(digits)
-    if size > MAX_PAYLOAD_BYTES:
-        try:
-            request_id = _parse_envelope(decode_frame(line)).id
-        except ProtocolError as exc:
-            request_id = exc.request_id
-        raise ProtocolError(
-            f"frame declares {size} payload bytes, over the "
-            f"{MAX_PAYLOAD_BYTES}-byte cap",
-            request_id=request_id,
-        )
-    return size
-
-
-def decode_frame(line: bytes | str) -> dict[str, Any]:
-    """Parse one header line into a frame dict or raise :class:`ProtocolError`."""
+def _json_body(data: bytes, kind: type, what: str) -> Any:
+    """One compact JSON value of type ``kind`` filling ``data``."""
+    text = data.decode()
     try:
-        frame = json.loads(line)
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise ProtocolError(f"invalid JSON: {exc}") from None
-    if not isinstance(frame, dict):
-        raise ProtocolError("invalid JSON: request must be a JSON object")
+        value, end = _load_json(text)
+    except ValueError:
+        end = -1
+    if end != len(text) or not isinstance(value, kind):
+        raise ProtocolError(f"{what} must be one JSON {kind.__name__}")
+    return value
+
+
+def _wire(table: dict[int, type], code: int):
+    """Freeze ``cls`` as a dataclass, compile its layout once, and
+    register it in ``table`` under ``code``."""
+
+    def register(cls):
+        cls = dataclass(frozen=True)(cls)
+        fmt, layout = "<", []
+        for f in fields(cls):
+            kind = f.type.removesuffix(" | None")
+            optional = f.default is None
+            layout.append((f.name, kind, optional, len(fmt) - 1))
+            fmt += "?" * optional + _SLOTS[kind]
+        cls.wire_code, cls._layout = code, tuple(layout)
+        cls._fixed = struct.Struct(fmt)
+        cls._head = struct.Struct(ENVELOPE.format + fmt[1:])
+        table[code] = cls
+        return cls
+
+    return register
+
+
+def _encode(obj: Any, request_id: int, flags: int, ids: bytes, tail=b""):
+    """The whole frame: envelope and fixed fields in one pack, then the
+    header's variable parts, ``tail`` and the payload."""
+    fixed: list = []
+    var: list = []
+    payload: list = []
+    try:
+        for name, kind, optional, _ in obj._layout:
+            value = getattr(obj, name)
+            if optional:
+                fixed.append(value is not None)
+                if value is None:
+                    fixed += _ABSENT[kind]
+                    continue
+            if kind in _SCALARS:
+                fixed.append(value)
+            elif kind == "bytes":
+                fixed.append(len(value))
+                payload.append(value)
+            elif kind == "str" or kind == "dict":
+                data = (_dump_json(value) if kind == "dict" else value).encode()
+                fixed.append(len(data))
+                var.append(data)
+            else:  # keys, with their values' lengths first for a map
+                data = _join_keys(value)
+                fixed += (len(value), len(data))
+                if kind == "dict[str, bytes]":
+                    blocks = value.values()
+                    var.append(_lengths(len(value)).pack(*map(len, blocks)))
+                    payload += blocks
+                var.append(data)
+        var.append(tail)
+        var = b"".join(var)
+        hlen, plen = obj._fixed.size + len(var), sum(map(len, payload))
+        if hlen > MAX_HEADER_BYTES or plen > MAX_PAYLOAD_BYTES:
+            raise ProtocolError(
+                f"frame of {hlen} header and {plen} payload bytes is over "
+                f"the {MAX_HEADER_BYTES}- or {MAX_PAYLOAD_BYTES}-byte cap"
+            )
+        head = obj._head.pack(
+            PROTOCOL_VERSION, flags, obj.wire_code, hlen, plen, request_id,
+            ids, *fixed,
+        )
+    except (struct.error, UnicodeEncodeError) as exc:
+        raise ProtocolError(f"cannot encode {obj!r}: {exc}") from None
+    frame = b"".join((head, var, *payload))
+    if len(frame) != ENVELOPE.size + hlen + plen:
+        raise ProtocolError("a buffer field is not a flat byte view")
     return frame
 
 
-@dataclass(frozen=True)
-class Envelope:
-    """Per-frame metadata living outside the typed request body."""
-
-    id: Any = None
-    trace: dict[str, Any] | None = None
+def _overrun(name: str, where: str, size: int, left: int) -> ProtocolError:
+    return ProtocolError(
+        f"field {name!r} claims {size} {where} bytes, {left} are left"
+    )
 
 
-def _parse_envelope(frame: dict[str, Any]) -> Envelope:
-    request_id = frame.get("id")
-    if request_id is not None and not isinstance(request_id, (str, int)):
-        raise ProtocolError("'id' must be a string or integer")
-    v = frame.get("v")
-    if v is not None and not _is_length(v):
+def _decode(cls, frame: bytes, header_end: int) -> tuple[Any, int]:
+    """The typed fields, and where the header bytes they claim end.
+
+    Every length is checked against what is left before it is taken;
+    the payload must be claimed to its last byte.
+    """
+    var = ENVELOPE.size + cls._fixed.size
+    if var > header_end:
         raise ProtocolError(
-            "'v' must be a non-negative integer", request_id=request_id
+            f"header of {header_end - ENVELOPE.size} bytes is shorter "
+            f"than its {cls._fixed.size} fixed bytes"
         )
-    if v != PROTOCOL_VERSION:
-        raise ProtocolError(
-            (
-                "frame carries no protocol version"
-                if v is None
-                else f"protocol version {v} not supported"
+    vals = cls._fixed.unpack_from(frame, ENVELOPE.size)
+    pay, pay_end, values = header_end, len(frame), []
+    for name, kind, optional, i in cls._layout:
+        if optional:
+            if not vals[i]:
+                values.append(None)
+                continue
+            i += 1
+        if kind in _SCALARS:
+            values.append(vals[i])
+            continue
+        if kind == "bytes":
+            end = pay + vals[i]
+            if end > pay_end:
+                raise _overrun(name, "payload", vals[i], pay_end - pay)
+            values.append(frame[pay:end])
+            pay = end
+            continue
+        if kind == "str" or kind == "dict":
+            end = var + vals[i]
+            if end > header_end:
+                raise _overrun(name, "header", vals[i], header_end - var)
+            data = frame[var:end]
+            values.append(
+                data.decode()
+                if kind == "str"
+                else _json_body(data, dict, f"field {name!r}")
             )
-            + f' (send "v": {PROTOCOL_VERSION})',
+            var = end
+            continue
+        # NUL-joined keys, after a map's value lengths
+        count, start = vals[i], var
+        if kind == "dict[str, bytes]":
+            start += 4 * count
+        end = start + vals[i + 1]
+        if end > header_end:
+            raise _overrun(name, "header", end - var, header_end - var)
+        keys = frame[start:end].decode().split("\0") if count else []
+        if len(keys) != count:
+            raise ProtocolError(
+                f"field {name!r} holds {len(keys)} keys, its count is {count}"
+            )
+        if kind == "tuple[str, ...]":
+            values.append(tuple(keys))
+        else:
+            blocks, first = {}, pay
+            for key, length in zip(keys, _lengths(count).unpack_from(frame, var)):
+                blocks[key] = frame[pay : pay + length]
+                pay += length
+            if pay > pay_end:
+                raise _overrun(name, "payload", pay - first, pay_end - first)
+            values.append(blocks)
+        var = end
+    if pay != pay_end:
+        raise ProtocolError(f"payload has {pay_end - pay} bytes no field claims")
+    return cls(*values), var
+
+
+# ----------------------------------------------------------------------
+# Envelope
+# ----------------------------------------------------------------------
+
+
+class Envelope(NamedTuple):
+    """Per-frame metadata outside the typed body: the request id (0 for
+    none), a request's trace context, a reply's shipped spans."""
+
+    id: int = 0
+    trace: dict[str, str] | None = None
+    spans: list[dict[str, Any]] | None = None
+
+
+def _refuse_json_line(data: bytes) -> None:
+    if data[:1] == b"{":
+        raise ProtocolError(
+            "a JSON header line is protocol version 4 or older; send "
+            f"version {PROTOCOL_VERSION} binary frames",
+            code="unsupported_version",
+        )
+
+
+def body_size(prefix: bytes) -> int:
+    """Header plus payload bytes behind an envelope, for one exact read.
+
+    Raises :class:`ProtocolError` (with the frame's id where it has
+    one) for what a reader cannot skip and must hang up on: a JSON
+    header line, or a header or payload over its cap.
+    """
+    _refuse_json_line(prefix)
+    _, _, _, hlen, plen, request_id, _ = ENVELOPE.unpack(prefix)
+    if hlen > MAX_HEADER_BYTES or plen > MAX_PAYLOAD_BYTES:
+        raise ProtocolError(
+            f"frame declares {hlen} header and {plen} payload bytes, over "
+            f"the {MAX_HEADER_BYTES}- or {MAX_PAYLOAD_BYTES}-byte cap",
+            request_id=request_id,
+        )
+    return hlen + plen
+
+
+def frame_id(frame: bytes) -> int:
+    """The request id a frame's envelope carries."""
+    return _ID.unpack_from(frame, 12)[0]
+
+
+def _parse(frame: bytes, table: dict, flags_allowed: int, what: str):
+    try:
+        version, flags, code, hlen, plen, request_id, ids = (
+            ENVELOPE.unpack_from(frame)
+        )
+    except struct.error:
+        _refuse_json_line(frame)
+        raise ProtocolError(
+            f"frame of {len(frame)} bytes is shorter than its envelope"
+        ) from None
+    if version != PROTOCOL_VERSION:
+        _refuse_json_line(frame)
+        raise ProtocolError(
+            f"protocol version {version} not supported (send version "
+            f"{PROTOCOL_VERSION})",
             code="unsupported_version",
             request_id=request_id,
         )
-    trace = frame.get("trace")
-    if trace is not None:
-        if (
-            not isinstance(trace, dict)
-            or not isinstance(trace.get("trace_id"), str)
-            or not isinstance(trace.get("span_id"), str)
-        ):
+    cls = table.get(code)
+    header_end = ENVELOPE.size + hlen
+    try:
+        if header_end + plen != len(frame):
             raise ProtocolError(
-                "'trace' must carry string trace_id and span_id",
-                request_id=request_id,
+                f"envelope declares {hlen} header and {plen} payload "
+                f"bytes, {len(frame) - ENVELOPE.size} followed it"
             )
-    return Envelope(id=request_id, trace=trace)
-
-
-# ----------------------------------------------------------------------
-# Field (de)serialisation shared by requests and responses
-# ----------------------------------------------------------------------
-
-# Field annotation -> (JSON type of its wire value, how errors name it).
-# ``bytes`` is not here: its wire value is a length into the payload.
-_WIRE_TYPES: dict[str, tuple[Any, str]] = {
-    "str": (str, "a string"),
-    "int": (int, "an integer"),
-    "bool": (bool, "a boolean"),
-    "float": ((int, float), "a number"),
-    "dict": (dict, "an object"),
-    "tuple[str, ...]": (list, "a list of strings"),
-    "dict[str, bytes]": (dict, "an object of byte lengths"),
-}
-
-
-def _coerce(
-    ctx: str, name: str, annotation: str, value: Any, take: Callable
-) -> Any:
-    """Validate and convert one wire value per its field annotation.
-
-    ``take(name, length)`` hands out the next ``length`` payload bytes.
-    """
-    base = annotation.removesuffix(" | None")
-    if value is None and base != annotation:
-        return None
-    if base == "bytes":
-        return take(name, value)
-    wire_type, expected = _WIRE_TYPES[base]
-    if (
-        not isinstance(value, wire_type)
-        or (isinstance(value, bool) and wire_type is not bool)
-        or (wire_type is list and not all(isinstance(x, str) for x in value))
-    ):
-        raise ProtocolError(
-            f"{ctx} field {name!r} must be {expected}, "
-            f"got {type(value).__name__}"
-        )
-    if base == "dict[str, bytes]":
-        return {k: take(f"{name}[{k!r}]", n) for k, n in value.items()}
-    if base == "float":
-        return float(value)
-    return tuple(value) if wire_type is list else value
-
-
-def _wire_dataclass(cls):
-    """Freeze ``cls`` as a dataclass and cache its field table.
-
-    ``_wire_fields`` holds one ``(name, annotation, required)`` per
-    field, computed here once so that no frame pays for
-    ``dataclasses.fields()``.
-    """
-    cls = dataclass(frozen=True)(cls)
-    cls._wire_fields = tuple(
-        (
-            f.name,
-            f.type,
-            f.default is MISSING and f.default_factory is MISSING,
-        )
-        for f in fields(cls)
-    )
-    return cls
-
-
-def _body_fields(obj: Any) -> Iterable[tuple[str, Any]]:
-    for name, _, _ in obj._wire_fields:
-        value = getattr(obj, name)
-        if value is not None:
-            yield name, value
-
-
-def _from_frame(cls, ctx: str, frame: dict[str, Any], data: bytes):
-    declared = frame.get(_PAYLOAD_KEY, 0)
-    if not _is_length(declared) or declared != len(data):
-        raise ProtocolError(
-            f"{ctx} declares {declared!r} payload bytes, {len(data)} "
-            f"followed its header (the total is a non-negative integer, "
-            f'written last: ,"{_PAYLOAD_KEY}":N}})'
-        )
-    offset = 0
-
-    def take(name: str, length: Any) -> bytes:
-        nonlocal offset
-        if not _is_length(length) or offset + length > len(data):
+        if flags & ~flags_allowed:
+            raise ProtocolError(f"flags {flags:#x} not valid on a {what}")
+        if cls is None:
             raise ProtocolError(
-                f"{ctx} field {name!r} must be a byte length within the "
-                f"{len(data) - offset} payload bytes left, got {length!r}"
+                f"unknown {what} code {code}",
+                code="unknown_op" if what == "request" else "bad_request",
             )
-        offset += length
-        return data[offset - length : offset]
-
-    kwargs: dict[str, Any] = {}
-    for name, annotation, required in cls._wire_fields:
-        if name not in frame:
-            if required:
-                raise ProtocolError(f"{ctx} requires field {name!r}")
-            continue
-        kwargs[name] = _coerce(ctx, name, annotation, frame[name], take)
-    if offset != len(data):
+        obj, var = _decode(cls, frame, header_end)
+        spans = None
+        if flags & SPANS:
+            spans = _json_body(frame[var:header_end], list, "spans")
+        elif var != header_end:
+            raise ProtocolError(
+                f"header has {header_end - var} bytes no field claims"
+            )
+    except (ValueError, RecursionError) as exc:
+        # a ProtocolError, bad UTF-8, a field's own check, or JSON nested
+        # past the interpreter's depth
         raise ProtocolError(
-            f"{ctx} payload has {len(data) - offset} bytes no field claims"
-        )
-    return cls(**kwargs)
+            str(exc),
+            code=getattr(exc, "code", "bad_request"),
+            request_id=request_id,
+        ) from None
+    if flags & TRACED:
+        trace = {"trace_id": ids[:8].hex(), "span_id": ids[8:].hex()}
+        return obj, Envelope._make((request_id, trace, None))
+    return obj, Envelope._make((request_id, None, spans))
 
 
 # ----------------------------------------------------------------------
@@ -462,49 +516,27 @@ class Request:
             if not getattr(self, name):
                 raise ProtocolError(f"{self.op!r} needs a string {name!r}")
 
-    def to_frame(
-        self,
-        *,
-        request_id: Any = None,
-        trace: dict[str, Any] | None = None,
-    ) -> dict[str, Any]:
-        """The frame as a dict; buffer fields stay buffers until
-        :func:`encode_frame` moves them behind the header line."""
-        frame: dict[str, Any] = {"v": PROTOCOL_VERSION, "op": self.op}
-        if request_id is not None:
-            frame["id"] = request_id
-        if trace is not None:
-            frame["trace"] = dict(trace)
-        frame.update(_body_fields(self))
-        return frame
+
+_REQUEST_TYPES: dict[int, type[Request]] = {}
+_request = partial(_wire, _REQUEST_TYPES)
 
 
-_REQUEST_TYPES: dict[str, type[Request]] = {}
-
-
-def _request(cls: type[Request]) -> type[Request]:
-    """Make ``cls`` a frozen dataclass and register it under its ``op``."""
-    cls = _wire_dataclass(cls)
-    _REQUEST_TYPES[cls.op] = cls
-    return cls
-
-
-@_request
+@_request(1)
 class PingRequest(Request):
     op: ClassVar[str] = "ping"
 
 
-@_request
+@_request(2)
 class StatsRequest(Request):
     op: ClassVar[str] = "stats"
 
 
-@_request
+@_request(3)
 class MetricsRequest(Request):
     op: ClassVar[str] = "metrics"
 
 
-@_request
+@_request(4)
 class MetricsSnapshotRequest(Request):
     """Raw registry snapshot of the answering process (scrape plane).
 
@@ -516,7 +548,7 @@ class MetricsSnapshotRequest(Request):
     op: ClassVar[str] = "metrics.snapshot"
 
 
-@_request
+@_request(5)
 class PutRequest(Request):
     """Store an object (a coordinator stripes it; a gateway replicates
     it to every site by forwarding this same request)."""
@@ -528,7 +560,7 @@ class PutRequest(Request):
     _required = ("name",)
 
 
-@_request
+@_request(6)
 class GetRequest(Request):
     """Reconstruct one object.
 
@@ -549,14 +581,14 @@ class GetRequest(Request):
         check_seconds(self.deadline, "'get' deadline")
 
 
-@_request
+@_request(7)
 class StatusRequest(Request):
     """The tier's view of itself and its members (nodes or sites)."""
 
     op: ClassVar[str] = "status"
 
 
-@_request
+@_request(8)
 class RepairRequest(Request):
     """Run the repair scheduler (a gateway: every site's, then
     cross-site re-injection).
@@ -580,7 +612,7 @@ class RepairRequest(Request):
             )
 
 
-@_request
+@_request(9)
 class BlockPutRequest(Request):
     """Bulk block write: one RPC stores the whole batch, or none of it
     when the node's data plane is dark."""
@@ -589,7 +621,7 @@ class BlockPutRequest(Request):
     blocks: dict[str, bytes]
 
 
-@_request
+@_request(10)
 class BlockFetchRequest(Request):
     """Bulk block read: one RPC returns every held key of the batch."""
 
@@ -597,7 +629,7 @@ class BlockFetchRequest(Request):
     keys: tuple[str, ...] = ()
 
 
-@_request
+@_request(11)
 class BlockDeleteRequest(Request):
     """Bulk block delete; the ack counts the keys that were held."""
 
@@ -605,13 +637,13 @@ class BlockDeleteRequest(Request):
     keys: tuple[str, ...] = ()
 
 
-@_request
+@_request(12)
 class BlockListRequest(Request):
     op: ClassVar[str] = "block.list"
     prefix: str = ""
 
 
-@_request
+@_request(13)
 class NodeAdminRequest(Request):
     """Storage-node fault control.
 
@@ -626,12 +658,7 @@ class NodeAdminRequest(Request):
     delay_seconds: float | None = None
 
     _ACTIONS: ClassVar[tuple[str, ...]] = (
-        "interrupt",
-        "restore",
-        "step",
-        "partition",
-        "heal",
-        "slow",
+        "interrupt", "restore", "step", "partition", "heal", "slow"
     )
 
     def __post_init__(self) -> None:
@@ -644,35 +671,40 @@ class NodeAdminRequest(Request):
         )
 
 
-@_request
+@_request(14)
 class ClusterRepairStatusRequest(Request):
     """Inspect the repair scheduler: queue, budget, lifetime totals."""
 
     op: ClassVar[str] = "cluster.repair_status"
 
 
-@_request
+@_request(15)
 class ClusterSnapshotRequest(Request):
     """Compact the coordinator WAL into a fresh snapshot."""
 
     op: ClassVar[str] = "cluster.snapshot"
 
 
-@_request
+def check_port(port: Any) -> int:
+    """A TCP port a member can be reached on: an integer in 1..65535."""
+    return check_count(port, "'cluster.join' port", 1, at_most=65535)
+
+
+@_request(16)
 class ClusterJoinRequest(Request):
     op: ClassVar[str] = "cluster.join"
     node_id: str = ""
     host: str = ""
     port: int = 0
 
+    _required = ("node_id", "host")
+
     def __post_init__(self) -> None:
-        if not self.node_id or not self.host or not self.port:
-            raise ProtocolError(
-                "'cluster.join' needs node_id, host and port"
-            )
+        super().__post_init__()
+        check_port(self.port)
 
 
-@_request
+@_request(17)
 class ClusterLeaveRequest(Request):
     op: ClassVar[str] = "cluster.leave"
     node_id: str = ""
@@ -680,7 +712,7 @@ class ClusterLeaveRequest(Request):
     _required = ("node_id",)
 
 
-@_request
+@_request(18)
 class FetchStripeRequest(Request):
     """Raw stripe read for cross-site coupled decode.
 
@@ -706,43 +738,35 @@ class FetchStripeRequest(Request):
             )
 
 
-def parse_request(
-    line: bytes | str, payload: bytes = b""
-) -> tuple[Request, Envelope]:
-    """Parse a header line and its payload into ``(request, envelope)``.
-
-    Raises :class:`ProtocolError` — carrying whatever ``id`` could be
-    recovered — for invalid JSON, bad envelopes, unknown ops, missing,
-    mistyped or out-of-range fields, and payload bytes no field claims.
-    """
-    frame = decode_frame(line)
-    envelope = _parse_envelope(frame)
-    op = frame.get("op")
-    cls = _REQUEST_TYPES.get(op) if isinstance(op, str) else None
-    if cls is None:
-        raise ProtocolError(
-            f"unknown op {op!r}", code="unknown_op", request_id=envelope.id
-        )
-    try:
-        request = _from_frame(cls, f"{op!r}", frame, payload)
-    except ValueError as exc:  # a ProtocolError, or a field's own check
-        code = getattr(exc, "code", "bad_request")
-        raise ProtocolError(
-            str(exc), code=code, request_id=envelope.id
-        ) from None
-    return request, envelope
-
-
 def encode_request(
     request: Request,
     *,
-    request_id: Any = None,
-    trace: dict[str, Any] | None = None,
+    request_id: int = 0,
+    trace: dict[str, str] | None = None,
 ) -> bytes:
-    """Client-side encoding of one typed request (header + payload)."""
-    return encode_frame(
-        request.to_frame(request_id=request_id, trace=trace)
-    )
+    """One typed request as a whole frame (envelope, header, payload)."""
+    if trace is None:
+        return _encode(request, request_id, 0, b"")
+    try:
+        ids = bytes.fromhex(trace["trace_id"]) + bytes.fromhex(trace["span_id"])
+    except (KeyError, TypeError, ValueError):
+        ids = b""
+    if len(ids) != 16:
+        raise ProtocolError(
+            "a trace context is 16 hex digits of trace_id and 16 of span_id"
+        )
+    return _encode(request, request_id, TRACED, ids)
+
+
+def parse_request(frame: bytes) -> tuple[Request, Envelope]:
+    """Parse one whole frame into ``(request, envelope)``.
+
+    Raises :class:`ProtocolError` — carrying the frame's id wherever
+    the envelope was readable — for another version, an unknown op,
+    mistyped or out-of-range fields, and header or payload bytes that
+    do not add up.
+    """
+    return _parse(frame, _REQUEST_TYPES, TRACED, "request")
 
 
 # ----------------------------------------------------------------------
@@ -757,47 +781,30 @@ class Response:
     kind: ClassVar[str]
     ok: ClassVar[bool] = True
 
-    def to_frame(self, *, request_id: Any = None) -> dict[str, Any]:
-        frame: dict[str, Any] = {
-            "v": PROTOCOL_VERSION,
-            "ok": self.ok,
-            "kind": self.kind,
-        }
-        if request_id is not None:
-            frame["id"] = request_id
-        frame.update(_body_fields(self))
-        return frame
+
+_RESPONSE_TYPES: dict[int, type[Response]] = {}
+_response = partial(_wire, _RESPONSE_TYPES)
 
 
-_RESPONSE_TYPES: dict[str, type[Response]] = {}
-
-
-def _response(cls: type[Response]) -> type[Response]:
-    """Make ``cls`` a frozen dataclass and register it under its ``kind``."""
-    cls = _wire_dataclass(cls)
-    _RESPONSE_TYPES[cls.kind] = cls
-    return cls
-
-
-@_response
+@_response(129)
 class PongResponse(Response):
     kind: ClassVar[str] = "pong"
     pong: bool = True
 
 
-@_response
+@_response(130)
 class StatsResponse(Response):
     kind: ClassVar[str] = "stats"
     stats: dict = None  # type: ignore[assignment]
 
 
-@_response
+@_response(131)
 class MetricsResponse(Response):
     kind: ClassVar[str] = "metrics"
     metrics: str = ""
 
 
-@_response
+@_response(132)
 class MetricsSnapshotResponse(Response):
     """One process's registry snapshot, labelled for fleet merging."""
 
@@ -807,7 +814,7 @@ class MetricsSnapshotResponse(Response):
     snapshot: dict = None  # type: ignore[assignment]
 
 
-@_response
+@_response(133)
 class ObjectInfoResponse(Response):
     """A reconstructed object: size + digest, payload only on request."""
 
@@ -818,14 +825,14 @@ class ObjectInfoResponse(Response):
     payload: bytes | None = None
 
 
-@_response
+@_response(134)
 class BlockMapResponse(Response):
     kind: ClassVar[str] = "blocks"
     blocks: dict[str, bytes] = None  # type: ignore[assignment]
     missing: tuple[str, ...] = ()
 
 
-@_response
+@_response(135)
 class StripeBlocksResponse(Response):
     """One stripe's surviving raw blocks, keyed by graph-node index.
 
@@ -841,13 +848,13 @@ class StripeBlocksResponse(Response):
     blocks: dict[str, bytes] = None  # type: ignore[assignment]
 
 
-@_response
+@_response(136)
 class KeyListResponse(Response):
     kind: ClassVar[str] = "keys"
     keys: tuple[str, ...] = ()
 
 
-@_response
+@_response(137)
 class AckResponse(Response):
     """Generic acknowledgement with operation-specific detail fields."""
 
@@ -855,13 +862,13 @@ class AckResponse(Response):
     info: dict = None  # type: ignore[assignment]
 
 
-@_response
+@_response(138)
 class StatusResponse(Response):
     kind: ClassVar[str] = "status"
     status: dict = None  # type: ignore[assignment]
 
 
-@_response
+@_response(128)
 class ErrorResponse(Response):
     kind: ClassVar[str] = "error"
     ok: ClassVar[bool] = False
@@ -888,32 +895,24 @@ class ErrorResponse(Response):
         raise exception_for(self.code, self.message)
 
 
-def parse_response(
-    line: bytes | str,
-    payload: bytes = b"",
-    frame: dict[str, Any] | None = None,
-) -> tuple[Response, dict[str, Any]]:
-    """Parse a reply's header line and payload into ``(response, frame)``.
+def encode_frame(
+    response: Response,
+    *,
+    request_id: int = 0,
+    spans: list[dict[str, Any]] | None = None,
+) -> bytes:
+    """One typed reply as a whole frame; ``spans`` (records a server
+    shipped back to a traced caller) end its header as JSON."""
+    if not spans:
+        return _encode(response, request_id, 0, b"")
+    return _encode(response, request_id, SPANS, b"", _dump_json(spans).encode())
 
-    The raw header frame rides along for envelope extras (``id``,
-    shipped ``spans``).  Error frames always parse, so clients can
-    surface the failure instead of desynchronising.  A caller that has
-    decoded ``line`` already (a link routing replies by ``id``) passes
-    the result as ``frame`` and the line is not decoded again.
+
+def parse_response(frame: bytes) -> tuple[Response, Envelope]:
+    """Parse one whole reply frame into ``(response, envelope)``.
+
+    Error frames parse like any other kind, so clients can surface the
+    failure instead of desynchronising; the envelope carries the id a
+    link routes by and any shipped spans.
     """
-    if frame is None:
-        frame = decode_frame(line)
-    if not frame.get("ok", False):
-        return (
-            ErrorResponse(
-                code=frame.get("code", "internal"),
-                error=frame.get("error", "Error"),
-                message=frame.get("message", ""),
-            ),
-            frame,
-        )
-    kind = frame.get("kind")
-    cls = _RESPONSE_TYPES.get(kind) if isinstance(kind, str) else None
-    if cls is None:
-        raise ProtocolError(f"response has unknown kind {kind!r}")
-    return _from_frame(cls, f"{kind!r} response", frame, payload), frame
+    return _parse(frame, _RESPONSE_TYPES, SPANS, "response")

@@ -1,7 +1,6 @@
 """Storage-node logic: block store, availability process, ship-back."""
 
 import asyncio
-import json
 
 import pytest
 
@@ -9,7 +8,6 @@ from repro.cluster import StorageNode, start_storage_node
 from repro.resilience import FaultPlan
 from repro.resilience.faults import TransientOutages
 from repro.serve.protocol import (
-    PROTOCOL_VERSION,
     BlockDeleteRequest,
     BlockFetchRequest,
     BlockListRequest,
@@ -22,6 +20,8 @@ from repro.serve.protocol import (
     encode_request,
 )
 from repro.storage.device import TransientUnavailableError
+
+from ..serve.wire import read_reply
 
 
 def served(node, request):
@@ -133,11 +133,11 @@ class TestStorageNodeServer:
                     encode_request(
                         BlockPutRequest(blocks={"k": b"x"}),
                         request_id=1,
-                        trace={"trace_id": "t" * 16, "span_id": "s" * 16},
+                        trace={"trace_id": "ab" * 8, "span_id": "cd" * 8},
                     )
                 )
                 await writer.drain()
-                reply = json.loads(await reader.readline())
+                reply = await read_reply(reader)
                 writer.close()
                 await writer.wait_closed()
             finally:
@@ -152,8 +152,8 @@ class TestStorageNodeServer:
         # The shipped span parents under the caller's context, in the
         # caller's trace — that is what stitches the cluster-wide tree.
         assert spans[0]["name"] == "node.block.put"
-        assert spans[0]["trace_id"] == "t" * 16
-        assert spans[0]["parent_id"] == "s" * 16
+        assert spans[0]["trace_id"] == "ab" * 8
+        assert spans[0]["parent_id"] == "cd" * 8
 
     def test_untraced_request_ships_no_spans(self):
         async def run():
@@ -164,11 +164,9 @@ class TestStorageNodeServer:
                 reader, writer = await asyncio.open_connection(
                     host, port
                 )
-                writer.write(
-                    b'{"v": %d, "op": "ping"}\n' % PROTOCOL_VERSION
-                )
+                writer.write(encode_request(PingRequest()))
                 await writer.drain()
-                reply = json.loads(await reader.readline())
+                reply = await read_reply(reader)
                 writer.close()
                 await writer.wait_closed()
             finally:

@@ -10,7 +10,6 @@ expected numbers differ by tier.
 
 import asyncio
 import hashlib
-import json
 
 import pytest
 
@@ -29,6 +28,7 @@ from repro.serve.protocol import (
 )
 from repro.sites import FederationGateway, start_gateway
 from tests.cluster.test_cluster import Cluster, payload_bytes
+from tests.serve.wire import BOGUS_OP, frame, recv_reply
 from tests.sites.test_gateway import Federation
 
 # What differs by tier: who the members are and what the scrape says
@@ -162,13 +162,14 @@ class TestArchiveContract:
             with socket.create_connection((host, port), timeout=10) as sock:
                 reader = sock.makefile("rb")
                 sock.sendall(
-                    b'{"v":2,"op":"cluster.get","name":"obj","id":4}\n'
-                    b'{"v":%d,"op":"bogus","id":5}\n'
-                    b'{"v":%d,"op":"ping","id":6}\n' % (current, current)
+                    frame("get", "I??d", 3, False, False, 0.0, header=b"obj",
+                          v=2, id=4)
+                    + frame(BOGUS_OP, id=5)
+                    + frame("ping", id=6)
                 )
                 replies = {}
                 for _ in range(3):
-                    reply = json.loads(reader.readline())
+                    reply = recv_reply(reader)
                     replies[reply["id"]] = reply
             assert replies[4]["code"] == "unsupported_version"
             assert replies[5]["code"] == "unknown_op"

@@ -2,7 +2,6 @@
 
 import asyncio
 import hashlib
-import json
 
 from repro.core import tornado_graph
 from repro.serve import (
@@ -11,12 +10,20 @@ from repro.serve import (
     seeded_archive,
     start_frontend,
 )
-from repro.serve.protocol import PROTOCOL_VERSION
+from repro.serve.protocol import (
+    PROTOCOL_VERSION,
+    GetRequest,
+    MetricsRequest,
+    PingRequest,
+    StatsRequest,
+    encode_request,
+)
+
+from .wire import BOGUS_OP, frame, read_reply
 
 
-def req(**fields) -> bytes:
-    """One request line (no newline) at the current protocol version."""
-    return json.dumps({"v": PROTOCOL_VERSION, **fields}).encode()
+def get(name: str, request_id: int = 0) -> bytes:
+    return encode_request(GetRequest(name=name), request_id=request_id)
 
 
 def small_archive():
@@ -39,9 +46,9 @@ async def _roundtrip(requests):
             reader, writer = await asyncio.open_connection(host, port)
             replies = []
             for request in requests:
-                writer.write(request + b"\n")
+                writer.write(request)
                 await writer.drain()
-                replies.append(json.loads(await reader.readline()))
+                replies.append(await read_reply(reader))
             writer.close()
             await writer.wait_closed()
         finally:
@@ -53,7 +60,7 @@ async def _roundtrip(requests):
 class TestFrontend:
     def test_get_returns_size_and_digest(self):
         names, expected, (reply,) = asyncio.run(
-            _roundtrip([req(op="get", name="object-000")])
+            _roundtrip([get("object-000")])
         )
         data = expected["object-000"]
         assert reply == {
@@ -69,12 +76,12 @@ class TestFrontend:
         _, _, replies = asyncio.run(
             _roundtrip(
                 [
-                    req(op="ping"),
-                    req(op="stats"),
-                    req(op="get", name="missing"),
-                    req(op="get"),
-                    req(op="bogus"),
-                    b"not json at all",
+                    encode_request(PingRequest()),
+                    encode_request(StatsRequest()),
+                    get("missing"),
+                    frame("get", "I??d", 0, False, False, 0.0),
+                    frame(BOGUS_OP),
+                    b'{"v": 4, "op": "ping"}\n',  # an old JSON line
                 ]
             )
         )
@@ -90,17 +97,14 @@ class TestFrontend:
         assert nameless["ok"] is False
         assert nameless["error"] == "BadRequest"
         assert bogus["ok"] is False
-        assert "unknown op" in bogus["message"]
+        assert "unknown request code" in bogus["message"]
         assert garbage["ok"] is False
-        assert "invalid JSON" in garbage["message"]
+        assert "JSON header line" in garbage["message"]
 
     def test_multiple_gets_share_one_connection(self):
         names, expected, replies = asyncio.run(
             _roundtrip(
-                [
-                    req(op="get", name=n)
-                    for n in ["object-000", "object-001", "object-000"]
-                ]
+                [get(n) for n in ["object-000", "object-001", "object-000"]]
             )
         )
         assert [r["ok"] for r in replies] == [True, True, True]
@@ -112,10 +116,7 @@ class TestFrontend:
     def test_metrics_op_renders_prometheus_text(self):
         _, _, (get_reply, metrics_reply) = asyncio.run(
             _roundtrip(
-                [
-                    req(op="get", name="object-000"),
-                    req(op="metrics"),
-                ]
+                [get("object-000"), encode_request(MetricsRequest())]
             )
         )
         assert get_reply["ok"] is True
@@ -150,24 +151,14 @@ class TestConcurrentWrites:
                     total = 60
                     # One burst write of many pipelined requests.
                     burst = b"".join(
-                        json.dumps(
-                            {
-                                "v": PROTOCOL_VERSION,
-                                "id": i,
-                                "op": "get",
-                                "name": names[i % len(names)],
-                            }
-                        ).encode()
-                        + b"\n"
+                        get(names[i % len(names)], request_id=i)
                         for i in range(total)
                     )
                     writer.write(burst)
                     await writer.drain()
                     replies = []
                     for _ in range(total):
-                        replies.append(
-                            json.loads(await reader.readline())
-                        )
+                        replies.append(await read_reply(reader))
                     writer.close()
                     await writer.wait_closed()
                 finally:
@@ -178,4 +169,4 @@ class TestConcurrentWrites:
         replies = asyncio.run(run())
         assert all(r["ok"] for r in replies)
         # Every request answered exactly once, whatever the order.
-        assert sorted(r["id"] for r in replies) == list(range(60))
+        assert sorted(r.get("id", 0) for r in replies) == list(range(60))

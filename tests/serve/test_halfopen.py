@@ -11,7 +11,6 @@ error frame while keeping the connection up.
 """
 
 import asyncio
-import json
 import threading
 import time
 
@@ -24,8 +23,16 @@ from repro.graphs import tornado_catalog_graph
 from repro.resilience import RetryPolicy
 from repro.serve.client import ClusterClient, ProtocolClient
 from repro.serve.errors import DeadlineExceededError, NodeUnreachableError
-from repro.serve.lineserver import start_line_server
-from repro.serve.protocol import PROTOCOL_VERSION, PingRequest, PongResponse
+from repro.serve.lineserver import read_frame, start_line_server
+from repro.serve.protocol import (
+    PingRequest,
+    PongResponse,
+    encode_frame,
+    encode_request,
+    frame_id,
+)
+
+from . import wire
 
 
 def run(coro):
@@ -37,7 +44,7 @@ async def silent_server():
 
     async def handle(reader, writer):
         try:
-            while await reader.readline():
+            while await reader.read(4096):
                 pass
         finally:
             writer.close()
@@ -49,8 +56,8 @@ async def midframe_server():
     """Answers every request with half a frame, then hangs up."""
 
     async def handle(reader, writer):
-        await reader.readline()
-        writer.write(b'{"v": %d, "kind": "pong", "po' % PROTOCOL_VERSION)
+        await read_frame(reader)
+        writer.write(encode_frame(PongResponse(), request_id=1)[:-1])
         await writer.drain()
         writer.close()
 
@@ -137,15 +144,12 @@ class TestLineServerMalformedFrames:
             reader, writer = await asyncio.open_connection(host, port)
             # A valid ping, then garbage, then another valid ping —
             # all pipelined on one connection.
-            v = PROTOCOL_VERSION
-            writer.write(b'{"v": %d, "op": "ping", "id": 1}\n' % v)
-            writer.write(b"this is not JSON\n")
-            writer.write(b'{"v": %d, "op": "nonsense.op", "id": 2}\n' % v)
-            writer.write(b'{"v": %d, "op": "ping", "id": 3}\n' % v)
+            writer.write(encode_request(PingRequest(), request_id=1))
+            writer.write(wire.frame("ping", header=b"not a header\n"))
+            writer.write(wire.frame(wire.BOGUS_OP, id=2))
+            writer.write(encode_request(PingRequest(), request_id=3))
             await writer.drain()
-            frames = [
-                json.loads(await reader.readline()) for _ in range(4)
-            ]
+            frames = [await wire.read_reply(reader) for _ in range(4)]
             by_kind = {}
             for frame in frames:
                 by_kind.setdefault(frame["kind"], []).append(frame)
@@ -198,14 +202,8 @@ class TestCoordinatorRpcDeadlines:
                 if attempts["count"] == 1:
                     writer.close()  # first connection dies instantly
                     return
-                line = await reader.readline()
-                request_id = json.loads(line)["id"]
-                writer.write(
-                    json.dumps(
-                        {"v": PROTOCOL_VERSION, "ok": True, "kind": "pong",
-                         "pong": True, "id": request_id}
-                    ).encode() + b"\n"
-                )
+                request_id = frame_id(await read_frame(reader))
+                writer.write(encode_frame(PongResponse(), request_id=request_id))
                 await writer.drain()
                 writer.close()
 

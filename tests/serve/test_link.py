@@ -7,7 +7,6 @@ encode/parse its callers wrap around it.
 
 import asyncio
 import gc
-import json
 import sys
 import time
 import warnings
@@ -27,7 +26,7 @@ from repro.cluster.coordinator import (
 from repro.graphs import tornado_catalog_graph
 from repro.obs.registry import capture
 from repro.resilience import RetryPolicy
-from repro.serve.lineserver import start_line_server
+from repro.serve.lineserver import read_frame, start_line_server
 from repro.serve.protocol import (
     BlockFetchRequest,
     BlockMapResponse,
@@ -37,8 +36,10 @@ from repro.serve.protocol import (
     PongResponse,
     encode_frame,
     encode_request,
-    payload_size,
+    parse_request,
 )
+
+from .wire import read_reply
 
 
 def coordinator(**kwargs):
@@ -52,13 +53,11 @@ def address(server):
     return server.sockets[0].getsockname()[:2]
 
 
-async def read_frame(reader):
-    """One request frame off a raw server-side stream, or None at EOF."""
-    line = await reader.readline()
-    if not line:
-        return None
-    await reader.readexactly(payload_size(line))
-    return json.loads(line)
+async def read_request(reader):
+    """One ``(request, envelope)`` off a raw server-side stream, or
+    None at EOF."""
+    frame = await read_frame(reader)
+    return None if frame is None else parse_request(frame)
 
 
 @contextmanager
@@ -85,14 +84,13 @@ class TestPipelining:
         burst = 8
 
         async def handle(reader, writer):
-            frames = [await read_frame(reader) for _ in range(burst)]
-            for frame in reversed(frames):
-                (key,) = frame["keys"]
+            frames = [await read_request(reader) for _ in range(burst)]
+            for request, envelope in reversed(frames):
+                (key,) = request.keys
                 writer.write(
                     encode_frame(
-                        BlockMapResponse(blocks={key: key.encode()}).to_frame(
-                            request_id=frame["id"]
-                        )
+                        BlockMapResponse(blocks={key: key.encode()}),
+                        request_id=envelope.id,
                     )
                 )
             try:
@@ -264,10 +262,8 @@ class TestBursts:
                         for i in range(burst)
                     )
                 )
-                replies = [
-                    json.loads(await reader.readline()) for _ in range(burst)
-                ]
-            assert sorted(r["id"] for r in replies) == list(range(burst))
+                replies = [await read_reply(reader) for _ in range(burst)]
+            assert sorted(r.get("id", 0) for r in replies) == list(range(burst))
             assert all(r["kind"] == "pong" for r in replies)
             answers = [w for w in writes if w is not writer]
             assert 0 < len(answers) < burst
@@ -283,11 +279,9 @@ class TestBursts:
 
         async def half_answering(reader, writer):
             seen["connections"] += 1
-            frames = [await read_frame(reader) for _ in range(burst)]
-            for frame in frames[:answered]:
-                writer.write(
-                    encode_frame(PongResponse().to_frame(request_id=frame["id"]))
-                )
+            frames = [await read_request(reader) for _ in range(burst)]
+            for _, envelope in frames[:answered]:
+                writer.write(encode_frame(PongResponse(), request_id=envelope.id))
             try:
                 await writer.drain()
                 await reader.read()  # silent until the link hangs up
@@ -327,8 +321,8 @@ class TestFailure:
         async def dying_node(reader, writer):
             seen["connections"] += 1
             while seen["puts"] < 24:
-                frame = await read_frame(reader)
-                seen["puts"] += frame["op"] == "block.put"
+                request, _ = await read_request(reader)
+                seen["puts"] += request.op == "block.put"
             writer.close()  # dies with all 24 unanswered
 
         async def check():

@@ -1,7 +1,8 @@
-"""Wire-protocol tests: round-trips, malformed frames, payload framing."""
+"""Wire-protocol tests: round-trips, malformed and torn frames, payload
+framing."""
 
 import asyncio
-import json
+import struct
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,8 +14,10 @@ from repro.serve.errors import (
     ServiceClosedError,
     ServiceOverloadedError,
 )
-from repro.serve.lineserver import start_line_server
+from repro.serve.lineserver import read_frame, start_line_server
 from repro.serve.protocol import (
+    ENVELOPE,
+    MAX_HEADER_BYTES,
     MAX_PAYLOAD_BYTES,
     PROTOCOL_VERSION,
     AckResponse,
@@ -48,19 +51,28 @@ from repro.serve.protocol import (
     StatusRequest,
     StatusResponse,
     StripeBlocksResponse,
+    body_size,
+    encode_frame,
     encode_request,
     error_code,
     exception_for,
+    frame_id,
     parse_request,
     parse_response,
-    payload_size,
 )
 from repro.storage.archive import DataLossError
 from repro.storage.device import TransientUnavailableError
 
-# JSON-safe building blocks.
+from .wire import BOGUS_OP, OPS, block_put, frame, read_reply, reply_dict
+
+# Building blocks: any text for a name, any but NUL (the wire's key
+# separator) for a key.
 names = st.text(min_size=1, max_size=40)
-keys = st.text(min_size=1, max_size=60)
+keys = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\0"),
+    min_size=1,
+    max_size=60,
+)
 # Arbitrary bytes, with the ones a text framing would trip on drawn
 # often: empty, newlines, base64 padding, 0xFF.
 payloads = st.one_of(
@@ -213,18 +225,8 @@ response_strategies = st.one_of(
     ),
 )
 
-request_ids = st.one_of(
-    st.none(), st.integers(min_value=0, max_value=2**31), names
-)
-
-
-def split(data: bytes) -> tuple[bytes, bytes]:
-    """Encoded frame -> (header line, payload), read as a stream reader
-    does: up to the first newline, then ``payload_size`` bytes."""
-    line, newline, rest = data.partition(b"\n")
-    line += newline
-    assert payload_size(line) == len(rest)
-    return line, rest
+request_ids = st.integers(min_value=0, max_value=2**64 - 1)
+hex_ids = st.binary(min_size=8, max_size=8).map(bytes.hex)
 
 
 class TestRequestRoundTrip:
@@ -232,17 +234,18 @@ class TestRequestRoundTrip:
     @given(request=request_strategies, request_id=request_ids)
     def test_every_request_type_round_trips(self, request, request_id):
         data = encode_request(request, request_id=request_id)
-        parsed, envelope = parse_request(*split(data))
+        parsed, envelope = parse_request(data)
         assert parsed == request
         assert type(parsed) is type(request)
         assert envelope.id == request_id
+        assert envelope.trace is None
 
     @settings(max_examples=50, deadline=None)
-    @given(request=request_strategies)
-    def test_trace_context_rides_the_envelope(self, request):
-        trace = {"trace_id": "abc123", "span_id": "def456"}
+    @given(request=request_strategies, trace_id=hex_ids, span_id=hex_ids)
+    def test_trace_context_rides_the_envelope(self, request, trace_id, span_id):
+        trace = {"trace_id": trace_id, "span_id": span_id}
         data = encode_request(request, trace=trace)
-        _, envelope = parse_request(*split(data))
+        _, envelope = parse_request(data)
         assert envelope.trace == trace
 
     @settings(max_examples=100, deadline=None)
@@ -251,13 +254,22 @@ class TestRequestRoundTrip:
     @example(blocks={"k": memoryview(b"\n\xff=")[1:]})
     @example(blocks={f"obj/0/{i}": bytes([i]) * i for i in range(32)})
     def test_block_put_batch_arrives_byte_exact_and_in_order(self, blocks):
-        line, payload = split(encode_request(BlockPutRequest(blocks=blocks)))
-        assert payload == b"".join(bytes(v) for v in blocks.values())
-        parsed, _ = parse_request(line, payload)
+        data = encode_request(BlockPutRequest(blocks=blocks))
+        assert data.endswith(b"".join(bytes(v) for v in blocks.values()))
+        parsed, _ = parse_request(data)
         assert list(parsed.blocks.items()) == [
             (key, bytes(data)) for key, data in blocks.items()
         ]
         assert all(type(data) is bytes for data in parsed.blocks.values())
+
+    def test_a_key_holding_nul_is_refused_at_encode(self):
+        for request in (
+            BlockPutRequest(blocks={"a\0b": b"x"}),
+            BlockPutRequest(blocks={"a": b"x", "\0": b""}),
+            BlockFetchRequest(keys=("a", "b\0")),
+        ):
+            with pytest.raises(ProtocolError, match="NUL"):
+                encode_request(request)
 
     def test_all_registered_ops_covered_by_strategy(self):
         # If a new request type lands without a strategy above, fail
@@ -267,31 +279,33 @@ class TestRequestRoundTrip:
 
 class TestResponseRoundTrip:
     @settings(max_examples=200, deadline=None)
-    @given(response=response_strategies)
-    def test_every_response_type_round_trips(self, response):
-        data = proto.encode_frame(response.to_frame(request_id=7))
-        parsed, frame = parse_response(*split(data))
+    @given(response=response_strategies, request_id=request_ids)
+    def test_every_response_type_round_trips(self, response, request_id):
+        data = encode_frame(response, request_id=request_id)
+        parsed, envelope = parse_response(data)
         assert parsed == response
         assert type(parsed) is type(response)
-        assert frame["v"] == PROTOCOL_VERSION
-        assert frame["kind"] == response.kind
-        assert frame["id"] == 7
+        assert data[0] == PROTOCOL_VERSION
+        assert envelope == (request_id, None, None)
 
-    def test_payload_bytes_travel_raw_after_the_header_line(self):
+    @settings(max_examples=50, deadline=None)
+    @given(response=response_strategies, spans=st.lists(json_dicts, max_size=3))
+    def test_shipped_spans_end_the_header(self, response, spans):
+        _, envelope = parse_response(encode_frame(response, spans=spans))
+        assert envelope.spans == (spans or None)
+
+    def test_payload_bytes_travel_raw_after_the_header(self):
         blocks = {"a": b"\n\xff=", "b": b"", "c": b"{}\n"}
-        data = proto.encode_frame(
-            BlockMapResponse(blocks=blocks, missing=("d",)).to_frame()
-        )
-        line, payload = split(data)
-        assert payload == b"\n\xff={}\n"
-        header = json.loads(line)
-        assert header["blocks"] == {"a": 3, "b": 0, "c": 3}
-        assert line.endswith(b',"bin":6}\n')
-        # A frame without buffer fields is the header line alone.
-        assert split(proto.encode_frame(PongResponse().to_frame())) == (
-            b'{"v":%d,"ok":true,"kind":"pong","pong":true}\n'
-            % PROTOCOL_VERSION,
-            b"",
+        data = encode_frame(BlockMapResponse(blocks=blocks, missing=("d",)))
+        # envelope | present, count, key bytes, missing count and bytes
+        # | value lengths, keys | missing | payload
+        header = struct.pack("<?IIII", True, 3, 5, 1, 1)
+        header += struct.pack("<3I", 3, 0, 3) + b"a\0b\0c" + b"d"
+        assert data[ENVELOPE.size :] == header + b"\n\xff={}\n"
+        assert ENVELOPE.unpack_from(data)[3:5] == (len(header), 6)
+        # A frame without buffer fields is the envelope and header alone.
+        assert encode_frame(PongResponse()) == frame(
+            PongResponse.wire_code, "?", True
         )
 
     def test_views_encode_like_the_bytes_they_cover(self):
@@ -305,207 +319,286 @@ class TestResponseRoundTrip:
         assert COVERED_RESPONSES == set(proto._RESPONSE_TYPES.values())
 
     def test_unknown_kind_is_a_protocol_error(self):
-        with pytest.raises(ProtocolError):
-            parse_response(b'{"ok": true, "kind": "wat"}')
-
-
-def versioned(**fields) -> bytes:
-    """A hand-written header line (compact) at the current version."""
-    frame = {"v": PROTOCOL_VERSION, **fields}
-    return json.dumps(frame, separators=(",", ":")).encode() + b"\n"
+        with pytest.raises(ProtocolError, match="unknown response code 7"):
+            parse_response(frame(7, id=3))
 
 
 class TestMalformedFrames:
-    def check(self, line, code="bad_request", payload=b""):
+    def check(self, data, code="bad_request"):
         with pytest.raises(ProtocolError) as excinfo:
-            parse_request(line, payload)
+            parse_request(data)
         assert excinfo.value.code == code
         return excinfo.value
 
-    def test_invalid_json(self):
-        self.check(b"{nope")
+    def test_bytes_that_are_no_frame(self):
+        self.check(b"nope")
+        self.check(b"\x05" * (ENVELOPE.size - 1))
 
     def test_non_object_frame(self):
         self.check(b"[1, 2, 3]")
 
     def test_missing_op(self):
-        self.check(versioned(), code="unknown_op")
+        self.check(frame(0), code="unknown_op")
 
     def test_unknown_op(self):
-        exc = self.check(versioned(op="explode", id=7), code="unknown_op")
+        exc = self.check(frame(BOGUS_OP, id=7), code="unknown_op")
         # The reply can still be correlated and versioned.
         assert exc.request_id == 7
 
     def test_unsupported_future_version(self):
-        self.check(
-            json.dumps({"v": 99, "op": "ping"}).encode(),
-            code="unsupported_version",
-        )
+        self.check(frame("ping", v=99), code="unsupported_version")
 
-    def test_bad_version_type(self):
-        self.check(b'{"v": "one", "op": "ping"}')
-        self.check(b'{"v": -1, "op": "ping"}')
-        self.check(b'{"v": true, "op": "ping"}')
+    def test_json_header_line_is_an_old_version(self):
+        for line in (
+            b'{"v": "one", "op": "ping"}\n',
+            b'{"v":4,"op":"ping","id":1}\n',
+            b"{" + b" " * 64,
+        ):
+            exc = self.check(line, code="unsupported_version")
+            assert exc.request_id is None
+            assert "JSON header line" in str(exc)
 
-    def test_bad_id_type(self):
-        self.check(versioned(op="ping", id=[1]))
+    def test_id_outside_u64_is_refused_at_encode(self):
+        for bad in (-1, 2**64):
+            with pytest.raises(ProtocolError, match="cannot encode"):
+                encode_request(PingRequest(), request_id=bad)
 
     def test_bad_trace_shape(self):
-        self.check(versioned(op="ping", trace="t1"))
-        self.check(versioned(op="ping", trace={"trace_id": 5}))
+        for trace in (
+            {"trace_id": "t1", "span_id": "ab" * 8},
+            {"trace_id": "ab" * 8},
+            {"trace_id": 5, "span_id": "ab" * 8},
+            {"trace_id": "ab" * 9, "span_id": "ab" * 8},
+        ):
+            with pytest.raises(ProtocolError, match="16 hex digits"):
+                encode_request(PingRequest(), trace=trace)
+        # ... and a reply never carries a trace context.
+        with pytest.raises(ProtocolError, match="flags"):
+            parse_response(frame(PongResponse.wire_code, "?", True, flags=1))
 
     def test_missing_required_field(self):
-        self.check(versioned(op="get"))
-        self.check(versioned(op="cluster.leave"))
-        self.check(versioned(op="block.put"))
+        # A header shorter than its fixed fields, and empty strings
+        # where a name is required.
+        self.check(frame("get"))
+        self.check(frame("get", "I??d", 0, False, False, 0.0))
+        self.check(frame("cluster.leave", "I", 0))
+        self.check(frame("block.put"))
 
     @pytest.mark.parametrize("deadline", [0, -1, -0.5])
     def test_non_positive_get_deadline(self, deadline):
         exc = self.check(
-            versioned(op="get", id=9, name="o", deadline=deadline)
+            frame("get", "I??d", 1, False, True, deadline, header=b"o", id=9)
         )
         assert exc.request_id == 9
         assert "deadline" in str(exc)
 
     def test_mistyped_field(self):
-        self.check(versioned(op="get", name=42))
-        self.check(versioned(op="block.fetch", keys="k"))
-        self.check(versioned(op="block.delete", keys="k"))
-        self.check(versioned(op="block.delete", keys=["k", 1]))
+        # bytes that do not decode as the field's type
+        self.check(frame("get", "I??d", 2, False, False, 0.0, header=b"\xff\xfe"))
+        self.check(frame("block.fetch", "II", 2, 1, header=b"k"))
+        self.check(frame("block.delete", "II", 1, 3, header=b"k\0l"))
+        # a JSON body must be exactly one object
+        for body in (b"[1]", b"{} ", b"nope", b"\xff"):
+            with pytest.raises(ProtocolError, match="JSON|utf-8"):
+                parse_response(
+                    frame(AckResponse.wire_code, "?I", True, len(body),
+                          header=body)
+                )
 
     def test_payload_field_must_be_a_byte_length(self):
-        # ``blocks`` is an object of byte lengths: the base64 text a v1
-        # peer would send, or any other value, is a type error ...
-        for bad in ("eA==", -1, 1.5, True, None, [1], {"a": 1}):
-            exc = self.check(
-                versioned(op="block.put", id=4, blocks={"k": bad, "l": 1}),
-            )
-            assert exc.request_id == 4
-            assert "byte length" in str(exc)
-        # ... so is a ``blocks`` that is no object at all (the v3 shape
-        # of a length included) ...
-        for bad in (3, "k", ["k"], None, True):
-            exc = self.check(versioned(op="block.put", id=4, blocks=bad))
-            assert exc.request_id == 4
-            assert "object of byte lengths" in str(exc)
-        # ... and so are per-key lengths that do not add up to "bin".
-        for lengths in ({"k": 1, "l": 1}, {"k": 2, "l": 2}, {"k": 4}, {}):
-            exc = self.check(
-                versioned(op="block.put", id=4, blocks=lengths, bin=3),
-                payload=b"abc",
-            )
+        # Value lengths that claim past the payload, keys that do not
+        # match the count, and lengths that leave bytes unclaimed.
+        for lengths, keys, payload in (
+            ((4,), b"k", b"abc"),
+            ((1, 3), b"k\0l", b"abc"),
+            ((3,), b"k\0l", b"abc"),
+            ((1, 1), b"k", b"ab"),
+            ((1,), b"k", b"abc"),
+            ((), b"", b"abc"),
+        ):
+            exc = self.check(block_put(lengths, keys, payload, id=4))
             assert exc.request_id == 4
 
     def test_bad_admin_action(self):
-        self.check(versioned(op="node.admin", action="reboot"))
+        self.check(frame("node.admin", "I?d", 6, False, 0.0, header=b"reboot"))
 
 
 class TestVersioning:
-    def test_any_other_version_is_refused_with_its_id(self):
-        for frame in (
-            {"op": "ping", "id": 9},  # the un-versioned v0 shape
-            {"v": 0, "op": "ping", "id": 9},
-            {"v": 1, "op": "get", "name": "object-000", "id": 9},
-            {"v": 1, "op": "block.put", "key": "k", "data": "eA==", "id": 9},
-            # v2 named the same ops per tier (cluster.get, sites.put ...):
-            # its speakers learn the version moved, not "unknown_op".
-            {"v": 2, "op": "cluster.get", "name": "object-000", "id": 9},
-            {"v": 2, "op": "ping", "id": 9},
-            # v3 wrote and deleted one block per frame and had a
-            # ``block.get``: same answer, whether the op survived or not.
-            {"v": 3, "op": "block.put", "key": "k", "data": 0, "id": 9},
-            {"v": 3, "op": "block.get", "key": "k", "id": 9},
-            {"v": 3, "op": "ping", "id": 9},
-            {"v": PROTOCOL_VERSION + 1, "op": "ping", "id": 9},
-        ):
-            with pytest.raises(ProtocolError) as excinfo:
-                parse_request(json.dumps(frame).encode() + b"\n")
-            assert excinfo.value.code == "unsupported_version", frame
-            assert excinfo.value.request_id == 9
+    @settings(max_examples=50, deadline=None)
+    @given(
+        version=st.integers(0, 255).filter(lambda v: v != PROTOCOL_VERSION),
+        request_id=request_ids,
+        op=st.sampled_from(sorted(OPS)),
+    )
+    def test_any_other_version_is_refused_with_its_id(
+        self, version, request_id, op
+    ):
+        if version == ord("{"):
+            return  # the first byte of a JSON line: refused without an id
+        with pytest.raises(ProtocolError) as excinfo:
+            parse_request(frame(op, v=version, id=request_id))
+        assert excinfo.value.code == "unsupported_version"
+        assert excinfo.value.request_id == request_id
         # ... and the refusal itself is a current-version error frame.
-        reply = ErrorResponse.from_exception(excinfo.value).to_frame(
-            request_id=excinfo.value.request_id
+        reply = encode_frame(
+            ErrorResponse.from_exception(excinfo.value),
+            request_id=excinfo.value.request_id,
         )
-        assert reply["v"] == PROTOCOL_VERSION
-        assert (reply["ok"], reply["kind"], reply["id"]) == (False, "error", 9)
+        assert reply_dict(reply) | {"message": ""} == {
+            "v": PROTOCOL_VERSION,
+            "ok": False,
+            "kind": "error",
+            "code": "unsupported_version",
+            "error": "BadRequest",
+            "message": "",
+            **({"id": request_id} if request_id else {}),
+        }
+
+    def test_codes_are_the_documented_table(self):
+        # docs/SERVE.md § "Wire format"; a code that moves is a new
+        # protocol version.
+        assert OPS == {
+            "ping": 1, "stats": 2, "metrics": 3, "metrics.snapshot": 4,
+            "put": 5, "get": 6, "status": 7, "repair": 8, "block.put": 9,
+            "block.fetch": 10, "block.delete": 11, "block.list": 12,
+            "node.admin": 13, "cluster.repair_status": 14,
+            "cluster.snapshot": 15, "cluster.join": 16, "cluster.leave": 17,
+            "cluster.fetch_stripe": 18,
+        }
+        assert {
+            cls.kind: code for code, cls in proto._RESPONSE_TYPES.items()
+        } == {
+            "error": 128, "pong": 129, "stats": 130, "metrics": 131,
+            "metrics_snapshot": 132, "object": 133, "blocks": 134,
+            "stripe": 135, "keys": 136, "ack": 137, "status": 138,
+        }
 
     def test_frames_carry_the_envelope(self):
-        frame = PongResponse().to_frame(request_id="r1")
-        assert frame["v"] == PROTOCOL_VERSION
-        assert frame["kind"] == "pong"
-        assert frame["id"] == "r1"
+        data = encode_frame(PongResponse(), request_id=12)
+        version, flags, code, hlen, plen, request_id, ids = (
+            ENVELOPE.unpack_from(data)
+        )
+        assert (version, flags, code) == (
+            PROTOCOL_VERSION, 0, PongResponse.wire_code
+        )
+        assert (hlen, plen, request_id, ids) == (1, 0, 12, bytes(16))
+        assert frame_id(data) == 12
 
 
-def put_header(data, bin) -> bytes:
-    """A hand-written one-block ``block.put`` header line (id 5):
-    ``data`` is the length it claims for key ``"k"``."""
-    return versioned(op="block.put", id=5, blocks={"k": data}, bin=bin)
+def mutations(data: bytes):
+    """Every truncation of ``data``, each length field flipped up and
+    down, and the payload declared past the cap."""
+    for cut in range(len(data)):
+        yield data[:cut]
+    for offset in (4, 8):  # header length, payload length
+        (size,) = struct.unpack_from("<I", data, offset)
+        for changed in (size + 1, size - 1 if size else 7, size ^ 0xFF):
+            yield data[:offset] + struct.pack("<I", changed) + data[offset + 4 :]
+    yield data[:8] + struct.pack("<I", MAX_PAYLOAD_BYTES + 1) + data[12:]
+    yield data[:4] + struct.pack("<I", MAX_HEADER_BYTES + 1) + data[8:]
+
+
+class TestTornFrames:
+    """Whatever a stream delivers ends in a typed refusal or a clean
+    end of stream, never another exception and never a wait."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(request=request_strategies, request_id=request_ids)
+    def test_mutated_frames_end_typed_or_at_a_clean_eof(
+        self, request, request_id
+    ):
+        async def read_all(data: bytes) -> list:
+            reader = asyncio.StreamReader()
+            reader.feed_data(data)
+            reader.feed_eof()
+            outcomes = []
+            while True:
+                try:
+                    got = await asyncio.wait_for(read_frame(reader), 5)
+                except ProtocolError as exc:
+                    outcomes.append(exc)
+                    break  # a reader hangs up here
+                except asyncio.IncompleteReadError:
+                    outcomes.append("eof mid-frame")
+                    break
+                if got is None:
+                    break
+                try:
+                    outcomes.append(parse_request(got))
+                except ProtocolError as exc:
+                    outcomes.append(exc)
+            return outcomes
+
+        data = encode_request(request, request_id=request_id)
+        for mutated in mutations(data):
+            for outcome in asyncio.run(read_all(mutated)):
+                if isinstance(outcome, ProtocolError):
+                    assert outcome.code in (
+                        "bad_request", "unsupported_version"
+                    ), outcome
+                elif outcome != "eof mid-frame":
+                    parsed, envelope = outcome
+                    assert (parsed, envelope.id) == (request, request_id)
 
 
 class TestPayloadFraming:
     """Lengths in the header versus bytes behind it."""
 
-    def refused(self, line, payload=b""):
+    def refused(self, data):
         with pytest.raises(ProtocolError) as excinfo:
-            parse_request(line, payload)
+            parse_request(data)
         exc = excinfo.value
         assert exc.code == "bad_request"
         assert exc.request_id == 5
         return str(exc)
 
     def test_well_formed_hand_written_frame_parses(self):
-        line = put_header(data=3, bin=3)
-        assert payload_size(line) == 3
-        request, envelope = parse_request(line, b"\n\xff=")
+        data = block_put((3,), b"k", b"\n\xff=")
+        assert body_size(data[: ENVELOPE.size]) == len(data) - ENVELOPE.size
+        request, envelope = parse_request(data)
         assert request == BlockPutRequest(blocks={"k": b"\n\xff="})
         assert envelope.id == 5
 
-    def test_negative_and_non_integer_lengths(self):
-        for bad in (-1, 1.5, "3", True, [3]):
-            assert "byte length" in self.refused(
-                put_header(data=bad, bin=3), b"abc"
-            )
-        for bad in (-3, 1.5, "3", True, [3]):
-            line = put_header(data=0, bin=bad)
-            assert payload_size(line) == 0  # not a total a reader takes
-            assert "non-negative integer" in self.refused(line)
+    def test_lengths_past_the_payload(self):
+        assert "claims 4 payload bytes, 3 are left" in self.refused(
+            block_put((4,), b"k", b"abc")
+        )
+        assert "claims 2 header bytes, 1 are left" in self.refused(
+            frame("block.list", "I", 2, header=b"k", id=5)
+        )
 
     def test_mismatched_lengths(self):
-        # field claims more than the payload holds
-        assert "3 payload bytes left, got 4" in self.refused(
-            put_header(data=4, bin=3), b"abc"
-        )
         # payload bytes no field claims
+        assert "no field claims" in self.refused(block_put((2,), b"k", b"abc"))
         assert "no field claims" in self.refused(
-            put_header(data=2, bin=3), b"abc"
+            frame("ping", payload=b"abc", id=5)
         )
+        # header bytes no field claims
         assert "no field claims" in self.refused(
-            versioned(op="ping", id=5, bin=3), b"abc"
+            frame("ping", header=b"abc", id=5)
         )
-        # declared total versus bytes actually handed over
-        assert "declares 3 payload bytes" in self.refused(
-            put_header(data=3, bin=3), b"ab"
+        # declared lengths versus bytes actually handed over
+        assert "followed it" in self.refused(
+            block_put((3,), b"k", b"abc")[:-1]
         )
-        # a total that is not the header's last key is not taken by a
-        # reader, and the parse says so
-        line = (
-            b'{"v":%d,"op":"block.put","id":5,"bin":3,"blocks":{"k":3}}\n'
-            % PROTOCOL_VERSION
-        )
-        assert payload_size(line) == 0
-        assert "written last" in self.refused(line)
         # dict[str, bytes]: every value is checked the same way
-        with pytest.raises(ProtocolError, match="2 payload bytes left, got 9"):
+        with pytest.raises(ProtocolError, match="claims 10 payload bytes"):
             parse_response(
-                b'{"v":%d,"ok":true,"kind":"blocks","id":5,'
-                b'"blocks":{"a":1,"b":9},"bin":3}\n' % PROTOCOL_VERSION,
-                b"abc",
+                frame(
+                    BlockMapResponse.wire_code,
+                    "?IIII",
+                    True, 2, 3, 0, 0,
+                    header=struct.pack("<2I", 1, 9) + b"a\0b",
+                    payload=b"abc",
+                    id=5,
+                )
             )
 
     def test_over_cap_total_is_refused_before_any_read(self):
-        line = put_header(data=MAX_PAYLOAD_BYTES + 1, bin=MAX_PAYLOAD_BYTES + 1)
+        prefix = block_put((1,), b"k", b"a")[: ENVELOPE.size]
+        over = prefix[:8] + struct.pack("<I", MAX_PAYLOAD_BYTES + 1) + prefix[12:]
         with pytest.raises(ProtocolError) as excinfo:
-            payload_size(line)
+            body_size(over)
         assert "cap" in str(excinfo.value)
         assert excinfo.value.request_id == 5
         with pytest.raises(ProtocolError, match="cap"):
@@ -515,21 +608,19 @@ class TestPayloadFraming:
                 )
             )
 
-    def test_only_the_top_level_last_key_is_a_total(self):
-        # "bin" inside a nested object or a string is just data.
-        for line in (
-            b'{"v":%d,"ok":true,"kind":"ack","info":{"a":1,"bin":5}}\n',
-            b'{"v":%d,"ok":true,"kind":"metrics","metrics":",\\"bin\\":5}"}\n',
-            b'{"v":%d,"ok":true,"kind":"keys","keys":["x"],"xbin":5}\n',
-        ):
-            line %= PROTOCOL_VERSION
-            assert payload_size(line) == 0
-            parse_response(line)
+    def test_over_bound_header_is_refused_before_any_read(self):
+        prefix = frame("block.list", "I", 0, id=5)[: ENVELOPE.size]
+        over = prefix[:4] + struct.pack("<I", MAX_HEADER_BYTES + 1) + prefix[8:]
+        with pytest.raises(ProtocolError, match="cap") as excinfo:
+            body_size(over)
+        assert excinfo.value.request_id == 5
+        with pytest.raises(ProtocolError, match="cap"):
+            encode_frame(KeyListResponse(keys=("k" * MAX_HEADER_BYTES,)))
 
     def test_live_connection_survives_every_skippable_bad_frame(self):
         """Bad lengths get a typed error with the sender's id, and —
-        because the declared payload was read off the stream — the
-        next frame on the same connection is served."""
+        because the declared header and payload were read off the
+        stream — the next frame on the same connection is served."""
 
         async def check():
             stored = {}
@@ -543,20 +634,17 @@ class TestPayloadFraming:
             host, port = server.sockets[0].getsockname()[:2]
             reader, writer = await asyncio.open_connection(host, port)
             bad = [
-                put_header(data=-1, bin=3) + b"abc",
-                put_header(data="3", bin=3) + b"abc",
-                put_header(data=4, bin=3) + b"abc",
-                put_header(data=2, bin=3) + b"a\nc",
-                versioned(op="block.put", id=5, blocks=3, bin=3) + b"abc",
-                versioned(
-                    op="block.put", id=5, blocks={"k": 1, "l": 1}, bin=3
-                )
-                + b"a\nc",
-                b'{"v":1,"op":"ping","id":5}\n',
-                b'{"op":"ping","id":5}\n',
+                block_put((4,), b"k", b"abc"),
+                block_put((2,), b"k", b"a\nc"),
+                block_put((1, 1), b"k", b"abc"),
+                block_put((1, 2), b"k\0l\0m", b"a\nc"),
+                frame("block.put", "II", 2**31, 0, payload=b"abc", id=5),
+                frame("ping", header=b"\n", id=5),
+                frame("ping", v=1, id=5),
+                frame("ping", v=4, id=5),
             ]
-            for frame in bad:
-                writer.write(frame)
+            for data in bad:
+                writer.write(data)
                 writer.write(
                     encode_request(
                         BlockPutRequest(blocks={"good": b"\n\xff"}),
@@ -566,14 +654,14 @@ class TestPayloadFraming:
                 await writer.drain()
                 replies = {}
                 for _ in range(2):
-                    reply = json.loads(await reader.readline())
+                    reply = await read_reply(reader)
                     replies[reply["id"]] = reply
-                assert replies[5]["ok"] is False, frame
+                assert replies[5]["ok"] is False, data
                 assert replies[5]["code"] in (
                     "bad_request",
                     "unsupported_version",
                 )
-                assert replies[6]["kind"] == "pong", frame
+                assert replies[6]["kind"] == "pong", data
                 assert stored.pop("good") == b"\n\xff"
             writer.close()
             server.close()
@@ -595,7 +683,7 @@ class TestPayloadFraming:
                 encode_request(BlockFetchRequest(keys=("k",)), request_id=3)
             )
             await writer.drain()
-            reply = json.loads(await reader.readline())
+            reply = await read_reply(reader)
             assert (reply["id"], reply["ok"], reply["code"]) == (
                 3, False, "bad_request"
             )
@@ -607,35 +695,42 @@ class TestPayloadFraming:
         asyncio.run(check())
 
     def test_unskippable_frames_are_answered_then_hung_up_on(self):
-        async def check(frame, expect_id):
+        async def check(data, expect_id, code="bad_request"):
             async def handler(request, envelope):
                 return PongResponse()
 
             server = await start_line_server(handler, port=0)
             host, port = server.sockets[0].getsockname()[:2]
             reader, writer = await asyncio.open_connection(host, port)
-            writer.write(versioned(op="ping", id=1) + frame)
+            writer.write(encode_request(PingRequest(), request_id=1) + data)
             await writer.drain()
-            replies = [json.loads(await reader.readline()) for _ in range(2)]
+            # Answered at once: the server never waits for bytes that
+            # a frame it cannot read would need.
+            replies = [
+                await asyncio.wait_for(read_reply(reader), 10) for _ in range(2)
+            ]
             by_id = {r.get("id"): r for r in replies}
             assert by_id[1]["kind"] == "pong"
             error = by_id[expect_id]
-            assert (error["ok"], error["code"]) == (False, "bad_request")
-            assert await reader.read() == b""  # server hung up
+            assert (error["ok"], error["code"]) == (False, code)
+            assert await asyncio.wait_for(reader.read(), 10) == b""  # hung up
             writer.close()
             server.close()
             await server.wait_closed()
             return error["message"]
 
-        over_cap = put_header(data=1, bin=MAX_PAYLOAD_BYTES + 1)
+        over_cap = block_put((1,), b"k", b"")[:8] + struct.pack(
+            "<I", MAX_PAYLOAD_BYTES + 1
+        ) + block_put((1,), b"k", b"")[12:]
         assert "cap" in asyncio.run(check(over_cap, 5))
-        long_line = (
-            versioned(op="block.list", id=5)[:-2]
-            + b',"prefix":"'
-            + b"k" * (proto.MAX_LINE_BYTES + 1)
-            + b'"}\n'
+        long_header = frame("block.list", "I", 0, id=5, hlen=MAX_HEADER_BYTES + 1)
+        assert "cap" in asyncio.run(check(long_header, 5))
+        # A JSON line (protocol 4 or older), even a short one that
+        # never fills an envelope.
+        old = b'{"v":4,"op":"ping","id":5}\n'
+        assert "JSON header line" in asyncio.run(
+            check(old, None, "unsupported_version")
         )
-        assert "limit" in asyncio.run(check(long_line, None))
 
 
 class TestErrorTaxonomy:

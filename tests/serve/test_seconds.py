@@ -7,7 +7,6 @@ before the value has any effect: no request is counted, no RPC is sent.
 """
 
 import asyncio
-import json
 import math
 
 import pytest
@@ -17,13 +16,9 @@ from repro._checks import check_seconds
 from repro.serve.frontend import start_frontend
 from repro.serve.lineserver import within_deadline
 from repro.serve.link import PipelinedLink
-from repro.serve.protocol import (
-    PROTOCOL_VERSION,
-    GetRequest,
-    ProtocolError,
-    parse_request,
-)
+from repro.serve.protocol import GetRequest, ProtocolError, parse_request
 from tests.cluster.test_cluster import Cluster, payload_bytes
+from tests.serve.wire import frame, read_reply
 from tests.serve.test_service import small_archive
 from tests.sites.test_gateway import Federation
 
@@ -54,27 +49,32 @@ def test_get_request(value, error):
         GetRequest(name="o", deadline=value)
 
 
-@pytest.mark.parametrize("wire", ["NaN", "0", "-1", "true", '"1"'])
+def get_frame(name: str, deadline: float, request_id: int) -> bytes:
+    """A ``get`` frame whose deadline is whatever the wire carries."""
+    return frame(
+        "get", "I??d", len(name.encode()), False, True, deadline,
+        header=name.encode(), id=request_id,
+    )
+
+
+@pytest.mark.parametrize("wire", ["NaN", "0", "-1", "-inf", "-0.0"])
 def test_wire_get(wire):
-    line = (
-        f'{{"v":{PROTOCOL_VERSION},"op":"get","id":9,"name":"o",'
-        f'"deadline":{wire}}}\n'
-    ).encode()
     with pytest.raises(ProtocolError) as refused:
-        parse_request(line)
+        parse_request(get_frame("o", float(wire), 9))
     assert (refused.value.code, refused.value.request_id) == ("bad_request", 9)
 
 
-@pytest.mark.parametrize("wire", ["NaN", "-1", "true"])
+@pytest.mark.parametrize("wire", ["NaN", "-1", "-inf"])
 def test_wire_node_admin_delay(wire):
-    line = (
-        f'{{"v":{PROTOCOL_VERSION},"op":"node.admin","id":4,'
-        f'"action":"slow","delay_seconds":{wire}}}\n'
-    ).encode()
+    def admin(delay):
+        return frame(
+            "node.admin", "I?d", 4, True, delay, header=b"slow", id=4
+        )
+
     with pytest.raises(ProtocolError) as refused:
-        parse_request(line)
+        parse_request(admin(float(wire)))
     assert (refused.value.code, refused.value.request_id) == ("bad_request", 4)
-    parse_request(line.replace(wire.encode(), b"0"))  # no delay is fine
+    parse_request(admin(0.0))  # no delay is fine
 
 
 @pytest.mark.parametrize(
@@ -109,7 +109,7 @@ def test_service_try_submit(value, error):
     assert "serve.requests" not in asyncio.run(scenario())
 
 
-@pytest.mark.parametrize("wire", ["NaN", "0", "true"])
+@pytest.mark.parametrize("wire", ["NaN", "0", "-inf"])
 def test_served_frontend_answers_bad_request(wire):
     archive, names = small_archive()
 
@@ -120,11 +120,8 @@ def test_served_frontend_answers_bad_request(wire):
             server = await start_frontend(svc)
             host, port = server.sockets[0].getsockname()[:2]
             reader, writer = await asyncio.open_connection(host, port)
-            writer.write(
-                f'{{"v":{PROTOCOL_VERSION},"op":"get","id":3,'
-                f'"name":"{names[0]}","deadline":{wire}}}\n'.encode()
-            )
-            reply = json.loads(await reader.readline())
+            writer.write(get_frame(names[0], float(wire), 3))
+            reply = await read_reply(reader)
             writer.close()
             server.close()
             return reply, svc.stats()["counters"]

@@ -87,7 +87,7 @@ from repro.serve import (
     ServeConfig,
     seeded_archive,
 )
-from repro.serve.protocol import GetRequest
+from repro.serve.protocol import ClusterJoinRequest, GetRequest
 from repro.sim import profile_graph, sample_fail_fraction
 from repro.sites import (
     FederationGateway,
@@ -116,10 +116,11 @@ class Row(NamedTuple):
     call: Callable[[Any, Probe], Any]
     at_least: int | None = None  # a count's bound; None: seconds
     zero: bool = False  # seconds: 0 is allowed
+    at_most: int | None = None  # a count's upper bound, where it has one
 
 
-def count(id, param, call, at_least=0):
-    return Row(id, param, call, at_least)
+def count(id, param, call, at_least=0, at_most=None):
+    return Row(id, param, call, at_least, at_most=at_most)
 
 
 def seconds(id, param, call, zero=False):
@@ -156,6 +157,21 @@ def submit(deadline, probe):
                 probe.counters.update(svc.stats()["counters"])
 
     asyncio.run(scenario())
+
+
+def join(port, probe):
+    """``register`` on a coordinator with a WAL: a refused port leaves no
+    WAL record and the ring as it was (a journaled bad member would
+    wedge every later put, and replay after a restart)."""
+    with tempfile.TemporaryDirectory() as wal_dir:
+        coordinator = ClusterCoordinator(graph(), wal_dir=wal_dir)
+        try:
+            asyncio.run(coordinator.register("bad", "127.0.0.1", port))
+        finally:
+            journal = coordinator.wal.load()
+            coordinator.wal.close()
+            assert coordinator.ring.members == ()
+            assert journal == (None, [])
 
 
 def fetch_stripe(seq, probe):
@@ -224,6 +240,9 @@ ROWS = [
         graph(), wal_dir=p.dir / "wal", snapshot_every=v), 1),
     seconds("coordinator", "rpc_timeout", lambda v, p: ClusterCoordinator(
         graph(), wal_dir=p.dir / "wal", rpc_timeout=v)),
+    count("coordinator-join", "port", join, 1, at_most=65535),
+    count("join-request", "port", lambda v, p: ClusterJoinRequest(
+        node_id="n", host="h", port=v), 1, at_most=65535),
     count("fetch-stripe", "seq", fetch_stripe),
     count("scheduler", "bytes_per_cycle",
           lambda v, p: RepairScheduler(None, bytes_per_cycle=v), 1),
@@ -341,8 +360,9 @@ ROWS = [
 def fixed(row):
     """``(value, error)`` pairs every run checks."""
     if row.at_least is not None:
+        over = [] if row.at_most is None else [(row.at_most + 1, ValueError)]
         return [(True, TypeError), (2.5, TypeError), (NAN, TypeError),
-                (2.0, TypeError), (row.at_least - 1, ValueError)]
+                (2.0, TypeError), (row.at_least - 1, ValueError), *over]
     return [(True, TypeError), (NAN, ValueError),
             (-1.5 if row.zero else 0, ValueError), (-math.inf, ValueError)]
 
@@ -353,6 +373,8 @@ def drawn(row):
     if row.at_least is not None:
         wrong_kind |= st.floats(allow_nan=True, allow_infinity=True)
         wrong_value = st.integers(max_value=row.at_least - 1)
+        if row.at_most is not None:
+            wrong_value |= st.integers(min_value=row.at_most + 1)
     else:
         wrong_value = st.just(NAN) | st.floats(max_value=0.0).filter(
             lambda v: v < 0 if row.zero else True

@@ -154,6 +154,26 @@ LINTS = {
         r"|^src/repro/cluster/fleet\.py:add_config_options:"
         r"|raise GraphValidationError\(",
     ),
+    # Protocol v5: one binary codec, one read path.  The speakers read
+    # an envelope and one exact body, never a JSON line ...
+    "no-json-line-read": Lint(
+        r"import json|readline\(",
+        (
+            "src/repro/serve/link.py",
+            "src/repro/serve/lineserver.py",
+            "src/repro/serve/client.py",
+        ),
+    ),
+    "no-line-framing": Lint(
+        r"payload_size|_PAYLOAD_MARK|MAX_LINE_BYTES|decode_frame", ("src",)
+    ),
+    # ... and protocol.py has one encoder and one parser per direction
+    # (encode_request / parse_request, encode_frame / parse_response).
+    "one-codec-per-direction": Lint(
+        r"^def ((en|de)code|parse)_\w*\(",
+        ("src/repro/serve", "src/repro/cluster", "src/repro/sites"),
+        count=range(4, 5),
+    ),
     "networkx-behind-graphml": Lint(
         r"import networkx", ("src",), files=frozenset({"src/repro/core/graphml.py"})
     ),
