@@ -212,9 +212,9 @@ class StorageNode:
             held: dict[str, bytes] = {}
             missing: list[str] = []
             for key in request.keys:
-                if key in self.store:
+                try:
                     held[key] = self.store.get(key)
-                else:
+                except KeyError:
                     missing.append(key)
             return BlockMapResponse(blocks=held, missing=tuple(missing))
         if isinstance(request, BlockDeleteRequest):
@@ -231,7 +231,7 @@ class StorageNode:
         )
 
 
-async def _handle_row(endpoint, request: Request) -> Response:
+def _handle_row(endpoint, request: Request) -> Response:
     return endpoint.service.handle(request)
 
 
@@ -257,21 +257,9 @@ async def start_storage_node(
     """Serve a node's RPCs on a TCP port (``port=0`` = ephemeral)."""
     endpoint = node.endpoint()
 
-    async def handler(
-        request: Request, envelope: Envelope
-    ) -> Response | tuple[Response, list[dict[str, Any]]]:
-        if not isinstance(request, NodeAdminRequest):
-            # A partitioned node accepts the connection but never
-            # answers: the request parks here until the partition
-            # heals, so callers hit their RPC deadline instead of a
-            # clean refusal.  node.admin bypasses the gate — it is
-            # the out-of-band channel that heals the partition.
-            while node.partitioned:
-                await asyncio.sleep(0.01)
-            if node.slow_seconds > 0:
-                await asyncio.sleep(node.slow_seconds)
+    def answer(request: Request, envelope: Envelope):
         if envelope.trace is None:
-            return await endpoint(request, envelope)
+            return endpoint(request, envelope)
         # Ship-back tracing: a per-request tracer seeded from the
         # caller's span context mints IDs no other process can collide
         # with, and the finished records ride home in the reply.
@@ -287,11 +275,28 @@ async def start_storage_node(
             node=node.node_id,
         )
         try:
-            response = await endpoint(request, envelope)
+            response = endpoint(request, envelope)
         except Exception as exc:
             span.end(error=type(exc).__name__)
             raise
         span.end()
         return response, local.export()
+
+    async def gated(request: Request, envelope: Envelope):
+        # A partitioned node accepts the connection but never answers:
+        # the request parks here until the partition heals, so callers
+        # hit their RPC deadline instead of a clean refusal.
+        while node.partitioned:
+            await asyncio.sleep(0.01)
+        if node.slow_seconds > 0:
+            await asyncio.sleep(node.slow_seconds)
+        return answer(request, envelope)
+
+    def handler(request: Request, envelope: Envelope):
+        # node.admin bypasses the gate: it is the channel that heals.
+        gate = node.partitioned or node.slow_seconds > 0
+        if gate and not isinstance(request, NodeAdminRequest):
+            return gated(request, envelope)
+        return answer(request, envelope)
 
     return await start_line_server(handler, host, port)

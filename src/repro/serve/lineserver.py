@@ -1,23 +1,22 @@
-"""Shared asyncio server loop for every protocol speaker.
+"""Shared asyncio server for every protocol speaker.
 
 The frontend, the cluster coordinator, and the storage nodes all speak
 the same framing (:mod:`repro.serve.protocol`); this module owns the
 one piece they would otherwise each reimplement: the per-connection
-read → dispatch → reply loop.  A frame is read envelope-then-body: the
-fixed envelope, then exactly the header and payload bytes it declares
-(:func:`~repro.serve.protocol.body_size`).
+dispatch → reply cycle, an :class:`asyncio.Protocol` whose
+:class:`FrameSplitter` (the link's too) cuts each chunk the transport
+delivers into whole frames.
 
 Two properties matter:
 
-* **Concurrent handling, one write per loop turn.**  Each request frame
-  spawns its own task, so a slow reconstruction never head-of-line
-  blocks a ``ping`` pipelined behind it on the same connection.  Whole
-  reply frames queue in a per-connection outbox that ``call_soon``
-  flushes in one ``write`` (and that is flushed before any hang-up), so
-  a burst read in one turn is answered in one; handlers still ``drain``.
-  Clients that pipeline (the coordinator's and the gateway's
-  :class:`~repro.serve.link.PipelinedLink`) correlate replies by the
-  echoed ``id`` envelope field.
+* **Dispatch in the transport callback, one write per chunk.**  Each
+  frame is parsed and handed to the handler inside ``data_received``,
+  under the caller's trace context.  A handler that can answer at once
+  returns its response, and a chunk's replies leave in one ``write``;
+  one that must wait returns an awaitable, and only that gets a task
+  (whose reply a ``call_soon`` flush sends), so a slow reconstruction
+  never blocks a ``ping`` pipelined behind it.  A peer whose replies
+  back up past the high-water mark is not read until they drain.
 * **Bad input gets a typed answer.**  Unknown ops, unsupported
   versions, mistyped fields and header or payload bytes the fields do
   not account for are answered with an error frame carrying the
@@ -39,7 +38,7 @@ from __future__ import annotations
 
 import asyncio
 from contextlib import nullcontext
-from typing import Any, Awaitable, Callable, Mapping
+from typing import Any, Awaitable, Callable, Iterator, Mapping
 
 from .._checks import check_seconds
 from ..obs.prom import render_prometheus
@@ -47,7 +46,6 @@ from ..obs.trace import trace_span, use_context
 from .errors import DeadlineExceededError
 from .protocol import (
     ENVELOPE,
-    MAX_HEADER_BYTES,
     AckResponse,
     Envelope,
     ErrorResponse,
@@ -74,36 +72,152 @@ from .protocol import (
 
 __all__ = [
     "ArchiveEndpoint",
+    "FrameSplitter",
     "Handler",
-    "read_frame",
     "start_line_server",
     "within_deadline",
 ]
 
 # A handler maps one typed request to a typed response, optionally with
-# the span records to ship back in the reply.
-Handler = Callable[
-    [Request, Envelope],
-    "Awaitable[Response | tuple[Response, list[dict[str, Any]]]]",
-]
+# the span records to ship back in the reply, or to an awaitable of
+# that when it must wait.
+Handler = Callable[[Request, Envelope], Any]
 
 
-async def read_frame(reader: asyncio.StreamReader) -> bytes | None:
-    """The next whole frame off a stream.
+class FrameSplitter:
+    """Cuts a byte stream into frames at their envelopes' lengths
+    (:func:`body_size` refuses a JSON line on its first byte and an
+    over-cap length at once), keeping a partial one for the next chunk."""
 
-    ``None`` at a clean EOF; :class:`asyncio.IncompleteReadError` when
-    the stream ends inside a frame; :class:`ProtocolError` when the
-    frame's end cannot be found or is not worth reading to
-    (:func:`~repro.serve.protocol.body_size`).  The first read takes
-    whatever part of the envelope has come, so a JSON line is refused
-    on its first byte, never waited on.
-    """
-    prefix = await reader.read(ENVELOPE.size)
-    if not prefix:
-        return None
-    if len(prefix) < ENVELOPE.size and prefix[:1] != b"{":
-        prefix += await reader.readexactly(ENVELOPE.size - len(prefix))
-    return prefix + await reader.readexactly(body_size(prefix))
+    def __init__(self) -> None:
+        self.parts: list[bytes] = []  # a partial frame's chunks
+        self._have = self._need = 0  # their length, and the frame's
+
+    def feed(self, data: bytes) -> Iterator[bytes]:
+        """The whole frames ``data`` completes, in order."""
+        if self.parts:
+            self.parts.append(data)
+            self._have += len(data)
+            if self._have < self._need:
+                return
+            data, self.parts = b"".join(self.parts), []
+        start = 0
+        while start < len(data):
+            prefix = data[start : start + ENVELOPE.size]
+            need = ENVELOPE.size
+            if len(prefix) == need or prefix[:1] == b"{":
+                need += body_size(prefix)
+            if len(data) - start < need:
+                self.parts = [data[start:]]
+                self._have, self._need = len(data) - start, need
+                return
+            yield data[start : start + need]
+            start += need
+
+
+class _Connection(asyncio.Protocol):
+    """One peer of a line server."""
+
+    def __init__(self, handler: Handler, peers: set[_Connection]) -> None:
+        self.handler = handler
+        self.peers = peers
+        self.frames = FrameSplitter()
+        self.outbox: list[bytes] = []
+        self.inflight: set[asyncio.Task] = set()
+        self.closing = False  # no further request is read
+        self.loop = asyncio.get_running_loop()
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        self.peers.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            for frame in self.frames.feed(data):
+                self.serve(frame)
+        except ProtocolError as exc:
+            # The stream position is lost: answer, then hang up.
+            self.reply(ErrorResponse.from_exception(exc), exc.request_id or 0)
+            self.finish()
+        self.flush()
+
+    def eof_received(self) -> bool:
+        self.finish()
+        return True  # half-open: the in-flight replies still go out
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.peers.discard(self)
+        self.closing = True
+        for task in self.inflight:
+            task.cancel()
+
+    def pause_writing(self) -> None:
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        if not self.closing:
+            self.transport.resume_reading()
+
+    def serve(self, frame: bytes) -> None:
+        try:
+            request, envelope = parse_request(frame)
+        except ProtocolError as exc:
+            self.reply(ErrorResponse.from_exception(exc), exc.request_id or 0)
+            return
+        with use_context(envelope.trace):
+            try:
+                result = self.handler(request, envelope)
+            except Exception as exc:
+                result = ErrorResponse.from_exception(exc)
+            if not isinstance(result, (Response, tuple)):
+                # The task runs in a copy of this context, trace and all.
+                task = self.loop.create_task(self.answer(result, envelope.id))
+                self.inflight.add(task)
+                task.add_done_callback(self.task_done)
+                return
+        self.reply(result, envelope.id)
+
+    async def answer(self, pending: Awaitable, request_id: int) -> None:
+        try:
+            result = await pending
+        except Exception as exc:
+            result = ErrorResponse.from_exception(exc)
+        if not self.outbox:
+            self.loop.call_soon(self.flush)
+        self.reply(result, request_id)
+
+    def reply(self, result: Any, request_id: int) -> None:
+        spans = None
+        if isinstance(result, tuple):
+            result, spans = result
+        try:
+            data = encode_frame(result, request_id=request_id, spans=spans)
+        except ProtocolError as exc:  # a reply over its cap
+            data = encode_frame(
+                ErrorResponse.from_exception(exc), request_id=request_id
+            )
+        self.outbox.append(data)
+
+    def flush(self) -> None:
+        # A peer that hung up (gave up on a deadline, died mid-frame)
+        # leaves the replies nowhere to go; writing on would only make
+        # asyncio log every dropped reply of a burst.
+        if self.outbox and not self.transport.is_closing():
+            self.transport.write(b"".join(self.outbox))
+        self.outbox.clear()
+
+    def finish(self) -> None:
+        """Read no further; close once every in-flight task answered."""
+        self.closing = True
+        self.transport.pause_reading()
+        if not self.inflight:
+            self.flush()
+            self.transport.close()
+
+    def task_done(self, task: asyncio.Task) -> None:
+        self.inflight.discard(task)
+        if self.closing:
+            self.finish()
 
 
 async def start_line_server(
@@ -114,97 +228,18 @@ async def start_line_server(
     """Serve the protocol on a TCP port (``port=0`` = ephemeral).
 
     The caller owns the life cycle: close the returned server (and any
-    backing service) itself.
+    backing service) itself.  Closing it, or cancelling the loop's
+    tasks at shutdown, also hangs up on every peer still connected.
     """
-
-    async def handle_connection(
-        reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        inflight: set[asyncio.Task] = set()
-        outbox: list[bytes] = []
-
-        def flush() -> None:
-            # A peer that hung up (gave up on a deadline, died
-            # mid-frame) leaves the replies nowhere to go, and the read
-            # loop will see EOF and close; writing on would only make
-            # asyncio log every dropped reply of a burst.
-            if outbox and not writer.transport.is_closing():
-                writer.write(b"".join(outbox))
-            outbox.clear()
-
-        async def reply(
-            response: Response, request_id: int, spans: Any = None
-        ) -> None:
-            try:
-                data = encode_frame(
-                    response, request_id=request_id, spans=spans
-                )
-            except ProtocolError as exc:  # a reply over its cap
-                data = encode_frame(
-                    ErrorResponse.from_exception(exc), request_id=request_id
-                )
-            if not outbox:
-                asyncio.get_running_loop().call_soon(flush)
-            outbox.append(data)
-            try:
-                await writer.drain()
-            except OSError:
-                # The peer is gone: raising would only leave an
-                # unretrieved task exception.
-                pass
-
-        async def refuse(exc: ProtocolError) -> None:
-            await reply(
-                ErrorResponse.from_exception(exc), exc.request_id or 0
-            )
-
-        async def process(frame: bytes) -> None:
-            try:
-                request, envelope = parse_request(frame)
-            except ProtocolError as exc:
-                await refuse(exc)
-                return
-            try:
-                result = await handler(request, envelope)
-            except Exception as exc:
-                result = ErrorResponse.from_exception(exc)
-            spans = None
-            if isinstance(result, tuple):
-                result, spans = result
-            await reply(result, envelope.id, spans)
-
-        try:
-            while True:
-                try:
-                    frame = await read_frame(reader)
-                except ProtocolError as exc:
-                    await refuse(exc)  # ... and hang up: stream position lost
-                    break
-                if frame is None:
-                    break
-                task = asyncio.create_task(process(frame))
-                inflight.add(task)
-                task.add_done_callback(inflight.discard)
-            while inflight:
-                await asyncio.gather(*list(inflight))
-        except (
-            asyncio.CancelledError,
-            asyncio.IncompleteReadError,
-            ConnectionResetError,
-        ):
-            # Server shutdown cancels in-flight handlers (on 3.11
-            # ``wait_closed`` does not wait for them), and a peer may
-            # die mid-payload; finish normally so the streams
-            # connection callback doesn't log either as an unhandled
-            # error.
-            pass
-        finally:
-            flush()
-            writer.close()
-
-    return await asyncio.start_server(
-        handle_connection, host, port, limit=MAX_HEADER_BYTES
+    loop = asyncio.get_running_loop()
+    peers: set[_Connection] = set()
+    server = await loop.create_server(lambda: _Connection(handler, peers), host, port)
+    # The server's one task: it ends when the server closes or the loop
+    # cancels its tasks, and takes the connections with it.
+    loop.create_task(server.serve_forever()).add_done_callback(
+        lambda _: [peer.transport.abort() for peer in list(peers)]
     )
+    return server
 
 
 # ----------------------------------------------------------------------
@@ -231,13 +266,14 @@ async def within_deadline(deadline: float | None, read, *args) -> Any:
 class ArchiveEndpoint:
     """The :data:`Handler` of one tier: shared rows plus the tier's own.
 
-    A row is ``async (endpoint, request) -> Response``.  ``role`` names
+    A row is ``(endpoint, request) -> Response``, async only where it
+    must wait (the object ops).  ``role`` names
     the tier in ``metrics.snapshot`` replies and ``unknown_op``
     refusals, ``source`` the process within the role (a node's id; the
     role itself where there is one process).  ``spans`` is the family
     the object-op spans are minted under (``cluster.put``,
     ``sites.get``, ...); ``None`` for a tier that traces its own
-    requests.  Every row runs under the caller's shipped trace context.
+    requests.
     """
 
     def __init__(
@@ -260,15 +296,14 @@ class ArchiveEndpoint:
         }
         self.rows.update(extra or {})
 
-    async def __call__(self, request: Request, envelope: Envelope) -> Response:
+    def __call__(self, request: Request, envelope: Envelope) -> Any:
         row = self.rows.get(type(request))
         if row is None:
             raise ProtocolError(
                 f"op {request.op!r} is not served by the {self.role}",
                 code="unknown_op",
             )
-        with use_context(envelope.trace):
-            return await row(self, request)
+        return row(self, request)
 
     def span(self, op: str, **tags: Any):
         if self.spans is None:
@@ -277,21 +312,21 @@ class ArchiveEndpoint:
 
     # -- the shared rows -----------------------------------------------
 
-    async def _ping(self, request: PingRequest):
+    def _ping(self, request: PingRequest):
         return PongResponse()
 
-    async def _metrics(self, request: MetricsRequest):
+    def _metrics(self, request: MetricsRequest):
         snapshot = self.service.metrics_snapshot()
         return MetricsResponse(metrics=render_prometheus(snapshot))
 
-    async def _metrics_snapshot(self, request: MetricsSnapshotRequest):
+    def _metrics_snapshot(self, request: MetricsSnapshotRequest):
         return MetricsSnapshotResponse(
             role=self.role,
             source=self.source,
             snapshot=self.service.metrics_snapshot(),
         )
 
-    async def _stats(self, request: StatsRequest):
+    def _stats(self, request: StatsRequest):
         return StatsResponse(stats=self.service.stats())
 
     async def _put(self, request: PutRequest):

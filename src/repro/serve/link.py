@@ -3,10 +3,12 @@
 The coordinator's node RPCs and the gateway's site RPCs both ride a
 :class:`PipelinedLink`: write a burst of requests (whatever the caller
 holds for this peer; one RPC is a burst of one) under one lock, one
-``write`` + ``drain`` and one deadline timer, park a future under each
-``id``, and let the connection's one reader task resolve replies in
-whatever order :mod:`repro.serve.lineserver` sends them.  The lock is
-never held across a reply, so every RPC gathered is on the wire at once.
+``write`` and one deadline timer, and park a future under each ``id``.
+The connection's protocol cuts replies with the line server's
+:class:`~repro.serve.lineserver.FrameSplitter` and resolves each parked
+future inside the transport callback, in whatever order they come.  A
+burst waits under the lock while the peer reads down a full write
+buffer, never across a reply, so every RPC gathered is on the wire.
 
 The link moves whole frames and looks no further into a reply than its
 envelope's request id: callers encode requests and parse replies
@@ -23,8 +25,8 @@ from typing import Sequence
 
 from ..obs.registry import registry
 from .errors import NodeUnreachableError
-from .lineserver import read_frame
-from .protocol import MAX_HEADER_BYTES, ProtocolError, frame_id
+from .lineserver import FrameSplitter
+from .protocol import ProtocolError, frame_id
 
 __all__ = ["PipelinedLink"]
 
@@ -48,8 +50,7 @@ class PipelinedLink:
         # gave up on the peer, True again on the next reply.
         self.alive = True
         self._lock = asyncio.Lock()
-        self._writer: asyncio.StreamWriter | None = None
-        self._reader_task: asyncio.Task | None = None
+        self._connection: _LinkConnection | None = None
         self._pending: dict[int, asyncio.Future[Reply]] = {}
         self._next_id = 0
 
@@ -80,11 +81,12 @@ class PipelinedLink:
                     # A drop fails every parked future at once: if it
                     # happened while this burst waited (for the lock,
                     # for the connect), nothing is sent.
-                    if self._writer is None and not replies[0].done():
+                    if self._connection is None and not replies[0].done():
                         await self._connect(timeout)
                     if not replies[0].done():
-                        self._writer.write(b"".join(data for _, data in items))
-                        await self._writer.drain()
+                        connection = self._connection
+                        connection.transport.write(b"".join(d for _, d in items))
+                        await asyncio.shield(connection.writable)
                 except (OSError, asyncio.TimeoutError) as exc:
                     self._drop(f"unreachable: {exc}")
             outcomes: list[Reply | Exception] = []
@@ -110,31 +112,10 @@ class PipelinedLink:
         self.reset()
 
     async def _connect(self, timeout: float | None) -> None:
-        reader, self._writer = await asyncio.wait_for(
-            asyncio.open_connection(
-                self.host, self.port, limit=MAX_HEADER_BYTES
-            ),
-            timeout,
+        connect = asyncio.get_running_loop().create_connection(
+            lambda: _LinkConnection(self), self.host, self.port
         )
-        self._reader_task = asyncio.create_task(self._read_replies(reader))
-
-    async def _read_replies(self, reader: asyncio.StreamReader) -> None:
-        reason = "closed the connection"
-        try:
-            while (frame := await read_frame(reader)) is not None:
-                reply = self._pending.pop(frame_id(frame), None)
-                if reply is not None and not reply.done():
-                    reply.set_result(frame)
-        except asyncio.IncompleteReadError:
-            reason = "closed mid-frame"
-        except (OSError, ProtocolError) as exc:
-            reason = f"unreachable: {exc}"
-        finally:
-            # Cancelled by ``_drop``, or superseded after it: the
-            # connection this task read is no longer the link's.
-            if self._reader_task is asyncio.current_task():
-                self._reader_task = None
-                self._drop(reason)
+        _, self._connection = await asyncio.wait_for(connect, timeout)
 
     def _expire(self, replies: list[asyncio.Future], timeout: float) -> None:
         if not all(reply.done() for reply in replies):  # else none is late
@@ -142,18 +123,58 @@ class PipelinedLink:
             self._drop(f"gave no reply within the {timeout}s RPC deadline")
 
     def _drop(self, reason: str) -> None:
-        writer, self._writer = self._writer, None
-        if writer is not None:
+        connection, self._connection = self._connection, None
+        if connection is not None:
             # abort, not close: close waits to flush the write buffer,
-            # and a peer that stopped reading would keep ``drain``
-            # waiters (and the link lock) parked forever.
-            writer.transport.abort()
-        task, self._reader_task = self._reader_task, None
-        if task is not None:
-            task.cancel()
+            # and a peer that stopped reading would keep the burst
+            # waiting on it (and the link lock) parked forever.
+            connection.transport.abort()
         pending, self._pending = self._pending, {}
         for reply in pending.values():
             if not reply.done():
                 reply.set_exception(
                     self.down_error(f"{self.label} {reason}")
                 )
+
+
+class _LinkConnection(asyncio.Protocol):
+    """The transport callbacks of one connection of a link."""
+
+    def __init__(self, link: PipelinedLink) -> None:
+        self.link = link
+        self.frames = FrameSplitter()
+        # Pending while the write buffer is past its high-water mark,
+        # until it drains or the connection ends.
+        self.writable = asyncio.get_running_loop().create_future()
+        self.writable.set_result(None)
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        pending = self.link._pending
+        try:
+            for frame in self.frames.feed(data):
+                reply = pending.pop(frame_id(frame), None)
+                if reply is not None and not reply.done():
+                    reply.set_result(frame)
+        except ProtocolError as exc:
+            self.lost(f"unreachable: {exc}")
+
+    def eof_received(self) -> None:
+        self.lost("closed mid-frame" if self.frames.parts else "closed the connection")
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.resume_writing()
+        self.lost(f"unreachable: {exc}" if exc else "closed the connection")
+
+    def lost(self, reason: str) -> None:
+        if self.link._connection is self:  # else ``_drop`` let it go already
+            self.link._drop(reason)
+
+    def pause_writing(self) -> None:
+        self.writable = asyncio.get_running_loop().create_future()
+
+    def resume_writing(self) -> None:
+        if not self.writable.done():
+            self.writable.set_result(None)

@@ -28,7 +28,6 @@ from typing import Iterator
 
 import numpy as np
 
-from ..obs.registry import registry
 from .device import DeviceArray
 
 __all__ = [
@@ -131,7 +130,6 @@ class LocalBlockStore:
         self._blocks[key] = bytes(data)
         self.bytes_stored += len(data)
         self.puts += 1
-        registry().counter("storage.node.puts").inc()
 
     def get(self, key: str) -> bytes:
         try:
@@ -139,7 +137,6 @@ class LocalBlockStore:
         except KeyError:
             raise KeyError(f"no block {key!r} on this node") from None
         self.gets += 1
-        registry().counter("storage.node.gets").inc()
         return data
 
     def delete(self, key: str) -> bool:

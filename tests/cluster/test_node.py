@@ -27,7 +27,7 @@ from ..serve.wire import read_reply
 def served(node, request):
     """One request through the node's endpoint (control plane = the
     shared archive-service rows; the rest lands in ``node.handle``)."""
-    return asyncio.run(node.endpoint()(request, Envelope()))
+    return node.endpoint()(request, Envelope())
 
 
 class TestStorageNodeLogic:

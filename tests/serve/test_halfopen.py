@@ -23,7 +23,7 @@ from repro.graphs import tornado_catalog_graph
 from repro.resilience import RetryPolicy
 from repro.serve.client import ClusterClient, ProtocolClient
 from repro.serve.errors import DeadlineExceededError, NodeUnreachableError
-from repro.serve.lineserver import read_frame, start_line_server
+from repro.serve.lineserver import start_line_server
 from repro.serve.protocol import (
     PingRequest,
     PongResponse,
@@ -33,6 +33,7 @@ from repro.serve.protocol import (
 )
 
 from . import wire
+from .wire import read_frame
 
 
 def run(coro):

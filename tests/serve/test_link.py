@@ -26,7 +26,7 @@ from repro.cluster.coordinator import (
 from repro.graphs import tornado_catalog_graph
 from repro.obs.registry import capture
 from repro.resilience import RetryPolicy
-from repro.serve.lineserver import read_frame, start_line_server
+from repro.serve.lineserver import start_line_server
 from repro.serve.protocol import (
     BlockFetchRequest,
     BlockMapResponse,
@@ -39,7 +39,7 @@ from repro.serve.protocol import (
     parse_request,
 )
 
-from .wire import read_reply
+from .wire import read_frame, read_reply
 
 
 def coordinator(**kwargs):
@@ -177,19 +177,21 @@ class TestPipelining:
 
 @contextmanager
 def recorded_writes():
-    """Every ``StreamWriter.write`` inside, as the writer that made it."""
+    """Every socket transport ``write`` inside, as the transport that
+    made it."""
     writes = []
-    real = asyncio.StreamWriter.write
+    cls = asyncio.selector_events._SelectorSocketTransport
+    real = cls.write
 
     def write(self, data):
         writes.append(self)
         return real(self, data)
 
-    asyncio.StreamWriter.write = write
+    cls.write = write
     try:
         yield writes
     finally:
-        asyncio.StreamWriter.write = real
+        cls.write = real
 
 
 class TestBursts:
@@ -226,7 +228,10 @@ class TestBursts:
             with recorded_writes() as writes:
                 info = await coord.put("obj", payload)
             assert (info["stripes"], info["failed_blocks"]) == (2, 0)
-            links = {link._writer: nid for nid, link in coord.nodes.items()}
+            links = {
+                link._connection.transport: nid
+                for nid, link in coord.nodes.items()
+            }
             sent = [links[w] for w in writes if w in links]
             # Two stripes: each owner got two writes, not 2 x 24 ...
             assert sorted(sent) == sorted(2 * list(coord.nodes))
@@ -265,7 +270,7 @@ class TestBursts:
                 replies = [await read_reply(reader) for _ in range(burst)]
             assert sorted(r.get("id", 0) for r in replies) == list(range(burst))
             assert all(r["kind"] == "pong" for r in replies)
-            answers = [w for w in writes if w is not writer]
+            answers = [w for w in writes if w is not writer.transport]
             assert 0 < len(answers) < burst
             writer.close()
             server.close()
@@ -302,7 +307,7 @@ class TestBursts:
             late = outcomes[answered:]
             assert all(isinstance(o, NodeDownError) for o in late)
             assert all("RPC deadline" in str(o) for o in late)
-            assert link._writer is None and link.alive is False
+            assert link._connection is None and link.alive is False
             assert seen == {"connections": 1}
             server.close()
             await server.wait_closed()
@@ -360,7 +365,7 @@ class TestFailure:
             assert len(failures) == len({key for key, _ in failures}) == 24
             assert all("closed the connection" in why for _, why in failures)
             assert seen == {"puts": 24, "connections": 1}
-            assert doomed.alive is False and doomed._writer is None
+            assert doomed.alive is False and doomed._connection is None
             # The object is readable around the dead node.
             got = await coord.get("obj", want_payload=True)
             assert got.payload == payload
@@ -386,7 +391,7 @@ class TestFailure:
             await coord.register("n0", *address(server))
             link = coord.nodes["n0"]
             await coord._rpc(link, PingRequest())
-            first = link._writer
+            first = link._connection.transport
             node.partitioned = True
             t0 = time.perf_counter()
             results = await asyncio.gather(
@@ -397,11 +402,11 @@ class TestFailure:
             assert time.perf_counter() - t0 < 0.2 * 3
             assert all(isinstance(r, NodeDownError) for r in results)
             assert all("RPC deadline" in str(r) for r in results)
-            assert link._writer is None and link.alive is False
-            assert first.transport.is_closing()
+            assert link._connection is None and link.alive is False
+            assert first.is_closing()
             node.partitioned = False
             assert (await coord._rpc(link, PingRequest())).pong is True
-            assert link._writer is not None and link._writer is not first
+            assert link._connection.transport is not first
             assert link.alive is True
             link.reset()
             server.close()

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.serve import lineserver, link
 from repro.serve import protocol as proto
 from repro.serve.errors import (
     DeadlineExceededError,
     ServiceClosedError,
     ServiceOverloadedError,
 )
-from repro.serve.lineserver import read_frame, start_line_server
+from repro.serve.lineserver import FrameSplitter, start_line_server
 from repro.serve.protocol import (
     ENVELOPE,
     MAX_HEADER_BYTES,
@@ -507,31 +508,25 @@ class TestTornFrames:
     def test_mutated_frames_end_typed_or_at_a_clean_eof(
         self, request, request_id
     ):
-        async def read_all(data: bytes) -> list:
-            reader = asyncio.StreamReader()
-            reader.feed_data(data)
-            reader.feed_eof()
+        def read_all(data: bytes) -> list:
+            frames = FrameSplitter()
             outcomes = []
-            while True:
-                try:
-                    got = await asyncio.wait_for(read_frame(reader), 5)
-                except ProtocolError as exc:
-                    outcomes.append(exc)
-                    break  # a reader hangs up here
-                except asyncio.IncompleteReadError:
+            try:
+                for got in frames.feed(data):
+                    try:
+                        outcomes.append(parse_request(got))
+                    except ProtocolError as exc:
+                        outcomes.append(exc)
+            except ProtocolError as exc:
+                outcomes.append(exc)  # a reader hangs up here
+            else:
+                if frames.parts:
                     outcomes.append("eof mid-frame")
-                    break
-                if got is None:
-                    break
-                try:
-                    outcomes.append(parse_request(got))
-                except ProtocolError as exc:
-                    outcomes.append(exc)
             return outcomes
 
         data = encode_request(request, request_id=request_id)
         for mutated in mutations(data):
-            for outcome in asyncio.run(read_all(mutated)):
+            for outcome in read_all(mutated):
                 if isinstance(outcome, ProtocolError):
                     assert outcome.code in (
                         "bad_request", "unsupported_version"
@@ -539,6 +534,102 @@ class TestTornFrames:
                 elif outcome != "eof mid-frame":
                     parsed, envelope = outcome
                     assert (parsed, envelope.id) == (request, request_id)
+
+
+class FakeTransport(asyncio.Transport):
+    """Records what a protocol writes; never backs up."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+
+    def is_closing(self):
+        return False
+
+
+def chunked(stream: bytes, sizes: list[int]):
+    """``stream`` cut into chunks of the ``sizes``, cycled."""
+    start, turn = 0, 0
+    while start < len(stream):
+        size = sizes[turn % len(sizes)]
+        yield stream[start : start + size]
+        start, turn = start + size, turn + 1
+
+
+class TestFrameSplitter:
+    """The line server and the link cut frames with one splitter: any
+    chunking of a stream of whole frames, one byte at a time included,
+    yields exactly those frames in order."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        requests=st.lists(request_strategies, min_size=1, max_size=5),
+        sizes=st.lists(st.integers(1, 2048), min_size=1, max_size=5),
+    )
+    def test_server_dispatches_every_chunking_in_order(self, requests, sizes):
+        stream = b"".join(
+            encode_request(r, request_id=i) for i, r in enumerate(requests, 1)
+        )
+
+        async def serve(chunks) -> tuple[list, list]:
+            seen = []
+
+            def handler(request, envelope):
+                seen.append((request, envelope.id))
+                return PongResponse()
+
+            connection = lineserver._Connection(handler, set())
+            transport = FakeTransport()
+            connection.connection_made(transport)
+            for chunk in chunks:
+                connection.data_received(chunk)
+            assert not connection.frames.parts
+            replies = [
+                proto.parse_response(frame)
+                for data in transport.writes
+                for frame in FrameSplitter().feed(data)
+            ]
+            return seen, [envelope.id for _, envelope in replies]
+
+        expected = [(r, i) for i, r in enumerate(requests, 1)]
+        for chunks in (chunked(stream, [1]), chunked(stream, sizes)):
+            seen, answered = asyncio.run(serve(chunks))
+            assert seen == expected
+            assert answered == [i for _, i in expected]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        responses=st.lists(response_strategies, min_size=1, max_size=5),
+        sizes=st.lists(st.integers(1, 2048), min_size=1, max_size=5),
+    )
+    def test_link_resolves_every_chunking_in_order(self, responses, sizes):
+        frames = [
+            encode_frame(r, request_id=i) for i, r in enumerate(responses, 1)
+        ]
+
+        async def resolve(chunks) -> list:
+            peer = link.PipelinedLink("127.0.0.1", 1, "peer")
+            loop = asyncio.get_running_loop()
+            order = []
+            for i in range(1, len(frames) + 1):
+                peer._pending[i] = future = loop.create_future()
+                future.add_done_callback(order.append)
+            connection = peer._connection = link._LinkConnection(peer)
+            connection.connection_made(FakeTransport())
+            for chunk in chunks:
+                connection.data_received(chunk)
+            await asyncio.sleep(0)  # done callbacks run in resolution order
+            assert not connection.frames.parts and not peer._pending
+            return [future.result() for future in order]
+
+        for chunks in (
+            chunked(b"".join(frames), [1]),
+            chunked(b"".join(frames), sizes),
+        ):
+            assert asyncio.run(resolve(chunks)) == frames
 
 
 class TestPayloadFraming:

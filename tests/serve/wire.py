@@ -8,11 +8,11 @@ back as a dict with the shape the old JSON header lines had: ``v``,
 and ``spans`` when the server shipped some.
 """
 
+import asyncio
 import struct
 from typing import Any
 
 from repro.serve import protocol as proto
-from repro.serve.lineserver import read_frame
 
 # Request op name -> wire code.
 OPS = {cls.op: code for code, cls in proto._REQUEST_TYPES.items()}
@@ -63,6 +63,21 @@ def block_put(lengths, keys: bytes, payload: bytes, *, id: int = 5) -> bytes:
         payload=payload,
         id=id,
     )
+
+
+async def read_frame(reader: asyncio.StreamReader) -> bytes | None:
+    """The next whole frame off an asyncio stream, for fake peers.
+
+    ``None`` at a clean EOF; :class:`asyncio.IncompleteReadError` when
+    the stream ends inside a frame; :class:`~repro.serve.protocol.ProtocolError`
+    when the frame's end cannot be found or is not worth reading to.
+    """
+    prefix = await reader.read(proto.ENVELOPE.size)
+    if not prefix:
+        return None
+    if len(prefix) < proto.ENVELOPE.size and prefix[:1] != b"{":
+        prefix += await reader.readexactly(proto.ENVELOPE.size - len(prefix))
+    return prefix + await reader.readexactly(proto.body_size(prefix))
 
 
 def reply_dict(data: bytes) -> dict[str, Any]:

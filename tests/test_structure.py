@@ -174,6 +174,23 @@ LINTS = {
         ("src/repro/serve", "src/repro/cluster", "src/repro/sites"),
         count=range(4, 5),
     ),
+    # Frames are dispatched in the transport callback: no stream reads
+    # a frame on either side of a connection ...
+    "no-stream-io": Lint(
+        r"StreamReader|start_server|open_connection|readexactly",
+        ("src/repro/serve", "src/repro/cluster"),
+    ),
+    # ... and one FrameSplitter cuts frames for the line server and the
+    # link alike.
+    "one-frame-splitter": Lint(
+        r"body_size\(",
+        ("src/repro",),
+        exempt=r"^src/repro/serve/(protocol|client)\.py:"
+        r"|^src/repro/serve/lineserver\.py:feed:",
+    ),
+    "both-speakers-split-alike": Lint(
+        r"FrameSplitter\(\)", ("src/repro",), count=range(2, 3)
+    ),
     "networkx-behind-graphml": Lint(
         r"import networkx", ("src",), files=frozenset({"src/repro/core/graphml.py"})
     ),
