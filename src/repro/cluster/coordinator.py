@@ -200,6 +200,34 @@ class _WaveStripe:
     complete: bool = True  # every row fetched or recovered
 
 
+class _StripeLock(asyncio.Lock):
+    """One stripe's lock, dropped from its table once nobody holds or
+    waits for it: the table holds the stripes in use, not every stripe
+    ever read.  Enter it straight from ``_stripe_lock``, with no await
+    between, so no task keeps an evicted lock."""
+
+    def __init__(self, table: dict, key: tuple[str, int]) -> None:
+        super().__init__()
+        self._table, self._key, self._users = table, key, 0
+
+    async def __aenter__(self) -> None:
+        self._users += 1
+        try:
+            await self.acquire()
+        except BaseException:
+            self._leave()
+            raise
+
+    async def __aexit__(self, *exc) -> None:
+        self.release()
+        self._leave()
+
+    def _leave(self) -> None:
+        self._users -= 1
+        if not self._users:
+            del self._table[self._key]
+
+
 class NodeDownError(NodeUnreachableError):
     """A storage node could not be reached (distinct from an outage)."""
 
@@ -344,9 +372,9 @@ class ClusterCoordinator:
         self.manifests: dict[str, ClusterManifest] = {}
         self._next_stripe = 0
         self._mutex = asyncio.Lock()
-        # Per-stripe repair/read locks (created on demand), so repair
-        # of one stripe never stalls reads of another.
-        self._stripe_locks: dict[tuple[str, int], asyncio.Lock] = {}
+        # Per-stripe repair/read locks (created on demand, dropped when
+        # idle), so repair of one stripe never stalls reads of another.
+        self._stripe_locks: dict[tuple[str, int], _StripeLock] = {}
         self.reads_inflight = 0
         self.retry = retry
         self.rpc_timeout = rpc_timeout
@@ -608,11 +636,13 @@ class ClusterCoordinator:
             for j in range(self.graph.num_nodes)
         )
 
-    def _stripe_lock(self, name: str, index: int) -> asyncio.Lock:
+    def _stripe_lock(self, name: str, index: int) -> _StripeLock:
         key = (name, index)
         lock = self._stripe_locks.get(key)
         if lock is None:
-            lock = self._stripe_locks[key] = asyncio.Lock()
+            lock = self._stripe_locks[key] = _StripeLock(
+                self._stripe_locks, key
+            )
         return lock
 
     async def put(self, name: str, payload: bytes) -> dict[str, Any]:

@@ -18,8 +18,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "LifetimeResult",
             "failure_predicate_for_graph",
             "failure_predicate_for_groups",
-            "mttdl_mirrored",
-            "mttdl_raid",
             "simulate_lifetime",
         ),
         ".model": (
@@ -27,6 +25,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "ReliabilityEntry",
             "afr_sweep",
             "binomial_loss_pmf",
+            "mttdl",
             "reliability_table",
             "system_failure_probability",
         ),

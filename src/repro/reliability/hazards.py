@@ -55,7 +55,7 @@ __all__ = [
 
 def failure_rate_from_afr(afr: float) -> float:
     """Poisson rate (per device-year) matching an annual failure prob."""
-    if not 0.0 < afr < 1.0:
+    if not 0.0 < check_seconds(afr, "afr") < 1.0:
         raise ValueError("afr must be in (0, 1)")
     return -math.log1p(-afr)
 

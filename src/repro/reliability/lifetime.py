@@ -5,15 +5,9 @@ setting where Tornado's deep worst case dominates.  Real archives
 rebuild failed devices, so this module adds a discrete-event lifetime
 simulator: devices fail as independent Poisson processes, repairs
 complete after an (exponential) mean time to repair, and data is lost
-the first time the failed set becomes unrecoverable.  Closed-form
-Markov MTTDL approximations for mirrored pairs and RAID groups validate
-the simulator in the tests.
-
-Rates: a device AFR ``p`` corresponds to a failure rate
-``lambda = -ln(1 - p)`` per year.  For rare-event configurations the
-Monte Carlo estimate of P(loss) needs either many runs or an elevated
-AFR; benches use elevated rates and compare *systems*, which preserves
-ordering (the quantity the paper's analysis ranks).
+the first time the failed set becomes unrecoverable.  It is the oracle
+for :func:`repro.reliability.mttdl`'s chain, which resolves the
+rare-event rates that no number of simulated missions reaches.
 """
 
 from __future__ import annotations
@@ -25,10 +19,11 @@ from typing import Callable
 
 import numpy as np
 
+from .._checks import check_count, check_seconds
 from ..core.decoder import PeelingDecoder
 from ..core.graph import ErasureGraph
 from ..obs.seeding import SeedLike, resolve_rng
-from .hazards import WeibullHazard, failure_rate_from_afr
+from .hazards import WeibullHazard
 
 __all__ = [
     "LifetimeConfig",
@@ -36,8 +31,6 @@ __all__ = [
     "failure_predicate_for_graph",
     "failure_predicate_for_groups",
     "simulate_lifetime",
-    "mttdl_mirrored",
-    "mttdl_raid",
 ]
 
 FailurePredicate = Callable[[frozenset[int]], bool]
@@ -78,6 +71,7 @@ class LifetimeConfig:
     models infant mortality (failures cluster early in each device's
     life), >1 wear-out.  The scale is always calibrated so the
     first-year failure probability of a fresh device equals ``afr``.
+    ``mission_years`` may be ``inf``: every run then ends in a loss.
     """
 
     num_devices: int
@@ -87,7 +81,10 @@ class LifetimeConfig:
     hazard_shape: float = 1.0
 
     def __post_init__(self) -> None:
-        # Reject a bad afr or shape here, not inside simulate_lifetime.
+        # Reject a bad argument here, not inside simulate_lifetime.
+        check_count(self.num_devices, "num_devices", 1)
+        check_seconds(self.mttr_years, "mttr_years")
+        check_seconds(self.mission_years, "mission_years")
         WeibullHazard.from_afr(self.afr, self.hazard_shape)
 
 
@@ -112,21 +109,6 @@ class LifetimeResult:
             return None
         return float(np.mean(self.loss_times))
 
-    def mttdl_estimate(self) -> float | None:
-        """Crude MTTDL from the exponential-loss approximation.
-
-        With loss count ``m`` over ``runs`` missions of ``T`` years and
-        per-mission loss probability ``q = m/runs``, an exponential loss
-        process gives ``MTTDL ~ -T / ln(1 - q)``.  None when no losses
-        were observed.
-        """
-        if self.losses == 0:
-            return None
-        q = self.p_loss
-        if q >= 1.0:
-            return float(np.mean(self.loss_times))
-        return -self.mission_years / math.log1p(-q)
-
 
 def simulate_lifetime(
     fails: FailurePredicate,
@@ -143,6 +125,7 @@ def simulate_lifetime(
     failed set (repair = full rebuild from the surviving redundancy,
     valid because the run stops the moment that becomes impossible).
     """
+    check_count(n_runs, "n_runs", 1)
     rng = resolve_rng(rng if rng is not None else 0)
     n = config.num_devices
     hazard = WeibullHazard.from_afr(config.afr, config.hazard_shape)
@@ -190,43 +173,3 @@ def simulate_lifetime(
         loss_times=tuple(loss_times),
         mission_years=config.mission_years,
     )
-
-
-def mttdl_mirrored(
-    num_pairs: int, afr: float, mttr_years: float
-) -> float:
-    """Markov-chain MTTDL for mirrored pairs (classic approximation).
-
-    One pair: ``MTTF^2 / (2 MTTR)`` with ``MTTF = 1/lambda``; the system
-    of ``num_pairs`` independent pairs divides by the pair count.  Valid
-    for ``MTTR << MTTF``.
-    """
-    lam = failure_rate_from_afr(afr)
-    pair = 1.0 / (2 * lam * lam * mttr_years)
-    return pair / num_pairs
-
-
-def mttdl_raid(
-    num_groups: int,
-    group_size: int,
-    afr: float,
-    mttr_years: float,
-    tolerance: int = 1,
-) -> float:
-    """Markov-chain MTTDL for RAID5/6 groups (classic approximation).
-
-    Tolerance 1 (RAID5): ``MTTF^2 / (g (g-1) MTTR)``; tolerance 2
-    (RAID6): ``MTTF^3 / (g (g-1) (g-2) MTTR^2)``.  System MTTDL divides
-    by the group count.
-    """
-    lam = failure_rate_from_afr(afr)
-    g = group_size
-    if tolerance == 1:
-        group = 1.0 / (g * (g - 1) * lam * lam * mttr_years)
-    elif tolerance == 2:
-        group = 1.0 / (
-            g * (g - 1) * (g - 2) * lam**3 * mttr_years**2
-        )
-    else:
-        raise ValueError("closed form implemented for tolerance 1 and 2")
-    return group / num_groups

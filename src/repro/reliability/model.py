@@ -17,17 +17,23 @@ versus 4.8e-2 for RAID5 and 4.8e-3 for mirroring at AFR 1% — follows
 directly because the sum is dominated by the first-failure term, and
 Tornado's first failure sits at 5 lost devices where
 ``P(exactly 5 fail)`` is already tiny.
+
+With repair, :func:`mttdl` runs the same profile through a birth–death
+chain over the number of failed devices and returns the mean time to
+data loss.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, inf
 from typing import Sequence
 
 import numpy as np
 
+from .._checks import check_seconds
 from ..sim.results import FailureProfile
+from .hazards import failure_rate_from_afr
 
 __all__ = [
     "binomial_loss_pmf",
@@ -35,6 +41,7 @@ __all__ = [
     "ReliabilityEntry",
     "reliability_table",
     "afr_sweep",
+    "mttdl",
 ]
 
 DEFAULT_AFR = 0.01  # the paper's conservative 1% annual failure rate
@@ -67,6 +74,49 @@ def system_failure_probability(
     """P(data loss within the period) for one system (paper Eq. 3)."""
     pmf = binomial_loss_pmf(profile.num_devices, afr)
     return float(np.dot(pmf, profile.fail_fraction))
+
+
+def mttdl(profile: FailureProfile, afr: float, mttr_years: float) -> float:
+    """Mean time to data loss in years, with repair.
+
+    A birth–death chain over the number ``k`` of failed devices, the
+    lifetime simulator's model: failures at rate ``lambda (n - k)``,
+    independent repairs at ``k / mttr_years``.  A step to ``k + 1``
+    loses data with probability ``(f(k+1) - f(k)) / (1 - f(k))`` over
+    the running maximum ``f`` of the profile (failure is monotone in
+    the erased set; a sampled profile need not be).  Taking a surviving
+    failed set to be a uniform one is exact where all look alike (RAID5,
+    mirroring), close for RAID6, and errs low for a Tornado graph.
+
+    Forward elimination writes the expected time to loss from ``k`` as
+    ``T(k) = x(k) + y(k) T(k + 1)`` and carries ``1 - y(k)`` as ``z``:
+    every term stays positive, so 1e18-year answers keep the digits a
+    dense solve loses.  A curve that never fails gives ``inf``.
+    """
+    lam = failure_rate_from_afr(afr)
+    mu = 1.0 / check_seconds(mttr_years, "mttr_years")
+    n = profile.num_devices
+    f = np.maximum.accumulate(profile.fail_fraction).tolist()
+    if f[-1] == 0:
+        return inf
+    if f[0] == 1:
+        return 0.0
+    f.append(f[-1])  # from k = n no failure arrives
+    xs, ys = [], []
+    x = z = 0.0  # x(k - 1) and 1 - y(k - 1)
+    for k in range(n + 1):
+        up, down, head = lam * (n - k), mu * k, 1.0 - f[k]
+        out = up + down * z
+        x = (1.0 + down * x) / out
+        z = (up * (f[k + 1] - f[k]) / head + down * z) / out
+        xs.append(x)
+        ys.append(up * (1.0 - f[k + 1]) / head / out)
+        if f[k + 1] == 1:
+            break
+    t = 0.0
+    for x, y in zip(reversed(xs), reversed(ys)):
+        t = x + y * t
+    return t
 
 
 @dataclass(frozen=True)

@@ -157,6 +157,52 @@ class TestReadsRacingAReshard:
         run(check())
 
 
+class TestStripeLocksLeaveWhenIdle:
+    def test_reads_fetches_and_a_repair_drain_leave_no_stripe_lock(self):
+        # A stripe lock lives while someone holds or waits for it; the
+        # table does not grow with every stripe ever touched.
+        async def check():
+            cluster = await Cluster.start(4)
+            coord = cluster.coordinator
+            objects = await cluster.put_objects(6, size=2 * STRIPE)
+            readers = [
+                coord.get(name, want_payload=True)
+                for name in objects
+                for _ in range(2)  # two readers contend for each stripe
+            ]
+            await asyncio.gather(*readers)
+            await coord.fetch_stripe_raw("obj-0", 1)
+            assert coord._stripe_locks == {}
+            summary, _ = await asyncio.gather(
+                coord.deregister("node-1"), assert_reads(coord, objects)
+            )
+            assert summary["moved_blocks"] > 0
+            assert coord._stripe_locks == {}
+            await cluster.close()
+
+        run(check())
+
+    def test_a_reader_cancelled_on_the_lock_leaves_no_stripe_lock(self):
+        async def check():
+            cluster = await Cluster.start(4)
+            coord = cluster.coordinator
+            await cluster.put_objects(1)
+            index = coord.manifests["obj-0"].stripes[0].index
+            lock = coord._stripe_lock("obj-0", index)
+            async with lock:
+                reader = asyncio.create_task(coord.get("obj-0"))
+                while lock._users < 2:  # the reader parks on the lock
+                    await asyncio.sleep(0)
+                reader.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await reader
+                assert lock._users == 1
+            assert coord._stripe_locks == {}
+            await cluster.close()
+
+        run(check())
+
+
 class TestPlaceJournalDelete:
     def test_crash_between_placement_and_journal_loses_nothing(
         self, tmp_path

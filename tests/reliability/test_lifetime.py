@@ -14,8 +14,6 @@ from repro.reliability import (
     failure_rate_from_afr,
     failure_predicate_for_graph,
     failure_predicate_for_groups,
-    mttdl_mirrored,
-    mttdl_raid,
     simulate_lifetime,
 )
 
@@ -58,7 +56,6 @@ class TestSimulation:
             fails, cfg, n_runs=30, rng=np.random.default_rng(0)
         )
         assert result.p_loss == 0.0
-        assert result.mttdl_estimate() is None
         assert result.mean_time_to_loss is None
 
     def test_certain_loss_with_zero_tolerance(self):
@@ -71,7 +68,6 @@ class TestSimulation:
         )
         assert result.p_loss == 1.0
         assert result.mean_time_to_loss is not None
-        assert result.mttdl_estimate() is not None
 
     def test_loss_times_within_mission(self):
         fails = failure_predicate_for_groups(4, 2, 1)
@@ -137,48 +133,6 @@ class TestSimulation:
             fails, fast, n_runs=60, rng=np.random.default_rng(3)
         ).p_loss
         assert p_fast <= p_slow
-
-
-class TestMTTDLClosedForms:
-    def test_rejects_bad_afr(self):
-        for afr in (0.0, 1.0, 1.5):
-            with pytest.raises(ValueError, match="afr"):
-                mttdl_mirrored(48, afr, 0.1)
-            with pytest.raises(ValueError, match="afr"):
-                mttdl_raid(12, 8, afr, 0.1)
-
-    def test_mirrored_formula(self):
-        lam = -math.log1p(-0.1)
-        expect = 1.0 / (2 * lam * lam * 0.05) / 4
-        assert mttdl_mirrored(4, 0.1, 0.05) == pytest.approx(expect)
-
-    def test_raid_tolerance_validation(self):
-        with pytest.raises(ValueError):
-            mttdl_raid(8, 12, 0.01, 0.02, tolerance=3)
-
-    def test_raid6_beats_raid5(self):
-        assert mttdl_raid(8, 12, 0.01, 0.02, tolerance=2) > mttdl_raid(
-            8, 12, 0.01, 0.02, tolerance=1
-        )
-
-    def test_simulation_approximates_markov_mttdl(self):
-        """At moderate rates the simulated MTTDL lands within ~2x of the
-        Markov approximation for mirrored pairs."""
-        afr, mttr = 0.3, 0.02
-        analytic = mttdl_mirrored(8, afr, mttr)
-        fails = failure_predicate_for_groups(8, 2, 1)
-        cfg = LifetimeConfig(
-            num_devices=16,
-            afr=afr,
-            mttr_years=mttr,
-            mission_years=analytic * 3,
-        )
-        result = simulate_lifetime(
-            fails, cfg, n_runs=120, rng=np.random.default_rng(0)
-        )
-        estimate = result.mttdl_estimate()
-        assert estimate is not None
-        assert analytic / 2.5 <= estimate <= analytic * 2.5
 
 
 class TestWeibullHazard:

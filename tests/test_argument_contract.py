@@ -65,11 +65,16 @@ from repro.obs import (
     capture,
     default_slo_spec,
 )
+from repro.raid import raid5_system
 from repro.reliability import (
     BathtubHazard,
     FleetHazards,
+    LifetimeConfig,
     WeibullHazard,
     calibrated_scale,
+    failure_predicate_for_groups,
+    mttdl,
+    simulate_lifetime,
 )
 from repro.resilience import (
     ClusterCampaignConfig,
@@ -88,7 +93,7 @@ from repro.serve import (
     seeded_archive,
 )
 from repro.serve.protocol import ClusterJoinRequest, GetRequest
-from repro.sim import profile_graph, sample_fail_fraction
+from repro.sim import FailureProfile, profile_graph, sample_fail_fraction
 from repro.sites import (
     FederationGateway,
     FederationManifest,
@@ -137,6 +142,8 @@ def manifest(site_max_size=6):
     sites = (SiteAssignment("a", 1), SiteAssignment("b", 2))
     return FederationManifest(sites, site_max_size, ())
 
+
+RAID5 = FailureProfile.from_analytic(raid5_system())
 
 # Stored outside any probe: its writes are not a refused call's effect.
 ARCHIVE, NAMES = seeded_archive(
@@ -281,6 +288,18 @@ ROWS = [
         v, WeibullHazard(), seed=p.rng), 1),
     count("fleet", "batch_size", lambda v, p: FleetHazards(
         4, WeibullHazard(), batch_size=v, seed=p.rng), 1),
+    count("lifetime", "num_devices", lambda v, p: LifetimeConfig(
+        num_devices=v, afr=0.1, mttr_years=0.1), 1),
+    seconds("lifetime", "mttr_years", lambda v, p: LifetimeConfig(
+        num_devices=4, afr=0.1, mttr_years=v)),
+    seconds("lifetime", "mission_years", lambda v, p: LifetimeConfig(
+        num_devices=4, afr=0.1, mttr_years=0.1, mission_years=v)),
+    count("simulate-lifetime", "n_runs", lambda v, p: simulate_lifetime(
+        failure_predicate_for_groups(2, 2, 1),
+        LifetimeConfig(num_devices=4, afr=0.1, mttr_years=0.1),
+        n_runs=v, rng=p.rng), 1),
+    seconds("mttdl", "afr", lambda v, p: mttdl(RAID5, v, 0.1)),
+    seconds("mttdl", "mttr_years", lambda v, p: mttdl(RAID5, 0.1, v)),
     # resilience
     *(
         count("cluster-campaign", name,

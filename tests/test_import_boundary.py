@@ -166,8 +166,8 @@ EXPORTS = {
         "BathtubHazard", "DEFAULT_AFR", "FleetHazards", "LifetimeConfig",
         "LifetimeResult", "ReliabilityEntry", "WeibullHazard", "afr_sweep",
         "binomial_loss_pmf", "calibrated_scale", "failure_predicate_for_graph",
-        "failure_predicate_for_groups", "failure_rate_from_afr", "mttdl_mirrored",
-        "mttdl_raid", "reliability_table", "simulate_lifetime",
+        "failure_predicate_for_groups", "failure_rate_from_afr", "mttdl",
+        "reliability_table", "simulate_lifetime",
         "step_failure_probability", "system_failure_probability",
     },
     "repro.resilience": {

@@ -191,6 +191,14 @@ LINTS = {
     "both-speakers-split-alike": Lint(
         r"FrameSplitter\(\)", ("src/repro",), count=range(2, 3)
     ),
+    # One MTTDL: the birth–death chain over a failure curve.  The
+    # Markov closed forms and the simulator's exponential read-out that
+    # disagreed with it are gone.
+    "one-mttdl": Lint(
+        r"def mttdl|mttdl_raid|mttdl_mirrored|mttdl_estimate",
+        ("src", "benchmarks", "docs", "examples"),
+        files=frozenset({"src/repro/reliability/model.py"}),
+    ),
     "networkx-behind-graphml": Lint(
         r"import networkx", ("src",), files=frozenset({"src/repro/core/graphml.py"})
     ),
