@@ -65,11 +65,10 @@ the repair-bandwidth metric the archival-storage literature prices
 nodes by — and journaled, so repair-byte accounting survives a
 coordinator crash.
 
-Tracing: request handlers run under the caller's shipped context, node
-RPCs get child spans whose contexts travel in the RPC frames, and span
-records the nodes ship back are ingested here — so one coordinator
-trace file holds the full coordinator+node half of the cluster-wide
-span tree, parented under the client's spans.
+Tracing: request handlers run under the caller's shipped context, and
+node RPCs get child spans whose contexts travel in the RPC frames.
+Each node writes its ``node.<op>`` spans to its own trace file;
+stitching the files gives the cluster-wide span tree.
 """
 
 from __future__ import annotations
@@ -90,7 +89,7 @@ from ..core.codec import DecodeFailure, TornadoCodec, stripe_rows
 from ..core.decoder import _evaluate_headroom, make_batch_decoder
 from ..core.graph import ErasureGraph
 from ..obs.registry import registry
-from ..obs.trace import start_span, tracer
+from ..obs.trace import start_span
 from ..resilience.retry import NO_RETRY, RetryPolicy
 from ..serve.lineserver import (
     ArchiveEndpoint,
@@ -320,10 +319,7 @@ async def _link_burst_once(
             if isinstance(reply, Exception):
                 raise reply
             link.alive = True
-            response, envelope = parse_response(reply)
-            t = tracer()
-            if t is not None and envelope.spans:
-                t.ingest(envelope.spans)
+            response, _ = parse_response(reply)
             if isinstance(response, ErrorResponse):
                 response.raise_remote()
             outcomes.append(response)

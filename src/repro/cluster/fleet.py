@@ -239,6 +239,7 @@ class Cell:
             port=0,
             seed=self.node_seeds[node_id] if seed is None else seed,
             coordinator=f"{at.host}:{at.port}",
+            trace=self.fleet.trace_path(node_id),
         )
         self.nodes[node_id] = self.fleet.spawn(f"node {node_id}", argv)
 

@@ -6,7 +6,7 @@ before the first write, so a batch lands whole or not at all),
 ``block.fetch``, ``block.delete`` (acks how many keys it held) and
 ``block.list`` — plus a small control plane: ``node.admin`` and the
 archive-service rows a node implements (``ping``, ``stats``,
-``metrics``, ``metrics.snapshot`` — dispatched by the shared
+``metrics.snapshot`` — dispatched by the shared
 :class:`~repro.serve.lineserver.ArchiveEndpoint`, not here).
 
 Fault semantics follow the cluster's availability model: a node-level
@@ -33,11 +33,11 @@ Two transport-level fault modes sit above that (driven by
   of seconds: alive, correct, and painful, the grey-failure mode
   between healthy and partitioned.
 
-Every data-plane request that carries a trace context runs under a span
-minted by a node-local tracer seeded from that context
-(:func:`~repro.obs.trace.context_seed`), and the span records ship back
-in the response frame (``spans``) for the coordinator to ingest — the
-same ship-back pattern worker pools use, extended over TCP.
+In a traced process, every request that carries a trace context runs
+under a ``node.<op>`` span minted by a per-request tracer seeded from
+that context (:func:`~repro.obs.trace.context_seed`), so its ids are
+the same whichever process serves it.  The span goes to this process's
+own trace, failed requests included; the reply carries none.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from typing import Any
 
 from ..obs.registry import registry
 from ..obs.seeding import SeedLike, resolve_rng
-from ..obs.trace import Tracer, context_seed
+from ..obs.trace import Tracer, context_seed, tracer
 from ..resilience.faults import FaultPlan, TransientOutages, outage_steps
 from ..storage.blockstore import LocalBlockStore
 from ..storage.device import TransientUnavailableError
@@ -207,7 +207,7 @@ class StorageNode:
         if isinstance(request, BlockPutRequest):
             for key, data in request.blocks.items():
                 self.store.put(key, data)
-            return AckResponse(info={"stored": len(request.blocks)})
+            return AckResponse()
         if isinstance(request, BlockFetchRequest):
             held: dict[str, bytes] = {}
             missing: list[str] = []
@@ -236,7 +236,7 @@ def _handle_row(endpoint, request: Request) -> Response:
 
 
 # A node's own ops, beside the archive-service rows it implements
-# (``ping``, ``stats``, ``metrics``, ``metrics.snapshot``).
+# (``ping``, ``stats``, ``metrics.snapshot``).
 NODE_ROWS = dict.fromkeys(
     (
         NodeAdminRequest,
@@ -258,29 +258,22 @@ async def start_storage_node(
     endpoint = node.endpoint()
 
     def answer(request: Request, envelope: Envelope):
-        if envelope.trace is None:
+        if envelope.trace is None or (active := tracer()) is None:
             return endpoint(request, envelope)
-        # Ship-back tracing: a per-request tracer seeded from the
-        # caller's span context mints IDs no other process can collide
-        # with, and the finished records ride home in the reply.
+        # A per-request tracer seeded from the caller's span context
+        # mints IDs no other process can collide with, and writes the
+        # finished span to this process's trace.
         local = Tracer(
-            seed=context_seed(
-                envelope.trace, "cluster.node", node.node_id
-            )
+            sink=active,
+            seed=context_seed(envelope.trace, "cluster.node", node.node_id),
         )
-        span = local.start_span(
+        with local.start_span(
             f"node.{request.op}",
             parent=envelope.trace,
             activate=False,
             node=node.node_id,
-        )
-        try:
-            response = endpoint(request, envelope)
-        except Exception as exc:
-            span.end(error=type(exc).__name__)
-            raise
-        span.end()
-        return response, local.export()
+        ):
+            return endpoint(request, envelope)
 
     async def gated(request: Request, envelope: Envelope):
         # A partitioned node accepts the connection but never answers:

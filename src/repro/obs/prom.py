@@ -13,8 +13,8 @@ without adding a client-library dependency:
   ``_count``.
 
 Dotted metric names become underscore-separated (``serve.batch_size``
-→ ``repro_serve_batch_size``).  The line-JSON TCP front end serves
-this via ``{"op": "metrics"}`` (see :mod:`repro.serve.frontend`).
+→ ``repro_serve_batch_size``).  Every tier serves its snapshot as
+``metrics.snapshot``; :meth:`repro.ArchiveClient.metrics` renders it.
 
 Dynamic-suffix families are folded into labels: the cluster and sites
 layers mint names like ``cluster.repair.bytes.node-1`` and

@@ -385,20 +385,26 @@ def current_context() -> dict[str, str] | None:
     return _REMOTE.get(None)
 
 
-@contextmanager
-def use_context(ctx: Mapping[str, Any] | None) -> Iterator[None]:
+class use_context:
     """Adopt a remote span context as the ambient parent.
 
     Spans started inside the block (without an explicit parent) become
     children of the remote span — how pool workers link their work back
     to the request or sweep that dispatched it.  ``None`` is accepted
     and means "no remote parent" so call sites need no conditionals.
+    A class, not a generator: the line server enters one per request.
     """
-    token = _REMOTE.set(dict(ctx) if ctx else None)
-    try:
-        yield
-    finally:
-        _REMOTE.reset(token)
+
+    __slots__ = ("_ctx", "_token")
+
+    def __init__(self, ctx: Mapping[str, Any] | None) -> None:
+        self._ctx = dict(ctx) if ctx else None
+
+    def __enter__(self) -> None:
+        self._token = _REMOTE.set(self._ctx)
+
+    def __exit__(self, *exc: Any) -> None:
+        _REMOTE.reset(self._token)
 
 
 def start_span(

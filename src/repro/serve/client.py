@@ -19,10 +19,10 @@ the protocol error taxonomy — ``overloaded`` arrives as
 :class:`~repro.storage.archive.DataLossError`, and so on — instead of
 a stringly-typed error dict.
 
-Tracing crosses the wire automatically: when tracing is active, each
-call runs under a client span whose context rides in the request
-frame, and span records shipped back by the server are ingested into
-the local tracer — the client half of cluster-wide trace stitching.
+Tracing crosses the wire one way: when tracing is active, each call
+runs under a client span whose context rides in the request frame.
+The server parents its own spans under it and writes them to its own
+trace; ``repro obs trace-tree`` stitches the files.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ import socket
 import threading
 from typing import Any
 
-from ..obs.trace import start_span, tracer
+from ..obs.prom import render_prometheus
+from ..obs.trace import start_span
 from ..resilience.retry import NO_RETRY, RetryPolicy
 from .errors import DeadlineExceededError
 from .protocol import (
@@ -51,8 +52,6 @@ from .protocol import (
     FetchStripeRequest,
     GetRequest,
     KeyListResponse,
-    MetricsRequest,
-    MetricsResponse,
     MetricsSnapshotRequest,
     MetricsSnapshotResponse,
     NodeAdminRequest,
@@ -127,7 +126,7 @@ class ProtocolClient:
         """Send one request, wait for its reply, raise remote errors.
 
         Returns ``(typed response, envelope)``; the envelope carries
-        the reply's id and any shipped spans.  Remote failures raise
+        the reply's id.  Remote failures raise
         (see module docs); a dropped connection raises
         :class:`ConnectionError` after closing the socket so the next
         call reconnects cleanly.  With a ``retry`` policy configured,
@@ -147,15 +146,12 @@ class ProtocolClient:
         )
         try:
             response, envelope = self._exchange(request, span)
+            if isinstance(response, ErrorResponse):
+                response.raise_remote()
         except BaseException as exc:
             span.end(error=type(exc).__name__)
             raise
         span.end()
-        t = tracer()
-        if t is not None and envelope.spans:
-            t.ingest(envelope.spans)
-        if isinstance(response, ErrorResponse):
-            response.raise_remote()
         return response, envelope
 
     def _exchange(self, request: Request, span) -> tuple[Response, Envelope]:
@@ -200,11 +196,6 @@ class ProtocolClient:
     def ping(self) -> bool:
         response, _ = self.call(PingRequest())
         return self._expect(response, PongResponse).pong
-
-    def metrics(self) -> str:
-        """The endpoint's metrics snapshot as Prometheus text."""
-        response, _ = self.call(MetricsRequest())
-        return self._expect(response, MetricsResponse).metrics
 
     @staticmethod
     def _expect(response: Response, cls: type) -> Any:
@@ -256,6 +247,11 @@ class ArchiveClient(ProtocolClient):
         """Structured registry snapshot (the scrape plane)."""
         response, _ = self.call(MetricsSnapshotRequest())
         return self._expect(response, MetricsSnapshotResponse)
+
+    def metrics(self) -> str:
+        """The endpoint's metrics snapshot, rendered here as Prometheus
+        text (no Prometheus server scrapes binary frames)."""
+        return render_prometheus(self.metrics_snapshot().snapshot)
 
     def stats(self) -> dict[str, Any]:
         response, _ = self.call(StatsRequest())

@@ -5,11 +5,11 @@
 for the payload no frame here carries raw bytes).  It serves the read
 half of the archive-service op family (``docs/SERVE.md`` has the whole
 table): ``get`` (``name``, ``want_payload``, ``deadline``) answered
-with an ``object`` reply, ``stats``, ``metrics`` and ``ping``.
+with an ``object`` reply, ``stats``, ``metrics.snapshot`` and ``ping``.
 
-``metrics`` returns the service's registry snapshot rendered in the
-Prometheus text exposition format (see :mod:`repro.obs.prom`), so a
-scraper can poll the same port clients use.
+``metrics.snapshot`` returns the service's registry snapshot;
+:meth:`~repro.serve.client.ArchiveClient.metrics` renders it in the
+Prometheus text exposition format (see :mod:`repro.obs.prom`).
 
 Responses to ``get`` carry the object's size and SHA-256; the payload
 itself follows only when the request sets ``want_payload`` — the

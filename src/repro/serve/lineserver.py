@@ -29,9 +29,8 @@ The archive-service contract is dispatched here too, once:
 :class:`ArchiveEndpoint` is the handler of every tier.  Whatever object
 exposes ``put(name, payload)``, ``get(name, want_payload=, deadline=)``,
 ``status()``, ``repair(mode)``, ``metrics_snapshot()`` or ``stats()``
-gets the matching rows of the one table (plus ``ping``, and ``metrics``
-as the Prometheus rendering of the snapshot); a tier adds only the
-rows that are its own (``cluster.join``, ``block.*``, ...).
+gets the matching rows of the one table (plus ``ping``); a tier adds
+only the rows that are its own (``cluster.join``, ``block.*``, ...).
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from contextlib import nullcontext
 from typing import Any, Awaitable, Callable, Iterator, Mapping
 
 from .._checks import check_seconds
-from ..obs.prom import render_prometheus
 from ..obs.trace import trace_span, use_context
 from .errors import DeadlineExceededError
 from .protocol import (
@@ -50,8 +48,6 @@ from .protocol import (
     Envelope,
     ErrorResponse,
     GetRequest,
-    MetricsRequest,
-    MetricsResponse,
     MetricsSnapshotRequest,
     MetricsSnapshotResponse,
     PingRequest,
@@ -78,9 +74,8 @@ __all__ = [
     "within_deadline",
 ]
 
-# A handler maps one typed request to a typed response, optionally with
-# the span records to ship back in the reply, or to an awaitable of
-# that when it must wait.
+# A handler maps one typed request to a typed response, or to an
+# awaitable of one when it must wait.
 Handler = Callable[[Request, Envelope], Any]
 
 
@@ -169,7 +164,7 @@ class _Connection(asyncio.Protocol):
                 result = self.handler(request, envelope)
             except Exception as exc:
                 result = ErrorResponse.from_exception(exc)
-            if not isinstance(result, (Response, tuple)):
+            if not isinstance(result, Response):
                 # The task runs in a copy of this context, trace and all.
                 task = self.loop.create_task(self.answer(result, envelope.id))
                 self.inflight.add(task)
@@ -186,12 +181,9 @@ class _Connection(asyncio.Protocol):
             self.loop.call_soon(self.flush)
         self.reply(result, request_id)
 
-    def reply(self, result: Any, request_id: int) -> None:
-        spans = None
-        if isinstance(result, tuple):
-            result, spans = result
+    def reply(self, result: Response, request_id: int) -> None:
         try:
-            data = encode_frame(result, request_id=request_id, spans=spans)
+            data = encode_frame(result, request_id=request_id)
         except ProtocolError as exc:  # a reply over its cap
             data = encode_frame(
                 ErrorResponse.from_exception(exc), request_id=request_id
@@ -315,10 +307,6 @@ class ArchiveEndpoint:
     def _ping(self, request: PingRequest):
         return PongResponse()
 
-    def _metrics(self, request: MetricsRequest):
-        snapshot = self.service.metrics_snapshot()
-        return MetricsResponse(metrics=render_prometheus(snapshot))
-
     def _metrics_snapshot(self, request: MetricsSnapshotRequest):
         return MetricsSnapshotResponse(
             role=self.role,
@@ -355,7 +343,6 @@ class ArchiveEndpoint:
 # serves exactly the rows whose method its service object has.
 SHARED_ROWS: dict[type[Request], tuple[str | None, Callable]] = {
     PingRequest: (None, ArchiveEndpoint._ping),
-    MetricsRequest: ("metrics_snapshot", ArchiveEndpoint._metrics),
     MetricsSnapshotRequest: (
         "metrics_snapshot",
         ArchiveEndpoint._metrics_snapshot,

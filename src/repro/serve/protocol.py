@@ -14,7 +14,7 @@ layout and the op and kind codes are tabled in ``docs/SERVE.md``:
   compiles its fields once into one ``struct`` layout, followed by
   their variable parts (strings, NUL-joined keys, a map's value
   lengths).  JSON survives only as the body of free-form ``dict``
-  fields and of the spans a traced reply ships back (flag ``SPANS``).
+  fields.
 * **Payload** — the raw bytes of every ``bytes`` field and every
   ``dict[str, bytes]`` value, in field order.
 
@@ -65,7 +65,6 @@ __all__ = [
     "Response",
     "PingRequest",
     "StatsRequest",
-    "MetricsRequest",
     "MetricsSnapshotRequest",
     "PutRequest",
     "GetRequest",
@@ -84,7 +83,6 @@ __all__ = [
     "PongResponse",
     "StripeBlocksResponse",
     "StatsResponse",
-    "MetricsResponse",
     "MetricsSnapshotResponse",
     "ObjectInfoResponse",
     "BlockMapResponse",
@@ -109,7 +107,6 @@ PROTOCOL_VERSION = 5
 ENVELOPE = struct.Struct("<BBHIIQ16s")
 _ID = struct.Struct("<Q")  # at offset 12
 TRACED = 1  # the envelope's trace and span ids are a trace context
-SPANS = 2  # a reply's header ends in shipped span records
 
 # Longest header: bounds a ``block.list`` reply (~10^5 keys), never an
 # object.  Checked, like the payload cap, before anything is read.
@@ -237,15 +234,15 @@ def _join_keys(keys) -> bytes:
     return text.encode()
 
 
-def _json_body(data: bytes, kind: type, what: str) -> Any:
-    """One compact JSON value of type ``kind`` filling ``data``."""
+def _json_dict(data: bytes, name: str) -> dict:
+    """One compact JSON object filling ``data``, field ``name``'s value."""
     text = data.decode()
     try:
         value, end = _load_json(text)
     except ValueError:
         end = -1
-    if end != len(text) or not isinstance(value, kind):
-        raise ProtocolError(f"{what} must be one JSON {kind.__name__}")
+    if end != len(text) or not isinstance(value, dict):
+        raise ProtocolError(f"field {name!r} must be one JSON dict")
     return value
 
 
@@ -270,9 +267,9 @@ def _wire(table: dict[int, type], code: int):
     return register
 
 
-def _encode(obj: Any, request_id: int, flags: int, ids: bytes, tail=b""):
+def _encode(obj: Any, request_id: int, flags: int, ids: bytes):
     """The whole frame: envelope and fixed fields in one pack, then the
-    header's variable parts, ``tail`` and the payload."""
+    header's variable parts and the payload."""
     fixed: list = []
     var: list = []
     payload: list = []
@@ -301,7 +298,6 @@ def _encode(obj: Any, request_id: int, flags: int, ids: bytes, tail=b""):
                     var.append(_lengths(len(value)).pack(*map(len, blocks)))
                     payload += blocks
                 var.append(data)
-        var.append(tail)
         var = b"".join(var)
         hlen, plen = obj._fixed.size + len(var), sum(map(len, payload))
         if hlen > MAX_HEADER_BYTES or plen > MAX_PAYLOAD_BYTES:
@@ -365,7 +361,7 @@ def _decode(cls, frame: bytes, header_end: int) -> tuple[Any, int]:
             values.append(
                 data.decode()
                 if kind == "str"
-                else _json_body(data, dict, f"field {name!r}")
+                else _json_dict(data, name)
             )
             var = end
             continue
@@ -404,11 +400,10 @@ def _decode(cls, frame: bytes, header_end: int) -> tuple[Any, int]:
 
 class Envelope(NamedTuple):
     """Per-frame metadata outside the typed body: the request id (0 for
-    none), a request's trace context, a reply's shipped spans."""
+    none) and a request's trace context."""
 
     id: int = 0
     trace: dict[str, str] | None = None
-    spans: list[dict[str, Any]] | None = None
 
 
 def _refuse_json_line(data: bytes) -> None:
@@ -477,10 +472,7 @@ def _parse(frame: bytes, table: dict, flags_allowed: int, what: str):
                 code="unknown_op" if what == "request" else "bad_request",
             )
         obj, var = _decode(cls, frame, header_end)
-        spans = None
-        if flags & SPANS:
-            spans = _json_body(frame[var:header_end], list, "spans")
-        elif var != header_end:
+        if var != header_end:
             raise ProtocolError(
                 f"header has {header_end - var} bytes no field claims"
             )
@@ -494,8 +486,8 @@ def _parse(frame: bytes, table: dict, flags_allowed: int, what: str):
         ) from None
     if flags & TRACED:
         trace = {"trace_id": ids[:8].hex(), "span_id": ids[8:].hex()}
-        return obj, Envelope._make((request_id, trace, None))
-    return obj, Envelope._make((request_id, None, spans))
+        return obj, Envelope._make((request_id, trace))
+    return obj, Envelope._make((request_id, None))
 
 
 # ----------------------------------------------------------------------
@@ -531,19 +523,11 @@ class StatsRequest(Request):
     op: ClassVar[str] = "stats"
 
 
-@_request(3)
-class MetricsRequest(Request):
-    op: ClassVar[str] = "metrics"
-
-
 @_request(4)
 class MetricsSnapshotRequest(Request):
-    """Raw registry snapshot of the answering process (scrape plane).
-
-    ``metrics`` answers with the same snapshot rendered as Prometheus
-    text; this returns it structured, so a fleet scraper can merge
-    counters/histograms across processes.
-    """
+    """Raw registry snapshot of the answering process (scrape plane),
+    structured, so a fleet scraper can merge counters and histograms
+    across processes and a client can render it as Prometheus text."""
 
     op: ClassVar[str] = "metrics.snapshot"
 
@@ -798,12 +782,6 @@ class StatsResponse(Response):
     stats: dict = None  # type: ignore[assignment]
 
 
-@_response(131)
-class MetricsResponse(Response):
-    kind: ClassVar[str] = "metrics"
-    metrics: str = ""
-
-
 @_response(132)
 class MetricsSnapshotResponse(Response):
     """One process's registry snapshot, labelled for fleet merging."""
@@ -895,17 +873,9 @@ class ErrorResponse(Response):
         raise exception_for(self.code, self.message)
 
 
-def encode_frame(
-    response: Response,
-    *,
-    request_id: int = 0,
-    spans: list[dict[str, Any]] | None = None,
-) -> bytes:
-    """One typed reply as a whole frame; ``spans`` (records a server
-    shipped back to a traced caller) end its header as JSON."""
-    if not spans:
-        return _encode(response, request_id, 0, b"")
-    return _encode(response, request_id, SPANS, b"", _dump_json(spans).encode())
+def encode_frame(response: Response, *, request_id: int = 0) -> bytes:
+    """One typed reply as a whole frame (envelope, header, payload)."""
+    return _encode(response, request_id, 0, b"")
 
 
 def parse_response(frame: bytes) -> tuple[Response, Envelope]:
@@ -913,6 +883,6 @@ def parse_response(frame: bytes) -> tuple[Response, Envelope]:
 
     Error frames parse like any other kind, so clients can surface the
     failure instead of desynchronising; the envelope carries the id a
-    link routes by and any shipped spans.
+    link routes by.  A reply sets no flag.
     """
-    return _parse(frame, _RESPONSE_TYPES, SPANS, "response")
+    return _parse(frame, _RESPONSE_TYPES, 0, "response")

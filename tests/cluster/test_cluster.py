@@ -11,7 +11,7 @@ from repro.cluster.coordinator import start_coordinator
 from repro.core.critical import minimal_bad_stopping_sets
 from repro.graphs import tornado_catalog_graph
 from repro.obs.registry import capture
-from repro.obs.trace import Tracer, trace_capture
+from repro.obs.trace import Tracer, context_seed, trace_capture
 from repro.serve.client import ClusterClient
 from repro.serve.plancache import PlanCache
 from repro.serve.protocol import BlockFetchRequest
@@ -431,7 +431,7 @@ class TestTraceStitching:
         records = tracer.records
         by_id = {r["span_id"]: r for r in records}
         names = {r["name"] for r in records}
-        # Coordinator RPC spans and shipped node spans both landed.
+        # Coordinator RPC spans and node spans both landed.
         assert any(n.startswith("cluster.rpc.") for n in names)
         assert any(n.startswith("node.") for n in names)
         orphans = [
@@ -446,6 +446,26 @@ class TestTraceStitching:
                 parent = by_id[r["parent_id"]]
                 assert parent["name"].startswith("cluster.rpc.")
                 assert parent["trace_id"] == r["trace_id"]
+
+    def test_node_span_ids_are_seeded_by_their_rpc_span(self):
+        tracer = Tracer(seed=5)
+
+        async def check():
+            cluster = await Cluster.start(members=3)
+            await cluster.coordinator.put("obj", payload_bytes(3000, seed=7))
+            await cluster.close()
+
+        with trace_capture(tracer):
+            run(check())
+        by_id = {r["span_id"]: r for r in tracer.records}
+        puts = [r for r in tracer.records if r["name"] == "node.block.put"]
+        assert len(puts) == 96  # one per block of the one stripe
+        for span in puts:
+            parent = by_id[span["parent_id"]]
+            assert parent["name"] == "cluster.rpc.block.put"
+            ctx = {"trace_id": parent["trace_id"], "span_id": parent["span_id"]}
+            seed = context_seed(ctx, "cluster.node", span["attrs"]["node"])
+            assert span["span_id"] == Tracer(seed=seed).new_id()
 
 
 class TestMetricsScrapePlane:

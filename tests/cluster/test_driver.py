@@ -52,15 +52,19 @@ class TestClusterLoadgenCLI:
         assert report["killed_node"] == "node-0"
         assert report["rejoined"] is True
         assert report["repair"]["rebuilt_blocks"] > 0
-        # The driver and coordinator both wrote trace files.
-        driver = trace_dir / "driver.jsonl"
-        coordinator = trace_dir / "coordinator.jsonl"
-        assert driver.exists() and coordinator.exists()
-        check_repair_pipelined(out, coordinator)
-        # Stitching both files yields an orphan-free cluster-wide tree.
-        code = main(
-            ["obs", "trace-tree", str(driver), str(coordinator)]
-        )
+        # Every process wrote its own trace file: the driver, the
+        # coordinator and each node.
+        files = sorted(trace_dir.glob("*.jsonl"))
+        assert [f.name for f in files] == [
+            "coordinator.jsonl",
+            "driver.jsonl",
+            "node-0.jsonl",
+            "node-1.jsonl",
+            "node-2.jsonl",
+        ]
+        check_repair_pipelined(out, trace_dir / "coordinator.jsonl")
+        # Stitching them yields an orphan-free cluster-wide tree.
+        code = main(["obs", "trace-tree", *map(str, files)])
         assert code == 0
         tree = capsys.readouterr().out
         assert "orphaned spans: none" in tree

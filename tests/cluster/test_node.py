@@ -1,12 +1,15 @@
-"""Storage-node logic: block store, availability process, ship-back."""
+"""Storage-node logic: block store, availability process, node spans."""
 
 import asyncio
 
 import pytest
 
 from repro.cluster import StorageNode, start_storage_node
+from repro.cluster import node as node_module
+from repro.obs.trace import Tracer, context_seed, trace_capture
 from repro.resilience import FaultPlan
 from repro.resilience.faults import TransientOutages
+from repro.serve.client import ClusterClient
 from repro.serve.protocol import (
     BlockDeleteRequest,
     BlockFetchRequest,
@@ -21,7 +24,7 @@ from repro.serve.protocol import (
 )
 from repro.storage.device import TransientUnavailableError
 
-from ..serve.wire import read_reply
+from ..serve.wire import read_frame, reply_dict
 
 
 def served(node, request):
@@ -34,7 +37,7 @@ class TestStorageNodeLogic:
     def test_block_ops_round_trip(self):
         node = StorageNode("n0")
         stored = node.handle(BlockPutRequest(blocks={"a/0/0": b"xy"}))
-        assert stored.info == {"stored": 1}
+        assert stored.info is None  # an ack with no body
         fetched = node.handle(
             BlockFetchRequest(keys=("a/0/0", "a/0/1"))
         )
@@ -72,9 +75,7 @@ class TestStorageNodeLogic:
         assert tuple(node.store.keys()) == ("old",)
         assert node.store.get("old") == b"o"
         assert node.store.stats()["puts"] == 1
-        assert node.handle(BlockPutRequest(blocks=batch)).info == {
-            "stored": 5
-        }
+        assert node.handle(BlockPutRequest(blocks=batch)).info is None
         fetched = node.handle(BlockFetchRequest(keys=tuple(batch)))
         assert fetched.blocks == batch and fetched.missing == ()
 
@@ -90,7 +91,7 @@ class TestStorageNodeLogic:
     def test_empty_batches_are_no_op_acks(self):
         node = StorageNode("n0")
         node.handle(BlockPutRequest(blocks={"a": b"1"}))
-        assert node.handle(BlockPutRequest(blocks={})).info == {"stored": 0}
+        assert node.handle(BlockPutRequest(blocks={})).info is None
         assert node.handle(BlockDeleteRequest(keys=())).info == {"deleted": 0}
         assert node.store.stats()["puts"] == 1
         assert tuple(node.store.keys()) == ("a",)
@@ -119,64 +120,100 @@ class TestStorageNodeLogic:
             StorageNode("")
 
 
+TRACE = {"trace_id": "ab" * 8, "span_id": "cd" * 8}
+
+
+async def traced_exchange(node, request):
+    """One request carrying :data:`TRACE` through a served node; the
+    raw reply frame."""
+    server = await start_storage_node(node, port=0)
+    try:
+        host, port = server.sockets[0].getsockname()[:2]
+        reader, writer = await asyncio.open_connection(host, port)
+        writer.write(encode_request(request, request_id=1, trace=TRACE))
+        await writer.drain()
+        reply = await read_frame(reader)
+        writer.close()
+        await writer.wait_closed()
+    finally:
+        server.close()
+        await server.wait_closed()
+    return reply
+
+
 class TestStorageNodeServer:
-    def test_trace_context_ships_spans_back(self):
-        async def run():
-            node = StorageNode("n0", seed=3)
-            server = await start_storage_node(node, port=0)
-            try:
-                host, port = server.sockets[0].getsockname()[:2]
-                reader, writer = await asyncio.open_connection(
-                    host, port
+    def test_traced_request_span_stays_in_the_process(self):
+        tracer = Tracer(seed=1)
+        with trace_capture(tracer):
+            frame = asyncio.run(
+                traced_exchange(
+                    StorageNode("n0", seed=3),
+                    BlockPutRequest(blocks={"k": b"x"}),
                 )
-                writer.write(
-                    encode_request(
-                        BlockPutRequest(blocks={"k": b"x"}),
-                        request_id=1,
-                        trace={"trace_id": "ab" * 8, "span_id": "cd" * 8},
-                    )
-                )
-                await writer.drain()
-                reply = await read_reply(reader)
-                writer.close()
-                await writer.wait_closed()
-            finally:
-                server.close()
-                await server.wait_closed()
-            return reply
+            )
+        assert reply_dict(frame)["ok"] is True
+        assert frame[1] == 0  # the reply's flags: no span rides in it
+        (span,) = tracer.records
+        # The span parents under the caller's context, in the caller's
+        # trace, with an id seeded by that context and the node.
+        assert span["name"] == "node.block.put"
+        assert span["trace_id"] == TRACE["trace_id"]
+        assert span["parent_id"] == TRACE["span_id"]
+        seed = context_seed(TRACE, "cluster.node", "n0")
+        assert span["span_id"] == Tracer(seed=seed).new_id()
+        assert "error" not in span["attrs"]
 
-        reply = asyncio.run(run())
-        assert reply["ok"] is True
-        spans = reply["spans"]
-        assert len(spans) == 1
-        # The shipped span parents under the caller's context, in the
-        # caller's trace — that is what stitches the cluster-wide tree.
-        assert spans[0]["name"] == "node.block.put"
-        assert spans[0]["trace_id"] == "ab" * 8
-        assert spans[0]["parent_id"] == "cd" * 8
+    def test_failed_request_keeps_its_span_and_error(self):
+        node = StorageNode("n0")
+        node.interrupt()
+        tracer = Tracer(seed=1)
+        with trace_capture(tracer):
+            frame = asyncio.run(
+                traced_exchange(node, BlockFetchRequest(keys=("k",)))
+            )
+        assert reply_dict(frame)["code"] == "unavailable"
+        (span,) = tracer.records
+        assert span["name"] == "node.block.fetch"
+        assert span["attrs"]["error"] == "TransientUnavailableError"
 
-    def test_untraced_request_ships_no_spans(self):
-        async def run():
+    def test_failed_call_tags_the_client_span_too(self):
+        async def fetch():
             node = StorageNode("n0")
+            node.interrupt()
             server = await start_storage_node(node, port=0)
+            host, port = server.sockets[0].getsockname()[:2]
+
+            def call():
+                with ClusterClient(host, port) as client:
+                    with pytest.raises(TransientUnavailableError):
+                        client.block_fetch(("k",))
+
             try:
-                host, port = server.sockets[0].getsockname()[:2]
-                reader, writer = await asyncio.open_connection(
-                    host, port
-                )
-                writer.write(encode_request(PingRequest()))
-                await writer.drain()
-                reply = await read_reply(reader)
-                writer.close()
-                await writer.wait_closed()
+                await asyncio.to_thread(call)
             finally:
                 server.close()
                 await server.wait_closed()
-            return reply
 
-        reply = asyncio.run(run())
-        assert reply["ok"] is True
-        assert "spans" not in reply
+        tracer = Tracer(seed=1)
+        with trace_capture(tracer):
+            asyncio.run(fetch())
+        by_name = {r["name"]: r for r in tracer.records}
+        client = by_name["client.block.fetch"]
+        node = by_name["node.block.fetch"]
+        assert client["attrs"]["error"] == "TransientUnavailableError"
+        assert node["attrs"]["error"] == "TransientUnavailableError"
+        assert node["parent_id"] == client["span_id"]
+
+    def test_untraced_process_mints_no_node_span(self, monkeypatch):
+        def no_tracer(*args, **kwargs):
+            raise AssertionError("an untraced node minted a span")
+
+        monkeypatch.setattr(node_module, "Tracer", no_tracer)
+        frame = asyncio.run(
+            traced_exchange(StorageNode("n0"), PingRequest())
+        )
+        assert reply_dict(frame)["kind"] == "pong"
+        assert frame[1] == 0
 
 
 class TestMetricsPlane:

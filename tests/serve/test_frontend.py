@@ -4,6 +4,7 @@ import asyncio
 import hashlib
 
 from repro.core import tornado_graph
+from repro.obs.prom import render_prometheus
 from repro.serve import (
     ReconstructionService,
     ServeConfig,
@@ -13,7 +14,7 @@ from repro.serve import (
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
     GetRequest,
-    MetricsRequest,
+    MetricsSnapshotRequest,
     PingRequest,
     StatsRequest,
     encode_request,
@@ -113,15 +114,15 @@ class TestFrontend:
             expected["object-001"]
         ).hexdigest()
 
-    def test_metrics_op_renders_prometheus_text(self):
+    def test_metrics_snapshot_renders_as_prometheus_text(self):
         _, _, (get_reply, metrics_reply) = asyncio.run(
             _roundtrip(
-                [get("object-000"), encode_request(MetricsRequest())]
+                [get("object-000"), encode_request(MetricsSnapshotRequest())]
             )
         )
         assert get_reply["ok"] is True
         assert metrics_reply["ok"] is True
-        text = metrics_reply["metrics"]
+        text = render_prometheus(metrics_reply["snapshot"])
         assert "# TYPE repro_serve_completed_total counter" in text
         assert "repro_serve_completed_total 1" in text
         # Request latency surfaces as a cumulative-bucket histogram.

@@ -35,8 +35,6 @@ from repro.serve.protocol import (
     FetchStripeRequest,
     GetRequest,
     KeyListResponse,
-    MetricsRequest,
-    MetricsResponse,
     MetricsSnapshotRequest,
     MetricsSnapshotResponse,
     NodeAdminRequest,
@@ -96,7 +94,6 @@ json_dicts = st.dictionaries(
 COVERED_REQUESTS = {
     PingRequest,
     StatsRequest,
-    MetricsRequest,
     MetricsSnapshotRequest,
     PutRequest,
     GetRequest,
@@ -116,7 +113,6 @@ COVERED_REQUESTS = {
 COVERED_RESPONSES = {
     PongResponse,
     StatsResponse,
-    MetricsResponse,
     MetricsSnapshotResponse,
     ObjectInfoResponse,
     BlockMapResponse,
@@ -129,7 +125,6 @@ COVERED_RESPONSES = {
 request_strategies = st.one_of(
     st.just(PingRequest()),
     st.just(StatsRequest()),
-    st.just(MetricsRequest()),
     st.just(MetricsSnapshotRequest()),
     st.builds(PutRequest, name=names, payload=payloads),
     st.builds(
@@ -181,7 +176,6 @@ request_strategies = st.one_of(
 response_strategies = st.one_of(
     st.just(PongResponse()),
     st.builds(StatsResponse, stats=json_dicts),
-    st.builds(MetricsResponse, metrics=st.text(max_size=100)),
     st.builds(
         MetricsSnapshotResponse,
         role=st.sampled_from(["coordinator", "node", "gateway"]),
@@ -287,13 +281,18 @@ class TestResponseRoundTrip:
         assert parsed == response
         assert type(parsed) is type(response)
         assert data[0] == PROTOCOL_VERSION
-        assert envelope == (request_id, None, None)
+        assert envelope == (request_id, None)
 
-    @settings(max_examples=50, deadline=None)
-    @given(response=response_strategies, spans=st.lists(json_dicts, max_size=3))
-    def test_shipped_spans_end_the_header(self, response, spans):
-        _, envelope = parse_response(encode_frame(response, spans=spans))
-        assert envelope.spans == (spans or None)
+    @pytest.mark.parametrize("flags", [1, 2, 3])
+    def test_a_reply_sets_no_flag(self, flags):
+        # Bit 1 is a request's trace context; bit 2 once marked spans
+        # shipped back in a reply, which no tier sends any more.
+        with pytest.raises(ProtocolError, match="flags") as excinfo:
+            parse_response(
+                frame(PongResponse.wire_code, "?", True, flags=flags, id=4)
+            )
+        assert excinfo.value.code == "bad_request"
+        assert excinfo.value.request_id == 4
 
     def test_payload_bytes_travel_raw_after_the_header(self):
         blocks = {"a": b"\n\xff=", "b": b"", "c": b"{}\n"}
@@ -345,6 +344,12 @@ class TestMalformedFrames:
         exc = self.check(frame(BOGUS_OP, id=7), code="unknown_op")
         # The reply can still be correlated and versioned.
         assert exc.request_id == 7
+
+    def test_retired_metrics_op_is_unknown(self):
+        # Op 3 rendered Prometheus text on the server; every tier now
+        # serves only ``metrics.snapshot`` (op 4).
+        exc = self.check(frame(3, id=5), code="unknown_op")
+        assert exc.request_id == 5
 
     def test_unsupported_future_version(self):
         self.check(frame("ping", v=99), code="unsupported_version")
@@ -457,9 +462,10 @@ class TestVersioning:
 
     def test_codes_are_the_documented_table(self):
         # docs/SERVE.md § "Wire format"; a code that moves is a new
-        # protocol version.
+        # protocol version.  Op 3 and kind 131 (the retired Prometheus
+        # text op) stay unused.
         assert OPS == {
-            "ping": 1, "stats": 2, "metrics": 3, "metrics.snapshot": 4,
+            "ping": 1, "stats": 2, "metrics.snapshot": 4,
             "put": 5, "get": 6, "status": 7, "repair": 8, "block.put": 9,
             "block.fetch": 10, "block.delete": 11, "block.list": 12,
             "node.admin": 13, "cluster.repair_status": 14,
@@ -469,7 +475,7 @@ class TestVersioning:
         assert {
             cls.kind: code for code, cls in proto._RESPONSE_TYPES.items()
         } == {
-            "error": 128, "pong": 129, "stats": 130, "metrics": 131,
+            "error": 128, "pong": 129, "stats": 130,
             "metrics_snapshot": 132, "object": 133, "blocks": 134,
             "stripe": 135, "keys": 136, "ack": 137, "status": 138,
         }

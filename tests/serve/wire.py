@@ -4,8 +4,8 @@ directly instead of through a client.
 :func:`frame` packs an envelope around raw header and payload bytes,
 so a test can write any frame, malformed ones included.  A reply comes
 back as a dict with the shape the old JSON header lines had: ``v``,
-``ok``, ``kind``, ``id`` (when set), every field that is not ``None``
-and ``spans`` when the server shipped some.
+``ok``, ``kind``, ``id`` (when set) and every field that is not
+``None``.
 """
 
 import asyncio
@@ -91,8 +91,6 @@ def reply_dict(data: bytes) -> dict[str, Any]:
         for name, value in vars(response).items()
         if value is not None
     )
-    if envelope.spans:
-        reply["spans"] = envelope.spans
     return reply
 
 

@@ -199,6 +199,19 @@ LINTS = {
         ("src", "benchmarks", "docs", "examples"),
         files=frozenset({"src/repro/reliability/model.py"}),
     ),
+    # Spans stay in the process that minted them: only the Monte Carlo
+    # pool ships a worker's spans home (a TimeSeriesStore's ``ingest``
+    # is another method) ...
+    "spans-stay-home": Lint(
+        r"\.(ingest|export)\(",
+        ("src",),
+        exempt=r"^src/repro/sim/montecarlo\.py:|(store|scratch)\.ingest\(",
+    ),
+    # ... no frame carries spans, and metrics cross the wire only as a
+    # ``metrics.snapshot``.
+    "no-spans-or-metrics-text-on-the-wire": Lint(
+        r"SPANS|envelope\.spans|MetricsRequest|MetricsResponse", ("src",)
+    ),
     "networkx-behind-graphml": Lint(
         r"import networkx", ("src",), files=frozenset({"src/repro/core/graphml.py"})
     ),
