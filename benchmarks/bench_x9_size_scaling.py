@@ -228,7 +228,7 @@ def test_x9_sparse_size_scaling():
         n_jobs=SCALING_JOBS,
     )
     sweep_s = time.perf_counter() - t0
-    assert all(profile.coverage[k] for k in ks)
+    assert all(profile.samples[k] == SWEEP_SAMPLES for k in ks)
     # 5% loss on a rate-1/2 cascade overwhelmingly decodes; 20% is a
     # graph-dependent mix.  Failure must not decrease with k.
     ff = [float(profile.fail_fraction[k]) for k in ks]

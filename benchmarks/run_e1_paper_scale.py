@@ -85,7 +85,6 @@ def main() -> None:
     )
     sessions[-1]["end"] = time.time()
     SESSIONS.write_text(json.dumps(sessions))
-    assert profile.fully_covered, profile.uncovered_ks()
 
     wall = sum(s["end"] - s["start"] for s in sessions)
     cases = int(profile.samples.sum())

@@ -8,7 +8,8 @@ commands:
 * ``repro certify`` — generate, defect-screen, feedback-adjust, and
   export a certified graph (GraphML);
 * ``repro analyze`` — exact worst-case report for a stored graph;
-* ``repro profile`` — Monte Carlo failure profile (JSON);
+* ``repro profile`` — Monte Carlo failure profile (JSON); a crashed or
+  stuck (``--cell-timeout``) pool worker's cells finish in-process;
 * ``repro overhead`` — incremental-retrieval overhead measurement;
 * ``repro reliability`` — Table 5-style comparison of the catalog
   graphs against RAID and mirroring;
@@ -24,7 +25,7 @@ commands:
   events), ``obs report`` (per-phase latency table with p50/p90/p99),
   ``obs trace-tree`` (reassembled span trees from one or more files —
   several files stitch a cluster-wide tree; exits 1 on orphaned
-  spans, which is what CI's obs-smoke and cluster-smoke assert);
+  spans or repeated span ids, which is what CI's smoke jobs assert);
 * ``repro cluster`` — the distributed archive: ``cluster coordinator``
   and ``cluster node`` run the daemons (the coordinator journals to a
   WAL with ``--wal`` and recovers from one with ``--recover``),
@@ -174,13 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="abandon a k-cell stuck longer than this (parallel sweeps)",
-    )
-    p.add_argument(
-        "--max-retries",
-        type=int,
-        default=2,
-        help="re-dispatches per cell after a worker crash or timeout",
+        help="finish a stuck pooled k-cell in-process after this long",
     )
 
     p = sub.add_parser(
@@ -383,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = obs_sub.add_parser(
         "trace-tree",
-        help="reassemble and print span trees (flags orphaned spans)",
+        help="reassemble and print span trees (flags orphaned spans "
+        "and repeated span ids)",
     )
     q.add_argument(
         "files",
@@ -723,8 +719,6 @@ def _cmd_profile(args) -> int:
     _check_jobs(args)
     if args.cell_timeout is not None and args.cell_timeout <= 0:
         raise UsageError("--cell-timeout must be positive")
-    if args.max_retries < 0:
-        raise UsageError("--max-retries must be non-negative")
     graph = load_graphml(args.graph)
     prof = profile_graph(
         graph,
@@ -733,16 +727,9 @@ def _cmd_profile(args) -> int:
         exact_upto=exact_upto,
         n_jobs=args.jobs,
         cell_timeout=args.cell_timeout,
-        max_retries=args.max_retries,
         checkpoint=args.checkpoint,
         resume=args.resume,
     )
-    if not prof.fully_covered:
-        print(
-            f"warning: cells {prof.uncovered_ks()} exhausted retries; "
-            "their values are interpolated",
-            file=sys.stderr,
-        )
     print(
         f"{graph.name}: first failure {prof.first_failure()}, "
         f"avg capable {prof.average_nodes_capable():.2f}, "
@@ -1150,14 +1137,16 @@ def _cmd_obs(args) -> int:
         for path in args.files:
             events.extend(_load_obs_events(path))
         spans = span_records(events)
-        roots, orphans = build_trace_trees(spans)
+        roots, orphans, repeated = build_trace_trees(spans)
         print(
-            render_trace_tree(roots, orphans, trace_id=args.trace_id)
+            render_trace_tree(
+                roots, orphans, repeated, trace_id=args.trace_id
+            )
         )
-        # Orphans mean a broken propagation path: fail loudly so CI's
-        # obs-smoke job catches regressions with the same command an
-        # operator would run.
-        return 1 if orphans else 0
+        # Orphans mean a broken propagation path, repeated ids a reused
+        # tracer seed: fail loudly so CI's smoke jobs catch regressions
+        # with the same command an operator would run.
+        return 1 if orphans or repeated else 0
     if args.obs_command == "top":
         return _cmd_obs_top(args)
     if args.obs_command == "slo":

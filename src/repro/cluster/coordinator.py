@@ -1139,49 +1139,39 @@ class ClusterCoordinator:
 
         The cluster-level analogue of the serve layer's
         ``degraded_headroom``: one erasure case per stored stripe for
-        the *current* liveness state, plus one per (stripe, live node)
-        for the state after that node additionally dies, all pushed
-        through a single batch decode
+        the *current* liveness state, plus one per (stripe, live node
+        holding part of it) for the state after that node additionally
+        dies, all pushed through a single batch decode
         (:func:`~repro.core.decoder.make_batch_decoder`).  Hundreds of
         scenarios cost one packed decode call instead of one scalar
         peel each.
         """
         liveness = await self.probe()
         dead = {n for n, alive in liveness.items() if not alive}
-        live = [n for n in self.ring.members if n not in dead]
-        cases: list[list[int]] = []
-        meta: list[tuple[str, int, str | None]] = []
-        for name, manifest in self.manifests.items():
-            for stripe in manifest.stripes:
-                base = [
-                    j for j, owner in enumerate(stripe.placement)
+        cases, _, at_risk, failing_now = _evaluate_headroom(
+            self._headroom_decoder,
+            [
+                ((name, s.index), s.placement, [
+                    j for j, owner in enumerate(s.placement)
                     if owner in dead or owner not in self.nodes
-                ]
-                cases.append(base)
-                meta.append((name, stripe.index, None))
-                for node_id in live:
-                    extra = [
-                        j for j, owner in enumerate(stripe.placement)
-                        if owner == node_id
-                    ]
-                    cases.append(base + extra)
-                    meta.append((name, stripe.index, node_id))
-        engine = self._headroom_decoder.engine
-        _, at_risk, failing_now = _evaluate_headroom(
-            self._headroom_decoder, cases, meta
+                ])
+                for name, manifest in self.manifests.items()
+                for s in manifest.stripes
+            ],
         )
+        engine = self._headroom_decoder.engine
         reg = registry()
         reg.counter("cluster.headroom_probes").inc()
         reg.event(
             "cluster.headroom",
             engine=engine,
-            cases=len(cases),
+            cases=cases,
             at_risk=at_risk,
             failing_now=failing_now,
         )
         return {
             "engine": engine,
-            "cases": len(cases),
+            "cases": cases,
             "dead_nodes": sorted(dead),
             "failing_now": failing_now,
             "at_risk_nodes": at_risk,

@@ -222,7 +222,7 @@ def run_cluster_loadgen(
 
         # Phase: bring the node back; joining re-shards onto it.
         if killed is not None and config.rejoin:
-            cell.spawn_node(killed, seed=fleet.next_seed())
+            cell.spawn_node(killed)
             report.rejoined = True
             telemetry.scrape(note=f"rejoined {killed}")
             telemetry.settle()

@@ -193,15 +193,16 @@ class Cell:
 
     ``name`` is ``None`` for a lone cluster, the site id in a
     federation; ``flags`` are extra ``cluster coordinator`` options.
+    Every spawn, first or re-, draws its ``--seed`` from the fleet's
+    ledger, so no two generations of a process mint the same span ids.
     """
 
     def __init__(self, fleet, name, node_ids, wal_dir, flags):
         self.fleet = fleet
         self.name = name
+        self.node_ids = list(node_ids)
         self.wal_dir = wal_dir
         self.flags = flags
-        self.coordinator_seed = fleet.next_seed()
-        self.node_seeds = {n: fleet.next_seed() for n in node_ids}
         self.coordinator: FleetProcess | None = None
         self.nodes: dict[str, FleetProcess] = {}
         self.generation = 0  # coordinator restarts so far
@@ -221,7 +222,7 @@ class Cell:
             "coordinator",
             host="127.0.0.1",
             port=self.coordinator.port if recover else 0,
-            seed=self.coordinator_seed,
+            seed=self.fleet.next_seed(),
             block_size=self.fleet.block_size,
             **self.flags,
             **{"recover" if recover else "wal": self.wal_dir},
@@ -229,7 +230,7 @@ class Cell:
         )
         self.coordinator = self.fleet.spawn(role, argv)
 
-    def spawn_node(self, node_id: str, seed: int | None = None) -> None:
+    def spawn_node(self, node_id: str) -> None:
         """(Re)spawn one node, empty, on a fresh port; it self-joins."""
         at = self.coordinator
         argv = _daemon_argv(
@@ -237,7 +238,7 @@ class Cell:
             "node",
             id=node_id,
             port=0,
-            seed=self.node_seeds[node_id] if seed is None else seed,
+            seed=self.fleet.next_seed(),
             coordinator=f"{at.host}:{at.port}",
             trace=self.fleet.trace_path(node_id),
         )
@@ -247,7 +248,7 @@ class Cell:
         """Bring the whole cell up; ``recover`` heals a blackout (WAL
         replay on the old port, nodes back empty)."""
         self.spawn_coordinator(recover=recover)
-        for node_id in self.node_seeds:
+        for node_id in self.node_ids:
             self.spawn_node(node_id)
 
     def blackout(self) -> None:

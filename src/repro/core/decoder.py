@@ -41,7 +41,7 @@ on the same graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -122,36 +122,52 @@ def make_batch_decoder(
     return _KERNELS[engine](graph)
 
 
-def _evaluate_headroom(decoder, cases, meta):
+def _evaluate_headroom(decoder, stripes):
     """Decode a single-failure what-if probe and read off its answers.
 
-    ``meta[i] = (name, index, culprit)`` labels ``cases[i]``: ``culprit``
-    is ``None`` for a stripe's current loss state and otherwise names
-    the one extra failure that case adds to it.  Returns ``(base_ok,
-    at_risk, failing_now)``: current decodability per ``(name, index)``,
-    the sorted culprits that break a stripe decodable today, and the
-    sorted ``"name/index"`` of stripes already lost.  Shared by the
-    service's and the cluster coordinator's headroom probes.
+    Each of ``stripes`` is ``(label, owners, erased)``: a ``(name,
+    index)`` label, the device or node holding each position, and the
+    positions lost now.  One batch decode covers every stripe's current
+    state plus, per owner still holding a position, the state after
+    that owner fails too.  Returns ``(cases, base_ok, at_risk,
+    failing_now)``: the number of cases decoded, current decodability
+    per label, the sorted owners whose failure breaks a stripe
+    decodable today, and the sorted ``"name/index"`` of stripes already
+    lost.  Shared by the service's and the cluster coordinator's
+    headroom probes.
     """
+    cases: list[list[int]] = []
+    meta: list[tuple[tuple[str, int], Any]] = []
+    for label, owners, erased in stripes:
+        lost = set(erased)
+        held: dict[Any, list[int]] = {}
+        for position, owner in enumerate(owners):
+            if position not in lost:
+                held.setdefault(owner, []).append(position)
+        for culprit, extra in [(None, []), *held.items()]:
+            cases.append([*erased, *extra])
+            meta.append((label, culprit))
     ok = (
         decoder.decode_missing_sets(cases)
         if cases
         else np.zeros(0, dtype=bool)
     )
-    base_ok: dict[tuple[str, int], bool] = {}
-    for (name, index, culprit), good in zip(meta, ok):
-        if culprit is None:
-            base_ok[(name, index)] = bool(good)
-    at_risk = set()
-    for (name, index, culprit), good in zip(meta, ok):
-        if culprit is not None and base_ok[(name, index)] and not good:
-            at_risk.add(culprit)
+    base_ok = {
+        label: bool(good)
+        for (label, culprit), good in zip(meta, ok)
+        if culprit is None
+    }
+    at_risk = {
+        culprit
+        for (label, culprit), good in zip(meta, ok)
+        if culprit is not None and base_ok[label] and not good
+    }
     failing_now = sorted(
         f"{name}/{index}"
         for (name, index), good in base_ok.items()
         if not good
     )
-    return base_ok, sorted(at_risk), failing_now
+    return len(cases), base_ok, sorted(at_risk), failing_now
 
 
 @dataclass(frozen=True)

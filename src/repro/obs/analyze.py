@@ -7,8 +7,11 @@ the JSONL streams written by :class:`~repro.obs.sink.JsonlSink`
 derives:
 
 * **span trees** (:func:`build_trace_trees`) — request → batch →
-  decode → worker causality, with orphan detection so a broken
-  propagation path is visible instead of silently flattening the tree;
+  decode → worker causality, with orphan and repeated-id detection so
+  a broken propagation path or a reused tracer seed is visible instead
+  of silently flattening the tree (a span whose process was killed
+  before it ended shows from its ``trace.open`` record, marked
+  interrupted);
 * **per-phase latency breakdowns** (:func:`phase_stats`) — every
   tracer span name folded into a quantile histogram, rendered by
   :func:`format_phase_report`;
@@ -48,8 +51,10 @@ def load_events(path: str | os.PathLike) -> list[dict[str, Any]]:
 def span_records(
     events: Iterable[dict[str, Any]],
 ) -> list[dict[str, Any]]:
-    """The ``trace.span`` records within an event stream."""
-    return [e for e in events if e.get("event") == "trace.span"]
+    """The ``trace.span`` and ``trace.open`` records in an event stream."""
+    return [
+        e for e in events if e.get("event") in ("trace.span", "trace.open")
+    ]
 
 
 @dataclass
@@ -76,6 +81,11 @@ class SpanNode:
         return self.record.get("elapsed")
 
     @property
+    def interrupted(self) -> bool:
+        """Known only from its open record: its process never ended it."""
+        return self.record.get("event") == "trace.open"
+
+    @property
     def attrs(self) -> dict[str, Any]:
         return self.record.get("attrs") or {}
 
@@ -87,20 +97,31 @@ class SpanNode:
 
 def build_trace_trees(
     spans: Sequence[dict[str, Any]],
-) -> tuple[list[SpanNode], list[SpanNode]]:
+) -> tuple[list[SpanNode], list[SpanNode], list[SpanNode]]:
     """Reassemble span records into trees.
 
-    Returns ``(roots, orphans)``: roots are spans with no parent;
-    orphans carry a ``parent_id`` that appears nowhere in the stream —
-    the signature of a broken propagation path (e.g. a worker that
-    dropped its context).  Children sort by start time, trees by trace
-    then start, so rendering is deterministic.
+    Returns ``(roots, orphans, repeated)``: roots are spans with no
+    parent; orphans carry a ``parent_id`` that appears nowhere in the
+    stream — the signature of a broken propagation path (e.g. a worker
+    that dropped its context); repeated spans carry a ``span_id`` an
+    earlier record already has — the signature of two tracers on one
+    seed (e.g. a restarted process) — and stay out of the trees.  A
+    ``trace.open`` record stands in for a span that never ended (its
+    process was killed); beside the same span's own record (same trace,
+    parent, name and start) it is dropped, not repeated.
+    Children sort by start time, trees by trace then start, so
+    rendering is deterministic.
     """
-    nodes = {
-        rec["span_id"]: SpanNode(rec)
-        for rec in spans
-        if rec.get("span_id")
-    }
+    nodes: dict[str, SpanNode] = {}
+    repeated: list[SpanNode] = []
+    # Finished records first, so a span's own open record finds it.
+    for rec in sorted(spans, key=lambda r: r.get("event") == "trace.open"):
+        known = nodes.get(rec.get("span_id"))
+        if known is None:
+            if rec.get("span_id"):
+                nodes[rec["span_id"]] = SpanNode(rec)
+        elif not _same_span_open(rec, known.record):
+            repeated.append(SpanNode(rec))
     roots: list[SpanNode] = []
     orphans: list[SpanNode] = []
     for node in nodes.values():
@@ -123,7 +144,16 @@ def build_trace_trees(
         node.children.sort(key=sort_key)
     roots.sort(key=sort_key)
     orphans.sort(key=sort_key)
-    return roots, orphans
+    repeated.sort(key=sort_key)
+    return roots, orphans, repeated
+
+
+def _same_span_open(rec: dict[str, Any], known: dict[str, Any]) -> bool:
+    """``rec`` is the open record of the span ``known`` records."""
+    return rec.get("event") == "trace.open" and all(
+        rec.get(k) == known.get(k)
+        for k in ("trace_id", "parent_id", "name", "start")
+    )
 
 
 def _fmt_elapsed(elapsed: float | None) -> str:
@@ -149,14 +179,15 @@ def _fmt_attrs(attrs: dict[str, Any], limit: int = 6) -> str:
 def render_trace_tree(
     roots: Sequence[SpanNode],
     orphans: Sequence[SpanNode] = (),
+    repeated: Sequence[SpanNode] = (),
     *,
     trace_id: str | None = None,
 ) -> str:
     """Indented span tree, one trace per block.
 
     ``trace_id`` (full or prefix) restricts output to one trace.
-    Orphaned spans are listed explicitly at the end — an empty orphan
-    section is the well-formedness certificate CI asserts on.
+    Orphaned and repeated spans are listed explicitly at the end — two
+    empty sections are the well-formedness certificate CI asserts on.
     """
     lines: list[str] = []
 
@@ -169,7 +200,9 @@ def render_trace_tree(
         attrs = _fmt_attrs(node.attrs)
         lines.append(
             "  " * depth
-            + f"- {node.name} {_fmt_elapsed(node.elapsed)}"
+            + f"- {node.name} "
+            + ("interrupted" if node.interrupted
+               else _fmt_elapsed(node.elapsed))
             + (f" [{attrs}]" if attrs else "")
         )
         for child in node.children:
@@ -188,17 +221,20 @@ def render_trace_tree(
         shown += 1
     if not shown:
         lines.append("no matching traces")
-    visible_orphans = [n for n in orphans if matches(n)]
-    if visible_orphans:
-        lines.append(f"orphaned spans ({len(visible_orphans)}):")
-        for node in visible_orphans:
-            lines.append(
-                f"  ! {node.name} {_fmt_elapsed(node.elapsed)} "
-                f"trace={node.trace_id} "
-                f"missing parent={node.record.get('parent_id')}"
-            )
-    else:
-        lines.append("orphaned spans: none")
+    for title, found, detail in (
+        ("orphaned spans", orphans,
+         lambda n: f"missing parent={n.record.get('parent_id')}"),
+        ("repeated span ids", repeated, lambda n: f"span={n.span_id}"),
+    ):
+        visible = [n for n in found if matches(n)]
+        lines.append(
+            f"{title} ({len(visible)}):" if visible else f"{title}: none"
+        )
+        lines.extend(
+            f"  ! {n.name} {_fmt_elapsed(n.elapsed)} "
+            f"trace={n.trace_id} {detail(n)}"
+            for n in visible
+        )
     return "\n".join(lines)
 
 

@@ -19,7 +19,10 @@ caused it.  This module adds that causal layer:
   payloads; the worker rehydrates it and parents its spans under it);
 * span records are plain dicts exported through any sink with an
   ``emit(dict)`` method (e.g. :class:`repro.obs.sink.JsonlSink`), or
-  buffered on the tracer when no sink is attached.
+  buffered on the tracer when no sink is attached; a span that gains a
+  child or ships its context first writes a ``trace.open`` record to
+  the sink, so a process killed mid-operation still leaves its open
+  spans behind for the children to hang from.
 
 Like metrics, tracing is off by default and the disabled path is a
 couple of attribute lookups returning a shared no-op span::
@@ -106,6 +109,7 @@ class Span:
         "_tracer",
         "_token",
         "_ended",
+        "_opened",
     )
 
     def __init__(
@@ -126,6 +130,7 @@ class Span:
         self._tracer = tracer
         self._token = None
         self._ended = False
+        self._opened = False
         self.start = tracer._clock()
         self.elapsed: float | None = None
 
@@ -142,7 +147,19 @@ class Span:
 
     def context(self) -> dict[str, str]:
         """Serialisable identity of this span (ships across processes)."""
+        self._open()
         return {"trace_id": self.trace_id, "span_id": self.span_id}
+
+    def _open(self) -> None:
+        """Write a ``trace.open`` record once, before the first child:
+        a process killed mid-span never writes the span's own record,
+        and its finished children need a parent.  A buffering tracer
+        writes none; its buffer dies with the process.  Two threads
+        racing here write two identical copies, read as one span."""
+        if self._opened or self._ended or self._tracer.sink is None:
+            return
+        self._opened = True
+        self._tracer.sink.emit({**self.to_record(), "event": "trace.open"})
 
     def end(self, **attrs: Any) -> None:
         """Finish the span, optionally setting final attributes."""
@@ -294,6 +311,7 @@ class Tracer:
             trace_id = self.new_id()
             parent_id = None
         elif isinstance(parent, Span):
+            parent._open()
             trace_id = parent.trace_id
             parent_id = parent.span_id
         else:

@@ -227,10 +227,15 @@ async def start_line_server(
     peers: set[_Connection] = set()
     server = await loop.create_server(lambda: _Connection(handler, peers), host, port)
     # The server's one task: it ends when the server closes or the loop
-    # cancels its tasks, and takes the connections with it.
-    loop.create_task(server.serve_forever()).add_done_callback(
-        lambda _: [peer.transport.abort() for peer in list(peers)]
-    )
+    # cancels its tasks, and takes the connections with it.  It fails on
+    # a server closed before it ran; retrieved, that stays out of the log.
+    def hang_up(task: asyncio.Task) -> None:
+        if not task.cancelled():
+            task.exception()
+        for peer in list(peers):
+            peer.transport.abort()
+
+    loop.create_task(server.serve_forever()).add_done_callback(hang_up)
     return server
 
 

@@ -348,9 +348,9 @@ class ReconstructionService:
         """Bulk what-if probe: can the archive absorb one more failure?
 
         Builds one erasure case per archived stripe for the *current*
-        loss state plus one case per (stripe, device) for the state
-        after that device additionally fails, and pushes all of them
-        through a single batch decode
+        loss state plus one case per (stripe, device still holding one
+        of its blocks) for the state after that device additionally
+        fails, and pushes all of them through a single batch decode
         (:func:`~repro.core.decoder.make_batch_decoder`).  This is the
         serve-layer consumer of the batch kernels: a pool of hundreds
         of scenarios decodes in one call instead of one scalar peel
@@ -359,34 +359,29 @@ class ReconstructionService:
         Returns the kernel that ran, probe size, stripes already
         unrecoverable, and the device ids whose failure would newly
         break at least one stripe.  Devices already unavailable add
-        nothing beyond the current loss state, so they are never
-        flagged.
+        nothing beyond the current loss state, so they get no case and
+        are never flagged.
         """
         archive = self.archive
-        cases: list[list[int]] = []
-        meta: list[tuple[str, int, int | None]] = []
-        for name, manifest in archive.objects.items():
-            missing_map = archive.missing_blocks(name)
-            for record in manifest.stripes:
-                base = missing_map[record.index]
-                cases.append(base)
-                meta.append((name, record.index, None))
-                for node, dev in enumerate(record.placement.device_of):
-                    cases.append(base + [node])
-                    meta.append((name, record.index, dev))
-        engine = self._headroom_decoder.engine
-        base_ok, at_risk, failing_now = _evaluate_headroom(
-            self._headroom_decoder, cases, meta
+        cases, base_ok, at_risk, failing_now = _evaluate_headroom(
+            self._headroom_decoder,
+            [
+                ((name, r.index), r.placement.device_of, missing[r.index])
+                for name, manifest in archive.objects.items()
+                for missing in [archive.missing_blocks(name)]
+                for r in manifest.stripes
+            ],
         )
+        engine = self._headroom_decoder.engine
 
         m = self.metrics
         m.counter("serve.headroom_probes").inc()
-        m.histogram("serve.headroom_cases").observe(len(cases))
+        m.histogram("serve.headroom_cases").observe(cases)
         m.gauge("serve.at_risk_devices").set(len(at_risk))
         m.event(
             "serve.headroom",
             engine=engine,
-            cases=len(cases),
+            cases=cases,
             at_risk_devices=at_risk,
             stripes_failing_now=len(failing_now),
         )
@@ -394,7 +389,7 @@ class ReconstructionService:
             "engine": engine,
             "stripes": len(base_ok),
             "devices": len(archive.devices),
-            "cases": len(cases),
+            "cases": cases,
             "stripes_failing_now": failing_now,
             "at_risk_devices": at_risk,
             "tolerates_any_single_failure": (

@@ -33,11 +33,10 @@ worker crashes and hangs instead of dying with nothing saved.  Each
 completed k-cell can be appended to a JSONL **checkpoint** file;
 ``resume=True`` restarts only the unfinished cells (producing a result
 byte-identical to an uninterrupted run at the same seed, because cell
-seeds are spawned positionally over the full k-grid).  ``cell_timeout``
-bounds how long one cell may run, ``max_retries`` bounds re-dispatch
-after a crash or timeout, and cells that still fail are *excluded* from
-the profile via its explicit coverage mask rather than killing the
-sweep.
+seeds are spawned positionally over the full k-grid).  A crashed pool
+worker, or a cell past ``cell_timeout``, stops the pool, and the cells
+it did not finish run in-process on the same seeds: one failure path,
+and the same bytes as an uninterrupted sweep.
 """
 
 from __future__ import annotations
@@ -47,6 +46,7 @@ import json
 import os
 import time
 from concurrent.futures import (
+    CancelledError,
     ProcessPoolExecutor,
     TimeoutError as CellTimeout,
 )
@@ -333,7 +333,7 @@ def _init_worker(graph, engine: str) -> None:
 
 def _pool_cell(task: tuple):
     """Pool entry point: the fault drills, then :func:`_sweep_cells`
-    on the one cell, so a crash or timeout is charged to its own k.
+    on the one cell.
 
     The drills live here, not in :func:`_sweep_cells`, so a cell run
     in-process can never ``os._exit`` its caller.
@@ -489,85 +489,60 @@ class _CheckpointWriter:
 def _run_cells_parallel(
     graph,
     engine: str,
-    tasks: dict[int, tuple],
+    tasks: list[tuple],
     n_jobs: int,
     cell_timeout: float | None,
-    max_retries: int,
     on_result,
-) -> list[int]:
-    """Run cells over a process pool, surviving crashes and hangs.
+) -> list[tuple]:
+    """Run cells over a process pool; return the ones it did not finish.
 
     Each worker gets ``graph`` once, through the pool initializer
     (:func:`_init_worker`), and builds its ``engine`` kernel there;
     tasks are the bare :func:`_sweep_cells` tuples, one cell each.
 
-    Dispatches every pending cell, collects results with a per-cell
-    timeout, and re-dispatches cells whose worker crashed
-    (``BrokenProcessPool``) or hung past the timeout — on a fresh pool,
-    since a casualty poisons its pool.  A hang cannot be attributed to
-    one cell with certainty (a queued cell can time out behind a hung
-    neighbour), so only the *first* casualty of each round is charged
-    an attempt; the rest re-dispatch free.  A pool break fails every
-    in-flight future alike, so with several workers it is charged to
-    nobody: the first casualty then runs alone, where a second crash is
-    its own and a clean finish clears it.  A lone repeat offender is
-    therefore charged until it exhausts ``max_retries`` while its
-    innocent neighbours complete, and total rounds stay bounded by
-    ``2 × cells × (max_retries + 1)``.  Returns the k's that
-    exhausted their retries (the caller marks them uncovered).
+    Results are collected in task order, each within ``cell_timeout``.
+    The first crashed worker (``BrokenProcessPool``) or overdue cell
+    stops the pool without waiting for it (an overdue cell's workers
+    are killed): every cell the pool had finished is kept, and the rest
+    are returned, for the caller to run in-process on the same seeds.
+    Any other exception is the cell's own, and propagates.
     """
     reg = registry()
-    pending = dict(tasks)
-    attempts: dict[int, int] = {k: 0 for k in tasks}
-    uncovered: list[int] = []
-    isolate = False  # the last break had several suspects in flight
-    while pending:
-        if isolate:
-            first = next(iter(pending))
-            batch = {first: pending[first]}
-        else:
-            batch = pending
-        workers = min(n_jobs, os.cpu_count() or 1, len(batch))
-        reg.gauge("profile.workers").set(workers)
-        pool = ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(graph, engine),
-        )
-        futures = {
-            pool.submit(_pool_cell, task): k for k, task in batch.items()
-        }
-        isolate = False
-        pool_poisoned = False
-        charged: int | None = None  # first casualty spends an attempt
-        for future, k in futures.items():
+    workers = min(n_jobs, os.cpu_count() or 1, len(tasks))
+    reg.gauge("profile.workers").set(workers)
+    pool = ProcessPoolExecutor(
+        max_workers=workers,
+        initializer=_init_worker,
+        initargs=(graph, engine),
+    )
+    futures = [(pool.submit(_pool_cell, task), task) for task in tasks]
+    unfinished: list[tuple] = []
+    try:
+        for future, task in futures:
             try:
-                result = future.result(timeout=cell_timeout)
-            except CellTimeout:
-                pool_poisoned = True
-                if future.cancel():
-                    continue  # never dispatched: re-run free
-                reg.counter("profile.cell_timeouts").inc()
-                reg.event("profile.cell_timeout", k=k)
-                charged = k if charged is None else charged
-            except Exception as exc:
-                pool_poisoned = True
-                if isinstance(exc, BrokenProcessPool):
-                    reg.counter("profile.worker_crashes").inc()
-                    reg.event("profile.worker_crash", k=k)
-                    isolate = workers > 1
-                charged = k if charged is None else charged
+                # Once the pool is stopped, only a finished cell counts.
+                result = future.result(0 if unfinished else cell_timeout)
+            except (CellTimeout, CancelledError, BrokenProcessPool) as exc:
+                if not unfinished:
+                    if isinstance(exc, BrokenProcessPool):
+                        reg.counter("profile.worker_crashes").inc()
+                        reg.event("profile.worker_crash", k=task[0])
+                    else:
+                        reg.counter("profile.cell_timeouts").inc()
+                        reg.event("profile.cell_timeout", k=task[0])
+                        # A hung worker would run on and hold up exit
+                        # (a broken pool has already ended its workers).
+                        # ``_processes`` is private: read on CPython 3.11,
+                        # and CI's hang tests run it on 3.10 and 3.12.
+                        for worker in list(pool._processes.values()):
+                            worker.kill()
+                    pool.shutdown(wait=False, cancel_futures=True)
+                unfinished.append(task)
             else:
                 on_result(result)
-                del pending[k]
-        pool.shutdown(wait=not pool_poisoned, cancel_futures=True)
-        if charged is not None and not isolate:
-            attempts[charged] += 1
-            if attempts[charged] > max_retries:
-                uncovered.append(charged)
-                del pending[charged]
-                reg.event("profile.cell_abandoned", k=charged)
-    return sorted(uncovered)
+    finally:
+        pool.shutdown(wait=not unfinished, cancel_futures=True)
+    return unfinished
 
 
 def profile_graph(
@@ -579,7 +554,6 @@ def profile_graph(
     seed: SeedLike = 0,
     n_jobs: int = 1,
     cell_timeout: float | None = None,
-    max_retries: int = 2,
     checkpoint: str | os.PathLike | None = None,
     resume: bool = False,
     engine: str = "auto",
@@ -593,11 +567,10 @@ def profile_graph(
     between the requested ones).  Exact cells keep ``samples[k] == 0``.
     ``ks`` entries must be distinct integers in ``[0, num_nodes]``,
     ``samples_per_k`` at least 1, ``exact_upto`` non-negative,
-    ``n_jobs`` at least 1, ``cell_timeout`` positive and
-    ``max_retries`` non-negative.  A count that is not an integer (a
-    bool or a float included) is a ``TypeError``, a value out of range
-    a ``ValueError``; all are checked before any seed is spawned or
-    checkpoint opened.
+    ``n_jobs`` at least 1 and ``cell_timeout`` positive.  A count that
+    is not an integer (a bool or a float included) is a ``TypeError``,
+    a value out of range a ``ValueError``; all are checked before any
+    seed is spawned or checkpoint opened.
     ``n_jobs > 1`` distributes k-cells over processes.  ``seed``
     accepts an int or an existing :class:`numpy.random.Generator`
     (unified seeding convention).
@@ -608,11 +581,14 @@ def profile_graph(
       it lands, so an interrupted sweep keeps its work;
     * ``resume=True`` (re-)reads that file and reruns only unfinished
       cells — byte-identical to an uninterrupted run at the same seed;
-    * ``cell_timeout=`` (seconds, ``n_jobs > 1`` only) bounds one
-      cell's runtime; ``max_retries`` bounds re-dispatch after a
-      worker crash or timeout.  Cells still failing are marked False in
-      the profile's ``coverage`` mask and filled by monotone
-      interpolation instead of aborting the sweep.
+    * with ``n_jobs > 1``, a crashed worker, or a cell still running
+      ``cell_timeout=`` seconds after its turn came, stops the pool;
+      the cells it did not finish run in-process on their own seeds,
+      so the call returns the same bytes as an uninterrupted sweep.
+      ``cell_timeout`` bounds nothing in-process: a crash or hang that
+      comes from the cell itself recurs in the caller's process (an
+      exception raises, an abort ends it, a hang hangs it), and the
+      checkpoint keeps every finished cell for ``resume``.
 
     Metrics: per-cell timings, sample counts, and worker fan-out are
     recorded in the parent's registry regardless of ``n_jobs``; pool
@@ -638,15 +614,13 @@ def profile_graph(
     small mask batches fused into wide kernel calls; or with
     ``n_jobs > 1`` one cell per task on a pool
     whose workers each receive the graph once, through the pool
-    initializer (task tuples carry no graph and no decoder).
+    initializer (task tuples carry no graph and no decoder), with any
+    cells a stopped pool left unfinished run in-process after it.
     """
     samples_per_k = check_count(samples_per_k, "samples_per_k", 1)
     exact_upto = check_count(exact_upto, "exact_upto")
-    # Each of these would void the sweep without an error: a timeout of
-    # 0 abandons every pooled cell, and the coverage mask hides it.
     n_jobs = check_count(n_jobs, "n_jobs", 1)
     check_seconds(cell_timeout, "cell_timeout")
-    max_retries = check_count(max_retries, "max_retries")
     if ks is not None:
         ks = [check_count(k, "k") for k in ks]
         # Cell seeds are positional over `ks`: a repeated k would shift
@@ -666,7 +640,6 @@ def profile_graph(
     n = graph.num_nodes
     fail = np.zeros(n + 1, dtype=float)
     samples = np.zeros(n + 1, dtype=np.int64)
-    coverage = np.ones(n + 1, dtype=bool)
 
     exact_upto = min(exact_upto, n)
     if not hasattr(graph, "constraints"):
@@ -744,10 +717,10 @@ def profile_graph(
     # Only a pool worker's decoder counters need shipping back; an
     # in-process cell records straight into this registry.
     collect_metrics = pooled and bool(reg.enabled)
-    tasks = {
-        k: (k, samples_per_k, cell_seeds[k], collect_metrics, sweep_ctx)
+    tasks = [
+        (k, samples_per_k, cell_seeds[k], collect_metrics, sweep_ctx)
         for k in pending
-    }
+    ]
 
     def on_result(result) -> None:
         k, frac, cell_seconds, snapshot, spans = result
@@ -775,32 +748,25 @@ def profile_graph(
             if active is not None:
                 active.ingest(spans)
 
-    uncovered: list[int] = []
     try:
         if pooled:
-            uncovered = _run_cells_parallel(
-                graph, engine, tasks, n_jobs, cell_timeout, max_retries,
-                on_result,
+            tasks = _run_cells_parallel(
+                graph, engine, tasks, n_jobs, cell_timeout, on_result
             )
         else:
             reg.gauge("profile.workers").set(1)
-            for result in _sweep_cells(graph, decoder, list(tasks.values())):
-                on_result(result)
+        # In-process: every cell, or those a stopped pool left unfinished.
+        for result in _sweep_cells(graph, decoder, tasks):
+            on_result(result)
     finally:
-        sweep_span.end(uncovered=len(uncovered))
+        sweep_span.end()
         if writer is not None:
             writer.close()
 
-    for k in uncovered:
-        coverage[k] = False
-
-    # Fill unmeasured cells (sparse k-grid or crash-abandoned) by
-    # monotone interpolation so profile metrics stay meaningful.
-    if ks is not None or uncovered:
-        known = np.flatnonzero(
-            ((samples > 0) | (np.arange(n + 1) <= exact_upto))
-            & coverage
-        )
+    # Fill the cells a sparse k-grid leaves out by monotone
+    # interpolation so profile metrics stay meaningful.
+    if ks is not None:
+        known = np.flatnonzero((samples > 0) | (np.arange(n + 1) <= exact_upto))
         known = np.union1d(known, certain + [n])
         fail = np.interp(np.arange(n + 1), known, fail[known])
 
@@ -813,9 +779,8 @@ def profile_graph(
             "profile.done",
             graph=graph.name,
             engine=engine,
-            cells=len(tasks),
+            cells=len(pending),
             samples=int(samples.sum()),
-            uncovered=uncovered,
             seconds=total,
         )
     return FailureProfile(
@@ -824,5 +789,4 @@ def profile_graph(
         num_data=graph.num_data,
         fail_fraction=np.clip(fail, 0.0, 1.0),
         samples=samples,
-        coverage=coverage,
     )

@@ -46,7 +46,6 @@ class FailureProfile:
     num_data: int
     fail_fraction: np.ndarray
     samples: np.ndarray
-    coverage: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         ff = np.asarray(self.fail_fraction, dtype=float)
@@ -58,34 +57,14 @@ class FailureProfile:
             )
         if ((ff < 0) | (ff > 1)).any():
             raise ValueError("failure fractions must lie in [0, 1]")
-        cov = self.coverage
-        cov = (
-            np.ones(n + 1, dtype=bool)
-            if cov is None
-            else np.asarray(cov, dtype=bool)
-        )
-        if cov.shape != (n + 1,):
-            raise ValueError(
-                f"coverage mask must have length num_devices+1={n + 1}"
-            )
         object.__setattr__(self, "fail_fraction", ff)
         object.__setattr__(self, "samples", ss)
-        object.__setattr__(self, "coverage", cov)
 
     @property
-    def fully_covered(self) -> bool:
-        """Whether every intended cell was actually measured.
-
-        A crash-degraded sweep (worker failures exhausting their
-        retries) marks the unfinished cells False and fills their
-        values by monotone interpolation; downstream consumers can
-        decide whether a partial profile is good enough.
-        """
-        return bool(self.coverage.all())
-
-    def uncovered_ks(self) -> list[int]:
-        """The k-cells whose values are interpolated, not measured."""
-        return np.flatnonzero(~self.coverage).tolist()
+    def coverage(self) -> np.ndarray:
+        """All True: no sweep leaves a cell unmeasured.  Read only by
+        ``perf/sweeps.py``, which checks it."""
+        return np.ones(self.num_devices + 1, dtype=bool)
 
     # ------------------------------------------------------------------
     # Scalar metrics (paper tables)
@@ -210,18 +189,15 @@ class FailureProfile:
         """
         ff = self.fail_fraction.copy()
         ss = self.samples.copy()
-        cov = self.coverage.copy()
         for k, v in exact.items():
             ff[k] = v
             ss[k] = 0
-            cov[k] = True
         return FailureProfile(
             system_name=self.system_name,
             num_devices=self.num_devices,
             num_data=self.num_data,
             fail_fraction=ff,
             samples=ss,
-            coverage=cov,
         )
 
     def to_json(self) -> str:
@@ -232,25 +208,22 @@ class FailureProfile:
                 "num_data": self.num_data,
                 "fail_fraction": self.fail_fraction.tolist(),
                 "samples": self.samples.tolist(),
-                "coverage": self.coverage.tolist(),
             }
         )
 
     @classmethod
     def from_json(cls, text: str) -> "FailureProfile":
+        """A saved profile; an older file's ``coverage`` mask must be
+        all True (a False cell was interpolated, not measured)."""
         obj = json.loads(text)
-        coverage = obj.get("coverage")
+        if not all(obj.get("coverage", ())):
+            raise ValueError("profile has interpolated cells (coverage)")
         return cls(
             system_name=obj["system_name"],
             num_devices=int(obj["num_devices"]),
             num_data=int(obj["num_data"]),
             fail_fraction=np.asarray(obj["fail_fraction"], dtype=float),
             samples=np.asarray(obj["samples"], dtype=np.int64),
-            coverage=(
-                None
-                if coverage is None
-                else np.asarray(coverage, dtype=bool)
-            ),
         )
 
     def save(self, path: str | os.PathLike) -> None:

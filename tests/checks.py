@@ -241,12 +241,16 @@ def check_sites_chaos(report) -> None:
 
 
 def check_decode_spans_rooted(trace) -> None:
-    """An orphan-free span tree whose every ``serve.decode`` span
-    descends from a ``loadgen.run`` or ``serve.request`` span."""
+    """An orphan-free span tree with no repeated id, whose every
+    ``serve.decode`` span descends from a ``loadgen.run`` or
+    ``serve.request`` span."""
     from repro.obs.analyze import build_trace_trees, load_events, span_records
 
-    roots, orphans = build_trace_trees(span_records(load_events(str(trace))))
+    roots, orphans, repeated = build_trace_trees(
+        span_records(load_events(str(trace)))
+    )
     assert not orphans, orphans
+    assert not repeated, repeated
     decodes = []
 
     def walk(node, ancestors):

@@ -99,7 +99,7 @@ class TestHandshake:
 
 
 class TestMembership:
-    def test_recover_reuses_port_seed_and_wal(self, stub_daemons, tmp_path):
+    def test_recover_reuses_port_and_wal(self, stub_daemons, tmp_path):
         with Fleet(5, block_size=256, trace_dir=str(tmp_path)) as fleet:
             cell = fleet.add_cell(["node-0"], wal=True, rpc_timeout=0.5)
             first = cell.coordinator
@@ -115,7 +115,7 @@ class TestMembership:
             assert flag(second, "--port") == str(first.port)
             assert flag(second, "--recover") == fleet.work_dir
             assert "--wal" not in second.proc.args
-            assert flag(second, "--seed") == flag(first, "--seed")
+            assert flag(second, "--seed") != flag(first, "--seed")
             assert flag(second, "--trace").endswith("coordinator-r1.jsonl")
 
     def test_seed_ledger_order_is_spawn_seeds_order(self, stub_daemons):
@@ -131,6 +131,27 @@ class TestMembership:
                 str(fleet.next_seed()),
             ]
         assert drawn == ledger
+
+    def test_two_generations_mint_disjoint_span_ids(self, stub_daemons):
+        """A respawned coordinator or node draws a fresh ``--seed``, so
+        its tracer's ids never repeat the last generation's; on the old
+        seed a recovered coordinator minted every id again."""
+        from repro.obs import Tracer
+
+        def ids(child):
+            tracer = Tracer(seed=int(flag(child, "--seed")))
+            return {tracer.new_id() for _ in range(200)}
+
+        with Fleet(3, block_size=256) as fleet:
+            cell = fleet.add_cell(["node-0"], wal=True)
+            first = [cell.coordinator, cell.nodes["node-0"]]
+            cell.coordinator.kill()
+            cell.spawn_coordinator(recover=True)
+            cell.nodes["node-0"].kill()
+            cell.spawn_node("node-0")
+            second = [cell.coordinator, cell.nodes["node-0"]]
+        generations = [ids(child) for child in first + second]
+        assert sum(map(len, generations)) == len(set().union(*generations))
 
     def test_scrape_targets_follow_a_respawn(self, stub_daemons, tmp_path):
         obs_dir = tmp_path / "obs"

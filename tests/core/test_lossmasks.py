@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import repro.core.lossmasks as lossmasks
 import repro.sim.montecarlo as montecarlo
+from repro.obs import MetricsRegistry, capture
 from repro.core import (
     packed_random_loss_masks,
     packed_sparse_loss_masks,
@@ -499,14 +500,15 @@ class TestTwoCores:
     def test_pool_after_an_in_process_sweep(self, small_tornado, monkeypatch):
         """No thread outlives a call, so a pool forked after an
         in-process sweep inherits none: its cells run to the same
-        profile.  A hung cell would time out and come back uncovered."""
+        profile.  A hung cell would time out and be counted."""
         monkeypatch.setattr(lossmasks, "_cpu_count", lambda: 2)
         sweep = dict(samples_per_k=9000, exact_upto=2, ks=[8, 12, 16], seed=4)
         in_process = profile_graph(small_tornado, **sweep)
-        pooled = profile_graph(
-            small_tornado, **sweep, n_jobs=2, cell_timeout=60, max_retries=0
-        )
-        assert pooled.fully_covered
+        with capture(MetricsRegistry()) as reg:
+            pooled = profile_graph(
+                small_tornado, **sweep, n_jobs=2, cell_timeout=60
+            )
+        assert "profile.cell_timeouts" not in reg.snapshot()["counters"]
         assert pooled.to_json() == in_process.to_json()
 
     def test_dense_batch_is_not_part_of_the_output(self, graph3, monkeypatch):

@@ -204,6 +204,39 @@ class TestExportIngest:
         assert by_name["work"]["trace_id"] == root.trace_id
         assert parent.spans_finished == 2
 
+    def test_a_parenting_span_opens_once_on_its_sink(self, tmp_path):
+        """A span that gains a child or ships its context first writes
+        one ``trace.open`` record; a leaf writes none."""
+        path = tmp_path / "trace.jsonl"
+        t = Tracer(sink=JsonlSink(path), seed=0)
+        with t.start_span("root") as root:
+            t.start_span("a").end()
+            ctx = root.context()
+            t.start_span("b").end()
+        root.context()  # after end: nothing more to announce
+        t.sink.close()
+        records = read_jsonl(path)
+        assert [(r["event"], r["name"]) for r in records] == [
+            ("trace.open", "root"),
+            ("trace.span", "a"),
+            ("trace.span", "b"),
+            ("trace.span", "root"),
+        ]
+        opened, closed = records[0], records[-1]
+        assert opened["elapsed"] is None and closed["elapsed"] is not None
+        assert ctx["span_id"] == opened["span_id"] == closed["span_id"]
+        for key in ("trace_id", "parent_id", "start"):
+            assert opened[key] == closed[key]
+
+    def test_a_buffering_tracer_writes_no_open_record(self):
+        """A buffer dies with its process, so an open record there would
+        serve nothing."""
+        t = Tracer(seed=0)
+        with t.start_span("root") as root:
+            root.context()
+            t.start_span("a").end()
+        assert [r["event"] for r in t.records] == ["trace.span"] * 2
+
     def test_sink_receives_records(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         t = Tracer(sink=JsonlSink(path), seed=0)

@@ -255,8 +255,8 @@ class TestCampaignTracing:
         with trace_capture(Tracer(seed=11)) as t:
             report = run_once(small_tornado)
 
-        roots, orphans = build_trace_trees(span_records(t.records))
-        assert orphans == []
+        roots, orphans, repeated = build_trace_trees(span_records(t.records))
+        assert orphans == repeated == []
         (root,) = roots
         assert root.name == "resilience.campaign"
         assert root.attrs["survived"] == report.survived

@@ -43,8 +43,8 @@ class TestRequestSpanTree:
         with trace_capture(Tracer(seed=5)) as t:
             records = run(scenario(t))
 
-        roots, orphans = build_trace_trees(span_records(records))
-        assert orphans == []
+        roots, orphans, repeated = build_trace_trees(span_records(records))
+        assert orphans == repeated == []
         (root,) = roots
         chain = []
         node = root

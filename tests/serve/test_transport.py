@@ -7,6 +7,7 @@ that stops reading stops being read.
 """
 
 import asyncio
+import gc
 import time
 
 from repro.cluster import StorageNode, start_storage_node
@@ -94,6 +95,28 @@ class TestDispatch:
             await server.wait_closed()
 
         asyncio.run(check())
+
+    def test_a_node_closed_before_its_server_task_ran_logs_nothing(self):
+        """A server closed in the coroutine that started it fails its
+        ``serve_forever`` task ("server is closed") before the task
+        first runs; nothing retrieved that error, so the loop logged
+        "Task exception was never retrieved" once the task was freed."""
+        seen = []
+
+        async def check():
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(
+                lambda _, context: seen.append(context["message"])
+            )
+            server = await start_storage_node(StorageNode("n0"), port=0)
+            server.close()
+            await server.wait_closed()
+            for _ in range(3):
+                await asyncio.sleep(0)
+            gc.collect()
+
+        asyncio.run(check())
+        assert seen == []
 
 
 class TestBackpressure:

@@ -123,7 +123,6 @@ class TestCertainCellsAreExactEntries:
         assert (prof.samples[4:bound + 1] == 300).all()
         assert not prof.samples[bound + 1:].any()
         assert (prof.fail_fraction[bound + 1:] == 1.0).all()
-        assert prof.fully_covered
         for k in range(bound + 1, graph.num_nodes + 1):
             assert prof.confidence_interval(k) == (1.0, 1.0)
 

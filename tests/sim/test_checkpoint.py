@@ -1,4 +1,4 @@
-"""Crash-tolerant sweep tests: checkpoints, resume, timeouts, retries.
+"""Crash-tolerant sweep tests: checkpoints, resume, crashes, hangs.
 
 The worker-fault drills use the ``REPRO_FAULT_*`` environment hooks in
 :mod:`repro.sim.montecarlo` (fork-started pool workers inherit the
@@ -7,13 +7,23 @@ real OOM-kill or firmware stall would land.
 """
 
 import json
+import multiprocessing
+import os
+import time
 
+import numpy as np
 import pytest
 
 from repro.obs import MetricsRegistry, capture
 from repro.sim import profile_graph
 
 SWEEP = dict(samples_per_k=200, exact_upto=3, seed=7)
+
+
+def cells(path):
+    """The k's a checkpoint file holds a cell record for."""
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    return sorted(r["k"] for r in records if r["record"] == "cell")
 
 
 @pytest.fixture(scope="module")
@@ -60,20 +70,20 @@ class TestResume:
     def test_resume_after_worker_crash_is_byte_identical(
         self, small_tornado_module, tmp_path, baseline, monkeypatch
     ):
-        """Kill the worker for one k-cell mid-sweep; the resumed sweep
-        must reproduce the uninterrupted profile byte-for-byte."""
+        """Kill the worker for one k-cell mid-sweep: the same call
+        finishes that cell in-process and returns the uninterrupted
+        profile byte for byte, and so does a resume from its
+        checkpoint."""
         path = tmp_path / "sweep.jsonl"
         monkeypatch.setenv("REPRO_FAULT_CRASH_K", "10")
-        partial = profile_graph(
-            small_tornado_module,
-            **SWEEP,
-            n_jobs=2,
-            checkpoint=path,
-            max_retries=1,
-        )
+        with capture(MetricsRegistry()) as reg:
+            crashed = profile_graph(
+                small_tornado_module, **SWEEP, n_jobs=2, checkpoint=path
+            )
         monkeypatch.delenv("REPRO_FAULT_CRASH_K")
-        assert not partial.fully_covered
-        assert 10 in partial.uncovered_ks()
+        assert reg.snapshot()["counters"]["profile.worker_crashes"] == 1
+        assert crashed.to_json() == baseline.to_json()
+        assert cells(path) == np.flatnonzero(baseline.samples).tolist()
 
         resumed = profile_graph(
             small_tornado_module,
@@ -82,7 +92,6 @@ class TestResume:
             checkpoint=path,
             resume=True,
         )
-        assert resumed.fully_covered
         assert resumed.to_json() == baseline.to_json()
 
     def test_serial_resume_is_byte_identical(
@@ -171,56 +180,90 @@ class TestResume:
         assert resumed.to_json() == baseline.to_json()
 
 
-class TestDegradedCoverage:
-    def test_hung_worker_times_out_into_coverage_mask(
-        self, small_tornado_module, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_FAULT_HANG_K", "12")
-        monkeypatch.setenv("REPRO_FAULT_HANG_SECS", "3")
-        profile = profile_graph(
-            small_tornado_module,
-            **SWEEP,
-            n_jobs=2,
-            cell_timeout=0.75,
-            max_retries=0,
-        )
-        assert profile.uncovered_ks() == [12]
-        # the abandoned cell is interpolated, not left at zero
-        assert (
-            profile.fail_fraction[11]
-            <= profile.fail_fraction[12]
-            <= profile.fail_fraction[13]
-        )
+class TestPoolFailure:
+    """A crashed or hung pool worker stops the pool; its unfinished
+    cells run in-process, so one call returns the baseline bytes."""
 
-    def test_crashed_cell_neighbours_still_complete(
-        self, small_tornado_module, monkeypatch
+    @pytest.mark.parametrize(
+        "drill, counter",
+        [
+            (dict(REPRO_FAULT_CRASH_K="10"), "profile.worker_crashes"),
+            (
+                # Hung past the test: the stopped pool must kill it.
+                dict(REPRO_FAULT_HANG_K="12", REPRO_FAULT_HANG_SECS="60"),
+                "profile.cell_timeouts",
+            ),
+            (
+                # k=9 is still running when k=10's worker dies and takes
+                # the pool with it.
+                dict(
+                    REPRO_FAULT_HANG_K="9",
+                    REPRO_FAULT_HANG_SECS="0.5",
+                    REPRO_FAULT_CRASH_K="10",
+                ),
+                "profile.worker_crashes",
+            ),
+        ],
+        ids=["crash", "hang", "crash-beside-hang"],
+    )
+    def test_one_call_returns_the_uninterrupted_profile(
+        self, small_tornado_module, tmp_path, baseline, monkeypatch,
+        drill, counter,
     ):
-        monkeypatch.setenv("REPRO_FAULT_CRASH_K", "10")
-        profile = profile_graph(
-            small_tornado_module,
-            **SWEEP,
-            n_jobs=2,
-            max_retries=0,
+        path = tmp_path / "sweep.jsonl"
+        for name, value in drill.items():
+            monkeypatch.setenv(name, value)
+        with capture(MetricsRegistry()) as reg:
+            profile = profile_graph(
+                small_tornado_module,
+                **SWEEP,
+                n_jobs=2,
+                cell_timeout=0.75,
+                checkpoint=path,
+            )
+        for name in drill:
+            monkeypatch.delenv(name)
+        deadline = time.monotonic() + 10
+        while multiprocessing.active_children():  # no worker outlives it
+            assert time.monotonic() < deadline
+            time.sleep(0.05)
+        assert reg.snapshot()["counters"][counter] == 1
+        assert profile.to_json() == baseline.to_json()
+        assert cells(path) == np.flatnonzero(baseline.samples).tolist()
+        resumed = profile_graph(
+            small_tornado_module, **SWEEP, checkpoint=path, resume=True
         )
-        assert profile.uncovered_ks() == [10]
-        assert profile.samples[11] == 200  # innocent cells unharmed
+        assert resumed.to_json() == baseline.to_json()
 
-    def test_crash_is_not_charged_to_a_cell_in_flight_beside_it(
-        self, small_tornado_module, monkeypatch
+    def test_a_cell_that_fails_in_process_too_raises(
+        self, small_tornado_module, tmp_path, baseline, monkeypatch
     ):
-        """k=9 is still running when k=10's worker dies and takes the
-        pool with it; both futures break alike, only k=10 is at fault."""
-        monkeypatch.setenv("REPRO_FAULT_HANG_K", "9")
-        monkeypatch.setenv("REPRO_FAULT_HANG_SECS", "0.5")
+        """The parent runs the crashed worker's cells through the same
+        runner; if that fails as well, the call raises, and a resume
+        from the checkpoint it kept is the uninterrupted profile."""
+        from repro.sim import montecarlo
+
+        path = tmp_path / "sweep.jsonl"
         monkeypatch.setenv("REPRO_FAULT_CRASH_K", "10")
-        profile = profile_graph(
-            small_tornado_module,
-            **SWEEP,
-            n_jobs=2,
-            max_retries=0,
+        parent, runner = os.getpid(), montecarlo._sweep_cells
+
+        def failing(graph, decoder, tasks):
+            if os.getpid() == parent:  # forked workers run as before
+                raise RuntimeError("in-process cell failed")
+            return runner(graph, decoder, tasks)
+
+        monkeypatch.setattr(montecarlo, "_sweep_cells", failing)
+        with pytest.raises(RuntimeError, match="in-process cell failed"):
+            profile_graph(
+                small_tornado_module, **SWEEP, n_jobs=2, checkpoint=path
+            )
+        assert 10 not in cells(path)
+        monkeypatch.setattr(montecarlo, "_sweep_cells", runner)
+        monkeypatch.delenv("REPRO_FAULT_CRASH_K")
+        resumed = profile_graph(
+            small_tornado_module, **SWEEP, checkpoint=path, resume=True
         )
-        assert profile.uncovered_ks() == [10]
-        assert profile.samples[9] == 200
+        assert resumed.to_json() == baseline.to_json()
 
 
 class TestWorkerMetricsMerge:

@@ -1,5 +1,7 @@
 """Tests for failure-profile metrics."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,26 @@ class TestPersistence:
         np.testing.assert_array_equal(p2.fail_fraction, p.fail_fraction)
         assert p2.system_name == p.system_name
         assert p2.num_data == p.num_data
+
+    def test_a_saved_coverage_mask_loads_only_when_all_true(self):
+        """Older files carry a ``coverage`` key: all True loads, a False
+        entry (an interpolated cell) is refused, and no profile writes
+        or keeps one."""
+        p = make_profile([0, 0, 0.25, 1, 1, 1, 1, 1, 1])
+        obj = json.loads(p.to_json())
+        assert "coverage" not in obj
+        obj["coverage"] = [True] * 9
+        p2 = FailureProfile.from_json(json.dumps(obj))
+        assert p2.to_json() == p.to_json()
+        assert p2.coverage.all()
+        obj["coverage"] = [True, False, True, True, False] + [True] * 4
+        with pytest.raises(ValueError, match="interpolated"):
+            FailureProfile.from_json(json.dumps(obj))
+        with pytest.raises(TypeError, match="coverage"):
+            FailureProfile(
+                system_name="toy", num_devices=1, num_data=1,
+                fail_fraction=[0, 1], samples=[0, 0], coverage=[True, True],
+            )
 
     def test_file_roundtrip(self, tmp_path):
         p = make_profile([0, 0, 0.25, 1, 1, 1, 1, 1, 1])

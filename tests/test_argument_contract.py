@@ -235,7 +235,7 @@ ROWS = [
             graph(), seed=p.rng, checkpoint=p.dir / "ck.jsonl",
             **{name: v}), at_least)
         for name, at_least in [("samples_per_k", 1), ("exact_upto", 0),
-                               ("n_jobs", 1), ("max_retries", 0)]
+                               ("n_jobs", 1)]
     ),
     count("profile-ks", "k", lambda v, p: profile_graph(
         graph(), seed=p.rng, checkpoint=p.dir / "ck.jsonl", ks=[v])),

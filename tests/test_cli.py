@@ -373,7 +373,6 @@ class TestExitCodes:
         [
             ["profile", "--cell-timeout", "0"],
             ["profile", "--cell-timeout", "-1"],
-            ["profile", "--max-retries", "-1"],
             ["profile", "--jobs", "0"],
             ["reliability", "--jobs", "0"],
         ],
@@ -389,6 +388,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("usage error:")
         assert flag in err
+
+    def test_retired_max_retries_flag_exits_2(self, graph_file):
+        """A crashed or hung cell finishes in-process: there is no
+        re-dispatch left to bound."""
+        with pytest.raises(SystemExit) as exc_info:
+            main(["profile", graph_file, "--max-retries", "1"])
+        assert exc_info.value.code == 2
 
     @pytest.mark.parametrize(
         "argv",
@@ -622,6 +628,17 @@ class TestObsVerbs:
         assert "loadgen.run" in out
         assert "serve.request" in out
         assert "orphaned spans: none" in out
+        assert "repeated span ids: none" in out
+
+    def test_trace_tree_exits_1_on_repeated_span_ids(
+        self, trace_file, capsys
+    ):
+        """One file read twice stands for two processes on one seed."""
+        capsys.readouterr()
+        assert main(["obs", "trace-tree", trace_file, trace_file]) == 1
+        out = capsys.readouterr().out
+        assert "orphaned spans: none" in out
+        assert "repeated span ids (" in out
 
     def test_trace_tree_filters_by_trace_id(self, trace_file, capsys):
         capsys.readouterr()

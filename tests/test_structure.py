@@ -212,6 +212,13 @@ LINTS = {
     "no-spans-or-metrics-text-on-the-wire": Lint(
         r"SPANS|envelope\.spans|MetricsRequest|MetricsResponse", ("src",)
     ),
+    # One failure path for pooled sweeps: a crashed or hung worker's
+    # cells finish in-process, so nothing is re-dispatched, abandoned
+    # or interpolated over.
+    "one-sweep-failure-path": Lint(
+        r"max_retries|uncovered_ks|fully_covered|cell_abandoned|coverage=",
+        ("src",),
+    ),
     "networkx-behind-graphml": Lint(
         r"import networkx", ("src",), files=frozenset({"src/repro/core/graphml.py"})
     ),
