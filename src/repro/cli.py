@@ -417,12 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=300.0,
         help="rate/quantile window in seconds (default 300)",
     )
-    q.add_argument(
-        "--spec",
-        default=None,
-        metavar="SLO.json",
-        help="SLO spec to evaluate (default: built-in archive SLOs)",
-    )
 
     q = obs_sub.add_parser(
         "slo",
@@ -438,12 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument(
         "file",
         help="timeline JSONL (fleet.sample events from a scraper)",
-    )
-    q.add_argument(
-        "--spec",
-        default=None,
-        metavar="SLO.json",
-        help="SLO spec to evaluate (default: built-in archive SLOs)",
     )
 
     q = obs_sub.add_parser(
@@ -1041,17 +1029,14 @@ def _load_obs_timeline(path: str):
 
     if not os.path.exists(path):
         raise OSError(f"timeline file {path} does not exist")
-    if os.path.getsize(path) == 0:
-        raise ValueError(f"timeline file {path} is empty")
     return load_timeline(path)
 
 
-def _obs_engine(store, spec_path: str | None):
+def _obs_engine(store):
     """Replay a timeline through a fresh SLO engine; return it."""
-    from .obs import SloEngine, SloSpec
+    from .obs import SloEngine
 
-    spec = SloSpec.load(spec_path) if spec_path else None
-    engine = SloEngine(spec)
+    engine = SloEngine()
     engine.replay(store)
     return engine
 
@@ -1061,7 +1046,7 @@ def _cmd_obs_top(args) -> int:
 
     def frame() -> str:
         store = _load_obs_timeline(args.file)
-        engine = _obs_engine(store, args.spec)
+        engine = _obs_engine(store)
         return render_top(store, engine, window=args.window)
 
     if args.once:
@@ -1087,7 +1072,7 @@ def _cmd_obs_slo(args) -> int:
     from .obs import render_top
 
     store = _load_obs_timeline(args.file)
-    engine = _obs_engine(store, args.spec)
+    engine = _obs_engine(store)
     if args.slo_command == "report":
         # Same store, same renderer as `obs top --once`: the two
         # commands must agree on the fleet view by construction.
@@ -1234,9 +1219,10 @@ def _cmd_cluster_coordinator(args) -> int:
 
     if args.wal and args.recover:
         raise UsageError("--wal and --recover are mutually exclusive")
+    graph = _cluster_graph(args)
     _ensure_daemon_registry()
     coordinator = ClusterCoordinator(
-        _cluster_graph(args),
+        graph,
         block_size=args.block_size,
         wal_dir=args.recover or args.wal,
         recover=bool(args.recover),
@@ -1258,6 +1244,12 @@ def _cmd_cluster_node(args) -> int:
     from .resilience import FaultPlan
 
     plan = FaultPlan.load(args.faults) if args.faults else None
+    if args.coordinator:
+        try:
+            chost, cport = args.coordinator.rsplit(":", 1)
+            coordinator = (chost, int(cport))
+        except ValueError:
+            raise UsageError("--coordinator must look like HOST:PORT") from None
     _ensure_daemon_registry()
     node = StorageNode(args.id, seed=args.seed, fault_plan=plan)
 
@@ -1273,14 +1265,8 @@ def _cmd_cluster_node(args) -> int:
         if args.coordinator:
             from .serve import ClusterClient
 
-            try:
-                chost, cport = args.coordinator.rsplit(":", 1)
-            except ValueError:
-                raise UsageError(
-                    "--coordinator must look like HOST:PORT"
-                ) from None
             host, port = server.sockets[0].getsockname()[:2]
-            client = ClusterClient(chost, int(cport))
+            client = ClusterClient(*coordinator)
             try:
                 await asyncio.to_thread(
                     client.join, node.node_id, host, port
@@ -1372,6 +1358,16 @@ def _cmd_sites_gateway(args) -> int:
     from .sites import FederationGateway, FederationManifest, start_gateway
 
     manifest = FederationManifest.load(args.manifest)
+    attach = []
+    for spec in args.attach:
+        try:
+            site_id, addr = spec.split("=", 1)
+            chost, cport = addr.rsplit(":", 1)
+            attach.append((site_id, chost, int(cport)))
+        except ValueError:
+            raise UsageError(
+                f"--attach must look like SITE=HOST:PORT, got {spec!r}"
+            ) from None
     _ensure_daemon_registry()
     gateway = FederationGateway(
         manifest,
@@ -1386,16 +1382,8 @@ def _cmd_sites_gateway(args) -> int:
         rpc_timeout=args.rpc_timeout,
         repair_wan_budget=args.repair_wan_budget,
     )
-    for spec in args.attach:
-        try:
-            site_id, addr = spec.split("=", 1)
-            chost, cport = addr.rsplit(":", 1)
-            gateway.attach_site(site_id, chost, int(cport))
-        except ValueError:
-            raise UsageError(
-                f"--attach must look like SITE=HOST:PORT, got {spec!r}"
-            ) from None
-
+    for site in attach:
+        gateway.attach_site(*site)
     return _run_daemon(
         "gateway",
         lambda: start_gateway(gateway, args.host, args.port),

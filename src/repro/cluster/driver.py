@@ -35,7 +35,7 @@ from typing import Any
 
 import numpy as np
 
-from .._checks import check_count, check_seconds
+from .._checks import check_count
 from ..obs.seeding import SeedLike, resolve_rng
 from ..obs.trace import trace_span
 from .fleet import Fleet, ScenarioReport, option
@@ -75,23 +75,11 @@ class ClusterLoadConfig:
     scrape_every: int = option(
         10, "scrape after every N requests (default 10)"
     )
-    scrape_interval: float = option(
-        60.0,
-        "logical seconds each scrape advances the telemetry "
-        "clock (default 60)",
-    )
-    slo_spec: str | None = option(
-        None,
-        "SLO spec evaluated live during the run "
-        "(default: built-in archive SLOs)",
-        metavar="SLO.json",
-    )
 
     def __post_init__(self) -> None:
         check_count(self.nodes, "nodes", 1)
         check_count(self.objects, "objects", 1)
         check_count(self.scrape_every, "scrape_every", 1)
-        check_seconds(self.scrape_interval, "scrape_interval")
 
 
 @dataclass
@@ -161,8 +149,6 @@ def run_cluster_loadgen(
         block_size=config.block_size,
         trace_dir=config.trace_dir,
         obs_dir=config.obs_dir,
-        scrape_interval=config.scrape_interval,
-        slo_spec=config.slo_spec,
     ) as fleet:
         cell = fleet.add_cell(
             [f"node-{i}" for i in range(config.nodes)], graph=config.graph

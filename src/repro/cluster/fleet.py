@@ -33,7 +33,6 @@ from ..obs import (
     LogicalClock,
     ScrapeTarget,
     SloEngine,
-    SloSpec,
     TimeSeriesStore,
 )
 from ..obs.seeding import SeedLike, derive_seed, spawn_seeds
@@ -57,6 +56,9 @@ _READY_TIMEOUT = 30.0
 # long for an exit status before calling it "closed stdout early".
 _EXIT_GRACE = 0.25
 _DAEMON = (sys.executable, "-m", "repro")
+# Logical seconds each telemetry scrape advances the clock; the SLO
+# windows and burn thresholds are tuned for it.
+_SCRAPE_INTERVAL = 60.0
 
 
 def _daemon_argv(*verb: str, **flags: Any) -> list[str]:
@@ -267,58 +269,53 @@ class FleetTelemetry:
     """Scrape the fleet on a logical clock; persist a timeline.
 
     The scenario owns the clock: every scrape advances logical time by
-    ``scrape_interval`` regardless of wall time, so the kill → alert →
+    ``_SCRAPE_INTERVAL`` regardless of wall time, so the kill → alert →
     heal → clear sequence lands at the same ``timeline.jsonl`` offsets
-    run after run.  Targets come from the fleet's live membership at
-    every scrape; when they moved (healed processes come back on fresh
+    run after run.  The store holds every sample the file holds, and
+    the engine evaluates each one as it lands, so the alerts written
+    here are the alerts ``SloEngine().replay(load_timeline(path))``
+    finds.  Targets come from the fleet's live membership at every
+    scrape; when they moved (healed processes come back on fresh
     ephemeral ports) the scraper is rebuilt.  Without ``obs_dir`` every
     method is a no-op and :meth:`summary` is ``None``.
     """
 
-    def __init__(self, fleet, obs_dir, scrape_interval, slo_spec):
+    def __init__(self, fleet, obs_dir):
         self.fleet = fleet
         self.enabled = obs_dir is not None
         if not self.enabled:
             return
-        self.scrape_interval = float(scrape_interval)
         os.makedirs(obs_dir, exist_ok=True)
         self.path = os.path.join(obs_dir, "timeline.jsonl")
         if os.path.exists(self.path):
             os.unlink(self.path)  # timelines are per-run artifacts
         self.sink = JsonlSink(self.path)
         self.clock = LogicalClock()
-        self.store = TimeSeriesStore(
-            resolution=self.scrape_interval, sink=self.sink
-        )
-        self.engine = SloEngine(SloSpec.load(slo_spec) if slo_spec else None)
+        self.store = TimeSeriesStore()
+        self.engine = SloEngine()
         self.scraper: FleetScraper | None = None
-        self.alerts: list[dict[str, Any]] = []
 
     def scrape(self, note: str | None = None) -> None:
         if not self.enabled:
             return
         targets = self.fleet.scrape_targets()
         if self.scraper is None or self.scraper.targets != targets:
-            self.scraper = FleetScraper(
-                targets, timeout=2.0, clock=self.clock, store=self.store
-            )
-        self.clock.advance(self.scrape_interval)
-        self.scraper.scrape_once()  # ingests + persists the sample
+            self.scraper = FleetScraper(targets, timeout=2.0, clock=self.clock)
+        self.clock.advance(_SCRAPE_INTERVAL)
+        self.sink.emit(self.store.ingest(self.scraper.scrape_once()))
         if note:
             self.sink.emit(
                 {"event": "driver.note", "ts": self.clock(), "note": note}
             )
-        transitions = self.engine.evaluate(self.store)
-        for transition in transitions:
+        for transition in self.engine.evaluate(self.store):
             self.sink.emit(transition)
-        self.alerts.extend(transitions)
 
     def settle(self, max_scrapes: int = 90) -> None:
         """Keep scraping a healed fleet until every alert clears.
 
         Clearing needs each pair's *short* burn window to drain of bad
         samples — for the standard slow pair that is a full logical
-        hour, ~60 scrapes at the default interval (cheap: each scrape
+        hour, 60 scrapes at the 60-s interval (cheap: each scrape
         is a handful of local RPCs and no wall-clock sleeps).  The
         bound keeps a fleet that *cannot* heal (e.g. ``rejoin=False``)
         from spinning forever.
@@ -335,10 +332,9 @@ class FleetTelemetry:
             return None
         return {
             "timeline": self.path,
-            "samples": self.store.ingested,
+            "samples": len(self.store),
             "scrapes": self.scraper.scrapes if self.scraper else 0,
-            "scrape_interval": self.scrape_interval,
-            "alerts": list(self.alerts),
+            "alerts": list(self.engine.transitions),
             "firing": self.engine.firing(),
             "durability": self.engine.durability(self.store),
         }
@@ -387,8 +383,6 @@ class Fleet:
         trace_dir: str | None = None,
         work_dir: str | None = None,
         obs_dir: str | None = None,
-        scrape_interval: float = 60.0,
-        slo_spec: str | None = None,
     ):
         self.seed = seed
         self._seeds_drawn = 0
@@ -400,9 +394,7 @@ class Fleet:
         self._work_dir = work_dir
         self._owns_work_dir = False
         self._started: list[FleetProcess] = []
-        self.telemetry = FleetTelemetry(
-            self, obs_dir, scrape_interval, slo_spec
-        )
+        self.telemetry = FleetTelemetry(self, obs_dir)
 
     def __enter__(self) -> "Fleet":
         return self

@@ -24,7 +24,7 @@ storage devices, the profile cache, and the serving stack:
   convention shared by every public simulation entry point;
 * :class:`FleetScraper` / :class:`TimeSeriesStore` / :class:`SloEngine`
   — the fleet telemetry pipeline: scrape every cluster/sites process
-  over the wire protocol, keep bounded windowed history (rates,
+  over the wire protocol, keep the run's windowed history (rates,
   gauge ranges, mergeable quantiles), and run multi-window burn-rate
   alerting with error budgets and a durability health score (backs
   ``repro obs top`` and ``repro obs slo report|check``).
@@ -83,7 +83,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ".scrape": ("FleetScraper", "LogicalClock", "ScrapeTarget"),
         ".seeding": ("SeedLike", "derive_seed", "resolve_rng", "spawn_seeds"),
         ".sink": ("JsonlSink", "read_jsonl"),
-        ".slo": ("BurnWindow", "Objective", "SloEngine", "SloSpec", "default_slo_spec"),
+        ".slo": ("DEFAULT_OBJECTIVES", "BurnWindow", "Objective", "SloEngine"),
         ".timeseries": (
             "TimeSeriesStore",
             "load_timeline",

@@ -51,7 +51,7 @@ if False:  # pragma: no cover — typing only; repro.obs must not
 __all__ = ["FleetScraper", "LogicalClock", "ScrapeTarget"]
 
 # Gauges rolled up across coordinators regardless of suffixing, so an
-# SLO spec can reference one stable name in both single-cluster and
+# SLO objective can reference one stable name in both single-cluster and
 # federated deployments.
 _MIN_ROLLUPS = {
     "fleet.repair.margin_min": "cluster.repair.margin_min",
@@ -115,7 +115,6 @@ class FleetScraper:
         *,
         timeout: float = 2.0,
         clock: Callable[[], float] | None = None,
-        store: Any = None,
         fetch: (
             Callable[[ScrapeTarget], MetricsSnapshotResponse] | None
         ) = None,
@@ -129,7 +128,6 @@ class FleetScraper:
         self.targets = targets
         self.timeout = float(timeout)
         self.clock = clock if clock is not None else time.time
-        self.store = store
         self._fetch = fetch if fetch is not None else self._fetch_rpc
         role_counts: dict[str, int] = {}
         for t in targets:
@@ -165,7 +163,13 @@ class FleetScraper:
     # ------------------------------------------------------------------
 
     def scrape_once(self) -> dict[str, Any]:
-        """Poll every target once and return the merged fleet view."""
+        """Poll every target once; return the merged ``fleet.sample``.
+
+        The record is what a :class:`~repro.obs.timeseries.TimeSeriesStore`
+        ingests and a timeline persists: ``ts``, per-target ``targets``
+        status, and the merged ``counters``, ``gauges`` and
+        ``histograms``.  The store stamps its ``index``.
+        """
         now = float(self.clock())
         statuses: dict[str, dict[str, Any]] = {}
         snapshots: dict[str, dict[str, Any]] = {}
@@ -198,15 +202,13 @@ class FleetScraper:
                 self._last_good_ts[tid] = now
                 snapshots[tid] = snapshot
             statuses[tid] = status
-        view = {
+        self.scrapes += 1
+        return {
+            "event": "fleet.sample",
             "ts": now,
             "targets": statuses,
-            "merged": self._merge(snapshots, statuses),
+            **self._merge(snapshots, statuses),
         }
-        self.scrapes += 1
-        if self.store is not None:
-            self.store.ingest(view)
-        return view
 
     def _merge(
         self,

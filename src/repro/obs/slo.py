@@ -1,9 +1,8 @@
 """SLO objectives, multi-window burn-rate alerts, error budgets.
 
 The fleet view (:mod:`repro.obs.scrape`) says what the archive is
-doing; this module says whether that is *acceptable*.  Objectives are
-declared in a JSON spec (see :meth:`SloSpec.from_dict` for the
-schema), each reducing the time series to a per-window **bad
+doing; this module says whether that is *acceptable*.  Each
+:class:`Objective` reduces the time series to a per-window **bad
 fraction** in ``[0, 1]``:
 
 =================  ====================================================
@@ -39,25 +38,27 @@ unrecoverable" first-class: from the repair scheduler's margins
 ``[0, 1]`` — 1.0 is a fully healthy fleet, 0.0 means some stripe has
 exhausted its certain-recovery margin — and the same gauges are
 alertable through ordinary ``gauge_below`` / ``gauge_above``
-objectives (the default spec does exactly that).
+objectives (the built-in :data:`DEFAULT_OBJECTIVES` do exactly that).
+
+The engine keeps no samples of its own: it evaluates the store it is
+given at a ``now``, once per sample.  Each evaluation charges the
+error budgets for the time since the previous one (the first counts
+none), so :meth:`SloEngine.replay` over a loaded timeline walks the
+same states, alerts and budgets as the live engine did.
 """
 
 from __future__ import annotations
 
-import json
-import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Any
 
 from .._checks import check_seconds
 
 __all__ = [
+    "DEFAULT_OBJECTIVES",
     "BurnWindow",
     "Objective",
     "SloEngine",
-    "SloSpec",
-    "default_slo_spec",
 ]
 
 _KINDS = (
@@ -69,7 +70,7 @@ _KINDS = (
     "rate_above",
 )
 
-DEFAULT_BUDGET_WINDOW = 30 * 24 * 3600.0
+BUDGET_WINDOW = 30 * 24 * 3600.0  # error budgets are per 30 days
 
 
 @dataclass(frozen=True)
@@ -203,180 +204,60 @@ class Objective:
     ) -> float:
         return self.bad_fraction(store, window, now) / self.budget
 
-    # ------------------------------------------------------------------
-    # Spec (de)serialisation
-    # ------------------------------------------------------------------
 
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "name": self.name,
-            "kind": self.kind,
-            "target": self.target,
-            "windows": [
-                {
-                    "name": w.name,
-                    "short_seconds": w.short_seconds,
-                    "long_seconds": w.long_seconds,
-                    "threshold": w.threshold,
-                }
-                for w in self.windows
-            ],
-        }
-        for key in ("bad", "total", "metric", "description"):
-            value = getattr(self, key)
-            if value:
-                out[key] = value
-        if self.bound is not None:
-            out["bound"] = self.bound
-        if self.kind == "quantile_above":
-            out["quantile"] = self.quantile
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "Objective":
-        windows = tuple(
-            BurnWindow(
-                name=w.get("name", f"w{i}"),
-                short_seconds=float(w["short_seconds"]),
-                long_seconds=float(w["long_seconds"]),
-                threshold=float(w["threshold"]),
-            )
-            for i, w in enumerate(data.get("windows", ()))
-        ) or DEFAULT_WINDOWS
-        return cls(
-            name=data["name"],
-            kind=data["kind"],
-            target=float(data.get("target", 0.999)),
-            bad=data.get("bad"),
-            total=data.get("total"),
-            metric=data.get("metric"),
-            bound=(
-                float(data["bound"]) if "bound" in data else None
-            ),
-            quantile=float(data.get("quantile", 0.99)),
-            windows=windows,
-            description=data.get("description", ""),
-        )
-
-
-@dataclass(frozen=True)
-class SloSpec:
-    """A full SLO declaration: objectives + budget window + durability."""
-
-    objectives: tuple[Objective, ...]
-    budget_window_seconds: float = DEFAULT_BUDGET_WINDOW
-    durability: dict[str, str] = field(
-        default_factory=lambda: {
-            "margin_gauge": "fleet.repair.margin_min",
-            "at_risk_gauge": "fleet.at_risk_stripes",
-            "healthy_margin_gauge": "cluster.repair.healthy_margin",
-        }
-    )
-
-    def __post_init__(self) -> None:
-        if not self.objectives:
-            raise ValueError("an SLO spec needs at least one objective")
-        names = [o.name for o in self.objectives]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate objective names: {sorted(names)}")
-        check_seconds(self.budget_window_seconds, "budget_window_seconds")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "budget_window_seconds": self.budget_window_seconds,
-            "durability": dict(self.durability),
-            "objectives": [o.to_dict() for o in self.objectives],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "SloSpec":
-        return cls(
-            objectives=tuple(
-                Objective.from_dict(o)
-                for o in data.get("objectives", ())
-            ),
-            budget_window_seconds=float(
-                data.get("budget_window_seconds", DEFAULT_BUDGET_WINDOW)
-            ),
-            durability=dict(
-                data.get(
-                    "durability",
-                    {
-                        "margin_gauge": "fleet.repair.margin_min",
-                        "at_risk_gauge": "fleet.at_risk_stripes",
-                        "healthy_margin_gauge": (
-                            "cluster.repair.healthy_margin"
-                        ),
-                    },
-                )
-            ),
-        )
-
-    @classmethod
-    def load(cls, path: str | Path) -> "SloSpec":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
-
-def default_slo_spec() -> SloSpec:
-    """The objectives ROADMAP items 2/4 care about, ready to run.
-
-    Tuned for the repo's chaos drivers (logical 60 s scrape interval);
-    production deployments should declare their own spec file.
-    """
-    return SloSpec(
-        objectives=(
-            Objective(
-                name="availability",
-                kind="gauge_ratio",
-                bad="fleet.targets.down",
-                total="fleet.targets.total",
-                target=0.999,
-                description="fraction of fleet processes answering scrapes",
-            ),
-            Objective(
-                name="read-p99",
-                kind="quantile_above",
-                metric="cluster.get.seconds",
-                quantile=0.99,
-                bound=0.5,
-                target=0.99,
-                description="cluster object-read p99 stays under 500 ms",
-            ),
-            Objective(
-                name="shed-rate",
-                kind="ratio",
-                bad="serve.shed",
-                total="serve.requests",
-                target=0.99,
-                description="requests shed by admission control",
-            ),
-            Objective(
-                name="repair-margin",
-                kind="gauge_below",
-                metric="fleet.repair.margin_min",
-                bound=1.0,
-                target=0.999,
-                description="no stripe within one loss of its guarantee",
-            ),
-            Objective(
-                name="wan-read-rate",
-                kind="rate_above",
-                metric="sites.read.wan_bytes",
-                bound=1_000_000.0,
-                target=0.99,
-                description="cross-site read traffic under 1 MB/s",
-            ),
-            Objective(
-                name="at-risk-stripes",
-                kind="gauge_above",
-                metric="fleet.at_risk_stripes",
-                bound=0.0,
-                target=0.999,
-                description="scrub-derived count of margin-exhausted stripes",
-            ),
-        )
-    )
+# The objectives ROADMAP items 2/4 care about, tuned for the repo's
+# drivers (a logical 60 s scrape interval).
+DEFAULT_OBJECTIVES = (
+    Objective(
+        name="availability",
+        kind="gauge_ratio",
+        bad="fleet.targets.down",
+        total="fleet.targets.total",
+        target=0.999,
+        description="fraction of fleet processes answering scrapes",
+    ),
+    Objective(
+        name="read-p99",
+        kind="quantile_above",
+        metric="cluster.get.seconds",
+        quantile=0.99,
+        bound=0.5,
+        target=0.99,
+        description="cluster object-read p99 stays under 500 ms",
+    ),
+    Objective(
+        name="shed-rate",
+        kind="ratio",
+        bad="serve.shed",
+        total="serve.requests",
+        target=0.99,
+        description="requests shed by admission control",
+    ),
+    Objective(
+        name="repair-margin",
+        kind="gauge_below",
+        metric="fleet.repair.margin_min",
+        bound=1.0,
+        target=0.999,
+        description="no stripe within one loss of its guarantee",
+    ),
+    Objective(
+        name="wan-read-rate",
+        kind="rate_above",
+        metric="sites.read.wan_bytes",
+        bound=1_000_000.0,
+        target=0.99,
+        description="cross-site read traffic under 1 MB/s",
+    ),
+    Objective(
+        name="at-risk-stripes",
+        kind="gauge_above",
+        metric="fleet.at_risk_stripes",
+        bound=0.0,
+        target=0.999,
+        description="scrub-derived count of margin-exhausted stripes",
+    ),
+)
 
 
 class _AlertState:
@@ -390,17 +271,24 @@ class _AlertState:
 
 
 class SloEngine:
-    """Evaluate a spec against a time-series store; track alert state."""
+    """Evaluate objectives against a time-series store; track alerts."""
 
-    def __init__(self, spec: SloSpec | None = None):
-        self.spec = spec if spec is not None else default_slo_spec()
+    def __init__(
+        self, objectives: tuple[Objective, ...] = DEFAULT_OBJECTIVES
+    ):
+        names = [o.name for o in objectives]
+        if not names or len(set(names)) != len(names):
+            raise ValueError(
+                f"objective names must be present and unique: {names}"
+            )
+        self.objectives = tuple(objectives)
         self._states: dict[tuple[str, str], _AlertState] = {
             (o.name, w.name): _AlertState()
-            for o in self.spec.objectives
+            for o in self.objectives
             for w in o.windows
         }
         self._consumed: dict[str, float] = {
-            o.name: 0.0 for o in self.spec.objectives
+            o.name: 0.0 for o in self.objectives
         }
         self._last_eval: float | None = None
         self.transitions: list[dict[str, Any]] = []
@@ -414,27 +302,25 @@ class SloEngine:
     ) -> list[dict[str, Any]]:
         """One evaluation pass; returns the alert transitions it caused.
 
-        Transition records are plain dicts (``event: "slo.alert"``)
-        ready to append to a timeline JSONL next to the samples that
-        caused them.
+        ``now`` defaults to the newest sample's ``ts``.  The pass
+        charges each budget with the objective's bad fraction over the
+        time since the previous pass, and the first pass charges
+        nothing.  Transition records are plain dicts (``event:
+        "slo.alert"``) ready to append to a timeline JSONL next to the
+        samples that caused them.
         """
         latest = store.latest()
         if latest is None:
             return []
         if now is None:
             now = latest["ts"]
-        dt = (
-            now - self._last_eval
-            if self._last_eval is not None
-            else store.resolution
-        )
+        dt = 0.0 if self._last_eval is None else max(0.0, now - self._last_eval)
         self._last_eval = now
         transitions: list[dict[str, Any]] = []
-        for objective in self.spec.objectives:
-            inst_bad = objective.bad_fraction(
-                store, store.resolution, now
+        for objective in self.objectives:
+            self._consumed[objective.name] += (
+                objective.bad_fraction(store, dt, now) * dt
             )
-            self._consumed[objective.name] += inst_bad * max(0.0, dt)
             for window in objective.windows:
                 burn_short = objective.burn_rate(
                     store, window.short_seconds, now
@@ -490,33 +376,15 @@ class SloEngine:
         }
 
     def replay(self, store) -> list[dict[str, Any]]:
-        """Evaluate sample-by-sample over a loaded timeline.
+        """Evaluate at every sample's ``ts`` in turn, as a live run did.
 
-        Rebuilding alert history from a persisted timeline needs every
-        intermediate state, not just the final window — this feeds the
-        store's samples through a fresh scratch store one at a time so
-        fire/clear timestamps land exactly where they did live.
+        Every query reads only samples at-or-before its ``now``, so
+        the fire/clear timestamps and budgets land exactly where they
+        did live.
         """
-        from .timeseries import TimeSeriesStore
-
-        scratch = TimeSeriesStore(
-            resolution=store.resolution,
-            retention=max(2, store.retention),
-        )
         transitions: list[dict[str, Any]] = []
-        for sample in store.window(math.inf):
-            scratch.ingest(
-                {
-                    "ts": sample["ts"],
-                    "targets": sample["targets"],
-                    "merged": {
-                        "counters": sample["counters"],
-                        "gauges": sample["gauges"],
-                        "histograms": sample["histograms"],
-                    },
-                }
-            )
-            transitions.extend(self.evaluate(scratch, sample["ts"]))
+        for sample in store:
+            transitions.extend(self.evaluate(store, sample["ts"]))
         return transitions
 
     # ------------------------------------------------------------------
@@ -534,10 +402,9 @@ class SloEngine:
         """Margin-derived health score from the latest fleet sample."""
         latest = store.latest()
         gauges = latest["gauges"] if latest else {}
-        cfg = self.spec.durability
-        margin = gauges.get(cfg.get("margin_gauge", ""))
-        at_risk = gauges.get(cfg.get("at_risk_gauge", ""))
-        healthy = gauges.get(cfg.get("healthy_margin_gauge", ""))
+        margin = gauges.get("fleet.repair.margin_min")
+        at_risk = gauges.get("fleet.at_risk_stripes")
+        healthy = gauges.get("cluster.repair.healthy_margin")
         score = None
         if margin is not None and healthy is not None and healthy >= 0:
             score = max(
@@ -556,10 +423,8 @@ class SloEngine:
         if now is None and latest is not None:
             now = latest["ts"]
         objectives: dict[str, Any] = {}
-        for objective in self.spec.objectives:
-            budget_seconds = (
-                objective.budget * self.spec.budget_window_seconds
-            )
+        for objective in self.objectives:
+            budget_seconds = objective.budget * BUDGET_WINDOW
             consumed = self._consumed[objective.name]
             windows: dict[str, Any] = {}
             for window in objective.windows:
@@ -589,7 +454,7 @@ class SloEngine:
                 "description": objective.description,
                 "windows": windows,
                 "budget": {
-                    "window_seconds": self.spec.budget_window_seconds,
+                    "window_seconds": BUDGET_WINDOW,
                     "budget_seconds": budget_seconds,
                     "consumed_bad_seconds": round(consumed, 3),
                     "remaining_fraction": round(

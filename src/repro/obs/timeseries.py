@@ -1,4 +1,4 @@
-"""Bounded ring-buffer time series over fleet registry snapshots.
+"""Time series over fleet registry snapshots: the run's whole timeline.
 
 The per-process :class:`~repro.obs.registry.MetricsRegistry` is a
 point-in-time ledger: counters only ever grow, gauges hold the latest
@@ -6,9 +6,10 @@ value, histograms accumulate since process start.  A fleet dashboard
 and an SLO engine both need *history* — rates over the last five
 minutes, the p99 of reads in the last hour, whether a gauge crossed a
 threshold at any point in a window.  :class:`TimeSeriesStore` is that
-history: a fixed-size ring of merged fleet snapshots
-(:class:`~repro.obs.scrape.FleetScraper` views) with windowed queries
-derived the only way cumulative data allows —
+history: every ``fleet.sample`` record of a run (what
+:meth:`~repro.obs.scrape.FleetScraper.scrape_once` returns and a
+timeline file holds), with windowed queries derived the only way
+cumulative data allows —
 
 * **counters → windowed rates**: the increase between the newest
   sample and the last sample at-or-before the window start, clamped
@@ -22,20 +23,20 @@ derived the only way cumulative data allows —
   everywhere else, so a windowed p99 carries the same documented
   ~2.5% relative error bound.
 
-Every ingested sample can also be appended to a JSONL sink as a
-``fleet.sample`` record; :func:`load_timeline` replays such a file
-back into a store, which is how ``repro obs top --once`` and ``repro
-obs slo report`` render identical views offline from a chaos run's
-timeline artifact.
+Every query takes a ``now`` and reads only samples at-or-before it,
+so a store loaded from a timeline file by :func:`load_timeline` and
+queried at each sample's ``ts`` sees what the live store saw at that
+sample.  That is how ``repro obs top --once`` and ``repro obs slo``
+replay a run's alerts and fleet view offline.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from typing import Any, Callable, Iterable
+from bisect import bisect_right
+from operator import itemgetter
+from typing import Any, Callable, Iterator
 
-from .._checks import check_count, check_seconds
 from .registry import Histogram
 from .sink import read_jsonl
 
@@ -45,6 +46,8 @@ __all__ = [
     "subtract_summary",
     "summary_quantile",
 ]
+
+_ts = itemgetter("ts")
 
 
 def subtract_summary(
@@ -97,52 +100,27 @@ def summary_quantile(summary: dict[str, Any], q: float) -> float | None:
 
 
 class TimeSeriesStore:
-    """Fixed-retention ring buffer of fleet snapshot samples.
+    """Every ``fleet.sample`` record of one run, oldest first.
 
-    ``resolution`` is the *nominal* spacing between samples in logical
-    seconds (the scraper's injected clock decides actual timestamps);
-    ``retention`` bounds how many samples are kept, so memory is
-    ``O(retention × fleet metric count)`` regardless of run length.
+    A record is ``{"event": "fleet.sample", "index", "ts", "targets",
+    "counters", "gauges", "histograms"}``; :meth:`ingest` stamps the
+    index.  Samples are spaced by their own timestamps.
     """
 
-    def __init__(
-        self,
-        *,
-        resolution: float = 60.0,
-        retention: int = 360,
-        sink: Any = None,
-    ):
-        check_seconds(resolution, "resolution")
-        check_count(retention, "retention", 2)
-        self.resolution = float(resolution)
-        self.retention = int(retention)
-        self.sink = sink
-        self._samples: deque[dict[str, Any]] = deque(maxlen=retention)
-        self._ingested = 0
+    def __init__(self):
+        self._samples: list[dict[str, Any]] = []
 
     def __len__(self) -> int:
         return len(self._samples)
 
-    @property
-    def ingested(self) -> int:
-        """Total samples ever ingested (>= len() once the ring wraps)."""
-        return self._ingested
+    def __iter__(self) -> Iterator[dict[str, Any]]:
+        return iter(self._samples)
 
-    # ------------------------------------------------------------------
-    # Ingest + persistence
-    # ------------------------------------------------------------------
-
-    def ingest(self, view: dict[str, Any]) -> dict[str, Any]:
-        """Append one fleet view (a scraper merge) to the ring."""
-        merged = view.get("merged", {})
-        sample = {
-            "index": self._ingested,
-            "ts": float(view.get("ts", 0.0)),
-            "targets": dict(view.get("targets", {})),
-            "counters": dict(merged.get("counters", {})),
-            "gauges": dict(merged.get("gauges", {})),
-            "histograms": dict(merged.get("histograms", {})),
-        }
+    def ingest(self, record: dict[str, Any]) -> dict[str, Any]:
+        """Append one sample record stamped with its position as
+        ``index`` (a record read back from a timeline keeps the index
+        it was written with); return the stored record."""
+        sample = {"event": "fleet.sample", "index": len(self), **record}
         last = self.latest()
         if last is not None and sample["ts"] < last["ts"]:
             raise ValueError(
@@ -150,9 +128,6 @@ class TimeSeriesStore:
                 f"sample ts {last['ts']} (clock went backwards)"
             )
         self._samples.append(sample)
-        self._ingested += 1
-        if self.sink is not None:
-            self.sink.emit({"event": "fleet.sample", **sample})
         return sample
 
     # ------------------------------------------------------------------
@@ -162,45 +137,34 @@ class TimeSeriesStore:
     def latest(self) -> dict[str, Any] | None:
         return self._samples[-1] if self._samples else None
 
+    def _upto(self, ts: float) -> int:
+        """How many samples have ``ts`` at-or-before ``ts``."""
+        return bisect_right(self._samples, ts, key=_ts)
+
     def window(
         self, window: float, now: float | None = None
     ) -> list[dict[str, Any]]:
         """Samples with ``ts`` in ``(now − window, now]``.
 
-        A window narrower than the sampling resolution still yields
-        the newest sample — a query can always see *something* — and
-        ``now`` defaults to the newest sample's timestamp.
+        A window narrower than the sample spacing still yields the
+        newest sample at-or-before ``now`` — a query can always see
+        *something* — and ``now`` defaults to the newest sample's
+        timestamp.
         """
-        if not self._samples:
-            return []
         if now is None:
+            if not self._samples:
+                return []
             now = self._samples[-1]["ts"]
-        lo = now - float(window)
-        picked = [
-            s for s in self._samples if lo < s["ts"] <= now
-        ]
-        if not picked:
-            newest = max(
-                (s for s in self._samples if s["ts"] <= now),
-                key=lambda s: s["ts"],
-                default=None,
-            )
-            if newest is not None:
-                picked = [newest]
-        return picked
+        hi = self._upto(now)
+        lo = min(self._upto(now - float(window)), max(0, hi - 1))
+        return self._samples[lo:hi]
 
     def _baseline(
         self, window: float, now: float
     ) -> dict[str, Any] | None:
         """Last sample at-or-before the window start (rate baseline)."""
-        lo = now - float(window)
-        base = None
-        for s in self._samples:
-            if s["ts"] <= lo:
-                base = s
-            else:
-                break
-        return base
+        i = self._upto(now - float(window))
+        return self._samples[i - 1] if i else None
 
     def counter_increase(
         self, name: str, window: float, now: float | None = None
@@ -231,7 +195,7 @@ class TimeSeriesStore:
         first = base if base is not None else samples[0]
         elapsed = end["ts"] - first["ts"]
         if elapsed <= 0:
-            elapsed = self.resolution
+            return 0.0
         return self.counter_increase(name, window, now) / elapsed
 
     def gauge_stats(
@@ -292,39 +256,18 @@ class TimeSeriesStore:
         return bad / len(samples)
 
 
-def load_timeline(
-    path: Any,
-    *,
-    resolution: float = 60.0,
-    retention: int = 100_000,
-) -> TimeSeriesStore:
-    """Replay a persisted timeline JSONL back into a store.
+def load_timeline(path: Any) -> TimeSeriesStore:
+    """Load a persisted timeline JSONL into a store.
 
     Only ``fleet.sample`` records are consumed; any other events in
     the file (alert transitions, driver notes) are ignored, so the
     same artifact can interleave samples and annotations.
     """
-    store = TimeSeriesStore(resolution=resolution, retention=retention)
-    samples: Iterable[dict[str, Any]] = (
-        record
-        for record in read_jsonl(path)
-        if record.get("event") == "fleet.sample"
-    )
-    count = 0
-    for record in samples:
-        store.ingest(
-            {
-                "ts": record.get("ts", 0.0),
-                "targets": record.get("targets", {}),
-                "merged": {
-                    "counters": record.get("counters", {}),
-                    "gauges": record.get("gauges", {}),
-                    "histograms": record.get("histograms", {}),
-                },
-            }
-        )
-        count += 1
-    if count == 0:
+    store = TimeSeriesStore()
+    for record in read_jsonl(path):
+        if record.get("event") == "fleet.sample":
+            store.ingest(record)
+    if not len(store):
         raise ValueError(
             f"timeline {str(path)!r} holds no fleet.sample records"
         )

@@ -146,6 +146,21 @@ def check_slo_gate_mid_incident(timeline) -> None:
     assert "FIRING availability" in out.getvalue()
 
 
+def check_live_alerts_match_replay(report, timeline) -> None:
+    """The alerts a run reported are the ``slo.alert`` records of its
+    timeline, and replaying the timeline's samples finds them again."""
+    from repro.obs import SloEngine, load_timeline
+
+    alerts = _report(report)["telemetry"]["alerts"]
+    records = [
+        record
+        for line in Path(timeline).read_text().splitlines()
+        if (record := json.loads(line))["event"] == "slo.alert"
+    ]
+    assert alerts == records, (alerts, records)
+    assert SloEngine().replay(load_timeline(timeline)) == alerts
+
+
 def check_campaign_zero_loss(report) -> None:
     """Every object verifies, no acknowledged put vanished and every
     WAL recovery reproduced the coordinator's state."""

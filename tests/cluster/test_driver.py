@@ -7,6 +7,7 @@ from repro.cli import main
 from ..checks import (
     check_alerts_fire_and_clear,
     check_cluster_loadgen,
+    check_live_alerts_match_replay,
     check_repair_pipelined,
     check_slo_gate_mid_incident,
 )
@@ -147,6 +148,7 @@ class TestClusterLoadgenCLI:
 
         timeline = telemetry["timeline"]
         assert timeline.endswith("timeline.jsonl")
+        check_live_alerts_match_replay(report, timeline)
         # Replay verbs agree with the live run: the dashboard renders
         # and a full (healed) timeline passes the SLO gate.
         assert main(["obs", "top", timeline, "--once"]) == 0

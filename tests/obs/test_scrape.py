@@ -84,7 +84,7 @@ class TestMerge:
             },
             clock=LogicalClock(),
         )
-        merged = scraper.scrape_once()["merged"]
+        merged = scraper.scrape_once()
         assert merged["counters"]["node.gets"] == 42
 
     def test_gauges_suffix_only_multi_target_roles(self):
@@ -97,8 +97,8 @@ class TestMerge:
             },
             clock=LogicalClock(),
         )
-        gauges = scraper.scrape_once()["merged"]["gauges"]
-        # One coordinator: plain name survives for stable SLO specs.
+        gauges = scraper.scrape_once()["gauges"]
+        # One coordinator: plain name survives for stable SLO objectives.
         assert gauges["cluster.objects"] == 4.0
         assert "cluster.objects.coordinator" not in gauges
         # Two nodes: per-target suffixes.
@@ -121,7 +121,7 @@ class TestMerge:
             },
             clock=LogicalClock(),
         )
-        gauges = scraper.scrape_once()["merged"]["gauges"]
+        gauges = scraper.scrape_once()["gauges"]
         assert gauges["fleet.repair.margin_min"] == 2.0
         assert gauges["fleet.at_risk_stripes"] == 1.0
         assert gauges["fleet.objects"] == 6.0
@@ -145,7 +145,7 @@ class TestMerge:
             },
             clock=LogicalClock(),
         )
-        merged = scraper.scrape_once()["merged"]["histograms"]["lat"]
+        merged = scraper.scrape_once()["histograms"]["lat"]
         assert merged["count"] == 4
         both = Histogram("h")
         for v in (0.001, 0.002, 0.004, 0.008):
@@ -174,9 +174,9 @@ class TestFailureHandling:
         assert scraper.failures["node-0"] == 1
         # The last good snapshot keeps feeding the merge: fleet
         # counters must not jump backwards while a node is dark.
-        assert view["merged"]["counters"]["node.gets"] == 50
-        assert view["merged"]["gauges"]["fleet.targets.down"] == 1.0
-        assert view["merged"]["gauges"]["up.node-0"] == 0.0
+        assert view["counters"]["node.gets"] == 50
+        assert view["gauges"]["fleet.targets.down"] == 1.0
+        assert view["gauges"]["up.node-0"] == 0.0
 
     def test_never_seen_target_contributes_nothing(self):
         scraper = make_scraper(
@@ -189,7 +189,7 @@ class TestFailureHandling:
         )
         view = scraper.scrape_once()
         assert view["targets"]["node-0"]["stale"] is False
-        assert "node.gets" not in view["merged"]["counters"]
+        assert "node.gets" not in view["counters"]
 
     def test_recovery_clears_staleness(self):
         clock = LogicalClock()
@@ -205,17 +205,17 @@ class TestFailureHandling:
 
 
 class TestStoreIntegration:
-    def test_scrapes_auto_ingest_with_logical_timestamps(self):
+    def test_scrapes_are_the_store_records_with_logical_timestamps(self):
         clock = LogicalClock()
-        store = TimeSeriesStore(resolution=60.0)
+        store = TimeSeriesStore()
         responses = {"node-0": snapshot(counters={"node.gets": 10})}
-        scraper = make_scraper(
-            [NODE_A], responses, clock=clock, store=store
-        )
+        scraper = make_scraper([NODE_A], responses, clock=clock)
         for gets in (10, 40, 100):
             responses["node-0"] = snapshot(counters={"node.gets": gets})
             clock.advance(60.0)
-            scraper.scrape_once()
+            record = scraper.scrape_once()
+            assert record["event"] == "fleet.sample"
+            assert store.ingest(record) == {"index": len(store) - 1, **record}
         assert len(store) == 3
         assert store.latest()["ts"] == 180.0
         assert store.counter_rate("node.gets", 120.0) == pytest.approx(

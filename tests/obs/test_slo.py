@@ -1,29 +1,27 @@
 """Tests for SLO burn-rate alerting and error budgets (repro.obs.slo)."""
 
-import json
-
 import pytest
 
 from repro.obs import (
     BurnWindow,
     Histogram,
+    JsonlSink,
     Objective,
     SloEngine,
-    SloSpec,
     TimeSeriesStore,
-    default_slo_spec,
+    load_timeline,
 )
 
 
 def view(ts, counters=None, gauges=None, histograms=None):
+    """A ``fleet.sample`` record as a scraper returns it."""
     return {
+        "event": "fleet.sample",
         "ts": ts,
         "targets": {},
-        "merged": {
-            "counters": counters or {},
-            "gauges": gauges or {},
-            "histograms": histograms or {},
-        },
+        "counters": counters or {},
+        "gauges": gauges or {},
+        "histograms": histograms or {},
     }
 
 
@@ -57,24 +55,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="needs 'metric'"):
             Objective(name="x", kind="gauge_above")
 
-    def test_spec_rejects_duplicates(self):
+    def test_engine_rejects_duplicate_or_no_objectives(self):
         o = Objective(
             name="x", kind="gauge_above", metric="m", bound=1.0
         )
-        with pytest.raises(ValueError, match="duplicate"):
-            SloSpec(objectives=(o, o))
-
-
-class TestSpecSerialisation:
-    def test_default_spec_roundtrips(self):
-        spec = default_slo_spec()
-        again = SloSpec.from_dict(spec.to_dict())
-        assert again == spec
-
-    def test_load_from_file(self, tmp_path):
-        path = tmp_path / "slo.json"
-        path.write_text(json.dumps(default_slo_spec().to_dict()))
-        assert SloSpec.load(path) == default_slo_spec()
+        with pytest.raises(ValueError, match="unique"):
+            SloEngine((o, o))
+        with pytest.raises(ValueError, match="present"):
+            SloEngine(())
 
 
 class TestBadFraction:
@@ -152,19 +140,17 @@ class TestBadFraction:
 
 class TestBurnRateAlerting:
     def engine_and_store(self):
-        spec = SloSpec(
-            objectives=(
-                Objective(
-                    name="availability",
-                    kind="gauge_ratio",
-                    bad="fleet.targets.down",
-                    total="fleet.targets.total",
-                    target=0.999,
-                    windows=(BurnWindow("fast", 300.0, 3600.0, 14.4),),
-                ),
-            )
+        objectives = (
+            Objective(
+                name="availability",
+                kind="gauge_ratio",
+                bad="fleet.targets.down",
+                total="fleet.targets.total",
+                target=0.999,
+                windows=(BurnWindow("fast", 300.0, 3600.0, 14.4),),
+            ),
         )
-        return SloEngine(spec), TimeSeriesStore(resolution=60.0)
+        return SloEngine(objectives), TimeSeriesStore()
 
     def drive(self, engine, store, down_at):
         """Feed 60s-spaced samples; return ts -> transitions."""
@@ -201,8 +187,8 @@ class TestBurnRateAlerting:
         assert runs[0] == runs[1]
 
     def test_single_blip_does_not_fire_when_long_window_disagrees(self):
-        spec = SloSpec(
-            objectives=(
+        engine = SloEngine(
+            (
                 Objective(
                     name="availability",
                     kind="gauge_ratio",
@@ -213,8 +199,7 @@ class TestBurnRateAlerting:
                 ),
             )
         )
-        engine = SloEngine(spec)
-        store = TimeSeriesStore(resolution=60.0)
+        store = TimeSeriesStore()
         gauges = availability_samples(total=4.0, down={40})
         fired = []
         for i in range(42):
@@ -229,7 +214,7 @@ class TestBurnRateAlerting:
         live_engine, store = self.engine_and_store()
         live = self.drive(live_engine, store, down_at={10, 11})
         flat_live = [t for ts in sorted(live) for t in live[ts]]
-        replay_engine = SloEngine(live_engine.spec)
+        replay_engine = SloEngine(live_engine.objectives)
         replayed = replay_engine.replay(store)
         assert replayed == flat_live
 
@@ -261,7 +246,7 @@ class TestReporting:
 
     def test_status_shape_and_budget_accounting(self):
         engine = SloEngine()
-        store = TimeSeriesStore(resolution=60.0)
+        store = TimeSeriesStore()
         gauges = availability_samples(total=4.0, down={1, 2})
         for i in range(4):
             ts = float((i + 1) * 60)
@@ -271,8 +256,9 @@ class TestReporting:
         avail = status["objectives"]["availability"]
         assert set(avail["windows"]) == {"fast", "slow"}
         budget = avail["budget"]
-        # Two dark samples consumed bad-seconds from the budget.
-        assert budget["consumed_bad_seconds"] > 0
+        # Two dark samples, a quarter of the fleet each, over their
+        # 60-s intervals.
+        assert budget["consumed_bad_seconds"] == 30.0
         assert 0.0 <= budget["remaining_fraction"] < 1.0
         assert status["samples"] == 4
         for name in (
@@ -283,3 +269,72 @@ class TestReporting:
             "at-risk-stripes",
         ):
             assert name in status["objectives"]
+
+
+def live_and_replayed(tmp_path, records):
+    """Evaluate each record as a driver does — ingest, persist, then
+    evaluate the live store — and replay the file it wrote.
+
+    Returns the live engine and store, and the replaying engine and
+    the store it loaded.
+    """
+    path = tmp_path / "timeline.jsonl"
+    live, store = SloEngine(), TimeSeriesStore()
+    with JsonlSink(path) as sink:
+        for record in records:
+            sink.emit(store.ingest(record))
+            for transition in live.evaluate(store):
+                sink.emit(transition)
+    loaded = load_timeline(path)
+    replayed = SloEngine()
+    replayed.replay(loaded)
+    return live, store, replayed, loaded
+
+
+class TestOneStore:
+    """The live engine and the replay of its timeline are one run."""
+
+    def test_live_alerts_equal_replay_past_360_samples(self, tmp_path):
+        """A live ring of 360 samples once lost the slow pair's 6-h
+        baseline, so the live run saw nothing while the replay fired."""
+        n = 400
+        oldest = n - 360  # first interval of the last sample's 6-h window
+        requests = shed = 0
+        records = []
+        for i in range(n):
+            requests += 100 if i else 0
+            shed += {oldest: 1800, n - 1: 400}.get(i, 0)
+            records.append(
+                view(
+                    float(i * 60),
+                    counters={"serve.requests": requests, "serve.shed": shed},
+                )
+            )
+        live, store, replayed, _ = live_and_replayed(tmp_path, records)
+        assert len(store) == n
+        assert live.transitions == replayed.transitions
+        assert [
+            (t["objective"], t["window"], t["state"], t["ts"])
+            for t in live.transitions
+        ] == [
+            ("shed-rate", "fast", "firing", oldest * 60.0),
+            ("shed-rate", "slow", "firing", oldest * 60.0),
+            ("shed-rate", "fast", "ok", (oldest + 5) * 60.0),
+            ("shed-rate", "slow", "ok", (oldest + 60) * 60.0),
+            ("shed-rate", "slow", "firing", (n - 1) * 60.0),
+        ]
+        assert live.firing() == replayed.firing() == [
+            {"objective": "shed-rate", "window": "slow"}
+        ]
+
+    def test_budgets_agree_at_30s_spacing(self, tmp_path):
+        """Each sample charges its own interval: three samples with one
+        of four targets dark, 30 s apart, are 3 x 0.25 x 30 s."""
+        gauges = availability_samples(total=4.0, down={7, 8, 9})
+        records = [view(float(i * 30), gauges=gauges(i)) for i in range(10)]
+        live, store, replayed, loaded = live_and_replayed(tmp_path, records)
+        live_status = live.status(store)
+        replayed_status = replayed.status(loaded)
+        assert live_status == replayed_status
+        budget = live_status["objectives"]["availability"]["budget"]
+        assert budget["consumed_bad_seconds"] == 22.5

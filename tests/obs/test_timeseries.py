@@ -12,54 +12,57 @@ from repro.obs import (
 )
 
 
-def view(ts, counters=None, gauges=None, histograms=None, targets=None):
+def sample(ts, counters=None, gauges=None, histograms=None, targets=None):
+    """A ``fleet.sample`` record as a scraper returns it (no index)."""
     return {
+        "event": "fleet.sample",
         "ts": ts,
         "targets": targets or {},
-        "merged": {
-            "counters": counters or {},
-            "gauges": gauges or {},
-            "histograms": histograms or {},
-        },
+        "counters": counters or {},
+        "gauges": gauges or {},
+        "histograms": histograms or {},
     }
 
 
-def filled_store(points, **kwargs):
+def filled_store(points):
     """points: list of (ts, counters, gauges) triples."""
-    store = TimeSeriesStore(**kwargs)
+    store = TimeSeriesStore()
     for ts, counters, gauges in points:
-        store.ingest(view(ts, counters=counters, gauges=gauges))
+        store.ingest(sample(ts, counters=counters, gauges=gauges))
     return store
 
 
 class TestIngest:
-    def test_samples_are_ring_buffered(self):
-        store = TimeSeriesStore(retention=3)
+    def test_ingest_keeps_every_sample_and_stamps_its_index(self):
+        store = TimeSeriesStore()
         for t in range(5):
-            store.ingest(view(float(t * 60)))
-        assert len(store) == 3
-        assert store.ingested == 5
-        assert store.latest()["ts"] == 240.0
-        # Indices keep counting even after the ring wraps.
-        assert store.latest()["index"] == 4
+            got = store.ingest(sample(float(t * 60)))
+        assert len(store) == 5
+        assert [s["index"] for s in store] == [0, 1, 2, 3, 4]
+        # The returned record is what a timeline persists, keys in
+        # the file's order.
+        assert got is store.latest()
+        assert list(got) == [
+            "event",
+            "index",
+            "ts",
+            "targets",
+            "counters",
+            "gauges",
+            "histograms",
+        ]
 
     def test_backwards_clock_is_rejected(self):
         store = TimeSeriesStore()
-        store.ingest(view(120.0))
+        store.ingest(sample(120.0))
         with pytest.raises(ValueError, match="clock went backwards"):
-            store.ingest(view(60.0))
+            store.ingest(sample(60.0))
 
     def test_equal_timestamps_are_allowed(self):
         store = TimeSeriesStore()
-        store.ingest(view(60.0))
-        store.ingest(view(60.0))
+        store.ingest(sample(60.0))
+        store.ingest(sample(60.0))
         assert len(store) == 2
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TimeSeriesStore(resolution=0)
-        with pytest.raises(ValueError):
-            TimeSeriesStore(retention=1)
 
 
 class TestWindowQueries:
@@ -75,6 +78,20 @@ class TestWindowQueries:
         store = filled_store([(0.0, {}, {}), (60.0, {}, {})])
         picked = store.window(0.5, now=60.0)
         assert [s["ts"] for s in picked] == [60.0]
+
+    def test_queries_read_only_samples_at_or_before_now(self):
+        """What a replay at a past sample's ts relies on."""
+        store = filled_store(
+            [
+                (0.0, {"reads": 0}, {"g": 1.0}),
+                (60.0, {"reads": 10}, {"g": 2.0}),
+                (120.0, {"reads": 1000}, {"g": 9.0}),
+            ]
+        )
+        assert store.counter_increase("reads", 1e9, now=60.0) == 10.0
+        assert store.gauge_stats("g", 1e9, now=60.0)["max"] == 2.0
+        assert [s["ts"] for s in store.window(0.5, now=90.0)] == [60.0]
+        assert store.window(60.0, now=-1.0) == []
 
     def test_counter_increase_and_rate(self):
         store = filled_store(
@@ -153,8 +170,8 @@ class TestWindowedHistograms:
         fast = self.hist_summary([0.002] * 50)
         slow_tail = self.hist_summary([0.002] * 50 + [0.8] * 50)
         store = TimeSeriesStore()
-        store.ingest(view(0.0, histograms={"lat": fast}))
-        store.ingest(view(60.0, histograms={"lat": slow_tail}))
+        store.ingest(sample(0.0, histograms={"lat": fast}))
+        store.ingest(sample(60.0, histograms={"lat": slow_tail}))
         # Full history includes the fast baseline...
         assert store.histogram_quantile(
             "lat", 0.25, 1e9
@@ -171,32 +188,34 @@ class TestWindowedHistograms:
 class TestPersistence:
     def test_sink_roundtrip_via_load_timeline(self, tmp_path):
         path = tmp_path / "timeline.jsonl"
-        store = TimeSeriesStore(sink=JsonlSink(path))
-        store.ingest(
-            view(
-                60.0,
-                counters={"reads": 5},
-                gauges={"up": 1.0},
-                targets={"c": {"up": True}},
+        store = TimeSeriesStore()
+        with JsonlSink(path) as sink:
+            sink.emit(
+                store.ingest(
+                    sample(
+                        60.0,
+                        counters={"reads": 5},
+                        gauges={"up": 1.0},
+                        targets={"c": {"up": True}},
+                    )
+                )
             )
-        )
-        store.ingest(view(120.0, counters={"reads": 9}))
-        store.sink.close()
+            sink.emit(store.ingest(sample(120.0, counters={"reads": 9})))
         loaded = load_timeline(path)
-        assert len(loaded) == 2
+        assert list(loaded) == list(store)
         assert loaded.latest()["counters"]["reads"] == 9
         assert loaded.window(1e9)[0]["targets"] == {"c": {"up": True}}
 
     def test_load_timeline_ignores_foreign_events(self, tmp_path):
         path = tmp_path / "timeline.jsonl"
-        sink = JsonlSink(path)
-        sink.emit({"event": "slo.alert", "state": "firing"})
-        sink.emit({"event": "fleet.sample", "ts": 60.0})
-        sink.close()
+        with JsonlSink(path) as sink:
+            sink.emit({"event": "slo.alert", "state": "firing"})
+            sink.emit(sample(60.0))
         assert len(load_timeline(path)) == 1
 
     def test_load_timeline_without_samples_raises(self, tmp_path):
         path = tmp_path / "timeline.jsonl"
-        JsonlSink(path).emit({"event": "other"})
+        with JsonlSink(path) as sink:
+            sink.emit({"event": "other"})
         with pytest.raises(ValueError, match="no fleet.sample"):
             load_timeline(path)

@@ -11,7 +11,7 @@ from repro.obs import (
 from repro.obs.top import format_bytes
 
 
-def fleet_view(ts, down=0):
+def fleet_sample(ts, down=0):
     h = Histogram("cluster.get.seconds")
     for _ in range(20):
         h.observe(0.003)
@@ -37,30 +37,30 @@ def fleet_view(ts, down=0):
                 "error": "ConnectionError: refused" if down else None,
             },
         },
-        "merged": {
-            "counters": {
-                "cluster.get.objects": 100 + ts,
-                "cluster.repair.bytes": 4096,
-            },
-            "gauges": {
-                "fleet.targets.total": 2.0,
-                "fleet.targets.up": 2.0 - down,
-                "fleet.targets.down": float(down),
-                "fleet.repair.margin_min": 3.0,
-                "fleet.at_risk_stripes": 0.0,
-                "fleet.repair.queue_depth": 0.0,
-                "cluster.repair.healthy_margin": 3.0,
-            },
-            "histograms": {"cluster.get.seconds": h.summary()},
+        "counters": {
+            "cluster.get.objects": 100 + ts,
+            "cluster.repair.bytes": 4096,
         },
+        "gauges": {
+            "fleet.targets.total": 2.0,
+            "fleet.targets.up": 2.0 - down,
+            "fleet.targets.down": float(down),
+            "fleet.repair.margin_min": 3.0,
+            "fleet.at_risk_stripes": 0.0,
+            "fleet.repair.queue_depth": 0.0,
+            "cluster.repair.healthy_margin": 3.0,
+        },
+        "histograms": {"cluster.get.seconds": h.summary()},
     }
 
 
 def filled_store(sink=None, down_last=False):
-    store = TimeSeriesStore(resolution=60.0, sink=sink)
+    store = TimeSeriesStore()
     for i in range(5):
         down = 1 if (down_last and i == 4) else 0
-        store.ingest(fleet_view(float((i + 1) * 60), down=down))
+        sample = store.ingest(fleet_sample(float((i + 1) * 60), down=down))
+        if sink is not None:
+            sink.emit(sample)
     return store
 
 
@@ -119,7 +119,7 @@ class TestRenderTop:
         live_engine.replay(live_store)
         live_frame = render_top(live_store, live_engine)
 
-        replayed = load_timeline(path, resolution=60.0)
+        replayed = load_timeline(path)
         replay_engine = SloEngine()
         replay_engine.replay(replayed)
         assert render_top(replayed, replay_engine) == live_frame

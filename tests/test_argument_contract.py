@@ -58,13 +58,7 @@ from repro.graphs import (
     striped_graph,
     tornado_catalog_graph,
 )
-from repro.obs import (
-    BurnWindow,
-    SloSpec,
-    TimeSeriesStore,
-    capture,
-    default_slo_spec,
-)
+from repro.obs import BurnWindow, capture
 from repro.raid import raid5_system
 from repro.reliability import (
     BathtubHazard,
@@ -260,8 +254,6 @@ ROWS = [
               lambda v, p, name=name: ClusterLoadConfig(**{name: v}), 1)
         for name in ("nodes", "objects", "scrape_every")
     ),
-    seconds("cluster-loadgen", "scrape_interval",
-            lambda v, p: ClusterLoadConfig(scrape_interval=v)),
     # obs
     seconds("burn-window", "short_seconds",
             lambda v, p: BurnWindow("w", v, 60.0, 2.0)),
@@ -269,12 +261,6 @@ ROWS = [
             lambda v, p: BurnWindow("w", 60.0, v, 2.0)),
     seconds("burn-window", "threshold",
             lambda v, p: BurnWindow("w", 60.0, 60.0, v)),
-    seconds("slo", "budget_window_seconds", lambda v, p: SloSpec(
-        default_slo_spec().objectives, budget_window_seconds=v)),
-    seconds("timeseries", "resolution",
-            lambda v, p: TimeSeriesStore(resolution=v)),
-    count("timeseries", "retention",
-          lambda v, p: TimeSeriesStore(retention=v), 2),
     # reliability
     seconds("calibrated-scale", "shape",
             lambda v, p: calibrated_scale(0.01, v)),

@@ -793,7 +793,7 @@ class TestFleetTimelineVerbs:
         assert main(["obs", "top", str(path), "--once"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
-        assert "empty" in err
+        assert "no fleet.sample records" in err
 
 
 class TestSitesVerbs:
@@ -874,3 +874,49 @@ class TestSitesVerbs:
         )
         assert code == 2
         assert "mutually exclusive" in capsys.readouterr().err
+
+
+class TestDaemonUsageErrors:
+    """A daemon verb refuses bad flags before it turns on the
+    process-wide metrics registry, so an in-process ``main`` that
+    exits 2 leaves collection off for whatever runs next."""
+
+    @pytest.fixture
+    def registry_off(self):
+        from repro.obs import disable
+
+        disable()
+        yield
+        disable()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["cluster", "coordinator", "--graph", "g.graphml",
+                 "--catalog", "2"],
+                "mutually exclusive",
+            ),
+            (
+                ["cluster", "node", "--id", "node-0", "--port", "0",
+                 "--coordinator", "nonsense"],
+                "HOST:PORT",
+            ),
+            (
+                ["sites", "gateway", "--manifest", "MANIFEST",
+                 "--attach", "nonsense"],
+                "SITE=HOST:PORT",
+            ),
+        ],
+        ids=lambda v: v[1] if isinstance(v, list) else None,
+    )
+    def test_exit_2_leaves_the_registry_off(
+        self, argv, message, registry_off, tmp_path, capsys
+    ):
+        from repro.obs import metrics_enabled
+
+        manifest = TestSitesVerbs().make_manifest(tmp_path)
+        argv = [manifest if a == "MANIFEST" else a for a in argv]
+        assert main([*argv, "--max-seconds", "0.01"]) == 2
+        assert message in capsys.readouterr().err
+        assert not metrics_enabled()

@@ -144,12 +144,12 @@ EXPORTS = {
         "replicated_graph", "striped_graph", "tornado_catalog_graph",
     },
     "repro.obs": {
-        "BUCKET_GAMMA", "BurnWindow", "Counter", "FleetScraper", "Gauge", "Histogram",
-        "JsonlSink", "LogicalClock", "MetricsRegistry", "NullRegistry", "Objective",
-        "RunManifest", "ScrapeTarget", "SeedLike", "SloEngine", "SloSpec", "Span",
-        "SpanNode", "TimeSeriesStore", "Tracer", "add_trace_event", "bucket_midpoint",
-        "bucket_upper_bound", "build_trace_trees", "capture", "context_seed",
-        "current_context", "current_span", "default_slo_spec", "derive_seed", "disable",
+        "BUCKET_GAMMA", "BurnWindow", "Counter", "DEFAULT_OBJECTIVES", "FleetScraper",
+        "Gauge", "Histogram", "JsonlSink", "LogicalClock", "MetricsRegistry",
+        "NullRegistry", "Objective", "RunManifest", "ScrapeTarget", "SeedLike",
+        "SloEngine", "Span", "SpanNode", "TimeSeriesStore", "Tracer", "add_trace_event",
+        "bucket_midpoint", "bucket_upper_bound", "build_trace_trees", "capture",
+        "context_seed", "current_context", "current_span", "derive_seed", "disable",
         "disable_tracing", "enable", "enable_tracing", "format_phase_report",
         "format_tail", "load_events", "load_timeline", "metrics_enabled", "phase_stats",
         "read_jsonl", "registry", "render_prometheus", "render_top",

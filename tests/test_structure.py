@@ -205,7 +205,7 @@ LINTS = {
     "spans-stay-home": Lint(
         r"\.(ingest|export)\(",
         ("src",),
-        exempt=r"^src/repro/sim/montecarlo\.py:|(store|scratch)\.ingest\(",
+        exempt=r"^src/repro/sim/montecarlo\.py:|store\.ingest\(",
     ),
     # ... no frame carries spans, and metrics cross the wire only as a
     # ``metrics.snapshot``.
@@ -217,6 +217,14 @@ LINTS = {
     # or interpolated over.
     "one-sweep-failure-path": Lint(
         r"max_retries|uncovered_ks|fully_covered|cell_abandoned|coverage=",
+        ("src",),
+    ),
+    # Fleet telemetry keeps one store: the run's whole timeline, spaced
+    # by its own timestamps and judged by the built-in objectives, so
+    # the live alerts are the replay of the file.  No ring, no guessed
+    # interval, no spec file.
+    "one-telemetry-store": Lint(
+        r"retention|resolution=|SloSpec|scrape[_-]interval|slo[_-]spec|\"--spec\"",
         ("src",),
     ),
     "networkx-behind-graphml": Lint(
