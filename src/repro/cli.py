@@ -89,13 +89,15 @@ _OPERATIONAL_ERRORS = (OSError, ValueError, KeyError, RuntimeError)
 
 def build_parser() -> argparse.ArgumentParser:
     # The four fleet-scenario verbs take their options from the fields
-    # of their config dataclasses.  ``import repro`` loads nothing, so
-    # these imports load the fleet and networking modules for every
-    # command, ``--help`` included (cost: docs/PERF.md, "Cold start").
-    from .cluster import ClusterLoadConfig
-    from .cluster.fleet import add_config_options
-    from .resilience import ClusterCampaignConfig
-    from .sites import SitesCampaignConfig, SitesLoadConfig
+    # of their config dataclasses, which live in a module that loads no
+    # fleet or networking code (docs/PERF.md, "Cold start").
+    from .scenarios import (
+        ClusterCampaignConfig,
+        ClusterLoadConfig,
+        SitesCampaignConfig,
+        SitesLoadConfig,
+        add_config_options,
+    )
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -124,10 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="generate, screen, adjust and export a graph",
         parents=[common],
     )
-    p.add_argument("--num-data", type=int, default=48)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--target", type=int, default=5,
-                   help="target first failure (default 5)")
     p.add_argument("--out", default=None,
                    help="GraphML output path (default: derived from seed)")
 
@@ -184,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
     )
     p.add_argument("graph", help="GraphML file")
-    p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--decoder", choices=["peeling", "ml"], default="peeling")
     p.add_argument("--seed", type=int, default=0)
 
@@ -227,15 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="objects stored in the archive (default 4)")
     p.add_argument("--object-size", type=int, default=4096,
                    help="bytes per object (default 4096)")
-    p.add_argument("--steps-per-year", type=int, default=52)
-    p.add_argument("--replacement-lag", type=int, default=2,
-                   help="steps before a failed device's replacement")
-    p.add_argument("--repair-margin", type=int, default=2,
-                   help="stripe-margin threshold for proactive repair")
-    p.add_argument("--scrub-interval", type=int, default=4,
-                   help="steps between integrity scrubs (0 disables)")
-    p.add_argument("--read-interval", type=int, default=4,
-                   help="steps between degraded-read probes (0 disables)")
     p.add_argument(
         "--hazard",
         choices=("binomial", "weibull", "bathtub"),
@@ -289,14 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serving.add_argument("--max-batch", type=int, default=32,
                          help="requests per micro-batch (default 32)")
-    serving.add_argument("--queue-limit", type=int, default=256,
-                         help="admission-control bound (default 256)")
-    serving.add_argument(
-        "--plan-capacity",
-        type=int,
-        default=256,
-        help="LRU capacity of the peeling-plan cache (0 disables)",
-    )
     serving.add_argument(
         "--manifest",
         default=None,
@@ -329,8 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--requests", type=int, default=200)
     p.add_argument("--rate", type=float, default=500.0,
                    help="open-loop arrival rate, req/s (default 500)")
-    p.add_argument("--deadline", type=float, default=None,
-                   help="per-request deadline in seconds")
     p.add_argument(
         "--unbatched",
         action="store_true",
@@ -613,14 +592,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=10.0,
         help="per-attempt site RPC deadline in seconds (default 10)",
     )
-    q.add_argument(
-        "--repair-wan-budget",
-        type=int,
-        default=None,
-        metavar="BYTES",
-        help="WAN bytes a repair pass may move before deferring "
-        "(default: unbounded)",
-    )
 
     q = sites_sub.add_parser(
         "status",
@@ -652,6 +623,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# ``certify`` makes the paper's graph: 48 data nodes, first failure 5.
+_CERTIFY_TARGET = 5
+
+
 def _cmd_certify(args) -> int:
     from .core import (
         adjust_graph,
@@ -659,20 +634,21 @@ def _cmd_certify(args) -> int:
         generate_certified,
         save_graphml,
     )
+    from .graphs import NUM_DATA_96
 
-    report = generate_certified(args.num_data, seed=args.seed)
+    report = generate_certified(NUM_DATA_96, seed=args.seed)
     print(
         f"accepted seed {report.seed_used} after {report.attempts} attempts"
     )
-    result = adjust_graph(report.graph, target_first_failure=args.target)
-    wc = analyze_worst_case(result.graph, max_k=args.target)
+    result = adjust_graph(report.graph, target_first_failure=_CERTIFY_TARGET)
+    wc = analyze_worst_case(result.graph, max_k=_CERTIFY_TARGET)
     print(wc.describe())
     if not result.achieved_target:
         print(
-            f"warning: target first failure {args.target} not reached",
+            f"warning: target first failure {_CERTIFY_TARGET} not reached",
             file=sys.stderr,
         )
-    out = args.out or f"tornado-n{args.num_data}-seed{report.seed_used}.graphml"
+    out = args.out or f"tornado-n{NUM_DATA_96}-seed{report.seed_used}.graphml"
     save_graphml(result.graph, out)
     print(f"graph written to {out}")
     return 0 if result.achieved_target else 1
@@ -736,10 +712,7 @@ def _cmd_overhead(args) -> int:
 
     graph = load_graphml(args.graph)
     result = measure_retrieval_overhead(
-        graph,
-        n_trials=args.trials,
-        seed=args.seed,
-        decoder=args.decoder,
+        graph, seed=args.seed, decoder=args.decoder
     )
     print(
         f"{graph.name} [{args.decoder}]: mean downloads "
@@ -827,16 +800,7 @@ def _cmd_mission(args) -> int:
     for i in range(args.objects):
         archive.put(f"object-{i:03d}", payload_rng.bytes(args.object_size))
     config = CampaignConfig(
-        mission=MissionConfig(
-            years=args.years,
-            steps_per_year=args.steps_per_year,
-            afr=args.afr,
-            replacement_lag_steps=args.replacement_lag,
-            repair_margin=args.repair_margin,
-            **hazard,
-        ),
-        scrub_interval=args.scrub_interval,
-        read_interval=args.read_interval,
+        mission=MissionConfig(years=args.years, afr=args.afr, **hazard)
     )
     report = run_campaign(archive, plan, config, seed=args.seed)
     print(
@@ -865,10 +829,9 @@ def _serving_stack(args):
     # value is the caller's mistake, so it exits 2, not 1.
     try:
         config = ServeConfig(
-            queue_limit=args.queue_limit,
             batch_window=0.0 if unbatched else args.window,
             max_batch=args.max_batch,
-            plan_capacity=0 if unbatched else args.plan_capacity,
+            plan_capacity=0 if unbatched else ServeConfig.plan_capacity,
             retry=RetryPolicy(seed=args.seed),
         )
         archive, names = seeded_archive(
@@ -972,10 +935,7 @@ def _cmd_loadgen(args) -> int:
 
     try:
         load = LoadGenConfig(
-            requests=args.requests,
-            rate=args.rate,
-            seed=args.seed,
-            deadline=args.deadline,
+            requests=args.requests, rate=args.rate, seed=args.seed
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -1304,15 +1264,20 @@ def _cmd_status(args, members: str, label: str) -> int:
 
 def _run_scenario(args, config_cls, run) -> int:
     """Fleet scenarios: config from the verb's options → run → describe
-    → --out → exit code (1 = data loss, or a config the run rejects)."""
+    → --out → exit code (1 = data loss, 2 = a value the config refuses,
+    before any process spawns)."""
     import json
 
-    from .cluster.fleet import config_from_args
+    from .scenarios import config_from_args
 
+    try:
+        config = config_from_args(args, config_cls)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     for directory in (args.trace_dir, getattr(args, "obs_dir", None)):
         if directory:
             os.makedirs(directory, exist_ok=True)
-    report = run(config_from_args(args, config_cls))
+    report = run(config)
     print(report.describe())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -1322,17 +1287,15 @@ def _run_scenario(args, config_cls, run) -> int:
 
 
 def _cmd_cluster_loadgen(args) -> int:
-    from .cluster import ClusterLoadConfig, run_cluster_loadgen
+    from .cluster import run_cluster_loadgen
+    from .scenarios import ClusterLoadConfig
 
     return _run_scenario(args, ClusterLoadConfig, run_cluster_loadgen)
 
 
 def _cmd_cluster_chaos(args) -> int:
-    from .resilience import (
-        ClusterCampaignConfig,
-        FaultPlan,
-        run_cluster_campaign,
-    )
+    from .resilience import FaultPlan, run_cluster_campaign
+    from .scenarios import ClusterCampaignConfig
 
     plan = FaultPlan.load(args.faults) if args.faults else None
     return _run_scenario(
@@ -1380,7 +1343,6 @@ def _cmd_sites_gateway(args) -> int:
             seed=args.seed,
         ),
         rpc_timeout=args.rpc_timeout,
-        repair_wan_budget=args.repair_wan_budget,
     )
     for site in attach:
         gateway.attach_site(*site)
@@ -1392,13 +1354,15 @@ def _cmd_sites_gateway(args) -> int:
 
 
 def _cmd_sites_loadgen(args) -> int:
-    from .sites import SitesLoadConfig, run_sites_loadgen
+    from .scenarios import SitesLoadConfig
+    from .sites import run_sites_loadgen
 
     return _run_scenario(args, SitesLoadConfig, run_sites_loadgen)
 
 
 def _cmd_sites_chaos(args) -> int:
-    from .sites import SitesCampaignConfig, run_sites_campaign
+    from .scenarios import SitesCampaignConfig
+    from .sites import run_sites_campaign
 
     return _run_scenario(args, SitesCampaignConfig, run_sites_campaign)
 

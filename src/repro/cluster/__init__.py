@@ -28,10 +28,11 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "ClusterManifest",
             "start_coordinator",
         ),
-        ".driver": ("ClusterLoadConfig", "ClusterLoadReport", "run_cluster_loadgen"),
+        ".driver": ("ClusterLoadReport", "run_cluster_loadgen"),
         ".node": ("StorageNode", "start_storage_node"),
         ".ring": ("HashRing",),
         ".scheduler": ("RepairScheduler",),
         ".wal": ("CoordinatorWal", "WalCorruptError", "WalUnwritableError"),
+        "..scenarios": ("ClusterLoadConfig",),
     },
 )

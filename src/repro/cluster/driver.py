@@ -12,12 +12,12 @@ coordinator/storage-node split:
    (the same :func:`~repro.serve.loadgen.arrival_schedule` law the
    single-process load generator uses), verifying every reconstruction
    against its put-time SHA-256;
-4. optionally SIGKILL one node mid-run — subsequent reads must decode
+4. SIGKILL one node mid-run — subsequent reads must decode
    around it with zero failed requests;
 5. declare the killed node lost (``cluster.leave``), which rebuilds
    its blocks onto the survivors and meters the cross-node repair
    bytes;
-6. optionally restart the node and rejoin it, re-sharding blocks back;
+6. restart the node and rejoin it, re-sharding blocks back;
 7. verify every object once more and report.
 
 Processes, seeds, telemetry and teardown belong to the
@@ -35,51 +35,15 @@ from typing import Any
 
 import numpy as np
 
-from .._checks import check_count
-from ..obs.seeding import SeedLike, resolve_rng
+from ..obs.seeding import resolve_rng
 from ..obs.trace import trace_span
-from .fleet import Fleet, ScenarioReport, option
+from ..scenarios import ClusterLoadConfig
+from .fleet import Fleet, ScenarioReport
 
-__all__ = ["ClusterLoadConfig", "ClusterLoadReport", "run_cluster_loadgen"]
+__all__ = ["ClusterLoadReport", "run_cluster_loadgen"]
 
 # The node dies this far into the read schedule.
 _KILL_FRACTION = 0.4
-
-
-@dataclass(frozen=True)
-class ClusterLoadConfig:
-    """Shape of one multi-process cluster exercise."""
-
-    nodes: int = option(3, "storage-node processes (default 3)")
-    objects: int = 6
-    object_size: int = 4096
-    block_size: int = 512
-    requests: int = 60
-    rate: float = option(100.0, "open-loop arrival rate, req/s (default 100)")
-    seed: SeedLike = 0
-    kill_node: bool = option(True, "skip the mid-run node kill", flag="kill")
-    rejoin: bool = option(
-        True, "leave the killed node dead instead of rejoining it"
-    )
-    graph: str | None = option(None, "GraphML file passed to the coordinator")
-    trace_dir: str | None = option(
-        None,
-        "directory for per-process trace files "
-        "(coordinator.jsonl; pair with --trace for the driver's own)",
-    )
-    obs_dir: str | None = option(
-        None,
-        "scrape the fleet during the run and write a telemetry "
-        "timeline (timeline.jsonl) plus SLO alerts to this directory",
-    )
-    scrape_every: int = option(
-        10, "scrape after every N requests (default 10)"
-    )
-
-    def __post_init__(self) -> None:
-        check_count(self.nodes, "nodes", 1)
-        check_count(self.objects, "objects", 1)
-        check_count(self.scrape_every, "scrape_every", 1)
 
 
 @dataclass
@@ -166,7 +130,7 @@ def run_cluster_loadgen(
 
         # Phase: seeded open-loop reads, one node killed mid-run.
         kill_at = int(config.requests * _KILL_FRACTION)
-        killed: str | None = None
+        killed = report.killed_node = sorted(cell.nodes)[0]
         latencies: list[float] = []
         with trace_span("cluster.loadgen.run"):
             for i, name, due in fleet.paced(
@@ -175,8 +139,7 @@ def run_cluster_loadgen(
                 rate=config.rate,
                 seed=config.seed,
             ):
-                if config.kill_node and i == kill_at:
-                    killed = report.killed_node = sorted(cell.nodes)[0]
+                if i == kill_at:
                     cell.nodes[killed].kill()
                     # Scrape while the node is dark: the acceptance
                     # bar is "alert fires within one scrape interval
@@ -199,19 +162,17 @@ def run_cluster_loadgen(
 
         # Phase: declare the kill a loss and rebuild onto survivors.
         repair = report.repair
-        if killed is not None:
-            repair.update(client.leave(killed))
+        repair.update(client.leave(killed))
         repair_extra = client.repair()
         for key in ("moved_blocks", "rebuilt_blocks"):
             repair[key] = repair.get(key, 0) + repair_extra.get(key, 0)
         telemetry.scrape(note="repair complete")
 
         # Phase: bring the node back; joining re-shards onto it.
-        if killed is not None and config.rejoin:
-            cell.spawn_node(killed)
-            report.rejoined = True
-            telemetry.scrape(note=f"rejoined {killed}")
-            telemetry.settle()
+        cell.spawn_node(killed)
+        report.rejoined = True
+        telemetry.scrape(note=f"rejoined {killed}")
+        telemetry.settle()
 
         # Phase: full verification sweep — the zero-data-loss check.
         with trace_span("cluster.loadgen.verify"):

@@ -22,7 +22,7 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import asdict, field, fields
+from dataclasses import asdict
 from typing import Any, Iterator, Sequence
 
 import numpy as np
@@ -46,9 +46,6 @@ __all__ = [
     "FleetProcess",
     "FleetTelemetry",
     "ScenarioReport",
-    "add_config_options",
-    "config_from_args",
-    "option",
 ]
 
 _READY_TIMEOUT = 30.0
@@ -68,65 +65,6 @@ def _daemon_argv(*verb: str, **flags: Any) -> list[str]:
         if value is not None:
             argv += [f"--{name.replace('_', '-')}", str(value)]
     return argv
-
-
-def option(
-    default: Any,
-    help: str | None = None,
-    *,
-    flag: str | None = None,
-    metavar: str | None = None,
-) -> Any:
-    """A scenario-config field, annotated for its command-line option.
-
-    Every field of a scenario config is one option of its verb, named
-    after the field (``flag`` overrides the name).  A field that
-    defaults to ``True`` is switched off by ``--no-<name>``.
-    """
-    return field(
-        default=default,
-        metadata={"help": help, "flag": flag, "metavar": metavar},
-    )
-
-
-# Field annotation (a string: the config modules postpone evaluation),
-# less any ``| None`` -> argparse ``type``.  An annotation missing here
-# fails the parser build instead of silently parsing as a string.
-_OPTION_TYPES = {"int": int, "float": float, "str": None, "SeedLike": int}
-
-
-def _config_options(config_cls: type) -> Iterator[tuple[Any, str, bool]]:
-    """``(field, argparse dest, negated)`` per config field."""
-    for f in fields(config_cls):
-        negated = f.default is True
-        name = f.metadata.get("flag") or f.name
-        yield f, f"no_{name}" if negated else name, negated
-
-
-def add_config_options(parser: Any, config_cls: type) -> None:
-    """Give ``parser`` one option per field of ``config_cls``."""
-    for f, dest, _ in _config_options(config_cls):
-        flag = "--" + dest.replace("_", "-")
-        help_text = f.metadata.get("help")
-        if isinstance(f.default, bool):
-            parser.add_argument(flag, action="store_true", help=help_text)
-        else:
-            parser.add_argument(
-                flag,
-                type=_OPTION_TYPES[f.type.removesuffix(" | None")],
-                default=f.default,
-                metavar=f.metadata.get("metavar"),
-                help=help_text,
-            )
-
-
-def config_from_args(args: Any, config_cls: type) -> Any:
-    """The ``config_cls`` that :func:`add_config_options` parsed."""
-    values = {}
-    for f, dest, negated in _config_options(config_cls):
-        value = getattr(args, dest)
-        values[f.name] = not value if negated else value
-    return config_cls(**values)
 
 
 class FleetProcess:
@@ -459,7 +397,6 @@ class Fleet:
         nodes_per_site: int,
         *,
         rpc_timeout: float,
-        repair_wan_budget: int | None,
     ) -> dict[str, Cell]:
         """One WAL-backed cell per site of the
         :class:`~repro.sites.manifest.FederationManifest` (each deploys
@@ -484,7 +421,6 @@ class Fleet:
             seed=self.next_seed(),
             block_size=self.block_size,
             rpc_timeout=rpc_timeout,
-            repair_wan_budget=repair_wan_budget,
             trace=self.trace_path("gateway"),
         )
         for site_id, cell in cells.items():

@@ -36,7 +36,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
     {
         ".campaign": ("CampaignConfig", "CampaignReport", "run_campaign"),
         ".cluster_campaign": (
-            "ClusterCampaignConfig",
             "ClusterCampaignReport",
             "default_cluster_plan",
             "run_cluster_campaign",
@@ -55,5 +54,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "TransientOutages",
         ),
         ".retry": ("RetryPolicy",),
+        "..scenarios": ("ClusterCampaignConfig",),
     },
 )

@@ -56,10 +56,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from .._checks import check_count, check_seconds
-from ..cluster.fleet import Fleet, ScenarioReport, option
-from ..obs.seeding import SeedLike, resolve_rng
+from ..cluster.fleet import Fleet, ScenarioReport
+from ..obs.seeding import resolve_rng
 from ..obs.trace import trace_span
+from ..scenarios import ClusterCampaignConfig
 from .faults import (
     CoordinatorCrashes,
     FaultPlan,
@@ -70,11 +70,14 @@ from .faults import (
 )
 
 __all__ = [
-    "ClusterCampaignConfig",
     "ClusterCampaignReport",
     "default_cluster_plan",
     "run_cluster_campaign",
 ]
+
+
+# Foreground reads per campaign step.
+_READS_PER_STEP = 2
 
 
 def default_cluster_plan() -> FaultPlan:
@@ -87,48 +90,6 @@ def default_cluster_plan() -> FaultPlan:
             SlowNodes(rate=0.25, delay_seconds=0.05, mean_slow_steps=1.5),
         )
     )
-
-
-@dataclass(frozen=True)
-class ClusterCampaignConfig:
-    """Shape of one seeded cluster chaos campaign."""
-
-    nodes: int = option(3, "storage-node processes (default 3)")
-    objects: int = 4
-    object_size: int = 2048
-    block_size: int = 512
-    steps: int = option(6, "fault-schedule steps (default 6)")
-    reads_per_step: int = 2
-    seed: SeedLike = 0
-    graph: str | None = option(None, "GraphML file passed to the coordinator")
-    wal_dir: str | None = option(
-        None,
-        "coordinator WAL directory (default: private temp dir, "
-        "removed afterwards)",
-    )
-    trace_dir: str | None = option(
-        None,
-        "directory for per-process trace files "
-        "(coordinator.jsonl, coordinator-rN.jsonl per recovery)",
-    )
-    rpc_timeout: float = option(
-        0.75, "coordinator per-attempt node RPC deadline (default 0.75)"
-    )
-    repair_budget: int | None = option(
-        None, "coordinator repair bytes-per-cycle budget", metavar="BYTES"
-    )
-    midwrite_race: bool = option(
-        False,
-        "race a put against each coordinator SIGKILL (an acked "
-        "put must survive recovery; disables the byte-identical "
-        "state-digest check for that crash)",
-    )
-
-    def __post_init__(self) -> None:
-        check_count(self.nodes, "nodes", 2)
-        check_count(self.objects, "objects", 1)
-        check_count(self.steps, "steps", 1)
-        check_seconds(self.rpc_timeout, "rpc_timeout")
 
 
 @dataclass
@@ -352,7 +313,7 @@ def run_cluster_campaign(
 
                 # 3. Foreground reads against put-time digests.
                 names = sorted(digests)
-                for _ in range(config.reads_per_step):
+                for _ in range(_READS_PER_STEP):
                     name = pick(names)
                     error = fleet.read(name, digests[name])
                     if error is None:

@@ -18,12 +18,8 @@ from .._exports import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        ".campaign": (
-            "SitesCampaignConfig",
-            "SitesCampaignReport",
-            "run_sites_campaign",
-        ),
-        ".driver": ("SitesLoadConfig", "SitesLoadReport", "run_sites_loadgen"),
+        ".campaign": ("SitesCampaignReport", "run_sites_campaign"),
+        ".driver": ("SitesLoadReport", "run_sites_loadgen"),
         ".gateway": ("FederationGateway", "SiteDownError", "SiteLink", "start_gateway"),
         ".manifest": (
             "FederationManifest",
@@ -33,5 +29,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ),
         ".wancost": ("WanCostModel", "WanReadEstimate", "estimate_wan_read_cost"),
         ".witness": ("find_coupled_witness",),
+        "..scenarios": ("SitesCampaignConfig", "SitesLoadConfig"),
     },
 )

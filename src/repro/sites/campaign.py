@@ -7,8 +7,8 @@ curve — wear-out accelerates kills as the campaign ages, replacements
 draw infant-mortality lifetimes, and correlated batch defects take out
 groups of neighbouring drives.  On top of the per-device process, whole
 sites black out (SIGKILL coordinator + nodes) under a seeded outage
-process capped at ``max_concurrent`` so the federation always keeps a
-quorum of sites alive.  Throughout, the gateway keeps serving seeded
+process that keeps at most one site dark at a time, so the federation
+always keeps a site alive.  Throughout, the gateway keeps serving seeded
 reads and runs budgeted repair cycles; the campaign ends with a full
 heal, a drain repair, and an end-to-end verification sweep.
 
@@ -22,18 +22,14 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from .._checks import check_count
-from ..cluster.fleet import Fleet, ScenarioReport, option
-from ..obs.seeding import SeedLike, derive_seed, resolve_rng
+from ..cluster.fleet import Fleet, ScenarioReport
+from ..obs.seeding import derive_seed, resolve_rng
 from ..obs.trace import trace_span
 from ..reliability.hazards import FleetHazards, WeibullHazard
+from ..scenarios import SitesCampaignConfig
 from .manifest import assign_site_graphs
 
-__all__ = [
-    "SitesCampaignConfig",
-    "SitesCampaignReport",
-    "run_sites_campaign",
-]
+__all__ = ["SitesCampaignReport", "run_sites_campaign"]
 
 # Device-fleet heterogeneity beyond the CLI's three hazard parameters:
 # infant first-year failure probability, correlated defect batches.
@@ -44,51 +40,13 @@ _DEFECT_MULTIPLIER = 4.0
 # Graph selection bound and curve resolution; 6 keeps startup fast.
 _SITE_MAX_SIZE = 6
 _CURVE_SAMPLES = 100
-
-
-@dataclass(frozen=True)
-class SitesCampaignConfig:
-    """Shape of one federation chaos campaign."""
-
-    sites: int = 2
-    nodes_per_site: int = 3
-    objects: int = 3
-    object_size: int = 4096
-    block_size: int = 512
-    steps: int = option(6, "campaign steps, one model year each (default 6)")
-    reads_per_step: int = 2
-    seed: SeedLike = 0
-    # Per-device hazard process (one campaign step = one model year).
-    afr: float = option(0.25, "per-device annual failure rate (default 0.25)")
-    shape: float = option(3.0, "Weibull wear-out shape (default 3.0)")
-    infant_mortality: float = option(
-        0.15, "probability a replacement is an infant unit"
-    )
-    # Whole-site outage process.
-    site_blackout_rate: float = option(
-        0.25,
-        "per-site-step whole-site outage probability",
-        flag="blackout_rate",
-    )
-    mean_outage_steps: float = 1.5
-    max_concurrent: int = option(
-        1, "simultaneous dark sites allowed (default 1)"
-    )
-    repair_every: int = option(2, "gateway repair cycle cadence in steps")
-    rpc_timeout: float = 5.0
-    repair_wan_budget: int | None = option(None, metavar="BYTES")
-    work_dir: str | None = None
-    trace_dir: str | None = None
-
-    def __post_init__(self) -> None:
-        check_count(self.sites, "sites", 2)
-        check_count(self.steps, "steps", 1)
-        if not 0 <= self.site_blackout_rate <= 1:
-            raise ValueError("site_blackout_rate must be in [0, 1]")
-        if not 1 <= self.max_concurrent < self.sites:
-            raise ValueError(
-                "max_concurrent must leave at least one site alive"
-            )
+# Whole-site outages: per-site-step probability and mean length in
+# steps.  One site is dark at a time, so of two or more one stays up.
+_BLACKOUT_RATE = 0.25
+_MEAN_OUTAGE_STEPS = 1.5
+# Foreground reads per step; a gateway repair cycle every N steps.
+_READS_PER_STEP = 2
+_REPAIR_EVERY = 2
 
 
 @dataclass
@@ -164,10 +122,7 @@ def run_sites_campaign(
         work_dir=config.work_dir,
     ) as fleet:
         sites = fleet.add_federation(
-            manifest,
-            config.nodes_per_site,
-            rpc_timeout=config.rpc_timeout,
-            repair_wan_budget=config.repair_wan_budget,
+            manifest, config.nodes_per_site, rpc_timeout=config.rpc_timeout
         )
         client = fleet.open_client()
         payload_rng = resolve_rng(fleet.next_seed())
@@ -199,19 +154,15 @@ def run_sites_campaign(
                         sites[sid].start(recover=True)
                         del dark_until[sid]
 
-                # Draw whole-site blackouts, capped at max_concurrent.
+                # Draw whole-site blackouts, one dark site at a time.
                 for sid in site_ids:
                     if sid in dark_until:
                         continue
                     draw = float(blackout_rng.random())
-                    if draw >= config.site_blackout_rate:
-                        continue
-                    if len(dark_until) >= config.max_concurrent:
+                    if draw >= _BLACKOUT_RATE or dark_until:
                         continue
                     outage = 1 + int(
-                        blackout_rng.exponential(
-                            max(config.mean_outage_steps - 1.0, 0.01)
-                        )
+                        blackout_rng.exponential(_MEAN_OUTAGE_STEPS - 1.0)
                     )
                     dark_until[sid] = step + outage
                     report.site_blackouts += 1
@@ -249,10 +200,8 @@ def run_sites_campaign(
                         site.spawn_node(node_id)
 
                 # Keep serving reads through whatever is left.
-                for r in range(config.reads_per_step):
-                    name = names[
-                        (step * config.reads_per_step + r) % len(names)
-                    ]
+                for r in range(_READS_PER_STEP):
+                    name = names[(step * _READS_PER_STEP + r) % len(names)]
                     error = fleet.read(name, digests[name])
                     if error is None:
                         report.reads_completed += 1
@@ -268,7 +217,7 @@ def run_sites_campaign(
                         )
 
                 # Periodic budgeted repair through the gateway.
-                if (step + 1) % config.repair_every == 0:
+                if (step + 1) % _REPAIR_EVERY == 0:
                     try:
                         client.repair("cycle")
                         report.repair_cycles += 1

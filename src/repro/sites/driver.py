@@ -18,11 +18,12 @@
    — the wiped site is repopulated by priced WAN re-injection;
 6. read again: traffic is local once more (the WAN read meter must
    stay flat);
-7. optionally stage the coupled-decode demo: delete a seeded witness
-   pattern (:func:`~repro.sites.witness.find_coupled_witness`) so
-   *neither* site can decode an object alone, prove both sites fail
-   single-site reads, then demand the gateway serve it anyway through
-   the coupled cross-site decode — and repair the damage;
+7. in a two-site federation, stage the coupled-decode demo: delete a
+   seeded witness pattern
+   (:func:`~repro.sites.witness.find_coupled_witness`) so *neither*
+   site can decode an object alone, prove both sites fail single-site
+   reads, then demand the gateway serve it anyway through the coupled
+   cross-site decode — and repair the damage;
 8. verify every object end-to-end and per-site.
 
 The report separates the WAN meter into per-phase windows precisely
@@ -37,63 +38,15 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from .._checks import check_count
-from ..cluster.fleet import Cell, Fleet, ScenarioReport, option
-from ..obs.seeding import SeedLike, derive_seed, resolve_rng
+from ..cluster.fleet import Cell, Fleet, ScenarioReport
+from ..obs.seeding import derive_seed, resolve_rng
 from ..obs.trace import trace_span
+from ..scenarios import SitesLoadConfig
 from ..storage.blockstore import parse_block_key
 from .manifest import assign_site_graphs
 from .witness import find_coupled_witness
 
-__all__ = ["SitesLoadConfig", "SitesLoadReport", "run_sites_loadgen"]
-
-
-@dataclass(frozen=True)
-class SitesLoadConfig:
-    """Shape of one multi-process federation exercise."""
-
-    sites: int = option(2, "federated sites (default 2)")
-    nodes_per_site: int = 3
-    objects: int = 4
-    object_size: int = 4096
-    block_size: int = 512
-    reads_per_phase: int = 8
-    rate: float = option(60.0, "open-loop arrival rate, req/s (default 60)")
-    seed: SeedLike = 0
-    blackout: bool = option(True, "skip the mid-run full-site blackout")
-    coupled_demo: bool = option(
-        True, "skip the staged coupled-decode demonstration"
-    )
-    # The selection bound; 6 keeps startup fast.
-    site_max_size: int = option(
-        6, "per-site erasure bound for graph selection (default 6)"
-    )
-    curve_samples: int = option(
-        100, "failure-curve samples per pairing (default 100)"
-    )
-    rpc_timeout: float = 5.0
-    repair_wan_budget: int | None = option(None, metavar="BYTES")
-    work_dir: str | None = option(
-        None,
-        "manifest + per-site WAL directory "
-        "(default: private temp dir, removed afterwards)",
-    )
-    trace_dir: str | None = option(
-        None,
-        "directory for per-process trace files "
-        "(gateway.jsonl, site-N-coordinator.jsonl, ...)",
-    )
-    obs_dir: str | None = option(
-        None,
-        "scrape the federation at phase boundaries and write a "
-        "telemetry timeline (timeline.jsonl) to this directory",
-    )
-
-    def __post_init__(self) -> None:
-        check_count(self.sites, "sites", 2)
-        check_count(self.nodes_per_site, "nodes_per_site", 3)  # striding
-        check_count(self.objects, "objects", 1)
-        check_count(self.reads_per_phase, "reads_per_phase", 1)
+__all__ = ["SitesLoadReport", "run_sites_loadgen"]
 
 
 @dataclass
@@ -205,10 +158,7 @@ def run_sites_loadgen(
         obs_dir=config.obs_dir,
     ) as fleet:
         sites = fleet.add_federation(
-            manifest,
-            config.nodes_per_site,
-            rpc_timeout=config.rpc_timeout,
-            repair_wan_budget=config.repair_wan_budget,
+            manifest, config.nodes_per_site, rpc_timeout=config.rpc_timeout
         )
         client = fleet.open_client()
         telemetry = fleet.telemetry
@@ -248,44 +198,35 @@ def run_sites_loadgen(
         # Phase: steady state — every read local, zero WAN bytes.
         with trace_span("sites.loadgen.steady"):
             read_phase("steady")
-        report.wan = {
-            "read_before": read_wan_bytes(),
-            "read_during": 0,
-            "read_after": 0,
-        }
+        report.wan = {"read_before": read_wan_bytes()}
         telemetry.scrape(note="steady phase complete")
 
         # Phase: full-site blackout; reads continue over the WAN.
-        if config.blackout:
-            dark = sites[site_ids[0]]
-            report.blackout_site = dark.name
-            note("blackout", site=dark.name)
-            dark.blackout()
-            telemetry.scrape(note=f"blackout {dark.name}")
-            with trace_span("sites.loadgen.blackout", site=dark.name):
-                read_phase("blackout")
-            report.wan["read_during"] = (
-                read_wan_bytes() - report.wan["read_before"]
-            )
-            telemetry.scrape(note="blackout reads complete")
+        dark = sites[site_ids[0]]
+        report.blackout_site = dark.name
+        note("blackout", site=dark.name)
+        dark.blackout()
+        telemetry.scrape(note=f"blackout {dark.name}")
+        with trace_span("sites.loadgen.blackout", site=dark.name):
+            read_phase("blackout")
+        report.wan["read_during"] = read_wan_bytes() - report.wan["read_before"]
+        telemetry.scrape(note="blackout reads complete")
 
-            # Phase: heal — WAL recovery + empty nodes + WAN repair.
-            note("recover", site=dark.name)
-            dark.start(recover=True)
-            telemetry.scrape(note=f"recovered {dark.name}")
-            with trace_span("sites.loadgen.repair"):
-                report.repair = client.repair("drain")
-            wan_after_repair = read_wan_bytes()
-            with trace_span("sites.loadgen.healed"):
-                read_phase("healed")
-            report.wan["read_after"] = (
-                read_wan_bytes() - wan_after_repair
-            )
-            telemetry.scrape(note="healed reads complete")
-            telemetry.settle()
+        # Phase: heal — WAL recovery + empty nodes + WAN repair.
+        note("recover", site=dark.name)
+        dark.start(recover=True)
+        telemetry.scrape(note=f"recovered {dark.name}")
+        with trace_span("sites.loadgen.repair"):
+            report.repair = client.repair("drain")
+        wan_after_repair = read_wan_bytes()
+        with trace_span("sites.loadgen.healed"):
+            read_phase("healed")
+        report.wan["read_after"] = read_wan_bytes() - wan_after_repair
+        telemetry.scrape(note="healed reads complete")
+        telemetry.settle()
 
         # Phase: the coupled-decode demo (two-site federations).
-        if config.coupled_demo and config.sites == 2:
+        if config.sites == 2:
             graphs = [manifest.assignment(sid).graph for sid in site_ids]
             witness = find_coupled_witness(
                 graphs[0], graphs[1], seed=phase_seeds["witness"]

@@ -33,8 +33,7 @@ steady state; WAN read/repair traffic is the anomaly signal).
 priced decision: every site first runs its own budgeted
 :class:`~repro.cluster.scheduler.RepairScheduler` (local
 reconstruction, free); only objects a site still cannot decode are
-re-derived federation-wide and re-injected over the WAN, bounded per
-call by ``repair_wan_budget`` bytes, deferred (and reported) beyond it.
+re-derived federation-wide and re-injected over the WAN.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from typing import Any
 
 import numpy as np
 
-from .._checks import check_count, check_seconds
+from .._checks import check_seconds
 from ..cluster.coordinator import DEFAULT_RETRY, NodeDownError, link_rpc
 from ..cluster.ring import HashRing
 from ..core.codec import TornadoCodec, stripe_rows
@@ -131,11 +130,8 @@ class FederationGateway:
         block_size: int = 4096,
         retry: RetryPolicy | None = DEFAULT_RETRY,
         rpc_timeout: float | None = 10.0,
-        repair_wan_budget: int | None = None,
     ):
         check_seconds(rpc_timeout, "rpc_timeout")
-        if repair_wan_budget is not None:
-            check_count(repair_wan_budget, "repair_wan_budget")
         self.manifest = manifest
         self.block_size = block_size
         # Coupled decode requires the shared data layout; validating
@@ -146,7 +142,6 @@ class FederationGateway:
         self.plans = self.codec.plans
         self.retry = retry
         self.rpc_timeout = rpc_timeout
-        self.repair_wan_budget = repair_wan_budget
         self.ring = HashRing()
         for assignment in manifest.sites:
             self.ring.add(assignment.site_id, weight=assignment.weight)
@@ -428,9 +423,8 @@ class FederationGateway:
         WAN bytes, so it always runs first.  Phase 2 sweeps the
         gateway's acked objects: a site that still answers
         ``data_loss`` gets the object re-derived from the rest of the
-        federation and re-put over the WAN, budgeted per call by
-        ``repair_wan_budget`` and deferred (reported, not silent)
-        beyond it.  ``scan`` mode skips phase 2.
+        federation and re-put over the WAN.  ``scan`` mode skips
+        phase 2.
         """
         per_site: dict[str, Any] = {}
         for site_id in self.ring.members:
@@ -443,36 +437,18 @@ class FederationGateway:
             except (SiteDownError, TransientUnavailableError) as exc:
                 per_site[site_id] = {"error": str(exc)}
         reinjected: list[dict[str, Any]] = []
-        deferred: list[dict[str, Any]] = []
         spent = 0
         if mode != "scan":
             for name in sorted(self.objects):
                 for site_id in self.ring.members:
                     need = await self._needs_reinjection(site_id, name)
-                    if not need:
-                        continue
-                    size = self.objects[name].size
-                    if (
-                        self.repair_wan_budget is not None
-                        and spent + size > self.repair_wan_budget
-                    ):
-                        deferred.append(
-                            {"name": name, "site": site_id, "bytes": size}
-                        )
-                        continue
-                    if await self._reinject(site_id, name):
+                    if need and await self._reinject(site_id, name):
+                        size = self.objects[name].size
                         spent += size
                         reinjected.append(
                             {"name": name, "site": site_id, "bytes": size}
                         )
-        if deferred:
-            registry().counter("sites.repair.deferred").inc(len(deferred))
-        return {
-            "sites": per_site,
-            "reinjected": reinjected,
-            "deferred": deferred,
-            "wan_bytes": spent,
-        }
+        return {"sites": per_site, "reinjected": reinjected, "wan_bytes": spent}
 
     async def _needs_reinjection(self, site_id: str, name: str) -> bool:
         """True iff the site is up but cannot serve the object."""

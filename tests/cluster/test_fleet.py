@@ -194,9 +194,7 @@ class TestMembership:
                 open(path, "w").close()
 
         with Fleet(0, block_size=256, work_dir=str(tmp_path)) as fleet:
-            cells = fleet.add_federation(
-                Manifest(), 1, rpc_timeout=5.0, repair_wan_budget=None
-            )
+            cells = fleet.add_federation(Manifest(), 1, rpc_timeout=5.0)
             assert list(cells) == ["site-0", "site-1"]
             coordinator = cells["site-1"].coordinator
             assert coordinator.role == "site-1 coordinator"
@@ -213,7 +211,6 @@ class TestMembership:
                 f"{sid}=127.0.0.1:{cell.coordinator.port}"
                 for sid, cell in cells.items()
             ]
-            assert "--repair-wan-budget" not in gateway
             assert fleet.scrape_targets()[0].role == "gateway"
             assert fleet.scrape_targets()[1].target_id == "site-0-coordinator"
 

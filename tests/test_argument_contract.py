@@ -252,8 +252,11 @@ ROWS = [
     *(
         count("cluster-loadgen", name,
               lambda v, p, name=name: ClusterLoadConfig(**{name: v}), 1)
-        for name in ("nodes", "objects", "scrape_every")
+        for name in ("nodes", "objects", "object_size", "block_size",
+                     "requests", "scrape_every")
     ),
+    seconds("cluster-loadgen", "rate",
+            lambda v, p: ClusterLoadConfig(rate=v)),
     # obs
     seconds("burn-window", "short_seconds",
             lambda v, p: BurnWindow("w", v, 60.0, 2.0)),
@@ -291,7 +294,9 @@ ROWS = [
         count("cluster-campaign", name,
               lambda v, p, name=name: ClusterCampaignConfig(**{name: v}),
               at_least)
-        for name, at_least in [("nodes", 2), ("objects", 1), ("steps", 1)]
+        for name, at_least in [("nodes", 2), ("objects", 1),
+                               ("object_size", 1), ("block_size", 1),
+                               ("steps", 1), ("repair_budget", 1)]
     ),
     seconds("cluster-campaign", "rpc_timeout",
             lambda v, p: ClusterCampaignConfig(rpc_timeout=v)),
@@ -337,20 +342,34 @@ ROWS = [
         count("sites-campaign", name,
               lambda v, p, name=name: SitesCampaignConfig(**{name: v}),
               at_least)
-        for name, at_least in [("sites", 2), ("steps", 1)]
+        for name, at_least in [("sites", 2), ("nodes_per_site", 3),
+                               ("objects", 1), ("object_size", 1),
+                               ("block_size", 1), ("steps", 1)]
+    ),
+    *(
+        seconds("sites-campaign", name,
+                lambda v, p, name=name: SitesCampaignConfig(**{name: v}),
+                zero=zero)
+        for name, zero in [("afr", False), ("shape", False),
+                           ("infant_mortality", True), ("rpc_timeout", False)]
     ),
     *(
         count("sites-loadgen", name,
               lambda v, p, name=name: SitesLoadConfig(**{name: v}), at_least)
         for name, at_least in [("sites", 2), ("nodes_per_site", 3),
-                               ("objects", 1), ("reads_per_phase", 1)]
+                               ("objects", 1), ("object_size", 1),
+                               ("block_size", 1), ("reads_per_phase", 1),
+                               ("site_max_size", 1), ("curve_samples", 1)]
+    ),
+    *(
+        seconds("sites-loadgen", name,
+                lambda v, p, name=name: SitesLoadConfig(**{name: v}))
+        for name in ("rate", "rpc_timeout")
     ),
     count("site", "weight", lambda v, p: SiteAssignment("a", 1, v), 1),
     count("federation", "site_max_size", lambda v, p: manifest(v), 1),
     seconds("wan-cost", "remote_byte_cost",
             lambda v, p: WanCostModel(remote_byte_cost=v), zero=True),
-    count("gateway", "repair_wan_budget", lambda v, p: FederationGateway(
-        manifest(), repair_wan_budget=v)),
     seconds("gateway", "rpc_timeout",
             lambda v, p: FederationGateway(manifest(), rpc_timeout=v)),
     # storage

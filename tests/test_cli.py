@@ -31,10 +31,42 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
-    def test_certify_defaults(self):
-        args = build_parser().parse_args(["certify"])
-        assert args.num_data == 48
-        assert args.target == 5
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--num-data"],
+            ["certify", "--target"],
+            ["overhead", "g.graphml", "--trials"],
+            *(["mission", flag] for flag in (
+                "--steps-per-year", "--replacement-lag", "--repair-margin",
+                "--scrub-interval", "--read-interval",
+            )),
+            ["serve", "--queue-limit"],
+            ["serve", "--plan-capacity"],
+            ["loadgen", "--queue-limit"],
+            ["loadgen", "--plan-capacity"],
+            ["loadgen", "--deadline"],
+            ["cluster", "loadgen", "--no-kill"],
+            ["cluster", "loadgen", "--no-rejoin"],
+            ["cluster", "chaos", "--reads-per-step"],
+            ["sites", "gateway", "--manifest", "m.json", "--repair-wan-budget"],
+            ["sites", "loadgen", "--no-blackout"],
+            ["sites", "loadgen", "--no-coupled-demo"],
+            ["sites", "loadgen", "--repair-wan-budget"],
+            *(["sites", "chaos", flag] for flag in (
+                "--blackout-rate", "--max-concurrent", "--mean-outage-steps",
+                "--repair-every", "--reads-per-step", "--repair-wan-budget",
+            )),
+        ],
+        ids=" ".join,
+    )
+    def test_single_value_flags_are_gone(self, argv, capsys):
+        """Each had one value in use; the value is now a constant."""
+        with pytest.raises(SystemExit) as exc_info:
+            build_parser().parse_args(argv)
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {argv[-1]}" in err
 
 
 class TestCertify:
@@ -103,7 +135,7 @@ class TestProfile:
 class TestOverhead:
     def test_reports_overhead(self, graph_file, capsys):
         code = main(
-            ["overhead", graph_file, "--trials", "200"]
+            ["overhead", graph_file]
         )
         assert code == 0
         assert "overhead" in capsys.readouterr().out
@@ -399,19 +431,44 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["loadgen", "--deadline", "-1", "--requests", "5"],
-            ["loadgen", "--deadline", "0", "--requests", "5"],
             ["loadgen", "--window", "-1"],
             ["loadgen", "--max-batch", "0"],
             ["loadgen", "--object-size", "-5"],
             ["loadgen", "--objects", "0"],
-            ["serve", "--queue-limit", "0", "--max-seconds", "0.1"],
+            ["serve", "--max-batch", "0", "--max-seconds", "0.1"],
         ],
         ids=" ".join,
     )
     def test_bad_serving_flag_exits_2(self, argv, capsys):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("usage error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cluster", "loadgen", "--rate", "-1"],
+            ["cluster", "loadgen", "--requests", "0"],
+            ["cluster", "chaos", "--block-size", "0"],
+            ["sites", "loadgen", "--curve-samples", "0"],
+            ["sites", "chaos", "--afr", "nan"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_scenario_value_exits_2_before_any_spawn(
+        self, argv, monkeypatch, capsys
+    ):
+        """Each was accepted: the run spawned its fleet first, and a
+        refusal from deeper down exited 1."""
+        import subprocess
+
+        def spawn(*args, **kwargs):
+            raise AssertionError("spawned a process")
+
+        monkeypatch.setattr(subprocess, "Popen", spawn)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:")
+        assert argv[-2].removeprefix("--").replace("-", "_") in err
 
     def test_argparse_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc_info:

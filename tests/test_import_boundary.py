@@ -65,6 +65,16 @@ def test_sweep_and_cluster_imports_skip_campaigns_and_graphml():
     ) == []
 
 
+def test_parser_loads_no_fleet_service_or_campaign():
+    """``build_parser()`` runs for ``--help``, every verb and every
+    daemon a fleet spawns; the scenario verbs' options come from
+    ``repro.scenarios``, which loads none of their drivers."""
+    assert loaded_after(
+        "from repro.cli import build_parser\nbuild_parser()",
+        ("repro.cluster", "repro.sites", "repro.serve", "repro.resilience"),
+    ) == []
+
+
 def test_argument_contract_loads_no_other_module():
     """``repro._checks`` sits below every package: past the package's
     own lazy table it imports nothing of ``repro``."""

@@ -143,15 +143,14 @@ LINTS = {
     ),
     # One argument contract: repro._checks holds the only count and
     # seconds checks.  Wire coercion (a quoted field's ProtocolError),
-    # the CLI's flag-named UsageError, flag derivation and graph
-    # structure errors answer differently.
+    # the CLI's flag-named UsageError and graph structure errors answer
+    # differently.
     "one-argument-contract": Lint(
         r"isinstance\([\w.]+, bool\)|operator\.index\(|numbers\.Integral"
         r"|must be (an? )?(positive|non-negative|>= ?\d)",
         ("src/repro",),
         exempt=r"^src/repro/(_checks|cli)\.py:"
         r"|^src/repro/serve/protocol\.py:(_is_length:|_coerce:|\w*:\s*\"')"
-        r"|^src/repro/cluster/fleet\.py:add_config_options:"
         r"|raise GraphValidationError\(",
     ),
     # Protocol v5: one binary codec, one read path.  The speakers read
