@@ -1473,12 +1473,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     # `cluster loadgen --trace-dir D` should capture the driver's own
     # client spans alongside the children's files, so one trace-tree
-    # invocation over D/*.jsonl stitches the whole cluster.
+    # invocation over D/*.jsonl stitches the whole cluster.  The sink
+    # opens on its first span: D is made once the config is accepted.
     if (
         getattr(args, "trace_dir", None)
         and not getattr(args, "trace", None)
     ):
-        os.makedirs(args.trace_dir, exist_ok=True)
         args.trace = os.path.join(args.trace_dir, "driver.jsonl")
     try:
         return _run_command(args)

@@ -75,7 +75,9 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import functools
 import hashlib
+import itertools
 import json
 import os
 import time
@@ -249,86 +251,149 @@ async def link_rpc(
     retry: RetryPolicy | None,
     timeout: float | None,
 ) -> Response:
-    """:func:`link_rpc_many` for one request; raises its failure."""
-    (outcome,) = await link_rpc_many(
-        link, [request], retry=retry, timeout=timeout
+    """:func:`link_rpcs` for one request to one peer; raises its failure."""
+    ((outcome,),) = await link_rpcs(
+        [(link, [request])], retry=retry, timeout=timeout
     )
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
 
 
-async def link_rpc_many(
-    link: PipelinedLink,
-    requests: Sequence[Request],
+async def link_rpcs(
+    bursts: Sequence[tuple[PipelinedLink, Sequence[Request]]],
     *,
     retry: RetryPolicy | None,
     timeout: float | None,
-) -> list[Response | Exception]:
-    """Requests to one peer as one burst; each keeps its own id, span
-    and outcome: its response, its remote error as the client exception
-    (never retried here), or the link's ``down_error``.  A transport
-    failure retries only the unanswered requests through ``retry.acall``
-    (a healthy burst never draws the schedule); once attempts run out
-    the link drops and those keep their ``down_error``.
+) -> list[list[Response | Exception]]:
+    """A burst of requests per peer, all sent in one loop turn and
+    awaited by the caller under one deadline timer: no task per peer.
+
+    Each request keeps its own id, span and outcome: its response, its
+    remote error as the client exception (never retried here), or its
+    link's ``down_error``.  A deadline drops only the links it finds
+    with a request unanswered; ``retry.acall`` resends only those
+    requests (a healthy call never draws the schedule), and once
+    attempts run out their links drop and they keep their error.
     """
-    outcomes: list[Response | Exception | None] = [None] * len(requests)
-    todo = list(range(len(requests)))  # the requests still unanswered
+    outcomes: list[list] = [[None] * len(requests) for _, requests in bursts]
+    # (link, requests, their outcomes, the indices still unanswered)
+    todo = [
+        (*burst, out, range(len(out))) for burst, out in zip(bursts, outcomes) if out
+    ]
 
     async def attempt() -> None:
         nonlocal todo
-        got = await _link_burst_once(link, [requests[i] for i in todo], timeout)
-        for i, outcome in zip(todo, got):
-            outcomes[i] = outcome
-        todo = [i for i in todo if isinstance(outcomes[i], link.down_error)]
+        got = await _rpc_round(
+            [(link, [requests[i] for i in left]) for link, requests, _, left in todo],
+            timeout,
+        )
+        for (_, _, out, left), replies in zip(todo, got):
+            for i, outcome in zip(left, replies):
+                out[i] = outcome
+        todo = [
+            (link, requests, out, unanswered)
+            for link, requests, out, left in todo
+            if (unanswered := [i for i in left if isinstance(out[i], link.down_error)])
+        ]
         if todo:
-            raise outcomes[todo[0]]
+            _, _, out, left = todo[0]
+            raise out[left[0]]
 
     try:
-        await (retry or NO_RETRY).acall(
-            attempt, retry_on=link.down_error, counter=f"{link.family}.retries"
-        )
-    except link.down_error:
-        link.drop()
+        if todo:
+            await (retry or NO_RETRY).acall(
+                attempt, retry_on=NodeUnreachableError, counter=f"{todo[0][0].family}.retries"
+            )
+    except NodeUnreachableError:
+        for link, *_ in todo:
+            link.drop()
     return outcomes
 
 
-async def _link_burst_once(
-    link: PipelinedLink, requests: Sequence[Request], timeout: float | None
-) -> list[Response | Exception]:
-    spans, items = [], []
+async def _rpc_round(
+    bursts: list[tuple[PipelinedLink, list[Request]]], timeout: float | None
+) -> list[list[Response | Exception]]:
+    """One attempt of :func:`link_rpcs`: every burst sent once, and each
+    link's replies parsed once all of them are in."""
+    spans, parked, sending, timer = [], [], [], None
     try:
-        for request in requests:
-            span = start_span(
-                f"{link.family}.{request.op}", activate=False, **link.span_tags
-            )
-            spans.append(span)
-            request_id = link.next_id()
-            data = encode_request(
-                request, request_id=request_id, trace=span.context() if span else None
-            )
-            items.append((request_id, data))
-        replies = await link.exchange_many(items, timeout)
+        for link, requests in bursts:
+            items = []
+            for request in requests:
+                name = f"{link.family}.{request.op}"
+                span = start_span(name, activate=False, **link.span_tags)
+                spans.append(span)
+                request_id, trace = link.next_id(), span.context() if span else None
+                data = encode_request(request, request_id=request_id, trace=trace)
+                items.append((request_id, data))
+            replies, task = link.burst(items, timeout)
+            parked.append((link, items, replies))
+            sending += [task] if task else []
+        if timeout is not None:
+            loop = asyncio.get_running_loop()
+            timer = loop.call_later(timeout, _expire, parked, timeout)
+        outcomes, unparsed = [], iter(spans)
+        for link, _, replies in parked:
+            outcomes.append([])
+            for reply, span in zip(replies, unparsed):
+                try:
+                    frame = await reply
+                    link.alive = True
+                    response, _ = parse_response(frame)
+                    if isinstance(response, ErrorResponse):
+                        response.raise_remote()
+                    outcomes[-1].append(response)
+                except Exception as exc:  # this request's outcome only
+                    span.end(error=type(exc).__name__)
+                    outcomes[-1].append(exc)
+                finally:
+                    span.end()
+        for task in sending:
+            await task
+        return outcomes
     except BaseException as exc:
         for span in spans:
             span.end(error=type(exc).__name__)
         raise
-    outcomes: list[Response | Exception] = []
-    for span, reply in zip(spans, replies):
-        try:
-            if isinstance(reply, Exception):
-                raise reply
-            link.alive = True
-            response, _ = parse_response(reply)
-            if isinstance(response, ErrorResponse):
-                response.raise_remote()
-            outcomes.append(response)
-        except Exception as exc:  # this request's outcome, not the burst's
-            span.end(error=type(exc).__name__)
-            outcomes.append(exc)
-        finally:
-            span.end()
-    return outcomes
+    finally:
+        if timer is not None:
+            timer.cancel()
+        for task in sending:
+            task.cancel()
+        for link, items, replies in parked:
+            link.forget(items, replies)
+
+
+def _expire(parked: list, timeout: float) -> None:
+    for link, _, replies in parked:
+        link.expire(replies, timeout)
+
+
+def answered(outcome: Response | Exception) -> Response | None:
+    """An RPC's reply, or ``None`` where its peer is out (down, or
+    answering ``unavailable``); any other failure raises."""
+    if isinstance(outcome, (NodeDownError, TransientUnavailableError)):
+        return None
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+@functools.lru_cache(maxsize=256)
+def _owner_rows(placement: tuple[str, ...]) -> tuple:
+    """``(owner, key suffixes, rows)`` per owner of ``placement``, in id
+    order; computed once per placement pattern, not per stripe (a
+    stripe's block keys are its key prefix plus these suffixes)."""
+    held: dict[str, list[int]] = {}
+    for node, owner in enumerate(placement):
+        held.setdefault(owner, []).append(node)
+    owners = []
+    for owner, nodes in sorted(held.items()):
+        rows = np.array(nodes, dtype=np.intp)
+        rows.flags.writeable = False  # every stripe of the pattern shares it
+        owners.append((owner, tuple(map(str, nodes)), rows))
+    return tuple(owners)
 
 
 # The default transport-retry policy of every pipelined link (node or
@@ -531,44 +596,27 @@ class ClusterCoordinator:
     # Node RPC plumbing
     # ------------------------------------------------------------------
 
-    async def _rpc(self, link: NodeLink, request: Request) -> Response:
-        return await link_rpc(
-            link, request, retry=self.retry, timeout=self.rpc_timeout
-        )
-
-    async def _rpc_many(
-        self, link: NodeLink, requests: Sequence[Request]
-    ) -> list[Response | Exception]:
-        return await link_rpc_many(
-            link, requests, retry=self.retry, timeout=self.rpc_timeout
+    async def _rpcs(
+        self, bursts: Sequence[tuple[NodeLink, Sequence[Request]]]
+    ) -> list[list[Response | Exception]]:
+        """Every node RPC of one step, as :func:`link_rpcs`."""
+        return await link_rpcs(
+            bursts, retry=self.retry, timeout=self.rpc_timeout
         )
 
     def _reset_connection(self, link: NodeLink) -> None:
         """Forget the connection but keep the liveness verdict open."""
         link.reset()
 
-    def _live_links(self) -> list[NodeLink]:
-        return [
-            self.nodes[nid]
-            for nid in self.ring.members
-            if self.nodes[nid].alive
-        ]
+    def _live_link(self, node_id: str) -> NodeLink | None:
+        link = self.nodes.get(node_id)
+        return link if link is not None and link.alive else None
 
     async def probe(self) -> dict[str, bool]:
         """Ping every registered node at once, refreshing liveness flags."""
-
-        async def ping(link: NodeLink) -> bool:
-            try:
-                await self._rpc(link, PingRequest())
-                return True
-            except (NodeDownError, OSError):
-                return False
-
         members = self.ring.members
-        alive = await asyncio.gather(
-            *(ping(self.nodes[node_id]) for node_id in members)
-        )
-        return dict(zip(members, alive))
+        pongs = await self._rpcs([(self.nodes[nid], [PingRequest()]) for nid in members])
+        return {nid: answered(pong) is not None for nid, (pong,) in zip(members, pongs)}
 
     # ------------------------------------------------------------------
     # Membership
@@ -672,21 +720,20 @@ class ClusterCoordinator:
                 )
                 # One one-block request per graph node (the benchmark
                 # pins a put at 96 RPCs), sent as one burst per owner.
-                owned: dict[str, list[int]] = {}
-                for node, owner in enumerate(placement):
-                    owned.setdefault(owner, []).append(node)
-                acks = await asyncio.gather(
-                    *(
-                        self._put_blocks(owner, [
-                            {block_key(name, idx, node): encoded.blocks[node].data}
-                            for node in nodes
+                prefix = block_key(name, idx, "")
+                owners = _owner_rows(placement)
+                acks = await self._put_blocks(
+                    [
+                        (owner, [
+                            {prefix + suffix: encoded.blocks[node].data}
+                            for suffix, node in zip(suffixes, rows.tolist())
                         ])
-                        for owner, nodes in owned.items()
-                    )
+                        for owner, suffixes, rows in owners
+                    ]
                 )
                 landed = np.zeros(self.graph.num_nodes, dtype=bool)
-                for nodes, oks in zip(owned.values(), acks):
-                    landed[nodes] = oks
+                for (_, _, rows), oks in zip(owners, acks):
+                    landed[rows] = oks
                 if not landed.all():
                     try:  # ack only what a read could decode
                         self.codec.schedule(landed)
@@ -711,13 +758,10 @@ class ClusterCoordinator:
                 }
             )
         failed = len(records) * self.graph.num_nodes - placed
-        reg = registry()
-        reg.counter("cluster.put.objects").inc()
-        reg.counter("cluster.put.blocks").inc(placed)
         if failed:
             # Tolerated: the code decodes around them, and repair will
             # rebuild them — but never silently.
-            reg.counter("cluster.put.failed_blocks").inc(failed)
+            registry().counter("cluster.put.failed_blocks").inc(failed)
         return {
             "name": name,
             "size": manifest.size,
@@ -728,22 +772,19 @@ class ClusterCoordinator:
         }
 
     async def _put_blocks(
-        self, node_id: str, batches: list[dict[str, bytes | memoryview]]
-    ) -> list[bool]:
-        """One ``block.put`` per batch to one node, all in one burst;
-        whether each batch landed (whole: a batch lands or none of it)."""
-        link = self.nodes.get(node_id)
-        if link is None or not link.alive:
-            return [False] * len(batches)
-        outcomes = await self._rpc_many(
-            link, [BlockPutRequest(blocks=blocks) for blocks in batches]
-        )
-        for outcome in outcomes:
-            if isinstance(outcome, Exception) and not isinstance(
-                outcome, (NodeDownError, TransientUnavailableError)
-            ):
-                raise outcome
-        return [not isinstance(o, Exception) for o in outcomes]
+        self, batches: Sequence[tuple[str, list[dict[str, bytes | memoryview]]]]
+    ) -> list[list[bool]]:
+        """One ``block.put`` per batch, a burst per node, one fan-out;
+        per node, whether each batch landed (whole: a batch lands or
+        none of it).  A dead or unknown node lands nothing."""
+        sends = [(self._live_link(node_id), b) for node_id, b in batches]
+        acks = iter(await self._rpcs(
+            [(link, [BlockPutRequest(blocks=x) for x in b]) for link, b in sends if link]
+        ))
+        return [
+            [answered(o) is not None for o in next(acks)] if link else [False] * len(b)
+            for link, b in sends
+        ]
 
     async def get(
         self,
@@ -817,57 +858,60 @@ class ClusterCoordinator:
         reader captured then names owners whose copies are deleted.
         """
         record = self._stripe_record(name, record.index) or record
-        keys = {
-            block_key(name, record.index, node): node
-            for node in range(self.graph.num_nodes)
-        }
-        assignment: dict[str, list[str]] = {}
-        for key, node in keys.items():
-            assignment.setdefault(record.placement[node], []).append(key)
-        return await self._fetch_blocks(assignment, keys)
+        prefix = block_key(name, record.index, "")
+        return await self._fetch_blocks(
+            [
+                (owner, tuple(map(prefix.__add__, suffixes)), rows)
+                for owner, suffixes, rows in _owner_rows(record.placement)
+            ],
+            self.graph.num_nodes,
+        )
 
     async def _fetch_blocks(
-        self, assignment: dict[str, list[str]], keys: dict[str, int]
+        self,
+        wanted: Sequence[tuple[str, tuple[str, ...], np.ndarray]],
+        count: int,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Fetch ``assignment[node_id] -> keys`` concurrently.
+        """One ``block.fetch`` per ``(node_id, keys, rows)``, one fan-out.
 
-        Returns the (blocks, present) pair the decoder wants, one row
-        per entry of ``keys`` (key -> row): one stripe's for a read, a
-        whole wave's, stripe after stripe, for repair.  A dead,
+        Returns the (blocks, present) pair the decoder wants, ``count``
+        rows, ``keys[i]`` landing in row ``rows[i]``: one stripe's for a
+        read, a whole wave's, stripe after stripe, for repair.  A dead,
         unreachable, or interrupted node simply contributes nothing to
-        ``present`` — absence *is* the erasure mask.
+        ``present`` — absence *is* the erasure mask.  A node answers in
+        request order, listing the keys it lacks, so a reply lands in
+        one copy; one that does not is taken key by key, and a block
+        with no row here or the wrong size is one more erasure.
         """
-
-        async def fetch(node_id: str, wanted: list[str]) -> dict[str, bytes]:
-            link = self.nodes.get(node_id)
-            if link is None or not link.alive:
-                return {}
-            try:
-                response = await self._rpc(
-                    link, BlockFetchRequest(keys=tuple(sorted(wanted)))
-                )
-            except (NodeDownError, TransientUnavailableError):
-                return {}
-            return response.blocks or {}
-
-        fetched = await asyncio.gather(
-            *(fetch(nid, ks) for nid, ks in sorted(assignment.items()))
+        size = self.codec.block_size
+        blocks = np.zeros((count, size), dtype=np.uint8)
+        present = np.zeros(count, dtype=bool)
+        asked = [(link, k, r) for nid, k, r in wanted if (link := self._live_link(nid))]
+        replies = await self._rpcs(
+            [(link, [BlockFetchRequest(keys=keys)]) for link, keys, _ in asked]
         )
-        # A reply is not trusted: an unrequested key (no node of this
-        # stripe) or a wrong-sized block is one more erasure.
-        blocks, present, malformed = stripe_rows(
-            (
-                (keys.get(key, -1), data)
-                for held in fetched
-                for key, data in held.items()
-            ),
-            len(keys),
-            self.codec.block_size,
-        )
-        if malformed:
-            registry().counter("cluster.fetch.malformed_blocks").inc(
-                malformed
+        odd = []
+        for (_, keys, rows), (reply,) in zip(asked, replies):
+            if (reply := answered(reply)) is None:
+                continue
+            held = reply.blocks or {}
+            if reply.missing:
+                lacking = set(reply.missing).__contains__
+                rows = rows[~np.fromiter(map(lacking, keys), bool, len(keys))]
+                keys = tuple(itertools.filterfalse(lacking, keys))
+            if tuple(held) == keys and set(map(len, held.values())) <= {size}:
+                data = np.frombuffer(b"".join(held.values()), dtype=np.uint8)
+                blocks[rows], present[rows] = data.reshape(-1, size), True
+            else:
+                odd += held.items()
+        if odd:
+            row_of = {k: r for _, keys, rows in wanted for k, r in zip(keys, rows)}
+            got, have, malformed = stripe_rows(
+                ((row_of.get(k, -1), d) for k, d in odd), count, size
             )
+            blocks[have], present[have] = got[have], True
+            if malformed:
+                registry().counter("cluster.fetch.malformed_blocks").inc(malformed)
         return blocks, present
 
     async def fetch_stripe_raw(
@@ -957,19 +1001,13 @@ class ClusterCoordinator:
 
     async def _inventory(self) -> dict[str, set[str]]:
         """key -> set of live node ids currently holding it."""
-
-        async def listing(link: NodeLink) -> tuple[str, ...]:
-            try:
-                return (await self._rpc(link, BlockListRequest())).keys
-            except (NodeDownError, TransientUnavailableError):
-                return ()
-
-        links = self._live_links()
-        listings = await asyncio.gather(*map(listing, links))
+        links = list(filter(None, map(self._live_link, self.ring.members)))
+        listings = await self._rpcs([(link, [BlockListRequest()]) for link in links])
         holders: dict[str, set[str]] = {}
-        for link, keys in zip(links, listings):
-            for key in keys:
-                holders.setdefault(key, set()).add(link.node_id)
+        for link, (listing,) in zip(links, listings):
+            if (listing := answered(listing)) is not None:
+                for key in listing.keys:
+                    holders.setdefault(key, set()).add(link.node_id)
         return holders
 
     async def _repair_stripes(
@@ -1013,7 +1051,8 @@ class ClusterCoordinator:
                 if record is None:  # the object was replaced meanwhile
                     continue
                 desired = self._stripe_placement(name, index)
-                keys = [block_key(name, index, node) for node in range(n)]
+                prefix = block_key(name, index, "")  # "name/index/"
+                keys = [*map(prefix.__add__, map(str, range(n)))]
                 need = [
                     node
                     for node in range(n)
@@ -1021,17 +1060,21 @@ class ClusterCoordinator:
                 ]
                 wave.append(_WaveStripe(name, record, desired, keys, need))
             work = [s for s in wave if s.need]
-            rows: dict[str, int] = {}
-            assignment: dict[str, list[str]] = {}
-            for s in work:
-                for key in s.keys:
-                    rows[key] = len(rows)
-                    for nid in sorted(holders.get(key, ())):
-                        link = self.nodes.get(nid)
-                        if link is not None and link.alive:
-                            assignment.setdefault(nid, []).append(key)
-                            break
-            blocks, present = await self._fetch_blocks(assignment, rows)
+            live = {nid for nid, link in self.nodes.items() if link.alive}
+            assignment = {nid: ([], []) for nid in sorted(live)}
+            for row, key in enumerate(key for s in work for key in s.keys):
+                if held := holders.get(key, frozenset()) & live:
+                    keys, rows = assignment[min(held)]
+                    keys.append(key)
+                    rows.append(row)
+            blocks, present = await self._fetch_blocks(
+                [
+                    (nid, tuple(keys), np.array(rows, dtype=np.intp))
+                    for nid, (keys, rows) in assignment.items()
+                    if keys
+                ],
+                len(work) * n,
+            )
             batches: dict[str, dict[str, memoryview]] = {}
             for s, got, have in zip(
                 work, blocks.reshape(-1, n, size), present.reshape(-1, n)
@@ -1053,8 +1096,8 @@ class ClusterCoordinator:
                     batches.setdefault(s.desired[node], {})[s.keys[node]] = (
                         got[node].data
                     )
-            acks = await asyncio.gather(
-                *(self._put_blocks(nid, [b]) for nid, b in batches.items())
+            acks = await self._put_blocks(
+                [(nid, [b]) for nid, b in batches.items()]
             )
             landed = {nid: ok for nid, (ok,) in zip(batches, acks)}
             records: list[dict[str, Any]] = []
@@ -1068,13 +1111,13 @@ class ClusterCoordinator:
                         continue
                     nbytes = s.blocks[node].nbytes
                     holders.setdefault(s.keys[node], set()).add(owner)
-                    self._meter_repair(owner, nbytes)
                     by_node[owner] = by_node.get(owner, 0) + nbytes
                     kind = "rebuilt" if node in s.rebuilt else "moved"
                     stats[f"{kind}_blocks"] += 1
                     booked[f"{kind}_bytes"] += nbytes
                 for key, value in booked.items():
                     stats[key] += value
+                self._meter_repair(by_node)
                 placed_all = s.complete and all(
                     landed[s.desired[node]] for node in s.place
                 )
@@ -1104,31 +1147,31 @@ class ClusterCoordinator:
             # owner: any other copy is redundant now.
             strays: dict[str, list[str]] = {}
             for s in settled:
-                for node, key in enumerate(s.keys):
-                    for nid in holders.get(key, set()) - {s.desired[node]}:
-                        strays.setdefault(nid, []).append(key)
-
-            async def delete(nid: str, doomed: list[str]) -> None:
-                link = self.nodes.get(nid)
-                if link is not None:
-                    try:
-                        await self._rpc(
-                            link, BlockDeleteRequest(keys=tuple(doomed))
-                        )
-                    except (NodeDownError, TransientUnavailableError):
-                        return
-                for key in doomed:
-                    holders[key].discard(nid)
-
-            await asyncio.gather(
-                *(delete(nid, strays[nid]) for nid in sorted(strays))
+                for key, owner in zip(s.keys, s.desired):
+                    for nid in holders.get(key, ()):
+                        if nid != owner:
+                            strays.setdefault(nid, []).append(key)
+            doomed = [(self.nodes.get(nid), nid) for nid in sorted(strays)]
+            deleted = iter(
+                await self._rpcs(
+                    [
+                        (link, [BlockDeleteRequest(keys=tuple(strays[nid]))])
+                        for link, nid in doomed
+                        if link is not None
+                    ]
+                )
             )
+            for link, nid in doomed:
+                if link is None or answered(next(deleted)[0]) is not None:
+                    for key in strays[nid]:
+                        holders[key].discard(nid)
         return stats
 
-    def _meter_repair(self, node_id: str, nbytes: int) -> None:
+    def _meter_repair(self, by_node: dict[str, int]) -> None:
         reg = registry()
-        reg.counter("cluster.repair.bytes").inc(nbytes)
-        reg.counter(f"cluster.repair.bytes.{node_id}").inc(nbytes)
+        for node_id, nbytes in by_node.items():
+            reg.counter("cluster.repair.bytes").inc(nbytes)
+            reg.counter(f"cluster.repair.bytes.{node_id}").inc(nbytes)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -1214,21 +1257,16 @@ class ClusterCoordinator:
     async def status(self) -> dict[str, Any]:
         """Cluster-wide view: membership, liveness, stats, repair bytes."""
         liveness = await self.probe()
+        up = [nid for nid in self.ring.members if liveness.get(nid, False)]
+        replies = await self._rpcs([(self.nodes[nid], [StatsRequest()]) for nid in up])
+        stats = {nid: answered(r) for nid, (r,) in zip(up, replies)}
         nodes: dict[str, Any] = {}
         for node_id in self.ring.members:
             link = self.nodes[node_id]
-            entry: dict[str, Any] = {
-                "host": link.host,
-                "port": link.port,
-                "alive": liveness.get(node_id, False),
-            }
+            entry = nodes[node_id] = {"host": link.host, "port": link.port}
+            entry["alive"] = stats.get(node_id) is not None
             if entry["alive"]:
-                try:
-                    response = await self._rpc(link, StatsRequest())
-                    entry["stats"] = response.stats
-                except (NodeDownError, TransientUnavailableError):
-                    entry["alive"] = False
-            nodes[node_id] = entry
+                entry["stats"] = stats[node_id].stats
         return {
             "nodes": nodes,
             "objects": len(self.manifests),

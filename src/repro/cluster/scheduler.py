@@ -172,16 +172,15 @@ class RepairScheduler:
         coord = self.coordinator
         desired = coord._stripe_placement(name, record.index)
         missing = misplaced = strays = 0
-        for node in range(coord.graph.num_nodes):
-            holding = self._holders.get(
-                block_key(name, record.index, node), ()
-            )
+        prefix = block_key(name, record.index, "")
+        for node, owner in enumerate(desired):
+            holding = self._holders.get(prefix + str(node), ())
             if not holding:
                 missing += 1
                 continue
-            if desired[node] not in holding:
+            if owner not in holding:
                 misplaced += 1
-            if set(holding) - {desired[node]}:
+            if len(holding) > (owner in holding):  # a copy off its owner
                 strays += 1
         if not missing and not misplaced and not strays:
             return None

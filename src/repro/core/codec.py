@@ -104,7 +104,11 @@ class TornadoCodec:
         self.block_size = check_count(block_size, "block_size", 1)
         self.graph = graph
         self.plans = plans if plans is not None else PlanCache()
-        self._members = graph.constraint_members()
+        self._others = {  # a replay step's operands: the constraint's others
+            (ci, node): np.array([m for m in members if m != node], dtype=np.intp)
+            for ci, members in enumerate(graph.constraint_members())
+            for node in members
+        }
         self._data_rows = list(graph.data_nodes)
         self._data = frozenset(graph.data_nodes)
         # Constraint evaluation order honouring the cascade levels.
@@ -232,8 +236,8 @@ class TornadoCodec:
         work = blocks.copy()
         work[~present] = 0
         for ci, node in steps:
-            others = [m for m in self._members[ci] if m != node]
-            np.bitwise_xor.reduce(work[others], axis=0, out=work[node])
+            others = work.take(self._others[ci, node], axis=0)
+            np.bitwise_xor.reduce(others, axis=0, out=work[node])
         return work
 
     # ------------------------------------------------------------------

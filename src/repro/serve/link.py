@@ -1,14 +1,15 @@
 """One pipelined client connection to a line server.
 
 The coordinator's node RPCs and the gateway's site RPCs both ride a
-:class:`PipelinedLink`: write a burst of requests (whatever the caller
-holds for this peer; one RPC is a burst of one) under one lock, one
-``write`` and one deadline timer, and park a future under each ``id``.
-The connection's protocol cuts replies with the line server's
+:class:`PipelinedLink`: park a future under each request's ``id`` and
+write the caller's burst for this peer (one RPC is a burst of one) in
+one ``write``, at once when the link is idle, else under its lock
+(:func:`repro.cluster.coordinator.link_rpcs` sends to every peer at
+once).  The connection's protocol cuts replies with the line server's
 :class:`~repro.serve.lineserver.FrameSplitter` and resolves each parked
 future inside the transport callback, in whatever order they come.  A
 burst waits under the lock while the peer reads down a full write
-buffer, never across a reply, so every RPC gathered is on the wire.
+buffer, never across a reply, so every RPC sent is on the wire.
 
 The link moves whole frames and looks no further into a reply than its
 envelope's request id: callers encode requests and parse replies
@@ -58,49 +59,57 @@ class PipelinedLink:
         self._next_id += 1
         return self._next_id
 
-    async def exchange_many(
+    def burst(
         self, items: Sequence[tuple[int, bytes]], timeout: float | None
-    ) -> list[Reply | Exception]:
-        """Send ``(request_id, encoded request)`` items as one burst.
-
-        ``timeout`` bounds it all (connect, write, every reply).  Returns
-        per item its reply or the ``down_error`` that left it unanswered.
-        """
+    ) -> tuple[list[asyncio.Future[Reply]], asyncio.Task | None]:
+        """Park a reply future per ``(request_id, encoded request)`` item
+        and send the items in one ``write``: at once if the link is
+        connected, unlocked and writable, else from the returned task,
+        under the lock (connect within ``timeout``, write, wait for the
+        buffer to drain).  The caller awaits the futures, arms their
+        deadline (:meth:`expire`) and lets them go (:meth:`forget`)."""
         loop = asyncio.get_running_loop()
         replies = [loop.create_future() for _ in items]
         for (request_id, _), reply in zip(items, replies):
             self._pending[request_id] = reply
-        timer = (
-            loop.call_later(timeout, self._expire, replies, timeout)
-            if timeout is not None
-            else None
-        )
-        try:
-            async with self._lock:
-                try:
-                    # A drop fails every parked future at once: if it
-                    # happened while this burst waited (for the lock,
-                    # for the connect), nothing is sent.
-                    if self._connection is None and not replies[0].done():
-                        await self._connect(timeout)
-                    if not replies[0].done():
-                        connection = self._connection
-                        connection.transport.write(b"".join(d for _, d in items))
-                        await asyncio.shield(connection.writable)
-                except (OSError, asyncio.TimeoutError) as exc:
-                    self._drop(f"unreachable: {exc}")
-            outcomes: list[Reply | Exception] = []
-            for reply in replies:
-                try:
-                    outcomes.append(await reply)
-                except self.down_error as exc:
-                    outcomes.append(exc)
-            return outcomes
-        finally:
-            if timer is not None:
-                timer.cancel()
-            for request_id, _ in items:
-                self._pending.pop(request_id, None)
+        data = b"".join(d for _, d in items)
+        connection = self._connection
+        if connection and connection.writable.done() and not self._lock.locked():
+            self._write(data)
+            return replies, None
+        return replies, loop.create_task(self._send(data, replies[0], timeout))
+
+    async def _send(
+        self, data: bytes, first: asyncio.Future, timeout: float | None
+    ) -> None:
+        async with self._lock:
+            try:
+                # A drop fails every parked future at once: if it
+                # happened while this burst waited (for the lock, for
+                # the connect), nothing is sent.
+                if self._connection is None and not first.done():
+                    await self._connect(timeout)
+                if not first.done():
+                    await asyncio.shield(self._write(data))
+            except (OSError, asyncio.TimeoutError) as exc:
+                self._drop(f"unreachable: {exc}")
+
+    def _write(self, data: bytes) -> asyncio.Future:
+        self._connection.transport.write(data)
+        return self._connection.writable
+
+    def expire(self, replies: Sequence[asyncio.Future], timeout: float) -> None:
+        """The deadline of ``replies``: drop the link if one is unanswered."""
+        if not all(reply.done() for reply in replies):  # else none is late
+            registry().counter(f"{self.family}.timeouts").inc()
+            self._drop(f"gave no reply within the {timeout}s RPC deadline")
+
+    def forget(self, items: Sequence[tuple[int, bytes]], replies) -> None:
+        """Unpark a burst: a late reply to it is dropped."""
+        for (request_id, _), reply in zip(items, replies):
+            self._pending.pop(request_id, None)
+            if reply.done() and not reply.cancelled():
+                reply.exception()  # an unawaited failure logs nothing
 
     def reset(self) -> None:
         """Abort the connection, failing whatever is parked on the link."""
@@ -116,11 +125,6 @@ class PipelinedLink:
             lambda: _LinkConnection(self), self.host, self.port
         )
         _, self._connection = await asyncio.wait_for(connect, timeout)
-
-    def _expire(self, replies: list[asyncio.Future], timeout: float) -> None:
-        if not all(reply.done() for reply in replies):  # else none is late
-            registry().counter(f"{self.family}.timeouts").inc()
-            self._drop(f"gave no reply within the {timeout}s RPC deadline")
 
     def _drop(self, reason: str) -> None:
         connection, self._connection = self._connection, None

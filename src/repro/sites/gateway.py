@@ -46,7 +46,7 @@ from typing import Any
 import numpy as np
 
 from .._checks import check_seconds
-from ..cluster.coordinator import DEFAULT_RETRY, NodeDownError, link_rpc
+from ..cluster.coordinator import DEFAULT_RETRY, NodeDownError, answered, link_rpc, link_rpcs
 from ..cluster.ring import HashRing
 from ..core.codec import TornadoCodec, stripe_rows
 from ..obs.registry import registry
@@ -219,20 +219,14 @@ class FederationGateway:
         sites is the federation's steady state, not its anomaly.
         """
         order = self._site_order(name)
-
-        async def one(site_id: str) -> bool:
-            try:
-                await self._rpc(
-                    self._link(site_id),
-                    PutRequest(name=name, payload=payload),
-                )
-                return True
-            except (SiteDownError, TransientUnavailableError):
-                return False
-
-        results = await asyncio.gather(*(one(sid) for sid in order))
+        attached = [sid for sid in order if sid in self.links]
+        replies = await link_rpcs(
+            [(self.links[sid], [PutRequest(name=name, payload=payload)]) for sid in attached],
+            retry=self.retry,
+            timeout=self.rpc_timeout,
+        )
         acked = tuple(
-            sid for sid, ok in zip(order, results) if ok
+            sid for sid, (reply,) in zip(attached, replies) if answered(reply) is not None
         )
         if not acked:
             raise TransientUnavailableError(

@@ -477,6 +477,7 @@ class TestMetricsScrapePlane:
         async def serve_and_scrape():
             cluster = await Cluster.start(members=3)
             await cluster.coordinator.put("obj", payload_bytes(4000))
+            await cluster.coordinator.get("obj")
             server = await start_coordinator(
                 cluster.coordinator, port=0
             )
@@ -499,7 +500,7 @@ class TestMetricsScrapePlane:
                         registry().snapshot()
                     ).splitlines():
                         assert line in text
-                    assert "repro_cluster_put_blocks_total 192" in text
+                    assert "repro_cluster_get_objects_total 1" in text
 
             await asyncio.to_thread(scrape)
             server.close()
@@ -507,3 +508,97 @@ class TestMetricsScrapePlane:
 
         with capture(MetricsRegistry()):
             run(serve_and_scrape())
+
+
+class TestPutWithANodeDark:
+    def test_a_dark_owners_blocks_are_counted_as_failed(self):
+        async def check():
+            cluster = await Cluster.start(members=4)
+            await cluster.kill("node-1")
+            coord = cluster.coordinator
+            info = await coord.put("obj", payload_bytes(3000))  # one stripe
+            got = await coord.get("obj", want_payload=True)
+            await cluster.close()
+            return info, got
+
+        with capture() as registry:
+            info, got = run(check())
+        # node-1 owns every fourth graph node of the stripe: 24 blocks
+        # fail, the other 72 decode the object.
+        assert (info["blocks"], info["failed_blocks"]) == (72, 24)
+        assert registry.snapshot()["counters"]["cluster.put.failed_blocks"] == 24
+        assert got.payload == payload_bytes(3000)
+
+
+class TestOneFanOutPerStripe:
+    """A stripe's node RPCs leave from the request handler's own
+    coroutine: the handler is the only task a get or a put creates."""
+
+    def test_a_get_and_a_put_each_create_only_the_handler_task(
+        self, monkeypatch
+    ):
+        import repro.cluster.coordinator as coordinator_mod
+        from repro.serve import lineserver
+        from repro.serve.protocol import GetRequest, PutRequest, encode_request
+
+        from ..serve.wire import read_reply
+
+        frames = []  # every frame written after the client's request
+        for module, name in (
+            (coordinator_mod, "encode_request"),
+            (lineserver, "encode_frame"),
+        ):
+
+            def counting(*args, _real=getattr(module, name), **kwargs):
+                frames.append(name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        tracer = Tracer(seed=0)
+
+        async def check():
+            cluster = await Cluster.start(members=4)
+            server = await start_coordinator(cluster.coordinator, port=0)
+            reader, writer = await asyncio.open_connection(
+                *server.sockets[0].getsockname()[:2]
+            )
+            loop = asyncio.get_running_loop()
+            created = []
+
+            def task_factory(loop, coro, **kwargs):
+                created.append(coro.__qualname__)
+                return asyncio.Task(coro, loop=loop, **kwargs)
+
+            async def call(request):
+                frames.clear()
+                created.clear()
+                spans = len(tracer.records)
+                loop.set_task_factory(task_factory)
+                try:
+                    writer.write(encode_request(request, request_id=1))
+                    reply = await read_reply(reader)
+                finally:
+                    loop.set_task_factory(None)
+                names = [r["name"] for r in tracer.records[spans:]]
+                return reply, list(created), 1 + len(frames), names
+
+            payload = payload_bytes(3000)  # one stripe
+            # The first calls connect the node links; count the next two.
+            await call(PutRequest(name="warm", payload=payload))
+            await call(GetRequest(name="warm"))
+            put = await call(PutRequest(name="obj", payload=payload))
+            get = await call(GetRequest(name="obj", want_payload=True))
+            writer.close()
+            server.close()
+            await cluster.close()
+            return put, get
+
+        with trace_capture(tracer):
+            put, get = run(check())
+        (put_reply, put_tasks, put_frames, put_spans) = put
+        (get_reply, get_tasks, get_frames, get_spans) = get
+        assert put_reply["kind"] == "ack" and get_reply["payload"] == payload_bytes(3000)
+        assert put_tasks == get_tasks == ["_Connection.answer"]
+        assert (put_frames, get_frames) == (194, 10)
+        assert put_spans.count("cluster.rpc.block.put") == 96
+        assert get_spans.count("cluster.rpc.block.fetch") == 4

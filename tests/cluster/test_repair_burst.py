@@ -102,7 +102,7 @@ class TestReadsRacingAReshard:
             real = coord._put_blocks
             reads = []
 
-            async def racing(node_id, requests):
+            async def racing(batches):
                 # The wave holds both stripe locks here, unflipped.
                 if not reads:
                     reads.append(
@@ -112,7 +112,7 @@ class TestReadsRacingAReshard:
                     )
                     await asyncio.sleep(0.01)  # reader parks on a lock
                     assert not reads[0].done()
-                return await real(node_id, requests)
+                return await real(batches)
 
             coord._put_blocks = racing
             summary = await coord.deregister("node-1")
@@ -264,15 +264,16 @@ class TestPlacementBurst:
             real = coord._put_blocks
             batches = []
 
-            async def dying(node_id, requests):
-                if node_id == "node-3":
-                    batches.extend(map(len, requests))
-                    if len(batches) == 1:
-                        # Dies with its first batch written, unanswered.
-                        asyncio.get_running_loop().call_soon(
-                            cluster.kill, "node-3"
-                        )
-                return await real(node_id, requests)
+            async def dying(sends):
+                for node_id, requests in sends:
+                    if node_id == "node-3":
+                        batches.extend(map(len, requests))
+                        if len(batches) == 1:
+                            # Dies with its first batch written, unanswered.
+                            asyncio.get_running_loop().call_soon(
+                                cluster.kill, "node-3"
+                            )
+                return await real(sends)
 
             coord._put_blocks = dying
             summary = await cluster.join(joiner)
@@ -372,18 +373,15 @@ class TestBatchesPerMember:
             cluster = await Cluster.start(4)
             coord = cluster.coordinator
             sent, bursts = [], []
-            rpc, rpc_many = coord._rpc, coord._rpc_many
+            rpcs = coord._rpcs
             waves = []
             repair = coord._repair_stripes
 
-            async def recording(link, request):
-                sent.append(request)
-                return await rpc(link, request)
-
-            async def recording_many(link, requests):
-                sent.extend(requests)
-                bursts.append(len(requests))
-                return await rpc_many(link, requests)
+            async def recording(fan_out):
+                for _, requests in fan_out:
+                    sent.extend(requests)
+                    bursts.append(len(requests))
+                return await rpcs(fan_out)
 
             async def counting(stripes, holders):
                 waves.append(len(stripes))
@@ -394,7 +392,7 @@ class TestBatchesPerMember:
                     len(getattr(r, field)) for r in sent if type(r) is kind
                 ]
 
-            coord._rpc, coord._rpc_many = recording, recording_many
+            coord._rpcs = recording
             await coord.put("solo", payload_bytes(STRIPE))
             # The benchmark pins a put at one RPC per block; they leave
             # as one burst per member.
@@ -406,7 +404,7 @@ class TestBatchesPerMember:
             sent.clear()
             coord._repair_stripes = counting
             summary = await coord.deregister("node-1")
-            coord._rpc, coord._rpc_many = rpc, rpc_many
+            coord._rpcs = rpcs
             assert summary["repaired_stripes"] == stripes
             assert waves == [stripes]  # 7 x 96 x 64 B is one wave
             puts = batch_sizes(BlockPutRequest, "blocks")

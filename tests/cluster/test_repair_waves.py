@@ -136,16 +136,12 @@ class TestWaveBounds:
             coord = cluster.coordinator
             objects = await cluster.put_objects(8)
             sent, waves = [], []
-            rpc, repair = coord._rpc, coord._repair_stripes
-            rpc_many = coord._rpc_many
+            rpcs, repair = coord._rpcs, coord._repair_stripes
 
-            async def recording(link, request):
-                sent.append(type(request))
-                return await rpc(link, request)
-
-            async def recording_many(link, requests):
-                sent.extend(map(type, requests))
-                return await rpc_many(link, requests)
+            async def recording(bursts):
+                for _, requests in bursts:
+                    sent.extend(map(type, requests))
+                return await rpcs(bursts)
 
             async def counting(stripes, holders):
                 seq, fsyncs = coord.wal.seq, coord.wal.fsyncs
@@ -159,8 +155,7 @@ class TestWaveBounds:
                 )
                 return done
 
-            coord._rpc, coord._repair_stripes = recording, counting
-            coord._rpc_many = recording_many
+            coord._rpcs, coord._repair_stripes = recording, counting
             summary = await coord.deregister("node-1")
             members = len(coord.ring.members)
             assert summary["repaired_stripes"] == 8

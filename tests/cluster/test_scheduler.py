@@ -269,13 +269,13 @@ class TestRepairStatusOp:
             await coord.put("obj", payload_bytes(4000, seed=11))
             cluster.delete_blocks("obj", 2)
             sent = []
-            rpc = coord._rpc
+            rpcs = coord._rpcs
 
-            async def recording(link, request):
-                sent.append(request)
-                return await rpc(link, request)
+            async def recording(bursts):
+                sent.extend(bursts)
+                return await rpcs(bursts)
 
-            coord._rpc = recording
+            coord._rpcs = recording
             sched = coord.scheduler
             before = (sched.scans, sched.cycles)
             with pytest.raises(ValueError, match=match):

@@ -562,14 +562,15 @@ class TestRecoveryIsTheLivePath:
             real = coord._put_blocks
             batches = []
 
-            async def dying(node_id, requests):
-                if node_id == "node-3":
-                    batches.extend(map(len, requests))
-                    if len(batches) == 1:
-                        asyncio.get_running_loop().create_task(
-                            cluster.kill("node-3")
-                        )
-                return await real(node_id, requests)
+            async def dying(sends):
+                for node_id, requests in sends:
+                    if node_id == "node-3":
+                        batches.extend(map(len, requests))
+                        if len(batches) == 1:
+                            asyncio.get_running_loop().create_task(
+                                cluster.kill("node-3")
+                            )
+                return await real(sends)
 
             coord._put_blocks = dying
             await join("node-3", seed=3)

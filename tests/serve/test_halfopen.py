@@ -33,6 +33,7 @@ from repro.serve.protocol import (
 )
 
 from . import wire
+from .test_link import rpc
 from .wire import read_frame
 
 
@@ -182,7 +183,7 @@ class TestCoordinatorRpcDeadlines:
             link = NodeLink("dark", "127.0.0.1", port_of(server))
             t0 = time.perf_counter()
             with pytest.raises(NodeDownError) as info:
-                await coord._rpc(link, PingRequest())
+                await rpc(coord, link, PingRequest())
             assert "RPC deadline" in str(info.value)
             assert time.perf_counter() - t0 < 5.0
             assert link.alive is False
@@ -219,7 +220,7 @@ class TestCoordinatorRpcDeadlines:
                 ),
             )
             link = NodeLink("blippy", "127.0.0.1", port_of(server))
-            response = await coord._rpc(link, PingRequest())
+            response = await rpc(coord, link, PingRequest())
             assert response.pong is True
             assert attempts["count"] == 2
             assert link.alive is True

@@ -1,8 +1,9 @@
 """The pipelined RPC link, on real loopback TCP.
 
-Everything here goes through ``ClusterCoordinator._rpc`` /
-``_rpc_many`` (or a whole ``put``) and a ``NodeLink``, so the link is exercised with the typed
-encode/parse its callers wrap around it.
+Everything here goes through ``link_rpc`` / ``link_rpcs`` under a
+coordinator's retry policy and deadline (or a whole ``put``) and a
+``NodeLink``, so the link is exercised with the typed encode/parse its
+callers wrap around it.
 """
 
 import asyncio
@@ -21,7 +22,7 @@ from repro.cluster.coordinator import (
     NodeDownError,
     NodeLink,
     link_rpc,
-    link_rpc_many,
+    link_rpcs,
 )
 from repro.graphs import tornado_catalog_graph
 from repro.obs.registry import capture
@@ -46,6 +47,13 @@ def coordinator(**kwargs):
     kwargs.setdefault("retry", None)
     return ClusterCoordinator(
         tornado_catalog_graph(3), block_size=64, **kwargs
+    )
+
+
+async def rpc(coord, link, request):
+    """One RPC on ``link`` under ``coord``'s retry policy and deadline."""
+    return await link_rpc(
+        link, request, retry=coord.retry, timeout=coord.rpc_timeout
     )
 
 
@@ -105,7 +113,7 @@ class TestPipelining:
             link = NodeLink("n", *address(server))
             replies = await asyncio.gather(
                 *(
-                    coord._rpc(link, BlockFetchRequest(keys=(f"key-{i}",)))
+                    rpc(coord, link, BlockFetchRequest(keys=(f"key-{i}",)))
                     for i in range(burst)
                 )
             )
@@ -133,7 +141,7 @@ class TestPipelining:
             finished = []
 
             async def call(request):
-                await coord._rpc(link, request)
+                await rpc(coord, link, request)
                 finished.append(request.op)
 
             t0 = time.perf_counter()
@@ -156,16 +164,16 @@ class TestPipelining:
             coord = coordinator(rpc_timeout=5.0)
             await coord.register("n0", *address(server))
             link = coord.nodes["n0"]
-            await coord._rpc(link, BlockPutRequest(blocks={"k": b"\n\xff"}))
+            await rpc(coord, link, BlockPutRequest(blocks={"k": b"\n\xff"}))
             node.partitioned = True
             parked = asyncio.create_task(
-                coord._rpc(link, BlockFetchRequest(keys=("k",)))
+                rpc(coord, link, BlockFetchRequest(keys=("k",)))
             )
             await asyncio.sleep(0.05)
             assert not parked.done()
             # Same link, same connection: the out-of-band heal is
             # answered while the data-plane request is still parked.
-            healed = await coord._rpc(link, NodeAdminRequest(action="heal"))
+            healed = await rpc(coord, link, NodeAdminRequest(action="heal"))
             assert healed.info["partitioned"] is False
             assert (await parked).blocks == {"k": b"\n\xff"}
             link.reset()
@@ -197,22 +205,19 @@ def recorded_writes():
 class TestBursts:
     def test_a_put_writes_once_per_owner_per_stripe(self, monkeypatch):
         encoded, bursts = [], []
-        encode, exchange_many = (
-            coordinator_mod.encode_request,
-            NodeLink.exchange_many,
-        )
+        encode, burst = coordinator_mod.encode_request, NodeLink.burst
 
         def recording(request, **kwargs):
             encoded.append(request)
             return encode(request, **kwargs)
 
-        async def recording_many(link, items, timeout):
+        def recording_burst(link, items, timeout):
             bursts.append([(link.node_id, request_id) for request_id, _ in items])
-            return await exchange_many(link, items, timeout)
+            return burst(link, items, timeout)
 
         # The seam the benchmark's framing layer is measured at.
         monkeypatch.setattr(coordinator_mod, "encode_request", recording)
-        monkeypatch.setattr(NodeLink, "exchange_many", recording_many)
+        monkeypatch.setattr(NodeLink, "burst", recording_burst)
 
         async def check():
             coord = coordinator()
@@ -298,8 +303,8 @@ class TestBursts:
                 half_answering, "127.0.0.1", 0
             )
             link = NodeLink("n", *address(server))
-            outcomes = await link_rpc_many(
-                link, [PingRequest()] * burst, retry=None, timeout=0.3
+            (outcomes,) = await link_rpcs(
+                [(link, [PingRequest()] * burst)], retry=None, timeout=0.3
             )
             assert all(
                 isinstance(o, PongResponse) for o in outcomes[:answered]
@@ -348,17 +353,18 @@ class TestFailure:
                 "node-3", *address(servers[-1])
             )
             failures = []
-            rpc_many = coord._rpc_many  # retry=None: one attempt per RPC
+            rpcs = coord._rpcs  # retry=None: one attempt per RPC
 
-            async def counting(link, requests):
-                outcomes = await rpc_many(link, requests)
-                for request, outcome in zip(requests, outcomes):
-                    if isinstance(outcome, NodeDownError):
-                        (key,) = request.blocks
-                        failures.append((key, str(outcome)))
+            async def counting(bursts):
+                outcomes = await rpcs(bursts)
+                for (_, requests), got in zip(bursts, outcomes):
+                    for request, outcome in zip(requests, got):
+                        if isinstance(outcome, NodeDownError):
+                            (key,) = request.blocks
+                            failures.append((key, str(outcome)))
                 return outcomes
 
-            coord._rpc_many = counting
+            coord._rpcs = counting
             payload = np.random.default_rng(0).bytes(48 * 64)
             info = await coord.put("obj", payload)
             assert (info["blocks"], info["failed_blocks"]) == (72, 24)
@@ -390,12 +396,12 @@ class TestFailure:
             coord = coordinator(rpc_timeout=0.2)
             await coord.register("n0", *address(server))
             link = coord.nodes["n0"]
-            await coord._rpc(link, PingRequest())
+            await rpc(coord, link, PingRequest())
             first = link._connection.transport
             node.partitioned = True
             t0 = time.perf_counter()
             results = await asyncio.gather(
-                *(coord._rpc(link, PingRequest()) for _ in range(6)),
+                *(rpc(coord, link, PingRequest()) for _ in range(6)),
                 return_exceptions=True,
             )
             # One deadline's worth of waiting fails all six at once.
@@ -405,7 +411,7 @@ class TestFailure:
             assert link._connection is None and link.alive is False
             assert first.is_closing()
             node.partitioned = False
-            assert (await coord._rpc(link, PingRequest())).pong is True
+            assert (await rpc(coord, link, PingRequest())).pong is True
             assert link._connection.transport is not first
             assert link.alive is True
             link.reset()
@@ -429,7 +435,7 @@ class TestFailure:
             )
             link = NodeLink("gone", host, port)
             with pytest.raises(NodeDownError, match="unreachable"):
-                await coord._rpc(link, PingRequest())
+                await rpc(coord, link, PingRequest())
             assert link.alive is False
 
         with capture() as registry:
@@ -460,7 +466,7 @@ class TestRetrySchedule:
             await coord.register("n0", *address(server))
             link = coord.nodes["n0"]
             for _ in range(20):
-                await coord._rpc(link, PingRequest())
+                await rpc(coord, link, PingRequest())
             assert draws == []
             link.reset()
             server.close()
@@ -474,7 +480,7 @@ class TestRetrySchedule:
             asyncio.sleep = recording_sleep
             try:
                 with pytest.raises(NodeDownError):
-                    await coord._rpc(link, PingRequest())
+                    await rpc(coord, link, PingRequest())
             finally:
                 asyncio.sleep = real_sleep
 

@@ -132,13 +132,13 @@ def test_served_frontend_answers_bad_request(wire):
 
 
 def no_rpc(monkeypatch):
-    """Make any RPC fail the test (``exchange`` is ``exchange_many``'s
-    one-item case, so this is every RPC a link sends)."""
+    """Make any RPC fail the test (every burst a link sends is parked
+    through ``PipelinedLink.burst``)."""
 
-    async def forbidden(self, items, timeout):
+    def forbidden(self, items, timeout):
         raise AssertionError("an RPC was sent for a refused deadline")
 
-    monkeypatch.setattr(PipelinedLink, "exchange_many", forbidden)
+    monkeypatch.setattr(PipelinedLink, "burst", forbidden)
 
 
 @pytest.mark.parametrize("value, error", REFUSED)

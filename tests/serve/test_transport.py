@@ -11,7 +11,7 @@ import gc
 import time
 
 from repro.cluster import StorageNode, start_storage_node
-from repro.cluster.coordinator import NodeDownError, NodeLink, link_rpc_many
+from repro.cluster.coordinator import NodeDownError, NodeLink, link_rpcs
 from repro.serve import lineserver
 from repro.serve.lineserver import ArchiveEndpoint, start_line_server
 from repro.serve.protocol import (
@@ -186,11 +186,11 @@ class TestBackpressure:
             ]
             t0 = time.perf_counter()
             sending = asyncio.create_task(
-                link_rpc_many(link, requests, retry=None, timeout=timeout)
+                link_rpcs([(link, requests)], retry=None, timeout=timeout)
             )
             await asyncio.sleep(timeout / 2)
             assert link._lock.locked()  # still writing
-            outcomes = await sending
+            (outcomes,) = await sending
             assert timeout <= time.perf_counter() - t0 < timeout + 2
             assert all(isinstance(o, NodeDownError) for o in outcomes)
             assert all("RPC deadline" in str(o) for o in outcomes)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterCoordinator, StorageNode, start_storage_node
-from repro.cluster.coordinator import start_coordinator
+from repro.cluster.coordinator import link_rpc, start_coordinator
 from repro.storage.archive import DataLossError
 from repro.graphs import tornado_catalog_graph
 from repro.serve.lineserver import start_line_server
@@ -106,13 +106,17 @@ class Federation:
         """Delete ``name``'s blocks on the witness graph-node set."""
         coordinator = self.coordinators[site_id]
         for link in coordinator.nodes.values():
-            keys = await coordinator._rpc(
-                link, BlockListRequest(prefix=f"{name}/")
+            keys = await link_rpc(
+                link, BlockListRequest(prefix=f"{name}/"), retry=coordinator.retry,
+                timeout=coordinator.rpc_timeout,
             )
             doomed = tuple(
                 key for key in keys.keys if parse_block_key(key)[2] in erased
             )
-            await coordinator._rpc(link, BlockDeleteRequest(keys=doomed))
+            await link_rpc(
+                link, BlockDeleteRequest(keys=doomed), retry=coordinator.retry,
+                timeout=coordinator.rpc_timeout,
+            )
 
     async def close(self):
         for server_list in self.servers.values():

@@ -470,6 +470,38 @@ class TestExitCodes:
         assert err.startswith("usage error:")
         assert argv[-2].removeprefix("--").replace("-", "_") in err
 
+    def test_a_refused_scenario_leaves_no_trace_dir(self, tmp_path, capsys):
+        trace_dir = tmp_path / "td"
+        argv = ["cluster", "loadgen", "--trace-dir", str(trace_dir)]
+        assert main([*argv, "--rate", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert not trace_dir.exists()
+
+    def test_an_accepted_scenario_writes_the_driver_trace(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import json
+
+        import repro.cluster
+        from repro.obs.trace import trace_span
+
+        class Report:
+            data_loss = False
+
+            def describe(self):
+                return "stub report"
+
+        def run(config):  # the fleet, minus its processes
+            with trace_span("driver.stub"):
+                return Report()
+
+        monkeypatch.setattr(repro.cluster, "run_cluster_loadgen", run)
+        trace_dir = tmp_path / "td"
+        assert main(["cluster", "loadgen", "--trace-dir", str(trace_dir)]) == 0
+        assert "stub report" in capsys.readouterr().out
+        lines = (trace_dir / "driver.jsonl").read_text().splitlines()
+        assert "driver.stub" in [json.loads(line).get("name") for line in lines]
+
     def test_argparse_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
             main(["frobnicate"])

@@ -110,10 +110,17 @@ LINTS = {
         r"|^src/repro/obs/__init__\.py::from \.registry import registry( |$)",
         glob="__init__.py",
     ),
-    # A burst of RPCs is one write: exchange is exchange_many's one-item
-    # case, and a connection's replies leave through its outbox.
+    # A burst of RPCs is one write, whether the link is idle or the
+    # burst waited for its lock, and a connection's replies leave
+    # through its outbox.
     "one-link-write": Lint(
         r"\.write\(", ("src/repro/serve/link.py",), count=range(1, 2)
+    ),
+    # A step's node or site RPCs are one ``link_rpcs`` call, not a
+    # gather of per-link coroutines.
+    "one-fan-out": Lint(
+        r"asyncio\.gather\(",
+        ("src/repro/cluster/coordinator.py", "src/repro/sites/gateway.py"),
     ),
     "no-reply-write-lock": Lint(
         r"asyncio\.Lock\(|write_lock", ("src/repro/serve/lineserver.py",)
