@@ -51,19 +51,20 @@ the live one by construction.  :meth:`ClusterCoordinator.state_sha256` digests
 the canonical metadata state so recovery can be verified byte-for-byte
 against an uninterrupted run.  A crash between block placement and the
 put journal record leaves orphaned blocks on the nodes — harmless,
-because the put was never acknowledged and repair deletes strays.
+because the put was never acknowledged; repair reclaims them once a
+later put moves ``_next_stripe`` past them, as it reclaims a replaced
+object's.
 
 Repair is delegated to the
 :class:`~repro.cluster.scheduler.RepairScheduler`: an at-risk-first
 per-stripe queue, budgeted per cycle, preemptible by foreground reads,
 repaired in byte-capped waves (:meth:`ClusterCoordinator._repair_stripes`).
 A wave holds only its own stripes' locks (no whole-pass cluster lock),
-so ``get`` interleaves with an active rebuild.  All cross-node
-repair traffic is metered as ``cluster.repair.bytes`` (total, plus
-``cluster.repair.bytes.<node_id>`` attributed to the receiving node) —
-the repair-bandwidth metric the archival-storage literature prices
-nodes by — and journaled, so repair-byte accounting survives a
-coordinator crash.
+so ``get`` interleaves with an active rebuild.  All cross-node repair
+traffic is journaled as ``repair_bytes`` (total, plus
+``repair_bytes_by_node`` per receiving node) — the repair-bandwidth
+metric the archival-storage literature prices nodes by — and scraped
+as the ``cluster.repair.bytes`` counters.
 
 Tracing: request handlers run under the caller's shipped context, and
 node RPCs get child spans whose contexts travel in the RPC frames.
@@ -74,6 +75,7 @@ stitching the files gives the cluster-wide span tree.
 from __future__ import annotations
 
 import asyncio
+import collections
 import contextlib
 import functools
 import hashlib
@@ -81,7 +83,7 @@ import itertools
 import json
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Sequence
 
 import numpy as np
@@ -128,7 +130,7 @@ from ..storage.archive import read_stripe
 from ..storage.blockstore import block_key
 from ..storage.device import TransientUnavailableError
 from .ring import HashRing
-from .scheduler import TOTAL_KEYS, RepairScheduler
+from .scheduler import TOTAL_KEYS, HolderTable, RepairScheduler
 from .wal import CoordinatorWal, WalCorruptError
 
 __all__ = ["ClusterCoordinator", "ClusterManifest", "start_coordinator"]
@@ -184,21 +186,6 @@ class ClusterManifest:
                 for index, payload_length, placement in wire["stripes"]
             ),
         )
-
-
-@dataclass
-class _WaveStripe:
-    """One stripe of a repair wave, filled in as the wave's steps run."""
-
-    name: str
-    record: ClusterStripe
-    desired: tuple[str, ...]
-    keys: list[str]
-    need: list[int]  # graph nodes whose desired owner lacks the block
-    blocks: np.ndarray | None = None
-    rebuilt: set[int] = field(default_factory=set)
-    place: list[int] = field(default_factory=list)
-    complete: bool = True  # every row fetched or recovered
 
 
 class _StripeLock(asyncio.Lock):
@@ -440,10 +427,8 @@ class ClusterCoordinator:
         self.retry = retry
         self.rpc_timeout = rpc_timeout
         self.snapshot_every = snapshot_every
-        # Repair-bandwidth accounting lives on the coordinator itself
-        # (status() must report it even when the metrics registry is
-        # the disabled null implementation) and is mirrored into the
-        # registry for Prometheus scrapes.
+        # The journaled repair-bandwidth account; status() and a scrape
+        # both read it.
         self.repair_bytes = 0
         self.repair_bytes_by_node: dict[str, int] = {}
         self.scheduler = RepairScheduler(
@@ -486,7 +471,6 @@ class ClusterCoordinator:
             self._restore_state(state)
         for record in records:
             self._apply_record(record)
-        registry().counter("cluster.wal.recoveries").inc()
 
     def _restore_state(self, state: dict[str, Any]) -> None:
         self._next_stripe = int(state["next_stripe"])
@@ -694,9 +678,10 @@ class ClusterCoordinator:
 
         The manifest is journaled *after* the blocks are placed but
         *before* the put is acknowledged: a crash in between leaves
-        orphaned blocks (the put was never acked — repair deletes
-        strays), never an acked object the WAL forgot.  A stripe whose
-        placed blocks do not decode fails the put, unjournaled.
+        orphaned blocks (the put was never acked), never an acked
+        object the WAL forgot.  A stripe whose placed blocks do not
+        decode fails the put, unjournaled.  An overwrite takes fresh
+        stripe indices; repair reclaims the replaced ones.
         """
         if not self.ring.members:
             raise TransientUnavailableError(
@@ -833,8 +818,7 @@ class ClusterCoordinator:
     async def _read_stripe(
         self, name: str, record: ClusterStripe
     ) -> tuple[bytes, bool]:
-        async with self._stripe_lock(name, record.index):
-            blocks, present = await self._fetch_stripe(name, record)
+        blocks, present = await self._fetch_stripe(name, record)
         data = read_stripe(
             self.codec,
             blocks,
@@ -852,20 +836,21 @@ class ClusterCoordinator:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Bulk-fetch one stripe's blocks from its *recorded* owners.
 
-        Call with the stripe lock held.  The record is looked up again
-        here, under the lock: a repair that held it while this reader
-        waited may have re-sharded the stripe, and the placement the
-        reader captured then names owners whose copies are deleted.
+        The record is looked up again under the stripe lock: a repair
+        that held it while this reader waited may have re-sharded the
+        stripe, and the placement the reader captured then names owners
+        whose copies are deleted.
         """
-        record = self._stripe_record(name, record.index) or record
-        prefix = block_key(name, record.index, "")
-        return await self._fetch_blocks(
-            [
-                (owner, tuple(map(prefix.__add__, suffixes)), rows)
-                for owner, suffixes, rows in _owner_rows(record.placement)
-            ],
-            self.graph.num_nodes,
-        )
+        async with self._stripe_lock(name, record.index):
+            record = self._stripe_record(name, record.index) or record
+            prefix = block_key(name, record.index, "")
+            return await self._fetch_blocks(
+                [
+                    (owner, tuple(map(prefix.__add__, suffixes)), rows)
+                    for owner, suffixes, rows in _owner_rows(record.placement)
+                ],
+                self.graph.num_nodes,
+            )
 
     async def _fetch_blocks(
         self,
@@ -933,13 +918,15 @@ class ClusterCoordinator:
                 f"object {name!r} has no stripe ordinal {seq}"
             )
         record = manifest.stripes[seq]
-        async with self._stripe_lock(name, record.index):
+        self.reads_inflight += 1  # counted like a get's
+        try:
             blocks, present = await self._fetch_stripe(name, record)
+        finally:
+            self.reads_inflight -= 1
         held = {
             str(node): blocks[node].data
             for node in np.flatnonzero(present).tolist()
         }
-        registry().counter("cluster.fetch_stripe.blocks").inc(len(held))
         return StripeBlocksResponse(
             name=name,
             seq=seq,
@@ -999,179 +986,134 @@ class ClusterCoordinator:
         """The ``cluster.repair_status`` op: scheduler introspection."""
         return self.scheduler.status()
 
-    async def _inventory(self) -> dict[str, set[str]]:
-        """key -> set of live node ids currently holding it."""
+    async def _inventory(self) -> HolderTable:
+        """Which live member holds which block: one ``block.list`` each."""
         links = list(filter(None, map(self._live_link, self.ring.members)))
         listings = await self._rpcs([(link, [BlockListRequest()]) for link in links])
-        holders: dict[str, set[str]] = {}
-        for link, (listing,) in zip(links, listings):
-            if (listing := answered(listing)) is not None:
-                for key in listing.keys:
-                    holders.setdefault(key, set()).add(link.node_id)
-        return holders
+        return HolderTable(
+            {
+                link.node_id: reply.keys
+                for link, (listing,) in zip(links, listings)
+                if (reply := answered(listing)) is not None
+            },
+            self.graph.num_nodes,
+        )
 
     async def _repair_stripes(
-        self,
-        stripes: list[tuple[str, int]],
-        holders: dict[str, set[str]],
+        self, stripes: list[tuple[str, int]], table: HolderTable
     ) -> dict[str, int]:
         """Re-stripe a wave of ``(name, index)`` stripes onto the ring.
 
-        Blocks already held somewhere are *moved* to their new owner;
-        blocks no live node holds are replayed from the survivors and
-        *rebuilt*.  The wave takes every one of its stripe locks in
-        ``(name, index)`` order and looks each record up again under
-        them, so a read waits for at most one wave.  One gathered
-        ``block.fetch`` per holder reads every stripe with work (one
-        live holder per key) and :meth:`TornadoCodec.recover` runs once
-        per damaged stripe.  Then three barriers on the pipelined
-        links, each one RPC per node for the whole wave: place every
-        moved and rebuilt block, one ``block.put`` batch per new owner;
-        flip and journal — a stripe flips to its new placement only
-        once every one of its blocks sits with its new owner, so a
-        stripe with a block in a failed batch journals the bytes that
-        landed, leaves reads on the old placement, and the next repair
-        retries — one ``repair`` record per stripe, all in one WAL
-        append; then delete the strays of every stripe whose blocks all
-        sit with their owners, one ``block.delete`` batch per holder.
-        Strays go last so that a crash anywhere leaves every journaled
-        owner holding its block (the next scan queues whatever strays
-        it left behind).
-
-        Returns the wave's share of the scheduler's totals.
+        Under all its stripe locks, taken in order, the wave looks each
+        record up again and classifies it against the scan's ``table``
+        (:meth:`HolderTable.classify`), reads every stripe with work in
+        one ``block.fetch`` per source and rebuilds what no live node
+        holds.  Then three barriers of one RPC per node (docs/CLUSTER.md
+        § "Repair scheduling"): place moved and rebuilt blocks; flip and
+        journal, a stripe only once every block sits with its new owner;
+        delete the strays of settled stripes and the scan's orphans.
+        The table follows the put and delete barriers.  Returns the
+        wave's share of the scheduler's totals.
         """
         n, size = self.graph.num_nodes, self.codec.block_size
         stats = dict.fromkeys(TOTAL_KEYS, 0)
         async with contextlib.AsyncExitStack() as locks:
             for name, index in sorted(stripes):
                 await locks.enter_async_context(self._stripe_lock(name, index))
-            wave: list[_WaveStripe] = []
-            for name, index in stripes:
-                record = self._stripe_record(name, index)
-                if record is None:  # the object was replaced meanwhile
-                    continue
-                desired = self._stripe_placement(name, index)
-                prefix = block_key(name, index, "")  # "name/index/"
-                keys = [*map(prefix.__add__, map(str, range(n)))]
-                need = [
-                    node
-                    for node in range(n)
-                    if desired[node] not in holders.get(keys[node], ())
-                ]
-                wave.append(_WaveStripe(name, record, desired, keys, need))
-            work = [s for s in wave if s.need]
-            live = {nid for nid, link in self.nodes.items() if link.alive}
-            assignment = {nid: ([], []) for nid in sorted(live)}
-            for row, key in enumerate(key for s in work for key in s.keys):
-                if held := holders.get(key, frozenset()) & live:
-                    keys, rows = assignment[min(held)]
-                    keys.append(key)
-                    rows.append(row)
-            blocks, present = await self._fetch_blocks(
-                [
-                    (nid, tuple(keys), np.array(rows, dtype=np.intp))
-                    for nid, (keys, rows) in assignment.items()
-                    if keys
-                ],
-                len(work) * n,
-            )
+            wave = []  # (stripe, record, desired, holding); None for an orphan
+            for stripe in stripes:
+                record = self._stripe_record(*stripe)
+                if record is None and stripe not in table.orphans:
+                    continue  # replaced since the scan: the next one's orphan
+                desired = None if record is None else self._stripe_placement(*stripe)
+                holding = table.classify(stripe, desired, self.nodes)
+                wave.append((stripe, record, desired, holding))
+            work = [w for w in wave if w[3].need.any()]
+            sources = np.concatenate([w[3].source for w in work] or [()])
+            prefixes = [block_key(*w[0], "") for w in work]
+            fetch = []  # one block.fetch per source, its keys built here
+            for column, nid in enumerate(table.nodes):
+                if (rows := np.flatnonzero(sources == column)).size:
+                    keys = tuple(prefixes[r // n] + str(r % n) for r in rows.tolist())
+                    fetch.append((nid, keys, rows))
+            blocks, present = await self._fetch_blocks(fetch, len(work) * n)
             batches: dict[str, dict[str, memoryview]] = {}
-            for s, got, have in zip(
-                work, blocks.reshape(-1, n, size), present.reshape(-1, n)
+            placing = {}  # stripe -> (nodes to place, rows not fetched, complete)
+            for (stripe, _, desired, holding), prefix, got, have in zip(
+                work, prefixes, blocks.reshape(-1, n, size), present.reshape(-1, n)
             ):
-                lost = np.flatnonzero(~have)
-                if lost.size:
+                lost = ~have
+                if lost.any():
                     try:
                         got = self.codec.recover(got, have)
-                        have[lost] = True
+                        have = np.ones(n, dtype=bool)
                     except DecodeFailure:
-                        stats["unrepairable_blocks"] += int(lost.size)
-                        registry().counter(
-                            "cluster.repair.data_loss_stripes"
-                        ).inc()
-                s.blocks, s.rebuilt = got, set(lost.tolist())
-                s.complete = bool(have.all())
-                s.place = [node for node in s.need if have[node]]
-                for node in s.place:
-                    batches.setdefault(s.desired[node], {})[s.keys[node]] = (
-                        got[node].data
-                    )
-            acks = await self._put_blocks(
-                [(nid, [b]) for nid, b in batches.items()]
-            )
+                        stats["unrepairable_blocks"] += int(lost.sum())
+                        registry().counter("cluster.repair.data_loss_stripes").inc()
+                place = np.flatnonzero(holding.need & have).tolist()
+                placing[stripe] = (place, lost, have.all())
+                for node in place:
+                    batch = batches.setdefault(desired[node], {})
+                    batch[prefix + str(node)] = got[node].data
+            acks = await self._put_blocks([(nid, [b]) for nid, b in batches.items()])
             landed = {nid: ok for nid, (ok,) in zip(batches, acks)}
             records: list[dict[str, Any]] = []
-            settled: list[_WaveStripe] = []
-            for s in wave:
-                by_node: dict[str, int] = {}
-                booked = {"moved_bytes": 0, "rebuilt_bytes": 0}
-                for node in s.place:
-                    owner = s.desired[node]
-                    if not landed[owner]:
-                        continue
-                    nbytes = s.blocks[node].nbytes
-                    holders.setdefault(s.keys[node], set()).add(owner)
-                    by_node[owner] = by_node.get(owner, 0) + nbytes
-                    kind = "rebuilt" if node in s.rebuilt else "moved"
-                    stats[f"{kind}_blocks"] += 1
-                    booked[f"{kind}_bytes"] += nbytes
-                for key, value in booked.items():
-                    stats[key] += value
-                self._meter_repair(by_node)
-                placed_all = s.complete and all(
-                    landed[s.desired[node]] for node in s.place
+            settled = []  # (stripe, holding) whose strays may go
+            for stripe, record, desired, holding in wave:
+                place, lost, complete = placing.get(stripe, ([], None, True))
+                placed = [node for node in place if landed[desired[node]]]
+                rebuilt = sum(bool(lost[node]) for node in placed)
+                counts = {"moved": len(placed) - rebuilt, "rebuilt": rebuilt}
+                booked = {f"{kind}_bytes": c * size for kind, c in counts.items()}
+                for kind, count in counts.items():
+                    stats[f"{kind}_blocks"] += count
+                    stats[f"{kind}_bytes"] += count * size
+                table.held(stripe)[placed] |= holding.owner[placed]
+                placed_all = complete and len(placed) == len(place)
+                flipped = placed_all and (
+                    record is not None and desired != record.placement
                 )
-                flipped = placed_all and s.desired != s.record.placement
-                if flipped or by_node:
+                if flipped or placed:
                     # A partial repair (placement None) moved bytes
                     # without flipping the record; the journal still
                     # carries the byte accounting so it survives a crash.
-                    records.append(
-                        {
-                            "type": "repair",
-                            "name": s.name,
-                            "index": s.record.index,
-                            "placement": list(s.desired) if flipped else None,
-                            **booked,
-                            "by_node": {
-                                nid: by_node[nid] for nid in sorted(by_node)
-                            },
-                        }
-                    )
+                    by_node = collections.Counter(sorted(desired[i] for i in placed))
+                    records.append({
+                        "type": "repair",
+                        "name": stripe[0],
+                        "index": stripe[1],
+                        "placement": list(desired) if flipped else None,
+                        **booked,
+                        "by_node": {nid: c * size for nid, c in by_node.items()},
+                    })
                 if placed_all:
-                    settled.append(s)
+                    settled.append((stripe, holding))
             if records:
                 self._commit(*records)
                 stats["repaired_stripes"] = len(records)
             # Every block of a settled stripe sits with its journaled
-            # owner: any other copy is redundant now.
-            strays: dict[str, list[str]] = {}
-            for s in settled:
-                for key, owner in zip(s.keys, s.desired):
-                    for nid in holders.get(key, ()):
-                        if nid != owner:
-                            strays.setdefault(nid, []).append(key)
-            doomed = [(self.nodes.get(nid), nid) for nid in sorted(strays)]
-            deleted = iter(
-                await self._rpcs(
-                    [
-                        (link, [BlockDeleteRequest(keys=tuple(strays[nid]))])
-                        for link, nid in doomed
-                        if link is not None
-                    ]
-                )
-            )
-            for link, nid in doomed:
-                if link is None or answered(next(deleted)[0]) is not None:
-                    for key in strays[nid]:
-                        holders[key].discard(nid)
+            # owner: any other copy is redundant now, as is every copy
+            # of an orphan.
+            strays = {
+                column: keys
+                for column in range(len(table.nodes))
+                if (keys := tuple(
+                    block_key(*stripe, node)
+                    for stripe, holding in settled
+                    for node in np.flatnonzero(holding.strays[:, column]).tolist()
+                ))
+            }
+            links = {column: self.nodes.get(table.nodes[column]) for column in strays}
+            deleted = iter(await self._rpcs([
+                (links[column], [BlockDeleteRequest(keys=keys)])
+                for column, keys in strays.items()
+                if links[column] is not None
+            ]))
+            for column in strays:
+                if links[column] is None or answered(next(deleted)[0]) is not None:
+                    for stripe, holding in settled:
+                        table.held(stripe)[:, column] &= ~holding.strays[:, column]
         return stats
-
-    def _meter_repair(self, by_node: dict[str, int]) -> None:
-        reg = registry()
-        for node_id, nbytes in by_node.items():
-            reg.counter("cluster.repair.bytes").inc(nbytes)
-            reg.counter(f"cluster.repair.bytes.{node_id}").inc(nbytes)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -1203,9 +1145,7 @@ class ClusterCoordinator:
             ],
         )
         engine = self._headroom_decoder.engine
-        reg = registry()
-        reg.counter("cluster.headroom_probes").inc()
-        reg.event(
+        registry().event(
             "cluster.headroom",
             engine=engine,
             cases=cases,
@@ -1247,11 +1187,12 @@ class ClusterCoordinator:
         gauges["cluster.repair.healthy_margin"] = float(
             sched.healthy_margin
         )
+        # The journaled account, so a recovered coordinator scrapes
+        # what the live one did.
         counters = snap.setdefault("counters", {})
-        counters.setdefault("cluster.repair.bytes", 0)
-        counters["cluster.repair.bytes"] = max(
-            counters["cluster.repair.bytes"], self.repair_bytes
-        )
+        counters["cluster.repair.bytes"] = self.repair_bytes
+        for node_id, nbytes in sorted(self.repair_bytes_by_node.items()):
+            counters[f"cluster.repair.bytes.{node_id}"] = nbytes
         return snap
 
     async def status(self) -> dict[str, Any]:

@@ -1,65 +1,63 @@
 """Prioritized, budgeted, preemptible repair scheduling.
 
-PR 6's ``repair()`` was one monolithic pass: it walked every stripe of
-every object under the cluster lock and moved as many bytes as the
-pass needed, with no notion of which stripes were closest to data loss
-and no bound on the repair traffic one call could generate.  The
-repair-bandwidth literature (Park et al., arXiv:1710.05615; Dimakis et
-al., arXiv:0803.0632) treats repair bytes as the scarce resource a
-storage system must budget — this module is the operational half of
-that argument:
+Repair bytes are the resource an archive must budget (Park et al.,
+arXiv:1710.05615; Dimakis et al., arXiv:0803.0632); this module is the
+operational half of that argument:
 
-* **At-risk-first ordering.**  A scrub pass (:meth:`RepairScheduler.scan`)
-  probes the fleet, inventories every block's live holders, and queues
-  each stripe needing work keyed by its *margin* — the graph's
-  first-failure point minus one minus the blocks already missing,
-  exactly the :class:`~repro.storage.monitor.StripeMonitor` health
-  metric.  Stripes one loss from the guarantee boundary repair before
-  stripes that merely need rebalancing; ties break deterministically
-  by (object, stripe index).
-* **Bytes-per-cycle budget.**  Each :meth:`run_cycle` call moves at
-  most ``bytes_per_cycle`` of repair traffic (estimated per stripe
-  before starting it; at least one stripe always runs so progress is
-  guaranteed even when a single stripe exceeds the budget).  What the
-  budget defers stays queued for the next cycle and is counted in
-  ``cluster.repair.deferred``.
-* **Waves.**  A cycle repairs its stripes in priority order as waves
-  of at most ``_WAVE_BYTES`` of stripe bytes (one stripe at the
-  least); a wave is one repair step
-  (:meth:`~repro.cluster.coordinator.ClusterCoordinator._repair_stripes`):
-  one fetch, one put and one delete RPC per node and one WAL fsync,
-  whatever the number of stripes in it.
-* **Foreground preemption.**  Between waves the scheduler yields to
-  the event loop and waits for in-flight ``get`` requests to
-  drain before touching the next wave (``cluster.repair.preempted``),
-  and a wave holds only its own stripes' locks, so reads interleave
-  with an active rebuild instead of stalling behind it.  Under
-  *sustained* read pressure repair trickles — interactive reads
-  outrank background repair by design (cf. ROADMAP item 4's admission
-  priorities).
+* **One holder table, one decision.**  A scrub pass
+  (:meth:`RepairScheduler.scan`) probes the fleet and parses every live
+  node's ``block.list`` reply once into a :class:`HolderTable`: per
+  stripe, a bool array of graph node × node id.
+  :meth:`HolderTable.classify` is the one repair decision.  From that
+  array and the stripe's desired placement it derives the blocks no
+  node holds (``missing``), the ones their desired owner lacks
+  (``need``), the lowest-id live holder to read each from (``source``)
+  and the copies off their owner (``strays``).  The scan queues from
+  it; the repair wave
+  (:meth:`~repro.cluster.coordinator.ClusterCoordinator._repair_stripes`)
+  runs from it.  A listed stripe that no manifest held when the scan
+  classified, below the ``_next_stripe`` it read, is an *orphan* (a
+  replaced object's, or an unjournaled put's): its copies are strays.
+* **At-risk-first ordering.**  A stripe is keyed by its *margin*: the
+  graph's first-failure point minus one minus the blocks missing, the
+  :class:`~repro.storage.monitor.StripeMonitor` health metric.  Pure
+  rebalances and orphans sort after every at-risk stripe; ties break by
+  (object, stripe index).
+* **Bytes-per-cycle budget.**  A :meth:`run_cycle` moves at most
+  ``bytes_per_cycle`` of estimated repair traffic (one stripe at the
+  least); what it defers stays queued (``cluster.repair.deferred``).
+* **Waves.**  A cycle repairs its stripes as waves of at most
+  ``_WAVE_BYTES`` of stripe bytes: one fetch, one put and one delete
+  RPC per node and one WAL fsync per wave.
+* **Foreground preemption.**  Before each wave the scheduler waits for
+  in-flight reads to drain (``preemptions``), and a wave holds only its
+  own stripes' locks.  The wait also makes deleting orphans safe: a
+  read that captured a replaced manifest began before the scan, so it
+  has finished.
 
-Metrics: ``cluster.repair.queued`` (stripes entering the queue),
-``cluster.repair.deferred`` (budget deferrals),
-``cluster.repair.preempted`` (read-pressure waits),
+Metrics: ``cluster.repair.queued``, ``cluster.repair.deferred``,
 ``cluster.repair.bytes_budgeted`` (budget granted to cycles), and the
-``cluster.repair.queue_depth`` gauge.  The ``cluster.repair_status``
-protocol op exposes :meth:`status` to operators.
+``cluster.repair.queue_depth`` / ``margin_min`` / ``at_risk_stripes``
+gauges.  The ``cluster.repair_status`` op exposes :meth:`status`.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import heapq
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable, Mapping, NamedTuple
+
+import numpy as np
 
 from .._checks import check_count
 from ..obs.registry import registry
 from ..obs.trace import trace_span
-from ..storage.blockstore import block_key
+from ..storage.blockstore import block_key, parse_block_key
 from ..storage.monitor import graph_first_failure
 
-__all__ = ["RepairScheduler"]
+__all__ = ["HolderTable", "RepairScheduler"]
 
 # Stripe bytes (graph nodes x block size) one repair wave may hold: big
 # enough to batch a cycle's RPCs and fsyncs, small enough to bound the
@@ -75,6 +73,92 @@ TOTAL_KEYS = (
     "repaired_stripes",
     "deferred_stripes",
 )
+
+
+Stripe = tuple[str, int]  # (object name, stripe index)
+
+
+class Holding(NamedTuple):
+    """One stripe's repair decision, row ``j`` for graph node ``j``."""
+
+    missing: np.ndarray  # no node holds the block
+    need: np.ndarray  # its desired owner lacks it: move or rebuild it
+    source: np.ndarray  # column of its lowest-id live holder, -1 for none
+    strays: np.ndarray  # graph node x column: a copy off the desired owner
+    owner: np.ndarray  # graph node x column: the desired owner's cell
+
+
+class HolderTable:
+    """Who holds which block: one bool array per listed stripe.
+
+    ``stripes[(name, index)][j, c]`` is true when node ``nodes[c]``
+    (columns in id order) listed graph node ``j``'s block.  The scan
+    parses the ``block.list`` replies, ``{node_id: keys}``, once (a key
+    that is not a graph node's canonical ``block_key`` is left alone);
+    the wave updates it after its put and delete barriers.  ``orphans``
+    are the stripes the scan found in no manifest, below the
+    ``_next_stripe`` it read.
+    """
+
+    def __init__(self, listings: Mapping[str, Iterable[str]], num_nodes: int):
+        self.nodes = tuple(sorted(listings))
+        self.shape = (num_nodes, len(self.nodes))
+        self.stripes: dict[Stripe, np.ndarray] = {}
+        self.orphans: frozenset[Stripe] = frozenset()
+        node_of = {str(j): j for j in range(num_nodes)}  # canonical spellings
+        for column, nid in enumerate(self.nodes):
+            # Group the keys by stripe prefix; parse one key per stripe.
+            groups: dict[str, tuple[str, list[int]]] = {}
+            for key in listings[nid]:
+                prefix, _, node = key.rpartition("/")
+                if (j := node_of.get(node)) is not None:
+                    if (group := groups.get(prefix)) is None:
+                        group = groups[prefix] = (key, [])
+                    group[1].append(j)
+            for key, nodes in groups.values():
+                try:
+                    name, index, node = parse_block_key(key)
+                except ValueError:
+                    continue
+                if index >= 0 and block_key(name, index, node) == key:
+                    self.held((name, index))[nodes, column] = True
+
+    def held(self, stripe: Stripe) -> np.ndarray:
+        """The stripe's array, created empty on first use."""
+        return self.stripes.setdefault(stripe, np.zeros(self.shape, dtype=bool))
+
+    def classify(
+        self,
+        stripe: Stripe,
+        desired: tuple[str, ...] | None,
+        links: Mapping[str, Any],
+    ) -> Holding:
+        """The repair decision for one stripe: the scan's margin and
+        byte estimate and the wave's plan both come from here.
+
+        ``desired`` is the stripe's placement, or ``None`` for an
+        orphan, whose every copy is a stray.  An owner the table does
+        not know holds nothing; a holder is live while ``links`` says.
+        """
+        held = self.stripes.get(stripe, np.zeros(self.shape, dtype=bool))
+        wanted = desired is not None  # an orphan wants no block back
+        owner = _owned(desired, self.nodes) if wanted else np.zeros_like(held)
+        live = [getattr(links.get(nid), "alive", False) for nid in self.nodes]
+        readable = held & np.array(live, dtype=bool)
+        return Holding(
+            missing=~held.any(axis=1) & wanted,
+            need=~(held & owner).any(axis=1) & wanted,
+            source=np.where(readable.any(axis=1), readable.argmax(axis=1), -1),
+            strays=held & ~owner,
+            owner=owner,
+        )
+
+
+@functools.lru_cache(maxsize=256)
+def _owned(desired: tuple[str, ...], nodes: tuple[str, ...]) -> np.ndarray:
+    owned = np.array(desired, dtype=str)[:, None] == np.array(nodes, dtype=str)
+    owned.flags.writeable = False  # every stripe of the pattern shares it
+    return owned
 
 
 @dataclass(order=True)
@@ -97,14 +181,13 @@ class RepairScheduler:
         self.bytes_per_cycle = bytes_per_cycle
         self._heap: list[_QueueEntry] = []
         self._queued: set[tuple[str, int]] = set()
-        self._holders: dict[str, set[str]] = {}
+        self._holders = HolderTable({}, 0)
         # One repair activity at a time: concurrent repair RPCs queue
         # behind each other instead of double-moving blocks.
         self._lock = asyncio.Lock()
         self.scans = 0
         self.cycles = 0
         self.preemptions = 0
-        self.last_first_failure: int | None = None
         self.totals: dict[str, int] = dict.fromkeys(TOTAL_KEYS, 0)
         self.last_cycle: dict[str, int] = {}
 
@@ -119,10 +202,9 @@ class RepairScheduler:
     async def scan(self) -> int:
         """Probe + inventory the fleet and queue stripes needing work.
 
-        Returns the number of stripes newly queued.  This is the scrub
-        feed: it computes each stripe's live-holder set, derives the
-        margin, and enqueues anything missing blocks, holding
-        misplaced blocks, or trailing stray copies.
+        Returns the number of stripes newly queued: every stripe the
+        holder table shows missing, misplaced or stray blocks, then
+        every orphan.
         """
         async with self._lock:
             return await self._scan_locked()
@@ -132,63 +214,45 @@ class RepairScheduler:
         queued = 0
         with trace_span("cluster.repair.scan"):
             await coord.probe()
-            self._holders = await coord._inventory()
+            self._holders = table = await coord._inventory()
             if coord.ring.members:
-                ff = graph_first_failure(coord.graph)
-                self.last_first_failure = ff
-                for name in sorted(coord.manifests):
-                    for record in coord.manifests[name].stripes:
-                        queued += self._consider(name, record, ff)
-        reg = registry()
+                stored = {
+                    (name, r.index): coord._stripe_placement(name, r.index)
+                    for name in sorted(coord.manifests)
+                    for r in coord.manifests[name].stripes
+                }
+                # A put in flight places stripes from _next_stripe up.
+                table.orphans = frozenset(
+                    stripe for stripe in table.stripes
+                    if stripe not in stored and stripe[1] < coord._next_stripe
+                )
+                stored.update(dict.fromkeys(sorted(table.orphans)))
+                for stripe, desired in stored.items():
+                    if stripe in self._queued:
+                        continue
+                    if work := self._stripe_work(stripe, desired, self.first_failure):
+                        margin, est_bytes = work
+                        entry = _QueueEntry(margin, *stripe, est_bytes)
+                        heapq.heappush(self._heap, entry)
+                        self._queued.add(stripe)
+                        queued += 1
         if queued:
-            reg.counter("cluster.repair.queued").inc(queued)
-        reg.gauge("cluster.repair.queue_depth").set(len(self._heap))
-        reg.gauge("cluster.repair.margin_min").set(float(self.margin_min))
-        reg.gauge("cluster.repair.at_risk_stripes").set(
-            float(self.at_risk_stripes)
-        )
+            registry().counter("cluster.repair.queued").inc(queued)
+        self._publish()
         self.scans += 1
         return queued
 
-    def _consider(self, name: str, record, ff: int) -> int:
-        key = (name, record.index)
-        if key in self._queued:
-            return 0
-        work = self._stripe_work(name, record, ff)
-        if work is None:
-            return 0
-        margin, est_bytes = work
-        heapq.heappush(
-            self._heap,
-            _QueueEntry(margin, name, record.index, est_bytes),
-        )
-        self._queued.add(key)
-        return 1
-
     def _stripe_work(
-        self, name: str, record, ff: int
+        self, stripe: Stripe, desired, ff: int
     ) -> tuple[int, int] | None:
         """(margin, estimated repair bytes) or None when healthy."""
-        coord = self.coordinator
-        desired = coord._stripe_placement(name, record.index)
-        missing = misplaced = strays = 0
-        prefix = block_key(name, record.index, "")
-        for node, owner in enumerate(desired):
-            holding = self._holders.get(prefix + str(node), ())
-            if not holding:
-                missing += 1
-                continue
-            if owner not in holding:
-                misplaced += 1
-            if len(holding) > (owner in holding):  # a copy off its owner
-                strays += 1
-        if not missing and not misplaced and not strays:
+        holding = self._holders.classify(stripe, desired, self.coordinator.nodes)
+        if not holding.need.any() and not holding.strays.any():
             return None
         # The StripeMonitor margin: losses certainly tolerated beyond
-        # what is already gone.  Stripes not missing anything (pure
-        # rebalances, stray cleanup) sort after every at-risk stripe.
-        margin = ff - 1 - missing
-        est_bytes = (missing + misplaced) * coord.codec.block_size
+        # what is already gone.
+        margin = ff - 1 - int(holding.missing.sum())
+        est_bytes = int(holding.need.sum()) * self.coordinator.codec.block_size
         return margin, est_bytes
 
     # ------------------------------------------------------------------
@@ -245,28 +309,26 @@ class RepairScheduler:
             self.totals[key] += stats[key]
         stats["spent_bytes"] = spent
         self.last_cycle = dict(stats)
+        self._publish()
+        return stats
+
+    def _publish(self) -> None:
+        reg = registry()
         reg.gauge("cluster.repair.queue_depth").set(len(self._heap))
         reg.gauge("cluster.repair.margin_min").set(float(self.margin_min))
-        reg.gauge("cluster.repair.at_risk_stripes").set(
-            float(self.at_risk_stripes)
-        )
-        return stats
+        reg.gauge("cluster.repair.at_risk_stripes").set(float(self.at_risk_stripes))
 
     async def _yield_to_reads(self) -> None:
         coord = self.coordinator
         if coord.reads_inflight > 0:
             self.preemptions += 1
-            registry().counter("cluster.repair.preempted").inc()
             while coord.reads_inflight > 0:
                 await asyncio.sleep(0.001)
 
     async def drain(self) -> dict[str, int]:
-        """Scan once, then run budgeted cycles until the queue empties.
-
-        The full-repair entry point ``repair`` (and the repair
-        pass behind ``cluster.join`` / ``cluster.leave``) is this
-        drain: same totals as the old monolithic pass, but delivered
-        as budget-bounded, read-preemptible increments.
+        """Scan once, then run budgeted cycles until the queue empties:
+        ``repair`` and the pass behind ``cluster.join`` /
+        ``cluster.leave``, in budget-bounded, read-preemptible steps.
         """
         totals = dict.fromkeys(
             (*TOTAL_KEYS, "spent_bytes", "cycles"), 0
@@ -283,15 +345,14 @@ class RepairScheduler:
     # Introspection (the ``cluster.repair_status`` op)
     # ------------------------------------------------------------------
 
+    @functools.cached_property
+    def first_failure(self) -> int:
+        return graph_first_failure(self.coordinator.graph)
+
     @property
     def healthy_margin(self) -> int:
         """Margin of a stripe missing nothing: first-failure − 1."""
-        coord = self.coordinator
-        ff = self.last_first_failure
-        if ff is None:
-            ff = graph_first_failure(coord.graph)
-            self.last_first_failure = ff
-        return ff - 1
+        return self.first_failure - 1
 
     @property
     def margin_min(self) -> int:

@@ -221,11 +221,9 @@ class CoordinatorWal:
             except OSError as exc:
                 self._unwritable = exc
             raise
-        reg = registry()
-        reg.histogram("cluster.wal.fsync_seconds").observe(
+        registry().histogram("cluster.wal.fsync_seconds").observe(
             time.perf_counter() - t0
         )
-        reg.counter("cluster.wal.appends").inc(len(records))
         self.seq += len(records)
         self.appended += len(records)
         self.fsyncs += 1
@@ -247,7 +245,6 @@ class CoordinatorWal:
         self._fh.close()
         self._fh = open(self.wal_path, "ab", buffering=0)
         self._records_since_snapshot = 0
-        registry().counter("cluster.wal.snapshots").inc()
         return self.seq
 
     def close(self) -> None:

@@ -135,7 +135,8 @@ class TornadoArchive:
     # ------------------------------------------------------------------
 
     def put(self, name: str, payload: bytes) -> ObjectManifest:
-        """Encode and store a whole object; overwrites an existing name."""
+        """Encode and store a whole object; overwrites an existing name,
+        deleting the replaced object's blocks once the new one is stored."""
         stripes = self.codec.encode_payload(payload)
         records: list[StripeRecord] = []
         for encoded in stripes:
@@ -156,6 +157,8 @@ class TornadoArchive:
         manifest = ObjectManifest(
             name=name, size=len(payload), stripes=tuple(records)
         )
+        if name in self.objects:
+            self.delete(name)
         self.objects[name] = manifest
         return manifest
 

@@ -19,6 +19,8 @@ from repro.storage.archive import DataLossError
 from repro.storage.blockstore import block_key
 from repro.storage.device import TransientUnavailableError
 
+from .test_repair_burst import listed_copies
+
 
 def catalog_graph():
     return tornado_catalog_graph(3)  # 96 graph nodes, 48 data
@@ -203,8 +205,7 @@ class TestEndToEnd:
             assert got.payload == payload
             # Every block held exactly once cluster-wide, and the
             # manifests' recorded placement matches reality.
-            holders = await coord._inventory()
-            assert all(len(v) == 1 for v in holders.values())
+            assert (await listed_copies(coord) == 1).all()
             for record in coord.manifests["obj"].stripes:
                 assert record.placement == coord._stripe_placement(
                     "obj", record.index

@@ -25,7 +25,14 @@ from repro.serve.protocol import (
 )
 from repro.storage.blockstore import block_key
 
-from .test_repair_burst import BLOCK, Cluster, assert_reads, payload_bytes, run
+from .test_repair_burst import (
+    BLOCK,
+    Cluster,
+    assert_reads,
+    listed_copies,
+    payload_bytes,
+    run,
+)
 
 WIDE = 768  # the benchmark's block size: 14 stripes fill a 1 MiB wave
 
@@ -305,8 +312,7 @@ class TestBatchedCommitCrashPoints:
             coord._commit = real_commit
             summary = await coord.repair()
             assert summary["repaired_stripes"] == 5
-            holders = await coord._inventory()
-            assert all(len(v) == 1 for v in holders.values())
+            assert (await listed_copies(coord) == 1).all()
             await assert_reads(coord, objects)
             coord.wal.close()
             recovered = ClusterCoordinator(

@@ -87,6 +87,23 @@ class TestDelete:
         )
         assert total_blocks == 0
 
+    def test_overwrite_discards_the_replaced_blocks(self, archive):
+        first = archive.put("obj", PAYLOAD)
+        second = archive.put("obj", PAYLOAD[::-1])
+        held = {
+            key for d in archive.devices.devices for key in d.blocks
+        }
+        stripe_blocks = len(first.stripes) * archive.graph.num_nodes
+        assert len(held) == stripe_blocks
+        assert all(
+            key.rsplit("/", 2)[1]
+            in {str(r.index) for r in second.stripes}
+            for key in held
+        )
+        assert archive.get("obj") == PAYLOAD[::-1]
+        archive.delete("obj")
+        assert sum(len(d.blocks) for d in archive.devices.devices) == 0
+
     def test_delete_unknown(self, archive):
         with pytest.raises(KeyError):
             archive.delete("ghost")

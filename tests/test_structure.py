@@ -122,6 +122,20 @@ LINTS = {
         r"asyncio\.gather\(",
         ("src/repro/cluster/coordinator.py", "src/repro/sites/gateway.py"),
     ),
+    # One repair decision: the scan parses the block listings once into
+    # the holder table, and the scan's margin and the wave's plan both
+    # come from HolderTable.classify; no key-string holder map beside it.
+    "one-holder-parse": Lint(
+        r"parse_block_key\(|holders(\.get\(|\[)",
+        ("src/repro/cluster",),
+        exempt=r"^src/repro/cluster/scheduler\.py:__init__: +name, index, node = ",
+    ),
+    "one-repair-decision": Lint(
+        r"\.classify\(",
+        ("src/repro/cluster",),
+        exempt=r"^src/repro/cluster/scheduler\.py:_stripe_work:"
+        r"|^src/repro/cluster/coordinator\.py:_repair_stripes:",
+    ),
     "no-reply-write-lock": Lint(
         r"asyncio\.Lock\(|write_lock", ("src/repro/serve/lineserver.py",)
     ),
