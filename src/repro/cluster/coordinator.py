@@ -79,7 +79,6 @@ import collections
 import contextlib
 import functools
 import hashlib
-import itertools
 import json
 import os
 import time
@@ -89,7 +88,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .._checks import check_count, check_seconds
-from ..core.codec import DecodeFailure, TornadoCodec, stripe_rows
+from ..core.codec import BlockRun, DecodeFailure, TornadoCodec, stripe_rows
 from ..core.decoder import _evaluate_headroom, make_batch_decoder
 from ..core.graph import ErasureGraph
 from ..obs.registry import registry
@@ -764,7 +763,7 @@ class ClusterCoordinator:
         none of it).  A dead or unknown node lands nothing."""
         sends = [(self._live_link(node_id), b) for node_id, b in batches]
         acks = iter(await self._rpcs(
-            [(link, [BlockPutRequest(blocks=x) for x in b]) for link, b in sends if link]
+            [(link, [BlockPutRequest.of(x) for x in b]) for link, b in sends if link]
         ))
         return [
             [answered(o) is not None for o in next(acks)] if link else [False] * len(b)
@@ -793,11 +792,15 @@ class ClusterCoordinator:
             parts: list[bytes] = []
             degraded = False
             for record in manifest.stripes:
-                data, was_degraded = await self._read_stripe(
-                    name, record
+                blocks, present = await self._fetch_stripe(name, record)
+                data = read_stripe(
+                    self.codec, blocks, present, name=name, index=record.index,
+                    dark=lambda: [
+                        n for n in self.ring.members if not self.nodes[n].alive
+                    ],
                 )
-                degraded = degraded or was_degraded
-                parts.append(data[: record.payload_length])
+                degraded = degraded or not present.all()
+                parts.append(data.tobytes()[: record.payload_length])
         finally:
             self.reads_inflight -= 1
         payload = b"".join(parts)
@@ -814,22 +817,6 @@ class ClusterCoordinator:
             sha256=hashlib.sha256(payload).hexdigest(),
             payload=payload if want_payload else None,
         )
-
-    async def _read_stripe(
-        self, name: str, record: ClusterStripe
-    ) -> tuple[bytes, bool]:
-        blocks, present = await self._fetch_stripe(name, record)
-        data = read_stripe(
-            self.codec,
-            blocks,
-            present,
-            name=name,
-            index=record.index,
-            dark=lambda: [
-                nid for nid in self.ring.members if not self.nodes[nid].alive
-            ],
-        )
-        return data.tobytes(), not present.all()
 
     async def _fetch_stripe(
         self, name: str, record: ClusterStripe
@@ -864,39 +851,27 @@ class ClusterCoordinator:
         read, a whole wave's, stripe after stripe, for repair.  A dead,
         unreachable, or interrupted node simply contributes nothing to
         ``present`` — absence *is* the erasure mask.  A node answers in
-        request order, listing the keys it lacks, so a reply lands in
-        one copy; one that does not is taken key by key, and a block
-        with no row here or the wrong size is one more erasure.
+        request order, listing the keys it lacks, and its run lands
+        through :func:`~repro.core.codec.stripe_rows`: a run of the
+        wrong count or sizes, or a block of the wrong size, is one more
+        erasure, counted in ``cluster.fetch.malformed_blocks``.
         """
-        size = self.codec.block_size
-        blocks = np.zeros((count, size), dtype=np.uint8)
+        blocks = np.zeros((count, self.codec.block_size), dtype=np.uint8)
         present = np.zeros(count, dtype=bool)
         asked = [(link, k, r) for nid, k, r in wanted if (link := self._live_link(nid))]
         replies = await self._rpcs(
             [(link, [BlockFetchRequest(keys=keys)]) for link, keys, _ in asked]
         )
-        odd = []
+        malformed = 0
         for (_, keys, rows), (reply,) in zip(asked, replies):
             if (reply := answered(reply)) is None:
                 continue
-            held = reply.blocks or {}
             if reply.missing:
                 lacking = set(reply.missing).__contains__
                 rows = rows[~np.fromiter(map(lacking, keys), bool, len(keys))]
-                keys = tuple(itertools.filterfalse(lacking, keys))
-            if tuple(held) == keys and set(map(len, held.values())) <= {size}:
-                data = np.frombuffer(b"".join(held.values()), dtype=np.uint8)
-                blocks[rows], present[rows] = data.reshape(-1, size), True
-            else:
-                odd += held.items()
-        if odd:
-            row_of = {k: r for _, keys, rows in wanted for k, r in zip(keys, rows)}
-            got, have, malformed = stripe_rows(
-                ((row_of.get(k, -1), d) for k, d in odd), count, size
-            )
-            blocks[have], present[have] = got[have], True
-            if malformed:
-                registry().counter("cluster.fetch.malformed_blocks").inc(malformed)
+            malformed += stripe_rows(blocks, present, rows, reply.blocks)
+        if malformed:
+            registry().counter("cluster.fetch.malformed_blocks").inc(malformed)
         return blocks, present
 
     async def fetch_stripe_raw(
@@ -923,15 +898,13 @@ class ClusterCoordinator:
             blocks, present = await self._fetch_stripe(name, record)
         finally:
             self.reads_inflight -= 1
-        held = {
-            str(node): blocks[node].data
-            for node in np.flatnonzero(present).tolist()
-        }
+        nodes = np.flatnonzero(present)
         return StripeBlocksResponse(
             name=name,
             seq=seq,
             payload_length=record.payload_length,
-            blocks=held,
+            nodes=tuple(nodes.tolist()),
+            blocks=BlockRun.of(blocks[nodes]),
         )
 
     def _stripe_record(self, name: str, index: int) -> ClusterStripe | None:
@@ -1049,7 +1022,6 @@ class ClusterCoordinator:
                         have = np.ones(n, dtype=bool)
                     except DecodeFailure:
                         stats["unrepairable_blocks"] += int(lost.sum())
-                        registry().counter("cluster.repair.data_loss_stripes").inc()
                 place = np.flatnonzero(holding.need & have).tolist()
                 placing[stripe] = (place, lost, have.all())
                 for node in place:

@@ -1,9 +1,10 @@
 """Storage-node daemon: a :class:`LocalBlockStore` behind the protocol.
 
 One node process serves the block plane — four verbs, each over a
-batch of keys: ``block.put`` (``{key: bytes}``; availability is checked
-before the first write, so a batch lands whole or not at all),
-``block.fetch``, ``block.delete`` (acks how many keys it held) and
+batch of keys: ``block.put`` (keys and one run of blocks; availability
+is checked before the first write, so a batch lands whole or not at
+all), ``block.fetch`` (one run in request order, and the keys it lacks),
+``block.delete`` (acks how many keys it held) and
 ``block.list`` — plus a small control plane: ``node.admin`` and the
 archive-service rows a node implements (``ping``, ``stats``,
 ``metrics.snapshot`` — dispatched by the shared
@@ -45,6 +46,7 @@ from __future__ import annotations
 import asyncio
 from typing import Any
 
+from ..core.codec import BlockRun
 from ..obs.registry import registry
 from ..obs.seeding import SeedLike, resolve_rng
 from ..obs.trace import Tracer, context_seed, tracer
@@ -57,8 +59,8 @@ from ..serve.protocol import (
     BlockDeleteRequest,
     BlockFetchRequest,
     BlockListRequest,
-    BlockMapResponse,
     BlockPutRequest,
+    BlockRunResponse,
     Envelope,
     KeyListResponse,
     NodeAdminRequest,
@@ -205,18 +207,19 @@ class StorageNode:
             return AckResponse(info=self.stats())
         self._check_available(request.op)
         if isinstance(request, BlockPutRequest):
-            for key, data in request.blocks.items():
+            blocks = request.blocks.split(len(request.keys))
+            for key, data in zip(request.keys, blocks):
                 self.store.put(key, data)
             return AckResponse()
         if isinstance(request, BlockFetchRequest):
-            held: dict[str, bytes] = {}
+            held: list[bytes] = []
             missing: list[str] = []
             for key in request.keys:
                 try:
-                    held[key] = self.store.get(key)
+                    held.append(self.store.get(key))
                 except KeyError:
                     missing.append(key)
-            return BlockMapResponse(blocks=held, missing=tuple(missing))
+            return BlockRunResponse(blocks=BlockRun.of(held), missing=tuple(missing))
         if isinstance(request, BlockDeleteRequest):
             return AckResponse(
                 info={"deleted": sum(map(self.store.delete, request.keys))}

@@ -25,7 +25,9 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "plan_cascade",
             "tornado_graph",
         ),
-        ".codec": ("DecodeFailure", "EncodedStripe", "TornadoCodec", "stripe_rows"),
+        ".codec": (
+            "BlockRun", "DecodeFailure", "EncodedStripe", "TornadoCodec", "stripe_rows"
+        ),
         ".critical": (
             "CriticalReport",
             "analyze_worst_case",

@@ -16,7 +16,9 @@ the transactional whole-object interface archival systems use (§2.2).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +27,7 @@ from .graph import ErasureGraph
 from .plancache import PlanCache
 
 __all__ = [
+    "BlockRun",
     "DecodeFailure",
     "TornadoCodec",
     "EncodedStripe",
@@ -56,34 +59,56 @@ class EncodedStripe:
     payload_length: int  # bytes of real payload carried by this stripe
 
 
-def stripe_rows(
-    held, num_nodes: int, block_size: int
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """One stripe's ``(blocks, present, refused)`` from the blocks held.
+class BlockRun(NamedTuple):
+    """Blocks back to back, ``sizes[i]`` bytes each: how a burst of
+    blocks travels on the wire, and what :func:`stripe_rows` lands."""
 
-    ``held`` is a ``{node: bytes}`` mapping, or ``(node, bytes)`` pairs
-    when the source may name a node twice.  A block whose node id is
-    outside ``[0, num_nodes)`` or whose length is not ``block_size`` is
-    dropped — one more erasure — and counted in ``refused``; what to do
+    sizes: tuple[int, ...] = ()
+    data: bytes = b""
+
+    @classmethod
+    def of(cls, blocks) -> "BlockRun":
+        """The run of ``blocks`` (flat byte buffers), in order."""
+        blocks = list(blocks)
+        return cls(tuple(map(len, blocks)), b"".join(blocks))
+
+    def split(self, count: int) -> list:
+        """The ``count`` blocks as slices of ``data``; ``ValueError`` for
+        a run of another count or whose sizes miss its bytes."""
+        ends = list(itertools.accumulate(self.sizes, initial=0))
+        if len(ends) != count + 1 or ends[-1] != len(self.data):
+            raise ValueError(
+                f"a run of {len(self.sizes)} blocks summing to {ends[-1]} "
+                f"bytes in {len(self.data)} is not {count} blocks"
+            )
+        return [self.data[a:b] for a, b in itertools.pairwise(ends)]
+
+
+def stripe_rows(blocks: np.ndarray, present: np.ndarray, rows, run: BlockRun) -> int:
+    """Land ``run``'s block ``i`` in row ``rows[i]`` of ``blocks``, mark
+    it ``present``, and return how many blocks were refused.
+
+    The one place a fetched run becomes stripe rows.  A run whose count
+    is not ``len(rows)`` or whose sizes miss its bytes cannot say which
+    block is which: all of it is refused (its blocks or its rows,
+    whichever are more).  Else a block whose row is outside the matrix
+    or whose size is not its block size is refused alone.  What to do
     about a refusal (count it, reject the reply) is the caller's policy.
     """
-    blocks = np.zeros((num_nodes, block_size), dtype=np.uint8)
-    present = np.zeros(num_nodes, dtype=bool)
-    nodes: list[int] = []
-    rows: list[bytes] = []
-    refused = 0
-    for node, data in held.items() if hasattr(held, "items") else held:
-        if 0 <= node < num_nodes and len(data) == block_size:
-            nodes.append(node)
-            rows.append(data)
-        else:
-            refused += 1
-    if nodes:  # one copy into the matrix, not one per row
-        blocks[nodes] = np.frombuffer(
-            b"".join(rows), dtype=np.uint8
-        ).reshape(len(nodes), block_size)
-        present[nodes] = True
-    return blocks, present, refused
+    count, size = blocks.shape
+    rows = np.asarray(rows, dtype=np.intp)
+    sizes = np.asarray(run.sizes, dtype=np.int64)
+    if sizes.size != rows.size or sizes.sum() != len(run.data):
+        return max(sizes.size, rows.size)
+    ok = (sizes == size) & (rows >= 0) & (rows < count)
+    data = np.frombuffer(run.data, dtype=np.uint8)
+    if ok.all():  # one copy into the matrix, not one per row
+        blocks[rows] = data.reshape(-1, size)
+    else:
+        starts = np.cumsum(sizes)[ok] - size
+        blocks[rows[ok]] = data[starts[:, None] + np.arange(size)]
+    present[rows[ok]] = True
+    return int(ok.size - ok.sum())
 
 
 class TornadoCodec:

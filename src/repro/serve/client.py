@@ -41,8 +41,8 @@ from .protocol import (
     BlockDeleteRequest,
     BlockFetchRequest,
     BlockListRequest,
-    BlockMapResponse,
     BlockPutRequest,
+    BlockRunResponse,
     ClusterJoinRequest,
     ClusterLeaveRequest,
     ClusterRepairStatusRequest,
@@ -297,15 +297,13 @@ class ClusterClient(ArchiveClient):
         """
         response, _ = self.call(FetchStripeRequest(name=name, seq=seq))
         got = self._expect(response, StripeBlocksResponse)
-        return (
-            {int(k): v for k, v in (got.blocks or {}).items()},
-            got.payload_length,
-        )
+        blocks = got.blocks.split(len(got.nodes))
+        return dict(zip(got.nodes, blocks)), got.payload_length
 
     # -- storage-node block plane --------------------------------------
 
     def block_put(self, key: str, data: bytes) -> None:
-        self.call(BlockPutRequest(blocks={key: data}))
+        self.call(BlockPutRequest.of({key: data}))
 
     def block_get(self, key: str) -> bytes:
         held, _ = self.block_fetch((key,))
@@ -317,8 +315,10 @@ class ClusterClient(ArchiveClient):
         self, keys: tuple[str, ...]
     ) -> tuple[dict[str, bytes], tuple[str, ...]]:
         response, _ = self.call(BlockFetchRequest(keys=tuple(keys)))
-        got = self._expect(response, BlockMapResponse)
-        return dict(got.blocks or {}), got.missing
+        got = self._expect(response, BlockRunResponse)
+        lacking = set(got.missing)
+        held = [key for key in keys if key not in lacking]
+        return dict(zip(held, got.blocks.split(len(held)))), got.missing
 
     def block_delete(self, key: str) -> bool:
         response, _ = self.call(BlockDeleteRequest(keys=(key,)))

@@ -1,7 +1,7 @@
 """TCP front end for the reconstruction service.
 
 ``repro serve`` binds this to a TCP port, framed by
-:mod:`repro.serve.protocol` (version 5, binary; unless a ``get`` asks
+:mod:`repro.serve.protocol` (version 6, binary; unless a ``get`` asks
 for the payload no frame here carries raw bytes).  It serves the read
 half of the archive-service op family (``docs/SERVE.md`` has the whole
 table): ``get`` (``name``, ``want_payload``, ``deadline``) answered

@@ -12,11 +12,12 @@ layout and the op and kind codes are tabled in ``docs/SERVE.md``:
 * **Header** — the typed fields.  Each :class:`Request` (``op``) and
   :class:`Response` (``kind``) dataclass registers under a code and
   compiles its fields once into one ``struct`` layout, followed by
-  their variable parts (strings, NUL-joined keys, a map's value
-  lengths).  JSON survives only as the body of free-form ``dict``
-  fields.
+  their variable parts (strings, NUL-joined keys, u32 integers, a
+  block run's sizes).  JSON survives only as the body of free-form
+  ``dict`` fields.
 * **Payload** — the raw bytes of every ``bytes`` field and every
-  ``dict[str, bytes]`` value, in field order.
+  :class:`~repro.core.codec.BlockRun`'s blocks, back to back, in
+  field order.
 
 :func:`encode_request` / :func:`parse_request` and :func:`encode_frame`
 / :func:`parse_response` are the whole codec.  A parser checks every
@@ -41,9 +42,10 @@ import json
 import struct
 from dataclasses import dataclass, fields
 from functools import lru_cache, partial
-from typing import Any, ClassVar, NamedTuple
+from typing import Any, ClassVar, Mapping, NamedTuple
 
 from .._checks import check_count, check_seconds
+from ..core.codec import BlockRun
 from ..storage.archive import DataLossError
 from ..storage.device import TransientUnavailableError
 from .errors import (
@@ -85,7 +87,7 @@ __all__ = [
     "StatsResponse",
     "MetricsSnapshotResponse",
     "ObjectInfoResponse",
-    "BlockMapResponse",
+    "BlockRunResponse",
     "KeyListResponse",
     "AckResponse",
     "StatusResponse",
@@ -100,7 +102,7 @@ __all__ = [
     "parse_response",
 ]
 
-PROTOCOL_VERSION = 5
+PROTOCOL_VERSION = 6
 
 # version, flags, op/kind code, header length, payload length, request
 # id, trace id and span id.
@@ -215,7 +217,8 @@ _SLOTS = {
     "bytes": "I",
     "dict": "I",
     "tuple[str, ...]": "II",
-    "dict[str, bytes]": "II",
+    "tuple[int, ...]": "I",
+    "BlockRun": "II",
 }
 _SCALARS = ("int", "bool", "float")
 _ABSENT = {kind: (0,) * len(slots) for kind, slots in _SLOTS.items()}
@@ -290,14 +293,17 @@ def _encode(obj: Any, request_id: int, flags: int, ids: bytes):
                 data = (_dump_json(value) if kind == "dict" else value).encode()
                 fixed.append(len(data))
                 var.append(data)
-            else:  # keys, with their values' lengths first for a map
+            elif kind == "tuple[str, ...]":
                 data = _join_keys(value)
                 fixed += (len(value), len(data))
-                if kind == "dict[str, bytes]":
-                    blocks = value.values()
-                    var.append(_lengths(len(value)).pack(*map(len, blocks)))
-                    payload += blocks
                 var.append(data)
+            else:  # u32 integers, or a run's sizes before its bytes
+                ints = value.sizes if kind == "BlockRun" else value
+                fixed.append(len(ints))
+                var.append(_lengths(len(ints)).pack(*ints))
+                if kind == "BlockRun":
+                    fixed.append(len(value.data))
+                    payload.append(value.data)
         var = b"".join(var)
         hlen, plen = obj._fixed.size + len(var), sum(map(len, payload))
         if hlen > MAX_HEADER_BYTES or plen > MAX_PAYLOAD_BYTES:
@@ -365,29 +371,28 @@ def _decode(cls, frame: bytes, header_end: int) -> tuple[Any, int]:
             )
             var = end
             continue
-        # NUL-joined keys, after a map's value lengths
-        count, start = vals[i], var
-        if kind == "dict[str, bytes]":
-            start += 4 * count
-        end = start + vals[i + 1]
+        if kind == "tuple[str, ...]":  # NUL-joined keys
+            count, end = vals[i], var + vals[i + 1]
+            if end > header_end:
+                raise _overrun(name, "header", vals[i + 1], header_end - var)
+            keys = frame[var:end].decode().split("\0") if count else []
+            if len(keys) != count:
+                raise ProtocolError(
+                    f"field {name!r} holds {len(keys)} keys, its count is {count}"
+                )
+            values.append(tuple(keys))
+            var = end
+            continue
+        end = var + 4 * vals[i]  # u32 integers: a run's sizes, then its bytes
         if end > header_end:
             raise _overrun(name, "header", end - var, header_end - var)
-        keys = frame[start:end].decode().split("\0") if count else []
-        if len(keys) != count:
-            raise ProtocolError(
-                f"field {name!r} holds {len(keys)} keys, its count is {count}"
-            )
-        if kind == "tuple[str, ...]":
-            values.append(tuple(keys))
-        else:
-            blocks, first = {}, pay
-            for key, length in zip(keys, _lengths(count).unpack_from(frame, var)):
-                blocks[key] = frame[pay : pay + length]
-                pay += length
-            if pay > pay_end:
-                raise _overrun(name, "payload", pay - first, pay_end - first)
-            values.append(blocks)
-        var = end
+        ints, var = _lengths(vals[i]).unpack_from(frame, var), end
+        if kind == "BlockRun":
+            end = pay + vals[i + 1]
+            if end > pay_end:
+                raise _overrun(name, "payload", vals[i + 1], pay_end - pay)
+            ints, pay = BlockRun(ints, frame[pay:end]), end
+        values.append(ints)
     if pay != pay_end:
         raise ProtocolError(f"payload has {pay_end - pay} bytes no field claims")
     return cls(*values), var
@@ -598,16 +603,32 @@ class RepairRequest(Request):
 
 @_request(9)
 class BlockPutRequest(Request):
-    """Bulk block write: one RPC stores the whole batch, or none of it
-    when the node's data plane is dark."""
+    """Bulk block write: one RPC stores the whole batch, ``keys[i]``
+    naming the run's block ``i``, or none of it when the node's data
+    plane is dark."""
 
     op: ClassVar[str] = "block.put"
-    blocks: dict[str, bytes]
+    keys: tuple[str, ...] = ()
+    blocks: BlockRun = BlockRun()
+
+    def __post_init__(self) -> None:
+        sizes, data = self.blocks
+        if len(sizes) != len(self.keys) or sum(sizes) != len(data):
+            raise ProtocolError(
+                f"'block.put' names {len(self.keys)} keys for a run of "
+                f"{len(sizes)} blocks in {len(data)} bytes"
+            )
+
+    @classmethod
+    def of(cls, blocks: Mapping[str, Any]) -> "BlockPutRequest":
+        """The batch ``{key: block}``, in its order."""
+        return cls(tuple(blocks), BlockRun.of(blocks.values()))
 
 
 @_request(10)
 class BlockFetchRequest(Request):
-    """Bulk block read: one RPC returns every held key of the batch."""
+    """Bulk block read: one RPC returns every held block of the batch,
+    in request order, and lists the keys the node lacks."""
 
     op: ClassVar[str] = "block.fetch"
     keys: tuple[str, ...] = ()
@@ -804,26 +825,29 @@ class ObjectInfoResponse(Response):
 
 
 @_response(134)
-class BlockMapResponse(Response):
+class BlockRunResponse(Response):
+    """A ``block.fetch`` reply: the held blocks in request order, and
+    the keys not held; no key travels back with its block."""
+
     kind: ClassVar[str] = "blocks"
-    blocks: dict[str, bytes] = None  # type: ignore[assignment]
+    blocks: BlockRun = BlockRun()
     missing: tuple[str, ...] = ()
 
 
 @_response(135)
 class StripeBlocksResponse(Response):
-    """One stripe's surviving raw blocks, keyed by graph-node index.
-
-    Keys are decimal strings (wire dicts key on strings); values are
-    the raw block bytes.  ``payload_length`` is the stripe's recorded
-    framing so a remote decoder can trim the reassembled payload.
+    """One stripe's surviving raw blocks: the run's block ``i`` is
+    graph node ``nodes[i]``'s.  ``payload_length`` is the stripe's
+    recorded framing so a remote decoder can trim the reassembled
+    payload.
     """
 
     kind: ClassVar[str] = "stripe"
     name: str = ""
     seq: int = 0
     payload_length: int = 0
-    blocks: dict[str, bytes] = None  # type: ignore[assignment]
+    nodes: tuple[int, ...] = ()
+    blocks: BlockRun = BlockRun()
 
 
 @_response(136)

@@ -235,9 +235,7 @@ class FederationGateway:
             )
         replicated = sum(len(payload) for sid in acked if sid != order[0])
         self.replicate_bytes += replicated
-        reg = registry()
-        reg.counter("sites.replicate.bytes").inc(replicated)
-        reg.counter("sites.put.objects").inc()
+        registry().counter("sites.replicate.bytes").inc(replicated)
         record = _ObjectRecord(
             name=name,
             size=len(payload),
@@ -277,7 +275,6 @@ class FederationGateway:
                 GetRequest(name=name, want_payload=want_payload),
             )
             self.reads["local"] += 1
-            registry().counter("sites.get.local").inc()
             return response
         except Exception as exc:
             if not _rung_failure(exc):
@@ -295,7 +292,6 @@ class FederationGateway:
                 continue
             self._meter_wan(site_id, response.size, "read")
             self.reads["remote"] += 1
-            registry().counter("sites.get.remote").inc()
             return ObjectInfoResponse(
                 name=name,
                 size=response.size,
@@ -307,10 +303,8 @@ class FederationGateway:
             payload = await self._coupled_read(name, home, "read")
         except Exception:
             self.reads["failed"] += 1
-            registry().counter("sites.get.failed").inc()
             raise
         self.reads["coupled"] += 1
-        registry().counter("sites.get.coupled").inc()
         return ObjectInfoResponse(
             name=name,
             size=len(payload),
@@ -325,8 +319,10 @@ class FederationGateway:
     ) -> bytes:
         """Reconstruct ``name`` from the federation's stacked graph.
 
-        Per stripe ordinal: stack every site's surviving raw blocks
-        into one stripe of :attr:`FederatedSystem.graph`, take the
+        Per stripe ordinal: fetch every site's surviving raw blocks in
+        one fan-out (every site's ``cluster.fetch_stripe`` in flight at
+        once), land each site's run in its rows of one stripe of
+        :attr:`FederatedSystem.graph` (:func:`stripe_rows`), take the
         peeling schedule for its erasure mask from the plan cache and
         replay it — the byte-level execution of
         :meth:`FederatedSystem.decode`.  Blocks shipped by non-home
@@ -352,48 +348,38 @@ class FederationGateway:
     async def _couple_stripe(
         self, name: str, home: str, seq: int, purpose: str
     ) -> bytes:
-        graph = self.system.graph
         n = self.system.nodes_per_site
         blocks = np.zeros(
-            (graph.num_nodes, self.block_size), dtype=np.uint8
+            (self.system.graph.num_nodes, self.block_size), dtype=np.uint8
         )
-        present = np.zeros(graph.num_nodes, dtype=bool)
+        present = np.zeros(len(blocks), dtype=bool)
         payload_length = 0
         dark: list[str] = []
-        for site, site_id in enumerate(self.manifest.site_ids):
-            try:
-                response = await self._rpc(
-                    self._link(site_id),
-                    FetchStripeRequest(name=name, seq=seq),
-                )
-            except (SiteDownError, TransientUnavailableError):
+        sites = self.manifest.site_ids
+        links = [self.links.get(site_id) for site_id in sites]
+        replies = iter(await link_rpcs(
+            [(link, [FetchStripeRequest(name=name, seq=seq)]) for link in links if link],
+            retry=self.retry,
+            timeout=self.rpc_timeout,
+        ))
+        for site, (site_id, link) in enumerate(zip(sites, links)):
+            reply = next(replies)[0] if link else SiteDownError(site_id)
+            if isinstance(reply, KeyError):
+                continue  # up, but never held the object: erased for good
+            if (response := answered(reply)) is None:
                 dark.append(site_id)  # its n nodes stay erased while out
                 continue
-            except KeyError:
-                continue  # up, but never held the object: erased for good
             payload_length = response.payload_length
-            shipped = response.blocks or {}
-            rows, have, refused = stripe_rows(
-                (
-                    (int(key) if key.isdecimal() else -1, data)
-                    for key, data in shipped.items()
-                ),
-                n,
-                self.block_size,
-            )
-            if refused:
+            at = slice(site * n, (site + 1) * n)
+            run = response.blocks
+            if refused := stripe_rows(blocks[at], present[at], response.nodes, run):
                 raise ProtocolError(
                     f"site {site_id!r} shipped {refused} malformed blocks "
                     f"of object {name!r} stripe {seq}: node ids are "
-                    f"decimal integers in [0, {n}), blocks are "
-                    f"{self.block_size} bytes"
+                    f"integers in [0, {n}), blocks are {self.block_size} bytes"
                 )
-            at = slice(site * n, (site + 1) * n)
-            blocks[at], present[at] = rows, have
             if site_id != home:
-                self._meter_wan(
-                    site_id, sum(map(len, shipped.values())), purpose
-                )
+                self._meter_wan(site_id, len(run.data), purpose)
         # No site answering is every row erased: stuck, and typed.
         data = read_stripe(
             self.codec,
@@ -494,7 +480,6 @@ class FederationGateway:
         except (SiteDownError, TransientUnavailableError):
             return False
         self._meter_wan(site_id, len(payload), "repair")
-        registry().counter("sites.repair.reinjected").inc()
         return True
 
     # ------------------------------------------------------------------
@@ -510,8 +495,11 @@ class FederationGateway:
         """
         snap = registry().snapshot()
         counters = snap.setdefault("counters", {})
-        for outcome, count in self.reads.items():
-            name = f"sites.reads.{outcome}"
+        ledger = {f"sites.reads.{outcome}": n for outcome, n in self.reads.items()}
+        ledger["sites.wan.bytes"] = self.wan_bytes
+        ledger["sites.read.wan_bytes"] = self.read_wan_bytes
+        ledger["sites.repair.wan_bytes"] = self.repair_wan_bytes
+        for name, count in ledger.items():
             counters[name] = max(counters.get(name, 0), count)
         gauges = snap.setdefault("gauges", {})
         gauges["sites.objects"] = float(len(self.objects))
@@ -519,17 +507,6 @@ class FederationGateway:
             self.manifest.first_failure_floor()
         )
         gauges["sites.members"] = float(len(self.manifest.sites))
-        counters["sites.wan.bytes"] = max(
-            counters.get("sites.wan.bytes", 0), self.wan_bytes
-        )
-        counters["sites.read.wan_bytes"] = max(
-            counters.get("sites.read.wan_bytes", 0),
-            self.read_wan_bytes,
-        )
-        counters["sites.repair.wan_bytes"] = max(
-            counters.get("sites.repair.wan_bytes", 0),
-            self.repair_wan_bytes,
-        )
         return snap
 
     async def status(self) -> dict[str, Any]:

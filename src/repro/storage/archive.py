@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..core.codec import DecodeFailure, TornadoCodec, stripe_rows
+from ..core.codec import BlockRun, DecodeFailure, TornadoCodec, stripe_rows
 from ..core.graph import ErasureGraph
 from ..obs.registry import registry
 from .blockstore import DeviceBlockStore
@@ -264,14 +264,11 @@ class TornadoArchive:
         if nodes is None:
             avail = self.devices.available_mask
             nodes = [node for node, dev in enumerate(devs) if avail[dev]]
-        held = {
-            node: self.blocks.read(devs[node], name, record.index, node)
-            for node in nodes
-            if self.blocks.has(devs[node], name, record.index, node)
-        }
-        blocks, present, _ = stripe_rows(
-            held, self.graph.num_nodes, self.codec.block_size
-        )
+        held = [n for n in nodes if self.blocks.has(devs[n], name, record.index, n)]
+        run = BlockRun.of(self.blocks.read(devs[n], name, record.index, n) for n in held)
+        blocks = np.zeros((self.graph.num_nodes, self.codec.block_size), np.uint8)
+        present = np.zeros(self.graph.num_nodes, dtype=bool)
+        stripe_rows(blocks, present, held, run)
         return blocks, present
 
     def transient_devices(self, record: StripeRecord) -> tuple[int, ...]:

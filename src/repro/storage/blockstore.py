@@ -147,10 +147,9 @@ class LocalBlockStore:
         return True
 
     def keys(self, prefix: str = "") -> Iterator[str]:
-        """Stored keys (sorted for deterministic wire listings)."""
-        for key in sorted(self._blocks):
-            if key.startswith(prefix):
-                yield key
+        """Stored keys starting with ``prefix``, in insertion order
+        (deterministic: a node applies its puts in the order they came)."""
+        return (key for key in self._blocks if key.startswith(prefix))
 
     def clear(self) -> None:
         self._blocks.clear()

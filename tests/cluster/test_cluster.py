@@ -2,12 +2,14 @@
 
 import asyncio
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.cluster import ClusterCoordinator, StorageNode, start_storage_node
 from repro.cluster.coordinator import start_coordinator
+from repro.core.codec import BlockRun
 from repro.core.critical import minimal_bad_stopping_sets
 from repro.graphs import tornado_catalog_graph
 from repro.obs.registry import capture
@@ -306,7 +308,8 @@ class TestRpcTimeoutValidation:
 
 class TestUntrustedFetchReplies:
     """A node's ``block.fetch`` reply is checked, not trusted: a block
-    of the wrong length or under a key nobody asked for is an erasure."""
+    of the wrong length is an erasure, and so is every block of a run
+    whose count or sizes do not fit the request."""
 
     @staticmethod
     async def healthy_object():
@@ -331,9 +334,8 @@ class TestUntrustedFetchReplies:
             got = await cluster.coordinator.get("obj", want_payload=True)
             assert got.payload == payload
             raw = await cluster.coordinator.fetch_stripe_raw("obj", 0)
-            assert sorted(map(int, raw.blocks)) == [
-                n for n in range(96) if n != 7
-            ]
+            assert raw.nodes == tuple(n for n in range(96) if n != 7)
+            assert raw.blocks.sizes == (64,) * 95
             await cluster.close()
 
         with capture() as registry:
@@ -342,7 +344,31 @@ class TestUntrustedFetchReplies:
         assert counters["cluster.get.degraded"] == 1
         assert counters["cluster.fetch.malformed_blocks"] == 2
 
-    def test_unrequested_key_is_dropped_not_a_key_error(self):
+    # A lie told about one node's whole run, and how many of the
+    # node's ``held`` blocks it costs.
+    LIES = {
+        "a-block-too-many": (
+            lambda run: BlockRun(run.sizes + (64,), run.data + bytes(64)),
+            lambda held: held + 1,
+        ),
+        "a-block-too-few": (
+            lambda run: BlockRun(run.sizes[1:], run.data[64:]),
+            lambda held: held,
+        ),
+        "sizes-past-the-run": (
+            lambda run: BlockRun(run.sizes[:-1] + (65,), run.data),
+            lambda held: held,
+        ),
+        "a-short-block": (
+            lambda run: BlockRun((10, *run.sizes[1:]), run.data[54:]),
+            lambda held: 1,
+        ),
+    }
+
+    @pytest.mark.parametrize("lie", LIES)
+    def test_a_run_that_lies_is_erasures_not_an_exception(self, lie):
+        tell, cost = self.LIES[lie]
+
         async def check():
             cluster, record, payload = await self.healthy_object()
             liar = cluster.nodes["node-2"]
@@ -351,21 +377,20 @@ class TestUntrustedFetchReplies:
             def handle(request):
                 response = honest(request)
                 if isinstance(request, BlockFetchRequest):
-                    response.blocks["obj/0/unasked"] = b"\x01" * 64
-                    response.blocks["other/9/3"] = b"\x02" * 64
+                    response = replace(response, blocks=tell(response.blocks))
                 return response
 
             liar.handle = handle
             got = await cluster.coordinator.get("obj", want_payload=True)
             assert got.payload == payload
             await cluster.close()
+            return record.placement.count("node-2")
 
         with capture() as registry:
-            run(check())
+            held = run(check())
         counters = registry.snapshot()["counters"]
-        assert counters["cluster.fetch.malformed_blocks"] == 2
-        # Nothing that was asked for is missing: a healthy read.
-        assert "cluster.get.degraded" not in counters
+        assert counters["cluster.fetch.malformed_blocks"] == cost(held)
+        assert counters["cluster.get.degraded"] == 1
 
     def test_malformed_blocks_over_a_stopping_set_are_data_loss(self):
         critical = minimal_bad_stopping_sets(catalog_graph(), max_size=5)

@@ -214,7 +214,7 @@ class TestOrphans:
                 await until(lambda: coord.scheduler.preemptions == 1)
                 assert not repair.done()
             assert (await reader).payload == old
-            assert len((await raw).blocks) == coord.graph.num_nodes
+            assert len((await raw).nodes) == coord.graph.num_nodes
             await repair
             assert listed(cluster) == sorted(manifest_keys(coord))
             got = await coord.get("a", want_payload=True)

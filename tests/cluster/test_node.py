@@ -6,6 +6,7 @@ import pytest
 
 from repro.cluster import StorageNode, start_storage_node
 from repro.cluster import node as node_module
+from repro.core.codec import BlockRun
 from repro.obs.trace import Tracer, context_seed, trace_capture
 from repro.resilience import FaultPlan
 from repro.resilience.faults import TransientOutages
@@ -36,19 +37,19 @@ def served(node, request):
 class TestStorageNodeLogic:
     def test_block_ops_round_trip(self):
         node = StorageNode("n0")
-        stored = node.handle(BlockPutRequest(blocks={"a/0/0": b"xy"}))
+        stored = node.handle(BlockPutRequest.of({"a/0/0": b"xy"}))
         assert stored.info is None  # an ack with no body
         fetched = node.handle(
             BlockFetchRequest(keys=("a/0/0", "a/0/1"))
         )
-        assert fetched.blocks == {"a/0/0": b"xy"}
+        assert fetched.blocks == BlockRun.of([b"xy"])
         assert fetched.missing == ("a/0/1",)
         listed = node.handle(BlockListRequest(prefix="a/"))
         assert listed.keys == ("a/0/0",)
 
     def test_interrupt_gates_data_plane_not_control_plane(self):
         node = StorageNode("n0")
-        node.handle(BlockPutRequest(blocks={"k": b"v"}))
+        node.handle(BlockPutRequest.of({"k": b"v"}))
         node.interrupt(steps=2)
         with pytest.raises(TransientUnavailableError):
             node.handle(BlockFetchRequest(keys=("k",)))
@@ -61,27 +62,28 @@ class TestStorageNodeLogic:
         assert node.step() is False
         assert node.step() is True
         fetched = node.handle(BlockFetchRequest(keys=("k",)))
-        assert fetched.blocks == {"k": b"v"}
+        assert fetched.blocks == BlockRun.of([b"v"])
 
     def test_batch_put_during_an_outage_stores_nothing(self):
         node = StorageNode("n0")
-        node.handle(BlockPutRequest(blocks={"old": b"o"}))
+        node.handle(BlockPutRequest.of({"old": b"o"}))
         node.interrupt()
         batch = {f"k{i}": bytes([i]) * 4 for i in range(5)}
         with pytest.raises(TransientUnavailableError):
-            node.handle(BlockPutRequest(blocks={"old": b"new", **batch}))
+            node.handle(BlockPutRequest.of({"old": b"new", **batch}))
         node.restore()
         # The availability check precedes the first write.
         assert tuple(node.store.keys()) == ("old",)
         assert node.store.get("old") == b"o"
         assert node.store.stats()["puts"] == 1
-        assert node.handle(BlockPutRequest(blocks=batch)).info is None
+        assert node.handle(BlockPutRequest.of(batch)).info is None
         fetched = node.handle(BlockFetchRequest(keys=tuple(batch)))
-        assert fetched.blocks == batch and fetched.missing == ()
+        assert fetched.blocks == BlockRun.of(batch.values())
+        assert fetched.missing == ()
 
     def test_batch_delete_counts_what_it_held_and_is_idempotent(self):
         node = StorageNode("n0")
-        node.handle(BlockPutRequest(blocks={"a": b"1", "b": b"22", "c": b"3"}))
+        node.handle(BlockPutRequest.of({"a": b"1", "b": b"22", "c": b"3"}))
         doomed = BlockDeleteRequest(keys=("a", "b", "never-stored"))
         assert node.handle(doomed).info == {"deleted": 2}
         assert node.handle(doomed).info == {"deleted": 0}
@@ -90,8 +92,8 @@ class TestStorageNodeLogic:
 
     def test_empty_batches_are_no_op_acks(self):
         node = StorageNode("n0")
-        node.handle(BlockPutRequest(blocks={"a": b"1"}))
-        assert node.handle(BlockPutRequest(blocks={})).info is None
+        node.handle(BlockPutRequest.of({"a": b"1"}))
+        assert node.handle(BlockPutRequest.of({})).info is None
         assert node.handle(BlockDeleteRequest(keys=())).info == {"deleted": 0}
         assert node.store.stats()["puts"] == 1
         assert tuple(node.store.keys()) == ("a",)
@@ -148,7 +150,7 @@ class TestStorageNodeServer:
             frame = asyncio.run(
                 traced_exchange(
                     StorageNode("n0", seed=3),
-                    BlockPutRequest(blocks={"k": b"x"}),
+                    BlockPutRequest.of({"k": b"x"}),
                 )
             )
         assert reply_dict(frame)["ok"] is True
@@ -219,7 +221,7 @@ class TestStorageNodeServer:
 class TestMetricsPlane:
     def test_metrics_snapshot_dispatch(self):
         node = StorageNode("n7")
-        served(node, BlockPutRequest(blocks={"a/0/0": b"xyzw"}))
+        served(node, BlockPutRequest.of({"a/0/0": b"xyzw"}))
         response = served(node, MetricsSnapshotRequest())
         assert isinstance(response, MetricsSnapshotResponse)
         assert response.role == "node"

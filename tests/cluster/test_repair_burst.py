@@ -405,7 +405,7 @@ class TestBatchesPerMember:
             await coord.put("solo", payload_bytes(STRIPE))
             # The benchmark pins a put at one RPC per block; they leave
             # as one burst per member.
-            assert batch_sizes(BlockPutRequest, "blocks") == [1] * 96
+            assert batch_sizes(BlockPutRequest, "keys") == [1] * 96
             assert bursts == [24] * 4
             await cluster.put_objects(3, size=2 * STRIPE)
             stripes = 1 + 3 * 2
@@ -416,7 +416,7 @@ class TestBatchesPerMember:
             coord._rpcs = rpcs
             assert summary["repaired_stripes"] == stripes
             assert waves == [stripes]  # 7 x 96 x 64 B is one wave
-            puts = batch_sizes(BlockPutRequest, "blocks")
+            puts = batch_sizes(BlockPutRequest, "keys")
             deletes = batch_sizes(BlockDeleteRequest, "keys")
             fetches = batch_sizes(BlockFetchRequest, "keys")
             live = len(coord.ring.members)

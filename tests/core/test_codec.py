@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    BlockRun,
     DecodeFailure,
     MLDecoder,
     PeelingDecoder,
@@ -257,35 +258,61 @@ class TestRecover:
         assert codec.plans.stats()["misses"] == 0
 
 
+def landed(rows, run, count=4, size=4):
+    blocks = np.zeros((count, size), dtype=np.uint8)
+    present = np.zeros(count, dtype=bool)
+    refused = stripe_rows(blocks, present, rows, run)
+    return blocks, present, refused
+
+
 class TestStripeRows:
-    def test_builds_the_matrix_and_the_mask(self):
-        blocks, present, refused = stripe_rows(
-            {0: b"abcd", 2: memoryview(b"wxyz")}, 4, 4
-        )
+    def test_lands_the_run_in_its_rows(self):
+        blocks, present, refused = landed([2, 0], BlockRun.of([b"wxyz", b"abcd"]))
         assert refused == 0
         assert present.tolist() == [True, False, True, False]
         assert blocks[0].tobytes() == b"abcd"
         assert blocks[2].tobytes() == b"wxyz"
         assert not blocks[[1, 3]].any()
 
+    def test_an_empty_run_lands_nothing(self):
+        blocks, present, refused = landed([], BlockRun())
+        assert refused == 0 and not present.any() and not blocks.any()
+
     def test_refuses_what_is_not_a_block_of_the_stripe(self):
-        held = {
-            1: b"good",
-            2: b"sho",  # short
-            3: b"toolong",
-            -1: b"nega",  # would index the last row
-            4: b"past",  # one past the stripe
-        }
-        blocks, present, refused = stripe_rows(held, 4, 4)
-        assert refused == 4
+        run = BlockRun.of([b"good", b"sho", b"toolong", b"nega", b"past", b""])
+        blocks, present, refused = landed([1, 2, 3, -1, 4, 0], run)
+        assert refused == 5
         assert present.tolist() == [False, True, False, False]
+        assert blocks[1].tobytes() == b"good"
         assert not blocks[[0, 2, 3]].any()
 
-    def test_pairs_may_repeat_a_node(self):
-        pairs = [(-1, b"aaaa"), (-1, b"bbbb"), (0, b"cccc"), (0, b"dddd")]
-        blocks, present, refused = stripe_rows(iter(pairs), 2, 4)
-        assert refused == 2 and present.tolist() == [True, False]
-        assert blocks[0].tobytes() == b"dddd"  # the later copy wins
+    @pytest.mark.parametrize(
+        "rows, run, refused",
+        [
+            ([0, 1], BlockRun.of([b"aaaa"] * 3), 3),  # a block too many
+            ([0, 1], BlockRun.of([b"aaaa"]), 2),  # a block too few
+            ([0, 1], BlockRun((4, 5), b"a" * 8), 2),  # sizes past the run
+            ([0, 1], BlockRun((4, 3), b"a" * 8), 2),  # sizes short of it
+            ([], BlockRun((), b"a"), 0),  # bytes no block claims: none lost
+        ],
+    )
+    def test_a_run_that_does_not_add_up_lands_nothing(self, rows, run, refused):
+        blocks, present, got = landed(rows, run)
+        assert got == refused
+        assert not present.any() and not blocks.any()
+
+    def test_a_repeated_row_takes_the_later_block(self):
+        blocks, present, refused = landed([0, 0], BlockRun.of([b"cccc", b"dddd"]))
+        assert refused == 0 and present.tolist() == [True, False, False, False]
+        assert blocks[0].tobytes() == b"dddd"
+
+    def test_a_run_splits_into_its_blocks(self):
+        run = BlockRun.of([b"ab", b"", memoryview(b"cde")])
+        assert run == BlockRun((2, 0, 3), b"abcde")
+        assert run.split(3) == [b"ab", b"", b"cde"]
+        for count, bad in ((2, run), (3, BlockRun((2, 0, 4), b"abcde"))):
+            with pytest.raises(ValueError, match="is not"):
+                bad.split(count)
 
 
 class TestPayloadAPI:

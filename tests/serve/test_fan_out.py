@@ -18,13 +18,14 @@ import pytest
 
 from repro.cluster import ClusterCoordinator, StorageNode, start_storage_node
 from repro.cluster.coordinator import NodeLink, link_rpcs
+from repro.core.codec import BlockRun
 from repro.graphs import tornado_catalog_graph
 from repro.obs.registry import capture
 from repro.obs.trace import Tracer, trace_capture
 from repro.resilience import RetryPolicy
 from repro.serve.protocol import (
     BlockFetchRequest,
-    BlockMapResponse,
+    BlockRunResponse,
     BlockPutRequest,
     PingRequest,
     PongResponse,
@@ -54,7 +55,7 @@ def answer(request):
     """What the scripted peers reply: what a node holding nothing says."""
     if isinstance(request, PingRequest):
         return PongResponse()
-    return BlockMapResponse(blocks={}, missing=request.keys)
+    return BlockRunResponse(missing=request.keys)
 
 
 class ScriptedPeer:
@@ -144,7 +145,7 @@ async def not_reading():
 async def fill_the_buffer(link):
     """Park a burst larger than any socket buffer on ``link``: it holds
     the link lock until the link drops."""
-    bulk = [BlockPutRequest(blocks={f"b{i}": bytes(1 << 20)}) for i in range(16)]
+    bulk = [BlockPutRequest.of({f"b{i}": bytes(1 << 20)}) for i in range(16)]
     task = asyncio.ensure_future(
         link_rpcs([(link, bulk)], retry=None, timeout=60.0)
     )
@@ -248,8 +249,8 @@ def test_a_fan_out_matches_the_one_link_path(case):
         assert fanned[key] == alone[key], key
     assert fanned["logged"] == alone["logged"] == []
     healthy = [
-        [BlockMapResponse(blocks={"k": bytes(64)}, missing=()), PongResponse(),
-         BlockMapResponse(blocks={}, missing=("gone",))]
+        [BlockRunResponse(blocks=BlockRun((64,), bytes(64))), PongResponse(),
+         BlockRunResponse(missing=("gone",))]
     ] * len(HEALTHY)
     # The healthy links' replies are kept, whatever the faulty one did,
     # and only the faulty link can be dropped.
@@ -280,18 +281,20 @@ def test_a_fan_out_matches_the_one_link_path(case):
 
 
 class TestMalformedReplies:
-    """A node reply that does not match its request is refused key by
-    key: one liar adds a key nobody asked for, one answers in order
-    with one block short, one answers right in the wrong order (which
-    loses nothing).  A stripe fan-out refuses the same blocks as one
-    call per node."""
+    """A node reply whose run does not match its request is refused, not
+    trusted: one liar sends a block more than it was asked for, one
+    sizes its run past its bytes, one sends a short block, and one
+    lists a key missing and sends the other (which loses nothing).
+    Each refusal is erasures counted in ``cluster.fetch.malformed_blocks``,
+    never a ``KeyError`` or an ``IndexError``.  A stripe fan-out refuses
+    the same blocks as one call per node."""
 
     @staticmethod
     def liar(lie):
         async def script(peer, reader, writer):
             while (data := await read_frame(reader)) is not None:
                 request, envelope = parse_request(data)
-                reply = BlockMapResponse(blocks=lie(request.keys))
+                reply = lie(request.keys)
                 writer.write(encode_frame(reply, request_id=envelope.id))
 
         return script
@@ -303,29 +306,34 @@ class TestMalformedReplies:
         )
         block = bytes(range(64))
         honest = StorageNode("honest", seed=0)
-        for key in ("a", "b"):
+        for key in ("honest-0", "honest-1"):
             honest.store.put(key, block)
         servers = [await start_storage_node(honest, port=0)]
         coord.nodes["honest"] = NodeLink("honest", *address(servers[0]))
-        lies = {
-            "stranger": lambda keys: {"x": block, **dict.fromkeys(keys, block)},
-            "short": lambda keys: {keys[0]: block[:10], keys[1]: block},
-            "reordered": lambda keys: {keys[1]: block, keys[0]: block},
+        lies = {  # each is asked for two keys
+            "extra": lambda keys: BlockRunResponse(blocks=BlockRun.of([block] * 3)),
+            "oversized": lambda keys: BlockRunResponse(
+                blocks=BlockRun((64, 65), block * 2)
+            ),
+            "short": lambda keys: BlockRunResponse(
+                blocks=BlockRun.of([block[:10], block])
+            ),
+            "lacking": lambda keys: BlockRunResponse(
+                blocks=BlockRun.of([block]), missing=keys[:1]
+            ),
         }
         for node_id, lie in lies.items():
             peer_address, peer = await serve_script(cls.liar(lie))
             servers.append(peer)
             coord.nodes[node_id] = NodeLink(node_id, *peer_address)
         wanted = [
-            ("honest", ("a", "b"), np.array([0, 1])),
-            ("stranger", ("c", "d"), np.array([2, 3])),
-            ("short", ("e", "f"), np.array([4, 5])),
-            ("reordered", ("g", "h"), np.array([6, 7])),
+            (node_id, (f"{node_id}-0", f"{node_id}-1"), np.array([2 * i, 2 * i + 1]))
+            for i, node_id in enumerate(["honest", *lies])
         ]
         if together:
-            got = [await coord._fetch_blocks(wanted, 8)]
+            got = [await coord._fetch_blocks(wanted, 10)]
         else:
-            got = [await coord._fetch_blocks([w], 8) for w in wanted]
+            got = [await coord._fetch_blocks([w], 10) for w in wanted]
         for link in coord.nodes.values():
             link.reset()
         for server in servers:
@@ -335,15 +343,16 @@ class TestMalformedReplies:
         blocks = np.sum([rows for rows, _ in got], axis=0)
         return blocks, present
 
-    def test_an_unrequested_key_and_a_wrong_sized_block_are_erasures(self):
+    def test_a_run_that_does_not_fit_its_request_is_erasures(self):
         results = {}
         for together in (True, False):
             with capture() as registry:
                 results[together] = asyncio.run(self.fetch(together))
             counters = registry.snapshot()["counters"]
-            assert counters["cluster.fetch.malformed_blocks"] == 2
+            # 3 (a block too many) + 2 (sizes past the run) + 1 (short)
+            assert counters["cluster.fetch.malformed_blocks"] == 6
         (blocks, present), (alone_blocks, alone_present) = results.values()
-        assert present.tolist() == [True] * 4 + [False] + [True] * 3
+        assert present.tolist() == [True] * 2 + [False] * 5 + [True, False, True]
         assert (present == alone_present).all()
         assert (blocks == alone_blocks).all()
         assert (blocks[present] == np.arange(64, dtype=np.uint8)).all()

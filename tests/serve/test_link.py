@@ -24,13 +24,14 @@ from repro.cluster.coordinator import (
     link_rpc,
     link_rpcs,
 )
+from repro.core.codec import BlockRun
 from repro.graphs import tornado_catalog_graph
 from repro.obs.registry import capture
 from repro.resilience import RetryPolicy
 from repro.serve.lineserver import start_line_server
 from repro.serve.protocol import (
     BlockFetchRequest,
-    BlockMapResponse,
+    BlockRunResponse,
     BlockPutRequest,
     NodeAdminRequest,
     PingRequest,
@@ -97,7 +98,7 @@ class TestPipelining:
                 (key,) = request.keys
                 writer.write(
                     encode_frame(
-                        BlockMapResponse(blocks={key: key.encode()}),
+                        BlockRunResponse(blocks=BlockRun.of([key.encode()])),
                         request_id=envelope.id,
                     )
                 )
@@ -118,8 +119,8 @@ class TestPipelining:
                 )
             )
             # Every caller got the reply to *its* request, payload included.
-            assert [r.blocks for r in replies] == [
-                {f"key-{i}": f"key-{i}".encode()} for i in range(burst)
+            assert [r.blocks.data for r in replies] == [
+                f"key-{i}".encode() for i in range(burst)
             ]
             link.reset()
             server.close()
@@ -131,7 +132,7 @@ class TestPipelining:
         async def handler(request, envelope):
             if isinstance(request, BlockFetchRequest):
                 await asyncio.sleep(0.3)
-                return BlockMapResponse(blocks={})
+                return BlockRunResponse()
             return PongResponse()
 
         async def check():
@@ -164,7 +165,7 @@ class TestPipelining:
             coord = coordinator(rpc_timeout=5.0)
             await coord.register("n0", *address(server))
             link = coord.nodes["n0"]
-            await rpc(coord, link, BlockPutRequest(blocks={"k": b"\n\xff"}))
+            await rpc(coord, link, BlockPutRequest.of({"k": b"\n\xff"}))
             node.partitioned = True
             parked = asyncio.create_task(
                 rpc(coord, link, BlockFetchRequest(keys=("k",)))
@@ -175,7 +176,7 @@ class TestPipelining:
             # answered while the data-plane request is still parked.
             healed = await rpc(coord, link, NodeAdminRequest(action="heal"))
             assert healed.info["partitioned"] is False
-            assert (await parked).blocks == {"k": b"\n\xff"}
+            assert (await parked).blocks == BlockRun.of([b"\n\xff"])
             link.reset()
             server.close()
             await server.wait_closed()
@@ -243,7 +244,7 @@ class TestBursts:
             assert sorted(len(b) for b in bursts) == [24] * 8
             # ... carrying 96 one-block requests per stripe, each under
             # its own id.
-            assert [len(r.blocks) for r in encoded] == [1] * 2 * 96
+            assert [len(r.keys) for r in encoded] == [1] * 2 * 96
             ids = [item for burst in bursts for item in burst]
             assert len(set(ids)) == 2 * 96
             got = await coord.get("obj", want_payload=True)
@@ -360,7 +361,7 @@ class TestFailure:
                 for (_, requests), got in zip(bursts, outcomes):
                     for request, outcome in zip(requests, got):
                         if isinstance(outcome, NodeDownError):
-                            (key,) = request.blocks
+                            (key,) = request.keys
                             failures.append((key, str(outcome)))
                 return outcomes
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.codec import BlockRun
 from repro.serve import lineserver, link
 from repro.serve import protocol as proto
 from repro.serve.errors import (
@@ -25,7 +26,7 @@ from repro.serve.protocol import (
     BlockDeleteRequest,
     BlockFetchRequest,
     BlockListRequest,
-    BlockMapResponse,
+    BlockRunResponse,
     BlockPutRequest,
     ClusterJoinRequest,
     ClusterLeaveRequest,
@@ -83,6 +84,13 @@ payloads = st.one_of(
 block_batches = st.dictionaries(
     keys, st.one_of(payloads, payloads.map(memoryview)), max_size=8
 )
+# A run of blocks: empty, zero-length blocks among them, or one whose
+# sizes do not sum to its bytes (the wire carries it; a reader refuses it).
+u32s = st.integers(min_value=0, max_value=2**32 - 1)
+runs = st.one_of(
+    st.lists(payloads, max_size=8).map(BlockRun.of),
+    st.builds(BlockRun, st.lists(u32s, max_size=4).map(tuple), payloads),
+)
 json_dicts = st.dictionaries(
     st.text(max_size=20),
     st.one_of(st.integers(), st.text(max_size=20), st.booleans()),
@@ -115,7 +123,7 @@ COVERED_RESPONSES = {
     StatsResponse,
     MetricsSnapshotResponse,
     ObjectInfoResponse,
-    BlockMapResponse,
+    BlockRunResponse,
     KeyListResponse,
     AckResponse,
     StatusResponse,
@@ -138,7 +146,7 @@ request_strategies = st.one_of(
     ),
     st.just(StatusRequest()),
     st.builds(RepairRequest, mode=st.sampled_from(RepairRequest._MODES)),
-    st.builds(BlockPutRequest, blocks=block_batches),
+    st.builds(BlockPutRequest.of, block_batches),
     st.builds(
         BlockFetchRequest,
         keys=st.lists(keys, max_size=8).map(tuple),
@@ -190,8 +198,8 @@ response_strategies = st.one_of(
         payload=st.one_of(st.none(), payloads),
     ),
     st.builds(
-        BlockMapResponse,
-        blocks=st.dictionaries(keys, payloads, max_size=6),
+        BlockRunResponse,
+        blocks=runs,
         missing=st.lists(keys, max_size=4).map(tuple),
     ),
     st.builds(
@@ -204,11 +212,8 @@ response_strategies = st.one_of(
         name=names,
         seq=st.integers(min_value=0, max_value=2**20),
         payload_length=st.integers(min_value=0, max_value=2**30),
-        blocks=st.dictionaries(
-            st.integers(min_value=0, max_value=95).map(str),
-            payloads,
-            max_size=6,
-        ),
+        nodes=st.lists(u32s, max_size=6).map(tuple),
+        blocks=runs,
     ),
     st.builds(
         ErrorResponse,
@@ -249,18 +254,29 @@ class TestRequestRoundTrip:
     @example(blocks={"k": memoryview(b"\n\xff=")[1:]})
     @example(blocks={f"obj/0/{i}": bytes([i]) * i for i in range(32)})
     def test_block_put_batch_arrives_byte_exact_and_in_order(self, blocks):
-        data = encode_request(BlockPutRequest(blocks=blocks))
+        data = encode_request(BlockPutRequest.of(blocks))
         assert data.endswith(b"".join(bytes(v) for v in blocks.values()))
         parsed, _ = parse_request(data)
-        assert list(parsed.blocks.items()) == [
-            (key, bytes(data)) for key, data in blocks.items()
+        assert parsed.keys == tuple(blocks)
+        assert type(parsed.blocks.data) is bytes
+        assert parsed.blocks.split(len(blocks)) == [
+            bytes(data) for data in blocks.values()
         ]
-        assert all(type(data) is bytes for data in parsed.blocks.values())
+
+    def test_a_put_whose_keys_and_run_disagree_is_refused(self):
+        for keys, run in (
+            (("a",), BlockRun()),
+            (("a", "b"), BlockRun.of([b"x"])),
+            (("a",), BlockRun((2,), b"x")),
+            ((), BlockRun((), b"x")),
+        ):
+            with pytest.raises(ProtocolError, match="'block.put' names"):
+                BlockPutRequest(keys=keys, blocks=run)
 
     def test_a_key_holding_nul_is_refused_at_encode(self):
         for request in (
-            BlockPutRequest(blocks={"a\0b": b"x"}),
-            BlockPutRequest(blocks={"a": b"x", "\0": b""}),
+            BlockPutRequest.of({"a\0b": b"x"}),
+            BlockPutRequest.of({"a": b"x", "\0": b""}),
             BlockFetchRequest(keys=("a", "b\0")),
         ):
             with pytest.raises(ProtocolError, match="NUL"):
@@ -295,12 +311,12 @@ class TestResponseRoundTrip:
         assert excinfo.value.request_id == 4
 
     def test_payload_bytes_travel_raw_after_the_header(self):
-        blocks = {"a": b"\n\xff=", "b": b"", "c": b"{}\n"}
-        data = encode_frame(BlockMapResponse(blocks=blocks, missing=("d",)))
-        # envelope | present, count, key bytes, missing count and bytes
-        # | value lengths, keys | missing | payload
-        header = struct.pack("<?IIII", True, 3, 5, 1, 1)
-        header += struct.pack("<3I", 3, 0, 3) + b"a\0b\0c" + b"d"
+        run = BlockRun.of([b"\n\xff=", b"", b"{}\n"])
+        data = encode_frame(BlockRunResponse(blocks=run, missing=("d",)))
+        # envelope | block count, run bytes, missing count and bytes
+        # | block sizes | missing | payload
+        header = struct.pack("<IIII", 3, 6, 1, 1)
+        header += struct.pack("<3I", 3, 0, 3) + b"d"
         assert data[ENVELOPE.size :] == header + b"\n\xff={}\n"
         assert ENVELOPE.unpack_from(data)[3:5] == (len(header), 6)
         # A frame without buffer fields is the envelope and header alone.
@@ -312,8 +328,8 @@ class TestResponseRoundTrip:
         raw = bytes(range(256))
         view = memoryview(raw)[16:48]
         assert encode_request(
-            BlockPutRequest(blocks={"k": view})
-        ) == encode_request(BlockPutRequest(blocks={"k": raw[16:48]}))
+            BlockPutRequest.of({"k": view})
+        ) == encode_request(BlockPutRequest.of({"k": raw[16:48]}))
 
     def test_all_registered_kinds_covered_by_strategy(self):
         assert COVERED_RESPONSES == set(proto._RESPONSE_TYPES.values())
@@ -353,6 +369,13 @@ class TestMalformedFrames:
 
     def test_unsupported_future_version(self):
         self.check(frame("ping", v=99), code="unsupported_version")
+
+    def test_a_version_5_frame_is_refused(self):
+        # Version 5 carried blocks as a key -> bytes map; version 6
+        # carries them as one run.
+        v5 = bytes([5]) + block_put((3,), b"k", b"abc")[1:]
+        exc = self.check(v5, code="unsupported_version")
+        assert exc.request_id == 5
 
     def test_json_header_line_is_an_old_version(self):
         for line in (
@@ -653,12 +676,12 @@ class TestPayloadFraming:
         data = block_put((3,), b"k", b"\n\xff=")
         assert body_size(data[: ENVELOPE.size]) == len(data) - ENVELOPE.size
         request, envelope = parse_request(data)
-        assert request == BlockPutRequest(blocks={"k": b"\n\xff="})
+        assert request == BlockPutRequest.of({"k": b"\n\xff="})
         assert envelope.id == 5
 
     def test_lengths_past_the_payload(self):
         assert "claims 4 payload bytes, 3 are left" in self.refused(
-            block_put((4,), b"k", b"abc")
+            block_put((4,), b"k", b"abc", run=4)
         )
         assert "claims 2 header bytes, 1 are left" in self.refused(
             frame("block.list", "I", 2, header=b"k", id=5)
@@ -666,7 +689,9 @@ class TestPayloadFraming:
 
     def test_mismatched_lengths(self):
         # payload bytes no field claims
-        assert "no field claims" in self.refused(block_put((2,), b"k", b"abc"))
+        assert "no field claims" in self.refused(
+            block_put((2,), b"k", b"abc", run=2)
+        )
         assert "no field claims" in self.refused(
             frame("ping", payload=b"abc", id=5)
         )
@@ -678,18 +703,31 @@ class TestPayloadFraming:
         assert "followed it" in self.refused(
             block_put((3,), b"k", b"abc")[:-1]
         )
-        # dict[str, bytes]: every value is checked the same way
-        with pytest.raises(ProtocolError, match="claims 10 payload bytes"):
-            parse_response(
-                frame(
-                    BlockMapResponse.wire_code,
-                    "?IIII",
-                    True, 2, 3, 0, 0,
-                    header=struct.pack("<2I", 1, 9) + b"a\0b",
-                    payload=b"abc",
-                    id=5,
-                )
+        # a put whose sizes do not sum to its run
+        assert "'block.put' names 1 keys" in self.refused(
+            block_put((2,), b"k", b"abc")
+        )
+
+    @pytest.mark.parametrize("run", [2, 4, 10])
+    def test_a_reply_run_must_claim_the_payload_exactly(self, run):
+        def reply(run, sizes=(1, 2)):
+            return frame(
+                BlockRunResponse.wire_code,
+                "IIII",
+                len(sizes), run, 0, 0,
+                header=struct.pack(f"<{len(sizes)}I", *sizes),
+                payload=b"abc",
+                id=5,
             )
+
+        with pytest.raises(ProtocolError) as excinfo:
+            parse_response(reply(run))
+        assert excinfo.value.code == "bad_request"
+        assert excinfo.value.request_id == 5
+        # Sizes that do not sum to the run still parse: the reader
+        # that lands the run refuses it (repro.core.codec.stripe_rows).
+        parsed, _ = parse_response(reply(3, sizes=(1, 9)))
+        assert parsed.blocks == BlockRun((1, 9), b"abc")
 
     def test_over_cap_total_is_refused_before_any_read(self):
         prefix = block_put((1,), b"k", b"a")[: ENVELOPE.size]
@@ -699,10 +737,9 @@ class TestPayloadFraming:
         assert "cap" in str(excinfo.value)
         assert excinfo.value.request_id == 5
         with pytest.raises(ProtocolError, match="cap"):
+            huge = memoryview(bytearray(MAX_PAYLOAD_BYTES + 1))
             encode_request(
-                BlockPutRequest(
-                    blocks={"k": memoryview(bytearray(MAX_PAYLOAD_BYTES + 1))}
-                )
+                BlockPutRequest(keys=("k",), blocks=BlockRun((len(huge),), huge))
             )
 
     def test_over_bound_header_is_refused_before_any_read(self):
@@ -724,7 +761,8 @@ class TestPayloadFraming:
 
             async def handler(request, envelope):
                 if isinstance(request, BlockPutRequest):
-                    stored.update(request.blocks)
+                    blocks = request.blocks.split(len(request.keys))
+                    stored.update(zip(request.keys, blocks))
                 return PongResponse()
 
             server = await start_line_server(handler, port=0)
@@ -735,6 +773,8 @@ class TestPayloadFraming:
                 block_put((2,), b"k", b"a\nc"),
                 block_put((1, 1), b"k", b"abc"),
                 block_put((1, 2), b"k\0l\0m", b"a\nc"),
+                block_put((3,), b"k", b"a\nc", run=4),
+                block_put((2,), b"k", b"a\nc", run=2),
                 frame("block.put", "II", 2**31, 0, payload=b"abc", id=5),
                 frame("ping", header=b"\n", id=5),
                 frame("ping", v=1, id=5),
@@ -744,7 +784,7 @@ class TestPayloadFraming:
                 writer.write(data)
                 writer.write(
                     encode_request(
-                        BlockPutRequest(blocks={"good": b"\n\xff"}),
+                        BlockPutRequest.of({"good": b"\n\xff"}),
                         request_id=6,
                     )
                 )
@@ -771,7 +811,7 @@ class TestPayloadFraming:
 
         async def check():
             async def handler(request, envelope):
-                return BlockMapResponse(blocks={"k": b"x" * 9})
+                return BlockRunResponse(blocks=BlockRun.of([b"x" * 9]))
 
             server = await start_line_server(handler, port=0)
             host, port = server.sockets[0].getsockname()[:2]

@@ -51,7 +51,7 @@ class TestDispatch:
                     writer.write(
                         b"".join(
                             encode_request(
-                                BlockPutRequest(blocks={f"k{i}": bytes(768)}),
+                                BlockPutRequest.of({f"k{i}": bytes(768)}),
                                 request_id=i,
                             )
                             for i in range(burst)
@@ -160,7 +160,7 @@ class TestBackpressure:
                 await asyncio.wait_for(read_reply(reader), 10)
                 for _ in range(per_write * writes)
             ]
-            assert all(len(r["blocks"]["k"]) == block for r in replies)
+            assert all(r["blocks"].sizes == (block,) for r in replies)
             assert node.stats()["gets"] == per_write * writes
             writer.close()
             server.close()
@@ -181,7 +181,7 @@ class TestBackpressure:
             server = await asyncio.start_server(never_reads, "127.0.0.1", 0)
             link = NodeLink("n", *address(server))
             requests = [
-                BlockPutRequest(blocks={f"k{i}": bytes(1 << 20)})
+                BlockPutRequest.of({f"k{i}": bytes(1 << 20)})
                 for i in range(burst)
             ]
             t0 = time.perf_counter()

@@ -51,15 +51,20 @@ def frame(
     )
 
 
-def block_put(lengths, keys: bytes, payload: bytes, *, id: int = 5) -> bytes:
-    """A ``block.put`` frame: value ``lengths`` and NUL-joined ``keys``
-    as its header claims them, ``payload`` as sent."""
+def block_put(
+    lengths, keys: bytes, payload: bytes, *, id: int = 5, run: int | None = None
+) -> bytes:
+    """A ``block.put`` frame: NUL-joined ``keys`` and a run of blocks
+    ``lengths`` long as its header claims them, the run claiming ``run``
+    bytes (all of ``payload`` by default), ``payload`` as sent."""
     return frame(
         "block.put",
-        "II",
-        len(lengths),
+        "IIII",
+        len(keys.split(b"\0")) if keys else 0,
         len(keys),
-        header=struct.pack(f"<{len(lengths)}I", *lengths) + keys,
+        len(lengths),
+        len(payload) if run is None else run,
+        header=keys + struct.pack(f"<{len(lengths)}I", *lengths),
         payload=payload,
         id=id,
     )

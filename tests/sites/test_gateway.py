@@ -15,6 +15,7 @@ import pytest
 
 from repro.cluster import ClusterCoordinator, StorageNode, start_storage_node
 from repro.cluster.coordinator import link_rpc, start_coordinator
+from repro.core.codec import BlockRun
 from repro.storage.archive import DataLossError
 from repro.graphs import tornado_catalog_graph
 from repro.serve.lineserver import start_line_server
@@ -277,45 +278,102 @@ class TestReadLadder:
         run(check())
 
 
+def stub_site(fetch_stripe):
+    """A site that acks puts, cannot decode alone, and answers
+    ``cluster.fetch_stripe`` with ``await fetch_stripe(request)``."""
+
+    async def handler(request, envelope):
+        if isinstance(request, PutRequest):
+            return AckResponse(info={})
+        if isinstance(request, FetchStripeRequest):
+            return await fetch_stripe(request)
+        raise DataLossError(request.name, 0, frozenset({0}))
+
+    return handler
+
+
+async def stub_gateway(fetch_stripe, manifest=None, **options):
+    """A gateway whose every site is one :func:`stub_site`."""
+    server = await start_line_server(stub_site(fetch_stripe), port=0)
+    host, port = server.sockets[0].getsockname()[:2]
+    gw = FederationGateway(
+        manifest or handbuilt_manifest(), block_size=64, **options
+    )
+    for sid in gw.manifest.site_ids:
+        gw.attach_site(sid, host, port)
+    await gw.put("obj", bytes(100))
+    return gw, server
+
+
 class TestCoupledRungValidatesSiteInput:
     """A site's ``fetch_stripe`` reply is outside input: the coupled
     rung rejects what it cannot place instead of decoding garbage."""
 
     @pytest.mark.parametrize(
-        "key, block",
+        "nodes, shipped",
         [
-            ("first", bytes(64)),
-            ("-1", bytes(64)),
-            ("96", bytes(64)),
-            ("3", b"x"),
+            ((0, 96), BlockRun.of([bytes(64)] * 2)),
+            ((0, 3), BlockRun.of([bytes(64), b"x"])),
+            ((0,), BlockRun.of([bytes(64)] * 2)),
+            ((0, 3), BlockRun((64, 65), bytes(128))),
         ],
-        ids=["non-integer", "negative", "past-the-site", "short-block"],
+        ids=["past-the-site", "short-block", "a-block-too-many", "sizes-past-the-run"],
     )
-    def test_malformed_stripe_reply_is_a_protocol_error(self, key, block):
-        async def stub_site(request, envelope):
-            if isinstance(request, PutRequest):
-                return AckResponse(info={})
-            if isinstance(request, FetchStripeRequest):
-                return StripeBlocksResponse(
-                    name=request.name,
-                    seq=request.seq,
-                    payload_length=100,
-                    blocks={"0": bytes(64), key: block},
-                )
-            raise DataLossError(request.name, 0, frozenset({0}))
+    def test_malformed_stripe_reply_is_a_protocol_error(self, nodes, shipped):
+        async def fetch_stripe(request):
+            return StripeBlocksResponse(
+                name=request.name,
+                seq=request.seq,
+                payload_length=100,
+                nodes=nodes,
+                blocks=shipped,
+            )
 
         async def check():
-            server = await start_line_server(stub_site, port=0)
-            host, port = server.sockets[0].getsockname()[:2]
-            gw = FederationGateway(handbuilt_manifest(), block_size=64)
-            for sid in GRAPH_NUMBERS:
-                gw.attach_site(sid, host, port)
-            await gw.put("obj", bytes(100))
+            gw, server = await stub_gateway(fetch_stripe)
             with pytest.raises(ProtocolError, match="site 'site-"):
                 await gw.get("obj", want_payload=True)
             server.close()
 
         run(check())
+
+
+class TestCoupledFanOut:
+    def test_every_site_fetch_is_in_flight_at_once(self):
+        """Each site holds its reply until all three sites' fetches have
+        arrived.  A read that asked one site after another would get no
+        reply from the first two before their deadlines, and read them
+        as dark sites; the deadline only bounds that failure."""
+        three = FederationManifest(
+            sites=tuple(
+                SiteAssignment(sid, number)
+                for sid, number in (("site-a", 2), ("site-b", 3), ("site-c", 1))
+            ),
+            site_max_size=6,
+            pairings=(PairingRecord("site-a", "site-b", None, 13),),
+        )
+        arrived, everyone = [], asyncio.Event()
+
+        async def fetch_stripe(request):
+            arrived.append(request.seq)
+            if len(arrived) == 3:
+                everyone.set()
+            await everyone.wait()
+            return StripeBlocksResponse(name=request.name, seq=request.seq)
+
+        async def check():
+            gw, server = await stub_gateway(
+                fetch_stripe, three, retry=None, rpc_timeout=5.0
+            )
+            # No site ships a block, and none is dark: the coupled
+            # decode is stuck, and typed as loss.
+            with pytest.raises(DataLossError):
+                await gw.get("obj", want_payload=True)
+            assert all(link.alive for link in gw.links.values())
+            server.close()
+
+        run(check())
+        assert arrived == [0, 0, 0]
 
 
 class TestRepair:

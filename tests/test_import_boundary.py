@@ -127,7 +127,7 @@ EXPORTS = {
         "AdjustmentResult", "AdjustmentStep", "BitsetBatchDecoder", "CascadePlan",
         "Constraint", "CriticalReport", "CsrGraph", "DECODE_ENGINES", "DecodeFailure",
         "DecodeResult", "Defect", "DensityReport", "EdgeDistribution", "EncodedStripe",
-        "ErasureGraph", "GenerationError", "GenerationReport", "GraphValidationError",
+        "BlockRun", "ErasureGraph", "GenerationError", "GenerationReport", "GraphValidationError",
         "MLDecodeReport", "MLDecoder", "MultiEdgeRepairError", "PeelingDecoder",
         "PlanCache", "SparseBitsetDecoder", "TornadoCodec", "adjust_graph",
         "allocate_node_degrees", "analyze_worst_case", "cascade_graph_from_degrees",

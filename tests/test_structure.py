@@ -174,7 +174,7 @@ LINTS = {
         r"|^src/repro/serve/protocol\.py:(_is_length:|_coerce:|\w*:\s*\"')"
         r"|raise GraphValidationError\(",
     ),
-    # Protocol v5: one binary codec, one read path.  The speakers read
+    # Protocol v6: one binary codec, one read path.  The speakers read
     # an envelope and one exact body, never a JSON line ...
     "no-json-line-read": Lint(
         r"import json|readline\(",
@@ -193,6 +193,21 @@ LINTS = {
         r"^def ((en|de)code|parse)_\w*\(",
         ("src/repro/serve", "src/repro/cluster", "src/repro/sites"),
         count=range(4, 5),
+    ),
+    # A burst's blocks travel as one run (their sizes beside one stretch
+    # of payload), never as a key -> bytes map ...
+    "no-block-map-on-the-wire": Lint(
+        r"dict\[str, bytes\]", ("src/repro/serve/protocol.py",)
+    ),
+    # ... and every fetched run lands in the stripe matrix through
+    # core.codec.stripe_rows: no tier joins fetched blocks itself.  The
+    # joins left are an object's stripes and the WAL's records.
+    "one-run-landing": Lint(
+        r'b""\.join\(',
+        ("src/repro/cluster", "src/repro/sites"),
+        exempt=r"^src/repro/cluster/coordinator\.py:_get:"
+        r"|^src/repro/sites/gateway\.py:_coupled_read:"
+        r"|^src/repro/cluster/wal\.py:append:",
     ),
     # Frames are dispatched in the transport callback: no stream reads
     # a frame on either side of a connection ...
